@@ -3,7 +3,7 @@
 #
 #     ./ci.sh
 #
-# Twelve checks, in order of increasing cost; the script stops at the first
+# Thirteen checks, in order of increasing cost; the script stops at the first
 # failure:
 #
 #   1. cargo fmt --check            -- formatting drift
@@ -24,7 +24,7 @@
 #                                      restart ride-through, busy shedding
 #   9. tenant isolation (release)   -- N tenants raced through one daemon:
 #                                      byte-identical to serial runs, LRU
-#                                      eviction churn, v2-compat default
+#                                      eviction churn, implicit default
 #                                      tenant, quota/unknown-tenant refusals
 #  10. served round trip            -- hds-served on an ephemeral port:
 #                                      remote backup -> list -> restore ->
@@ -40,6 +40,11 @@
 #                                      as tests: HiDeStore vs RevDedup vs
 #                                      hybrid vs DDFS restore reads, dedup
 #                                      ratios, and deferred-pass accounting
+#  13. hdsbench smoke (release)     -- the benchmark harness builds against
+#                                      the workspace crates and its smoke
+#                                      tests pass, so a program-API change
+#                                      that breaks it fails here, not in
+#                                      the perf gate
 #
 # Everything runs offline against the vendored dependencies in vendor/.
 set -eu
@@ -143,5 +148,8 @@ rm -rf "$TREE_DIR"
 
 echo "ci: cargo test --release --test paper_claims"
 cargo test --release --test paper_claims -q
+
+echo "ci: cargo test --release --manifest-path hdsbench/Cargo.toml"
+cargo test --release --offline --manifest-path hdsbench/Cargo.toml -q
 
 echo "ci: all checks passed"

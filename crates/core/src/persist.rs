@@ -44,12 +44,10 @@ use crate::journal::{self, CommitRecord, JournalRecovery, PublishEntry};
 use crate::system::{HiDeStore, HiDeStoreError};
 
 const META_FILE: &str = "hidestore.meta";
-/// Legacy (pre-CRC) meta format: magic + three LE u32 counters, 16 bytes.
-const META_MAGIC_V1: &[u8; 4] = b"HDSM";
-/// Current meta format: magic + three LE u32 counters + CRC-32 over the
-/// first 16 bytes, 20 bytes total. A torn or bit-flipped meta fails the
-/// length or CRC check and is reported as corrupt instead of misparsed.
-const META_MAGIC_V2: &[u8; 4] = b"HDS2";
+/// The meta format: magic + three LE u32 counters + CRC-32 over the first
+/// 16 bytes, 20 bytes total. A torn or bit-flipped meta fails the length
+/// or CRC check and is reported as corrupt instead of misparsed.
+const META_MAGIC: &[u8; 4] = b"HDS2";
 
 /// Directory quarantined artifacts are moved into.
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
@@ -99,15 +97,14 @@ impl RepositoryMeta {
                 "bad repository meta file: {why}"
             )))
         };
-        if meta.len() >= 4 && &meta[..4] == META_MAGIC_V2 {
-            if meta.len() != 20 {
-                return Err(corrupt(&format!("{} bytes, expected 20", meta.len())));
-            }
-            if crc32(&meta[..16]) != meta_u32(&meta, 16) {
-                return Err(corrupt("payload checksum mismatch (torn write?)"));
-            }
-        } else if !(meta.len() == 16 && &meta[..4] == META_MAGIC_V1) {
-            return Err(corrupt("unrecognized magic or length"));
+        if !meta.starts_with(META_MAGIC) {
+            return Err(corrupt("unrecognized magic"));
+        }
+        if meta.len() != 20 {
+            return Err(corrupt(&format!("{} bytes, expected 20", meta.len())));
+        }
+        if crc32(&meta[..16]) != meta_u32(&meta, 16) {
+            return Err(corrupt("payload checksum mismatch (torn write?)"));
         }
         Ok(Some(RepositoryMeta {
             next_version: meta_u32(&meta, 4),
@@ -116,10 +113,10 @@ impl RepositoryMeta {
         }))
     }
 
-    /// Serializes in the current (CRC-guarded) format.
+    /// Serializes in the CRC-guarded format [`RepositoryMeta::read`] accepts.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20);
-        out.extend_from_slice(META_MAGIC_V2);
+        out.extend_from_slice(META_MAGIC);
         out.extend_from_slice(&self.next_version.to_le_bytes());
         out.extend_from_slice(&self.next_archival.to_le_bytes());
         out.extend_from_slice(&self.history_depth.to_le_bytes());
@@ -828,8 +825,8 @@ mod tests {
             system.save_repository(&dir).unwrap();
         }
         let meta = fs::read(dir.join("hidestore.meta")).unwrap();
-        assert_eq!(meta.len(), 20, "current meta format is 20 bytes");
-        // A truncated v2 meta must be corrupt, not misparsed as legacy.
+        assert_eq!(meta.len(), 20, "the meta format is 20 bytes");
+        // A truncated meta must be corrupt, not misparsed.
         fs::write(dir.join("hidestore.meta"), &meta[..16]).unwrap();
         let err = HiDeStore::open_repository(config(), &dir).unwrap_err();
         assert!(err.to_string().contains("bad repository meta"), "{err}");
@@ -843,23 +840,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_meta_format_still_opens() {
-        let dir = temp_dir("legacy-meta");
+    fn checksumless_hdsm_meta_is_reported_corrupt() {
+        let dir = temp_dir("hdsm-meta");
         {
             let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
             system.backup(&noise(50_000, 31)).unwrap();
             system.save_repository(&dir).unwrap();
         }
-        // Rewrite the meta in the pre-CRC 16-byte format.
-        let meta = RepositoryMeta::read(&dir).unwrap().unwrap();
-        let mut legacy = Vec::with_capacity(16);
-        legacy.extend_from_slice(META_MAGIC_V1);
-        legacy.extend_from_slice(&meta.next_version.to_le_bytes());
-        legacy.extend_from_slice(&meta.next_archival.to_le_bytes());
-        legacy.extend_from_slice(&meta.history_depth.to_le_bytes());
-        fs::write(dir.join("hidestore.meta"), legacy).unwrap();
-        let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
-        assert_eq!(reopened.versions().len(), 1);
+        // The retired 16-byte form: `HDSM` + the same counters, no CRC.
+        let meta = fs::read(dir.join("hidestore.meta")).unwrap();
+        let mut hdsm = b"HDSM".to_vec();
+        hdsm.extend_from_slice(&meta[4..16]);
+        fs::write(dir.join("hidestore.meta"), hdsm).unwrap();
+        let err = HiDeStore::open_repository(config(), &dir).unwrap_err();
+        assert!(
+            matches!(&err, HiDeStoreError::Storage(StorageError::Corrupt(_))),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("bad repository meta"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

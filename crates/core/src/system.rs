@@ -252,57 +252,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         })
     }
 
-    /// Backs up one version from a streaming reader, chunking incrementally
-    /// so the whole version never needs to fit in memory (only unique chunk
-    /// contents are retained, inside the active containers).
-    ///
-    /// Produces exactly the same repository state and statistics as
-    /// [`HiDeStore::backup`] on the concatenated stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails on read errors or if the archival store rejects a write.
-    pub fn backup_reader<R: std::io::Read>(
-        &mut self,
-        mut reader: R,
-    ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
-        use hidestore_chunking::StreamChunker;
-        // Incremental chunking: collect (fingerprint, size) plus content for
-        // the classification pass. Content of duplicate chunks is dropped
-        // immediately; only unique chunks reach the pool.
-        let chunker = self.config.chunker.build(self.config.avg_chunk_size);
-        let mut stream = StreamChunker::new(chunker);
-        let mut pending: Vec<(Fingerprint, u32, bytes::Bytes)> = Vec::new();
-        let mut buf = vec![0u8; 256 * 1024];
-        loop {
-            let n = reader
-                .read(&mut buf)
-                .map_err(|e| HiDeStoreError::Storage(StorageError::Io(e)))?;
-            if n == 0 {
-                break;
-            }
-            stream.push(&buf[..n], |chunk| {
-                pending.push((
-                    Fingerprint::of(chunk),
-                    chunk.len() as u32,
-                    bytes::Bytes::copy_from_slice(chunk),
-                ));
-            });
-        }
-        stream.finish(|chunk| {
-            pending.push((
-                Fingerprint::of(chunk),
-                chunk.len() as u32,
-                bytes::Bytes::copy_from_slice(chunk),
-            ));
-        });
-        let fingerprints: Vec<Fingerprint> = pending.iter().map(|&(fp, _, _)| fp).collect();
-        let sizes: Vec<u32> = pending.iter().map(|&(_, size, _)| size).collect();
-        self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Borrowed(pending[i].2.as_ref())
-        })
-    }
-
     fn run_backup<'a>(
         &mut self,
         fingerprints: &[Fingerprint],
@@ -1332,105 +1281,5 @@ mod trace_tests {
         hds.backup_trace(&v).unwrap();
         hds.backup_trace(&v).unwrap();
         assert!((hds.run_stats().dedup_ratio() - 0.5).abs() < 1e-9);
-    }
-}
-
-#[cfg(test)]
-mod reader_tests {
-    use super::*;
-    use hidestore_restore::Faa;
-    use hidestore_storage::MemoryContainerStore;
-
-    fn noise(len: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..len)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 32) as u8
-            })
-            .collect()
-    }
-
-    /// A reader that hands out data in awkward sizes.
-    struct DribbleReader<'a> {
-        data: &'a [u8],
-        pos: usize,
-        step: usize,
-    }
-
-    impl std::io::Read for DribbleReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.step.min(buf.len()).min(self.data.len() - self.pos);
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            self.step = self.step % 7000 + 13; // vary read sizes
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn reader_backup_equals_slice_backup() {
-        let data = noise(300_000, 21);
-        let mut by_slice = HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        );
-        let mut by_reader = HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        );
-        let a = by_slice.backup(&data).unwrap();
-        let b = by_reader
-            .backup_reader(DribbleReader {
-                data: &data,
-                pos: 0,
-                step: 997,
-            })
-            .unwrap();
-        assert_eq!(a.chunks, b.chunks);
-        assert_eq!(a.stored_bytes, b.stored_bytes);
-        assert_eq!(a.logical_bytes, b.logical_bytes);
-        // Identical recipes chunk for chunk.
-        let ra = by_slice.recipes().get(VersionId::new(1)).unwrap();
-        let rb = by_reader.recipes().get(VersionId::new(1)).unwrap();
-        assert_eq!(ra.entries(), rb.entries());
-    }
-
-    #[test]
-    fn reader_backup_restores_byte_exact() {
-        let data = noise(200_000, 22);
-        let mut hds = HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        );
-        hds.backup_reader(&data[..]).unwrap();
-        let mut out = Vec::new();
-        hds.restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut out)
-            .unwrap();
-        assert_eq!(out, data);
-    }
-
-    #[test]
-    fn reader_backup_deduplicates_against_slice_backup() {
-        let data = noise(150_000, 23);
-        let mut hds = HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        );
-        hds.backup(&data).unwrap();
-        let s2 = hds.backup_reader(&data[..]).unwrap();
-        assert_eq!(s2.stored_bytes, 0, "reader path must hit the same cache");
-    }
-
-    #[test]
-    fn empty_reader_is_valid() {
-        let mut hds = HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        );
-        let stats = hds.backup_reader(std::io::empty()).unwrap();
-        assert_eq!(stats.chunks, 0);
     }
 }

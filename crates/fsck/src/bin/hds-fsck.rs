@@ -23,6 +23,7 @@ use hidestore_core::{
     repository_recovery_state, HiDeStore, HiDeStoreConfig, PendingJournal, RepositoryMeta,
 };
 use hidestore_fsck::{AuditOptions, AuditReport, Finding, FindingKind, Severity, SystemAuditor};
+use hidestore_proto::json::json_string;
 use hidestore_proto::TenantId;
 use hidestore_tenant::TENANTS_SUBDIR;
 
@@ -78,23 +79,6 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The report's key/value body as JSON lines, one `indent` deep, without
 /// the surrounding braces (so it can be embedded per tenant).
 fn json_report_body(report: &AuditReport, indent: &str) -> String {
@@ -136,9 +120,9 @@ fn json_report_body(report: &AuditReport, indent: &str) -> String {
             ""
         };
         out.push_str(&format!(
-            "{indent}  {{\"severity\": \"{}\", \"message\": \"{}\"}}{comma}\n",
+            "{indent}  {{\"severity\": \"{}\", \"message\": {}}}{comma}\n",
             finding.severity,
-            json_escape(&finding.to_string())
+            json_string(&finding.to_string())
         ));
     }
     out.push_str(&format!("{indent}]"));
@@ -276,7 +260,7 @@ fn run_tenants(args: &Args) -> Result<Option<Severity>, String> {
         for (i, outcome) in outcomes.iter().enumerate() {
             let comma = if i + 1 < outcomes.len() { "," } else { "" };
             println!("    {{");
-            println!("      \"tenant\": \"{}\",", json_escape(&outcome.name));
+            println!("      \"tenant\": {},", json_string(&outcome.name));
             match &outcome.result {
                 Ok(report) => {
                     print!("{}", json_report_body(report, "      "));
@@ -284,7 +268,7 @@ fn run_tenants(args: &Args) -> Result<Option<Severity>, String> {
                 }
                 Err(why) => {
                     println!("      \"clean\": false,");
-                    println!("      \"error\": \"{}\"", json_escape(why));
+                    println!("      \"error\": {}", json_string(why));
                 }
             }
             println!("    }}{comma}");

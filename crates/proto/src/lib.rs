@@ -3,16 +3,19 @@
 
 //! Wire protocol for `hds-served`, the HiDeStore network daemon.
 //!
-//! The protocol is a versioned, length-prefixed binary framing over any
-//! reliable byte stream (in practice TCP):
+//! The protocol is a length-prefixed binary framing over any reliable
+//! byte stream (in practice TCP), spoken at exactly one version
+//! ([`PROTO_VERSION`]):
 //!
 //! * [`frame`] — the CRC32-guarded frame layer: `magic | type | len |
 //!   payload | crc32`, with [`Limits`] bounding frame and stream sizes so a
 //!   hostile or corrupt peer cannot force unbounded allocation.
-//! * [`message`] — the typed payloads: [`Hello`] version negotiation,
+//! * [`message`] — the typed payloads: the [`Hello`] version check,
 //!   [`Request`] / [`Response`] enums covering every CLI verb
-//!   (backup/restore/list/stats/prune/verify/ping/shutdown), and
-//!   [`WireError`] with stable [`ErrorCode`]s.
+//!   (backup/restore/list/stats/prune/verify/ping/shutdown plus the tenant
+//!   admin verbs), and [`WireError`] with stable [`ErrorCode`]s. Every
+//!   REQUEST payload is a tenant envelope ([`TenantId`] + request); both
+//!   transfers are idempotent, resumable sessions.
 //! * [`json`] — deterministic JSON serialization of [`ListResponse`] and
 //!   [`StatsResponse`], shared by the CLI's `--json` flags so local and
 //!   remote output cannot drift.
@@ -20,19 +23,24 @@
 //! # Connection lifecycle
 //!
 //! ```text
-//! client                                server
-//!   | -- HELLO {min,max} ------------------> |
-//!   | <------------------ HELLO {v,v} ----- |   (or ERROR unsupported)
-//!   | -- REQUEST Backup -------------------> |
-//!   | -- DATA* ----------------------------> |
-//!   | -- END ------------------------------> |
-//!   | <------------ RESPONSE BackupDone ---- |   (or ERROR)
-//!   | -- REQUEST Restore{v} ---------------> |
-//!   | <-------- RESPONSE RestoreStarted ---- |
-//!   | <---------------------------- DATA* -- |
-//!   | <------------------------------ END -- |
-//!   | <----------- RESPONSE RestoreDone ---- |   (mid-stream failure: ERROR)
+//! client                                          server
+//!   | -- HELLO {4,4} ---------------------------------> |
+//!   | <----------------------------- HELLO {4,4} ----- |  (or ERROR unsupported)
+//!   | -- REQUEST [tenant] BackupResume{token,len} ----> |
+//!   | <------------ RESPONSE BackupAccepted{offset} -- |  (token already
+//!   | -- DATA* (data[offset..]) ----------------------> |   committed: cached
+//!   | -- END -----------------------------------------> |   BackupDone, no DATA)
+//!   | <----------------------- RESPONSE BackupDone --- |  (or ERROR)
+//!   | -- REQUEST [tenant] RestoreResume{v,offset} ----> |
+//!   | <------------------- RESPONSE RestoreStarted --- |
+//!   | <--------------------------------------- DATA* - |  (bytes offset..)
+//!   | <----------------------------------------- END - |
+//!   | <---------------------- RESPONSE RestoreDone --- |  (mid-stream failure: ERROR)
 //! ```
+//!
+//! A fresh transfer is the same exchange with a new token (backup) or
+//! `offset = 0` (restore); a retry after a dropped connection repeats the
+//! request and moves only the bytes the other side does not hold yet.
 //!
 //! Decoding is total: any byte sequence either decodes or yields a typed
 //! [`DecodeError`] / [`FrameError`] — never a panic. Torn frames (a peer
@@ -53,7 +61,7 @@ pub use message::{
     BackupSummary, ErrorCode, Hello, ListResponse, PruneSummary, Request, Response, RestoreSummary,
     SessionToken, StatsResponse, TenantListEntry, TenantListResponse, TenantStatsEntry,
     TenantStatsResponse, VerifySummary, VersionEntry, VersionStatsEntry, WireError, HELLO_MAGIC,
-    MIN_PROTO_VERSION, PROTO_VERSION, TENANT_ENVELOPE_TAG,
+    PROTO_VERSION, TENANT_ENVELOPE_TAG,
 };
 pub use tenant::{TenantId, TenantIdError, DEFAULT_TENANT, MAX_TENANT_ID_LEN};
 pub use wire::DecodeError;
@@ -160,8 +168,6 @@ mod tests {
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::Backup,
-            Request::Restore { version: 3 },
             Request::List,
             Request::Stats,
             Request::Prune { keep_last: 2 },
@@ -201,6 +207,13 @@ mod tests {
             Hello::current().negotiate(&Hello::current()),
             Some(PROTO_VERSION)
         );
+        // This build offers exactly one version: an old build's whole
+        // range lies below it and must not connect.
+        let old_build = Hello {
+            min_version: 1,
+            max_version: 3,
+        };
+        assert_eq!(Hello::current().negotiate(&old_build), None);
     }
 
     #[test]
@@ -248,15 +261,15 @@ mod tests {
             let err = WireError::new(code, format!("context for {code}"));
             assert_eq!(WireError::decode(&err.encode()).unwrap(), err);
         }
-        // The retry hint survives a round trip, and a v1 payload (no
-        // trailing hint) still decodes with hint 0.
+        // The retry hint survives a round trip and is not optional.
         let busy = WireError::busy(250, "queue full");
         assert_eq!(WireError::decode(&busy.encode()).unwrap(), busy);
-        let mut v1 = busy.encode();
-        v1.truncate(v1.len() - 4);
-        let decoded = WireError::decode(&v1).unwrap();
-        assert_eq!(decoded.retry_after_ms, 0);
-        assert_eq!(decoded.code, ErrorCode::Busy);
+        let mut hintless = busy.encode();
+        hintless.truncate(hintless.len() - 4);
+        assert!(matches!(
+            WireError::decode(&hintless),
+            Err(DecodeError::UnexpectedEof { .. })
+        ));
         assert!(
             ErrorCode::Busy.is_retryable() && ErrorCode::ShuttingDown.is_retryable(),
             "load-shedding and shutdown refusals must invite a retry"
@@ -274,14 +287,49 @@ mod tests {
         for req in sample_requests() {
             let enveloped = req.encode_with_tenant(&tenant);
             let (decoded_tenant, decoded) = Request::decode_enveloped(&enveloped).unwrap();
-            assert_eq!(decoded_tenant.as_ref(), Some(&tenant), "{req:?}");
+            assert_eq!(decoded_tenant, tenant, "{req:?}");
             assert_eq!(decoded, req, "{req:?}");
-            // A bare payload decodes with no tenant (the server maps it to
-            // the default tenant) — exactly what v1/v2 clients send.
-            let (none, bare) = Request::decode_enveloped(&req.encode()).unwrap();
-            assert_eq!(none, None, "{req:?}");
-            assert_eq!(bare, req, "{req:?}");
+            // A bare payload is not a REQUEST: the envelope is mandatory.
+            assert!(
+                matches!(
+                    Request::decode_enveloped(&req.encode()),
+                    Err(DecodeError::BadTag {
+                        what: "tenant envelope",
+                        ..
+                    })
+                ),
+                "{req:?}"
+            );
         }
+    }
+
+    #[test]
+    fn retired_transfer_tags_do_not_decode() {
+        // Tags 2 (tokenless Backup) and 3 (tokenless Restore) are retired,
+        // bare or enveloped, and never renumbered onto another verb.
+        let tenant = TenantId::default_tenant();
+        for bare in [vec![2u8], vec![3, 1, 0, 0, 0]] {
+            assert_eq!(
+                Request::decode(&bare),
+                Err(DecodeError::BadTag {
+                    what: "request",
+                    tag: bare[0]
+                })
+            );
+            let mut enveloped = Request::Ping.encode_with_tenant(&tenant);
+            enveloped.pop();
+            enveloped.extend_from_slice(&bare);
+            assert_eq!(
+                Request::decode_enveloped(&enveloped),
+                Err(DecodeError::BadTag {
+                    what: "request",
+                    tag: bare[0]
+                })
+            );
+        }
+        assert_eq!(Request::Ping.encode(), [1]);
+        assert_eq!(Request::List.encode(), [4]);
+        assert_eq!(Request::TenantStats.encode(), [12]);
     }
 
     #[test]
@@ -339,7 +387,6 @@ mod tests {
         let mut frames: Vec<Vec<u8>> = Vec::new();
         let tenant = TenantId::new("fuzz-tenant").unwrap();
         for req in sample_requests() {
-            frames.push(encode_frame(FrameKind::Request, &req.encode()));
             frames.push(encode_frame(
                 FrameKind::Request,
                 &req.encode_with_tenant(&tenant),
@@ -428,7 +475,8 @@ mod tests {
     #[test]
     fn frames_are_self_delimiting() {
         let mut stream = Vec::new();
-        stream.extend_from_slice(&encode_frame(FrameKind::Request, &Request::List.encode()));
+        let list = Request::List.encode_with_tenant(&TenantId::default_tenant());
+        stream.extend_from_slice(&encode_frame(FrameKind::Request, &list));
         stream.extend_from_slice(&encode_frame(FrameKind::Data, b"abc"));
         stream.extend_from_slice(&encode_frame(FrameKind::End, &[]));
         let mut cursor = &stream[..];

@@ -11,18 +11,11 @@ use std::fmt;
 use crate::tenant::TenantId;
 use crate::wire::{ByteReader, ByteWriter, DecodeError};
 
-/// Newest protocol version this build speaks. Version 2 adds the
-/// resumable-session messages ([`Request::BackupResume`],
-/// [`Request::RestoreResume`], [`Response::BackupAccepted`]) and the
-/// retryable [`ErrorCode::Busy`] code. Version 3 adds the tenant
-/// envelope (every request may name the tenant it targets; envelope-less
-/// requests run as the default tenant), the tenant admin requests
-/// ([`Request::TenantList`], [`Request::TenantStats`]) and the
-/// non-retryable [`ErrorCode::QuotaExceeded`] code.
-pub const PROTO_VERSION: u16 = 3;
-
-/// Oldest protocol version this build still accepts.
-pub const MIN_PROTO_VERSION: u16 = 1;
+/// The one protocol version this build speaks: every request carries the
+/// tenant envelope and every transfer is an idempotent, resumable session.
+/// Both peers offer exactly this version in their [`Hello`]; any other
+/// offered range is refused with [`ErrorCode::Unsupported`].
+pub const PROTO_VERSION: u16 = 4;
 
 /// A client-generated idempotency token identifying one backup session.
 /// The server dedupes on it: a retried `BackupResume` whose token already
@@ -34,9 +27,11 @@ pub type SessionToken = [u8; 16];
 /// endpoint from an arbitrary TCP service.
 pub const HELLO_MAGIC: [u8; 4] = *b"HDSP";
 
-/// Version negotiation offer: the contiguous range of protocol versions the
-/// sender speaks. Each side sends one; the connection proceeds at
-/// [`Hello::negotiate`]'s result.
+/// Version offer: the contiguous range of protocol versions the sender
+/// speaks. Each side sends one; the connection proceeds only if
+/// [`Hello::negotiate`] finds a shared version — which, with this build
+/// offering `min = max =` [`PROTO_VERSION`], means the peer's range must
+/// contain exactly that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// Oldest version the sender accepts.
@@ -46,10 +41,10 @@ pub struct Hello {
 }
 
 impl Hello {
-    /// The offer for this build.
+    /// The offer for this build: exactly [`PROTO_VERSION`].
     pub fn current() -> Self {
         Hello {
-            min_version: MIN_PROTO_VERSION,
+            min_version: PROTO_VERSION,
             max_version: PROTO_VERSION,
         }
     }
@@ -95,20 +90,13 @@ impl Hello {
     }
 }
 
-/// A client request. `Backup` is followed by a DATA stream terminated by
-/// END; every other request is self-contained.
+/// A client request. `BackupResume` is followed (after the server's
+/// [`Response::BackupAccepted`]) by a DATA stream terminated by END; every
+/// other request is self-contained.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
     /// Liveness probe; the server answers [`Response::Pong`].
     Ping,
-    /// Back up the DATA stream that follows as the next version.
-    Backup,
-    /// Restore a version; the server streams DATA frames then
-    /// [`Response::RestoreDone`].
-    Restore {
-        /// The version to restore (1-based).
-        version: u32,
-    },
     /// List retained versions.
     List,
     /// Per-version fragmentation statistics.
@@ -123,7 +111,7 @@ pub enum Request {
     /// Ask the daemon to shut down gracefully after in-flight requests
     /// drain.
     Shutdown,
-    /// Protocol v2: begin (or resume) an idempotent backup session. The
+    /// Begin (or resume) an idempotent backup session. The
     /// server answers [`Response::BackupAccepted`] with the byte offset it
     /// already buffered for this token (0 for a fresh session), then the
     /// client streams DATA frames carrying `data[offset..]` and END. A
@@ -137,9 +125,11 @@ pub enum Request {
         /// to it.
         total_len: u64,
     },
-    /// Protocol v2: restore a version starting at a byte offset, so an
-    /// interrupted restore re-transfers only the tail after the last
-    /// chunk boundary the client acknowledged (by having received it).
+    /// Restore a version starting at a byte offset (0 for a fresh
+    /// restore): the server answers [`Response::RestoreStarted`], streams
+    /// DATA frames and END, then [`Response::RestoreDone`]. An interrupted
+    /// restore re-transfers only the tail after the bytes the client
+    /// already holds.
     RestoreResume {
         /// The version to restore (1-based).
         version: u32,
@@ -147,19 +137,18 @@ pub enum Request {
         /// starts at this offset.
         offset: u64,
     },
-    /// Protocol v3: list every tenant under the server's root with its
+    /// List every tenant under the server's root with its
     /// version count and logical size. Admin verb — not scoped to the
     /// enveloped tenant.
     TenantList,
-    /// Protocol v3: per-tenant server counters (requests, bytes, quota
+    /// Per-tenant server counters (requests, bytes, quota
     /// refusals). Admin verb — not scoped to the enveloped tenant.
     TenantStats,
 }
 
-/// Reserved first byte of a REQUEST payload marking a tenant envelope.
-/// Request tags start at 1, so a leading 0 unambiguously announces
-/// `0 | tenant-id string | inner request` (protocol v3); payloads starting
-/// with any other byte are bare v1/v2 requests for the default tenant.
+/// First byte of every REQUEST payload: the tenant envelope
+/// `0 | tenant-id string | inner request`. Request tags start at 1, so a
+/// payload starting with any other byte is not an envelope and is rejected.
 pub const TENANT_ENVELOPE_TAG: u8 = 0;
 
 impl Request {
@@ -167,8 +156,6 @@ impl Request {
     pub fn name(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Backup => "backup",
-            Request::Restore { .. } => "restore",
             Request::List => "list",
             Request::Stats => "stats",
             Request::Prune { .. } => "prune",
@@ -181,29 +168,13 @@ impl Request {
         }
     }
 
-    /// Whether this request is only served at protocol version 2 or newer.
-    pub fn needs_v2(&self) -> bool {
-        matches!(
-            self,
-            Request::BackupResume { .. } | Request::RestoreResume { .. }
-        )
-    }
-
-    /// Whether this request is only served at protocol version 3 or newer.
-    pub fn needs_v3(&self) -> bool {
-        matches!(self, Request::TenantList | Request::TenantStats)
-    }
-
-    /// Encodes this request as a REQUEST frame payload.
+    /// Encodes the bare request (tag + fields) that
+    /// [`Request::encode_with_tenant`] wraps. Tags 2 and 3 belonged to the
+    /// retired tokenless transfer verbs and are never reused.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
             Request::Ping => w.u8(1),
-            Request::Backup => w.u8(2),
-            Request::Restore { version } => {
-                w.u8(3);
-                w.u32(*version);
-            }
             Request::List => w.u8(4),
             Request::Stats => w.u8(5),
             Request::Prune { keep_last } => {
@@ -228,9 +199,8 @@ impl Request {
         w.into_bytes()
     }
 
-    /// Encodes this request wrapped in a protocol-v3 tenant envelope:
-    /// `0 | tenant-id | bare request`. Only sent to servers that
-    /// negotiated version 3 or newer.
+    /// Encodes this request as a REQUEST frame payload: the tenant
+    /// envelope `0 | tenant-id | bare request`.
     pub fn encode_with_tenant(&self, tenant: &TenantId) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(TENANT_ENVELOPE_TAG);
@@ -239,28 +209,31 @@ impl Request {
         w.into_bytes()
     }
 
-    /// Decodes a REQUEST frame payload that may carry a tenant envelope.
-    /// Returns the enveloped tenant (`None` for a bare v1/v2 payload,
-    /// which the server maps to the default tenant) and the request.
+    /// Decodes a REQUEST frame payload: the tenant envelope and the
+    /// request inside it.
     ///
     /// # Errors
     ///
-    /// Typed [`DecodeError`] on unknown tags, truncation, or trailing
-    /// bytes; [`DecodeError::InvalidTenant`] when the envelope names an
-    /// id that fails validation (including path-traversal attempts).
-    pub fn decode_enveloped(payload: &[u8]) -> Result<(Option<TenantId>, Self), DecodeError> {
-        if payload.first() != Some(&TENANT_ENVELOPE_TAG) {
-            return Ok((None, Request::decode(payload)?));
-        }
+    /// Typed [`DecodeError`] on a missing envelope tag, unknown request
+    /// tags, truncation, or trailing bytes;
+    /// [`DecodeError::InvalidTenant`] when the envelope names an id that
+    /// fails validation (including path-traversal attempts).
+    pub fn decode_enveloped(payload: &[u8]) -> Result<(TenantId, Self), DecodeError> {
         let mut r = ByteReader::new(payload);
-        let _ = r.u8()?;
+        let tag = r.u8()?;
+        if tag != TENANT_ENVELOPE_TAG {
+            return Err(DecodeError::BadTag {
+                what: "tenant envelope",
+                tag,
+            });
+        }
         let name = r.string()?;
         let tenant = TenantId::new(&name).map_err(DecodeError::InvalidTenant)?;
         let request = Request::decode(r.rest())?;
-        Ok((Some(tenant), request))
+        Ok((tenant, request))
     }
 
-    /// Decodes a REQUEST frame payload.
+    /// Decodes a bare request (the inverse of [`Request::encode`]).
     ///
     /// # Errors
     ///
@@ -269,8 +242,6 @@ impl Request {
         let mut r = ByteReader::new(payload);
         let req = match r.u8()? {
             1 => Request::Ping,
-            2 => Request::Backup,
-            3 => Request::Restore { version: r.u32()? },
             4 => Request::List,
             5 => Request::Stats,
             6 => Request::Prune {
@@ -473,9 +444,10 @@ pub struct TenantStatsResponse {
     pub tenants: Vec<TenantStatsEntry>,
 }
 
-/// A server response. Every request gets exactly one RESPONSE (or ERROR)
-/// frame; `Restore` additionally streams DATA frames before its
-/// `RestoreDone`.
+/// A server response. Every request ends in exactly one RESPONSE (or
+/// ERROR) frame; `BackupResume` is first acknowledged with
+/// `BackupAccepted`, and `RestoreResume` streams DATA frames between its
+/// `RestoreStarted` and `RestoreDone`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -501,16 +473,16 @@ pub enum Response {
     /// The daemon acknowledged [`Request::Shutdown`] and will exit once
     /// in-flight requests drain.
     ShutdownOk,
-    /// Protocol v2: a [`Request::BackupResume`] session is open. `offset`
+    /// A [`Request::BackupResume`] session is open. `offset`
     /// bytes are already buffered server-side for this token; the client
     /// streams the remainder.
     BackupAccepted {
         /// Bytes of the stream the server already holds (resume point).
         offset: u64,
     },
-    /// Protocol v3: answer to [`Request::TenantList`].
+    /// Answer to [`Request::TenantList`].
     TenantListOk(TenantListResponse),
-    /// Protocol v3: answer to [`Request::TenantStats`].
+    /// Answer to [`Request::TenantStats`].
     TenantStatsOk(TenantStatsResponse),
 }
 
@@ -745,14 +717,12 @@ impl Response {
     }
 }
 
-/// Machine-readable failure classes carried in ERROR frames. The numeric
-/// wire value is stable across protocol versions.
+/// Machine-readable failure classes carried in ERROR frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The peer sent bytes that do not decode (bad frame, bad tag, CRC).
     Malformed,
-    /// Version negotiation failed or the request is not served at the
-    /// negotiated version.
+    /// The peer's HELLO does not offer this build's protocol version.
     Unsupported,
     /// A frame or stream exceeded the server's size limits.
     TooLarge,
@@ -890,9 +860,7 @@ impl WireError {
         w.into_bytes()
     }
 
-    /// Decodes an ERROR frame payload. The trailing retry hint was added
-    /// in protocol v2; a v1 payload without it decodes with hint 0, so the
-    /// error taxonomy stays readable across versions.
+    /// Decodes an ERROR frame payload.
     ///
     /// # Errors
     ///
@@ -902,7 +870,7 @@ impl WireError {
         let mut r = ByteReader::new(payload);
         let code = ErrorCode::from_u16(r.u16()?)?;
         let message = r.string()?;
-        let retry_after_ms = if r.remaining() > 0 { r.u32()? } else { 0 };
+        let retry_after_ms = r.u32()?;
         r.finish()?;
         Ok(WireError {
             code,

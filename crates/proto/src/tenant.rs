@@ -15,8 +15,8 @@ use std::fmt;
 /// Maximum length of a tenant id in bytes.
 pub const MAX_TENANT_ID_LEN: usize = 64;
 
-/// Name of the implicit tenant that protocol v1/v2 clients (which cannot
-/// name a tenant) are mapped to.
+/// Name of the tenant a client addresses until it names another, and the
+/// one tenant a single-repository mount serves.
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Why a candidate tenant id was rejected.
@@ -93,7 +93,7 @@ impl TenantId {
         Ok(TenantId(s.to_string()))
     }
 
-    /// The implicit tenant v1/v2 clients are served as.
+    /// The [`DEFAULT_TENANT`].
     #[must_use]
     pub fn default_tenant() -> Self {
         TenantId(DEFAULT_TENANT.to_string())

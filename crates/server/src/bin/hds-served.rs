@@ -14,7 +14,7 @@
 
 use std::process::ExitCode;
 
-use hidestore_server::{serve, ServerConfig};
+use hidestore_server::{serve_until_shutdown, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -48,71 +48,19 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(repo) = args.next() else {
-        return usage();
-    };
-    if repo.starts_with('-') {
-        return usage();
-    }
-    let mut bind = "127.0.0.1".to_string();
-    let mut port: u16 = 0;
-    let mut config = ServerConfig::default();
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--bind" => match args.next() {
-                Some(v) => bind = v,
-                None => return usage(),
-            },
-            "--port" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => port = v,
-                None => return usage(),
-            },
-            "--workers" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => config.workers = v,
-                _ => return usage(),
-            },
-            "--quiet" => config.quiet = true,
-            "--read-timeout" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => config.read_timeout = Some(std::time::Duration::from_secs(v)),
-                None => return usage(),
-            },
-            "--write-timeout" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => config.write_timeout = Some(std::time::Duration::from_secs(v)),
-                None => return usage(),
-            },
-            "--tenants" => config.tenants_root = true,
-            "--max-tenants" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => config.max_live_tenants = v,
-                _ => return usage(),
-            },
-            "--no-auto-tenants" => config.auto_create_tenants = false,
-            "--quota-bytes" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.default_quota.max_bytes = v,
-                None => return usage(),
-            },
-            "--quota-versions" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.default_quota.max_versions = v,
-                None => return usage(),
-            },
-            _ => return usage(),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (repo, config) = match ServerConfig::from_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("hds-served: {msg}");
+            return usage();
         }
-    }
-    config.bind = format!("{bind}:{port}");
-
-    let handle = match serve(&repo, config) {
-        Ok(h) => h,
+    };
+    match serve_until_shutdown(&repo, config) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("hds-served: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    // Scripts block on this exact line to learn the bound (ephemeral) port.
-    println!("hds-served listening on {}", handle.addr());
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-
-    let stats = handle.join();
-    eprintln!("hds-served: drained; final counters: {stats}");
-    ExitCode::SUCCESS
+    }
 }

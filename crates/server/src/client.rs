@@ -1,7 +1,8 @@
 //! [`RemoteClient`] — the blocking client side of the wire protocol.
 //!
-//! One client owns one connection: connect, negotiate HELLO once, then issue
-//! any number of requests. Every request sends one `REQUEST` frame and reads
+//! One client owns one connection: connect, exchange HELLO once, then issue
+//! any number of requests. Every request sends one `REQUEST` frame (the
+//! tenant envelope around the request) and reads
 //! until the matching `RESPONSE` (streaming `DATA` frames in between for
 //! backup/restore). An `ERROR` frame from the daemon surfaces as
 //! [`ClientError::Remote`] with the typed code intact, and a reply that does
@@ -20,6 +21,8 @@ use hidestore_proto::{
     ListResponse, PruneSummary, Request, Response, RestoreSummary, SessionToken, StatsResponse,
     TenantId, TenantListResponse, TenantStatsResponse, VerifySummary, WireError,
 };
+
+use crate::retry::generate_token;
 
 /// Payload bytes per DATA frame when streaming a backup to the daemon.
 const DATA_CHUNK: usize = 256 * 1024;
@@ -89,11 +92,9 @@ impl From<io::Error> for ClientError {
 pub struct RemoteClient<S: NetStream = RealStream> {
     stream: S,
     limits: Limits,
-    /// The protocol version both ends agreed on during HELLO.
-    version: u16,
-    /// Tenant every request is addressed to. `None` sends bare (v1/v2)
-    /// request payloads, which the server maps to the `default` tenant.
-    tenant: Option<TenantId>,
+    /// Tenant every request is addressed to (`default` until
+    /// [`RemoteClient::set_tenant`] names another).
+    tenant: TenantId,
 }
 
 impl RemoteClient<RealStream> {
@@ -143,8 +144,7 @@ impl<S: NetStream> RemoteClient<S> {
         let mut client = RemoteClient {
             stream,
             limits,
-            version: 0,
-            tenant: None,
+            tenant: TenantId::default_tenant(),
         };
         write_frame(
             &mut client.stream,
@@ -156,13 +156,12 @@ impl<S: NetStream> RemoteClient<S> {
             FrameKind::Hello => {
                 let server = Hello::decode(&frame.payload)
                     .map_err(|e| ClientError::Protocol(format!("bad HELLO reply: {e}")))?;
-                let Some(version) = Hello::current().negotiate(&server) else {
+                if Hello::current().negotiate(&server).is_none() {
                     return Err(ClientError::Protocol(format!(
                         "server offered unsupported version range {}..={}",
                         server.min_version, server.max_version
                     )));
-                };
-                client.version = version;
+                }
                 Ok(client)
             }
             FrameKind::Error => Err(ClientError::Remote(decode_error_frame(&frame)?)),
@@ -172,49 +171,25 @@ impl<S: NetStream> RemoteClient<S> {
         }
     }
 
-    /// The protocol version negotiated at connect time.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// Addresses every subsequent request to `tenant`. Needs a
-    /// protocol-v3 peer for any tenant other than `default`; against an
-    /// older server the `default` tenant is expressed by sending bare
-    /// (unenveloped) requests, which is what such a server serves anyway.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Protocol`] when a non-default tenant is requested
-    /// over a pre-v3 connection — the older server would silently operate
-    /// on the wrong (default) tenant otherwise.
-    pub fn set_tenant(&mut self, tenant: TenantId) -> Result<(), ClientError> {
-        if self.version < 3 {
-            if tenant.is_default() {
-                self.tenant = None;
-                return Ok(());
-            }
-            return Err(ClientError::Protocol(format!(
-                "tenant addressing needs protocol v3, negotiated v{}",
-                self.version
-            )));
-        }
-        self.tenant = Some(tenant);
-        Ok(())
+    /// Addresses every subsequent request to `tenant`.
+    pub fn set_tenant(&mut self, tenant: TenantId) {
+        self.tenant = tenant;
     }
 
     /// Builder form of [`RemoteClient::set_tenant`].
     ///
     /// # Errors
     ///
-    /// As [`RemoteClient::set_tenant`].
+    /// Never fails; the `Result` is the signature existing callers chain
+    /// `?` on.
     pub fn with_tenant(mut self, tenant: TenantId) -> Result<Self, ClientError> {
-        self.set_tenant(tenant)?;
+        self.set_tenant(tenant);
         Ok(self)
     }
 
-    /// The tenant requests are currently addressed to, if any.
-    pub fn tenant(&self) -> Option<&TenantId> {
-        self.tenant.as_ref()
+    /// The tenant requests are currently addressed to.
+    pub fn tenant(&self) -> &TenantId {
+        &self.tenant
     }
 
     fn read(&mut self) -> Result<Frame, ClientError> {
@@ -222,10 +197,7 @@ impl<S: NetStream> RemoteClient<S> {
     }
 
     fn send_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        let payload = match &self.tenant {
-            Some(tenant) => request.encode_with_tenant(tenant),
-            None => request.encode(),
-        };
+        let payload = request.encode_with_tenant(&self.tenant);
         write_frame(&mut self.stream, FrameKind::Request, &payload)?;
         Ok(())
     }
@@ -257,21 +229,14 @@ impl<S: NetStream> RemoteClient<S> {
         }
     }
 
-    /// Streams `data` to the daemon as a new backup version.
+    /// Streams `data` to the daemon as a new backup version: a
+    /// single-leg [`RemoteClient::backup_resume`] under a fresh token.
     ///
     /// # Errors
     ///
     /// Transport, remote (e.g. oversize stream), or protocol errors.
     pub fn backup_bytes(&mut self, data: &[u8]) -> Result<BackupSummary, ClientError> {
-        self.send_request(&Request::Backup)?;
-        for chunk in data.chunks(DATA_CHUNK.max(1)) {
-            write_frame(&mut self.stream, FrameKind::Data, chunk)?;
-        }
-        write_frame(&mut self.stream, FrameKind::End, &[])?;
-        match self.read_response()? {
-            Response::BackupDone(summary) => Ok(summary),
-            other => Err(unexpected("BackupDone", &other)),
-        }
+        Ok(self.backup_resume(generate_token(0), data)?.summary)
     }
 
     /// One leg of a resumable backup: offers `token` to the daemon, and —
@@ -282,18 +247,12 @@ impl<S: NetStream> RemoteClient<S> {
     ///
     /// # Errors
     ///
-    /// Transport, remote, or protocol errors; requires a protocol-v2 peer.
+    /// Transport, remote, or protocol errors.
     pub fn backup_resume(
         &mut self,
         token: SessionToken,
         data: &[u8],
     ) -> Result<BackupAttempt, ClientError> {
-        if self.version < 2 {
-            return Err(ClientError::Protocol(format!(
-                "resumable backup needs protocol v2, negotiated v{}",
-                self.version
-            )));
-        }
         let total_len = data.len() as u64;
         self.send_request(&Request::BackupResume { token, total_len })?;
         let offset = match self.read_response()? {
@@ -332,10 +291,10 @@ impl<S: NetStream> RemoteClient<S> {
     }
 
     /// Restores `version` into `out`, returning the daemon's restore
-    /// summary. The stream is `RestoreStarted` → DATA… → END →
-    /// `RestoreDone`; an ERROR frame mid-stream aborts with the bytes
-    /// written so far already in `out` (callers writing to a file should
-    /// use [`RemoteClient::restore_to_path`], which cleans up for them).
+    /// summary: a single-leg [`RemoteClient::restore_resume`] from offset
+    /// 0. An ERROR frame mid-stream aborts with the bytes written so far
+    /// already in `out` (callers writing to a file should use
+    /// [`RemoteClient::restore_to_path`], which cleans up for them).
     ///
     /// # Errors
     ///
@@ -346,47 +305,7 @@ impl<S: NetStream> RemoteClient<S> {
         version: u32,
         out: &mut dyn Write,
     ) -> Result<RestoreSummary, ClientError> {
-        self.send_request(&Request::Restore { version })?;
-        let total_bytes = match self.read_response()? {
-            Response::RestoreStarted { total_bytes } => total_bytes,
-            other => return Err(unexpected("RestoreStarted", &other)),
-        };
-        let mut received: u64 = 0;
-        loop {
-            let frame = self.read()?;
-            match frame.kind {
-                FrameKind::Data => {
-                    received += frame.payload.len() as u64;
-                    if received > self.limits.max_stream {
-                        return Err(ClientError::Protocol(format!(
-                            "restore stream exceeds the {}-byte limit",
-                            self.limits.max_stream
-                        )));
-                    }
-                    out.write_all(&frame.payload)?;
-                }
-                FrameKind::End => break,
-                FrameKind::Error => return Err(ClientError::Remote(decode_error_frame(&frame)?)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "expected DATA/END, got {other}"
-                    )))
-                }
-            }
-        }
-        match self.read_response()? {
-            Response::RestoreDone(summary) => {
-                if summary.bytes_restored != received || received != total_bytes {
-                    return Err(ClientError::Protocol(format!(
-                        "restore length mismatch: announced {total_bytes}, received \
-                         {received}, daemon reports {}",
-                        summary.bytes_restored
-                    )));
-                }
-                Ok(summary)
-            }
-            other => Err(unexpected("RestoreDone", &other)),
-        }
+        Ok(self.restore_resume(version, 0, out)?.summary)
     }
 
     /// One leg of a resumable restore: asks the daemon for `version`
@@ -398,25 +317,14 @@ impl<S: NetStream> RemoteClient<S> {
     /// # Errors
     ///
     /// Transport, remote, or protocol errors (including an offset past the
-    /// version's end) — and `out`'s own write errors. A non-zero offset
-    /// requires a protocol-v2 peer.
+    /// version's end) — and `out`'s own write errors.
     pub fn restore_resume(
         &mut self,
         version: u32,
         offset: u64,
         out: &mut dyn Write,
     ) -> Result<RestoreAttempt, ClientError> {
-        if offset > 0 && self.version < 2 {
-            return Err(ClientError::Protocol(format!(
-                "resumable restore needs protocol v2, negotiated v{}",
-                self.version
-            )));
-        }
-        if offset == 0 {
-            self.send_request(&Request::Restore { version })?;
-        } else {
-            self.send_request(&Request::RestoreResume { version, offset })?;
-        }
+        self.send_request(&Request::RestoreResume { version, offset })?;
         let total_bytes = match self.read_response()? {
             Response::RestoreStarted { total_bytes } => total_bytes,
             other => return Err(unexpected("RestoreStarted", &other)),
@@ -547,19 +455,12 @@ impl<S: NetStream> RemoteClient<S> {
         }
     }
 
-    /// Fetches the daemon's tenant listing (admin verb; requires a
-    /// protocol-v3 peer).
+    /// Fetches the daemon's tenant listing (admin verb).
     ///
     /// # Errors
     ///
     /// Transport, remote, or protocol errors.
     pub fn tenant_list(&mut self) -> Result<TenantListResponse, ClientError> {
-        if self.version < 3 {
-            return Err(ClientError::Protocol(format!(
-                "tenant-list needs protocol v3, negotiated v{}",
-                self.version
-            )));
-        }
         self.send_request(&Request::TenantList)?;
         match self.read_response()? {
             Response::TenantListOk(list) => Ok(list),
@@ -567,19 +468,12 @@ impl<S: NetStream> RemoteClient<S> {
         }
     }
 
-    /// Fetches the daemon's per-tenant request counters (admin verb;
-    /// requires a protocol-v3 peer).
+    /// Fetches the daemon's per-tenant request counters (admin verb).
     ///
     /// # Errors
     ///
     /// Transport, remote, or protocol errors.
     pub fn tenant_stats(&mut self) -> Result<TenantStatsResponse, ClientError> {
-        if self.version < 3 {
-            return Err(ClientError::Protocol(format!(
-                "tenant-stats needs protocol v3, negotiated v{}",
-                self.version
-            )));
-        }
         self.send_request(&Request::TenantStats)?;
         match self.read_response()? {
             Response::TenantStatsOk(stats) => Ok(stats),

@@ -5,7 +5,7 @@
 //!
 //! * [`serve`] starts the daemon — a `TcpListener` acceptor feeding a
 //!   [`hidestore_sync::BoundedQueue`] of connections to a worker pool, each
-//!   worker speaking the HELLO-negotiated protocol over one connection at a
+//!   worker speaking the wire protocol over one connection at a
 //!   time. The returned [`ServerHandle`] exposes the bound address, live
 //!   [`StatsSnapshot`] counters, graceful [`ServerHandle::request_shutdown`]
 //!   / [`ServerHandle::join`], and a force-stop on drop.
@@ -21,8 +21,8 @@
 //! snapshot readers, rollback-by-reopen on failed mutations), and the
 //! commit journal underneath keeps the on-disk state atomic even if the
 //! daemon is killed mid-mutation. A plain repository (no tenant root) is
-//! served as exactly the `default` tenant, which keeps protocol v1/v2
-//! clients and pre-tenancy deployments working unchanged.
+//! served as exactly the `default` tenant — the tenant a client addresses
+//! until it names another.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,9 @@ pub mod view;
 
 pub use client::{default_net_timeout, BackupAttempt, ClientError, RemoteClient, RestoreAttempt};
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
-pub use server::{serve, ServerConfig, ServerError, ServerHandle, DATA_CHUNK};
+pub use server::{
+    serve, serve_until_shutdown, ServerConfig, ServerError, ServerHandle, DATA_CHUNK,
+};
 pub use session::SessionTable;
 pub use stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 
@@ -73,7 +75,7 @@ mod tests {
         let handle = serve(&dir, quiet_config()).unwrap();
         let addr = handle.addr();
         let mut client = RemoteClient::connect(addr).unwrap();
-        assert_eq!(client.version(), hidestore_proto::PROTO_VERSION);
+        assert!(client.tenant().is_default());
         client.ping().unwrap();
         client.shutdown().unwrap();
         let stats = handle.join();

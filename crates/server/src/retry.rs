@@ -201,7 +201,7 @@ pub struct RetryClient {
     limits: Limits,
     policy: RetryPolicy,
     fault: Option<NetPlan>,
-    tenant: Option<TenantId>,
+    tenant: TenantId,
     counters: RetryCounters,
 }
 
@@ -215,7 +215,7 @@ impl RetryClient {
             limits: Limits::default(),
             policy,
             fault: None,
-            tenant: None,
+            tenant: TenantId::default_tenant(),
             counters: RetryCounters::default(),
         }
     }
@@ -228,12 +228,10 @@ impl RetryClient {
     }
 
     /// Variant whose every operation is addressed to `tenant`. Each
-    /// attempt re-applies the tenant after its fresh handshake; a peer
-    /// too old for tenant addressing fails the attempt with a
-    /// (non-retryable) protocol error.
+    /// attempt re-applies the tenant after its fresh handshake.
     #[must_use]
     pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = Some(tenant);
+        self.tenant = tenant;
         self
     }
 
@@ -263,9 +261,7 @@ impl RetryClient {
             None => AnyStream::Real(RealStream::from_tcp(tcp)),
         };
         let mut client = RemoteClient::handshake(stream, self.limits, self.policy.attempt_timeout)?;
-        if let Some(tenant) = &self.tenant {
-            client.set_tenant(tenant.clone())?;
-        }
+        client.set_tenant(self.tenant.clone());
         Ok(client)
     }
 
@@ -371,7 +367,7 @@ impl RetryClient {
 /// with the wall clock, the process id, and the policy seed through
 /// splitmix64. Uniqueness (not unpredictability) is what the dedup
 /// protocol needs.
-fn generate_token(seed: u64) -> SessionToken {
+pub(crate) fn generate_token(seed: u64) -> SessionToken {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let nanos = SystemTime::now()

@@ -6,7 +6,7 @@
 //! ```text
 //!             acceptor thread                 worker pool (N threads)
 //!   TcpListener --accept--> BoundedQueue --pop--> handle_connection
-//!                           (hidestore-sync,       |  HELLO negotiation
+//!                           (hidestore-sync,       |  HELLO version check
 //!                            backpressure on       |  request loop
 //!                            accept bursts)        |  per-request log line
 //!                                                  v
@@ -99,8 +99,8 @@ pub struct ServerConfig {
     /// Backoff hint (milliseconds) sent with `busy` refusals.
     pub busy_retry_after_ms: u32,
     /// Serve the directory as a multi-tenant root (`<dir>/tenants/<id>/`,
-    /// one repository per tenant) instead of a single legacy repository
-    /// mapped to the `default` tenant.
+    /// one repository per tenant) instead of a single repository served
+    /// as the `default` tenant.
     pub tenants_root: bool,
     /// Soft cap on concurrently open tenant repository handles (tenant
     /// roots; clamped to at least 1). Idle handles beyond the cap are
@@ -134,6 +134,61 @@ impl Default for ServerConfig {
             auto_create_tenants: true,
             default_quota: TenantQuota::UNLIMITED,
         }
+    }
+}
+
+impl ServerConfig {
+    /// Parses the daemon's command line — `<repo-dir>` followed by flags —
+    /// for both entry points (`hds-served` and `hidestore serve`), returning
+    /// the repository directory and the configuration.
+    ///
+    /// # Errors
+    ///
+    /// A one-line description of the usage error: missing repository
+    /// directory, unknown flag, or a missing or out-of-range flag value.
+    pub fn from_args(args: &[String]) -> Result<(String, ServerConfig), String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("{flag} must be a number, got {value}"))
+        }
+        fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
+            match number(flag, value)? {
+                0 => Err(format!("{flag} must be >= 1, got {value}")),
+                n => Ok(n),
+            }
+        }
+        let mut it = args.iter();
+        let repo = match it.next() {
+            Some(repo) if !repo.starts_with('-') => repo.clone(),
+            _ => return Err("serving needs a <repo-dir>".into()),
+        };
+        let mut bind = "127.0.0.1".to_string();
+        let mut port: u16 = 0;
+        let mut config = ServerConfig::default();
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--bind" => bind = value()?.clone(),
+                "--port" => port = number(flag, value()?)?,
+                "--workers" => config.workers = at_least_one(flag, value()?)?,
+                "--quiet" => config.quiet = true,
+                "--read-timeout" => {
+                    config.read_timeout = Some(Duration::from_secs(number(flag, value()?)?));
+                }
+                "--write-timeout" => {
+                    config.write_timeout = Some(Duration::from_secs(number(flag, value()?)?));
+                }
+                "--tenants" => config.tenants_root = true,
+                "--max-tenants" => config.max_live_tenants = at_least_one(flag, value()?)?,
+                "--no-auto-tenants" => config.auto_create_tenants = false,
+                "--quota-bytes" => config.default_quota.max_bytes = number(flag, value()?)?,
+                "--quota-versions" => config.default_quota.max_versions = number(flag, value()?)?,
+                other => return Err(format!("unknown option {other}")),
+            }
+        }
+        config.bind = format!("{bind}:{port}");
+        Ok((repo, config))
     }
 }
 
@@ -334,9 +389,8 @@ impl Drop for ServerHandle {
 
 /// Opens the repository (or tenant root, with
 /// [`ServerConfig::tenants_root`]) at `repo_dir` and serves it until
-/// shutdown. A plain repository is served as exactly the `default` tenant,
-/// which is how pre-tenancy deployments and protocol v1/v2 clients keep
-/// working unchanged.
+/// shutdown. A plain repository is served as exactly the `default` tenant
+/// — the tenant a client that never names one addresses.
 ///
 /// # Errors
 ///
@@ -390,6 +444,23 @@ pub fn serve(
         threads.push(std::thread::spawn(move || worker(&shared)));
     }
     Ok(ServerHandle { shared, threads })
+}
+
+/// The body of both daemon entry points: [`serve`]s `repo_dir`, announces
+/// the bound address on stdout, and blocks until a protocol `Shutdown`
+/// request has drained the daemon.
+///
+/// # Errors
+///
+/// As [`serve`].
+pub fn serve_until_shutdown(repo_dir: &str, config: ServerConfig) -> Result<(), ServerError> {
+    let handle = serve(repo_dir, config)?;
+    // Scripts block on this exact line to learn the bound (ephemeral) port.
+    println!("hds-served listening on {}", handle.addr());
+    let _ = io::stdout().flush();
+    let stats = handle.join();
+    eprintln!("hds-served: drained; final counters: {stats}");
+    Ok(())
 }
 
 fn acceptor(listener: &TcpListener, shared: &Shared) {
@@ -527,9 +598,8 @@ fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Sh
         return;
     }
 
-    // HELLO negotiation. A connection that closes without a byte (port
+    // HELLO version check. A connection that closes without a byte (port
     // probe, liveness poll) is not an event worth logging.
-    let negotiated;
     match read_frame_opt(stream, &limits) {
         Ok(None) => return,
         Ok(Some(frame)) if frame.kind == FrameKind::Hello => {
@@ -541,32 +611,22 @@ fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Sh
                     return;
                 }
             };
-            match Hello::current().negotiate(&client) {
-                Some(version) => {
-                    negotiated = version;
-                    let reply = Hello {
-                        min_version: version,
-                        max_version: version,
-                    };
-                    if write_frame(stream, FrameKind::Hello, &reply.encode()).is_err() {
-                        return;
-                    }
-                }
-                None => {
-                    ServerStats::bump(&shared.stats.requests_failed);
-                    send_error(
-                        stream,
-                        ErrorCode::Unsupported,
-                        format!(
-                            "no common protocol version: client {}..={}, server {}..={}",
-                            client.min_version,
-                            client.max_version,
-                            hidestore_proto::MIN_PROTO_VERSION,
-                            hidestore_proto::PROTO_VERSION,
-                        ),
-                    );
-                    return;
-                }
+            if Hello::current().negotiate(&client).is_none() {
+                ServerStats::bump(&shared.stats.requests_failed);
+                send_error(
+                    stream,
+                    ErrorCode::Unsupported,
+                    format!(
+                        "no common protocol version: client {}..={}, server speaks {}",
+                        client.min_version,
+                        client.max_version,
+                        hidestore_proto::PROTO_VERSION,
+                    ),
+                );
+                return;
+            }
+            if write_frame(stream, FrameKind::Hello, &Hello::current().encode()).is_err() {
+                return;
             }
         }
         Ok(Some(frame)) => {
@@ -616,8 +676,7 @@ fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Sh
             );
             return;
         }
-        // Protocol v3 prefixes the request with a tenant envelope; a bare
-        // (v1/v2) payload maps to the `default` tenant. A hostile tenant
+        // Every request names its tenant in the envelope. A hostile tenant
         // id (path traversal, bad charset) is rejected right here by the
         // decoder, before it can reach anything that touches a path.
         let (tenant, request) = match Request::decode_enveloped(&frame.payload) {
@@ -628,40 +687,6 @@ fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Sh
                 return;
             }
         };
-        if tenant.is_some() && negotiated < 3 {
-            ServerStats::bump(&shared.stats.requests_failed);
-            send_error(
-                stream,
-                ErrorCode::Unsupported,
-                format!("tenant addressing needs protocol v3, negotiated v{negotiated}"),
-            );
-            continue;
-        }
-        let tenant = tenant.unwrap_or_else(TenantId::default_tenant);
-        if request.needs_v2() && negotiated < 2 {
-            ServerStats::bump(&shared.stats.requests_failed);
-            send_error(
-                stream,
-                ErrorCode::Unsupported,
-                format!(
-                    "{} needs protocol v2, negotiated v{negotiated}",
-                    request.name()
-                ),
-            );
-            continue;
-        }
-        if request.needs_v3() && negotiated < 3 {
-            ServerStats::bump(&shared.stats.requests_failed);
-            send_error(
-                stream,
-                ErrorCode::Unsupported,
-                format!(
-                    "{} needs protocol v3, negotiated v{negotiated}",
-                    request.name()
-                ),
-            );
-            continue;
-        }
 
         let started = Instant::now();
         let name = request.name();
@@ -782,11 +807,9 @@ fn dispatch<S: NetStream>(
             },
             Err(e) => Outcome::Transport(e),
         },
-        Request::Backup => serve_backup(tenant, tstats, stream, shared),
         Request::BackupResume { token, total_len } => {
             serve_backup_resume(tenant, tstats, token, total_len, stream, shared)
         }
-        Request::Restore { version } => serve_restore(tenant, tstats, version, 0, stream, shared),
         Request::RestoreResume { version, offset } => {
             serve_restore(tenant, tstats, version, offset, stream, shared)
         }
@@ -906,55 +929,6 @@ fn backup_summary_proto(
     }
 }
 
-fn serve_backup<S: NetStream>(
-    tenant: &TenantId,
-    tstats: &TenantStats,
-    stream: &mut S,
-    shared: &Shared,
-) -> Outcome {
-    // Receive the whole stream before resolving the tenant: a plain
-    // Backup's client streams DATA+END without waiting, so refusing
-    // earlier would leave unread frames to desync the connection.
-    let data = match receive_backup_stream(stream, shared, tstats, Vec::new()) {
-        BackupStream::Complete(data) => data,
-        BackupStream::Failed(outcome) => return outcome,
-        // A disconnect or torn frame mid-stream: nothing has touched the
-        // repository, and a plain (tokenless) backup has no session to
-        // park, so the request simply aborts.
-        BackupStream::Interrupted { error, .. } => return Outcome::Transport(error),
-    };
-    let slot = match shared.registry.get_or_create(tenant) {
-        Ok(s) => s,
-        Err(e) => return tenant_error_outcome(e),
-    };
-    // The stream arrived intact; admit it against the tenant's quota and
-    // commit. A quota refusal happens inside the writer lock before
-    // anything mutates; a commit failure rolls the repository back to the
-    // previous committed state (journal + handle reopen).
-    let quota = shared.registry.quota_for(tenant);
-    let result = slot
-        .handle()
-        .write_checked(|s| quota.admit(s, data.len() as u64), |s| s.backup(&data));
-    match result {
-        Ok(stats) => {
-            let summary = backup_summary_proto(&stats);
-            match send_response(stream, &Response::BackupDone(summary)) {
-                Ok(()) => Outcome::Ok {
-                    detail: format!(
-                        " version=V{} bytes={} stored={}",
-                        summary.version, summary.logical_bytes, summary.stored_bytes
-                    ),
-                },
-                Err(e) => Outcome::Transport(e),
-            }
-        }
-        Err(e) => {
-            bump_mutation_failure(shared, tstats, &e);
-            repo_error_outcome(e)
-        }
-    }
-}
-
 /// Parks an interrupted backup prefix unless the token already committed —
 /// a stale worker (its client long gone) must not resurrect a session that
 /// a faster retry already finished. One lock guard makes check-and-park
@@ -976,7 +950,7 @@ fn park_if_uncommitted(
     }
 }
 
-/// The resumable, idempotent backup path (protocol v2).
+/// The backup path: resumable and idempotent.
 ///
 /// The token is the client's name for the whole logical backup across all
 /// its attempts. Commit exactly once: the committed-token cache answers

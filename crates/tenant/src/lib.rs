@@ -26,8 +26,7 @@
 //! * **Two mounts.** A *tenant root* serves `<root>/tenants/<id>/`, one
 //!   repository per tenant, auto-created from a template config on first
 //!   backup. A *legacy mount* serves one existing repository as exactly the
-//!   `default` tenant, which is how protocol v1/v2 clients (who cannot name
-//!   a tenant) keep working unchanged.
+//!   `default` tenant — the single-repository deployment.
 //!
 //! [`RepositoryHandle`]: hidestore_core::RepositoryHandle
 //! [`RepositoryHandle::write_checked`]: hidestore_core::RepositoryHandle::write_checked

@@ -223,9 +223,8 @@ pub struct TenantRegistry<V: Vfs = RealVfs> {
 
 impl TenantRegistry<RealVfs> {
     /// Serves the single pre-existing repository at `dir` as exactly the
-    /// `default` tenant — the compatibility mount for deployments that
-    /// predate tenancy. Every other tenant id is
-    /// [`TenantError::UnknownTenant`].
+    /// `default` tenant — the single-repository deployment. Every other
+    /// tenant id is [`TenantError::UnknownTenant`].
     ///
     /// # Errors
     ///

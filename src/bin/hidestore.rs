@@ -154,7 +154,7 @@ struct Remote {
     /// `--remote-timeout` if given; otherwise resolved from
     /// `HDS_NET_TIMEOUT` / the 30s default at connect time.
     timeout: Option<Duration>,
-    /// `--tenant` if given; every request is then enveloped with this id.
+    /// `--tenant` if given; otherwise requests address the `default` tenant.
     tenant: Option<TenantId>,
 }
 
@@ -319,10 +319,7 @@ fn run(args: &[String]) -> CliResult {
             [repo] => cmd_dedup_pass(repo),
             _ => Err(usage("dedup-pass needs a <repo>")),
         },
-        ("serve", None) => match rest.as_slice() {
-            [repo, opts @ ..] => cmd_serve(repo, opts),
-            _ => Err(usage("serve needs a <repo>")),
-        },
+        ("serve", None) => cmd_serve(&rest),
         (cmd, Some(_)) => Err(usage(format!("{cmd} has no --remote variant"))),
         _ => Err(usage("")),
     }
@@ -335,15 +332,13 @@ fn open(repo: &str) -> Result<HiDeStore<FileContainerStore>, CliError> {
 
 fn connect(remote: &Remote) -> Result<RemoteClient, CliError> {
     let timeout = remote.timeout.unwrap_or_else(default_net_timeout);
-    let client =
+    let mut client =
         RemoteClient::connect_with(&remote.addr, hidestore::proto::Limits::default(), timeout)
             .map_err(|e| runtime(format!("cannot reach hds-served at {}: {e}", remote.addr)))?;
-    match &remote.tenant {
-        Some(tenant) => client
-            .with_tenant(tenant.clone())
-            .map_err(|e| runtime(e.to_string())),
-        None => Ok(client),
+    if let Some(tenant) = &remote.tenant {
+        client.set_tenant(tenant.clone());
     }
+    Ok(client)
 }
 
 fn parse_version(version: &str) -> Result<u32, CliError> {
@@ -895,88 +890,7 @@ fn cmd_flatten(repo: &str) -> CliResult {
     Ok(())
 }
 
-fn cmd_serve(repo: &str, opts: &[String]) -> CliResult {
-    let mut bind = "127.0.0.1".to_string();
-    let mut port: u16 = 0;
-    let mut config = ServerConfig::default();
-    let mut it = opts.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--bind" => {
-                bind = it
-                    .next()
-                    .ok_or_else(|| usage("--bind needs a value"))?
-                    .clone();
-            }
-            "--port" => {
-                let value = it.next().ok_or_else(|| usage("--port needs a value"))?;
-                port = value
-                    .parse()
-                    .map_err(|_| usage(format!("--port must be a number, got {value}")))?;
-            }
-            "--workers" => {
-                let value = it.next().ok_or_else(|| usage("--workers needs a value"))?;
-                config.workers = value
-                    .parse()
-                    .map_err(|_| usage(format!("--workers must be a number, got {value}")))?;
-            }
-            "--quiet" => config.quiet = true,
-            "--read-timeout" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| usage("--read-timeout needs a value"))?;
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| usage(format!("--read-timeout must be a number, got {value}")))?;
-                config.read_timeout = Some(Duration::from_secs(secs));
-            }
-            "--write-timeout" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| usage("--write-timeout needs a value"))?;
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| usage(format!("--write-timeout must be a number, got {value}")))?;
-                config.write_timeout = Some(Duration::from_secs(secs));
-            }
-            "--tenants" => config.tenants_root = true,
-            "--max-tenants" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| usage("--max-tenants needs a value"))?;
-                config.max_live_tenants = value
-                    .parse()
-                    .ok()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| usage(format!("--max-tenants must be >= 1, got {value}")))?;
-            }
-            "--no-auto-tenants" => config.auto_create_tenants = false,
-            "--quota-bytes" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| usage("--quota-bytes needs a value"))?;
-                config.default_quota.max_bytes = value
-                    .parse()
-                    .map_err(|_| usage(format!("--quota-bytes must be a number, got {value}")))?;
-            }
-            "--quota-versions" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| usage("--quota-versions needs a value"))?;
-                config.default_quota.max_versions = value.parse().map_err(|_| {
-                    usage(format!("--quota-versions must be a number, got {value}"))
-                })?;
-            }
-            other => return Err(usage(format!("unknown option {other}"))),
-        }
-    }
-    config.bind = format!("{bind}:{port}");
-    let handle = hidestore::server::serve(repo, config)?;
-    // Scripts block on this exact line to learn the bound (ephemeral) port.
-    println!("hds-served listening on {}", handle.addr());
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-    let stats = handle.join();
-    eprintln!("hds-served: drained; final counters: {stats}");
-    Ok(())
+fn cmd_serve(args: &[String]) -> CliResult {
+    let (repo, config) = ServerConfig::from_args(args).map_err(usage)?;
+    Ok(hidestore::server::serve_until_shutdown(&repo, config)?)
 }

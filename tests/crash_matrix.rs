@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport};
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Vfs};
@@ -28,12 +29,19 @@ use hidestore::hash::crc32;
 use hidestore::restore::Faa;
 use hidestore::storage::VersionId;
 
-/// A unique scratch directory, removed on drop.
+/// A unique scratch directory, removed on drop. The process-wide sequence
+/// number keeps parallel tests that share a tag (the targeted-crash helpers
+/// below) out of each other's directories.
 struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("hds-crash-{tag}-{}", std::process::id()));
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "hds-crash-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         Scratch(dir)
     }

@@ -130,9 +130,9 @@ fn recluster_then_delete_then_persist_round_trip() {
 }
 
 #[test]
-fn streaming_ingest_into_file_repository() {
-    // backup_reader + FileContainerStore: the full streaming path against
-    // real files.
+fn incremental_ingest_into_file_repository() {
+    // backup + a bare FileContainerStore (no repository open/save): the
+    // ingest path against real container files.
     let dir = std::env::temp_dir().join(format!("hidestore-stream-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = FileContainerStore::open(&dir).unwrap();
@@ -141,9 +141,9 @@ fn streaming_ingest_into_file_repository() {
     let mut v2 = v1.clone();
     v2[40_000..60_000].copy_from_slice(&noise(20_000, 10));
 
-    hds.backup_reader(&v1[..]).unwrap();
-    let s2 = hds.backup_reader(&v2[..]).unwrap();
-    assert!(s2.stored_bytes < 60_000, "incremental ingest over a reader");
+    hds.backup(&v1).unwrap();
+    let s2 = hds.backup(&v2).unwrap();
+    assert!(s2.stored_bytes < 60_000, "incremental ingest");
     for (v, expect) in [(1u32, &v1), (2, &v2)] {
         let mut out = Vec::new();
         hds.restore(

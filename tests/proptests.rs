@@ -439,24 +439,6 @@ fn cid_raw_round_trip() {
     }
 }
 
-/// backup_reader equals backup for arbitrary histories and read sizes.
-#[test]
-fn reader_equals_slice_backup() {
-    cases(8, 0x0D, |rng| {
-        let seed_len = rng.gen_range(2_000usize..30_000);
-        let edit = random_edit(rng);
-        let versions = version_history(seed_len, &[edit]);
-        let mut a = HiDeStore::new(hds_config(), MemoryContainerStore::new());
-        let mut b = HiDeStore::new(hds_config(), MemoryContainerStore::new());
-        for v in &versions {
-            let sa = a.backup(v).unwrap();
-            let sb = b.backup_reader(&v[..]).unwrap();
-            assert_eq!(sa.chunks, sb.chunks);
-            assert_eq!(sa.stored_bytes, sb.stored_bytes);
-        }
-    });
-}
-
 /// After an arbitrary sequence of backup / flatten / delete_expired
 /// operations, the cross-layer auditor finds nothing: every maintenance
 /// path preserves every invariant.

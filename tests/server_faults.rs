@@ -15,8 +15,12 @@ use std::time::Duration;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::fsck::SystemAuditor;
-use hidestore::proto::{encode_frame, FrameKind, Hello, Request};
+use hidestore::proto::{
+    encode_frame, read_frame, ErrorCode, Frame, FrameKind, Hello, Limits, Request, SessionToken,
+    TenantId, WireError,
+};
 use hidestore::server::{serve, ClientError, RemoteClient, ServerConfig, ServerHandle};
+use hidestore::tenant::TENANTS_SUBDIR;
 
 fn temp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hidestore-faults-{tag}-{}", std::process::id()));
@@ -37,9 +41,19 @@ fn noise(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// The full byte stream of one backup session, plus the frame boundaries
-/// (cumulative offsets after each complete frame).
-fn backup_session(payload: &[u8]) -> (Vec<u8>, Vec<usize>) {
+/// A REQUEST frame addressed to the `default` tenant.
+fn request_frame(request: &Request) -> Vec<u8> {
+    encode_frame(
+        FrameKind::Request,
+        &request.encode_with_tenant(&TenantId::default_tenant()),
+    )
+}
+
+/// The full client-side byte stream of one backup session under `token`,
+/// plus the frame boundaries (cumulative offsets after each complete
+/// frame). The raw client never reads `BackupAccepted`: a fresh token is
+/// always accepted at offset 0, and TCP buffers the DATA frames behind it.
+fn backup_session(payload: &[u8], token: SessionToken) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut boundaries = vec![0];
     let mut push = |frame: Vec<u8>, bytes: &mut Vec<u8>| {
@@ -51,7 +65,10 @@ fn backup_session(payload: &[u8]) -> (Vec<u8>, Vec<usize>) {
         &mut bytes,
     );
     push(
-        encode_frame(FrameKind::Request, &Request::Backup.encode()),
+        request_frame(&Request::BackupResume {
+            token,
+            total_len: payload.len() as u64,
+        }),
         &mut bytes,
     );
     for chunk in payload.chunks(48 * 1024) {
@@ -141,30 +158,43 @@ fn backup_fault_matrix() {
     drop(conn);
 
     let payload = noise(130_000, 2);
-    let (bytes, boundaries) = backup_session(&payload);
+    let (_, boundaries) = backup_session(&payload, [0; 16]);
+    let session_len = boundaries[boundaries.len() - 1];
 
     // Cut at every frame boundary, and torn mid-frame just after each
     // boundary (inside the next frame's header and inside its payload).
+    // Every cut session carries its own token, as independent clients
+    // would: none may resume into another's parked prefix.
     let mut cuts: Vec<usize> = Vec::new();
     for &b in &boundaries {
         for extra in [0usize, 1, 5, 40] {
             let cut = b + extra;
-            if cut < bytes.len() {
+            if cut < session_len {
                 cuts.push(cut);
             }
         }
     }
+    let mut token: SessionToken = [0; 16];
     for &cut in &cuts {
+        token[..8].copy_from_slice(&(cut as u64).to_le_bytes());
+        let (bytes, _) = backup_session(&payload, token);
         send_and_cut(addr, &bytes[..cut]);
         assert_alive(addr);
     }
 
     // A corrupted (bit-flipped) frame mid-session must also abort cleanly.
-    let mut corrupted = bytes.clone();
-    let mid = boundaries[2] + 9; // inside the first DATA frame
-    corrupted[mid] ^= 0x40;
+    let (mut corrupted, _) = backup_session(&payload, [0xFF; 16]);
+    corrupted[boundaries[2] + 9] ^= 0x40; // inside the first DATA frame
     send_and_cut(addr, &corrupted);
     assert_alive(addr);
+
+    // Abandoned prefixes wait in the parked-session table (a retry with the
+    // same token would resume them), bounded by `max_sessions`.
+    let parked = handle.open_sessions();
+    assert!(
+        (1..=ServerConfig::default().max_sessions).contains(&parked),
+        "{parked} parked sessions"
+    );
 
     // None of the aborted sessions may have committed a version.
     let mut conn = RemoteClient::connect(addr).unwrap();
@@ -207,10 +237,10 @@ fn restore_fault_matrix() {
     let mut session = Vec::new();
     session.extend_from_slice(&encode_frame(FrameKind::Hello, &Hello::current().encode()));
     let hello_end = session.len();
-    session.extend_from_slice(&encode_frame(
-        FrameKind::Request,
-        &Request::Restore { version: 1 }.encode(),
-    ));
+    session.extend_from_slice(&request_frame(&Request::RestoreResume {
+        version: 1,
+        offset: 0,
+    }));
     for cut in [0, 3, hello_end, hello_end + 4, session.len()] {
         send_and_cut(addr, &session[..cut]);
         assert_alive(addr);
@@ -257,4 +287,92 @@ fn restore_fault_matrix() {
     assert_no_tmp_files(&dir);
     assert_fsck_clean(&dir);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Sends a HELLO offering `hello` and then `request_payload` as one REQUEST
+/// frame, returning every frame the daemon answers before it hangs up.
+fn raw_exchange(addr: std::net::SocketAddr, hello: Hello, request_payload: &[u8]) -> Vec<Frame> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&encode_frame(FrameKind::Hello, &hello.encode()))
+        .unwrap();
+    stream
+        .write_all(&encode_frame(FrameKind::Request, request_payload))
+        .unwrap();
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut frames = Vec::new();
+    while let Ok(frame) = read_frame(&mut stream, &Limits::default()) {
+        frames.push(frame);
+    }
+    frames
+}
+
+fn error_code(frame: &Frame) -> ErrorCode {
+    assert_eq!(frame.kind, FrameKind::Error, "{frame:?}");
+    WireError::decode(&frame.payload).unwrap().code
+}
+
+/// The dialects this build retired — an old build's HELLO range, bare
+/// (un-enveloped) requests, and the tokenless transfer tags 2 and 3 — are
+/// each refused with a typed ERROR frame, counted as failed requests,
+/// create nothing on disk, and leave the daemon serving.
+#[test]
+fn retired_dialects_are_refused_typed() {
+    let root = temp("retired");
+    HiDeStoreConfig::small_for_tests().save_to(&root).unwrap();
+    let handle = serve(
+        &root,
+        ServerConfig {
+            quiet: true,
+            tenants_root: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let failed = || handle.stats().requests_failed;
+
+    // An old build offers 1..=3: refused at HELLO, before any request.
+    let old_build = Hello {
+        min_version: 1,
+        max_version: 3,
+    };
+    let before = failed();
+    let frames = raw_exchange(addr, old_build, &Request::Ping.encode());
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    assert_eq!(error_code(&frames[0]), ErrorCode::Unsupported);
+    assert_eq!(failed(), before + 1);
+    assert_alive(addr);
+
+    // A well-versioned peer that skips the envelope, or sends a retired
+    // transfer tag inside one, gets HELLO back and then `malformed`.
+    let default = TenantId::default_tenant();
+    let mut tag2 = Request::Ping.encode_with_tenant(&default);
+    *tag2.last_mut().unwrap() = 2;
+    let mut tag3 = Request::Ping.encode_with_tenant(&default);
+    tag3.pop();
+    tag3.extend_from_slice(&[3, 1, 0, 0, 0]);
+    for payload in [Request::List.encode(), vec![2], tag2, tag3] {
+        let before = failed();
+        let frames = raw_exchange(addr, Hello::current(), &payload);
+        assert_eq!(frames.len(), 2, "{payload:?}: {frames:?}");
+        assert_eq!(frames[0].kind, FrameKind::Hello, "{payload:?}");
+        assert_eq!(error_code(&frames[1]), ErrorCode::Malformed, "{payload:?}");
+        assert_eq!(failed(), before + 1, "{payload:?}");
+        assert_alive(addr);
+    }
+
+    // None of it reached the registry: no tenant — not even `default` —
+    // was created.
+    let created = fs::read_dir(root.join(TENANTS_SUBDIR))
+        .map(|entries| entries.count())
+        .unwrap_or(0);
+    assert_eq!(created, 0, "refused dialects must not create tenants");
+
+    shutdown_with_watchdog(handle);
+    assert_no_tmp_files(&root);
+    fs::remove_dir_all(&root).unwrap();
 }

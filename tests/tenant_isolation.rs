@@ -8,25 +8,20 @@
 //! ids counted per tenant, and per-tenant server counters accounting each
 //! tenant's own traffic exactly.
 //!
-//! The suite also pins the compatibility and refusal edges: a protocol-v2
-//! client (no tenant envelope) lands on the `default` tenant and the same
-//! bytes are reachable by a v3 client addressing `default` explicitly;
-//! tenant envelopes are refused on a v2 connection; an unknown tenant is a
-//! typed `NotFound` that creates nothing on disk; and a quota refusal is a
-//! typed, *non-retryable* error that `RetryClient` does not retry.
+//! The suite also pins the default and refusal edges: a client that never
+//! names a tenant lands on `default`, byte-identical to one that names it
+//! explicitly; an unknown tenant is a typed `NotFound` that creates nothing
+//! on disk; and a quota refusal is a typed, *non-retryable* error that
+//! `RetryClient` does not retry.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::fsck::SystemAuditor;
-use hidestore::proto::{
-    read_frame, write_frame, ErrorCode, FrameKind, Hello, Limits, ListResponse, Request, Response,
-    TenantId, WireError,
-};
+use hidestore::proto::{ErrorCode, ListResponse, TenantId};
 use hidestore::server::{
     serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
 };
@@ -286,83 +281,40 @@ fn eviction_churn_preserves_isolation() {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// A protocol-v2 client speaks bare (un-enveloped) requests and must land
-/// on the `default` tenant — the same repository a v3 client sees when it
-/// addresses `default` explicitly. Tenant envelopes are refused on the v2
-/// connection with a typed error, not a hangup.
+/// A client that never calls `with_tenant` addresses the `default` tenant:
+/// the same repository — byte for byte — that a client naming `default`
+/// explicitly produces, and no other tenant appears.
 #[test]
-fn v2_client_lands_on_the_default_tenant() {
-    let root = temp("v2compat");
-    let handle = start_root(&root, 4);
-    let addr = handle.addr();
-    let payload = noise(48_000, 77);
-    let limits = Limits::default();
-
-    // A hand-rolled v2 handshake: offer [1, 2], expect the v3 server to
-    // meet us at 2.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let offer = Hello {
-        min_version: 1,
-        max_version: 2,
+fn unaddressed_client_lands_on_the_default_tenant() {
+    let payloads = [noise(48_000, 77), noise(31_000, 78)];
+    let run = |tag: &str, explicit: bool| {
+        let root = temp(tag);
+        let handle = start_root(&root, 4);
+        let mut client = RemoteClient::connect(handle.addr()).unwrap();
+        if explicit {
+            client = client.with_tenant(tenant("default")).unwrap();
+        }
+        assert!(client.tenant().is_default());
+        for (i, payload) in payloads.iter().enumerate() {
+            let version = i as u32 + 1;
+            assert_eq!(client.backup_bytes(payload).unwrap().version, version);
+            let mut out = Vec::new();
+            client.restore_to(version, &mut out).unwrap();
+            assert_eq!(&out, payload, "V{version}");
+        }
+        let list = client.tenant_list().unwrap();
+        let names: Vec<&str> = list.tenants.iter().map(|t| t.tenant.as_str()).collect();
+        assert_eq!(names, ["default"], "no other tenant was created");
+        drop(client);
+        shutdown_with_watchdog(handle);
+        assert_fsck_clean(&root.join(TENANTS_SUBDIR).join("default"));
+        root
     };
-    write_frame(&mut stream, FrameKind::Hello, &offer.encode()).unwrap();
-    let frame = read_frame(&mut stream, &limits).unwrap();
-    assert_eq!(frame.kind, FrameKind::Hello);
-    let theirs = Hello::decode(&frame.payload).unwrap();
-    assert_eq!(offer.negotiate(&theirs), Some(2), "server speaks v2");
-
-    // Bare backup: request, data, end, summary.
-    write_frame(&mut stream, FrameKind::Request, &Request::Backup.encode()).unwrap();
-    write_frame(&mut stream, FrameKind::Data, &payload).unwrap();
-    write_frame(&mut stream, FrameKind::End, &[]).unwrap();
-    let frame = read_frame(&mut stream, &limits).unwrap();
-    assert_eq!(frame.kind, FrameKind::Response, "{frame:?}");
-    match Response::decode(&frame.payload).unwrap() {
-        Response::BackupDone(summary) => assert_eq!(summary.version, 1),
-        other => panic!("expected BackupDone, got {other:?}"),
-    }
-
-    // A tenant envelope on the v2 connection is refused typed, in-stream.
-    write_frame(
-        &mut stream,
-        FrameKind::Request,
-        &Request::List.encode_with_tenant(&tenant("alice")),
-    )
-    .unwrap();
-    let frame = read_frame(&mut stream, &limits).unwrap();
-    assert_eq!(frame.kind, FrameKind::Error, "{frame:?}");
-    let err = WireError::decode(&frame.payload).unwrap();
-    assert_eq!(err.code, ErrorCode::Unsupported, "{err:?}");
-
-    // The connection survives the refusal: a bare list still answers.
-    write_frame(&mut stream, FrameKind::Request, &Request::List.encode()).unwrap();
-    let frame = read_frame(&mut stream, &limits).unwrap();
-    assert_eq!(frame.kind, FrameKind::Response, "{frame:?}");
-    drop(stream);
-
-    // A v3 client addressing `default` explicitly reads the v2 backup.
-    let mut v3 = RemoteClient::connect(addr)
-        .unwrap()
-        .with_tenant(tenant("default"))
-        .unwrap();
-    let mut out = Vec::new();
-    v3.restore_to(1, &mut out).unwrap();
-    assert_eq!(out, payload, "v2 and v3 reach the same repository");
-    let list = v3.tenant_list().unwrap();
-    let names: Vec<&str> = list.tenants.iter().map(|t| t.tenant.as_str()).collect();
-    assert_eq!(
-        names,
-        ["default"],
-        "the bare client created no other tenant"
-    );
-    drop(v3);
-
-    shutdown_with_watchdog(handle);
-    assert_fsck_clean(&root.join(TENANTS_SUBDIR).join("default"));
-    fs::remove_dir_all(&root).unwrap();
+    let implicit = run("implicit-default", false);
+    let explicit = run("explicit-default", true);
+    assert_trees_identical(&implicit, &explicit);
+    fs::remove_dir_all(&implicit).unwrap();
+    fs::remove_dir_all(&explicit).unwrap();
 }
 
 /// With auto-creation off, an unknown tenant is a typed `NotFound` that

@@ -147,9 +147,12 @@ mod tests {
     use super::*;
 
     fn parse(text: &str) -> AnalyzeAllowlist {
+        // Tests run in parallel: one file per call, never a shared one.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("xtask-allow-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("analyze-allow.txt");
+        let file = dir.join(format!("analyze-allow-{seq}.txt"));
         std::fs::write(&file, text).unwrap();
         let list = AnalyzeAllowlist::load(&file).unwrap();
         std::fs::remove_file(&file).unwrap();

@@ -116,9 +116,12 @@ mod tests {
     }
 
     fn allow(text: &str) -> AnalyzeAllowlist {
+        // Tests run in parallel: one file per call, never a shared one.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("xtask-analyze-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("aa.txt");
+        let file = dir.join(format!("aa-{seq}.txt"));
         std::fs::write(&file, text).unwrap();
         AnalyzeAllowlist::load(&file).unwrap()
     }
