@@ -15,8 +15,10 @@
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #   7. differential suites (release)-- serial-vs-concurrent equality of the
-#                                      backup pipeline AND the staged restore
-#                                      engine, once at HDS_THREADS=1 and 8
+#                                      backup pipeline, once at HDS_THREADS=1
+#                                      and 8; the restore-scheme differential
+#                                      (all schemes byte-identical, reported
+#                                      reads = device reads) once
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
@@ -73,11 +75,8 @@ HDS_THREADS=1 cargo test --release --test pipeline_differential -q
 echo "ci: cargo test --release --test pipeline_differential (HDS_THREADS=8)"
 HDS_THREADS=8 cargo test --release --test pipeline_differential -q
 
-echo "ci: cargo test --release --test restore_differential (HDS_THREADS=1)"
-HDS_THREADS=1 cargo test --release --test restore_differential -q
-
-echo "ci: cargo test --release --test restore_differential (HDS_THREADS=8)"
-HDS_THREADS=8 cargo test --release --test restore_differential -q
+echo "ci: cargo test --release --test restore_differential"
+cargo test --release --test restore_differential -q
 
 echo "ci: cargo test --release --test server_chaos"
 cargo test --release --test server_chaos -q

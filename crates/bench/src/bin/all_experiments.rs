@@ -19,7 +19,6 @@ fn main() {
         "fragmentation",
         "scaling",
         "ablation",
-        "throughput",
     ];
     for name in names {
         let path = dir.join(name);

@@ -4,7 +4,6 @@ use std::path::Path;
 
 use hidestore_chunking::ChunkerKind;
 use hidestore_failpoint::{RealVfs, Vfs};
-use hidestore_restore::RestoreConcurrency;
 
 use crate::system::HiDeStoreError;
 
@@ -111,10 +110,6 @@ pub struct HiDeStoreConfig {
     pub threads: usize,
     /// Bounded depth of each inter-stage queue when `threads > 1`.
     pub queue_depth: usize,
-    /// Concurrency of the staged restore engine (prefetcher threads, queue
-    /// depth, readahead window). Restored bytes and cache accounting are
-    /// identical at every setting.
-    pub restore: RestoreConcurrency,
     /// Default per-operation network timeout in whole seconds for the
     /// `hds-served` daemon and remote CLI when neither a flag nor the
     /// `HDS_NET_TIMEOUT` environment override is given. `0` disables
@@ -136,7 +131,6 @@ impl Default for HiDeStoreConfig {
             lookup_unit_bytes: 4096,
             threads: 1,
             queue_depth: 4,
-            restore: RestoreConcurrency::serial(),
             net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
@@ -155,7 +149,6 @@ impl HiDeStoreConfig {
             lookup_unit_bytes: 4096,
             threads: 1,
             queue_depth: 4,
-            restore: RestoreConcurrency::serial(),
             net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
@@ -185,19 +178,6 @@ impl HiDeStoreConfig {
         self
     }
 
-    /// Variant with a staged restore engine of the given total thread count
-    /// (`0` = auto-detect, `1` = serial).
-    pub fn with_restore_threads(mut self, threads: usize) -> Self {
-        self.restore.threads = threads;
-        self
-    }
-
-    /// Variant with the given restore concurrency settings.
-    pub fn with_restore(mut self, restore: RestoreConcurrency) -> Self {
-        self.restore = restore;
-        self
-    }
-
     /// Variant with the given default network timeout in seconds (`0`
     /// disables timeouts).
     pub fn with_net_timeout(mut self, secs: u64) -> Self {
@@ -217,7 +197,8 @@ impl HiDeStoreConfig {
     /// Reads the repository's `config` file at `dir`, returning the stored
     /// configuration with the `HDS_THREADS` environment override applied
     /// (CI and benchmarks sweep thread counts without rewriting the file).
-    /// Unknown keys are ignored for forward compatibility.
+    /// Unknown keys are ignored, for forward compatibility and so that the
+    /// retired restore-engine keys older builds wrote keep loading.
     ///
     /// # Errors
     ///
@@ -265,9 +246,6 @@ impl HiDeStoreConfig {
                 "container" => config.container_capacity = parsed(key)?,
                 "depth" => config.history_depth = parsed(key)?,
                 "threads" => config.threads = parsed(key)?,
-                "restore_threads" => config.restore.threads = parsed(key)?,
-                "restore_queue" => config.restore.queue_depth = parsed(key)?,
-                "restore_readahead" => config.restore.readahead_containers = parsed(key)?,
                 "net_timeout" => config.net_timeout_secs = parsed(key)? as u64,
                 "scheme" => {
                     config.scheme = DedupMode::parse(value).map_err(HiDeStoreError::Config)?;
@@ -280,7 +258,6 @@ impl HiDeStoreConfig {
                 HiDeStoreError::Config(format!("HDS_THREADS has invalid value {threads:?}"))
             })?;
             config.threads = threads;
-            config.restore.threads = threads;
         }
         Ok(config)
     }
@@ -308,15 +285,11 @@ impl HiDeStoreConfig {
     ) -> Result<(), HiDeStoreError> {
         let path = dir.as_ref().join(CONFIG_FILE);
         let text = format!(
-            "chunk={}\ncontainer={}\ndepth={}\nthreads={}\nrestore_threads={}\n\
-             restore_queue={}\nrestore_readahead={}\nnet_timeout={}\nscheme={}\n",
+            "chunk={}\ncontainer={}\ndepth={}\nthreads={}\nnet_timeout={}\nscheme={}\n",
             self.avg_chunk_size,
             self.container_capacity,
             self.history_depth,
             self.threads,
-            self.restore.threads,
-            self.restore.queue_depth,
-            self.restore.readahead_containers,
             self.net_timeout_secs,
             self.scheme,
         );
@@ -339,7 +312,6 @@ impl HiDeStoreConfig {
         );
         assert!(self.lookup_unit_bytes > 0, "lookup unit must be non-zero");
         assert!(self.queue_depth >= 1, "queue depth must be at least 1");
-        self.restore.validate();
         let max_chunk = self.chunker.build(self.avg_chunk_size).max_size();
         assert!(
             self.container_capacity >= max_chunk,
@@ -435,21 +407,5 @@ mod tests {
         std::fs::write(dir.join(CONFIG_FILE), "scheme=rev-dedup\n").unwrap();
         assert!(HiDeStoreConfig::load_from(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn restore_concurrency_defaults_serial_and_validates() {
-        let c = HiDeStoreConfig::small_for_tests();
-        assert_eq!(c.restore, RestoreConcurrency::serial());
-        c.with_restore_threads(8).validate();
-        c.with_restore(RestoreConcurrency::threads(0)).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "restore queue depth")]
-    fn invalid_restore_concurrency_rejected() {
-        HiDeStoreConfig::small_for_tests()
-            .with_restore(RestoreConcurrency::serial().with_queue_depth(0))
-            .validate();
     }
 }

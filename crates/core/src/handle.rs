@@ -229,7 +229,7 @@ impl<V: Vfs> RepositoryHandle<V> {
 mod tests {
     use super::*;
     use hidestore_failpoint::{FaultKind, FaultVfs};
-    use hidestore_restore::{Faa, RestoreConcurrency};
+    use hidestore_restore::Faa;
     use hidestore_storage::VersionId;
 
     fn temp(tag: &str) -> PathBuf {
@@ -270,12 +270,7 @@ mod tests {
         let bytes = handle
             .read_snapshot(|s| {
                 let mut out = Vec::new();
-                s.restore_with(
-                    VersionId::new(1),
-                    &mut Faa::new(1 << 20),
-                    &mut out,
-                    &RestoreConcurrency::serial(),
-                )?;
+                s.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)?;
                 Ok(out)
             })
             .unwrap();
@@ -411,12 +406,7 @@ mod tests {
                         let out = handle
                             .read_snapshot(|s| {
                                 let mut out = Vec::new();
-                                s.restore_with(
-                                    VersionId::new(1),
-                                    &mut Faa::new(1 << 20),
-                                    &mut out,
-                                    &RestoreConcurrency::serial(),
-                                )?;
+                                s.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)?;
                                 Ok(out)
                             })
                             .unwrap();

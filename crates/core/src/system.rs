@@ -8,7 +8,7 @@ use std::time::Instant;
 use hidestore_chunking::{chunk_spans, Chunker};
 use hidestore_hash::Fingerprint;
 use hidestore_restore::{
-    restore_staged, RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
+    RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
 };
 use hidestore_storage::{
     Cid, Container, ContainerId, ContainerStore, Recipe, RecipeEntry, RecipeStore, StorageError,
@@ -431,45 +431,20 @@ impl<S: ContainerStore> HiDeStore<S> {
         version: VersionId,
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
-    ) -> Result<RestoreReport, HiDeStoreError>
-    where
-        S: Send,
-    {
-        let conc = self.config.restore;
-        self.restore_with(version, cache, out, &conc)
-    }
-
-    /// Like [`HiDeStore::restore`] but with explicit restore-engine
-    /// concurrency instead of the configured default. Restored bytes,
-    /// container reads, and cache hit/miss accounting are identical at every
-    /// setting; only [`RestoreReport::stage`] differs.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`HiDeStore::restore`].
-    pub fn restore_with(
-        &mut self,
-        version: VersionId,
-        cache: &mut dyn RestoreCache,
-        out: &mut dyn Write,
-        conc: &RestoreConcurrency,
-    ) -> Result<RestoreReport, HiDeStoreError>
-    where
-        S: Send,
-    {
+    ) -> Result<RestoreReport, HiDeStoreError> {
         let entries = self.resolve_restore_entries(version)?;
         let mut view = CompositeStore::new(&mut self.archival, &self.pool);
-        Ok(restore_staged(cache, &entries, &mut view, out, conc)?)
+        Ok(cache.restore(&entries, &mut view, out)?)
     }
 
-    /// Restores `version` to `path`, staging the output in `<path>.tmp` and
-    /// renaming it into place only on success, so a failed restore — e.g. a
-    /// fault in the prefetcher's container reads — never leaves a partial
-    /// output file behind.
+    /// Restores `version` to `path`, staging the output in `<path>.tmp`
+    /// (`.tmp` appended to the full file name) and renaming it into place
+    /// only on success, so a failed restore — e.g. a fault in a container
+    /// read — never leaves a partial output file behind.
     ///
     /// # Errors
     ///
-    /// The errors of [`HiDeStore::restore_with`], plus I/O errors creating,
+    /// The errors of [`HiDeStore::restore`], plus I/O errors creating,
     /// writing, or renaming the output file. On error the temporary file is
     /// removed.
     pub fn restore_to_path(
@@ -477,16 +452,14 @@ impl<S: ContainerStore> HiDeStore<S> {
         version: VersionId,
         cache: &mut dyn RestoreCache,
         path: &std::path::Path,
-        conc: &RestoreConcurrency,
-    ) -> Result<RestoreReport, HiDeStoreError>
-    where
-        S: Send,
-    {
-        let tmp = path.with_extension("tmp");
+    ) -> Result<RestoreReport, HiDeStoreError> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
         let io_err = |e: std::io::Error| HiDeStoreError::Storage(StorageError::Io(e));
         let result = (|| {
             let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-            let report = self.restore_with(version, cache, &mut file, conc)?;
+            let report = self.restore(version, cache, &mut file)?;
             file.sync_all().map_err(io_err)?;
             drop(file);
             std::fs::rename(&tmp, path).map_err(io_err)?;
@@ -532,13 +505,11 @@ impl<S: ContainerStore> HiDeStore<S> {
         entries: &[RestoreEntry],
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
-        conc: &RestoreConcurrency,
-    ) -> Result<RestoreReport, HiDeStoreError>
-    where
-        S: Send,
-    {
+        // Ignored; `hdsbench/src/stream.rs` (frozen) still passes one.
+        _conc: &RestoreConcurrency,
+    ) -> Result<RestoreReport, HiDeStoreError> {
         let mut view = CompositeStore::new(&mut self.archival, &self.pool);
-        Ok(restore_staged(cache, entries, &mut view, out, conc)?)
+        Ok(cache.restore(entries, &mut view, out)?)
     }
 
     /// Resolves `version`'s recipe chain into a flat restore plan, checking

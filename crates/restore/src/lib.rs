@@ -8,6 +8,9 @@
 //! (paper §2.3), the number of **container reads** dominates restore time;
 //! the paper's §5.3 metric is the *speed factor* — mean MB restored per
 //! container read — and all schemes here report it via [`RestoreReport`].
+//! A scheme reads the store directly ([`RestoreCache::restore`] is the only
+//! restore path; there is no prefetch stage between them), so the reads it
+//! reports are the reads the store served.
 //!
 //! Implemented schemes, matching the paper's comparison set:
 //!
@@ -46,7 +49,6 @@ mod alacc;
 mod belady;
 mod chunk_lru;
 mod container_lru;
-mod engine;
 mod faa;
 mod verify;
 
@@ -54,7 +56,6 @@ pub use alacc::Alacc;
 pub use belady::BeladyCache;
 pub use chunk_lru::ChunkLru;
 pub use container_lru::ContainerLru;
-pub use engine::{restore_staged, RestoreConcurrency};
 pub use faa::Faa;
 pub use verify::VerifyingRestore;
 
@@ -103,8 +104,8 @@ pub struct RestoreReport {
     /// Cache misses — each one cost a container read, so this always equals
     /// [`RestoreReport::container_reads`] for the built-in schemes.
     pub cache_misses: u64,
-    /// Per-stage counters of the staged concurrent engine; all zero for a
-    /// serial (`threads <= 1`) restore.
+    // Read by `hdsbench/src/stream.rs` (frozen) and nothing else; always zero.
+    #[doc(hidden)]
     pub stage: RestoreStageCounters,
 }
 
@@ -119,26 +120,23 @@ impl RestoreReport {
     }
 }
 
-/// Per-stage counters of the staged concurrent restore engine (see
-/// [`restore_staged`]). Scheduling-dependent (`blocked_*` vary run to run);
-/// everything the correctness tests compare lives outside this struct.
+// Exists only because `hdsbench/src/stream.rs` (frozen) reads `prefetch_wasted`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RestoreStageCounters {
-    /// Containers the prefetcher stage read ahead of the assembly stage.
-    pub containers_prefetched: u64,
-    /// Scheme container requests served from prefetched data.
-    pub prefetch_hits: u64,
-    /// Scheme container requests that fell back to a direct store read
-    /// (container not prefetched in time, or outside the readahead window).
-    pub prefetch_misses: u64,
-    /// Containers prefetched but never consumed by the assembly stage.
     pub prefetch_wasted: u64,
-    /// Times a prefetcher sat blocked on a full queue (backpressure).
-    pub blocked_full: u64,
-    /// Times the assembly stage sat blocked on an empty queue.
-    pub blocked_empty: u64,
-    /// Bytes assembled into the output stream by the staged engine.
-    pub bytes_assembled: u64,
+}
+
+// Exists only because `hdsbench/src/stream.rs` (frozen) passes one to `restore_entries`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RestoreConcurrency;
+
+impl RestoreConcurrency {
+    #[doc(hidden)]
+    pub fn serial() -> Self {
+        RestoreConcurrency
+    }
 }
 
 /// Errors during restore.
@@ -286,6 +284,7 @@ mod tests {
             Box::new(ChunkLru::new(1 << 20)),
             Box::new(Faa::new(1 << 20)),
             Box::new(Alacc::new(1 << 20, 1 << 20)),
+            Box::new(BeladyCache::new(4)),
         ]
     }
 

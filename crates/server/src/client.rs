@@ -12,7 +12,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::net::ToSocketAddrs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hidestore_netfault::{NetStream, RealStream};
@@ -377,9 +377,10 @@ impl<S: NetStream> RemoteClient<S> {
         }
     }
 
-    /// Restores `version` into the file at `path`, writing through a
-    /// `.tmp` sibling and renaming only on success, so an aborted stream
-    /// never leaves a truncated file behind.
+    /// Restores `version` into the file at `path`, writing through
+    /// `<path>.tmp` (`.tmp` appended to the full file name) and renaming
+    /// only on success, so an aborted stream never leaves a truncated file
+    /// behind.
     ///
     /// # Errors
     ///
@@ -391,7 +392,9 @@ impl<S: NetStream> RemoteClient<S> {
         path: impl AsRef<Path>,
     ) -> Result<RestoreSummary, ClientError> {
         let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
         let result = (|| {
             let file = File::create(&tmp)?;
             let mut writer = BufWriter::new(file);

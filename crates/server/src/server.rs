@@ -1205,14 +1205,13 @@ fn serve_restore<S: NetStream>(
                 other => io::Error::other(other.to_string()),
             }));
         }
-        let conc = system.config().restore;
         let mut writer = SkipWriter {
             skip: offset,
             inner: DataFrameWriter::new(stream),
         };
         let mut cache = Faa::new(RESTORE_CACHE_BYTES);
         match system
-            .restore_with(v, &mut cache, &mut writer, &conc)
+            .restore(v, &mut cache, &mut writer)
             .and_then(|report| {
                 writer
                     .flush()

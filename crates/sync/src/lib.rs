@@ -3,9 +3,9 @@
 
 //! Shared concurrency primitives for the staged pipelines.
 //!
-//! Both the staged backup pipeline (`hidestore-dedup`) and the staged restore
-//! engine (`hidestore-restore`) move work between threads through the same
-//! bounded channel. `std::sync::mpsc::sync_channel` is bounded but cannot
+//! Both the staged backup pipeline (`hidestore-dedup`) and the daemon's
+//! accept queue (`hidestore-server`) move work between threads through the
+//! same bounded channel. `std::sync::mpsc::sync_channel` is bounded but cannot
 //! report how often a stage sat blocked on a full or empty queue — exactly
 //! the observability the staged pipelines need to show *where* a path is
 //! bottlenecked. [`BoundedQueue`] counts both, supports multiple producers

@@ -511,7 +511,7 @@ mod tests {
     use std::time::Duration;
 
     use hidestore_failpoint::{FaultKind, FaultVfs};
-    use hidestore_restore::{Faa, RestoreConcurrency};
+    use hidestore_restore::Faa;
     use hidestore_storage::VersionId;
 
     fn temp(tag: &str) -> PathBuf {
@@ -551,12 +551,7 @@ mod tests {
         slot.handle()
             .read_snapshot(|s| {
                 let mut out = Vec::new();
-                s.restore_with(
-                    VersionId::new(version),
-                    &mut Faa::new(1 << 20),
-                    &mut out,
-                    &RestoreConcurrency::serial(),
-                )?;
+                s.restore(VersionId::new(version), &mut Faa::new(1 << 20), &mut out)?;
                 Ok(out)
             })
             .unwrap()

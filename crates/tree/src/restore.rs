@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use hidestore_core::HiDeStore;
 use hidestore_failpoint::Vfs;
-use hidestore_restore::{Faa, RestoreConcurrency, RestoreEntry};
+use hidestore_restore::{Faa, RestoreEntry};
 use hidestore_storage::{ContainerStore, VersionId};
 
 use crate::manifest::{
@@ -26,8 +26,6 @@ pub struct TreeRestoreOptions {
     /// symlink) instead of the whole tree. The subtree root lands directly
     /// at the destination.
     pub subtree: Option<String>,
-    /// Restore-engine concurrency for the container fetches.
-    pub conc: RestoreConcurrency,
     /// Budget of the container cache shared across all per-file fetches.
     pub cache_bytes: usize,
 }
@@ -36,7 +34,6 @@ impl Default for TreeRestoreOptions {
     fn default() -> Self {
         TreeRestoreOptions {
             subtree: None,
-            conc: RestoreConcurrency::serial(),
             cache_bytes: 32 << 20,
         }
     }
@@ -100,7 +97,7 @@ pub fn restore_tree<S, V>(
     options: &TreeRestoreOptions,
 ) -> Result<TreeRestoreReport, TreeError>
 where
-    S: ContainerStore + Send,
+    S: ContainerStore,
     V: Vfs,
 {
     let plan = system.restore_plan(version).map_err(TreeError::System)?;
@@ -121,7 +118,6 @@ where
         offsets,
         total,
         cache: Faa::new(options.cache_bytes.max(1 << 16)),
-        conc: options.conc,
         container_reads: 0,
     };
 
@@ -323,13 +319,12 @@ struct RangeFetcher {
     offsets: Vec<u64>,
     total: u64,
     cache: Faa,
-    conc: RestoreConcurrency,
     container_reads: u64,
 }
 
 impl RangeFetcher {
     /// Restores stream bytes `[start, start + len)`.
-    fn fetch<S: ContainerStore + Send>(
+    fn fetch<S: ContainerStore>(
         &mut self,
         system: &mut HiDeStore<S>,
         start: u64,
@@ -351,7 +346,8 @@ impl RangeFetcher {
             buf: Vec::with_capacity(len as usize),
         };
         let report = system
-            .restore_entries(entries, &mut self.cache, &mut sink, &self.conc)
+            // Fourth argument: ignored, kept for the benchmark harness.
+            .restore_entries(entries, &mut self.cache, &mut sink, &Default::default())
             .map_err(TreeError::System)?;
         self.container_reads += report.container_reads;
         if sink.buf.len() as u64 != len {

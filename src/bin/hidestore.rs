@@ -3,11 +3,10 @@
 //! ```text
 //! hidestore init    <repo>                      create an empty repository
 //! hidestore backup  <repo> <file>               back up a file as the next version
-//! hidestore restore <repo> <version> <outfile> [--threads <n>]
-//!                                               restore a version to a file
+//! hidestore restore <repo> <version> <outfile> restore a version to a file
 //! hidestore backup-tree  <repo> <dir> [--exclude <glob>]... [--threads <n>]
 //!                                               back up a directory tree
-//! hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>] [--threads <n>]
+//! hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>]
 //!                                               restore a tree (or one subtree)
 //! hidestore list    <repo> [--json]             list retained versions
 //! hidestore prune   <repo> <keep-last-N>        expire all but the newest N versions
@@ -99,9 +98,9 @@ fn print_usage() {
         "usage:\n  hidestore init    <repo> [--chunk <bytes>] [--container <bytes>] [--depth <1|2>] [--threads <n>]\n  \
          \x20                [--scheme <hidestore|revdedup|hybrid>]\n  \
          hidestore backup  <repo> <file>\n  \
-         hidestore restore <repo> <version> <outfile> [--threads <n>]\n  \
+         hidestore restore <repo> <version> <outfile>\n  \
          hidestore backup-tree  <repo> <dir> [--exclude <glob>]... [--threads <n>]\n  \
-         hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>] [--threads <n>]\n  \
+         hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>]\n  \
          hidestore list    <repo> [--json]\n  \
          hidestore prune   <repo> <keep-last-N>\n  \
          hidestore verify  <repo>\n  \
@@ -235,7 +234,7 @@ fn run(args: &[String]) -> CliResult {
             _ => Err(usage("remote backup needs <file>")),
         },
         ("restore", None) => match rest.as_slice() {
-            [repo, version, outfile, opts @ ..] => cmd_restore(repo, version, outfile, opts),
+            [repo, version, outfile] => cmd_restore(repo, version, outfile),
             _ => Err(usage("restore needs <repo> <version> <outfile>")),
         },
         ("restore", Some(remote)) => match rest.as_slice() {
@@ -364,10 +363,7 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
             "--chunk" => config.avg_chunk_size = parsed("--chunk")?,
             "--container" => config.container_capacity = parsed("--container")?,
             "--depth" => config.history_depth = parsed("--depth")?,
-            "--threads" => {
-                config.threads = parsed("--threads")?;
-                config.restore.threads = config.threads;
-            }
+            "--threads" => config.threads = parsed("--threads")?,
             "--scheme" => config.scheme = DedupMode::parse(value).map_err(usage)?,
             other => return Err(usage(format!("unknown option {other}"))),
         }
@@ -430,37 +426,18 @@ fn cmd_backup_remote(remote: &Remote, file: &str) -> CliResult {
     Ok(())
 }
 
-fn cmd_restore(repo: &str, version: &str, outfile: &str, opts: &[String]) -> CliResult {
+fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
     let v = parse_version(version)?;
     if v == 0 {
         return Err(runtime("version ids are 1-based".to_string()));
     }
     let mut system = open(repo)?;
-    // Flag > HDS_THREADS > repository config (the latter two are already
-    // folded into the opened system's config by load_from).
-    let mut conc = system.config().restore;
-    let mut it = opts.iter();
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| usage(format!("{flag} needs a value")))?;
-        match flag.as_str() {
-            "--threads" => {
-                conc.threads = value
-                    .parse()
-                    .map_err(|_| usage(format!("--threads must be a number, got {value}")))?;
-            }
-            other => return Err(usage(format!("unknown option {other}"))),
-        }
-    }
-    conc.validate();
     // Output is staged in `<outfile>.tmp` and renamed on success, so a
     // failed restore never leaves a partial file behind.
     let report = system.restore_to_path(
         VersionId::new(v),
         &mut Faa::new(32 << 20),
         Path::new(outfile),
-        &conc,
     )?;
     println!(
         "restored V{v} to {outfile}: {} bytes, {} container reads (speed factor {:.2} MB/read)",
@@ -468,15 +445,6 @@ fn cmd_restore(repo: &str, version: &str, outfile: &str, opts: &[String]) -> Cli
         report.container_reads,
         report.speed_factor(),
     );
-    if conc.effective_threads() > 1 {
-        println!(
-            "  staged engine: {} prefetched, {} hits, {} misses, {} wasted",
-            report.stage.containers_prefetched,
-            report.stage.prefetch_hits,
-            report.stage.prefetch_misses,
-            report.stage.prefetch_wasted,
-        );
-    }
     Ok(())
 }
 
@@ -503,7 +471,6 @@ fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
     let mut config = HiDeStoreConfig::load_from(repo)?;
     if let Some(threads) = threads {
         config.threads = threads;
-        config.restore.threads = threads;
         config.validate();
     }
     let mut system = HiDeStore::open_repository(config, repo)?;
@@ -545,8 +512,6 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
     if v == 0 {
         return Err(runtime("version ids are 1-based".to_string()));
     }
-    let mut system = open(repo)?;
-    let mut conc = system.config().restore;
     let mut subtree = None;
     let mut it = opts.iter();
     while let Some(flag) = it.next() {
@@ -555,15 +520,10 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
             .ok_or_else(|| usage(format!("{flag} needs a value")))?;
         match flag.as_str() {
             "--subtree" => subtree = Some(value.clone()),
-            "--threads" => {
-                conc.threads = value
-                    .parse()
-                    .map_err(|_| usage(format!("--threads must be a number, got {value}")))?;
-            }
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
-    conc.validate();
+    let mut system = open(repo)?;
     let report = hidestore::tree::restore_tree(
         &mut system,
         &hidestore::failpoint::RealVfs,
@@ -571,7 +531,6 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
         Path::new(dest),
         &hidestore::tree::TreeRestoreOptions {
             subtree,
-            conc,
             ..Default::default()
         },
     )?;

@@ -82,10 +82,7 @@ pub mod prelude {
     pub use hidestore_index::{
         DdfsIndex, FingerprintIndex, SiloConfig, SiloIndex, SparseConfig, SparseIndex,
     };
-    pub use hidestore_restore::{
-        restore_staged, Alacc, ChunkLru, ContainerLru, Faa, RestoreCache, RestoreConcurrency,
-        RestoreReport,
-    };
+    pub use hidestore_restore::{Alacc, ChunkLru, ContainerLru, Faa, RestoreCache, RestoreReport};
     pub use hidestore_rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy};
     pub use hidestore_storage::{
         Container, ContainerId, ContainerStore, FileContainerStore, MemoryContainerStore, Recipe,

@@ -170,6 +170,123 @@ fn restore_unknown_version_fails_cleanly() {
     fs::remove_dir_all(&repo).unwrap();
 }
 
+/// Restore stages in `<outfile>.tmp` — `.tmp` appended to the full file
+/// name, never substituted for the extension — so a sibling sharing the stem
+/// is untouched, and a failed restore to a path that itself ends in `.tmp`
+/// leaves the user's previous file intact.
+#[test]
+fn restore_staging_never_touches_other_files() {
+    let repo = temp("staging");
+    let repo_s = repo.to_str().unwrap();
+    let data_dir = temp("staging-data");
+    fs::create_dir_all(&data_dir).unwrap();
+    assert!(
+        run(&["init", repo_s, "--chunk", "1024", "--container", "65536"])
+            .status
+            .success()
+    );
+    let input = data_dir.join("input.bin");
+    fs::write(&input, noise(50_000, 4)).unwrap();
+    assert!(run(&["backup", repo_s, input.to_str().unwrap()])
+        .status
+        .success());
+
+    let sibling = data_dir.join("a.tmp");
+    fs::write(&sibling, b"unrelated sibling").unwrap();
+    let out = run(&[
+        "restore",
+        repo_s,
+        "1",
+        data_dir.join("a.bin").to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        fs::read(data_dir.join("a.bin")).unwrap(),
+        fs::read(&input).unwrap()
+    );
+    assert_eq!(fs::read(&sibling).unwrap(), b"unrelated sibling");
+    assert!(!data_dir.join("a.bin.tmp").exists());
+
+    let keep = data_dir.join("keep.tmp");
+    fs::write(&keep, b"previous good output").unwrap();
+    let out = run(&["restore", repo_s, "99", keep.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(fs::read(&keep).unwrap(), b"previous good output");
+    assert!(!data_dir.join("keep.tmp.tmp").exists());
+
+    fs::remove_dir_all(&repo).unwrap();
+    fs::remove_dir_all(&data_dir).unwrap();
+}
+
+/// Every repository `init` wrote before the staged restore engine was
+/// deleted carries its three keys in `config`. They fall into the
+/// unknown-key arm: the repository opens and restores byte-identically
+/// whatever their values, `init` no longer writes them, and `HDS_THREADS`
+/// still only has to be a valid ingest thread count.
+#[test]
+fn config_with_retired_restore_keys_still_opens() {
+    let repo = temp("retired-keys");
+    let repo_s = repo.to_str().unwrap();
+    let data_dir = temp("retired-keys-data");
+    fs::create_dir_all(&data_dir).unwrap();
+    assert!(
+        run(&["init", repo_s, "--chunk", "1024", "--container", "65536"])
+            .status
+            .success()
+    );
+    let written = fs::read_to_string(repo.join("config")).unwrap();
+    assert_eq!(
+        written,
+        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=1\nnet_timeout=30\nscheme=hidestore\n"
+    );
+    let input = data_dir.join("input.bin");
+    fs::write(&input, noise(80_000, 6)).unwrap();
+    assert!(run(&["backup", repo_s, input.to_str().unwrap()])
+        .status
+        .success());
+
+    // The file exactly as the parent commit's `init` wrote it, with
+    // non-default values a user could have edited in.
+    fs::write(
+        repo.join("config"),
+        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=1\nrestore_threads=4\n\
+         restore_queue=2\nrestore_readahead=16\nnet_timeout=30\nscheme=hidestore\n",
+    )
+    .unwrap();
+    let restored = data_dir.join("restored.bin");
+    let out = run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(fs::read(&restored).unwrap(), fs::read(&input).unwrap());
+    // Even values the old validation rejected are just ignored text now.
+    fs::write(
+        repo.join("config"),
+        "chunk=1024\ncontainer=65536\nrestore_threads=many\nrestore_queue=0\nrestore_readahead=0\n",
+    )
+    .unwrap();
+    let out = Command::new(bin())
+        .args(["restore", repo_s, "1", restored.to_str().unwrap()])
+        .env("HDS_THREADS", "8")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(fs::read(&restored).unwrap(), fs::read(&input).unwrap());
+
+    fs::remove_dir_all(&repo).unwrap();
+    fs::remove_dir_all(&data_dir).unwrap();
+}
+
 /// Exit codes are part of the CLI contract: 2 for usage mistakes (with the
 /// usage text), 1 for runtime failures (with an `error:` line), 0 for
 /// success. Scripts and ci.sh branch on them.
@@ -185,6 +302,9 @@ fn exit_codes_distinguish_usage_from_runtime_errors() {
         &["init"],
         &["backup", repo_s],
         &["restore", repo_s, "1"],
+        // The restore thread flag is retired: restore has one path.
+        &["restore", repo_s, "1", "/tmp/x", "--threads", "2"],
+        &["restore-tree", repo_s, "1", "/tmp/x-tree", "--threads", "2"],
         &["backup", "--remote"],
         &["restore", repo_s, "not-a-number", "/tmp/x"],
         &["prune", repo_s, "many"],

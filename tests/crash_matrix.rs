@@ -577,31 +577,27 @@ fn crash_after_publish_before_dir_fsync_rolls_forward() {
 }
 
 // ---------------------------------------------------------------------------
-// Staged restore engine under container-read faults.
+// Restore under container-read faults.
 // ---------------------------------------------------------------------------
 
-/// A fault in a prefetcher's container read must cancel the restore
-/// pipeline, join every thread (a hang here times the test out), surface a
-/// typed error, and — because restore output stages to `<path>.tmp` and only
-/// renames on success — leave no partial output file behind.
+/// A fault at any container read of a restore must surface a typed error
+/// and — because restore output stages to `<path>.tmp` and only renames on
+/// success — leave neither a partial output file nor the staging file
+/// behind.
 #[test]
-fn restore_read_fault_cancels_pipeline_and_leaves_no_partial_output() {
-    use hidestore::restore::RestoreConcurrency;
-
+fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     let scratch = Scratch::new("restore-fault");
     run_sequence(&scratch.0, hidestore::failpoint::RealVfs, 3).expect("build repo");
-    let conc = RestoreConcurrency::threads(8).with_queue_depth(2);
 
-    // Counting pass: number the filesystem reads of open + one staged
-    // restore of the oldest (most archival-dependent) version.
+    // Counting pass: number the filesystem reads of open + one restore of the oldest (most archival-dependent) version.
     let vfs = FaultVfs::counting();
     let outfile = scratch.0.join("restored.bin");
     let restore_once = |vfs: FaultVfs, out: &Path| -> Result<(), HiDeStoreError> {
         let (mut hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs)?;
-        hds.restore_to_path(VersionId::new(1), &mut Faa::new(1 << 18), out, &conc)?;
+        hds.restore_to_path(VersionId::new(1), &mut Faa::new(1 << 18), out)?;
         Ok(())
     };
-    restore_once(vfs.clone(), &outfile).expect("unfaulted staged restore");
+    restore_once(vfs.clone(), &outfile).expect("unfaulted restore");
     let expected = std::fs::read(&outfile).expect("restored output exists");
     assert!(!expected.is_empty());
     std::fs::remove_file(&outfile).expect("clean up reference output");
@@ -617,8 +613,8 @@ fn restore_read_fault_cancels_pipeline_and_leaves_no_partial_output() {
     );
 
     // Fault every container-read site. Early sites fault reads issued
-    // during open/recovery; later ones hit the engine's prefetchers — all
-    // must fail typed with no output file residue.
+    // during open/recovery; later ones hit the restore scheme's own reads —
+    // all must fail typed with no output file residue.
     for site in container_reads {
         let vfs = FaultVfs::armed(site, FaultKind::Error);
         let err =
@@ -636,13 +632,13 @@ fn restore_read_fault_cancels_pipeline_and_leaves_no_partial_output() {
             "site {site}: failed restore left a partial output file"
         );
         assert!(
-            !outfile.with_extension("tmp").exists(),
+            !scratch.0.join("restored.bin.tmp").exists(),
             "site {site}: failed restore left its staging file"
         );
     }
 
-    // And with the faults gone, the same staged restore succeeds again.
-    restore_once(FaultVfs::counting(), &outfile).expect("post-fault staged restore");
+    // And with the faults gone, the same restore succeeds again.
+    restore_once(FaultVfs::counting(), &outfile).expect("post-fault restore");
     assert_eq!(
         std::fs::read(&outfile).expect("restored output"),
         expected,

@@ -561,13 +561,11 @@ fn out_of_line_schemes_survive_random_interleavings() {
 
 /// Random backup / delete / save / restore sequences over an on-disk
 /// repository: every surviving version restores byte-exact through a
-/// randomly drawn restore scheme, engine thread count, and queue depth, and
-/// the repository audits clean after every save.
+/// randomly drawn restore scheme, and the repository audits clean after
+/// every save.
 #[test]
-fn random_lifecycles_restore_exactly_under_random_concurrency() {
-    use hidestore::restore::{
-        Alacc, BeladyCache, ChunkLru, ContainerLru, RestoreCache, RestoreConcurrency,
-    };
+fn random_lifecycles_restore_exactly_under_random_schemes() {
+    use hidestore::restore::{Alacc, BeladyCache, ChunkLru, ContainerLru, RestoreCache};
 
     fn random_scheme(rng: &mut StdRng) -> Box<dyn RestoreCache> {
         match rng.gen_range(0usize..5) {
@@ -580,12 +578,6 @@ fn random_lifecycles_restore_exactly_under_random_concurrency() {
             }
             _ => Box::new(BeladyCache::new(rng.gen_range(1usize..8))),
         }
-    }
-
-    fn random_conc(rng: &mut StdRng) -> RestoreConcurrency {
-        RestoreConcurrency::threads(rng.gen_range(1usize..9))
-            .with_queue_depth(rng.gen_range(1usize..5))
-            .with_readahead(rng.gen_range(1usize..9))
     }
 
     cases(6, 0x0F, |rng| {
@@ -635,24 +627,22 @@ fn random_lifecycles_restore_exactly_under_random_concurrency() {
                     }
                 }
                 // One random surviving version restores exactly, through a
-                // random scheme at random engine concurrency.
+                // random scheme.
                 let pick = rng.gen_range(0usize..originals.len());
                 let (&v, expect) = originals.iter().nth(pick).unwrap();
                 let mut scheme = random_scheme(rng);
-                let conc = random_conc(rng);
                 let mut out = Vec::new();
-                hds.restore_with(VersionId::new(v), scheme.as_mut(), &mut out, &conc)
+                hds.restore(VersionId::new(v), scheme.as_mut(), &mut out)
                     .unwrap();
-                assert_eq!(&out, expect, "V{v} under {conc:?}");
+                assert_eq!(&out, expect, "V{v} under {}", scheme.name());
             }
             // Epilogue: every survivor restores exactly one more time.
             for (&v, expect) in &originals {
                 let mut scheme = random_scheme(rng);
-                let conc = random_conc(rng);
                 let mut out = Vec::new();
-                hds.restore_with(VersionId::new(v), scheme.as_mut(), &mut out, &conc)
+                hds.restore(VersionId::new(v), scheme.as_mut(), &mut out)
                     .unwrap();
-                assert_eq!(&out, expect, "final V{v} under {conc:?}");
+                assert_eq!(&out, expect, "final V{v} under {}", scheme.name());
             }
         }));
         let _ = std::fs::remove_dir_all(&dir);

@@ -152,3 +152,43 @@ fn concurrent_clients_differential_against_local_path() {
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&local_dir).unwrap();
 }
+
+/// `RemoteClient::restore_to_path` stages in `<path>.tmp` — `.tmp` appended
+/// to the full file name, never substituted for the extension — so a sibling
+/// that merely shares the stem is untouched, and a failed restore to a path
+/// that itself ends in `.tmp` leaves the caller's previous file intact.
+#[test]
+fn remote_restore_staging_never_touches_other_files() {
+    let dir = temp("staging");
+    HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
+    let handle = serve(
+        &dir,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = RemoteClient::connect(handle.addr()).unwrap();
+    let data = payload(0, 0);
+    conn.backup_bytes(&data).unwrap();
+
+    let out_dir = temp("staging-out");
+    let sibling = out_dir.join("a.tmp");
+    fs::write(&sibling, b"unrelated sibling").unwrap();
+    conn.restore_to_path(1, out_dir.join("a.bin")).unwrap();
+    assert_eq!(fs::read(out_dir.join("a.bin")).unwrap(), data);
+    assert_eq!(fs::read(&sibling).unwrap(), b"unrelated sibling");
+    assert!(!out_dir.join("a.bin.tmp").exists());
+
+    let keep = out_dir.join("keep.tmp");
+    fs::write(&keep, b"previous good output").unwrap();
+    conn.restore_to_path(99, &keep).unwrap_err();
+    assert_eq!(fs::read(&keep).unwrap(), b"previous good output");
+    assert!(!out_dir.join("keep.tmp.tmp").exists());
+
+    drop(conn);
+    handle.shutdown_and_join();
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&out_dir).unwrap();
+}
