@@ -18,7 +18,11 @@
 #                                      backup pipeline, once at HDS_THREADS=1
 #                                      and 8; the restore-scheme differential
 #                                      (all schemes byte-identical, reported
-#                                      reads = device reads) once
+#                                      reads = device reads) once; the
+#                                      chunking crate's tests optimised, so
+#                                      its scan-vs-bit-serial differential
+#                                      covers the 64 KiB-average, multi-MiB
+#                                      cases at release codegen too
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
@@ -77,6 +81,9 @@ HDS_THREADS=8 cargo test --release --test pipeline_differential -q
 
 echo "ci: cargo test --release --test restore_differential"
 cargo test --release --test restore_differential -q
+
+echo "ci: cargo test --release -p hidestore-chunking"
+cargo test --release -p hidestore-chunking -q
 
 echo "ci: cargo test --release --test server_chaos"
 cargo test --release --test server_chaos -q

@@ -1,7 +1,7 @@
 //! Rabin-fingerprint content-defined chunking, as introduced by LBFS and
 //! shipped by Destor as "rabin CDC".
 
-use crate::rolling::{RabinHash, DEFAULT_WINDOW};
+use crate::rolling::CutScan;
 use crate::Chunker;
 
 /// Content-defined chunker driven by a windowed Rabin fingerprint.
@@ -23,10 +23,7 @@ use crate::Chunker;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RabinChunker {
-    min_size: usize,
-    max_size: usize,
-    divisor: u64,
-    hash: RabinHash,
+    scan: CutScan,
 }
 
 impl RabinChunker {
@@ -59,47 +56,22 @@ impl RabinChunker {
             "bounds must satisfy min <= avg <= max"
         );
         RabinChunker {
-            min_size,
-            max_size,
-            divisor: avg_size as u64,
-            hash: RabinHash::new(DEFAULT_WINDOW),
+            scan: CutScan::new(min_size, max_size, avg_size as u64, None),
         }
     }
 }
 
 impl Chunker for RabinChunker {
     fn next_chunk_len(&mut self, data: &[u8]) -> usize {
-        assert!(!data.is_empty(), "next_chunk_len requires non-empty data");
-        if data.len() <= self.min_size {
-            return data.len();
-        }
-        self.hash.reset();
-        let limit = data.len().min(self.max_size);
-        // Warm the window over the bytes before the first legal cut point so
-        // the hash at position min_size covers real content.
-        let warm_start = self.min_size.saturating_sub(DEFAULT_WINDOW);
-        for &b in &data[warm_start..self.min_size] {
-            self.hash.roll(b);
-        }
-        for (i, &b) in data[self.min_size..limit].iter().enumerate() {
-            let h = self.hash.roll(b);
-            if h % self.divisor == self.divisor - 1 {
-                return self.min_size + i + 1;
-            }
-        }
-        limit
+        self.scan.next_chunk_len(data)
     }
 
     fn min_size(&self) -> usize {
-        self.min_size
+        self.scan.min_size()
     }
 
     fn max_size(&self) -> usize {
-        self.max_size
-    }
-
-    fn reset(&mut self) {
-        self.hash.reset();
+        self.scan.max_size()
     }
 }
 
@@ -118,6 +90,21 @@ mod tests {
                 (state >> 32) as u8
             })
             .collect()
+    }
+
+    #[test]
+    fn cuts_match_bit_serial_reference() {
+        use crate::rolling::reference::{assert_same_cuts, Cut};
+        let mut kinds = std::collections::BTreeSet::new();
+        for avg in [64, 100, 1015, 1024, 4096, 8192, 65536] {
+            let scan = RabinChunker::new(avg).scan;
+            kinds.extend(assert_same_cuts(&scan, &format!("rabin {avg}")));
+        }
+        // min_size inside the window with explicit bounds too.
+        let scan = RabinChunker::with_bounds(64, 1, 64).scan;
+        kinds.extend(assert_same_cuts(&scan, "rabin 64 in 1..=64"));
+        let all = [Cut::Main, Cut::Forced, Cut::Tail];
+        assert!(kinds.iter().eq(&all), "cut kinds exercised: {kinds:?}");
     }
 
     #[test]

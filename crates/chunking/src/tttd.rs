@@ -2,7 +2,7 @@
 //! TR 2005-30). This is the chunking algorithm the HiDeStore prototype uses
 //! (paper §5.1).
 
-use crate::rolling::{RabinHash, DEFAULT_WINDOW};
+use crate::rolling::CutScan;
 use crate::Chunker;
 
 /// Two Thresholds Two Divisors content-defined chunker.
@@ -29,11 +29,7 @@ use crate::Chunker;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TttdChunker {
-    min_size: usize,
-    max_size: usize,
-    main_divisor: u64,
-    backup_divisor: u64,
-    hash: RabinHash,
+    scan: CutScan,
 }
 
 impl TttdChunker {
@@ -54,55 +50,27 @@ impl TttdChunker {
         let max_size = (2800.0 * scale) as usize;
         let main_divisor = ((540.0 * scale) as u64).max(2);
         TttdChunker {
-            min_size,
-            max_size: max_size.max(min_size + 1),
-            main_divisor,
-            backup_divisor: (main_divisor / 2).max(1),
-            hash: RabinHash::new(DEFAULT_WINDOW),
+            scan: CutScan::new(
+                min_size,
+                max_size.max(min_size + 1),
+                main_divisor,
+                Some((main_divisor / 2).max(1)),
+            ),
         }
     }
 }
 
 impl Chunker for TttdChunker {
     fn next_chunk_len(&mut self, data: &[u8]) -> usize {
-        assert!(!data.is_empty(), "next_chunk_len requires non-empty data");
-        if data.len() <= self.min_size {
-            return data.len();
-        }
-        self.hash.reset();
-        let limit = data.len().min(self.max_size);
-        let warm_start = self.min_size.saturating_sub(DEFAULT_WINDOW);
-        for &b in &data[warm_start..self.min_size] {
-            self.hash.roll(b);
-        }
-        let mut backup_cut = None;
-        for (i, &b) in data[self.min_size..limit].iter().enumerate() {
-            let h = self.hash.roll(b);
-            let pos = self.min_size + i + 1;
-            if h % self.main_divisor == self.main_divisor - 1 {
-                return pos;
-            }
-            if h % self.backup_divisor == self.backup_divisor - 1 {
-                backup_cut = Some(pos);
-            }
-        }
-        if limit < self.max_size {
-            // Stream tail: no more data will arrive, take the remainder.
-            return data.len();
-        }
-        backup_cut.unwrap_or(limit)
+        self.scan.next_chunk_len(data)
     }
 
     fn min_size(&self) -> usize {
-        self.min_size
+        self.scan.min_size()
     }
 
     fn max_size(&self) -> usize {
-        self.max_size
-    }
-
-    fn reset(&mut self) {
-        self.hash.reset();
+        self.scan.max_size()
     }
 }
 
@@ -121,6 +89,33 @@ mod tests {
                 (state >> 32) as u8
             })
             .collect()
+    }
+
+    #[test]
+    fn cuts_match_bit_serial_reference() {
+        use crate::rolling::reference::{assert_same_cuts, Cut};
+        // 64 puts min_size (29) inside the window; 100 and 4096 give an odd
+        // main divisor, so the backup divisor is not half of it.
+        let mut kinds = std::collections::BTreeSet::new();
+        for avg in [64, 100, 1015, 1024, 4096, 8192, 65536] {
+            let scan = TttdChunker::new(avg).scan;
+            kinds.extend(assert_same_cuts(&scan, &format!("tttd {avg}")));
+        }
+        let all = [Cut::Main, Cut::Backup, Cut::Forced, Cut::Tail];
+        assert!(kinds.iter().eq(&all), "cut kinds exercised: {kinds:?}");
+    }
+
+    #[test]
+    fn parameters_are_the_ones_existing_repositories_were_cut_with() {
+        // min, max, D, D' as computed before the scan was made table-driven;
+        // a repository deduplicates only against chunks cut by the same rule.
+        for (avg, params) in [
+            (1024, (464, 2824, 544, Some(272))),
+            (4096, (1856, 11299, 2179, Some(1089))),
+            (8192, (3712, 22598, 4358, Some(2179))),
+        ] {
+            assert_eq!(TttdChunker::new(avg).scan.parameters(), params, "{avg}");
+        }
     }
 
     #[test]
