@@ -14,15 +14,17 @@
 #   4. cargo clippy -D warnings     -- clippy across every target
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
-#   7. differential suites (release)-- serial-vs-concurrent equality of the
-#                                      backup pipeline, once at HDS_THREADS=1
-#                                      and 8; the restore-scheme differential
+#   7. differential suites (release)-- the ingest front end against its
+#                                      inline reference on both sides of the
+#                                      inline/staged crossover, and whole
+#                                      pipelines restoring byte-exact across
+#                                      it; the restore-scheme differential
 #                                      (all schemes byte-identical, reported
-#                                      reads = device reads) once; the
-#                                      chunking crate's tests optimised, so
-#                                      its scan-vs-bit-serial differential
-#                                      covers the 64 KiB-average, multi-MiB
-#                                      cases at release codegen too
+#                                      reads = device reads); the chunking
+#                                      crate's tests optimised, so its
+#                                      scan-vs-bit-serial differential covers
+#                                      the 64 KiB-average, multi-MiB cases at
+#                                      release codegen too
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
@@ -73,11 +75,8 @@ cargo test --workspace -q
 echo "ci: cargo test --release --test crash_matrix"
 cargo test --release --test crash_matrix -q
 
-echo "ci: cargo test --release --test pipeline_differential (HDS_THREADS=1)"
-HDS_THREADS=1 cargo test --release --test pipeline_differential -q
-
-echo "ci: cargo test --release --test pipeline_differential (HDS_THREADS=8)"
-HDS_THREADS=8 cargo test --release --test pipeline_differential -q
+echo "ci: cargo test --release --test pipeline_differential"
+cargo test --release --test pipeline_differential -q
 
 echo "ci: cargo test --release --test restore_differential"
 cargo test --release --test restore_differential -q

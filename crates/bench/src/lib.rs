@@ -101,7 +101,6 @@ impl Scale {
             avg_chunk_size: self.chunk,
             container_capacity: self.container,
             segment_chunks: 128,
-            concurrency: Default::default(),
         }
     }
 
@@ -676,7 +675,7 @@ mod tests {
         assert_eq!(s.versions, 16);
         s.pipeline_config().validate();
         for p in Profile::ALL {
-            s.hidestore_config(p).validate();
+            assert!(s.hidestore_config(p).validate().is_ok());
         }
     }
 

@@ -103,13 +103,6 @@ pub struct HiDeStoreConfig {
     /// of prefetching the previous recipe in the same units as the
     /// traditional schemes' index lookups (§5.2.2).
     pub lookup_unit_bytes: usize,
-    /// Threads for the chunk/fingerprint front end of [`crate::HiDeStore::backup`]:
-    /// `0` auto-detects from the machine, `1` runs serially, more selects
-    /// the staged concurrent pipeline. The repository produced is identical
-    /// at every setting.
-    pub threads: usize,
-    /// Bounded depth of each inter-stage queue when `threads > 1`.
-    pub queue_depth: usize,
     /// Default per-operation network timeout in whole seconds for the
     /// `hds-served` daemon and remote CLI when neither a flag nor the
     /// `HDS_NET_TIMEOUT` environment override is given. `0` disables
@@ -129,8 +122,6 @@ impl Default for HiDeStoreConfig {
             compact_threshold: 0.95,
             history_depth: 1,
             lookup_unit_bytes: 4096,
-            threads: 1,
-            queue_depth: 4,
             net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
@@ -147,8 +138,6 @@ impl HiDeStoreConfig {
             compact_threshold: 0.5,
             history_depth: 1,
             lookup_unit_bytes: 4096,
-            threads: 1,
-            queue_depth: 4,
             net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
@@ -166,18 +155,6 @@ impl HiDeStoreConfig {
         self
     }
 
-    /// Variant with a threaded backup front end (`0` = auto-detect).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Variant with the given inter-stage queue depth.
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
     /// Variant with the given default network timeout in seconds (`0`
     /// disables timeouts).
     pub fn with_net_timeout(mut self, secs: u64) -> Self {
@@ -185,25 +162,17 @@ impl HiDeStoreConfig {
         self
     }
 
-    /// The concrete backup thread count after resolving `0` = auto.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            hidestore_hash::default_hash_threads()
-        } else {
-            self.threads
-        }
-    }
-
-    /// Reads the repository's `config` file at `dir`, returning the stored
-    /// configuration with the `HDS_THREADS` environment override applied
-    /// (CI and benchmarks sweep thread counts without rewriting the file).
-    /// Unknown keys are ignored, for forward compatibility and so that the
-    /// retired restore-engine keys older builds wrote keep loading.
+    /// Reads the repository's `config` file at `dir`. Unknown keys are
+    /// ignored, for forward compatibility and so that the retired keys older
+    /// builds wrote (`threads`, `restore_threads`, `restore_queue`,
+    /// `restore_readahead`) keep loading whatever their value.
     ///
     /// # Errors
     ///
     /// [`HiDeStoreError::Config`] when the file is missing (not a
-    /// repository), unreadable, or a known key has an unparsable value.
+    /// repository), unreadable, a known key has an unparsable value, or the
+    /// values fail [`HiDeStoreConfig::validate`] — the file is outside input,
+    /// so a bad value is an error here, never a panic in a later open.
     pub fn load_from(dir: impl AsRef<Path>) -> Result<Self, HiDeStoreError> {
         Self::load_from_with(dir, &RealVfs)
     }
@@ -245,7 +214,6 @@ impl HiDeStoreConfig {
                 "chunk" => config.avg_chunk_size = parsed(key)?,
                 "container" => config.container_capacity = parsed(key)?,
                 "depth" => config.history_depth = parsed(key)?,
-                "threads" => config.threads = parsed(key)?,
                 "net_timeout" => config.net_timeout_secs = parsed(key)? as u64,
                 "scheme" => {
                     config.scheme = DedupMode::parse(value).map_err(HiDeStoreError::Config)?;
@@ -253,12 +221,7 @@ impl HiDeStoreConfig {
                 _ => {}
             }
         }
-        if let Ok(threads) = std::env::var("HDS_THREADS") {
-            let threads = threads.trim().parse::<usize>().map_err(|_| {
-                HiDeStoreError::Config(format!("HDS_THREADS has invalid value {threads:?}"))
-            })?;
-            config.threads = threads;
-        }
+        config.validate()?;
         Ok(config)
     }
 
@@ -285,11 +248,10 @@ impl HiDeStoreConfig {
     ) -> Result<(), HiDeStoreError> {
         let path = dir.as_ref().join(CONFIG_FILE);
         let text = format!(
-            "chunk={}\ncontainer={}\ndepth={}\nthreads={}\nnet_timeout={}\nscheme={}\n",
+            "chunk={}\ncontainer={}\ndepth={}\nnet_timeout={}\nscheme={}\n",
             self.avg_chunk_size,
             self.container_capacity,
             self.history_depth,
-            self.threads,
             self.net_timeout_secs,
             self.scheme,
         );
@@ -297,27 +259,44 @@ impl HiDeStoreConfig {
             .map_err(|e| HiDeStoreError::Config(format!("cannot write {}: {e}", path.display())))
     }
 
-    /// Validates the configuration.
+    /// Checks every field's range — the one validator behind
+    /// [`HiDeStoreConfig::load_from`], `init`, and [`crate::HiDeStore::new`]'s
+    /// panic.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a field is out of range (zero sizes, depth of 0, threshold
-    /// outside `(0, 1]`, or a container smaller than the maximum chunk).
-    pub fn validate(&self) {
-        assert!(self.avg_chunk_size >= 64, "average chunk size too small");
-        assert!(self.history_depth >= 1, "history depth must be at least 1");
-        assert!(
-            self.compact_threshold > 0.0 && self.compact_threshold <= 1.0,
-            "compaction threshold must be in (0, 1]"
-        );
-        assert!(self.lookup_unit_bytes > 0, "lookup unit must be non-zero");
-        assert!(self.queue_depth >= 1, "queue depth must be at least 1");
+    /// [`HiDeStoreError::Config`] naming the first out-of-range field: an
+    /// average chunk under 64 bytes, a history depth of 0, a compaction
+    /// threshold outside `(0, 1]`, a zero lookup unit, or a container
+    /// smaller than the maximum chunk.
+    pub fn validate(&self) -> Result<(), HiDeStoreError> {
+        let invalid = |msg: String| Err(HiDeStoreError::Config(msg));
+        if self.avg_chunk_size < 64 {
+            return invalid(format!(
+                "average chunk size {} is below the 64-byte minimum",
+                self.avg_chunk_size
+            ));
+        }
+        if self.history_depth == 0 {
+            return invalid("history depth must be at least 1".to_string());
+        }
+        if !(self.compact_threshold > 0.0 && self.compact_threshold <= 1.0) {
+            return invalid(format!(
+                "compaction threshold {} must be in (0, 1]",
+                self.compact_threshold
+            ));
+        }
+        if self.lookup_unit_bytes == 0 {
+            return invalid("lookup unit must be non-zero".to_string());
+        }
         let max_chunk = self.chunker.build(self.avg_chunk_size).max_size();
-        assert!(
-            self.container_capacity >= max_chunk,
-            "container capacity {} cannot hold a maximum-size chunk ({max_chunk})",
-            self.container_capacity
-        );
+        if self.container_capacity < max_chunk {
+            return invalid(format!(
+                "container capacity {} cannot hold a maximum-size chunk ({max_chunk})",
+                self.container_capacity
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -330,41 +309,68 @@ mod tests {
         let c = HiDeStoreConfig::default();
         assert_eq!(c.container_capacity, 4 * 1024 * 1024);
         assert_eq!(c.history_depth, 1);
-        c.validate();
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn depth_2_for_macos() {
         let c = HiDeStoreConfig::small_for_tests().with_history_depth(2);
         assert_eq!(c.history_depth, 2);
-        c.validate();
+        assert!(c.validate().is_ok());
     }
 
     #[test]
-    #[should_panic(expected = "history depth")]
-    fn zero_depth_rejected() {
-        HiDeStoreConfig::small_for_tests()
-            .with_history_depth(0)
-            .validate();
-    }
-
-    #[test]
-    fn threads_resolve() {
+    fn out_of_range_fields_rejected() {
         let c = HiDeStoreConfig::small_for_tests();
-        assert_eq!(c.effective_threads(), 1);
-        assert_eq!(c.with_threads(8).effective_threads(), 8);
-        assert_eq!(
-            c.with_threads(0).effective_threads(),
-            hidestore_hash::default_hash_threads()
-        );
+        for (bad, what) in [
+            (c.with_history_depth(0), "history depth"),
+            (
+                HiDeStoreConfig {
+                    avg_chunk_size: 10,
+                    ..c
+                },
+                "64-byte minimum",
+            ),
+            (
+                HiDeStoreConfig {
+                    container_capacity: 100,
+                    ..c
+                },
+                "cannot hold",
+            ),
+            (
+                HiDeStoreConfig {
+                    compact_threshold: 0.0,
+                    ..c
+                },
+                "compaction threshold",
+            ),
+        ] {
+            let err = bad.validate().unwrap_err().to_string();
+            assert!(err.contains(what), "{err:?} should mention {what:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_rejected() {
-        HiDeStoreConfig::small_for_tests()
-            .with_queue_depth(0)
-            .validate();
+    fn out_of_range_config_file_is_a_config_error() {
+        let dir =
+            std::env::temp_dir().join(format!("hidestore-config-range-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for text in ["depth=0\n", "chunk=10\n", "chunk=8192\ncontainer=4096\n"] {
+            std::fs::write(dir.join(CONFIG_FILE), text).unwrap();
+            assert!(
+                matches!(
+                    HiDeStoreConfig::load_from(&dir),
+                    Err(HiDeStoreError::Config(_))
+                ),
+                "{text:?}"
+            );
+        }
+        // A retired key is ignored whatever its value.
+        std::fs::write(dir.join(CONFIG_FILE), "threads=many\nqueue_depth=0\n").unwrap();
+        assert!(HiDeStoreConfig::load_from(&dir).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

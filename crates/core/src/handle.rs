@@ -53,8 +53,8 @@ pub struct RepositoryHandle<V: Vfs = RealVfs> {
 }
 
 impl RepositoryHandle<RealVfs> {
-    /// Opens the repository at `dir`, reading its `config` file (with the
-    /// `HDS_THREADS` override applied) and running journal recovery.
+    /// Opens the repository at `dir`, reading its `config` file and running
+    /// journal recovery.
     ///
     /// # Errors
     ///

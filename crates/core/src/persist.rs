@@ -315,8 +315,8 @@ impl HiDeStore<FileContainerStore> {
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors, a corrupt meta file, or a history-depth
-    /// mismatch.
+    /// Fails on an invalid `config` (see [`HiDeStoreConfig::validate`]),
+    /// filesystem errors, a corrupt meta file, or a history-depth mismatch.
     pub fn open_repository(
         config: HiDeStoreConfig,
         dir: impl AsRef<Path>,
@@ -351,6 +351,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         dir: impl AsRef<Path>,
         vfs: V,
     ) -> Result<(Self, OpenReport), HiDeStoreError> {
+        config.validate()?;
         let dir = dir.as_ref();
         vfs.create_dir_all(dir).map_err(StorageError::from)?;
 

@@ -5,7 +5,7 @@ use std::fmt;
 use std::io::Write;
 use std::time::Instant;
 
-use hidestore_chunking::{chunk_spans, Chunker};
+use hidestore_chunking::Chunker;
 use hidestore_hash::Fingerprint;
 use hidestore_restore::{
     RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
@@ -23,11 +23,6 @@ use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 use crate::scheme::SchemeState;
 use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats, ScrubReport};
-
-/// Chunks per batch handed between the staged pipeline's threads. Purely a
-/// hand-off granularity — the spans and fingerprints produced are identical
-/// at any value.
-const STAGED_SEGMENT_CHUNKS: usize = 256;
 
 /// Errors from HiDeStore operations.
 #[derive(Debug)]
@@ -169,7 +164,8 @@ impl<S: ContainerStore> HiDeStore<S> {
     ///
     /// Panics if `config` is invalid (see [`HiDeStoreConfig::validate`]).
     pub fn new(config: HiDeStoreConfig, archival: S) -> Self {
-        config.validate();
+        let checked = config.validate();
+        assert!(checked.is_ok(), "invalid HiDeStoreConfig: {checked:?}");
         let chunker = config.chunker.build(config.avg_chunk_size);
         HiDeStore {
             chunker,
@@ -199,29 +195,10 @@ impl<S: ContainerStore> HiDeStore<S> {
     ///
     /// Fails if the archival store rejects a write.
     pub fn backup(&mut self, data: &[u8]) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
-        // Chunking + fingerprinting. With `config.threads > 1` the staged
-        // pipeline overlaps chunking with hashing on dedicated threads;
-        // either front end yields the same spans and fingerprints, so the
-        // repository is identical at every thread count.
-        let threads = self.config.effective_threads();
-        let spans;
-        let fingerprints;
-        if threads > 1 {
-            (spans, fingerprints) = hidestore_dedup::staged_chunk_fingerprints(
-                data,
-                self.chunker.as_mut(),
-                STAGED_SEGMENT_CHUNKS,
-                threads,
-                self.config.queue_depth,
-            );
-        } else {
-            spans = chunk_spans(self.chunker.as_mut(), data);
-            fingerprints = hidestore_hash::fingerprints_parallel(
-                data,
-                &spans,
-                hidestore_hash::default_hash_threads(),
-            );
-        }
+        // The shared front end: inline or staged by core count and input
+        // size, the same spans and fingerprints either way.
+        let (spans, fingerprints) =
+            hidestore_dedup::chunk_fingerprints(data, self.chunker.as_mut());
         let sizes: Vec<u32> = spans.iter().map(|s| s.len() as u32).collect();
         self.run_backup(&fingerprints, &sizes, |i| {
             std::borrow::Cow::Borrowed(&data[spans[i].clone()])

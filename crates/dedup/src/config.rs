@@ -2,74 +2,6 @@
 
 use hidestore_chunking::ChunkerKind;
 
-/// Concurrency knobs for the backup pipeline's staged front end.
-///
-/// With `workers <= 1` the pipeline runs fully serially on the calling
-/// thread (today's behaviour, and the default). With more workers the
-/// chunker gets a dedicated thread and fingerprinting fans out to a worker
-/// pool; the commit stage stays on the calling thread either way, so the
-/// produced repository is identical at every setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConcurrencyConfig {
-    /// Fingerprint worker threads. `0` means auto-detect from the machine
-    /// (see [`hidestore_hash::default_hash_threads`]); `1` selects the
-    /// serial pipeline.
-    pub workers: usize,
-    /// Bounded depth of each inter-stage queue (segments in flight).
-    pub queue_depth: usize,
-}
-
-impl Default for ConcurrencyConfig {
-    fn default() -> Self {
-        ConcurrencyConfig {
-            workers: 1,
-            queue_depth: 4,
-        }
-    }
-}
-
-impl ConcurrencyConfig {
-    /// A serial configuration (the default).
-    pub fn serial() -> Self {
-        ConcurrencyConfig::default()
-    }
-
-    /// A configuration with `workers` fingerprint threads (`0` = auto).
-    pub fn threads(workers: usize) -> Self {
-        ConcurrencyConfig {
-            workers,
-            ..ConcurrencyConfig::default()
-        }
-    }
-
-    /// Returns `self` with the given inter-stage queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_depth` is zero.
-    pub fn with_queue_depth(self, queue_depth: usize) -> Self {
-        assert!(queue_depth >= 1, "queue depth must be at least 1");
-        ConcurrencyConfig {
-            queue_depth,
-            ..self
-        }
-    }
-
-    /// The concrete worker count after resolving `0` = auto.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers == 0 {
-            hidestore_hash::default_hash_threads()
-        } else {
-            self.workers
-        }
-    }
-
-    /// Whether the staged concurrent pipeline is selected.
-    pub fn is_staged(&self) -> bool {
-        self.effective_workers() > 1
-    }
-}
-
 /// Configuration of a [`crate::BackupPipeline`], mirroring the knobs of
 /// Destor's config file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +14,6 @@ pub struct PipelineConfig {
     pub container_capacity: usize,
     /// Number of chunks per segment handed to the index and rewriter.
     pub segment_chunks: usize,
-    /// Threading of the chunk/fingerprint front end.
-    pub concurrency: ConcurrencyConfig,
 }
 
 impl Default for PipelineConfig {
@@ -93,7 +23,6 @@ impl Default for PipelineConfig {
             avg_chunk_size: 8 * 1024,
             container_capacity: 4 * 1024 * 1024,
             segment_chunks: 1024,
-            concurrency: ConcurrencyConfig::default(),
         }
     }
 }
@@ -108,7 +37,6 @@ impl PipelineConfig {
             avg_chunk_size: 1024,
             container_capacity: 32 * 1024,
             segment_chunks: 32,
-            concurrency: ConcurrencyConfig::default(),
         }
     }
 
@@ -123,10 +51,6 @@ impl PipelineConfig {
         assert!(
             self.segment_chunks > 0,
             "segment must hold at least one chunk"
-        );
-        assert!(
-            self.concurrency.queue_depth >= 1,
-            "queue depth must be at least 1"
         );
         let max_chunk = self.chunker.build(self.avg_chunk_size).max_size();
         assert!(
@@ -152,34 +76,6 @@ mod tests {
     #[test]
     fn small_config_is_valid() {
         PipelineConfig::small_for_tests().validate();
-    }
-
-    #[test]
-    fn default_concurrency_is_serial() {
-        let c = ConcurrencyConfig::default();
-        assert!(!c.is_staged());
-        assert_eq!(c.effective_workers(), 1);
-    }
-
-    #[test]
-    fn auto_workers_resolve_to_machine_default() {
-        let c = ConcurrencyConfig::threads(0);
-        assert_eq!(
-            c.effective_workers(),
-            hidestore_hash::default_hash_threads()
-        );
-    }
-
-    #[test]
-    fn multi_worker_config_is_staged() {
-        assert!(ConcurrencyConfig::threads(4).is_staged());
-        assert!(!ConcurrencyConfig::threads(1).is_staged());
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_queue_depth_rejected() {
-        let _ = ConcurrencyConfig::serial().with_queue_depth(0);
     }
 
     #[test]

@@ -51,9 +51,11 @@ pub mod gc;
 mod pipeline;
 mod stats;
 
-pub use config::{ConcurrencyConfig, PipelineConfig};
-pub use pipeline::{staged_chunk_fingerprints, BackupPipeline, PipelineError};
-pub use stats::{BackupRunStats, PipelineStageStats, StageCounters, VersionStats};
+pub use config::PipelineConfig;
+pub use pipeline::{
+    chunk_fingerprints, staged_front_end, BackupPipeline, PipelineError, STAGED_MIN_BYTES,
+};
+pub use stats::{BackupRunStats, VersionStats};
 
 // Re-exported for convenience so downstream code can name phase
 // implementations through one crate, as Destor's config file does.

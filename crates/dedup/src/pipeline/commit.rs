@@ -3,10 +3,8 @@
 //! Dedup decisions are order-dependent — whether a chunk is a duplicate
 //! depends on every chunk committed before it, and which container it lands
 //! in depends on how full the open container is. The commit stage therefore
-//! always runs on exactly one thread, processing segments in stream order.
-//! Both the serial pipeline and the staged concurrent pipeline drive this
-//! same [`CommitState`], which is what guarantees the two produce
-//! byte-identical containers, recipes and counters.
+//! always runs on exactly one thread, processing segments in stream order,
+//! whether the front end hashed inline or on workers.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

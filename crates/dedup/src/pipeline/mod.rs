@@ -1,20 +1,19 @@
-//! The backup and restore pipeline, in serial and staged-concurrent form.
+//! The backup and restore pipeline.
 //!
-//! The module is split by stage: [`commit`] holds the single-threaded commit
-//! stage both forms share and [`staged`] the multi-threaded chunk/fingerprint
-//! front end; the bounded inter-stage channel is the shared
-//! [`hidestore_sync::BoundedQueue`]. See `DESIGN.md` §8 for the determinism
-//! argument.
+//! The module is split by stage: [`front_end`] chunks and fingerprints a
+//! stream (inline or on hashing workers, chosen from the machine and the
+//! input) and [`commit`] holds the single-threaded index/rewrite/container
+//! stage. `HiDeStore::backup` calls the same front end. See `DESIGN.md` §8.
 
 mod commit;
-mod staged;
+mod front_end;
 
-pub use staged::staged_chunk_fingerprints;
+pub use front_end::{chunk_fingerprints, staged_front_end, STAGED_MIN_BYTES};
 
 use std::fmt;
 use std::io::Write;
 
-use hidestore_chunking::{chunk_spans, Chunker};
+use hidestore_chunking::Chunker;
 use hidestore_hash::Fingerprint;
 use hidestore_index::FingerprintIndex;
 use hidestore_restore::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
@@ -22,9 +21,8 @@ use hidestore_rewriting::RewritePolicy;
 use hidestore_storage::{ContainerBuilder, ContainerStore, RecipeStore, StorageError, VersionId};
 
 use crate::config::PipelineConfig;
-use crate::stats::{BackupRunStats, PipelineStageStats, VersionStats};
+use crate::stats::{BackupRunStats, VersionStats};
 use commit::CommitState;
-use staged::StagedOptions;
 
 /// Errors from backup or restore runs.
 #[derive(Debug)]
@@ -87,11 +85,10 @@ impl From<RestoreError> for PipelineError {
 /// The Destor-style backup pipeline: chunk → fingerprint → index → rewrite →
 /// store → recipe, over pluggable phase implementations.
 ///
-/// With [`crate::ConcurrencyConfig`] workers > 1 the chunking and
-/// fingerprinting phases run on their own threads (Destor's pipelined
-/// layout) while indexing, rewriting and container filling stay on the
-/// calling thread in stream order — so the repository produced is
-/// byte-identical to a serial run at any thread count.
+/// Chunking and fingerprinting run in [`chunk_fingerprints`], which may hash
+/// on worker threads; indexing, rewriting and container filling stay on the
+/// calling thread in stream order, so the repository produced does not
+/// depend on how many cores the machine has.
 ///
 /// See the crate docs for an end-to-end example.
 pub struct BackupPipeline<I, R, S> {
@@ -105,7 +102,6 @@ pub struct BackupPipeline<I, R, S> {
     next_version: u32,
     run_stats: BackupRunStats,
     version_stats: Vec<VersionStats>,
-    lookups_at_version_start: u64,
 }
 
 impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I, R, S> {
@@ -127,79 +123,21 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
             next_version: 1,
             run_stats: BackupRunStats::default(),
             version_stats: Vec::new(),
-            lookups_at_version_start: 0,
             config,
         }
     }
 
     /// Backs up one version (the full stream content).
     ///
-    /// Runs the serial pipeline or the staged concurrent one according to
-    /// [`PipelineConfig::concurrency`]; both produce identical repositories.
-    ///
     /// # Errors
     ///
     /// Fails if the container store rejects a write.
     pub fn backup(&mut self, data: &[u8]) -> Result<VersionStats, PipelineError> {
-        if self.config.concurrency.is_staged() {
-            return self.backup_staged(data);
-        }
-        // Phase 1+2: chunking and fingerprinting (hashing parallelized, as
-        // in Destor's pipelined implementation).
-        let spans = chunk_spans(self.chunker.as_mut(), data);
-        let fingerprints: Vec<Fingerprint> = hidestore_hash::fingerprints_parallel(
-            data,
-            &spans,
-            hidestore_hash::default_hash_threads(),
-        );
+        let (spans, fingerprints) = chunk_fingerprints(data, self.chunker.as_mut());
         let sizes: Vec<u32> = spans.iter().map(|s| s.len() as u32).collect();
         self.run_backup(&fingerprints, &sizes, |i| {
             std::borrow::Cow::Borrowed(&data[spans[i].clone()])
         })
-    }
-
-    /// Backs up one version through the staged concurrent pipeline: a
-    /// chunker thread and a fingerprint worker pool feed the (serial) commit
-    /// stage through bounded queues, overlapping CPU-bound hashing with
-    /// index lookups and container filling.
-    fn backup_staged(&mut self, data: &[u8]) -> Result<VersionStats, PipelineError> {
-        let version = self.begin_version();
-        let rewritten_before = self.rewriter.rewritten_bytes();
-
-        let opts = StagedOptions {
-            segment_chunks: self.config.segment_chunks,
-            workers: self.config.concurrency.effective_workers(),
-            queue_depth: self.config.concurrency.queue_depth,
-        };
-        let mut stage_stats = PipelineStageStats::default();
-        let mut logical_bytes = 0u64;
-        let mut chunks = 0u64;
-        let mut commit = CommitState::new(
-            &mut self.index,
-            &mut self.rewriter,
-            &mut self.store,
-            &mut self.builder,
-            version,
-        );
-        staged::run_staged(
-            data,
-            self.chunker.as_mut(),
-            &opts,
-            &mut stage_stats,
-            |batch| {
-                let sizes: Vec<u32> = batch.spans.iter().map(|s| s.len() as u32).collect();
-                chunks += sizes.len() as u64;
-                logical_bytes += sizes.iter().map(|&s| s as u64).sum::<u64>();
-                commit.commit_segment(&batch.fingerprints, &sizes, |i| {
-                    std::borrow::Cow::Borrowed(&data[batch.spans[i].clone()])
-                })
-            },
-        )?;
-        let outcome = commit.finish()?;
-        stage_stats.commit.items += chunks;
-        stage_stats.commit.bytes += logical_bytes;
-        self.run_stats.stages.merge(&stage_stats);
-        self.finish_version(version, outcome, logical_bytes, chunks, rewritten_before)
     }
 
     /// Backs up one version given as a chunk *trace* — `(fingerprint,
@@ -226,50 +164,17 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         })
     }
 
-    /// Allocates the next version and opens it in the index and rewriter.
-    fn begin_version(&mut self) -> VersionId {
-        let version = VersionId::new(self.next_version);
-        self.next_version += 1;
-        self.index.begin_version(version);
-        self.rewriter.begin_version(version);
-        self.lookups_at_version_start = self.index.disk_lookups();
-        version
-    }
-
-    /// Closes the version in the index and rewriter and records its stats.
-    fn finish_version(
-        &mut self,
-        version: VersionId,
-        outcome: commit::CommitOutcome,
-        logical_bytes: u64,
-        chunks: u64,
-        rewritten_before: u64,
-    ) -> Result<VersionStats, PipelineError> {
-        self.index.end_version();
-        self.rewriter.end_version();
-        let stats = VersionStats {
-            version,
-            logical_bytes,
-            stored_bytes: outcome.stored_bytes,
-            rewritten_bytes: self.rewriter.rewritten_bytes() - rewritten_before,
-            chunks,
-            stored_chunks: outcome.stored_chunks,
-            disk_lookups: self.index.disk_lookups() - self.lookups_at_version_start,
-            index_table_bytes: self.index.index_table_bytes() as u64,
-        };
-        self.recipes.insert(outcome.recipe);
-        self.run_stats.absorb(&stats);
-        self.version_stats.push(stats);
-        Ok(stats)
-    }
-
     fn run_backup<'a>(
         &mut self,
         fingerprints: &[Fingerprint],
         sizes: &[u32],
         content: impl Fn(usize) -> std::borrow::Cow<'a, [u8]>,
     ) -> Result<VersionStats, PipelineError> {
-        let version = self.begin_version();
+        let version = VersionId::new(self.next_version);
+        self.next_version += 1;
+        self.index.begin_version(version);
+        self.rewriter.begin_version(version);
+        let lookups_before = self.index.disk_lookups();
         let rewritten_before = self.rewriter.rewritten_bytes();
         let logical_bytes: u64 = sizes.iter().map(|&s| s as u64).sum();
 
@@ -291,13 +196,23 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
             )?;
         }
         let outcome = commit.finish()?;
-        self.finish_version(
+
+        self.index.end_version();
+        self.rewriter.end_version();
+        let stats = VersionStats {
             version,
-            outcome,
             logical_bytes,
-            fingerprints.len() as u64,
-            rewritten_before,
-        )
+            stored_bytes: outcome.stored_bytes,
+            rewritten_bytes: self.rewriter.rewritten_bytes() - rewritten_before,
+            chunks: fingerprints.len() as u64,
+            stored_chunks: outcome.stored_chunks,
+            disk_lookups: self.index.disk_lookups() - lookups_before,
+            index_table_bytes: self.index.index_table_bytes() as u64,
+        };
+        self.recipes.insert(outcome.recipe);
+        self.run_stats.absorb(&stats);
+        self.version_stats.push(stats);
+        Ok(stats)
     }
 
     /// Restores `version` through the given restore cache, writing the
@@ -394,7 +309,6 @@ impl<I: fmt::Debug, R: fmt::Debug, S: fmt::Debug> fmt::Debug for BackupPipeline<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConcurrencyConfig;
     use hidestore_index::DdfsIndex;
     use hidestore_restore::Faa;
     use hidestore_rewriting::{Capping, NoRewrite};
@@ -553,37 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_backup_is_valid() {
+    fn backup_above_the_crossover_round_trips() {
         let mut p = ddfs_pipeline();
-        let s = p.backup(&[]).unwrap();
-        assert_eq!(s.chunks, 0);
-        let mut out = Vec::new();
-        p.restore(VersionId::new(1), &mut Faa::new(1024), &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-    }
-
-    // ----- staged concurrent pipeline -----
-
-    fn staged_pipeline(
-        workers: usize,
-        depth: usize,
-    ) -> BackupPipeline<DdfsIndex, NoRewrite, MemoryContainerStore> {
-        BackupPipeline::new(
-            PipelineConfig {
-                concurrency: ConcurrencyConfig::threads(workers).with_queue_depth(depth),
-                ..PipelineConfig::small_for_tests()
-            },
-            DdfsIndex::new(),
-            NoRewrite::new(),
-            MemoryContainerStore::new(),
-        )
-    }
-
-    #[test]
-    fn staged_backup_round_trips() {
-        let mut p = staged_pipeline(4, 2);
-        let data = noise(250_000, 11);
+        let data = noise(STAGED_MIN_BYTES + 50_000, 11);
         p.backup(&data).unwrap();
         let mut out = Vec::new();
         p.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)
@@ -592,66 +478,14 @@ mod tests {
     }
 
     #[test]
-    fn staged_empty_backup_is_valid() {
-        let mut p = staged_pipeline(4, 1);
+    fn empty_backup_is_valid() {
+        let mut p = ddfs_pipeline();
         let s = p.backup(&[]).unwrap();
         assert_eq!(s.chunks, 0);
-    }
-
-    #[test]
-    fn staged_matches_serial_repository() {
-        let mut data = noise(180_000, 12);
-        let mut serial = ddfs_pipeline();
-        let mut parallel = staged_pipeline(4, 2);
-        for round in 0..3u64 {
-            let s1 = serial.backup(&data).unwrap();
-            let s2 = parallel.backup(&data).unwrap();
-            assert_eq!(s1, s2, "round {round}: version stats must be identical");
-            let patch = noise(9_000, 500 + round);
-            let at = (round as usize * 31_000) % 150_000;
-            data[at..at + patch.len()].copy_from_slice(&patch);
-        }
-        assert_eq!(serial.store().ids(), parallel.store().ids());
-        for id in serial.store().ids() {
-            let a = serial.store_mut().read(id).unwrap().encode();
-            let b = parallel.store_mut().read(id).unwrap().encode();
-            assert_eq!(a, b, "container {id} bytes differ");
-        }
-        for v in serial.versions() {
-            assert_eq!(
-                serial.recipes().get(v).unwrap().entries(),
-                parallel.recipes().get(v).unwrap().entries(),
-                "recipe {v} differs"
-            );
-        }
-    }
-
-    #[test]
-    fn staged_records_stage_counters() {
-        let mut p = staged_pipeline(2, 1);
-        let data = noise(200_000, 13);
-        p.backup(&data).unwrap();
-        let stages = p.run_stats().stages;
-        assert_eq!(stages.chunk.bytes, data.len() as u64);
-        assert_eq!(stages.hash.bytes, data.len() as u64);
-        assert_eq!(stages.commit.bytes, data.len() as u64);
-        assert_eq!(stages.chunk.items, stages.commit.items);
-        // With a depth-1 queue some stage must have felt backpressure.
-        assert!(
-            stages.chunk.blocked_full
-                + stages.hash.blocked_full
-                + stages.hash.blocked_empty
-                + stages.commit.blocked_empty
-                > 0,
-            "depth-1 queues cannot run without a single wait: {stages:?}"
-        );
-    }
-
-    #[test]
-    fn serial_pipeline_reports_no_stage_activity() {
-        let mut p = ddfs_pipeline();
-        p.backup(&noise(100_000, 14)).unwrap();
-        assert_eq!(p.run_stats().stages, PipelineStageStats::default());
+        let mut out = Vec::new();
+        p.restore(VersionId::new(1), &mut Faa::new(1024), &mut out)
+            .unwrap();
+        assert!(out.is_empty());
     }
 }
 

@@ -50,56 +50,6 @@ impl VersionStats {
     }
 }
 
-/// Throughput and backpressure counters for one pipeline stage.
-///
-/// The `blocked_*` counts record how many times a thread of this stage had
-/// to wait on an inter-stage queue — `blocked_full` waiting to hand work
-/// downstream, `blocked_empty` waiting for work from upstream. They show
-/// *where* the staged pipeline is bottlenecked, but depend on scheduling
-/// and are therefore not deterministic across runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCounters {
-    /// Work items (chunks or segments) processed by the stage.
-    pub items: u64,
-    /// Payload bytes processed by the stage.
-    pub bytes: u64,
-    /// Times the stage waited on a full downstream queue.
-    pub blocked_full: u64,
-    /// Times the stage waited on an empty upstream queue.
-    pub blocked_empty: u64,
-}
-
-impl StageCounters {
-    /// Accumulates another run's counters.
-    pub fn merge(&mut self, other: &StageCounters) {
-        self.items += other.items;
-        self.bytes += other.bytes;
-        self.blocked_full += other.blocked_full;
-        self.blocked_empty += other.blocked_empty;
-    }
-}
-
-/// Per-stage counters of the staged concurrent pipeline. All zeros when the
-/// serial pipeline ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStageStats {
-    /// The chunking stage (one thread; items are chunks).
-    pub chunk: StageCounters,
-    /// The fingerprinting worker pool (items are chunks).
-    pub hash: StageCounters,
-    /// The commit stage on the calling thread (items are chunks).
-    pub commit: StageCounters,
-}
-
-impl PipelineStageStats {
-    /// Accumulates another run's stage stats.
-    pub fn merge(&mut self, other: &PipelineStageStats) {
-        self.chunk.merge(&other.chunk);
-        self.hash.merge(&other.hash);
-        self.commit.merge(&other.commit);
-    }
-}
-
 /// Cumulative statistics across all versions backed up by a pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BackupRunStats {
@@ -113,10 +63,6 @@ pub struct BackupRunStats {
     pub chunks: u64,
     /// Versions backed up.
     pub versions: u32,
-    /// Stage activity of the concurrent pipeline (zeros under serial runs).
-    /// Blocked counts are scheduling-dependent; exclude them when comparing
-    /// runs for determinism.
-    pub stages: PipelineStageStats,
 }
 
 impl BackupRunStats {
@@ -179,22 +125,6 @@ mod tests {
         assert_eq!(run.versions, 2);
         assert_eq!(run.logical_bytes, 2 << 30);
         assert!((run.dedup_ratio() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stage_counters_merge_adds() {
-        let mut a = PipelineStageStats::default();
-        a.chunk.items = 3;
-        a.hash.bytes = 100;
-        a.commit.blocked_empty = 2;
-        let mut b = PipelineStageStats::default();
-        b.chunk.items = 4;
-        b.hash.bytes = 50;
-        b.commit.blocked_empty = 1;
-        a.merge(&b);
-        assert_eq!(a.chunk.items, 7);
-        assert_eq!(a.hash.bytes, 150);
-        assert_eq!(a.commit.blocked_empty, 3);
     }
 
     #[test]

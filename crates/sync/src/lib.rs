@@ -1,17 +1,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Shared concurrency primitives for the staged pipelines.
+//! Shared concurrency primitives.
 //!
-//! Both the staged backup pipeline (`hidestore-dedup`) and the daemon's
-//! accept queue (`hidestore-server`) move work between threads through the
-//! same bounded channel. `std::sync::mpsc::sync_channel` is bounded but cannot
-//! report how often a stage sat blocked on a full or empty queue — exactly
-//! the observability the staged pipelines need to show *where* a path is
-//! bottlenecked. [`BoundedQueue`] counts both, supports multiple producers
-//! with explicit completion ([`BoundedQueue::producer_done`]), and can be
-//! cancelled so an error in a downstream stage unblocks every upstream
-//! thread instead of deadlocking the scope join.
+//! The ingest front end's hashing workers (`hidestore-dedup`) and the
+//! daemon's accept queue (`hidestore-server`) move work between threads
+//! through the same bounded channel. `std::sync::mpsc::sync_channel` is
+//! bounded but single-consumer and cannot report how often a thread sat
+//! blocked on a full or empty queue. [`BoundedQueue`] is multi-consumer,
+//! counts both waits, supports multiple producers with explicit completion
+//! ([`BoundedQueue::producer_done`]), and can be cancelled so a stopping
+//! consumer unblocks every producer instead of deadlocking a join.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};

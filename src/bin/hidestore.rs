@@ -4,7 +4,7 @@
 //! hidestore init    <repo>                      create an empty repository
 //! hidestore backup  <repo> <file>               back up a file as the next version
 //! hidestore restore <repo> <version> <outfile> restore a version to a file
-//! hidestore backup-tree  <repo> <dir> [--exclude <glob>]... [--threads <n>]
+//! hidestore backup-tree  <repo> <dir> [--exclude <glob>]...
 //!                                               back up a directory tree
 //! hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>]
 //!                                               restore a tree (or one subtree)
@@ -95,11 +95,11 @@ type CliResult = Result<(), CliError>;
 
 fn print_usage() {
     eprintln!(
-        "usage:\n  hidestore init    <repo> [--chunk <bytes>] [--container <bytes>] [--depth <1|2>] [--threads <n>]\n  \
+        "usage:\n  hidestore init    <repo> [--chunk <bytes>] [--container <bytes>] [--depth <1|2>]\n  \
          \x20                [--scheme <hidestore|revdedup|hybrid>]\n  \
          hidestore backup  <repo> <file>\n  \
          hidestore restore <repo> <version> <outfile>\n  \
-         hidestore backup-tree  <repo> <dir> [--exclude <glob>]... [--threads <n>]\n  \
+         hidestore backup-tree  <repo> <dir> [--exclude <glob>]...\n  \
          hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>]\n  \
          hidestore list    <repo> [--json]\n  \
          hidestore prune   <repo> <keep-last-N>\n  \
@@ -363,12 +363,11 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
             "--chunk" => config.avg_chunk_size = parsed("--chunk")?,
             "--container" => config.container_capacity = parsed("--container")?,
             "--depth" => config.history_depth = parsed("--depth")?,
-            "--threads" => config.threads = parsed("--threads")?,
             "--scheme" => config.scheme = DedupMode::parse(value).map_err(usage)?,
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
-    config.validate();
+    config.validate().map_err(|e| usage(e.to_string()))?;
     let dir = Path::new(repo);
     if dir.join(hidestore::core::CONFIG_FILE).exists() {
         return Err(runtime(format!("{repo} already contains a repository")));
@@ -380,12 +379,8 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
     system.save_repository(repo)?;
     println!(
         "initialized repository at {repo} (chunk {} B, container {} B, history depth {}, \
-         threads {}, scheme {})",
-        config.avg_chunk_size,
-        config.container_capacity,
-        config.history_depth,
-        config.threads,
-        config.scheme,
+         scheme {})",
+        config.avg_chunk_size, config.container_capacity, config.history_depth, config.scheme,
     );
     Ok(())
 }
@@ -450,7 +445,6 @@ fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
 
 fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
     let mut excludes = hidestore::tree::ExcludeSet::none();
-    let mut threads: Option<usize> = None;
     let mut it = opts.iter();
     while let Some(flag) = it.next() {
         let value = it
@@ -458,22 +452,10 @@ fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
             .ok_or_else(|| usage(format!("{flag} needs a value")))?;
         match flag.as_str() {
             "--exclude" => excludes.add(value).map_err(|e| usage(e.to_string()))?,
-            "--threads" => {
-                threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| usage(format!("--threads must be a number, got {value}")))?,
-                );
-            }
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
-    let mut config = HiDeStoreConfig::load_from(repo)?;
-    if let Some(threads) = threads {
-        config.threads = threads;
-        config.validate();
-    }
-    let mut system = HiDeStore::open_repository(config, repo)?;
+    let mut system = open(repo)?;
     let report = hidestore::tree::backup_tree(
         &mut system,
         &hidestore::failpoint::RealVfs,

@@ -225,8 +225,7 @@ fn restore_staging_never_touches_other_files() {
 /// Every repository `init` wrote before the staged restore engine was
 /// deleted carries its three keys in `config`. They fall into the
 /// unknown-key arm: the repository opens and restores byte-identically
-/// whatever their values, `init` no longer writes them, and `HDS_THREADS`
-/// still only has to be a valid ingest thread count.
+/// whatever their values, and `init` no longer writes them.
 #[test]
 fn config_with_retired_restore_keys_still_opens() {
     let repo = temp("retired-keys");
@@ -241,7 +240,7 @@ fn config_with_retired_restore_keys_still_opens() {
     let written = fs::read_to_string(repo.join("config")).unwrap();
     assert_eq!(
         written,
-        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=1\nnet_timeout=30\nscheme=hidestore\n"
+        "chunk=1024\ncontainer=65536\ndepth=1\nnet_timeout=30\nscheme=hidestore\n"
     );
     let input = data_dir.join("input.bin");
     fs::write(&input, noise(80_000, 6)).unwrap();
@@ -271,11 +270,7 @@ fn config_with_retired_restore_keys_still_opens() {
         "chunk=1024\ncontainer=65536\nrestore_threads=many\nrestore_queue=0\nrestore_readahead=0\n",
     )
     .unwrap();
-    let out = Command::new(bin())
-        .args(["restore", repo_s, "1", restored.to_str().unwrap()])
-        .env("HDS_THREADS", "8")
-        .output()
-        .unwrap();
+    let out = run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "{}",
@@ -285,6 +280,126 @@ fn config_with_retired_restore_keys_still_opens() {
 
     fs::remove_dir_all(&repo).unwrap();
     fs::remove_dir_all(&data_dir).unwrap();
+}
+
+/// The ingest thread knobs are retired: the front end picks inline or
+/// staged hashing from the core count and the input size. A `threads=` key
+/// an older `init` wrote is ignored, so the repository opens and restores
+/// byte-identically, and the `HDS_THREADS` environment variable is no
+/// longer read at all. (`init` no longer writes the key: see the pinned
+/// text in `config_with_retired_restore_keys_still_opens`.)
+#[test]
+fn config_with_retired_ingest_keys_still_opens() {
+    let repo = temp("retired-ingest");
+    let repo_s = repo.to_str().unwrap();
+    let data_dir = temp("retired-ingest-data");
+    fs::create_dir_all(&data_dir).unwrap();
+    assert!(
+        run(&["init", repo_s, "--chunk", "1024", "--container", "65536"])
+            .status
+            .success()
+    );
+    let input = data_dir.join("input.bin");
+    fs::write(&input, noise(80_000, 7)).unwrap();
+    assert!(run(&["backup", repo_s, input.to_str().unwrap()])
+        .status
+        .success());
+
+    // The file exactly as the parent commit's `init` wrote it, with the
+    // thread count a user could have edited in.
+    fs::write(
+        repo.join("config"),
+        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=8\nnet_timeout=30\nscheme=hidestore\n",
+    )
+    .unwrap();
+    let restored = data_dir.join("restored.bin");
+    let out = run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(fs::read(&restored).unwrap(), fs::read(&input).unwrap());
+
+    // A value the parent rejected ("HDS_THREADS has invalid value") is
+    // just an unrelated environment variable now.
+    let out = Command::new(bin())
+        .args(["list", repo_s])
+        .env("HDS_THREADS", "x")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("V1"));
+
+    fs::remove_dir_all(&repo).unwrap();
+    fs::remove_dir_all(&data_dir).unwrap();
+}
+
+/// Configuration values are outside input: an out-of-range `init` flag is a
+/// usage error (exit 2, nothing created), and an out-of-range value edited
+/// into `config` is a runtime error naming the field (exit 1) on every
+/// later command — never a panic (exit 101).
+#[test]
+fn out_of_range_config_values_are_errors_not_panics() {
+    let repo = temp("config-range");
+    let repo_s = repo.to_str().unwrap();
+    for flags in [
+        &["--chunk", "10"] as &[&str],
+        &["--depth", "0"],
+        &["--chunk", "8192", "--container", "4096"],
+    ] {
+        let mut args = vec!["init", repo_s];
+        args.extend_from_slice(flags);
+        let out = run(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "init {flags:?} must be a usage error: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+        assert!(
+            !repo.exists(),
+            "init {flags:?} must not create the repository"
+        );
+    }
+
+    assert!(
+        run(&["init", repo_s, "--chunk", "1024", "--container", "65536"])
+            .status
+            .success()
+    );
+    let input = repo.join("input.bin");
+    fs::write(&input, noise(20_000, 8)).unwrap();
+    for (text, field) in [
+        ("chunk=1024\ncontainer=65536\ndepth=0\n", "history depth"),
+        ("chunk=10\ncontainer=65536\n", "average chunk size"),
+        ("chunk=8192\ncontainer=4096\n", "container capacity"),
+    ] {
+        fs::write(repo.join("config"), text).unwrap();
+        for args in [
+            &["backup", repo_s, input.to_str().unwrap()] as &[&str],
+            &["list", repo_s],
+        ] {
+            let out = run(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{args:?} over {text:?} must fail cleanly: {stderr}"
+            );
+            assert!(
+                stderr.contains("error:") && stderr.contains(field),
+                "{args:?} over {text:?} must name {field:?}: {stderr}"
+            );
+        }
+    }
+
+    fs::remove_dir_all(&repo).unwrap();
 }
 
 /// Exit codes are part of the CLI contract: 2 for usage mistakes (with the
@@ -305,6 +420,9 @@ fn exit_codes_distinguish_usage_from_runtime_errors() {
         // The restore thread flag is retired: restore has one path.
         &["restore", repo_s, "1", "/tmp/x", "--threads", "2"],
         &["restore-tree", repo_s, "1", "/tmp/x-tree", "--threads", "2"],
+        // So are the ingest thread flags: the front end picks its own.
+        &["init", repo_s, "--threads", "2"],
+        &["backup-tree", repo_s, "/tmp", "--threads", "2"],
         &["backup", "--remote"],
         &["restore", repo_s, "not-a-number", "/tmp/x"],
         &["prune", repo_s, "many"],

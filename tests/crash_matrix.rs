@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport};
+use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Vfs};
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
 use hidestore::hash::crc32;
@@ -91,21 +92,20 @@ fn version_payloads() -> Vec<Vec<u8>> {
 /// run (used to build the reference states); `usize::MAX` runs everything:
 /// three backup+save rounds, then delete_expired(V1) + save.
 fn run_sequence<V: Vfs>(dir: &Path, vfs: V, saves: usize) -> Result<(), HiDeStoreError> {
-    run_sequence_cfg(dir, vfs, saves, config())
+    run_sequence_of(dir, vfs, saves, &version_payloads())
 }
 
-/// [`run_sequence`] with an explicit configuration, so the matrix can also
-/// run with the backup phase on the staged concurrent pipeline.
-fn run_sequence_cfg<V: Vfs>(
+/// [`run_sequence`] over explicit payloads, so the matrix can also run
+/// versions that cross the front end's inline/staged crossover.
+fn run_sequence_of<V: Vfs>(
     dir: &Path,
     vfs: V,
     saves: usize,
-    cfg: HiDeStoreConfig,
+    payloads: &[Vec<u8>],
 ) -> Result<(), HiDeStoreError> {
-    let payloads = version_payloads();
-    let (mut hds, _) = HiDeStore::open_repository_with(cfg, dir, vfs)?;
+    let (mut hds, _) = HiDeStore::open_repository_with(config(), dir, vfs)?;
     let mut done = 0;
-    for data in &payloads {
+    for data in payloads {
         if done >= saves {
             return Ok(());
         }
@@ -155,10 +155,15 @@ fn reopen_and_check(dir: &Path, context: &str) -> (BTreeMap<u32, u32>, OpenRepor
 /// The states a crash is allowed to land in: one per save boundary (0 saves
 /// = fresh repository, up through the full sequence).
 fn boundary_states(tag: &str) -> Vec<BTreeMap<u32, u32>> {
+    boundary_states_of(tag, &version_payloads())
+}
+
+/// [`boundary_states`] of the sequence over explicit payloads.
+fn boundary_states_of(tag: &str, payloads: &[Vec<u8>]) -> Vec<BTreeMap<u32, u32>> {
     (0..=4)
         .map(|saves| {
             let scratch = Scratch::new(&format!("{tag}-boundary-{saves}"));
-            run_sequence(&scratch.0, hidestore::failpoint::RealVfs, saves)
+            run_sequence_of(&scratch.0, hidestore::failpoint::RealVfs, saves, payloads)
                 .expect("unfaulted boundary build");
             reopen_and_check(&scratch.0, &format!("boundary {saves}")).0
         })
@@ -274,49 +279,56 @@ fn crash_matrix_seeded_random_sites() {
     }
 }
 
-/// The same matrix with the backup phase on the staged concurrent pipeline:
-/// the pipeline only changes *who computes* the in-memory state, never the
-/// state itself, so the filesystem op trace — and therefore every fault
-/// site and the whole journal protocol — must be unaffected.
+/// Payloads that cross the front end's crossover: V1 hashes inline, V2
+/// grows past `STAGED_MIN_BYTES` so it hashes on the staged workers (on a
+/// multi-core machine), V3 is churned and stays above.
+fn crossover_payloads() -> Vec<Vec<u8>> {
+    let mut data = noise(30_000, 1);
+    let mut out = vec![data.clone()];
+    data.extend_from_slice(&noise(STAGED_MIN_BYTES, 2));
+    out.push(data.clone());
+    data[40_000..46_000].copy_from_slice(&noise(6_000, 3));
+    out.push(data);
+    out
+}
+
+/// The matrix through a sequence whose backups cross the inline/staged
+/// crossover: the front end only changes *who computes* the in-memory
+/// state, never the state itself, so the filesystem op trace must be
+/// deterministic run to run and recovery must land on a save boundary.
 #[test]
 fn crash_matrix_threaded_backup_variant() {
-    let threaded = config().with_threads(8).with_queue_depth(2);
+    let payloads = crossover_payloads();
 
-    // The threaded counting run must produce exactly the serial op trace
-    // (paths compared relative to each run's scratch directory).
-    let mt_scratch = Scratch::new("mt-count");
-    let vfs = FaultVfs::counting();
-    run_sequence_cfg(&mt_scratch.0, vfs.clone(), usize::MAX, threaded).expect("mt counting run");
-    let mt_trace = vfs.trace();
-    let serial_scratch = Scratch::new("mt-serial-count");
-    let vfs = FaultVfs::counting();
-    run_sequence(&serial_scratch.0, vfs.clone(), usize::MAX).expect("serial counting run");
-    let serial_trace = vfs.trace();
+    // Two counting runs must produce the same op trace (paths compared
+    // relative to each run's scratch directory).
+    let traces: Vec<_> = (0..2)
+        .map(|run| {
+            let scratch = Scratch::new(&format!("mt-count-{run}"));
+            let vfs = FaultVfs::counting();
+            run_sequence_of(&scratch.0, vfs.clone(), usize::MAX, &payloads)
+                .expect("mt counting run");
+            vfs.trace()
+                .into_iter()
+                .map(|op| {
+                    let path = op
+                        .path
+                        .strip_prefix(&scratch.0)
+                        .unwrap_or(&op.path)
+                        .to_path_buf();
+                    (op.index, op.kind, path, op.len)
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
     assert_eq!(
-        mt_trace.len(),
-        serial_trace.len(),
-        "threaded backup changed the filesystem op count"
+        traces[0], traces[1],
+        "the staged front end made the filesystem op trace nondeterministic"
     );
-    let rel = |path: &Path, scratch: &Scratch| {
-        path.strip_prefix(&scratch.0).unwrap_or(path).to_path_buf()
-    };
-    for (mt, serial) in mt_trace.iter().zip(&serial_trace) {
-        assert_eq!(
-            (mt.index, mt.kind, rel(&mt.path, &mt_scratch), mt.len),
-            (
-                serial.index,
-                serial.kind,
-                rel(&serial.path, &serial_scratch),
-                serial.len
-            ),
-            "threaded backup diverged from the serial op trace"
-        );
-    }
-    drop(mt_scratch);
-    drop(serial_scratch);
+    let mt_trace = &traces[0];
 
-    // Seeded crash-site sample through the threaded sequence; recovery must
-    // land on the same save boundaries as ever.
+    // Seeded crash-site sample through the crossing sequence; recovery must
+    // land on one of its save boundaries.
     struct Rng(u64);
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -327,19 +339,19 @@ fn crash_matrix_threaded_backup_variant() {
         }
     }
     let mut rng = Rng(0x5EED_CAFE);
-    let boundaries = boundary_states("mt");
+    let boundaries = boundary_states_of("mt", &payloads);
     let total = mt_trace.len() as u64;
     for trial in 0..12 {
         let site = rng.next() % total;
-        let kind = match mt_trace.iter().find(|op| op.index == site) {
-            Some(op) if op.kind == OpKind::Write && op.len > 0 && trial % 2 == 0 => {
-                FaultKind::Torn((rng.next() % op.len as u64) as usize)
+        let kind = match mt_trace.iter().find(|op| op.0 == site) {
+            Some(&(_, kind, _, len)) if kind == OpKind::Write && len > 0 && trial % 2 == 0 => {
+                FaultKind::Torn((rng.next() % len as u64) as usize)
             }
             _ => FaultKind::Error,
         };
         let scratch = Scratch::new(&format!("mt-site-{site}"));
         let vfs = FaultVfs::armed(site, kind);
-        let result = run_sequence_cfg(&scratch.0, vfs.clone(), usize::MAX, threaded);
+        let result = run_sequence_of(&scratch.0, vfs.clone(), usize::MAX, &payloads);
         assert!(
             vfs.crashed() && result.is_err(),
             "mt site {site}: the fault must fire and fail the sequence"

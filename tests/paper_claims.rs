@@ -5,7 +5,7 @@
 
 use hidestore::chunking::{chunk_spans, ChunkerKind};
 use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig};
-use hidestore::dedup::{gc, BackupPipeline, PipelineConfig};
+use hidestore::dedup::{gc, BackupPipeline, PipelineConfig, STAGED_MIN_BYTES};
 use hidestore::hash::Fingerprint;
 use hidestore::index::{DdfsIndex, SiloConfig, SiloIndex};
 use hidestore::restore::Faa;
@@ -476,17 +476,19 @@ fn revdedup_defers_cost_hidestore_does_not() {
     );
 }
 
-/// Restore correctness is scheme- and thread-count-independent: RevDedup
-/// and hybrid repositories built at 1, 2, and 8 ingest threads all restore
-/// every version byte-identical to the serial build.
+/// Restore correctness is scheme- and front-end-independent: RevDedup and
+/// hybrid repositories built from versions below, at, and above the
+/// inline/staged crossover all restore every version byte-identical.
 #[test]
-fn new_schemes_restore_byte_identical_across_thread_counts() {
-    let versions = kernel_versions(6);
+fn new_schemes_restore_byte_identical_across_input_sizes() {
     for scheme in [DedupMode::RevDedup, DedupMode::Hybrid] {
-        for threads in [1usize, 2, 8] {
-            let mut config = hds_config().with_scheme(scheme);
-            config.threads = threads;
-            let mut hds = HiDeStore::new(config, MemoryContainerStore::new());
+        for bytes in [256 << 10, STAGED_MIN_BYTES, 2 << 20] {
+            let versions =
+                VersionStream::new(Profile::Kernel.spec().scaled(bytes, 6), 42).all_versions();
+            let mut hds = HiDeStore::new(
+                hds_config().with_scheme(scheme),
+                MemoryContainerStore::new(),
+            );
             for v in &versions {
                 hds.backup(v).unwrap();
             }
@@ -499,7 +501,7 @@ fn new_schemes_restore_byte_identical_across_thread_counts() {
                     &mut out,
                 )
                 .unwrap();
-                assert_eq!(&out, data, "{scheme} threads {threads} V{}", i + 1);
+                assert_eq!(&out, data, "{scheme} {bytes} B V{}", i + 1);
             }
         }
     }

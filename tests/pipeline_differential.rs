@@ -1,29 +1,130 @@
-//! Differential serial-equivalence suite for the staged concurrent backup
-//! pipeline.
+//! Differential suite for the ingest front end.
 //!
-//! Dedup decisions are order-dependent, so the concurrent pipeline is only
-//! correct if it is *indistinguishable* from the serial one: for every
-//! fingerprint index × rewrite policy combination and every thread count,
-//! the two must produce byte-identical containers, identical recipes, and
-//! identical version statistics. The same must hold for HiDeStore itself,
-//! whose backup front end switches to the staged pipeline when configured
-//! with threads — there the repositories must additionally pass a clean
-//! `SystemAuditor` audit.
-//!
-//! `HDS_THREADS=<n>` narrows the sweep to one concurrent thread count so CI
-//! can run the suite once per setting in release mode.
+//! Every backup chunks and fingerprints its stream through one function,
+//! `hidestore::dedup::chunk_fingerprints`, which hashes inline below
+//! `STAGED_MIN_BYTES` (or on a one-core machine) and on a pool of hashing
+//! workers above it. Dedup decisions are order-dependent, so both branches
+//! must hand the commit stage exactly what `chunk_spans` followed by
+//! `Fingerprint::of` per span would: the front end is checked against that
+//! test-side reference at worker counts {1, 2, 8} and at the input lengths
+//! where the staged engine changes shape (empty, one chunk, one hand-off
+//! segment, one segment + 1, either side of the crossover). The index ×
+//! rewriter and HiDeStore sweeps then push versions from both sides of the
+//! crossover through the whole pipeline: recipes must list the reference
+//! chunks, every version must restore byte-exact, and HiDeStore
+//! repositories must audit clean.
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreVersionStats};
-use hidestore::dedup::{BackupPipeline, ConcurrencyConfig, PipelineConfig};
+use std::ops::Range;
+
+use hidestore::chunking::{chunk_spans, TttdChunker};
+use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::dedup::{
+    chunk_fingerprints, staged_front_end, BackupPipeline, PipelineConfig, STAGED_MIN_BYTES,
+};
 use hidestore::fsck::{Severity, SystemAuditor};
+use hidestore::hash::Fingerprint;
 use hidestore::index::IndexKind;
 use hidestore::restore::Faa;
 use hidestore::rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy};
-use hidestore::storage::{ContainerStore, MemoryContainerStore, VersionId};
+use hidestore::storage::{MemoryContainerStore, Recipe, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
 
 const CHUNK: usize = 1024;
 const CONTAINER: usize = 32 * 1024;
+
+/// Chunks per hand-off segment in the staged branch — mirrors the private
+/// constant in `crates/dedup/src/pipeline/front_end.rs`.
+const SEGMENT_CHUNKS: usize = 16;
+
+type Chunked = (Vec<Range<usize>>, Vec<Fingerprint>);
+
+/// The reference front end: sequential `chunk_spans`, then one
+/// `Fingerprint::of` per span. Shares no code with the crate's branches
+/// beyond the chunker and the hash themselves.
+fn reference(data: &[u8]) -> Chunked {
+    let spans = chunk_spans(&mut TttdChunker::new(CHUNK), data);
+    let fingerprints = spans
+        .iter()
+        .map(|s| Fingerprint::of(&data[s.clone()]))
+        .collect();
+    (spans, fingerprints)
+}
+
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// Both branches, every worker count, every length where the staged engine
+/// changes shape: identical spans and fingerprints to the reference.
+#[test]
+fn front_end_matches_the_inline_reference_at_every_edge() {
+    let data = noise(STAGED_MIN_BYTES + 100_000, 7);
+    let spans = reference(&data).0;
+    let end_of_chunk = |n: usize| spans[n - 1].end;
+    let lengths = [
+        0,
+        end_of_chunk(1),
+        end_of_chunk(SEGMENT_CHUNKS),
+        end_of_chunk(SEGMENT_CHUNKS + 1),
+        STAGED_MIN_BYTES - 1,
+        STAGED_MIN_BYTES,
+        data.len(),
+    ];
+    for len in lengths {
+        let input = &data[..len];
+        let want = reference(input);
+        assert_eq!(
+            chunk_fingerprints(input, &mut TttdChunker::new(CHUNK)),
+            want,
+            "chunk_fingerprints len={len}"
+        );
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                staged_front_end(input, &mut TttdChunker::new(CHUNK), workers),
+                want,
+                "staged len={len} workers={workers}"
+            );
+        }
+    }
+}
+
+/// Versions from both sides of the crossover: a short prefix, two full
+/// versions above it, and a tail version one byte below it.
+fn crossover_versions(profile: Profile, seed: u64) -> Vec<Vec<u8>> {
+    let full =
+        VersionStream::new(profile.spec().scaled(STAGED_MIN_BYTES * 5 / 4, 3), seed).all_versions();
+    assert!(full.iter().all(|v| v.len() > STAGED_MIN_BYTES));
+    vec![
+        full[0][..200_000].to_vec(),
+        full[0].clone(),
+        full[1].clone(),
+        full[2][..STAGED_MIN_BYTES - 1].to_vec(),
+    ]
+}
+
+/// A recipe must list exactly the reference chunks of its version, in
+/// stream order.
+fn assert_recipe_is_reference(recipe: &Recipe, data: &[u8], tag: &str) {
+    let (spans, fingerprints) = reference(data);
+    let got: Vec<(Fingerprint, u32)> = recipe
+        .entries()
+        .iter()
+        .map(|e| (e.fingerprint, e.size))
+        .collect();
+    let want: Vec<(Fingerprint, u32)> = fingerprints
+        .into_iter()
+        .zip(spans.iter().map(|s| s.len() as u32))
+        .collect();
+    assert_eq!(got, want, "{tag}: recipe is not the reference chunking");
+}
 
 fn rewriters() -> Vec<(&'static str, Box<dyn RewritePolicy>)> {
     vec![
@@ -38,205 +139,74 @@ fn rewriters() -> Vec<(&'static str, Box<dyn RewritePolicy>)> {
     ]
 }
 
-/// Concurrent thread counts under test: {1, 2, 8} by default, or exactly
-/// the value of `HDS_THREADS` when set (how ci.sh sweeps the settings).
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("HDS_THREADS") {
-        Ok(v) => vec![v.trim().parse().expect("HDS_THREADS must be a number")],
-        Err(_) => vec![1, 2, 8],
-    }
-}
-
-fn pipeline_config(concurrency: ConcurrencyConfig) -> PipelineConfig {
-    PipelineConfig {
+/// Every index × rewrite policy over versions on both sides of the
+/// crossover: recipes hold the reference chunks and every version restores
+/// byte-exact.
+#[test]
+fn every_scheme_and_policy_restores_exactly_across_the_crossover() {
+    let versions = crossover_versions(Profile::Kernel, 19);
+    let config = PipelineConfig {
         avg_chunk_size: CHUNK,
         container_capacity: CONTAINER,
         segment_chunks: 32,
-        concurrency,
         ..PipelineConfig::default()
-    }
-}
-
-type DynPipeline = BackupPipeline<
-    Box<dyn hidestore::index::FingerprintIndex + Send>,
-    Box<dyn RewritePolicy>,
-    MemoryContainerStore,
->;
-
-/// Asserts two pipeline repositories are indistinguishable: same version
-/// stats, same cumulative stats (stage counters excluded — blocked counts
-/// are scheduling-dependent), same container IDs and bytes, same recipes.
-fn assert_pipelines_identical(serial: &mut DynPipeline, concurrent: &mut DynPipeline, tag: &str) {
-    assert_eq!(
-        serial.version_stats(),
-        concurrent.version_stats(),
-        "{tag}: version stats differ"
-    );
-    let mut a = serial.run_stats();
-    let mut b = concurrent.run_stats();
-    a.stages = Default::default();
-    b.stages = Default::default();
-    assert_eq!(a, b, "{tag}: run stats differ");
-
-    let ids = serial.store().ids();
-    assert_eq!(
-        ids,
-        concurrent.store().ids(),
-        "{tag}: container sets differ"
-    );
-    for id in ids {
-        assert_eq!(
-            serial.store_mut().read(id).unwrap().encode(),
-            concurrent.store_mut().read(id).unwrap().encode(),
-            "{tag}: container {id} bytes differ"
-        );
-    }
-    assert_eq!(
-        serial.versions(),
-        concurrent.versions(),
-        "{tag}: version sets differ"
-    );
-    for v in serial.versions() {
-        assert_eq!(
-            serial.recipes().get(v).unwrap().entries(),
-            concurrent.recipes().get(v).unwrap().entries(),
-            "{tag}: recipe {v} differs"
-        );
-    }
-}
-
-/// Every scheme × rewrite policy × thread count: the staged pipeline's
-/// repository must be byte-identical to the serial pipeline's.
-#[test]
-fn every_scheme_and_policy_is_thread_count_invariant() {
-    let versions = VersionStream::new(Profile::Kernel.spec().scaled(300_000, 3), 19).all_versions();
+    };
     for index_kind in IndexKind::ALL {
         for (rewriter_name, rewriter) in rewriters() {
-            let mut serial = BackupPipeline::new(
-                pipeline_config(ConcurrencyConfig::serial()),
+            let tag = format!("{index_kind}+{rewriter_name}");
+            let mut pipeline = BackupPipeline::new(
+                config,
                 index_kind.build(),
                 rewriter,
                 MemoryContainerStore::new(),
             );
             for v in &versions {
-                serial.backup(v).unwrap();
+                let stats = pipeline.backup(v).unwrap();
+                assert_eq!(stats.logical_bytes, v.len() as u64, "{tag}");
             }
-            for threads in thread_counts() {
-                let tag = format!("{index_kind}+{rewriter_name}@{threads}");
-                let (_, rewriter) = rewriters()
-                    .into_iter()
-                    .find(|(name, _)| *name == rewriter_name)
-                    .unwrap();
-                let mut concurrent = BackupPipeline::new(
-                    pipeline_config(ConcurrencyConfig::threads(threads).with_queue_depth(2)),
-                    index_kind.build(),
-                    rewriter,
-                    MemoryContainerStore::new(),
-                );
-                for v in &versions {
-                    concurrent.backup(v).unwrap();
-                }
-                assert_pipelines_identical(&mut serial, &mut concurrent, &tag);
-                // And the concurrent repository restores byte-exact.
-                for (i, expect) in versions.iter().enumerate() {
-                    let mut out = Vec::new();
-                    concurrent
-                        .restore(
-                            VersionId::new(i as u32 + 1),
-                            &mut Faa::new(1 << 18),
-                            &mut out,
-                        )
-                        .unwrap_or_else(|e| panic!("{tag}: restore V{} failed: {e}", i + 1));
-                    assert_eq!(&out, expect, "{tag}: V{} bytes differ", i + 1);
-                }
+            for (i, expect) in versions.iter().enumerate() {
+                let version = VersionId::new(i as u32 + 1);
+                let tag = format!("{tag} V{}", i + 1);
+                assert_recipe_is_reference(pipeline.recipes().get(version).unwrap(), expect, &tag);
+                let mut out = Vec::new();
+                pipeline
+                    .restore(version, &mut Faa::new(1 << 18), &mut out)
+                    .unwrap_or_else(|e| panic!("{tag}: restore failed: {e}"));
+                assert_eq!(&out, expect, "{tag}: bytes differ");
             }
         }
     }
 }
 
-fn hds_config(threads: usize) -> HiDeStoreConfig {
-    HiDeStoreConfig {
+/// HiDeStore itself over versions on both sides of the crossover: recipes
+/// hold the reference chunks, the repository audits clean, and every
+/// version restores byte-exact.
+#[test]
+fn hidestore_restores_exactly_and_audits_clean_across_the_crossover() {
+    let versions = crossover_versions(Profile::Macos, 43);
+    let config = HiDeStoreConfig {
         avg_chunk_size: CHUNK,
         container_capacity: CONTAINER,
         ..HiDeStoreConfig::default()
-    }
-    .with_threads(threads)
-    .with_queue_depth(2)
-}
-
-/// Durations are wall-clock measurements, not repository state; blank them
-/// before differential comparison.
-fn strip_times(stats: &[HiDeStoreVersionStats]) -> Vec<HiDeStoreVersionStats> {
-    stats
-        .iter()
-        .map(|s| HiDeStoreVersionStats {
-            recipe_update_time: Default::default(),
-            chunk_move_time: Default::default(),
-            ..*s
-        })
-        .collect()
-}
-
-/// HiDeStore itself (the fifth scheme): a threaded backup front end must
-/// produce the identical repository, and both must audit clean.
-#[test]
-fn hidestore_is_thread_count_invariant_and_audits_clean() {
-    let versions = VersionStream::new(Profile::Macos.spec().scaled(300_000, 4), 43).all_versions();
-    let mut serial = HiDeStore::new(hds_config(1), MemoryContainerStore::new());
+    };
+    let mut hds = HiDeStore::new(config, MemoryContainerStore::new());
     for v in &versions {
-        serial.backup(v).unwrap();
+        hds.backup(v).unwrap();
     }
-    for threads in thread_counts() {
-        let tag = format!("hidestore@{threads}");
-        let mut concurrent = HiDeStore::new(hds_config(threads), MemoryContainerStore::new());
-        for v in &versions {
-            concurrent.backup(v).unwrap();
-        }
-        assert_eq!(
-            strip_times(serial.version_stats()),
-            strip_times(concurrent.version_stats()),
-            "{tag}: version stats differ"
-        );
-        let ids = serial.archival().ids();
-        assert_eq!(
-            ids,
-            concurrent.archival().ids(),
-            "{tag}: archival container sets differ"
-        );
-        for id in ids {
-            assert_eq!(
-                serial.archival_mut().read(id).unwrap().encode(),
-                concurrent.archival_mut().read(id).unwrap().encode(),
-                "{tag}: archival container {id} bytes differ"
-            );
-        }
-        assert_eq!(serial.versions(), concurrent.versions(), "{tag}");
-        for v in serial.versions() {
-            assert_eq!(
-                serial.recipes().get(v).unwrap().entries(),
-                concurrent.recipes().get(v).unwrap().entries(),
-                "{tag}: recipe {v} differs"
-            );
-        }
-        for (sys, which) in [(&mut serial, "serial"), (&mut concurrent, "concurrent")] {
-            let audit = SystemAuditor::new().audit(sys);
-            assert_eq!(
-                audit.count(Severity::Error),
-                0,
-                "{tag}: {which} repository must audit clean:\n{:#?}",
-                audit.findings
-            );
-        }
-        for (i, expect) in versions.iter().enumerate() {
-            let mut out = Vec::new();
-            concurrent
-                .restore(
-                    VersionId::new(i as u32 + 1),
-                    &mut Faa::new(1 << 18),
-                    &mut out,
-                )
-                .unwrap_or_else(|e| panic!("{tag}: restore V{} failed: {e}", i + 1));
-            assert_eq!(&out, expect, "{tag}: V{} bytes differ", i + 1);
-        }
+    let audit = SystemAuditor::new().audit(&mut hds);
+    assert_eq!(
+        audit.count(Severity::Error),
+        0,
+        "repository must audit clean:\n{:#?}",
+        audit.findings
+    );
+    for (i, expect) in versions.iter().enumerate() {
+        let version = VersionId::new(i as u32 + 1);
+        let tag = format!("hidestore V{}", i + 1);
+        assert_recipe_is_reference(hds.recipes().get(version).unwrap(), expect, &tag);
+        let mut out = Vec::new();
+        hds.restore(version, &mut Faa::new(1 << 18), &mut out)
+            .unwrap_or_else(|e| panic!("{tag}: restore failed: {e}"));
+        assert_eq!(&out, expect, "{tag}: bytes differ");
     }
 }

@@ -1,12 +1,14 @@
-//! Seeded concurrency stress for the staged backup pipeline.
+//! Seeded stress for the backup front end under random lifecycles.
 //!
-//! Random backup / delete / save sequences run through the concurrent
-//! pipeline with queue depths of 1–2, the smallest legal settings — every
-//! segment hand-off contends, so any missing wake-up or ordering bug in the
-//! bounded queues shows up as a deadlock or a corrupted repository. Each
-//! case runs under a watchdog thread: if the pipeline hangs, the test fails
-//! with a timeout instead of hanging CI. After every save the repository
-//! must reopen and pass a clean fsck audit.
+//! Random backup / delete / save sequences run against an on-disk
+//! repository, with at least one version above `STAGED_MIN_BYTES` so the
+//! staged branch's hashing workers and bounded queue carry real traffic —
+//! any missing wake-up or ordering bug shows up as a deadlock or a
+//! corrupted repository. Each case runs under a watchdog thread: if the
+//! front end hangs, the test fails with a timeout instead of hanging CI.
+//! After every save the repository must reopen and pass a clean fsck audit.
+//! (The depth-1 backpressure check lives with the private queue depth, in
+//! `crates/dedup/src/pipeline/front_end.rs`.)
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -16,12 +18,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::dedup::{BackupPipeline, ConcurrencyConfig, PipelineConfig};
+use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::fsck::{Severity, SystemAuditor};
-use hidestore::index::DdfsIndex;
 use hidestore::restore::Faa;
-use hidestore::rewriting::Capping;
-use hidestore::storage::{MemoryContainerStore, VersionId};
+use hidestore::storage::VersionId;
 
 /// A unique scratch directory, removed on drop.
 struct Scratch(PathBuf);
@@ -84,12 +84,16 @@ fn mutate(rng: &mut StdRng, data: &mut Vec<u8>) {
     }
 }
 
-/// Random backup / delete / save sequences against an on-disk repository
-/// with the tightest queues, fsck-audited after every save.
+/// Random backup / delete / save sequences against an on-disk repository,
+/// fsck-audited after every save. The last case starts above the crossover
+/// and its truncating mutations can carry it back below.
 #[test]
 fn random_ops_under_backpressure_audit_clean() {
-    for (case, &(threads, depth)) in [(2usize, 1usize), (4, 1), (8, 2)].iter().enumerate() {
-        let tag = format!("stress-{threads}t-{depth}q");
+    for (case, first_len) in [40_000, 40_000, STAGED_MIN_BYTES + 40_000]
+        .into_iter()
+        .enumerate()
+    {
+        let tag = format!("stress-{case}-{first_len}b");
         with_watchdog(&tag.clone(), Duration::from_secs(300), move || {
             let mut rng = StdRng::seed_from_u64(0xC0FFEE + case as u64);
             let scratch = Scratch::new(&tag);
@@ -97,12 +101,10 @@ fn random_ops_under_backpressure_audit_clean() {
                 avg_chunk_size: 1024,
                 container_capacity: 16 * 1024,
                 ..HiDeStoreConfig::default()
-            }
-            .with_threads(threads)
-            .with_queue_depth(depth);
+            };
             let (mut hds, _) = HiDeStore::open_repository_report(config, &scratch.0)
                 .unwrap_or_else(|e| panic!("{tag}: open: {e}"));
-            let mut data = random_bytes(&mut rng, 40_000);
+            let mut data = random_bytes(&mut rng, first_len);
             hds.backup(&data).unwrap();
             let mut newest = 1u32;
             let mut oldest = 1u32;
@@ -149,54 +151,4 @@ fn random_ops_under_backpressure_audit_clean() {
             assert_eq!(out, data, "{tag}: newest version must restore");
         });
     }
-}
-
-/// Depth-1 queues on the raw `BackupPipeline`: every stage hand-off blocks,
-/// and the resulting repository must still match a serial run byte-for-byte.
-#[test]
-fn tightest_queues_still_serial_equivalent() {
-    with_watchdog("depth1-differential", Duration::from_secs(300), || {
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let config = |concurrency| PipelineConfig {
-            avg_chunk_size: 1024,
-            container_capacity: 32 * 1024,
-            segment_chunks: 8,
-            concurrency,
-            ..PipelineConfig::default()
-        };
-        let mut serial = BackupPipeline::new(
-            config(ConcurrencyConfig::serial()),
-            DdfsIndex::new(),
-            Capping::new(4),
-            MemoryContainerStore::new(),
-        );
-        let mut concurrent = BackupPipeline::new(
-            config(ConcurrencyConfig::threads(8).with_queue_depth(1)),
-            DdfsIndex::new(),
-            Capping::new(4),
-            MemoryContainerStore::new(),
-        );
-        let mut data = random_bytes(&mut rng, 60_000);
-        for _ in 0..8 {
-            let s1 = serial.backup(&data).unwrap();
-            let s2 = concurrent.backup(&data).unwrap();
-            assert_eq!(s1, s2, "per-version stats must be identical");
-            mutate(&mut rng, &mut data);
-        }
-        use hidestore::storage::ContainerStore;
-        assert_eq!(serial.store().ids(), concurrent.store().ids());
-        for id in serial.store().ids() {
-            assert_eq!(
-                serial.store_mut().read(id).unwrap().encode(),
-                concurrent.store_mut().read(id).unwrap().encode(),
-                "container {id} differs under depth-1 queues"
-            );
-        }
-        // The tight queues must actually have exercised backpressure.
-        let stages = concurrent.run_stats().stages;
-        assert!(
-            stages.chunk.blocked_full + stages.hash.blocked_full + stages.hash.blocked_empty > 0,
-            "depth-1 queues ran without any wait: {stages:?}"
-        );
-    });
 }
