@@ -11,7 +11,10 @@
 #   3. cargo xtask analyze          -- static-analysis wall: Vfs I/O
 #                                      discipline, lock discipline, wire
 #                                      safety, panic markers, raw-socket use
-#   4. cargo clippy -D warnings     -- clippy across every target
+#   4. cargo clippy -D warnings     -- clippy across every target, plus a
+#                                      type-check of the criterion benches,
+#                                      which --all-targets skips behind their
+#                                      required feature
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #   7. differential suites (release)-- the ingest front end against its
@@ -68,6 +71,8 @@ cargo xtask analyze
 
 echo "ci: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+echo "ci: cargo check -p hidestore-bench --benches --features criterion-benches"
+cargo check --offline -p hidestore-bench --benches --features criterion-benches
 
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q

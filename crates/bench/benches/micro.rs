@@ -4,9 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use hidestore_chunking::{chunk_spans, ChunkerKind, StreamChunker, TttdChunker};
+use hidestore_chunking::{chunk_spans, ChunkerKind};
 use hidestore_core::{ActivePool, CacheEntry, FingerprintCache};
-use hidestore_hash::{fingerprints_parallel, Fingerprint, Md5, Sha1, Sha256};
+use hidestore_hash::{fingerprints_parallel, Fingerprint, Sha1};
 use hidestore_restore::{Faa, RestoreCache, RestoreEntry};
 use hidestore_storage::{Container, ContainerId, ContainerStore, MemoryContainerStore};
 
@@ -42,8 +42,6 @@ fn bench_hashing(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.sample_size(10);
     group.bench_function("sha1", |b| b.iter(|| black_box(Sha1::hash(&data))));
-    group.bench_function("sha256", |b| b.iter(|| black_box(Sha256::hash(&data))));
-    group.bench_function("md5", |b| b.iter(|| black_box(Md5::hash(&data))));
     group.finish();
 }
 
@@ -61,25 +59,6 @@ fn bench_parallel_fingerprinting(c: &mut Criterion) {
             b.iter(|| black_box(fingerprints_parallel(&data, &spans, t).len()));
         });
     }
-    group.finish();
-}
-
-fn bench_stream_chunker(c: &mut Criterion) {
-    let data = noise(8 << 20, 6);
-    let mut group = c.benchmark_group("stream-chunking");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.sample_size(10);
-    group.bench_function("tttd-64k-pushes", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            let mut stream = StreamChunker::new(TttdChunker::new(4096));
-            for piece in data.chunks(64 << 10) {
-                stream.push(piece, |_| n += 1);
-            }
-            stream.finish(|_| n += 1);
-            black_box(n)
-        });
-    });
     group.finish();
 }
 
@@ -154,7 +133,6 @@ criterion_group!(
     bench_chunking,
     bench_hashing,
     bench_parallel_fingerprinting,
-    bench_stream_chunker,
     bench_fingerprint_cache,
     bench_pool_compaction,
     bench_faa_restore

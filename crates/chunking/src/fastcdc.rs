@@ -131,6 +131,29 @@ mod tests {
     }
 
     #[test]
+    fn fastcdc_tighter_than_rabin() {
+        // Normalized chunking should reduce size variance (lower coefficient
+        // of variation, stddev ÷ mean) — the point of FastCDC's design.
+        let data = noise(3_000_000, 0x1234_5678);
+        let cv = |kind: crate::ChunkerKind| {
+            let mut c = kind.build(4096);
+            let lens: Vec<f64> = chunk_spans(c.as_mut(), &data)
+                .iter()
+                .map(|s| s.len() as f64)
+                .collect();
+            let mean = lens.iter().sum::<f64>() / lens.len() as f64;
+            let var = lens.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / lens.len() as f64;
+            var.sqrt() / mean
+        };
+        let fastcdc = cv(crate::ChunkerKind::FastCdc);
+        let rabin = cv(crate::ChunkerKind::Rabin);
+        assert!(
+            fastcdc < rabin,
+            "fastcdc cv {fastcdc:.3} vs rabin {rabin:.3}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         FastCdcChunker::new(5000);

@@ -35,16 +35,12 @@ mod fastcdc;
 mod fixed;
 mod rabin;
 pub mod rolling;
-mod stats;
-mod stream;
 mod tttd;
 
 pub use ae::AeChunker;
 pub use fastcdc::FastCdcChunker;
 pub use fixed::FixedChunker;
 pub use rabin::RabinChunker;
-pub use stats::SizeSummary;
-pub use stream::StreamChunker;
 pub use tttd::TttdChunker;
 
 use std::ops::Range;
@@ -120,51 +116,6 @@ pub fn chunk_spans<C: Chunker + ?Sized>(chunker: &mut C, data: &[u8]) -> Vec<Ran
         pos += len;
     }
     spans
-}
-
-/// Iterator over the chunk byte-slices of a stream.
-///
-/// Produced by [`chunks`].
-#[derive(Debug)]
-pub struct Chunks<'a, C: Chunker> {
-    chunker: C,
-    data: &'a [u8],
-    pos: usize,
-}
-
-/// Returns an iterator over the chunks of `data`.
-///
-/// # Examples
-///
-/// ```
-/// use hidestore_chunking::{chunks, FixedChunker};
-///
-/// let total: usize = chunks(FixedChunker::new(8), b"hello world, backup me")
-///     .map(|c| c.len())
-///     .sum();
-/// assert_eq!(total, 22);
-/// ```
-pub fn chunks<C: Chunker>(mut chunker: C, data: &[u8]) -> Chunks<'_, C> {
-    chunker.reset();
-    Chunks {
-        chunker,
-        data,
-        pos: 0,
-    }
-}
-
-impl<'a, C: Chunker> Iterator for Chunks<'a, C> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.data.len() {
-            return None;
-        }
-        let len = self.chunker.next_chunk_len(&self.data[self.pos..]);
-        let chunk = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Some(chunk)
-    }
 }
 
 /// Identifier for choosing a chunking algorithm from configuration, the way
@@ -340,17 +291,6 @@ mod tests {
                 (1024..=16384).contains(&avg),
                 "{kind}: average {avg} too far from 4096"
             );
-        }
-    }
-
-    #[test]
-    fn chunks_iterator_matches_spans() {
-        let data = pseudo_random(50_000, 13);
-        let spans = chunk_spans(&mut TttdChunker::new(1024), &data);
-        let iterated: Vec<&[u8]> = chunks(TttdChunker::new(1024), &data).collect();
-        assert_eq!(spans.len(), iterated.len());
-        for (span, chunk) in spans.iter().zip(&iterated) {
-            assert_eq!(&data[span.clone()], *chunk);
         }
     }
 

@@ -2,16 +2,14 @@
 //!
 //! Two families are provided:
 //!
-//! * [`RabinHash`] — a true Rabin fingerprint over GF(2) polynomials with a
-//!   fixed irreducible modulus, as used by LBFS-style CDC. Table-driven:
-//!   appending a byte (one reduction-table lookup) and expiring the oldest
-//!   window byte (one expiry-table lookup) are both O(1) and branch-free.
-//!   `RabinHash` is the byte-at-a-time form and keeps its own window
-//!   buffer; the Rabin and TTTD chunkers run the same arithmetic as one
-//!   stateless scan over a slice (`CutScan`: the expiring byte is
-//!   `data[i - window]`), and do their `h % D == D - 1` tests by
-//!   multiplying with a precomputed reciprocal (`Divisor`) instead of
-//!   dividing. Cut points are those of the bit-serial, ring-buffer,
+//! * A true Rabin fingerprint over GF(2) polynomials with a fixed
+//!   irreducible modulus, as used by LBFS-style CDC. Table-driven: appending
+//!   a byte (one reduction-table lookup) and expiring the oldest window byte
+//!   (one expiry-table lookup) are both O(1) and branch-free. The Rabin and
+//!   TTTD chunkers run it as one stateless scan over a slice (`CutScan`: the
+//!   expiring byte is `data[i - window]`), and do their `h % D == D - 1`
+//!   tests by multiplying with a precomputed reciprocal (`Divisor`) instead
+//!   of dividing. Cut points are those of the bit-serial, ring-buffer,
 //!   hardware-`%` scan this replaced, which survives as the test oracle.
 //! * [`gear_table`] / [`gear_step`] — the gear hash used by FastCDC; a single
 //!   shift-and-add per byte with a random byte-to-u64 substitution table.
@@ -116,73 +114,6 @@ fn rabin_step(value: u64, expired: u64, byte: u8) -> u64 {
     let shifted = ((value ^ expired) << 8) | byte as u64;
     // `value < 2^53` on entry, so bits 53..61 are all that overflowed.
     shifted ^ REDUCE[((shifted >> HASH_BITS) & 0xFF) as usize]
-}
-
-/// Windowed Rabin fingerprint: hash of the last `window` bytes of the stream
-/// as a polynomial over GF(2) modulo [`RABIN_POLYNOMIAL`].
-///
-/// # Examples
-///
-/// ```
-/// use hidestore_chunking::rolling::RabinHash;
-///
-/// let mut a = RabinHash::new(16);
-/// let mut b = RabinHash::new(16);
-/// // After absorbing >= window bytes, only the trailing window matters.
-/// for byte in b"AAAAAAAA0123456789abcdef" { a.roll(*byte); }
-/// for byte in b"BB0123456789abcdef" { b.roll(*byte); }
-/// assert_eq!(a.value(), b.value());
-/// ```
-#[derive(Debug, Clone)]
-pub struct RabinHash {
-    value: u64,
-    /// The last `window` bytes, oldest at `head`; zeros before the window
-    /// fills, and the expiry table maps 0 to 0.
-    buf: Vec<u8>,
-    head: usize,
-    expire: [u64; 256],
-}
-
-impl RabinHash {
-    /// Creates a windowed Rabin hash with the given window width in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        RabinHash {
-            value: 0,
-            buf: vec![0; window],
-            head: 0,
-            expire: expire_table(window),
-        }
-    }
-
-    /// Absorbs one byte, expiring the oldest byte once the window is full,
-    /// and returns the updated fingerprint.
-    #[inline]
-    pub fn roll(&mut self, byte: u8) -> u64 {
-        let old = std::mem::replace(&mut self.buf[self.head], byte);
-        self.head += 1;
-        if self.head == self.buf.len() {
-            self.head = 0;
-        }
-        self.value = rabin_step(self.value, self.expire[old as usize], byte);
-        self.value
-    }
-
-    /// Current fingerprint of the trailing window.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Clears the hash state for a new stream.
-    pub fn reset(&mut self) {
-        self.value = 0;
-        self.buf.fill(0);
-        self.head = 0;
-    }
 }
 
 /// A divisor with a precomputed reciprocal, so `h % d` for a Rabin
@@ -388,7 +319,8 @@ pub(crate) mod reference {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// [`RabinHash`] with `polymod` in place of the reduction table.
+    /// The windowed Rabin fingerprint, one byte at a time over a ring
+    /// buffer, with `polymod` in place of the reduction table.
     pub(crate) struct BitSerialRabin {
         value: u64,
         buf: Vec<u8>,
@@ -616,16 +548,17 @@ mod tests {
     }
 
     #[test]
-    fn roll_equals_bit_serial_reference() {
+    fn rabin_step_equals_bit_serial_reference() {
         let data = reference::noise(5_000, 31);
-        for window in [1, 2, 8, 47, DEFAULT_WINDOW, 64, 200] {
-            let mut fast = RabinHash::new(window);
-            let mut slow = reference::BitSerialRabin::new(window);
-            for (i, &b) in data.iter().enumerate() {
-                assert_eq!(fast.roll(b), slow.roll(b), "window {window}, byte {i}");
-            }
+        let mut slow = reference::BitSerialRabin::new(DEFAULT_WINDOW);
+        let mut fast = 0u64;
+        for (i, &b) in data.iter().enumerate() {
+            let expired = i
+                .checked_sub(DEFAULT_WINDOW)
+                .map_or(0, |j| EXPIRE_DEFAULT[data[j] as usize]);
+            fast = rabin_step(fast, expired, b);
+            assert_eq!(fast, slow.roll(b), "byte {i}");
         }
-        assert_eq!(RabinHash::new(DEFAULT_WINDOW).expire, EXPIRE_DEFAULT);
     }
 
     #[test]
@@ -662,43 +595,6 @@ mod tests {
             let h = next() >> (64 - HASH_BITS);
             assert_eq!(Divisor::new(d).rem(h), h % d, "{h} % {d}");
         }
-    }
-
-    #[test]
-    fn rabin_hash_depends_only_on_window() {
-        // Two streams with identical trailing 32 bytes converge to the same
-        // fingerprint regardless of their prefixes.
-        let window = 32;
-        let tail: Vec<u8> = (0..window as u8).map(|i| i.wrapping_mul(37)).collect();
-        let mut h1 = RabinHash::new(window);
-        let mut h2 = RabinHash::new(window);
-        for b in std::iter::repeat_n(0xAAu8, 100).chain(tail.iter().copied()) {
-            h1.roll(b);
-        }
-        for b in std::iter::repeat_n(0x55u8, 13).chain(tail.iter().copied()) {
-            h2.roll(b);
-        }
-        assert_eq!(h1.value(), h2.value());
-    }
-
-    #[test]
-    fn rabin_hash_differs_for_different_windows() {
-        let mut h1 = RabinHash::new(16);
-        let mut h2 = RabinHash::new(16);
-        for b in 0..64u8 {
-            h1.roll(b);
-            h2.roll(b.wrapping_add(1));
-        }
-        assert_ne!(h1.value(), h2.value());
-    }
-
-    #[test]
-    fn rabin_reset_restores_initial_state() {
-        let mut h = RabinHash::new(8);
-        let first: Vec<u64> = (0..20u8).map(|b| h.roll(b)).collect();
-        h.reset();
-        let second: Vec<u64> = (0..20u8).map(|b| h.roll(b)).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

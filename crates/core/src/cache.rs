@@ -143,16 +143,6 @@ impl FingerprintCache {
         self.current.get(fp).copied()
     }
 
-    /// Whether `fp` is in `T2` (i.e. part of the newest version).
-    pub fn in_current(&self, fp: &Fingerprint) -> bool {
-        self.current.contains_key(fp)
-    }
-
-    /// Number of entries in `T2`.
-    pub fn current_len(&self) -> usize {
-        self.current.len()
-    }
-
     /// Total entries across `T2` and all history tables.
     pub fn total_len(&self) -> usize {
         self.current.len() + self.history.iter().map(HashMap::len).sum::<usize>()

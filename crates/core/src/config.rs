@@ -103,11 +103,6 @@ pub struct HiDeStoreConfig {
     /// of prefetching the previous recipe in the same units as the
     /// traditional schemes' index lookups (§5.2.2).
     pub lookup_unit_bytes: usize,
-    /// Default per-operation network timeout in whole seconds for the
-    /// `hds-served` daemon and remote CLI when neither a flag nor the
-    /// `HDS_NET_TIMEOUT` environment override is given. `0` disables
-    /// timeouts (blocking I/O).
-    pub net_timeout_secs: u64,
     /// Deduplication scheme of the repository (`init --scheme`, persisted
     /// as the `scheme=` config key; absent key = HiDeStore).
     pub scheme: DedupMode,
@@ -122,7 +117,6 @@ impl Default for HiDeStoreConfig {
             compact_threshold: 0.95,
             history_depth: 1,
             lookup_unit_bytes: 4096,
-            net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
     }
@@ -138,7 +132,6 @@ impl HiDeStoreConfig {
             compact_threshold: 0.5,
             history_depth: 1,
             lookup_unit_bytes: 4096,
-            net_timeout_secs: 30,
             scheme: DedupMode::HiDeStore,
         }
     }
@@ -155,17 +148,11 @@ impl HiDeStoreConfig {
         self
     }
 
-    /// Variant with the given default network timeout in seconds (`0`
-    /// disables timeouts).
-    pub fn with_net_timeout(mut self, secs: u64) -> Self {
-        self.net_timeout_secs = secs;
-        self
-    }
-
     /// Reads the repository's `config` file at `dir`. Unknown keys are
     /// ignored, for forward compatibility and so that the retired keys older
-    /// builds wrote (`threads`, `restore_threads`, `restore_queue`,
-    /// `restore_readahead`) keep loading whatever their value.
+    /// builds wrote (`threads`, `net_timeout`, `restore_threads`,
+    /// `restore_queue`, `restore_readahead`) keep loading whatever their
+    /// value.
     ///
     /// # Errors
     ///
@@ -214,7 +201,6 @@ impl HiDeStoreConfig {
                 "chunk" => config.avg_chunk_size = parsed(key)?,
                 "container" => config.container_capacity = parsed(key)?,
                 "depth" => config.history_depth = parsed(key)?,
-                "net_timeout" => config.net_timeout_secs = parsed(key)? as u64,
                 "scheme" => {
                     config.scheme = DedupMode::parse(value).map_err(HiDeStoreError::Config)?;
                 }
@@ -248,12 +234,8 @@ impl HiDeStoreConfig {
     ) -> Result<(), HiDeStoreError> {
         let path = dir.as_ref().join(CONFIG_FILE);
         let text = format!(
-            "chunk={}\ncontainer={}\ndepth={}\nnet_timeout={}\nscheme={}\n",
-            self.avg_chunk_size,
-            self.container_capacity,
-            self.history_depth,
-            self.net_timeout_secs,
-            self.scheme,
+            "chunk={}\ncontainer={}\ndepth={}\nscheme={}\n",
+            self.avg_chunk_size, self.container_capacity, self.history_depth, self.scheme,
         );
         vfs.write(&path, text.as_bytes())
             .map_err(|e| HiDeStoreError::Config(format!("cannot write {}: {e}", path.display())))
@@ -368,27 +350,12 @@ mod tests {
             );
         }
         // A retired key is ignored whatever its value.
-        std::fs::write(dir.join(CONFIG_FILE), "threads=many\nqueue_depth=0\n").unwrap();
+        std::fs::write(
+            dir.join(CONFIG_FILE),
+            "threads=many\nqueue_depth=0\nnet_timeout=0\n",
+        )
+        .unwrap();
         assert!(HiDeStoreConfig::load_from(&dir).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn net_timeout_round_trips_through_config_file() {
-        let dir = std::env::temp_dir().join(format!(
-            "hidestore-config-nettimeout-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let c = HiDeStoreConfig::small_for_tests().with_net_timeout(7);
-        c.save_to(&dir).unwrap();
-        let loaded = HiDeStoreConfig::load_from(&dir).unwrap();
-        assert_eq!(loaded.net_timeout_secs, 7);
-        // A pre-v2 config file without the key falls back to the default.
-        std::fs::write(dir.join(CONFIG_FILE), "chunk=1024\ncontainer=32768\n").unwrap();
-        let legacy = HiDeStoreConfig::load_from(&dir).unwrap();
-        assert_eq!(legacy.net_timeout_secs, 30);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

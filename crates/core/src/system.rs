@@ -3,6 +3,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::io::Write;
+use std::num::NonZeroU32;
 use std::time::Instant;
 
 use hidestore_chunking::Chunker;
@@ -601,6 +602,32 @@ impl<S: ContainerStore> HiDeStore<S> {
         let start = Instant::now();
         let updated = chain::flatten_recipes(&mut self.recipes);
         (updated, start.elapsed())
+    }
+
+    /// The `prune <keep-last-N>` rule of the CLI and the daemon: the newest
+    /// version id to expire so that the newest `keep` ids remain, or `None`
+    /// when the repository is empty or its newest id is at most `keep`.
+    pub fn prune_cutoff(&self, keep: NonZeroU32) -> Option<VersionId> {
+        self.recipes
+            .latest_version()
+            .filter(|newest| newest.get() > keep.get())
+            .map(|newest| VersionId::new(newest.get() - keep.get()))
+    }
+
+    /// Expires everything older than the newest `keep` version ids through
+    /// [`HiDeStore::delete_expired`]. Returns `None`, changing nothing,
+    /// when [`HiDeStore::prune_cutoff`] finds nothing to expire.
+    ///
+    /// # Errors
+    ///
+    /// As [`HiDeStore::delete_expired`].
+    pub fn prune_keep_last(
+        &mut self,
+        keep: NonZeroU32,
+    ) -> Result<Option<DeletionReport>, HiDeStoreError> {
+        self.prune_cutoff(keep)
+            .map(|up_to| self.delete_expired(up_to))
+            .transpose()
     }
 
     /// Expires all versions up to and including `up_to` (§4.5): recipes are

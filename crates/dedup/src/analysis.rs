@@ -150,36 +150,6 @@ pub fn analyze_plan(
     }
 }
 
-/// Per-version fragmentation trend across an entire backup run: analyze
-/// every retained recipe in version order.
-pub fn fragmentation_trend(
-    recipes: impl IntoIterator<Item = impl std::borrow::Borrow<Recipe>>,
-    container_capacity: usize,
-) -> Vec<(u32, FragmentationReport)> {
-    recipes
-        .into_iter()
-        .map(|r| {
-            let r = r.borrow();
-            (r.version().get(), analyze_recipe(r, container_capacity))
-        })
-        .collect()
-}
-
-/// Container IDs ranked by how little they contribute to the recipe — the
-/// victims a rewriting policy or re-clustering pass should target first.
-pub fn sparse_references(recipe: &Recipe, max: usize) -> Vec<(ContainerId, u64)> {
-    let mut contribution: HashMap<ContainerId, u64> = HashMap::new();
-    for entry in recipe.entries() {
-        if let Some(c) = entry.cid.as_archival() {
-            *contribution.entry(c).or_default() += entry.size as u64;
-        }
-    }
-    let mut ranked: Vec<(ContainerId, u64)> = contribution.into_iter().collect();
-    ranked.sort_by_key(|&(c, bytes)| (bytes, c));
-    ranked.truncate(max);
-    ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,18 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_references_rank_ascending() {
-        let mut layout = vec![1u32; 5];
-        layout.push(2);
-        layout.extend([3, 3]);
-        let r = recipe_over(&layout, 1024);
-        let ranked = sparse_references(&r, 10);
-        assert_eq!(ranked[0].0, ContainerId::new(2)); // 1 chunk
-        assert_eq!(ranked[1].0, ContainerId::new(3)); // 2 chunks
-        assert_eq!(ranked[2].0, ContainerId::new(1)); // 5 chunks
-    }
-
-    #[test]
     fn analyze_plan_counts_physical_containers() {
         let plan = vec![
             (1024u32, ContainerId::new(1)),
@@ -263,22 +221,5 @@ mod tests {
         let report = analyze_recipe(&r, 4096);
         assert_eq!(report.containers_referenced, 0);
         assert!((report.cfl - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trend_covers_all_recipes() {
-        let recipes = vec![recipe_over(&[1, 2], 512), {
-            let mut r = Recipe::new(VersionId::new(2));
-            r.push(RecipeEntry::new(
-                Fingerprint::synthetic(0),
-                512,
-                Cid::archival(ContainerId::new(1)),
-            ));
-            r
-        }];
-        let trend = fragmentation_trend(&recipes, 4096);
-        assert_eq!(trend.len(), 2);
-        assert_eq!(trend[0].0, 1);
-        assert_eq!(trend[1].0, 2);
     }
 }

@@ -7,10 +7,11 @@
 //! cryptographic digests ("fingerprints") instead of the chunk contents.
 //! The HiDeStore paper (Middleware 2020, §2.1) uses 20-byte SHA-1
 //! fingerprints, noting the probability of a hash collision is far below the
-//! probability of a hardware error. This crate implements the digests the
-//! paper mentions — [`Sha1`] and [`Md5`] — from scratch (no external hashing
-//! dependency), plus the [`Fingerprint`] newtype used as the key of every
-//! index structure in the rest of the workspace.
+//! probability of a hardware error. This crate implements that digest,
+//! [`Sha1`], from scratch (no external hashing dependency), the [`crc32`]
+//! checksum that guards every on-disk and wire record, and the
+//! [`Fingerprint`] newtype used as the key of every index structure in the
+//! rest of the workspace.
 //!
 //! # Examples
 //!
@@ -30,77 +31,10 @@
 
 mod crc32;
 mod fingerprint;
-mod md5;
 mod parallel;
 mod sha1;
-mod sha256;
 
 pub use crc32::crc32;
 pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
-pub use md5::Md5;
 pub use parallel::{default_hash_threads, fingerprints_parallel};
 pub use sha1::Sha1;
-pub use sha256::Sha256;
-
-/// A digest algorithm that can be fed incrementally and produces a fixed-size
-/// output.
-///
-/// Both [`Sha1`] and [`Md5`] implement this trait, so pipeline code can be
-/// generic over the fingerprinting function the way Destor is configurable.
-///
-/// # Examples
-///
-/// ```
-/// use hidestore_hash::{Digest, Sha1};
-///
-/// fn hex_of<D: Digest>(data: &[u8]) -> String {
-///     D::digest(data).iter().map(|b| format!("{b:02x}")).collect()
-/// }
-/// assert_eq!(hex_of::<Sha1>(b"abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
-/// ```
-pub trait Digest: Default {
-    /// Size of the produced digest in bytes.
-    const OUTPUT_LEN: usize;
-
-    /// Absorbs `data` into the running digest state.
-    fn update(&mut self, data: &[u8]);
-
-    /// Consumes the hasher and writes the digest into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != Self::OUTPUT_LEN`.
-    fn finalize_into(self, out: &mut [u8]);
-
-    /// One-shot convenience: digest `data` and return the bytes.
-    fn digest(data: &[u8]) -> Vec<u8> {
-        let mut h = Self::default();
-        h.update(data);
-        let mut out = vec![0u8; Self::OUTPUT_LEN];
-        h.finalize_into(&mut out);
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn digest_trait_one_shot_matches_incremental() {
-        let mut h = Sha1::new();
-        h.update(b"one");
-        h.update(b"two");
-        let mut out = [0u8; 20];
-        Digest::finalize_into(h, &mut out[..]);
-        assert_eq!(out.to_vec(), <Sha1 as Digest>::digest(b"onetwo"));
-    }
-
-    #[test]
-    fn md5_and_sha1_output_lengths() {
-        assert_eq!(<Sha1 as Digest>::OUTPUT_LEN, 20);
-        assert_eq!(<Md5 as Digest>::OUTPUT_LEN, 16);
-        assert_eq!(<Sha1 as Digest>::digest(b"x").len(), 20);
-        assert_eq!(<Md5 as Digest>::digest(b"x").len(), 16);
-    }
-}

@@ -8,8 +8,6 @@
 //! fingerprinting is part of the substrate this reproduction is required to
 //! build.
 
-use crate::Digest;
-
 const H0: [u32; 5] = [
     0x6745_2301,
     0xEFCD_AB89,
@@ -154,23 +152,6 @@ impl Sha1 {
         self.state[2] = self.state[2].wrapping_add(c);
         self.state[3] = self.state[3].wrapping_add(d);
         self.state[4] = self.state[4].wrapping_add(e);
-    }
-}
-
-impl Digest for Sha1 {
-    const OUTPUT_LEN: usize = 20;
-
-    fn update(&mut self, data: &[u8]) {
-        Sha1::update(self, data);
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        assert_eq!(
-            out.len(),
-            Self::OUTPUT_LEN,
-            "output buffer must be 20 bytes"
-        );
-        out.copy_from_slice(&self.finalize());
     }
 }
 

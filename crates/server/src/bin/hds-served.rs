@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hds-served <repo-dir> [--bind ADDR] [--port N] [--workers N] [--quiet]
-//!            [--read-timeout SECS] [--write-timeout SECS]
+//!            [--timeout SECS]
 //!            [--tenants] [--max-tenants N] [--no-auto-tenants]
 //!            [--quota-bytes N] [--quota-versions N]
 //! ```
@@ -19,7 +19,7 @@ use hidestore_server::{serve_until_shutdown, ServerConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: hds-served <repo-dir> [--bind ADDR] [--port N] [--workers N] [--quiet]\n\
-         \x20                        [--read-timeout SECS] [--write-timeout SECS]\n\
+         \x20                        [--timeout SECS]\n\
          \x20                        [--tenants] [--max-tenants N] [--no-auto-tenants]\n\
          \x20                        [--quota-bytes N] [--quota-versions N]\n\
          \n\
@@ -28,8 +28,7 @@ fn usage() -> ExitCode {
          --port N             TCP port (default 0 = ephemeral)\n\
          --workers N          concurrent connections served (default 4)\n\
          --quiet              suppress per-request log lines\n\
-         --read-timeout SECS  per-read socket deadline, 0 disables\n\
-         --write-timeout SECS per-write socket deadline, 0 disables\n\
+         --timeout SECS       per-I/O socket deadline, 0 disables (default 30)\n\
          --tenants            serve <repo-dir> as a multi-tenant root\n\
          \x20                    (<repo-dir>/tenants/<id>/, one repository per\n\
          \x20                    tenant); without it the directory is one\n\
@@ -40,9 +39,7 @@ fn usage() -> ExitCode {
          \x20                    backup; unknown tenants are refused\n\
          --quota-bytes N      default per-tenant logical-byte quota, 0 = none\n\
          --quota-versions N   default per-tenant retained-version quota,\n\
-         \x20                    0 = none\n\
-         (timeouts default to HDS_NET_TIMEOUT, then the repository's\n\
-         net_timeout config, then 30s)"
+         \x20                    0 = none"
     );
     ExitCode::from(2)
 }

@@ -27,20 +27,9 @@ use crate::retry::generate_token;
 /// Payload bytes per DATA frame when streaming a backup to the daemon.
 const DATA_CHUNK: usize = 256 * 1024;
 
-/// The default network I/O deadline: the `HDS_NET_TIMEOUT` environment
-/// variable in whole seconds (`0` disables timeouts; non-numeric values
-/// are ignored), falling back to 30 seconds. Explicit flags and
-/// [`RemoteClient::connect_with`] arguments override this.
-#[must_use]
-pub fn default_net_timeout() -> Duration {
-    match std::env::var("HDS_NET_TIMEOUT") {
-        Ok(value) => match value.trim().parse::<u64>() {
-            Ok(secs) => Duration::from_secs(secs),
-            Err(_) => Duration::from_secs(30),
-        },
-        Err(_) => Duration::from_secs(30),
-    }
-}
+/// The per-I/O socket deadline both sides use unless told otherwise: the
+/// client's `--remote-timeout` and the daemon's `--timeout` override it.
+pub const DEFAULT_NET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Errors a [`RemoteClient`] operation can produce.
 #[derive(Debug)]
@@ -99,13 +88,13 @@ pub struct RemoteClient<S: NetStream = RealStream> {
 
 impl RemoteClient<RealStream> {
     /// Connects to `addr` and performs HELLO negotiation with default
-    /// limits and the [`default_net_timeout`] I/O deadline.
+    /// limits and the [`DEFAULT_NET_TIMEOUT`] I/O deadline.
     ///
     /// # Errors
     ///
     /// Connection failures, torn frames, or a version-negotiation refusal.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::connect_with(addr, Limits::default(), default_net_timeout())
+        Self::connect_with(addr, Limits::default(), DEFAULT_NET_TIMEOUT)
     }
 
     /// [`RemoteClient::connect`] with explicit limits and I/O deadline

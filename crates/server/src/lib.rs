@@ -34,7 +34,7 @@ mod session;
 pub mod stats;
 pub mod view;
 
-pub use client::{default_net_timeout, BackupAttempt, ClientError, RemoteClient, RestoreAttempt};
+pub use client::{BackupAttempt, ClientError, RemoteClient, RestoreAttempt, DEFAULT_NET_TIMEOUT};
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
 pub use server::{
     serve, serve_until_shutdown, ServerConfig, ServerError, ServerHandle, DATA_CHUNK,
@@ -122,6 +122,41 @@ mod tests {
         }
         // The connection survives typed errors.
         client.ping().unwrap();
+        client.shutdown().unwrap();
+        handle.join();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn no_op_prune_leaves_the_repository_files_untouched() {
+        fn mtimes(dir: &Path, out: &mut Vec<(PathBuf, std::time::SystemTime)>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    mtimes(&path, out);
+                } else {
+                    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+                    out.push((path, modified));
+                }
+            }
+        }
+        let dir = temp("noop-prune");
+        init_repo(&dir);
+        let handle = serve(&dir, quiet_config()).unwrap();
+        let mut client = RemoteClient::connect(handle.addr()).unwrap();
+        client.backup_bytes(&vec![7u8; 40_000]).unwrap();
+        let mut before = Vec::new();
+        mtimes(&dir, &mut before);
+        before.sort();
+        let summary = client.prune(1).unwrap();
+        assert_eq!(summary.versions_removed, 0);
+        let mut after = Vec::new();
+        mtimes(&dir, &mut after);
+        after.sort();
+        assert_eq!(
+            before, after,
+            "a no-op prune must not rewrite the repository"
+        );
         client.shutdown().unwrap();
         handle.join();
         std::fs::remove_dir_all(&dir).unwrap();
@@ -242,6 +277,14 @@ mod tests {
         admin.shutdown().unwrap();
         handle.join();
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn timeout_flag_sets_the_one_io_deadline() {
+        let args = ["repo", "--timeout", "7"].map(String::from);
+        let (repo, config) = ServerConfig::from_args(&args).unwrap();
+        assert_eq!(repo, "repo");
+        assert_eq!(config.io_timeout, std::time::Duration::from_secs(7));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant, SystemTime};
 use hidestore_netfault::{AnyStream, NetPlan, RealStream};
 use hidestore_proto::{BackupSummary, Limits, RestoreSummary, SessionToken, TenantId};
 
-use crate::client::{default_net_timeout, ClientError, RemoteClient};
+use crate::client::{ClientError, RemoteClient, DEFAULT_NET_TIMEOUT};
 
 /// Backoff, deadline, and jitter parameters for [`RetryClient`].
 #[derive(Debug, Clone)]
@@ -57,7 +57,7 @@ impl Default for RetryPolicy {
         RetryPolicy {
             base_delay: Duration::from_millis(50),
             max_delay: Duration::from_secs(2),
-            attempt_timeout: default_net_timeout(),
+            attempt_timeout: DEFAULT_NET_TIMEOUT,
             overall_deadline: Duration::from_secs(60),
             max_attempts: 8,
             seed: 0x9E37_79B9_7F4A_7C15,
@@ -71,13 +71,6 @@ impl RetryPolicy {
     pub fn with_delays(mut self, base: Duration, max: Duration) -> Self {
         self.base_delay = base;
         self.max_delay = max;
-        self
-    }
-
-    /// Variant with the given per-attempt I/O deadline.
-    #[must_use]
-    pub fn with_attempt_timeout(mut self, timeout: Duration) -> Self {
-        self.attempt_timeout = timeout;
         self
     }
 
@@ -198,7 +191,6 @@ pub struct RetryCounters {
 /// against an `hds-served` daemon according to a [`RetryPolicy`].
 pub struct RetryClient {
     addr: String,
-    limits: Limits,
     policy: RetryPolicy,
     fault: Option<NetPlan>,
     tenant: TenantId,
@@ -212,19 +204,11 @@ impl RetryClient {
     pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> Self {
         RetryClient {
             addr: addr.into(),
-            limits: Limits::default(),
             policy,
             fault: None,
             tenant: TenantId::default_tenant(),
             counters: RetryCounters::default(),
         }
-    }
-
-    /// Variant with explicit frame/stream limits.
-    #[must_use]
-    pub fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Variant whose every operation is addressed to `tenant`. Each
@@ -260,7 +244,8 @@ impl RetryClient {
             Some(plan) => AnyStream::Fault(plan.wrap(tcp)),
             None => AnyStream::Real(RealStream::from_tcp(tcp)),
         };
-        let mut client = RemoteClient::handshake(stream, self.limits, self.policy.attempt_timeout)?;
+        let mut client =
+            RemoteClient::handshake(stream, Limits::default(), self.policy.attempt_timeout)?;
         client.set_tenant(self.tenant.clone());
         Ok(client)
     }

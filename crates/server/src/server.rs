@@ -38,6 +38,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroU32;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -56,6 +57,7 @@ use hidestore_storage::VersionId;
 use hidestore_sync::{BoundedQueue, CancelGuard, ProducerGuard, TryPushError};
 use hidestore_tenant::{RegistryOptions, TenantError, TenantQuota, TenantRegistry};
 
+use crate::client::DEFAULT_NET_TIMEOUT;
 use crate::session::SessionTable;
 use crate::stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 use crate::view;
@@ -78,12 +80,9 @@ pub struct ServerConfig {
     /// workers; when it is full, further connections are shed with a
     /// retryable `busy` refusal instead of queueing without bound.
     pub queue_depth: usize,
-    /// Per-connection read deadline. `None` inherits the default chain
-    /// (`HDS_NET_TIMEOUT` env, then the repository's `net_timeout` config
-    /// key, then 30 s); `Some(Duration::ZERO)` disables the timeout.
-    pub read_timeout: Option<Duration>,
-    /// Per-connection write deadline; resolution as `read_timeout`.
-    pub write_timeout: Option<Duration>,
+    /// Per-connection read and write deadline (`--timeout SECS`), by
+    /// default [`DEFAULT_NET_TIMEOUT`]; [`Duration::ZERO`] disables it.
+    pub io_timeout: Duration,
     /// Frame/stream size limits enforced on everything received.
     pub limits: Limits,
     /// Suppress per-request log lines (tests, benchmarks).
@@ -121,8 +120,7 @@ impl Default for ServerConfig {
             bind: "127.0.0.1:0".into(),
             workers: 4,
             queue_depth: 16,
-            read_timeout: None,
-            write_timeout: None,
+            io_timeout: DEFAULT_NET_TIMEOUT,
             limits: Limits::default(),
             quiet: false,
             fault: None,
@@ -173,12 +171,7 @@ impl ServerConfig {
                 "--port" => port = number(flag, value()?)?,
                 "--workers" => config.workers = at_least_one(flag, value()?)?,
                 "--quiet" => config.quiet = true,
-                "--read-timeout" => {
-                    config.read_timeout = Some(Duration::from_secs(number(flag, value()?)?));
-                }
-                "--write-timeout" => {
-                    config.write_timeout = Some(Duration::from_secs(number(flag, value()?)?));
-                }
+                "--timeout" => config.io_timeout = Duration::from_secs(number(flag, value()?)?),
                 "--tenants" => config.tenants_root = true,
                 "--max-tenants" => config.max_live_tenants = at_least_one(flag, value()?)?,
                 "--no-auto-tenants" => config.auto_create_tenants = false,
@@ -190,21 +183,6 @@ impl ServerConfig {
         config.bind = format!("{bind}:{port}");
         Ok((repo, config))
     }
-}
-
-/// Resolves a configured deadline against the default chain: an explicit
-/// `Some` wins, else `HDS_NET_TIMEOUT` (whole seconds, non-numeric
-/// ignored), else the repository's persisted default. A zero result
-/// means "no timeout" and becomes `None` for the socket API.
-fn resolve_timeout(explicit: Option<Duration>, repo_default_secs: u64) -> Option<Duration> {
-    let resolved = explicit.unwrap_or_else(|| match std::env::var("HDS_NET_TIMEOUT") {
-        Ok(value) => match value.trim().parse::<u64>() {
-            Ok(secs) => Duration::from_secs(secs),
-            Err(_) => Duration::from_secs(repo_default_secs),
-        },
-        Err(_) => Duration::from_secs(repo_default_secs),
-    });
-    (!resolved.is_zero()).then_some(resolved)
 }
 
 /// Errors starting the daemon.
@@ -270,9 +248,6 @@ struct Shared {
     /// Parked/committed resumable-session state, keyed by
     /// *(tenant, token)* (LRU + TTL bounded).
     sessions: Mutex<SessionTable>,
-    /// Deadlines after resolving flag/env/repo-config defaults.
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
 }
 
 impl Shared {
@@ -411,16 +386,10 @@ pub fn serve(
     } else {
         TenantRegistry::open_legacy(repo_dir, options)?
     };
-    // Legacy mounts load the repository's own config as the template, so
-    // this resolves to the served repo's `net_timeout` key; tenant roots
-    // use the root `config` file (or the default).
-    let repo_timeout_secs = registry.template().net_timeout_secs;
     let listener = TcpListener::bind(&config.bind)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let queue_depth = config.queue_depth.max(1);
-    let read_timeout = resolve_timeout(config.read_timeout, repo_timeout_secs);
-    let write_timeout = resolve_timeout(config.write_timeout, repo_timeout_secs);
     let sessions = Mutex::new(SessionTable::new(config.max_sessions, config.session_ttl));
     let shared = Arc::new(Shared {
         registry,
@@ -430,8 +399,6 @@ pub fn serve(
         config,
         addr,
         sessions,
-        read_timeout,
-        write_timeout,
     });
 
     let mut threads = Vec::with_capacity(workers + 1);
@@ -592,9 +559,9 @@ fn classify_transport(shared: &Shared, err: &FrameError) -> &'static str {
 fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Shared) {
     let limits = shared.config.limits;
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(shared.read_timeout).is_err()
-        || stream.set_write_timeout(shared.write_timeout).is_err()
-    {
+    let timeout = shared.config.io_timeout;
+    let timeout = (!timeout.is_zero()).then_some(timeout);
+    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
         return;
     }
 
@@ -1276,39 +1243,34 @@ fn serve_prune<S: NetStream>(
     stream: &mut S,
     shared: &Shared,
 ) -> Outcome {
-    if keep_last == 0 {
+    let Some(keep) = NonZeroU32::new(keep_last) else {
         return Outcome::Failed {
             code: ErrorCode::Conflict,
             message: "must keep at least one version".into(),
         };
-    }
+    };
     let slot = match shared.registry.get(tenant) {
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
     };
-    let newest = match slot.handle().read(|s| s.versions().last().copied()) {
-        Ok(n) => n,
-        Err(e) => return repo_error_outcome(e),
-    };
-    let summary = match newest {
-        Some(newest) if newest.get() > keep_last => {
-            let result = slot
-                .handle()
-                .write(|s| s.delete_expired(VersionId::new(newest.get() - keep_last)));
-            match result {
-                Ok(report) => PruneSummary {
-                    versions_removed: report.versions_removed,
-                    containers_dropped: report.containers_dropped,
-                    bytes_reclaimed: report.bytes_reclaimed,
-                },
-                Err(e) => {
-                    bump_mutation_failure(shared, tstats, &e);
-                    return repo_error_outcome(e);
-                }
+    // A shared-lock check first, so a no-op prune neither blocks other
+    // requests nor rewrites the repository; the write re-checks under the
+    // exclusive lock.
+    let summary = match slot.handle().read(|s| s.prune_cutoff(keep)) {
+        Ok(None) => PruneSummary::default(),
+        Ok(Some(_)) => match slot.handle().write(|s| s.prune_keep_last(keep)) {
+            Ok(Some(report)) => PruneSummary {
+                versions_removed: report.versions_removed,
+                containers_dropped: report.containers_dropped,
+                bytes_reclaimed: report.bytes_reclaimed,
+            },
+            Ok(None) => PruneSummary::default(),
+            Err(e) => {
+                bump_mutation_failure(shared, tstats, &e);
+                return repo_error_outcome(e);
             }
-        }
-        // Empty repository or nothing old enough: a successful no-op.
-        _ => PruneSummary::default(),
+        },
+        Err(e) => return repo_error_outcome(e),
     };
     match send_response(stream, &Response::PruneOk(summary)) {
         Ok(()) => Outcome::Ok {

@@ -85,12 +85,6 @@ impl Container {
         self.id
     }
 
-    /// Reassigns the container's ID (used when sealing an active container
-    /// into the archival store under a fresh archival ID).
-    pub fn set_id(&mut self, id: ContainerId) {
-        self.id = id;
-    }
-
     /// The version tag (0 if untagged).
     pub fn version_tag(&self) -> u32 {
         self.version_tag

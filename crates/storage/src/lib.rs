@@ -43,7 +43,6 @@
 mod builder;
 mod chunk;
 mod container;
-mod cost;
 mod error;
 mod file_store;
 mod recipe;
@@ -52,7 +51,6 @@ mod store;
 pub use builder::ContainerBuilder;
 pub use chunk::Chunk;
 pub use container::{Container, ContainerId, CONTAINER_CAPACITY};
-pub use cost::DeviceProfile;
 pub use error::StorageError;
 pub use file_store::FileContainerStore;
 pub use recipe::{

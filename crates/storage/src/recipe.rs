@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hidestore_failpoint::{RealVfs, Vfs};
+use hidestore_failpoint::Vfs;
 use hidestore_hash::Fingerprint;
 
 use crate::container::ContainerId;
@@ -291,8 +291,9 @@ impl Recipe {
     }
 }
 
-/// Holds the recipes of all retained backup versions, with optional
-/// directory persistence.
+/// Holds the recipes of all retained backup versions. A repository's
+/// journaled save writes them as `recipes/r<version>.rcp`;
+/// [`RecipeStore::load_dir_report_with`] reads them back.
 ///
 /// # Examples
 ///
@@ -364,100 +365,14 @@ impl RecipeStore {
         self.recipes.is_empty()
     }
 
-    /// Total on-disk bytes of all recipes.
-    pub fn total_encoded_len(&self) -> usize {
-        self.recipes.values().map(Recipe::encoded_len).sum()
-    }
-
-    /// Writes every recipe as `r<version>.rcp` under `dir`, removing stale
-    /// recipe files for versions no longer retained (e.g. after expiry).
-    ///
-    /// Each file is staged as `.r<version>.tmp`, fsynced, and renamed into
-    /// place, and the directory entries are fsynced afterwards — a crash
-    /// mid-save never leaves a half-written recipe visible.
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors.
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        self.save_dir_with(dir, &RealVfs)
-    }
-
-    /// [`RecipeStore::save_dir`] through an explicit [`Vfs`] — the
-    /// fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors.
-    pub fn save_dir_with<V: Vfs>(
-        &self,
-        dir: impl AsRef<Path>,
-        vfs: &V,
-    ) -> Result<(), StorageError> {
-        let dir = dir.as_ref();
-        vfs.create_dir_all(dir)?;
-        for path in vfs.read_dir(dir)? {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if let Some(v) = name.strip_prefix('r').and_then(|s| s.strip_suffix(".rcp")) {
-                let stale = v
-                    .parse::<u32>()
-                    .ok()
-                    .and_then(|v| (v != 0).then(|| VersionId::new(v)))
-                    .is_none_or(|v| !self.recipes.contains_key(&v));
-                if stale {
-                    vfs.remove_file(&path)?;
-                }
-            }
-        }
-        for recipe in self.recipes.values() {
-            let tmp = dir.join(format!(".r{}.tmp", recipe.version().get()));
-            let path = dir.join(format!("r{}.rcp", recipe.version().get()));
-            vfs.write(&tmp, &recipe.encode())?;
-            vfs.sync_file(&tmp)?;
-            vfs.rename(&tmp, &path)?;
-        }
-        vfs.sync_dir(dir)?;
-        Ok(())
-    }
-
-    /// Loads every `r<version>.rcp` under `dir`, failing on the first
-    /// unreadable or corrupt file. Use [`RecipeStore::load_dir_report`] when
-    /// a bad recipe must not block the readable ones (degraded open).
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors or corrupt recipe files.
-    pub fn load_dir(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
-        let report = Self::load_dir_report(dir)?;
-        if let Some((path, err)) = report.failed.into_iter().next() {
-            return Err(StorageError::Corrupt(format!(
-                "recipe file {}: {err}",
-                path.display()
-            )));
-        }
-        Ok(report.store)
-    }
-
-    /// Loads every `r<version>.rcp` under `dir`, collecting per-file
-    /// failures instead of aborting on the first corrupt recipe: one bad
-    /// file no longer blocks opening the other versions.
+    /// Loads every `r<version>.rcp` under `dir` through `vfs`, collecting
+    /// per-file failures instead of aborting on the first corrupt recipe:
+    /// one bad file does not block opening the other versions.
     ///
     /// # Errors
     ///
     /// Fails only if the directory itself cannot be listed; per-file
     /// problems are reported in [`RecipeLoadReport::failed`].
-    pub fn load_dir_report(dir: impl AsRef<Path>) -> Result<RecipeLoadReport, StorageError> {
-        Self::load_dir_report_with(dir, &RealVfs)
-    }
-
-    /// [`RecipeStore::load_dir_report`] through an explicit [`Vfs`] — the
-    /// fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the directory itself cannot be listed.
     pub fn load_dir_report_with<V: Vfs>(
         dir: impl AsRef<Path>,
         vfs: &V,
@@ -488,7 +403,7 @@ impl RecipeStore {
     }
 }
 
-/// Outcome of [`RecipeStore::load_dir_report`]: the recipes that loaded,
+/// Outcome of [`RecipeStore::load_dir_report_with`]: the recipes that loaded,
 /// plus the files that did not and why — so a degraded open can quarantine
 /// the casualties and proceed with the rest.
 #[derive(Debug)]
@@ -502,6 +417,7 @@ pub struct RecipeLoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hidestore_failpoint::RealVfs;
     use std::fs;
 
     fn fp(n: u64) -> Fingerprint {
@@ -604,68 +520,44 @@ mod tests {
         assert_eq!(s.oldest_version(), Some(VersionId::new(2)));
     }
 
-    #[test]
-    fn store_save_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("hidestore-recipes-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = RecipeStore::new();
+    /// Writes `r1.rcp`..`r3.rcp` under a fresh `dir`, one entry each.
+    fn write_three_recipes(dir: &Path) {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
         for v in 1..=3u32 {
             let mut r = Recipe::new(VersionId::new(v));
             r.push(RecipeEntry::new(fp(v as u64), v * 10, Cid::ACTIVE));
-            s.insert(r);
+            fs::write(dir.join(format!("r{v}.rcp")), r.encode()).unwrap();
         }
-        s.save_dir(&dir).unwrap();
-        let loaded = RecipeStore::load_dir(&dir).unwrap();
-        assert_eq!(loaded.len(), 3);
-        assert_eq!(loaded.get(VersionId::new(2)).unwrap().entries()[0].size, 20);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn load_missing_dir_is_empty() {
-        let s = RecipeStore::load_dir("/definitely/not/a/real/dir").unwrap();
-        assert!(s.is_empty());
+        let report =
+            RecipeStore::load_dir_report_with("/definitely/not/a/real/dir", &RealVfs).unwrap();
+        assert!(report.store.is_empty());
+        assert!(report.failed.is_empty());
     }
 
     #[test]
     fn one_bad_recipe_does_not_block_the_rest() {
         let dir =
             std::env::temp_dir().join(format!("hidestore-recipes-bad-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = RecipeStore::new();
-        for v in 1..=3u32 {
-            let mut r = Recipe::new(VersionId::new(v));
-            r.push(RecipeEntry::new(fp(v as u64), v * 10, Cid::ACTIVE));
-            s.insert(r);
-        }
-        s.save_dir(&dir).unwrap();
-        // Tear one recipe in half: strict load aborts, report load carries on.
+        write_three_recipes(&dir);
+        // Tear one recipe in half: the other two still load.
         let bytes = fs::read(dir.join("r2.rcp")).unwrap();
         fs::write(dir.join("r2.rcp"), &bytes[..bytes.len() - 5]).unwrap();
-        assert!(RecipeStore::load_dir(&dir).is_err());
-        let report = RecipeStore::load_dir_report(&dir).unwrap();
+        let report = RecipeStore::load_dir_report_with(&dir, &RealVfs).unwrap();
         assert_eq!(
             report.store.versions(),
             vec![VersionId::new(1), VersionId::new(3)]
         );
+        assert_eq!(
+            report.store.get(VersionId::new(3)).unwrap().entries()[0].size,
+            30
+        );
         assert_eq!(report.failed.len(), 1);
         assert!(report.failed[0].0.ends_with("r2.rcp"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn save_dir_leaves_no_tmp_files() {
-        let dir =
-            std::env::temp_dir().join(format!("hidestore-recipes-tmp-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut s = RecipeStore::new();
-        s.insert(Recipe::new(VersionId::new(1)));
-        s.save_dir(&dir).unwrap();
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["r1.rcp"]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

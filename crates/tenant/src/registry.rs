@@ -31,12 +31,6 @@ impl TenantQuota {
         max_versions: 0,
     };
 
-    /// Whether this quota never refuses anything.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_bytes == 0 && self.max_versions == 0
-    }
-
     /// Admission check for a backup of `incoming_len` logical bytes,
     /// intended to run as the `check` closure of
     /// [`RepositoryHandle::write_checked`] — inside the writer lock,
@@ -325,11 +319,6 @@ impl<V: Vfs> TenantRegistry<V> {
     /// Whether this registry is a legacy single-repository mount.
     pub fn is_legacy(&self) -> bool {
         matches!(self.mount, Mount::Legacy(_))
-    }
-
-    /// The config auto-created tenants start from.
-    pub fn template(&self) -> &HiDeStoreConfig {
-        &self.options.template
     }
 
     /// Soft cap on live handles.

@@ -48,6 +48,7 @@
 
 use std::fmt;
 use std::fs;
+use std::num::NonZeroU32;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -55,7 +56,7 @@ use std::time::Duration;
 use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig};
 use hidestore::proto::TenantId;
 use hidestore::restore::Faa;
-use hidestore::server::{default_net_timeout, view, RemoteClient, ServerConfig};
+use hidestore::server::{view, RemoteClient, ServerConfig, DEFAULT_NET_TIMEOUT};
 use hidestore::storage::{FileContainerStore, VersionId};
 
 /// A CLI failure, split by who got it wrong.
@@ -109,13 +110,13 @@ fn print_usage() {
          hidestore dedup-pass <repo>\n  \
          hidestore stats   <repo> [--json]\n  \
          hidestore serve   <repo> [--bind ADDR] [--port N] [--workers N] [--quiet]\n  \
-         \x20                [--read-timeout SECS] [--write-timeout SECS]\n  \
+         \x20                [--timeout SECS]\n  \
          \x20                [--tenants] [--max-tenants N] [--no-auto-tenants]\n  \
          \x20                [--quota-bytes N] [--quota-versions N]\n\n\
          remote variants (against a running hds-served); each also takes\n\
-         --remote-timeout SECS (per-I/O deadline, 0 disables, default\n\
-         HDS_NET_TIMEOUT then 30) and --tenant <id> (address one tenant of\n\
-         a --tenants daemon; defaults to the `default` tenant):\n  \
+         --remote-timeout SECS (per-I/O deadline, 0 disables, default 30)\n\
+         and --tenant <id> (address one tenant of a --tenants daemon;\n\
+         defaults to the `default` tenant):\n  \
          hidestore backup  --remote <host:port> <file>\n  \
          hidestore restore --remote <host:port> <version> <outfile>\n  \
          hidestore list    --remote <host:port> [--json]\n  \
@@ -150,8 +151,7 @@ fn main() -> ExitCode {
 /// The `--remote` connection options shared by every remote verb.
 struct Remote {
     addr: String,
-    /// `--remote-timeout` if given; otherwise resolved from
-    /// `HDS_NET_TIMEOUT` / the 30s default at connect time.
+    /// `--remote-timeout` if given; otherwise [`DEFAULT_NET_TIMEOUT`].
     timeout: Option<Duration>,
     /// `--tenant` if given; otherwise requests address the `default` tenant.
     tenant: Option<TenantId>,
@@ -330,7 +330,7 @@ fn open(repo: &str) -> Result<HiDeStore<FileContainerStore>, CliError> {
 }
 
 fn connect(remote: &Remote) -> Result<RemoteClient, CliError> {
-    let timeout = remote.timeout.unwrap_or_else(default_net_timeout);
+    let timeout = remote.timeout.unwrap_or(DEFAULT_NET_TIMEOUT);
     let mut client =
         RemoteClient::connect_with(&remote.addr, hidestore::proto::Limits::default(), timeout)
             .map_err(|e| runtime(format!("cannot reach hds-served at {}: {e}", remote.addr)))?;
@@ -646,22 +646,15 @@ fn cmd_prune(repo: &str, keep: &str) -> CliResult {
     let keep: u32 = keep
         .parse()
         .map_err(|_| usage(format!("keep-last must be a number, got {keep}")))?;
-    if keep == 0 {
-        return Err(runtime("must keep at least one version".to_string()));
-    }
+    let keep = NonZeroU32::new(keep).ok_or_else(|| runtime("must keep at least one version"))?;
     let mut system = open(repo)?;
-    let Some(newest) = system.versions().last().copied() else {
-        println!("repository is empty");
+    let Some(report) = system.prune_keep_last(keep)? else {
+        match system.versions().len() {
+            0 => println!("repository is empty"),
+            n => println!("nothing to prune ({n} versions retained)"),
+        }
         return Ok(());
     };
-    if newest.get() <= keep {
-        println!(
-            "nothing to prune ({} versions retained)",
-            system.versions().len()
-        );
-        return Ok(());
-    }
-    let report = system.delete_expired(VersionId::new(newest.get() - keep))?;
     system.save_repository(repo)?;
     println!(
         "pruned {} versions, dropped {} containers, reclaimed {} bytes in {:?} (no GC)",

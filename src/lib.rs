@@ -13,7 +13,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`hash`] | SHA-1 / MD5, [`hash::Fingerprint`] |
+//! | [`hash`] | SHA-1, CRC-32, [`hash::Fingerprint`] |
 //! | [`chunking`] | Fixed, Rabin, TTTD, FastCDC, AE chunkers |
 //! | [`storage`] | containers, stores (memory/file), recipes |
 //! | [`index`] | DDFS, Sparse Indexing, SiLo |

@@ -240,7 +240,7 @@ fn config_with_retired_restore_keys_still_opens() {
     let written = fs::read_to_string(repo.join("config")).unwrap();
     assert_eq!(
         written,
-        "chunk=1024\ncontainer=65536\ndepth=1\nnet_timeout=30\nscheme=hidestore\n"
+        "chunk=1024\ncontainer=65536\ndepth=1\nscheme=hidestore\n"
     );
     let input = data_dir.join("input.bin");
     fs::write(&input, noise(80_000, 6)).unwrap();
@@ -283,11 +283,13 @@ fn config_with_retired_restore_keys_still_opens() {
 }
 
 /// The ingest thread knobs are retired: the front end picks inline or
-/// staged hashing from the core count and the input size. A `threads=` key
-/// an older `init` wrote is ignored, so the repository opens and restores
-/// byte-identically, and the `HDS_THREADS` environment variable is no
-/// longer read at all. (`init` no longer writes the key: see the pinned
-/// text in `config_with_retired_restore_keys_still_opens`.)
+/// staged hashing from the core count and the input size. So is the
+/// repository's network deadline: the daemon takes `--timeout`. A
+/// `threads=` or `net_timeout=` key an older `init` wrote is ignored, so
+/// the repository opens and restores byte-identically, and the
+/// `HDS_THREADS` environment variable is no longer read at all. (`init`
+/// no longer writes either key: see the pinned text in
+/// `config_with_retired_restore_keys_still_opens`.)
 #[test]
 fn config_with_retired_ingest_keys_still_opens() {
     let repo = temp("retired-ingest");
@@ -305,21 +307,22 @@ fn config_with_retired_ingest_keys_still_opens() {
         .status
         .success());
 
-    // The file exactly as the parent commit's `init` wrote it, with the
-    // thread count a user could have edited in.
-    fs::write(
-        repo.join("config"),
-        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=8\nnet_timeout=30\nscheme=hidestore\n",
-    )
-    .unwrap();
+    // The file exactly as an older `init` wrote it, with the thread count
+    // or the disabled deadline a user could have edited in.
     let restored = data_dir.join("restored.bin");
-    let out = run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(fs::read(&restored).unwrap(), fs::read(&input).unwrap());
+    for text in [
+        "chunk=1024\ncontainer=65536\ndepth=1\nthreads=8\nnet_timeout=30\nscheme=hidestore\n",
+        "chunk=1024\ncontainer=65536\ndepth=1\nnet_timeout=0\nscheme=hidestore\n",
+    ] {
+        fs::write(repo.join("config"), text).unwrap();
+        let out = run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
+        assert!(
+            out.status.success(),
+            "{text:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(fs::read(&restored).unwrap(), fs::read(&input).unwrap());
+    }
 
     // A value the parent rejected ("HDS_THREADS has invalid value") is
     // just an unrelated environment variable now.
@@ -423,6 +426,9 @@ fn exit_codes_distinguish_usage_from_runtime_errors() {
         // So are the ingest thread flags: the front end picks its own.
         &["init", repo_s, "--threads", "2"],
         &["backup-tree", repo_s, "/tmp", "--threads", "2"],
+        // The daemon has one I/O deadline, `--timeout`.
+        &["serve", repo_s, "--read-timeout", "5"],
+        &["serve", repo_s, "--write-timeout", "5"],
         &["backup", "--remote"],
         &["restore", repo_s, "not-a-number", "/tmp/x"],
         &["prune", repo_s, "many"],

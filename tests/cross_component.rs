@@ -1,13 +1,11 @@
 //! Cross-component integration: combinations that no single crate's unit
 //! tests exercise — verified restores over HiDeStore's two-tier layout,
-//! the Belady bound against HiDeStore's layout, device-model reporting,
-//! and recluster + deletion + persistence interacting on one repository.
+//! the Belady bound against HiDeStore's layout, and recluster + deletion +
+//! persistence interacting on one repository.
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::restore::{BeladyCache, ChunkLru, Faa, RestoreCache, VerifyingRestore};
-use hidestore::storage::{
-    ContainerStore, DeviceProfile, FileContainerStore, MemoryContainerStore, VersionId,
-};
+use hidestore::storage::{FileContainerStore, MemoryContainerStore, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
 
 fn noise(len: usize, seed: u64) -> Vec<u8> {
@@ -73,30 +71,6 @@ fn belady_bound_holds_on_hidestore_layout() {
         optimal <= chunk_lru,
         "belady {optimal} reads > chunk-lru {chunk_lru}"
     );
-}
-
-#[test]
-fn device_profiles_rank_hidestore_layouts() {
-    // The same restore, costed on HDD vs NVMe: fewer container reads matter
-    // far more on the seek-bound device.
-    let (mut hds, versions) = ingest(6, 3);
-    let newest = VersionId::new(versions.len() as u32);
-    hds.archival_mut().reset_stats();
-    let report = hds
-        .restore(newest, &mut Faa::new(1 << 18), &mut std::io::sink())
-        .unwrap();
-    let stats = hidestore::storage::IoStats {
-        container_reads: report.container_reads,
-        bytes_read: report.bytes_restored,
-        ..Default::default()
-    };
-    let hdd = DeviceProfile::HDD.restore_throughput_mbps(report.bytes_restored, &stats);
-    let nvme = DeviceProfile::NVME.restore_throughput_mbps(report.bytes_restored, &stats);
-    assert!(
-        nvme > hdd,
-        "nvme {nvme:.1} MB/s must beat hdd {hdd:.1} MB/s"
-    );
-    assert!(hdd > 0.0);
 }
 
 #[test]

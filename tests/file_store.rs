@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::{BackupPipeline, PipelineConfig};
 use hidestore::index::DdfsIndex;
-use hidestore::restore::Faa;
+use hidestore::restore::{Faa, RestoreCache, RestoreEntry};
 use hidestore::rewriting::NoRewrite;
 use hidestore::storage::{ContainerStore, FileContainerStore, StorageError, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
@@ -58,8 +58,9 @@ fn hidestore_over_file_store_round_trips() {
 fn pipeline_repository_survives_reopen() {
     let dir = temp_dir("reopen");
     let versions = small_versions();
-    // Ingest with one store instance...
-    {
+    // Ingest with one store instance, keeping only the restore plans the
+    // recipes resolve to...
+    let plans: Vec<Vec<RestoreEntry>> = {
         let store = FileContainerStore::open(&dir).unwrap();
         let mut p = BackupPipeline::new(
             PipelineConfig {
@@ -75,31 +76,31 @@ fn pipeline_repository_survives_reopen() {
         for v in &versions {
             p.backup(v).unwrap();
         }
-        // Persist the recipes alongside the containers.
-        p.recipes().save_dir(dir.join("recipes")).unwrap();
-    }
-    // ...then reopen a fresh store (a new process) and restore directly
-    // from the on-disk recipes and containers.
-    let mut store = FileContainerStore::open(&dir).unwrap();
-    let recipes = hidestore::storage::RecipeStore::load_dir(dir.join("recipes")).unwrap();
-    assert_eq!(recipes.len(), versions.len());
-    for (i, expect) in versions.iter().enumerate() {
-        let recipe = recipes.get(VersionId::new(i as u32 + 1)).unwrap();
-        let plan: Vec<hidestore::restore::RestoreEntry> = recipe
-            .entries()
+        p.recipes()
             .iter()
-            .map(|e| {
-                hidestore::restore::RestoreEntry::new(
-                    e.fingerprint,
-                    e.size,
-                    e.cid.as_archival().expect("baseline recipes are resolved"),
-                )
+            .map(|recipe| {
+                recipe
+                    .entries()
+                    .iter()
+                    .map(|e| {
+                        RestoreEntry::new(
+                            e.fingerprint,
+                            e.size,
+                            e.cid.as_archival().expect("baseline recipes are resolved"),
+                        )
+                    })
+                    .collect()
             })
-            .collect();
+            .collect()
+    };
+    // ...then reopen a fresh store (a new process) and restore every version
+    // from the on-disk containers alone.
+    let mut store = FileContainerStore::open(&dir).unwrap();
+    assert_eq!(plans.len(), versions.len());
+    for (i, (plan, expect)) in plans.iter().zip(&versions).enumerate() {
         let mut out = Vec::new();
-        use hidestore::restore::RestoreCache;
         Faa::new(1 << 18)
-            .restore(&plan, &mut store, &mut out)
+            .restore(plan, &mut store, &mut out)
             .unwrap();
         assert_eq!(&out, expect, "V{} after reopen", i + 1);
     }

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hidestore::chunking::{chunk_spans, ChunkerKind, StreamChunker, TttdChunker};
+use hidestore::chunking::{chunk_spans, ChunkerKind};
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::{BackupPipeline, PipelineConfig};
 use hidestore::fsck::SystemAuditor;
@@ -362,30 +362,7 @@ fn identical_versions_fully_deduplicated() {
     });
 }
 
-// ---- Additional properties over the streaming and maintenance paths ----
-
-/// Streaming chunking produces the same boundaries as whole-stream chunking
-/// for arbitrary data and arbitrary push sizes.
-#[test]
-fn stream_chunker_equals_whole_stream() {
-    cases(12, 0x0A, |rng| {
-        let len = rng.gen_range(1usize..80_000);
-        let data = random_bytes(rng, len);
-        let push = rng.gen_range(1usize..10_000);
-        let mut whole = TttdChunker::new(1024);
-        let expect: Vec<usize> = chunk_spans(&mut whole, &data)
-            .iter()
-            .map(|s| s.len())
-            .collect();
-        let mut got = Vec::new();
-        let mut stream = StreamChunker::new(TttdChunker::new(1024));
-        for piece in data.chunks(push) {
-            stream.push(piece, |c| got.push(c.len()));
-        }
-        stream.finish(|c| got.push(c.len()));
-        assert_eq!(got, expect);
-    });
-}
+// ---- Additional properties over the maintenance paths ----
 
 /// Archival re-clustering never changes restored bytes, for arbitrary
 /// version histories.

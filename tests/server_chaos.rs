@@ -103,8 +103,7 @@ fn start(dir: &Path, fault: Option<NetPlan>) -> ServerHandle {
             quiet: true,
             // Short socket deadlines so a worker stuck on a half-dead peer
             // recovers well inside the shutdown watchdog.
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
+            io_timeout: Duration::from_secs(5),
             fault,
             ..ServerConfig::default()
         },
@@ -225,8 +224,7 @@ fn run_tenant_chaos(tag: &str, client_fault: Option<NetPlan>) {
         ServerConfig {
             quiet: true,
             tenants_root: true,
-            read_timeout: Some(Duration::from_secs(5)),
-            write_timeout: Some(Duration::from_secs(5)),
+            io_timeout: Duration::from_secs(5),
             ..ServerConfig::default()
         },
     )
@@ -424,7 +422,7 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
             queue_depth: 1,
             // Idle squatters below would otherwise pin the worker for the
             // full default deadline.
-            read_timeout: Some(Duration::from_secs(2)),
+            io_timeout: Duration::from_secs(2),
             busy_retry_after_ms: 77,
             ..ServerConfig::default()
         },

@@ -82,8 +82,7 @@ fn start_root(root: &Path, max_live: usize) -> ServerHandle {
             quiet: true,
             tenants_root: true,
             max_live_tenants: max_live,
-            read_timeout: Some(Duration::from_secs(10)),
-            write_timeout: Some(Duration::from_secs(10)),
+            io_timeout: Duration::from_secs(10),
             ..ServerConfig::default()
         },
     )
