@@ -39,8 +39,12 @@
 #                                      tenant, quota/unknown-tenant refusals
 #  10. served round trip            -- hds-served on an ephemeral port:
 #                                      remote backup -> list -> restore ->
-#                                      verify, byte-compare, fsck-clean repo,
-#                                      graceful shutdown
+#                                      verify, byte-compare; then two
+#                                      remote restores racing a second
+#                                      remote backup on the one open
+#                                      repository, both byte-compared and
+#                                      V2 listed; fsck-clean repo, graceful
+#                                      shutdown
 #  11. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
@@ -117,6 +121,19 @@ done
 ./target/debug/hidestore restore --remote "$ADDR" 1 "$SERVE_DIR/output.bin"
 cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/output.bin"
 ./target/debug/hidestore verify  --remote "$ADDR" | grep -q "clean"
+# Readers share the daemon's one open repository with a writer: two
+# restores of V1 race a backup of V2.
+{ cat "$SERVE_DIR/input.bin"; head -c 1000000 /dev/urandom; } > "$SERVE_DIR/input2.bin"
+./target/debug/hidestore restore --remote "$ADDR" 1 "$SERVE_DIR/race1.bin" > /dev/null &
+RACE1=$!
+./target/debug/hidestore restore --remote "$ADDR" 1 "$SERVE_DIR/race2.bin" > /dev/null &
+RACE2=$!
+./target/debug/hidestore backup  --remote "$ADDR" "$SERVE_DIR/input2.bin" > /dev/null
+wait "$RACE1"
+wait "$RACE2"
+cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race1.bin"
+cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race2.bin"
+./target/debug/hidestore list    --remote "$ADDR" --json | grep -q '"version":2'
 ./target/debug/hidestore shutdown --remote "$ADDR"
 wait "$SERVE_PID"
 ./target/debug/hds-fsck "$SERVE_REPO"

@@ -119,9 +119,7 @@ fn bench_faa_restore(c: &mut Criterion) {
     group.bench_function("faa-sequential", |b| {
         b.iter(|| {
             let mut cache = Faa::new(1 << 20);
-            let report = cache
-                .restore(&plan, &mut store, &mut std::io::sink())
-                .unwrap();
+            let report = cache.restore(&plan, &store, &mut std::io::sink()).unwrap();
             black_box(report.container_reads)
         });
     });

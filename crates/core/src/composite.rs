@@ -1,5 +1,6 @@
 //! A read-only view unifying archival and active containers for restore.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use hidestore_storage::{Container, ContainerId, ContainerStore, IoStats, StorageError};
@@ -16,23 +17,24 @@ pub const ACTIVE_ID_BASE: u32 = 1 << 30;
 /// HiDeStore's two-tier layout. Reads of active containers are counted like
 /// any other container read — the paper's speed factor charges them equally.
 ///
+/// The view borrows both tiers shared, so any number of views — one per
+/// concurrent restore — read one repository at once; its
+/// [`ContainerStore::stats`] are the reads made through this view alone.
 /// Writes and removals are rejected: restore is read-only.
 #[derive(Debug)]
 pub struct CompositeStore<'a, S> {
-    archival: &'a mut S,
+    archival: &'a S,
     active: &'a ActivePool,
-    active_reads: u64,
-    active_bytes_read: u64,
+    reads: Cell<IoStats>,
 }
 
 impl<'a, S: ContainerStore> CompositeStore<'a, S> {
     /// Builds the view.
-    pub fn new(archival: &'a mut S, active: &'a ActivePool) -> Self {
+    pub fn new(archival: &'a S, active: &'a ActivePool) -> Self {
         CompositeStore {
             archival,
             active,
-            active_reads: 0,
-            active_bytes_read: 0,
+            reads: Cell::default(),
         }
     }
 }
@@ -45,18 +47,19 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
         )))
     }
 
-    fn read(&mut self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
-        if id.get() >= ACTIVE_ID_BASE {
-            let snapshot = self
-                .active
+    fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
+        let container = if id.get() >= ACTIVE_ID_BASE {
+            self.active
                 .snapshot(id.get() - ACTIVE_ID_BASE)
-                .ok_or(StorageError::ContainerNotFound(id))?;
-            self.active_reads += 1;
-            self.active_bytes_read += snapshot.used_bytes() as u64;
-            Ok(snapshot)
+                .ok_or(StorageError::ContainerNotFound(id))?
         } else {
-            self.archival.read(id)
-        }
+            self.archival.read(id)?
+        };
+        let mut reads = self.reads.get();
+        reads.container_reads += 1;
+        reads.bytes_read += container.used_bytes() as u64;
+        self.reads.set(reads);
+        Ok(container)
     }
 
     fn contains(&self, id: ContainerId) -> bool {
@@ -92,16 +95,11 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
     }
 
     fn stats(&self) -> IoStats {
-        let mut stats = self.archival.stats();
-        stats.container_reads += self.active_reads;
-        stats.bytes_read += self.active_bytes_read;
-        stats
+        self.reads.get()
     }
 
     fn reset_stats(&mut self) {
-        self.archival.reset_stats();
-        self.active_reads = 0;
-        self.active_bytes_read = 0;
+        self.reads.take();
     }
 }
 
@@ -123,8 +121,8 @@ mod tests {
 
     #[test]
     fn reads_route_by_id_space() {
-        let (mut archival, pool) = fixture();
-        let mut view = CompositeStore::new(&mut archival, &pool);
+        let (archival, pool) = fixture();
+        let view = CompositeStore::new(&archival, &pool);
         let a = view.read(ContainerId::new(1)).unwrap();
         assert!(a.contains(&Fingerprint::synthetic(1)));
         let b = view.read(ContainerId::new(ACTIVE_ID_BASE + 1)).unwrap();
@@ -134,15 +132,15 @@ mod tests {
 
     #[test]
     fn missing_active_container_errors() {
-        let (mut archival, pool) = fixture();
-        let mut view = CompositeStore::new(&mut archival, &pool);
+        let (archival, pool) = fixture();
+        let view = CompositeStore::new(&archival, &pool);
         assert!(view.read(ContainerId::new(ACTIVE_ID_BASE + 99)).is_err());
     }
 
     #[test]
     fn writes_rejected() {
-        let (mut archival, pool) = fixture();
-        let mut view = CompositeStore::new(&mut archival, &pool);
+        let (archival, pool) = fixture();
+        let mut view = CompositeStore::new(&archival, &pool);
         let c = Container::new(ContainerId::new(7), 64);
         assert!(view.write(c).is_err());
         assert!(view.remove(ContainerId::new(1)).is_err());
@@ -150,8 +148,8 @@ mod tests {
 
     #[test]
     fn ids_cover_both_spaces() {
-        let (mut archival, pool) = fixture();
-        let view = CompositeStore::new(&mut archival, &pool);
+        let (archival, pool) = fixture();
+        let view = CompositeStore::new(&archival, &pool);
         let ids = view.ids();
         assert!(ids.contains(&ContainerId::new(1)));
         assert!(ids.contains(&ContainerId::new(ACTIVE_ID_BASE + 1)));
@@ -159,8 +157,8 @@ mod tests {
 
     #[test]
     fn contains_checks_both() {
-        let (mut archival, pool) = fixture();
-        let view = CompositeStore::new(&mut archival, &pool);
+        let (archival, pool) = fixture();
+        let view = CompositeStore::new(&archival, &pool);
         assert!(view.contains(ContainerId::new(1)));
         assert!(view.contains(ContainerId::new(ACTIVE_ID_BASE + 1)));
         assert!(!view.contains(ContainerId::new(55)));

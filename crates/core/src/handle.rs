@@ -9,21 +9,17 @@
 //! * **One writer, many readers.** Mutations (`backup`, `prune`, `flatten`,
 //!   …) run under an exclusive lock and are immediately persisted with the
 //!   atomic commit journal from [`crate::HiDeStore::save_repository`].
-//!   Read-only operations share a read lock, so restores and listings
-//!   proceed concurrently with each other and never observe a half-applied
-//!   mutation.
+//!   Every read — listings, restores, scrubs — runs against the one
+//!   in-memory instance under a shared lock, so reads proceed concurrently
+//!   with each other and never observe a half-applied mutation. Container
+//!   reads take `&self` (the stores count them in atomics), so a read never
+//!   reopens the repository and never moves or renames a file.
 //! * **Rollback on failure.** If a mutation — or its save — fails, the
 //!   on-disk repository is untouched (the journal guarantees the save is
 //!   all-or-nothing), but the in-memory instance may hold the failed
 //!   mutation. The handle discards it by reopening from disk, restoring
 //!   memory/disk agreement; [`RepositoryHandle::rollbacks`] counts how
 //!   often that happened.
-//! * **Snapshot reads.** Operations that need `&mut` access for I/O
-//!   accounting (restore, scrub) run against a *fresh* instance opened from
-//!   disk under the read lock. Because every mutation saves before
-//!   releasing the writer lock, a snapshot always sees a committed state,
-//!   and multiple snapshot readers stream containers from the filesystem
-//!   in parallel without contending on the writer's instance.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +64,7 @@ impl RepositoryHandle<RealVfs> {
 impl<V: Vfs> RepositoryHandle<V> {
     /// [`RepositoryHandle::open`] through an explicit [`Vfs`] — the
     /// fault-injection entry point. Every filesystem operation of the
-    /// handle's lifecycle (open, save, rollback reopen, snapshots) goes
+    /// handle's lifecycle (open, reads, save, rollback reopen) goes
     /// through `vfs`.
     ///
     /// # Errors
@@ -107,8 +103,8 @@ impl<V: Vfs> RepositoryHandle<V> {
     }
 
     /// Runs a read-only closure against the shared in-memory instance under
-    /// the read lock. Use for operations that take `&HiDeStore` (listings,
-    /// statistics); they run concurrently with each other.
+    /// the read lock: listings, statistics, restores and scrubs, all
+    /// concurrently with each other.
     ///
     /// # Errors
     ///
@@ -124,28 +120,14 @@ impl<V: Vfs> RepositoryHandle<V> {
         }
     }
 
-    /// Opens a fresh snapshot of the committed on-disk state under the read
-    /// lock and runs `f` against it. Use for read-path operations that need
-    /// `&mut` access (restore, scrub): each caller gets its own instance,
-    /// so snapshot readers proceed fully in parallel while mutations are
-    /// held off by the read lock.
-    ///
-    /// # Errors
-    ///
-    /// [`HiDeStoreError::Poisoned`] if the handle is poisoned, the errors
-    /// of [`HiDeStore::open_repository`], or `f`'s own.
+    // A forward to `read` kept only because `hdsbench/src/served.rs`
+    // (frozen) still calls it.
+    #[doc(hidden)]
     pub fn read_snapshot<R>(
         &self,
-        f: impl FnOnce(&mut HiDeStore<FileContainerStore<V>>) -> Result<R, HiDeStoreError>,
+        f: impl FnOnce(&HiDeStore<FileContainerStore<V>>) -> Result<R, HiDeStoreError>,
     ) -> Result<R, HiDeStoreError> {
-        let guard = self.read_guard();
-        let config = match guard.as_ref() {
-            Some(system) => *system.config(),
-            None => return Err(HiDeStoreError::Poisoned),
-        };
-        let (mut snapshot, _report) =
-            HiDeStore::open_repository_with(config, &self.dir, self.vfs.clone())?;
-        f(&mut snapshot)
+        self.read(f)?
     }
 
     /// Runs a mutating closure under the exclusive lock and persists the
@@ -164,26 +146,7 @@ impl<V: Vfs> RepositoryHandle<V> {
         &self,
         f: impl FnOnce(&mut HiDeStore<FileContainerStore<V>>) -> Result<R, HiDeStoreError>,
     ) -> Result<R, HiDeStoreError> {
-        let mut guard = self.write_guard();
-        let Some(system) = guard.as_mut() else {
-            return Err(HiDeStoreError::Poisoned);
-        };
-        let result = f(system).and_then(|r| {
-            system.save_repository(&self.dir)?;
-            Ok(r)
-        });
-        if let Err(e) = result {
-            // The mutation (or its save) failed. Disk still holds the last
-            // committed state; discard the dirty in-memory instance.
-            self.rollbacks.fetch_add(1, Ordering::Relaxed);
-            let config = *system.config();
-            match HiDeStore::open_repository_with(config, &self.dir, self.vfs.clone()) {
-                Ok((fresh, _report)) => *guard = Some(fresh),
-                Err(_) => *guard = None,
-            }
-            return Err(e);
-        }
-        result
+        self.write_checked(|_| Ok(()), f)
     }
 
     /// [`RepositoryHandle::write`] with an admission check that runs under
@@ -213,6 +176,8 @@ impl<V: Vfs> RepositoryHandle<V> {
             Ok(r)
         });
         if let Err(e) = result {
+            // The mutation (or its save) failed. Disk still holds the last
+            // committed state; discard the dirty in-memory instance.
             self.rollbacks.fetch_add(1, Ordering::Relaxed);
             let config = *system.config();
             match HiDeStore::open_repository_with(config, &self.dir, self.vfs.clone()) {
@@ -228,9 +193,32 @@ impl<V: Vfs> RepositoryHandle<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidestore_failpoint::{FaultKind, FaultVfs};
+    use hidestore_failpoint::{FaultKind, FaultVfs, OpKind};
     use hidestore_restore::Faa;
     use hidestore_storage::VersionId;
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    fn restore<V: Vfs>(handle: &RepositoryHandle<V>, version: u32) -> Vec<u8> {
+        handle
+            .read(|s| {
+                let mut out = Vec::new();
+                s.restore(VersionId::new(version), &mut Faa::new(1 << 20), &mut out)
+                    .map(|_| out)
+            })
+            .unwrap()
+            .unwrap()
+    }
 
     fn temp(tag: &str) -> PathBuf {
         let dir =
@@ -266,15 +254,7 @@ mod tests {
         assert_eq!(stats.version.get(), 1);
         let versions = handle.read(|s| s.versions()).unwrap();
         assert_eq!(versions, vec![VersionId::new(1)]);
-        // A snapshot sees the committed state and can restore from it.
-        let bytes = handle
-            .read_snapshot(|s| {
-                let mut out = Vec::new();
-                s.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)?;
-                Ok(out)
-            })
-            .unwrap();
-        assert_eq!(bytes, vec![42u8; 50_000]);
+        assert_eq!(restore(&handle, 1), vec![42u8; 50_000]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -324,13 +304,9 @@ mod tests {
         assert!(vfs.crashed(), "the armed site must have fired");
         assert_eq!(handle.rollbacks(), 1);
         // The rollback reopen also failed (crashed vfs), so the handle is
-        // poisoned: reads, snapshots, and writes all fast-fail typed.
+        // poisoned: reads and writes all fast-fail typed.
         assert!(matches!(
             handle.read(|s| s.versions()),
-            Err(HiDeStoreError::Poisoned)
-        ));
-        assert!(matches!(
-            handle.read_snapshot(|_s| Ok(())),
             Err(HiDeStoreError::Poisoned)
         ));
         assert!(matches!(
@@ -393,37 +369,69 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A read through the handle runs on the open instance: restoring V1
+    /// and scrubbing read archival containers and nothing else — no
+    /// directory listing, no rename into quarantine, no recipe, active-pool
+    /// or meta file.
+    #[test]
+    fn handle_reads_touch_only_containers() {
+        let dir = temp("reads");
+        init_repo(&dir);
+        let vfs = FaultVfs::counting();
+        let handle = RepositoryHandle::open_with(&dir, vfs.clone()).unwrap();
+        let versions: Vec<Vec<u8>> = (0..3).map(|i| noise(60_000, 40 + i)).collect();
+        for data in &versions {
+            handle.write(|s| s.backup(data)).unwrap();
+        }
+        let before = vfs.trace().len();
+        assert_eq!(restore(&handle, 1), versions[0]);
+        assert!(handle.read(|s| s.scrub()).unwrap().unwrap().is_clean());
+        let trace = vfs.trace();
+        let reads = &trace[before..];
+        assert!(
+            !reads.is_empty(),
+            "V1's chunks went cold: its restore reads archival containers"
+        );
+        for op in reads {
+            let name = op.path.file_name().unwrap().to_string_lossy();
+            assert!(
+                op.kind == OpKind::Read
+                    && op.path.parent() == Some(dir.join("archival").as_path())
+                    && name.starts_with('c')
+                    && name.ends_with(".ctr"),
+                "a read touched more than a container: {op:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn concurrent_readers_and_writers() {
         let dir = temp("concurrent");
         init_repo(&dir);
         let handle = RepositoryHandle::open(&dir).unwrap();
-        handle.write(|s| s.backup(&vec![9u8; 30_000])).unwrap();
+        let first = noise(30_000, 9);
+        handle.write(|s| s.backup(&first)).unwrap();
+        let later: Vec<Vec<u8>> = (0..5).map(|i| noise(10_000 + i, 10 + i as u64)).collect();
         std::thread::scope(|scope| {
             for _ in 0..3 {
                 scope.spawn(|| {
                     for _ in 0..5 {
-                        let out = handle
-                            .read_snapshot(|s| {
-                                let mut out = Vec::new();
-                                s.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)?;
-                                Ok(out)
-                            })
-                            .unwrap();
-                        assert_eq!(out.len(), 30_000);
+                        assert_eq!(restore(&handle, 1), first);
                     }
                 });
             }
             scope.spawn(|| {
-                for i in 0..5u8 {
-                    handle
-                        .write(|s| s.backup(&vec![i; 10_000 + i as usize]))
-                        .unwrap();
+                for data in &later {
+                    handle.write(|s| s.backup(data)).unwrap();
                 }
             });
         });
-        let versions = handle.read(|s| s.versions()).unwrap();
-        assert_eq!(versions.len(), 6);
+        assert_eq!(handle.read(|s| s.versions()).unwrap().len(), 6);
+        assert_eq!(restore(&handle, 1), first);
+        for (i, data) in later.iter().enumerate() {
+            assert_eq!(&restore(&handle, i as u32 + 2), data);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

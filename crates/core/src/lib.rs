@@ -76,4 +76,4 @@ pub use persist::{
 pub use recluster::ReclusterReport;
 pub use scheme::OutOfLineReport;
 pub use stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats, ScrubReport};
-pub use system::{HiDeStore, HiDeStoreError, IntegrityViews};
+pub use system::{HiDeStore, HiDeStoreError};

@@ -542,7 +542,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             staged.push((format!("active/{name}"), container.encode()));
         }
         let meta = RepositoryMeta {
-            next_version: self.next_version_raw(),
+            next_version: self.next_version(),
             next_archival: self.next_archival_raw(),
             history_depth: self.config().history_depth as u32,
         };
@@ -734,7 +734,7 @@ mod tests {
             system.backup(&v2).unwrap();
             system.save_repository(&dir).unwrap();
         }
-        let mut reopened = HiDeStore::open_repository(config(), &dir).unwrap();
+        let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
         assert_eq!(reopened.versions().len(), 2);
         for (i, expect) in [&v1, &v2].into_iter().enumerate() {
             let mut out = Vec::new();
@@ -903,7 +903,7 @@ mod tests {
         }
         // A *second* open performs no new quarantine, yet must still know
         // about the artifact and keep degrading dependent restores.
-        let (mut system, report) = HiDeStore::open_repository_report(config(), &dir).unwrap();
+        let (system, report) = HiDeStore::open_repository_report(config(), &dir).unwrap();
         assert_eq!(
             report.quarantined.len(),
             1,
@@ -921,6 +921,45 @@ mod tests {
             matches!(err, HiDeStoreError::PartialRestore { .. }),
             "expected PartialRestore after reopen, got: {err}"
         );
+        // And a scrub reports the version it would refuse, never clean.
+        let scrub = system.scrub().unwrap();
+        assert!(!scrub.is_clean());
+        assert!(
+            scrub
+                .corrupt_chunks
+                .iter()
+                .any(|(_, what)| what.contains("cannot restore V1")),
+            "{:?}",
+            scrub.corrupt_chunks
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Containers a backup wrote before its save never committed are
+    /// quarantined at open; no committed recipe references them, so the
+    /// scrub stays clean on this open and every later one.
+    #[test]
+    fn uncommitted_residue_in_quarantine_scrubs_clean() {
+        let dir = temp_dir("residue-scrub");
+        {
+            let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
+            system.backup(&noise(80_000, 60)).unwrap();
+            system.save_repository(&dir).unwrap();
+            // V1's chunks go cold: archival containers land on disk, but
+            // the save that would commit them never runs.
+            system.backup(&noise(80_000, 61)).unwrap();
+            assert!(system.archival().len() > 0);
+        }
+        for _ in 0..2 {
+            let system = HiDeStore::open_repository(config(), &dir).unwrap();
+            assert!(
+                !system.quarantine().is_empty(),
+                "the residue is quarantined"
+            );
+            let scrub = system.scrub().unwrap();
+            assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+            assert_eq!(scrub.recipes_checked, 1);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -110,12 +110,14 @@ pub struct ScrubReport {
     pub chunks_checked: u64,
     /// Recipes whose chains resolved end to end.
     pub recipes_checked: u64,
-    /// Chunks whose content no longer matches their fingerprint.
+    /// Every damage found: the container involved (0 when none) and what
+    /// is wrong — a chunk that fails its fingerprint, a container that
+    /// cannot be read, or a version that cannot be restored.
     pub corrupt_chunks: Vec<(u32, String)>,
 }
 
 impl ScrubReport {
-    /// Whether the repository passed with no corruption.
+    /// Whether the repository passed with no damage.
     pub fn is_clean(&self) -> bool {
         self.corrupt_chunks.is_empty()
     }

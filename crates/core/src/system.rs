@@ -19,7 +19,7 @@ use hidestore_storage::{
 use crate::active::ActivePool;
 use crate::cache::{CacheEntry, Classification, FingerprintCache};
 use crate::chain::{self, ResolveError};
-use crate::composite::CompositeStore;
+use crate::composite::{CompositeStore, ACTIVE_ID_BASE};
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 use crate::scheme::SchemeState;
@@ -405,14 +405,14 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// [`HiDeStoreError::PartialRestore`] naming them — versions without
     /// quarantined dependencies are unaffected.
     pub fn restore(
-        &mut self,
+        &self,
         version: VersionId,
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, HiDeStoreError> {
         let entries = self.resolve_restore_entries(version)?;
-        let mut view = CompositeStore::new(&mut self.archival, &self.pool);
-        Ok(cache.restore(&entries, &mut view, out)?)
+        let view = CompositeStore::new(&self.archival, &self.pool);
+        Ok(cache.restore(&entries, &view, out)?)
     }
 
     /// Restores `version` to `path`, staging the output in `<path>.tmp`
@@ -426,7 +426,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// writing, or renaming the output file. On error the temporary file is
     /// removed.
     pub fn restore_to_path(
-        &mut self,
+        &self,
         version: VersionId,
         cache: &mut dyn RestoreCache,
         path: &std::path::Path,
@@ -462,10 +462,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     ///
     /// Exactly the resolution errors of [`HiDeStore::restore`]: unknown
     /// versions, broken chains, quarantined dependencies.
-    pub fn restore_plan(
-        &mut self,
-        version: VersionId,
-    ) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
+    pub fn restore_plan(&self, version: VersionId) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
         self.resolve_restore_entries(version)
     }
 
@@ -479,21 +476,21 @@ impl<S: ContainerStore> HiDeStore<S> {
     ///
     /// Storage errors reading the referenced containers.
     pub fn restore_entries(
-        &mut self,
+        &self,
         entries: &[RestoreEntry],
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
         // Ignored; `hdsbench/src/stream.rs` (frozen) still passes one.
         _conc: &RestoreConcurrency,
     ) -> Result<RestoreReport, HiDeStoreError> {
-        let mut view = CompositeStore::new(&mut self.archival, &self.pool);
-        Ok(cache.restore(entries, &mut view, out)?)
+        let view = CompositeStore::new(&self.archival, &self.pool);
+        Ok(cache.restore(entries, &view, out)?)
     }
 
     /// Resolves `version`'s recipe chain into a flat restore plan, checking
     /// quarantined dependencies first (degraded-mode repositories).
     fn resolve_restore_entries(
-        &mut self,
+        &self,
         version: VersionId,
     ) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
         if self.recipes.get(version).is_none() {
@@ -698,39 +695,65 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     /// Verifies repository integrity: every archival and active container's
     /// chunks are re-hashed against their fingerprints, and every retained
-    /// recipe's chain resolves to a physical location.
+    /// version — and every version whose recipe sits in quarantine — must
+    /// resolve to a plan [`HiDeStore::restore`] accepts.
+    ///
+    /// Damage is *recorded* in [`ScrubReport::corrupt_chunks`], never
+    /// skipped, so one scrub enumerates all of it: a chunk that fails its
+    /// fingerprint, an archival container that cannot be read or decoded,
+    /// and a version `restore` refuses with
+    /// [`HiDeStoreError::PartialRestore`] (a quarantined dependency or
+    /// recipe, or a pool chunk lost with a quarantined active container).
+    /// Quarantined artifacts that no such version depends on — the residue
+    /// of an uncommitted save — are not damage.
     ///
     /// # Errors
     ///
-    /// Fails if a container cannot be read or a recipe chain is broken;
-    /// content corruption (hash mismatch) is *reported*, not an error, so a
-    /// scrub can enumerate all damage in one pass.
-    pub fn scrub(&mut self) -> Result<ScrubReport, HiDeStoreError> {
+    /// Fails if a recipe chain is broken without any quarantine to explain
+    /// it.
+    pub fn scrub(&self) -> Result<ScrubReport, HiDeStoreError> {
         let mut report = ScrubReport::default();
-        for id in self.archival.ids() {
-            let container = self.archival.read(id)?;
+        let check = |report: &mut ScrubReport, id: u32, container: &Container| {
             report.containers_checked += 1;
             for (fp, data) in container.iter() {
                 report.chunks_checked += 1;
                 if Fingerprint::of(data) != fp {
-                    report.corrupt_chunks.push((id.get(), fp.to_string()));
+                    let what = format!("chunk {fp} does not match its fingerprint");
+                    report.corrupt_chunks.push((id, what));
                 }
+            }
+        };
+        for id in self.archival.ids() {
+            match self.archival.read(id) {
+                Ok(container) => check(&mut report, id.get(), &container),
+                Err(e) => report.corrupt_chunks.push((id.get(), e.to_string())),
             }
         }
         for (_, container) in self.pool.containers() {
-            report.containers_checked += 1;
-            for (fp, data) in container.iter() {
-                report.chunks_checked += 1;
-                if Fingerprint::of(data) != fp {
-                    report
-                        .corrupt_chunks
-                        .push((container.id().get(), fp.to_string()));
-                }
-            }
+            check(&mut report, container.id().get(), container);
         }
-        for version in self.recipes.versions() {
-            chain::resolve_plan(&self.recipes, &self.pool, version)?;
-            report.recipes_checked += 1;
+        let lost_recipes = self.quarantined.iter().filter_map(|e| match e.artifact {
+            QuarantinedArtifact::Recipe(v) => Some(v),
+            _ => None,
+        });
+        let versions: BTreeSet<VersionId> =
+            self.versions().into_iter().chain(lost_recipes).collect();
+        for version in versions {
+            let Err(e) = self.resolve_restore_entries(version) else {
+                report.recipes_checked += 1;
+                continue;
+            };
+            let HiDeStoreError::PartialRestore { quarantined, .. } = &e else {
+                return Err(e);
+            };
+            let container = quarantined.iter().find_map(|a| match a {
+                QuarantinedArtifact::ArchivalContainer(id) => Some(id.get()),
+                QuarantinedArtifact::ActiveContainer(cid) => Some(ACTIVE_ID_BASE + cid),
+                _ => None,
+            });
+            report
+                .corrupt_chunks
+                .push((container.unwrap_or(0), e.to_string()));
         }
         Ok(report)
     }
@@ -785,21 +808,15 @@ impl<S: ContainerStore> HiDeStore<S> {
         &self.config
     }
 
-    /// Splits the system into simultaneous borrows of the pieces an external
-    /// integrity checker needs: the recipe store, the active pool, and the
-    /// fingerprint cache read-only, plus the archival store mutably (reads
-    /// update its I/O statistics). This is the entry point `hidestore-fsck`
-    /// audits through.
-    pub fn integrity_views(&mut self) -> IntegrityViews<'_, S> {
-        IntegrityViews {
-            recipes: &self.recipes,
-            pool: &self.pool,
-            cache: &self.cache,
-            history_depth: self.config.history_depth,
-            next_version: self.next_version,
-            quarantined: &self.quarantined,
-            archival: &mut self.archival,
-        }
+    /// The double-hash fingerprint cache (§4.1).
+    pub fn fingerprint_cache(&self) -> &FingerprintCache {
+        &self.cache
+    }
+
+    /// The id the next backup will get: every retained version and every
+    /// container tag is below it.
+    pub fn next_version(&self) -> u32 {
+        self.next_version
     }
 
     /// Artifacts quarantined by degraded-mode recovery when this instance
@@ -842,10 +859,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         id
     }
 
-    pub(crate) fn next_version_raw(&self) -> u32 {
-        self.next_version
-    }
-
     pub(crate) fn next_archival_raw(&self) -> u32 {
         self.next_archival_id
     }
@@ -878,27 +891,6 @@ impl<S: ContainerStore> HiDeStore<S> {
     pub(crate) fn add_out_of_line_rewritten_bytes(&mut self, bytes: u64) {
         self.out_of_line_rewritten_bytes += bytes;
     }
-}
-
-/// Simultaneous borrow-split views of a [`HiDeStore`]'s state, produced by
-/// [`HiDeStore::integrity_views`] so a checker can walk recipes, pool, cache
-/// and archival store together without cloning any of them.
-pub struct IntegrityViews<'a, S> {
-    /// The recipe store (all retained versions).
-    pub recipes: &'a RecipeStore,
-    /// The active container pool.
-    pub pool: &'a ActivePool,
-    /// The double-hash fingerprint cache.
-    pub cache: &'a FingerprintCache,
-    /// The configured history depth (how many previous versions stay hot).
-    pub history_depth: usize,
-    /// The next version number to be assigned; every retained version and
-    /// container tag must be below it.
-    pub next_version: u32,
-    /// Artifacts quarantined by degraded-mode recovery at open.
-    pub quarantined: &'a [QuarantineEntry],
-    /// The archival container store, mutable because reads are `&mut`.
-    pub archival: &'a mut S,
 }
 
 impl<S: fmt::Debug> fmt::Debug for HiDeStore<S> {

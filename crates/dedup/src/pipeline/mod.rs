@@ -222,7 +222,7 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
     ///
     /// Fails for unknown versions or storage/assembly errors.
     pub fn restore(
-        &mut self,
+        &self,
         version: VersionId,
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
@@ -245,7 +245,7 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
                 Ok(RestoreEntry::new(e.fingerprint, e.size, cid))
             })
             .collect::<Result<_, PipelineError>>()?;
-        Ok(cache.restore(&plan, &mut self.store, out)?)
+        Ok(cache.restore(&plan, &self.store, out)?)
     }
 
     /// Cumulative statistics across the whole run.
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn restore_unknown_version_errors() {
-        let mut p = ddfs_pipeline();
+        let p = ddfs_pipeline();
         let err = p
             .restore(VersionId::new(5), &mut Faa::new(1024), &mut Vec::new())
             .unwrap_err();

@@ -171,13 +171,13 @@ fn audit_repo(dir: &str, verify_content: bool) -> Result<AuditReport, String> {
         .ok_or_else(|| format!("{dir}: not a HiDeStore repository (no meta file)"))?;
 
     let config = HiDeStoreConfig::default().with_history_depth(meta.history_depth as usize);
-    let mut system = HiDeStore::open_repository(config, dir)
+    let system = HiDeStore::open_repository(config, dir)
         .map_err(|e| format!("cannot open repository: {e}"))?;
 
     let auditor = SystemAuditor::with_options(AuditOptions { verify_content });
-    let mut report = auditor.audit(&mut system);
+    let mut report = auditor.audit(&system);
     // Pre-open findings (the pending journal) lead the report; quarantine
-    // contents are already reported by the auditor via the system's views.
+    // contents are already reported by the auditor from the system's quarantine.
     report.findings.splice(0..0, pre_open);
     Ok(report)
 }

@@ -51,7 +51,7 @@
 //!     MemoryContainerStore::new(),
 //! );
 //! system.backup(b"some data to back up and audit afterwards")?;
-//! let report = SystemAuditor::new().audit(&mut system);
+//! let report = SystemAuditor::new().audit(&system);
 //! assert!(report.is_clean(), "{report}");
 //! # Ok::<(), hidestore_core::HiDeStoreError>(())
 //! ```
@@ -61,9 +61,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use hidestore_core::chain::resolve_plan;
-use hidestore_core::{
-    ActivePool, HiDeStore, IntegrityViews, QuarantinedArtifact as CoreArtifact, ACTIVE_ID_BASE,
-};
+use hidestore_core::{ActivePool, HiDeStore, QuarantinedArtifact as CoreArtifact, ACTIVE_ID_BASE};
 use hidestore_hash::Fingerprint;
 use hidestore_storage::{Cid, Container, ContainerId, ContainerStore, RecipeStore};
 use hidestore_tree::manifest::{
@@ -603,13 +601,9 @@ impl SystemAuditor {
     }
 
     /// Audits a whole system (the usual entry point).
-    pub fn audit<S: ContainerStore>(&self, system: &mut HiDeStore<S>) -> AuditReport {
-        self.audit_views(system.integrity_views())
-    }
-
-    /// Audits pre-split views — useful when the caller already holds the
-    /// borrow split (see [`HiDeStore::integrity_views`]).
-    pub fn audit_views<S: ContainerStore>(&self, views: IntegrityViews<'_, S>) -> AuditReport {
+    pub fn audit<S: ContainerStore>(&self, system: &HiDeStore<S>) -> AuditReport {
+        let (recipes, pool, archival) = (system.recipes(), system.pool(), system.archival());
+        let next_version = system.next_version();
         let mut report = AuditReport::default();
 
         // Phase 0 — quarantine ledger: everything degraded-mode recovery
@@ -617,7 +611,7 @@ impl SystemAuditor {
         // recipe walk can distinguish "resolves into quarantine" (contained,
         // warning) from fresh integrity damage (error).
         let mut quarantine = QuarantineIndex::default();
-        for entry in views.quarantined {
+        for entry in system.quarantine() {
             report.push(
                 Severity::Warning,
                 FindingKind::QuarantinedArtifact {
@@ -643,9 +637,9 @@ impl SystemAuditor {
         let mut archival_fps: HashMap<u32, HashMap<Fingerprint, u32>> = HashMap::new();
         let mut archival_tags: HashMap<u32, u32> = HashMap::new();
         let mut unreadable: HashSet<u32> = HashSet::new();
-        for id in views.archival.ids() {
+        for id in archival.ids() {
             let raw = id.get();
-            let container = match views.archival.read(id) {
+            let container = match archival.read(id) {
                 Ok(c) => c,
                 Err(e) => {
                     unreadable.insert(raw);
@@ -669,13 +663,13 @@ impl SystemAuditor {
                     },
                 );
             }
-            if container.version_tag() >= views.next_version && container.version_tag() != 0 {
+            if container.version_tag() >= next_version && container.version_tag() != 0 {
                 report.push(
                     Severity::Warning,
                     FindingKind::FutureVersionTag {
                         container: raw,
                         tag: container.version_tag(),
-                        next_version: views.next_version,
+                        next_version,
                     },
                 );
             }
@@ -693,7 +687,7 @@ impl SystemAuditor {
         // Phase 2 — active pool sweep: each pooled container must carry the
         // ACTIVE_ID_BASE-offset ID of its pool slot, and pass the same
         // structure/content checks.
-        for (cid, container) in views.pool.containers() {
+        for (cid, container) in pool.containers() {
             report.containers_checked += 1;
             let raw = container.id().get();
             if raw != ACTIVE_ID_BASE.wrapping_add(cid) {
@@ -713,16 +707,16 @@ impl SystemAuditor {
         // Terminal archival locations feed the orphan accounting.
         let mut referenced: HashSet<(u32, Fingerprint)> = HashSet::new();
         let mut chain_maps: HashMap<u32, HashMap<Fingerprint, Cid>> = HashMap::new();
-        for v in views.recipes.versions() {
-            let Some(recipe) = views.recipes.get(v) else {
+        for v in recipes.versions() {
+            let Some(recipe) = recipes.get(v) else {
                 continue;
             };
             report.recipes_checked += 1;
             for entry in recipe.entries() {
                 report.entries_checked += 1;
                 walk_entry(
-                    views.recipes,
-                    views.pool,
+                    recipes,
+                    pool,
                     v.get(),
                     entry.fingerprint,
                     entry.cid,
@@ -761,8 +755,8 @@ impl SystemAuditor {
 
         // Phase 5 — cache/pool agreement: every cached entry must point at
         // the pool container actually holding the chunk.
-        for (_table, fp, entry) in views.cache.entries() {
-            match views.pool.locate(&fp) {
+        for (_table, fp, entry) in system.fingerprint_cache().entries() {
+            match pool.locate(&fp) {
                 Some(cid) if cid == entry.active_cid => {}
                 _ => {
                     report.push(
@@ -783,15 +777,15 @@ impl SystemAuditor {
         // intact. Versions whose plans fail to resolve were already
         // reported by phase 3 and are skipped here.
         let mut tree_containers: HashMap<u32, Arc<Container>> = HashMap::new();
-        for v in views.recipes.versions() {
-            let Ok(plan) = resolve_plan(views.recipes, views.pool, v) else {
+        for v in recipes.versions() {
+            let Ok(plan) = resolve_plan(recipes, pool, v) else {
                 continue;
             };
             audit_tree_stream(
                 v.get(),
                 &plan,
-                views.pool,
-                views.archival,
+                pool,
+                archival,
                 &mut tree_containers,
                 &mut report,
             );
@@ -1049,7 +1043,7 @@ fn audit_tree_stream<S: ContainerStore>(
     version: u32,
     plan: &[(Fingerprint, u32, ContainerId)],
     pool: &ActivePool,
-    archival: &mut S,
+    archival: &S,
     containers: &mut HashMap<u32, Arc<Container>>,
     report: &mut AuditReport,
 ) {
@@ -1143,7 +1137,7 @@ fn fetch_stream_range<S: ContainerStore>(
     plan: &[(Fingerprint, u32, ContainerId)],
     offsets: &[u64],
     pool: &ActivePool,
-    archival: &mut S,
+    archival: &S,
     containers: &mut HashMap<u32, Arc<Container>>,
     start: u64,
     len: u64,
@@ -1212,8 +1206,8 @@ mod tests {
 
     #[test]
     fn fresh_system_is_clean() {
-        let mut hds = system();
-        let report = SystemAuditor::new().audit(&mut hds);
+        let hds = system();
+        let report = SystemAuditor::new().audit(&hds);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.containers_checked, 0);
     }
@@ -1228,7 +1222,7 @@ mod tests {
             let patch = noise(8_000, 100 + round);
             data[start..start + patch.len()].copy_from_slice(&patch);
         }
-        let report = SystemAuditor::new().audit(&mut hds);
+        let report = SystemAuditor::new().audit(&hds);
         assert!(report.is_clean(), "{report}");
         assert!(report.containers_checked > 0);
         assert!(report.chunks_checked > 0);
@@ -1247,7 +1241,7 @@ mod tests {
         }
         hds.flatten_recipes();
         hds.delete_expired(VersionId::new(2)).unwrap();
-        let report = SystemAuditor::new().audit(&mut hds);
+        let report = SystemAuditor::new().audit(&hds);
         assert!(report.is_clean(), "{report}");
     }
 
@@ -1264,11 +1258,11 @@ mod tests {
         let report = SystemAuditor::with_options(AuditOptions {
             verify_content: false,
         })
-        .audit(&mut hds);
+        .audit(&hds);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.chunks_checked, 0, "content verification was off");
         // With verification on, synthetic filler necessarily fails re-hash.
-        let verified = SystemAuditor::new().audit(&mut hds);
+        let verified = SystemAuditor::new().audit(&hds);
         assert!(!verified.is_clean());
         assert!(verified
             .findings
@@ -1308,7 +1302,7 @@ mod tests {
             ],
         };
         hds.backup(&manifest.encode_stream(&contents)).unwrap();
-        let report = SystemAuditor::new().audit(&mut hds);
+        let report = SystemAuditor::new().audit(&hds);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.tree_manifests_checked, 1);
     }
@@ -1349,7 +1343,7 @@ mod tests {
         bogus.extend_from_slice(&noise(40_000, 6));
         hds.backup(&bogus).unwrap();
 
-        let report = SystemAuditor::new().audit(&mut hds);
+        let report = SystemAuditor::new().audit(&hds);
         assert_eq!(report.tree_manifests_checked, 2);
         assert!(report.findings.iter().any(|f| matches!(
             &f.kind,

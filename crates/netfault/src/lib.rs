@@ -72,11 +72,6 @@ impl RealStream {
         Ok(RealStream(TcpStream::connect(addr)?))
     }
 
-    /// Wraps an already-connected socket.
-    pub fn from_tcp(stream: TcpStream) -> Self {
-        RealStream(stream)
-    }
-
     /// Unwraps back to the socket.
     pub fn into_tcp(self) -> TcpStream {
         self.0
@@ -123,6 +118,18 @@ pub enum AnyStream {
     Real(RealStream),
     /// A plan-wrapped socket.
     Fault(FaultStream),
+}
+
+impl AnyStream {
+    /// Wraps a connected socket in `plan` when there is one, else passes
+    /// it through as a [`RealStream`] — the one place either side of the
+    /// wire decides.
+    pub fn wrap(stream: TcpStream, plan: Option<&NetPlan>) -> Self {
+        match plan {
+            Some(plan) => AnyStream::Fault(plan.wrap(stream)),
+            None => AnyStream::Real(RealStream(stream)),
+        }
+    }
 }
 
 impl Read for AnyStream {
@@ -534,8 +541,8 @@ mod tests {
     #[test]
     fn real_stream_round_trips() {
         let (a, b) = pair();
-        let mut ra = RealStream::from_tcp(a);
-        let mut rb = RealStream::from_tcp(b);
+        let mut ra = RealStream(a);
+        let mut rb = RealStream(b);
         ra.set_nodelay(true).unwrap();
         ra.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         ra.set_write_timeout(None).unwrap();

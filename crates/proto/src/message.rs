@@ -384,7 +384,7 @@ pub struct VerifySummary {
     pub chunks_checked: u64,
     /// Recipes resolved.
     pub recipes_checked: u64,
-    /// `(container id, fingerprint)` of each corrupt chunk found.
+    /// `(container id or 0, what is wrong)` of each damage the scrub found.
     pub corrupt_chunks: Vec<(u32, String)>,
 }
 

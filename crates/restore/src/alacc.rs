@@ -145,7 +145,7 @@ impl RestoreCache for Alacc {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError> {
         self.cache.clear();
@@ -154,7 +154,7 @@ impl RestoreCache for Alacc {
         self.hits_total = 0;
         self.area_hits = 0;
         self.adaptations = 0;
-        let reads_before = store.stats().container_reads;
+        let mut reads = 0u64;
         let mut bytes = 0u64;
         let mut pos = 0usize;
         while pos < plan.len() {
@@ -197,6 +197,7 @@ impl RestoreCache for Alacc {
             }
             for cid in order_of_need {
                 let container = store.read(cid)?;
+                reads += 1;
                 for &slot in &by_container[&cid] {
                     let entry = &area[slot];
                     let data =
@@ -220,7 +221,6 @@ impl RestoreCache for Alacc {
             pos += area_len;
             self.adapt();
         }
-        let reads = store.stats().container_reads - reads_before;
         Ok(RestoreReport {
             bytes_restored: bytes,
             container_reads: reads,
@@ -245,16 +245,16 @@ mod tests {
     fn beats_faa_on_cross_area_reuse() {
         // Interleaved plan with small areas: FAA re-reads containers every
         // area; ALACC's look-ahead cache retains upcoming chunks.
-        let (mut store_a, plan, _) = interleaved_fixture(8, 16, 256);
-        let (mut store_b, _, _) = interleaved_fixture(8, 16, 256);
+        let (store_a, plan, _) = interleaved_fixture(8, 16, 256);
+        let (store_b, _, _) = interleaved_fixture(8, 16, 256);
         let area = 8 * 256; // one interleaved row per area
         let faa_reads = Faa::new(area)
-            .restore(&plan, &mut store_a, &mut Vec::new())
+            .restore(&plan, &store_a, &mut Vec::new())
             .unwrap()
             .container_reads;
         let alacc_reads = Alacc::new(area, 1 << 20)
             .with_fixed_split()
-            .restore(&plan, &mut store_b, &mut Vec::new())
+            .restore(&plan, &store_b, &mut Vec::new())
             .unwrap()
             .container_reads;
         assert!(
@@ -265,17 +265,17 @@ mod tests {
 
     #[test]
     fn cache_hits_counted() {
-        let (mut store, plan, _) = interleaved_fixture(4, 16, 256);
+        let (store, plan, _) = interleaved_fixture(4, 16, 256);
         let mut alacc = Alacc::new(4 * 256, 1 << 20).with_fixed_split();
-        alacc.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert!(alacc.cache_hits() > 0);
     }
 
     #[test]
     fn adaptation_moves_the_split() {
-        let (mut store, plan, _) = interleaved_fixture(8, 32, 256);
+        let (store, plan, _) = interleaved_fixture(8, 32, 256);
         let mut alacc = Alacc::new(8 * 256, 8 * 256);
-        alacc.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
         // The run mixes hit-rich and hit-free areas, so the adaptive policy
         // must have moved the split at least once.
         assert!(alacc.adaptations() > 0);
@@ -283,18 +283,18 @@ mod tests {
 
     #[test]
     fn exact_output_with_adaptation() {
-        let (mut store, plan, expect) = interleaved_fixture(6, 20, 128);
+        let (store, plan, expect) = interleaved_fixture(6, 20, 128);
         let mut alacc = Alacc::new(1024, 2048);
         let mut out = Vec::new();
-        alacc.restore(&plan, &mut store, &mut out).unwrap();
+        alacc.restore(&plan, &store, &mut out).unwrap();
         assert_eq!(out, expect);
     }
 
     #[test]
     fn sequential_degenerates_to_faa() {
-        let (mut store, plan, _) = sequential_fixture(8, 16, 256);
+        let (store, plan, _) = sequential_fixture(8, 16, 256);
         let report = Alacc::new(1 << 20, 1 << 20)
-            .restore(&plan, &mut store, &mut Vec::new())
+            .restore(&plan, &store, &mut Vec::new())
             .unwrap();
         assert_eq!(report.container_reads, 8);
     }

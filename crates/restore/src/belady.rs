@@ -39,10 +39,9 @@ impl RestoreCache for BeladyCache {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError> {
-        let reads_before = store.stats().container_reads;
         // Precompute, for each container, the queue of positions at which it
         // is needed.
         let mut uses: HashMap<ContainerId, VecDeque<usize>> = HashMap::new();
@@ -103,7 +102,7 @@ impl RestoreCache for BeladyCache {
         }
         Ok(RestoreReport {
             bytes_restored: bytes,
-            container_reads: store.stats().container_reads - reads_before,
+            container_reads: misses,
             cache_hits: hits,
             cache_misses: misses,
             ..RestoreReport::default()
@@ -123,10 +122,10 @@ mod tests {
 
     #[test]
     fn restores_exact_bytes() {
-        let (mut store, plan, expect) = interleaved_fixture(6, 10, 256);
+        let (store, plan, expect) = interleaved_fixture(6, 10, 256);
         let mut out = Vec::new();
         BeladyCache::new(3)
-            .restore(&plan, &mut store, &mut out)
+            .restore(&plan, &store, &mut out)
             .unwrap();
         assert_eq!(out, expect);
     }
@@ -134,14 +133,14 @@ mod tests {
     #[test]
     fn never_worse_than_lru_at_equal_capacity() {
         for capacity in [2usize, 3, 4, 6] {
-            let (mut s1, plan, _) = interleaved_fixture(8, 12, 128);
-            let (mut s2, _, _) = interleaved_fixture(8, 12, 128);
+            let (s1, plan, _) = interleaved_fixture(8, 12, 128);
+            let (s2, _, _) = interleaved_fixture(8, 12, 128);
             let opt = BeladyCache::new(capacity)
-                .restore(&plan, &mut s1, &mut Vec::new())
+                .restore(&plan, &s1, &mut Vec::new())
                 .unwrap()
                 .container_reads;
             let lru = ContainerLru::new(capacity)
-                .restore(&plan, &mut s2, &mut Vec::new())
+                .restore(&plan, &s2, &mut Vec::new())
                 .unwrap()
                 .container_reads;
             assert!(opt <= lru, "capacity {capacity}: belady {opt} > lru {lru}");
@@ -150,18 +149,18 @@ mod tests {
 
     #[test]
     fn sequential_plan_is_one_read_per_container() {
-        let (mut store, plan, _) = sequential_fixture(5, 8, 128);
+        let (store, plan, _) = sequential_fixture(5, 8, 128);
         let report = BeladyCache::new(1)
-            .restore(&plan, &mut store, &mut Vec::new())
+            .restore(&plan, &store, &mut Vec::new())
             .unwrap();
         assert_eq!(report.container_reads, 5);
     }
 
     #[test]
     fn full_capacity_reads_each_container_once() {
-        let (mut store, plan, _) = interleaved_fixture(8, 12, 128);
+        let (store, plan, _) = interleaved_fixture(8, 12, 128);
         let report = BeladyCache::new(8)
-            .restore(&plan, &mut store, &mut Vec::new())
+            .restore(&plan, &store, &mut Vec::new())
             .unwrap();
         assert_eq!(report.container_reads, 8);
     }
@@ -170,14 +169,14 @@ mod tests {
     fn classic_belady_beats_lru_on_cyclic_access() {
         // Cyclic sweep over k+1 containers with a k-sized cache: LRU misses
         // every access, Belady does far better.
-        let (mut s1, plan, _) = interleaved_fixture(4, 16, 64);
-        let (mut s2, _, _) = interleaved_fixture(4, 16, 64);
+        let (s1, plan, _) = interleaved_fixture(4, 16, 64);
+        let (s2, _, _) = interleaved_fixture(4, 16, 64);
         let opt = BeladyCache::new(3)
-            .restore(&plan, &mut s1, &mut Vec::new())
+            .restore(&plan, &s1, &mut Vec::new())
             .unwrap()
             .container_reads;
         let lru = ContainerLru::new(3)
-            .restore(&plan, &mut s2, &mut Vec::new())
+            .restore(&plan, &s2, &mut Vec::new())
             .unwrap()
             .container_reads;
         assert!(opt < lru, "belady {opt} vs lru {lru}");

@@ -69,13 +69,12 @@ impl RestoreCache for ChunkLru {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError> {
         self.cache.clear();
         self.order.clear();
         self.cached_bytes = 0;
-        let reads_before = store.stats().container_reads;
         let mut bytes = 0u64;
         let mut hits = 0u64;
         let mut misses = 0u64;
@@ -104,7 +103,7 @@ impl RestoreCache for ChunkLru {
         }
         Ok(RestoreReport {
             bytes_restored: bytes,
-            container_reads: store.stats().container_reads - reads_before,
+            container_reads: misses,
             cache_hits: hits,
             cache_misses: misses,
             ..RestoreReport::default()
@@ -125,37 +124,37 @@ mod tests {
     fn holds_hot_chunks_across_container_evictions() {
         // Interleaved plan, cache large enough for all chunks: one read per
         // container even though access order thrashes container caches.
-        let (mut store, plan, _) = interleaved_fixture(8, 8, 256);
+        let (store, plan, _) = interleaved_fixture(8, 8, 256);
         let mut cache = ChunkLru::new(8 * 8 * 256 + 1024);
-        let report = cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        let report = cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert_eq!(report.container_reads, 8);
     }
 
     #[test]
     fn tiny_budget_still_correct() {
-        let (mut store, plan, expect) = interleaved_fixture(4, 8, 256);
+        let (store, plan, expect) = interleaved_fixture(4, 8, 256);
         let mut cache = ChunkLru::new(300); // barely more than one chunk
         let mut out = Vec::new();
-        cache.restore(&plan, &mut store, &mut out).unwrap();
+        cache.restore(&plan, &store, &mut out).unwrap();
         assert_eq!(out, expect);
     }
 
     #[test]
     fn eviction_respects_budget() {
-        let (mut store, plan, _) = sequential_fixture(4, 8, 256);
+        let (store, plan, _) = sequential_fixture(4, 8, 256);
         let mut cache = ChunkLru::new(1024);
-        cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert!(cache.cached_bytes <= 1024 || cache.order.len() == 1);
     }
 
     #[test]
     fn repeated_chunk_in_plan_hits_cache() {
-        let (mut store, mut plan, _) = sequential_fixture(1, 4, 256);
+        let (store, mut plan, _) = sequential_fixture(1, 4, 256);
         // Restore the same chunk many times.
         let first = plan[0];
         plan.extend(std::iter::repeat_n(first, 50));
         let mut cache = ChunkLru::new(1 << 20);
-        let report = cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        let report = cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert_eq!(report.container_reads, 1);
         assert_eq!(report.bytes_restored, (4 + 50) as u64 * 256);
     }

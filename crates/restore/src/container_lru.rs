@@ -61,7 +61,7 @@ impl ContainerLru {
     fn fetch(
         &mut self,
         id: ContainerId,
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
     ) -> Result<Arc<Container>, RestoreError> {
         if let Some(c) = self.cache.get(&id).cloned() {
             self.touch(id);
@@ -84,14 +84,13 @@ impl RestoreCache for ContainerLru {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError> {
         self.cache.clear();
         self.order.clear();
         self.hits = 0;
         self.misses = 0;
-        let reads_before = store.stats().container_reads;
         let mut bytes = 0u64;
         for entry in plan {
             let container = self.fetch(entry.container, store)?;
@@ -106,7 +105,7 @@ impl RestoreCache for ContainerLru {
         }
         Ok(RestoreReport {
             bytes_restored: bytes,
-            container_reads: store.stats().container_reads - reads_before,
+            container_reads: self.misses,
             cache_hits: self.hits,
             cache_misses: self.misses,
             ..RestoreReport::default()
@@ -125,9 +124,9 @@ mod tests {
 
     #[test]
     fn cache_hit_avoids_rereads() {
-        let (mut store, plan, _) = sequential_fixture(4, 8, 256);
+        let (store, plan, _) = sequential_fixture(4, 8, 256);
         let mut cache = ContainerLru::new(4);
-        let report = cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        let report = cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert_eq!(report.container_reads, 4);
     }
 
@@ -135,9 +134,9 @@ mod tests {
     fn thrashing_when_cache_too_small() {
         // Interleaved access across 8 containers with a 2-container cache:
         // nearly every access misses.
-        let (mut store, plan, _) = interleaved_fixture(8, 8, 256);
+        let (store, plan, _) = interleaved_fixture(8, 8, 256);
         let mut cache = ContainerLru::new(2);
-        let report = cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        let report = cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert!(
             report.container_reads > 32,
             "expected thrashing, got {} reads",
@@ -147,19 +146,19 @@ mod tests {
 
     #[test]
     fn big_cache_fixes_interleaving() {
-        let (mut store, plan, _) = interleaved_fixture(8, 8, 256);
+        let (store, plan, _) = interleaved_fixture(8, 8, 256);
         let mut cache = ContainerLru::new(8);
-        let report = cache.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+        let report = cache.restore(&plan, &store, &mut Vec::new()).unwrap();
         assert_eq!(report.container_reads, 8);
     }
 
     #[test]
     fn reuse_across_restores_resets_state() {
-        let (mut store, plan, expect) = sequential_fixture(2, 4, 128);
+        let (store, plan, expect) = sequential_fixture(2, 4, 128);
         let mut cache = ContainerLru::new(2);
         for _ in 0..2 {
             let mut out = Vec::new();
-            cache.restore(&plan, &mut store, &mut out).unwrap();
+            cache.restore(&plan, &store, &mut out).unwrap();
             assert_eq!(out, expect);
         }
     }

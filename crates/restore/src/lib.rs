@@ -10,7 +10,9 @@
 //! container read — and all schemes here report it via [`RestoreReport`].
 //! A scheme reads the store directly ([`RestoreCache::restore`] is the only
 //! restore path; there is no prefetch stage between them), so the reads it
-//! reports are the reads the store served.
+//! reports are the reads the store served. Each scheme counts the reads it
+//! issues itself, so a report stays exact while other readers share the
+//! store.
 //!
 //! Implemented schemes, matching the paper's comparison set:
 //!
@@ -39,7 +41,7 @@
 //!
 //! let plan = vec![RestoreEntry::new(fp, 4, ContainerId::new(1))];
 //! let mut out = Vec::new();
-//! let report = Faa::new(1 << 20).restore(&plan, &mut store, &mut out)?;
+//! let report = Faa::new(1 << 20).restore(&plan, &store, &mut out)?;
 //! assert_eq!(out, b"data");
 //! assert_eq!(report.container_reads, 1);
 //! # Ok::<(), hidestore_restore::RestoreError>(())
@@ -204,7 +206,7 @@ pub trait RestoreCache {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError>;
 
@@ -277,6 +279,8 @@ pub(crate) mod test_util {
 mod tests {
     use super::test_util::*;
     use super::*;
+    use hidestore_storage::{Container, IoStats, MemoryContainerStore};
+    use std::sync::Arc;
 
     fn all_schemes() -> Vec<Box<dyn RestoreCache>> {
         vec![
@@ -291,9 +295,9 @@ mod tests {
     #[test]
     fn every_scheme_restores_exact_bytes_sequential() {
         for mut scheme in all_schemes() {
-            let (mut store, plan, expect) = sequential_fixture(8, 16, 512);
+            let (store, plan, expect) = sequential_fixture(8, 16, 512);
             let mut out = Vec::new();
-            let report = scheme.restore(&plan, &mut store, &mut out).unwrap();
+            let report = scheme.restore(&plan, &store, &mut out).unwrap();
             assert_eq!(out, expect, "{}", scheme.name());
             assert_eq!(report.bytes_restored, expect.len() as u64);
         }
@@ -302,9 +306,9 @@ mod tests {
     #[test]
     fn every_scheme_restores_exact_bytes_interleaved() {
         for mut scheme in all_schemes() {
-            let (mut store, plan, expect) = interleaved_fixture(8, 16, 512);
+            let (store, plan, expect) = interleaved_fixture(8, 16, 512);
             let mut out = Vec::new();
-            scheme.restore(&plan, &mut store, &mut out).unwrap();
+            scheme.restore(&plan, &store, &mut out).unwrap();
             assert_eq!(out, expect, "{}", scheme.name());
         }
     }
@@ -312,8 +316,8 @@ mod tests {
     #[test]
     fn sequential_plan_needs_one_read_per_container() {
         for mut scheme in all_schemes() {
-            let (mut store, plan, _) = sequential_fixture(8, 16, 512);
-            let report = scheme.restore(&plan, &mut store, &mut Vec::new()).unwrap();
+            let (store, plan, _) = sequential_fixture(8, 16, 512);
+            let report = scheme.restore(&plan, &store, &mut Vec::new()).unwrap();
             assert_eq!(report.container_reads, 8, "{}", scheme.name());
         }
     }
@@ -336,12 +340,10 @@ mod tests {
 
     #[test]
     fn missing_chunk_reported() {
-        let (mut store, mut plan, _) = sequential_fixture(2, 4, 128);
+        let (store, mut plan, _) = sequential_fixture(2, 4, 128);
         plan[0].fingerprint = Fingerprint::synthetic(u64::MAX);
         for mut scheme in all_schemes() {
-            let err = scheme
-                .restore(&plan, &mut store, &mut Vec::new())
-                .unwrap_err();
+            let err = scheme.restore(&plan, &store, &mut Vec::new()).unwrap_err();
             assert!(
                 matches!(err, RestoreError::MissingChunk { .. }),
                 "{}: {err}",
@@ -352,16 +354,14 @@ mod tests {
 
     #[test]
     fn missing_container_reported() {
-        let (mut store, _, _) = sequential_fixture(1, 1, 64);
+        let (store, _, _) = sequential_fixture(1, 1, 64);
         let plan = vec![RestoreEntry::new(
             Fingerprint::synthetic(1),
             64,
             ContainerId::new(99),
         )];
         for mut scheme in all_schemes() {
-            let err = scheme
-                .restore(&plan, &mut store, &mut Vec::new())
-                .unwrap_err();
+            let err = scheme.restore(&plan, &store, &mut Vec::new()).unwrap_err();
             assert!(matches!(err, RestoreError::Storage(_)), "{}", scheme.name());
         }
     }
@@ -369,10 +369,62 @@ mod tests {
     #[test]
     fn empty_plan_is_trivial() {
         for mut scheme in all_schemes() {
-            let (mut store, _, _) = sequential_fixture(1, 1, 64);
-            let report = scheme.restore(&[], &mut store, &mut Vec::new()).unwrap();
+            let (store, _, _) = sequential_fixture(1, 1, 64);
+            let report = scheme.restore(&[], &store, &mut Vec::new()).unwrap();
             assert_eq!(report.bytes_restored, 0);
             assert_eq!(report.container_reads, 0);
+        }
+    }
+
+    /// A shared store on which another reader's read lands between every
+    /// two of ours.
+    struct Busy(MemoryContainerStore);
+
+    impl ContainerStore for Busy {
+        fn write(&mut self, c: Container) -> Result<(), StorageError> {
+            self.0.write(c)
+        }
+        fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
+            self.0.read(id)?;
+            self.0.read(id)
+        }
+        fn contains(&self, id: ContainerId) -> bool {
+            self.0.contains(id)
+        }
+        fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
+            self.0.remove(id)
+        }
+        fn replace(&mut self, c: Container) -> Result<(), StorageError> {
+            self.0.replace(c)
+        }
+        fn ids(&self) -> Vec<ContainerId> {
+            self.0.ids()
+        }
+        fn stats(&self) -> IoStats {
+            self.0.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.0.reset_stats()
+        }
+    }
+
+    /// Every scheme reports the reads it issued, not the store's counter:
+    /// other readers sharing the store leave the report unchanged.
+    #[test]
+    fn reports_count_only_their_own_reads_on_a_shared_store() {
+        let (store, plan, expect) = interleaved_fixture(8, 16, 512);
+        let busy = Busy(store);
+        for (mut alone, mut shared) in all_schemes().into_iter().zip(all_schemes()) {
+            let want = alone.restore(&plan, &busy.0, &mut Vec::new()).unwrap();
+            let mut out = Vec::new();
+            let got = shared.restore(&plan, &busy, &mut out).unwrap();
+            assert_eq!(out, expect, "{}", shared.name());
+            assert_eq!(
+                got.container_reads,
+                want.container_reads,
+                "{}",
+                shared.name()
+            );
         }
     }
 }

@@ -83,7 +83,7 @@ impl<C: RestoreCache> RestoreCache for VerifyingRestore<C> {
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
-        store: &mut dyn ContainerStore,
+        store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError> {
         let mut writer = VerifyingWriter {
@@ -117,10 +117,10 @@ mod tests {
 
     #[test]
     fn clean_restore_passes() {
-        let (mut store, plan, expect) = sequential_fixture(4, 8, 256);
+        let (store, plan, expect) = sequential_fixture(4, 8, 256);
         let mut cache = VerifyingRestore::new(Faa::new(1 << 18));
         let mut out = Vec::new();
-        let report = cache.restore(&plan, &mut store, &mut out).unwrap();
+        let report = cache.restore(&plan, &store, &mut out).unwrap();
         assert_eq!(out, expect);
         assert_eq!(report.bytes_restored, expect.len() as u64);
     }
@@ -138,27 +138,25 @@ mod tests {
         plan[0].size = 24;
 
         let mut cache = VerifyingRestore::new(Faa::new(1 << 18));
-        let err = cache
-            .restore(&plan, &mut store, &mut Vec::new())
-            .unwrap_err();
+        let err = cache.restore(&plan, &store, &mut Vec::new()).unwrap_err();
         assert!(
             matches!(err, RestoreError::MissingChunk { fingerprint, .. } if fingerprint == honest_fp)
         );
 
         // The unverified scheme restores the corrupt bytes silently.
         let mut plain = Faa::new(1 << 18);
-        assert!(plain.restore(&plan, &mut store, &mut Vec::new()).is_ok());
+        assert!(plain.restore(&plan, &store, &mut Vec::new()).is_ok());
     }
 
     #[test]
     fn reads_and_speed_factor_unchanged() {
-        let (mut s1, plan, _) = sequential_fixture(4, 8, 256);
-        let (mut s2, _, _) = sequential_fixture(4, 8, 256);
+        let (s1, plan, _) = sequential_fixture(4, 8, 256);
+        let (s2, _, _) = sequential_fixture(4, 8, 256);
         let plain = Faa::new(1 << 18)
-            .restore(&plan, &mut s1, &mut Vec::new())
+            .restore(&plan, &s1, &mut Vec::new())
             .unwrap();
         let verified = VerifyingRestore::new(Faa::new(1 << 18))
-            .restore(&plan, &mut s2, &mut Vec::new())
+            .restore(&plan, &s2, &mut Vec::new())
             .unwrap();
         assert_eq!(plain.container_reads, verified.container_reads);
     }

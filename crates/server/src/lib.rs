@@ -18,7 +18,8 @@
 //! independent repositories through a
 //! [`hidestore_tenant::TenantRegistry`], each held in a
 //! [`hidestore_core::RepositoryHandle`] (per-tenant writer lock, concurrent
-//! snapshot readers, rollback-by-reopen on failed mutations), and the
+//! readers on the one open instance, rollback-by-reopen on failed
+//! mutations), and the
 //! commit journal underneath keeps the on-disk state atomic even if the
 //! daemon is killed mid-mutation. A plain repository (no tenant root) is
 //! served as exactly the `default` tenant — the tenant a client addresses

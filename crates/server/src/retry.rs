@@ -240,10 +240,7 @@ impl RetryClient {
             .next()
             .ok_or_else(|| ClientError::Protocol(format!("{} resolves to nothing", self.addr)))?;
         let tcp = RealStream::connect(addr)?.into_tcp();
-        let stream = match &self.fault {
-            Some(plan) => AnyStream::Fault(plan.wrap(tcp)),
-            None => AnyStream::Real(RealStream::from_tcp(tcp)),
-        };
+        let stream = AnyStream::wrap(tcp, self.fault.as_ref());
         let mut client =
             RemoteClient::handshake(stream, Limits::default(), self.policy.attempt_timeout)?;
         client.set_tenant(self.tenant.clone());

@@ -15,8 +15,8 @@
 //!                                 bounded LRU; each tenant has its own
 //!                                 writer lock, so only same-tenant
 //!                                 mutations serialize — restores and
-//!                                 listings run concurrently on
-//!                                 snapshots)
+//!                                 listings run concurrently on the
+//!                                 tenant's one open instance)
 //! ```
 //!
 //! * **Robustness.** Every connection has read/write timeouts; frames and
@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hidestore_core::{HiDeStoreConfig, HiDeStoreError};
-use hidestore_netfault::{NetPlan, NetStream, RealStream};
+use hidestore_netfault::{AnyStream, NetPlan, NetStream};
 use hidestore_proto::{
     read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, PruneSummary,
     Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
@@ -468,46 +468,23 @@ fn acceptor(listener: &TcpListener, shared: &Shared) {
 /// the acceptor thread under short deadlines, so a slow client cannot
 /// stall admission for long.
 fn shed_busy(stream: TcpStream, shared: &Shared) {
+    let stream = AnyStream::wrap(stream, shared.config.fault.as_ref());
     let hint = shared.config.busy_retry_after_ms;
-    let message = "worker queue is full, retry later";
-    match &shared.config.fault {
-        None => refuse(
-            RealStream::from_tcp(stream),
-            shared,
-            WireError::busy(hint, message),
-        ),
-        Some(plan) => refuse(plan.wrap(stream), shared, WireError::busy(hint, message)),
-    }
+    refuse(
+        stream,
+        shared,
+        WireError::busy(hint, "worker queue is full, retry later"),
+    );
 }
 
 fn worker(shared: &Shared) {
     while let Some((stream, peer)) = shared.queue.pop() {
-        let draining = shared.shutting_down();
-        match &shared.config.fault {
-            None => {
-                let mut s = RealStream::from_tcp(stream);
-                if draining {
-                    refuse(
-                        s,
-                        shared,
-                        WireError::new(ErrorCode::ShuttingDown, "daemon is draining for shutdown"),
-                    );
-                } else {
-                    handle_connection(&mut s, peer, shared);
-                }
-            }
-            Some(plan) => {
-                let mut s = plan.wrap(stream);
-                if draining {
-                    refuse(
-                        s,
-                        shared,
-                        WireError::new(ErrorCode::ShuttingDown, "daemon is draining for shutdown"),
-                    );
-                } else {
-                    handle_connection(&mut s, peer, shared);
-                }
-            }
+        let mut stream = AnyStream::wrap(stream, shared.config.fault.as_ref());
+        if shared.shutting_down() {
+            let err = WireError::new(ErrorCode::ShuttingDown, "daemon is draining for shutdown");
+            refuse(stream, shared, err);
+        } else {
+            handle_connection(&mut stream, peer, shared);
         }
     }
 }
@@ -1094,16 +1071,13 @@ impl<S: NetStream> Write for DataFrameWriter<'_, S> {
     }
 }
 
-/// What happened inside the snapshot closure of a served restore.
+/// What happened inside the read closure of a served restore.
 enum ServedRestore {
     Done {
         summary: RestoreSummary,
         bytes_out: u64,
     },
-    RepoError {
-        error: HiDeStoreError,
-        streamed: bool,
-    },
+    RepoError(HiDeStoreError),
     /// The requested resume offset lies past the end of the version.
     BadOffset {
         total_bytes: u64,
@@ -1155,22 +1129,19 @@ fn serve_restore<S: NetStream>(
         Err(e) => return tenant_error_outcome(e),
     };
     let v = VersionId::new(version);
-    let served = slot.handle().read_snapshot(|system| {
+    let served = slot.handle().read(|system| {
         let Some(recipe) = system.recipes().get(v) else {
-            return Ok(ServedRestore::RepoError {
-                error: HiDeStoreError::UnknownVersion(v),
-                streamed: false,
-            });
+            return ServedRestore::RepoError(HiDeStoreError::UnknownVersion(v));
         };
         let total_bytes = recipe.total_bytes();
         if offset > total_bytes {
-            return Ok(ServedRestore::BadOffset { total_bytes });
+            return ServedRestore::BadOffset { total_bytes };
         }
         if let Err(e) = send_response(stream, &Response::RestoreStarted { total_bytes }) {
-            return Ok(ServedRestore::Transport(match e {
+            return ServedRestore::Transport(match e {
                 FrameError::Io(e) => e,
                 other => io::Error::other(other.to_string()),
-            }));
+            });
         }
         let mut writer = SkipWriter {
             skip: offset,
@@ -1185,7 +1156,7 @@ fn serve_restore<S: NetStream>(
                     .map_err(|e| HiDeStoreError::Storage(hidestore_storage::StorageError::Io(e)))?;
                 Ok(report)
             }) {
-            Ok(report) => Ok(ServedRestore::Done {
+            Ok(report) => ServedRestore::Done {
                 summary: RestoreSummary {
                     bytes_restored: report.bytes_restored,
                     container_reads: report.container_reads,
@@ -1193,11 +1164,8 @@ fn serve_restore<S: NetStream>(
                     cache_misses: report.cache_misses,
                 },
                 bytes_out: writer.inner.bytes_out,
-            }),
-            Err(error) => Ok(ServedRestore::RepoError {
-                error,
-                streamed: true,
-            }),
+            },
+            Err(error) => ServedRestore::RepoError(error),
         }
     });
     if offset > 0 && matches!(served, Ok(ServedRestore::Done { .. })) {
@@ -1219,12 +1187,9 @@ fn serve_restore<S: NetStream>(
                 Err(e) => Outcome::Transport(e),
             }
         }
-        Ok(ServedRestore::RepoError { error, streamed }) => {
-            // If DATA frames already went out, the ERROR frame tells the
-            // client the stream is aborted (it discards its .tmp output).
-            let _ = streamed;
-            repo_error_outcome(error)
-        }
+        // If DATA frames already went out, the ERROR frame tells the
+        // client the stream is aborted (it discards its .tmp output).
+        Ok(ServedRestore::RepoError(error)) => repo_error_outcome(error),
         Ok(ServedRestore::BadOffset { total_bytes }) => Outcome::Failed {
             code: ErrorCode::Conflict,
             message: format!(
@@ -1285,7 +1250,7 @@ fn serve_verify<S: NetStream>(tenant: &TenantId, stream: &mut S, shared: &Shared
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
     };
-    let report = slot.handle().read_snapshot(|s| s.scrub());
+    let report = slot.handle().read(|s| s.scrub()).and_then(|r| r);
     match report {
         Ok(report) => {
             let summary = VerifySummary {

@@ -8,7 +8,7 @@ use hidestore_failpoint::{RealVfs, Vfs};
 
 use crate::container::{Container, ContainerId};
 use crate::error::StorageError;
-use crate::store::{ContainerStore, IoStats};
+use crate::store::{ContainerStore, IoCounters, IoStats};
 
 /// On-disk container store.
 ///
@@ -40,7 +40,7 @@ use crate::store::{ContainerStore, IoStats};
 pub struct FileContainerStore<V: Vfs = RealVfs> {
     dir: PathBuf,
     ids: BTreeSet<ContainerId>,
-    stats: IoStats,
+    counters: IoCounters,
     vfs: V,
     defer_removals: bool,
     deferred: Vec<ContainerId>,
@@ -96,7 +96,7 @@ impl<V: Vfs> FileContainerStore<V> {
         Ok(FileContainerStore {
             dir,
             ids,
-            stats: IoStats::default(),
+            counters: IoCounters::default(),
             vfs,
             defer_removals: false,
             deferred: Vec::new(),
@@ -187,19 +187,17 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
         }
         let written = self.write_file(&container)?;
         self.ids.insert(container.id());
-        self.stats.container_writes += 1;
-        self.stats.bytes_written += written;
+        self.counters.count_write(written);
         Ok(())
     }
 
-    fn read(&mut self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
+    fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
         if !self.ids.contains(&id) {
             return Err(StorageError::ContainerNotFound(id));
         }
         let bytes = self.vfs.read(&self.path_of(id))?;
         let container = Container::decode(&bytes).map_err(StorageError::Corrupt)?;
-        self.stats.container_reads += 1;
-        self.stats.bytes_read += bytes.len() as u64;
+        self.counters.count_read(bytes.len() as u64);
         Ok(Arc::new(container))
     }
 
@@ -217,7 +215,7 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
             self.vfs.remove_file(&self.path_of(id))?;
             self.vfs.sync_dir(&self.dir)?;
         }
-        self.stats.container_deletes += 1;
+        self.counters.count_delete();
         Ok(())
     }
 
@@ -234,11 +232,11 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
     }
 
     fn stats(&self) -> IoStats {
-        self.stats
+        self.counters.snapshot()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+        self.counters = IoCounters::default();
     }
 
     fn len(&self) -> usize {
@@ -286,7 +284,7 @@ mod tests {
             s.write(sample_container(1)).unwrap();
             s.write(sample_container(2)).unwrap();
         }
-        let mut s = FileContainerStore::open(&dir).unwrap();
+        let s = FileContainerStore::open(&dir).unwrap();
         assert_eq!(s.len(), 2);
         assert!(s.contains(ContainerId::new(2)));
         assert_eq!(s.read(ContainerId::new(2)).unwrap().chunk_count(), 10);

@@ -56,4 +56,4 @@ pub use file_store::FileContainerStore;
 pub use recipe::{
     Cid, Recipe, RecipeEntry, RecipeLoadReport, RecipeStore, VersionId, RECIPE_ENTRY_LEN,
 };
-pub use store::{ContainerStore, IoStats, MemoryContainerStore, SharedContainerStore};
+pub use store::{ContainerStore, IoStats, MemoryContainerStore};

@@ -1,9 +1,8 @@
 //! Container stores with I/O accounting.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::container::{Container, ContainerId};
 use crate::error::StorageError;
@@ -42,12 +41,55 @@ impl IoStats {
     }
 }
 
+/// The live counters behind [`ContainerStore::stats`]. Atomic, so a read
+/// through `&self` counts itself and any number of readers can share a
+/// store; [`IoCounters::snapshot`] is what `stats()` returns.
+#[derive(Debug, Default)]
+pub(crate) struct IoCounters {
+    container_reads: AtomicU64,
+    container_writes: AtomicU64,
+    container_deletes: AtomicU64,
+    bytes_read: AtomicU64,
+    bytes_written: AtomicU64,
+}
+
+impl IoCounters {
+    pub(crate) fn count_read(&self, bytes: u64) {
+        self.container_reads.fetch_add(1, Ordering::Relaxed);
+        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    pub(crate) fn count_write(&self, bytes: u64) {
+        self.container_writes.fetch_add(1, Ordering::Relaxed);
+        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    pub(crate) fn count_delete(&self) {
+        self.container_deletes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn snapshot(&self) -> IoStats {
+        IoStats {
+            container_reads: self.container_reads.load(Ordering::Relaxed),
+            container_writes: self.container_writes.load(Ordering::Relaxed),
+            container_deletes: self.container_deletes.load(Ordering::Relaxed),
+            bytes_read: self.bytes_read.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// A store of sealed containers, the persistent layer of the backup system.
 ///
 /// `read` returns an `Arc<Container>` so restore caches can retain containers
 /// without copying 4 MiB buffers. Every `read` call counts as one container
 /// I/O even if the implementation has the container in memory: the counted
 /// cost model is the experiment's ground truth (see crate docs).
+///
+/// Reads take `&self` and are still counted: a store keeps its counters in
+/// atomics, so restores, scrubs and audits share one store instance — and
+/// may run concurrently — while only writes, removals and
+/// [`ContainerStore::reset_stats`] need `&mut`.
 pub trait ContainerStore {
     /// Seals `container` into the store.
     ///
@@ -61,7 +103,7 @@ pub trait ContainerStore {
     /// # Errors
     ///
     /// Returns [`StorageError::ContainerNotFound`] for unknown IDs.
-    fn read(&mut self, id: ContainerId) -> Result<Arc<Container>, StorageError>;
+    fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError>;
 
     /// Whether the store holds `id`.
     fn contains(&self, id: ContainerId) -> bool;
@@ -117,7 +159,7 @@ pub trait ContainerStore {
 #[derive(Debug, Default)]
 pub struct MemoryContainerStore {
     containers: BTreeMap<ContainerId, Arc<Container>>,
-    stats: IoStats,
+    counters: IoCounters,
 }
 
 impl MemoryContainerStore {
@@ -148,20 +190,18 @@ impl ContainerStore for MemoryContainerStore {
         if self.containers.contains_key(&container.id()) {
             return Err(StorageError::DuplicateContainer(container.id()));
         }
-        self.stats.container_writes += 1;
-        self.stats.bytes_written += container.used_bytes() as u64;
+        self.counters.count_write(container.used_bytes() as u64);
         self.containers.insert(container.id(), Arc::new(container));
         Ok(())
     }
 
-    fn read(&mut self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
+    fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
         let container = self
             .containers
             .get(&id)
             .cloned()
             .ok_or(StorageError::ContainerNotFound(id))?;
-        self.stats.container_reads += 1;
-        self.stats.bytes_read += container.used_bytes() as u64;
+        self.counters.count_read(container.used_bytes() as u64);
         Ok(container)
     }
 
@@ -173,7 +213,7 @@ impl ContainerStore for MemoryContainerStore {
         self.containers
             .remove(&id)
             .ok_or(StorageError::ContainerNotFound(id))?;
-        self.stats.container_deletes += 1;
+        self.counters.count_delete();
         Ok(())
     }
 
@@ -191,86 +231,15 @@ impl ContainerStore for MemoryContainerStore {
     }
 
     fn stats(&self) -> IoStats {
-        self.stats
+        self.counters.snapshot()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+        self.counters = IoCounters::default();
     }
 
     fn len(&self) -> usize {
         self.containers.len()
-    }
-}
-
-/// A cheaply clonable, thread-safe handle around any [`ContainerStore`].
-///
-/// Backup writes and restore reads often live in different components that
-/// both need the store; `SharedContainerStore` provides interior mutability
-/// via a [`Mutex`] the way Destor shares its container manager across
-/// pipeline phases.
-#[derive(Debug)]
-pub struct SharedContainerStore<S> {
-    inner: Arc<Mutex<S>>,
-}
-
-impl<S> Clone for SharedContainerStore<S> {
-    fn clone(&self) -> Self {
-        SharedContainerStore {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<S: ContainerStore> SharedContainerStore<S> {
-    /// Wraps a store.
-    pub fn new(store: S) -> Self {
-        SharedContainerStore {
-            inner: Arc::new(Mutex::new(store)),
-        }
-    }
-
-    /// Runs `f` with exclusive access to the store.
-    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.inner.lock())
-    }
-}
-
-impl<S: ContainerStore> ContainerStore for SharedContainerStore<S> {
-    fn write(&mut self, container: Container) -> Result<(), StorageError> {
-        self.inner.lock().write(container)
-    }
-
-    fn read(&mut self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
-        self.inner.lock().read(id)
-    }
-
-    fn contains(&self, id: ContainerId) -> bool {
-        self.inner.lock().contains(id)
-    }
-
-    fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
-        self.inner.lock().remove(id)
-    }
-
-    fn replace(&mut self, container: Container) -> Result<(), StorageError> {
-        self.inner.lock().replace(container)
-    }
-
-    fn ids(&self) -> Vec<ContainerId> {
-        self.inner.lock().ids()
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.lock().stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.lock().reset_stats()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().len()
     }
 }
 
@@ -373,16 +342,6 @@ mod tests {
         s.write(container_with(1, 1)).unwrap();
         s.reset_stats();
         assert_eq!(s.stats(), IoStats::default());
-    }
-
-    #[test]
-    fn shared_store_clones_share_state() {
-        let mut a = SharedContainerStore::new(MemoryContainerStore::new());
-        let mut b = a.clone();
-        a.write(container_with(1, 2)).unwrap();
-        assert!(b.contains(ContainerId::new(1)));
-        b.read(ContainerId::new(1)).unwrap();
-        assert_eq!(a.stats().container_reads, 1);
     }
 
     #[test]

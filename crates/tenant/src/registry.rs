@@ -538,11 +538,12 @@ mod tests {
     fn restore<V: Vfs>(registry: &TenantRegistry<V>, tenant: &TenantId, version: u32) -> Vec<u8> {
         let slot = registry.get(tenant).unwrap();
         slot.handle()
-            .read_snapshot(|s| {
+            .read(|s| {
                 let mut out = Vec::new();
-                s.restore(VersionId::new(version), &mut Faa::new(1 << 20), &mut out)?;
-                Ok(out)
+                s.restore(VersionId::new(version), &mut Faa::new(1 << 20), &mut out)
+                    .map(|_| out)
             })
+            .unwrap()
             .unwrap()
     }
 

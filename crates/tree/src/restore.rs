@@ -90,7 +90,7 @@ impl TreeRestoreReport {
 /// destination root cannot be created. Individual entry failures are *not*
 /// errors; see [`TreeRestoreReport::skipped`].
 pub fn restore_tree<S, V>(
-    system: &mut HiDeStore<S>,
+    system: &HiDeStore<S>,
     vfs: &V,
     version: VersionId,
     dest: &Path,
@@ -326,7 +326,7 @@ impl RangeFetcher {
     /// Restores stream bytes `[start, start + len)`.
     fn fetch<S: ContainerStore>(
         &mut self,
-        system: &mut HiDeStore<S>,
+        system: &HiDeStore<S>,
         start: u64,
         len: u64,
     ) -> Result<Vec<u8>, TreeError> {

@@ -426,7 +426,7 @@ fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
     if v == 0 {
         return Err(runtime("version ids are 1-based".to_string()));
     }
-    let mut system = open(repo)?;
+    let system = open(repo)?;
     // Output is staged in `<outfile>.tmp` and renamed on success, so a
     // failed restore never leaves a partial file behind.
     let report = system.restore_to_path(
@@ -505,9 +505,9 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
-    let mut system = open(repo)?;
+    let system = open(repo)?;
     let report = hidestore::tree::restore_tree(
-        &mut system,
+        &system,
         &hidestore::failpoint::RealVfs,
         VersionId::new(v),
         Path::new(dest),
@@ -677,24 +677,12 @@ fn cmd_prune_remote(remote: &Remote, keep: &str) -> CliResult {
 }
 
 fn cmd_verify(repo: &str) -> CliResult {
-    let mut system = open(repo)?;
-    let report = system.scrub()?;
+    let report = open(repo)?.scrub()?;
     println!(
         "checked {} containers, {} chunks, {} recipes",
         report.containers_checked, report.chunks_checked, report.recipes_checked,
     );
-    if report.is_clean() {
-        println!("repository is clean");
-        Ok(())
-    } else {
-        for (container, fp) in &report.corrupt_chunks {
-            eprintln!("CORRUPT: chunk {fp} in container {container}");
-        }
-        Err(runtime(format!(
-            "{} corrupt chunks found",
-            report.corrupt_chunks.len()
-        )))
-    }
+    verdict(&report.corrupt_chunks)
 }
 
 fn cmd_verify_remote(remote: &Remote) -> CliResult {
@@ -704,18 +692,23 @@ fn cmd_verify_remote(remote: &Remote) -> CliResult {
         "checked {} containers, {} chunks, {} recipes on {}",
         summary.containers_checked, summary.chunks_checked, summary.recipes_checked, remote.addr,
     );
-    if summary.is_clean() {
+    verdict(&summary.corrupt_chunks)
+}
+
+/// The end of both `verify` forms: clean, or one line per damage found
+/// (container id, 0 when none, and what is wrong) and a failing exit.
+fn verdict(damage: &[(u32, String)]) -> CliResult {
+    if damage.is_empty() {
         println!("repository is clean");
-        Ok(())
-    } else {
-        for (container, fp) in &summary.corrupt_chunks {
-            eprintln!("CORRUPT: chunk {fp} in container {container}");
-        }
-        Err(runtime(format!(
-            "{} corrupt chunks found",
-            summary.corrupt_chunks.len()
-        )))
+        return Ok(());
     }
+    for (container, what) in damage {
+        eprintln!("CORRUPT: container {container}: {what}");
+    }
+    Err(runtime(format!(
+        "{} integrity problems found",
+        damage.len()
+    )))
 }
 
 fn cmd_tenant_list_remote(remote: &Remote, json: bool) -> CliResult {

@@ -4,6 +4,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use hidestore::server::{serve, ServerConfig};
+use hidestore::workloads::{Profile, VersionStream};
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_hidestore")
 }
@@ -141,6 +144,88 @@ fn verify_detects_corruption() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("CORRUPT"));
 
     fs::remove_dir_all(&repo).unwrap();
+}
+
+/// A truncated archival container fails `verify` both ways. The daemon
+/// reads its tenant's open instance, so it names the container it cannot
+/// decode and moves nothing; the local verify opens the repository, which
+/// quarantines the file, and names it as the dependency of every version
+/// that no longer restores.
+#[test]
+fn verify_fails_over_a_truncated_container_local_and_remote() {
+    let repo = temp("truncated");
+    let repo_s = repo.to_str().unwrap();
+    let inputs = temp("truncated-inputs");
+    fs::create_dir_all(&inputs).unwrap();
+    let out = run(&["init", repo_s, "--chunk", "4096", "--container", "65536"]);
+    assert!(out.status.success());
+    let daemon = serve(
+        &repo,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let spec = Profile::Gcc.spec().scaled(1 << 20, 8);
+    for (i, data) in VersionStream::new(spec, 23)
+        .all_versions()
+        .iter()
+        .enumerate()
+    {
+        let f = inputs.join(format!("v{i}.bin"));
+        fs::write(&f, data).unwrap();
+        let out = run(&["backup", "--remote", &addr, f.to_str().unwrap()]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    let lowest = fs::read_dir(repo.join("archival"))
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().to_string_lossy().into_owned();
+            name.strip_prefix('c')?
+                .strip_suffix(".ctr")?
+                .parse::<u32>()
+                .ok()
+        })
+        .min()
+        .expect("cold chunks reached the archival store");
+    let victim = repo.join("archival").join(format!("c{lowest}.ctr"));
+    let bytes = fs::read(&victim).unwrap();
+    fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+    let names_victim = |out: &Output| {
+        String::from_utf8_lossy(&out.stderr).contains(&format!("CORRUPT: container {lowest}:"))
+    };
+
+    let out = run(&["verify", "--remote", &addr]);
+    assert_eq!(out.status.code(), Some(1), "remote verify over damage");
+    assert!(
+        names_victim(&out),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(victim.exists(), "a daemon read verb moved the container");
+    assert!(
+        !repo.join("quarantine").exists(),
+        "a daemon read verb quarantined"
+    );
+    daemon.shutdown_and_join();
+
+    let out = run(&["verify", repo_s]);
+    assert_eq!(out.status.code(), Some(1), "local verify over damage");
+    assert!(
+        names_victim(&out),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    fs::remove_dir_all(&repo).unwrap();
+    fs::remove_dir_all(&inputs).unwrap();
 }
 
 #[test]

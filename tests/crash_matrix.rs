@@ -125,9 +125,9 @@ fn run_sequence_of<V: Vfs>(
 /// restored bytes. Also asserts the audit carries no `Error` finding and
 /// nothing beyond quarantine warnings.
 fn reopen_and_check(dir: &Path, context: &str) -> (BTreeMap<u32, u32>, OpenReport) {
-    let (mut hds, report) = HiDeStore::open_repository_report(config(), dir)
+    let (hds, report) = HiDeStore::open_repository_report(config(), dir)
         .unwrap_or_else(|e| panic!("{context}: reopen after crash must succeed: {e}"));
-    let audit = SystemAuditor::new().audit(&mut hds);
+    let audit = SystemAuditor::new().audit(&hds);
     assert_eq!(
         audit.count(Severity::Error),
         0,
@@ -426,9 +426,9 @@ fn reopen_and_check_scheme(
     scheme: hidestore::core::DedupMode,
     context: &str,
 ) -> BTreeMap<u32, u32> {
-    let (mut hds, _) = HiDeStore::open_repository_report(config().with_scheme(scheme), dir)
+    let (hds, _) = HiDeStore::open_repository_report(config().with_scheme(scheme), dir)
         .unwrap_or_else(|e| panic!("{context}: reopen after crash must succeed: {e}"));
-    let audit = SystemAuditor::new().audit(&mut hds);
+    let audit = SystemAuditor::new().audit(&hds);
     assert_eq!(
         audit.count(Severity::Error),
         0,
@@ -605,7 +605,7 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     let vfs = FaultVfs::counting();
     let outfile = scratch.0.join("restored.bin");
     let restore_once = |vfs: FaultVfs, out: &Path| -> Result<(), HiDeStoreError> {
-        let (mut hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs)?;
+        let (hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs)?;
         hds.restore_to_path(VersionId::new(1), &mut Faa::new(1 << 18), out)?;
         Ok(())
     };
@@ -715,7 +715,7 @@ fn run_tree_sequence<V: Vfs>(
         return Ok(complete);
     }
     let report = restore_tree(
-        &mut hds,
+        &hds,
         &vfs,
         VersionId::new(1),
         dest,

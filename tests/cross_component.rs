@@ -40,7 +40,7 @@ fn ingest(n: u32, seed: u64) -> (HiDeStore<MemoryContainerStore>, Vec<Vec<u8>>) 
 
 #[test]
 fn verified_restore_over_hidestore_two_tier_layout() {
-    let (mut hds, versions) = ingest(5, 1);
+    let (hds, versions) = ingest(5, 1);
     // Every version passes fingerprint verification, including chunks served
     // from the active pool through the composite store.
     for (i, expect) in versions.iter().enumerate() {
@@ -89,7 +89,7 @@ fn recluster_then_delete_then_persist_round_trip() {
         hds.delete_expired(VersionId::new(2)).unwrap();
         hds.save_repository(&dir).unwrap();
     }
-    let mut reopened = HiDeStore::open_repository(hds_config(), &dir).unwrap();
+    let reopened = HiDeStore::open_repository(hds_config(), &dir).unwrap();
     assert_eq!(reopened.versions().len(), 4);
     for v in 3..=6u32 {
         let mut out = Vec::new();

@@ -57,7 +57,7 @@ impl ContainerStore for FlakyStore {
         self.inner.write(container)
     }
 
-    fn read(&mut self, id: ContainerId) -> Result<std::sync::Arc<Container>, StorageError> {
+    fn read(&self, id: ContainerId) -> Result<std::sync::Arc<Container>, StorageError> {
         self.inner.read(id)
     }
 
@@ -283,8 +283,8 @@ fn first_archival_entry(path: &Path) -> Option<usize> {
 fn untouched_store_audits_clean() {
     let scratch = Scratch::new("clean");
     build_churned_repo(&scratch.0);
-    let mut hds = reopen(&scratch.0);
-    let report = SystemAuditor::new().audit(&mut hds);
+    let hds = reopen(&scratch.0);
+    let report = SystemAuditor::new().audit(&hds);
     assert!(
         report.is_clean(),
         "expected zero findings, got:\n{report:#?}"
@@ -309,8 +309,8 @@ fn flipped_payload_byte_is_reported_as_hash_mismatch() {
     bytes[last] ^= 0x01;
     std::fs::write(&victim, bytes).expect("write container");
 
-    let mut hds = reopen(&scratch.0);
-    let report = SystemAuditor::new().audit(&mut hds);
+    let hds = reopen(&scratch.0);
+    let report = SystemAuditor::new().audit(&hds);
     assert!(!report.is_clean(), "corruption must be detected");
     assert!(
         report
@@ -336,7 +336,7 @@ fn truncated_container_is_quarantined_and_contained() {
 
     // Degraded-mode open: the damaged container is moved to quarantine/
     // instead of failing the open or poisoning every restore.
-    let mut hds = reopen(&scratch.0);
+    let hds = reopen(&scratch.0);
     assert_eq!(hds.quarantine().len(), 1, "{:?}", hds.quarantine());
     let victim_name = victim.file_name().expect("container file name");
     assert!(
@@ -347,7 +347,7 @@ fn truncated_container_is_quarantined_and_contained() {
 
     // The audit reports the damage as *contained*: quarantine warnings, no
     // fresh integrity errors.
-    let report = SystemAuditor::new().audit(&mut hds);
+    let report = SystemAuditor::new().audit(&hds);
     assert!(!report.is_clean());
     assert_eq!(
         report.count(Severity::Error),
@@ -406,8 +406,8 @@ fn dangling_recipe_cid_is_reported() {
     let idx = first_archival_entry(&r1).expect("V1 has an archival entry after churn");
     patch_recipe_cid(&r1, idx, 9_999);
 
-    let mut hds = reopen(&scratch.0);
-    let report = SystemAuditor::new().audit(&mut hds);
+    let hds = reopen(&scratch.0);
+    let report = SystemAuditor::new().audit(&hds);
     assert!(!report.is_clean());
     assert!(
         report.findings.iter().all(|f| matches!(
@@ -434,8 +434,8 @@ fn chain_cycle_is_reported() {
     let r2 = recipe_file(&scratch.0, 2);
     patch_recipe_cid(&r2, 0, -1);
 
-    let mut hds = reopen(&scratch.0);
-    let report = SystemAuditor::new().audit(&mut hds);
+    let hds = reopen(&scratch.0);
+    let report = SystemAuditor::new().audit(&hds);
     assert!(!report.is_clean());
     assert!(
         report.findings.iter().all(|f| matches!(

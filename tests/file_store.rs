@@ -95,13 +95,11 @@ fn pipeline_repository_survives_reopen() {
     };
     // ...then reopen a fresh store (a new process) and restore every version
     // from the on-disk containers alone.
-    let mut store = FileContainerStore::open(&dir).unwrap();
+    let store = FileContainerStore::open(&dir).unwrap();
     assert_eq!(plans.len(), versions.len());
     for (i, (plan, expect)) in plans.iter().zip(&versions).enumerate() {
         let mut out = Vec::new();
-        Faa::new(1 << 18)
-            .restore(plan, &mut store, &mut out)
-            .unwrap();
+        Faa::new(1 << 18).restore(plan, &store, &mut out).unwrap();
         assert_eq!(&out, expect, "V{} after reopen", i + 1);
     }
     fs::remove_dir_all(&dir).unwrap();

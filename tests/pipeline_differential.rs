@@ -193,7 +193,7 @@ fn hidestore_restores_exactly_and_audits_clean_across_the_crossover() {
     for v in &versions {
         hds.backup(v).unwrap();
     }
-    let audit = SystemAuditor::new().audit(&mut hds);
+    let audit = SystemAuditor::new().audit(&hds);
     assert_eq!(
         audit.count(Severity::Error),
         0,

@@ -127,10 +127,9 @@ fn random_ops_under_backpressure_audit_clean() {
                     // Save, reopen, audit.
                     _ => {
                         hds.save_repository(&scratch.0).unwrap();
-                        let (mut reopened, _) =
-                            HiDeStore::open_repository_report(config, &scratch.0)
-                                .unwrap_or_else(|e| panic!("{tag} round {round}: reopen: {e}"));
-                        let audit = SystemAuditor::new().audit(&mut reopened);
+                        let (reopened, _) = HiDeStore::open_repository_report(config, &scratch.0)
+                            .unwrap_or_else(|e| panic!("{tag} round {round}: reopen: {e}"));
+                        let audit = SystemAuditor::new().audit(&reopened);
                         assert_eq!(
                             audit.count(Severity::Error),
                             0,
@@ -143,7 +142,7 @@ fn random_ops_under_backpressure_audit_clean() {
             }
             // Final save + audit + byte-exact restore of the newest version.
             hds.save_repository(&scratch.0).unwrap();
-            let audit = SystemAuditor::new().audit(&mut hds);
+            let audit = SystemAuditor::new().audit(&hds);
             assert_eq!(audit.count(Severity::Error), 0, "{tag}: final fsck");
             let mut out = Vec::new();
             hds.restore(VersionId::new(newest), &mut Faa::new(1 << 18), &mut out)

@@ -449,7 +449,7 @@ fn random_operation_sequences_audit_clean() {
                     }
                 }
             }
-            let report = SystemAuditor::new().audit(&mut hds);
+            let report = SystemAuditor::new().audit(&hds);
             assert!(
                 report.is_clean(),
                 "auditor found violations after random ops (newest V{newest}):\n{:#?}",
@@ -510,7 +510,7 @@ fn out_of_line_schemes_survive_random_interleavings() {
                         }
                     }
                 }
-                let report = SystemAuditor::new().audit(&mut hds);
+                let report = SystemAuditor::new().audit(&hds);
                 assert_eq!(
                     report.count(Severity::Error),
                     0,
@@ -585,7 +585,7 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
                     // Save, audit, reopen.
                     2 => {
                         hds.save_repository(&dir).unwrap();
-                        let report = SystemAuditor::new().audit(&mut hds);
+                        let report = SystemAuditor::new().audit(&hds);
                         assert!(
                             report.is_clean(),
                             "audit after save (newest V{newest}):\n{:#?}",

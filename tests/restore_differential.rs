@@ -345,7 +345,7 @@ fn quarantined_dependency_fails_typed() {
     let bytes = std::fs::read(&victim).expect("read container");
     std::fs::write(&victim, &bytes[..bytes.len() / 2]).expect("truncate container");
 
-    let mut hds: HiDeStore<FileContainerStore> =
+    let hds: HiDeStore<FileContainerStore> =
         HiDeStore::open_repository(hds_config(), &scratch.0).expect("degraded reopen");
     assert_eq!(hds.quarantine().len(), 1, "{:?}", hds.quarantine());
 

@@ -116,8 +116,8 @@ fn assert_no_tmp_files(dir: &Path) {
 
 fn assert_fsck_clean(dir: &Path) {
     let config = HiDeStoreConfig::load_from(dir).unwrap();
-    let mut system = HiDeStore::open_repository(config, dir).unwrap();
-    let report = SystemAuditor::new().audit(&mut system);
+    let system = HiDeStore::open_repository(config, dir).unwrap();
+    let report = SystemAuditor::new().audit(&system);
     assert!(report.is_clean(), "{report}");
 }
 

@@ -123,8 +123,8 @@ fn concurrent_clients_differential_against_local_path() {
 
     // Phase 3: the served repository is audit-clean...
     let served_config = HiDeStoreConfig::load_from(&dir).unwrap();
-    let mut served = HiDeStore::open_repository(served_config, &dir).unwrap();
-    let report = SystemAuditor::new().audit(&mut served);
+    let served = HiDeStore::open_repository(served_config, &dir).unwrap();
+    let report = SystemAuditor::new().audit(&served);
     assert!(report.is_clean(), "{report}");
 
     // ...and differentially equal to a local repository fed the same

@@ -54,8 +54,8 @@ fn tenant(name: &str) -> TenantId {
 
 fn assert_fsck_clean(dir: &Path) {
     let config = HiDeStoreConfig::load_from(dir).unwrap();
-    let mut system = HiDeStore::open_repository(config, dir).unwrap();
-    let report = SystemAuditor::new().audit(&mut system);
+    let system = HiDeStore::open_repository(config, dir).unwrap();
+    let report = SystemAuditor::new().audit(&system);
     assert!(report.is_clean(), "{}: {report}", dir.display());
 }
 

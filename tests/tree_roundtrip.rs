@@ -190,7 +190,7 @@ fn fixture_tree_round_trips_bytes_and_metadata() {
 
     let dest = scratch.path("dest");
     let restored = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         report.stats.version,
         &dest,
@@ -264,7 +264,7 @@ fn seeded_random_trees_round_trip() {
 
         let dest = scratch.path("dest");
         let restored = restore_tree(
-            &mut system,
+            &system,
             &vfs,
             report.stats.version,
             &dest,
@@ -299,7 +299,7 @@ fn subtree_restore_reads_fewer_containers_and_lands_at_dest() {
 
     let full_dest = scratch.path("full");
     let full = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         version,
         &full_dest,
@@ -311,7 +311,7 @@ fn subtree_restore_reads_fewer_containers_and_lands_at_dest() {
 
     let sub_dest = scratch.path("sub");
     let sub = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         version,
         &sub_dest,
@@ -334,7 +334,7 @@ fn subtree_restore_reads_fewer_containers_and_lands_at_dest() {
     // A single-file subtree lands the file directly at the destination.
     let file_dest = scratch.path("one-file");
     let one = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         version,
         &file_dest,
@@ -371,7 +371,7 @@ fn excludes_prune_files_and_subtrees() {
 
     let dest = scratch.path("dest");
     restore_tree(
-        &mut system,
+        &system,
         &vfs,
         report.stats.version,
         &dest,
@@ -485,7 +485,7 @@ fn unreadable_source_file_is_skipped_not_fatal() {
     // Every other file restores byte- and metadata-identical.
     let dest = scratch.path("dest");
     let restored = restore_tree(
-        &mut system,
+        &system,
         &RealVfs,
         report.stats.version,
         &dest,
@@ -519,7 +519,7 @@ fn failing_destination_write_is_skipped_not_fatal() {
         deny_writes: true,
     };
     let restored = restore_tree(
-        &mut system,
+        &system,
         &deny,
         report.stats.version,
         &dest,
@@ -547,7 +547,7 @@ fn non_tree_version_and_bad_subtree_are_typed_errors() {
     // A plain (non-tree) backup is rejected by restore_tree.
     system.backup(&noise(9000, 3)).unwrap();
     let err = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         VersionId::new(1),
         &scratch.path("d1"),
@@ -558,7 +558,7 @@ fn non_tree_version_and_bad_subtree_are_typed_errors() {
 
     let report = backup_tree(&mut system, &vfs, &src, &TreeBackupOptions::default()).unwrap();
     let err = restore_tree(
-        &mut system,
+        &system,
         &vfs,
         report.stats.version,
         &scratch.path("d2"),
