@@ -17,6 +17,9 @@
 #                                      required feature
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
+#                                      of the backup/save/delete lifecycle
+#                                      and of the reverse-dedup and recluster
+#                                      maintenance lifecycles
 #   7. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -50,7 +53,10 @@
 #                                      subtree restores diff clean against
 #                                      the source, fsck-clean repo, and an
 #                                      unreadable entry (fifo) is skipped
-#                                      with a non-zero exit
+#                                      with a non-zero exit; then recluster,
+#                                      and the local verify, a V1 restore
+#                                      diffed against the first one, and
+#                                      fsck all pass again
 #  12. paper claims (release)       -- the cross-scheme comparison asserted
 #                                      as tests: HiDeStore vs RevDedup vs
 #                                      hybrid vs DDFS restore reads, dedup
@@ -170,6 +176,13 @@ if ./target/debug/hidestore backup-tree "$TREE_DIR/repo" "$TREE_DIR/src" 2> "$TR
 fi
 grep -q "skipped /pipe" "$TREE_DIR/skip.err"
 ./target/debug/hidestore list "$TREE_DIR/repo" --json | grep -q '"version":2'
+# Re-cluster the archival layout: the local scrub, a V1 tree restore and
+# fsck must all still pass over the repacked containers.
+./target/debug/hidestore recluster "$TREE_DIR/repo"
+./target/debug/hidestore verify "$TREE_DIR/repo"
+./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/reclustered"
+diff -r --no-dereference "$TREE_DIR/full" "$TREE_DIR/reclustered"
+./target/debug/hds-fsck "$TREE_DIR/repo"
 trap - EXIT
 rm -rf "$TREE_DIR"
 

@@ -76,13 +76,6 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
         )))
     }
 
-    fn replace(&mut self, container: Container) -> Result<(), StorageError> {
-        Err(StorageError::Corrupt(format!(
-            "restore view is read-only; attempted replace of container {}",
-            container.id()
-        )))
-    }
-
     fn ids(&self) -> Vec<ContainerId> {
         let mut ids = self.archival.ids();
         ids.extend(

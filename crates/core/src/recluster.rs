@@ -10,14 +10,18 @@
 //! them. Restores of old versions then read each tag group's containers
 //! mostly sequentially.
 //!
-//! Re-clustering moves chunks but never copies them, so the deduplication
-//! ratio is untouched; containers keep their version tags, so §4.5 deletion
-//! stays a tag-ranged container drop.
+//! Each multi-container group is copied into fresh containers (new IDs,
+//! same tag) and its old containers are removed, so the group's stored
+//! bytes — and the deduplication ratio — are unchanged once the next save
+//! commits; containers keep their version tags, so §4.5 deletion stays a
+//! tag-ranged container drop. Committed containers are never overwritten:
+//! a crash before that save leaves the fresh ones as quarantined residue
+//! and the committed layout intact (DESIGN.md §7.5).
 
 use std::collections::HashMap;
 
 use hidestore_hash::Fingerprint;
-use hidestore_storage::{Cid, Container, ContainerId, ContainerStore};
+use hidestore_storage::{ContainerId, ContainerStore};
 
 use crate::system::{HiDeStore, HiDeStoreError};
 
@@ -26,9 +30,9 @@ use crate::system::{HiDeStore, HiDeStoreError};
 pub struct ReclusterReport {
     /// Version-tag groups processed.
     pub tag_groups: u64,
-    /// Containers rewritten.
+    /// Fresh containers written (each group's old ones are removed).
     pub containers_rewritten: u64,
-    /// Chunks moved.
+    /// Chunks copied into the fresh containers.
     pub chunks_moved: u64,
     /// Recipe entries updated to the new locations.
     pub recipe_entries_updated: u64,
@@ -65,12 +69,11 @@ impl<S: ContainerStore> HiDeStore<S> {
 
         // Group archival containers by version tag.
         let mut groups: HashMap<u32, Vec<ContainerId>> = HashMap::new();
-        for id in self.archival_mut().ids() {
-            let container = self.archival_mut().read(id)?;
+        for id in self.archival().ids() {
+            let container = self.archival().read(id)?;
             groups.entry(container.version_tag()).or_default().push(id);
         }
 
-        let capacity = self.config().container_capacity;
         let mut relocations: HashMap<Fingerprint, ContainerId> = HashMap::new();
         let mut tags: Vec<u32> = groups.keys().copied().collect();
         tags.sort_unstable();
@@ -85,95 +88,29 @@ impl<S: ContainerStore> HiDeStore<S> {
             // Pull every chunk of the group.
             let mut chunks: Vec<(Fingerprint, bytes::Bytes)> = Vec::new();
             for &id in ids {
-                let container = self.archival_mut().read(id)?;
+                let container = self.archival().read(id)?;
                 chunks.extend(container.drain_chunks());
             }
             // Repack in recipe read order; unreferenced chunks last (they
             // belong to already-expired references and will die with the
             // tag group).
             chunks.sort_by_key(|(fp, _)| order.get(fp).copied().unwrap_or((u32::MAX, u32::MAX)));
-            // Rewrite the group: original IDs are reused in order, and if
-            // the new packing order needs more containers than the group
-            // had (variable-size chunks repack imperfectly), fresh archival
-            // IDs are allocated under the same tag.
-            let group_ids = ids.clone();
-            let mut next_reuse = 0usize;
-            let mut current: Option<Container> = None;
-            // Seal a finished container: `replace` for reused IDs, `write`
-            // for freshly allocated ones.
-            let seal = |store_self: &mut Self, c: Container, reused: bool| {
-                if reused {
-                    store_self.archival_mut().replace(c)
-                } else {
-                    store_self.archival_mut().write(c)
-                }
-            };
-            let mut current_reused = true;
-            for (fp, data) in chunks {
-                report.chunks_moved += 1;
-                loop {
-                    let container = match current.as_mut() {
-                        Some(c) => c,
-                        None => {
-                            let (id, reused) = if next_reuse < group_ids.len() {
-                                next_reuse += 1;
-                                (group_ids[next_reuse - 1], true)
-                            } else {
-                                (self.alloc_archival_id(), false)
-                            };
-                            let mut c = Container::new(id, capacity);
-                            c.set_version_tag(tag);
-                            current_reused = reused;
-                            current.insert(c)
-                        }
-                    };
-                    if container.try_add(fp, &data) {
-                        relocations.insert(fp, container.id());
-                        break;
-                    }
-                    if let Some(full) = current.take() {
-                        report.containers_rewritten += 1;
-                        seal(self, full, current_reused)?;
-                    }
-                }
-            }
-            if let Some(last) = current.take() {
-                report.containers_rewritten += 1;
-                seal(self, last, current_reused)?;
-            }
-            // Drop any group containers left empty by tighter packing.
-            for &id in &group_ids[next_reuse..] {
+            report.chunks_moved += chunks.len() as u64;
+            // The group is written afresh under new IDs and the same tag;
+            // its old containers leave through the deferred-removal queue,
+            // so a crash before the next save still restores every
+            // committed version from them.
+            let (homes, sealed) = self.pack_archival(tag, chunks)?;
+            relocations.extend(homes);
+            report.containers_rewritten += sealed;
+            for &id in ids {
                 self.archival_mut().remove(id)?;
             }
         }
 
         // Point every recipe at the new homes.
-        report.recipe_entries_updated = self.apply_archival_relocations(&relocations);
+        report.recipe_entries_updated = self.recipes_mut_internal().relocate_archival(&relocations);
         Ok(report)
-    }
-
-    pub(crate) fn apply_archival_relocations(
-        &mut self,
-        relocations: &HashMap<Fingerprint, ContainerId>,
-    ) -> u64 {
-        let mut updated = 0;
-        for version in self.recipes().versions() {
-            let Some(recipe) = self.recipes_mut_internal().get_mut(version) else {
-                continue;
-            };
-            for entry in recipe.entries_mut() {
-                if entry.cid.as_archival().is_some() {
-                    if let Some(&new_cid) = relocations.get(&entry.fingerprint) {
-                        let new = Cid::archival(new_cid);
-                        if entry.cid != new {
-                            entry.cid = new;
-                            updated += 1;
-                        }
-                    }
-                }
-            }
-        }
-        updated
     }
 }
 

@@ -32,12 +32,12 @@
 //! through the store's deferred-removal queue, which the next
 //! `save_repository` journals atomically with the repointed recipes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use hidestore_hash::{Fingerprint, FINGERPRINT_LEN};
 use hidestore_storage::{
-    Cid, Container, ContainerId, ContainerStore, Recipe, RecipeEntry, RecipeStore, VersionId,
+    Cid, ContainerId, ContainerStore, Recipe, RecipeEntry, RecipeStore, VersionId,
 };
 
 use crate::config::DedupMode;
@@ -213,52 +213,26 @@ impl<S: ContainerStore> HiDeStore<S> {
             DedupMode::HiDeStore => unreachable!("inline scheme in out-of-line ingest"),
         }
 
-        // Store pass: new chunks go into fresh archival containers tagged
-        // with this version; duplicates within the version reuse the copy
-        // stored moments ago.
-        let capacity = self.config().container_capacity;
-        let mut recipe = Recipe::new(version);
-        let mut stored_bytes = 0u64;
-        let mut unique_chunks = 0u64;
-        let mut sealed = 0u64;
-        let mut open: Option<Container> = None;
-        let mut stored: HashMap<Fingerprint, ContainerId> = HashMap::new();
-        for (i, (&fp, &size)) in fingerprints.iter().zip(sizes).enumerate() {
-            let cid = match placements[i].or_else(|| stored.get(&fp).copied()) {
-                Some(cid) => cid,
-                None => {
-                    let data = content(i);
-                    let cid = loop {
-                        let container = match open.as_mut() {
-                            Some(c) => c,
-                            None => {
-                                let id = self.alloc_archival_id();
-                                let mut c = Container::new(id, capacity);
-                                c.set_version_tag(version.get());
-                                open.insert(c)
-                            }
-                        };
-                        if container.try_add(fp, &data) {
-                            break container.id();
-                        }
-                        if let Some(full) = open.take() {
-                            self.archival_mut().write(full)?;
-                            sealed += 1;
-                        }
-                    };
-                    stored.insert(fp, cid);
-                    stored_bytes += size as u64;
-                    unique_chunks += 1;
-                    cid
-                }
-            };
-            recipe.push(RecipeEntry::new(fp, size, Cid::archival(cid)));
-        }
-        if let Some(last) = open.take() {
-            if !last.is_empty() {
-                self.archival_mut().write(last)?;
-                sealed += 1;
+        // Store pass: the first copy of every unplaced chunk goes into
+        // fresh archival containers tagged with this version; later
+        // duplicates within the version reuse it.
+        let mut first_copies: Vec<usize> = Vec::new();
+        let mut seen: HashSet<Fingerprint> = HashSet::new();
+        for (i, fp) in fingerprints.iter().enumerate() {
+            if placements[i].is_none() && seen.insert(*fp) {
+                first_copies.push(i);
             }
+        }
+        let (stored, sealed) = self.pack_archival(
+            version.get(),
+            first_copies.iter().map(|&i| (fingerprints[i], content(i))),
+        )?;
+        let stored_bytes: u64 = first_copies.iter().map(|&i| sizes[i] as u64).sum();
+        let unique_chunks = first_copies.len() as u64;
+        let mut recipe = Recipe::new(version);
+        for (i, (&fp, &size)) in fingerprints.iter().zip(sizes).enumerate() {
+            let cid = placements[i].unwrap_or_else(|| stored[&fp]);
+            recipe.push(RecipeEntry::new(fp, size, Cid::archival(cid)));
         }
         self.recipes_mut_internal().insert(recipe);
         // The version just ingested becomes the next one's inline target.
@@ -331,7 +305,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         // Sweep the containers: a chunk survives only where it is some
         // fingerprint's canonical home. Containers that lost chunks are
         // rebuilt under fresh IDs; fully duplicate ones are dropped.
-        let capacity = self.config().container_capacity;
         let mut relocations: HashMap<Fingerprint, ContainerId> = HashMap::new();
         for id in self.archival_mut().ids() {
             let container = self.archival_mut().read(id)?;
@@ -351,40 +324,17 @@ impl<S: ContainerStore> HiDeStore<S> {
                 report.containers_removed += 1;
                 continue;
             }
-            let mut open: Option<Container> = None;
-            for (fp, data) in keep {
-                report.rewritten_bytes += data.len() as u64;
-                loop {
-                    let replacement = match open.as_mut() {
-                        Some(c) => c,
-                        None => {
-                            let fresh = self.alloc_archival_id();
-                            let mut c = Container::new(fresh, capacity);
-                            c.set_version_tag(tag);
-                            open.insert(c)
-                        }
-                    };
-                    if replacement.try_add(fp, &data) {
-                        relocations.insert(fp, replacement.id());
-                        break;
-                    }
-                    if let Some(full) = open.take() {
-                        self.archival_mut().write(full)?;
-                        report.containers_rewritten += 1;
-                    }
-                }
-            }
-            if let Some(last) = open.take() {
-                self.archival_mut().write(last)?;
-                report.containers_rewritten += 1;
-            }
+            report.rewritten_bytes += keep.iter().map(|(_, d)| d.len() as u64).sum::<u64>();
+            let (homes, sealed) = self.pack_archival(tag, keep)?;
+            relocations.extend(homes);
+            report.containers_rewritten += sealed;
             self.archival_mut().remove(id)?;
         }
 
         // Repoint every archival recipe entry at its canonical — and
         // possibly relocated — home.
         canonical.extend(relocations);
-        report.recipe_entries_updated = self.apply_archival_relocations(&canonical);
+        report.recipe_entries_updated = self.recipes_mut_internal().relocate_archival(&canonical);
 
         self.add_out_of_line_rewritten_bytes(report.rewritten_bytes);
         self.rebuild_scheme_state();
@@ -410,8 +360,7 @@ impl<S: ContainerStore> HiDeStore<S> {
                 report.versions_removed += 1;
             }
         }
-        let mut referenced: std::collections::HashSet<ContainerId> =
-            std::collections::HashSet::new();
+        let mut referenced: HashSet<ContainerId> = HashSet::new();
         for recipe in self.recipes().iter() {
             for entry in recipe.entries() {
                 if let Some(cid) = entry.cid.as_archival() {

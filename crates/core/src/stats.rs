@@ -108,7 +108,8 @@ pub struct ScrubReport {
     pub containers_checked: u64,
     /// Chunks whose content was re-hashed and compared to the fingerprint.
     pub chunks_checked: u64,
-    /// Recipes whose chains resolved end to end.
+    /// Recipes whose chains resolved end to end onto chunks their
+    /// containers hold.
     pub recipes_checked: u64,
     /// Every damage found: the container involved (0 when none) and what
     /// is wrong — a chunk that fails its fingerprint, a container that

@@ -12,8 +12,8 @@ use hidestore_restore::{
     RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
 };
 use hidestore_storage::{
-    Cid, Container, ContainerId, ContainerStore, Recipe, RecipeEntry, RecipeStore, StorageError,
-    VersionId,
+    Cid, Container, ContainerBuilder, ContainerId, ContainerStore, Recipe, RecipeEntry,
+    RecipeStore, StorageError, VersionId,
 };
 
 use crate::active::ActivePool;
@@ -327,10 +327,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         cold: &HashMap<Fingerprint, CacheEntry>,
         version: VersionId,
     ) -> Result<(HashMap<Fingerprint, ContainerId>, u64), HiDeStoreError> {
-        let mut moved = HashMap::with_capacity(cold.len());
-        if cold.is_empty() {
-            return Ok((moved, 0));
-        }
         // Deterministic demotion order approximating the old physical
         // layout: by (active container, fingerprint).
         let mut ordered: Vec<(u32, Fingerprint)> = cold
@@ -344,54 +340,68 @@ impl<S: ContainerStore> HiDeStore<S> {
         // If a store write fails mid-demotion, already-written containers
         // are unreferenced orphans (harmless; a later deletion sweeps their
         // tag) and every retained version still restores from the intact
-        // pool.
-        let mut sealed = 0u64;
-        let mut open: Option<Container> = None;
-        let mut pending: Vec<Fingerprint> = Vec::with_capacity(cold.len());
-        for (_, fp) in ordered {
-            let data = match self.pool.get(&fp) {
-                Some(d) => bytes::Bytes::copy_from_slice(d),
+        // pool. The pool is lent out for the copy so the packer can borrow
+        // the store mutably while reading chunks straight from it.
+        let pool = std::mem::replace(
+            &mut self.pool,
+            ActivePool::new(self.config.container_capacity),
+        );
+        let packed = self.pack_archival(
+            version.get(),
+            ordered.iter().filter_map(|(_, fp)| {
+                let data = pool.get(fp);
                 // A cold entry not in the pool would indicate cache/pool
                 // divergence; skip defensively (debug builds assert).
-                None => {
-                    debug_assert!(false, "cold chunk {fp} missing from pool");
-                    continue;
-                }
-            };
-            pending.push(fp);
-            loop {
-                let container = match open.as_mut() {
-                    Some(c) => c,
-                    None => {
-                        let id = ContainerId::new(self.next_archival_id);
-                        self.next_archival_id += 1;
-                        let mut c = Container::new(id, self.config.container_capacity);
-                        c.set_version_tag(version.get());
-                        open.insert(c)
-                    }
-                };
-                if container.try_add(fp, &data) {
-                    moved.insert(fp, container.id());
-                    break;
-                }
-                if let Some(full) = open.take() {
-                    self.archival.write(full)?;
-                    sealed += 1;
-                }
-            }
+                debug_assert!(data.is_some(), "cold chunk {fp} missing from pool");
+                Some((*fp, data?))
+            }),
+        );
+        self.pool = pool;
+        let (moved, sealed) = packed?;
+        // Every archival copy is durable: now the originals can leave the
+        // active pool.
+        for (_, fp) in &ordered {
+            self.pool.remove(fp);
         }
-        if let Some(last) = open.take() {
-            if !last.is_empty() {
-                self.archival.write(last)?;
+        Ok((moved, sealed))
+    }
+
+    /// Packs `chunks`, in order, into fresh archival containers tagged
+    /// `tag` — the one way an archival container is filled. Each container
+    /// is written as soon as it seals, under IDs drawn from the archival
+    /// counter, and never overwritten afterwards. Returns each chunk's new
+    /// home and the number of containers written.
+    ///
+    /// Callers pass chunks that are unique within the call, each no larger
+    /// than a container (`HiDeStoreConfig::validate` guarantees that), so
+    /// the builder neither dedups nor panics.
+    pub(crate) fn pack_archival<D: AsRef<[u8]>>(
+        &mut self,
+        tag: u32,
+        chunks: impl IntoIterator<Item = (Fingerprint, D)>,
+    ) -> Result<(HashMap<Fingerprint, ContainerId>, u64), HiDeStoreError> {
+        let mut builder =
+            ContainerBuilder::new(self.next_archival_id, self.config.container_capacity);
+        builder.set_version_tag(tag);
+        let mut homes = HashMap::new();
+        let mut sealed = 0;
+        for (fp, data) in chunks {
+            let (cid, full) = builder.append(fp, data.as_ref());
+            // Advance the counter with every container opened, so IDs
+            // already on disk are never handed out again even if a write
+            // below fails.
+            self.next_archival_id = builder.next_id();
+            homes.insert(fp, cid);
+            if let Some(full) = full {
+                self.archival.write(full)?;
                 sealed += 1;
             }
         }
-        // Every archival copy is durable: now the originals can leave the
-        // active pool.
-        for fp in pending {
-            self.pool.remove(&fp);
+        if let Some(last) = builder.take_open() {
+            self.archival.write(last)?;
+            sealed += 1;
         }
-        Ok((moved, sealed))
+        Ok((homes, sealed))
     }
 
     /// Restores `version` through any restore cache, resolving the recipe
@@ -701,8 +711,9 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// Damage is *recorded* in [`ScrubReport::corrupt_chunks`], never
     /// skipped, so one scrub enumerates all of it: a chunk that fails its
     /// fingerprint, an archival container that cannot be read or decoded,
-    /// and a version `restore` refuses with
-    /// [`HiDeStoreError::PartialRestore`] (a quarantined dependency or
+    /// a version whose plan names a chunk its container does not hold (or
+    /// a container that could not be read), and a version `restore` refuses
+    /// with [`HiDeStoreError::PartialRestore`] (a quarantined dependency or
     /// recipe, or a pool chunk lost with a quarantined active container).
     /// Quarantined artifacts that no such version depends on — the residue
     /// of an uncommitted save — are not damage.
@@ -713,24 +724,28 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// it.
     pub fn scrub(&self) -> Result<ScrubReport, HiDeStoreError> {
         let mut report = ScrubReport::default();
-        let check = |report: &mut ScrubReport, id: u32, container: &Container| {
+        // Every (container, chunk) pair a readable container holds: what a
+        // restore plan may name.
+        let mut held: HashSet<(ContainerId, Fingerprint)> = HashSet::new();
+        let mut check = |report: &mut ScrubReport, container: &Container| {
             report.containers_checked += 1;
             for (fp, data) in container.iter() {
                 report.chunks_checked += 1;
+                held.insert((container.id(), fp));
                 if Fingerprint::of(data) != fp {
                     let what = format!("chunk {fp} does not match its fingerprint");
-                    report.corrupt_chunks.push((id, what));
+                    report.corrupt_chunks.push((container.id().get(), what));
                 }
             }
         };
         for id in self.archival.ids() {
             match self.archival.read(id) {
-                Ok(container) => check(&mut report, id.get(), &container),
+                Ok(container) => check(&mut report, &container),
                 Err(e) => report.corrupt_chunks.push((id.get(), e.to_string())),
             }
         }
         for (_, container) in self.pool.containers() {
-            check(&mut report, container.id().get(), container);
+            check(&mut report, container);
         }
         let lost_recipes = self.quarantined.iter().filter_map(|e| match e.artifact {
             QuarantinedArtifact::Recipe(v) => Some(v),
@@ -739,9 +754,24 @@ impl<S: ContainerStore> HiDeStore<S> {
         let versions: BTreeSet<VersionId> =
             self.versions().into_iter().chain(lost_recipes).collect();
         for version in versions {
-            let Err(e) = self.resolve_restore_entries(version) else {
-                report.recipes_checked += 1;
-                continue;
+            let e = match self.resolve_restore_entries(version) {
+                Ok(plan) => {
+                    let missing = plan
+                        .iter()
+                        .find(|e| !held.contains(&(e.container, e.fingerprint)));
+                    match missing {
+                        None => report.recipes_checked += 1,
+                        Some(e) => report.corrupt_chunks.push((
+                            e.container.get(),
+                            format!(
+                                "cannot restore {version}: chunk {} is not in container {}",
+                                e.fingerprint, e.container
+                            ),
+                        )),
+                    }
+                    continue;
+                }
+                Err(e) => e,
             };
             let HiDeStoreError::PartialRestore { quarantined, .. } = &e else {
                 return Err(e);
@@ -850,13 +880,6 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     pub(crate) fn recipes_mut_internal(&mut self) -> &mut RecipeStore {
         &mut self.recipes
-    }
-
-    /// Allocates a fresh archival container ID (maintenance passes).
-    pub(crate) fn alloc_archival_id(&mut self) -> ContainerId {
-        let id = ContainerId::new(self.next_archival_id);
-        self.next_archival_id += 1;
-        id
     }
 
     pub(crate) fn next_archival_raw(&self) -> u32 {

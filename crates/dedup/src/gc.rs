@@ -13,7 +13,8 @@ use std::collections::{HashMap, HashSet};
 
 use hidestore_hash::Fingerprint;
 use hidestore_storage::{
-    Cid, Container, ContainerId, ContainerStore, RecipeStore, StorageError, VersionId,
+    ContainerBuilder, ContainerId, ContainerStore, MemoryContainerStore, RecipeStore, StorageError,
+    VersionId,
 };
 
 /// Outcome of a mark-sweep collection.
@@ -39,7 +40,10 @@ pub struct GcReport {
 /// retained metadata — this is the expense the paper's §5.5 highlights). The
 /// sweep phase drops fully-dead containers and compacts containers whose
 /// live fraction fell below `compact_threshold` by merging their survivors
-/// into fresh containers, rewriting affected recipe entries.
+/// into fresh containers, rewriting affected recipe entries. A container
+/// that stays dense is compacted where it stands
+/// ([`MemoryContainerStore::replace`]): this comparator models the
+/// in-memory Destor baseline only, which is why it takes that store type.
 ///
 /// # Errors
 ///
@@ -48,7 +52,7 @@ pub struct GcReport {
 pub fn mark_sweep(
     expired: &[VersionId],
     recipes: &mut RecipeStore,
-    store: &mut dyn ContainerStore,
+    store: &mut MemoryContainerStore,
     compact_threshold: f64,
     next_container_id: &mut u32,
 ) -> Result<GcReport, StorageError> {
@@ -68,7 +72,7 @@ pub fn mark_sweep(
 
     // Sweep: scan every container.
     let mut relocations: HashMap<Fingerprint, ContainerId> = HashMap::new();
-    let mut merge_target: Option<Container> = None;
+    let mut merge: Option<ContainerBuilder> = None;
     for id in store.ids() {
         report.containers_scanned += 1;
         let container = store.read(id)?;
@@ -96,23 +100,15 @@ pub fn mark_sweep(
         if modified.utilization() < compact_threshold {
             // Sparse: migrate live chunks into the merge target.
             report.containers_compacted += 1;
+            let builder = merge.get_or_insert_with(|| {
+                ContainerBuilder::new(*next_container_id, container.capacity())
+            });
             for (fp, data) in modified.drain_chunks() {
-                loop {
-                    let target = match merge_target.as_mut() {
-                        Some(t) => t,
-                        None => {
-                            let new_id = ContainerId::new(*next_container_id);
-                            *next_container_id += 1;
-                            merge_target.insert(Container::new(new_id, container.capacity()))
-                        }
-                    };
-                    if target.try_add(fp, &data) {
-                        relocations.insert(fp, target.id());
-                        break;
-                    }
-                    if let Some(full) = merge_target.take() {
-                        store.write(full)?;
-                    }
+                let (cid, full) = builder.append(fp, &data);
+                *next_container_id = builder.next_id();
+                relocations.insert(fp, cid);
+                if let Some(full) = full {
+                    store.write(full)?;
                 }
             }
             store.remove(id)?;
@@ -121,28 +117,12 @@ pub fn mark_sweep(
             store.replace(modified)?;
         }
     }
-    if let Some(target) = merge_target.take() {
-        if !target.is_empty() {
-            store.write(target)?;
-        }
+    if let Some(last) = merge.and_then(|mut builder| builder.take_open()) {
+        store.write(last)?;
     }
 
     // Fix surviving recipes that referenced migrated chunks.
-    if !relocations.is_empty() {
-        for version in recipes.versions() {
-            let Some(recipe) = recipes.get_mut(version) else {
-                continue;
-            };
-            for entry in recipe.entries_mut() {
-                if let Some(&new_cid) = relocations.get(&entry.fingerprint) {
-                    if entry.cid != Cid::archival(new_cid) {
-                        entry.cid = Cid::archival(new_cid);
-                        report.recipe_entries_updated += 1;
-                    }
-                }
-            }
-        }
-    }
+    report.recipe_entries_updated = recipes.relocate_archival(&relocations);
     Ok(report)
 }
 

@@ -394,9 +394,6 @@ mod tests {
         fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
             self.0.remove(id)
         }
-        fn replace(&mut self, c: Container) -> Result<(), StorageError> {
-            self.0.replace(c)
-        }
         fn ids(&self) -> Vec<ContainerId> {
             self.0.ids()
         }

@@ -1,15 +1,15 @@
 //! Sequential container filling with explicit seal handoff.
 //!
-//! Both backup pipelines (the Destor-style baseline and HiDeStore's cold
-//! demotion) share the same container-filling loop: append chunks to an open
-//! container, seal it when full, open the next one under a fresh ID. The
-//! [`ContainerBuilder`] owns exactly that state — the open container and the
-//! ID counter — and *returns* sealed containers to the caller instead of
-//! writing them itself. Keeping the store out of the builder is what makes it
-//! safe to hand the builder to a commit stage on another thread: the builder
-//! is plain owned data (`Send`), and the single commit stage decides when and
-//! where sealed containers are persisted, so container IDs and store write
-//! order stay deterministic no matter how many threads feed it.
+//! Every sealed container of the workspace is filled by this one loop:
+//! append chunks to an open container, seal it when full, open the next one
+//! under a fresh ID. Its callers are the Destor-style pipeline's commit
+//! stage and mark-sweep GC merge (`hidestore_dedup`), and HiDeStore's
+//! archival writers (`hidestore_core`): cold demotion, out-of-line ingest,
+//! the out-of-line pass and re-clustering. The [`ContainerBuilder`] owns
+//! exactly that state — the open container and the ID counter — and
+//! *returns* sealed containers to the caller instead of writing them
+//! itself, so the caller decides when and where each one is persisted and
+//! keeps the next ID.
 
 use hidestore_hash::Fingerprint;
 
@@ -117,19 +117,9 @@ impl ContainerBuilder {
         self.open.take()
     }
 
-    /// The open container, if any.
-    pub fn open_container(&self) -> Option<&Container> {
-        self.open.as_ref()
-    }
-
     /// The ID the next freshly opened container will get.
     pub fn next_id(&self) -> u32 {
         self.next_id
-    }
-
-    /// The capacity each container is created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -161,8 +151,8 @@ mod tests {
         // 2 chunks of 40 bytes per 100-byte container: 10 chunks = 5
         // containers, 4 sealed plus 1 still open.
         assert_eq!(sealed_ids, vec![1, 2, 3, 4]);
-        assert_eq!(b.open_container().map(|c| c.id().get()), Some(5));
         assert_eq!(b.next_id(), 6);
+        assert_eq!(b.take_open().map(|c| c.id().get()), Some(5));
     }
 
     #[test]
@@ -172,7 +162,7 @@ mod tests {
         let (c2, sealed) = b.append(fp(1), b"data");
         assert_eq!(c1, c2);
         assert!(sealed.is_none());
-        assert_eq!(b.open_container().map(|c| c.chunk_count()), Some(1));
+        assert_eq!(b.take_open().map(|c| c.chunk_count()), Some(1));
     }
 
     #[test]
@@ -183,7 +173,7 @@ mod tests {
         let (_, sealed) = b.append(fp(2), &[1u8; 60]);
         let sealed = sealed.into_iter().next().unwrap();
         assert_eq!(sealed.version_tag(), 9);
-        assert_eq!(b.open_container().map(|c| c.version_tag()), Some(9));
+        assert_eq!(b.take_open().map(|c| c.version_tag()), Some(9));
     }
 
     #[test]

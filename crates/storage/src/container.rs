@@ -101,8 +101,9 @@ impl Container {
     }
 
     /// Tries to append a chunk; returns `false` if the data section would
-    /// overflow the capacity (caller should seal this container and open a
-    /// new one) or if the fingerprint is already present.
+    /// overflow the capacity or if the fingerprint is already present.
+    /// Sealed containers are filled through [`crate::ContainerBuilder`],
+    /// which seals a full container and opens the next.
     pub fn try_add(&mut self, fingerprint: Fingerprint, data: &[u8]) -> bool {
         if self.entries.contains_key(&fingerprint) {
             return false;
@@ -115,11 +116,6 @@ impl Container {
         self.entries
             .insert(fingerprint, (offset, data.len() as u32));
         true
-    }
-
-    /// Whether a chunk with capacity `len` still fits.
-    pub fn has_room(&self, len: usize) -> bool {
-        self.data.len() + len <= self.capacity
     }
 
     /// Looks up a chunk's content by fingerprint.
@@ -358,8 +354,7 @@ mod tests {
         let mut c = Container::new(ContainerId::new(1), 10);
         assert!(c.try_add(fp(1), b"12345678"));
         assert!(!c.try_add(fp(2), b"abc"));
-        assert!(c.has_room(2));
-        assert!(!c.has_room(3));
+        assert!(c.try_add(fp(2), b"ab"), "exactly full still fits");
     }
 
     #[test]

@@ -166,28 +166,24 @@ impl<V: Vfs> FileContainerStore<V> {
         }
         bad
     }
-
-    fn write_file(&self, container: &Container) -> Result<u64, StorageError> {
-        let encoded = container.encode();
-        let tmp = self.dir.join(format!(".c{}.tmp", container.id().get()));
-        self.vfs.write(&tmp, &encoded)?;
-        self.vfs.sync_file(&tmp)?;
-        self.vfs.rename(&tmp, &self.path_of(container.id()))?;
-        // Make the rename durable: without syncing the directory entry a
-        // crash can forget a container the caller believes is sealed.
-        self.vfs.sync_dir(&self.dir)?;
-        Ok(encoded.len() as u64)
-    }
 }
 
 impl<V: Vfs> ContainerStore for FileContainerStore<V> {
     fn write(&mut self, container: Container) -> Result<(), StorageError> {
-        if self.ids.contains(&container.id()) {
-            return Err(StorageError::DuplicateContainer(container.id()));
+        let id = container.id();
+        if self.ids.contains(&id) {
+            return Err(StorageError::DuplicateContainer(id));
         }
-        let written = self.write_file(&container)?;
-        self.ids.insert(container.id());
-        self.counters.count_write(written);
+        let encoded = container.encode();
+        let tmp = self.dir.join(format!(".c{}.tmp", id.get()));
+        self.vfs.write(&tmp, &encoded)?;
+        self.vfs.sync_file(&tmp)?;
+        self.vfs.rename(&tmp, &self.path_of(id))?;
+        // Make the rename durable: without syncing the directory entry a
+        // crash can forget a container the caller believes is sealed.
+        self.vfs.sync_dir(&self.dir)?;
+        self.ids.insert(id);
+        self.counters.count_write(encoded.len() as u64);
         Ok(())
     }
 
@@ -216,14 +212,6 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
             self.vfs.sync_dir(&self.dir)?;
         }
         self.counters.count_delete();
-        Ok(())
-    }
-
-    fn replace(&mut self, container: Container) -> Result<(), StorageError> {
-        if !self.ids.contains(&container.id()) {
-            return Err(StorageError::ContainerNotFound(container.id()));
-        }
-        self.write_file(&container)?;
         Ok(())
     }
 
@@ -373,19 +361,6 @@ mod tests {
             s.write(sample_container(1)),
             Err(StorageError::DuplicateContainer(_))
         ));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn replace_persists_new_content() {
-        let dir = temp_dir("replace");
-        let mut s = FileContainerStore::open(&dir).unwrap();
-        s.write(sample_container(1)).unwrap();
-        let mut modified = sample_container(1);
-        modified.remove(&Fingerprint::synthetic(100));
-        s.replace(modified).unwrap();
-        let back = s.read(ContainerId::new(1)).unwrap();
-        assert_eq!(back.chunk_count(), 9);
         fs::remove_dir_all(&dir).unwrap();
     }
 

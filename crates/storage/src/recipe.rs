@@ -10,7 +10,7 @@
 //! * `cid < 0` — the chunk's location is recorded in the recipe of version
 //!   `-cid` (the recipes form a chain, flattened offline by Algorithm 1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -365,6 +365,24 @@ impl RecipeStore {
         self.recipes.is_empty()
     }
 
+    /// Repoints every archival entry whose chunk moved — `moved` maps a
+    /// fingerprint to its new container — and returns how many entries
+    /// changed. Active and chained entries are left alone.
+    pub fn relocate_archival(&mut self, moved: &HashMap<Fingerprint, ContainerId>) -> u64 {
+        let mut updated = 0;
+        for entry in self.recipes.values_mut().flat_map(Recipe::entries_mut) {
+            if let (Some(at), Some(&home)) =
+                (entry.cid.as_archival(), moved.get(&entry.fingerprint))
+            {
+                if at != home {
+                    entry.cid = Cid::archival(home);
+                    updated += 1;
+                }
+            }
+        }
+        updated
+    }
+
     /// Loads every `r<version>.rcp` under `dir` through `vfs`, collecting
     /// per-file failures instead of aborting on the first corrupt recipe:
     /// one bad file does not block opening the other versions.
@@ -518,6 +536,33 @@ mod tests {
         assert_eq!(s.versions().len(), 3);
         s.remove(VersionId::new(1));
         assert_eq!(s.oldest_version(), Some(VersionId::new(2)));
+    }
+
+    #[test]
+    fn relocate_archival_repoints_only_archival_entries_that_moved() {
+        let c = |id| Cid::archival(ContainerId::new(id));
+        let mut s = RecipeStore::new();
+        let mut r = Recipe::new(VersionId::new(1));
+        r.push(RecipeEntry::new(fp(1), 4, c(1))); // moves 1 -> 7
+        r.push(RecipeEntry::new(fp(2), 4, c(2))); // already home
+        r.push(RecipeEntry::new(fp(3), 4, Cid::ACTIVE)); // not archival
+        r.push(RecipeEntry::new(fp(4), 4, c(1))); // did not move
+        s.insert(r);
+        let moved = HashMap::from([
+            (fp(1), ContainerId::new(7)),
+            (fp(2), ContainerId::new(2)),
+            (fp(3), ContainerId::new(7)),
+        ]);
+        assert_eq!(s.relocate_archival(&moved), 1);
+        let cids: Vec<Cid> = s
+            .get(VersionId::new(1))
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| e.cid)
+            .collect();
+        assert_eq!(cids, vec![c(7), c(2), Cid::ACTIVE, c(1)]);
+        assert_eq!(s.relocate_archival(&moved), 0, "idempotent");
     }
 
     /// Writes `r1.rcp`..`r3.rcp` under a fresh `dir`, one entry each.

@@ -90,6 +90,11 @@ impl IoCounters {
 /// atomics, so restores, scrubs and audits share one store instance — and
 /// may run concurrently — while only writes, removals and
 /// [`ContainerStore::reset_stats`] need `&mut`.
+///
+/// Containers are **written once**: a store adds a container under a fresh
+/// ID and later removes it, never overwrites it, so a committed recipe
+/// keeps finding the chunks its containers were written with. Maintenance
+/// that repacks chunks writes fresh containers and removes the old ones.
 pub trait ContainerStore {
     /// Seals `container` into the store.
     ///
@@ -114,14 +119,6 @@ pub trait ContainerStore {
     ///
     /// Returns [`StorageError::ContainerNotFound`] for unknown IDs.
     fn remove(&mut self, id: ContainerId) -> Result<(), StorageError>;
-
-    /// Replaces an existing container in place (used by offline maintenance
-    /// like merging archival containers). Does not count as a fresh write.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::ContainerNotFound`] if the ID is absent.
-    fn replace(&mut self, container: Container) -> Result<(), StorageError>;
 
     /// All container IDs, ascending.
     fn ids(&self) -> Vec<ContainerId>;
@@ -183,6 +180,23 @@ impl MemoryContainerStore {
             .map(|c| c.used_bytes() as u64)
             .sum()
     }
+
+    /// Replaces an existing container in place, not counted as a write.
+    /// Only the in-memory Destor baseline's mark-sweep GC uses it; it is
+    /// not a [`ContainerStore`] method, so no durable store can overwrite
+    /// a container.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::ContainerNotFound`] if the ID is absent.
+    pub fn replace(&mut self, container: Container) -> Result<(), StorageError> {
+        let id = container.id();
+        if !self.containers.contains_key(&id) {
+            return Err(StorageError::ContainerNotFound(id));
+        }
+        self.containers.insert(id, Arc::new(container));
+        Ok(())
+    }
 }
 
 impl ContainerStore for MemoryContainerStore {
@@ -214,15 +228,6 @@ impl ContainerStore for MemoryContainerStore {
             .remove(&id)
             .ok_or(StorageError::ContainerNotFound(id))?;
         self.counters.count_delete();
-        Ok(())
-    }
-
-    fn replace(&mut self, container: Container) -> Result<(), StorageError> {
-        let id = container.id();
-        if !self.containers.contains_key(&id) {
-            return Err(StorageError::ContainerNotFound(id));
-        }
-        self.containers.insert(id, Arc::new(container));
         Ok(())
     }
 

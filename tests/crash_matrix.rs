@@ -1,7 +1,8 @@
 //! Crash-consistency matrix: enumerate every filesystem operation in a full
-//! open → backup → save → delete lifecycle, crash at each one, reopen, and
-//! require the repository to come back *clean* in exactly one of the states
-//! a save boundary could have left — never a torn mix.
+//! open → backup → save → delete lifecycle (and in the maintenance
+//! lifecycles that add a reverse-dedup or recluster pass), crash at each
+//! one, reopen, and require the repository to come back *clean* in exactly
+//! one of the states a save boundary could have left — never a torn mix.
 //!
 //! "Clean" is checked three ways after every crash:
 //!
@@ -22,7 +23,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport};
+use hidestore::core::{
+    HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport, QuarantinedArtifact,
+};
 use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Vfs};
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
@@ -125,7 +128,16 @@ fn run_sequence_of<V: Vfs>(
 /// restored bytes. Also asserts the audit carries no `Error` finding and
 /// nothing beyond quarantine warnings.
 fn reopen_and_check(dir: &Path, context: &str) -> (BTreeMap<u32, u32>, OpenReport) {
-    let (hds, report) = HiDeStore::open_repository_report(config(), dir)
+    reopen_and_check_with(config(), dir, context)
+}
+
+/// [`reopen_and_check`] for a repository written with `config`.
+fn reopen_and_check_with(
+    config: HiDeStoreConfig,
+    dir: &Path,
+    context: &str,
+) -> (BTreeMap<u32, u32>, OpenReport) {
+    let (hds, report) = HiDeStore::open_repository_report(config, dir)
         .unwrap_or_else(|e| panic!("{context}: reopen after crash must succeed: {e}"));
     let audit = SystemAuditor::new().audit(&hds);
     assert_eq!(
@@ -363,7 +375,9 @@ fn crash_matrix_threaded_backup_variant() {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-line schemes: the reverse-dedup pass crashed at every site.
+// Offline maintenance passes crashed at every site: the out-of-line schemes'
+// reverse-dedup pass and archival re-clustering. Both write fresh
+// containers and defer removing the old ones to the next save.
 // ---------------------------------------------------------------------------
 
 /// Payloads with content recurring after a gap, so the out-of-line pass has
@@ -384,114 +398,198 @@ fn scheme_payloads() -> Vec<Vec<u8>> {
     out
 }
 
-/// The scripted out-of-line lifecycle: three backup+save rounds, then the
-/// reverse-dedup pass + save, then delete_expired(V1) + save — five save
-/// boundaries in all.
-fn run_scheme_sequence<V: Vfs>(
+/// Containers small enough that one version's cold set spans several, so
+/// re-clustering has multi-container tag groups to repack.
+fn recluster_config() -> HiDeStoreConfig {
+    HiDeStoreConfig {
+        container_capacity: 8 * 1024,
+        ..config()
+    }
+}
+
+/// Churned versions whose 16 KB edits demote two or more containers' worth
+/// of cold chunks per version.
+fn recluster_payloads() -> Vec<Vec<u8>> {
+    let mut data = noise(40_000, 9);
+    let mut out = Vec::new();
+    for round in 0..3u64 {
+        out.push(data.clone());
+        let start = (round as usize * 11_000) % 24_000;
+        data[start..start + 16_000].copy_from_slice(&noise(16_000, 300 + round));
+    }
+    out
+}
+
+/// The offline pass a maintenance lifecycle runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pass {
+    /// `out_of_line_pass` (revdedup / hybrid repositories).
+    OutOfLine,
+    /// `recluster_archival`.
+    Recluster,
+}
+
+/// The scripted maintenance lifecycle: one backup+save round per payload,
+/// then `pass` + save, then delete_expired(V1) + save — five save
+/// boundaries for three payloads. Returns the tag groups a recluster pass
+/// repacked (0 when the pass did not run or is not a recluster).
+fn run_pass_sequence<V: Vfs>(
     dir: &Path,
     vfs: V,
     saves: usize,
-    scheme: hidestore::core::DedupMode,
-) -> Result<(), HiDeStoreError> {
-    let payloads = scheme_payloads();
-    let (mut hds, _) = HiDeStore::open_repository_with(config().with_scheme(scheme), dir, vfs)?;
+    config: HiDeStoreConfig,
+    payloads: &[Vec<u8>],
+    pass: Pass,
+) -> Result<u64, HiDeStoreError> {
+    let (mut hds, _) = HiDeStore::open_repository_with(config, dir, vfs)?;
     let mut done = 0;
-    for data in &payloads {
+    for data in payloads {
         if done >= saves {
-            return Ok(());
+            return Ok(0);
         }
         hds.backup(data)?;
         hds.save_repository(dir)?;
         done += 1;
     }
     if done >= saves {
-        return Ok(());
+        return Ok(0);
     }
-    hds.out_of_line_pass()?;
+    let tag_groups = match pass {
+        Pass::OutOfLine => {
+            hds.out_of_line_pass()?;
+            0
+        }
+        Pass::Recluster => hds.recluster_archival()?.tag_groups,
+    };
     hds.save_repository(dir)?;
     done += 1;
     if done >= saves {
-        return Ok(());
+        return Ok(tag_groups);
     }
     hds.delete_expired(VersionId::new(1))?;
     hds.save_repository(dir)?;
-    Ok(())
+    Ok(tag_groups)
 }
 
-/// [`reopen_and_check`] for a scheme repository (same audit bar: no errors,
-/// nothing beyond quarantine warnings — half-rewritten containers from a
-/// mid-pass crash must come back quarantined, never live).
-fn reopen_and_check_scheme(
-    dir: &Path,
-    scheme: hidestore::core::DedupMode,
-    context: &str,
-) -> BTreeMap<u32, u32> {
-    let (hds, _) = HiDeStore::open_repository_report(config().with_scheme(scheme), dir)
-        .unwrap_or_else(|e| panic!("{context}: reopen after crash must succeed: {e}"));
-    let audit = SystemAuditor::new().audit(&hds);
-    assert_eq!(
-        audit.count(Severity::Error),
-        0,
-        "{context}: audit must be error-free, got:\n{:#?}",
-        audit.findings
-    );
-    assert!(
-        audit.findings.iter().all(|f| matches!(
-            f.kind,
-            FindingKind::QuarantinedArtifact { .. } | FindingKind::QuarantinedRef { .. }
-        )),
-        "{context}: only quarantine warnings tolerated, got:\n{:#?}",
-        audit.findings
-    );
-    let mut state = BTreeMap::new();
-    for v in hds.versions() {
-        let mut out = Vec::new();
-        hds.restore(v, &mut Faa::new(1 << 18), &mut out)
-            .unwrap_or_else(|e| panic!("{context}: retained {v} must restore: {e}"));
-        state.insert(v.get(), crc32(&out));
+/// Crashes the maintenance lifecycle at every filesystem op site: recovery
+/// must land exactly on a save boundary — a crash mid-pass either rolls
+/// back (fresh-id containers quarantined as residue) or rolls forward
+/// (journaled removals applied), never a torn mix. The audit bar is
+/// [`reopen_and_check`]'s: no errors, nothing beyond quarantine warnings.
+fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>], pass: Pass) {
+    let scratch = Scratch::new(&format!("{tag}-count"));
+    let vfs = FaultVfs::counting();
+    let tag_groups = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass)
+        .expect("counting run");
+    let total = vfs.ops();
+    assert!(total > 50, "{tag}: sequence too small: {total} ops");
+    if pass == Pass::Recluster {
+        assert!(
+            tag_groups > 0,
+            "{tag}: no multi-container tag group to repack"
+        );
     }
-    state
+    drop(scratch);
+
+    let boundaries: Vec<BTreeMap<u32, u32>> = (0..=payloads.len() + 2)
+        .map(|saves| {
+            let scratch = Scratch::new(&format!("{tag}-boundary-{saves}"));
+            let real = hidestore::failpoint::RealVfs;
+            run_pass_sequence(&scratch.0, real, saves, config, payloads, pass)
+                .expect("unfaulted boundary build");
+            reopen_and_check_with(config, &scratch.0, &format!("{tag} boundary {saves}")).0
+        })
+        .collect();
+
+    for site in 0..total {
+        let scratch = Scratch::new(&format!("{tag}-site-{site}"));
+        let vfs = FaultVfs::armed(site, FaultKind::Error);
+        let result = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass);
+        assert!(
+            vfs.crashed() && result.is_err(),
+            "{tag} site {site}: the fault must fire and fail the sequence"
+        );
+        let ctx = format!("{tag} site {site}");
+        let (state, _) = reopen_and_check_with(config, &scratch.0, &ctx);
+        assert_at_boundary(&state, &boundaries, &ctx);
+    }
 }
 
-/// Crash the out-of-line lifecycle at every filesystem op site, for both
-/// out-of-line schemes: recovery must land exactly on a save boundary — a
-/// crash mid-reverse-dedup either rolls back (fresh-id rewrites quarantined)
-/// or rolls forward (journaled removals applied), never a torn mix.
+/// The out-of-line lifecycle for both out-of-line schemes.
 #[test]
 fn crash_matrix_out_of_line_pass_every_site() {
     use hidestore::core::DedupMode;
 
     for scheme in [DedupMode::RevDedup, DedupMode::Hybrid] {
-        let tag = format!("oop-{scheme}");
-        let scratch = Scratch::new(&format!("{tag}-count"));
-        let vfs = FaultVfs::counting();
-        run_scheme_sequence(&scratch.0, vfs.clone(), usize::MAX, scheme).expect("counting run");
-        let total = vfs.ops();
-        assert!(total > 50, "{tag}: sequence too small: {total} ops");
-        drop(scratch);
-
-        let boundaries: Vec<BTreeMap<u32, u32>> = (0..=5)
-            .map(|saves| {
-                let scratch = Scratch::new(&format!("{tag}-boundary-{saves}"));
-                run_scheme_sequence(&scratch.0, hidestore::failpoint::RealVfs, saves, scheme)
-                    .expect("unfaulted boundary build");
-                reopen_and_check_scheme(&scratch.0, scheme, &format!("{tag} boundary {saves}"))
-            })
-            .collect();
-
-        for site in 0..total {
-            let scratch = Scratch::new(&format!("{tag}-site-{site}"));
-            let vfs = FaultVfs::armed(site, FaultKind::Error);
-            let result = run_scheme_sequence(&scratch.0, vfs.clone(), usize::MAX, scheme);
-            assert!(
-                vfs.crashed() && result.is_err(),
-                "{tag} site {site}: the fault must fire and fail the sequence"
-            );
-            let ctx = format!("{tag} site {site}");
-            let state = reopen_and_check_scheme(&scratch.0, scheme, &ctx);
-            assert_at_boundary(&state, &boundaries, &ctx);
-        }
+        let config = config().with_scheme(scheme);
+        sweep_pass_every_site(
+            &format!("oop-{scheme}"),
+            config,
+            &scheme_payloads(),
+            Pass::OutOfLine,
+        );
     }
+}
+
+/// The recluster lifecycle: committed containers are never overwritten, so
+/// a crash anywhere in the pass or its save keeps every committed version.
+#[test]
+fn crash_matrix_recluster_every_site() {
+    sweep_pass_every_site(
+        "recluster",
+        recluster_config(),
+        &recluster_payloads(),
+        Pass::Recluster,
+    );
+}
+
+/// Re-clustering dropped before its save — a crash, or a save that failed —
+/// leaves the committed layout intact: every committed version restores
+/// byte-exact and each fresh container sits in quarantine as residue.
+#[test]
+fn recluster_dropped_before_save_keeps_committed_versions() {
+    let scratch = Scratch::new("recluster-unsaved");
+    let config = HiDeStoreConfig {
+        avg_chunk_size: 1024,
+        container_capacity: 8 * 1024,
+        ..HiDeStoreConfig::small_for_tests()
+    };
+    let mut data = noise(200_000, 41);
+    let mut snapshots = Vec::new();
+    let rewritten = {
+        let mut hds = HiDeStore::open_repository(config, &scratch.0).expect("open");
+        for round in 0..8u64 {
+            hds.backup(&data).expect("backup");
+            snapshots.push(data.clone());
+            let start = (round as usize * 23_000) % 150_000;
+            data[start..start + 20_000].copy_from_slice(&noise(20_000, 900 + round));
+        }
+        hds.save_repository(&scratch.0).expect("save");
+        let report = hds.recluster_archival().expect("recluster");
+        assert!(report.containers_rewritten > 0, "{report:?}");
+        report.containers_rewritten
+    };
+
+    let (hds, open) = HiDeStore::open_repository_report(config, &scratch.0).expect("reopen");
+    for (i, snapshot) in snapshots.iter().enumerate() {
+        let v = VersionId::new(i as u32 + 1);
+        let mut out = Vec::new();
+        hds.restore(v, &mut Faa::new(1 << 18), &mut out)
+            .unwrap_or_else(|e| panic!("committed {v} must restore: {e}"));
+        assert!(out == *snapshot, "{v} restored wrong bytes");
+    }
+    let scrub = hds.scrub().expect("scrub");
+    assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+    assert_eq!(
+        open.quarantined.len() as u64,
+        rewritten,
+        "{:?}",
+        open.quarantined
+    );
+    assert!(open
+        .quarantined
+        .iter()
+        .all(|q| matches!(q.artifact, QuarantinedArtifact::ArchivalContainer(_))));
 }
 
 // ---------------------------------------------------------------------------

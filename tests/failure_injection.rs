@@ -69,10 +69,6 @@ impl ContainerStore for FlakyStore {
         self.inner.remove(id)
     }
 
-    fn replace(&mut self, container: Container) -> Result<(), StorageError> {
-        self.inner.replace(container)
-    }
-
     fn ids(&self) -> Vec<ContainerId> {
         self.inner.ids()
     }
@@ -171,6 +167,60 @@ fn pipeline_failed_backup_preserves_old_versions() {
     p.restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut out)
         .unwrap();
     assert_eq!(out, v1, "V1 must survive the failed ingest");
+}
+
+/// A container swapped for a same-ID copy that lost a chunk a retained
+/// version reads: every chunk left still matches its fingerprint and every
+/// plan still resolves, yet the version cannot restore. `scrub` must say so
+/// and name the container, and the auditor must agree.
+#[test]
+fn scrub_and_audit_flag_a_container_missing_a_referenced_chunk() {
+    let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());
+    let mut data = noise(60_000, 11);
+    for round in 0..4u64 {
+        hds.backup(&data).unwrap();
+        let start = (round as usize * 9_000) % 50_000;
+        data[start..start + 7_000].copy_from_slice(&noise(7_000, 500 + round));
+    }
+    assert!(hds.scrub().unwrap().is_clean());
+
+    let lost = hds
+        .restore_plan(VersionId::new(1))
+        .unwrap()
+        .into_iter()
+        .find(|e| hds.archival().contains(e.container))
+        .expect("V1 reads an archival container after churn");
+    let original = hds.archival().read(lost.container).unwrap();
+    let mut copy = Container::new(original.id(), original.capacity());
+    copy.set_version_tag(original.version_tag());
+    for (fp, bytes) in original.iter().filter(|&(fp, _)| fp != lost.fingerprint) {
+        assert!(copy.try_add(fp, bytes));
+    }
+    hds.archival_mut().replace(copy).unwrap();
+    assert!(hds
+        .restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut Vec::new())
+        .is_err());
+
+    let scrub = hds.scrub().unwrap();
+    assert!(!scrub.is_clean());
+    assert!(
+        scrub
+            .corrupt_chunks
+            .iter()
+            .any(|(id, what)| *id == lost.container.get() && what.contains("cannot restore V1")),
+        "{:?}",
+        scrub.corrupt_chunks
+    );
+    let audit = SystemAuditor::new().audit(&hds);
+    assert!(
+        audit.findings.iter().any(|f| matches!(
+            f.kind,
+            FindingKind::ArchivalChunkMissing { version: 1, container, .. }
+                if container == lost.container.get()
+        )),
+        "{:#?}",
+        audit.findings
+    );
 }
 
 #[test]
