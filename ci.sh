@@ -11,10 +11,7 @@
 #   3. cargo xtask analyze          -- static-analysis wall: Vfs I/O
 #                                      discipline, lock discipline, wire
 #                                      safety, panic markers, raw-socket use
-#   4. cargo clippy -D warnings     -- clippy across every target, plus a
-#                                      type-check of the criterion benches,
-#                                      which --all-targets skips behind their
-#                                      required feature
+#   4. cargo clippy -D warnings     -- clippy across every target
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
@@ -67,7 +64,7 @@
 #                                      that breaks it fails here, not in
 #                                      the perf gate
 #
-# Everything runs offline against the vendored dependencies in vendor/.
+# Everything runs offline; the one external dependency is vendored in vendor/.
 set -eu
 
 echo "ci: cargo fmt --check"
@@ -81,8 +78,6 @@ cargo xtask analyze
 
 echo "ci: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-echo "ci: cargo check -p hidestore-bench --benches --features criterion-benches"
-cargo check --offline -p hidestore-bench --benches --features criterion-benches
 
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q

@@ -113,7 +113,6 @@ impl Scale {
             container_capacity: self.container,
             compact_threshold: 0.95,
             history_depth: if profile == Profile::Macos { 2 } else { 1 },
-            lookup_unit_bytes: 4096,
             ..HiDeStoreConfig::default()
         }
     }

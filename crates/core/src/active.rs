@@ -3,7 +3,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use hidestore_hash::Fingerprint;
 use hidestore_storage::{Container, ContainerId};
 
@@ -94,10 +93,10 @@ impl ActivePool {
     }
 
     /// Removes a chunk (cold demotion), returning its content.
-    pub fn remove(&mut self, fp: &Fingerprint) -> Option<Bytes> {
+    pub fn remove(&mut self, fp: &Fingerprint) -> Option<Vec<u8>> {
         let cid = self.fp_index.remove(fp)?;
         let container = self.containers.get_mut(&cid)?;
-        let data = container.get(fp).map(Bytes::copy_from_slice);
+        let data = container.get(fp).map(<[u8]>::to_vec);
         container.remove(fp);
         if container.is_empty() {
             self.containers.remove(&cid);
@@ -155,7 +154,7 @@ impl ActivePool {
             // Migrate all chunks of sparse containers into fresh containers,
             // packed tightly in stream order (falling back to the original
             // physical order for unranked chunks).
-            let mut migrating: Vec<(Fingerprint, Bytes)> = Vec::new();
+            let mut migrating: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
             for cid in &sparse_ids {
                 let Some(container) = self.containers.remove(cid) else {
                     continue;
@@ -178,7 +177,7 @@ impl ActivePool {
                     .collect();
                 keyed.sort_unstable();
                 let mut reordered = Vec::with_capacity(migrating.len());
-                let mut taken: Vec<Option<(Fingerprint, Bytes)>> =
+                let mut taken: Vec<Option<(Fingerprint, Vec<u8>)>> =
                     migrating.into_iter().map(Some).collect();
                 for (_, i) in keyed {
                     if let Some(item) = taken[i].take() {
@@ -298,7 +297,7 @@ mod tests {
         let mut pool = ActivePool::new(1024);
         pool.add(fp(1), b"data");
         let data = pool.remove(&fp(1)).unwrap();
-        assert_eq!(data.as_ref(), b"data");
+        assert_eq!(data, b"data");
         assert_eq!(pool.locate(&fp(1)), None);
         assert!(pool.remove(&fp(1)).is_none());
     }

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 
 use hidestore_hash::Fingerprint;
-use hidestore_storage::{Cid, ContainerId, RecipeStore, VersionId};
+use hidestore_storage::{Cid, ContainerId, RecipeEntry, RecipeStore, VersionId};
 
 use crate::active::ActivePool;
 use crate::composite::ACTIVE_ID_BASE;
@@ -181,23 +181,25 @@ pub fn resolve_plan(
     let mut maps: HashMap<VersionId, HashMap<Fingerprint, Cid>> = HashMap::new();
     let mut plan = Vec::with_capacity(recipe.len());
     for entry in recipe.entries() {
-        let container = resolve_one(recipes, pool, &mut maps, entry.fingerprint, entry.cid)?;
+        let container = resolve_one(recipes, pool, &mut maps, version, entry)?;
         plan.push((entry.fingerprint, entry.size, container));
     }
     Ok(plan)
 }
 
+/// Resolves one entry of `version`'s recipe.
 fn resolve_one(
     recipes: &RecipeStore,
     pool: &ActivePool,
     maps: &mut HashMap<VersionId, HashMap<Fingerprint, Cid>>,
-    fp: Fingerprint,
-    mut cid: Cid,
+    version: VersionId,
+    entry: &RecipeEntry,
 ) -> Result<ContainerId, ResolveError> {
-    // Chains are finite: each hop moves to a strictly newer version. A
-    // corrupt recipe could point backwards and close a multi-hop cycle, so
-    // the invariant is enforced, not assumed.
-    let mut newest_hop = 0u32;
+    let (fp, mut cid) = (entry.fingerprint, entry.cid);
+    // Chains are finite: each hop, the first included, moves to a strictly
+    // newer version. A corrupt recipe could point backwards and close a
+    // multi-hop cycle, so the invariant is enforced, not assumed.
+    let mut newest_hop = version.get();
     loop {
         if let Some(archival) = cid.as_archival() {
             return Ok(archival);
@@ -230,28 +232,20 @@ fn resolve_one(
                     .collect(),
             );
         }
-        let next = maps[&w]
+        cid = maps[&w]
             .get(&fp)
             .copied()
             .ok_or(ResolveError::BrokenChain {
                 fingerprint: fp,
                 version: w,
             })?;
-        // Guard against self-loops from corrupt recipes.
-        if next == cid {
-            return Err(ResolveError::BrokenChain {
-                fingerprint: fp,
-                version: w,
-            });
-        }
-        cid = next;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidestore_storage::{Recipe, RecipeEntry};
+    use hidestore_storage::Recipe;
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
@@ -463,6 +457,25 @@ mod tests {
             resolve_plan(&recipes, &pool, VersionId::new(1)),
             Err(ResolveError::BrokenChain { .. })
         ));
+    }
+
+    #[test]
+    fn resolve_rejects_a_first_hop_to_an_older_version() {
+        let mut recipes = RecipeStore::new();
+        // Corrupt: V2's entry chains back to V1, which does hold the chunk.
+        recipes.insert(recipe_with(1, &[(1, 17)]));
+        recipes.insert(recipe_with(2, &[(1, -1)]));
+        let pool = ActivePool::new(1024);
+        assert_eq!(
+            resolve_plan(&recipes, &pool, VersionId::new(2)),
+            Err(ResolveError::BrokenChain {
+                fingerprint: fp(1),
+                version: VersionId::new(1),
+            })
+        );
+        // The same hop from an older version's point of view is fine.
+        let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
+        assert_eq!(plan[0].2, ContainerId::new(17));
     }
 
     #[test]

@@ -99,10 +99,6 @@ pub struct HiDeStoreConfig {
     /// uses 1; for macos-like workloads where chunks skip a version before
     /// going cold (Figure 3d) it adds "another hash table", i.e. depth 2.
     pub history_depth: usize,
-    /// Size in bytes of one index-lookup I/O unit, used to express the cost
-    /// of prefetching the previous recipe in the same units as the
-    /// traditional schemes' index lookups (§5.2.2).
-    pub lookup_unit_bytes: usize,
     /// Deduplication scheme of the repository (`init --scheme`, persisted
     /// as the `scheme=` config key; absent key = HiDeStore).
     pub scheme: DedupMode,
@@ -116,7 +112,6 @@ impl Default for HiDeStoreConfig {
             container_capacity: 4 * 1024 * 1024,
             compact_threshold: 0.95,
             history_depth: 1,
-            lookup_unit_bytes: 4096,
             scheme: DedupMode::HiDeStore,
         }
     }
@@ -131,7 +126,6 @@ impl HiDeStoreConfig {
             container_capacity: 32 * 1024,
             compact_threshold: 0.5,
             history_depth: 1,
-            lookup_unit_bytes: 4096,
             scheme: DedupMode::HiDeStore,
         }
     }
@@ -249,8 +243,8 @@ impl HiDeStoreConfig {
     ///
     /// [`HiDeStoreError::Config`] naming the first out-of-range field: an
     /// average chunk under 64 bytes, a history depth of 0, a compaction
-    /// threshold outside `(0, 1]`, a zero lookup unit, or a container
-    /// smaller than the maximum chunk.
+    /// threshold outside `(0, 1]`, or a container smaller than the maximum
+    /// chunk.
     pub fn validate(&self) -> Result<(), HiDeStoreError> {
         let invalid = |msg: String| Err(HiDeStoreError::Config(msg));
         if self.avg_chunk_size < 64 {
@@ -267,9 +261,6 @@ impl HiDeStoreConfig {
                 "compaction threshold {} must be in (0, 1]",
                 self.compact_threshold
             ));
-        }
-        if self.lookup_unit_bytes == 0 {
-            return invalid("lookup unit must be non-zero".to_string());
         }
         let max_chunk = self.chunker.build(self.avg_chunk_size).max_size();
         if self.container_capacity < max_chunk {

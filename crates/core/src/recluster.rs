@@ -86,7 +86,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             }
             report.tag_groups += 1;
             // Pull every chunk of the group.
-            let mut chunks: Vec<(Fingerprint, bytes::Bytes)> = Vec::new();
+            let mut chunks: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
             for &id in ids {
                 let container = self.archival().read(id)?;
                 chunks.extend(container.drain_chunks());

@@ -25,6 +25,11 @@ use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 use crate::scheme::SchemeState;
 use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats, ScrubReport};
 
+/// Size in bytes of one index-lookup I/O unit: the previous recipe's
+/// prefetch is charged in these units, the same units as the traditional
+/// schemes' index lookups (§5.2.2).
+const LOOKUP_UNIT_BYTES: u64 = 4096;
+
 /// Errors from HiDeStore operations.
 #[derive(Debug)]
 pub enum HiDeStoreError {
@@ -208,7 +213,7 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     /// Backs up one version given as a chunk *trace* — `(fingerprint,
     /// size)` pairs with no content. Chunk bodies are synthesized filler
-    /// (see [`hidestore_storage::Chunk::synthetic`]), enabling counted
+    /// (see [`hidestore_storage::synthetic_chunk`]), enabling counted
     /// experiments at the paper's version counts (100+) without generating,
     /// chunking, or hashing real data; content verification does not apply.
     ///
@@ -222,11 +227,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         let fingerprints: Vec<Fingerprint> = trace.iter().map(|&(fp, _)| fp).collect();
         let sizes: Vec<u32> = trace.iter().map(|&(_, size)| size).collect();
         self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Owned(
-                hidestore_storage::Chunk::synthetic(trace[i].0, trace[i].1)
-                    .data()
-                    .to_vec(),
-            )
+            std::borrow::Cow::Owned(hidestore_storage::synthetic_chunk(trace[i].0, trace[i].1))
         })
     }
 
@@ -250,7 +251,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         let lookup_requests = version
             .prev()
             .and_then(|p| self.recipes.get(p))
-            .map(|r| (r.encoded_len() as u64).div_ceil(self.config.lookup_unit_bytes as u64))
+            .map(|r| (r.encoded_len() as u64).div_ceil(LOOKUP_UNIT_BYTES))
             .unwrap_or(0);
 
         let mut recipe = Recipe::new(version);

@@ -14,20 +14,21 @@
 //!   shorter than [`STAGED_MIN_BYTES`];
 //! * **staged** — otherwise. The calling thread chunks (boundaries depend on
 //!   everything before them, so chunking is sequential) and hands segments
-//!   of `SEGMENT_CHUNKS` spans through a bounded queue to
+//!   of `SEGMENT_CHUNKS` spans through a bounded `sync_channel` to
 //!   `default_hash_threads()` hashing workers; the hashed segments are put
 //!   back in stream order by sequence number:
 //!
 //! ```text
-//!  calling thread ──queue──► fingerprint workers (×N) ──► sort by segment
+//!  calling thread ─channel─► fingerprint workers (×N) ──► sort by segment
 //!  (chunking)                (pure per chunk)              sequence number
 //! ```
 
 use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Mutex, PoisonError};
 
 use hidestore_chunking::{chunk_spans, Chunker};
 use hidestore_hash::{default_hash_threads, Fingerprint};
-use hidestore_sync::{BoundedQueue, ProducerGuard};
 
 /// Inputs shorter than this run inline even on a multi-core machine: the
 /// crossover measured in DESIGN.md §8. Below it the staged branch has few
@@ -47,6 +48,9 @@ const QUEUE_DEPTH: usize = 4;
 
 /// Chunk spans and the fingerprint of each, in stream order.
 type Chunked = (Vec<Range<usize>>, Vec<Fingerprint>);
+
+/// One segment on its way to a hashing worker: its sequence number and spans.
+type Batch = (usize, Vec<Range<usize>>);
 
 /// One hashed segment: `spans[i]` of the stream has `fingerprints[i]`.
 struct Segment {
@@ -102,48 +106,21 @@ pub fn staged_front_end(
     chunker: &mut dyn Chunker,
     workers: usize,
 ) -> (Vec<Range<usize>>, Vec<Fingerprint>) {
-    let (chunked, _waits) = run_staged(data, chunker, workers, QUEUE_DEPTH);
-    chunked
+    run_staged(data, chunker, workers, QUEUE_DEPTH)
 }
 
-/// The staged engine: the calling thread chunks and pushes segments into a
-/// queue of `depth` slots, `workers` scoped threads hash them. Also returns
-/// how often a thread waited on the queue, the backpressure the depth-1 unit
-/// test asserts.
-fn run_staged(
-    data: &[u8],
-    chunker: &mut dyn Chunker,
-    workers: usize,
-    depth: usize,
-) -> (Chunked, u64) {
-    let queue: BoundedQueue<(usize, Vec<Range<usize>>)> = BoundedQueue::new(depth, 1);
+/// The staged engine: the calling thread chunks and sends segments through a
+/// channel of `depth` slots, `workers` scoped threads hash them.
+fn run_staged(data: &[u8], chunker: &mut dyn Chunker, workers: usize, depth: usize) -> Chunked {
+    let (tx, rx) = sync_channel(depth);
+    let rx = Mutex::new(rx);
     let mut segments: Vec<Segment> = std::thread::scope(|scope| {
         let hashers: Vec<_> = (0..workers.max(1))
-            .map(|_| scope.spawn(|| hash_segments(&queue, data)))
+            .map(|_| scope.spawn(|| hash_segments(&rx, data)))
             .collect();
-        {
-            // Dropped on return or unwind, so the workers always drain.
-            let _done = ProducerGuard(&queue);
-            chunker.reset();
-            let mut pos = 0;
-            let mut seq = 0;
-            let mut spans = Vec::with_capacity(SEGMENT_CHUNKS);
-            while pos < data.len() {
-                let len = chunker.next_chunk_len(&data[pos..]);
-                assert!(
-                    len >= 1 && pos + len <= data.len(),
-                    "chunker returned invalid length {len}"
-                );
-                spans.push(pos..pos + len);
-                pos += len;
-                if spans.len() == SEGMENT_CHUNKS || pos == data.len() {
-                    let segment = std::mem::replace(&mut spans, Vec::with_capacity(SEGMENT_CHUNKS));
-                    // Nothing cancels this queue, so the push cannot fail.
-                    let _ = queue.push((seq, segment));
-                    seq += 1;
-                }
-            }
-        }
+        // Moving the sender in drops it on return or unwind, which ends the
+        // workers' stream.
+        chunk_segments(data, chunker, tx);
         hashers
             .into_iter()
             .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
@@ -157,14 +134,43 @@ fn run_staged(
         spans.extend(segment.spans);
         fingerprints.extend(segment.fingerprints);
     }
-    let (blocked_full, blocked_empty) = queue.blocked_counts();
-    ((spans, fingerprints), blocked_full + blocked_empty)
+    (spans, fingerprints)
+}
+
+/// The chunker: sends `data`'s spans in numbered segments of
+/// `SEGMENT_CHUNKS`, blocking while the channel is full.
+fn chunk_segments(data: &[u8], chunker: &mut dyn Chunker, tx: SyncSender<Batch>) {
+    chunker.reset();
+    let mut pos = 0;
+    let mut seq = 0;
+    let mut spans = Vec::with_capacity(SEGMENT_CHUNKS);
+    while pos < data.len() {
+        let len = chunker.next_chunk_len(&data[pos..]);
+        assert!(
+            len >= 1 && pos + len <= data.len(),
+            "chunker returned invalid length {len}"
+        );
+        spans.push(pos..pos + len);
+        pos += len;
+        if spans.len() == SEGMENT_CHUNKS || pos == data.len() {
+            let segment = std::mem::replace(&mut spans, Vec::with_capacity(SEGMENT_CHUNKS));
+            // The receiver outlives this call, so the send cannot fail.
+            let _ = tx.send((seq, segment));
+            seq += 1;
+        }
+    }
 }
 
 /// One hashing worker: fingerprints segments until the chunker is done.
-fn hash_segments(queue: &BoundedQueue<(usize, Vec<Range<usize>>)>, data: &[u8]) -> Vec<Segment> {
+fn hash_segments(rx: &Mutex<Receiver<Batch>>, data: &[u8]) -> Vec<Segment> {
     let mut done = Vec::new();
-    while let Some((seq, spans)) = queue.pop() {
+    loop {
+        // The guard drops at the end of this statement, so workers hash in
+        // parallel and only take turns receiving.
+        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((seq, spans)) = next else {
+            return done;
+        };
         let fingerprints = spans
             .iter()
             .map(|s| Fingerprint::of(&data[s.clone()]))
@@ -175,7 +181,6 @@ fn hash_segments(queue: &BoundedQueue<(usize, Vec<Range<usize>>)>, data: &[u8]) 
             fingerprints,
         });
     }
-    done
 }
 
 #[cfg(test)]
@@ -244,13 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn depth_one_queue_feels_backpressure_and_keeps_order() {
+    fn depth_one_channel_keeps_order() {
         let data = noise(2_000_000, 3);
-        let (got, waits) = run_staged(&data, &mut TttdChunker::new(1024), 8, 1);
+        let got = run_staged(&data, &mut TttdChunker::new(1024), 8, 1);
         assert_eq!(got, reference(&data));
-        assert!(
-            waits > 0,
-            "a depth-1 queue cannot run without a single wait"
-        );
     }
 }

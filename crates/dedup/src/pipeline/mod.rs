@@ -142,7 +142,7 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
 
     /// Backs up one version given as a chunk *trace* — `(fingerprint,
     /// size)` pairs with no content. Chunk bodies are synthesized filler
-    /// (see [`hidestore_storage::Chunk::synthetic`]), so trace repositories
+    /// (see [`hidestore_storage::synthetic_chunk`]), so trace repositories
     /// support every counted experiment (dedup ratio, lookups, container
     /// reads) at far larger logical scales, but not content verification.
     ///
@@ -156,11 +156,7 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         let fingerprints: Vec<Fingerprint> = trace.iter().map(|&(fp, _)| fp).collect();
         let sizes: Vec<u32> = trace.iter().map(|&(_, size)| size).collect();
         self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Owned(
-                hidestore_storage::Chunk::synthetic(trace[i].0, trace[i].1)
-                    .data()
-                    .to_vec(),
-            )
+            std::borrow::Cow::Owned(hidestore_storage::synthetic_chunk(trace[i].0, trace[i].1))
         })
     }
 

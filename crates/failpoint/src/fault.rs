@@ -3,9 +3,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::vfs::{RealVfs, Vfs};
 
@@ -121,10 +119,16 @@ impl FaultVfs {
         }
     }
 
+    fn plan(&self) -> MutexGuard<'_, PlanState> {
+        // The plan is plain counters; a panicking holder cannot leave it
+        // inconsistent, so a poisoned lock is safe to re-enter.
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of operations observed so far.
     #[must_use]
     pub fn ops(&self) -> u64 {
-        self.plan.lock().ops
+        self.plan().ops
     }
 
     /// Whether the armed fault has fired. Once true, every subsequent
@@ -132,13 +136,13 @@ impl FaultVfs {
     /// is dead.
     #[must_use]
     pub fn crashed(&self) -> bool {
-        self.plan.lock().crashed
+        self.plan().crashed
     }
 
     /// The numbered operations observed so far (counting-run output).
     #[must_use]
     pub fn trace(&self) -> Vec<OpRecord> {
-        self.plan.lock().trace.clone()
+        self.plan().trace.clone()
     }
 
     fn injected_error(site: u64, kind: OpKind) -> io::Error {
@@ -155,7 +159,7 @@ impl FaultVfs {
     /// normally, `Ok(Some(k))` tear the write at byte `k` then fail,
     /// `Err(_)` fail immediately (crashed, or armed with a plain error).
     fn step(&self, kind: OpKind, path: &Path, len: usize) -> io::Result<Option<usize>> {
-        let mut plan = self.plan.lock();
+        let mut plan = self.plan();
         if plan.crashed {
             return Err(Self::crashed_error());
         }

@@ -3,7 +3,6 @@
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 
-use bytes::Bytes;
 use hidestore_hash::Fingerprint;
 use hidestore_storage::ContainerStore;
 
@@ -31,7 +30,7 @@ pub struct Alacc {
     /// Total memory envelope (area + cache); the adaptive split preserves it.
     total_budget: usize,
     adaptive: bool,
-    cache: HashMap<Fingerprint, Bytes>,
+    cache: HashMap<Fingerprint, Vec<u8>>,
     order: Vec<Fingerprint>,
     cached_bytes: usize,
     /// Hits in the area being assembled (drives adaptation).
@@ -87,7 +86,7 @@ impl Alacc {
         self.adaptations
     }
 
-    fn cache_insert(&mut self, fp: Fingerprint, data: Bytes) {
+    fn cache_insert(&mut self, fp: Fingerprint, data: Vec<u8>) {
         if self.cache.contains_key(&fp) {
             return;
         }
@@ -212,7 +211,7 @@ impl RestoreCache for Alacc {
                 // Look-ahead: keep this container's soon-needed chunks.
                 for (fp, data) in container.iter() {
                     if lookahead.contains(&fp) {
-                        self.cache_insert(fp, Bytes::copy_from_slice(data));
+                        self.cache_insert(fp, data.to_vec());
                     }
                 }
             }

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::io::Write;
 
-use bytes::Bytes;
 use hidestore_hash::Fingerprint;
 use hidestore_storage::ContainerStore;
 
@@ -20,7 +19,7 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 #[derive(Debug)]
 pub struct ChunkLru {
     capacity_bytes: usize,
-    cache: HashMap<Fingerprint, Bytes>,
+    cache: HashMap<Fingerprint, Vec<u8>>,
     order: Vec<Fingerprint>,
     cached_bytes: usize,
 }
@@ -48,7 +47,7 @@ impl ChunkLru {
         self.order.push(fp);
     }
 
-    fn insert(&mut self, fp: Fingerprint, data: Bytes) {
+    fn insert(&mut self, fp: Fingerprint, data: Vec<u8>) {
         if self.cache.contains_key(&fp) {
             self.touch(fp);
             return;
@@ -79,27 +78,27 @@ impl RestoreCache for ChunkLru {
         let mut hits = 0u64;
         let mut misses = 0u64;
         for entry in plan {
-            let data = if let Some(data) = self.cache.get(&entry.fingerprint).cloned() {
+            if let Some(data) = self.cache.get(&entry.fingerprint) {
+                out.write_all(data)?;
+                bytes += data.len() as u64;
                 self.touch(entry.fingerprint);
                 hits += 1;
-                data
             } else {
                 misses += 1;
                 let container = store.read(entry.container)?;
-                let needed = container
-                    .get(&entry.fingerprint)
-                    .map(Bytes::copy_from_slice)
-                    .ok_or(RestoreError::MissingChunk {
-                        fingerprint: entry.fingerprint,
-                        container: entry.container,
-                    })?;
+                let needed =
+                    container
+                        .get(&entry.fingerprint)
+                        .ok_or(RestoreError::MissingChunk {
+                            fingerprint: entry.fingerprint,
+                            container: entry.container,
+                        })?;
+                out.write_all(needed)?;
+                bytes += needed.len() as u64;
                 for (fp, chunk) in container.iter() {
-                    self.insert(fp, Bytes::copy_from_slice(chunk));
+                    self.insert(fp, chunk.to_vec());
                 }
-                needed
-            };
-            out.write_all(&data)?;
-            bytes += data.len() as u64;
+            }
         }
         Ok(RestoreReport {
             bytes_restored: bytes,

@@ -4,11 +4,12 @@
 //! the framed wire protocol of `hidestore-proto`:
 //!
 //! * [`serve`] starts the daemon — a `TcpListener` acceptor feeding a
-//!   [`hidestore_sync::BoundedQueue`] of connections to a worker pool, each
-//!   worker speaking the wire protocol over one connection at a
+//!   bounded `std::sync::mpsc::sync_channel` of connections to a worker
+//!   pool, each worker speaking the wire protocol over one connection at a
 //!   time. The returned [`ServerHandle`] exposes the bound address, live
-//!   [`StatsSnapshot`] counters, graceful [`ServerHandle::request_shutdown`]
-//!   / [`ServerHandle::join`], and a force-stop on drop.
+//!   [`StatsSnapshot`] counters, and graceful
+//!   [`ServerHandle::request_shutdown`] / [`ServerHandle::join`], which
+//!   dropping the handle also performs.
 //! * [`RemoteClient`] is the matching blocking client used by the
 //!   `--remote` CLI paths and the test/bench harnesses.
 //! * [`view`] builds the protocol's `List`/`Stats` response types from a
@@ -296,6 +297,36 @@ mod tests {
         let addr = handle.addr();
         drop(handle);
         assert!(RemoteClient::connect(addr).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn connection_queued_when_the_handle_drops_is_refused_typed() {
+        let dir = temp("drop-queued");
+        init_repo(&dir);
+        let config = ServerConfig {
+            workers: 1,
+            ..quiet_config()
+        };
+        let handle = serve(&dir, config).unwrap();
+        let addr = handle.addr();
+        // A holds the only worker; B waits in the queue behind it.
+        let a = RemoteClient::connect(addr).unwrap();
+        let b = std::thread::spawn(move || RemoteClient::connect(addr).map(drop));
+        while handle.stats().accepted < 2 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let dropper = std::thread::spawn(move || drop(handle));
+        // The listener closes once the acceptor has seen the shutdown.
+        while std::net::TcpStream::connect(addr).is_ok() {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        drop(a);
+        match b.join().unwrap() {
+            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::ShuttingDown),
+            other => panic!("expected Remote(ShuttingDown), got {other:?}"),
+        }
+        dropper.join().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -5,11 +5,11 @@
 //!
 //! ```text
 //!             acceptor thread                 worker pool (N threads)
-//!   TcpListener --accept--> BoundedQueue --pop--> handle_connection
-//!                           (hidestore-sync,       |  HELLO version check
-//!                            backpressure on       |  request loop
-//!                            accept bursts)        |  per-request log line
-//!                                                  v
+//!   TcpListener --accept--> sync_channel --recv--> handle_connection
+//!                           (bounded; a full        |  HELLO version check
+//!                            queue sheds with       |  request loop
+//!                            `busy`)                |  per-request log line
+//!                                                   v
 //!                                          TenantRegistry
 //!                                (tenant id -> RepositoryHandle via a
 //!                                 bounded LRU; each tenant has its own
@@ -29,11 +29,10 @@
 //!   triggered by the protocol's `Shutdown` request) stops the acceptor via
 //!   a wake connection, lets in-flight requests finish, refuses queued
 //!   connections with a typed `shutting-down` error, and joins every
-//!   thread. Dropping an un-joined handle force-cancels the queue instead
-//!   (the `CancelGuard` path). There is no signal handler — the workspace
-//!   is std-only — but an unannounced SIGTERM/SIGKILL is still safe: the
-//!   commit journal makes every mutation atomic, so the next open recovers
-//!   the last committed state.
+//!   thread. Dropping an un-joined handle does the same. There is no
+//!   signal handler — the workspace is std-only — but an unannounced
+//!   SIGTERM/SIGKILL is still safe: the commit journal makes every mutation
+//!   atomic, so the next open recovers the last committed state.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -41,7 +40,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroU32;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,7 +54,6 @@ use hidestore_proto::{
 };
 use hidestore_restore::Faa;
 use hidestore_storage::VersionId;
-use hidestore_sync::{BoundedQueue, CancelGuard, ProducerGuard, TryPushError};
 use hidestore_tenant::{RegistryOptions, TenantError, TenantQuota, TenantRegistry};
 
 use crate::client::DEFAULT_NET_TIMEOUT;
@@ -240,7 +239,10 @@ struct Shared {
     /// Each tenant's slot owns its own writer lock and resumable-commit
     /// gate, so unrelated tenants' mutations commit in parallel.
     registry: TenantRegistry,
-    queue: BoundedQueue<(TcpStream, SocketAddr)>,
+    /// Accepted connections waiting for a worker. The acceptor owns the
+    /// sending side; when it exits, the workers drain what is queued and
+    /// stop.
+    queue: Mutex<Receiver<(TcpStream, SocketAddr)>>,
     shutdown: AtomicBool,
     stats: ServerStats,
     config: ServerConfig,
@@ -258,7 +260,7 @@ impl Shared {
     fn sessions(&self) -> MutexGuard<'_, SessionTable> {
         // The table holds plain data; a panicking holder cannot leave it
         // inconsistent, so a poisoned lock is safe to re-enter.
-        self.sessions.lock().unwrap_or_else(|e| e.into_inner())
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sets the shutdown flag and pokes the blocking acceptor with a wake
@@ -284,7 +286,8 @@ impl Shared {
 }
 
 /// A running daemon. Keep it to observe stats and to shut the server down;
-/// dropping it without [`ServerHandle::join`] force-stops the server.
+/// dropping it without [`ServerHandle::join`] shuts the server down the
+/// same graceful way and waits for it.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -349,13 +352,7 @@ impl Drop for ServerHandle {
         if self.threads.is_empty() {
             return;
         }
-        // Force path: cancel the queue (dropping queued connections) and
-        // wake the acceptor, then join. CancelGuard mirrors the pipelines'
-        // error path — its drop unblocks any worker waiting on the queue.
-        {
-            let _cancel = CancelGuard(&self.shared.queue);
-            self.shared.trigger_shutdown();
-        }
+        self.shared.trigger_shutdown();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -391,9 +388,10 @@ pub fn serve(
     let workers = config.workers.max(1);
     let queue_depth = config.queue_depth.max(1);
     let sessions = Mutex::new(SessionTable::new(config.max_sessions, config.session_ttl));
+    let (tx, rx) = sync_channel(queue_depth);
     let shared = Arc::new(Shared {
         registry,
-        queue: BoundedQueue::new(queue_depth, 1),
+        queue: Mutex::new(rx),
         shutdown: AtomicBool::new(false),
         stats: ServerStats::default(),
         config,
@@ -404,7 +402,7 @@ pub fn serve(
     let mut threads = Vec::with_capacity(workers + 1);
     {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || acceptor(&listener, &shared)));
+        threads.push(std::thread::spawn(move || acceptor(&listener, &shared, tx)));
     }
     for _ in 0..workers {
         let shared = Arc::clone(&shared);
@@ -430,10 +428,9 @@ pub fn serve_until_shutdown(repo_dir: &str, config: ServerConfig) -> Result<(), 
     Ok(())
 }
 
-fn acceptor(listener: &TcpListener, shared: &Shared) {
-    // Ensures workers observe end-of-stream even if the acceptor exits on
-    // an unexpected path.
-    let _done = ProducerGuard(&shared.queue);
+/// Accepts connections and queues them for the workers until shutdown.
+/// Owning `tx` means the workers see end-of-stream however this returns.
+fn acceptor(listener: &TcpListener, shared: &Shared, tx: SyncSender<(TcpStream, SocketAddr)>) {
     loop {
         match listener.accept() {
             Ok((stream, peer)) => {
@@ -446,13 +443,14 @@ fn acceptor(listener: &TcpListener, shared: &Shared) {
                 // Admission gate: never park on a saturated worker queue.
                 // A full queue sheds the connection with a retryable
                 // `busy` refusal carrying a backoff hint.
-                match shared.queue.try_push((stream, peer)) {
+                match tx.try_send((stream, peer)) {
                     Ok(()) => {}
-                    Err(TryPushError::Full(rejected)) => {
+                    Err(TrySendError::Full((stream, _))) => {
                         ServerStats::bump(&shared.stats.busy_rejected);
-                        shed_busy(rejected.0, shared);
+                        shed_busy(stream, shared);
                     }
-                    Err(TryPushError::Cancelled(_)) => break, // force shutdown
+                    // The receiver lives in `shared`, so this cannot happen.
+                    Err(TrySendError::Disconnected(_)) => break,
                 }
             }
             Err(_) if shared.shutting_down() => break,
@@ -478,7 +476,17 @@ fn shed_busy(stream: TcpStream, shared: &Shared) {
 }
 
 fn worker(shared: &Shared) {
-    while let Some((stream, peer)) = shared.queue.pop() {
+    loop {
+        // The guard drops at the end of this statement: holding it while
+        // serving would let only one worker run at a time.
+        let next = shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        let Ok((stream, peer)) = next else {
+            return; // the acceptor exited and the queue is drained
+        };
         let mut stream = AnyStream::wrap(stream, shared.config.fault.as_ref());
         if shared.shutting_down() {
             let err = WireError::new(ErrorCode::ShuttingDown, "daemon is draining for shutdown");

@@ -1,86 +1,31 @@
-//! An in-flight chunk: fingerprint plus content bytes.
+//! Filler content for trace-driven backups.
 
-use bytes::Bytes;
 use hidestore_hash::Fingerprint;
 
-/// A chunk flowing through the backup pipeline: content plus its SHA-1
-/// fingerprint.
-///
-/// The content is held in a [`Bytes`] so pipeline stages, containers and
-/// caches can share it without copying.
+/// `size` bytes of trace-mode filler derived from `fingerprint` (its bytes
+/// repeated). Used by the `backup_trace` entry points that replay
+/// fingerprint traces without real content; the filler does **not** hash
+/// back to `fingerprint`, so trace-mode repositories serve counted
+/// experiments, not content verification.
 ///
 /// # Examples
 ///
 /// ```
-/// use hidestore_storage::Chunk;
+/// use hidestore_hash::Fingerprint;
+/// use hidestore_storage::synthetic_chunk;
 ///
-/// let chunk = Chunk::from_data(b"backup payload".as_slice());
-/// assert_eq!(chunk.len(), 14);
-/// assert_eq!(chunk.fingerprint(), hidestore_hash::Fingerprint::of(b"backup payload"));
+/// let fp = Fingerprint::synthetic(5);
+/// let data = synthetic_chunk(fp, 50);
+/// assert_eq!(data.len(), 50);
+/// assert_eq!(&data[..20], fp.as_bytes());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Chunk {
-    fingerprint: Fingerprint,
-    data: Bytes,
-}
-
-impl Chunk {
-    /// Builds a chunk from content, computing its fingerprint.
-    pub fn from_data(data: impl Into<Bytes>) -> Self {
-        let data = data.into();
-        Chunk {
-            fingerprint: Fingerprint::of(&data),
-            data,
-        }
+pub fn synthetic_chunk(fingerprint: Fingerprint, size: u32) -> Vec<u8> {
+    let mut data = Vec::with_capacity(size as usize);
+    while data.len() < size as usize {
+        let take = (size as usize - data.len()).min(20);
+        data.extend_from_slice(&fingerprint.as_bytes()[..take]);
     }
-
-    /// Builds a chunk from a precomputed fingerprint and content.
-    ///
-    /// Used by trace-driven simulations where content is synthetic; callers
-    /// are responsible for fingerprint/content consistency.
-    pub fn from_parts(fingerprint: Fingerprint, data: impl Into<Bytes>) -> Self {
-        Chunk {
-            fingerprint,
-            data: data.into(),
-        }
-    }
-
-    /// Builds a trace-mode chunk: `size` bytes of filler derived from the
-    /// fingerprint (its bytes repeated). Used by the `backup_trace` entry
-    /// points that replay fingerprint traces without real content; the
-    /// filler does **not** hash back to `fingerprint`, so trace-mode
-    /// repositories serve counted experiments, not content verification.
-    pub fn synthetic(fingerprint: Fingerprint, size: u32) -> Self {
-        let mut data = Vec::with_capacity(size as usize);
-        while data.len() < size as usize {
-            let take = (size as usize - data.len()).min(20);
-            data.extend_from_slice(&fingerprint.as_bytes()[..take]);
-        }
-        Chunk {
-            fingerprint,
-            data: data.into(),
-        }
-    }
-
-    /// The chunk's fingerprint.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
-    }
-
-    /// The chunk content.
-    pub fn data(&self) -> &Bytes {
-        &self.data
-    }
-
-    /// Content length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the chunk is empty (never true for pipeline-produced chunks).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
+    data
 }
 
 #[cfg(test)]
@@ -88,40 +33,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_data_fingerprints_content() {
-        let c = Chunk::from_data(&b"abc"[..]);
-        assert_eq!(c.fingerprint(), Fingerprint::of(b"abc"));
-        assert_eq!(c.data().as_ref(), b"abc");
-    }
-
-    #[test]
-    fn from_parts_keeps_given_fingerprint() {
-        let fp = Fingerprint::synthetic(9);
-        let c = Chunk::from_parts(fp, &b"xyz"[..]);
-        assert_eq!(c.fingerprint(), fp);
-    }
-
-    #[test]
-    fn clones_share_data() {
-        let c = Chunk::from_data(vec![1u8; 1024]);
-        let d = c.clone();
-        // Bytes clones are reference-counted: same backing pointer.
-        assert_eq!(c.data().as_ptr(), d.data().as_ptr());
-    }
-
-    #[test]
     fn synthetic_has_requested_size() {
         let fp = Fingerprint::synthetic(5);
-        let c = Chunk::synthetic(fp, 100);
-        assert_eq!(c.len(), 100);
-        assert_eq!(c.fingerprint(), fp);
-        assert_eq!(&c.data()[..20], fp.as_bytes());
-    }
-
-    #[test]
-    fn empty_chunk() {
-        let c = Chunk::from_data(&b""[..]);
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
+        let data = synthetic_chunk(fp, 100);
+        assert_eq!(data.len(), 100);
+        assert_eq!(&data[..20], fp.as_bytes());
+        assert_eq!(&data[80..], &fp.as_bytes()[..]);
+        assert!(synthetic_chunk(fp, 0).is_empty());
     }
 }

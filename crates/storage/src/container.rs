@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use bytes::Bytes;
 use hidestore_hash::Fingerprint;
 
 /// Default container capacity: 4 MiB, as in the paper (§2.1) and Destor.
@@ -307,20 +306,10 @@ impl Container {
         })
     }
 
-    /// Extracts all live chunks as owned `(fingerprint, Bytes)` pairs in
+    /// Extracts all live chunks as owned `(fingerprint, content)` pairs in
     /// physical order — used when migrating chunks between containers.
-    pub fn drain_chunks(&self) -> Vec<(Fingerprint, Bytes)> {
-        let mut live: Vec<(Fingerprint, (u32, u32))> =
-            self.entries.iter().map(|(fp, loc)| (*fp, *loc)).collect();
-        live.sort_by_key(|&(_, (off, _))| off);
-        live.into_iter()
-            .map(|(fp, (off, len))| {
-                (
-                    fp,
-                    Bytes::copy_from_slice(&self.data[off as usize..(off + len) as usize]),
-                )
-            })
-            .collect()
+    pub fn drain_chunks(&self) -> Vec<(Fingerprint, Vec<u8>)> {
+        self.iter().map(|(fp, data)| (fp, data.to_vec())).collect()
     }
 }
 
@@ -444,9 +433,9 @@ mod tests {
         c.try_add(fp(2), b"c2");
         let drained = c.drain_chunks();
         assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].1.as_ref(), b"c3");
-        assert_eq!(drained[1].1.as_ref(), b"c1");
-        assert_eq!(drained[2].1.as_ref(), b"c2");
+        assert_eq!(drained[0].1, b"c3");
+        assert_eq!(drained[1].1, b"c1");
+        assert_eq!(drained[2].1, b"c2");
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod recipe;
 mod store;
 
 pub use builder::ContainerBuilder;
-pub use chunk::Chunk;
+pub use chunk::synthetic_chunk;
 pub use container::{Container, ContainerId, CONTAINER_CAPACITY};
 pub use error::StorageError;
 pub use file_store::FileContainerStore;

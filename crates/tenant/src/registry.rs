@@ -747,7 +747,7 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// The acceptance-criterion proof at the registry layer: tenant A's
+    /// Per-tenant writer locks, proved at the registry layer: tenant A's
     /// commit is held open (its writer lock held mid-mutation) while
     /// tenant B completes a full backup within a watchdog deadline. With
     /// a shared writer lock this deadlocks until the watchdog fires.

@@ -15,13 +15,15 @@ use std::sync::Arc;
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
 use hidestore::storage::FileContainerStore;
 
+use hidestore::core::chain::ResolveError;
 use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreError, QuarantinedArtifact};
 use hidestore::dedup::{BackupPipeline, PipelineConfig};
 use hidestore::index::DdfsIndex;
 use hidestore::restore::Faa;
 use hidestore::rewriting::NoRewrite;
 use hidestore::storage::{
-    Container, ContainerId, ContainerStore, IoStats, MemoryContainerStore, StorageError, VersionId,
+    Cid, Container, ContainerId, ContainerStore, IoStats, MemoryContainerStore, StorageError,
+    VersionId,
 };
 
 /// A store that fails every write once `fail_after_writes` have succeeded.
@@ -501,6 +503,66 @@ fn chain_cycle_is_reported() {
             .iter()
             .any(|f| matches!(f.kind, FindingKind::ChainCycle { .. })),
         "the cycle itself must be among the findings:\n{:#?}",
+        report.findings
+    );
+}
+
+/// A first chain hop to an *older* version — whose recipe does hold the
+/// chunk, archived — must not resolve: restore, scrub and the auditor all
+/// refuse it.
+#[test]
+fn backward_first_chain_hop_is_refused_by_restore_scrub_and_audit() {
+    let scratch = Scratch::new("backward-hop");
+    let dir = &scratch.0;
+    // A, B, A: V1's copy of A goes cold at the end of V2 (archival), and V3
+    // stores A again in the active pool.
+    let a = noise(60_000, 31);
+    let b = noise(60_000, 32);
+    let mut hds = HiDeStore::open_repository(hds_config(), dir).expect("open repository");
+    for data in [&a, &b, &a] {
+        hds.backup(data).expect("backup");
+    }
+    hds.save_repository(dir).expect("save repository");
+    let r1 = recipe_file(dir, 1);
+    assert_eq!(first_archival_entry(&r1), Some(0), "V1's A is archival");
+    // V3's first entry is V1's first chunk: chain it back to V1.
+    patch_recipe_cid(
+        &recipe_file(dir, 3),
+        0,
+        Cid::chained(VersionId::new(1)).raw(),
+    );
+
+    let hds = reopen(dir);
+    let v3 = VersionId::new(3);
+    for (what, result) in [
+        (
+            "restore",
+            hds.restore(v3, &mut Faa::new(1 << 18), &mut Vec::new())
+                .map(drop),
+        ),
+        ("scrub", hds.scrub().map(drop)),
+    ] {
+        assert!(
+            matches!(
+                result,
+                Err(HiDeStoreError::Resolve(ResolveError::BrokenChain { .. }))
+            ),
+            "{what} must refuse the backward hop, got {result:?}"
+        );
+    }
+    let report = SystemAuditor::new().audit(&hds);
+    assert!(
+        report.findings.iter().any(|f| f.severity == Severity::Error
+            && matches!(
+                f.kind,
+                FindingKind::ChainNotVersionOrdered {
+                    version: 3,
+                    from: 3,
+                    to: 1,
+                    ..
+                }
+            )),
+        "{:#?}",
         report.findings
     );
 }

@@ -12,8 +12,8 @@
 //!    any cycle — a potential deadlock order.
 //! 2. **No poison-punting.** `.lock().unwrap()` turns one panicking holder
 //!    into a process-wide cascade. Library code recovers poisoning
-//!    explicitly (`unwrap_or_else(|e| e.into_inner())`, as `crates/sync`
-//!    does) or uses the vendored `parking_lot` stand-in.
+//!    explicitly (`unwrap_or_else(PoisonError::into_inner)`, as the daemon's
+//!    accept queue and the fault-injecting `Vfs` do).
 //!
 //! The analysis is syntactic: a lock *name* is any binding whose declared
 //! type mentions `Mutex<`/`RwLock<`/`Condvar`, or a `let` bound to
