@@ -16,7 +16,10 @@
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
 #                                      and of the reverse-dedup and recluster
-#                                      maintenance lifecycles
+#                                      maintenance lifecycles; then the two
+#                                      persistence tests that a save stages
+#                                      only what changed and that a failed
+#                                      save keeps its changes for the retry
 #   7. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -84,6 +87,9 @@ cargo test --workspace -q
 
 echo "ci: cargo test --release --test crash_matrix"
 cargo test --release --test crash_matrix -q
+cargo test --release -p hidestore-core --lib -q -- \
+    persist::tests::commit_cost_does_not_grow_with_history \
+    persist::tests::failed_save_keeps_its_changes_for_the_retry
 
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q

@@ -1,6 +1,6 @@
 //! The active container pool — the "chunk filter" of §4.2.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use hidestore_hash::Fingerprint;
@@ -30,6 +30,10 @@ pub struct CompactionReport {
 /// (`1, 2, …`); the containers themselves carry
 /// [`ContainerId`]s offset by [`ACTIVE_ID_BASE`] so they can coexist with
 /// archival IDs inside one restore plan.
+///
+/// The pool tracks what changed since the last save, by pool-local ID:
+/// the containers added to, removed from or compacted in place, and the
+/// containers emptied or merged away. The two sets are disjoint.
 #[derive(Debug)]
 pub struct ActivePool {
     capacity: usize,
@@ -38,6 +42,10 @@ pub struct ActivePool {
     open: Option<u32>,
     next_cid: u32,
     fp_index: HashMap<Fingerprint, u32>,
+    /// Pooled containers whose bytes changed since the last save.
+    changed: BTreeSet<u32>,
+    /// IDs removed from the pool since the last save.
+    dropped: BTreeSet<u32>,
 }
 
 impl ActivePool {
@@ -54,7 +62,27 @@ impl ActivePool {
             open: None,
             next_cid: 1,
             fp_index: HashMap::new(),
+            changed: BTreeSet::new(),
+            dropped: BTreeSet::new(),
         }
+    }
+
+    /// Records that container `cid` (present in the pool) changed. A
+    /// dropped ID that holds a container again is published, not removed.
+    pub(crate) fn touch(&mut self, cid: u32) {
+        self.changed.insert(cid);
+        self.dropped.remove(&cid);
+    }
+
+    /// Takes container `cid` out of the pool and records the drop.
+    fn drop_container(&mut self, cid: u32) -> Option<Container> {
+        let container = self.containers.remove(&cid)?;
+        if self.open == Some(cid) {
+            self.open = None;
+        }
+        self.changed.remove(&cid);
+        self.dropped.insert(cid);
+        Some(container)
     }
 
     /// Appends a chunk, returning the active container ID now holding it.
@@ -85,6 +113,7 @@ impl ActivePool {
             };
             if container.try_add(fp, data) {
                 self.fp_index.insert(fp, cid);
+                self.touch(cid);
                 return cid;
             }
             // Full: it stays in the pool (still hot), but stops receiving.
@@ -99,10 +128,9 @@ impl ActivePool {
         let data = container.get(fp).map(<[u8]>::to_vec);
         container.remove(fp);
         if container.is_empty() {
-            self.containers.remove(&cid);
-            if self.open == Some(cid) {
-                self.open = None;
-            }
+            self.drop_container(cid);
+        } else {
+            self.touch(cid);
         }
         data
     }
@@ -155,15 +183,12 @@ impl ActivePool {
             // packed tightly in stream order (falling back to the original
             // physical order for unranked chunks).
             let mut migrating: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
-            for cid in &sparse_ids {
-                let Some(container) = self.containers.remove(cid) else {
+            for &cid in &sparse_ids {
+                let Some(container) = self.drop_container(cid) else {
                     continue;
                 };
                 report.containers_merged += 1;
                 report.bytes_reclaimed += (container.used_bytes() - container.live_bytes()) as u64;
-                if self.open == Some(*cid) {
-                    self.open = None;
-                }
                 for (fp, data) in container.drain_chunks() {
                     self.fp_index.remove(&fp);
                     migrating.push((fp, data));
@@ -194,11 +219,12 @@ impl ActivePool {
         }
         // In-place compaction of remaining containers with dead bytes (does
         // not change CIDs).
-        for container in self.containers.values_mut() {
+        for (&cid, container) in &mut self.containers {
             let dead = container.used_bytes() - container.live_bytes();
             if dead > 0 {
                 report.bytes_reclaimed += dead as u64;
                 container.compact_in_place();
+                self.changed.insert(cid);
             }
         }
         (report, relocations)
@@ -234,10 +260,31 @@ impl ActivePool {
         self.containers.iter().map(|(&cid, c)| (cid, c))
     }
 
+    /// The containers added to, removed from or compacted in place since
+    /// the last [`ActivePool::mark_saved`], as `(pool-local id, container)`
+    /// in ascending ID order.
+    pub(crate) fn changed(&self) -> impl Iterator<Item = (u32, &Container)> {
+        self.changed
+            .iter()
+            .filter_map(|&cid| Some((cid, self.containers.get(&cid)?)))
+    }
+
+    /// Pool-local IDs of the containers emptied or merged away since the
+    /// last [`ActivePool::mark_saved`], ascending. None is in the pool.
+    pub(crate) fn dropped(&self) -> impl Iterator<Item = u32> + '_ {
+        self.dropped.iter().copied()
+    }
+
+    /// Forgets the tracked changes: the caller has persisted the pool.
+    pub(crate) fn mark_saved(&mut self) {
+        self.changed.clear();
+        self.dropped.clear();
+    }
+
     /// Rebuilds a pool from persisted containers (repository reopen). The
     /// containers must carry the [`ACTIVE_ID_BASE`]-offset IDs they were
     /// snapshotted with; a container outside the active ID space is reported
-    /// as an error naming the offending ID.
+    /// as an error naming the offending ID. The pool has no tracked changes.
     pub fn from_containers(capacity: usize, containers: Vec<Container>) -> Result<Self, String> {
         let mut pool = ActivePool::new(capacity);
         for container in containers {
@@ -350,6 +397,69 @@ mod tests {
         let snap = pool.snapshot(cid).unwrap();
         assert_eq!(snap.id().get(), ACTIVE_ID_BASE + cid);
         assert_eq!(snap.get(&fp(1)), Some(&b"snap"[..]));
+    }
+
+    fn changed_ids(pool: &ActivePool) -> Vec<u32> {
+        pool.changed().map(|(cid, _)| cid).collect()
+    }
+
+    #[test]
+    fn add_and_remove_mark_the_container_they_touch() {
+        let mut pool = ActivePool::new(64);
+        let a = pool.add(fp(1), &[1; 30]);
+        assert_eq!(pool.add(fp(3), &[3; 20]), a);
+        let b = pool.add(fp(2), &[2; 40]);
+        assert_eq!(changed_ids(&pool), [a, b]);
+        pool.mark_saved();
+        assert!(changed_ids(&pool).is_empty());
+
+        // A duplicate add changes nothing.
+        pool.add(fp(1), &[1; 30]);
+        assert!(changed_ids(&pool).is_empty());
+        // A removal that leaves chunks behind marks the container.
+        pool.remove(&fp(3));
+        assert_eq!(changed_ids(&pool), [a]);
+        // Emptying a container drops it instead.
+        pool.remove(&fp(2));
+        assert_eq!(pool.dropped().collect::<Vec<_>>(), [b]);
+        assert_eq!(changed_ids(&pool), [a]);
+        pool.mark_saved();
+        assert_eq!(pool.dropped().count(), 0);
+    }
+
+    #[test]
+    fn compaction_marks_merges_refills_and_in_place_compactions() {
+        let mut pool = ActivePool::new(100);
+        for i in 0..6u64 {
+            pool.add(fp(i), &[i as u8; 45]);
+        }
+        let ids = pool.container_ids();
+        for i in [0u64, 2, 4] {
+            pool.remove(&fp(i));
+        }
+        pool.mark_saved();
+        let (report, _) = pool.compact(0.6);
+        assert!(report.containers_merged >= 2, "{report:?}");
+        let dropped: Vec<u32> = pool.dropped().collect();
+        assert_eq!(dropped.len() as u64, report.containers_merged);
+        assert!(dropped.iter().all(|cid| ids.contains(cid)));
+        // Every container still pooled got the merged chunks or was
+        // compacted in place.
+        assert_eq!(changed_ids(&pool), pool.container_ids());
+    }
+
+    #[test]
+    fn in_place_compaction_of_a_loaded_container_marks_it() {
+        // A snapshot persisted with dead bytes: nothing is added to or
+        // removed from it, yet compaction rewrites its bytes.
+        let mut container = Container::new(ContainerId::new(ACTIVE_ID_BASE + 1), 1024);
+        container.try_add(fp(1), &[1; 100]);
+        container.try_add(fp(2), &[2; 100]);
+        container.remove(&fp(2));
+        let mut pool = ActivePool::from_containers(1024, vec![container]).unwrap();
+        assert!(changed_ids(&pool).is_empty(), "a rebuilt pool is clean");
+        pool.compact(0.01);
+        assert_eq!(changed_ids(&pool), [1]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The atomic multi-file commit journal behind `save_repository`.
 //!
-//! A repository save must replace several files (recipes, active-pool
-//! snapshots, `hidestore.meta`) and delete others (expired recipes,
-//! deferred container removals) as one unit: a crash between any two of
-//! those writes would otherwise leave a torn repository. The protocol here
-//! is redo logging with single-file atomic renames as the publish
-//! primitive:
+//! A repository save must replace several files (the recipes and
+//! active-pool snapshots that changed since the last save, and
+//! `hidestore.meta`) and delete others (expired recipes, dropped active
+//! snapshots, deferred container removals) as one unit: a crash between any
+//! two of those writes would otherwise leave a torn repository. The
+//! protocol here is redo logging with single-file atomic renames as the
+//! publish primitive:
 //!
 //! 1. every new file is written to `repo/staging/<relative path>` and
 //!    fsynced (content *and* directories);

@@ -16,7 +16,14 @@
 //! Saves are **transactional** (see [`crate::journal`]): every file of a save
 //! is staged, fsynced, and published under a checksummed commit record, so a
 //! crash at any point leaves the repository openable in either the pre-save
-//! or the post-save state — never a mix. Opens are **degraded-mode**:
+//! or the post-save state — never a mix. Saves cost **what changed**: the
+//! recipe store and the active pool mark every recipe and container they
+//! change, add or drop, so a save stages only the marked files and the meta
+//! and removes only the dropped ones, listing no directory. The open, which
+//! lists `recipes/` and `active/` anyway, records the artifact files that
+//! hold nothing under their own name; the first save removes them and
+//! rewrites what was loaded from them under its own name.
+//! Opens are **degraded-mode**:
 //! unreadable or corrupt containers and recipes are moved to `quarantine/`
 //! and reported (see [`OpenReport`]) instead of aborting the open; versions
 //! that do not depend on quarantined artifacts restore normally, the rest
@@ -39,6 +46,7 @@ use hidestore_storage::{
 };
 
 use crate::cache::{CacheEntry, FingerprintCache};
+use crate::composite::ACTIVE_ID_BASE;
 use crate::config::HiDeStoreConfig;
 use crate::journal::{self, CommitRecord, JournalRecovery, PublishEntry};
 use crate::system::{HiDeStore, HiDeStoreError};
@@ -265,10 +273,7 @@ fn quarantine_file<V: Vfs>(
 
 /// Identifies a recipe file from its name for quarantine reporting.
 fn recipe_artifact(path: &Path) -> QuarantinedArtifact {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
+    let name = file_name(path);
     name.strip_prefix('r')
         .and_then(|s| s.strip_suffix(".rcp"))
         .and_then(|s| s.parse::<u32>().ok())
@@ -281,10 +286,7 @@ fn recipe_artifact(path: &Path) -> QuarantinedArtifact {
 /// Identifies any quarantined file from its name (`c<id>.ctr` archival,
 /// `a<cid>.ctr` active snapshot, `r<v>.rcp` recipe).
 fn quarantined_artifact_of(path: &Path) -> QuarantinedArtifact {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default();
+    let name = file_name(path);
     if let Some(id) = name
         .strip_prefix('c')
         .and_then(|s| s.strip_suffix(".ctr"))
@@ -423,6 +425,9 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
 
         let mut system = HiDeStore::new(config, archival);
         let Some(meta) = meta else {
+            // Nothing is loaded without a meta file: the first save removes
+            // every recipe and snapshot file left in the directory.
+            system.mark_opened(&[], &[], artifact_files(&vfs, dir)?);
             system.set_quarantine(quarantined.clone());
             return Ok((
                 system,
@@ -453,20 +458,31 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
                 reason: err.to_string(),
             });
         }
+        // Artifact files that hold nothing under their own name, which the
+        // first save removes, and what was loaded from them, which it
+        // writes under its own name.
+        let mut strays: Vec<String> = Vec::new();
+        let mut renamed_versions: Vec<VersionId> = Vec::new();
+        let mut renamed_cids: Vec<u32> = Vec::new();
+        for (path, version) in &recipe_report.misnamed {
+            strays.push(format!("recipes/{}", file_name(path)));
+            renamed_versions.push(*version);
+        }
 
         // 7. Active pool, per-file likewise.
         let active_dir = dir.join("active");
         let mut pool_containers: Vec<Container> = Vec::new();
         if vfs.exists(&active_dir) {
             for path in vfs.read_dir(&active_dir).map_err(StorageError::from)? {
-                let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                    continue;
-                };
+                let name = file_name(&path);
                 let Some(cid) = name
                     .strip_prefix('a')
                     .and_then(|s| s.strip_suffix(".ctr"))
                     .and_then(|s| s.parse::<u32>().ok())
                 else {
+                    if name.starts_with('a') && name.ends_with(".ctr") {
+                        strays.push(format!("active/{name}"));
+                    }
                     continue;
                 };
                 let decoded = vfs
@@ -474,7 +490,14 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
                     .map_err(|e| format!("unreadable: {e}"))
                     .and_then(|bytes| Container::decode(&bytes));
                 match decoded {
-                    Ok(container) => pool_containers.push(container),
+                    Ok(container) => {
+                        let own = container.id().get().checked_sub(ACTIVE_ID_BASE);
+                        if name != active_name(cid) || own != Some(cid) {
+                            strays.push(format!("active/{name}"));
+                            renamed_cids.extend(own);
+                        }
+                        pool_containers.push(container);
+                    }
                     Err(reason) => {
                         let dest = quarantine_file(&vfs, &quarantine_dir, &path)?;
                         quarantined.push(QuarantineEntry {
@@ -493,6 +516,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             recipe_report.store,
             pool_containers,
         )?;
+        system.mark_opened(&renamed_versions, &renamed_cids, strays);
         system.set_quarantine(quarantined.clone());
         Ok((
             system,
@@ -507,6 +531,15 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
     /// resume it: recipes, active containers, and counters. Archival
     /// containers are already on disk (the store is file-backed); container
     /// removals deferred by `delete_expired` are committed here.
+    ///
+    /// `dir` is the directory the instance was opened from: its archival
+    /// store already lives there. The save publishes only what changed
+    /// since the open or the last save: the recipes and active containers
+    /// the recipe store and the pool marked, plus the meta file. It removes
+    /// only the versions and containers they dropped and the stray files
+    /// the open found — no directory is listed. The tracked changes are
+    /// forgotten only after the publish succeeds, so a failed save is
+    /// retried in full.
     ///
     /// The save is atomic: every file is staged under `staging/`, fsynced,
     /// and published under a checksummed commit record. A crash at any
@@ -527,60 +560,27 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         let staging = journal::staging_dir(dir);
         let mut record = CommitRecord::default();
 
-        // Assemble the new file set.
+        // Assemble the new file set and the removal set. The deferred
+        // archival queue is only drained after the commit succeeds, so a
+        // failed save retries those removals.
         let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
-        for recipe in self.recipes().iter() {
-            staged.push((
-                format!("recipes/r{}.rcp", recipe.version().get()),
-                recipe.encode(),
-            ));
+        let (recipes, pool) = (self.recipes(), self.pool());
+        let active_path = |cid| format!("active/{}", active_name(cid));
+        for recipe in recipes.changed() {
+            staged.push((recipe_path(recipe.version()), recipe.encode()));
         }
-        let mut live_active: BTreeSet<String> = BTreeSet::new();
-        for (cid, container) in self.pool().containers() {
-            let name = format!("a{cid}.ctr");
-            live_active.insert(name.clone());
-            staged.push((format!("active/{name}"), container.encode()));
+        for (cid, container) in pool.changed() {
+            staged.push((active_path(cid), container.encode()));
         }
+        record.remove = recipes.removed().map(recipe_path).collect();
+        record.remove.extend(pool.dropped().map(active_path));
+        record.remove.extend_from_slice(self.stray_files());
         let meta = RepositoryMeta {
             next_version: self.next_version(),
             next_archival: self.next_archival_raw(),
             history_depth: self.config().history_depth as u32,
         };
         staged.push((META_FILE.to_string(), meta.encode()));
-
-        // Assemble the removal set: stale recipes, stale active snapshots,
-        // and container removals deferred since the last save. The deferred
-        // queue is only drained after the commit succeeds, so a failed save
-        // retries them.
-        let recipes_dir = dir.join("recipes");
-        if vfs.exists(&recipes_dir) {
-            for path in vfs.read_dir(&recipes_dir).map_err(StorageError::from)? {
-                let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                    continue;
-                };
-                if let Some(v) = name.strip_prefix('r').and_then(|s| s.strip_suffix(".rcp")) {
-                    let stale = v
-                        .parse::<u32>()
-                        .ok()
-                        .and_then(|v| (v != 0).then(|| VersionId::new(v)))
-                        .is_none_or(|v| self.recipes().get(v).is_none());
-                    if stale {
-                        record.remove.push(format!("recipes/{name}"));
-                    }
-                }
-            }
-        }
-        let active_dir = dir.join("active");
-        if vfs.exists(&active_dir) {
-            for path in vfs.read_dir(&active_dir).map_err(StorageError::from)? {
-                let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                    continue;
-                };
-                if name.starts_with('a') && name.ends_with(".ctr") && !live_active.contains(&name) {
-                    record.remove.push(format!("active/{name}"));
-                }
-            }
-        }
         for &id in self.archival().deferred_removals() {
             record.remove.push(format!("archival/c{}.ctr", id.get()));
         }
@@ -619,8 +619,45 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // Publish. From here on a crash is rolled *forward* at next open.
         journal::apply(dir, &vfs, &record)?;
         self.archival_mut().take_deferred();
+        self.mark_saved();
         Ok(())
     }
+}
+
+/// The repository-relative path of `version`'s recipe file.
+fn recipe_path(version: VersionId) -> String {
+    format!("recipes/r{}.rcp", version.get())
+}
+
+/// The file name of active container `cid`'s snapshot.
+fn active_name(cid: u32) -> String {
+    format!("a{cid}.ctr")
+}
+
+/// The final component of `path`, lossily as UTF-8.
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
+}
+
+/// Every `recipes/r*.rcp` and `active/a*.ctr` file under `dir`, as
+/// repository-relative paths.
+fn artifact_files<V: Vfs>(vfs: &V, dir: &Path) -> Result<Vec<String>, StorageError> {
+    let mut files = Vec::new();
+    for (sub, prefix, suffix) in [("recipes", 'r', ".rcp"), ("active", 'a', ".ctr")] {
+        let sub_dir = dir.join(sub);
+        if !vfs.exists(&sub_dir) {
+            continue;
+        }
+        for path in vfs.read_dir(&sub_dir)? {
+            let name = file_name(&path);
+            if name.starts_with(prefix) && name.ends_with(suffix) {
+                files.push(format!("{sub}/{name}"));
+            }
+        }
+    }
+    Ok(files)
 }
 
 /// Rebuilds the fingerprint cache from the newest `depth` recipes and the
@@ -683,9 +720,13 @@ pub(crate) fn rebuild_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hidestore_failpoint::{FaultVfs, OpKind, OpRecord, VfsMetadata};
     use hidestore_restore::Faa;
     use std::fs;
+    use std::io;
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -989,6 +1030,264 @@ mod tests {
         system.save_repository(&dir).unwrap();
         let on_disk = fs::read_dir(dir.join("archival")).unwrap().count();
         assert_eq!(on_disk, system.archival().len());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The repository-relative paths a save staged, from its slice of a
+    /// counting trace: the writes under `staging/`, commit record excluded.
+    fn staged_files(ops: &[OpRecord], dir: &Path) -> BTreeSet<String> {
+        let staging = journal::staging_dir(dir);
+        ops.iter()
+            .filter(|op| op.kind == OpKind::Write)
+            .filter_map(|op| op.path.strip_prefix(&staging).ok())
+            .filter(|rel| *rel != Path::new(journal::COMMIT_FILE))
+            .map(|rel| rel.to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// A save costs what the backup changed, not what the repository
+    /// holds: each save stages exactly the tracked changes — at most
+    /// `depth + 1` recipes — lists no directory, and the 40th writes no
+    /// more files than the 4th.
+    #[test]
+    fn commit_cost_does_not_grow_with_history() {
+        let dir = temp_dir("commit-cost");
+        let vfs = FaultVfs::counting();
+        let (mut system, _) = HiDeStore::open_repository_with(config(), &dir, vfs.clone()).unwrap();
+        let depth = system.config().history_depth;
+        let mut data = noise(100_000, 70);
+        let mut files_written = Vec::new();
+        for round in 0..40u64 {
+            let at = (round as usize * 7_919) % 90_000;
+            data[at..at + 4_000].copy_from_slice(&noise(4_000, 100 + round));
+            system.backup(&data).unwrap();
+            let mut expect: BTreeSet<String> = system
+                .recipes()
+                .changed()
+                .map(|r| recipe_path(r.version()))
+                .collect();
+            let recipes = expect.len();
+            expect.extend(
+                system
+                    .pool()
+                    .changed()
+                    .map(|(cid, _)| format!("active/{}", active_name(cid))),
+            );
+            expect.insert(META_FILE.into());
+            let from = vfs.ops() as usize;
+            system.save_repository(&dir).unwrap();
+            let ops = &vfs.trace()[from..];
+            let save = round + 1;
+            assert!(recipes <= depth + 1, "save {save} staged {recipes} recipes");
+            assert_eq!(staged_files(ops, &dir), expect, "save {save}");
+            assert!(
+                ops.iter().all(|op| op.kind != OpKind::ReadDir),
+                "save {save} listed a directory"
+            );
+            files_written.push(ops.iter().filter(|op| op.kind == OpKind::Write).count());
+        }
+        assert!(
+            files_written[39] <= files_written[3],
+            "files written per save: {files_written:?}"
+        );
+
+        // Flatten rewrites the chains of every recipe: the next save stages
+        // them all.
+        system.flatten_recipes();
+        let from = vfs.ops() as usize;
+        system.save_repository(&dir).unwrap();
+        let staged = staged_files(&vfs.trace()[from..], &dir);
+        let recipes = staged.iter().filter(|f| f.starts_with("recipes/")).count();
+        assert_eq!(recipes, system.versions().len());
+        drop(system);
+
+        // Nothing changed since the open: the save stages only the meta.
+        let (mut system, _) = HiDeStore::open_repository_with(config(), &dir, vfs.clone()).unwrap();
+        let from = vfs.ops() as usize;
+        system.save_repository(&dir).unwrap();
+        assert_eq!(
+            staged_files(&vfs.trace()[from..], &dir),
+            BTreeSet::from([META_FILE.to_string()])
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The real filesystem, except that the first write into `staging/`
+    /// after [`FailOnce::arm`] fails; later writes succeed again.
+    #[derive(Debug, Clone, Default)]
+    struct FailOnce {
+        armed: Arc<AtomicBool>,
+    }
+
+    impl FailOnce {
+        fn arm(&self) {
+            self.armed.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl Vfs for FailOnce {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            RealVfs.read(path)
+        }
+        fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            let staging = path.components().any(|c| c.as_os_str() == "staging");
+            if staging && self.armed.swap(false, Ordering::SeqCst) {
+                return Err(io::Error::other("injected staging write failure"));
+            }
+            RealVfs.write(path, data)
+        }
+        fn sync_file(&self, path: &Path) -> io::Result<()> {
+            RealVfs.sync_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealVfs.rename(from, to)
+        }
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            RealVfs.sync_dir(path)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealVfs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealVfs.create_dir_all(path)
+        }
+        fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+            RealVfs.read_dir(path)
+        }
+        fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+            RealVfs.remove_dir_all(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            RealVfs.exists(path)
+        }
+        fn symlink_metadata(&self, path: &Path) -> io::Result<VfsMetadata> {
+            RealVfs.symlink_metadata(path)
+        }
+        fn read_link(&self, path: &Path) -> io::Result<PathBuf> {
+            RealVfs.read_link(path)
+        }
+        fn symlink(&self, target: &Path, link: &Path) -> io::Result<()> {
+            RealVfs.symlink(target, link)
+        }
+        fn set_mode(&self, path: &Path, mode: u32) -> io::Result<()> {
+            RealVfs.set_mode(path, mode)
+        }
+        fn set_mtime(&self, path: &Path, secs: i64, nanos: u32) -> io::Result<()> {
+            RealVfs.set_mtime(path, secs, nanos)
+        }
+    }
+
+    /// A save that fails before its commit keeps the tracked changes, so
+    /// retrying it on the same instance publishes everything the failed
+    /// attempt would have: new recipes, rewritten predecessors, pool
+    /// changes, the expired recipe and the deferred container removals.
+    #[test]
+    fn failed_save_keeps_its_changes_for_the_retry() {
+        let dir = temp_dir("failed-save");
+        let vfs = FailOnce::default();
+        let (mut system, _) = HiDeStore::open_repository_with(config(), &dir, vfs.clone()).unwrap();
+        let mut data = noise(80_000, 80);
+        let mut versions = Vec::new();
+        for round in 0..5u64 {
+            system.backup(&data).unwrap();
+            versions.push(data.clone());
+            if round < 3 {
+                system.save_repository(&dir).unwrap();
+            }
+            let at = (round as usize * 13_000) % 60_000;
+            data[at..at + 9_000].copy_from_slice(&noise(9_000, 90 + round));
+        }
+        let report = system.delete_expired(VersionId::new(1)).unwrap();
+        assert!(report.containers_dropped > 0);
+        vfs.arm();
+        assert!(
+            system.save_repository(&dir).is_err(),
+            "the armed staging write fails the save"
+        );
+        system.save_repository(&dir).unwrap();
+        let on_disk = fs::read_dir(dir.join("archival")).unwrap().count();
+        assert_eq!(
+            on_disk,
+            system.archival().len(),
+            "deferred removals retried"
+        );
+        drop(system);
+
+        let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
+        let retained: Vec<VersionId> = (2..=5).map(VersionId::new).collect();
+        assert_eq!(reopened.versions(), retained);
+        for v in retained {
+            let mut out = Vec::new();
+            reopened
+                .restore(v, &mut Faa::new(1 << 18), &mut out)
+                .unwrap();
+            assert!(out == versions[v.get() as usize - 1], "{v} after the retry");
+        }
+        let scrub = reopened.scrub().unwrap();
+        assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Artifact files not named after what they hold are strays: the first
+    /// save after the open removes them and writes what was loaded from
+    /// them under its own name.
+    #[test]
+    fn first_save_after_opening_misnamed_files_repairs_them() {
+        let dir = temp_dir("misnamed");
+        let mut versions = Vec::new();
+        let cid = {
+            let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
+            let mut data = noise(60_000, 110);
+            for round in 0..3u64 {
+                system.backup(&data).unwrap();
+                versions.push(data.clone());
+                data[round as usize * 9_000..][..6_000].copy_from_slice(&noise(6_000, 111 + round));
+            }
+            system.save_repository(&dir).unwrap();
+            system.pool().container_ids()[0]
+        };
+        let snapshot = dir.join("active").join(active_name(cid));
+        let padded = dir.join("active").join(format!("a0{cid}.ctr"));
+        fs::rename(dir.join("recipes/r3.rcp"), dir.join("recipes/r7.rcp")).unwrap();
+        fs::rename(&snapshot, &padded).unwrap();
+        fs::write(dir.join("active/ax.ctr"), b"stray").unwrap();
+        {
+            let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
+            system.save_repository(&dir).unwrap();
+        }
+        assert!(dir.join("recipes/r3.rcp").exists());
+        assert!(!dir.join("recipes/r7.rcp").exists());
+        assert!(snapshot.exists());
+        assert!(!padded.exists());
+        assert!(!dir.join("active/ax.ctr").exists());
+        let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
+        let mut out = Vec::new();
+        reopened
+            .restore(VersionId::new(3), &mut Faa::new(1 << 18), &mut out)
+            .unwrap();
+        assert!(out == versions[2], "V3 survives its misnamed file");
+        let scrub = reopened.scrub().unwrap();
+        assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Without a meta file nothing is loaded, so the first save removes
+    /// every recipe and snapshot file left in the directory.
+    #[test]
+    fn first_save_without_meta_removes_leftover_artifacts() {
+        let dir = temp_dir("no-meta-leftovers");
+        fs::create_dir_all(dir.join("recipes")).unwrap();
+        fs::create_dir_all(dir.join("active")).unwrap();
+        fs::write(dir.join("recipes/r5.rcp"), b"leftover").unwrap();
+        fs::write(dir.join("active/a40.ctr"), b"leftover").unwrap();
+        fs::write(dir.join("active/notes.txt"), b"kept").unwrap();
+        let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
+        system.save_repository(&dir).unwrap();
+        assert!(!dir.join("recipes/r5.rcp").exists());
+        assert!(!dir.join("active/a40.ctr").exists());
+        assert!(dir.join("active/notes.txt").exists());
+        let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
+        assert!(reopened.versions().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

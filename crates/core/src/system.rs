@@ -161,6 +161,9 @@ pub struct HiDeStore<S> {
     quarantined: Vec<QuarantineEntry>,
     scheme: SchemeState,
     out_of_line_rewritten_bytes: u64,
+    /// Repository-relative artifact files the open found holding nothing
+    /// under their own name; the next save removes them (see `persist`).
+    stray_files: Vec<String>,
 }
 
 impl<S: ContainerStore> HiDeStore<S> {
@@ -186,6 +189,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             quarantined: Vec::new(),
             scheme: SchemeState::default(),
             out_of_line_rewritten_bytes: 0,
+            stray_files: Vec::new(),
             config,
         }
     }
@@ -881,6 +885,41 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     pub(crate) fn recipes_mut_internal(&mut self) -> &mut RecipeStore {
         &mut self.recipes
+    }
+
+    /// The artifact files the next save removes besides the dropped
+    /// versions and containers.
+    pub(crate) fn stray_files(&self) -> &[String] {
+        &self.stray_files
+    }
+
+    /// Records that the repository directory holds this instance's state:
+    /// the recipe store and the pool forget their tracked changes.
+    pub(crate) fn mark_saved(&mut self) {
+        self.recipes.mark_saved();
+        self.pool.mark_saved();
+        self.stray_files.clear();
+    }
+
+    /// Records what the directory this instance was just opened from
+    /// holds. Every loaded item sits under its own name, except the recipes
+    /// of `versions` and the active containers `cids`: the next save writes
+    /// those under their own names and removes the `strays`.
+    pub(crate) fn mark_opened(
+        &mut self,
+        versions: &[VersionId],
+        cids: &[u32],
+        strays: Vec<String>,
+    ) {
+        self.mark_saved();
+        for &version in versions {
+            // A mutable borrow marks the recipe changed.
+            let _ = self.recipes.get_mut(version);
+        }
+        for &cid in cids {
+            self.pool.touch(cid);
+        }
+        self.stray_files = strays;
     }
 
     pub(crate) fn next_archival_raw(&self) -> u32 {

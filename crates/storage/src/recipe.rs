@@ -10,7 +10,7 @@
 //! * `cid < 0` — the chunk's location is recorded in the recipe of version
 //!   `-cid` (the recipes form a chain, flattened offline by Algorithm 1).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -295,6 +295,10 @@ impl Recipe {
 /// journaled save writes them as `recipes/r<version>.rcp`;
 /// [`RecipeStore::load_dir_report_with`] reads them back.
 ///
+/// The store tracks what changed since the last save: every mutation path
+/// marks the version it touches, so a save publishes only
+/// [`RecipeStore::changed`] and removes only [`RecipeStore::removed`].
+///
 /// # Examples
 ///
 /// ```
@@ -303,10 +307,18 @@ impl Recipe {
 /// let mut store = RecipeStore::new();
 /// store.insert(Recipe::new(VersionId::new(1)));
 /// assert_eq!(store.latest_version(), Some(VersionId::new(1)));
+/// assert_eq!(store.changed().count(), 1);
+/// store.mark_saved();
+/// assert_eq!(store.changed().count(), 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct RecipeStore {
     recipes: BTreeMap<VersionId, Recipe>,
+    /// Retained versions inserted, mutably borrowed or repointed since the
+    /// last save.
+    dirty: BTreeSet<VersionId>,
+    /// Versions removed since the last save and not inserted again.
+    removed: BTreeSet<VersionId>,
 }
 
 impl RecipeStore {
@@ -317,7 +329,10 @@ impl RecipeStore {
 
     /// Inserts (or replaces) a recipe.
     pub fn insert(&mut self, recipe: Recipe) {
-        self.recipes.insert(recipe.version(), recipe);
+        let version = recipe.version();
+        self.recipes.insert(version, recipe);
+        self.dirty.insert(version);
+        self.removed.remove(&version);
     }
 
     /// Fetches a recipe.
@@ -325,14 +340,20 @@ impl RecipeStore {
         self.recipes.get(&version)
     }
 
-    /// Mutable access for the recipe-update passes.
+    /// Mutable access for the recipe-update passes. The version counts as
+    /// changed whether or not the caller edits it.
     pub fn get_mut(&mut self, version: VersionId) -> Option<&mut Recipe> {
-        self.recipes.get_mut(&version)
+        let recipe = self.recipes.get_mut(&version)?;
+        self.dirty.insert(version);
+        Some(recipe)
     }
 
     /// Removes a recipe (when expiring a version).
     pub fn remove(&mut self, version: VersionId) -> Option<Recipe> {
-        self.recipes.remove(&version)
+        let recipe = self.recipes.remove(&version)?;
+        self.dirty.remove(&version);
+        self.removed.insert(version);
+        Some(recipe)
     }
 
     /// The newest retained version.
@@ -367,20 +388,45 @@ impl RecipeStore {
 
     /// Repoints every archival entry whose chunk moved — `moved` maps a
     /// fingerprint to its new container — and returns how many entries
-    /// changed. Active and chained entries are left alone.
+    /// changed. Active and chained entries are left alone; only recipes
+    /// with a repointed entry count as changed.
     pub fn relocate_archival(&mut self, moved: &HashMap<Fingerprint, ContainerId>) -> u64 {
         let mut updated = 0;
-        for entry in self.recipes.values_mut().flat_map(Recipe::entries_mut) {
-            if let (Some(at), Some(&home)) =
-                (entry.cid.as_archival(), moved.get(&entry.fingerprint))
-            {
-                if at != home {
-                    entry.cid = Cid::archival(home);
-                    updated += 1;
+        for (&version, recipe) in &mut self.recipes {
+            let before = updated;
+            for entry in recipe.entries_mut() {
+                if let (Some(at), Some(&home)) =
+                    (entry.cid.as_archival(), moved.get(&entry.fingerprint))
+                {
+                    if at != home {
+                        entry.cid = Cid::archival(home);
+                        updated += 1;
+                    }
                 }
+            }
+            if updated > before {
+                self.dirty.insert(version);
             }
         }
         updated
+    }
+
+    /// The recipes inserted, mutably borrowed or repointed since the last
+    /// [`RecipeStore::mark_saved`], in version order.
+    pub fn changed(&self) -> impl Iterator<Item = &Recipe> {
+        self.dirty.iter().filter_map(|v| self.recipes.get(v))
+    }
+
+    /// The versions removed since the last [`RecipeStore::mark_saved`], in
+    /// ascending order.
+    pub fn removed(&self) -> impl Iterator<Item = VersionId> + '_ {
+        self.removed.iter().copied()
+    }
+
+    /// Forgets the tracked changes: the caller has persisted the store.
+    pub fn mark_saved(&mut self) {
+        self.dirty.clear();
+        self.removed.clear();
     }
 
     /// Loads every `r<version>.rcp` under `dir` through `vfs`, collecting
@@ -390,7 +436,8 @@ impl RecipeStore {
     /// # Errors
     ///
     /// Fails only if the directory itself cannot be listed; per-file
-    /// problems are reported in [`RecipeLoadReport::failed`].
+    /// problems are reported in [`RecipeLoadReport::failed`]. The returned
+    /// store has no tracked changes.
     pub fn load_dir_report_with<V: Vfs>(
         dir: impl AsRef<Path>,
         vfs: &V,
@@ -398,6 +445,7 @@ impl RecipeStore {
         let mut report = RecipeLoadReport {
             store: RecipeStore::new(),
             failed: Vec::new(),
+            misnamed: Vec::new(),
         };
         let dir = dir.as_ref();
         if !vfs.exists(dir) {
@@ -410,13 +458,20 @@ impl RecipeStore {
             if name.starts_with('r') && name.ends_with(".rcp") {
                 match vfs.read(&path) {
                     Ok(bytes) => match Recipe::decode(&bytes) {
-                        Ok(recipe) => report.store.insert(recipe),
+                        Ok(recipe) => {
+                            let version = recipe.version();
+                            if name != format!("r{}.rcp", version.get()) {
+                                report.misnamed.push((path, version));
+                            }
+                            report.store.insert(recipe);
+                        }
                         Err(reason) => report.failed.push((path, StorageError::Corrupt(reason))),
                     },
                     Err(err) => report.failed.push((path, StorageError::from(err))),
                 }
             }
         }
+        report.store.mark_saved();
         Ok(report)
     }
 }
@@ -430,6 +485,9 @@ pub struct RecipeLoadReport {
     pub store: RecipeStore,
     /// Recipe files that could not be read or decoded.
     pub failed: Vec<(PathBuf, StorageError)>,
+    /// Recipe files that loaded but are not named `r<version>.rcp` after
+    /// the version they hold, with that version.
+    pub misnamed: Vec<(PathBuf, VersionId)>,
 }
 
 #[cfg(test)]
@@ -565,6 +623,57 @@ mod tests {
         assert_eq!(s.relocate_archival(&moved), 0, "idempotent");
     }
 
+    #[test]
+    fn store_tracks_changes_until_saved() {
+        let v = VersionId::new;
+        let mut s = RecipeStore::new();
+        for n in 1..=3 {
+            s.insert(Recipe::new(v(n)));
+        }
+        let changed = |s: &RecipeStore| s.changed().map(Recipe::version).collect::<Vec<_>>();
+        assert_eq!(changed(&s), [v(1), v(2), v(3)]);
+        s.mark_saved();
+        assert_eq!(changed(&s), []);
+
+        // A mutable borrow counts as a change even without an edit; a
+        // lookup does not.
+        let _ = s.get(v(1));
+        let _ = s.get_mut(v(2));
+        assert!(s.get_mut(v(9)).is_none());
+        s.remove(v(3));
+        assert_eq!(changed(&s), [v(2)]);
+        assert_eq!(s.removed().collect::<Vec<_>>(), [v(3)]);
+
+        // Removing a changed version leaves only the removal; inserting a
+        // removed one again leaves only the change.
+        s.remove(v(2));
+        s.insert(Recipe::new(v(3)));
+        assert_eq!(changed(&s), [v(3)]);
+        assert_eq!(s.removed().collect::<Vec<_>>(), [v(2)]);
+        s.mark_saved();
+        assert_eq!((changed(&s), s.removed().count()), (vec![], 0));
+    }
+
+    #[test]
+    fn relocate_archival_marks_only_recipes_it_repointed() {
+        let c = |id| Cid::archival(ContainerId::new(id));
+        let mut s = RecipeStore::new();
+        for (version, cid) in [(1, c(1)), (2, c(2)), (3, Cid::ACTIVE)] {
+            let mut r = Recipe::new(VersionId::new(version));
+            r.push(RecipeEntry::new(fp(u64::from(version)), 4, cid));
+            s.insert(r);
+        }
+        s.mark_saved();
+        let moved = HashMap::from([
+            (fp(1), ContainerId::new(7)),
+            (fp(2), ContainerId::new(2)),
+            (fp(3), ContainerId::new(7)),
+        ]);
+        assert_eq!(s.relocate_archival(&moved), 1);
+        let changed: Vec<VersionId> = s.changed().map(Recipe::version).collect();
+        assert_eq!(changed, [VersionId::new(1)]);
+    }
+
     /// Writes `r1.rcp`..`r3.rcp` under a fresh `dir`, one entry each.
     fn write_three_recipes(dir: &Path) {
         let _ = fs::remove_dir_all(dir);
@@ -603,6 +712,21 @@ mod tests {
         );
         assert_eq!(report.failed.len(), 1);
         assert!(report.failed[0].0.ends_with("r2.rcp"));
+        assert_eq!(report.store.changed().count(), 0, "a loaded store is clean");
+        assert!(report.misnamed.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recipe_loaded_under_another_name_is_reported_misnamed() {
+        let dir =
+            std::env::temp_dir().join(format!("hidestore-recipes-misnamed-{}", std::process::id()));
+        write_three_recipes(&dir);
+        fs::rename(dir.join("r3.rcp"), dir.join("r9.rcp")).unwrap();
+        let report = RecipeStore::load_dir_report_with(&dir, &RealVfs).unwrap();
+        assert_eq!(report.store.len(), 3);
+        assert!(report.store.get(VersionId::new(3)).is_some());
+        assert_eq!(report.misnamed, [(dir.join("r9.rcp"), VersionId::new(3))]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

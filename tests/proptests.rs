@@ -6,6 +6,9 @@
 //! On failure the panic message names the case seed so the input can be
 //! reproduced exactly.
 
+use std::collections::BTreeMap;
+use std::path::Path;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,7 +21,8 @@ use hidestore::index::DdfsIndex;
 use hidestore::restore::Faa;
 use hidestore::rewriting::NoRewrite;
 use hidestore::storage::{
-    Cid, Container, ContainerId, MemoryContainerStore, Recipe, RecipeEntry, VersionId,
+    Cid, Container, ContainerId, FileContainerStore, MemoryContainerStore, Recipe, RecipeEntry,
+    VersionId,
 };
 
 /// Runs `body` once per case with a per-case deterministic RNG. The case
@@ -139,6 +143,55 @@ fn hds_config() -> HiDeStoreConfig {
         avg_chunk_size: 512,
         container_capacity: 16 * 1024,
         ..HiDeStoreConfig::default()
+    }
+}
+
+/// A scratch repository directory unique to this process and `tag`.
+fn scratch_dir(tag: &str, rng: &mut StdRng) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "hds-proptest-{tag}-{}-{}",
+        std::process::id(),
+        rng.gen_range(0u64..u64::MAX)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Asserts that the repository at `dir` holds exactly `hds`'s recipes and
+/// active pool: the `recipes/r*.rcp` and `active/a*.ctr` file sets name
+/// them, and every file's bytes are their current encoding.
+fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, context: &str) {
+    let mut expect: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    for recipe in hds.recipes().iter() {
+        let name = format!("recipes/r{}.rcp", recipe.version().get());
+        expect.insert(name, recipe.encode());
+    }
+    for (cid, container) in hds.pool().containers() {
+        expect.insert(format!("active/a{cid}.ctr"), container.encode());
+    }
+    let mut found: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+    for (sub, prefix, suffix) in [("recipes", "r", ".rcp"), ("active", "a", ".ctr")] {
+        let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with(prefix) && name.ends_with(suffix) {
+                found.insert(format!("{sub}/{name}"), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    assert_eq!(
+        found.keys().collect::<Vec<_>>(),
+        expect.keys().collect::<Vec<_>>(),
+        "{context}: the files on disk are not the instance's recipes and pool"
+    );
+    for (name, bytes) in &expect {
+        assert!(
+            found[name] == *bytes,
+            "{context}: {name} on disk differs from memory"
+        );
     }
 }
 
@@ -558,12 +611,7 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
     }
 
     cases(6, 0x0F, |rng| {
-        let dir = std::env::temp_dir().join(format!(
-            "hds-proptest-lifecycle-{}-{}",
-            std::process::id(),
-            rng.gen_range(0u64..u64::MAX)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("lifecycle", rng);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let seed_len = rng.gen_range(2_000usize..20_000);
             let mut current = version_history(seed_len, &[]).remove(0);
@@ -585,6 +633,7 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
                     // Save, audit, reopen.
                     2 => {
                         hds.save_repository(&dir).unwrap();
+                        assert_disk_matches_memory(&hds, &dir, &format!("save at V{newest}"));
                         let report = SystemAuditor::new().audit(&hds);
                         assert!(
                             report.is_clean(),
@@ -627,4 +676,142 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
             std::panic::resume_unwind(panic);
         }
     });
+}
+
+/// Random backup / prune / flatten / recluster / dedup-pass / save / reopen
+/// sequences under every scheme: after every save, the files under
+/// `recipes/` and `active/` are the instance's recipes and pool byte for
+/// byte — the save staged every change the operations made and removed
+/// every file they dropped, however many saves ran on one instance.
+#[test]
+fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
+    use hidestore::core::DedupMode;
+
+    cases(8, 0x11, |rng| {
+        for scheme in DedupMode::ALL {
+            let dir = scratch_dir(&format!("disk-image-{scheme}"), rng);
+            // Small containers: re-clustering finds multi-container tag
+            // groups, and pool compaction has sparse containers to merge.
+            let config = HiDeStoreConfig {
+                container_capacity: 8 * 1024,
+                ..hds_config()
+            }
+            .with_scheme(scheme);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let seed_len = rng.gen_range(4_000usize..20_000);
+                let mut current = version_history(seed_len, &[]).remove(0);
+                let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+                hds.backup(&current).unwrap();
+                let mut originals = BTreeMap::from([(1u32, current.clone())]);
+                let mut newest = 1u32;
+                for step in 0..rng.gen_range(8usize..16) {
+                    let context = format!("{scheme} step {step} (newest V{newest})");
+                    match rng.gen_range(0usize..8) {
+                        0..=2 => {
+                            // Mostly an edit; sometimes unrelated data, so
+                            // every active container goes cold and empties.
+                            current = if rng.gen_range(0usize..3) == 0 {
+                                random_bytes(rng, seed_len)
+                            } else {
+                                apply(current, &random_edit(rng))
+                            };
+                            hds.backup(&current).unwrap();
+                            newest += 1;
+                            originals.insert(newest, current.clone());
+                        }
+                        3 => {
+                            let oldest = *originals.keys().next().unwrap();
+                            if oldest < newest {
+                                let up_to = rng.gen_range(oldest..newest);
+                                hds.delete_expired(VersionId::new(up_to)).unwrap();
+                                originals.retain(|&v, _| v > up_to);
+                            }
+                        }
+                        4 => {
+                            hds.flatten_recipes();
+                        }
+                        5 if scheme == DedupMode::HiDeStore => {
+                            hds.recluster_archival().unwrap();
+                        }
+                        5 => {
+                            hds.out_of_line_pass().unwrap();
+                        }
+                        6 => {
+                            hds.save_repository(&dir).unwrap();
+                            assert_disk_matches_memory(&hds, &dir, &context);
+                        }
+                        _ => {
+                            hds.save_repository(&dir).unwrap();
+                            assert_disk_matches_memory(&hds, &dir, &context);
+                            hds = HiDeStore::open_repository(config, &dir).unwrap();
+                        }
+                    }
+                }
+                hds.save_repository(&dir).unwrap();
+                assert_disk_matches_memory(&hds, &dir, &format!("{scheme} final save"));
+                let hds = HiDeStore::open_repository(config, &dir).unwrap();
+                for (&v, expect) in &originals {
+                    let mut out = Vec::new();
+                    hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                        .unwrap();
+                    assert!(out == *expect, "{scheme}: V{v} differs after reopen");
+                }
+                let scrub = hds.scrub().unwrap();
+                assert!(scrub.is_clean(), "{scheme}: {:?}", scrub.corrupt_chunks);
+            }));
+            let _ = std::fs::remove_dir_all(&dir);
+            if let Err(panic) = result {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// An active snapshot persisted with dead bytes changes only through
+/// in-place compaction: the next backup of the same data adds nothing to
+/// it and demotes nothing from it, yet its bytes shrink, and the save must
+/// publish them.
+#[test]
+fn in_place_compaction_of_a_persisted_snapshot_is_saved() {
+    let mut rng = StdRng::seed_from_u64(0x12);
+    let dir = scratch_dir("dead-bytes", &mut rng);
+    // No container is sparse enough to merge: compaction only works in
+    // place.
+    let config = HiDeStoreConfig {
+        compact_threshold: 0.01,
+        ..hds_config()
+    };
+    let data = version_history(40_000, &[]).remove(0);
+    let result = std::panic::catch_unwind(|| {
+        let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+        hds.backup(&data).unwrap();
+        hds.save_repository(&dir).unwrap();
+        drop(hds);
+
+        // Give one snapshot dead bytes without touching its live chunks.
+        let junk = Fingerprint::synthetic(u64::MAX);
+        let crafted = std::fs::read_dir(dir.join("active"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|path| {
+                let mut c = Container::decode(&std::fs::read(path).unwrap()).unwrap();
+                if !c.try_add(junk, &[0xAB; 64]) {
+                    return false;
+                }
+                c.remove(&junk);
+                std::fs::write(path, c.encode()).unwrap();
+                true
+            });
+        assert!(crafted.is_some(), "some snapshot has room for 64 bytes");
+
+        let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+        let stats = hds.backup(&data).unwrap();
+        assert_eq!((stats.stored_bytes, stats.cold_chunks), (0, 0));
+        hds.save_repository(&dir).unwrap();
+        assert_disk_matches_memory(&hds, &dir, "after compacting in place");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Err(panic) = result {
+        std::panic::resume_unwind(panic);
+    }
 }
