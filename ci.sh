@@ -11,7 +11,9 @@
 #   3. cargo xtask analyze          -- static-analysis wall: Vfs I/O
 #                                      discipline, lock discipline, wire
 #                                      safety, panic markers, raw-socket use
-#   4. cargo clippy -D warnings     -- clippy across every target
+#   4. clippy + rustdoc -D warnings -- clippy across every target, then
+#                                      the workspace docs, so a deletion
+#                                      cannot leave a dangling doc link
 #   5. cargo test -q                -- the full workspace test suite
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
@@ -81,6 +83,8 @@ cargo xtask analyze
 
 echo "ci: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+echo "ci: cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q

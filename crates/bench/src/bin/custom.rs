@@ -10,7 +10,7 @@
 
 use hidestore_bench::{workload_versions, Scale};
 use hidestore_dedup::destor_config::DestorConfig;
-use hidestore_dedup::FingerprintIndex;
+use hidestore_index::FingerprintIndex;
 use hidestore_restore::Faa;
 use hidestore_storage::VersionId;
 use hidestore_workloads::Profile;
@@ -38,8 +38,8 @@ fn main() {
         std::process::exit(1);
     });
     let config: DestorConfig = text.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
+        eprintln!("{config_path}: {e}");
+        std::process::exit(2);
     });
     println!("configuration: {config:?}\n");
 

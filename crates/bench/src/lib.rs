@@ -672,7 +672,7 @@ mod tests {
     fn scale_from_env_defaults() {
         let s = Scale::default();
         assert_eq!(s.versions, 16);
-        s.pipeline_config().validate();
+        assert!(s.pipeline_config().validate().is_ok());
         for p in Profile::ALL {
             assert!(s.hidestore_config(p).validate().is_ok());
         }

@@ -544,7 +544,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
     /// The save is atomic: every file is staged under `staging/`, fsynced,
     /// and published under a checksummed commit record. A crash at any
     /// point leaves the repository reopening as either the pre-save or the
-    /// post-save state (see [`crate::journal`]).
+    /// post-save state (see the private `journal` module).
     ///
     /// # Errors
     ///

@@ -40,24 +40,32 @@ impl PipelineConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Checks every field's range — the one validator behind
+    /// `DestorConfig`'s parser and [`crate::BackupPipeline::new`]'s panic.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any field is zero or the container cannot hold even one
-    /// maximum-size chunk.
-    pub fn validate(&self) {
-        assert!(self.avg_chunk_size >= 64, "average chunk size too small");
-        assert!(
-            self.segment_chunks > 0,
-            "segment must hold at least one chunk"
-        );
+    /// A message naming the first out-of-range field: an average chunk
+    /// under 64 bytes, an empty segment, or a container smaller than the
+    /// maximum chunk.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.avg_chunk_size < 64 {
+            return Err(format!(
+                "average chunk size {} is below the 64-byte minimum",
+                self.avg_chunk_size
+            ));
+        }
+        if self.segment_chunks == 0 {
+            return Err("segment must hold at least one chunk".to_string());
+        }
         let max_chunk = self.chunker.build(self.avg_chunk_size).max_size();
-        assert!(
-            self.container_capacity >= max_chunk,
-            "container capacity {} cannot hold a maximum-size chunk ({max_chunk})",
-            self.container_capacity
-        );
+        if self.container_capacity < max_chunk {
+            return Err(format!(
+                "container capacity {} cannot hold a maximum-size chunk ({max_chunk})",
+                self.container_capacity
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -70,22 +78,43 @@ mod tests {
         let c = PipelineConfig::default();
         assert_eq!(c.container_capacity, 4 * 1024 * 1024);
         assert_eq!(c.chunker, ChunkerKind::Tttd);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn small_config_is_valid() {
-        PipelineConfig::small_for_tests().validate();
+        assert_eq!(PipelineConfig::small_for_tests().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "cannot hold")]
-    fn container_smaller_than_chunk_rejected() {
-        let c = PipelineConfig {
-            container_capacity: 512,
-            avg_chunk_size: 4096,
-            ..PipelineConfig::default()
-        };
-        c.validate();
+    fn out_of_range_fields_rejected() {
+        let c = PipelineConfig::default();
+        for (bad, what) in [
+            (
+                PipelineConfig {
+                    container_capacity: 512,
+                    avg_chunk_size: 4096,
+                    ..c
+                },
+                "cannot hold",
+            ),
+            (
+                PipelineConfig {
+                    avg_chunk_size: 10,
+                    ..c
+                },
+                "64-byte minimum",
+            ),
+            (
+                PipelineConfig {
+                    segment_chunks: 0,
+                    ..c
+                },
+                "segment",
+            ),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(what), "{err:?} should mention {what:?}");
+        }
     }
 }

@@ -4,25 +4,28 @@
 //! (`destor.config`): which chunking algorithm, which index, which rewriting
 //! scheme, container size, and so on. This module provides the same
 //! operator-facing surface so experiments can be described as files instead
-//! of code.
+//! of code. The selectable phases are exactly the paper's baselines (§5).
 //!
 //! ```text
 //! # comment lines start with '#'
 //! chunker   = tttd          # fixed | rabin | tttd | fastcdc | ae
-//! chunk     = 8192          # average chunk size, bytes
-//! container = 4194304       # container capacity, bytes
-//! segment   = 1024          # chunks per segment
-//! index     = ddfs          # ddfs | sparse | silo | extreme-binning | revdedup
-//! rewrite   = capping       # none | cbr | cfl | capping | fbw | seg-align
-//! cap       = 20            # capping level (capping/fbw only)
+//! chunk     = 8192          # average chunk size, bytes (>= 64)
+//! container = 4194304       # container capacity, bytes (>= max chunk)
+//! segment   = 1024          # chunks per segment (>= 1)
+//! index     = ddfs          # ddfs | sparse | silo
+//! rewrite   = capping       # none | cbr | cfl | capping | fbw
+//! cap       = 20            # capping level (capping only, >= 1)
 //! ```
+//!
+//! An unknown key or value, or an out-of-range number, is a
+//! [`ParseConfigError`]; unknown-value errors list the accepted values.
 
 use std::fmt;
 use std::str::FromStr;
 
 use hidestore_chunking::ChunkerKind;
 use hidestore_index::{FingerprintIndex, IndexKind};
-use hidestore_rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy, SegAlign};
+use hidestore_rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy};
 
 use crate::config::PipelineConfig;
 use crate::pipeline::BackupPipeline;
@@ -37,7 +40,7 @@ pub struct DestorConfig {
     pub index: IndexKind,
     /// Rewriting scheme.
     pub rewrite: RewriteKind,
-    /// Capping level (used by `capping` and `fbw`).
+    /// Capping level (used by `capping`).
     pub cap: usize,
 }
 
@@ -54,8 +57,30 @@ pub enum RewriteKind {
     Capping,
     /// Sliding look-back window.
     Fbw,
-    /// RevDedup segment-aligned rewriting: mixed segments written whole.
-    SegAlign,
+}
+
+impl RewriteKind {
+    /// Every selectable scheme.
+    pub const ALL: [RewriteKind; 5] = [
+        RewriteKind::None,
+        RewriteKind::Cbr,
+        RewriteKind::Cfl,
+        RewriteKind::Capping,
+        RewriteKind::Fbw,
+    ];
+}
+
+impl fmt::Display for RewriteKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match self {
+            RewriteKind::None => "none",
+            RewriteKind::Cbr => "cbr",
+            RewriteKind::Cfl => "cfl",
+            RewriteKind::Capping => "capping",
+            RewriteKind::Fbw => "fbw",
+        };
+        f.write_str(name)
+    }
 }
 
 impl Default for DestorConfig {
@@ -72,17 +97,36 @@ impl Default for DestorConfig {
 /// Error from parsing a configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseConfigError {
+    /// 1-based line of the offending entry; 0 for a range check over the
+    /// whole configuration.
     line: usize,
     message: String,
 }
 
 impl fmt::Display for ParseConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "config line {}: {}", self.line, self.message)
+        match self.line {
+            0 => write!(f, "config: {}", self.message),
+            line => write!(f, "config line {line}: {}", self.message),
+        }
     }
 }
 
 impl std::error::Error for ParseConfigError {}
+
+/// The kind in `all` named `value`, or an error listing every accepted name.
+fn pick<K: Copy + fmt::Display>(what: &str, all: &[K], value: &str) -> Result<K, String> {
+    all.iter()
+        .copied()
+        .find(|kind| kind.to_string() == value)
+        .ok_or_else(|| {
+            let names: Vec<String> = all.iter().map(K::to_string).collect();
+            format!(
+                "unknown {what} {value:?}; expected one of {}",
+                names.join(", ")
+            )
+        })
+}
 
 impl FromStr for DestorConfig {
     type Err = ParseConfigError;
@@ -103,14 +147,7 @@ impl FromStr for DestorConfig {
             let (key, value) = (key.trim(), value.trim());
             match key {
                 "chunker" => {
-                    config.pipeline.chunker = match value {
-                        "fixed" => ChunkerKind::Fixed,
-                        "rabin" => ChunkerKind::Rabin,
-                        "tttd" => ChunkerKind::Tttd,
-                        "fastcdc" => ChunkerKind::FastCdc,
-                        "ae" => ChunkerKind::Ae,
-                        other => return Err(err(format!("unknown chunker {other:?}"))),
-                    }
+                    config.pipeline.chunker = pick(key, &ChunkerKind::ALL, value).map_err(err)?
                 }
                 "chunk" => {
                     config.pipeline.avg_chunk_size = value
@@ -127,37 +164,22 @@ impl FromStr for DestorConfig {
                         .parse()
                         .map_err(|e| err(format!("bad segment size: {e}")))?
                 }
-                "index" => {
-                    config.index = match value {
-                        "ddfs" => IndexKind::Ddfs,
-                        "sparse" => IndexKind::Sparse,
-                        "silo" => IndexKind::Silo,
-                        "extreme-binning" => IndexKind::ExtremeBinning,
-                        "revdedup" => IndexKind::RevDedup,
-                        other => return Err(err(format!("unknown index {other:?}"))),
-                    }
-                }
-                "rewrite" => {
-                    config.rewrite = match value {
-                        "none" => RewriteKind::None,
-                        "cbr" => RewriteKind::Cbr,
-                        "cfl" => RewriteKind::Cfl,
-                        "capping" => RewriteKind::Capping,
-                        "fbw" => RewriteKind::Fbw,
-                        "seg-align" => RewriteKind::SegAlign,
-                        other => return Err(err(format!("unknown rewrite scheme {other:?}"))),
-                    }
-                }
+                "index" => config.index = pick(key, &IndexKind::ALL, value).map_err(err)?,
+                "rewrite" => config.rewrite = pick(key, &RewriteKind::ALL, value).map_err(err)?,
                 "cap" => config.cap = value.parse().map_err(|e| err(format!("bad cap: {e}")))?,
-                other => return Err(err(format!("unknown key {other:?}"))),
+                other => {
+                    return Err(err(format!(
+                        "unknown key {other:?}; expected one of \
+                         chunker, chunk, container, segment, index, rewrite, cap"
+                    )))
+                }
             }
         }
+        let whole = |message: String| ParseConfigError { line: 0, message };
         if config.cap == 0 {
-            return Err(ParseConfigError {
-                line: 0,
-                message: "cap must be >= 1".into(),
-            });
+            return Err(whole("cap must be >= 1".into()));
         }
+        config.pipeline.validate().map_err(whole)?;
         Ok(config)
     }
 }
@@ -172,7 +194,6 @@ impl DestorConfig {
             RewriteKind::Cfl => Box::new(CflRewrite::new(0.6, container)),
             RewriteKind::Capping => Box::new(Capping::new(self.cap)),
             RewriteKind::Fbw => Box::new(Fbw::new(8 * container, 0.05, container)),
-            RewriteKind::SegAlign => Box::new(SegAlign::new()),
         }
     }
 
@@ -247,7 +268,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_keys_and_values() {
-        assert!("bogus = 1".parse::<DestorConfig>().is_err());
+        let err = "bogus = 1".parse::<DestorConfig>().unwrap_err().to_string();
+        assert!(err.contains("chunker, chunk, container"), "{err}");
         assert!("chunker = zpaq".parse::<DestorConfig>().is_err());
         assert!("index = btree".parse::<DestorConfig>().is_err());
         assert!("chunk = banana".parse::<DestorConfig>().is_err());
@@ -281,17 +303,43 @@ mod tests {
 
     #[test]
     fn every_rewrite_kind_builds() {
-        for (name, kind) in [
-            ("none", RewriteKind::None),
-            ("cbr", RewriteKind::Cbr),
-            ("cfl", RewriteKind::Cfl),
-            ("capping", RewriteKind::Capping),
-            ("fbw", RewriteKind::Fbw),
-            ("seg-align", RewriteKind::SegAlign),
-        ] {
+        for (name, kind) in ["none", "cbr", "cfl", "capping", "fbw"]
+            .into_iter()
+            .zip(RewriteKind::ALL)
+        {
             let config: DestorConfig = format!("rewrite = {name}").parse().unwrap();
             assert_eq!(config.rewrite, kind);
-            let _ = config.build_rewriter();
+            assert_eq!(config.build_rewriter().name(), name);
+        }
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors() {
+        for (text, what) in [
+            ("chunk = 10", "64-byte minimum"),
+            ("segment = 0", "segment"),
+            ("container = 100", "cannot hold"),
+        ] {
+            let err = text.parse::<DestorConfig>().unwrap_err().to_string();
+            assert!(
+                err.contains(what),
+                "{text}: {err:?} should mention {what:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_values_are_unknown_and_the_error_lists_the_accepted_ones() {
+        for (text, accepted) in [
+            ("index = extreme-binning", "ddfs, sparse, silo"),
+            ("index = revdedup", "ddfs, sparse, silo"),
+            ("rewrite = seg-align", "none, cbr, cfl, capping, fbw"),
+        ] {
+            let err = text.parse::<DestorConfig>().unwrap_err().to_string();
+            assert!(
+                err.contains("line 1") && err.contains(accepted),
+                "{text}: {err}"
+            );
         }
     }
 }

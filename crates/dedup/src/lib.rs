@@ -7,12 +7,15 @@
 //! structuring backup as a pipeline — chunking → fingerprinting → indexing →
 //! rewriting → container storing → recipe writing — with pluggable
 //! implementations of each phase. This crate is that platform: the
-//! [`BackupPipeline`] composes any [`FingerprintIndex`] (DDFS, Sparse, SiLo)
-//! with any [`RewritePolicy`] (none, CBR, CFL, Capping, FBW) over any
-//! [`ContainerStore`], and restores through any
+//! [`BackupPipeline`] composes any [`hidestore_index::FingerprintIndex`]
+//! (DDFS, Sparse, SiLo) with any [`hidestore_rewriting::RewritePolicy`]
+//! (none, CBR, CFL, Capping, FBW) over any
+//! [`hidestore_storage::ContainerStore`], and restores through any
 //! [`hidestore_restore::RestoreCache`]. Every baseline in the paper's
-//! evaluation (§5) runs through this pipeline; HiDeStore itself modifies the
-//! pipeline and lives in `hidestore-core`.
+//! evaluation (§5) runs through this pipeline, and [`destor_config`] selects
+//! among exactly those; HiDeStore itself, and the RevDedup and hybrid
+//! schemes it is compared with, modify the pipeline and live in
+//! `hidestore-core`.
 //!
 //! Also here: [`gc`] — the traditional mark-sweep garbage collection that
 //! baseline systems need when deleting expired versions (§5.5), implemented
@@ -56,10 +59,3 @@ pub use pipeline::{
     chunk_fingerprints, staged_front_end, BackupPipeline, PipelineError, STAGED_MIN_BYTES,
 };
 pub use stats::{BackupRunStats, VersionStats};
-
-// Re-exported for convenience so downstream code can name phase
-// implementations through one crate, as Destor's config file does.
-pub use hidestore_index::FingerprintIndex;
-pub use hidestore_restore::RestoreCache;
-pub use hidestore_rewriting::RewritePolicy;
-pub use hidestore_storage::ContainerStore;

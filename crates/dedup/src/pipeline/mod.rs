@@ -111,7 +111,8 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
     ///
     /// Panics if `config` is invalid (see [`PipelineConfig::validate`]).
     pub fn new(config: PipelineConfig, index: I, rewriter: R, store: S) -> Self {
-        config.validate();
+        let checked = config.validate();
+        assert!(checked.is_ok(), "invalid PipelineConfig: {checked:?}");
         let chunker = config.chunker.build(config.avg_chunk_size);
         BackupPipeline {
             chunker,

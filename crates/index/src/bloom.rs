@@ -9,24 +9,11 @@ use hidestore_hash::Fingerprint;
 /// Uses the standard double-hashing construction `h_i = h1 + i * h2`; the two
 /// base hashes are read directly from the fingerprint, which is already a
 /// cryptographic digest, so no further mixing is needed.
-///
-/// # Examples
-///
-/// ```
-/// use hidestore_index::BloomFilter;
-/// use hidestore_hash::Fingerprint;
-///
-/// let mut bloom = BloomFilter::with_capacity(10_000, 0.01);
-/// let fp = Fingerprint::of(b"stored chunk");
-/// bloom.insert(&fp);
-/// assert!(bloom.contains(&fp));
-/// ```
 #[derive(Debug, Clone)]
-pub struct BloomFilter {
+pub(crate) struct BloomFilter {
     bits: Vec<u64>,
     n_bits: u64,
     n_hashes: u32,
-    n_items: u64,
 }
 
 impl BloomFilter {
@@ -49,7 +36,6 @@ impl BloomFilter {
             bits: vec![0; n_bits.div_ceil(64) as usize],
             n_bits,
             n_hashes,
-            n_items: 0,
         }
     }
 
@@ -70,7 +56,6 @@ impl BloomFilter {
         for pos in positions {
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
-        self.n_items += 1;
     }
 
     /// Whether the fingerprint *may* have been inserted (false positives
@@ -78,16 +63,6 @@ impl BloomFilter {
     pub fn contains(&self, fp: &Fingerprint) -> bool {
         self.positions(fp)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
-    }
-
-    /// Number of insertions performed.
-    pub fn len(&self) -> u64 {
-        self.n_items
-    }
-
-    /// Whether nothing has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.n_items == 0
     }
 
     /// Memory footprint of the bit array in bytes.
@@ -110,7 +85,6 @@ mod tests {
         for fp in &fps {
             assert!(b.contains(fp));
         }
-        assert_eq!(b.len(), 1000);
     }
 
     #[test]
@@ -129,7 +103,6 @@ mod tests {
     #[test]
     fn empty_filter_contains_nothing() {
         let b = BloomFilter::with_capacity(100, 0.01);
-        assert!(b.is_empty());
         assert!(!b.contains(&Fingerprint::synthetic(1)));
     }
 

@@ -78,11 +78,6 @@ impl DdfsIndex {
         }
     }
 
-    /// Number of unique fingerprints indexed.
-    pub fn unique_chunks(&self) -> usize {
-        self.full_index.len()
-    }
-
     fn prefetch_container(&mut self, container: ContainerId) {
         if self.cache_members.contains_key(&container) {
             return;
@@ -232,7 +227,7 @@ mod tests {
         let mut idx = DdfsIndex::new();
         idx.record_chunk(fp(1), 10, ContainerId::new(1));
         idx.record_chunk(fp(1), 10, ContainerId::new(2));
-        assert_eq!(idx.unique_chunks(), 1);
+        assert_eq!(idx.full_index.len(), 1);
         idx.begin_version(VersionId::new(1));
         let d = idx.process_segment(&[(fp(1), 10)]);
         assert_eq!(d[0], Some(ContainerId::new(1)));

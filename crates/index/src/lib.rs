@@ -46,15 +46,10 @@
 
 mod bloom;
 mod ddfs;
-mod extreme_binning;
-mod revdedup;
 mod silo;
 mod sparse;
 
-pub use bloom::BloomFilter;
 pub use ddfs::DdfsIndex;
-pub use extreme_binning::ExtremeBinning;
-pub use revdedup::RevDedupIndex;
 pub use silo::{SiloConfig, SiloIndex};
 pub use sparse::{SparseConfig, SparseIndex};
 
@@ -122,21 +117,11 @@ pub enum IndexKind {
     Sparse,
     /// SiLo (Xia et al.).
     Silo,
-    /// Extreme Binning (Bhagwat et al.).
-    ExtremeBinning,
-    /// RevDedup segment-level dedup (Ng & Lee).
-    RevDedup,
 }
 
 impl IndexKind {
     /// Every selectable scheme.
-    pub const ALL: [IndexKind; 5] = [
-        IndexKind::Ddfs,
-        IndexKind::Sparse,
-        IndexKind::Silo,
-        IndexKind::ExtremeBinning,
-        IndexKind::RevDedup,
-    ];
+    pub const ALL: [IndexKind; 3] = [IndexKind::Ddfs, IndexKind::Sparse, IndexKind::Silo];
 
     /// Builds a boxed index of this kind with default configuration.
     pub fn build(self) -> Box<dyn FingerprintIndex + Send> {
@@ -144,8 +129,6 @@ impl IndexKind {
             IndexKind::Ddfs => Box::new(DdfsIndex::new()),
             IndexKind::Sparse => Box::new(SparseIndex::new(SparseConfig::default())),
             IndexKind::Silo => Box::new(SiloIndex::new(SiloConfig::default())),
-            IndexKind::ExtremeBinning => Box::new(ExtremeBinning::new()),
-            IndexKind::RevDedup => Box::new(RevDedupIndex::new()),
         }
     }
 }
@@ -156,8 +139,6 @@ impl std::fmt::Display for IndexKind {
             IndexKind::Ddfs => "ddfs",
             IndexKind::Sparse => "sparse",
             IndexKind::Silo => "silo",
-            IndexKind::ExtremeBinning => "extreme-binning",
-            IndexKind::RevDedup => "revdedup",
         };
         f.write_str(name)
     }
@@ -264,16 +245,6 @@ mod tests {
             index.end_version();
             assert_eq!(kind.to_string(), index.name());
         }
-    }
-
-    #[test]
-    fn extreme_binning_is_near_exact_on_identical_versions() {
-        let mut idx = ExtremeBinning::new();
-        let (dups, total) = exercise_exactness(&mut idx);
-        assert!(
-            dups * 10 >= total * 9,
-            "extreme binning caught only {dups}/{total}"
-        );
     }
 
     #[test]

@@ -70,22 +70,6 @@ impl Alacc {
         self
     }
 
-    /// Chunk-cache hits observed during the last restore.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits_total
-    }
-
-    /// The current assembly-area size (moves under adaptation).
-    pub fn area_bytes(&self) -> usize {
-        self.area_bytes
-    }
-
-    /// How many times the adaptive policy changed the area/cache split
-    /// during the last restore.
-    pub fn adaptations(&self) -> u64 {
-        self.adaptations
-    }
-
     fn cache_insert(&mut self, fp: Fingerprint, data: Vec<u8>) {
         if self.cache.contains_key(&fp) {
             return;
@@ -265,9 +249,11 @@ mod tests {
     #[test]
     fn cache_hits_counted() {
         let (store, plan, _) = interleaved_fixture(4, 16, 256);
-        let mut alacc = Alacc::new(4 * 256, 1 << 20).with_fixed_split();
-        alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
-        assert!(alacc.cache_hits() > 0);
+        let report = Alacc::new(4 * 256, 1 << 20)
+            .with_fixed_split()
+            .restore(&plan, &store, &mut Vec::new())
+            .unwrap();
+        assert!(report.cache_hits > 0);
     }
 
     #[test]
@@ -277,7 +263,7 @@ mod tests {
         alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
         // The run mixes hit-rich and hit-free areas, so the adaptive policy
         // must have moved the split at least once.
-        assert!(alacc.adaptations() > 0);
+        assert!(alacc.adaptations > 0);
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl Faa {
         Faa { area_bytes }
     }
 
-    /// The configured assembly-area size.
-    pub fn area_bytes(&self) -> usize {
-        self.area_bytes
-    }
-
     /// Splits the plan into areas of at most `area_bytes` (a chunk larger
     /// than the area gets an area of its own).
     fn areas<'a>(&self, plan: &'a [RestoreEntry]) -> Vec<&'a [RestoreEntry]> {

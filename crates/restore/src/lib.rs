@@ -52,14 +52,12 @@ mod belady;
 mod chunk_lru;
 mod container_lru;
 mod faa;
-mod verify;
 
 pub use alacc::Alacc;
 pub use belady::BeladyCache;
 pub use chunk_lru::ChunkLru;
 pub use container_lru::ContainerLru;
 pub use faa::Faa;
-pub use verify::VerifyingRestore;
 
 use std::fmt;
 use std::io::Write;

@@ -46,16 +46,6 @@ impl Capping {
             rewritten_chunks: 0,
         }
     }
-
-    /// The configured cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of chunks rewritten so far.
-    pub fn rewritten_chunks(&self) -> u64 {
-        self.rewritten_chunks
-    }
 }
 
 impl RewritePolicy for Capping {
@@ -110,7 +100,7 @@ mod tests {
         let seg = segment_from(&[1, 1, 1, 2, 2, 3, 4]);
         let d = p.process_segment(&seg);
         assert_eq!(d, vec![false, false, false, false, false, true, true]);
-        assert_eq!(p.rewritten_chunks(), 2);
+        assert_eq!(p.rewritten_chunks, 2);
         assert_eq!(p.rewritten_bytes(), 2 * 4096);
     }
 

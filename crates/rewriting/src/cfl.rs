@@ -65,7 +65,7 @@ impl CflRewrite {
     }
 
     /// The current chunk fragmentation level of the in-flight version.
-    pub fn current_cfl(&self) -> f64 {
+    fn current_cfl(&self) -> f64 {
         let optimal = (self.stream_bytes as f64 / self.container_capacity as f64)
             .ceil()
             .max(1.0);

@@ -78,11 +78,6 @@ impl Fbw {
         }
     }
 
-    /// The adaptive threshold currently in force.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     fn push_window(&mut self, container: Option<ContainerId>, size: u32) {
         self.window.push_back((container, size));
         self.window_total += size as u64;
@@ -231,12 +226,12 @@ mod tests {
     fn threshold_adapts_downward_when_over_budget() {
         let mut p = Fbw::new(1 << 20, 0.01, 1 << 22);
         p.begin_version(VersionId::new(1));
-        let before = p.threshold();
+        let before = p.threshold;
         // Everything is a scattered duplicate: massive rewriting, way over
         // the 1% budget, so the threshold must drop.
         let refs: Vec<u32> = (1..=32).collect();
         p.process_segment(&segment_from(&refs));
-        assert!(p.threshold() < before);
+        assert!(p.threshold < before);
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //! * [`Fbw`] — Cao et al. (FAST'19): a sliding look-back window variant of
 //!   capping that sets the rewrite decision from container utilization
 //!   within the window, adapting the threshold to a rewrite budget.
-//! * [`SegAlign`] — RevDedup's (Ng & Lee) inline half: any sub-segment that
-//!   contains a unique chunk is written whole, duplicates included, keeping
-//!   segments physically contiguous for the newest version's restore.
 //!
 //! All policies implement [`RewritePolicy`]: the pipeline hands them each
 //! segment *after* deduplication decisions and they answer, per chunk,
@@ -40,13 +37,11 @@ mod capping;
 mod cbr;
 mod cfl;
 mod fbw;
-mod segalign;
 
 pub use capping::Capping;
 pub use cbr::Cbr;
 pub use cfl::CflRewrite;
 pub use fbw::Fbw;
-pub use segalign::SegAlign;
 
 /// One deduplicated chunk of a segment, as seen by a rewrite policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +201,6 @@ mod tests {
             Box::new(Cbr::default()),
             Box::new(CflRewrite::default()),
             Box::new(Fbw::default()),
-            Box::new(SegAlign::new()),
         ];
         for mut p in policies {
             p.begin_version(VersionId::new(1));
@@ -223,7 +217,6 @@ mod tests {
             Cbr::default().name(),
             CflRewrite::default().name(),
             Fbw::default().name(),
-            SegAlign::new().name(),
         ];
         let mut unique = names.to_vec();
         unique.sort_unstable();

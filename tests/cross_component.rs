@@ -1,10 +1,11 @@
 //! Cross-component integration: combinations that no single crate's unit
-//! tests exercise — verified restores over HiDeStore's two-tier layout,
+//! tests exercise — scrubbed, byte-exact restores over HiDeStore's two-tier
+//! layout,
 //! the Belady bound against HiDeStore's layout, and recluster + deletion +
 //! persistence interacting on one repository.
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::restore::{BeladyCache, ChunkLru, Faa, RestoreCache, VerifyingRestore};
+use hidestore::restore::{BeladyCache, ChunkLru, Faa, RestoreCache};
 use hidestore::storage::{FileContainerStore, MemoryContainerStore, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
 
@@ -41,15 +42,21 @@ fn ingest(n: u32, seed: u64) -> (HiDeStore<MemoryContainerStore>, Vec<Vec<u8>>) 
 #[test]
 fn verified_restore_over_hidestore_two_tier_layout() {
     let (hds, versions) = ingest(5, 1);
-    // Every version passes fingerprint verification, including chunks served
-    // from the active pool through the composite store.
+    // Every version restores byte-exactly, including chunks served from the
+    // active pool through the composite store, and every stored chunk in
+    // both tiers matches its fingerprint.
     for (i, expect) in versions.iter().enumerate() {
-        let mut cache = VerifyingRestore::new(Faa::new(1 << 18));
         let mut out = Vec::new();
-        hds.restore(VersionId::new(i as u32 + 1), &mut cache, &mut out)
-            .unwrap_or_else(|e| panic!("verified restore of V{} failed: {e}", i + 1));
+        hds.restore(
+            VersionId::new(i as u32 + 1),
+            &mut Faa::new(1 << 18),
+            &mut out,
+        )
+        .unwrap_or_else(|e| panic!("restore of V{} failed: {e}", i + 1));
         assert_eq!(&out, expect);
     }
+    let scrub = hds.scrub().unwrap();
+    assert!(scrub.is_clean(), "{scrub:?}");
 }
 
 #[test]
@@ -120,14 +127,12 @@ fn incremental_ingest_into_file_repository() {
     assert!(s2.stored_bytes < 60_000, "incremental ingest");
     for (v, expect) in [(1u32, &v1), (2, &v2)] {
         let mut out = Vec::new();
-        hds.restore(
-            VersionId::new(v),
-            &mut VerifyingRestore::new(Faa::new(1 << 18)),
-            &mut out,
-        )
-        .unwrap();
+        hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+            .unwrap();
         assert_eq!(&out, expect, "V{v}");
     }
+    let scrub = hds.scrub().unwrap();
+    assert!(scrub.is_clean(), "{scrub:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

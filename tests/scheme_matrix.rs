@@ -5,7 +5,7 @@
 use hidestore::dedup::{BackupPipeline, PipelineConfig};
 use hidestore::index::{FingerprintIndex, IndexKind};
 use hidestore::restore::Faa;
-use hidestore::rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy, SegAlign};
+use hidestore::rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy};
 use hidestore::storage::{MemoryContainerStore, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
 
@@ -22,7 +22,6 @@ fn rewriters() -> Vec<(&'static str, Box<dyn RewritePolicy>)> {
             "fbw",
             Box::new(Fbw::new((4 * CONTAINER) as u64, 0.05, CONTAINER as u64)),
         ),
-        ("seg-align", Box::new(SegAlign::new())),
     ]
 }
 
@@ -191,11 +190,7 @@ fn index_exactness_ordering_holds() {
         p.run_stats().stored_bytes
     };
     let ddfs = stored(IndexKind::Ddfs);
-    for kind in [
-        IndexKind::Sparse,
-        IndexKind::Silo,
-        IndexKind::ExtremeBinning,
-    ] {
+    for kind in [IndexKind::Sparse, IndexKind::Silo] {
         assert!(
             stored(kind) >= ddfs,
             "{kind} stored less than exact deduplication"
@@ -206,7 +201,7 @@ fn index_exactness_ordering_holds() {
 #[test]
 fn index_memory_ordering_holds() {
     // Index-table footprints: DDFS (per chunk) > sparse (per hook) and
-    // silo/extreme-binning (per segment/bin).
+    // silo (per segment).
     let versions = VersionStream::new(Profile::Kernel.spec().scaled(800_000, 3), 31).all_versions();
     let bytes = |kind: IndexKind| {
         let mut p = BackupPipeline::new(
@@ -226,11 +221,7 @@ fn index_memory_ordering_holds() {
         p.index().index_table_bytes()
     };
     let ddfs = bytes(IndexKind::Ddfs);
-    for kind in [
-        IndexKind::Sparse,
-        IndexKind::Silo,
-        IndexKind::ExtremeBinning,
-    ] {
+    for kind in [IndexKind::Sparse, IndexKind::Silo] {
         let b = bytes(kind);
         assert!(b < ddfs, "{kind}: {b} >= ddfs {ddfs}");
     }

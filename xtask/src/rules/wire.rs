@@ -2,7 +2,7 @@
 //! (`wire-cast` medium, `wire-alloc` high).
 //!
 //! The daemon's panic-free decode guarantee (PR 5) is really two promises:
-//! no length from the network is trusted before a [`Limits`]-style bound
+//! no length from the network is trusted before a `Limits`-style bound
 //! check, and no integer is silently truncated on its way to or from the
 //! wire. Two rules police the code that keeps those promises:
 //!
