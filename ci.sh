@@ -29,9 +29,12 @@
 #                                      it; the restore-scheme differential
 #                                      (all schemes byte-identical, reported
 #                                      reads = device reads); the chunking
-#                                      crate's tests optimised, so its
-#                                      scan-vs-bit-serial differential covers
-#                                      the 64 KiB-average, multi-MiB cases at
+#                                      and hash crates' tests optimised, so
+#                                      the scan-vs-bit-serial differential
+#                                      covers the 64 KiB-average, multi-MiB
+#                                      cases, and the unrolled SHA-1 and
+#                                      slicing CRC-32 meet their golden
+#                                      digest and byte-loop oracle, at
 #                                      release codegen too
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
@@ -101,8 +104,9 @@ cargo test --release --test pipeline_differential -q
 echo "ci: cargo test --release --test restore_differential"
 cargo test --release --test restore_differential -q
 
-echo "ci: cargo test --release -p hidestore-chunking"
+echo "ci: cargo test --release -p hidestore-chunking -p hidestore-hash"
 cargo test --release -p hidestore-chunking -q
+cargo test --release -p hidestore-hash -q
 
 echo "ci: cargo test --release --test server_chaos"
 cargo test --release --test server_chaos -q

@@ -58,9 +58,11 @@ pub enum JournalRecovery {
 pub(crate) struct PublishEntry {
     /// Path relative to the repository root (and to the staging root).
     pub rel: String,
-    /// Staged payload length, recorded for fsck and post-mortem debugging.
+    /// Staged payload length. Written for post-mortem inspection only:
+    /// nothing reads it back, neither [`recover`] nor `hds-fsck`.
     pub len: u64,
-    /// CRC-32 of the staged payload, same purpose.
+    /// CRC-32 of the staged payload. Like `len`, written and never read:
+    /// recovery trusts the record's own trailing CRC, not this one.
     pub crc: u32,
 }
 

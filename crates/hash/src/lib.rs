@@ -34,7 +34,21 @@ mod fingerprint;
 mod parallel;
 mod sha1;
 
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_update};
 pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
 pub use parallel::{default_hash_threads, fingerprints_parallel};
 pub use sha1::Sha1;
+
+/// Deterministic noise for the kernels' exact-output tests (xorshift64).
+#[cfg(test)]
+fn noise(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}

@@ -1,9 +1,14 @@
 //! Parallel fingerprinting of chunked streams.
 //!
-//! Fingerprinting dominates the CPU cost of the backup pipeline; Destor
-//! pipelines its phases across threads for the same reason. This module
-//! hashes the chunks of a stream on a scoped thread pool, producing exactly
-//! the same fingerprints as the sequential loop.
+//! Fingerprinting is one of the two per-byte CPU costs of ingest, next to
+//! chunking; with the unrolled SHA-1 it is the smaller one (on
+//! `bulk.kernel`, 0.17 s of hashing against 0.26 s of chunking per
+//! traced round on a 2-core 2.1 GHz Xeon). This module hashes the chunks
+//! of a stream on a scoped thread pool, producing exactly the same
+//! fingerprints as the sequential loop.
+//! The ingest path itself hashes in `hidestore_dedup::chunk_fingerprints`;
+//! [`fingerprints_parallel`] remains for the benchmark harness's hash
+//! replay, and [`default_hash_threads`] sizes both.
 
 use std::ops::Range;
 

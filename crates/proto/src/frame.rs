@@ -16,7 +16,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use hidestore_hash::crc32;
+use hidestore_hash::{crc32, crc32_update};
 
 use crate::wire::DecodeError;
 
@@ -242,10 +242,7 @@ pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, FrameErro
     let mut crc_bytes = [0u8; 4];
     r.read_exact(&mut crc_bytes)?;
     let announced = u32::from_le_bytes(crc_bytes);
-    let mut covered = Vec::with_capacity(7 + payload.len());
-    covered.extend_from_slice(&header);
-    covered.extend_from_slice(&payload);
-    let computed = crc32(&covered);
+    let computed = crc32_update(crc32(&header), &payload);
     if announced != computed {
         return Err(FrameError::CrcMismatch {
             announced,
