@@ -45,23 +45,25 @@
 #                                      byte-identical to serial runs, LRU
 #                                      eviction churn, implicit default
 #                                      tenant, quota/unknown-tenant refusals
-#  10. served round trip            -- hds-served on an ephemeral port:
-#                                      remote backup -> list -> restore ->
-#                                      verify, byte-compare; then two
-#                                      remote restores racing a second
+#  10. served round trip            -- `hidestore serve` on an ephemeral
+#                                      port: remote backup -> list ->
+#                                      restore -> verify, byte-compare; then
+#                                      two remote restores racing a second
 #                                      remote backup on the one open
 #                                      repository, both byte-compared and
-#                                      V2 listed; fsck-clean repo, graceful
-#                                      shutdown
+#                                      V2 listed; graceful shutdown, then a
+#                                      local `verify --json` with zero
+#                                      findings of any severity
 #  11. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
-#                                      the source, fsck-clean repo, and an
-#                                      unreadable entry (fifo) is skipped
-#                                      with a non-zero exit; then recluster,
-#                                      and the local verify, a V1 restore
-#                                      diffed against the first one, and
-#                                      fsck all pass again
+#                                      the source, zero `verify --json`
+#                                      findings, and an unreadable entry
+#                                      (fifo) is skipped with a non-zero
+#                                      exit; then recluster, and the local
+#                                      verify, a V1 restore diffed against
+#                                      the first one, and zero findings all
+#                                      hold again
 #  12. paper claims (release)       -- the cross-scheme comparison asserted
 #                                      as tests: HiDeStore vs RevDedup vs
 #                                      hybrid vs DDFS restore reads, dedup
@@ -114,15 +116,15 @@ cargo test --release --test server_chaos -q
 echo "ci: cargo test --release --test tenant_isolation"
 cargo test --release --test tenant_isolation -q
 
-echo "ci: hds-served remote round trip"
-cargo build -q -p hidestore -p hidestore-server -p hidestore-fsck --bins
+echo "ci: hidestore serve remote round trip"
+cargo build -q -p hidestore --bins
 SERVE_DIR=$(mktemp -d)
 SERVE_REPO="$SERVE_DIR/repo"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
 ./target/debug/hidestore init "$SERVE_REPO" --chunk 4096 --container 262144 > /dev/null
 head -c 3000000 /dev/urandom > "$SERVE_DIR/input.bin"
 # Ephemeral port: the daemon prints the bound address on stdout.
-./target/debug/hds-served "$SERVE_REPO" --quiet > "$SERVE_DIR/serve.out" 2>&1 &
+./target/debug/hidestore serve "$SERVE_REPO" --quiet > "$SERVE_DIR/serve.out" 2>&1 &
 SERVE_PID=$!
 ADDR=""
 for _ in $(seq 1 50); do
@@ -130,7 +132,7 @@ for _ in $(seq 1 50); do
     [ -n "$ADDR" ] && break
     sleep 0.1
 done
-[ -n "$ADDR" ] || { echo "ci: hds-served never reported its address"; exit 1; }
+[ -n "$ADDR" ] || { echo "ci: hidestore serve never reported its address"; exit 1; }
 ./target/debug/hidestore backup  --remote "$ADDR" "$SERVE_DIR/input.bin"
 ./target/debug/hidestore list    --remote "$ADDR" --json | grep -q '"version":1'
 ./target/debug/hidestore restore --remote "$ADDR" 1 "$SERVE_DIR/output.bin"
@@ -151,7 +153,7 @@ cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race2.bin"
 ./target/debug/hidestore list    --remote "$ADDR" --json | grep -q '"version":2'
 ./target/debug/hidestore shutdown --remote "$ADDR"
 wait "$SERVE_PID"
-./target/debug/hds-fsck "$SERVE_REPO"
+./target/debug/hidestore verify "$SERVE_REPO" --json | grep -q '"clean": true'
 trap - EXIT
 rm -rf "$SERVE_DIR"
 
@@ -176,7 +178,7 @@ diff -r --no-dereference "$TREE_DIR/src" "$TREE_DIR/full"
 ./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/sub" --subtree /code
 diff -r "$TREE_DIR/src/code" "$TREE_DIR/sub"
 [ ! -e "$TREE_DIR/sub/readme.txt" ]
-./target/debug/hds-fsck "$TREE_DIR/repo"
+./target/debug/hidestore verify "$TREE_DIR/repo" --json | grep -q '"clean": true'
 # Resilience: an unreadable entry (fifo) is skipped, the backup still
 # lands, and the exit code is non-zero.
 mkfifo "$TREE_DIR/src/pipe"
@@ -185,13 +187,13 @@ if ./target/debug/hidestore backup-tree "$TREE_DIR/repo" "$TREE_DIR/src" 2> "$TR
 fi
 grep -q "skipped /pipe" "$TREE_DIR/skip.err"
 ./target/debug/hidestore list "$TREE_DIR/repo" --json | grep -q '"version":2'
-# Re-cluster the archival layout: the local scrub, a V1 tree restore and
-# fsck must all still pass over the repacked containers.
+# Re-cluster the archival layout: the local verify, a V1 tree restore and
+# zero findings must all still hold over the repacked containers.
 ./target/debug/hidestore recluster "$TREE_DIR/repo"
 ./target/debug/hidestore verify "$TREE_DIR/repo"
 ./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/reclustered"
 diff -r --no-dereference "$TREE_DIR/full" "$TREE_DIR/reclustered"
-./target/debug/hds-fsck "$TREE_DIR/repo"
+./target/debug/hidestore verify "$TREE_DIR/repo" --json | grep -q '"clean": true'
 trap - EXIT
 rm -rf "$TREE_DIR"
 

@@ -2,14 +2,14 @@
 //! processes.
 //!
 //! The CLI opens a repository, runs one operation, saves, and exits; the
-//! `hds-served` daemon instead keeps a repository open for hours while many
-//! connections operate on it concurrently. The handle centralizes the rules
-//! that make that safe:
+//! daemon (`hidestore serve`) instead keeps a repository open for hours
+//! while many connections operate on it concurrently. The handle
+//! centralizes the rules that make that safe:
 //!
 //! * **One writer, many readers.** Mutations (`backup`, `prune`, `flatten`,
 //!   …) run under an exclusive lock and are immediately persisted with the
 //!   atomic commit journal from [`crate::HiDeStore::save_repository`].
-//!   Every read — listings, restores, scrubs — runs against the one
+//!   Every read — listings, restores, audits — runs against the one
 //!   in-memory instance under a shared lock, so reads proceed concurrently
 //!   with each other and never observe a half-applied mutation. Container
 //!   reads take `&self` (the stores count them in atomics), so a read never
@@ -103,7 +103,7 @@ impl<V: Vfs> RepositoryHandle<V> {
     }
 
     /// Runs a read-only closure against the shared in-memory instance under
-    /// the read lock: listings, statistics, restores and scrubs, all
+    /// the read lock: listings, statistics, restores and audits, all
     /// concurrently with each other.
     ///
     /// # Errors
@@ -369,10 +369,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A read through the handle runs on the open instance: restoring V1
-    /// and scrubbing read archival containers and nothing else — no
-    /// directory listing, no rename into quarantine, no recipe, active-pool
-    /// or meta file.
+    /// A read through the handle runs on the open instance: restoring every
+    /// version reads archival containers and nothing else — no directory
+    /// listing, no rename into quarantine, no recipe, active-pool or meta
+    /// file.
     #[test]
     fn handle_reads_touch_only_containers() {
         let dir = temp("reads");
@@ -384,8 +384,9 @@ mod tests {
             handle.write(|s| s.backup(data)).unwrap();
         }
         let before = vfs.trace().len();
-        assert_eq!(restore(&handle, 1), versions[0]);
-        assert!(handle.read(|s| s.scrub()).unwrap().unwrap().is_clean());
+        for (v, data) in (1..).zip(&versions) {
+            assert_eq!(&restore(&handle, v), data);
+        }
         let trace = vfs.trace();
         let reads = &trace[before..];
         assert!(

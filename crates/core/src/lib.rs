@@ -71,9 +71,9 @@ pub use handle::RepositoryHandle;
 pub use journal::JournalRecovery;
 pub use persist::{
     repository_recovery_state, OpenReport, PendingJournal, QuarantineEntry, QuarantinedArtifact,
-    RecoveryState, RepositoryMeta,
+    RecoveryState,
 };
 pub use recluster::ReclusterReport;
 pub use scheme::OutOfLineReport;
-pub use stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats, ScrubReport};
+pub use stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
 pub use system::{HiDeStore, HiDeStoreError};

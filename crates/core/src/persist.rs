@@ -61,10 +61,9 @@ const META_MAGIC: &[u8; 4] = b"HDS2";
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
 
 /// The counters stored in a repository's `hidestore.meta` file, readable
-/// without opening the full repository (e.g. so `hds-fsck` can discover the
-/// history depth a repository was written with).
+/// without opening the full repository.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepositoryMeta {
+pub(crate) struct RepositoryMeta {
     /// Next version number to assign (retained versions are below this).
     pub next_version: u32,
     /// Next archival container ID to assign.
@@ -74,23 +73,14 @@ pub struct RepositoryMeta {
 }
 
 impl RepositoryMeta {
-    /// Reads the meta file of the repository at `dir`. Returns `Ok(None)`
-    /// when no meta file exists (a fresh or never-saved repository).
+    /// Reads the meta file of the repository at `dir` through `vfs`.
+    /// Returns `Ok(None)` when no meta file exists (a fresh or never-saved
+    /// repository).
     ///
     /// # Errors
     ///
     /// Fails on filesystem errors or a corrupt (torn, bit-flipped, or
     /// unrecognized) meta file.
-    pub fn read(dir: impl AsRef<Path>) -> Result<Option<Self>, HiDeStoreError> {
-        Self::read_with(dir, &RealVfs)
-    }
-
-    /// [`RepositoryMeta::read`] through an explicit [`Vfs`] — the
-    /// fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// Fails on filesystem errors or a corrupt meta file.
     pub fn read_with<V: Vfs>(
         dir: impl AsRef<Path>,
         vfs: &V,
@@ -121,7 +111,8 @@ impl RepositoryMeta {
         }))
     }
 
-    /// Serializes in the CRC-guarded format [`RepositoryMeta::read`] accepts.
+    /// Serializes in the CRC-guarded format [`RepositoryMeta::read_with`]
+    /// accepts.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20);
         out.extend_from_slice(META_MAGIC);
@@ -208,7 +199,7 @@ pub enum PendingJournal {
 
 /// Crash-recovery artifacts present in a repository directory, inspected
 /// *without* opening (and therefore without recovering) the repository —
-/// this is how `hds-fsck` reports a pending journal before
+/// this is how `hidestore verify` reports a pending journal before
 /// [`HiDeStore::open_repository`] resolves it.
 #[derive(Debug, Default)]
 pub struct RecoveryState {
@@ -962,29 +953,19 @@ mod tests {
             matches!(err, HiDeStoreError::PartialRestore { .. }),
             "expected PartialRestore after reopen, got: {err}"
         );
-        // And a scrub reports the version it would refuse, never clean.
-        let scrub = system.scrub().unwrap();
-        assert!(!scrub.is_clean());
-        assert!(
-            scrub
-                .corrupt_chunks
-                .iter()
-                .any(|(_, what)| what.contains("cannot restore V1")),
-            "{:?}",
-            scrub.corrupt_chunks
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Containers a backup wrote before its save never committed are
     /// quarantined at open; no committed recipe references them, so the
-    /// scrub stays clean on this open and every later one.
+    /// committed version restores on this open and every later one.
     #[test]
-    fn uncommitted_residue_in_quarantine_scrubs_clean() {
-        let dir = temp_dir("residue-scrub");
+    fn uncommitted_residue_in_quarantine_leaves_the_committed_version_restorable() {
+        let dir = temp_dir("residue");
+        let v1 = noise(80_000, 60);
         {
             let mut system = HiDeStore::open_repository(config(), &dir).unwrap();
-            system.backup(&noise(80_000, 60)).unwrap();
+            system.backup(&v1).unwrap();
             system.save_repository(&dir).unwrap();
             // V1's chunks go cold: archival containers land on disk, but
             // the save that would commit them never runs.
@@ -997,9 +978,12 @@ mod tests {
                 !system.quarantine().is_empty(),
                 "the residue is quarantined"
             );
-            let scrub = system.scrub().unwrap();
-            assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
-            assert_eq!(scrub.recipes_checked, 1);
+            assert_eq!(system.versions(), [VersionId::new(1)]);
+            let mut out = Vec::new();
+            system
+                .restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut out)
+                .unwrap();
+            assert!(out == v1, "V1 survives the residue");
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1223,8 +1207,6 @@ mod tests {
                 .unwrap();
             assert!(out == versions[v.get() as usize - 1], "{v} after the retry");
         }
-        let scrub = reopened.scrub().unwrap();
-        assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1261,13 +1243,14 @@ mod tests {
         assert!(!padded.exists());
         assert!(!dir.join("active/ax.ctr").exists());
         let reopened = HiDeStore::open_repository(config(), &dir).unwrap();
-        let mut out = Vec::new();
-        reopened
-            .restore(VersionId::new(3), &mut Faa::new(1 << 18), &mut out)
-            .unwrap();
-        assert!(out == versions[2], "V3 survives its misnamed file");
-        let scrub = reopened.scrub().unwrap();
-        assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+        for (i, expect) in versions.iter().enumerate() {
+            let v = VersionId::new(i as u32 + 1);
+            let mut out = Vec::new();
+            reopened
+                .restore(v, &mut Faa::new(1 << 18), &mut out)
+                .unwrap();
+            assert!(&out == expect, "{v} survives the misnamed files");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -101,29 +101,6 @@ impl HiDeStoreRunStats {
     }
 }
 
-/// Outcome of a repository integrity scrub ([`crate::HiDeStore::scrub`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Archival containers read and parsed.
-    pub containers_checked: u64,
-    /// Chunks whose content was re-hashed and compared to the fingerprint.
-    pub chunks_checked: u64,
-    /// Recipes whose chains resolved end to end onto chunks their
-    /// containers hold.
-    pub recipes_checked: u64,
-    /// Every damage found: the container involved (0 when none) and what
-    /// is wrong — a chunk that fails its fingerprint, a container that
-    /// cannot be read, or a version that cannot be restored.
-    pub corrupt_chunks: Vec<(u32, String)>,
-}
-
-impl ScrubReport {
-    /// Whether the repository passed with no damage.
-    pub fn is_clean(&self) -> bool {
-        self.corrupt_chunks.is_empty()
-    }
-}
-
 /// Outcome of expiring old versions (§4.5 / §5.5).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeletionReport {

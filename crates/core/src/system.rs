@@ -19,11 +19,11 @@ use hidestore_storage::{
 use crate::active::ActivePool;
 use crate::cache::{CacheEntry, Classification, FingerprintCache};
 use crate::chain::{self, ResolveError};
-use crate::composite::{CompositeStore, ACTIVE_ID_BASE};
+use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 use crate::scheme::SchemeState;
-use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats, ScrubReport};
+use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
 
 /// Size in bytes of one index-lookup I/O unit: the previous recipe's
 /// prefetch is charged in these units, the same units as the traditional
@@ -142,6 +142,18 @@ impl From<RestoreError> for HiDeStoreError {
 impl From<ResolveError> for HiDeStoreError {
     fn from(e: ResolveError) -> Self {
         HiDeStoreError::Resolve(e)
+    }
+}
+
+/// The verdict of [`HiDeStore::scrub`], the benchmark harness's check.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scrubbed(bool);
+
+impl Scrubbed {
+    /// Whether every chunk re-hashed and every version resolved.
+    pub fn is_clean(&self) -> bool {
+        self.0
     }
 }
 
@@ -708,89 +720,37 @@ impl<S: ContainerStore> HiDeStore<S> {
         Ok(report)
     }
 
-    /// Verifies repository integrity: every archival and active container's
-    /// chunks are re-hashed against their fingerprints, and every retained
-    /// version — and every version whose recipe sits in quarantine — must
-    /// resolve to a plan [`HiDeStore::restore`] accepts.
-    ///
-    /// Damage is *recorded* in [`ScrubReport::corrupt_chunks`], never
-    /// skipped, so one scrub enumerates all of it: a chunk that fails its
-    /// fingerprint, an archival container that cannot be read or decoded,
-    /// a version whose plan names a chunk its container does not hold (or
-    /// a container that could not be read), and a version `restore` refuses
-    /// with [`HiDeStoreError::PartialRestore`] (a quarantined dependency or
-    /// recipe, or a pool chunk lost with a quarantined active container).
-    /// Quarantined artifacts that no such version depends on — the residue
-    /// of an uncommitted save — are not damage.
+    /// Whether every chunk re-hashes to its fingerprint and every retained
+    /// version resolves onto chunks its containers hold. Not the integrity
+    /// checker — that is `hidestore_fsck::SystemAuditor`, behind
+    /// `hidestore verify` and the daemon's `Verify` — but the end-of-round
+    /// check of the benchmark harness, which builds without the fsck crate.
     ///
     /// # Errors
     ///
-    /// Fails if a recipe chain is broken without any quarantine to explain
-    /// it.
-    pub fn scrub(&self) -> Result<ScrubReport, HiDeStoreError> {
-        let mut report = ScrubReport::default();
-        // Every (container, chunk) pair a readable container holds: what a
-        // restore plan may name.
+    /// Fails if an archival container cannot be read or a version does not
+    /// resolve.
+    #[doc(hidden)]
+    pub fn scrub(&self) -> Result<Scrubbed, HiDeStoreError> {
         let mut held: HashSet<(ContainerId, Fingerprint)> = HashSet::new();
-        let mut check = |report: &mut ScrubReport, container: &Container| {
-            report.containers_checked += 1;
+        let mut clean = true;
+        let mut check = |container: &Container| {
             for (fp, data) in container.iter() {
-                report.chunks_checked += 1;
                 held.insert((container.id(), fp));
-                if Fingerprint::of(data) != fp {
-                    let what = format!("chunk {fp} does not match its fingerprint");
-                    report.corrupt_chunks.push((container.id().get(), what));
-                }
+                clean &= Fingerprint::of(data) == fp;
             }
         };
         for id in self.archival.ids() {
-            match self.archival.read(id) {
-                Ok(container) => check(&mut report, &container),
-                Err(e) => report.corrupt_chunks.push((id.get(), e.to_string())),
-            }
+            check(&*self.archival.read(id)?);
         }
-        for (_, container) in self.pool.containers() {
-            check(&mut report, container);
+        self.pool.containers().for_each(|(_, c)| check(c));
+        for version in self.versions() {
+            let plan = self.resolve_restore_entries(version)?;
+            clean &= plan
+                .iter()
+                .all(|e| held.contains(&(e.container, e.fingerprint)));
         }
-        let lost_recipes = self.quarantined.iter().filter_map(|e| match e.artifact {
-            QuarantinedArtifact::Recipe(v) => Some(v),
-            _ => None,
-        });
-        let versions: BTreeSet<VersionId> =
-            self.versions().into_iter().chain(lost_recipes).collect();
-        for version in versions {
-            let e = match self.resolve_restore_entries(version) {
-                Ok(plan) => {
-                    let missing = plan
-                        .iter()
-                        .find(|e| !held.contains(&(e.container, e.fingerprint)));
-                    match missing {
-                        None => report.recipes_checked += 1,
-                        Some(e) => report.corrupt_chunks.push((
-                            e.container.get(),
-                            format!(
-                                "cannot restore {version}: chunk {} is not in container {}",
-                                e.fingerprint, e.container
-                            ),
-                        )),
-                    }
-                    continue;
-                }
-                Err(e) => e,
-            };
-            let HiDeStoreError::PartialRestore { quarantined, .. } = &e else {
-                return Err(e);
-            };
-            let container = quarantined.iter().find_map(|a| match a {
-                QuarantinedArtifact::ArchivalContainer(id) => Some(id.get()),
-                QuarantinedArtifact::ActiveContainer(cid) => Some(ACTIVE_ID_BASE + cid),
-                _ => None,
-            });
-            report
-                .corrupt_chunks
-                .push((container.unwrap_or(0), e.to_string()));
-        }
-        Ok(report)
+        Ok(Scrubbed(clean))
     }
 
     /// Cumulative statistics.

@@ -26,18 +26,21 @@
 //!
 //! [`SystemAuditor`] walks all of it and reports each violation as a typed
 //! [`Finding`] with a [`Severity`] — it never panics on corrupt input, so a
-//! single audit pass enumerates *all* damage. The `hds-fsck` binary runs the
-//! same auditor against an on-disk repository directory.
+//! single audit pass enumerates *all* damage. It is the repository's one
+//! integrity checker: `hidestore verify` runs it on a local repository and
+//! the daemon's `Verify` verb on its open instance, and both exit 1 exactly
+//! when some finding is a [`Severity::Error`].
 //!
 //! **Crash-recovery awareness**: repositories opened from disk may carry
 //! state left by degraded-mode recovery — artifacts moved to `quarantine/`
-//! ([`FindingKind::QuarantinedArtifact`]) and recipe references that resolve
-//! into them ([`FindingKind::QuarantinedRef`]). Both are reported at
-//! [`Severity::Warning`]: the damage is real but already contained, and
-//! every version without quarantined dependencies still restores. The
-//! `hds-fsck` binary additionally reports an interrupted save transaction
-//! pending in `staging/` ([`FindingKind::PendingJournal`]) by scanning the
-//! directory *before* opening it (opening resolves the transaction).
+//! ([`FindingKind::QuarantinedArtifact`]) and versions that resolve into
+//! them ([`FindingKind::QuarantinedRef`]). A version that no longer restores
+//! is an error, whether its recipe or one of its dependencies was
+//! quarantined; quarantined residue that no version references is a
+//! warning. `hidestore verify` additionally reports an interrupted save
+//! transaction pending in `staging/` ([`FindingKind::PendingJournal`]) by
+//! scanning the directory *before* opening it (opening resolves the
+//! transaction).
 //!
 //! # Examples
 //!
@@ -245,28 +248,28 @@ pub enum FindingKind {
     },
     /// Degraded-mode recovery moved a repository artifact to `quarantine/`
     /// when the repository was opened (corrupt, unreadable, or residue of an
-    /// uncommitted save).
+    /// uncommitted save). A quarantined recipe is an error: its version is
+    /// gone. Any other artifact is a warning by itself; the versions that
+    /// depend on it are reported as [`FindingKind::QuarantinedRef`].
     QuarantinedArtifact {
-        /// What was quarantined (e.g. "archival container 3").
-        artifact: String,
+        /// What was quarantined.
+        artifact: CoreArtifact,
         /// Why recovery pulled it.
         reason: String,
     },
-    /// A recipe entry resolves into a quarantined artifact. The damage is
-    /// already contained — the affected version fails restore with a typed
-    /// partial-restore error naming its lost dependencies — so this is a
-    /// warning, not a fresh integrity error.
+    /// A version resolves into a quarantined artifact, so restoring it fails
+    /// with a typed partial-restore error naming its lost dependencies.
+    /// Reported once per version and artifact.
     QuarantinedRef {
-        /// The version whose recipe holds the entry.
+        /// The version that no longer restores.
         version: u32,
-        /// The chunk that resolves into quarantine.
-        fingerprint: Fingerprint,
-        /// The quarantined artifact it resolves to.
-        artifact: String,
+        /// The quarantined artifact it depends on.
+        artifact: CoreArtifact,
     },
     /// An interrupted save transaction is pending in `staging/`. Reported by
-    /// the offline `hds-fsck` scan; opening the repository resolves it (roll
-    /// forward if the commit record is valid, roll back otherwise).
+    /// `hidestore verify`, which scans before it opens the repository;
+    /// opening resolves it (roll forward if the commit record is valid, roll
+    /// back otherwise).
     PendingJournal {
         /// What the pending transaction looks like and how open will
         /// resolve it.
@@ -305,8 +308,13 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: ", self.severity)?;
-        match &self.kind {
+        write!(f, "{}: {}", self.severity, self.kind)
+    }
+}
+
+impl fmt::Display for FindingKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
             FindingKind::UnreadableContainer { id, detail } => {
                 write!(f, "container {id} unreadable: {detail}")
             }
@@ -457,15 +465,11 @@ impl fmt::Display for Finding {
             FindingKind::QuarantinedArtifact { artifact, reason } => {
                 write!(f, "{artifact} was quarantined at open: {reason}")
             }
-            FindingKind::QuarantinedRef {
-                version,
-                fingerprint,
-                artifact,
-            } => {
+            FindingKind::QuarantinedRef { version, artifact } => {
                 write!(
                     f,
-                    "recipe V{version} chunk {fingerprint} resolves into quarantined \
-                     {artifact}; restoring V{version} reports a partial-restore error"
+                    "V{version} depends on quarantined {artifact}; restoring V{version} \
+                     reports a partial-restore error"
                 )
             }
             FindingKind::PendingJournal { detail } => {
@@ -607,28 +611,33 @@ impl SystemAuditor {
         let mut report = AuditReport::default();
 
         // Phase 0 — quarantine ledger: everything degraded-mode recovery
-        // moved aside at open is surfaced as a warning, and indexed so the
-        // recipe walk can distinguish "resolves into quarantine" (contained,
-        // warning) from fresh integrity damage (error).
+        // moved aside at open is surfaced, and indexed so the recipe walk
+        // can name the quarantined dependency of a version that no longer
+        // restores instead of reporting the hole it leaves.
         let mut quarantine = QuarantineIndex::default();
         for entry in system.quarantine() {
+            let severity = match &entry.artifact {
+                CoreArtifact::ArchivalContainer(id) => {
+                    quarantine.archival.insert(id.get());
+                    Severity::Warning
+                }
+                CoreArtifact::ActiveContainer(_) => {
+                    quarantine.active.get_or_insert(entry.artifact.clone());
+                    Severity::Warning
+                }
+                CoreArtifact::Recipe(v) => {
+                    quarantine.recipes.insert(v.get());
+                    Severity::Error
+                }
+                CoreArtifact::Unrecognized(_) => Severity::Warning,
+            };
             report.push(
-                Severity::Warning,
+                severity,
                 FindingKind::QuarantinedArtifact {
-                    artifact: entry.artifact.to_string(),
+                    artifact: entry.artifact.clone(),
                     reason: entry.reason.clone(),
                 },
             );
-            match &entry.artifact {
-                CoreArtifact::ArchivalContainer(id) => {
-                    quarantine.archival.insert(id.get());
-                }
-                CoreArtifact::ActiveContainer(_) => quarantine.active = true,
-                CoreArtifact::Recipe(v) => {
-                    quarantine.recipes.insert(v.get());
-                }
-                CoreArtifact::Unrecognized(_) => {}
-            }
         }
 
         // Phase 1 — archival sweep: readability, ID space, structure,
@@ -722,7 +731,7 @@ impl SystemAuditor {
                     entry.cid,
                     &archival_fps,
                     &unreadable,
-                    &quarantine,
+                    &mut quarantine,
                     &mut chain_maps,
                     &mut referenced,
                     &mut report,
@@ -859,17 +868,32 @@ impl SystemAuditor {
 }
 
 /// What degraded-mode recovery quarantined at open, indexed so the recipe
-/// walk can classify resolution failures that land in quarantine as
-/// contained (warning) rather than fresh damage (error).
+/// walk can report a resolution failure that lands in quarantine as the
+/// version's quarantined dependency rather than as fresh damage.
 #[derive(Debug, Default)]
 struct QuarantineIndex {
     /// Quarantined archival container IDs.
     archival: HashSet<u32>,
-    /// Whether any active-pool snapshot was quarantined (the pool then
-    /// legitimately lacks the chunks that lived in it).
-    active: bool,
+    /// The first quarantined active-pool snapshot, if any (the pool then
+    /// lacks the chunks that lived in it).
+    active: Option<CoreArtifact>,
     /// Versions whose recipes were quarantined.
     recipes: HashSet<u32>,
+    /// The (version, artifact) pairs already reported.
+    reported: HashSet<(u32, CoreArtifact)>,
+}
+
+impl QuarantineIndex {
+    /// Reports that `version` depends on `artifact`, once per pair: one lost
+    /// container must not cascade into a finding per recipe entry.
+    fn report_ref(&mut self, version: u32, artifact: CoreArtifact, report: &mut AuditReport) {
+        if self.reported.insert((version, artifact.clone())) {
+            report.push(
+                Severity::Error,
+                FindingKind::QuarantinedRef { version, artifact },
+            );
+        }
+    }
 }
 
 /// Resolves one recipe entry through the chain, reporting every violation on
@@ -884,7 +908,7 @@ fn walk_entry(
     start: Cid,
     archival_fps: &HashMap<u32, HashMap<Fingerprint, u32>>,
     unreadable: &HashSet<u32>,
-    quarantine: &QuarantineIndex,
+    quarantine: &mut QuarantineIndex,
     chain_maps: &mut HashMap<u32, HashMap<Fingerprint, Cid>>,
     referenced: &mut HashSet<(u32, Fingerprint)>,
     report: &mut AuditReport,
@@ -913,18 +937,11 @@ fn walk_entry(
                 // An unreadable container's damage is already reported once;
                 // don't cascade a dangling-reference finding per entry.
                 None if unreadable.contains(&c) => {}
-                // The container is in quarantine: the reference is expected
-                // to dangle, and restore reports it as a partial-restore
-                // dependency — contained, so a warning.
+                // The container is in quarantine: restore reports it as the
+                // version's partial-restore dependency.
                 None if quarantine.archival.contains(&c) => {
-                    report.push(
-                        Severity::Warning,
-                        FindingKind::QuarantinedRef {
-                            version,
-                            fingerprint: fp,
-                            artifact: format!("archival container {c}"),
-                        },
-                    );
+                    let artifact = CoreArtifact::ArchivalContainer(archival);
+                    quarantine.report_ref(version, artifact, report);
                 }
                 None => {
                     report.push(
@@ -941,16 +958,9 @@ fn walk_entry(
         }
         if cid.is_active() {
             if pool.locate(&fp).is_none() {
-                if quarantine.active {
+                if let Some(artifact) = quarantine.active.clone() {
                     // A quarantined pool snapshot took its chunks with it.
-                    report.push(
-                        Severity::Warning,
-                        FindingKind::QuarantinedRef {
-                            version,
-                            fingerprint: fp,
-                            artifact: "a quarantined active-pool snapshot".to_string(),
-                        },
-                    );
+                    quarantine.report_ref(version, artifact, report);
                 } else {
                     report.push(
                         Severity::Error,
@@ -993,16 +1003,10 @@ fn walk_entry(
                 Some(r) => {
                     slot.insert(r.entries().iter().map(|e| (e.fingerprint, e.cid)).collect());
                 }
-                // Chain target sits in quarantine: expected to be missing.
+                // The chain target's recipe sits in quarantine.
                 None if quarantine.recipes.contains(&w) => {
-                    report.push(
-                        Severity::Warning,
-                        FindingKind::QuarantinedRef {
-                            version,
-                            fingerprint: fp,
-                            artifact: format!("recipe of version {w}"),
-                        },
-                    );
+                    let artifact = CoreArtifact::Recipe(target);
+                    quarantine.report_ref(version, artifact, report);
                     return;
                 }
                 None => {

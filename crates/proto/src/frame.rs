@@ -1,4 +1,4 @@
-//! The framing layer: every byte on an `hds-served` connection travels
+//! The framing layer: every byte on a daemon connection travels
 //! inside a CRC-guarded, length-prefixed frame.
 //!
 //! ```text

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Wire protocol for `hds-served`, the HiDeStore network daemon.
+//! Wire protocol for the HiDeStore network daemon (`hidestore serve`).
 //!
 //! The protocol is a length-prefixed binary framing over any reliable
 //! byte stream (in practice TCP), spoken at exactly one version

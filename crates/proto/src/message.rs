@@ -23,7 +23,7 @@ pub const PROTO_VERSION: u16 = 4;
 /// second version.
 pub type SessionToken = [u8; 16];
 
-/// Magic prefix inside HELLO payloads, distinguishing an `hds-served`
+/// Magic prefix inside HELLO payloads, distinguishing a HiDeStore daemon
 /// endpoint from an arbitrary TCP service.
 pub const HELLO_MAGIC: [u8; 4] = *b"HDSP";
 

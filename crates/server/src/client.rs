@@ -73,7 +73,7 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// A negotiated connection to an `hds-served` daemon.
+/// A negotiated connection to a daemon started by `hidestore serve`.
 ///
 /// Generic over the [`NetStream`] transport so the chaos suite can drive a
 /// client through a fault-injecting stream; production callers use the

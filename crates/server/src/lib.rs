@@ -1,4 +1,4 @@
-//! `hds-served`: the HiDeStore network daemon and its client.
+//! The HiDeStore network daemon (`hidestore serve`) and its client.
 //!
 //! This crate turns the local repository engine into a network service over
 //! the framed wire protocol of `hidestore-proto`:
@@ -12,8 +12,8 @@
 //!   dropping the handle also performs.
 //! * [`RemoteClient`] is the matching blocking client used by the
 //!   `--remote` CLI paths and the test/bench harnesses.
-//! * [`view`] builds the protocol's `List`/`Stats` response types from a
-//!   repository, shared by the daemon and the local CLI's `--json` output.
+//! * [`view`] builds the protocol's `List`/`Stats`/`Verify` response types
+//!   from a repository, shared by the daemon and the local CLI.
 //!
 //! Concurrency and crash-safety are delegated downward: tenant ids map to
 //! independent repositories through a
@@ -38,9 +38,7 @@ pub mod view;
 
 pub use client::{BackupAttempt, ClientError, RemoteClient, RestoreAttempt, DEFAULT_NET_TIMEOUT};
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
-pub use server::{
-    serve, serve_until_shutdown, ServerConfig, ServerError, ServerHandle, DATA_CHUNK,
-};
+pub use server::{serve, ServerConfig, ServerError, ServerHandle, DATA_CHUNK};
 pub use session::SessionTable;
 pub use stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 
@@ -279,14 +277,6 @@ mod tests {
         admin.shutdown().unwrap();
         handle.join();
         std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn timeout_flag_sets_the_one_io_deadline() {
-        let args = ["repo", "--timeout", "7"].map(String::from);
-        let (repo, config) = ServerConfig::from_args(&args).unwrap();
-        assert_eq!(repo, "repo");
-        assert_eq!(config.io_timeout, std::time::Duration::from_secs(7));
     }
 
     #[test]

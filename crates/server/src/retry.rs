@@ -188,7 +188,7 @@ pub struct RetryCounters {
 }
 
 /// A fault-tolerant client: reconnects, retries, and resumes operations
-/// against an `hds-served` daemon according to a [`RetryPolicy`].
+/// against a `hidestore serve` daemon according to a [`RetryPolicy`].
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,

@@ -1,5 +1,5 @@
-//! The `hds-served` daemon: a thread-per-connection TCP server over the
-//! framed wire protocol.
+//! The daemon `hidestore serve` runs: a thread-per-connection TCP server
+//! over the framed wire protocol.
 //!
 //! # Architecture
 //!
@@ -24,7 +24,7 @@
 //!   disconnect aborts only that request. Mutations go through
 //!   [`RepositoryHandle::write`], so a failed backup/prune is rolled back
 //!   (the journal keeps disk atomic, the handle reloads memory) and the
-//!   repository stays `hds-fsck`-clean.
+//!   repository stays clean under `hidestore verify`.
 //! * **Graceful shutdown.** [`ServerHandle::request_shutdown`] (also
 //!   triggered by the protocol's `Shutdown` request) stops the acceptor via
 //!   a wake connection, lets in-flight requests finish, refuses queued
@@ -46,11 +46,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hidestore_core::{HiDeStoreConfig, HiDeStoreError};
+use hidestore_fsck::SystemAuditor;
 use hidestore_netfault::{AnyStream, NetPlan, NetStream};
 use hidestore_proto::{
     read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, PruneSummary,
     Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
-    TenantStatsEntry, TenantStatsResponse, VerifySummary, WireError,
+    TenantStatsEntry, TenantStatsResponse, WireError,
 };
 use hidestore_restore::Faa;
 use hidestore_storage::VersionId;
@@ -131,56 +132,6 @@ impl Default for ServerConfig {
             auto_create_tenants: true,
             default_quota: TenantQuota::UNLIMITED,
         }
-    }
-}
-
-impl ServerConfig {
-    /// Parses the daemon's command line — `<repo-dir>` followed by flags —
-    /// for both entry points (`hds-served` and `hidestore serve`), returning
-    /// the repository directory and the configuration.
-    ///
-    /// # Errors
-    ///
-    /// A one-line description of the usage error: missing repository
-    /// directory, unknown flag, or a missing or out-of-range flag value.
-    pub fn from_args(args: &[String]) -> Result<(String, ServerConfig), String> {
-        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-            value
-                .parse()
-                .map_err(|_| format!("{flag} must be a number, got {value}"))
-        }
-        fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
-            match number(flag, value)? {
-                0 => Err(format!("{flag} must be >= 1, got {value}")),
-                n => Ok(n),
-            }
-        }
-        let mut it = args.iter();
-        let repo = match it.next() {
-            Some(repo) if !repo.starts_with('-') => repo.clone(),
-            _ => return Err("serving needs a <repo-dir>".into()),
-        };
-        let mut bind = "127.0.0.1".to_string();
-        let mut port: u16 = 0;
-        let mut config = ServerConfig::default();
-        while let Some(flag) = it.next() {
-            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-            match flag.as_str() {
-                "--bind" => bind = value()?.clone(),
-                "--port" => port = number(flag, value()?)?,
-                "--workers" => config.workers = at_least_one(flag, value()?)?,
-                "--quiet" => config.quiet = true,
-                "--timeout" => config.io_timeout = Duration::from_secs(number(flag, value()?)?),
-                "--tenants" => config.tenants_root = true,
-                "--max-tenants" => config.max_live_tenants = at_least_one(flag, value()?)?,
-                "--no-auto-tenants" => config.auto_create_tenants = false,
-                "--quota-bytes" => config.default_quota.max_bytes = number(flag, value()?)?,
-                "--quota-versions" => config.default_quota.max_versions = number(flag, value()?)?,
-                other => return Err(format!("unknown option {other}")),
-            }
-        }
-        config.bind = format!("{bind}:{port}");
-        Ok((repo, config))
     }
 }
 
@@ -409,23 +360,6 @@ pub fn serve(
         threads.push(std::thread::spawn(move || worker(&shared)));
     }
     Ok(ServerHandle { shared, threads })
-}
-
-/// The body of both daemon entry points: [`serve`]s `repo_dir`, announces
-/// the bound address on stdout, and blocks until a protocol `Shutdown`
-/// request has drained the daemon.
-///
-/// # Errors
-///
-/// As [`serve`].
-pub fn serve_until_shutdown(repo_dir: &str, config: ServerConfig) -> Result<(), ServerError> {
-    let handle = serve(repo_dir, config)?;
-    // Scripts block on this exact line to learn the bound (ephemeral) port.
-    println!("hds-served listening on {}", handle.addr());
-    let _ = io::stdout().flush();
-    let stats = handle.join();
-    eprintln!("hds-served: drained; final counters: {stats}");
-    Ok(())
 }
 
 /// Accepts connections and queues them for the workers until shutdown.
@@ -1258,15 +1192,9 @@ fn serve_verify<S: NetStream>(tenant: &TenantId, stream: &mut S, shared: &Shared
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
     };
-    let report = slot.handle().read(|s| s.scrub()).and_then(|r| r);
-    match report {
+    match slot.handle().read(|s| SystemAuditor::new().audit(s)) {
         Ok(report) => {
-            let summary = VerifySummary {
-                containers_checked: report.containers_checked,
-                chunks_checked: report.chunks_checked,
-                recipes_checked: report.recipes_checked,
-                corrupt_chunks: report.corrupt_chunks.clone(),
-            };
+            let summary = view::verify_response(&report);
             let clean = summary.is_clean();
             match send_response(stream, &Response::VerifyOk(summary)) {
                 Ok(()) => Outcome::Ok {

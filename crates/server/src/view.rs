@@ -1,13 +1,17 @@
 //! Builders mapping repository state to the wire protocol's response
 //! types.
 //!
-//! Both the daemon (answering `List`/`Stats` requests) and the local CLI
-//! (`hidestore list --json` without a server) go through these builders, so
-//! the machine-readable output is one serialization, not two.
+//! Both the daemon (answering `List`/`Stats`/`Verify` requests) and the
+//! local CLI (`hidestore list --json`, `hidestore verify` without a server)
+//! go through these builders, so each answer is one computation and one
+//! serialization, not two.
 
-use hidestore_core::{chain, HiDeStore, HiDeStoreError};
+use hidestore_core::{chain, HiDeStore, HiDeStoreError, QuarantinedArtifact, ACTIVE_ID_BASE};
 use hidestore_dedup::analysis::analyze_plan;
-use hidestore_proto::{ListResponse, StatsResponse, VersionEntry, VersionStatsEntry};
+use hidestore_fsck::{AuditReport, FindingKind, Severity};
+use hidestore_proto::{
+    ListResponse, StatsResponse, VerifySummary, VersionEntry, VersionStatsEntry,
+};
 use hidestore_storage::ContainerStore;
 
 /// Builds the [`ListResponse`] for `hidestore list` / `Request::List`.
@@ -64,4 +68,46 @@ pub fn stats_response<S: ContainerStore>(
         pool_live_bytes: system.pool().live_bytes(),
         out_of_line_rewritten_bytes: system.out_of_line_rewritten_bytes(),
     })
+}
+
+/// Builds the [`VerifySummary`] for `hidestore verify` / `Request::Verify`
+/// from one [`hidestore_fsck::SystemAuditor`] pass: every
+/// [`Severity::Error`] finding becomes one `(container id, message)` damage
+/// line, with container 0 when no container is to blame. Warnings are not
+/// damage: every version still restores.
+pub fn verify_response(report: &AuditReport) -> VerifySummary {
+    let corrupt_chunks = report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Error)
+        .map(|f| (blamed_container(&f.kind), f.kind.to_string()))
+        .collect();
+    VerifySummary {
+        containers_checked: report.containers_checked,
+        chunks_checked: report.chunks_checked,
+        recipes_checked: report.recipes_checked,
+        corrupt_chunks,
+    }
+}
+
+/// The container an Error finding blames, or 0 when it blames none (a
+/// recipe, a chain, a tree manifest).
+fn blamed_container(kind: &FindingKind) -> u32 {
+    match kind {
+        FindingKind::UnreadableContainer { id, .. } | FindingKind::IdSpaceViolation { id, .. } => {
+            *id
+        }
+        FindingKind::EntryOutOfBounds { container, .. }
+        | FindingKind::EntryOverlap { container, .. }
+        | FindingKind::ChunkHashMismatch { container, .. }
+        | FindingKind::AccountingMismatch { container, .. }
+        | FindingKind::DanglingArchivalRef { container, .. }
+        | FindingKind::ArchivalChunkMissing { container, .. } => *container,
+        FindingKind::QuarantinedRef { artifact, .. } => match artifact {
+            QuarantinedArtifact::ArchivalContainer(id) => id.get(),
+            QuarantinedArtifact::ActiveContainer(cid) => ACTIVE_ID_BASE + cid,
+            _ => 0,
+        },
+        _ => 0,
+    }
 }

@@ -10,18 +10,19 @@
 //!                                               restore a tree (or one subtree)
 //! hidestore list    <repo> [--json]             list retained versions
 //! hidestore prune   <repo> <keep-last-N>        expire all but the newest N versions
-//! hidestore verify  <repo>                      integrity scrub
+//! hidestore verify  <repo> [--json] [--tenants] audit every invariant; exit 1 if
+//!                                               some restore would fail
 //! hidestore flatten <repo>                      run Algorithm 1 on the recipe chain
 //! hidestore recluster <repo>                    defragment old versions' archival layout
 //! hidestore dedup-pass <repo>                   run the out-of-line reverse-dedup pass
 //!                                               (revdedup / hybrid schemes)
 //! hidestore stats   <repo> [--json]             per-version fragmentation statistics
-//! hidestore serve   <repo> [--port N] ...       run the hds-served daemon in-process
+//! hidestore serve   <repo> [--port N] ...       run the daemon until a client shuts it down
 //! ```
 //!
-//! Every data command also takes `--remote <host:port>` to run against an
-//! `hds-served` daemon instead of a local repository directory; the `<repo>`
-//! argument is then omitted:
+//! Every data command also takes `--remote <host:port>` to run against a
+//! daemon started by `hidestore serve` instead of a local repository
+//! directory; the `<repo>` argument is then omitted:
 //!
 //! ```text
 //! hidestore backup  --remote 127.0.0.1:4321 <file>
@@ -44,20 +45,37 @@
 //! hidestore tenant stats --remote 127.0.0.1:4321 [--json]
 //! ```
 //!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage error.
+//! `verify` runs the one integrity checker, `hidestore_fsck::SystemAuditor`,
+//! locally or on the daemon's open repository, and prints a
+//! `CORRUPT: container N: ...` line on stderr for each error (container 0
+//! when none is to blame). Locally it also prints every finding, including
+//! an interrupted save pending in `staging/`, scanned before the open
+//! resolves it. `--json` prints the whole report; `--tenants` audits every
+//! repository under a multi-tenant root's `tenants/<id>/`, and a foreign
+//! entry there is an error.
+//!
+//! Exit codes: 0 success, 1 runtime failure (for `verify`: some finding is
+//! an error, meaning some restore would fail or return wrong data;
+//! warnings alone exit 0), 2 usage error.
 
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::num::NonZeroU32;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig};
-use hidestore::proto::TenantId;
+use hidestore::core::{
+    repository_recovery_state, DedupMode, HiDeStore, HiDeStoreConfig, PendingJournal,
+};
+use hidestore::fsck::{AuditReport, Finding, FindingKind, Severity, SystemAuditor};
+use hidestore::proto::json::json_string;
+use hidestore::proto::{TenantId, VerifySummary};
 use hidestore::restore::Faa;
 use hidestore::server::{view, RemoteClient, ServerConfig, DEFAULT_NET_TIMEOUT};
 use hidestore::storage::{FileContainerStore, VersionId};
+use hidestore::tenant::TENANTS_SUBDIR;
 
 /// A CLI failure, split by who got it wrong.
 ///
@@ -104,7 +122,7 @@ fn print_usage() {
          hidestore restore-tree <repo> <version> <destdir> [--subtree <apath>]\n  \
          hidestore list    <repo> [--json]\n  \
          hidestore prune   <repo> <keep-last-N>\n  \
-         hidestore verify  <repo>\n  \
+         hidestore verify  <repo> [--json] [--tenants]\n  \
          hidestore flatten <repo>\n  \
          hidestore recluster <repo>\n  \
          hidestore dedup-pass <repo>\n  \
@@ -113,7 +131,7 @@ fn print_usage() {
          \x20                [--timeout SECS]\n  \
          \x20                [--tenants] [--max-tenants N] [--no-auto-tenants]\n  \
          \x20                [--quota-bytes N] [--quota-versions N]\n\n\
-         remote variants (against a running hds-served); each also takes\n\
+         remote variants (against a running `hidestore serve`); each also takes\n\
          --remote-timeout SECS (per-I/O deadline, 0 disables, default 30)\n\
          and --tenant <id> (address one tenant of a --tenants daemon;\n\
          defaults to the `default` tenant):\n  \
@@ -208,11 +226,11 @@ fn split_remote(args: &[String]) -> Result<(Option<Remote>, Vec<String>), CliErr
     }
 }
 
-/// Pulls a boolean `--json` flag out of the argument list.
-fn split_json(args: Vec<String>) -> (bool, Vec<String>) {
-    let json = args.iter().any(|a| a == "--json");
-    let rest = args.into_iter().filter(|a| a != "--json").collect();
-    (json, rest)
+/// Pulls a boolean flag out of the argument list.
+fn split_flag(args: Vec<String>, flag: &str) -> (bool, Vec<String>) {
+    let set = args.iter().any(|a| a == flag);
+    let rest = args.into_iter().filter(|a| a != flag).collect();
+    (set, rest)
 }
 
 fn run(args: &[String]) -> CliResult {
@@ -250,28 +268,28 @@ fn run(args: &[String]) -> CliResult {
             _ => Err(usage("restore-tree needs <repo> <version> <destdir>")),
         },
         ("list", None) => {
-            let (json, rest) = split_json(rest);
+            let (json, rest) = split_flag(rest, "--json");
             match rest.as_slice() {
                 [repo] => cmd_list(repo, json),
                 _ => Err(usage("list needs a <repo>")),
             }
         }
         ("list", Some(remote)) => {
-            let (json, rest) = split_json(rest);
+            let (json, rest) = split_flag(rest, "--json");
             match rest.as_slice() {
                 [] => cmd_list_remote(&remote, json),
                 _ => Err(usage("remote list takes no positional arguments")),
             }
         }
         ("stats", None) => {
-            let (json, rest) = split_json(rest);
+            let (json, rest) = split_flag(rest, "--json");
             match rest.as_slice() {
                 [repo] => cmd_stats(repo, json),
                 _ => Err(usage("stats needs a <repo>")),
             }
         }
         ("stats", Some(remote)) => {
-            let (json, rest) = split_json(rest);
+            let (json, rest) = split_flag(rest, "--json");
             match rest.as_slice() {
                 [] => cmd_stats_remote(&remote, json),
                 _ => Err(usage("remote stats takes no positional arguments")),
@@ -285,10 +303,18 @@ fn run(args: &[String]) -> CliResult {
             [keep] => cmd_prune_remote(&remote, keep),
             _ => Err(usage("remote prune needs <keep-last-N>")),
         },
-        ("verify", None) => match rest.as_slice() {
-            [repo] => cmd_verify(repo),
-            _ => Err(usage("verify needs a <repo>")),
-        },
+        ("verify", None) => {
+            let (json, rest) = split_flag(rest, "--json");
+            let (tenants, rest) = split_flag(rest, "--tenants");
+            if let Some(flag) = rest.iter().find(|a| a.starts_with('-')) {
+                return Err(usage(format!("unknown flag {flag}")));
+            }
+            match rest.as_slice() {
+                [root] if tenants => cmd_verify_tenants(root, json),
+                [repo] => cmd_verify(repo, json),
+                _ => Err(usage("verify needs a <repo>")),
+            }
+        }
         ("verify", Some(remote)) => match rest.as_slice() {
             [] => cmd_verify_remote(&remote),
             _ => Err(usage("remote verify takes no positional arguments")),
@@ -298,7 +324,7 @@ fn run(args: &[String]) -> CliResult {
             _ => Err(usage("shutdown takes no positional arguments")),
         },
         ("tenant", Some(remote)) => {
-            let (json, rest) = split_json(rest);
+            let (json, rest) = split_flag(rest, "--json");
             match rest.iter().map(String::as_str).collect::<Vec<_>>()[..] {
                 ["list"] => cmd_tenant_list_remote(&remote, json),
                 ["stats"] => cmd_tenant_stats_remote(&remote, json),
@@ -333,7 +359,7 @@ fn connect(remote: &Remote) -> Result<RemoteClient, CliError> {
     let timeout = remote.timeout.unwrap_or(DEFAULT_NET_TIMEOUT);
     let mut client =
         RemoteClient::connect_with(&remote.addr, hidestore::proto::Limits::default(), timeout)
-            .map_err(|e| runtime(format!("cannot reach hds-served at {}: {e}", remote.addr)))?;
+            .map_err(|e| runtime(format!("cannot reach the daemon at {}: {e}", remote.addr)))?;
     if let Some(tenant) = &remote.tenant {
         client.set_tenant(tenant.clone());
     }
@@ -676,13 +702,14 @@ fn cmd_prune_remote(remote: &Remote, keep: &str) -> CliResult {
     Ok(())
 }
 
-fn cmd_verify(repo: &str) -> CliResult {
-    let report = open(repo)?.scrub()?;
-    println!(
-        "checked {} containers, {} chunks, {} recipes",
-        report.containers_checked, report.chunks_checked, report.recipes_checked,
-    );
-    verdict(&report.corrupt_chunks)
+fn cmd_verify(repo: &str, json: bool) -> CliResult {
+    let report = audit(repo)?;
+    if json {
+        println!("{{\n{}\n}}", json_report(&report, "  "));
+    } else {
+        print_report(&report);
+    }
+    verdict(damage(&view::verify_response(&report)))
 }
 
 fn cmd_verify_remote(remote: &Remote) -> CliResult {
@@ -692,23 +719,191 @@ fn cmd_verify_remote(remote: &Remote) -> CliResult {
         "checked {} containers, {} chunks, {} recipes on {}",
         summary.containers_checked, summary.chunks_checked, summary.recipes_checked, remote.addr,
     );
-    verdict(&summary.corrupt_chunks)
+    verdict(damage(&summary))?;
+    println!("repository is clean");
+    Ok(())
 }
 
-/// The end of both `verify` forms: clean, or one line per damage found
-/// (container id, 0 when none, and what is wrong) and a failing exit.
-fn verdict(damage: &[(u32, String)]) -> CliResult {
-    if damage.is_empty() {
-        println!("repository is clean");
-        return Ok(());
+/// Audits every repository under `<root>/tenants/`. An entry that is not a
+/// tenant id, or a tenant repository that does not open, is an error of
+/// that tenant.
+fn cmd_verify_tenants(root: &str, json: bool) -> CliResult {
+    let dir = Path::new(root).join(TENANTS_SUBDIR);
+    if !dir.is_dir() {
+        return Err(runtime(format!(
+            "{root}: not a multi-tenant root (no {TENANTS_SUBDIR}/ directory)"
+        )));
     }
-    for (container, what) in damage {
-        eprintln!("CORRUPT: container {container}: {what}");
+    let mut names: Vec<String> = fs::read_dir(&dir)?
+        .filter_map(Result::ok)
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let outcomes: Vec<(String, Result<AuditReport, String>)> = names
+        .into_iter()
+        .map(|name| {
+            let path = dir.join(&name);
+            // The registry only ever creates directories named by a valid
+            // tenant id; anything else was put there by hand.
+            let result = match TenantId::new(&name) {
+                Err(e) => Err(format!("foreign entry (not a tenant id): {e}")),
+                Ok(_) if !path.is_dir() => Err("foreign entry (not a directory)".to_string()),
+                Ok(_) => audit(&path.to_string_lossy()).map_err(|e| e.to_string()),
+            };
+            (name, result)
+        })
+        .collect();
+    let worst = outcomes
+        .iter()
+        .filter_map(|(_, result)| match result {
+            Ok(report) => report.max_severity(),
+            Err(_) => Some(Severity::Error),
+        })
+        .max();
+
+    if json {
+        println!("{{");
+        println!("  \"clean\": {},", worst.is_none());
+        println!("  \"tenants_checked\": {},", outcomes.len());
+        println!("  \"tenants\": [");
+        for (i, (name, result)) in outcomes.iter().enumerate() {
+            let comma = if i + 1 < outcomes.len() { "," } else { "" };
+            println!("    {{");
+            println!("      \"tenant\": {},", json_string(name));
+            match result {
+                Ok(report) => println!("{}", json_report(report, "      ")),
+                Err(why) => {
+                    println!("      \"clean\": false,");
+                    println!("      \"error\": {}", json_string(why));
+                }
+            }
+            println!("    }}{comma}");
+        }
+        println!("  ]");
+        println!("}}");
+    } else {
+        if outcomes.is_empty() {
+            println!("no tenants under {}", dir.display());
+        }
+        for (name, result) in &outcomes {
+            println!("== tenant {name} ==");
+            match result {
+                Ok(report) => print_report(report),
+                Err(why) => println!("ERROR: {why}"),
+            }
+        }
+        println!(
+            "{} tenants checked, aggregate: {}",
+            outcomes.len(),
+            match worst {
+                None => "clean",
+                Some(Severity::Warning) => "warnings",
+                Some(Severity::Error) => "errors",
+            }
+        );
     }
-    Err(runtime(format!(
-        "{} integrity problems found",
-        damage.len()
-    )))
+    verdict(outcomes.iter().flat_map(|(name, result)| {
+        match result {
+            Ok(report) => damage(&view::verify_response(report))
+                .map(|what| format!("tenant {name}: {what}"))
+                .collect(),
+            Err(why) => vec![format!("tenant {name}: {why}")],
+        }
+    }))
+}
+
+/// Audits the repository at `repo`. The scan for an interrupted save runs
+/// before the open, because opening resolves it.
+fn audit(repo: &str) -> Result<AuditReport, CliError> {
+    let pending = repository_recovery_state(repo)?.pending_journal;
+    let mut report = SystemAuditor::new().audit(&open(repo)?);
+    if let Some(pending) = pending {
+        let detail = match pending {
+            PendingJournal::RollForward {
+                publishes,
+                removals,
+            } => format!(
+                "valid commit record ({publishes} publishes, {removals} removals); \
+                 opening the repository rolls it forward"
+            ),
+            PendingJournal::RollBack => {
+                "no valid commit record; opening the repository discards the staging tree"
+                    .to_string()
+            }
+        };
+        let kind = FindingKind::PendingJournal { detail };
+        report.findings.insert(
+            0,
+            Finding {
+                severity: Severity::Warning,
+                kind,
+            },
+        );
+    }
+    Ok(report)
+}
+
+/// Every finding, then the coverage line and the tally.
+fn print_report(report: &AuditReport) {
+    for finding in &report.findings {
+        println!("{finding}");
+    }
+    println!("{report}");
+}
+
+/// The report's key/value body as JSON lines, one `indent` deep, without
+/// the surrounding braces (so it can be embedded per tenant).
+fn json_report(report: &AuditReport, indent: &str) -> String {
+    let mut out = format!("{indent}\"clean\": {},\n", report.is_clean());
+    for (key, value) in [
+        ("containers_checked", report.containers_checked),
+        ("chunks_checked", report.chunks_checked),
+        ("recipes_checked", report.recipes_checked),
+        ("entries_checked", report.entries_checked),
+        ("orphan_chunks", report.orphan_chunks),
+        ("orphan_bytes", report.orphan_bytes),
+        ("tree_manifests_checked", report.tree_manifests_checked),
+    ] {
+        out.push_str(&format!("{indent}\"{key}\": {value},\n"));
+    }
+    out.push_str(&format!("{indent}\"findings\": [\n"));
+    for (i, finding) in report.findings.iter().enumerate() {
+        let comma = if i + 1 < report.findings.len() {
+            ","
+        } else {
+            ""
+        };
+        out.push_str(&format!(
+            "{indent}  {{\"severity\": \"{}\", \"message\": {}}}{comma}\n",
+            finding.severity,
+            json_string(&finding.to_string())
+        ));
+    }
+    out.push_str(&format!("{indent}]"));
+    out
+}
+
+/// The damage lines of one verify: the container blamed (0 when none) and
+/// what is wrong.
+fn damage(summary: &VerifySummary) -> impl Iterator<Item = String> + '_ {
+    summary
+        .corrupt_chunks
+        .iter()
+        .map(|(container, what)| format!("container {container}: {what}"))
+}
+
+/// The end of every `verify` form: one `CORRUPT:` line on stderr per damage
+/// found and a failing exit, or success when there is none.
+fn verdict(damage: impl Iterator<Item = String>) -> CliResult {
+    let mut problems = 0;
+    for what in damage {
+        eprintln!("CORRUPT: {what}");
+        problems += 1;
+    }
+    match problems {
+        0 => Ok(()),
+        n => Err(runtime(format!("{n} integrity problems found"))),
+    }
 }
 
 fn cmd_tenant_list_remote(remote: &Remote, json: bool) -> CliResult {
@@ -771,7 +966,7 @@ fn cmd_tenant_stats_remote(remote: &Remote, json: bool) -> CliResult {
 fn cmd_shutdown_remote(remote: &Remote) -> CliResult {
     let client = connect(remote)?;
     client.shutdown()?;
-    println!("hds-served at {} is draining", remote.addr);
+    println!("the daemon at {} is draining", remote.addr);
     Ok(())
 }
 
@@ -818,6 +1013,72 @@ fn cmd_flatten(repo: &str) -> CliResult {
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let (repo, config) = ServerConfig::from_args(args).map_err(usage)?;
-    Ok(hidestore::server::serve_until_shutdown(&repo, config)?)
+    let (repo, config) = serve_config(args).map_err(usage)?;
+    let handle = hidestore::server::serve(&repo, config)?;
+    // Scripts block on this exact line to learn the bound (ephemeral) port.
+    println!("hds-served listening on {}", handle.addr());
+    let _ = std::io::stdout().flush();
+    let stats = handle.join();
+    eprintln!("hds-served: drained; final counters: {stats}");
+    Ok(())
+}
+
+/// Parses `serve`'s command line — `<repo>` followed by flags — into the
+/// repository directory and the daemon configuration.
+///
+/// # Errors
+///
+/// A one-line description of the usage error: missing repository
+/// directory, unknown flag, or a missing or out-of-range flag value.
+fn serve_config(args: &[String]) -> Result<(String, ServerConfig), String> {
+    fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{flag} must be a number, got {value}"))
+    }
+    fn at_least_one(flag: &str, value: &str) -> Result<usize, String> {
+        match number(flag, value)? {
+            0 => Err(format!("{flag} must be >= 1, got {value}")),
+            n => Ok(n),
+        }
+    }
+    let mut it = args.iter();
+    let repo = match it.next() {
+        Some(repo) if !repo.starts_with('-') => repo.clone(),
+        _ => return Err("serving needs a <repo-dir>".into()),
+    };
+    let mut bind = "127.0.0.1".to_string();
+    let mut port: u16 = 0;
+    let mut config = ServerConfig::default();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--bind" => bind = value()?.clone(),
+            "--port" => port = number(flag, value()?)?,
+            "--workers" => config.workers = at_least_one(flag, value()?)?,
+            "--quiet" => config.quiet = true,
+            "--timeout" => config.io_timeout = Duration::from_secs(number(flag, value()?)?),
+            "--tenants" => config.tenants_root = true,
+            "--max-tenants" => config.max_live_tenants = at_least_one(flag, value()?)?,
+            "--no-auto-tenants" => config.auto_create_tenants = false,
+            "--quota-bytes" => config.default_quota.max_bytes = number(flag, value()?)?,
+            "--quota-versions" => config.default_quota.max_versions = number(flag, value()?)?,
+            other => return Err(format!("unknown option {other}")),
+        }
+    }
+    config.bind = format!("{bind}:{port}");
+    Ok((repo, config))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timeout_flag_sets_the_one_io_deadline() {
+        let args = ["repo", "--timeout", "7"].map(String::from);
+        let (repo, config) = serve_config(&args).unwrap();
+        assert_eq!(repo, "repo");
+        assert_eq!(config.io_timeout, Duration::from_secs(7));
+    }
 }

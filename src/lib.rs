@@ -22,12 +22,12 @@
 //! | [`dedup`] | the baseline backup/restore pipeline + mark-sweep GC |
 //! | [`core`] | HiDeStore itself |
 //! | [`workloads`] | kernel / gcc / fslhomes / macos generators |
-//! | [`fsck`] | cross-layer invariant checker ([`fsck::SystemAuditor`]) |
+//! | [`fsck`] | the one integrity checker ([`fsck::SystemAuditor`]), behind `hidestore verify` |
 //! | [`failpoint`] | [`failpoint::Vfs`] io-shim + fault injection for crash testing |
 //! | [`tree`] | real filesystem trees: apath-ordered walk, manifests, subtree restore |
 //! | [`proto`] | framed wire protocol: versioned HELLO, CRC-guarded frames, typed messages |
 //! | [`tenant`] | multi-tenant registry: tenant ids → isolated repositories via a bounded LRU |
-//! | [`server`] | `hds-served` daemon + [`server::RemoteClient`] |
+//! | [`server`] | the daemon `hidestore serve` runs + [`server::RemoteClient`] |
 //!
 //! # Quickstart
 //!

@@ -1,9 +1,10 @@
 //! Integration tests driving the `hidestore` CLI binary end-to-end.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::server::{serve, ServerConfig};
 use hidestore::workloads::{Profile, VersionStream};
 
@@ -879,4 +880,184 @@ fn tree_backup_restore_lifecycle() {
 
     let _ = fs::remove_dir_all(&repo);
     let _ = fs::remove_dir_all(&work);
+}
+
+/// A saved three-version repository written through the library, with the
+/// `config` file `init` would have written.
+fn build_repo(dir: &Path) {
+    fs::create_dir_all(dir).unwrap();
+    let config = HiDeStoreConfig::small_for_tests();
+    config.save_to(dir).unwrap();
+    let mut hds = HiDeStore::open_repository(config, dir).unwrap();
+    let mut data = noise(90_000, 7);
+    for round in 0..3u64 {
+        hds.backup(&data).unwrap();
+        let patch = noise(6_000, 70 + round);
+        let start = (round as usize * 11_000) % 80_000;
+        data[start..start + patch.len()].copy_from_slice(&patch);
+    }
+    hds.save_repository(dir).unwrap();
+}
+
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn verify_clean_repository_exits_zero() {
+    let repo = temp("verify-clean");
+    build_repo(&repo);
+    let out = run(&["verify", repo.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert!(stdout_of(&out).contains("clean"), "{}", stdout_of(&out));
+    fs::remove_dir_all(&repo).unwrap();
+}
+
+#[test]
+fn verify_json_reports_clean() {
+    let repo = temp("verify-json");
+    build_repo(&repo);
+    let out = run(&["verify", repo.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(text.starts_with("{\n  \"clean\": true,\n"), "{text}");
+    assert!(text.contains("  \"findings\": [\n  ]\n}"), "{text}");
+    fs::remove_dir_all(&repo).unwrap();
+}
+
+#[test]
+fn verify_corrupted_container_exits_one_with_the_finding() {
+    let repo = temp("verify-corrupt");
+    build_repo(&repo);
+    let victim = fs::read_dir(repo.join("archival"))
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "ctr"))
+        .expect("at least one archival container");
+    let mut bytes = fs::read(&victim).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    fs::write(&victim, bytes).unwrap();
+
+    let out = run(&["verify", repo.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(
+        text.contains("error: container") && text.contains("fails re-hash"),
+        "{text}"
+    );
+    assert!(text.contains("1 finding(s): 1 error(s)"), "{text}");
+    assert!(stderr_of(&out).contains("CORRUPT: container"));
+    fs::remove_dir_all(&repo).unwrap();
+}
+
+/// An unopenable repository is a runtime failure, as for every other verb.
+#[test]
+fn verify_missing_repository_exits_one() {
+    let out = run(&["verify", "/nonexistent/hidestore-verify-test-repo"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = stderr_of(&out);
+    assert!(
+        stderr.contains("error:") && !stderr.contains("usage:"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn verify_bad_flag_exits_two() {
+    for args in [
+        &["verify", "--bogus"] as &[&str],
+        &["verify", "/tmp/repo", "--bogus"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr_of(&out).contains("unknown flag"), "{args:?}");
+    }
+}
+
+/// `--tenants` audits every repository under `<root>/tenants/<id>/`; an
+/// entry that is not a tenant id fails the run.
+#[test]
+fn verify_tenants_audits_every_tenant_and_refuses_foreign_entries() {
+    let root = temp("verify-tenants");
+    let tenants = root.join(hidestore::tenant::TENANTS_SUBDIR);
+    build_repo(&tenants.join("alice"));
+    build_repo(&tenants.join("bob"));
+    let root_s = root.to_str().unwrap();
+
+    let out = run(&["verify", root_s, "--tenants"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(
+        text.contains("== tenant alice ==") && text.contains("== tenant bob =="),
+        "{text}"
+    );
+    assert!(
+        text.contains("2 tenants checked, aggregate: clean"),
+        "{text}"
+    );
+
+    let out = run(&["verify", root_s, "--tenants", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(text.starts_with("{\n  \"clean\": true,\n"), "{text}");
+    assert!(text.contains("\"tenants_checked\": 2,"), "{text}");
+    assert!(
+        text.contains("\"tenant\": \"alice\",") && text.contains("\"tenant\": \"bob\","),
+        "{text}"
+    );
+
+    fs::create_dir_all(tenants.join("Not_An_Id")).unwrap();
+    let out = run(&["verify", root_s, "--tenants"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout_of(&out));
+    assert!(
+        stdout_of(&out).contains("ERROR: foreign entry"),
+        "{}",
+        stdout_of(&out)
+    );
+    assert!(
+        stderr_of(&out).contains("CORRUPT: tenant Not_An_Id:"),
+        "{}",
+        stderr_of(&out)
+    );
+
+    // A plain repository is not a multi-tenant root.
+    let out = run(&[
+        "verify",
+        tenants.join("alice").to_str().unwrap(),
+        "--tenants",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// An interrupted save is reported before the open resolves it: a
+/// `staging/` tree without a valid commit record is a warning (exit 0),
+/// and the open that follows discards it.
+#[test]
+fn verify_reports_a_pending_journal_before_the_open_resolves_it() {
+    let repo = temp("verify-pending");
+    build_repo(&repo);
+    fs::create_dir_all(repo.join("staging")).unwrap();
+    fs::write(repo.join("staging").join("meta"), b"half a save").unwrap();
+
+    let out = run(&["verify", repo.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(
+        text.contains("warning: interrupted save transaction in staging/: no valid commit record"),
+        "{text}"
+    );
+    assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
+    assert!(!repo.join("staging").exists(), "the open rolled it back");
+
+    let out = run(&["verify", repo.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout_of(&out).contains("\"clean\": true"));
+    fs::remove_dir_all(&repo).unwrap();
 }

@@ -578,8 +578,8 @@ fn recluster_dropped_before_save_keeps_committed_versions() {
             .unwrap_or_else(|e| panic!("committed {v} must restore: {e}"));
         assert!(out == *snapshot, "{v} restored wrong bytes");
     }
-    let scrub = hds.scrub().expect("scrub");
-    assert!(scrub.is_clean(), "{:?}", scrub.corrupt_chunks);
+    let audit = SystemAuditor::new().audit(&hds);
+    assert_eq!(audit.count(Severity::Error), 0, "{:#?}", audit.findings);
     assert_eq!(
         open.quarantined.len() as u64,
         rewritten,

@@ -1,10 +1,12 @@
 //! Cross-component integration: combinations that no single crate's unit
-//! tests exercise — scrubbed, byte-exact restores over HiDeStore's two-tier
-//! layout,
-//! the Belady bound against HiDeStore's layout, and recluster + deletion +
-//! persistence interacting on one repository.
+//! tests exercise — audited, byte-exact restores over HiDeStore's two-tier
+//! layout, the Belady bound against HiDeStore's layout, recluster +
+//! deletion + persistence interacting on one repository, and the audit the
+//! daemon's `Verify` runs touching nothing but containers.
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, RepositoryHandle};
+use hidestore::failpoint::{FaultVfs, OpKind};
+use hidestore::fsck::SystemAuditor;
 use hidestore::restore::{BeladyCache, ChunkLru, Faa, RestoreCache};
 use hidestore::storage::{FileContainerStore, MemoryContainerStore, VersionId};
 use hidestore::workloads::{Profile, VersionStream};
@@ -55,8 +57,8 @@ fn verified_restore_over_hidestore_two_tier_layout() {
         .unwrap_or_else(|e| panic!("restore of V{} failed: {e}", i + 1));
         assert_eq!(&out, expect);
     }
-    let scrub = hds.scrub().unwrap();
-    assert!(scrub.is_clean(), "{scrub:?}");
+    let audit = SystemAuditor::new().audit(&hds);
+    assert!(audit.is_clean(), "{audit}");
 }
 
 #[test]
@@ -105,8 +107,8 @@ fn recluster_then_delete_then_persist_round_trip() {
             .unwrap_or_else(|e| panic!("V{v} after recluster+delete+reopen: {e}"));
         assert_eq!(&out, &versions[(v - 1) as usize], "V{v}");
     }
-    let scrub = reopened.scrub().unwrap();
-    assert!(scrub.is_clean());
+    let audit = SystemAuditor::new().audit(&reopened);
+    assert!(audit.is_clean(), "{audit}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -131,8 +133,8 @@ fn incremental_ingest_into_file_repository() {
             .unwrap();
         assert_eq!(&out, expect, "V{v}");
     }
-    let scrub = hds.scrub().unwrap();
-    assert!(scrub.is_clean(), "{scrub:?}");
+    let audit = SystemAuditor::new().audit(&hds);
+    assert!(audit.is_clean(), "{audit}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -159,4 +161,38 @@ fn trace_and_content_interleave_in_one_hidestore() {
     hds.restore(VersionId::new(3), &mut Faa::new(1 << 18), &mut out)
         .unwrap();
     assert_eq!(out.len(), 500 * 1024);
+}
+
+/// The daemon's `Verify` audits its tenant's open instance under the
+/// handle's read lock: the audit reads archival containers and nothing
+/// else — no directory listing, no rename into quarantine, no recipe,
+/// active-pool or meta file.
+#[test]
+fn audit_through_the_handle_touches_only_containers() {
+    let dir = std::env::temp_dir().join(format!("hidestore-audit-reads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
+    let vfs = FaultVfs::counting();
+    let handle = RepositoryHandle::open_with(&dir, vfs.clone()).unwrap();
+    for i in 0..3 {
+        handle.write(|s| s.backup(&noise(60_000, 40 + i))).unwrap();
+    }
+    let before = vfs.trace().len();
+    let audit = handle.read(|s| SystemAuditor::new().audit(s)).unwrap();
+    assert!(audit.is_clean(), "{audit}");
+    let trace = vfs.trace();
+    let reads = &trace[before..];
+    assert!(!reads.is_empty(), "V1's chunks went cold into containers");
+    for op in reads {
+        let name = op.path.file_name().unwrap().to_string_lossy();
+        assert!(
+            op.kind == OpKind::Read
+                && op.path.parent() == Some(dir.join("archival").as_path())
+                && name.starts_with('c')
+                && name.ends_with(".ctr"),
+            "the audit touched more than a container: {op:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
+use hidestore::server::view;
 use hidestore::storage::FileContainerStore;
 
 use hidestore::core::chain::ResolveError;
@@ -173,10 +174,10 @@ fn pipeline_failed_backup_preserves_old_versions() {
 
 /// A container swapped for a same-ID copy that lost a chunk a retained
 /// version reads: every chunk left still matches its fingerprint and every
-/// plan still resolves, yet the version cannot restore. `scrub` must say so
-/// and name the container, and the auditor must agree.
+/// plan still resolves, yet the version cannot restore. The audit must say
+/// so, and `verify`'s summary must name the container.
 #[test]
-fn scrub_and_audit_flag_a_container_missing_a_referenced_chunk() {
+fn audit_flags_a_container_missing_a_referenced_chunk() {
     let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());
     let mut data = noise(60_000, 11);
     for round in 0..4u64 {
@@ -184,7 +185,7 @@ fn scrub_and_audit_flag_a_container_missing_a_referenced_chunk() {
         let start = (round as usize * 9_000) % 50_000;
         data[start..start + 7_000].copy_from_slice(&noise(7_000, 500 + round));
     }
-    assert!(hds.scrub().unwrap().is_clean());
+    assert!(SystemAuditor::new().audit(&hds).is_clean());
 
     let lost = hds
         .restore_plan(VersionId::new(1))
@@ -203,16 +204,6 @@ fn scrub_and_audit_flag_a_container_missing_a_referenced_chunk() {
         .restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut Vec::new())
         .is_err());
 
-    let scrub = hds.scrub().unwrap();
-    assert!(!scrub.is_clean());
-    assert!(
-        scrub
-            .corrupt_chunks
-            .iter()
-            .any(|(id, what)| *id == lost.container.get() && what.contains("cannot restore V1")),
-        "{:?}",
-        scrub.corrupt_chunks
-    );
     let audit = SystemAuditor::new().audit(&hds);
     assert!(
         audit.findings.iter().any(|f| matches!(
@@ -223,21 +214,30 @@ fn scrub_and_audit_flag_a_container_missing_a_referenced_chunk() {
         "{:#?}",
         audit.findings
     );
+    let summary = view::verify_response(&audit);
+    assert!(
+        summary
+            .corrupt_chunks
+            .iter()
+            .any(|(id, what)| *id == lost.container.get() && what.contains("recipe V1")),
+        "{:?}",
+        summary.corrupt_chunks
+    );
 }
 
 #[test]
-fn scrub_passes_after_recovered_failure() {
+fn audit_passes_after_recovered_failure() {
     let mut hds = HiDeStore::new(hds_config(), FlakyStore::new(0));
     hds.backup(&noise(60_000, 9)).unwrap();
     hds.backup(&noise(60_000, 10)).unwrap_err();
     hds.archival_mut().disarm();
     hds.backup(&noise(60_000, 11)).unwrap();
-    let report = hds.scrub().unwrap();
-    assert!(report.is_clean(), "{:?}", report.corrupt_chunks);
+    let report = SystemAuditor::new().audit(&hds);
+    assert!(report.is_clean(), "{report}");
 }
 
 // ---------------------------------------------------------------------------
-// Corruption injection against on-disk repositories, audited by hds-fsck's
+// Corruption injection against on-disk repositories, audited by the fsck
 // library API.
 // ---------------------------------------------------------------------------
 
@@ -397,21 +397,17 @@ fn truncated_container_is_quarantined_and_contained() {
     );
     assert!(!victim.exists(), "and gone from archival/");
 
-    // The audit reports the damage as *contained*: quarantine warnings, no
-    // fresh integrity errors.
+    // The audit reports the damage as *contained*: the quarantined file is
+    // a warning, and every error is a version that depends on it — never a
+    // fresh integrity error such as a dangling reference.
     let report = SystemAuditor::new().audit(&hds);
-    assert!(!report.is_clean());
-    assert_eq!(
-        report.count(Severity::Error),
-        0,
-        "quarantined damage must not surface as errors:\n{:#?}",
-        report.findings
-    );
+    assert!(report.count(Severity::Error) > 0, "{report}");
     assert!(
-        report.findings.iter().all(|f| matches!(
-            f.kind,
-            FindingKind::QuarantinedArtifact { .. } | FindingKind::QuarantinedRef { .. }
-        )),
+        report.findings.iter().all(|f| match f.kind {
+            FindingKind::QuarantinedArtifact { .. } => f.severity == Severity::Warning,
+            FindingKind::QuarantinedRef { .. } => f.severity == Severity::Error,
+            _ => false,
+        }),
         "only quarantine findings may be reported:\n{:#?}",
         report.findings
     );
@@ -508,10 +504,10 @@ fn chain_cycle_is_reported() {
 }
 
 /// A first chain hop to an *older* version — whose recipe does hold the
-/// chunk, archived — must not resolve: restore, scrub and the auditor all
-/// refuse it.
+/// chunk, archived — must not resolve: restore and the auditor both refuse
+/// it.
 #[test]
-fn backward_first_chain_hop_is_refused_by_restore_scrub_and_audit() {
+fn backward_first_chain_hop_is_refused_by_restore_and_audit() {
     let scratch = Scratch::new("backward-hop");
     let dir = &scratch.0;
     // A, B, A: V1's copy of A goes cold at the end of V2 (archival), and V3
@@ -533,23 +529,14 @@ fn backward_first_chain_hop_is_refused_by_restore_scrub_and_audit() {
     );
 
     let hds = reopen(dir);
-    let v3 = VersionId::new(3);
-    for (what, result) in [
-        (
-            "restore",
-            hds.restore(v3, &mut Faa::new(1 << 18), &mut Vec::new())
-                .map(drop),
+    let result = hds.restore(VersionId::new(3), &mut Faa::new(1 << 18), &mut Vec::new());
+    assert!(
+        matches!(
+            result,
+            Err(HiDeStoreError::Resolve(ResolveError::BrokenChain { .. }))
         ),
-        ("scrub", hds.scrub().map(drop)),
-    ] {
-        assert!(
-            matches!(
-                result,
-                Err(HiDeStoreError::Resolve(ResolveError::BrokenChain { .. }))
-            ),
-            "{what} must refuse the backward hop, got {result:?}"
-        );
-    }
+        "restore must refuse the backward hop, got {result:?}"
+    );
     let report = SystemAuditor::new().audit(&hds);
     assert!(
         report.findings.iter().any(|f| f.severity == Severity::Error

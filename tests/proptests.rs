@@ -756,8 +756,8 @@ fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
                         .unwrap();
                     assert!(out == *expect, "{scheme}: V{v} differs after reopen");
                 }
-                let scrub = hds.scrub().unwrap();
-                assert!(scrub.is_clean(), "{scheme}: {:?}", scrub.corrupt_chunks);
+                let audit = SystemAuditor::new().audit(&hds);
+                assert!(audit.is_clean(), "{scheme}: {audit}");
             }));
             let _ = std::fs::remove_dir_all(&dir);
             if let Err(panic) = result {

@@ -1,9 +1,9 @@
-//! Fault matrix for `hds-served`: disconnects and torn frames at every
+//! Fault matrix for the daemon (`hidestore serve`): disconnects and torn frames at every
 //! frame boundary, during both backup and restore.
 //!
 //! For each cut point the daemon must (a) stay alive and keep answering
 //! well-formed clients, (b) commit nothing from the aborted request, (c)
-//! leave the repository `hds-fsck`-clean with no leaked `.tmp` files, and
+//! leave the repository audit-clean with no leaked `.tmp` files, and
 //! (d) still shut down gracefully with every thread joined — watched by a
 //! timeout so a stuck worker fails the test instead of hanging it.
 

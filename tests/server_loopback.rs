@@ -1,4 +1,4 @@
-//! Loopback differential test for `hds-served`.
+//! Loopback differential test for the daemon (`hidestore serve`).
 //!
 //! N concurrent clients each stream their own evolving version sequence
 //! into one daemon. Afterwards the repository must be `SystemAuditor`-clean,
