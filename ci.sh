@@ -57,7 +57,11 @@
 #  11. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
-#                                      the source, zero `verify --json`
+#                                      the source, the full restore reads at
+#                                      most 2 containers more than a stream
+#                                      `restore` of the same version (the
+#                                      header and manifest passes), zero
+#                                      `verify --json`
 #                                      findings, and an unreadable entry
 #                                      (fifo) is skipped with a non-zero
 #                                      exit; then recluster, and the local
@@ -169,11 +173,20 @@ printf 'noise\n' > "$TREE_DIR/src/logs/build.log"
 ln -s code/main.rs "$TREE_DIR/src/link"
 ./target/debug/hidestore backup-tree "$TREE_DIR/repo" "$TREE_DIR/src" --exclude '*.log'
 # Full restore: byte-identical modulo the excluded log.
-./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/full"
+./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/full" > "$TREE_DIR/tree.out"
 rm "$TREE_DIR/src/logs/build.log"
 diff -r --no-dereference "$TREE_DIR/src" "$TREE_DIR/full"
 [ ! -e "$TREE_DIR/full/logs/build.log" ]
 [ -d "$TREE_DIR/full/empty" ]
+# The tree restore reads each container once per area, like a stream
+# restore of the same version, plus the header and manifest passes.
+./target/debug/hidestore restore "$TREE_DIR/repo" 1 "$TREE_DIR/stream.bin" > "$TREE_DIR/stream.out"
+TREE_READS=$(sed -n 's/.* \([0-9][0-9]*\) container reads.*/\1/p' "$TREE_DIR/tree.out")
+STREAM_READS=$(sed -n 's/.* \([0-9][0-9]*\) container reads.*/\1/p' "$TREE_DIR/stream.out")
+[ -n "$TREE_READS" ] && [ -n "$STREAM_READS" ] || { echo "ci: no container-read count printed"; exit 1; }
+if [ "$TREE_READS" -gt $((STREAM_READS + 2)) ]; then
+    echo "ci: restore-tree read $TREE_READS containers, restore $STREAM_READS"; exit 1
+fi
 # Subtree restore lands only the selected directory at the destination.
 ./target/debug/hidestore restore-tree "$TREE_DIR/repo" 1 "$TREE_DIR/sub" --subtree /code
 diff -r "$TREE_DIR/src/code" "$TREE_DIR/sub"

@@ -37,7 +37,9 @@ pub struct CompactionReport {
 #[derive(Debug)]
 pub struct ActivePool {
     capacity: usize,
-    containers: BTreeMap<u32, Container>,
+    /// Shared with the restore views that snapshot them; a mutation copies
+    /// a container only while such a view is still alive.
+    containers: BTreeMap<u32, Arc<Container>>,
     /// The container currently accepting inserts.
     open: Option<u32>,
     next_cid: u32,
@@ -82,7 +84,7 @@ impl ActivePool {
         }
         self.changed.remove(&cid);
         self.dropped.insert(cid);
-        Some(container)
+        Some(Arc::unwrap_or_clone(container))
     }
 
     /// Appends a chunk, returning the active container ID now holding it.
@@ -99,7 +101,10 @@ impl ActivePool {
                     self.next_cid += 1;
                     self.containers.insert(
                         cid,
-                        Container::new(ContainerId::new(ACTIVE_ID_BASE + cid), self.capacity),
+                        Arc::new(Container::new(
+                            ContainerId::new(ACTIVE_ID_BASE + cid),
+                            self.capacity,
+                        )),
                     );
                     self.open = Some(cid);
                     cid
@@ -111,7 +116,7 @@ impl ActivePool {
                 self.open = None;
                 continue;
             };
-            if container.try_add(fp, data) {
+            if Arc::make_mut(container).try_add(fp, data) {
                 self.fp_index.insert(fp, cid);
                 self.touch(cid);
                 return cid;
@@ -124,7 +129,7 @@ impl ActivePool {
     /// Removes a chunk (cold demotion), returning its content.
     pub fn remove(&mut self, fp: &Fingerprint) -> Option<Vec<u8>> {
         let cid = self.fp_index.remove(fp)?;
-        let container = self.containers.get_mut(&cid)?;
+        let container = Arc::make_mut(self.containers.get_mut(&cid)?);
         let data = container.get(fp).map(<[u8]>::to_vec);
         container.remove(fp);
         if container.is_empty() {
@@ -147,9 +152,10 @@ impl ActivePool {
     }
 
     /// A read-only snapshot of one active container for restore, by pool-
-    /// local ID.
+    /// local ID. The container is shared, not copied: a later mutation of
+    /// the pool copies it only if the snapshot is still alive.
     pub fn snapshot(&self, cid: u32) -> Option<Arc<Container>> {
-        self.containers.get(&cid).map(|c| Arc::new(c.clone()))
+        self.containers.get(&cid).map(Arc::clone)
     }
 
     /// Merges sparse containers (utilization below `threshold`) and compacts
@@ -223,7 +229,7 @@ impl ActivePool {
             let dead = container.used_bytes() - container.live_bytes();
             if dead > 0 {
                 report.bytes_reclaimed += dead as u64;
-                container.compact_in_place();
+                Arc::make_mut(container).compact_in_place();
                 self.changed.insert(cid);
             }
         }
@@ -257,7 +263,7 @@ impl ActivePool {
     /// order — the borrow-only view integrity checkers use to inspect the
     /// pool without cloning container snapshots.
     pub fn containers(&self) -> impl Iterator<Item = (u32, &Container)> {
-        self.containers.iter().map(|(&cid, c)| (cid, c))
+        self.containers.iter().map(|(&cid, c)| (cid, &**c))
     }
 
     /// The containers added to, removed from or compacted in place since
@@ -266,7 +272,7 @@ impl ActivePool {
     pub(crate) fn changed(&self) -> impl Iterator<Item = (u32, &Container)> {
         self.changed
             .iter()
-            .filter_map(|&cid| Some((cid, self.containers.get(&cid)?)))
+            .filter_map(|&cid| Some((cid, &**self.containers.get(&cid)?)))
     }
 
     /// Pool-local IDs of the containers emptied or merged away since the
@@ -298,7 +304,7 @@ impl ActivePool {
             for fp in container.fingerprints() {
                 pool.fp_index.insert(fp, cid);
             }
-            pool.containers.insert(cid, container);
+            pool.containers.insert(cid, Arc::new(container));
         }
         Ok(pool)
     }

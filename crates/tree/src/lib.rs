@@ -13,8 +13,10 @@
 //! manifest first, then reads only the byte ranges — and therefore only the
 //! containers — the selected entries need, which makes subtree restore cost
 //! proportional to the data restored rather than the size of the backup.
-//! Files are staged to `.hds-tmp` names and renamed into place, then their
-//! metadata is reapplied.
+//! Contiguous file contents share one FAA pass, so a whole-tree restore
+//! reads each container once per area, as a stream restore does. Files are
+//! staged to `.hds-tmp` names as they complete and renamed into place, then
+//! their metadata is reapplied.
 //!
 //! Known limits (deliberate, documented): hardlinks are stored as
 //! independent files, extended attributes and ownership are not captured,

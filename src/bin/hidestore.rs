@@ -537,10 +537,7 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
         &hidestore::failpoint::RealVfs,
         VersionId::new(v),
         Path::new(dest),
-        &hidestore::tree::TreeRestoreOptions {
-            subtree,
-            ..Default::default()
-        },
+        &hidestore::tree::TreeRestoreOptions { subtree },
     )?;
     println!(
         "restored V{v} to {dest}: {} files, {} dirs, {} symlinks, {} bytes, \

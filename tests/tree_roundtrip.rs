@@ -3,18 +3,23 @@
 //! Covers: byte- and metadata-identical round trips (permission bits,
 //! mtimes, symlink targets, empty files and directories, odd-but-valid
 //! names), seeded random trees, exclude pruning, provably-partial subtree
-//! restore (`container_reads` proportionality), error resilience on both
-//! the backup side (unreadable source) and the restore side (failing
-//! destination writes), and type errors for non-tree versions.
+//! restore (`container_reads` proportionality), container reads no worse
+//! than a stream restore of the same version and equal to what the store
+//! served, error resilience on both the backup side (unreadable source) and
+//! the restore side (failing destination writes and metadata, an unreadable
+//! archival container), and type errors for non-tree versions.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, ACTIVE_ID_BASE};
 use hidestore::failpoint::{RealVfs, Vfs, VfsEntryKind};
-use hidestore::storage::{MemoryContainerStore, VersionId};
+use hidestore::restore::Faa;
+use hidestore::storage::{ContainerId, ContainerStore, MemoryContainerStore, VersionId};
+use hidestore::tree::manifest::{decode_stream_header, STREAM_HEADER_LEN};
 use hidestore::tree::{
-    backup_tree, restore_tree, ExcludeSet, TreeBackupOptions, TreeError, TreeRestoreOptions,
+    backup_tree, restore_tree, EntryPayload, ExcludeSet, TreeBackupOptions, TreeError,
+    TreeManifest, TreeRestoreOptions,
 };
 
 /// A unique scratch directory, removed on drop.
@@ -39,15 +44,16 @@ impl Drop for Scratch {
     }
 }
 
+fn small_config() -> HiDeStoreConfig {
+    HiDeStoreConfig {
+        avg_chunk_size: 1024,
+        container_capacity: 16 * 1024,
+        ..HiDeStoreConfig::default()
+    }
+}
+
 fn small_system() -> HiDeStore<MemoryContainerStore> {
-    HiDeStore::new(
-        HiDeStoreConfig {
-            avg_chunk_size: 1024,
-            container_capacity: 16 * 1024,
-            ..HiDeStoreConfig::default()
-        },
-        MemoryContainerStore::new(),
-    )
+    HiDeStore::new(small_config(), MemoryContainerStore::new())
 }
 
 fn noise(len: usize, seed: u64) -> Vec<u8> {
@@ -317,7 +323,6 @@ fn subtree_restore_reads_fewer_containers_and_lands_at_dest() {
         &sub_dest,
         &TreeRestoreOptions {
             subtree: Some("/small".to_string()),
-            ..TreeRestoreOptions::default()
         },
     )
     .unwrap();
@@ -340,7 +345,6 @@ fn subtree_restore_reads_fewer_containers_and_lands_at_dest() {
         &file_dest,
         &TreeRestoreOptions {
             subtree: Some("/small/needle.txt".to_string()),
-            ..TreeRestoreOptions::default()
         },
     )
     .unwrap();
@@ -394,6 +398,7 @@ struct DenyVfs {
     marker: &'static str,
     deny_reads: bool,
     deny_writes: bool,
+    deny_set_mode: bool,
 }
 
 impl DenyVfs {
@@ -453,6 +458,9 @@ impl Vfs for DenyVfs {
         self.inner.symlink(target, link)
     }
     fn set_mode(&self, path: &Path, mode: u32) -> io::Result<()> {
+        if self.deny_set_mode && self.denied(path) {
+            return self.fail();
+        }
         self.inner.set_mode(path, mode)
     }
     fn set_mtime(&self, path: &Path, secs: i64, nanos: u32) -> io::Result<()> {
@@ -475,6 +483,7 @@ fn unreadable_source_file_is_skipped_not_fatal() {
         marker: "secret-unreadable",
         deny_reads: true,
         deny_writes: false,
+        deny_set_mode: false,
     };
     let report = backup_tree(&mut system, &deny, &src, &TreeBackupOptions::default()).unwrap();
     assert!(!report.is_complete());
@@ -517,6 +526,7 @@ fn failing_destination_write_is_skipped_not_fatal() {
         marker: "cursed",
         deny_reads: false,
         deny_writes: true,
+        deny_set_mode: false,
     };
     let restored = restore_tree(
         &system,
@@ -534,6 +544,252 @@ fn failing_destination_write_is_skipped_not_fatal() {
     assert!(!dest.join("cursed.txt.hds-tmp").exists(), "staging residue");
     assert_trees_equal(&src.join("ok-a.txt"), &dest.join("ok-a.txt"));
     assert_trees_equal(&src.join("ok-b.txt"), &dest.join("ok-b.txt"));
+}
+
+#[test]
+fn failing_directory_metadata_is_skipped_under_its_apath() {
+    let scratch = Scratch::new("dir-meta");
+    let src = scratch.path("src");
+    write_file(&src.join("plain.txt"), b"lands fine");
+    std::fs::create_dir_all(src.join("sealed")).unwrap();
+    stamp_metadata(&src);
+
+    let mut system = small_system();
+    let report = backup_tree(&mut system, &RealVfs, &src, &TreeBackupOptions::default()).unwrap();
+    assert!(report.is_complete());
+
+    let deny = DenyVfs {
+        inner: RealVfs,
+        marker: "sealed",
+        deny_reads: false,
+        deny_writes: false,
+        deny_set_mode: true,
+    };
+    let restored = restore_tree(
+        &system,
+        &deny,
+        report.stats.version,
+        &scratch.path("dest"),
+        &TreeRestoreOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(restored.skipped.len(), 1, "{:?}", restored.skipped);
+    assert_eq!(restored.skipped[0].apath, "/sealed");
+    assert!(
+        restored.skipped[0].reason.starts_with("directory metadata"),
+        "{}",
+        restored.skipped[0]
+    );
+    assert_eq!(restored.files, 1);
+}
+
+/// Each chunk of `version`'s stream as `(start, end, container)`, plus the
+/// stream itself.
+fn stream_layout<S: ContainerStore>(
+    system: &HiDeStore<S>,
+    version: VersionId,
+) -> (Vec<(u64, u64, ContainerId)>, Vec<u8>) {
+    let mut at = 0;
+    let spans = system
+        .restore_plan(version)
+        .unwrap()
+        .iter()
+        .map(|e| {
+            at += u64::from(e.size);
+            (at - u64::from(e.size), at, e.container)
+        })
+        .collect();
+    let mut stream = Vec::new();
+    system
+        .restore(version, &mut Faa::new(32 << 20), &mut stream)
+        .unwrap();
+    (spans, stream)
+}
+
+#[test]
+fn unreadable_archival_container_skips_only_the_files_it_holds() {
+    let scratch = Scratch::new("lost-container");
+    let src = scratch.path("src");
+    let files = 16;
+    for i in 0..files {
+        write_file(&src.join(format!("f{i:02}")), &noise(4096, 200 + i));
+    }
+    stamp_metadata(&src);
+
+    let repo = scratch.path("repo");
+    let mut system = HiDeStore::open_repository(small_config(), &repo).unwrap();
+    let report = backup_tree(&mut system, &RealVfs, &src, &TreeBackupOptions::default()).unwrap();
+    assert!(report.is_complete());
+    let v1 = report.stats.version;
+    // V2 rewrites every other file, so V1's copies of them turn cold and
+    // are demoted into archival containers on disk.
+    for i in (0..files).step_by(2) {
+        std::fs::write(src.join(format!("f{i:02}")), noise(4096, 300 + i)).unwrap();
+    }
+    stamp_metadata(&src);
+    backup_tree(&mut system, &RealVfs, &src, &TreeBackupOptions::default()).unwrap();
+
+    let (spans, stream) = stream_layout(&system, v1);
+    let manifest_len = decode_stream_header(&stream).unwrap() as u64;
+    let content_base = STREAM_HEADER_LEN + manifest_len;
+    let manifest =
+        TreeManifest::decode(&stream[STREAM_HEADER_LEN as usize..][..manifest_len as usize])
+            .unwrap();
+    let containers_of = |start: u64, end: u64| -> Vec<ContainerId> {
+        spans
+            .iter()
+            .filter(|&&(s, e, _)| s < end && start < e)
+            .map(|&(_, _, c)| c)
+            .collect()
+    };
+    // The victim holds some of V1's file content but none of the header or
+    // manifest, which every restore of V1 must read.
+    let framing = containers_of(0, content_base);
+    let victim = spans
+        .iter()
+        .map(|&(_, _, c)| c)
+        .find(|c| c.get() < ACTIVE_ID_BASE && !framing.contains(c))
+        .expect("an archival container holding only file content");
+    let file_ranges: Vec<(String, u64, u64)> = manifest
+        .entries
+        .iter()
+        .filter_map(|e| match e.payload {
+            EntryPayload::File { offset, size } => Some((e.apath.clone(), offset, size)),
+            _ => None,
+        })
+        .collect();
+    let lost: Vec<&str> = file_ranges
+        .iter()
+        .filter(|(_, offset, size)| {
+            containers_of(content_base + offset, content_base + offset + size).contains(&victim)
+        })
+        .map(|(apath, _, _)| apath.as_str())
+        .collect();
+    assert!(
+        !lost.is_empty() && lost.len() < file_ranges.len(),
+        "{lost:?}"
+    );
+
+    // Truncate the container behind the open instance's back.
+    let path = system.archival().path_of(victim);
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
+
+    let dest = scratch.path("dest");
+    let restored =
+        restore_tree(&system, &RealVfs, v1, &dest, &TreeRestoreOptions::default()).unwrap();
+    let mut skipped: Vec<&str> = restored.skipped.iter().map(|s| s.apath.as_str()).collect();
+    skipped.sort_unstable();
+    assert_eq!(skipped, lost);
+    for skip in &restored.skipped {
+        assert!(skip.reason.starts_with("content unrestorable"), "{skip}");
+    }
+    assert_eq!(restored.files as usize, file_ranges.len() - lost.len());
+    for (apath, offset, size) in &file_ranges {
+        let path = dest.join(&apath[1..]);
+        if lost.contains(&apath.as_str()) {
+            assert!(!path.exists(), "{apath} restored from a lost container");
+        } else {
+            let start = (content_base + offset) as usize;
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                &stream[start..start + *size as usize],
+                "{apath}"
+            );
+        }
+    }
+    let residue = std::fs::read_dir(&dest)
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .ends_with(".hds-tmp")
+        })
+        .count();
+    assert_eq!(residue, 0, "staging residue");
+}
+
+#[test]
+fn full_restore_reads_no_more_containers_than_a_stream_restore() {
+    let scratch = Scratch::new("read-count");
+    let src = scratch.path("src");
+    for i in 0..40 {
+        write_file(
+            &src.join(format!("d{}/file{i:02}", i % 4)),
+            &noise(4096, 600 + i),
+        );
+    }
+    stamp_metadata(&src);
+
+    let mut system = small_system();
+    let report = backup_tree(&mut system, &RealVfs, &src, &TreeBackupOptions::default()).unwrap();
+    assert!(report.is_complete());
+    let version = report.stats.version;
+
+    let stream = system
+        .restore(version, &mut Faa::new(32 << 20), &mut io::sink())
+        .unwrap();
+    assert!(
+        stream.container_reads >= 5,
+        "{} reads",
+        stream.container_reads
+    );
+    let dest = scratch.path("dest");
+    let tree = restore_tree(
+        &system,
+        &RealVfs,
+        version,
+        &dest,
+        &TreeRestoreOptions::default(),
+    )
+    .unwrap();
+    assert!(tree.is_complete(), "{:?}", tree.skipped);
+    assert_trees_equal(&src, &dest);
+    // Two extra passes at most: the stream header, then the manifest.
+    assert!(
+        tree.container_reads <= stream.container_reads + 2,
+        "tree restore read {} containers, stream restore {}",
+        tree.container_reads,
+        stream.container_reads
+    );
+}
+
+#[test]
+fn reported_reads_equal_the_reads_the_archival_store_served() {
+    let scratch = Scratch::new("archival-reads");
+    let (old, new) = (scratch.path("old"), scratch.path("new"));
+    for i in 0..20 {
+        write_file(&old.join(format!("old{i:02}")), &noise(3000, 700 + i));
+        write_file(&new.join(format!("new{i:02}")), &noise(3000, 800 + i));
+    }
+    stamp_metadata(&old);
+    stamp_metadata(&new);
+
+    let mut system = small_system();
+    let options = TreeBackupOptions::default();
+    let v1 = backup_tree(&mut system, &RealVfs, &old, &options).unwrap();
+    // A second tree sharing no bytes demotes every chunk of the first.
+    backup_tree(&mut system, &RealVfs, &new, &options).unwrap();
+    let v1 = v1.stats.version;
+    let (spans, _) = stream_layout(&system, v1);
+    assert!(spans.iter().all(|&(_, _, c)| c.get() < ACTIVE_ID_BASE));
+
+    let before = system.archival().stats().container_reads;
+    let dest = scratch.path("dest");
+    let restored =
+        restore_tree(&system, &RealVfs, v1, &dest, &TreeRestoreOptions::default()).unwrap();
+    assert!(restored.is_complete(), "{:?}", restored.skipped);
+    assert_trees_equal(&old, &dest);
+    let served = system.archival().stats().container_reads - before;
+    assert!(served > 0);
+    assert_eq!(restored.container_reads, served);
 }
 
 #[test]
@@ -564,7 +820,6 @@ fn non_tree_version_and_bad_subtree_are_typed_errors() {
         &scratch.path("d2"),
         &TreeRestoreOptions {
             subtree: Some("/no/such/entry".to_string()),
-            ..TreeRestoreOptions::default()
         },
     )
     .unwrap_err();
