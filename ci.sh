@@ -11,6 +11,7 @@
 #   3. cargo xtask analyze          -- static-analysis wall: Vfs I/O
 #                                      discipline, lock discipline, wire
 #                                      safety, panic markers, raw-socket use
+#                                      outside failpoint's Socket
 #   4. clippy + rustdoc -D warnings -- clippy across every target, then
 #                                      the workspace docs, so a deletion
 #                                      cannot leave a dangling doc link
@@ -39,8 +40,12 @@
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
-#                                      sides, resume-tail accounting, server
-#                                      restart ride-through, busy shedding
+#                                      sides, each reached site proven to
+#                                      fire, resume-tail accounting, server
+#                                      restart ride-through, busy shedding;
+#                                      then the daemon's disk faulted at
+#                                      every I/O op of one tenant's served
+#                                      backup, through the same fault plan
 #   9. tenant isolation (release)   -- N tenants raced through one daemon:
 #                                      byte-identical to serial runs, LRU
 #                                      eviction churn, implicit default
@@ -116,6 +121,7 @@ cargo test --release -p hidestore-hash -q
 
 echo "ci: cargo test --release --test server_chaos"
 cargo test --release --test server_chaos -q
+cargo test --release --test server_faults -q -- daemon_disk_faults_stay_typed_and_tenant_local
 
 echo "ci: cargo test --release --test tenant_isolation"
 cargo test --release --test tenant_isolation -q

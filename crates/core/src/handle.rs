@@ -193,7 +193,7 @@ impl<V: Vfs> RepositoryHandle<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidestore_failpoint::{FaultKind, FaultVfs, OpKind};
+    use hidestore_failpoint::{FaultKind, FaultVfs, OpKind, Plan};
     use hidestore_restore::Faa;
     use hidestore_storage::VersionId;
 
@@ -292,16 +292,16 @@ mod tests {
         // Counting run: how many vfs ops does the open itself take? The
         // armed run fails the first op after that, i.e. the first I/O of
         // the mutation/save.
-        let counting = FaultVfs::counting();
+        let counting = FaultVfs::new(Plan::counting());
         let probe = RepositoryHandle::open_with(&dir, counting.clone()).unwrap();
-        let open_ops = counting.ops();
+        let open_ops = counting.plan().ops();
         drop(probe);
 
-        let vfs = FaultVfs::armed(open_ops, FaultKind::Error);
+        let vfs = FaultVfs::new(Plan::armed(open_ops, FaultKind::Error));
         let handle = RepositoryHandle::open_with(&dir, vfs.clone()).unwrap();
         let err = handle.write(|s| s.backup(&vec![5u8; 40_000]));
         assert!(err.is_err(), "the armed fault must fail the mutation");
-        assert!(vfs.crashed(), "the armed site must have fired");
+        assert!(vfs.plan().fired(), "the armed site must have fired");
         assert_eq!(handle.rollbacks(), 1);
         // The rollback reopen also failed (crashed vfs), so the handle is
         // poisoned: reads and writes all fast-fail typed.
@@ -377,17 +377,17 @@ mod tests {
     fn handle_reads_touch_only_containers() {
         let dir = temp("reads");
         init_repo(&dir);
-        let vfs = FaultVfs::counting();
+        let vfs = FaultVfs::new(Plan::counting());
         let handle = RepositoryHandle::open_with(&dir, vfs.clone()).unwrap();
         let versions: Vec<Vec<u8>> = (0..3).map(|i| noise(60_000, 40 + i)).collect();
         for data in &versions {
             handle.write(|s| s.backup(data)).unwrap();
         }
-        let before = vfs.trace().len();
+        let before = vfs.plan().trace().len();
         for (v, data) in (1..).zip(&versions) {
             assert_eq!(&restore(&handle, v), data);
         }
-        let trace = vfs.trace();
+        let trace = vfs.plan().trace();
         let reads = &trace[before..];
         assert!(
             !reads.is_empty(),

@@ -711,7 +711,7 @@ pub(crate) fn rebuild_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidestore_failpoint::{FaultVfs, OpKind, OpRecord, VfsMetadata};
+    use hidestore_failpoint::{FaultVfs, OpKind, OpRecord, Plan, VfsMetadata};
     use hidestore_restore::Faa;
     use std::fs;
     use std::io;
@@ -1036,7 +1036,7 @@ mod tests {
     #[test]
     fn commit_cost_does_not_grow_with_history() {
         let dir = temp_dir("commit-cost");
-        let vfs = FaultVfs::counting();
+        let vfs = FaultVfs::new(Plan::counting());
         let (mut system, _) = HiDeStore::open_repository_with(config(), &dir, vfs.clone()).unwrap();
         let depth = system.config().history_depth;
         let mut data = noise(100_000, 70);
@@ -1058,9 +1058,9 @@ mod tests {
                     .map(|(cid, _)| format!("active/{}", active_name(cid))),
             );
             expect.insert(META_FILE.into());
-            let from = vfs.ops() as usize;
+            let from = vfs.plan().ops() as usize;
             system.save_repository(&dir).unwrap();
-            let ops = &vfs.trace()[from..];
+            let ops = &vfs.plan().trace()[from..];
             let save = round + 1;
             assert!(recipes <= depth + 1, "save {save} staged {recipes} recipes");
             assert_eq!(staged_files(ops, &dir), expect, "save {save}");
@@ -1078,19 +1078,19 @@ mod tests {
         // Flatten rewrites the chains of every recipe: the next save stages
         // them all.
         system.flatten_recipes();
-        let from = vfs.ops() as usize;
+        let from = vfs.plan().ops() as usize;
         system.save_repository(&dir).unwrap();
-        let staged = staged_files(&vfs.trace()[from..], &dir);
+        let staged = staged_files(&vfs.plan().trace()[from..], &dir);
         let recipes = staged.iter().filter(|f| f.starts_with("recipes/")).count();
         assert_eq!(recipes, system.versions().len());
         drop(system);
 
         // Nothing changed since the open: the save stages only the meta.
         let (mut system, _) = HiDeStore::open_repository_with(config(), &dir, vfs.clone()).unwrap();
-        let from = vfs.ops() as usize;
+        let from = vfs.plan().ops() as usize;
         system.save_repository(&dir).unwrap();
         assert_eq!(
-            staged_files(&vfs.trace()[from..], &dir),
+            staged_files(&vfs.plan().trace()[from..], &dir),
             BTreeSet::from([META_FILE.to_string()])
         );
         fs::remove_dir_all(&dir).unwrap();

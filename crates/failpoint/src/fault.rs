@@ -1,276 +1,138 @@
-//! The fault-injecting [`Vfs`]: deterministic operation counting, one armed
-//! fault, and crash semantics (everything after the fault fails too).
+//! The fault-injecting [`Vfs`]: every filesystem operation is a numbered
+//! site of a [`Plan`], and a fault that fires here crashes the simulated
+//! process (everything after it fails too).
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::vfs::{RealVfs, Vfs};
+use crate::plan::{FaultKind, OpKind, Plan};
+use crate::vfs::{RealVfs, Vfs, VfsMetadata};
 
-/// What kind of filesystem operation a failpoint site performed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Whole-file read ([`Vfs::read`]).
-    Read,
-    /// Whole-file create + write ([`Vfs::write`]).
-    Write,
-    /// File-content fsync ([`Vfs::sync_file`]).
-    SyncFile,
-    /// Atomic rename ([`Vfs::rename`]).
-    Rename,
-    /// Directory-entry fsync ([`Vfs::sync_dir`]).
-    SyncDir,
-    /// File unlink ([`Vfs::remove_file`]).
-    RemoveFile,
-    /// Recursive directory creation ([`Vfs::create_dir_all`]).
-    CreateDirAll,
-    /// Directory listing ([`Vfs::read_dir`]).
-    ReadDir,
-    /// Recursive directory removal ([`Vfs::remove_dir_all`]).
-    RemoveDirAll,
-    /// Entry stat without following symlinks ([`Vfs::symlink_metadata`]).
-    SymlinkMetadata,
-    /// Symlink target read ([`Vfs::read_link`]).
-    ReadLink,
-    /// Symlink creation ([`Vfs::symlink`]).
-    Symlink,
-    /// Permission-bit update ([`Vfs::set_mode`]).
-    SetMode,
-    /// Mtime update ([`Vfs::set_mtime`]).
-    SetMtime,
-}
-
-/// One numbered operation observed by a [`FaultVfs`].
+/// A [`Vfs`] over the real filesystem whose operations are numbered, and
+/// possibly failed, by a shared [`Plan`].
 ///
-/// A counting run collects these; the harness then replays the workload once
-/// per record with that site armed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpRecord {
-    /// Zero-based site index (the value [`FaultVfs::armed`] takes).
-    pub index: u64,
-    /// The operation performed at this site.
-    pub kind: OpKind,
-    /// Primary path of the operation (destination path for renames).
-    pub path: PathBuf,
-    /// Payload length for [`OpKind::Write`] sites, `0` otherwise. Torn-write
-    /// variants pick a truncation point below this.
-    pub len: usize,
-}
-
-/// How an armed failpoint site fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The operation performs no I/O and returns an injected error.
-    Error,
-    /// Only for [`Vfs::write`] sites: persist the first `k` bytes of the
-    /// payload (a torn write), then fail. For non-write operations this
-    /// behaves like [`FaultKind::Error`].
-    Torn(usize),
-}
-
-#[derive(Debug)]
-struct PlanState {
-    /// Next site index to assign.
-    ops: u64,
-    /// Site to fail at, if any.
-    armed: Option<(u64, FaultKind)>,
-    /// Set once the armed fault has fired: the simulated process is dead and
-    /// every later operation fails without touching the disk.
-    crashed: bool,
-    /// Every op observed so far (counting runs read this back).
-    trace: Vec<OpRecord>,
-}
-
-/// A [`Vfs`] wrapping the real filesystem with deterministic fault injection.
-///
-/// Clones share one plan: a store holding several clones still counts a
+/// Clones share the plan: a store holding several clones still counts a
 /// single global operation sequence and dies as a single process when the
-/// armed fault fires.
+/// armed fault fires. A [`FaultKind::Torn`] fault on a write persists a
+/// prefix before failing; every other fault, and `Torn` on any other
+/// operation, fails the operation without touching the disk.
 #[derive(Debug, Clone)]
 pub struct FaultVfs {
-    real: RealVfs,
-    plan: Arc<Mutex<PlanState>>,
+    plan: Plan,
 }
 
 impl FaultVfs {
-    /// A vfs that never fails but numbers and records every operation —
-    /// used to enumerate the failpoint sites of a workload.
+    /// A vfs whose operations `plan` numbers.
     #[must_use]
-    pub fn counting() -> Self {
-        Self::with_plan(None)
+    pub fn new(plan: Plan) -> Self {
+        FaultVfs { plan }
     }
 
-    /// A vfs whose `site`-th operation (zero-based) fails with `kind`,
-    /// after which the instance is [`crashed`](Self::crashed).
+    /// The plan numbering this vfs's operations.
     #[must_use]
-    pub fn armed(site: u64, kind: FaultKind) -> Self {
-        Self::with_plan(Some((site, kind)))
+    pub fn plan(&self) -> &Plan {
+        &self.plan
     }
 
-    fn with_plan(armed: Option<(u64, FaultKind)>) -> Self {
-        Self {
-            real: RealVfs,
-            plan: Arc::new(Mutex::new(PlanState {
-                ops: 0,
-                armed,
-                crashed: false,
-                trace: Vec::new(),
-            })),
+    /// Numbers one operation and fails it if it is the armed site.
+    fn step(&self, kind: OpKind, path: &Path) -> io::Result<()> {
+        match self.plan.step(kind, path, 0)? {
+            (_, None) => Ok(()),
+            (index, Some(_)) => Err(injected_error(index, kind)),
         }
     }
+}
 
-    fn plan(&self) -> MutexGuard<'_, PlanState> {
-        // The plan is plain counters; a panicking holder cannot leave it
-        // inconsistent, so a poisoned lock is safe to re-enter.
-        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Number of operations observed so far.
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.plan().ops
-    }
-
-    /// Whether the armed fault has fired. Once true, every subsequent
-    /// operation fails without performing any I/O — the simulated process
-    /// is dead.
-    #[must_use]
-    pub fn crashed(&self) -> bool {
-        self.plan().crashed
-    }
-
-    /// The numbered operations observed so far (counting-run output).
-    #[must_use]
-    pub fn trace(&self) -> Vec<OpRecord> {
-        self.plan().trace.clone()
-    }
-
-    fn injected_error(site: u64, kind: OpKind) -> io::Error {
-        io::Error::other(format!(
-            "injected fault at failpoint site {site} ({kind:?})"
-        ))
-    }
-
-    fn crashed_error() -> io::Error {
-        io::Error::other("process crashed at an earlier failpoint site")
-    }
-
-    /// Numbers one operation. Returns what the op must do: `Ok(None)` run
-    /// normally, `Ok(Some(k))` tear the write at byte `k` then fail,
-    /// `Err(_)` fail immediately (crashed, or armed with a plain error).
-    fn step(&self, kind: OpKind, path: &Path, len: usize) -> io::Result<Option<usize>> {
-        let mut plan = self.plan();
-        if plan.crashed {
-            return Err(Self::crashed_error());
-        }
-        let index = plan.ops;
-        plan.ops += 1;
-        plan.trace.push(OpRecord {
-            index,
-            kind,
-            path: path.to_path_buf(),
-            len,
-        });
-        match plan.armed {
-            Some((site, fault)) if site == index => {
-                plan.crashed = true;
-                match fault {
-                    FaultKind::Torn(k) if kind == OpKind::Write => Ok(Some(k)),
-                    _ => Err(Self::injected_error(site, kind)),
-                }
-            }
-            _ => Ok(None),
-        }
-    }
+fn injected_error(site: u64, kind: OpKind) -> io::Error {
+    io::Error::other(format!(
+        "injected fault at failpoint site {site} ({kind:?})"
+    ))
 }
 
 impl Vfs for FaultVfs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.step(OpKind::Read, path, 0)?;
-        self.real.read(path)
+        self.step(OpKind::Read, path)?;
+        RealVfs.read(path)
     }
 
     fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        match self.step(OpKind::Write, path, data.len())? {
-            None => self.real.write(path, data),
-            Some(k) => {
+        match self.plan.step(OpKind::Write, path, data.len())? {
+            (_, None) => RealVfs.write(path, data),
+            (index, Some(FaultKind::Torn(k))) => {
                 // Torn write: persist a prefix, then report failure. The
                 // prefix length is clamped so every site admits a torn
                 // variant regardless of payload size.
-                let k = k.min(data.len());
-                self.real.write(path, &data[..k])?;
-                Err(Self::injected_error(
-                    self.ops().saturating_sub(1),
-                    OpKind::Write,
-                ))
+                RealVfs.write(path, &data[..k.min(data.len())])?;
+                Err(injected_error(index, OpKind::Write))
             }
+            (index, Some(_)) => Err(injected_error(index, OpKind::Write)),
         }
     }
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
-        self.step(OpKind::SyncFile, path, 0)?;
-        self.real.sync_file(path)
+        self.step(OpKind::SyncFile, path)?;
+        RealVfs.sync_file(path)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.step(OpKind::Rename, to, 0)?;
-        self.real.rename(from, to)
+        self.step(OpKind::Rename, to)?;
+        RealVfs.rename(from, to)
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        self.step(OpKind::SyncDir, path, 0)?;
-        self.real.sync_dir(path)
+        self.step(OpKind::SyncDir, path)?;
+        RealVfs.sync_dir(path)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.step(OpKind::RemoveFile, path, 0)?;
-        self.real.remove_file(path)
+        self.step(OpKind::RemoveFile, path)?;
+        RealVfs.remove_file(path)
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.step(OpKind::CreateDirAll, path, 0)?;
-        self.real.create_dir_all(path)
+        self.step(OpKind::CreateDirAll, path)?;
+        RealVfs.create_dir_all(path)
     }
 
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        self.step(OpKind::ReadDir, path, 0)?;
-        self.real.read_dir(path)
+        self.step(OpKind::ReadDir, path)?;
+        RealVfs.read_dir(path)
     }
 
     fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.step(OpKind::RemoveDirAll, path, 0)?;
-        self.real.remove_dir_all(path)
+        self.step(OpKind::RemoveDirAll, path)?;
+        RealVfs.remove_dir_all(path)
     }
 
     fn exists(&self, path: &Path) -> bool {
         // Not a failpoint site: existence checks perform no durable I/O and
         // a crashed process cannot observe anything anyway.
-        self.real.exists(path)
+        RealVfs.exists(path)
     }
 
-    fn symlink_metadata(&self, path: &Path) -> io::Result<crate::vfs::VfsMetadata> {
-        self.step(OpKind::SymlinkMetadata, path, 0)?;
-        self.real.symlink_metadata(path)
+    fn symlink_metadata(&self, path: &Path) -> io::Result<VfsMetadata> {
+        self.step(OpKind::SymlinkMetadata, path)?;
+        RealVfs.symlink_metadata(path)
     }
 
     fn read_link(&self, path: &Path) -> io::Result<PathBuf> {
-        self.step(OpKind::ReadLink, path, 0)?;
-        self.real.read_link(path)
+        self.step(OpKind::ReadLink, path)?;
+        RealVfs.read_link(path)
     }
 
     fn symlink(&self, target: &Path, link: &Path) -> io::Result<()> {
-        self.step(OpKind::Symlink, link, 0)?;
-        self.real.symlink(target, link)
+        self.step(OpKind::Symlink, link)?;
+        RealVfs.symlink(target, link)
     }
 
     fn set_mode(&self, path: &Path, mode: u32) -> io::Result<()> {
-        self.step(OpKind::SetMode, path, 0)?;
-        self.real.set_mode(path, mode)
+        self.step(OpKind::SetMode, path)?;
+        RealVfs.set_mode(path, mode)
     }
 
     fn set_mtime(&self, path: &Path, secs: i64, nanos: u32) -> io::Result<()> {
-        self.step(OpKind::SetMtime, path, 0)?;
-        self.real.set_mtime(path, secs, nanos)
+        self.step(OpKind::SetMtime, path)?;
+        RealVfs.set_mtime(path, secs, nanos)
     }
 }
 
@@ -278,6 +140,7 @@ impl Vfs for FaultVfs {
 mod tests {
     use super::*;
     use std::fs;
+    use std::time::Duration;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fp-fault-{tag}-{}", std::process::id()));
@@ -289,12 +152,12 @@ mod tests {
     #[test]
     fn counting_records_sites_in_order() {
         let dir = scratch("count");
-        let v = FaultVfs::counting();
+        let v = FaultVfs::new(Plan::counting());
         v.write(&dir.join("a"), b"one").unwrap();
         v.sync_file(&dir.join("a")).unwrap();
         v.rename(&dir.join("a"), &dir.join("b")).unwrap();
-        let trace = v.trace();
-        assert_eq!(v.ops(), 3);
+        let trace = v.plan().trace();
+        assert_eq!(v.plan().ops(), 3);
         assert_eq!(
             trace.iter().map(|r| (r.index, r.kind)).collect::<Vec<_>>(),
             vec![
@@ -304,17 +167,17 @@ mod tests {
             ]
         );
         assert_eq!(trace[0].len, 3);
-        assert!(!v.crashed());
+        assert!(!v.plan().fired());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn armed_error_fails_site_and_crashes_rest() {
         let dir = scratch("armed");
-        let v = FaultVfs::armed(1, FaultKind::Error);
+        let v = FaultVfs::new(Plan::armed(1, FaultKind::Error));
         v.write(&dir.join("a"), b"one").unwrap();
         assert!(v.write(&dir.join("b"), b"two").is_err());
-        assert!(v.crashed());
+        assert!(v.plan().fired());
         // Nothing after the crash reaches the disk.
         assert!(v.write(&dir.join("c"), b"three").is_err());
         assert!(v.read(&dir.join("a")).is_err());
@@ -326,30 +189,48 @@ mod tests {
     #[test]
     fn torn_write_persists_prefix() {
         let dir = scratch("torn");
-        let v = FaultVfs::armed(0, FaultKind::Torn(2));
-        assert!(v.write(&dir.join("a"), b"hello").is_err());
+        let v = FaultVfs::new(Plan::armed(1, FaultKind::Torn(2)));
+        v.write(&dir.join("z"), b"whole").unwrap();
+        let err = v.write(&dir.join("a"), b"hello").unwrap_err();
+        assert!(err.to_string().contains("site 1 "), "{err}");
         assert_eq!(fs::read(dir.join("a")).unwrap(), b"he");
-        assert!(v.crashed());
+        assert!(v.plan().fired());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_on_non_write_acts_like_error() {
         let dir = scratch("torn-sync");
-        let v = FaultVfs::armed(0, FaultKind::Torn(2));
+        let v = FaultVfs::new(Plan::armed(0, FaultKind::Torn(2)));
         assert!(v.sync_dir(&dir).is_err());
-        assert!(v.crashed());
+        assert!(v.plan().fired());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wire_only_faults_act_like_error() {
+        let dir = scratch("wire-only");
+        for fault in [
+            FaultKind::Short,
+            FaultKind::BlackHole,
+            FaultKind::Delay(Duration::ZERO),
+        ] {
+            let v = FaultVfs::new(Plan::armed(0, fault));
+            assert!(v.write(&dir.join("a"), b"hello").is_err(), "{fault:?}");
+            assert!(!dir.join("a").exists(), "{fault:?}");
+            assert!(v.plan().fired());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn clones_share_one_process() {
         let dir = scratch("clone");
-        let v = FaultVfs::armed(1, FaultKind::Error);
+        let v = FaultVfs::new(Plan::armed(1, FaultKind::Error));
         let w = v.clone();
         v.write(&dir.join("a"), b"x").unwrap();
         assert!(w.write(&dir.join("b"), b"y").is_err());
-        assert!(v.crashed() && w.crashed());
+        assert!(v.plan().fired() && w.plan().fired());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,59 +1,69 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Deterministic filesystem fault injection for crash-consistency testing.
+//! Deterministic fault injection for the disk and the wire.
 //!
 //! Backup repositories must survive a crash at *any* point of a save: the
 //! paper's restart story (§4.1) assumes the appliance reopens with a
 //! consistent repository. To prove that, every filesystem operation the
-//! persistence layer performs goes through the [`Vfs`] io-shim trait, so the
-//! production path and the fault-injected path are **the same code** — the
-//! only difference is which `Vfs` implementation is plugged in:
+//! persistence layer performs goes through the [`Vfs`] io-shim trait, and
+//! every socket read and write of the client and the daemon goes through
+//! one [`Socket`] type, so the production path and the fault-injected path
+//! are **the same code**:
 //!
 //! * [`RealVfs`] — a zero-sized passthrough to `std::fs`. Stores are generic
 //!   over `V: Vfs` with `RealVfs` as the default, so the production build
-//!   monomorphizes to direct `std::fs` calls: when injection is not in use
-//!   the layer compiles to no-ops (no dynamic dispatch, no counters, no
-//!   branches).
-//! * [`FaultVfs`] — wraps the real filesystem with a deterministic operation
-//!   counter. Every call is a numbered *failpoint site*; one site can be
-//!   armed to fail (plain I/O error, or a torn write that persists only a
-//!   prefix), and once a fault fires the instance enters a **crashed** state
-//!   where every subsequent operation fails too — modelling process death,
-//!   so nothing "after the crash" can leak to disk.
+//!   monomorphizes to direct `std::fs` calls.
+//! * [`Plan`] — the one fault plan: a shared operation counter, at most one
+//!   armed site with its [`FaultKind`], whether it has fired, and the trace
+//!   of every numbered operation. [`FaultVfs`] and [`Socket`] each hold a
+//!   plan and add only their I/O, so one plan can number a daemon's disk
+//!   and wire operations in one sequence.
 //!
-//! A crash-matrix harness first runs a workload against a counting
-//! [`FaultVfs`] to enumerate the sites (see [`FaultVfs::trace`]), then
-//! replays the workload once per site with that site armed, reopens the
-//! repository with [`RealVfs`], and asserts the recovery invariants.
+//! A fault that fires on a filesystem operation crashes the simulated
+//! process: every later filesystem operation of the plan fails too, so
+//! nothing "after the crash" can leak to disk. A fault that fires on a wire
+//! operation kills only its own socket; later connections run clean, so a
+//! retrying client can prove it converges. Neither kind stops the other
+//! side.
+//!
+//! A harness first runs a workload under [`Plan::counting`] to enumerate
+//! the sites (see [`Plan::trace`]), then replays it once per site with
+//! [`Plan::armed`], and checks the recovery invariants.
 //!
 //! # Examples
 //!
 //! ```
-//! use hidestore_failpoint::{FaultKind, FaultVfs, Vfs};
+//! use hidestore_failpoint::{FaultKind, FaultVfs, Plan, Vfs};
 //!
 //! let dir = std::env::temp_dir().join(format!("fp-doc-{}", std::process::id()));
 //! let _ = std::fs::remove_dir_all(&dir);
 //!
 //! // Count the sites of a tiny workload.
-//! let counting = FaultVfs::counting();
-//! counting.create_dir_all(&dir)?;
-//! counting.write(&dir.join("a"), b"hello")?;
+//! let counting = Plan::counting();
+//! let vfs = FaultVfs::new(counting.clone());
+//! vfs.create_dir_all(&dir)?;
+//! vfs.write(&dir.join("a"), b"hello")?;
 //! assert_eq!(counting.ops(), 2);
 //!
 //! // Replay with site 1 (the write) armed: the write fails and the
-//! // instance is crashed afterwards.
-//! let faulty = FaultVfs::armed(1, FaultKind::Error);
-//! faulty.create_dir_all(&dir)?;
-//! assert!(faulty.write(&dir.join("a"), b"hello").is_err());
-//! assert!(faulty.crashed());
-//! assert!(faulty.read(&dir.join("a")).is_err(), "dead processes do no I/O");
+//! // simulated process is dead afterwards.
+//! let plan = Plan::armed(1, FaultKind::Error);
+//! let vfs = FaultVfs::new(plan.clone());
+//! vfs.create_dir_all(&dir)?;
+//! assert!(vfs.write(&dir.join("a"), b"hello").is_err());
+//! assert!(plan.fired());
+//! assert!(vfs.read(&dir.join("a")).is_err(), "dead processes do no I/O");
 //! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
 mod fault;
+mod net;
+mod plan;
 mod vfs;
 
-pub use fault::{FaultKind, FaultVfs, OpKind, OpRecord};
+pub use fault::FaultVfs;
+pub use net::Socket;
+pub use plan::{FaultKind, OpKind, OpRecord, Plan};
 pub use vfs::{mtime_to_system, system_to_mtime, RealVfs, Vfs, VfsEntryKind, VfsMetadata};

@@ -15,7 +15,7 @@ use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hidestore_netfault::{NetStream, RealStream};
+use hidestore_failpoint::Socket;
 use hidestore_proto::{
     read_frame, write_frame, BackupSummary, Frame, FrameError, FrameKind, Hello, Limits,
     ListResponse, PruneSummary, Request, Response, RestoreSummary, SessionToken, StatsResponse,
@@ -74,19 +74,15 @@ impl From<io::Error> for ClientError {
 }
 
 /// A negotiated connection to a daemon started by `hidestore serve`.
-///
-/// Generic over the [`NetStream`] transport so the chaos suite can drive a
-/// client through a fault-injecting stream; production callers use the
-/// plain-TCP [`RealStream`] default.
-pub struct RemoteClient<S: NetStream = RealStream> {
-    stream: S,
+pub struct RemoteClient {
+    stream: Socket,
     limits: Limits,
     /// Tenant every request is addressed to (`default` until
     /// [`RemoteClient::set_tenant`] names another).
     tenant: TenantId,
 }
 
-impl RemoteClient<RealStream> {
+impl RemoteClient {
     /// Connects to `addr` and performs HELLO negotiation with default
     /// limits and the [`DEFAULT_NET_TIMEOUT`] I/O deadline.
     ///
@@ -108,21 +104,17 @@ impl RemoteClient<RealStream> {
         limits: Limits,
         timeout: Duration,
     ) -> Result<Self, ClientError> {
-        Self::handshake(RealStream::connect(addr)?, limits, timeout)
+        Self::handshake(Socket::connect(addr, None)?, limits, timeout)
     }
-}
 
-impl<S: NetStream> RemoteClient<S> {
-    /// Performs HELLO negotiation over an already-established transport.
-    /// This is the generic entry point: the chaos suite hands it a
-    /// fault-injecting stream, [`RemoteClient::connect_with`] a real TCP
-    /// connection.
+    /// Performs HELLO negotiation over an already-connected socket, which
+    /// the retrying client wraps in its fault plan, if it has one.
     ///
     /// # Errors
     ///
     /// Transport failures, torn frames, or a version-negotiation refusal.
-    pub fn handshake(
-        mut stream: S,
+    pub(crate) fn handshake(
+        stream: Socket,
         limits: Limits,
         timeout: Duration,
     ) -> Result<Self, ClientError> {

@@ -29,7 +29,7 @@ use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime};
 
-use hidestore_netfault::{AnyStream, NetPlan, RealStream};
+use hidestore_failpoint::{Plan, Socket};
 use hidestore_proto::{BackupSummary, Limits, RestoreSummary, SessionToken, TenantId};
 
 use crate::client::{ClientError, RemoteClient, DEFAULT_NET_TIMEOUT};
@@ -192,7 +192,7 @@ pub struct RetryCounters {
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,
-    fault: Option<NetPlan>,
+    fault: Option<Plan>,
     tenant: TenantId,
     counters: RetryCounters,
 }
@@ -222,7 +222,7 @@ impl RetryClient {
     /// Variant whose every connection is wrapped by `plan` — the chaos
     /// harness's hook for injecting client-side wire faults.
     #[must_use]
-    pub fn with_fault(mut self, plan: NetPlan) -> Self {
+    pub fn with_fault(mut self, plan: Plan) -> Self {
         self.fault = Some(plan);
         self
     }
@@ -232,15 +232,14 @@ impl RetryClient {
         &self.counters
     }
 
-    fn connect(&self) -> Result<RemoteClient<AnyStream>, ClientError> {
+    fn connect(&self) -> Result<RemoteClient, ClientError> {
         let addr = self
             .addr
             .to_socket_addrs()
             .map_err(ClientError::from)?
             .next()
             .ok_or_else(|| ClientError::Protocol(format!("{} resolves to nothing", self.addr)))?;
-        let tcp = RealStream::connect(addr)?.into_tcp();
-        let stream = AnyStream::wrap(tcp, self.fault.as_ref());
+        let stream = Socket::connect(addr, self.fault.clone())?;
         let mut client =
             RemoteClient::handshake(stream, Limits::default(), self.policy.attempt_timeout)?;
         client.set_tenant(self.tenant.clone());

@@ -46,8 +46,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hidestore_core::{HiDeStoreConfig, HiDeStoreError};
+use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
-use hidestore_netfault::{AnyStream, NetPlan, NetStream};
 use hidestore_proto::{
     read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, PruneSummary,
     Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
@@ -87,9 +87,9 @@ pub struct ServerConfig {
     pub limits: Limits,
     /// Suppress per-request log lines (tests, benchmarks).
     pub quiet: bool,
-    /// Deterministic network fault plan applied to every served
-    /// connection's wire I/O (chaos tests); `None` serves plain TCP.
-    pub fault: Option<NetPlan>,
+    /// Deterministic fault plan numbering every served connection's wire
+    /// I/O (chaos tests); `None` serves plain TCP.
+    pub fault: Option<Plan>,
     /// Maximum parked resumable sessions held at once (LRU-evicted).
     pub max_sessions: usize,
     /// Idle lifetime of a parked/committed session entry; zero never
@@ -185,11 +185,11 @@ impl From<TenantError> for ServerError {
 }
 
 /// State shared by the acceptor, the workers, and the handle.
-struct Shared {
+struct Shared<V: Vfs> {
     /// Tenant id → repository handle, through a capacity-bounded LRU.
     /// Each tenant's slot owns its own writer lock and resumable-commit
     /// gate, so unrelated tenants' mutations commit in parallel.
-    registry: TenantRegistry,
+    registry: TenantRegistry<V>,
     /// Accepted connections waiting for a worker. The acceptor owns the
     /// sending side; when it exits, the workers drain what is queued and
     /// stop.
@@ -203,7 +203,7 @@ struct Shared {
     sessions: Mutex<SessionTable>,
 }
 
-impl Shared {
+impl<V: Vfs> Shared<V> {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -239,12 +239,12 @@ impl Shared {
 /// A running daemon. Keep it to observe stats and to shut the server down;
 /// dropping it without [`ServerHandle::join`] shuts the server down the
 /// same graceful way and waits for it.
-pub struct ServerHandle {
-    shared: Arc<Shared>,
+pub struct ServerHandle<V: Vfs = RealVfs> {
+    shared: Arc<Shared<V>>,
     threads: Vec<JoinHandle<()>>,
 }
 
-impl ServerHandle {
+impl<V: Vfs> ServerHandle<V> {
     /// The address the listener actually bound (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
@@ -298,7 +298,7 @@ impl ServerHandle {
     }
 }
 
-impl Drop for ServerHandle {
+impl<V: Vfs> Drop for ServerHandle<V> {
     fn drop(&mut self) {
         if self.threads.is_empty() {
             return;
@@ -323,6 +323,24 @@ pub fn serve(
     repo_dir: impl AsRef<Path>,
     config: ServerConfig,
 ) -> Result<ServerHandle, ServerError> {
+    serve_with(repo_dir, config, RealVfs, |_| RealVfs)
+}
+
+/// [`serve`] over explicit vfs plumbing, as in
+/// [`TenantRegistry::open_root_with`]: `root_vfs` does the registry's own
+/// filesystem work and `make_vfs` builds each tenant repository's Vfs —
+/// the seam fault-injection tests hand a tenant a
+/// [`FaultVfs`](hidestore_failpoint::FaultVfs) through.
+///
+/// # Errors
+///
+/// As [`serve`].
+pub fn serve_with<V: Vfs + Sync + 'static>(
+    repo_dir: impl AsRef<Path>,
+    config: ServerConfig,
+    root_vfs: V,
+    make_vfs: impl Fn(&TenantId) -> V + Send + Sync + 'static,
+) -> Result<ServerHandle<V>, ServerError> {
     let options = RegistryOptions {
         max_live: config.max_live_tenants,
         auto_create: config.auto_create_tenants,
@@ -330,9 +348,9 @@ pub fn serve(
         default_quota: config.default_quota,
     };
     let registry = if config.tenants_root {
-        TenantRegistry::open_root(repo_dir, options)?
+        TenantRegistry::open_root_with(repo_dir, options, root_vfs, make_vfs)?
     } else {
-        TenantRegistry::open_legacy(repo_dir, options)?
+        TenantRegistry::open_legacy_with(repo_dir, options, root_vfs, make_vfs)?
     };
     let listener = TcpListener::bind(&config.bind)?;
     let addr = listener.local_addr()?;
@@ -353,7 +371,7 @@ pub fn serve(
     let mut threads = Vec::with_capacity(workers + 1);
     {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || acceptor(&listener, &shared, tx)));
+        threads.push(std::thread::spawn(move || shared.acceptor(&listener, tx)));
     }
     for _ in 0..workers {
         let shared = Arc::clone(&shared);
@@ -362,54 +380,50 @@ pub fn serve(
     Ok(ServerHandle { shared, threads })
 }
 
-/// Accepts connections and queues them for the workers until shutdown.
-/// Owning `tx` means the workers see end-of-stream however this returns.
-fn acceptor(listener: &TcpListener, shared: &Shared, tx: SyncSender<(TcpStream, SocketAddr)>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.shutting_down() {
-                    // Either the wake connection or a late client; both are
-                    // dropped, and the listener closes with the loop.
-                    break;
-                }
-                ServerStats::bump(&shared.stats.accepted);
-                // Admission gate: never park on a saturated worker queue.
-                // A full queue sheds the connection with a retryable
-                // `busy` refusal carrying a backoff hint.
-                match tx.try_send((stream, peer)) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full((stream, _))) => {
-                        ServerStats::bump(&shared.stats.busy_rejected);
-                        shed_busy(stream, shared);
+impl<V: Vfs> Shared<V> {
+    /// Accepts connections and queues them for the workers until shutdown.
+    /// Owning `tx` means the workers see end-of-stream however this returns.
+    fn acceptor(&self, listener: &TcpListener, tx: SyncSender<(TcpStream, SocketAddr)>) {
+        loop {
+            match listener.accept() {
+                Ok((stream, peer)) => {
+                    if self.shutting_down() {
+                        // Either the wake connection or a late client; both are
+                        // dropped, and the listener closes with the loop.
+                        break;
                     }
-                    // The receiver lives in `shared`, so this cannot happen.
-                    Err(TrySendError::Disconnected(_)) => break,
+                    ServerStats::bump(&self.stats.accepted);
+                    // Admission gate: never park on a saturated worker queue.
+                    // A full queue sheds the connection with a retryable
+                    // `busy` refusal carrying a backoff hint.
+                    match tx.try_send((stream, peer)) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full((stream, _))) => {
+                            // `refuse`'s short deadlines keep a slow client
+                            // from stalling admission for long.
+                            ServerStats::bump(&self.stats.busy_rejected);
+                            let hint = self.config.busy_retry_after_ms;
+                            refuse(
+                                Socket::new(stream, self.config.fault.clone()),
+                                &self.config.limits,
+                                WireError::busy(hint, "worker queue is full, retry later"),
+                            );
+                        }
+                        // The receiver lives in `self`, so this cannot happen.
+                        Err(TrySendError::Disconnected(_)) => break,
+                    }
                 }
-            }
-            Err(_) if shared.shutting_down() => break,
-            Err(_) => {
-                // Transient accept failure (e.g. aborted connection);
-                // keep serving.
+                Err(_) if self.shutting_down() => break,
+                Err(_) => {
+                    // Transient accept failure (e.g. aborted connection);
+                    // keep serving.
+                }
             }
         }
     }
 }
 
-/// Refuses an un-admitted connection with `busy` + a retry hint. Runs on
-/// the acceptor thread under short deadlines, so a slow client cannot
-/// stall admission for long.
-fn shed_busy(stream: TcpStream, shared: &Shared) {
-    let stream = AnyStream::wrap(stream, shared.config.fault.as_ref());
-    let hint = shared.config.busy_retry_after_ms;
-    refuse(
-        stream,
-        shared,
-        WireError::busy(hint, "worker queue is full, retry later"),
-    );
-}
-
-fn worker(shared: &Shared) {
+fn worker<V: Vfs>(shared: &Shared<V>) {
     loop {
         // The guard drops at the end of this statement: holding it while
         // serving would let only one worker run at a time.
@@ -421,10 +435,10 @@ fn worker(shared: &Shared) {
         let Ok((stream, peer)) = next else {
             return; // the acceptor exited and the queue is drained
         };
-        let mut stream = AnyStream::wrap(stream, shared.config.fault.as_ref());
+        let mut stream = Socket::new(stream, shared.config.fault.clone());
         if shared.shutting_down() {
             let err = WireError::new(ErrorCode::ShuttingDown, "daemon is draining for shutdown");
-            refuse(stream, shared, err);
+            refuse(stream, &shared.config.limits, err);
         } else {
             handle_connection(&mut stream, peer, shared);
         }
@@ -434,19 +448,16 @@ fn worker(shared: &Shared) {
 /// Tells a client it will not be served — with a typed error instead of a
 /// silently dropped connection. Consumes the client's HELLO first so the
 /// refusal lands where the client expects the HELLO reply.
-fn refuse<S: NetStream>(mut stream: S, shared: &Shared, err: WireError) {
+fn refuse(mut stream: Socket, limits: &Limits, err: WireError) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let _ = read_frame(&mut stream, &shared.config.limits);
+    let _ = read_frame(&mut stream, limits);
     let _ = write_frame(&mut stream, FrameKind::Error, &err.encode());
 }
 
 /// Reads one frame, returning `Ok(None)` when the peer closed the
 /// connection cleanly at a frame boundary.
-fn read_frame_opt<S: NetStream>(
-    stream: &mut S,
-    limits: &Limits,
-) -> Result<Option<Frame>, FrameError> {
+fn read_frame_opt(stream: &mut Socket, limits: &Limits) -> Result<Option<Frame>, FrameError> {
     let mut first = [0u8; 1];
     loop {
         match stream.read(&mut first) {
@@ -460,13 +471,13 @@ fn read_frame_opt<S: NetStream>(
     read_frame(&mut chained, limits).map(Some)
 }
 
-fn send_error<S: NetStream>(stream: &mut S, code: ErrorCode, message: impl Into<String>) {
+fn send_error(stream: &mut Socket, code: ErrorCode, message: impl Into<String>) {
     let err = WireError::new(code, message);
     let _ = write_frame(stream, FrameKind::Error, &err.encode());
 }
 
 /// Classifies a transport-level failure for the stats counters and log.
-fn classify_transport(shared: &Shared, err: &FrameError) -> &'static str {
+fn classify_transport<V: Vfs>(shared: &Shared<V>, err: &FrameError) -> &'static str {
     if err.is_timeout() {
         ServerStats::bump(&shared.stats.timed_out);
         "timeout"
@@ -475,7 +486,7 @@ fn classify_transport(shared: &Shared, err: &FrameError) -> &'static str {
     }
 }
 
-fn handle_connection<S: NetStream>(stream: &mut S, peer: SocketAddr, shared: &Shared) {
+fn handle_connection<V: Vfs>(stream: &mut Socket, peer: SocketAddr, shared: &Shared<V>) {
     let limits = shared.config.limits;
     let _ = stream.set_nodelay(true);
     let timeout = shared.config.io_timeout;
@@ -666,7 +677,7 @@ fn tenant_error_outcome(e: TenantError) -> Outcome {
 /// Bumps the failure counters for a failed tenant mutation: a quota
 /// refusal is an admission check (nothing mutated, nothing rolled back);
 /// anything else was rolled back by the handle.
-fn bump_mutation_failure(shared: &Shared, tstats: &TenantStats, e: &HiDeStoreError) {
+fn bump_mutation_failure<V: Vfs>(shared: &Shared<V>, tstats: &TenantStats, e: &HiDeStoreError) {
     if matches!(e, HiDeStoreError::QuotaExceeded { .. }) {
         ServerStats::bump(&tstats.quota_refused);
     } else {
@@ -675,24 +686,27 @@ fn bump_mutation_failure(shared: &Shared, tstats: &TenantStats, e: &HiDeStoreErr
     }
 }
 
-fn send_response<S: NetStream>(stream: &mut S, response: &Response) -> Result<(), FrameError> {
+fn send_response(stream: &mut Socket, response: &Response) -> Result<(), FrameError> {
     write_frame(stream, FrameKind::Response, &response.encode())
 }
 
-fn dispatch<S: NetStream>(
+/// Sends `response`; `detail` is appended to the log line if it left.
+fn reply(stream: &mut Socket, response: &Response, detail: String) -> Outcome {
+    match send_response(stream, response) {
+        Ok(()) => Outcome::Ok { detail },
+        Err(e) => Outcome::Transport(e),
+    }
+}
+
+fn dispatch<V: Vfs>(
     request: Request,
     tenant: &TenantId,
     tstats: &TenantStats,
-    stream: &mut S,
-    shared: &Shared,
+    stream: &mut Socket,
+    shared: &Shared<V>,
 ) -> Outcome {
     match request {
-        Request::Ping => match send_response(stream, &Response::Pong) {
-            Ok(()) => Outcome::Ok {
-                detail: String::new(),
-            },
-            Err(e) => Outcome::Transport(e),
-        },
+        Request::Ping => reply(stream, &Response::Pong, String::new()),
         Request::BackupResume { token, total_len } => {
             serve_backup_resume(tenant, tstats, token, total_len, stream, shared)
         }
@@ -708,12 +722,7 @@ fn dispatch<S: NetStream>(
                 Ok(l) => l,
                 Err(e) => return repo_error_outcome(e),
             };
-            match send_response(stream, &Response::ListOk(list)) {
-                Ok(()) => Outcome::Ok {
-                    detail: String::new(),
-                },
-                Err(e) => Outcome::Transport(e),
-            }
+            reply(stream, &Response::ListOk(list), String::new())
         }
         Request::Stats => {
             let slot = match shared.registry.get(tenant) {
@@ -724,12 +733,7 @@ fn dispatch<S: NetStream>(
                 Ok(Ok(s)) => s,
                 Ok(Err(e)) | Err(e) => return repo_error_outcome(e),
             };
-            match send_response(stream, &Response::StatsOk(stats)) {
-                Ok(()) => Outcome::Ok {
-                    detail: String::new(),
-                },
-                Err(e) => Outcome::Transport(e),
-            }
+            reply(stream, &Response::StatsOk(stats), String::new())
         }
         Request::Prune { keep_last } => serve_prune(tenant, tstats, keep_last, stream, shared),
         Request::Verify => serve_verify(tenant, stream, shared),
@@ -763,9 +767,9 @@ enum BackupStream {
 
 /// Receives DATA frames into `data` (which may already hold a resumed
 /// prefix) until END, a failure, or a transport error.
-fn receive_backup_stream<S: NetStream>(
-    stream: &mut S,
-    shared: &Shared,
+fn receive_backup_stream<V: Vfs>(
+    stream: &mut Socket,
+    shared: &Shared<V>,
     tstats: &TenantStats,
     mut data: Vec<u8>,
 ) -> BackupStream {
@@ -820,8 +824,8 @@ fn backup_summary_proto(
 /// a faster retry already finished. One lock guard makes check-and-park
 /// atomic against `record_committed`. Empty prefixes are dropped: there is
 /// nothing to resume and no session worth holding.
-fn park_if_uncommitted(
-    shared: &Shared,
+fn park_if_uncommitted<V: Vfs>(
+    shared: &Shared<V>,
     tenant: &TenantId,
     token: SessionToken,
     data: Vec<u8>,
@@ -844,13 +848,13 @@ fn park_if_uncommitted(
 /// check-then-commit window against a racing retry, and an interrupted
 /// stream parks its prefix so the next attempt continues from the
 /// acknowledged offset instead of starting over.
-fn serve_backup_resume<S: NetStream>(
+fn serve_backup_resume<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
     token: SessionToken,
     total_len: u64,
-    stream: &mut S,
-    shared: &Shared,
+    stream: &mut Socket,
+    shared: &Shared<V>,
 ) -> Outcome {
     if total_len > shared.config.limits.max_stream {
         ServerStats::bump(&shared.stats.rejected_oversize);
@@ -874,12 +878,11 @@ fn serve_backup_resume<S: NetStream>(
     // the retried backup must never commit twice.
     if let Some(summary) = shared.sessions().committed(tenant, token) {
         ServerStats::bump(&shared.stats.dedup_hits);
-        return match send_response(stream, &Response::BackupDone(summary)) {
-            Ok(()) => Outcome::Ok {
-                detail: format!(" version=V{} dedup=hit", summary.version),
-            },
-            Err(e) => Outcome::Transport(e),
-        };
+        return reply(
+            stream,
+            &Response::BackupDone(summary),
+            format!(" version=V{} dedup=hit", summary.version),
+        );
     }
     // Resume from the parked prefix if one survives; a prefix longer than
     // the declared total is a stale/mismatched session and is discarded.
@@ -928,12 +931,11 @@ fn serve_backup_resume<S: NetStream>(
     if let Some(summary) = shared.sessions().committed(tenant, token) {
         drop(gate);
         ServerStats::bump(&shared.stats.dedup_hits);
-        return match send_response(stream, &Response::BackupDone(summary)) {
-            Ok(()) => Outcome::Ok {
-                detail: format!(" version=V{} dedup=hit", summary.version),
-            },
-            Err(e) => Outcome::Transport(e),
-        };
+        return reply(
+            stream,
+            &Response::BackupDone(summary),
+            format!(" version=V{} dedup=hit", summary.version),
+        );
     }
     let quota = shared.registry.quota_for(tenant);
     let result = slot
@@ -943,18 +945,13 @@ fn serve_backup_resume<S: NetStream>(
         Ok(stats) => {
             let summary = backup_summary_proto(&stats);
             shared.sessions().record_committed(tenant, token, summary);
-            match send_response(stream, &Response::BackupDone(summary)) {
-                // Even if this acknowledgement is lost, the commit is
-                // recorded: the retry gets a dedup answer, not a second
-                // version.
-                Ok(()) => Outcome::Ok {
-                    detail: format!(
-                        " version=V{} bytes={} stored={}",
-                        summary.version, summary.logical_bytes, summary.stored_bytes
-                    ),
-                },
-                Err(e) => Outcome::Transport(e),
-            }
+            // Even if this acknowledgement is lost, the commit is recorded:
+            // the retry gets a dedup answer, not a second version.
+            let detail = format!(
+                " version=V{} bytes={} stored={}",
+                summary.version, summary.logical_bytes, summary.stored_bytes
+            );
+            reply(stream, &Response::BackupDone(summary), detail)
         }
         Err(e) => {
             // A repository failure is not transport loss: the data arrived
@@ -970,14 +967,14 @@ fn serve_backup_resume<S: NetStream>(
 }
 
 /// An `io::Write` that packages restore output into DATA frames.
-struct DataFrameWriter<'a, S: NetStream> {
-    stream: &'a mut S,
+struct DataFrameWriter<'a> {
+    stream: &'a mut Socket,
     buf: Vec<u8>,
     bytes_out: u64,
 }
 
-impl<'a, S: NetStream> DataFrameWriter<'a, S> {
-    fn new(stream: &'a mut S) -> Self {
+impl<'a> DataFrameWriter<'a> {
+    fn new(stream: &'a mut Socket) -> Self {
         DataFrameWriter {
             stream,
             buf: Vec::with_capacity(DATA_CHUNK),
@@ -999,7 +996,7 @@ impl<'a, S: NetStream> DataFrameWriter<'a, S> {
     }
 }
 
-impl<S: NetStream> Write for DataFrameWriter<'_, S> {
+impl Write for DataFrameWriter<'_> {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.buf.extend_from_slice(data);
         if self.buf.len() >= DATA_CHUNK {
@@ -1052,13 +1049,13 @@ impl<W: Write> Write for SkipWriter<W> {
     }
 }
 
-fn serve_restore<S: NetStream>(
+fn serve_restore<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
     version: u32,
     offset: u64,
-    stream: &mut S,
-    shared: &Shared,
+    stream: &mut Socket,
+    shared: &Shared<V>,
 ) -> Outcome {
     if version == 0 {
         return Outcome::Failed {
@@ -1143,12 +1140,12 @@ fn serve_restore<S: NetStream>(
     }
 }
 
-fn serve_prune<S: NetStream>(
+fn serve_prune<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
     keep_last: u32,
-    stream: &mut S,
-    shared: &Shared,
+    stream: &mut Socket,
+    shared: &Shared<V>,
 ) -> Outcome {
     let Some(keep) = NonZeroU32::new(keep_last) else {
         return Outcome::Failed {
@@ -1179,15 +1176,14 @@ fn serve_prune<S: NetStream>(
         },
         Err(e) => return repo_error_outcome(e),
     };
-    match send_response(stream, &Response::PruneOk(summary)) {
-        Ok(()) => Outcome::Ok {
-            detail: format!(" removed={}", summary.versions_removed),
-        },
-        Err(e) => Outcome::Transport(e),
-    }
+    reply(
+        stream,
+        &Response::PruneOk(summary),
+        format!(" removed={}", summary.versions_removed),
+    )
 }
 
-fn serve_verify<S: NetStream>(tenant: &TenantId, stream: &mut S, shared: &Shared) -> Outcome {
+fn serve_verify<V: Vfs>(tenant: &TenantId, stream: &mut Socket, shared: &Shared<V>) -> Outcome {
     let slot = match shared.registry.get(tenant) {
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
@@ -1196,12 +1192,11 @@ fn serve_verify<S: NetStream>(tenant: &TenantId, stream: &mut S, shared: &Shared
         Ok(report) => {
             let summary = view::verify_response(&report);
             let clean = summary.is_clean();
-            match send_response(stream, &Response::VerifyOk(summary)) {
-                Ok(()) => Outcome::Ok {
-                    detail: format!(" clean={clean}"),
-                },
-                Err(e) => Outcome::Transport(e),
-            }
+            reply(
+                stream,
+                &Response::VerifyOk(summary),
+                format!(" clean={clean}"),
+            )
         }
         Err(e) => repo_error_outcome(e),
     }
@@ -1209,7 +1204,7 @@ fn serve_verify<S: NetStream>(tenant: &TenantId, stream: &mut S, shared: &Shared
 
 /// The `tenant list` admin verb: every initialized tenant with its
 /// retained-version usage and whether its handle is currently live.
-fn serve_tenant_list<S: NetStream>(stream: &mut S, shared: &Shared) -> Outcome {
+fn serve_tenant_list<V: Vfs>(stream: &mut Socket, shared: &Shared<V>) -> Outcome {
     let tenants = match shared.registry.list() {
         Ok(t) => t,
         Err(e) => return tenant_error_outcome(e),
@@ -1247,17 +1242,12 @@ fn serve_tenant_list<S: NetStream>(stream: &mut S, shared: &Shared) -> Outcome {
     }
     let count = entries.len();
     let response = Response::TenantListOk(TenantListResponse { tenants: entries });
-    match send_response(stream, &response) {
-        Ok(()) => Outcome::Ok {
-            detail: format!(" tenants={count}"),
-        },
-        Err(e) => Outcome::Transport(e),
-    }
+    reply(stream, &response, format!(" tenants={count}"))
 }
 
 /// The `tenant stats` admin verb: per-tenant request counters for every
 /// tenant that has served a request this process lifetime.
-fn serve_tenant_stats<S: NetStream>(stream: &mut S, shared: &Shared) -> Outcome {
+fn serve_tenant_stats<V: Vfs>(stream: &mut Socket, shared: &Shared<V>) -> Outcome {
     let entries: Vec<TenantStatsEntry> = shared
         .stats
         .tenant_snapshots()
@@ -1274,10 +1264,5 @@ fn serve_tenant_stats<S: NetStream>(stream: &mut S, shared: &Shared) -> Outcome 
         .collect();
     let count = entries.len();
     let response = Response::TenantStatsOk(TenantStatsResponse { tenants: entries });
-    match send_response(stream, &response) {
-        Ok(()) => Outcome::Ok {
-            detail: format!(" tenants={count}"),
-        },
-        Err(e) => Outcome::Transport(e),
-    }
+    reply(stream, &response, format!(" tenants={count}"))
 }

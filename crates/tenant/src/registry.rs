@@ -499,7 +499,7 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    use hidestore_failpoint::{FaultKind, FaultVfs};
+    use hidestore_failpoint::{FaultKind, FaultVfs, Plan};
     use hidestore_restore::Faa;
     use hidestore_storage::VersionId;
 
@@ -812,8 +812,8 @@ mod tests {
             let setup = TenantRegistry::open_root_with(
                 &root,
                 small_options(),
-                FaultVfs::counting(),
-                |_| FaultVfs::counting(),
+                FaultVfs::new(Plan::counting()),
+                |_| FaultVfs::new(Plan::counting()),
             )
             .unwrap();
             setup.get_or_create(&victim).unwrap();
@@ -822,42 +822,42 @@ mod tests {
         // Counting probe: how many vfs ops does opening the existing
         // repository take? The armed run fails the op after that — the
         // first I/O of the mutation/save.
-        let counting = FaultVfs::counting();
+        let counting = FaultVfs::new(Plan::counting());
         let counting_for_closure = counting.clone();
-        let benign = FaultVfs::counting();
+        let benign = FaultVfs::new(Plan::counting());
         let registry =
             TenantRegistry::open_root_with(&root, small_options(), benign.clone(), move |t| {
                 if t.as_str() == "victim" {
                     counting_for_closure.clone()
                 } else {
-                    FaultVfs::counting()
+                    FaultVfs::new(Plan::counting())
                 }
             })
             .unwrap();
         registry.get(&victim).unwrap();
-        let open_ops = counting.ops();
+        let open_ops = counting.plan().ops();
 
         // Armed run: the victim's vfs fails every op after the open, so
         // its first mutation fails AND its rollback reopen fails —
         // poisoning the victim's handle.
-        let armed = FaultVfs::armed(open_ops, FaultKind::Error);
+        let armed = FaultVfs::new(Plan::armed(open_ops, FaultKind::Error));
         let armed_for_closure = armed.clone();
         let registry = TenantRegistry::open_root_with(
             &root,
             small_options(),
-            FaultVfs::counting(),
+            FaultVfs::new(Plan::counting()),
             move |t| {
                 if t.as_str() == "victim" {
                     armed_for_closure.clone()
                 } else {
-                    FaultVfs::counting()
+                    FaultVfs::new(Plan::counting())
                 }
             },
         )
         .unwrap();
         let err = backup(&registry, &victim, &vec![9u8; 40_000]);
         assert!(err.is_err(), "the armed fault must fail the mutation");
-        assert!(armed.crashed(), "the armed site must have fired");
+        assert!(armed.plan().fired(), "the armed site must have fired");
         let slot = registry.get(&victim).unwrap();
         assert!(matches!(
             slot.handle().read(|s| s.versions()),

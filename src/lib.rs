@@ -23,7 +23,7 @@
 //! | [`core`] | HiDeStore itself |
 //! | [`workloads`] | kernel / gcc / fslhomes / macos generators |
 //! | [`fsck`] | the one integrity checker ([`fsck::SystemAuditor`]), behind `hidestore verify` |
-//! | [`failpoint`] | [`failpoint::Vfs`] io-shim + fault injection for crash testing |
+//! | [`failpoint`] | [`failpoint::Vfs`] io-shim, [`failpoint::Socket`], and one [`failpoint::Plan`] that faults disk and wire ops |
 //! | [`tree`] | real filesystem trees: apath-ordered walk, manifests, subtree restore |
 //! | [`proto`] | framed wire protocol: versioned HELLO, CRC-guarded frames, typed messages |
 //! | [`tenant`] | multi-tenant registry: tenant ids → isolated repositories via a bounded LRU |
@@ -54,7 +54,6 @@ pub use hidestore_failpoint as failpoint;
 pub use hidestore_fsck as fsck;
 pub use hidestore_hash as hash;
 pub use hidestore_index as index;
-pub use hidestore_netfault as netfault;
 pub use hidestore_proto as proto;
 pub use hidestore_restore as restore;
 pub use hidestore_rewriting as rewriting;

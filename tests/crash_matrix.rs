@@ -27,7 +27,7 @@ use hidestore::core::{
     HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport, QuarantinedArtifact,
 };
 use hidestore::dedup::STAGED_MIN_BYTES;
-use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Vfs};
+use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, Vfs};
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
 use hidestore::hash::crc32;
 use hidestore::restore::Faa;
@@ -198,10 +198,10 @@ fn assert_at_boundary(state: &BTreeMap<u32, u32>, boundaries: &[BTreeMap<u32, u3
 /// model kills every op after the fault), reopen, check.
 fn crash_at(site: u64, kind: FaultKind, boundaries: &[BTreeMap<u32, u32>], tag: &str) {
     let scratch = Scratch::new(&format!("{tag}-site-{site}"));
-    let vfs = FaultVfs::armed(site, kind);
+    let vfs = FaultVfs::new(Plan::armed(site, kind));
     let result = run_sequence(&scratch.0, vfs.clone(), usize::MAX);
     assert!(
-        vfs.crashed(),
+        vfs.plan().fired(),
         "{tag} site {site}: the fault must have fired"
     );
     assert!(
@@ -217,9 +217,9 @@ fn crash_at(site: u64, kind: FaultKind, boundaries: &[BTreeMap<u32, u32>], tag: 
 fn crash_matrix_every_site() {
     // Counting run: number every filesystem op of the full sequence.
     let scratch = Scratch::new("count");
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     run_sequence(&scratch.0, vfs.clone(), usize::MAX).expect("counting run");
-    let total = vfs.ops();
+    let total = vfs.plan().ops();
     assert!(
         total > 50,
         "sequence too small to be interesting: {total} ops"
@@ -237,9 +237,10 @@ fn crash_matrix_torn_writes() {
     // Same matrix, but every write site persists only half its payload
     // before the crash — the torn-write model of a power failure.
     let scratch = Scratch::new("torn-count");
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     run_sequence(&scratch.0, vfs.clone(), usize::MAX).expect("counting run");
     let writes: Vec<(u64, usize)> = vfs
+        .plan()
         .trace()
         .into_iter()
         .filter(|op| op.kind == OpKind::Write && op.len >= 2)
@@ -270,10 +271,10 @@ fn crash_matrix_seeded_random_sites() {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
 
     let scratch = Scratch::new("seeded-count");
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     run_sequence(&scratch.0, vfs.clone(), usize::MAX).expect("counting run");
-    let total = vfs.ops();
-    let trace = vfs.trace();
+    let total = vfs.plan().ops();
+    let trace = vfs.plan().trace();
     drop(scratch);
 
     let boundaries = boundary_states("seeded");
@@ -317,10 +318,11 @@ fn crash_matrix_threaded_backup_variant() {
     let traces: Vec<_> = (0..2)
         .map(|run| {
             let scratch = Scratch::new(&format!("mt-count-{run}"));
-            let vfs = FaultVfs::counting();
+            let vfs = FaultVfs::new(Plan::counting());
             run_sequence_of(&scratch.0, vfs.clone(), usize::MAX, &payloads)
                 .expect("mt counting run");
-            vfs.trace()
+            vfs.plan()
+                .trace()
                 .into_iter()
                 .map(|op| {
                     let path = op
@@ -362,10 +364,10 @@ fn crash_matrix_threaded_backup_variant() {
             _ => FaultKind::Error,
         };
         let scratch = Scratch::new(&format!("mt-site-{site}"));
-        let vfs = FaultVfs::armed(site, kind);
+        let vfs = FaultVfs::new(Plan::armed(site, kind));
         let result = run_sequence_of(&scratch.0, vfs.clone(), usize::MAX, &payloads);
         assert!(
-            vfs.crashed() && result.is_err(),
+            vfs.plan().fired() && result.is_err(),
             "mt site {site}: the fault must fire and fail the sequence"
         );
         let ctx = format!("mt site {site}");
@@ -478,10 +480,10 @@ fn run_pass_sequence<V: Vfs>(
 /// [`reopen_and_check`]'s: no errors, nothing beyond quarantine warnings.
 fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>], pass: Pass) {
     let scratch = Scratch::new(&format!("{tag}-count"));
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     let tag_groups = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass)
         .expect("counting run");
-    let total = vfs.ops();
+    let total = vfs.plan().ops();
     assert!(total > 50, "{tag}: sequence too small: {total} ops");
     if pass == Pass::Recluster {
         assert!(
@@ -503,10 +505,10 @@ fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>
 
     for site in 0..total {
         let scratch = Scratch::new(&format!("{tag}-site-{site}"));
-        let vfs = FaultVfs::armed(site, FaultKind::Error);
+        let vfs = FaultVfs::new(Plan::armed(site, FaultKind::Error));
         let result = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass);
         assert!(
-            vfs.crashed() && result.is_err(),
+            vfs.plan().fired() && result.is_err(),
             "{tag} site {site}: the fault must fire and fail the sequence"
         );
         let ctx = format!("{tag} site {site}");
@@ -601,9 +603,9 @@ fn recluster_dropped_before_save_keeps_committed_versions() {
 /// the first directory fsync after the last publish rename.
 fn second_save_sites() -> (u64, u64, u64, usize) {
     let scratch = Scratch::new("targeted-count");
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     run_sequence(&scratch.0, vfs.clone(), 2).expect("counting run");
-    let trace = vfs.trace();
+    let trace = vfs.plan().trace();
     let commit_writes: Vec<&hidestore::failpoint::OpRecord> = trace
         .iter()
         .filter(|op| op.kind == OpKind::Write && op.path.ends_with("COMMIT"))
@@ -645,9 +647,12 @@ fn two_save_boundaries() -> (BTreeMap<u32, u32>, BTreeMap<u32, u32>) {
 
 fn targeted_crash(site: u64, kind: FaultKind, tag: &str) -> (BTreeMap<u32, u32>, OpenReport) {
     let scratch = Scratch::new(tag);
-    let vfs = FaultVfs::armed(site, kind);
+    let vfs = FaultVfs::new(Plan::armed(site, kind));
     let result = run_sequence(&scratch.0, vfs.clone(), 2);
-    assert!(vfs.crashed() && result.is_err(), "{tag}: fault must fire");
+    assert!(
+        vfs.plan().fired() && result.is_err(),
+        "{tag}: fault must fire"
+    );
     reopen_and_check(&scratch.0, tag)
 }
 
@@ -700,7 +705,7 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     run_sequence(&scratch.0, hidestore::failpoint::RealVfs, 3).expect("build repo");
 
     // Counting pass: number the filesystem reads of open + one restore of the oldest (most archival-dependent) version.
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     let outfile = scratch.0.join("restored.bin");
     let restore_once = |vfs: FaultVfs, out: &Path| -> Result<(), HiDeStoreError> {
         let (hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs)?;
@@ -712,6 +717,7 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     assert!(!expected.is_empty());
     std::fs::remove_file(&outfile).expect("clean up reference output");
     let container_reads: Vec<u64> = vfs
+        .plan()
         .trace()
         .into_iter()
         .filter(|op| op.kind == OpKind::Read && op.path.extension().is_some_and(|x| x == "ctr"))
@@ -726,11 +732,11 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     // during open/recovery; later ones hit the restore scheme's own reads —
     // all must fail typed with no output file residue.
     for site in container_reads {
-        let vfs = FaultVfs::armed(site, FaultKind::Error);
+        let vfs = FaultVfs::new(Plan::armed(site, FaultKind::Error));
         let err =
             restore_once(vfs.clone(), &outfile).expect_err("a faulted restore cannot succeed");
         assert!(
-            vfs.crashed(),
+            vfs.plan().fired(),
             "site {site}: the container-read fault must fire"
         );
         assert!(
@@ -748,7 +754,7 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     }
 
     // And with the faults gone, the same restore succeeds again.
-    restore_once(FaultVfs::counting(), &outfile).expect("post-fault restore");
+    restore_once(FaultVfs::new(Plan::counting()), &outfile).expect("post-fault restore");
     assert_eq!(
         std::fs::read(&outfile).expect("restored output"),
         expected,
@@ -872,7 +878,7 @@ fn crash_matrix_tree_lifecycle() {
 
     // Counting run: number every op of the full tree lifecycle.
     let scratch = Scratch::new("tree-count");
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     let complete = run_tree_sequence(
         &scratch.0.join("repo"),
         &src,
@@ -882,7 +888,7 @@ fn crash_matrix_tree_lifecycle() {
     )
     .expect("counting run");
     assert!(complete, "unfaulted tree lifecycle must be complete");
-    let total = vfs.ops();
+    let total = vfs.plan().ops();
     assert!(
         total > 80,
         "tree sequence too small to be interesting: {total} ops"
@@ -910,9 +916,12 @@ fn crash_matrix_tree_lifecycle() {
         let s = Scratch::new(&format!("tree-site-{site}"));
         let repo = s.0.join("repo");
         let dest = s.0.join("dest");
-        let vfs = FaultVfs::armed(site, FaultKind::Error);
+        let vfs = FaultVfs::new(Plan::armed(site, FaultKind::Error));
         let result = run_tree_sequence(&repo, &src, &dest, vfs.clone(), usize::MAX);
-        assert!(vfs.crashed(), "tree site {site}: the fault must have fired");
+        assert!(
+            vfs.plan().fired(),
+            "tree site {site}: the fault must have fired"
+        );
         match result {
             Err(_) => {}
             Ok(complete) => assert!(

@@ -5,7 +5,7 @@
 //! daemon's `Verify` runs touching nothing but containers.
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig, RepositoryHandle};
-use hidestore::failpoint::{FaultVfs, OpKind};
+use hidestore::failpoint::{FaultVfs, OpKind, Plan};
 use hidestore::fsck::SystemAuditor;
 use hidestore::restore::{BeladyCache, ChunkLru, Faa, RestoreCache};
 use hidestore::storage::{FileContainerStore, MemoryContainerStore, VersionId};
@@ -173,15 +173,15 @@ fn audit_through_the_handle_touches_only_containers() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
-    let vfs = FaultVfs::counting();
+    let vfs = FaultVfs::new(Plan::counting());
     let handle = RepositoryHandle::open_with(&dir, vfs.clone()).unwrap();
     for i in 0..3 {
         handle.write(|s| s.backup(&noise(60_000, 40 + i))).unwrap();
     }
-    let before = vfs.trace().len();
+    let before = vfs.plan().trace().len();
     let audit = handle.read(|s| SystemAuditor::new().audit(s)).unwrap();
     assert!(audit.is_clean(), "{audit}");
-    let trace = vfs.trace();
+    let trace = vfs.plan().trace();
     let reads = &trace[before..];
     assert!(!reads.is_empty(), "V1's chunks went cold into containers");
     for op in reads {

@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::failpoint::{FaultKind, Plan};
 use hidestore::fsck::SystemAuditor;
-use hidestore::netfault::{NetFault, NetPlan};
 use hidestore::proto::{ErrorCode, TenantId};
 use hidestore::server::{
     serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
@@ -95,7 +95,7 @@ fn fast_policy() -> RetryPolicy {
         .with_seed(11)
 }
 
-fn start(dir: &Path, fault: Option<NetPlan>) -> ServerHandle {
+fn start(dir: &Path, fault: Option<Plan>) -> ServerHandle {
     HiDeStoreConfig::small_for_tests().save_to(dir).unwrap();
     serve(
         dir,
@@ -113,7 +113,7 @@ fn start(dir: &Path, fault: Option<NetPlan>) -> ServerHandle {
 
 /// The reference workload: two backups, both restored back, and a listing.
 /// Returns the restored bytes so callers can compare against the payloads.
-fn run_workload(addr: std::net::SocketAddr, client_fault: Option<NetPlan>) -> (Vec<u8>, Vec<u8>) {
+fn run_workload(addr: std::net::SocketAddr, client_fault: Option<Plan>) -> (Vec<u8>, Vec<u8>) {
     let a = noise(PAYLOAD_A, 1);
     let b = noise(PAYLOAD_B, 2);
     let mut client = RetryClient::new(addr.to_string(), fast_policy());
@@ -137,7 +137,7 @@ fn run_workload(addr: std::net::SocketAddr, client_fault: Option<NetPlan>) -> (V
 
 /// One chaos run: fresh repository + daemon, the workload under the given
 /// fault plans, then the full terminal-state audit.
-fn run_and_audit(tag: &str, server_fault: Option<NetPlan>, client_fault: Option<NetPlan>) {
+fn run_and_audit(tag: &str, server_fault: Option<Plan>, client_fault: Option<Plan>) {
     let dir = temp(tag);
     let handle = start(&dir, server_fault);
     let (ra, rb) = run_workload(handle.addr(), client_fault);
@@ -158,14 +158,24 @@ fn run_and_audit(tag: &str, server_fault: Option<NetPlan>, client_fault: Option<
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The fault flavor for a site, cycling through all four so every kind is
+/// A replay that numbered past its armed site must have fired there: the
+/// proof that the matrix reaches the sites it claims to sweep.
+fn assert_fired_if_reached(plan: &Plan, site: u64) {
+    assert!(
+        plan.fired() || plan.ops() <= site,
+        "site {site} was reached but never fired: {plan:?}"
+    );
+}
+
+/// The fault flavor for a site, cycling through all four wire behaviours
+/// (a cut, a short transfer, a black hole, a delay) so every kind is
 /// exercised at many positions.
-fn fault_for(site: u64) -> NetFault {
+fn fault_for(site: u64) -> FaultKind {
     match site % 4 {
-        0 => NetFault::Cut,
-        1 => NetFault::Short,
-        2 => NetFault::BlackHole,
-        _ => NetFault::Delay(Duration::from_millis(10)),
+        0 => FaultKind::Error,
+        1 => FaultKind::Short,
+        2 => FaultKind::BlackHole,
+        _ => FaultKind::Delay(Duration::from_millis(10)),
     }
 }
 
@@ -173,7 +183,7 @@ fn fault_for(site: u64) -> NetFault {
 fn chaos_matrix_client_side() {
     // Enumerate the wire operations of the fault-free workload as the
     // client observes them.
-    let counting = NetPlan::counting();
+    let counting = Plan::counting();
     run_and_audit("cli-count", None, Some(counting.clone()));
     let total = counting.ops();
     assert!(
@@ -183,19 +193,17 @@ fn chaos_matrix_client_side() {
 
     // Replay once per site with that operation armed. Sites the replay
     // never reaches (TCP segmentation makes exact counts vary run to run)
-    // simply pass as clean runs.
+    // simply pass as clean runs; a reached site must have fired.
     for site in 0..total {
-        run_and_audit(
-            "cli-armed",
-            None,
-            Some(NetPlan::armed(site, fault_for(site))),
-        );
+        let plan = Plan::armed(site, fault_for(site));
+        run_and_audit("cli-armed", None, Some(plan.clone()));
+        assert_fired_if_reached(&plan, site);
     }
 }
 
 #[test]
 fn chaos_matrix_server_side() {
-    let counting = NetPlan::counting();
+    let counting = Plan::counting();
     run_and_audit("srv-count", Some(counting.clone()), None);
     let total = counting.ops();
     assert!(
@@ -204,11 +212,9 @@ fn chaos_matrix_server_side() {
     );
 
     for site in 0..total {
-        run_and_audit(
-            "srv-armed",
-            Some(NetPlan::armed(site, fault_for(site))),
-            None,
-        );
+        let plan = Plan::armed(site, fault_for(site));
+        run_and_audit("srv-armed", Some(plan.clone()), None);
+        assert_fired_if_reached(&plan, site);
     }
 }
 
@@ -216,7 +222,7 @@ fn chaos_matrix_server_side() {
 /// workload racing tenant A's faulted one. A must converge through its
 /// retries; B must be completely untouched — its restores byte-identical,
 /// exactly its own versions retained, and its repository fsck-clean.
-fn run_tenant_chaos(tag: &str, client_fault: Option<NetPlan>) {
+fn run_tenant_chaos(tag: &str, client_fault: Option<Plan>) {
     let dir = temp(tag);
     HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
     let handle = serve(
@@ -279,7 +285,7 @@ fn run_tenant_chaos(tag: &str, client_fault: Option<NetPlan>) {
 fn chaos_matrix_tenant_faults_do_not_cross_tenants() {
     // Enumerate tenant A's wire operations fault-free (B races alongside,
     // but only A's client is counted/armed).
-    let counting = NetPlan::counting();
+    let counting = Plan::counting();
     run_tenant_chaos("ten-count", Some(counting.clone()));
     let total = counting.ops();
     assert!(
@@ -289,7 +295,9 @@ fn chaos_matrix_tenant_faults_do_not_cross_tenants() {
 
     // Replay once per site with that operation armed on tenant A's side.
     for site in 0..total {
-        run_tenant_chaos("ten-armed", Some(NetPlan::armed(site, fault_for(site))));
+        let plan = Plan::armed(site, fault_for(site));
+        run_tenant_chaos("ten-armed", Some(plan.clone()));
+        assert_fired_if_reached(&plan, site);
     }
 }
 
@@ -304,7 +312,7 @@ fn resumed_restore_retransfers_only_the_tail() {
     seeder.backup(&payload).unwrap();
 
     // Count the wire operations of one clean restore.
-    let counting = NetPlan::counting();
+    let counting = Plan::counting();
     let mut counter =
         RetryClient::new(addr.to_string(), fast_policy()).with_fault(counting.clone());
     let (bytes, _) = counter.restore(1).unwrap();
@@ -317,7 +325,7 @@ fn resumed_restore_retransfers_only_the_tail() {
     // transfer counters.
     let mut exercised = false;
     for site in 0..total {
-        let plan = NetPlan::armed(site, NetFault::Cut);
+        let plan = Plan::armed(site, FaultKind::Error);
         let mut client = RetryClient::new(addr.to_string(), fast_policy()).with_fault(plan);
         let (bytes, summary) = client.restore(1).unwrap();
         assert_eq!(bytes, payload, "restore must converge byte-identically");

@@ -1,5 +1,6 @@
 //! Fault matrix for the daemon (`hidestore serve`): disconnects and torn frames at every
-//! frame boundary, during both backup and restore.
+//! frame boundary, during both backup and restore, and disk faults at every
+//! filesystem operation of a served backup.
 //!
 //! For each cut point the daemon must (a) stay alive and keep answering
 //! well-formed clients, (b) commit nothing from the aborted request, (c)
@@ -14,12 +15,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::fsck::SystemAuditor;
+use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, Vfs};
+use hidestore::fsck::{Severity, SystemAuditor};
 use hidestore::proto::{
     encode_frame, read_frame, ErrorCode, Frame, FrameKind, Hello, Limits, Request, SessionToken,
     TenantId, WireError,
 };
-use hidestore::server::{serve, ClientError, RemoteClient, ServerConfig, ServerHandle};
+use hidestore::restore::Faa;
+use hidestore::server::{serve, serve_with, ClientError, RemoteClient, ServerConfig, ServerHandle};
+use hidestore::storage::VersionId;
 use hidestore::tenant::TENANTS_SUBDIR;
 
 fn temp(tag: &str) -> PathBuf {
@@ -123,7 +127,9 @@ fn assert_fsck_clean(dir: &Path) {
 
 /// Joins the handle under a watchdog: a graceful shutdown that cannot
 /// drain within the deadline means a leaked/stuck thread.
-fn shutdown_with_watchdog(handle: ServerHandle) -> hidestore::server::StatsSnapshot {
+fn shutdown_with_watchdog<V: Vfs + Sync + 'static>(
+    handle: ServerHandle<V>,
+) -> hidestore::server::StatsSnapshot {
     handle.request_shutdown();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -375,4 +381,151 @@ fn retired_dialects_are_refused_typed() {
     shutdown_with_watchdog(handle);
     assert_no_tmp_files(&root);
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// What one served backup against a disk-faulted tenant left behind.
+struct DiskFaultRun {
+    /// Victim Vfs ops numbered once its repository was open.
+    open_ops: u64,
+    /// Whether the client was told the backup committed.
+    committed: bool,
+}
+
+/// One daemon over a fresh tenant root: the `victim` tenant's repository
+/// runs on `victim`'s plan, the `bystander`'s on a separate counting plan.
+/// The victim lists (which opens its repository) and then backs up once;
+/// the bystander then backs up and restores byte-exact. After shutdown both
+/// repositories reopen on the real filesystem and are audited.
+fn served_backup_on_faulted_disk(tag: &str, victim: Plan) -> DiskFaultRun {
+    let root = temp(tag);
+    HiDeStoreConfig::small_for_tests().save_to(&root).unwrap();
+    let victim_dir = root.join(TENANTS_SUBDIR).join("victim");
+    fs::create_dir_all(&victim_dir).unwrap();
+    HiDeStoreConfig::small_for_tests()
+        .save_to(&victim_dir)
+        .unwrap();
+    let bystander = Plan::counting();
+    let handle = {
+        let (victim, bystander) = (victim.clone(), bystander.clone());
+        serve_with(
+            &root,
+            ServerConfig {
+                quiet: true,
+                tenants_root: true,
+                io_timeout: Duration::from_secs(5),
+                ..ServerConfig::default()
+            },
+            FaultVfs::new(Plan::counting()),
+            move |t| match t.as_str() {
+                "victim" => FaultVfs::new(victim.clone()),
+                _ => FaultVfs::new(bystander.clone()),
+            },
+        )
+        .unwrap()
+    };
+    let addr = handle.addr();
+    let connect = |tenant: &str| {
+        RemoteClient::connect_with(addr, Limits::default(), Duration::from_secs(10))
+            .unwrap()
+            .with_tenant(TenantId::new(tenant).unwrap())
+            .unwrap()
+    };
+
+    let payload = noise(40_000, 31);
+    let mut client = connect("victim");
+    assert!(client.list().unwrap().versions.is_empty());
+    let open_ops = victim.ops();
+    let committed = match client.backup_bytes(&payload) {
+        Ok(summary) => {
+            assert_eq!(summary.version, 1, "{tag}");
+            true
+        }
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, ErrorCode::Internal, "{tag}: {e}");
+            false
+        }
+        Err(e) => panic!("{tag}: a disk fault must reach the client typed: {e}"),
+    };
+    if !committed {
+        // The rollback reopen runs on the dead disk too, so the victim's
+        // handle stays poisoned until the daemon restarts.
+        match client.list() {
+            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Internal, "{tag}"),
+            other => panic!(
+                "{tag}: the victim must stay poisoned: {:?}",
+                other.map(|_| ())
+            ),
+        }
+    }
+    drop(client);
+
+    // The bystander's disk is untouched by the victim's fault.
+    let other = noise(30_000, 32);
+    let mut client = connect("bystander");
+    assert_eq!(client.backup_bytes(&other).unwrap().version, 1, "{tag}");
+    let mut out = Vec::new();
+    client.restore_to(1, &mut out).unwrap();
+    assert_eq!(out, other, "{tag}: the bystander restores byte-exact");
+    drop(client);
+    shutdown_with_watchdog(handle);
+    assert!(!bystander.fired());
+
+    let config = HiDeStoreConfig::load_from(&victim_dir).unwrap();
+    let hds = HiDeStore::open_repository(config, &victim_dir)
+        .unwrap_or_else(|e| panic!("{tag}: the victim must reopen: {e}"));
+    assert_no_tmp_files(&root);
+    assert!(
+        !victim_dir.join("staging").exists(),
+        "{tag}: staging residue"
+    );
+    let audit = SystemAuditor::new().audit(&hds);
+    assert_eq!(audit.count(Severity::Error), 0, "{tag}: {audit}");
+    let versions = hds.versions();
+    assert!(versions.len() <= 1, "{tag}: {versions:?}");
+    if committed {
+        assert_eq!(versions, [VersionId::new(1)], "{tag}");
+    }
+    for v in versions {
+        let mut out = Vec::new();
+        hds.restore(v, &mut Faa::new(1 << 20), &mut out).unwrap();
+        assert_eq!(out, payload, "{tag}: {v} restores byte-exact");
+    }
+    drop(hds);
+    assert_fsck_clean(&root.join(TENANTS_SUBDIR).join("bystander"));
+    fs::remove_dir_all(&root).unwrap();
+    DiskFaultRun {
+        open_ops,
+        committed,
+    }
+}
+
+/// Faults the daemon's disk while it serves: an error at every filesystem
+/// operation of the victim tenant's backup (a fixed stride past 64 sites),
+/// plus torn writes. The client gets a typed `internal` error or a success,
+/// the bystander tenant keeps working, and the victim's repository reopens
+/// clean. The victim's handle stays poisoned until the daemon restarts.
+#[test]
+fn daemon_disk_faults_stay_typed_and_tenant_local() {
+    let counting = Plan::counting();
+    let run = served_backup_on_faulted_disk("disk-count", counting.clone());
+    assert!(run.committed, "the counting run commits");
+    let trace = counting.trace();
+    let sites: Vec<u64> = (run.open_ops..counting.ops()).collect();
+    assert!(sites.len() > 10, "too few backup sites: {}", sites.len());
+    let stride = sites.len().div_ceil(64);
+    for &site in sites.iter().step_by(stride) {
+        let plan = Plan::armed(site, FaultKind::Error);
+        served_backup_on_faulted_disk(&format!("disk-err-{site}"), plan.clone());
+        assert!(plan.fired(), "site {site} must be reached");
+    }
+    let writes: Vec<&_> = trace[run.open_ops as usize..]
+        .iter()
+        .filter(|r| r.kind == OpKind::Write && r.len > 1)
+        .collect();
+    assert!(!writes.is_empty());
+    for r in writes.iter().step_by(writes.len().div_ceil(4)) {
+        let plan = Plan::armed(r.index, FaultKind::Torn(r.len / 2));
+        served_backup_on_faulted_disk(&format!("disk-torn-{}", r.index), plan.clone());
+        assert!(plan.fired(), "write site {} must be reached", r.index);
+    }
 }

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::failpoint::{FaultKind, FaultVfs, OpKind};
+use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan};
 use hidestore::server::{serve, RemoteClient, ServerConfig};
 use hidestore::storage::{Container, ContainerStore, VersionId};
 
@@ -297,13 +297,13 @@ fn recovered_failed_backup_passes() {
     let v2 = noise(80_000, 71);
     let first_archival_write = {
         let dry = Scratch::new("failed-backup-dry");
-        let vfs = FaultVfs::counting();
+        let vfs = FaultVfs::new(Plan::counting());
         let (mut hds, _) = HiDeStore::open_repository_with(config(), &dry.0, vfs.clone()).unwrap();
         hds.backup(&v1).unwrap();
         hds.save_repository(&dry.0).unwrap();
-        let from = vfs.ops() as usize;
+        let from = vfs.plan().ops() as usize;
         hds.backup(&v2).unwrap();
-        let trace = vfs.trace();
+        let trace = vfs.plan().trace();
         trace[from..]
             .iter()
             .find(|op| op.kind == OpKind::Write && op.path.starts_with(dry.0.join("archival")))
@@ -315,7 +315,7 @@ fn recovered_failed_backup_passes() {
     init(&scratch.0);
     {
         let (site, len) = first_archival_write;
-        let vfs = FaultVfs::armed(site, FaultKind::Torn(len / 2));
+        let vfs = FaultVfs::new(Plan::armed(site, FaultKind::Torn(len / 2)));
         let (mut hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs).unwrap();
         hds.backup(&v1).unwrap();
         hds.save_repository(&scratch.0).unwrap();

@@ -11,7 +11,7 @@
 //! | `lock-poison`    | lock discipline| medium  | `src/`, `crates/*`            |
 //! | `wire-cast`      | wire safety   | medium   | `crates/proto`, `crates/server` |
 //! | `wire-alloc`     | wire safety   | high     | `crates/proto`, `crates/server` |
-//! | `net-io`         | I/O discipline| high     | `src/`, `crates/server`, `crates/proto` except `crates/netfault` |
+//! | `net-io`         | I/O discipline| high     | `src/`, `crates/server`, `crates/proto` (raw sockets live in `crates/failpoint/src/net.rs`) |
 //! | `panic-marker`   | panic audit   | medium/low | everything `lint` scans     |
 
 pub mod locks;

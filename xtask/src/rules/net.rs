@@ -1,22 +1,23 @@
 //! Rule family 5 — network I/O discipline (`net-io`, severity high).
 //!
-//! The chaos matrix of PR 7 enumerates *wire operations through the
-//! `hidestore-netfault` shim*: every read and write the client or server
-//! performs on a socket must flow through a [`NetStream`] so a fault can be
-//! injected at that exact operation. A raw `std::net` socket used directly
-//! for I/O is a wire operation the matrix can never cut, delay, or tear.
-//! This rule forbids, in library code under `src/`, `crates/server/`, and
-//! `crates/proto/` (but not `crates/netfault/`, which owns the raw socket):
+//! The chaos matrix enumerates *wire operations through the socket module
+//! of `crates/failpoint`*: every read and write the client or server
+//! performs on a socket must flow through its [`Socket`] so a fault plan
+//! can be injected at that exact operation. A raw `std::net` socket used
+//! directly for I/O is a wire operation the matrix can never cut, delay, or
+//! tear. This rule forbids, in library code under `src/`, `crates/server/`,
+//! and `crates/proto/` (but not `crates/failpoint/src/net.rs`, which owns
+//! the raw socket):
 //!
 //! * the `TcpStream` / `TcpListener` / `UdpSocket` type names, however
 //!   imported or referenced.
 //!
 //! Type-level plumbing that never does I/O (the listener the acceptor owns,
-//! the accepted socket handed to the shim before a byte moves) is waived in
+//! the accepted socket handed to `Socket::new` before a byte moves) is waived in
 //! `xtask/analyze-allow.txt` with a one-line justification. `SocketAddr`
 //! and the other non-I/O `std::net` types are deliberately not flagged.
 //!
-//! [`NetStream`]: ../../../crates/netfault/src/lib.rs
+//! [`Socket`]: ../../../crates/failpoint/src/net.rs
 
 use crate::findings::{Finding, Severity};
 use crate::lexer::SourceFile;
@@ -29,7 +30,8 @@ fn in_scope(rel: &str) -> bool {
     rel.starts_with("src/") || rel.starts_with("crates/server/") || rel.starts_with("crates/proto/")
 }
 
-/// Scans the workspace for raw socket types outside the netfault shim.
+/// Scans the workspace for raw socket types outside the failpoint socket
+/// module (`crates/failpoint/src/net.rs`).
 pub fn scan(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for sf in ws.files.iter().filter(|f| in_scope(&f.rel)) {
@@ -58,7 +60,7 @@ fn scan_file(sf: &SourceFile, findings: &mut Vec<Finding>) {
             file: sf.rel.clone(),
             line: t.line,
             message: format!(
-                "raw `{what}` bypasses the netfault shim (chaos-matrix blind spot): {}",
+                "raw `{what}` bypasses `crates/failpoint/src/net.rs` (chaos-matrix blind spot): {}",
                 sf.line_text(t.line)
             ),
         });
@@ -103,7 +105,7 @@ mod tests {
         let addr_only = "use std::net::{SocketAddr, ToSocketAddrs};\n";
         assert!(scan_src("crates/server/src/lib.rs", addr_only).is_empty());
         let shim = "use std::net::TcpStream;\n";
-        assert!(scan_src("crates/netfault/src/lib.rs", shim).is_empty());
+        assert!(scan_src("crates/failpoint/src/net.rs", shim).is_empty());
         assert!(scan_src("crates/storage/src/lib.rs", shim).is_empty());
         let test_side =
             "#[cfg(test)]\nmod tests { use std::net::TcpStream; fn t() { let _ = TcpStream::connect(\"x\"); } }\n";

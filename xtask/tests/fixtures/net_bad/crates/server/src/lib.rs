@@ -1,9 +1,9 @@
-//! Fixture: raw socket I/O outside the netfault shim.
+//! Fixture: raw socket I/O outside the failpoint socket module.
 
 use std::io::Write;
 use std::net::TcpStream;
 
-/// Writes bytes straight onto a raw socket, bypassing the shim.
+/// Writes bytes straight onto a raw socket, bypassing `Socket`.
 pub fn send(addr: &str, data: &[u8]) -> std::io::Result<()> {
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(data)
