@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::Vfs;
 use hidestore_hash::crc32;
+use hidestore_proto::wire::{ByteReader, ByteWriter};
 use hidestore_storage::StorageError;
 
 /// Directory under the repository root holding the in-flight transaction.
@@ -80,85 +81,71 @@ impl CommitRecord {
     /// Serializes: magic, entry counts, entries, and a trailing CRC-32 over
     /// everything before it.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(JOURNAL_MAGIC);
-        out.extend_from_slice(&(self.publish.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.remove.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.raw(JOURNAL_MAGIC);
+        w.len_u32(self.publish.len());
+        w.len_u32(self.remove.len());
         for entry in &self.publish {
-            encode_path(&mut out, &entry.rel);
-            out.extend_from_slice(&entry.len.to_le_bytes());
-            out.extend_from_slice(&entry.crc.to_le_bytes());
+            w.string_u16(&entry.rel);
+            w.u64(entry.len);
+            w.u32(entry.crc);
         }
         for rel in &self.remove {
-            encode_path(&mut out, rel);
+            w.string_u16(rel);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        seal(w)
     }
 
     /// Parses [`CommitRecord::encode`] output. `None` means the record is
     /// torn or corrupt — the transaction never committed and must be rolled
     /// back.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 16 || &bytes[..4] != JOURNAL_MAGIC {
+        let mut r = ByteReader::new(unseal(bytes)?);
+        if r.array().ok()? != *JOURNAL_MAGIC {
             return None;
         }
-        let body = &bytes[..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().ok()?);
-        if crc32(body) != stored {
-            return None;
-        }
-        let mut at = 4usize;
-        let publish_count = read_u32(body, &mut at)? as usize;
-        let remove_count = read_u32(body, &mut at)? as usize;
-        let mut publish = Vec::with_capacity(publish_count.min(1 << 16));
+        // Smallest encodings: a publish entry is a 2-byte path length plus
+        // its u64 length and u32 CRC, a removal the path length alone.
+        let publish_count = r.count_within("publish entries", 14).ok()?;
+        let remove_count = r.count_within("removals", 2).ok()?;
+        let mut publish = Vec::with_capacity(publish_count);
         for _ in 0..publish_count {
-            let rel = read_path(body, &mut at)?;
-            let len = read_u64(body, &mut at)?;
-            let crc = read_u32(body, &mut at)?;
-            publish.push(PublishEntry { rel, len, crc });
+            publish.push(PublishEntry {
+                rel: r.string_u16().ok().filter(|rel| is_repo_relative(rel))?,
+                len: r.u64().ok()?,
+                crc: r.u32().ok()?,
+            });
         }
-        let mut remove = Vec::with_capacity(remove_count.min(1 << 16));
-        for _ in 0..remove_count {
-            remove.push(read_path(body, &mut at)?);
-        }
-        (at == body.len()).then_some(CommitRecord { publish, remove })
+        let remove = (0..remove_count)
+            .map(|_| r.string_u16().ok().filter(|rel| is_repo_relative(rel)))
+            .collect::<Option<_>>()?;
+        r.finish().ok()?;
+        Some(CommitRecord { publish, remove })
     }
 }
 
-fn encode_path(out: &mut Vec<u8>, rel: &str) {
-    out.extend_from_slice(&(rel.len() as u16).to_le_bytes());
-    out.extend_from_slice(rel.as_bytes());
+/// Whether `rel` stays inside the repository: no empty (so no leading
+/// `/`), `.` or `..` segment. A record naming any other path is corrupt.
+fn is_repo_relative(rel: &str) -> bool {
+    rel.split('/')
+        .all(|seg| !seg.is_empty() && seg != "." && seg != "..")
 }
 
-fn read_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
-    let raw = bytes.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(raw.try_into().ok()?))
+/// Appends the CRC-32 of everything written so far: the trailer that seals
+/// the commit record and the meta file.
+pub(crate) fn seal(body: ByteWriter) -> Vec<u8> {
+    let body = body.into_bytes();
+    let mut w = ByteWriter::with_capacity(body.len() + 4);
+    w.raw(&body);
+    w.u32(crc32(&body));
+    w.into_bytes()
 }
 
-fn read_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let raw = bytes.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes(raw.try_into().ok()?))
-}
-
-fn read_path(bytes: &[u8], at: &mut usize) -> Option<String> {
-    let raw = bytes.get(*at..*at + 2)?;
-    let len = u16::from_le_bytes(raw.try_into().ok()?) as usize;
-    *at += 2;
-    let raw = bytes.get(*at..*at + len)?;
-    *at += len;
-    let rel = std::str::from_utf8(raw).ok()?;
-    // Relative, forward, no traversal: the record must not name paths
-    // outside the repository.
-    let safe = !rel.is_empty()
-        && !rel.starts_with('/')
-        && rel
-            .split('/')
-            .all(|seg| !seg.is_empty() && seg != "." && seg != "..");
-    safe.then(|| rel.to_owned())
+/// The body [`seal`] sealed, or `None` when the trailer does not match
+/// (a torn or bit-flipped file).
+pub(crate) fn unseal(bytes: &[u8]) -> Option<&[u8]> {
+    let (body, trailer) = bytes.split_at(bytes.len().checked_sub(4)?);
+    (ByteReader::new(trailer).u32().ok()? == crc32(body)).then_some(body)
 }
 
 /// The staging directory of the repository at `repo`.

@@ -40,9 +40,10 @@ use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::{RealVfs, Vfs};
 use hidestore_hash::{crc32, Fingerprint};
+use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 use hidestore_storage::{
-    Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, StorageError,
-    VersionId,
+    Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, RepoFile,
+    StorageError, VersionId,
 };
 
 use crate::cache::{CacheEntry, FingerprintCache};
@@ -89,47 +90,44 @@ impl RepositoryMeta {
         if !vfs.exists(&meta_path) {
             return Ok(None);
         }
-        let meta = vfs.read(&meta_path).map_err(StorageError::from)?;
-        let corrupt = |why: &str| {
+        let bytes = vfs.read(&meta_path).map_err(StorageError::from)?;
+        Self::decode(&bytes).map(Some).map_err(|why| {
             HiDeStoreError::Storage(StorageError::Corrupt(format!(
                 "bad repository meta file: {why}"
             )))
-        };
-        if !meta.starts_with(META_MAGIC) {
-            return Err(corrupt("unrecognized magic"));
+        })
+    }
+
+    /// Parses what [`RepositoryMeta::encode`] wrote.
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
+        if !bytes.starts_with(META_MAGIC) {
+            return Err("unrecognized magic".into());
         }
-        if meta.len() != 20 {
-            return Err(corrupt(&format!("{} bytes, expected 20", meta.len())));
-        }
-        if crc32(&meta[..16]) != meta_u32(&meta, 16) {
-            return Err(corrupt("payload checksum mismatch (torn write?)"));
-        }
-        Ok(Some(RepositoryMeta {
-            next_version: meta_u32(&meta, 4),
-            next_archival: meta_u32(&meta, 8),
-            history_depth: meta_u32(&meta, 12),
-        }))
+        let body = journal::unseal(bytes).ok_or("payload checksum mismatch (torn write?)")?;
+        let mut r = ByteReader::new(body);
+        let meta = (|| {
+            r.array::<4>()?;
+            let meta = RepositoryMeta {
+                next_version: r.u32()?,
+                next_archival: r.u32()?,
+                history_depth: r.u32()?,
+            };
+            r.finish()?;
+            Ok::<_, DecodeError>(meta)
+        })();
+        meta.map_err(|e| e.to_string())
     }
 
     /// Serializes in the CRC-guarded format [`RepositoryMeta::read_with`]
     /// accepts.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20);
-        out.extend_from_slice(META_MAGIC);
-        out.extend_from_slice(&self.next_version.to_le_bytes());
-        out.extend_from_slice(&self.next_archival.to_le_bytes());
-        out.extend_from_slice(&self.history_depth.to_le_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut w = ByteWriter::with_capacity(20);
+        w.raw(META_MAGIC);
+        w.u32(self.next_version);
+        w.u32(self.next_archival);
+        w.u32(self.history_depth);
+        journal::seal(w)
     }
-}
-
-/// Little-endian u32 at `at`; the caller has checked `meta` is long enough.
-fn meta_u32(meta: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&meta[at..at + 4]);
-    u32::from_le_bytes(b)
 }
 
 /// A repository artifact that degraded-mode recovery moved aside because it
@@ -265,11 +263,9 @@ fn quarantine_file<V: Vfs>(
 /// Identifies a recipe file from its name for quarantine reporting.
 fn recipe_artifact(path: &Path) -> QuarantinedArtifact {
     let name = file_name(path);
-    name.strip_prefix('r')
-        .and_then(|s| s.strip_suffix(".rcp"))
-        .and_then(|s| s.parse::<u32>().ok())
-        .filter(|&v| v != 0)
-        .map_or(QuarantinedArtifact::Unrecognized(name.clone()), |v| {
+    RepoFile::Recipe
+        .parse(&name)
+        .map_or(QuarantinedArtifact::Unrecognized(name), |v| {
             QuarantinedArtifact::Recipe(VersionId::new(v))
         })
 }
@@ -278,19 +274,10 @@ fn recipe_artifact(path: &Path) -> QuarantinedArtifact {
 /// `a<cid>.ctr` active snapshot, `r<v>.rcp` recipe).
 fn quarantined_artifact_of(path: &Path) -> QuarantinedArtifact {
     let name = file_name(path);
-    if let Some(id) = name
-        .strip_prefix('c')
-        .and_then(|s| s.strip_suffix(".ctr"))
-        .and_then(|s| s.parse::<u32>().ok())
-        .filter(|&id| id != 0)
-    {
+    if let Some(id) = RepoFile::Archival.parse(&name) {
         return QuarantinedArtifact::ArchivalContainer(ContainerId::new(id));
     }
-    if let Some(cid) = name
-        .strip_prefix('a')
-        .and_then(|s| s.strip_suffix(".ctr"))
-        .and_then(|s| s.parse::<u32>().ok())
-    {
+    if let Some(cid) = RepoFile::Active.parse(&name) {
         return QuarantinedArtifact::ActiveContainer(cid);
     }
     recipe_artifact(path)
@@ -377,7 +364,8 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // 3. Archival store (sweeps stale tmp files). Removals are deferred
         // from here on: `delete_expired` must not unlink container files
         // before the save that commits the matching recipe drops.
-        let mut archival = FileContainerStore::open_with(dir.join("archival"), vfs.clone())?;
+        let mut archival =
+            FileContainerStore::open_with(dir.join(RepoFile::Archival.dir()), vfs.clone())?;
         archival.set_deferred_removals(true);
 
         // 4. Uncommitted residue: containers numbered at or above the
@@ -439,7 +427,8 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
 
         // 6. Recipes, per-file: a corrupt recipe quarantines that version
         // and the rest of the repository opens normally.
-        let recipe_report = RecipeStore::load_dir_report_with(dir.join("recipes"), &vfs)?;
+        let recipe_report =
+            RecipeStore::load_dir_report_with(dir.join(RepoFile::Recipe.dir()), &vfs)?;
         for (path, err) in recipe_report.failed {
             let artifact = recipe_artifact(&path);
             let dest = quarantine_file(&vfs, &quarantine_dir, &path)?;
@@ -456,23 +445,20 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         let mut renamed_versions: Vec<VersionId> = Vec::new();
         let mut renamed_cids: Vec<u32> = Vec::new();
         for (path, version) in &recipe_report.misnamed {
-            strays.push(format!("recipes/{}", file_name(path)));
+            strays.push(format!("{}/{}", RepoFile::Recipe.dir(), file_name(path)));
             renamed_versions.push(*version);
         }
 
         // 7. Active pool, per-file likewise.
-        let active_dir = dir.join("active");
+        let active_dir = dir.join(RepoFile::Active.dir());
+        let stray = |name: &str| format!("{}/{name}", RepoFile::Active.dir());
         let mut pool_containers: Vec<Container> = Vec::new();
         if vfs.exists(&active_dir) {
             for path in vfs.read_dir(&active_dir).map_err(StorageError::from)? {
                 let name = file_name(&path);
-                let Some(cid) = name
-                    .strip_prefix('a')
-                    .and_then(|s| s.strip_suffix(".ctr"))
-                    .and_then(|s| s.parse::<u32>().ok())
-                else {
-                    if name.starts_with('a') && name.ends_with(".ctr") {
-                        strays.push(format!("active/{name}"));
+                let Some(cid) = RepoFile::Active.parse(&name) else {
+                    if RepoFile::Active.matches(&name) {
+                        strays.push(stray(&name));
                     }
                     continue;
                 };
@@ -483,8 +469,8 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
                 match decoded {
                     Ok(container) => {
                         let own = container.id().get().checked_sub(ACTIVE_ID_BASE);
-                        if name != active_name(cid) || own != Some(cid) {
-                            strays.push(format!("active/{name}"));
+                        if name != RepoFile::Active.name(cid) || own != Some(cid) {
+                            strays.push(stray(&name));
                             renamed_cids.extend(own);
                         }
                         pool_containers.push(container);
@@ -556,15 +542,20 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // failed save retries those removals.
         let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
         let (recipes, pool) = (self.recipes(), self.pool());
-        let active_path = |cid| format!("active/{}", active_name(cid));
         for recipe in recipes.changed() {
-            staged.push((recipe_path(recipe.version()), recipe.encode()));
+            let path = RepoFile::Recipe.path(recipe.version().get());
+            staged.push((path, recipe.encode()));
         }
         for (cid, container) in pool.changed() {
-            staged.push((active_path(cid), container.encode()));
+            staged.push((RepoFile::Active.path(cid), container.encode()));
         }
-        record.remove = recipes.removed().map(recipe_path).collect();
-        record.remove.extend(pool.dropped().map(active_path));
+        record.remove = recipes
+            .removed()
+            .map(|v| RepoFile::Recipe.path(v.get()))
+            .collect();
+        record
+            .remove
+            .extend(pool.dropped().map(|cid| RepoFile::Active.path(cid)));
         record.remove.extend_from_slice(self.stray_files());
         let meta = RepositoryMeta {
             next_version: self.next_version(),
@@ -573,7 +564,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         };
         staged.push((META_FILE.to_string(), meta.encode()));
         for &id in self.archival().deferred_removals() {
-            record.remove.push(format!("archival/c{}.ctr", id.get()));
+            record.remove.push(RepoFile::Archival.path(id.get()));
         }
 
         // Stage: write + fsync every file, then fsync the staged
@@ -615,16 +606,6 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
     }
 }
 
-/// The repository-relative path of `version`'s recipe file.
-fn recipe_path(version: VersionId) -> String {
-    format!("recipes/r{}.rcp", version.get())
-}
-
-/// The file name of active container `cid`'s snapshot.
-fn active_name(cid: u32) -> String {
-    format!("a{cid}.ctr")
-}
-
 /// The final component of `path`, lossily as UTF-8.
 fn file_name(path: &Path) -> String {
     path.file_name()
@@ -636,15 +617,15 @@ fn file_name(path: &Path) -> String {
 /// repository-relative paths.
 fn artifact_files<V: Vfs>(vfs: &V, dir: &Path) -> Result<Vec<String>, StorageError> {
     let mut files = Vec::new();
-    for (sub, prefix, suffix) in [("recipes", 'r', ".rcp"), ("active", 'a', ".ctr")] {
-        let sub_dir = dir.join(sub);
+    for kind in [RepoFile::Recipe, RepoFile::Active] {
+        let sub_dir = dir.join(kind.dir());
         if !vfs.exists(&sub_dir) {
             continue;
         }
         for path in vfs.read_dir(&sub_dir)? {
             let name = file_name(&path);
-            if name.starts_with(prefix) && name.ends_with(suffix) {
-                files.push(format!("{sub}/{name}"));
+            if kind.matches(&name) {
+                files.push(format!("{}/{name}", kind.dir()));
             }
         }
     }
@@ -718,6 +699,14 @@ mod tests {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    fn recipe_path(version: VersionId) -> String {
+        RepoFile::Recipe.path(version.get())
+    }
+
+    fn active_name(cid: u32) -> String {
+        RepoFile::Active.name(cid)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

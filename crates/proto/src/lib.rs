@@ -46,6 +46,10 @@
 //! [`DecodeError`] / [`FrameError`] — never a panic. Torn frames (a peer
 //! vanishing mid-frame) surface as `UnexpectedEof` transport errors, and a
 //! single flipped bit anywhere in a frame fails the CRC.
+//!
+//! [`wire`]'s `ByteWriter`/`ByteReader` are also the repository's on-disk
+//! codec: containers, recipes, the meta file, the commit journal and tree
+//! manifests are written and read through them.
 
 pub mod frame;
 pub mod json;

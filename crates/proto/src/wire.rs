@@ -1,10 +1,12 @@
-//! Little-endian byte-level encoding helpers shared by every protocol
-//! message.
+//! Little-endian byte-level encoding shared by every protocol message and
+//! every on-disk format: containers, recipes, the meta file, the commit
+//! journal and tree manifests all read and write through
+//! [`ByteWriter`]/[`ByteReader`].
 //!
-//! All multi-byte integers on the wire are little-endian, matching the
-//! repository's on-disk container and journal encodings. Strings are
-//! `u32` length + UTF-8 bytes; sequences are `u32` count + elements.
-//! Floats travel as their IEEE-754 bit pattern (`f64::to_bits`).
+//! All multi-byte integers are little-endian. Wire strings are `u32`
+//! length + UTF-8 bytes, on-disk path strings `u16` length + UTF-8 bytes;
+//! sequences are `u32` count + elements. Floats travel as their IEEE-754
+//! bit pattern (`f64::to_bits`).
 
 use std::fmt;
 
@@ -89,6 +91,10 @@ pub const MAX_STRING_LEN: u32 = 1 << 20;
 /// Maximum element count accepted for a sequence field.
 pub const MAX_SEQ_LEN: u32 = 1 << 20;
 
+/// The most [`ByteWriter::with_capacity`] reserves up front; a larger
+/// encode grows the buffer on demand.
+pub const MAX_PREALLOC: usize = 1 << 28;
+
 /// Appends little-endian primitives to a byte buffer.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -99,6 +105,14 @@ impl ByteWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty writer with room for `capacity` bytes (at most
+    /// [`MAX_PREALLOC`]), for encoders that know their exact size.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(capacity.min(MAX_PREALLOC)),
+        }
     }
 
     /// Consumes the writer, returning the encoded bytes.
@@ -126,6 +140,11 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends an `i64` little-endian (two's complement).
+    pub fn i64(&mut self, v: i64) {
+        self.u64(v.cast_unsigned());
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -148,6 +167,14 @@ impl ByteWriter {
     /// Appends a length-prefixed UTF-8 string.
     pub fn string(&mut self, s: &str) {
         self.len_u32(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends a `u16`-length-prefixed UTF-8 string. A string too long for
+    /// the prefix announces `u16::MAX`, which [`ByteReader::string_u16`]
+    /// rejects (fail closed, as for [`ByteWriter::len_u32`]).
+    pub fn string_u16(&mut self, s: &str) {
+        self.u16(u16::try_from(s.len()).unwrap_or(u16::MAX));
         self.buf.extend_from_slice(s.as_bytes());
     }
 }
@@ -182,7 +209,8 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// Reads the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::UnexpectedEof {
                 needed: n,
@@ -194,29 +222,36 @@ impl<'a> ByteReader<'a> {
         Ok(slice)
     }
 
+    /// Reads the next `N` bytes as an array (a magic, a fingerprint).
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a `u16` little-endian.
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a `u32` little-endian.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a `u64` little-endian.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads an `i64` little-endian (two's complement).
+    pub fn i64(&mut self) -> Result<i64, DecodeError> {
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
@@ -234,8 +269,26 @@ impl<'a> ByteReader<'a> {
                 max: MAX_STRING_LEN as u64,
             });
         }
-        let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        self.utf8(len as usize)
+    }
+
+    /// Reads a `u16`-length-prefixed UTF-8 string.
+    pub fn string_u16(&mut self) -> Result<String, DecodeError> {
+        let len = self.u16()?;
+        if len == u16::MAX {
+            return Err(DecodeError::TooLong {
+                what: "string",
+                announced: len.into(),
+                max: (u16::MAX - 1).into(),
+            });
+        }
+        self.utf8(len.into())
+    }
+
+    fn utf8(&mut self, len: usize) -> Result<String, DecodeError> {
+        std::str::from_utf8(self.bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| DecodeError::BadUtf8)
     }
 
     /// Consumes and returns every remaining byte. Used by envelope
@@ -258,6 +311,26 @@ impl<'a> ByteReader<'a> {
         }
         Ok(len as usize)
     }
+
+    /// Reads a `u32` element count and checks that that many elements of
+    /// at least `elem_len` bytes fit in what remains, so a corrupt count
+    /// fails here instead of sizing an allocation.
+    pub fn count_within(
+        &mut self,
+        what: &'static str,
+        elem_len: usize,
+    ) -> Result<usize, DecodeError> {
+        let count = self.u32()?;
+        let max = self.remaining() / elem_len.max(1);
+        if count as usize > max {
+            return Err(DecodeError::TooLong {
+                what,
+                announced: count.into(),
+                max: max as u64,
+            });
+        }
+        Ok(count as usize)
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +346,9 @@ mod tests {
         w.u64(0x0123_4567_89AB_CDEF);
         w.f64(1.25);
         w.string("héllo");
+        w.i64(-7);
+        w.string_u16("apath/ü");
+        w.raw(b"HDSC");
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -281,6 +357,9 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(r.f64().unwrap(), 1.25);
         assert_eq!(r.string().unwrap(), "héllo");
+        assert_eq!(r.i64().unwrap(), -7);
+        assert_eq!(r.string_u16().unwrap(), "apath/ü");
+        assert_eq!(&r.array::<4>().unwrap(), b"HDSC");
         r.finish().unwrap();
     }
 
@@ -297,6 +376,36 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.string(), Err(DecodeError::TooLong { .. })));
+    }
+
+    #[test]
+    fn overlong_short_string_fails_closed() {
+        let mut w = ByteWriter::new();
+        w.string_u16(&"x".repeat(70_000));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert!(matches!(r.string_u16(), Err(DecodeError::TooLong { .. })));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_remaining_bytes() {
+        let mut w = ByteWriter::new();
+        w.u32(3);
+        w.raw(&[0; 84]);
+        let bytes = w.into_bytes();
+        assert_eq!(ByteReader::new(&bytes).count_within("entries", 28), Ok(3));
+        assert_eq!(
+            ByteReader::new(&bytes[..87]).count_within("entries", 28),
+            Err(DecodeError::TooLong {
+                what: "entries",
+                announced: 3,
+                max: 2
+            })
+        );
+        let mut w = ByteWriter::new();
+        w.u32(u32::MAX);
+        let bytes = w.into_bytes();
+        assert!(ByteReader::new(&bytes).count_within("entries", 0).is_err());
     }
 
     #[test]

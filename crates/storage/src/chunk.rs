@@ -20,12 +20,13 @@ use hidestore_hash::Fingerprint;
 /// assert_eq!(&data[..20], fp.as_bytes());
 /// ```
 pub fn synthetic_chunk(fingerprint: Fingerprint, size: u32) -> Vec<u8> {
-    let mut data = Vec::with_capacity(size as usize);
-    while data.len() < size as usize {
-        let take = (size as usize - data.len()).min(20);
-        data.extend_from_slice(&fingerprint.as_bytes()[..take]);
-    }
-    data
+    fingerprint
+        .as_bytes()
+        .iter()
+        .copied()
+        .cycle()
+        .take(size as usize)
+        .collect()
 }
 
 #[cfg(test)]

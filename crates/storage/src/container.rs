@@ -4,9 +4,15 @@ use std::collections::HashMap;
 use std::fmt;
 
 use hidestore_hash::Fingerprint;
+use hidestore_proto::wire::{ByteReader, ByteWriter};
 
 /// Default container capacity: 4 MiB, as in the paper (§2.1) and Destor.
 pub const CONTAINER_CAPACITY: usize = 4 * 1024 * 1024;
+
+const MAGIC: &[u8; 4] = b"HDSC";
+
+/// Encoded size of one metadata entry: fingerprint, offset, length.
+const ENTRY_LEN: usize = 28;
 
 /// Identifier of a container. IDs are positive; `0` is reserved because the
 /// HiDeStore recipe encoding uses CID `0` to mean "still in active
@@ -110,10 +116,13 @@ impl Container {
         if self.data.len() + data.len() > self.capacity {
             return false;
         }
-        let offset = self.data.len() as u32;
+        // Offsets and lengths are u32 on disk: nothing lands past 4 GiB.
+        let (Ok(offset), Ok(len)) = (u32::try_from(self.data.len()), u32::try_from(data.len()))
+        else {
+            return false;
+        };
         self.data.extend_from_slice(data);
-        self.entries
-            .insert(fingerprint, (offset, data.len() as u32));
+        self.entries.insert(fingerprint, (offset, len));
         true
     }
 
@@ -211,17 +220,18 @@ impl Container {
         if self.dead_bytes == 0 {
             return;
         }
-        let mut new_data = Vec::with_capacity(self.live_bytes());
         let mut live: Vec<(Fingerprint, (u32, u32))> =
             self.entries.iter().map(|(fp, loc)| (*fp, *loc)).collect();
         // Preserve current physical order to keep locality of insertion.
         live.sort_by_key(|&(_, (off, _))| off);
+        let mut new_off = 0;
         for (fp, (off, len)) in live {
-            let new_off = new_data.len() as u32;
-            new_data.extend_from_slice(&self.data[off as usize..(off + len) as usize]);
+            self.data
+                .copy_within(off as usize..(off + len) as usize, new_off as usize);
             self.entries.insert(fp, (new_off, len));
+            new_off += len;
         }
-        self.data = new_data;
+        self.data.truncate(new_off as usize);
         self.dead_bytes = 0;
     }
 
@@ -230,25 +240,26 @@ impl Container {
     ///
     /// Layout: magic `b"HDSC"`, u32 id, u32 version_tag, u64 capacity,
     /// u32 entry count, u32 data length, then per-entry
-    /// (20-byte fp, u32 offset, u32 len), then the data section (live and
-    /// dead bytes as-is).
+    /// (20-byte fp, u32 offset, u32 len) in fingerprint order, then the
+    /// data section (live and dead bytes as-is).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.entries.len() * 28 + self.data.len());
-        out.extend_from_slice(b"HDSC");
-        out.extend_from_slice(&self.id.get().to_le_bytes());
-        out.extend_from_slice(&self.version_tag.to_le_bytes());
-        out.extend_from_slice(&(self.capacity as u64).to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+        let mut w =
+            ByteWriter::with_capacity(32 + self.entries.len() * ENTRY_LEN + self.data.len());
+        w.raw(MAGIC);
+        w.u32(self.id.get());
+        w.u32(self.version_tag);
+        w.u64(self.capacity as u64);
+        w.len_u32(self.entries.len());
+        w.len_u32(self.data.len());
         let mut entries: Vec<(&Fingerprint, &(u32, u32))> = self.entries.iter().collect();
         entries.sort_by_key(|&(fp, _)| *fp);
         for (fp, &(off, len)) in entries {
-            out.extend_from_slice(fp.as_bytes());
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
+            w.raw(fp.as_bytes());
+            w.u32(off);
+            w.u32(len);
         }
-        out.extend_from_slice(&self.data);
-        out
+        w.raw(&self.data);
+        w.into_bytes()
     }
 
     /// Parses a container from the [`Container::encode`] format.
@@ -257,45 +268,34 @@ impl Container {
     ///
     /// Returns a message describing the first structural problem found.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-            if bytes.len() < n {
-                return Err(format!("truncated container: needed {n} more bytes"));
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Ok(head)
-        }
-        fn take_array<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], String> {
-            let head = take(bytes, N)?;
-            let mut out = [0u8; N];
-            out.copy_from_slice(head);
-            Ok(out)
-        }
-        let mut rest = bytes;
-        if take(&mut rest, 4)? != b"HDSC" {
+        let malformed = |e| format!("malformed container: {e}");
+        let mut r = ByteReader::new(bytes);
+        if r.array().map_err(malformed)? != *MAGIC {
             return Err("bad container magic".into());
         }
-        let id = u32::from_le_bytes(take_array(&mut rest)?);
+        let id = r.u32().map_err(malformed)?;
         if id == 0 {
             return Err("container id 0 is invalid".into());
         }
-        let version_tag = u32::from_le_bytes(take_array(&mut rest)?);
-        let capacity = u64::from_le_bytes(take_array(&mut rest)?) as usize;
-        let n_entries = u32::from_le_bytes(take_array(&mut rest)?) as usize;
-        let data_len = u32::from_le_bytes(take_array(&mut rest)?) as usize;
+        let version_tag = r.u32().map_err(malformed)?;
+        let capacity = r.u64().map_err(malformed)? as usize;
+        let n_entries = r
+            .count_within("container entries", ENTRY_LEN)
+            .map_err(malformed)?;
+        let data_len = r.u32().map_err(malformed)?;
         let mut entries = HashMap::with_capacity(n_entries);
         let mut live_bytes = 0usize;
         for _ in 0..n_entries {
-            let fp_bytes: [u8; 20] = take_array(&mut rest)?;
-            let off = u32::from_le_bytes(take_array(&mut rest)?);
-            let len = u32::from_le_bytes(take_array(&mut rest)?);
+            let fp = Fingerprint::from_bytes(r.array().map_err(malformed)?);
+            let off = r.u32().map_err(malformed)?;
+            let len = r.u32().map_err(malformed)?;
             if off as u64 + len as u64 > data_len as u64 {
-                return Err(format!("entry extends past data section: {}+{}", off, len));
+                return Err(format!("entry extends past data section: {off}+{len}"));
             }
             live_bytes += len as usize;
-            entries.insert(Fingerprint::from_bytes(fp_bytes), (off, len));
+            entries.insert(fp, (off, len));
         }
-        let data = take(&mut rest, data_len)?.to_vec();
+        let data = r.bytes(data_len as usize).map_err(malformed)?.to_vec();
         Ok(Container {
             id: ContainerId::new(id),
             version_tag,
@@ -423,6 +423,12 @@ mod tests {
         c.try_add(fp(1), b"data");
         let enc = c.encode();
         assert!(Container::decode(&enc[..enc.len() - 2]).is_err());
+        // An entry count the file cannot hold fails typed, before any
+        // table is sized from it.
+        let mut huge = enc.clone();
+        huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = Container::decode(&huge).unwrap_err();
+        assert!(err.contains("container entries"), "{err}");
     }
 
     #[test]

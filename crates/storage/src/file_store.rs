@@ -8,6 +8,7 @@ use hidestore_failpoint::{RealVfs, Vfs};
 
 use crate::container::{Container, ContainerId};
 use crate::error::StorageError;
+use crate::names::RepoFile;
 use crate::store::{ContainerStore, IoCounters, IoStats};
 
 /// On-disk container store.
@@ -81,8 +82,8 @@ impl<V: Vfs> FileContainerStore<V> {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
                 continue;
             };
-            if let Some(id_str) = name.strip_prefix('c').and_then(|s| s.strip_suffix(".ctr")) {
-                let id: u32 = id_str.parse().map_err(|_| {
+            if RepoFile::Archival.matches(&name) {
+                let id = RepoFile::Archival.parse(&name).ok_or_else(|| {
                     StorageError::Corrupt(format!("bad container file name: {name}"))
                 })?;
                 ids.insert(ContainerId::new(id));
@@ -115,7 +116,7 @@ impl<V: Vfs> FileContainerStore<V> {
 
     /// The on-disk path of container `id` (whether or not it exists).
     pub fn path_of(&self, id: ContainerId) -> PathBuf {
-        self.dir.join(format!("c{}.ctr", id.get()))
+        self.dir.join(RepoFile::Archival.name(id.get()))
     }
 
     /// Switches removal handling. With deferral on, [`ContainerStore::remove`]

@@ -45,6 +45,7 @@ mod chunk;
 mod container;
 mod error;
 mod file_store;
+mod names;
 mod recipe;
 mod store;
 
@@ -53,6 +54,7 @@ pub use chunk::synthetic_chunk;
 pub use container::{Container, ContainerId, CONTAINER_CAPACITY};
 pub use error::StorageError;
 pub use file_store::FileContainerStore;
+pub use names::RepoFile;
 pub use recipe::{
     Cid, Recipe, RecipeEntry, RecipeLoadReport, RecipeStore, VersionId, RECIPE_ENTRY_LEN,
 };

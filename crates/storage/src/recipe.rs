@@ -16,12 +16,16 @@ use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::Vfs;
 use hidestore_hash::Fingerprint;
+use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 
 use crate::container::ContainerId;
 use crate::error::StorageError;
+use crate::names::RepoFile;
 
 /// Encoded size of one recipe entry in bytes (paper §2.1).
 pub const RECIPE_ENTRY_LEN: usize = 28;
+
+const MAGIC: &[u8; 4] = b"HDSR";
 
 /// A backup version number, starting at 1 for the first backup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,26 +154,18 @@ impl RecipeEntry {
         }
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.fingerprint.as_bytes());
-        out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&self.cid.raw().to_le_bytes());
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.raw(self.fingerprint.as_bytes());
+        w.u32(self.size);
+        w.u32(self.cid.raw().cast_unsigned());
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        // The caller hands exactly ENTRY_BYTES bytes; copy fixed-size fields.
-        let mut fp = [0u8; 20];
-        fp.copy_from_slice(&bytes[..20]);
-        let mut word = [0u8; 4];
-        word.copy_from_slice(&bytes[20..24]);
-        let size = u32::from_le_bytes(word);
-        word.copy_from_slice(&bytes[24..28]);
-        let cid = i32::from_le_bytes(word);
-        RecipeEntry {
-            fingerprint: Fingerprint::from_bytes(fp),
-            size,
-            cid: Cid::from_raw(cid),
-        }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+        Ok(RecipeEntry {
+            fingerprint: Fingerprint::from_bytes(r.array()?),
+            size: r.u32()?,
+            cid: Cid::from_raw(r.u32()?.cast_signed()),
+        })
     }
 }
 
@@ -249,14 +245,14 @@ impl Recipe {
 
     /// Serializes: magic `HDSR`, u32 version, u32 entry count, then entries.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(b"HDSR");
-        out.extend_from_slice(&self.version.get().to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
+        w.raw(MAGIC);
+        w.u32(self.version.get());
+        w.len_u32(self.entries.len());
         for e in &self.entries {
-            e.encode_into(&mut out);
+            e.encode_into(&mut w);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the [`Recipe::encode`] format.
@@ -265,28 +261,24 @@ impl Recipe {
     ///
     /// Returns a message describing the structural problem.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < 12 || &bytes[..4] != b"HDSR" {
-            return Err("bad recipe header".into());
+        let malformed = |e| format!("malformed recipe: {e}");
+        let mut r = ByteReader::new(bytes);
+        if r.array().map_err(malformed)? != *MAGIC {
+            return Err("bad recipe magic".into());
         }
-        let mut word = [0u8; 4];
-        word.copy_from_slice(&bytes[4..8]);
-        let version = u32::from_le_bytes(word);
+        let version = r.u32().map_err(malformed)?;
         if version == 0 {
             return Err("recipe version 0 is invalid".into());
         }
-        word.copy_from_slice(&bytes[8..12]);
-        let count = u32::from_le_bytes(word) as usize;
-        let body = &bytes[12..];
-        if body.len() != count * RECIPE_ENTRY_LEN {
-            return Err(format!(
-                "recipe body length {} != {count} entries",
-                body.len()
-            ));
-        }
+        let count = r
+            .count_within("recipe entries", RECIPE_ENTRY_LEN)
+            .map_err(malformed)?;
         let mut recipe = Recipe::new(VersionId::new(version));
-        for raw in body.chunks_exact(RECIPE_ENTRY_LEN) {
-            recipe.push(RecipeEntry::decode(raw));
+        recipe.entries.reserve_exact(count);
+        for _ in 0..count {
+            recipe.push(RecipeEntry::decode(&mut r).map_err(malformed)?);
         }
+        r.finish().map_err(malformed)?;
         Ok(recipe)
     }
 }
@@ -455,12 +447,12 @@ impl RecipeStore {
             let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
                 continue;
             };
-            if name.starts_with('r') && name.ends_with(".rcp") {
+            if RepoFile::Recipe.matches(&name) {
                 match vfs.read(&path) {
                     Ok(bytes) => match Recipe::decode(&bytes) {
                         Ok(recipe) => {
                             let version = recipe.version();
-                            if name != format!("r{}.rcp", version.get()) {
+                            if name != RepoFile::Recipe.name(version.get()) {
                                 report.misnamed.push((path, version));
                             }
                             report.store.insert(recipe);
@@ -577,9 +569,9 @@ mod tests {
 
     #[test]
     fn recipe_entry_size_is_28_bytes() {
-        let mut out = Vec::new();
-        RecipeEntry::new(fp(1), 5, Cid::ACTIVE).encode_into(&mut out);
-        assert_eq!(out.len(), RECIPE_ENTRY_LEN);
+        let mut w = ByteWriter::new();
+        RecipeEntry::new(fp(1), 5, Cid::ACTIVE).encode_into(&mut w);
+        assert_eq!(w.into_bytes().len(), RECIPE_ENTRY_LEN);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 use std::fmt;
 
+use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
+
 use crate::apath;
 
 /// Magic prefix of a tree-backup version stream.
@@ -97,6 +99,12 @@ impl fmt::Display for ManifestError {
 
 impl std::error::Error for ManifestError {}
 
+impl From<DecodeError> for ManifestError {
+    fn from(e: DecodeError) -> Self {
+        ManifestError(e.to_string())
+    }
+}
+
 impl TreeManifest {
     /// Total length of the content region (end of the furthest file).
     #[must_use]
@@ -114,42 +122,38 @@ impl TreeManifest {
     /// Encodes the manifest body (magic, version, count, entries).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.entries.len() * 48);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = ByteWriter::with_capacity(16 + self.entries.len() * 48);
+        w.raw(&MANIFEST_MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.len_u32(self.entries.len());
         for e in &self.entries {
-            out.push(e.kind_tag());
-            out.extend_from_slice(&(e.apath.len() as u16).to_le_bytes());
-            out.extend_from_slice(e.apath.as_bytes());
-            out.extend_from_slice(&e.mode.to_le_bytes());
-            out.extend_from_slice(&e.mtime_secs.to_le_bytes());
-            out.extend_from_slice(&e.mtime_nanos.to_le_bytes());
+            w.u8(e.kind_tag());
+            w.string_u16(&e.apath);
+            w.u32(e.mode);
+            w.i64(e.mtime_secs);
+            w.u32(e.mtime_nanos);
             match &e.payload {
                 EntryPayload::Dir => {}
                 EntryPayload::File { offset, size } => {
-                    out.extend_from_slice(&offset.to_le_bytes());
-                    out.extend_from_slice(&size.to_le_bytes());
+                    w.u64(*offset);
+                    w.u64(*size);
                 }
-                EntryPayload::Symlink { target } => {
-                    out.extend_from_slice(&(target.len() as u16).to_le_bytes());
-                    out.extend_from_slice(target.as_bytes());
-                }
+                EntryPayload::Symlink { target } => w.string_u16(target),
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Builds the full version stream: header, manifest, content region.
     #[must_use]
     pub fn encode_stream(&self, contents: &[u8]) -> Vec<u8> {
         let body = self.encode();
-        let mut out = Vec::with_capacity(8 + body.len() + contents.len());
-        out.extend_from_slice(&STREAM_MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(contents);
-        out
+        let mut w = ByteWriter::with_capacity(8 + body.len() + contents.len());
+        w.raw(&STREAM_MAGIC);
+        w.len_u32(body.len());
+        w.raw(&body);
+        w.raw(contents);
+        w.into_bytes()
     }
 
     /// Decodes and validates a manifest body.
@@ -162,29 +166,28 @@ impl TreeManifest {
     ///
     /// [`ManifestError`] describing the first violation.
     pub fn decode(bytes: &[u8]) -> Result<Self, ManifestError> {
-        let mut r = Reader { bytes, at: 0 };
-        if r.take(4)? != MANIFEST_MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.array()? != MANIFEST_MAGIC {
             return Err(ManifestError("bad magic".into()));
         }
         let version = r.u32()?;
         if version != FORMAT_VERSION {
             return Err(ManifestError(format!("unknown format version {version}")));
         }
-        let count = r.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 16));
+        // The smallest entry: kind, apath length, mode, mtime.
+        let count = r.count_within("manifest entries", 19)?;
+        let mut entries = Vec::with_capacity(count);
         let mut next_offset = 0u64;
         for i in 0..count {
-            let tag = r.u8()?;
-            let apath_len = r.u16()? as usize;
-            let apath = std::str::from_utf8(r.take(apath_len)?)
-                .map_err(|_| ManifestError(format!("entry {i}: apath is not UTF-8")))?
-                .to_string();
+            let at = |e: DecodeError| ManifestError(format!("entry {i}: {e}"));
+            let tag = r.u8().map_err(at)?;
+            let apath = r.string_u16().map_err(at)?;
             if !apath::valid(&apath) {
                 return Err(ManifestError(format!("entry {i}: invalid apath {apath:?}")));
             }
-            let mode = r.u32()?;
-            let mtime_secs = r.i64()?;
-            let mtime_nanos = r.u32()?;
+            let mode = r.u32().map_err(at)?;
+            let mtime_secs = r.i64().map_err(at)?;
+            let mtime_nanos = r.u32().map_err(at)?;
             if mtime_nanos >= 1_000_000_000 {
                 return Err(ManifestError(format!(
                     "entry {i} ({apath}): mtime nanos {mtime_nanos} out of range"
@@ -193,8 +196,8 @@ impl TreeManifest {
             let payload = match tag {
                 0 => EntryPayload::Dir,
                 1 => {
-                    let offset = r.u64()?;
-                    let size = r.u64()?;
+                    let offset = r.u64().map_err(at)?;
+                    let size = r.u64().map_err(at)?;
                     if offset != next_offset {
                         return Err(ManifestError(format!(
                             "entry {i} ({apath}): file extent starts at {offset}, \
@@ -207,12 +210,7 @@ impl TreeManifest {
                     EntryPayload::File { offset, size }
                 }
                 2 => {
-                    let target_len = r.u16()? as usize;
-                    let target = std::str::from_utf8(r.take(target_len)?)
-                        .map_err(|_| {
-                            ManifestError(format!("entry {i} ({apath}): target is not UTF-8"))
-                        })?
-                        .to_string();
+                    let target = r.string_u16().map_err(at)?;
                     if target.is_empty() {
                         return Err(ManifestError(format!("entry {i} ({apath}): empty target")));
                     }
@@ -230,13 +228,7 @@ impl TreeManifest {
                 payload,
             });
         }
-        if r.at != bytes.len() {
-            return Err(ManifestError(format!(
-                "{} trailing bytes after {} entries",
-                bytes.len() - r.at,
-                count
-            )));
-        }
+        r.finish()?;
         // Ordering: root first, then strictly increasing walk order.
         if let Some(first) = entries.first() {
             if first.apath != apath::ROOT {
@@ -265,69 +257,17 @@ impl TreeManifest {
 /// [`ManifestError`] if the magic is absent (not a tree backup) or the
 /// header is truncated.
 pub fn decode_stream_header(bytes: &[u8]) -> Result<u32, ManifestError> {
-    if bytes.len() < STREAM_HEADER_LEN as usize {
-        return Err(ManifestError(format!(
-            "stream header truncated at {} bytes",
-            bytes.len()
-        )));
-    }
-    if bytes[..4] != STREAM_MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.array()? != STREAM_MAGIC {
         return Err(ManifestError("stream magic absent".into()));
     }
-    Ok(u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]))
+    Ok(r.u32()?)
 }
 
 /// Whether a stream prefix carries the tree-backup magic.
 #[must_use]
 pub fn is_tree_stream(prefix: &[u8]) -> bool {
-    prefix.len() >= 4 && prefix[..4] == STREAM_MAGIC
-}
-
-/// Bounded little-endian reader over the manifest body.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ManifestError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| ManifestError(format!("truncated at byte {}", self.at)))?;
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ManifestError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ManifestError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().unwrap_or([0; 2]),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, ManifestError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().unwrap_or([0; 4]),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, ManifestError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap_or([0; 8]),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, ManifestError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().unwrap_or([0; 8]),
-        ))
-    }
+    prefix.starts_with(&STREAM_MAGIC)
 }
 
 #[cfg(test)]

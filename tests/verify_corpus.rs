@@ -218,6 +218,39 @@ fn truncated_container_fails_naming_it_local_and_remote() {
     assert!(!path.exists());
 }
 
+/// A container header whose entry count (bytes 20..24) says `u32::MAX`:
+/// the decode must reject it by what the file can hold, not size a table
+/// from it. Remotely the daemon's read fails typed and it keeps serving;
+/// locally the open quarantines the file.
+#[test]
+fn impossible_entry_count_fails_naming_it_local_and_remote() {
+    let scratch = Scratch::new("entry-count");
+    churned_repo(&scratch.0);
+    let victim = lowest_archival(&scratch.0);
+    let path = archival_file(&scratch.0, victim);
+    let daemon = serve(
+        &scratch.0,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = RemoteClient::connect(daemon.addr()).unwrap();
+    let versions = client.list().unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+    fs::write(&path, bytes).unwrap();
+    assert_eq!(
+        verify(&["--remote", &daemon.addr().to_string()]),
+        Verdict::corrupt(victim)
+    );
+    assert_eq!(client.list().unwrap(), versions, "the daemon still answers");
+    daemon.shutdown_and_join();
+    assert_eq!(verify_local(&scratch.0), Verdict::corrupt(victim));
+    assert!(!path.exists());
+}
+
 /// A container replaced by a same-id copy that lost a chunk V1 reads:
 /// every chunk left re-hashes and every plan resolves, yet V1 cannot
 /// restore.

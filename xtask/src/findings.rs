@@ -3,6 +3,8 @@
 
 use std::fmt::Write as _;
 
+use hidestore_proto::json::json_string;
+
 /// How serious a finding is. Severity is taxonomy, not policy: *every*
 /// finding fails the analysis (exit 1); severity tells a reader which to
 /// fix first and feeds the JSON report.
@@ -118,38 +120,19 @@ impl Report {
                 out.push(',');
             }
             out.push_str("{\"rule\":");
-            json_string(&mut out, f.rule);
+            out.push_str(&json_string(f.rule));
             out.push_str(",\"severity\":");
-            json_string(&mut out, f.severity.label());
+            out.push_str(&json_string(f.severity.label()));
             out.push_str(",\"file\":");
-            json_string(&mut out, &f.file);
+            out.push_str(&json_string(&f.file));
             let _ = write!(out, ",\"line\":{},\"message\":", f.line);
-            json_string(&mut out, &f.message);
+            out.push_str(&json_string(&f.message));
             out.push('}');
         }
         out.push_str("]}");
         out.push('\n');
         out
     }
-}
-
-/// Escapes `s` into `out` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! | `vfs-io`         | I/O discipline| high     | `src/`, `crates/*` except `crates/failpoint` |
 //! | `lock-cycle`     | lock discipline| high    | `src/`, `crates/*`            |
 //! | `lock-poison`    | lock discipline| medium  | `src/`, `crates/*`            |
-//! | `wire-cast`      | wire safety   | medium   | `crates/proto`, `crates/server` |
-//! | `wire-alloc`     | wire safety   | high     | `crates/proto`, `crates/server` |
+//! | `wire-cast`      | wire safety   | medium   | `crates/proto`, `crates/server`, `crates/storage`, `crates/core/src/{journal,persist}.rs`, `crates/tree/src/manifest.rs` |
+//! | `wire-alloc`     | wire safety   | high     | same as `wire-cast`; `Vec`/`HashMap`/`HashSet::with_capacity`, `vec![_; n]` |
 //! | `net-io`         | I/O discipline| high     | `src/`, `crates/server`, `crates/proto` (raw sockets live in `crates/failpoint/src/net.rs`) |
 //! | `panic-marker`   | panic audit   | medium/low | everything `lint` scans     |
 

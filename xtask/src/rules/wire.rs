@@ -1,10 +1,12 @@
-//! Rule family 3 — wire safety in `crates/proto` and `crates/server`
-//! (`wire-cast` medium, `wire-alloc` high).
+//! Rule family 3 — wire safety in `crates/proto`, `crates/server` and
+//! every file that encodes or decodes an on-disk format (`crates/storage`,
+//! core's journal and meta, tree manifests) (`wire-cast` medium,
+//! `wire-alloc` high).
 //!
-//! The daemon's panic-free decode guarantee (PR 5) is really two promises:
-//! no length from the network is trusted before a `Limits`-style bound
-//! check, and no integer is silently truncated on its way to or from the
-//! wire. Two rules police the code that keeps those promises:
+//! The panic-free decode guarantee is really two promises: no length read
+//! from the network or the disk is trusted before a bound check, and no
+//! integer is silently truncated on its way to or from the bytes. Two
+//! rules police the code that keeps those promises:
 //!
 //! * **`wire-cast`** — a truncating `as` cast (`as u8`/`u16`/`u32`, or
 //!   their signed twins) applied to a length-typed expression (one that
@@ -12,12 +14,13 @@
 //!   that wraps encodes a frame whose announced size lies. Use
 //!   `u32::try_from(..)` (or the checked helpers in `proto::wire`) so
 //!   overflow is impossible or fails closed.
-//! * **`wire-alloc`** — a byte-buffer allocation (`Vec::with_capacity(n)`
-//!   or `vec![_; n]`) whose size is not structurally constant and has no
+//! * **`wire-alloc`** — an allocation (`Vec::with_capacity(n)`,
+//!   `HashMap::with_capacity(n)`, `HashSet::with_capacity(n)` or
+//!   `vec![_; n]`) whose size is not structurally constant and has no
 //!   *visible* bound: neither a `.min(..)`/`MAX_*` clamp in the size
-//!   expression nor a `limits`/`MAX_*` check earlier in the same function.
-//!   A wire-derived size without such a check lets one corrupt length
-//!   field allocate gigabytes. (`String::with_capacity` is exempt: decode
+//!   expression nor a `limits`/`MAX_*` check or a `ByteReader::count_within`
+//!   read earlier in the same function. A size read from the bytes without
+//!   such a check lets one corrupt length field allocate gigabytes. (`String::with_capacity` is exempt: decode
 //!   paths build strings from already-validated byte slices, so a string
 //!   capacity is a hint, not a wire-sized buffer.)
 
@@ -27,8 +30,28 @@ use crate::workspace::Workspace;
 
 use super::{enclosing_fn, expr_is_constant, is_lengthy_ident};
 
+/// Wire code plus every file that encodes or decodes an on-disk format.
 fn in_scope(rel: &str) -> bool {
-    rel.starts_with("crates/proto/src") || rel.starts_with("crates/server/src")
+    [
+        "crates/proto/src",
+        "crates/server/src",
+        "crates/storage/src",
+        "crates/core/src/journal.rs",
+        "crates/core/src/persist.rs",
+        "crates/tree/src/manifest.rs",
+    ]
+    .iter()
+    .any(|scope| rel.starts_with(scope))
+}
+
+/// Types whose `with_capacity` reserves room for a caller-chosen count.
+const SIZED_TYPES: [&str; 3] = ["Vec", "HashMap", "HashSet"];
+
+/// Identifiers that make a bound visible: a `Limits` check, a `MAX_*`
+/// constant, a `.min(..)` clamp, or a count the reader checked against
+/// the bytes that remain.
+fn is_bound_ident(text: &str) -> bool {
+    matches!(text, "limits" | "Limits" | "min" | "count_within") || text.starts_with("MAX")
 }
 
 const NARROW_TARGETS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
@@ -40,7 +63,7 @@ fn is_expr_boundary(t: &crate::lexer::Tok) -> bool {
             && matches!(t.text.as_str(), "return" | "if" | "match" | "let"))
 }
 
-/// Scans proto/server library code for unsafe casts and unchecked
+/// Scans wire and on-disk format code for unsafe casts and unchecked
 /// allocations.
 pub fn scan(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -103,8 +126,9 @@ fn scan_allocs(sf: &SourceFile, findings: &mut Vec<Finding>) {
         if sf.test_mask[i] {
             continue;
         }
-        // `Vec::with_capacity( expr )`
-        let size_range = if toks[i].is_ident("Vec")
+        // `Vec::with_capacity( expr )` (or `HashMap`, `HashSet`)
+        let size_range = if toks[i].kind == TokKind::Ident
+            && SIZED_TYPES.contains(&toks[i].text.as_str())
             && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
             && toks.get(i + 2).is_some_and(|t| t.is_ident("with_capacity"))
         {
@@ -150,25 +174,17 @@ fn scan_allocs(sf: &SourceFile, findings: &mut Vec<Finding>) {
             continue;
         }
         // A visible clamp inside the size expression?
-        let visibly_bounded = toks[range.clone()].iter().any(|t| {
-            t.kind == TokKind::Ident
-                && (t.text == "min"
-                    || t.text == "limits"
-                    || t.text == "Limits"
-                    || t.text.starts_with("MAX"))
-        });
+        let visibly_bounded = toks[range.clone()]
+            .iter()
+            .any(|t| t.kind == TokKind::Ident && is_bound_ident(&t.text));
         if visibly_bounded {
             continue;
         }
         // A bound check earlier in the same function?
         let checked_in_fn = enclosing_fn(sf, i).is_some_and(|span| {
-            toks[span.body_start..i].iter().any(|t| {
-                t.kind == TokKind::Ident
-                    && (t.text == "limits"
-                        || t.text == "Limits"
-                        || t.text.starts_with("MAX")
-                        || t.text == "min")
-            })
+            toks[span.body_start..i]
+                .iter()
+                .any(|t| t.kind == TokKind::Ident && is_bound_ident(&t.text))
         });
         if checked_in_fn {
             continue;
@@ -204,12 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn len_as_u32_is_flagged_in_proto_only() {
+    fn len_as_u32_is_flagged_in_wire_and_format_code_only() {
         let src = "fn f(s: &str) -> u32 { s.len() as u32 }\n";
-        let in_proto = scan_src("crates/proto/src/wire.rs", src);
-        assert_eq!(in_proto.len(), 1, "{in_proto:?}");
-        assert_eq!(in_proto[0].rule, "wire-cast");
+        for rel in [
+            "crates/proto/src/wire.rs",
+            "crates/storage/src/recipe.rs",
+            "crates/core/src/journal.rs",
+            "crates/core/src/persist.rs",
+            "crates/tree/src/manifest.rs",
+        ] {
+            let found = scan_src(rel, src);
+            assert_eq!(found.len(), 1, "{rel}: {found:?}");
+            assert_eq!(found[0].rule, "wire-cast");
+        }
         assert!(scan_src("crates/core/src/lib.rs", src).is_empty());
+        assert!(scan_src("crates/tree/src/backup.rs", src).is_empty());
     }
 
     #[test]
@@ -226,20 +251,38 @@ mod tests {
 
     #[test]
     fn unchecked_alloc_is_flagged() {
-        let src = "fn f(n: usize) -> Vec<u8> { let buf = vec![0u8; n]; buf }\n";
-        let f = scan_src("crates/proto/src/frame.rs", src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "wire-alloc");
+        for (rel, src) in [
+            (
+                "crates/proto/src/frame.rs",
+                "fn f(n: usize) -> Vec<u8> { let buf = vec![0u8; n]; buf }\n",
+            ),
+            (
+                "crates/storage/src/container.rs",
+                "fn f(n: usize) { let m = HashMap::with_capacity(n); }\n",
+            ),
+            (
+                "crates/storage/src/container.rs",
+                "fn f(n: usize) { let s = HashSet::with_capacity(n); }\n",
+            ),
+        ] {
+            let f = scan_src(rel, src);
+            assert_eq!(f.len(), 1, "{src}: {f:?}");
+            assert_eq!(f[0].rule, "wire-alloc");
+        }
     }
 
     #[test]
-    fn min_clamp_and_limits_check_pass() {
+    fn min_clamp_limits_check_and_bounded_count_pass() {
         let clamped = "fn f(n: usize) -> Vec<u8> { Vec::with_capacity(n.min(1024)) }\n";
         assert!(scan_src("crates/proto/src/message.rs", clamped).is_empty());
         let checked = "fn f(len: u32, limits: &Limits) -> Result<Vec<u8>, ()> {\n\
             if len > limits.max_frame { return Err(()); }\n\
             Ok(vec![0u8; len as usize])\n}\n";
         assert!(scan_src("crates/proto/src/frame.rs", checked).is_empty());
+        let counted = "fn f(r: &mut ByteReader) -> Result<(), E> {\n\
+            let n = r.count_within(\"entries\", 28)?;\n\
+            let m = HashMap::with_capacity(n);\n Ok(())\n}\n";
+        assert!(scan_src("crates/storage/src/container.rs", counted).is_empty());
     }
 
     #[test]

@@ -59,6 +59,10 @@ fn wire_fixture_trips_both_wire_rules() {
     assert_eq!(code, 1);
     assert!(stdout.contains("[wire-cast/medium]"), "stdout: {stdout}");
     assert!(stdout.contains("[wire-alloc/high]"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("crates/storage/src/lib.rs:7: [wire-alloc/high]"),
+        "an unchecked map capacity in an on-disk decoder: {stdout}"
+    );
 }
 
 #[test]
