@@ -29,7 +29,12 @@
 #                                      pipelines restoring byte-exact across
 #                                      it; the restore-scheme differential
 #                                      (all schemes byte-identical, reported
-#                                      reads = device reads); the chunking
+#                                      reads = device reads), byte ranges
+#                                      included: empty, first/last byte,
+#                                      across a chunk and a container edge,
+#                                      whole version, each the exact slice
+#                                      of the full restore with no more
+#                                      reads than it; the chunking
 #                                      and hash crates' tests optimised, so
 #                                      the scan-vs-bit-serial differential
 #                                      covers the 64 KiB-average, multi-MiB
@@ -41,7 +46,10 @@
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
 #                                      sides, each reached site proven to
-#                                      fire, resume-tail accounting, server
+#                                      fire, resume-tail accounting (the
+#                                      resumed leg moves only the tail and
+#                                      a late resume reads fewer containers
+#                                      than the full restore), server
 #                                      restart ride-through, busy shedding;
 #                                      then the daemon's disk faulted at
 #                                      every I/O op of one tenant's served

@@ -76,4 +76,4 @@ pub use persist::{
 pub use recluster::ReclusterReport;
 pub use scheme::OutOfLineReport;
 pub use stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
-pub use system::{HiDeStore, HiDeStoreError};
+pub use system::{write_staged, HiDeStore, HiDeStoreError, ResolvedVersion, RESTORE_AREA_BYTES};

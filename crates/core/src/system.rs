@@ -2,8 +2,10 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 use std::num::NonZeroU32;
+use std::ops::Range;
+use std::path::Path;
 use std::time::Instant;
 
 use hidestore_chunking::Chunker;
@@ -29,6 +31,11 @@ use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
 /// prefetch is charged in these units, the same units as the traditional
 /// schemes' index lookups (§5.2.2).
 const LOOKUP_UNIT_BYTES: u64 = 4096;
+
+/// Bytes of output one FAA area assembles in the restores the CLI, the
+/// daemon, tree restore and the auditor run: each container a restore
+/// needs is read once per area.
+pub const RESTORE_AREA_BYTES: usize = 32 << 20;
 
 /// Errors from HiDeStore operations.
 #[derive(Debug)]
@@ -77,6 +84,13 @@ pub enum HiDeStoreError {
         /// The quarantined artifacts the version depends on.
         quarantined: Vec<QuarantinedArtifact>,
     },
+    /// A byte-range restore asked for bytes outside the version's stream.
+    RangeOutOfBounds {
+        /// The requested range.
+        range: Range<u64>,
+        /// The version's stream length.
+        len: u64,
+    },
 }
 
 impl fmt::Display for HiDeStoreError {
@@ -112,6 +126,11 @@ impl fmt::Display for HiDeStoreError {
                 }
                 Ok(())
             }
+            HiDeStoreError::RangeOutOfBounds { range, len } => write!(
+                f,
+                "byte range {}..{} lies outside the {len}-byte version",
+                range.start, range.end
+            ),
         }
     }
 }
@@ -130,6 +149,12 @@ impl std::error::Error for HiDeStoreError {
 impl From<StorageError> for HiDeStoreError {
     fn from(e: StorageError) -> Self {
         HiDeStoreError::Storage(e)
+    }
+}
+
+impl From<io::Error> for HiDeStoreError {
+    fn from(e: io::Error) -> Self {
+        HiDeStoreError::Storage(StorageError::Io(e))
     }
 }
 
@@ -422,7 +447,8 @@ impl<S: ContainerStore> HiDeStore<S> {
     }
 
     /// Restores `version` through any restore cache, resolving the recipe
-    /// chain and serving hot chunks from the active containers (§4.4).
+    /// chain and serving hot chunks from the active containers (§4.4): the
+    /// whole-range case of [`ResolvedVersion::restore_range`].
     ///
     /// # Errors
     ///
@@ -437,15 +463,13 @@ impl<S: ContainerStore> HiDeStore<S> {
         cache: &mut dyn RestoreCache,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, HiDeStoreError> {
-        let entries = self.resolve_restore_entries(version)?;
-        let view = CompositeStore::new(&self.archival, &self.pool);
-        Ok(cache.restore(&entries, &view, out)?)
+        let resolved = self.resolve(version)?;
+        resolved.restore_range(0..resolved.total_bytes(), cache, out)
     }
 
-    /// Restores `version` to `path`, staging the output in `<path>.tmp`
-    /// (`.tmp` appended to the full file name) and renaming it into place
-    /// only on success, so a failed restore — e.g. a fault in a container
-    /// read — never leaves a partial output file behind.
+    /// Restores `version` to `path` through [`write_staged`], so a failed
+    /// restore — e.g. a fault in a container read — never leaves a partial
+    /// output file behind.
     ///
     /// # Errors
     ///
@@ -456,34 +480,41 @@ impl<S: ContainerStore> HiDeStore<S> {
         &self,
         version: VersionId,
         cache: &mut dyn RestoreCache,
-        path: &std::path::Path,
+        path: &Path,
     ) -> Result<RestoreReport, HiDeStoreError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let io_err = |e: std::io::Error| HiDeStoreError::Storage(StorageError::Io(e));
-        let result = (|| {
-            let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-            let report = self.restore(version, cache, &mut file)?;
-            file.sync_all().map_err(io_err)?;
-            drop(file);
-            std::fs::rename(&tmp, path).map_err(io_err)?;
-            Ok(report)
-        })();
-        if result.is_err() {
-            // Best-effort cleanup; the original error is what matters.
-            let _ = std::fs::remove_file(&tmp);
+        write_staged(path, |out| self.restore(version, cache, out))
+    }
+
+    /// Resolves `version` once for byte-range restores: its restore plan
+    /// and the stream offset at which each chunk starts.
+    ///
+    /// # Errors
+    ///
+    /// The resolution errors of [`HiDeStore::restore`]: unknown versions,
+    /// broken chains, quarantined dependencies.
+    pub fn resolve(&self, version: VersionId) -> Result<ResolvedVersion<'_, S>, HiDeStoreError> {
+        let plan = self.resolve_restore_entries(version)?;
+        let mut offsets = Vec::with_capacity(plan.len() + 1);
+        let mut total = 0u64;
+        offsets.push(0);
+        for e in &plan {
+            total += u64::from(e.size);
+            offsets.push(total);
         }
-        result
+        Ok(ResolvedVersion {
+            system: self,
+            version,
+            plan,
+            offsets,
+        })
     }
 
     /// Resolves `version`'s recipe chain into its flat restore plan without
     /// restoring anything: one [`RestoreEntry`] per recipe entry, in stream
     /// order, each carrying the container that physically holds the chunk.
     ///
-    /// Layered consumers (the tree subsystem's subtree-selective restore,
-    /// audits) use the plan to map byte ranges of the version stream onto
-    /// the exact containers they must read.
+    /// Byte-range readers use [`HiDeStore::resolve`] instead, which keeps
+    /// the plan together with its offsets.
     ///
     /// # Errors
     ///
@@ -925,6 +956,126 @@ impl<S: fmt::Debug> fmt::Debug for HiDeStore<S> {
             .field("archival", &self.archival)
             .finish_non_exhaustive()
     }
+}
+
+/// A version resolved for byte-range restores (see [`HiDeStore::resolve`]):
+/// its restore plan plus prefix sums over the chunk sizes, so any byte range
+/// maps onto exactly the chunks — and therefore the containers — that cover
+/// it. This is the one way to read part of a version: tree restore, the
+/// auditor's manifest check and the daemon's resumed restores all use it.
+pub struct ResolvedVersion<'a, S> {
+    system: &'a HiDeStore<S>,
+    version: VersionId,
+    plan: Vec<RestoreEntry>,
+    /// `plan.len() + 1` prefix sums of chunk sizes: chunk `i` covers stream
+    /// bytes `[offsets[i], offsets[i + 1])`.
+    offsets: Vec<u64>,
+}
+
+impl<S: ContainerStore> ResolvedVersion<'_, S> {
+    /// The version this was resolved from.
+    pub fn version(&self) -> VersionId {
+        self.version
+    }
+
+    /// The version's stream length in bytes.
+    pub fn total_bytes(&self) -> u64 {
+        self.offsets.last().copied().unwrap_or(0)
+    }
+
+    /// Restores stream bytes `range` through `cache` into `out`. Only the
+    /// chunks that overlap the range are restored, and the first and last
+    /// of them are trimmed, so `out` receives exactly the range. An empty
+    /// range reads nothing. The report counts this range's reads alone, and
+    /// its `bytes_restored` is what reached `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`HiDeStoreError::RangeOutOfBounds`] if `range` is not inside
+    /// `0..total_bytes()`; otherwise the storage and restore errors of
+    /// [`HiDeStore::restore`].
+    pub fn restore_range(
+        &self,
+        range: Range<u64>,
+        cache: &mut dyn RestoreCache,
+        out: &mut dyn Write,
+    ) -> Result<RestoreReport, HiDeStoreError> {
+        let len = self.total_bytes();
+        if range.start > range.end || range.end > len {
+            return Err(HiDeStoreError::RangeOutOfBounds { range, len });
+        }
+        if range.is_empty() {
+            return Ok(RestoreReport::default());
+        }
+        // The chunk holding the first byte; one past the last chunk that
+        // overlaps the range.
+        let first = self.offsets.partition_point(|&o| o <= range.start) - 1;
+        let last = self.offsets.partition_point(|&o| o < range.end);
+        let mut trim = Trim {
+            skip: range.start - self.offsets[first],
+            left: range.end - range.start,
+            out,
+        };
+        let view = CompositeStore::new(&self.system.archival, &self.system.pool);
+        let mut report = cache.restore(&self.plan[first..last], &view, &mut trim)?;
+        report.bytes_restored = range.end - range.start - trim.left;
+        Ok(report)
+    }
+}
+
+/// Forwards bytes `[skip, skip + left)` of what is written through it and
+/// drops the rest: the trim of a range's first and last chunk.
+struct Trim<'a> {
+    skip: u64,
+    left: u64,
+    out: &'a mut dyn Write,
+}
+
+impl Write for Trim<'_> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        let dropped = self.skip.min(data.len() as u64) as usize;
+        self.skip -= dropped as u64;
+        let kept = &data[dropped..];
+        let kept = &kept[..self.left.min(kept.len() as u64) as usize];
+        self.out.write_all(kept)?;
+        self.left -= kept.len() as u64;
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// Writes the file at `path` through a staging file `<path>.tmp` (`.tmp`
+/// appended to the full file name): `fill` writes the contents, which are
+/// then synced and renamed into place. On every error path — `fill`'s own,
+/// the sync, or the rename — the staging file is removed, so a failed
+/// write never leaves a partial file behind. The local and the remote
+/// `restore_to_path` both write through it.
+///
+/// # Errors
+///
+/// `fill`'s error, or the I/O error creating, syncing or renaming the file.
+pub fn write_staged<T, E: From<io::Error>>(
+    path: &Path,
+    fill: impl FnOnce(&mut dyn Write) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let result = (|| {
+        let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
+        let value = fill(&mut out)?;
+        out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(value)
+    })();
+    if result.is_err() {
+        // Best-effort cleanup; the original error is what matters.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
 }
 
 #[cfg(test)]

@@ -61,15 +61,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
-use hidestore_core::chain::resolve_plan;
 use hidestore_core::{ActivePool, HiDeStore, QuarantinedArtifact as CoreArtifact, ACTIVE_ID_BASE};
 use hidestore_hash::Fingerprint;
-use hidestore_storage::{Cid, Container, ContainerId, ContainerStore, RecipeStore};
-use hidestore_tree::manifest::{
-    decode_stream_header, is_tree_stream, EntryPayload, TreeManifest, STREAM_HEADER_LEN,
-};
+use hidestore_storage::{Cid, Container, ContainerStore, RecipeStore};
+use hidestore_tree::{read_manifest, EntryPayload, TreeError};
 
 /// How bad a [`Finding`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -783,21 +779,43 @@ impl SystemAuditor {
         // tree-backup magic must decode to a valid manifest, and every file
         // entry's content range must lie inside the stream — a dangling
         // range means that file is unrestorable even though every chunk is
-        // intact. Versions whose plans fail to resolve were already
-        // reported by phase 3 and are skipped here.
-        let mut tree_containers: HashMap<u32, Arc<Container>> = HashMap::new();
+        // intact. Only the containers under the header and manifest are
+        // read. Versions that do not resolve, or whose framing chunks
+        // cannot be read, were already reported by phases 2 and 3.
         for v in recipes.versions() {
-            let Ok(plan) = resolve_plan(recipes, pool, v) else {
+            let Ok(stream) = system.resolve(v) else {
                 continue;
             };
-            audit_tree_stream(
-                v.get(),
-                &plan,
-                pool,
-                archival,
-                &mut tree_containers,
-                &mut report,
-            );
+            let version = v.get();
+            match read_manifest(&stream) {
+                Ok(tree) => {
+                    report.tree_manifests_checked += 1;
+                    let content_len = tree.contents.end - tree.contents.start;
+                    for entry in tree.manifest.entries {
+                        if let EntryPayload::File { offset, size } = entry.payload {
+                            if offset + size > content_len {
+                                report.push(
+                                    Severity::Error,
+                                    FindingKind::DanglingTreeRef {
+                                        version,
+                                        apath: entry.apath,
+                                        offset,
+                                        size,
+                                    },
+                                );
+                            }
+                        }
+                    }
+                }
+                Err(TreeError::Corrupt(detail)) => {
+                    report.tree_manifests_checked += 1;
+                    report.push(
+                        Severity::Error,
+                        FindingKind::TreeManifestCorrupt { version, detail },
+                    );
+                }
+                Err(_) => {}
+            }
         }
 
         report
@@ -1038,151 +1056,6 @@ fn walk_entry(
     }
 }
 
-/// Audits one version's stream as a possible tree backup: decodes the
-/// manifest if the tree magic is present, and range-checks every file
-/// entry against the content region. Fetches only the containers that
-/// cover the header and manifest (reusing them across versions through
-/// `containers`), never the whole stream.
-fn audit_tree_stream<S: ContainerStore>(
-    version: u32,
-    plan: &[(Fingerprint, u32, ContainerId)],
-    pool: &ActivePool,
-    archival: &S,
-    containers: &mut HashMap<u32, Arc<Container>>,
-    report: &mut AuditReport,
-) {
-    let mut offsets: Vec<u64> = Vec::with_capacity(plan.len() + 1);
-    let mut total = 0u64;
-    offsets.push(0);
-    for &(_, size, _) in plan {
-        total += size as u64;
-        offsets.push(total);
-    }
-    if total < STREAM_HEADER_LEN {
-        return;
-    }
-    let corrupt = |detail: String| Finding {
-        severity: Severity::Error,
-        kind: FindingKind::TreeManifestCorrupt { version, detail },
-    };
-    let header = match fetch_stream_range(
-        plan,
-        &offsets,
-        pool,
-        archival,
-        containers,
-        0,
-        STREAM_HEADER_LEN,
-    ) {
-        Ok(h) => h,
-        // Unresolvable chunks were already reported by earlier phases.
-        Err(_) => return,
-    };
-    if !is_tree_stream(&header) {
-        return;
-    }
-    report.tree_manifests_checked += 1;
-    let manifest_len = match decode_stream_header(&header) {
-        Ok(len) => len as u64,
-        Err(e) => {
-            report.findings.push(corrupt(e.to_string()));
-            return;
-        }
-    };
-    if STREAM_HEADER_LEN + manifest_len > total {
-        report.findings.push(corrupt(format!(
-            "manifest length {manifest_len} exceeds stream of {total} bytes"
-        )));
-        return;
-    }
-    let bytes = match fetch_stream_range(
-        plan,
-        &offsets,
-        pool,
-        archival,
-        containers,
-        STREAM_HEADER_LEN,
-        manifest_len,
-    ) {
-        Ok(b) => b,
-        Err(e) => {
-            report.findings.push(corrupt(e));
-            return;
-        }
-    };
-    let manifest = match TreeManifest::decode(&bytes) {
-        Ok(m) => m,
-        Err(e) => {
-            report.findings.push(corrupt(e.to_string()));
-            return;
-        }
-    };
-    let content_len = total - STREAM_HEADER_LEN - manifest_len;
-    for entry in &manifest.entries {
-        if let EntryPayload::File { offset, size } = entry.payload {
-            if offset + size > content_len {
-                report.push(
-                    Severity::Error,
-                    FindingKind::DanglingTreeRef {
-                        version,
-                        apath: entry.apath.clone(),
-                        offset,
-                        size,
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// Reassembles stream bytes `[start, start + len)` from the chunks of a
-/// resolved plan, reading archival containers at most once each.
-fn fetch_stream_range<S: ContainerStore>(
-    plan: &[(Fingerprint, u32, ContainerId)],
-    offsets: &[u64],
-    pool: &ActivePool,
-    archival: &S,
-    containers: &mut HashMap<u32, Arc<Container>>,
-    start: u64,
-    len: u64,
-) -> Result<Vec<u8>, String> {
-    let mut out = Vec::with_capacity(len as usize);
-    let end = start + len;
-    let first = offsets.partition_point(|&o| o <= start) - 1;
-    for (i, &(fp, _, container)) in plan.iter().enumerate().skip(first) {
-        if offsets[i] >= end {
-            break;
-        }
-        let raw = container.get();
-        let chunk: &[u8] = if raw >= ACTIVE_ID_BASE {
-            pool.get(&fp)
-                .ok_or_else(|| format!("chunk {fp} missing from the active pool"))?
-        } else {
-            if let std::collections::hash_map::Entry::Vacant(slot) = containers.entry(raw) {
-                let c = archival
-                    .read(container)
-                    .map_err(|e| format!("container {raw} unreadable: {e}"))?;
-                slot.insert(c);
-            }
-            containers
-                .get(&raw)
-                .and_then(|c| c.get(&fp))
-                .ok_or_else(|| format!("chunk {fp} missing from container {raw}"))?
-        };
-        let chunk_start = offsets[i];
-        let lo = start.saturating_sub(chunk_start).min(chunk.len() as u64) as usize;
-        let hi = (end - chunk_start).min(chunk.len() as u64) as usize;
-        out.extend_from_slice(&chunk[lo..hi]);
-    }
-    if out.len() as u64 != len {
-        return Err(format!(
-            "stream range fetch returned {} of {len} bytes",
-            out.len()
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1313,7 +1186,9 @@ mod tests {
 
     #[test]
     fn dangling_tree_ref_and_corrupt_manifest_are_findings() {
+        use hidestore_failpoint::RealVfs;
         use hidestore_tree::manifest::{ManifestEntry, TreeManifest, STREAM_MAGIC};
+        use hidestore_tree::{restore_tree, TreeRestoreOptions};
 
         let mut hds = system();
         // V1: a manifest whose file extent overruns the content region.
@@ -1340,24 +1215,57 @@ mod tests {
             ],
         };
         hds.backup(&manifest.encode_stream(&contents)).unwrap();
+        let framed = |manifest_len: u32, rest: Vec<u8>| {
+            let mut stream = STREAM_MAGIC.to_vec();
+            stream.extend_from_slice(&manifest_len.to_le_bytes());
+            stream.extend(rest);
+            stream
+        };
         // V2: tree magic followed by an undecodable manifest.
-        let mut bogus = Vec::new();
-        bogus.extend_from_slice(&STREAM_MAGIC);
-        bogus.extend_from_slice(&64u32.to_le_bytes());
-        bogus.extend_from_slice(&noise(40_000, 6));
-        hds.backup(&bogus).unwrap();
+        hds.backup(&framed(64, noise(40_000, 6))).unwrap();
+        // V3: the magic and half a manifest length — a header cut short.
+        hds.backup(&framed(64, Vec::new())[..6]).unwrap();
+        // V4: a manifest length past the end of the stream.
+        hds.backup(&framed(1 << 20, noise(20_000, 7))).unwrap();
 
         let report = SystemAuditor::new().audit(&hds);
-        assert_eq!(report.tree_manifests_checked, 2);
+        assert_eq!(report.tree_manifests_checked, 3);
         assert!(report.findings.iter().any(|f| matches!(
             &f.kind,
             FindingKind::DanglingTreeRef { version: 1, apath, .. } if apath == "/overrun"
         )));
-        assert!(report
+        // V3 is too short to carry a header: not a tree backup, so it is
+        // neither counted nor a finding.
+        let corrupt: Vec<u32> = report
             .findings
             .iter()
-            .any(|f| matches!(&f.kind, FindingKind::TreeManifestCorrupt { version: 2, .. })));
+            .filter_map(|f| match f.kind {
+                FindingKind::TreeManifestCorrupt { version, .. } => Some(version),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(corrupt, [2, 4], "{report}");
         assert_eq!(report.max_severity(), Some(Severity::Error));
+
+        // The restore refuses the same streams with the matching errors.
+        let dest = std::env::temp_dir().join(format!("hds-fsck-tree-{}", std::process::id()));
+        let restore = |v: u32| {
+            restore_tree(
+                &hds,
+                &RealVfs,
+                VersionId::new(v),
+                &dest,
+                &TreeRestoreOptions::default(),
+            )
+        };
+        assert!(matches!(restore(2), Err(TreeError::Corrupt(_))));
+        assert!(matches!(restore(3), Err(TreeError::NotATreeBackup(v)) if v.get() == 3));
+        let past_end = restore(4);
+        assert!(
+            matches!(&past_end, Err(TreeError::Corrupt(d)) if d.contains("exceeds stream")),
+            "{past_end:?}"
+        );
+        assert!(!dest.exists(), "a refused restore creates no destination");
     }
 
     #[test]

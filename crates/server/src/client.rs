@@ -9,12 +9,12 @@
 //! not fit the protocol state machine is [`ClientError::Protocol`].
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::net::ToSocketAddrs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
+use hidestore_core::write_staged;
 use hidestore_failpoint::Socket;
 use hidestore_proto::{
     read_frame, write_frame, BackupSummary, Frame, FrameError, FrameKind, Hello, Limits,
@@ -358,10 +358,10 @@ impl RemoteClient {
         }
     }
 
-    /// Restores `version` into the file at `path`, writing through
-    /// `<path>.tmp` (`.tmp` appended to the full file name) and renaming
-    /// only on success, so an aborted stream never leaves a truncated file
-    /// behind.
+    /// Restores `version` into the file at `path` through
+    /// [`hidestore_core::write_staged`]: the stream lands in `<path>.tmp`
+    /// (`.tmp` appended to the full file name), which is renamed only on
+    /// success, so an aborted stream never leaves a truncated file behind.
     ///
     /// # Errors
     ///
@@ -372,31 +372,7 @@ impl RemoteClient {
         version: u32,
         path: impl AsRef<Path>,
     ) -> Result<RestoreSummary, ClientError> {
-        let path = path.as_ref();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let result = (|| {
-            let file = File::create(&tmp)?;
-            let mut writer = BufWriter::new(file);
-            let summary = self.restore_to(version, &mut writer)?;
-            writer.flush()?;
-            writer
-                .into_inner()
-                .map_err(|e| io::Error::other(e.to_string()))?
-                .sync_all()?;
-            Ok(summary)
-        })();
-        match result {
-            Ok(summary) => {
-                std::fs::rename(&tmp, path)?;
-                Ok(summary)
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_staged(path.as_ref(), |out| self.restore_to(version, out))
     }
 
     /// Fetches the version listing.

@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hidestore_core::{HiDeStoreConfig, HiDeStoreError};
+use hidestore_core::{HiDeStoreConfig, HiDeStoreError, RESTORE_AREA_BYTES};
 use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
 use hidestore_proto::{
@@ -64,10 +64,6 @@ use crate::view;
 
 /// Payload bytes per DATA frame when streaming restores to a client.
 pub const DATA_CHUNK: usize = 256 * 1024;
-
-/// Bytes of the restore cache each served restore gets (matches the local
-/// CLI's default FAA cache).
-const RESTORE_CACHE_BYTES: usize = 32 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -1024,31 +1020,6 @@ enum ServedRestore {
     Transport(io::Error),
 }
 
-/// An `io::Write` that discards the first `skip` bytes and forwards the
-/// rest. A resumed restore replays the whole version through the restore
-/// pipeline (the engine has no mid-version seek) but only re-transfers the
-/// bytes after the client's acknowledged offset.
-struct SkipWriter<W> {
-    skip: u64,
-    inner: W,
-}
-
-impl<W: Write> Write for SkipWriter<W> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        let len = data.len();
-        let drop = (self.skip.min(len as u64)) as usize;
-        self.skip -= drop as u64;
-        if drop < len {
-            self.inner.write_all(&data[drop..])?;
-        }
-        Ok(len)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 fn serve_restore<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
@@ -1069,10 +1040,11 @@ fn serve_restore<V: Vfs>(
     };
     let v = VersionId::new(version);
     let served = slot.handle().read(|system| {
-        let Some(recipe) = system.recipes().get(v) else {
-            return ServedRestore::RepoError(HiDeStoreError::UnknownVersion(v));
+        let resolved = match system.resolve(v) {
+            Ok(resolved) => resolved,
+            Err(e) => return ServedRestore::RepoError(e),
         };
-        let total_bytes = recipe.total_bytes();
+        let total_bytes = resolved.total_bytes();
         if offset > total_bytes {
             return ServedRestore::BadOffset { total_bytes };
         }
@@ -1082,27 +1054,26 @@ fn serve_restore<V: Vfs>(
                 other => io::Error::other(other.to_string()),
             });
         }
-        let mut writer = SkipWriter {
-            skip: offset,
-            inner: DataFrameWriter::new(stream),
-        };
-        let mut cache = Faa::new(RESTORE_CACHE_BYTES);
-        match system
-            .restore(v, &mut cache, &mut writer)
+        // A resumed leg restores only the tail, so it reads only the
+        // containers under it.
+        let mut writer = DataFrameWriter::new(stream);
+        let mut cache = Faa::new(RESTORE_AREA_BYTES);
+        match resolved
+            .restore_range(offset..total_bytes, &mut cache, &mut writer)
             .and_then(|report| {
-                writer
-                    .flush()
-                    .map_err(|e| HiDeStoreError::Storage(hidestore_storage::StorageError::Io(e)))?;
+                writer.flush()?;
                 Ok(report)
             }) {
             Ok(report) => ServedRestore::Done {
                 summary: RestoreSummary {
-                    bytes_restored: report.bytes_restored,
+                    // The whole version, which the client checks against
+                    // the announced length.
+                    bytes_restored: total_bytes,
                     container_reads: report.container_reads,
                     cache_hits: report.cache_hits,
                     cache_misses: report.cache_misses,
                 },
-                bytes_out: writer.inner.bytes_out,
+                bytes_out: writer.bytes_out,
             },
             Err(error) => ServedRestore::RepoError(error),
         }

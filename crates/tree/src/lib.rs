@@ -9,14 +9,17 @@
 //! framed stream. Because the tree rides the normal version machinery it
 //! inherits recipes, journaled crash safety, and fsck auditing for free.
 //!
-//! Restore plans from the manifest: it fetches the stream header and
-//! manifest first, then reads only the byte ranges — and therefore only the
-//! containers — the selected entries need, which makes subtree restore cost
-//! proportional to the data restored rather than the size of the backup.
-//! Contiguous file contents share one FAA pass, so a whole-tree restore
-//! reads each container once per area, as a stream restore does. Files are
-//! staged to `.hds-tmp` names as they complete and renamed into place, then
-//! their metadata is reapplied.
+//! Restore plans from the manifest. [`read_manifest`] frames a version's
+//! stream — header, magic, manifest length, manifest — and the auditor
+//! uses it too. Every read, the framing's and the file contents', is a
+//! byte range of the version restored through core's
+//! [`hidestore_core::ResolvedVersion::restore_range`], which reads only the
+//! containers under the range: subtree restore cost is proportional to the
+//! data restored rather than the size of the backup. Contiguous file
+//! contents share one range, so a whole-tree restore reads each container
+//! once per FAA area, as a stream restore does. Files are staged to
+//! `.hds-tmp` names as they complete and renamed into place, then their
+//! metadata is reapplied.
 //!
 //! Known limits (deliberate, documented): hardlinks are stored as
 //! independent files, extended attributes and ownership are not captured,
@@ -65,7 +68,9 @@ mod restore;
 pub use backup::{backup_tree, TreeBackupOptions, TreeBackupReport};
 pub use exclude::{ExcludeError, ExcludeSet};
 pub use manifest::{EntryPayload, ManifestEntry, TreeManifest};
-pub use restore::{restore_tree, TreeRestoreOptions, TreeRestoreReport, TMP_SUFFIX};
+pub use restore::{
+    read_manifest, restore_tree, TreeRestoreOptions, TreeRestoreReport, TreeStream, TMP_SUFFIX,
+};
 
 /// One entry that a backup or restore could not process. The operation
 /// continues past it; callers surface the list and exit non-zero.

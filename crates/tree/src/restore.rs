@@ -1,22 +1,26 @@
 //! Tree restore: full-tree and subtree-selective, planned from the
 //! manifest so partial restores read only the containers they need.
 //!
-//! The content phase is one FAA pass per run of contiguous selected files
-//! (a whole tree or a subtree is one run): each container is read once per
-//! area and its bytes are scattered into the file being filled, which is
-//! placed the moment it is complete.
+//! Every read is a byte range of the resolved version
+//! ([`ResolvedVersion::restore_range`], core's one way to read part of a
+//! version): [`read_manifest`] takes the header and the manifest, and the
+//! content phase is one range per run of contiguous selected files (a
+//! whole tree or a subtree is one run). Each container is read once per
+//! FAA area and its bytes are scattered into the file being filled, which
+//! is placed the moment it is complete.
 
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use hidestore_core::HiDeStore;
+use hidestore_core::{HiDeStore, ResolvedVersion, RESTORE_AREA_BYTES};
 use hidestore_failpoint::Vfs;
-use hidestore_restore::{Faa, RestoreEntry};
+use hidestore_restore::Faa;
 use hidestore_storage::{ContainerStore, VersionId};
 
 use crate::manifest::{
-    decode_stream_header, EntryPayload, ManifestEntry, TreeManifest, STREAM_HEADER_LEN,
-    STREAM_MAGIC,
+    decode_stream_header, is_tree_stream, EntryPayload, ManifestEntry, ManifestError, TreeManifest,
+    STREAM_HEADER_LEN,
 };
 use crate::{apath, SkippedEntry, TreeError};
 
@@ -24,10 +28,6 @@ use crate::{apath, SkippedEntry, TreeError};
 /// `<name>.hds-tmp` and renamed into place only when complete, so a crashed
 /// restore never leaves a truncated file under a final name.
 pub const TMP_SUFFIX: &str = ".hds-tmp";
-
-/// Bytes of output one FAA area assembles: each container a pass needs is
-/// read once per area. The same 32 MiB the CLI's stream `restore` uses.
-const AREA_BYTES: usize = 32 << 20;
 
 /// Options for [`restore_tree`].
 #[derive(Debug, Clone, Default)]
@@ -70,17 +70,17 @@ impl TreeRestoreReport {
 /// Restores `version` (a tree backup made by [`crate::backup_tree`]) under
 /// the `dest` directory.
 ///
-/// The restore plans from the manifest: it fetches the stream header and
-/// manifest first, selects the requested entries, creates their
-/// directories and symlinks, and then reads *only* the byte ranges — and
-/// therefore only the containers — the selected files need. Files whose
-/// contents are contiguous in the stream (all of them, for a whole tree or
-/// a subtree) share one FAA pass, so each container is read once per
-/// 32 MiB area rather than once per file. Every file is staged to
-/// `<name>.hds-tmp` as soon as its last byte arrives, synced, renamed into
-/// place, and given its permission bits and mtime; directory metadata is
-/// applied children-first after all content lands, so a parent's mtime is
-/// not clobbered by writes beneath it.
+/// The restore plans from the manifest: it resolves the version once,
+/// reads the stream header and manifest through [`read_manifest`], selects
+/// the requested entries, creates their directories and symlinks, and then
+/// restores *only* the byte ranges — and therefore only the containers —
+/// the selected files need. Files whose contents are contiguous in the
+/// stream (all of them, for a whole tree or a subtree) share one FAA pass,
+/// so each container is read once per 32 MiB area rather than once per
+/// file. Every file is staged to `<name>.hds-tmp` as soon as its last byte
+/// arrives, synced, renamed into place, and given its permission bits and
+/// mtime; directory metadata is applied children-first after all content
+/// lands, so a parent's mtime is not clobbered by writes beneath it.
 ///
 /// Per-entry resilience: a destination failure skips only its entry. When
 /// a pass fails on a container read, each file it had not yet placed is
@@ -105,28 +105,17 @@ where
     S: ContainerStore,
     V: Vfs,
 {
-    let mut stream = Stream::new(system.restore_plan(version).map_err(TreeError::System)?);
-    let total = stream.len();
-    if total < STREAM_HEADER_LEN {
-        return Err(TreeError::NotATreeBackup(version));
-    }
-
-    let header = stream.read(system, 0, STREAM_HEADER_LEN)?;
-    if header[..4] != STREAM_MAGIC {
-        return Err(TreeError::NotATreeBackup(version));
-    }
-    let manifest_len =
-        decode_stream_header(&header).map_err(|e| TreeError::Corrupt(e.to_string()))? as u64;
-    if STREAM_HEADER_LEN + manifest_len > total {
-        return Err(TreeError::Corrupt(format!(
-            "manifest length {manifest_len} exceeds stream of {total} bytes"
-        )));
-    }
-    let manifest_bytes = stream.read(system, STREAM_HEADER_LEN, manifest_len)?;
-    let manifest =
-        TreeManifest::decode(&manifest_bytes).map_err(|e| TreeError::Corrupt(e.to_string()))?;
-    let content_base = STREAM_HEADER_LEN + manifest_len;
-    let content_len = total - content_base;
+    let version = system.resolve(version)?;
+    let TreeStream {
+        manifest,
+        contents,
+        container_reads,
+    } = read_manifest(&version)?;
+    let content_len = contents.end - contents.start;
+    let mut stream = Stream {
+        faa: Faa::new(RESTORE_AREA_BYTES),
+        container_reads,
+    };
 
     // Selection: the whole tree, or the subtree rooted at the given apath.
     let subtree = match &options.subtree {
@@ -197,7 +186,7 @@ where
                 files.push(FileJob {
                     entry,
                     path,
-                    start: content_base + offset,
+                    start: contents.start + offset,
                     len: *size,
                 });
             }
@@ -227,13 +216,13 @@ where
     for run in files.chunk_by(|a, b| a.start + a.len == b.start) {
         let lens: Vec<u64> = run.iter().map(|f| f.len).collect();
         let mut handed = 0;
-        let outcome = stream.pass(system, run[0].start, &lens, |i, bytes| {
+        let outcome = stream.pass(&version, run[0].start, &lens, |i, bytes| {
             handed = i + 1;
             run[i].place(vfs, bytes, &mut report);
         });
         if outcome.is_err() {
             for file in &run[handed..] {
-                let alone = stream.pass(system, file.start, &[file.len], |_, bytes| {
+                let alone = stream.pass(&version, file.start, &[file.len], |_, bytes| {
                     file.place(vfs, bytes, &mut report);
                 });
                 if let Err(e) = alone {
@@ -336,94 +325,99 @@ fn place_file<V: Vfs>(
     result
 }
 
-/// The version stream, addressable by byte range: the restore plan's chunk
-/// entries, located by prefix sums over their sizes, and read through one
-/// FAA whose reads are summed across passes.
+/// A tree backup's manifest and where its file contents sit in the
+/// version stream.
+#[derive(Debug)]
+pub struct TreeStream {
+    /// The decoded manifest.
+    pub manifest: TreeManifest,
+    /// Stream bytes of the content region: a file entry's `offset` counts
+    /// from `contents.start`.
+    pub contents: Range<u64>,
+    /// Container reads the header and manifest took.
+    pub container_reads: u64,
+}
+
+/// Reads a tree backup's framing from its resolved version: the stream
+/// header, its magic, the manifest length against the stream, and the
+/// manifest itself, each byte range restored on its own so only the
+/// containers under the header and manifest are read.
+///
+/// # Errors
+///
+/// [`TreeError::NotATreeBackup`] when the stream is shorter than the
+/// header or lacks the tree magic; [`TreeError::Corrupt`] when the header
+/// or manifest does not decode or the manifest runs past the stream;
+/// [`TreeError::System`] when a chunk cannot be read.
+pub fn read_manifest<S: ContainerStore>(
+    version: &ResolvedVersion<'_, S>,
+) -> Result<TreeStream, TreeError> {
+    let total = version.total_bytes();
+    let not_a_tree = || TreeError::NotATreeBackup(version.version());
+    let corrupt = |e: ManifestError| TreeError::Corrupt(e.to_string());
+    let mut faa = Faa::new(RESTORE_AREA_BYTES);
+    let mut container_reads = 0;
+    let mut read = |range: Range<u64>| -> Result<Vec<u8>, TreeError> {
+        let mut bytes = Vec::new();
+        container_reads += version
+            .restore_range(range, &mut faa, &mut bytes)?
+            .container_reads;
+        Ok(bytes)
+    };
+    if total < STREAM_HEADER_LEN {
+        return Err(not_a_tree());
+    }
+    let header = read(0..STREAM_HEADER_LEN)?;
+    if !is_tree_stream(&header) {
+        return Err(not_a_tree());
+    }
+    let manifest_end =
+        STREAM_HEADER_LEN + u64::from(decode_stream_header(&header).map_err(corrupt)?);
+    if manifest_end > total {
+        return Err(TreeError::Corrupt(format!(
+            "manifest length {} exceeds stream of {total} bytes",
+            manifest_end - STREAM_HEADER_LEN
+        )));
+    }
+    let manifest =
+        TreeManifest::decode(&read(STREAM_HEADER_LEN..manifest_end)?).map_err(corrupt)?;
+    Ok(TreeStream {
+        manifest,
+        contents: manifest_end..total,
+        container_reads,
+    })
+}
+
+/// The content passes' FAA and the container reads summed across every
+/// pass of one tree restore.
 struct Stream {
-    plan: Vec<RestoreEntry>,
-    /// `plan.len() + 1` prefix sums of chunk sizes: chunk `i` covers stream
-    /// bytes `[offsets[i], offsets[i + 1])`.
-    offsets: Vec<u64>,
     faa: Faa,
     container_reads: u64,
 }
 
 impl Stream {
-    fn new(plan: Vec<RestoreEntry>) -> Self {
-        let mut offsets = Vec::with_capacity(plan.len() + 1);
-        let mut total = 0u64;
-        offsets.push(0);
-        for e in &plan {
-            total += u64::from(e.size);
-            offsets.push(total);
-        }
-        Stream {
-            plan,
-            offsets,
-            faa: Faa::new(AREA_BYTES),
-            container_reads: 0,
-        }
-    }
-
-    /// Total stream bytes.
-    fn len(&self) -> u64 {
-        self.offsets[self.offsets.len() - 1]
-    }
-
-    /// Reads stream bytes `[start, start + len)` into memory.
-    fn read<S: ContainerStore>(
-        &mut self,
-        system: &HiDeStore<S>,
-        start: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, TreeError> {
-        let mut bytes = Vec::new();
-        self.pass(system, start, &[len], |_, piece| {
-            bytes.extend_from_slice(piece);
-        })?;
-        Ok(bytes)
-    }
-
-    /// One FAA pass over the consecutive pieces of `lens` bytes starting
-    /// at stream offset `start`: restores only the chunks covering them and
+    /// One pass over the consecutive pieces of `lens` bytes starting at
+    /// stream offset `start`: restores only the chunks covering them and
     /// calls `done(i, bytes)` the moment piece `i` is complete.
     ///
     /// A read failure or a stream that ends early is an error; the pieces
     /// handed to `done` before it stay handed.
     fn pass<S: ContainerStore>(
         &mut self,
-        system: &HiDeStore<S>,
+        version: &ResolvedVersion<'_, S>,
         start: u64,
         lens: &[u64],
         done: impl FnMut(usize, &[u8]),
     ) -> Result<(), TreeError> {
         let want: u64 = lens.iter().sum();
         let mut sink = Scatter {
-            skip: 0,
             lens,
             next: 0,
             buf: Vec::new(),
             done,
         };
-        if want > 0 {
-            let end = start + want;
-            debug_assert!(end <= self.len());
-            // First chunk whose range contains `start`; one past the last
-            // chunk overlapping `end`.
-            let first = self.offsets.partition_point(|&o| o <= start) - 1;
-            let last = self.offsets.partition_point(|&o| o < end);
-            sink.skip = start - self.offsets[first];
-            let report = system
-                // Fourth argument: ignored, kept for the benchmark harness.
-                .restore_entries(
-                    &self.plan[first..last],
-                    &mut self.faa,
-                    &mut sink,
-                    &Default::default(),
-                )
-                .map_err(TreeError::System)?;
-            self.container_reads += report.container_reads;
-        }
+        let report = version.restore_range(start..start + want, &mut self.faa, &mut sink)?;
+        self.container_reads += report.container_reads;
         // Empty pieces after the last byte (or in a pass with no bytes).
         sink.settle();
         if sink.next < lens.len() {
@@ -436,12 +430,9 @@ impl Stream {
     }
 }
 
-/// The sink of every pass: drops the leading `skip` bytes of the first
-/// chunk, gathers the consecutive pieces of `lens` bytes one at a time, and
-/// hands each to `done` as soon as it is complete. Bytes past the last
-/// piece (the tail of the final chunk) are ignored.
+/// The sink of every pass: gathers the consecutive pieces of `lens` bytes
+/// one at a time and hands each to `done` as soon as it is complete.
 struct Scatter<'a, F> {
-    skip: u64,
     lens: &'a [u64],
     /// The piece being gathered.
     next: usize,
@@ -463,9 +454,7 @@ impl<F: FnMut(usize, &[u8])> Scatter<'_, F> {
 impl<F: FnMut(usize, &[u8])> Write for Scatter<'_, F> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
         let len = data.len();
-        let drop = self.skip.min(len as u64) as usize;
-        self.skip -= drop as u64;
-        let mut data = &data[drop..];
+        let mut data = data;
         while !data.is_empty() && self.next < self.lens.len() {
             let want = (self.lens[self.next] - self.buf.len() as u64) as usize;
             let take = want.min(data.len());

@@ -68,6 +68,7 @@ use std::time::Duration;
 
 use hidestore::core::{
     repository_recovery_state, DedupMode, HiDeStore, HiDeStoreConfig, PendingJournal,
+    RESTORE_AREA_BYTES,
 };
 use hidestore::fsck::{AuditReport, Finding, FindingKind, Severity, SystemAuditor};
 use hidestore::proto::json::json_string;
@@ -457,7 +458,7 @@ fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
     // failed restore never leaves a partial file behind.
     let report = system.restore_to_path(
         VersionId::new(v),
-        &mut Faa::new(32 << 20),
+        &mut Faa::new(RESTORE_AREA_BYTES),
         Path::new(outfile),
     )?;
     println!(

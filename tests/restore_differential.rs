@@ -13,7 +13,9 @@
 //!   exactly that many when the plan names no active container;
 //! * `BeladyCache` (the optimal reference) never reads more than
 //!   `ContainerLru` at equal slots;
-//! * FAA and ALACC reads are non-increasing in capacity.
+//! * FAA and ALACC reads are non-increasing in capacity;
+//! * a byte range of a version restores the matching slice of the full
+//!   restore, reading no more containers than it.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -224,6 +226,95 @@ fn baseline_pipeline_reads_are_the_stores_reads() {
             },
         );
     }
+}
+
+/// Byte ranges of one version restore as exact slices of the full restore
+/// under every scheme × capacity: the empty range, the first byte, a range
+/// across a chunk edge, one across a container edge, the last byte and the
+/// whole version. Each reads no more containers than the full restore, and
+/// the version is archival-only, so each range's reported reads are exactly
+/// the reads the archival store served.
+#[test]
+fn byte_ranges_restore_exact_slices_under_every_scheme() {
+    let versions = VersionStream::new(Profile::Kernel.spec().scaled(150_000, 2), 41).all_versions();
+    let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());
+    for v in &versions {
+        hds.backup(v).unwrap();
+    }
+    // An unrelated version turns every earlier chunk cold.
+    let unrelated = VersionStream::new(Profile::Gcc.spec().scaled(100_000, 1), 43).all_versions();
+    hds.backup(&unrelated[0]).unwrap();
+    hds.flatten_recipes();
+    let version = VersionId::new(versions.len() as u32);
+    let original = &versions[versions.len() - 1];
+
+    let plan = hds.restore_plan(version).unwrap();
+    assert!(plan.iter().all(|e| e.container.get() < ACTIVE_ID_BASE));
+    let mut edges = Vec::new();
+    let mut at = 0u64;
+    for pair in plan.windows(2) {
+        at += u64::from(pair[0].size);
+        edges.push((at, pair[0].container != pair[1].container));
+    }
+    let chunk_edge = edges.iter().find(|&&(_, crosses)| !crosses).unwrap().0;
+    let container_edge = edges.iter().find(|&&(_, crosses)| crosses).unwrap().0;
+    let len = original.len() as u64;
+    let ranges = [
+        ("empty", 0..0),
+        ("first byte", 0..1),
+        ("chunk edge", chunk_edge - 3..chunk_edge + 3),
+        ("container edge", container_edge - 5..container_edge + 5),
+        ("last byte", len - 1..len),
+        ("whole", 0..len),
+    ];
+
+    let resolved = hds.resolve(version).unwrap();
+    assert_eq!(resolved.total_bytes(), len);
+    for scheme in SCHEMES {
+        for (cap_tag, slots, bytes) in CAPACITIES {
+            let mut full_out = Vec::new();
+            let full = hds
+                .restore(
+                    version,
+                    make_scheme(scheme, slots, bytes).as_mut(),
+                    &mut full_out,
+                )
+                .unwrap();
+            assert_eq!(&full_out, original, "{scheme}/{cap_tag}");
+            for (range_tag, range) in ranges.clone() {
+                let tag = format!("{scheme}/{cap_tag}/{range_tag}");
+                let mut out = Vec::new();
+                let before = hds.archival().stats();
+                let report = resolved
+                    .restore_range(
+                        range.clone(),
+                        make_scheme(scheme, slots, bytes).as_mut(),
+                        &mut out,
+                    )
+                    .unwrap();
+                let device = hds.archival().stats().since(&before);
+                assert_eq!(
+                    out,
+                    full_out[range.start as usize..range.end as usize],
+                    "{tag}"
+                );
+                assert_eq!(report.bytes_restored, range.end - range.start, "{tag}");
+                assert!(
+                    report.container_reads <= full.container_reads,
+                    "{tag}: {} reads, the full restore {}",
+                    report.container_reads,
+                    full.container_reads
+                );
+                assert_eq!(device.container_reads, report.container_reads, "{tag}");
+            }
+        }
+    }
+    let past_end =
+        resolved.restore_range(len - 1..len + 1, &mut Faa::new(1 << 20), &mut Vec::new());
+    assert!(
+        matches!(past_end, Err(HiDeStoreError::RangeOutOfBounds { .. })),
+        "{past_end:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

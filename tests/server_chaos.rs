@@ -18,17 +18,19 @@
 //! a clean concurrent workload — B's repository must come out untouched no
 //! matter where A's connection dies.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, ACTIVE_ID_BASE};
 use hidestore::failpoint::{FaultKind, Plan};
 use hidestore::fsck::SystemAuditor;
 use hidestore::proto::{ErrorCode, TenantId};
 use hidestore::server::{
     serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
 };
+use hidestore::storage::{FileContainerStore, VersionId};
 use hidestore::tenant::TENANTS_SUBDIR;
 
 const PAYLOAD_A: usize = 40_000;
@@ -310,6 +312,9 @@ fn resumed_restore_retransfers_only_the_tail() {
     let payload = noise(600_000, 9);
     let mut seeder = RetryClient::new(addr.to_string(), fast_policy());
     seeder.backup(&payload).unwrap();
+    // An unrelated V2 turns every chunk of V1 cold, so V1 restores from
+    // archival containers only.
+    seeder.backup(&noise(100_000, 10)).unwrap();
 
     // Count the wire operations of one clean restore.
     let counting = Plan::counting();
@@ -345,6 +350,29 @@ fn resumed_restore_retransfers_only_the_tail() {
     }
     assert!(exercised, "no cut site interrupted the restore mid-stream");
 
+    // A late resume restores only the tail, so it reads only the containers
+    // under it: fewer than the full restore, for the same bytes and the
+    // same whole-version `bytes_restored`.
+    let mut direct = RemoteClient::connect(addr).unwrap();
+    let mut full_bytes = Vec::new();
+    let full = direct
+        .restore_resume(1, 0, &mut full_bytes)
+        .unwrap()
+        .summary;
+    assert_eq!(full_bytes, payload);
+    let late = payload.len() * 3 / 4;
+    let mut tail = Vec::new();
+    let resumed = direct.restore_resume(1, late as u64, &mut tail).unwrap();
+    assert_eq!(tail, payload[late..]);
+    assert_eq!(resumed.summary.bytes_restored, full.bytes_restored);
+    assert!(
+        resumed.summary.container_reads < full.container_reads,
+        "resumed leg read {} containers, the full restore {}",
+        resumed.summary.container_reads,
+        full.container_reads
+    );
+    drop(direct);
+
     let stats = shutdown_with_watchdog(handle);
     assert!(
         stats.sessions_resumed >= 1,
@@ -352,6 +380,18 @@ fn resumed_restore_retransfers_only_the_tail() {
     );
     assert_no_tmp_files(&dir);
     assert_fsck_clean(&dir);
+    let config = HiDeStoreConfig::load_from(&dir).unwrap();
+    let system: HiDeStore<FileContainerStore> = HiDeStore::open_repository(config, &dir).unwrap();
+    let containers: BTreeSet<u32> = system
+        .restore_plan(VersionId::new(1))
+        .unwrap()
+        .iter()
+        .map(|e| e.container.get())
+        .collect();
+    assert!(
+        containers.len() >= 4 && containers.iter().all(|&c| c < ACTIVE_ID_BASE),
+        "V1 must span at least 4 archival containers: {containers:?}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -14,9 +14,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, RESTORE_AREA_BYTES};
 use hidestore::fsck::SystemAuditor;
+use hidestore::restore::Faa;
 use hidestore::server::{serve, RemoteClient, ServerConfig};
+use hidestore::storage::{MemoryContainerStore, VersionId};
 
 fn temp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hidestore-loopback-{tag}-{}", std::process::id()));
@@ -186,6 +188,49 @@ fn remote_restore_staging_never_touches_other_files() {
     conn.restore_to_path(99, &keep).unwrap_err();
     assert_eq!(fs::read(&keep).unwrap(), b"previous good output");
     assert!(!out_dir.join("keep.tmp.tmp").exists());
+
+    drop(conn);
+    handle.shutdown_and_join();
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&out_dir).unwrap();
+}
+
+/// A restore whose final rename fails — the destination is an existing
+/// directory — is an error that leaves no `<path>.tmp` behind, locally and
+/// through the daemon: both stage through `hidestore_core::write_staged`.
+#[test]
+fn restore_onto_a_directory_fails_without_leaving_tmp() {
+    let data = payload(1, 0);
+    let out_dir = temp("onto-dir-out");
+    let dest = out_dir.join("taken");
+    fs::create_dir_all(dest.join("inside")).unwrap();
+    let tmp = out_dir.join("taken.tmp");
+
+    let mut local = HiDeStore::new(
+        HiDeStoreConfig::small_for_tests(),
+        MemoryContainerStore::new(),
+    );
+    local.backup(&data).unwrap();
+    local
+        .restore_to_path(VersionId::new(1), &mut Faa::new(RESTORE_AREA_BYTES), &dest)
+        .unwrap_err();
+    assert!(!tmp.exists(), "local restore left {}", tmp.display());
+
+    let dir = temp("onto-dir");
+    HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
+    let handle = serve(
+        &dir,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = RemoteClient::connect(handle.addr()).unwrap();
+    conn.backup_bytes(&data).unwrap();
+    conn.restore_to_path(1, &dest).unwrap_err();
+    assert!(!tmp.exists(), "remote restore left {}", tmp.display());
+    assert!(dest.join("inside").is_dir(), "the directory is untouched");
 
     drop(conn);
     handle.shutdown_and_join();

@@ -12,7 +12,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig, ACTIVE_ID_BASE};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, ACTIVE_ID_BASE, RESTORE_AREA_BYTES};
 use hidestore::failpoint::{RealVfs, Vfs, VfsEntryKind};
 use hidestore::restore::Faa;
 use hidestore::storage::{ContainerId, ContainerStore, MemoryContainerStore, VersionId};
@@ -601,7 +601,7 @@ fn stream_layout<S: ContainerStore>(
         .collect();
     let mut stream = Vec::new();
     system
-        .restore(version, &mut Faa::new(32 << 20), &mut stream)
+        .restore(version, &mut Faa::new(RESTORE_AREA_BYTES), &mut stream)
         .unwrap();
     (spans, stream)
 }
@@ -734,7 +734,7 @@ fn full_restore_reads_no_more_containers_than_a_stream_restore() {
     let version = report.stats.version;
 
     let stream = system
-        .restore(version, &mut Faa::new(32 << 20), &mut io::sink())
+        .restore(version, &mut Faa::new(RESTORE_AREA_BYTES), &mut io::sink())
         .unwrap();
     assert!(
         stream.container_reads >= 5,
