@@ -19,10 +19,13 @@
 #   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
 #                                      and of the reverse-dedup and recluster
-#                                      maintenance lifecycles; then the two
+#                                      maintenance lifecycles; then the three
 #                                      persistence tests that a save stages
-#                                      only what changed and that a failed
-#                                      save keeps its changes for the retry
+#                                      only what changed, that a failed
+#                                      save keeps its changes for the retry,
+#                                      and that a save encoding on several
+#                                      threads keeps the serial op order and
+#                                      records each staged file's own CRC
 #   7. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -36,9 +39,13 @@
 #                                      of the full restore with no more
 #                                      reads than it; the chunking
 #                                      and hash crates' tests optimised, so
-#                                      the scan-vs-bit-serial differential
-#                                      covers the 64 KiB-average, multi-MiB
-#                                      cases, and the unrolled SHA-1 and
+#                                      the two-lane scan-vs-bit-serial
+#                                      differential covers the 64 KiB-
+#                                      average, multi-MiB cases, streams
+#                                      ending at a lane round's edge and
+#                                      cuts lane B must win over lane A,
+#                                      the multiplicative divisor test
+#                                      matches `%`, and the unrolled SHA-1 and
 #                                      slicing CRC-32 meet their golden
 #                                      digest and byte-loop oracle, at
 #                                      release codegen too
@@ -115,7 +122,8 @@ echo "ci: cargo test --release --test crash_matrix"
 cargo test --release --test crash_matrix -q
 cargo test --release -p hidestore-core --lib -q -- \
     persist::tests::commit_cost_does_not_grow_with_history \
-    persist::tests::failed_save_keeps_its_changes_for_the_retry
+    persist::tests::failed_save_keeps_its_changes_for_the_retry \
+    persist::tests::parallel_encode_keeps_the_serial_save_order
 
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q

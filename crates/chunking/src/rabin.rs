@@ -95,16 +95,19 @@ mod tests {
     #[test]
     fn cuts_match_bit_serial_reference() {
         use crate::rolling::reference::{assert_same_cuts, Cut};
-        let mut kinds = std::collections::BTreeSet::new();
-        for avg in [64, 100, 1015, 1024, 4096, 8192, 65536] {
-            let scan = RabinChunker::new(avg).scan;
-            kinds.extend(assert_same_cuts(&scan, &format!("rabin {avg}")));
-        }
-        // min_size inside the window with explicit bounds too.
-        let scan = RabinChunker::with_bounds(64, 1, 64).scan;
-        kinds.extend(assert_same_cuts(&scan, "rabin 64 in 1..=64"));
         let all = [Cut::Main, Cut::Forced, Cut::Tail];
-        assert!(kinds.iter().eq(&all), "cut kinds exercised: {kinds:?}");
+        let scans = [64, 100, 1015, 1024, 4096, 8192, 65536]
+            .map(|avg| (format!("rabin {avg}"), RabinChunker::new(avg).scan));
+        // min_size inside the window with explicit bounds too, with and
+        // without room for the two-lane loop.
+        let bounded = [(1, 64), (16, 8192)].map(|(min, max)| {
+            let label = format!("rabin 64 in {min}..={max}");
+            (label, RabinChunker::with_bounds(64, min, max).scan)
+        });
+        for (label, scan) in scans.iter().chain(&bounded) {
+            let kinds = assert_same_cuts(scan, label);
+            assert!(kinds.iter().eq(&all), "{label} cut kinds: {kinds:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   a byte (one reduction-table lookup) and expiring the oldest window byte
 //!   (one expiry-table lookup) are both O(1) and branch-free. The Rabin and
 //!   TTTD chunkers run it as one stateless scan over a slice (`CutScan`: the
-//!   expiring byte is `data[i - window]`), and do their `h % D == D - 1`
-//!   tests by multiplying with a precomputed reciprocal (`Divisor`) instead
-//!   of dividing. Cut points are those of the bit-serial, ring-buffer,
+//!   expiring byte is `data[i - window]`, and two lanes roll over adjacent
+//!   blocks in lockstep), and do their `h % D == D - 1` tests with one
+//!   multiplication by a precomputed modular inverse (`Divisor`) instead of
+//!   dividing. Cut points are those of the bit-serial, ring-buffer,
 //!   hardware-`%` scan this replaced, which survives as the test oracle.
 //! * [`gear_table`] / [`gear_step`] — the gear hash used by FastCDC; a single
 //!   shift-and-add per byte with a random byte-to-u64 substitution table.
@@ -116,19 +117,23 @@ fn rabin_step(value: u64, expired: u64, byte: u8) -> u64 {
     shifted ^ REDUCE[((shifted >> HASH_BITS) & 0xFF) as usize]
 }
 
-/// A divisor with a precomputed reciprocal, so `h % d` for a Rabin
-/// fingerprint `h` costs two multiplications instead of a hardware divide.
+/// A divisor `d` with a precomputed inverse, so the cut test
+/// `h % d == d - 1` — `d` divides `h + 1` — costs one multiplication and
+/// no division.
 ///
-/// With `l = ceil(log2 d)` and `m = ceil(2^(53+l) / d)`, the quotient
-/// `floor(h / d)` equals `(h * m) >> (53 + l)` for every `h < 2^53`
-/// (Granlund & Montgomery 1994, Theorem 4.2: `m * d` overshoots `2^(53+l)`
-/// by less than `d <= 2^l`, so the error in `h * m` stays below `2^(53+l)`).
-/// `d > 2^(l-1)` bounds `m` by `2^54`, so it fits a `u64` and `h * m` a `u128`.
+/// With `d = 2^k·m`, `m` odd, and `m⁻¹` the inverse of `m` modulo 2^64,
+/// `d` divides `x` exactly when `rotr(x·m⁻¹, k) <= ⌊(2^64 − 1) / d⌋`
+/// (Hacker's Delight §10-17; Lemire, Kaser & Kurz 2019). Multiplying by
+/// `m⁻¹` permutes the 64-bit values and sends the multiples of `m` onto
+/// `0..=⌊(2^64 − 1) / m⌋`; the rotation carries the low bits of a value
+/// that is not a multiple of `2^k` to the top, out of that range. For a
+/// multiple of `d` the rotated product is the quotient `x / d` itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Divisor {
     d: u64,
-    recip: u64,
-    shift: u32,
+    inverse: u64,
+    twos: u32,
+    max_quotient: u64,
 }
 
 impl Divisor {
@@ -137,11 +142,19 @@ impl Divisor {
     /// Panics if `d == 0`.
     pub(crate) fn new(d: u64) -> Self {
         assert!(d > 0, "divisor must be non-zero");
-        let shift = HASH_BITS + (u64::BITS - (d - 1).leading_zeros());
+        let twos = d.trailing_zeros();
+        let odd = d >> twos;
+        // Newton's iteration doubles the number of correct low bits, and an
+        // odd number is its own inverse modulo 8: 3 → 6 → … → 96 ≥ 64 bits.
+        let mut inverse = odd;
+        for _ in 0..5 {
+            inverse = inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inverse)));
+        }
         Divisor {
             d,
-            recip: (1u128 << shift).div_ceil(d as u128) as u64,
-            shift,
+            inverse,
+            twos,
+            max_quotient: u64::MAX / d,
         }
     }
 
@@ -149,13 +162,31 @@ impl Divisor {
         self.d
     }
 
-    /// `h % d`; exact for `h < 2^53`.
+    /// `rotr((h + 1)·m⁻¹, k)`: at most `max_quotient` exactly when `d`
+    /// divides `h + 1`, and then equal to `(h + 1) / d`.
     #[inline(always)]
-    pub(crate) fn rem(self, h: u64) -> u64 {
+    fn quotient(self, h: u64) -> u64 {
         debug_assert!(h >> HASH_BITS == 0, "not a Rabin fingerprint: {h:#x}");
-        let q = ((h as u128 * self.recip as u128) >> self.shift) as u64;
-        h - q * self.d
+        (h + 1).wrapping_mul(self.inverse).rotate_right(self.twos)
     }
+
+    /// `h % d == d - 1`; exact for `h < 2^53`.
+    #[inline(always)]
+    pub(crate) fn matches(self, h: u64) -> bool {
+        self.quotient(h) <= self.max_quotient
+    }
+}
+
+/// Positions each lane of [`CutScan`]'s two-lane loop tests per round. Of
+/// 256, 512, 1024 and 2048, 512 cut 8 KiB TTTD chunks fastest: a longer
+/// lane wastes more of lane B when lane A cuts, a shorter one pays lane
+/// B's window warm-up more often.
+const LANE: usize = 512;
+
+/// The Rabin fingerprint of the window made of `bytes`, rolled in from
+/// zero: nothing expires, so no byte before them is needed.
+fn warm(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |hash, &b| rabin_step(hash, 0, b))
 }
 
 /// The cut-point rule shared by the Rabin and TTTD chunkers: the first
@@ -198,63 +229,99 @@ impl CutScan {
             return data.len();
         }
         let main = self.main;
-        let main_hit = main.get() - 1;
         match self.backup {
-            None => self.scan(data, |h| (main.rem(h) == main_hit, false)),
-            // D = 2D': h % D' is (h % D) % D', so the backup divisor matches
-            // when r = h % D is D' - 1 or D - 1, and r = D - 1 cuts first.
+            None => self.scan(data, |h| (main.matches(h), false)),
+            // D = 2D': D divides h + 1 exactly when D' does with an even
+            // quotient, so one multiplication answers both tests.
             Some(backup) if backup.get().checked_mul(2) == Some(main.get()) => {
-                let backup_hit = backup.get() - 1;
                 self.scan(data, |h| {
-                    let r = main.rem(h);
-                    (r == main_hit, r == backup_hit)
+                    let q = backup.quotient(h);
+                    let hit = q <= backup.max_quotient;
+                    (hit && q & 1 == 0, hit)
                 })
             }
-            Some(backup) => {
-                let backup_hit = backup.get() - 1;
-                self.scan(data, |h| {
-                    (main.rem(h) == main_hit, backup.rem(h) == backup_hit)
-                })
-            }
+            Some(backup) => self.scan(data, |h| (main.matches(h), backup.matches(h))),
         }
     }
 
     /// `test` maps a fingerprint to (main-divisor match, backup-divisor
     /// match); one copy of the loop is compiled per divisor arrangement.
+    ///
+    /// Each rolling step depends on the one before, so one scan runs at the
+    /// latency of that chain. The main loop runs two: lane A over the next
+    /// `LANE` positions and lane B over the `LANE` after them, in lockstep,
+    /// B starting from a fingerprint warmed over the window before its
+    /// first position. Lane A's first main match is the cut; else lane B's;
+    /// else the pair's last backup match, B's before A's, replaces any
+    /// earlier one, and lane A continues from B's state. The last
+    /// `< 2 * LANE` positions are scanned by one lane.
     fn scan(&self, data: &[u8], test: impl Fn(u64) -> (bool, bool)) -> usize {
         const W: usize = DEFAULT_WINDOW;
         let start = self.min_size;
         let limit = data.len().min(self.max_size);
         // Warm the window over the bytes before the first legal cut point so
         // the hash at position min_size covers real content.
-        let mut hash = 0u64;
-        for &b in &data[start.saturating_sub(W)..start] {
-            hash = rabin_step(hash, 0, b);
-        }
+        let mut hash = warm(&data[start.saturating_sub(W)..start]);
         let mut backup_cut = None;
-        let mut is_cut = |hash: u64, pos: usize| {
-            let (main, backup) = test(hash);
-            if backup {
-                backup_cut = Some(pos);
-            }
-            main
-        };
         // min_size < W only: until W bytes are in, nothing leaves the window.
         let full = start.max(W).min(limit);
         for (i, &b) in data[start..full].iter().enumerate() {
             hash = rabin_step(hash, 0, b);
-            if is_cut(hash, start + i + 1) {
+            let (main, backup) = test(hash);
+            if main {
                 return start + i + 1;
+            }
+            if backup {
+                backup_cut = Some(start + i + 1);
             }
         }
         // Each window is the expiring byte, the W - 1 bytes that stay, and
         // the entering byte. When `full < W` the slice is all of a stream
         // shorter than W + 1 bytes and there is no window to visit.
-        let windows = data[full.saturating_sub(W)..limit].windows(W + 1);
-        for (i, w) in windows.enumerate() {
+        let mut pos = full;
+        while let Some(pair) = data[pos.saturating_sub(W)..limit].first_chunk::<{ 2 * LANE + W }>()
+        {
+            let mut hash_b = warm(&pair[LANE..LANE + W]);
+            let (mut cut_b, mut backup_a, mut backup_b) = (None, None, None);
+            for i in 0..LANE {
+                hash = rabin_step(hash, EXPIRE_DEFAULT[pair[i] as usize], pair[i + W]);
+                let j = LANE + i;
+                hash_b = rabin_step(hash_b, EXPIRE_DEFAULT[pair[j] as usize], pair[j + W]);
+                let ((a_main, a_backup), (b_main, b_backup)) = (test(hash), test(hash_b));
+                // One rarely taken branch keeps the bookkeeping off the loop.
+                if a_main | a_backup | b_main | b_backup {
+                    if a_main {
+                        return pos + i + 1;
+                    }
+                    if a_backup {
+                        backup_a = Some(pos + i + 1);
+                    }
+                    if b_main {
+                        cut_b.get_or_insert(pos + j + 1);
+                    }
+                    if b_backup {
+                        backup_b = Some(pos + j + 1);
+                    }
+                }
+            }
+            if let Some(cut) = cut_b {
+                return cut;
+            }
+            backup_cut = backup_b.or(backup_a).or(backup_cut);
+            hash = hash_b;
+            pos += 2 * LANE;
+        }
+        for (i, w) in data[pos.saturating_sub(W)..limit]
+            .windows(W + 1)
+            .enumerate()
+        {
             hash = rabin_step(hash, EXPIRE_DEFAULT[w[0] as usize], w[W]);
-            if is_cut(hash, full + i + 1) {
-                return full + i + 1;
+            let (main, backup) = test(hash);
+            if main {
+                return pos + i + 1;
+            }
+            if backup {
+                backup_cut = Some(pos + i + 1);
             }
         }
         if limit < self.max_size {
@@ -427,6 +494,97 @@ pub(crate) mod reference {
         out
     }
 
+    /// Zeroes the six bytes before `pos`, then sets them so the fingerprint
+    /// of the window ending at `pos` is `residue` modulo `d`, the `skip`-th
+    /// such choice. Those bytes enter the fingerprint as its low 48 bits,
+    /// xored in below any reduction, so every residue of a `d < 2^48` is
+    /// reachable. The windows that hold them change too.
+    fn plant(data: &mut [u8], pos: usize, d: u64, residue: u64, skip: u64) {
+        const LOW: u64 = (1 << 48) - 1;
+        data[pos - 6..pos].fill(0);
+        let mut rabin = BitSerialRabin::new(DEFAULT_WINDOW);
+        let rest = data[pos - DEFAULT_WINDOW..pos]
+            .iter()
+            .fold(0, |_, &b| rabin.roll(b));
+        let low = (residue + d - (rest & !LOW) % d) % d + skip * d;
+        let bytes = (low ^ (rest & LOW)).to_be_bytes();
+        data[pos - 6..pos].copy_from_slice(&bytes[2..]);
+    }
+
+    /// (main match, backup match) of the window ending at each position of
+    /// `data` from `DEFAULT_WINDOW` on, by the reference; index = position.
+    fn matches(scan: &CutScan, data: &[u8]) -> Vec<(bool, bool)> {
+        let (_, _, main, backup) = scan.parameters();
+        let mut rabin = BitSerialRabin::new(DEFAULT_WINDOW);
+        let mut out = vec![(false, false)];
+        for (i, &b) in data.iter().enumerate() {
+            let h = rabin.roll(b);
+            let full = i + 1 >= DEFAULT_WINDOW;
+            out.push((
+                full && h % main == main - 1,
+                full && backup.is_some_and(|d| h % d == d - 1),
+            ));
+        }
+        out
+    }
+
+    /// Zeros, which never match, with matches planted in the first round of
+    /// the two-lane loop: backup matches only in lane A, a main match in
+    /// lane B; then noise. The scan must cut in lane B. `None` when
+    /// `max_size` ends the chunk before that round.
+    fn lane_b_main_behind_lane_a_backups(scan: &CutScan) -> Option<Vec<u8>> {
+        let (min, max, main, backup) = scan.parameters();
+        let a = min.max(DEFAULT_WINDOW);
+        let b = a + LANE;
+        if b + LANE > max {
+            return None;
+        }
+        let planted = (0..64).find_map(|skip| {
+            // Noise after the round, so a scan that passed over lane B's
+            // match would cut somewhere else.
+            let mut data = vec![0u8; b + LANE];
+            data.extend(noise(max + min, skip));
+            if let Some(d) = backup {
+                plant(&mut data, a + LANE / 2, d, d - 1, skip);
+            }
+            plant(&mut data, b + LANE / 2, main, main - 1, skip);
+            let hits = matches(scan, &data);
+            let lane_a = &hits[a + 1..=b];
+            let ok = !lane_a.iter().any(|&(m, _)| m)
+                && (backup.is_none() || lane_a.iter().any(|&(_, k)| k))
+                && hits[b + 1..=b + LANE].iter().any(|&(m, _)| m);
+            ok.then_some(data)
+        });
+        assert!(planted.is_some(), "no lane-B input for {min}..{max}");
+        planted
+    }
+
+    /// Zeros with planted backup matches and no main match inside the first
+    /// chunk's range, which must end as a backup cut at the last of them:
+    /// one in each lane of the two-lane loop's first round where it runs
+    /// (the cut is lane B's), else one in the middle of the range.
+    fn backup_cut(scan: &CutScan) -> Option<Vec<u8>> {
+        let (min, max, _, backup) = scan.parameters();
+        let d = backup?;
+        let a = min.max(DEFAULT_WINDOW);
+        let at = if a + 2 * LANE <= max {
+            vec![a + LANE / 2, a + LANE + LANE / 2]
+        } else {
+            vec![(min + max).div_ceil(2).max(DEFAULT_WINDOW)]
+        };
+        let planted = (0..64).find_map(|skip| {
+            let mut data = vec![0u8; 2 * max];
+            for &pos in &at {
+                plant(&mut data, pos, d, d - 1, skip);
+            }
+            // Planting at `pos` changes the windows ending at pos - 5 on.
+            let (cut, kind) = scan.reference_chunk_len(&data);
+            (kind == Cut::Backup && cut + 5 >= at[at.len() - 1]).then_some(data)
+        });
+        assert!(planted.is_some(), "no backup-cut input for {min}..{max}");
+        planted
+    }
+
     /// Chunks every differential input with `scan` and with the reference,
     /// panicking at the first chunk that differs; returns the kinds of cut
     /// the inputs provoked so callers can assert coverage.
@@ -463,6 +621,19 @@ pub(crate) mod reference {
             inputs.push(("noise prefix", noise[..len].to_vec()));
             inputs.push(("zero prefix", vec![0u8; len]));
         }
+        // Lengths that end the two-lane loop exactly at, one position
+        // before, and one after the end of its k-th round.
+        for k in 1..=3 {
+            for len in [
+                min + k * 2 * LANE - 1,
+                min + k * 2 * LANE,
+                min + k * 2 * LANE + 1,
+            ] {
+                inputs.push(("noise prefix", noise[..len].to_vec()));
+            }
+        }
+        inputs.extend(lane_b_main_behind_lane_a_backups(scan).map(|d| ("lane B main", d)));
+        inputs.extend(backup_cut(scan).map(|d| ("planted backup", d)));
         inputs.push(("noise", noise));
 
         let mut kinds = BTreeSet::new();
@@ -561,15 +732,27 @@ mod tests {
         }
     }
 
+    /// `Divisor::matches` against hardware `%`, and for a divisor whose
+    /// match holds, the rotated product against the quotient the `D = 2D'`
+    /// arm reads its parity from.
+    fn assert_exact(d: u64, h: u64) {
+        let div = Divisor::new(d);
+        let want = h % d == d - 1;
+        assert_eq!(div.matches(h), want, "{h} % {d}");
+        if want {
+            assert_eq!(div.quotient(h), (h + 1) / d, "({h} + 1) / {d}");
+        }
+    }
+
     #[test]
-    fn divisor_rem_is_exact_at_the_edges_of_every_small_divisor() {
+    fn divisor_match_is_exact_at_the_edges_of_every_small_divisor() {
         let top = (1u64 << HASH_BITS) - 1;
         for d in 1..=70_000u64 {
-            let div = Divisor::new(d);
             let k = top / d;
             for h in [
                 0,
                 1,
+                d.saturating_sub(2),
                 d - 1,
                 d,
                 d + 1,
@@ -577,23 +760,34 @@ mod tests {
                 ((k / 2) * d).saturating_sub(1),
                 k * d - 1,
                 k * d,
+                // h + 1 = 2^53: a power of two, divisible by every 2^j.
                 top,
             ] {
-                assert_eq!(div.rem(h), h % d, "{h} % {d}");
+                assert_exact(d, h);
             }
         }
     }
 
     #[test]
-    fn divisor_rem_is_exact_on_seeded_pairs() {
+    fn divisor_match_is_exact_on_seeded_pairs() {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || reference::xorshift(&mut state);
-        for _ in 0..1_000_000 {
+        for n in 0..1_000_000 {
             // Divisors of every bit width, not just the huge ones a uniform
-            // draw would give.
-            let d = (next() >> (next() % 64)).max(1);
+            // draw would give; every third a power of two, every third
+            // 2^k·m with m odd.
+            let d = match n % 3 {
+                0 => (next() >> (next() % 64)).max(1),
+                1 => 1 << (next() % 64),
+                _ => ((next() >> (next() % 64)) | 1) << (next() % 32),
+            }
+            .max(1);
             let h = next() >> (64 - HASH_BITS);
-            assert_eq!(Divisor::new(d).rem(h), h % d, "{h} % {d}");
+            assert_exact(d, h);
+            // A hit one below a multiple of d, where one exists below 2^53.
+            if let Some(hit) = (h / d * d).checked_sub(1) {
+                assert_exact(d, hit);
+            }
         }
     }
 

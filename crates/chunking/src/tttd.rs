@@ -96,13 +96,12 @@ mod tests {
         use crate::rolling::reference::{assert_same_cuts, Cut};
         // 64 puts min_size (29) inside the window; 100 and 4096 give an odd
         // main divisor, so the backup divisor is not half of it.
-        let mut kinds = std::collections::BTreeSet::new();
+        let all = [Cut::Main, Cut::Backup, Cut::Forced, Cut::Tail];
         for avg in [64, 100, 1015, 1024, 4096, 8192, 65536] {
             let scan = TttdChunker::new(avg).scan;
-            kinds.extend(assert_same_cuts(&scan, &format!("tttd {avg}")));
+            let kinds = assert_same_cuts(&scan, &format!("tttd {avg}"));
+            assert!(kinds.iter().eq(&all), "tttd {avg} cut kinds: {kinds:?}");
         }
-        let all = [Cut::Main, Cut::Backup, Cut::Forced, Cut::Tail];
-        assert!(kinds.iter().eq(&all), "cut kinds exercised: {kinds:?}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::{RealVfs, Vfs};
-use hidestore_hash::{crc32, Fingerprint};
+use hidestore_hash::{crc32, default_hash_threads, map_ordered, Fingerprint};
 use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 use hidestore_storage::{
     Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, RepoFile,
@@ -57,6 +57,14 @@ const META_FILE: &str = "hidestore.meta";
 /// 16 bytes, 20 bytes total. A torn or bit-flipped meta fails the length
 /// or CRC check and is reported as corrupt instead of misparsed.
 const META_MAGIC: &[u8; 4] = b"HDS2";
+
+/// Below this many encoded bytes of changed recipes and active containers, a
+/// save encodes and checksums its files on the calling thread: spawning a
+/// helper costs more than it saves (DESIGN §8.3).
+const PARALLEL_ENCODE_MIN_BYTES: usize = 512 << 10;
+
+/// Appends the bytes of one file a save stages to a buffer.
+type Encoder<'a> = Box<dyn Fn(&mut ByteWriter) + Sync + 'a>;
 
 /// Directory quarantined artifacts are moved into.
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
@@ -540,15 +548,43 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // Assemble the new file set and the removal set. The deferred
         // archival queue is only drained after the commit succeeds, so a
         // failed save retries those removals.
-        let mut staged: Vec<(String, Vec<u8>)> = Vec::new();
         let (recipes, pool) = (self.recipes(), self.pool());
+        let mut files: Vec<(String, usize, Encoder<'_>)> = Vec::new();
         for recipe in recipes.changed() {
             let path = RepoFile::Recipe.path(recipe.version().get());
-            staged.push((path, recipe.encode()));
+            let encode = Box::new(|w: &mut ByteWriter| recipe.encode_into(w));
+            files.push((path, recipe.encoded_len(), encode));
         }
         for (cid, container) in pool.changed() {
-            staged.push((RepoFile::Active.path(cid), container.encode()));
+            let encode = Box::new(|w: &mut ByteWriter| container.encode_into(w));
+            files.push((RepoFile::Active.path(cid), container.encoded_len(), encode));
         }
+        // Encoding and checksumming touch no file, so they run in parallel;
+        // every filesystem op below stays on this thread, in this order.
+        // The buffers are allocated here: memory a helper thread allocates
+        // stays with its allocator arena once freed, adding to the
+        // process's resident set.
+        let total: usize = files.iter().map(|(_, len, _)| len).sum();
+        let threads = if total < PARALLEL_ENCODE_MIN_BYTES {
+            1
+        } else {
+            default_hash_threads()
+        };
+        let writers: Vec<_> = files
+            .iter()
+            .map(|(_, len, encode)| (ByteWriter::with_capacity(*len), encode))
+            .collect();
+        let encoded = map_ordered(writers, threads, |(mut w, encode)| {
+            encode(&mut w);
+            let bytes = w.into_bytes();
+            let crc = crc32(&bytes);
+            (bytes, crc)
+        });
+        let mut staged: Vec<(String, Vec<u8>, u32)> = files
+            .into_iter()
+            .zip(encoded)
+            .map(|((rel, _, _), (bytes, crc))| (rel, bytes, crc))
+            .collect();
         record.remove = recipes
             .removed()
             .map(|v| RepoFile::Recipe.path(v.get()))
@@ -562,7 +598,9 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             next_archival: self.next_archival_raw(),
             history_depth: self.config().history_depth as u32,
         };
-        staged.push((META_FILE.to_string(), meta.encode()));
+        let meta = meta.encode();
+        let crc = crc32(&meta);
+        staged.push((META_FILE.to_string(), meta, crc));
         for &id in self.archival().deferred_removals() {
             record.remove.push(RepoFile::Archival.path(id.get()));
         }
@@ -572,7 +610,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // durable) before the commit record exists.
         let mut staged_dirs: BTreeSet<PathBuf> = BTreeSet::new();
         staged_dirs.insert(staging.clone());
-        for (rel, bytes) in &staged {
+        for (rel, bytes, crc) in &staged {
             let path = staging.join(rel);
             if let Some(parent) = path.parent() {
                 vfs.create_dir_all(parent).map_err(StorageError::from)?;
@@ -583,7 +621,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             record.publish.push(PublishEntry {
                 rel: rel.clone(),
                 len: bytes.len() as u64,
-                crc: crc32(bytes),
+                crc: *crc,
             });
         }
         for d in &staged_dirs {
@@ -692,7 +730,7 @@ pub(crate) fn rebuild_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hidestore_failpoint::{FaultVfs, OpKind, OpRecord, Plan, VfsMetadata};
+    use hidestore_failpoint::{FaultKind, FaultVfs, OpKind, OpRecord, Plan, VfsMetadata};
     use hidestore_restore::Faa;
     use std::fs;
     use std::io;
@@ -1082,6 +1120,86 @@ mod tests {
             staged_files(&vfs.plan().trace()[from..], &dir),
             BTreeSet::from([META_FILE.to_string()])
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A save large enough to encode its files on several threads still
+    /// stages them in the serial order — recipes by version, then active
+    /// containers by id, then the meta, then the commit record — and the
+    /// record carries each staged file's own length and CRC-32. The save
+    /// runs twice from the same start: counted, then crashed at its first
+    /// publish rename, which leaves the staged files and the record on disk.
+    #[test]
+    fn parallel_encode_keeps_the_serial_save_order() {
+        let config = HiDeStoreConfig {
+            avg_chunk_size: 4096,
+            container_capacity: 256 * 1024,
+            ..HiDeStoreConfig::default()
+        };
+        let save = |tag: &str, plan: Plan| {
+            let dir = temp_dir(tag);
+            let vfs = FaultVfs::new(plan);
+            let (mut system, _) =
+                HiDeStore::open_repository_with(config, &dir, vfs.clone()).unwrap();
+            let mut data = noise(3 << 20, 120);
+            system.backup(&data).unwrap();
+            data[1 << 20..2 << 20].copy_from_slice(&noise(1 << 20, 121));
+            system.backup(&data).unwrap();
+            let versions: BTreeSet<VersionId> =
+                system.recipes().changed().map(|r| r.version()).collect();
+            let cids: BTreeSet<u32> = system.pool().changed().map(|(cid, _)| cid).collect();
+            let bytes: usize = system.pool().changed().map(|(_, c)| c.used_bytes()).sum();
+            assert!(
+                versions.len() >= 2 && cids.len() >= 4,
+                "{versions:?} {cids:?}"
+            );
+            assert!(
+                bytes >= PARALLEL_ENCODE_MIN_BYTES,
+                "{bytes} bytes encode inline"
+            );
+            let mut order: Vec<String> = versions.into_iter().map(recipe_path).collect();
+            order.extend(cids.into_iter().map(|cid| RepoFile::Active.path(cid)));
+            order.push(META_FILE.to_string());
+            let from = vfs.plan().ops() as usize;
+            let saved = system.save_repository(&dir);
+            (dir, vfs.plan().trace().split_off(from), saved, order)
+        };
+
+        let (dir, ops, saved, order) = save("save-order", Plan::counting());
+        saved.unwrap();
+        let staging = journal::staging_dir(&dir);
+        let mut want: Vec<(OpKind, PathBuf)> = Vec::new();
+        for path in order
+            .iter()
+            .map(|rel| staging.join(rel))
+            .chain([journal::commit_path(&dir)])
+        {
+            want.push((OpKind::Write, path.clone()));
+            want.push((OpKind::SyncFile, path));
+        }
+        let got: Vec<(OpKind, PathBuf)> = ops
+            .iter()
+            .filter(|op| matches!(op.kind, OpKind::Write | OpKind::SyncFile))
+            .map(|op| (op.kind, op.path.clone()))
+            .collect();
+        assert_eq!(got, want);
+        let first_rename = ops
+            .iter()
+            .find(|op| op.kind == OpKind::Rename)
+            .unwrap()
+            .index;
+        fs::remove_dir_all(&dir).unwrap();
+
+        let (dir, _, saved, order) = save("save-crc", Plan::armed(first_rename, FaultKind::Error));
+        assert!(saved.is_err(), "the save crashes at its first rename");
+        let record = CommitRecord::decode(&fs::read(journal::commit_path(&dir)).unwrap()).unwrap();
+        let published: Vec<&str> = record.publish.iter().map(|e| e.rel.as_str()).collect();
+        assert_eq!(published, order);
+        for entry in &record.publish {
+            let bytes = fs::read(journal::staging_dir(&dir).join(&entry.rel)).unwrap();
+            assert_eq!(entry.len, bytes.len() as u64, "{}", entry.rel);
+            assert_eq!(entry.crc, crc32(&bytes), "{}", entry.rel);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -31,10 +31,10 @@ use hidestore_chunking::{chunk_spans, Chunker};
 use hidestore_hash::{default_hash_threads, Fingerprint};
 
 /// Inputs shorter than this run inline even on a multi-core machine: the
-/// crossover measured in DESIGN.md §8. Below it the staged branch has few
+/// crossover measured in DESIGN.md §8.3. Below it the staged branch has few
 /// segments to overlap, and when other backups already keep every core busy
-/// its thread start-up and hand-offs cost 9–15 %; from here up it gains
-/// ~50 % on an idle machine and costs ≤ 2 % on a saturated one.
+/// its thread start-up and hand-offs cost 18–25 %; here it gains 44 % on an
+/// idle machine and costs 8 % on a saturated one, and from 2 MiB up nothing.
 pub const STAGED_MIN_BYTES: usize = 512 << 10;
 
 /// Chunks per segment handed from the chunker to a hashing worker: small

@@ -36,7 +36,7 @@ mod sha1;
 
 pub use crc32::{crc32, crc32_update};
 pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
-pub use parallel::{default_hash_threads, fingerprints_parallel};
+pub use parallel::{default_hash_threads, fingerprints_parallel, map_ordered};
 pub use sha1::Sha1;
 
 /// Deterministic noise for the kernels' exact-output tests (xorshift64).

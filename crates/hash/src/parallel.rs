@@ -1,16 +1,21 @@
-//! Parallel fingerprinting of chunked streams.
+//! Parallel fingerprinting of chunked streams, and the order-preserving
+//! scoped map it runs on.
 //!
 //! Fingerprinting is one of the two per-byte CPU costs of ingest, next to
-//! chunking; with the unrolled SHA-1 it is the smaller one (on
-//! `bulk.kernel`, 0.17 s of hashing against 0.26 s of chunking per
-//! traced round on a 2-core 2.1 GHz Xeon). This module hashes the chunks
-//! of a stream on a scoped thread pool, producing exactly the same
-//! fingerprints as the sequential loop.
+//! chunking. Since the two-lane chunk scan it is the larger one per byte on
+//! one core: over 24 MiB of noise on a 2-core 2.1 GHz Xeon, SHA-1 hashes
+//! 8 KiB chunks at 280–540 MiB/s and the 8 KiB TTTD scan cuts at
+//! 780–790 MiB/s (DESIGN §8.4, §8.5). This module hashes the chunks of a
+//! stream on scoped threads, producing exactly the same fingerprints as the
+//! sequential loop.
 //! The ingest path itself hashes in `hidestore_dedup::chunk_fingerprints`;
 //! [`fingerprints_parallel`] remains for the benchmark harness's hash
-//! replay, and [`default_hash_threads`] sizes both.
+//! replay. It runs on [`map_ordered`], as does `save_repository`'s encode
+//! and checksum of a commit's files; [`default_hash_threads`] sizes all
+//! three.
 
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 use crate::Fingerprint;
 
@@ -40,14 +45,12 @@ pub fn fingerprints_parallel(
     spans: &[Range<usize>],
     threads: usize,
 ) -> Vec<Fingerprint> {
-    let threads = threads.max(1);
-    if sequential_fallback(data.len(), spans.len(), threads) {
-        return spans
-            .iter()
-            .map(|s| Fingerprint::of(&data[s.clone()]))
-            .collect();
-    }
-    fingerprints_threaded(data, spans, threads)
+    let threads = if sequential_fallback(data.len(), spans.len(), threads.max(1)) {
+        1
+    } else {
+        threads
+    };
+    map_ordered(spans, threads, |s| Fingerprint::of(&data[s.clone()]))
 }
 
 /// Whether to hash on the calling thread instead of spawning workers: below
@@ -57,31 +60,68 @@ fn sequential_fallback(data_len: usize, span_count: usize, threads: usize) -> bo
     threads == 1 || span_count < 64 || data_len < threads << 20
 }
 
-/// The threaded path, unconditionally: spans are split into at most
-/// `threads` contiguous blocks, each hashed by its own scoped worker into a
-/// disjoint region of the output — so order is preserved by construction,
-/// including when `threads` exceeds `spans.len()` (blocks of one span each).
-fn fingerprints_threaded(data: &[u8], spans: &[Range<usize>], threads: usize) -> Vec<Fingerprint> {
-    if spans.is_empty() {
-        return Vec::new();
+/// `items.into_iter().map(f).collect()`, computed on up to `threads`
+/// threads: the calling thread and scoped helpers each take the next item
+/// until none is left, so items of very different cost still share the
+/// work, and the results come back in item order. With `threads <= 1` or
+/// at most one item it is that sequential loop, spawning nothing.
+///
+/// # Examples
+///
+/// ```
+/// use hidestore_hash::{crc32, map_ordered};
+///
+/// let files = [vec![1u8; 10], vec![2u8; 100_000], vec![3u8; 7]];
+/// let crcs = map_ordered(&files, 2, |f| crc32(f));
+/// assert_eq!(crcs, files.iter().map(|f| crc32(f)).collect::<Vec<_>>());
+/// ```
+pub fn map_ordered<I, R>(items: I, threads: usize, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator + Send,
+    R: Send,
+{
+    let items = items.into_iter();
+    let len = items.len();
+    let helpers = threads.min(len).saturating_sub(1);
+    if helpers == 0 {
+        return items.map(f).collect();
     }
-    let mut out = vec![Fingerprint::default(); spans.len()];
-    let chunk_len = spans.len().div_ceil(threads);
+    let queue = Mutex::new(items.enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Taking an item leaves the iterator whole, so a panic on
+            // another thread cannot have broken it.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
     std::thread::scope(|scope| {
-        for (span_block, out_block) in spans.chunks(chunk_len).zip(out.chunks_mut(chunk_len)) {
-            scope.spawn(move || {
-                for (span, slot) in span_block.iter().zip(out_block.iter_mut()) {
-                    *slot = Fingerprint::of(&data[span.clone()]);
-                }
-            });
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        for (i, r) in work() {
+            slots[i] = Some(r);
+        }
+        for handle in handles {
+            // A helper's panic is the caller's: every item must come back.
+            let done = handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
         }
     });
-    out
+    slots.into_iter().flatten().collect()
 }
 
-/// A sensible worker count for [`fingerprints_parallel`]: the machine's
-/// available parallelism capped at 8 (hashing saturates memory bandwidth
-/// beyond that).
+/// A sensible worker count for [`fingerprints_parallel`] and the other
+/// per-byte work of a backup: the machine's available parallelism capped
+/// at 8 (hashing saturates memory bandwidth beyond that).
 pub fn default_hash_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))
@@ -189,23 +229,46 @@ mod tests {
     }
 
     #[test]
-    fn threaded_path_empty_spans() {
-        assert!(fingerprints_threaded(b"abc", &[], 4).is_empty());
+    fn map_ordered_of_no_items_is_empty() {
+        assert!(map_ordered(&[] as &[u8], 4, |&b| b).is_empty());
         assert!(fingerprints_parallel(&[], &[], 8).is_empty());
     }
 
     #[test]
-    fn threaded_path_preserves_order_with_more_threads_than_spans() {
-        // 10 distinct spans, 32 threads: every block holds one span, and
-        // the output must still be in span order.
+    fn map_ordered_preserves_order_with_more_threads_than_items() {
+        // 10 distinct spans, 32 threads: at most 10 threads run, and the
+        // output must still be in span order.
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 241) as u8).collect();
         let spans = spans_of(data.len(), 100);
         assert!(spans.len() < 32);
-        let got = fingerprints_threaded(&data, &spans, 32);
+        let got = map_ordered(&spans, 32, |s| Fingerprint::of(&data[s.clone()]));
         let want: Vec<Fingerprint> = spans
             .iter()
             .map(|s| Fingerprint::of(&data[s.clone()]))
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn map_ordered_preserves_order_over_uneven_items() {
+        // One item far costlier than the rest: whichever thread takes it,
+        // the others drain the cheap ones, and the order still holds.
+        let mut items: Vec<Vec<u8>> = (0..50u8).map(|i| vec![i; 64]).collect();
+        items[3] = vec![7; 4 << 20];
+        for threads in [1, 2, 3, 8] {
+            let got = map_ordered(&items, threads, |b| crate::crc32(b));
+            let want: Vec<u32> = items.iter().map(|b| crate::crc32(b)).collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5")]
+    fn map_ordered_raises_a_helper_panic() {
+        let items: Vec<usize> = (0..64).collect();
+        map_ordered(&items, 4, |&i| {
+            assert!(i != 5, "item 5");
+            i
+        });
     }
 }

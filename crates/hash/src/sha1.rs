@@ -10,8 +10,10 @@
 //!
 //! The compression function is fully unrolled (see `compress`). On a
 //! 2.1 GHz Xeon core it hashes 8 KiB chunks at ~460–580 MiB/s, against
-//! ~195 MiB/s for the rolled 80-step loop it replaced; every digest is the
-//! same, pinned by a golden digest recorded with that loop.
+//! ~195 MiB/s for the rolled 80-step loop it replaced; on a shared 2-core
+//! host of the same model it measured 280–540 MiB/s (medians of three
+//! sessions, DESIGN §8.5). Every digest is the same, pinned by a golden
+//! digest recorded with the rolled loop.
 
 const H0: [u32; 5] = [
     0x6745_2301,

@@ -243,8 +243,20 @@ impl Container {
     /// (20-byte fp, u32 offset, u32 len) in fingerprint order, then the
     /// data section (live and dead bytes as-is).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w =
-            ByteWriter::with_capacity(32 + self.entries.len() * ENTRY_LEN + self.data.len());
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Length of [`Container::encode`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        32 + self.entries.len() * ENTRY_LEN + self.data.len()
+    }
+
+    /// Appends [`Container::encode`]'s output to `w`: a caller that sized
+    /// `w` with [`Container::encoded_len`] decides where the bytes live,
+    /// whichever thread encodes them.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
         w.raw(MAGIC);
         w.u32(self.id.get());
         w.u32(self.version_tag);
@@ -259,7 +271,6 @@ impl Container {
             w.u32(len);
         }
         w.raw(&self.data);
-        w.into_bytes()
     }
 
     /// Parses a container from the [`Container::encode`] format.

@@ -246,13 +246,19 @@ impl Recipe {
     /// Serializes: magic `HDSR`, u32 version, u32 entry count, then entries.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(self.encoded_len());
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends [`Recipe::encode`]'s output to `w` (see
+    /// [`Container::encode_into`](crate::Container::encode_into)).
+    pub fn encode_into(&self, w: &mut ByteWriter) {
         w.raw(MAGIC);
         w.u32(self.version.get());
         w.len_u32(self.entries.len());
         for e in &self.entries {
-            e.encode_into(&mut w);
+            e.encode_into(w);
         }
-        w.into_bytes()
     }
 
     /// Parses the [`Recipe::encode`] format.
