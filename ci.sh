@@ -37,7 +37,13 @@
 #                                      across a chunk and a container edge,
 #                                      whole version, each the exact slice
 #                                      of the full restore with no more
-#                                      reads than it; the chunking
+#                                      reads than it, and a reopened on-disk
+#                                      repository restoring every version
+#                                      with a memory-backed one's reads; the
+#                                      storage crate's container tests (a
+#                                      decoded container keeps the file's
+#                                      buffer, behaves as a built one and
+#                                      rejects trailing bytes); the chunking
 #                                      and hash crates' tests optimised, so
 #                                      the two-lane scan-vs-bit-serial
 #                                      differential covers the 64 KiB-
@@ -130,6 +136,9 @@ cargo test --release --test pipeline_differential -q
 
 echo "ci: cargo test --release --test restore_differential"
 cargo test --release --test restore_differential -q
+
+echo "ci: cargo test --release -p hidestore-storage container::"
+cargo test --release -p hidestore-storage --lib -q -- container::
 
 echo "ci: cargo test --release -p hidestore-chunking -p hidestore-hash"
 cargo test --release -p hidestore-chunking -q

@@ -473,7 +473,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
                 let decoded = vfs
                     .read(&path)
                     .map_err(|e| format!("unreadable: {e}"))
-                    .and_then(|bytes| Container::decode(&bytes));
+                    .and_then(Container::decode);
                 match decoded {
                     Ok(container) => {
                         let own = container.id().get().checked_sub(ACTIVE_ID_BASE);

@@ -57,13 +57,21 @@ impl fmt::Display for ContainerId {
 /// The container tracks *dead bytes* created by [`Container::remove`] so the
 /// chunk filter can compute utilization and decide when to merge sparse
 /// active containers (§4.2).
+///
+/// The data section is the tail of one buffer, from `data_start` on. A
+/// container built in memory starts its data at offset 0; one from
+/// [`Container::decode`] keeps the whole encoded file it was given, and its
+/// data section starts after the header and entry table (32 + 28·n bytes),
+/// so a container read copies its bytes once, from the device. Every method
+/// behaves the same on both.
 #[derive(Debug, Clone)]
 pub struct Container {
     id: ContainerId,
     version_tag: u32,
     capacity: usize,
     entries: HashMap<Fingerprint, (u32, u32)>,
-    data: Vec<u8>,
+    buf: Vec<u8>,
+    data_start: usize,
     dead_bytes: usize,
 }
 
@@ -75,7 +83,8 @@ impl Container {
             version_tag: 0,
             capacity,
             entries: HashMap::new(),
-            data: Vec::new(),
+            buf: Vec::new(),
+            data_start: 0,
             dead_bytes: 0,
         }
     }
@@ -113,15 +122,17 @@ impl Container {
         if self.entries.contains_key(&fingerprint) {
             return false;
         }
-        if self.data.len() + data.len() > self.capacity {
+        let used = self.used_bytes();
+        if used + data.len() > self.capacity {
             return false;
         }
         // Offsets and lengths are u32 on disk: nothing lands past 4 GiB.
-        let (Ok(offset), Ok(len)) = (u32::try_from(self.data.len()), u32::try_from(data.len()))
-        else {
+        let (Ok(offset), Ok(len)) = (u32::try_from(used), u32::try_from(data.len())) else {
             return false;
         };
-        self.data.extend_from_slice(data);
+        // The data section is the buffer's tail, so appending to the buffer
+        // appends to the data section.
+        self.buf.extend_from_slice(data);
         self.entries.insert(fingerprint, (offset, len));
         true
     }
@@ -130,7 +141,7 @@ impl Container {
     pub fn get(&self, fingerprint: &Fingerprint) -> Option<&[u8]> {
         self.entries
             .get(fingerprint)
-            .map(|&(off, len)| &self.data[off as usize..(off + len) as usize])
+            .map(|&(off, len)| &self.data()[off as usize..(off + len) as usize])
     }
 
     /// Whether the container holds this fingerprint.
@@ -162,12 +173,17 @@ impl Container {
 
     /// Total bytes of live chunk data.
     pub fn live_bytes(&self) -> usize {
-        self.data.len() - self.dead_bytes
+        self.used_bytes() - self.dead_bytes
     }
 
     /// Bytes occupied in the data section, live or dead.
     pub fn used_bytes(&self) -> usize {
-        self.data.len()
+        self.data().len()
+    }
+
+    /// The data section: the buffer from `data_start` on.
+    fn data(&self) -> &[u8] {
+        &self.buf[self.data_start..]
     }
 
     /// Live bytes divided by capacity — the utilization measure HiDeStore's
@@ -183,12 +199,20 @@ impl Container {
     /// a read container's chunks in this order, so their eviction behaviour
     /// — and therefore container-read counts — must not vary run to run.
     pub fn iter(&self) -> impl Iterator<Item = (Fingerprint, &[u8])> + '_ {
+        let data = self.data();
+        self.physical_order()
+            .into_iter()
+            .map(move |(fp, (off, len))| (fp, &data[off as usize..(off + len) as usize]))
+    }
+
+    /// The live entries by offset. An empty chunk shares its offset with
+    /// the next chunk, so ties go by fingerprint: the table's `HashMap`
+    /// order differs between two containers with the same contents.
+    fn physical_order(&self) -> Vec<(Fingerprint, (u32, u32))> {
         let mut order: Vec<(Fingerprint, (u32, u32))> =
             self.entries.iter().map(|(fp, &sl)| (*fp, sl)).collect();
-        order.sort_unstable_by_key(|&(_, (off, _))| off);
+        order.sort_unstable_by_key(|&(fp, (off, _))| (off, fp));
         order
-            .into_iter()
-            .map(move |(fp, (off, len))| (fp, &self.data[off as usize..(off + len) as usize]))
     }
 
     /// Live fingerprints, in unspecified order.
@@ -220,18 +244,16 @@ impl Container {
         if self.dead_bytes == 0 {
             return;
         }
-        let mut live: Vec<(Fingerprint, (u32, u32))> =
-            self.entries.iter().map(|(fp, loc)| (*fp, *loc)).collect();
-        // Preserve current physical order to keep locality of insertion.
-        live.sort_by_key(|&(_, (off, _))| off);
+        let start = self.data_start;
         let mut new_off = 0;
-        for (fp, (off, len)) in live {
-            self.data
-                .copy_within(off as usize..(off + len) as usize, new_off as usize);
+        // Preserve current physical order to keep locality of insertion.
+        for (fp, (off, len)) in self.physical_order() {
+            let (from, to) = (start + off as usize, start + new_off as usize);
+            self.buf.copy_within(from..from + len as usize, to);
             self.entries.insert(fp, (new_off, len));
             new_off += len;
         }
-        self.data.truncate(new_off as usize);
+        self.buf.truncate(start + new_off as usize);
         self.dead_bytes = 0;
     }
 
@@ -250,7 +272,7 @@ impl Container {
 
     /// Length of [`Container::encode`]'s output.
     pub fn encoded_len(&self) -> usize {
-        32 + self.entries.len() * ENTRY_LEN + self.data.len()
+        32 + self.entries.len() * ENTRY_LEN + self.used_bytes()
     }
 
     /// Appends [`Container::encode`]'s output to `w`: a caller that sized
@@ -262,7 +284,7 @@ impl Container {
         w.u32(self.version_tag);
         w.u64(self.capacity as u64);
         w.len_u32(self.entries.len());
-        w.len_u32(self.data.len());
+        w.len_u32(self.used_bytes());
         let mut entries: Vec<(&Fingerprint, &(u32, u32))> = self.entries.iter().collect();
         entries.sort_by_key(|&(fp, _)| *fp);
         for (fp, &(off, len)) in entries {
@@ -270,17 +292,20 @@ impl Container {
             w.u32(off);
             w.u32(len);
         }
-        w.raw(&self.data);
+        w.raw(self.data());
     }
 
-    /// Parses a container from the [`Container::encode`] format.
+    /// Parses a container from the [`Container::encode`] format, taking
+    /// ownership of `bytes`: the data section stays where it is in the
+    /// buffer and is not copied again.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first structural problem found.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
+    /// Returns a message describing the first structural problem found,
+    /// including bytes past the end of the data section.
+    pub fn decode(bytes: Vec<u8>) -> Result<Self, String> {
         let malformed = |e| format!("malformed container: {e}");
-        let mut r = ByteReader::new(bytes);
+        let mut r = ByteReader::new(&bytes);
         if r.array().map_err(malformed)? != *MAGIC {
             return Err("bad container magic".into());
         }
@@ -306,14 +331,17 @@ impl Container {
             live_bytes += len as usize;
             entries.insert(fp, (off, len));
         }
-        let data = r.bytes(data_len as usize).map_err(malformed)?.to_vec();
+        let data_start = bytes.len() - r.remaining();
+        r.bytes(data_len as usize).map_err(malformed)?;
+        r.finish().map_err(malformed)?;
         Ok(Container {
             id: ContainerId::new(id),
             version_tag,
             capacity,
             entries,
-            dead_bytes: data.len().saturating_sub(live_bytes),
-            data,
+            dead_bytes: (data_len as usize).saturating_sub(live_bytes),
+            buf: bytes,
+            data_start,
         })
     }
 
@@ -413,7 +441,7 @@ mod tests {
             c.try_add(fp(i), &vec![i as u8; 30 + i as usize]);
         }
         c.remove(&fp(5));
-        let decoded = Container::decode(&c.encode()).unwrap();
+        let decoded = Container::decode(c.encode()).unwrap();
         assert_eq!(decoded.id(), c.id());
         assert_eq!(decoded.version_tag(), 7);
         assert_eq!(decoded.capacity(), 4096);
@@ -426,20 +454,132 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Container::decode(b"").is_err());
-        assert!(Container::decode(b"NOPE").is_err());
-        assert!(Container::decode(&[0u8; 64]).is_err());
+        assert!(Container::decode(Vec::new()).is_err());
+        assert!(Container::decode(b"NOPE".to_vec()).is_err());
+        assert!(Container::decode(vec![0u8; 64]).is_err());
         // Truncated valid prefix.
         let mut c = Container::new(ContainerId::new(1), 64);
         c.try_add(fp(1), b"data");
         let enc = c.encode();
-        assert!(Container::decode(&enc[..enc.len() - 2]).is_err());
+        assert!(Container::decode(enc[..enc.len() - 2].to_vec()).is_err());
         // An entry count the file cannot hold fails typed, before any
         // table is sized from it.
         let mut huge = enc.clone();
         huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Container::decode(&huge).unwrap_err();
+        let err = Container::decode(huge).unwrap_err();
         assert!(err.contains("container entries"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_bytes_past_the_data_section() {
+        let mut c = Container::new(ContainerId::new(1), 64);
+        c.try_add(fp(1), b"data");
+        let mut extended = c.encode();
+        extended.extend_from_slice(&[0u8; 15]);
+        let err = Container::decode(extended).unwrap_err();
+        assert!(err.contains("15 trailing bytes"), "{err}");
+    }
+
+    /// Every observable of two containers that must be indistinguishable.
+    fn assert_same(built: &Container, decoded: &Container, step: &str) {
+        assert_eq!(built.encode(), decoded.encode(), "{step}: encode");
+        assert_eq!(built.encoded_len(), decoded.encoded_len(), "{step}");
+        assert_eq!(
+            built.iter().collect::<Vec<_>>(),
+            decoded.iter().collect::<Vec<_>>(),
+            "{step}: iter order"
+        );
+        for i in 0..40 {
+            assert_eq!(built.get(&fp(i)), decoded.get(&fp(i)), "{step}: get {i}");
+        }
+        assert_eq!(built.live_bytes(), decoded.live_bytes(), "{step}");
+        assert_eq!(built.used_bytes(), decoded.used_bytes(), "{step}");
+        assert_eq!(
+            built.utilization().to_bits(),
+            decoded.utilization().to_bits(),
+            "{step}"
+        );
+    }
+
+    #[test]
+    fn decoded_container_behaves_like_the_built_one() {
+        let mut a = Container::new(ContainerId::new(9), 1000);
+        a.set_version_tag(3);
+        for i in 0..10 {
+            assert!(a.try_add(fp(i), &vec![i as u8 + 1; 40 + i as usize]));
+        }
+        let mut b = Container::decode(a.encode()).unwrap();
+        assert_same(&a, &b, "decoded");
+
+        for c in [&mut a, &mut b] {
+            assert!(c.remove(&fp(2)));
+            assert!(c.remove(&fp(7)));
+        }
+        assert_same(&a, &b, "removed");
+
+        a.compact_in_place();
+        b.compact_in_place();
+        assert_same(&a, &b, "compacted");
+
+        let mut next = 10;
+        loop {
+            let room = a.capacity() - a.used_bytes();
+            if room == 0 {
+                break;
+            }
+            let len = room.min(64);
+            let chunk = vec![next as u8; len];
+            assert!(a.try_add(fp(next), &chunk));
+            assert!(b.try_add(fp(next), &chunk));
+            next += 1;
+        }
+        assert_eq!(a.used_bytes(), a.capacity(), "exactly full");
+        assert_same(&a, &b, "filled");
+
+        assert!(!a.try_add(fp(next), b"x"));
+        assert!(!b.try_add(fp(next), b"x"));
+        assert_same(&a, &b, "overflow rejected");
+    }
+
+    #[test]
+    fn empty_chunks_order_by_fingerprint_at_a_shared_offset() {
+        let mut c = Container::new(ContainerId::new(1), 64);
+        for i in [9, 3, 7] {
+            assert!(c.try_add(fp(i), b""));
+        }
+        c.try_add(fp(5), b"five");
+        let want = {
+            let mut fps = vec![fp(3), fp(5), fp(7), fp(9)];
+            fps.sort();
+            fps
+        };
+        let order: Vec<Fingerprint> = c.iter().map(|(fp, _)| fp).collect();
+        assert_eq!(order, want);
+        c.remove(&fp(7));
+        c.compact_in_place();
+        assert!(c.try_add(fp(7), b""));
+        assert_eq!(c.get(&fp(5)), Some(&b"five"[..]));
+        assert_same(&c, &Container::decode(c.encode()).unwrap(), "empty chunks");
+    }
+
+    #[test]
+    fn decode_keeps_the_chunks_in_the_buffer_it_was_given() {
+        let mut c = Container::new(ContainerId::new(1), 4096);
+        for i in 0..20 {
+            c.try_add(fp(i), &vec![i as u8; 50 + i as usize]);
+        }
+        c.remove(&fp(4));
+        let buf = c.encode();
+        let range = buf.as_ptr_range();
+        let decoded = Container::decode(buf).unwrap();
+        assert_eq!(decoded.iter().count(), 19);
+        for (fp, chunk) in decoded.iter() {
+            let inside = chunk.as_ptr_range();
+            assert!(
+                range.start <= inside.start && inside.end <= range.end,
+                "chunk {fp:?} was copied out of the decoded buffer"
+            );
+        }
     }
 
     #[test]

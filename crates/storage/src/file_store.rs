@@ -158,7 +158,7 @@ impl<V: Vfs> FileContainerStore<V> {
         for &id in &self.ids {
             match self.vfs.read(&self.path_of(id)) {
                 Ok(bytes) => {
-                    if let Err(reason) = Container::decode(&bytes) {
+                    if let Err(reason) = Container::decode(bytes) {
                         bad.push((id, reason));
                     }
                 }
@@ -193,8 +193,9 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
             return Err(StorageError::ContainerNotFound(id));
         }
         let bytes = self.vfs.read(&self.path_of(id))?;
-        let container = Container::decode(&bytes).map_err(StorageError::Corrupt)?;
-        self.counters.count_read(bytes.len() as u64);
+        let len = bytes.len() as u64;
+        let container = Container::decode(bytes).map_err(StorageError::Corrupt)?;
+        self.counters.count_read(len);
         Ok(Arc::new(container))
     }
 

@@ -355,7 +355,9 @@ fn sha1_incremental_equals_oneshot() {
     });
 }
 
-/// Containers round-trip arbitrary chunk sets through encode/decode.
+/// Containers round-trip arbitrary chunk sets through encode/decode, and
+/// a decoded container then behaves exactly like the one it was encoded
+/// from under the same random adds, removes and compactions.
 #[test]
 fn container_encode_decode_arbitrary() {
     cases(30, 0x07, |rng| {
@@ -366,7 +368,8 @@ fn container_encode_decode_arbitrary() {
                 random_bytes(rng, len)
             })
             .collect();
-        let mut c = Container::new(ContainerId::new(1), 1 << 20);
+        let capacity = rng.gen_range(1usize..6000);
+        let mut c = Container::new(ContainerId::new(1), capacity);
         let mut kept = Vec::new();
         for (i, data) in chunks.iter().enumerate() {
             let fp = Fingerprint::synthetic(i as u64);
@@ -374,10 +377,35 @@ fn container_encode_decode_arbitrary() {
                 kept.push((fp, data.clone()));
             }
         }
-        let decoded = Container::decode(&c.encode()).unwrap();
+        let mut decoded = Container::decode(c.encode()).unwrap();
         assert_eq!(decoded.chunk_count(), kept.len());
         for (fp, data) in kept {
             assert_eq!(decoded.get(&fp), Some(&data[..]));
+        }
+
+        let n_fps = n_chunks as u64 + 10;
+        for step in 0..rng.gen_range(1usize..30) {
+            let fp = Fingerprint::synthetic(rng.gen_range(0..n_fps));
+            match rng.gen_range(0u8..3) {
+                0 => {
+                    let len = rng.gen_range(0usize..400);
+                    let data = random_bytes(rng, len);
+                    assert_eq!(c.try_add(fp, &data), decoded.try_add(fp, &data), "{step}");
+                }
+                1 => assert_eq!(c.remove(&fp), decoded.remove(&fp), "{step}"),
+                _ => {
+                    c.compact_in_place();
+                    decoded.compact_in_place();
+                }
+            }
+            assert_eq!(c.encode(), decoded.encode(), "step {step}");
+            assert_eq!(
+                c.iter().collect::<Vec<_>>(),
+                decoded.iter().collect::<Vec<_>>(),
+                "step {step}"
+            );
+            assert_eq!(c.live_bytes(), decoded.live_bytes(), "step {step}");
+            assert_eq!(c.used_bytes(), decoded.used_bytes(), "step {step}");
         }
     });
 }
@@ -794,7 +822,7 @@ fn in_place_compaction_of_a_persisted_snapshot_is_saved() {
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|path| {
-                let mut c = Container::decode(&std::fs::read(path).unwrap()).unwrap();
+                let mut c = Container::decode(std::fs::read(path).unwrap()).unwrap();
                 if !c.try_add(junk, &[0xAB; 64]) {
                     return false;
                 }

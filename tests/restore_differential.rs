@@ -15,7 +15,9 @@
 //!   `ContainerLru` at equal slots;
 //! * FAA and ALACC reads are non-increasing in capacity;
 //! * a byte range of a version restores the matching slice of the full
-//!   restore, reading no more containers than it.
+//!   restore, reading no more containers than it;
+//! * a reopened on-disk repository, whose containers are decoded from their
+//!   files, restores every version with the reads of a memory-backed one.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -469,4 +471,65 @@ fn quarantined_dependency_fails_typed() {
         }
     }
     assert!(partial > 0, "some version depended on the lost container");
+}
+
+/// Restores `version` of `hds` through `cache` and returns the bytes, the
+/// reported container reads and the reads the archival store served.
+fn restore_counted<S: ContainerStore>(
+    hds: &HiDeStore<S>,
+    version: VersionId,
+    cache: &mut dyn RestoreCache,
+) -> (Vec<u8>, u64, u64) {
+    let mut out = Vec::new();
+    let before = hds.archival().stats();
+    let report = hds.restore(version, cache, &mut out).expect("restore");
+    let device = hds.archival().stats().since(&before);
+    (out, report.container_reads, device.container_reads)
+}
+
+/// The file-backed read path under every scheme × capacity. A fragmented
+/// stream is backed up into an on-disk repository, which is then reopened,
+/// so archival reads and the active pool both come through
+/// `Container::decode` of the file's bytes. Every version restores
+/// byte-exact, with the reads — reported and served — of a memory-backed
+/// instance given the same inputs.
+#[test]
+fn file_backed_repository_reads_like_the_memory_one() {
+    let originals = VersionStream::new(Profile::Macos.spec().scaled(150_000, 8), 29).all_versions();
+    let scratch = Scratch::new("file-backed");
+    let mut memory = HiDeStore::new(hds_config(), MemoryContainerStore::new());
+    {
+        let mut disk = HiDeStore::open_repository(hds_config(), &scratch.0).expect("open");
+        for v in &originals {
+            disk.backup(v).expect("backup");
+            memory.backup(v).expect("backup");
+        }
+        disk.save_repository(&scratch.0).expect("save repository");
+    }
+    let disk: HiDeStore<FileContainerStore> =
+        HiDeStore::open_repository(hds_config(), &scratch.0).expect("reopen");
+    assert!(disk.quarantine().is_empty(), "{:?}", disk.quarantine());
+
+    let mut archival_reads = 0;
+    for (v, expect) in (1u32..).zip(&originals) {
+        let version = VersionId::new(v);
+        for scheme in SCHEMES {
+            for (cap_tag, slots, bytes) in CAPACITIES {
+                let tag = format!("V{v}/{scheme}/{cap_tag}");
+                let cache = || make_scheme(scheme, slots, bytes);
+                let (out, reported, served) = restore_counted(&disk, version, cache().as_mut());
+                assert_eq!(&out, expect, "{tag}: bytes differ from original");
+                let (out, mem_reported, mem_served) =
+                    restore_counted(&memory, version, cache().as_mut());
+                assert_eq!(&out, expect, "{tag}: memory instance differs from original");
+                assert_eq!(
+                    (reported, served),
+                    (mem_reported, mem_served),
+                    "{tag}: (reported, served) reads differ from the memory instance"
+                );
+                archival_reads += served;
+            }
+        }
+    }
+    assert!(archival_reads > 0, "the restores read archival containers");
 }

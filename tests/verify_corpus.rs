@@ -108,6 +108,14 @@ fn truncate_half(path: &Path) {
     fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
 }
 
+/// Appends bytes past the end of a container's data section: every entry
+/// still resolves and every chunk still re-hashes.
+fn append_15_bytes(path: &Path) {
+    let mut bytes = fs::read(path).unwrap();
+    bytes.extend_from_slice(&[0x5A; 15]);
+    fs::write(path, bytes).unwrap();
+}
+
 /// The outcome of one `hidestore verify`: exit code and the containers its
 /// `CORRUPT: container N:` lines name.
 #[derive(Debug, PartialEq, Eq)]
@@ -214,6 +222,23 @@ fn truncated_container_fails_naming_it_local_and_remote() {
     assert!(path.exists(), "a daemon read verb moved the container");
     // The local open quarantines the file; the versions that read it no
     // longer restore.
+    assert_eq!(verify_local(&scratch.0), Verdict::corrupt(victim));
+    assert!(!path.exists());
+}
+
+/// A container file with 15 bytes past its data section is corrupt, like a
+/// truncated one: the decode accounts for every byte of the file.
+#[test]
+fn extended_container_fails_naming_it_local_and_remote() {
+    let scratch = Scratch::new("extended");
+    churned_repo(&scratch.0);
+    let victim = lowest_archival(&scratch.0);
+    let path = archival_file(&scratch.0, victim);
+    assert_eq!(
+        verify_remote_after(&scratch.0, || append_15_bytes(&path)),
+        Verdict::corrupt(victim)
+    );
+    assert!(path.exists(), "a daemon read verb moved the container");
     assert_eq!(verify_local(&scratch.0), Verdict::corrupt(victim));
     assert!(!path.exists());
 }
