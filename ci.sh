@@ -51,10 +51,14 @@
 #                                      ending at a lane round's edge and
 #                                      cuts lane B must win over lane A,
 #                                      the multiplicative divisor test
-#                                      matches `%`, and the unrolled SHA-1 and
-#                                      slicing CRC-32 meet their golden
-#                                      digest and byte-loop oracle, at
-#                                      release codegen too
+#                                      matches `%`, the unrolled SHA-1
+#                                      meets its golden digest, and the
+#                                      four-lane CRC-32 meets its byte-loop
+#                                      oracle around every lane and stride
+#                                      edge, at release codegen too; then
+#                                      the frame codec's tests, so a bit
+#                                      flipped at each CRC lane edge of a
+#                                      256 KiB DATA frame is caught there
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
@@ -140,9 +144,10 @@ cargo test --release --test restore_differential -q
 echo "ci: cargo test --release -p hidestore-storage container::"
 cargo test --release -p hidestore-storage --lib -q -- container::
 
-echo "ci: cargo test --release -p hidestore-chunking -p hidestore-hash"
+echo "ci: cargo test --release -p hidestore-chunking -p hidestore-hash -p hidestore-proto frame::"
 cargo test --release -p hidestore-chunking -q
 cargo test --release -p hidestore-hash -q
+cargo test --release -p hidestore-proto --lib -q -- frame::
 
 echo "ci: cargo test --release --test server_chaos"
 cargo test --release --test server_chaos -q

@@ -309,6 +309,56 @@ mod tests {
     }
 
     #[test]
+    fn data_frame_bit_flips_at_crc_lane_edges_are_detected() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // The CRC kernel's lane (`hidestore_hash::crc32`): 256 bytes, four
+        // to a 1 KiB stride, so every stride edge is also a lane edge.
+        const LANE: usize = 256;
+        const HEADER: usize = 7;
+        let mut rng = StdRng::seed_from_u64(0xDA7A_F12A);
+        let mut payload = vec![0u8; 256 * 1024];
+        rng.fill(&mut payload);
+        let mut frame = encode_frame(FrameKind::Data, &payload);
+
+        // The reader runs the CRC over the header, then over the payload
+        // where it lies: lanes start at payload offsets.
+        let (header, rest) = frame.split_at(HEADER);
+        assert_eq!(
+            crc32_update(crc32(header), &rest[..payload.len()]),
+            crc32(&frame[..HEADER + payload.len()])
+        );
+
+        let mut flips: Vec<usize> = (0..=payload.len() / LANE)
+            .flat_map(|edge| {
+                let at = HEADER + edge * LANE;
+                [at - 1, at, at + 1]
+            })
+            // The byte before the payload is the length's: flipping it is
+            // a length error, not a CRC one.
+            .filter(|&at| at >= HEADER)
+            .collect();
+        flips.extend((0..64).map(|_| HEADER + rng.gen_range(0..payload.len())));
+        for at in flips {
+            let bit = 1u8 << (at % 8);
+            frame[at] ^= bit;
+            let result = read_frame(&mut &frame[..], &Limits::default());
+            assert!(
+                matches!(result, Err(FrameError::CrcMismatch { .. })),
+                "bit {bit:#04x} flipped at frame byte {at}: {result:?}"
+            );
+            frame[at] ^= bit;
+        }
+        assert_eq!(
+            read_frame(&mut &frame[..], &Limits::default())
+                .expect("clean frame")
+                .payload,
+            payload
+        );
+    }
+
+    #[test]
     fn every_truncation_is_a_torn_frame() {
         let bytes = encode_frame(FrameKind::Data, b"stream chunk");
         for cut in 0..bytes.len() {

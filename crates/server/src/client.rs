@@ -23,9 +23,7 @@ use hidestore_proto::{
 };
 
 use crate::retry::generate_token;
-
-/// Payload bytes per DATA frame when streaming a backup to the daemon.
-const DATA_CHUNK: usize = 256 * 1024;
+use crate::server::DATA_CHUNK;
 
 /// The per-I/O socket deadline both sides use unless told otherwise: the
 /// client's `--remote-timeout` and the daemon's `--timeout` override it.
@@ -256,7 +254,7 @@ impl RemoteClient {
             )));
         }
         let tail = &data[offset as usize..];
-        for chunk in tail.chunks(DATA_CHUNK.max(1)) {
+        for chunk in tail.chunks(DATA_CHUNK) {
             write_frame(&mut self.stream, FrameKind::Data, chunk)?;
         }
         write_frame(&mut self.stream, FrameKind::End, &[])?;

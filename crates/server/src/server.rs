@@ -62,7 +62,9 @@ use crate::session::SessionTable;
 use crate::stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 use crate::view;
 
-/// Payload bytes per DATA frame when streaming restores to a client.
+/// Payload bytes per DATA frame: the client cuts a backup upload into
+/// frames of this size, and a restore's output is framed once this much
+/// has been buffered.
 pub const DATA_CHUNK: usize = 256 * 1024;
 
 /// Server configuration.
