@@ -5,7 +5,8 @@
 //!
 //! * **Lifecycle digests.** For each dedup scheme one scripted lifecycle
 //!   runs the way the CLI would, one open + operation + save per step:
-//!   8 workload versions, a tree backup whose source has explicit modes and
+//!   8 workload versions (kernel at history depth 1; HiDeStore also runs
+//!   macos at depth 2, the paper's setting for skip-a-version data), a tree backup whose source has explicit modes and
 //!   mtimes, prune, flatten, recluster and (out-of-line schemes) the
 //!   out-of-line pass. After every step the SHA-1 of the sorted list of
 //!   (relative path, bytes) of the whole repository must equal the recorded
@@ -136,10 +137,11 @@ fn step(dir: &Path, op: impl FnOnce(&mut HiDeStore<FileContainerStore>)) {
     hds.save_repository(dir).unwrap();
 }
 
-/// Runs the scripted lifecycle for `scheme` and compares the repository's
-/// digest after every step with `golden`.
-fn lifecycle(scheme: DedupMode, golden: &[(&str, &str)]) {
-    let scratch = Scratch::new(&format!("{scheme}"));
+/// Runs the scripted lifecycle for `scheme` at `history_depth` over
+/// `profile`'s versions and compares the repository's digest after every
+/// step with `golden`.
+fn lifecycle(scheme: DedupMode, history_depth: usize, profile: Profile, golden: &[(&str, &str)]) {
+    let scratch = Scratch::new(&format!("{scheme}-{history_depth}"));
     let (dir, source) = (scratch.0.join("repo"), scratch.0.join("source"));
     let mut seen: Vec<(String, String)> = Vec::new();
     let mut record = |step: String| seen.push((step, repo_digest(&dir)));
@@ -148,6 +150,7 @@ fn lifecycle(scheme: DedupMode, golden: &[(&str, &str)]) {
     HiDeStoreConfig {
         avg_chunk_size: 1024,
         container_capacity: 16 * 1024,
+        history_depth,
         scheme,
         ..HiDeStoreConfig::default()
     }
@@ -156,7 +159,7 @@ fn lifecycle(scheme: DedupMode, golden: &[(&str, &str)]) {
     step(&dir, |_| {});
     record("init".into());
 
-    let spec = Profile::Kernel.spec().scaled(96 << 10, 8);
+    let spec = profile.spec().scaled(96 << 10, 8);
     for (v, data) in (1..).zip(VersionStream::new(spec, 34).all_versions()) {
         step(&dir, |hds| {
             hds.backup(&data).unwrap();
@@ -207,7 +210,7 @@ fn lifecycle(scheme: DedupMode, golden: &[(&str, &str)]) {
                 format!("{mark} (\"{step}\", \"{digest}\"),\n")
             })
             .collect();
-        panic!("{scheme}: repository bytes moved (!! = step differs from the record):\n{table}");
+        panic!("{scheme} depth {history_depth}: repository bytes moved (!! = step differs from the record):\n{table}");
     }
 }
 
@@ -229,7 +232,28 @@ const HIDESTORE: &[(&str, &str)] = &[
 
 #[test]
 fn hidestore_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::HiDeStore, HIDESTORE);
+    lifecycle(DedupMode::HiDeStore, 1, Profile::Kernel, HIDESTORE);
+}
+
+const HIDESTORE_DEPTH_2: &[(&str, &str)] = &[
+    ("init", "fdb2ef82773bcbe2482cd826d2c02e670c862514"),
+    ("backup V1", "f715009aebcb4004de175013839af95838f1ec08"),
+    ("backup V2", "148b057dbba12625f3ab49dba7164d8b54952ae6"),
+    ("backup V3", "17484c3560d8436f767e31796235901c213080fb"),
+    ("backup V4", "a072249a28efb6d042d2a7a58fdc808f374406e9"),
+    ("backup V5", "a0b94b160ba2f57a09ec8187d53fa8fbdffde943"),
+    ("backup V6", "5c38e808c83f652f838da9f17a37a0d651453c78"),
+    ("backup V7", "021aec4bb49d7d876c8b28e77c8b96c4153c6da0"),
+    ("backup V8", "aa18eca22fe771db4cbef8c54b148d922d20b1e1"),
+    ("backup-tree V9", "5a6896b4ecf37afafcbfc40b60980b32228da7ca"),
+    ("prune 6", "be52c37f0d45c89c4eba6e4d4271fe350ca7a645"),
+    ("flatten", "fca57d2d2a2fefc19fbca7c9105e65bd249e7b20"),
+    ("recluster", "ab0e54286c5717a409df017c1ec510c12e26b3d2"),
+];
+
+#[test]
+fn hidestore_depth_2_lifecycle_writes_the_recorded_bytes() {
+    lifecycle(DedupMode::HiDeStore, 2, Profile::Macos, HIDESTORE_DEPTH_2);
 }
 
 const REVDEDUP: &[(&str, &str)] = &[
@@ -251,7 +275,7 @@ const REVDEDUP: &[(&str, &str)] = &[
 
 #[test]
 fn revdedup_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::RevDedup, REVDEDUP);
+    lifecycle(DedupMode::RevDedup, 1, Profile::Kernel, REVDEDUP);
 }
 
 const HYBRID: &[(&str, &str)] = &[
@@ -273,7 +297,7 @@ const HYBRID: &[(&str, &str)] = &[
 
 #[test]
 fn hybrid_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::Hybrid, HYBRID);
+    lifecycle(DedupMode::Hybrid, 1, Profile::Kernel, HYBRID);
 }
 
 /// The committed compatibility repository.
