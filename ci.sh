@@ -25,7 +25,11 @@
 #                                      save keeps its changes for the retry,
 #                                      and that a save encoding on several
 #                                      threads keeps the serial op order and
-#                                      records each staged file's own CRC
+#                                      records each staged file's own CRC;
+#                                      then the failure-injection suite, the
+#                                      only one that reaches a failed cold
+#                                      demotion (V1-V3 must still restore
+#                                      through the chunks it left pooled)
 #   7. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -128,12 +132,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "ci: cargo test --release --test crash_matrix"
+echo "ci: cargo test --release --test crash_matrix, failure_injection"
 cargo test --release --test crash_matrix -q
 cargo test --release -p hidestore-core --lib -q -- \
     persist::tests::commit_cost_does_not_grow_with_history \
     persist::tests::failed_save_keeps_its_changes_for_the_retry \
     persist::tests::parallel_encode_keeps_the_serial_save_order
+cargo test --release --test failure_injection -q
 
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q

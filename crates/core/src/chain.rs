@@ -8,7 +8,7 @@
 //! [`flatten_recipes`] (the paper's Algorithm 1) collapses the chain offline
 //! so restores of old versions don't walk multiple recipes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use hidestore_hash::Fingerprint;
 use hidestore_storage::{Cid, ContainerId, RecipeEntry, RecipeStore, VersionId};
@@ -21,16 +21,16 @@ use crate::composite::ACTIVE_ID_BASE;
 ///
 /// For every still-`ACTIVE` entry of those recipes:
 /// * demoted chunk → its archival container ID;
-/// * chunk present in the current version → `chained(current)`;
+/// * chunk the pool has seen in the current version → `chained(current)`;
 /// * otherwise (possible only with history depth ≥ 2) → stays `ACTIVE`; it
-///   will be settled when its history table expires.
+///   will be settled when it goes cold.
 ///
 /// Returns the number of entries modified.
 pub fn update_previous_recipes(
     recipes: &mut RecipeStore,
     current: VersionId,
     moved: &HashMap<Fingerprint, ContainerId>,
-    current_fingerprints: &HashSet<Fingerprint>,
+    pool: &ActivePool,
     depth: usize,
 ) -> u64 {
     let mut updated = 0;
@@ -47,7 +47,7 @@ pub fn update_previous_recipes(
             if let Some(&archival) = moved.get(&entry.fingerprint) {
                 entry.cid = Cid::archival(archival);
                 updated += 1;
-            } else if current_fingerprints.contains(&entry.fingerprint) {
+            } else if pool.seen_in(&entry.fingerprint, current) {
                 entry.cid = Cid::chained(current);
                 updated += 1;
             }
@@ -251,6 +251,15 @@ mod tests {
         Fingerprint::synthetic(n)
     }
 
+    /// A pool holding chunks `ids`, each seen in `version`.
+    fn pool_seen_in(version: u32, ids: &[u64]) -> ActivePool {
+        let mut pool = ActivePool::new(1024);
+        for (rank, &id) in (0u32..).zip(ids) {
+            pool.add(fp(id), &id.to_le_bytes(), VersionId::new(version), rank);
+        }
+        pool
+    }
+
     fn recipe_with(version: u32, entries: &[(u64, i32)]) -> Recipe {
         let mut r = Recipe::new(VersionId::new(version));
         for &(n, raw) in entries {
@@ -266,8 +275,8 @@ mod tests {
         recipes.insert(recipe_with(2, &[(1, 0), (3, 0)]));
         let mut moved = HashMap::new();
         moved.insert(fp(2), ContainerId::new(7));
-        let current: HashSet<Fingerprint> = [fp(1), fp(3)].into_iter().collect();
-        let updated = update_previous_recipes(&mut recipes, VersionId::new(2), &moved, &current, 1);
+        let pool = pool_seen_in(2, &[1, 3]);
+        let updated = update_previous_recipes(&mut recipes, VersionId::new(2), &moved, &pool, 1);
         assert_eq!(updated, 3);
         let r1 = recipes.get(VersionId::new(1)).unwrap();
         assert_eq!(r1.entries()[0].cid, Cid::chained(VersionId::new(2)));
@@ -286,7 +295,7 @@ mod tests {
             &mut recipes,
             VersionId::new(2),
             &HashMap::new(),
-            &HashSet::new(),
+            &ActivePool::new(1024),
             2,
         );
         assert_eq!(updated, 0);
@@ -366,7 +375,7 @@ mod tests {
             &mut recipes,
             VersionId::new(2),
             &HashMap::new(),
-            &HashSet::new(),
+            &ActivePool::new(1024),
             2,
         );
         assert!(recipes.get(VersionId::new(1)).unwrap().entries()[0]
@@ -378,8 +387,8 @@ mod tests {
         recipes.insert(recipe_with(3, &[(1, 0)]));
         let mut moved = HashMap::new();
         moved.insert(fp(2), ContainerId::new(9));
-        let current: HashSet<Fingerprint> = [fp(1)].into_iter().collect();
-        update_previous_recipes(&mut recipes, VersionId::new(3), &moved, &current, 2);
+        let pool = pool_seen_in(3, &[1]);
+        update_previous_recipes(&mut recipes, VersionId::new(3), &moved, &pool, 2);
 
         let r1 = recipes.get(VersionId::new(1)).unwrap();
         assert_eq!(
@@ -394,8 +403,7 @@ mod tests {
         );
 
         // Resolution: A resolves through V3 to the pool; B to container 9.
-        let mut pool = ActivePool::new(1024);
-        let pool_cid = pool.add(fp(1), b"A");
+        let pool_cid = pool.locate(&fp(1)).unwrap();
         let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
         assert_eq!(plan[0].2, ContainerId::new(ACTIVE_ID_BASE + pool_cid));
         assert_eq!(plan[1].2, ContainerId::new(9));
@@ -416,7 +424,7 @@ mod tests {
         let mut recipes = RecipeStore::new();
         recipes.insert(recipe_with(1, &[(1, 0)]));
         let mut pool = ActivePool::new(1024);
-        let pool_cid = pool.add(fp(1), b"hot");
+        let pool_cid = pool.add(fp(1), b"hot", VersionId::new(1), 0);
         let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
         assert_eq!(plan[0].2, ContainerId::new(ACTIVE_ID_BASE + pool_cid));
     }

@@ -100,7 +100,7 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
 mod tests {
     use super::*;
     use hidestore_hash::Fingerprint;
-    use hidestore_storage::MemoryContainerStore;
+    use hidestore_storage::{MemoryContainerStore, VersionId};
 
     fn fixture() -> (MemoryContainerStore, ActivePool) {
         let mut archival = MemoryContainerStore::new();
@@ -108,7 +108,12 @@ mod tests {
         c.try_add(Fingerprint::synthetic(1), b"archival chunk");
         archival.write(c).unwrap();
         let mut pool = ActivePool::new(1024);
-        pool.add(Fingerprint::synthetic(2), b"active chunk");
+        pool.add(
+            Fingerprint::synthetic(2),
+            b"active chunk",
+            VersionId::new(1),
+            0,
+        );
         (archival, pool)
     }
 

@@ -17,9 +17,9 @@ pub const CONFIG_FILE: &str = "config";
 /// ingest path:
 ///
 /// * [`DedupMode::HiDeStore`] — the paper's design: exact chunk-level dedup
-///   inline against the double-hash-table fingerprint cache, with cold
-///   chunks demoted into version-tagged archival containers at the end of
-///   every version.
+///   inline against the fingerprint cache (the active pool's hot set),
+///   with cold chunks demoted into version-tagged archival containers at
+///   the end of every version.
 /// * [`DedupMode::RevDedup`] — the RevDedup baseline: coarse segment-level
 ///   dedup inline (only whole identical segments are suppressed, so the
 ///   newest version stays physically sequential), with the remaining

@@ -9,11 +9,14 @@
 //!
 //! The design follows §4 of the paper:
 //!
-//! * **Fingerprint cache with double hash tables** (§4.1, [`FingerprintCache`])
-//!   — `T1` holds the previous version's chunks, `T2` collects the current
-//!   version's. Chunks that hit `T1` migrate to `T2`; whatever remains in
-//!   `T1` at the end of the version is *cold* — observed (Figure 3) to have
-//!   negligible probability of ever recurring.
+//! * **Fingerprint cache** (§4.1, [`ActivePool::classify`]) — the active
+//!   pool's index is the one table of the hot set: each hot chunk's
+//!   fingerprint, size, active container and the last version that held
+//!   it. The paper's `T2` is the chunks stamped with the current version,
+//!   `T1` those stamped with the previous one. A chunk last seen in `T1`
+//!   is restamped when the current version holds it again; whatever is
+//!   still stamped `T1` at the end of the version is *cold* — observed
+//!   (Figure 3) to have negligible probability of ever recurring.
 //! * **Chunk filter** (§4.2, [`ActivePool`]) — unique chunks are staged in
 //!   *active containers*; at each version end the cold chunks are demoted to
 //!   sealed *archival containers* and the sparse active containers are
@@ -51,7 +54,6 @@
 //! ```
 
 mod active;
-mod cache;
 pub mod chain;
 mod composite;
 mod config;
@@ -63,8 +65,7 @@ mod scheme;
 mod stats;
 mod system;
 
-pub use active::{ActivePool, CompactionReport};
-pub use cache::{CacheEntry, Classification, FingerprintCache};
+pub use active::{ActivePool, Classification, CompactionReport};
 pub use composite::{CompositeStore, ACTIVE_ID_BASE};
 pub use config::{DedupMode, HiDeStoreConfig, CONFIG_FILE};
 pub use handle::RepositoryHandle;

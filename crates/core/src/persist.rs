@@ -30,23 +30,23 @@
 //! fail with [`HiDeStoreError::PartialRestore`] naming their lost
 //! dependencies.
 //!
-//! The fingerprint cache is *not* persisted: per the paper (§4.1), the
-//! previous version's table `T1` is rebuilt by prefetching the newest
-//! recipe(s), with active-container locations recovered from the pool.
+//! The hot set's version stamps are *not* persisted: per the paper (§4.1),
+//! the previous version's table `T1` is rebuilt by prefetching the newest
+//! recipe(s); the active pool already holds each chunk's location.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::{RealVfs, Vfs};
-use hidestore_hash::{crc32, default_hash_threads, map_ordered, Fingerprint};
+use hidestore_hash::{crc32, default_hash_threads, map_ordered};
 use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 use hidestore_storage::{
     Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, RepoFile,
     StorageError, VersionId,
 };
 
-use crate::cache::{CacheEntry, FingerprintCache};
+use crate::active::ActivePool;
 use crate::composite::ACTIVE_ID_BASE;
 use crate::config::HiDeStoreConfig;
 use crate::journal::{self, CommitRecord, JournalRecovery, PublishEntry};
@@ -670,61 +670,20 @@ fn artifact_files<V: Vfs>(vfs: &V, dir: &Path) -> Result<Vec<String>, StorageErr
     Ok(files)
 }
 
-/// Rebuilds the fingerprint cache from the newest `depth` recipes and the
-/// active pool, per §4.1: table `T_w` holds the chunks whose most recent
-/// version is `w`, located via the pool.
-pub(crate) fn rebuild_cache(
-    recipes: &RecipeStore,
-    pool: &crate::active::ActivePool,
-    depth: usize,
-) -> FingerprintCache {
-    let mut cache = FingerprintCache::new(depth);
+/// Stamps each pooled chunk with the newest of the newest `depth` recipes
+/// that holds it, per §4.1: those recipes are the prefetched history
+/// tables, and the pool already knows where each chunk lives.
+pub(crate) fn stamp_hot_set(recipes: &RecipeStore, pool: &mut ActivePool, depth: usize) {
     let Some(latest) = recipes.latest_version() else {
-        return cache;
+        return;
     };
-    // Collect the newest `depth` versions oldest-first so preload_history
-    // ends with the newest at the front.
-    let mut versions: Vec<VersionId> = Vec::new();
-    let mut v = Some(latest);
-    for _ in 0..depth {
-        let Some(cur) = v else { break };
-        if recipes.get(cur).is_some() {
-            versions.push(cur);
+    let older = u32::try_from(depth.saturating_sub(1)).unwrap_or(u32::MAX);
+    let oldest = latest.get().saturating_sub(older).max(1);
+    for w in oldest..=latest.get() {
+        if let Some(recipe) = recipes.get(VersionId::new(w)) {
+            pool.stamp(recipe);
         }
-        v = cur.prev();
     }
-    versions.reverse();
-    let mut seen_newer: std::collections::HashSet<Fingerprint> = Default::default();
-    // Walk newest-first when assigning ownership; preload oldest-first.
-    let mut tables: Vec<HashMap<Fingerprint, CacheEntry>> = Vec::new();
-    for &w in versions.iter().rev() {
-        let Some(recipe) = recipes.get(w) else {
-            continue;
-        };
-        let mut table = HashMap::new();
-        for entry in recipe.entries() {
-            if seen_newer.contains(&entry.fingerprint) {
-                continue;
-            }
-            if let Some(cid) = pool.locate(&entry.fingerprint) {
-                table.insert(
-                    entry.fingerprint,
-                    CacheEntry {
-                        size: entry.size,
-                        active_cid: cid,
-                    },
-                );
-            }
-            seen_newer.insert(entry.fingerprint);
-        }
-        tables.push(table);
-    }
-    // `tables` is newest-first; preload oldest-first so the newest ends up
-    // in front.
-    for table in tables.into_iter().rev() {
-        cache.preload_history(table);
-    }
-    cache
 }
 
 #[cfg(test)]

@@ -29,7 +29,8 @@ pub struct HiDeStoreVersionStats {
     /// Equivalent index-lookup requests spent prefetching the previous
     /// recipe into `T1` (Figure 9's unit; §5.2.2).
     pub lookup_requests: u64,
-    /// Fingerprint-cache footprint after this version. This is *transient
+    /// Fingerprint-cache footprint after this version: the paper's 28 bytes
+    /// per entry of the active pool's hot-set table. This is *transient
     /// working memory* bounded by two versions' metadata (§4.1), not a
     /// persistent index table: HiDeStore's Figure 10 contribution is zero
     /// because the previous recipe doubles as its "index".

@@ -18,8 +18,7 @@ use hidestore_storage::{
     RecipeStore, StorageError, VersionId,
 };
 
-use crate::active::ActivePool;
-use crate::cache::{CacheEntry, Classification, FingerprintCache};
+use crate::active::{ActivePool, Classification};
 use crate::chain::{self, ResolveError};
 use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
@@ -31,6 +30,10 @@ use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
 /// prefetch is charged in these units, the same units as the traditional
 /// schemes' index lookups (§5.2.2).
 const LOOKUP_UNIT_BYTES: u64 = 4096;
+
+/// Bytes the paper charges per fingerprint-cache entry: a 20-byte
+/// fingerprint, a 4-byte container ID and a 4-byte size (§4.1).
+const CACHE_ENTRY_BYTES: u64 = 28;
 
 /// Bytes of output one FAA area assembles in the restores the CLI, the
 /// daemon, tree restore and the auditor run: each container a restore
@@ -187,7 +190,6 @@ impl Scrubbed {
 pub struct HiDeStore<S> {
     config: HiDeStoreConfig,
     chunker: Box<dyn Chunker + Send + Sync>,
-    cache: FingerprintCache,
     pool: ActivePool,
     archival: S,
     recipes: RecipeStore,
@@ -215,7 +217,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         let chunker = config.chunker.build(config.avg_chunk_size);
         HiDeStore {
             chunker,
-            cache: FingerprintCache::new(config.history_depth),
             pool: ActivePool::new(config.container_capacity),
             archival,
             recipes: RecipeStore::new(),
@@ -233,8 +234,8 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     /// Backs up one version.
     ///
-    /// This is the whole §4 pipeline: classify against the double-hash
-    /// cache, stage unique chunks in active containers, then at version end
+    /// This is the whole §4 pipeline: classify against the hot set, stage
+    /// unique chunks in active containers, then at version end
     /// demote the cold set to archival containers, merge sparse active
     /// containers, and update the previous recipe(s).
     ///
@@ -278,8 +279,8 @@ impl<S: ContainerStore> HiDeStore<S> {
         sizes: &[u32],
         content: impl Fn(usize) -> std::borrow::Cow<'a, [u8]>,
     ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
-        // The out-of-line schemes (RevDedup, hybrid) bypass the cache/pool
-        // pipeline entirely and ingest straight into archival containers.
+        // The out-of-line schemes (RevDedup, hybrid) bypass the active
+        // pool entirely and ingest straight into archival containers.
         if self.config.scheme.is_out_of_line() {
             return self.run_backup_out_of_line(fingerprints, sizes, &content);
         }
@@ -288,7 +289,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         let logical_bytes: u64 = sizes.iter().map(|&s| s as u64).sum();
 
         // §5.2.2: HiDeStore's only index traffic is prefetching the previous
-        // recipe into T1, charged in lookup-request units.
+        // recipe (T1), charged in lookup-request units.
         let lookup_requests = version
             .prev()
             .and_then(|p| self.recipes.get(p))
@@ -298,37 +299,27 @@ impl<S: ContainerStore> HiDeStore<S> {
         let mut recipe = Recipe::new(version);
         let mut stored_bytes = 0u64;
         let mut unique_chunks = 0u64;
-        let mut current_fps: HashSet<Fingerprint> = HashSet::with_capacity(fingerprints.len());
-        // Stream-order ranks guide the end-of-version compaction (§4.2).
-        let mut stream_rank: HashMap<Fingerprint, u32> = HashMap::with_capacity(fingerprints.len());
 
-        for (i, (&fp, &size)) in fingerprints.iter().zip(sizes).enumerate() {
-            stream_rank.entry(fp).or_insert(i as u32);
-            match self.cache.classify(fp) {
-                Classification::Unique => {
-                    let chunk = content(i);
-                    let active_cid = self.pool.add(fp, &chunk);
-                    self.cache
-                        .insert_current(fp, CacheEntry { size, active_cid });
-                    stored_bytes += size as u64;
-                    unique_chunks += 1;
-                }
-                Classification::HotFromPrevious(_) | Classification::AlreadyCurrent(_) => {}
+        // Each chunk's stream position is its rank: the end-of-version
+        // compaction packs in the order this version first held them.
+        for (i, (&fp, &size)) in (0u32..).zip(fingerprints.iter().zip(sizes)) {
+            if self.pool.classify(fp, version, i) == Classification::Unique {
+                self.pool.add(fp, &content(i as usize), version, i);
+                stored_bytes += size as u64;
+                unique_chunks += 1;
             }
-            current_fps.insert(fp);
             recipe.push(RecipeEntry::new(fp, size, Cid::ACTIVE));
         }
         self.recipes.insert(recipe);
 
         // End of version: demote the cold set and compact the pool.
         let move_start = Instant::now();
-        let cold = self.cache.advance_version();
+        let cold = self.pool.cold(version, self.config.history_depth);
         let (moved, sealed) = self.demote_cold(&cold, version)?;
-        let cold_bytes: u64 = cold.values().map(|e| e.size as u64).sum();
-        let (compaction, relocations) = self
+        let cold_bytes: u64 = cold.iter().map(|&(_, size)| u64::from(size)).sum();
+        let compaction = self
             .pool
-            .compact_with_order(self.config.compact_threshold, &stream_rank);
-        self.cache.apply_relocations(&relocations);
+            .compact_with_order(self.config.compact_threshold, version);
         let chunk_move_time = move_start.elapsed();
 
         // Update the previous recipe(s) (§4.3).
@@ -337,7 +328,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             &mut self.recipes,
             version,
             &moved,
-            &current_fps,
+            &self.pool,
             self.config.history_depth,
         );
         let recipe_update_time = recipe_start.elapsed();
@@ -353,7 +344,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             archival_containers_sealed: sealed,
             containers_merged: compaction.containers_merged,
             lookup_requests,
-            fingerprint_cache_bytes: self.cache.memory_bytes() as u64,
+            fingerprint_cache_bytes: self.pool.chunk_count() as u64 * CACHE_ENTRY_BYTES,
             recipe_update_time,
             chunk_move_time,
         };
@@ -362,21 +353,14 @@ impl<S: ContainerStore> HiDeStore<S> {
         Ok(stats)
     }
 
-    /// Moves the cold chunks out of the active pool into fresh archival
-    /// containers tagged with `version` (§4.2's filter).
+    /// Moves the cold chunks, in [`ActivePool::cold`]'s order, out of the
+    /// active pool into fresh archival containers tagged with `version`
+    /// (§4.2's filter).
     fn demote_cold(
         &mut self,
-        cold: &HashMap<Fingerprint, CacheEntry>,
+        cold: &[(Fingerprint, u32)],
         version: VersionId,
     ) -> Result<(HashMap<Fingerprint, ContainerId>, u64), HiDeStoreError> {
-        // Deterministic demotion order approximating the old physical
-        // layout: by (active container, fingerprint).
-        let mut ordered: Vec<(u32, Fingerprint)> = cold
-            .keys()
-            .map(|fp| (self.pool.locate(fp).unwrap_or(u32::MAX), *fp))
-            .collect();
-        ordered.sort_unstable();
-
         // Copy-then-remove: contents are *copied* into archival containers
         // and the copies fully persisted before anything leaves the pool.
         // If a store write fails mid-demotion, already-written containers
@@ -390,19 +374,13 @@ impl<S: ContainerStore> HiDeStore<S> {
         );
         let packed = self.pack_archival(
             version.get(),
-            ordered.iter().filter_map(|(_, fp)| {
-                let data = pool.get(fp);
-                // A cold entry not in the pool would indicate cache/pool
-                // divergence; skip defensively (debug builds assert).
-                debug_assert!(data.is_some(), "cold chunk {fp} missing from pool");
-                Some((*fp, data?))
-            }),
+            cold.iter().filter_map(|(fp, _)| Some((*fp, pool.get(fp)?))),
         );
         self.pool = pool;
         let (moved, sealed) = packed?;
         // Every archival copy is durable: now the originals can leave the
         // active pool.
-        for (_, fp) in &ordered {
+        for (fp, _) in cold {
             self.pool.remove(fp);
         }
         Ok((moved, sealed))
@@ -834,11 +812,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         &self.config
     }
 
-    /// The double-hash fingerprint cache (§4.1).
-    pub fn fingerprint_cache(&self) -> &FingerprintCache {
-        &self.cache
-    }
-
     /// The id the next backup will get: every retained version and every
     /// container tag is below it.
     pub fn next_version(&self) -> u32 {
@@ -866,7 +839,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     ) -> Result<(), HiDeStoreError> {
         self.pool = ActivePool::from_containers(self.config.container_capacity, pool_containers)
             .map_err(|msg| HiDeStoreError::Storage(StorageError::Corrupt(msg)))?;
-        self.cache = crate::persist::rebuild_cache(&recipes, &self.pool, self.config.history_depth);
+        crate::persist::stamp_hot_set(&recipes, &mut self.pool, self.config.history_depth);
         self.recipes = recipes;
         self.next_version = next_version.max(1);
         self.next_archival_id = next_archival_id.max(1);
@@ -1350,6 +1323,19 @@ mod tests {
         hds.restore(VersionId::new(3), &mut Faa::new(1 << 20), &mut out)
             .unwrap();
         assert_eq!(out, v1);
+    }
+
+    #[test]
+    fn fingerprint_cache_bytes_are_28_per_hot_chunk() {
+        let mut hds = system();
+        let s1 = hds.backup(&noise(100_000, 17)).unwrap();
+        assert!(s1.unique_chunks > 0);
+        assert_eq!(s1.fingerprint_cache_bytes, 28 * s1.unique_chunks);
+        // Completely different data: version 1's chunks go cold and leave
+        // the table.
+        let s2 = hds.backup(&noise(100_000, 18)).unwrap();
+        assert_eq!(s2.cold_chunks, s1.unique_chunks);
+        assert_eq!(s2.fingerprint_cache_bytes, 28 * s2.unique_chunks);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Cross-layer invariant checker for HiDeStore repositories.
 //!
 //! HiDeStore's correctness rests on invariants that span three layers —
-//! recipes, the active container pool, and the archival container store —
-//! plus the in-memory fingerprint cache:
+//! recipes, the active container pool, and the archival container store.
+//! The fingerprint cache is the pool's own index, so it cannot disagree
+//! with the pool:
 //!
 //! 1. **Reference integrity** — every recipe entry's CID resolves, possibly
 //!    through a recipe chain, to a container that actually holds the chunk.
@@ -71,7 +72,7 @@ use hidestore_tree::{read_manifest, EntryPayload, TreeError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious or wasteful, but every retained version still restores
-    /// correctly (e.g. a stale cache entry, a leaked orphan chunk).
+    /// correctly (e.g. a leaked orphan chunk).
     Warning,
     /// An invariant is broken: some restore would fail or return wrong data,
     /// or metadata no longer describes the physical layout.
@@ -225,14 +226,6 @@ pub enum FindingKind {
         version: u32,
         /// The chunk whose chain cycles.
         fingerprint: Fingerprint,
-    },
-    /// A fingerprint-cache entry disagrees with the pool (chunk gone, or
-    /// pooled in a different container than the cache believes).
-    StaleCacheEntry {
-        /// The cached chunk.
-        fingerprint: Fingerprint,
-        /// The pool-local container ID the cache records.
-        cached_cid: u32,
     },
     /// An unreferenced archival chunk lives in an *untagged* container:
     /// tag-ranged deletion will never reclaim it.
@@ -437,16 +430,6 @@ impl fmt::Display for FindingKind {
                 fingerprint,
             } => {
                 write!(f, "recipe V{version} chunk {fingerprint} chain is cyclic")
-            }
-            FindingKind::StaleCacheEntry {
-                fingerprint,
-                cached_cid,
-            } => {
-                write!(
-                    f,
-                    "cache entry {fingerprint} -> active container {cached_cid} \
-                     disagrees with the pool"
-                )
             }
             FindingKind::OrphanUntagged {
                 container,
@@ -758,24 +741,7 @@ impl SystemAuditor {
             }
         }
 
-        // Phase 5 — cache/pool agreement: every cached entry must point at
-        // the pool container actually holding the chunk.
-        for (_table, fp, entry) in system.fingerprint_cache().entries() {
-            match pool.locate(&fp) {
-                Some(cid) if cid == entry.active_cid => {}
-                _ => {
-                    report.push(
-                        Severity::Warning,
-                        FindingKind::StaleCacheEntry {
-                            fingerprint: fp,
-                            cached_cid: entry.active_cid,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Phase 6 — tree streams: a version whose stream opens with the
+        // Phase 5 — tree streams: a version whose stream opens with the
         // tree-backup magic must decode to a valid manifest, and every file
         // entry's content range must lie inside the stream — a dangling
         // range means that file is unrestorable even though every chunk is
@@ -1274,9 +1240,9 @@ mod tests {
         assert_eq!(report.max_severity(), None);
         report.push(
             Severity::Warning,
-            FindingKind::StaleCacheEntry {
+            FindingKind::OrphanUntagged {
+                container: 1,
                 fingerprint: Fingerprint::synthetic(1),
-                cached_cid: 1,
             },
         );
         assert_eq!(report.max_severity(), Some(Severity::Warning));

@@ -148,6 +148,30 @@ fn hidestore_recovers_on_next_backup_after_failure() {
 }
 
 #[test]
+fn chunks_a_failed_demotion_left_pooled_are_hot_when_seen_again() {
+    // V1's chunks go cold at the end of V2, whose demotion fails: they stay
+    // pooled. When V3 holds them again they are hot, not unique, so V3
+    // stores nothing and the whole history still restores.
+    let mut hds = HiDeStore::new(hds_config(), FlakyStore::new(0));
+    let v1 = noise(80_000, 6);
+    let v2 = noise(80_000, 7);
+    hds.backup(&v1).unwrap();
+    hds.backup(&v2).unwrap_err();
+    hds.archival_mut().disarm();
+    let s3 = hds.backup(&v1).unwrap();
+    assert_eq!((s3.stored_bytes, s3.unique_chunks), (0, 0));
+    assert!(s3.cold_chunks > 0, "V2's chunks go cold at the end of V3");
+    for (v, expect) in [(1u32, &v1), (2, &v2), (3, &v1)] {
+        let mut out = Vec::new();
+        hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+            .unwrap_or_else(|e| panic!("V{v}: {e}"));
+        assert_eq!(&out, expect, "V{v}");
+    }
+    let report = SystemAuditor::new().audit(&hds);
+    assert!(report.is_clean(), "{report}");
+}
+
+#[test]
 fn pipeline_failed_backup_preserves_old_versions() {
     let mut p = BackupPipeline::new(
         PipelineConfig {

@@ -6,7 +6,7 @@
 //! On failure the panic message names the case seed so the input can be
 //! reproduced exactly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -786,6 +786,88 @@ fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
                 }
                 let audit = SystemAuditor::new().audit(&hds);
                 assert!(audit.is_clean(), "{scheme}: {audit}");
+            }));
+            let _ = std::fs::remove_dir_all(&dir);
+            if let Err(panic) = result {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// Asserts that `hds`'s pool is the hot set: its fingerprints are exactly
+/// the distinct fingerprints of the newest `depth` recipes, and each pooled
+/// chunk sits in the container the pool's index names.
+fn assert_pool_is_the_hot_set(hds: &HiDeStore<FileContainerStore>, depth: usize, context: &str) {
+    let newest: BTreeSet<Fingerprint> = hds
+        .versions()
+        .iter()
+        .rev()
+        .take(depth)
+        .flat_map(|&v| hds.recipes().get(v).unwrap().entries())
+        .map(|e| e.fingerprint)
+        .collect();
+    let pool = hds.pool();
+    let pooled: BTreeSet<Fingerprint> = pool.hot_chunks().map(|(fp, _)| fp).collect();
+    assert!(
+        pooled == newest,
+        "{context}: {} pooled chunks, {} in the newest {depth} recipes, {} in both",
+        pooled.len(),
+        newest.len(),
+        pooled.intersection(&newest).count()
+    );
+    for (fp, cid) in pool.hot_chunks() {
+        assert!(
+            pool.snapshot(cid).is_some_and(|c| c.contains(&fp)),
+            "{context}: active container {cid} does not hold {fp}"
+        );
+    }
+}
+
+/// Figure 5 over random histories at history depth 1 and 2, with the
+/// skip-a-version pattern of Figure 3d mixed in: after every backup and
+/// every reopen, the active pool holds exactly the newest `depth` versions'
+/// chunks, each where its entry says.
+#[test]
+fn the_active_pool_is_the_hot_set_across_backups_and_reopens() {
+    cases(6, 0x12, |rng| {
+        for depth in [1usize, 2] {
+            let dir = scratch_dir(&format!("hot-set-{depth}"), rng);
+            let config = HiDeStoreConfig {
+                container_capacity: 8 * 1024,
+                ..hds_config()
+            }
+            .with_history_depth(depth);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let seed_len = rng.gen_range(4_000usize..20_000);
+                let mut streams = version_history(seed_len, &[]);
+                let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+                hds.backup(&streams[0]).unwrap();
+                assert_pool_is_the_hot_set(&hds, depth, &format!("depth {depth} V1"));
+                for v in 2..rng.gen_range(6u32..12) {
+                    let newest = streams.last().unwrap().clone();
+                    let next = match rng.gen_range(0usize..4) {
+                        // The version before the newest comes back.
+                        0 if streams.len() >= 2 => streams[streams.len() - 2].clone(),
+                        1 => random_bytes(rng, seed_len),
+                        _ => apply(newest, &random_edit(rng)),
+                    };
+                    hds.backup(&next).unwrap();
+                    streams.push(next);
+                    assert_pool_is_the_hot_set(&hds, depth, &format!("depth {depth} V{v}"));
+                    if rng.gen_range(0usize..3) == 0 {
+                        hds.save_repository(&dir).unwrap();
+                        hds = HiDeStore::open_repository(config, &dir).unwrap();
+                        let context = format!("depth {depth} reopen after V{v}");
+                        assert_pool_is_the_hot_set(&hds, depth, &context);
+                    }
+                }
+                for (v, expect) in (1u32..).zip(&streams) {
+                    let mut out = Vec::new();
+                    hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                        .unwrap();
+                    assert!(out == *expect, "depth {depth}: V{v} differs");
+                }
             }));
             let _ = std::fs::remove_dir_all(&dir);
             if let Err(panic) = result {
