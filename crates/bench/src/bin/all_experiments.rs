@@ -7,20 +7,7 @@ use std::process::Command;
 fn main() {
     let exe = std::env::current_exe().expect("current executable path");
     let dir = exe.parent().expect("binary directory");
-    let names = [
-        "table1",
-        "fig3",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "deletion",
-        "fragmentation",
-        "scaling",
-        "ablation",
-    ];
-    for name in names {
+    for name in hidestore_bench::EXPERIMENTS {
         let path = dir.join(name);
         println!("\n################ {name} ################");
         let status = Command::new(&path)

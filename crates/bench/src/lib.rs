@@ -33,6 +33,21 @@ use hidestore_rewriting::{Capping, Fbw, NoRewrite, RewritePolicy};
 use hidestore_storage::{MemoryContainerStore, VersionId};
 use hidestore_workloads::{Profile, VersionStream};
 
+/// The binaries `all_experiments` runs, in order: every table and figure
+/// of the evaluation section, then the ablations.
+pub const EXPERIMENTS: [&str; 10] = [
+    "table1",
+    "fig3",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "deletion",
+    "fragmentation",
+    "ablation",
+];
+
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {

@@ -33,6 +33,7 @@
 //! `save_repository` journals atomically with the repointed recipes.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 use hidestore_hash::{Fingerprint, FINGERPRINT_LEN};
@@ -168,15 +169,15 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// previous version only (whole segments for RevDedup, single chunks
     /// for hybrid), everything else written straight into version-tagged
     /// archival containers, and a recipe of direct archival references.
-    pub(crate) fn run_backup_out_of_line<'a>(
+    pub(crate) fn run_backup_out_of_line(
         &mut self,
+        data: &[u8],
+        spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
-        sizes: &[u32],
-        content: &impl Fn(usize) -> std::borrow::Cow<'a, [u8]>,
     ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
         let mode = self.config().scheme;
         let version = self.alloc_version();
-        let logical_bytes: u64 = sizes.iter().map(|&s| s as u64).sum();
+        let logical_bytes = data.len() as u64;
 
         // Inline classification against the previous version's tables.
         let mut placements: Vec<Option<ContainerId>> = vec![None; fingerprints.len()];
@@ -192,10 +193,9 @@ impl<S: ContainerStore> HiDeStore<S> {
                     // Guard against segment-hash collisions: the run must
                     // match chunk for chunk before it is reused.
                     if run.len() == range.len()
-                        && run
-                            .iter()
-                            .zip(range.clone())
-                            .all(|(&(fp, size, _), i)| fp == fingerprints[i] && size == sizes[i])
+                        && run.iter().zip(range.clone()).all(|(&(fp, size, _), i)| {
+                            fp == fingerprints[i] && size as usize == spans[i].len()
+                        })
                     {
                         for (j, i) in range.enumerate() {
                             placements[i] = Some(run[j].2);
@@ -225,14 +225,16 @@ impl<S: ContainerStore> HiDeStore<S> {
         }
         let (stored, sealed) = self.pack_archival(
             version.get(),
-            first_copies.iter().map(|&i| (fingerprints[i], content(i))),
+            first_copies
+                .iter()
+                .map(|&i| (fingerprints[i], &data[spans[i].clone()])),
         )?;
-        let stored_bytes: u64 = first_copies.iter().map(|&i| sizes[i] as u64).sum();
+        let stored_bytes: u64 = first_copies.iter().map(|&i| spans[i].len() as u64).sum();
         let unique_chunks = first_copies.len() as u64;
         let mut recipe = Recipe::new(version);
-        for (i, (&fp, &size)) in fingerprints.iter().zip(sizes).enumerate() {
+        for (i, (&fp, span)) in fingerprints.iter().zip(spans).enumerate() {
             let cid = placements[i].unwrap_or_else(|| stored[&fp]);
-            recipe.push(RecipeEntry::new(fp, size, Cid::archival(cid)));
+            recipe.push(RecipeEntry::new(fp, span.len() as u32, Cid::archival(cid)));
         }
         self.recipes_mut_internal().insert(recipe);
         // The version just ingested becomes the next one's inline target.

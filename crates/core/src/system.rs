@@ -195,7 +195,6 @@ pub struct HiDeStore<S> {
     recipes: RecipeStore,
     next_version: u32,
     next_archival_id: u32,
-    run_stats: HiDeStoreRunStats,
     version_stats: Vec<HiDeStoreVersionStats>,
     quarantined: Vec<QuarantineEntry>,
     scheme: SchemeState,
@@ -222,7 +221,6 @@ impl<S: ContainerStore> HiDeStore<S> {
             recipes: RecipeStore::new(),
             next_version: 1,
             next_archival_id: 1,
-            run_stats: HiDeStoreRunStats::default(),
             version_stats: Vec::new(),
             quarantined: Vec::new(),
             scheme: SchemeState::default(),
@@ -247,46 +245,42 @@ impl<S: ContainerStore> HiDeStore<S> {
         // size, the same spans and fingerprints either way.
         let (spans, fingerprints) =
             hidestore_dedup::chunk_fingerprints(data, self.chunker.as_mut());
-        let sizes: Vec<u32> = spans.iter().map(|s| s.len() as u32).collect();
-        self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Borrowed(&data[spans[i].clone()])
-        })
+        self.run_backup(data, &spans, &fingerprints)
     }
 
-    /// Backs up one version given as a chunk *trace* — `(fingerprint,
-    /// size)` pairs with no content. Chunk bodies are synthesized filler
-    /// (see [`hidestore_storage::synthetic_chunk`]), enabling counted
-    /// experiments at the paper's version counts (100+) without generating,
-    /// chunking, or hashing real data; content verification does not apply.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the archival store rejects a write.
+    // Exists only because `hdsbench/src/stream.rs` (frozen) replays ingest
+    // through it on a shadow instance that is never restored or audited:
+    // the chunks are `(fingerprint, size)` pairs over a zero-filled stream.
+    #[doc(hidden)]
     pub fn backup_trace(
         &mut self,
         trace: &[(Fingerprint, u32)],
     ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
         let fingerprints: Vec<Fingerprint> = trace.iter().map(|&(fp, _)| fp).collect();
-        let sizes: Vec<u32> = trace.iter().map(|&(_, size)| size).collect();
-        self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Owned(hidestore_storage::synthetic_chunk(trace[i].0, trace[i].1))
-        })
+        let mut spans = Vec::with_capacity(trace.len());
+        let mut end = 0;
+        for &(_, size) in trace {
+            spans.push(end..end + size as usize);
+            end += size as usize;
+        }
+        self.run_backup(&vec![0; end], &spans, &fingerprints)
     }
 
-    fn run_backup<'a>(
+    /// Ingests one version: chunk `i` is `data[spans[i]]`, fingerprinted
+    /// as `fingerprints[i]`.
+    fn run_backup(
         &mut self,
+        data: &[u8],
+        spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
-        sizes: &[u32],
-        content: impl Fn(usize) -> std::borrow::Cow<'a, [u8]>,
     ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
         // The out-of-line schemes (RevDedup, hybrid) bypass the active
         // pool entirely and ingest straight into archival containers.
         if self.config.scheme.is_out_of_line() {
-            return self.run_backup_out_of_line(fingerprints, sizes, &content);
+            return self.run_backup_out_of_line(data, spans, fingerprints);
         }
-        let version = VersionId::new(self.next_version);
-        self.next_version += 1;
-        let logical_bytes: u64 = sizes.iter().map(|&s| s as u64).sum();
+        let version = self.alloc_version();
+        let logical_bytes = data.len() as u64;
 
         // §5.2.2: HiDeStore's only index traffic is prefetching the previous
         // recipe (T1), charged in lookup-request units.
@@ -302,10 +296,11 @@ impl<S: ContainerStore> HiDeStore<S> {
 
         // Each chunk's stream position is its rank: the end-of-version
         // compaction packs in the order this version first held them.
-        for (i, (&fp, &size)) in (0u32..).zip(fingerprints.iter().zip(sizes)) {
+        for (i, (&fp, span)) in (0u32..).zip(fingerprints.iter().zip(spans)) {
+            let size = span.len() as u32;
             if self.pool.classify(fp, version, i) == Classification::Unique {
-                self.pool.add(fp, &content(i as usize), version, i);
-                stored_bytes += size as u64;
+                self.pool.add(fp, &data[span.clone()], version, i);
+                stored_bytes += u64::from(size);
                 unique_chunks += 1;
             }
             recipe.push(RecipeEntry::new(fp, size, Cid::ACTIVE));
@@ -348,8 +343,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             recipe_update_time,
             chunk_move_time,
         };
-        self.run_stats.absorb(&stats);
-        self.version_stats.push(stats);
+        self.record_version_stats(stats);
         Ok(stats)
     }
 
@@ -762,9 +756,14 @@ impl<S: ContainerStore> HiDeStore<S> {
         Ok(Scrubbed(clean))
     }
 
-    /// Cumulative statistics.
+    /// Cumulative statistics: the sum of [`HiDeStore::version_stats`].
     pub fn run_stats(&self) -> HiDeStoreRunStats {
-        self.run_stats
+        self.version_stats
+            .iter()
+            .fold(HiDeStoreRunStats::default(), |mut run, v| {
+                run.absorb(v);
+                run
+            })
     }
 
     /// Cumulative bytes of surviving chunks *copied* while rebuilding
@@ -897,9 +896,8 @@ impl<S: ContainerStore> HiDeStore<S> {
         v
     }
 
-    /// Absorbs one version's statistics into the running totals.
+    /// Records one version's statistics.
     pub(crate) fn record_version_stats(&mut self, stats: HiDeStoreVersionStats) {
-        self.run_stats.absorb(&stats);
         self.version_stats.push(stats);
     }
 
@@ -1349,64 +1347,5 @@ mod tests {
         // fast machines, but cold demotion happened so moves were real).
         assert!(s2.cold_chunks > 0);
         assert!(s2.chunk_move_time.as_nanos() > 0);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use hidestore_restore::Faa;
-    use hidestore_storage::MemoryContainerStore;
-
-    fn trace(ids: std::ops::Range<u64>) -> Vec<(Fingerprint, u32)> {
-        ids.map(|i| (Fingerprint::synthetic(i), 2048)).collect()
-    }
-
-    fn system() -> HiDeStore<MemoryContainerStore> {
-        HiDeStore::new(
-            HiDeStoreConfig::small_for_tests(),
-            MemoryContainerStore::new(),
-        )
-    }
-
-    #[test]
-    fn trace_backup_full_lifecycle() {
-        let mut hds = system();
-        // Three versions with 10% churn each.
-        hds.backup_trace(&trace(0..1000)).unwrap();
-        let mut v2 = trace(100..1000);
-        v2.extend(trace(10_000..10_100));
-        hds.backup_trace(&v2).unwrap();
-        let mut v3 = v2.clone();
-        v3.truncate(900);
-        v3.extend(trace(20_000..20_100));
-        let s3 = hds.backup_trace(&v3).unwrap();
-        assert!(
-            s3.stored_bytes <= 100 * 2048,
-            "only the churned chunks stored"
-        );
-
-        // Every version restores (synthetic filler, correct sizes).
-        for v in 1..=3u32 {
-            let mut out = Vec::new();
-            let report = hds
-                .restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                .unwrap();
-            assert_eq!(report.bytes_restored, out.len() as u64);
-        }
-        // Cold demotion happened for the churned chunks.
-        assert!(hds.version_stats()[1].cold_chunks > 0);
-        // Deletion still works.
-        hds.delete_expired(VersionId::new(1)).unwrap();
-        assert_eq!(hds.versions().len(), 2);
-    }
-
-    #[test]
-    fn trace_dedup_ratio_matches_identity_overlap() {
-        let mut hds = system();
-        let v = trace(0..2000);
-        hds.backup_trace(&v).unwrap();
-        hds.backup_trace(&v).unwrap();
-        assert!((hds.run_stats().dedup_ratio() - 0.5).abs() < 1e-9);
     }
 }

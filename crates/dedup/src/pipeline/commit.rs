@@ -6,8 +6,8 @@
 //! always runs on exactly one thread, processing segments in stream order,
 //! whether the front end hashed inline or on workers.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use hidestore_hash::Fingerprint;
 use hidestore_index::FingerprintIndex;
@@ -60,19 +60,19 @@ impl<'a, I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> CommitState<'
     }
 
     /// Commits one segment: phases 3 (index lookup), 4 (rewrite decision)
-    /// and 5 (store + recipe). `content(i)` yields the body of the segment's
-    /// `i`-th chunk and is only called for chunks that are actually stored.
-    pub fn commit_segment<'d>(
+    /// and 5 (store + recipe). The segment's `i`-th chunk is
+    /// `data[spans[i]]`, fingerprinted as `fingerprints[i]`.
+    pub fn commit_segment(
         &mut self,
+        data: &[u8],
+        spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
-        sizes: &[u32],
-        mut content: impl FnMut(usize) -> Cow<'d, [u8]>,
     ) -> Result<(), PipelineError> {
         // Phase 3: index lookup.
         let lookup_input: Vec<(Fingerprint, u32)> = fingerprints
             .iter()
-            .copied()
-            .zip(sizes.iter().copied())
+            .zip(spans)
+            .map(|(&fp, span)| (fp, span.len() as u32))
             .collect();
         let decisions = self.index.process_segment(&lookup_input);
 
@@ -81,13 +81,13 @@ impl<'a, I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> CommitState<'
         // copy stored moments ago and are never rewritten.
         let mut rewrite_input = Vec::with_capacity(lookup_input.len());
         let mut intra: Vec<Option<ContainerId>> = Vec::with_capacity(lookup_input.len());
-        for (offset, &fp) in fingerprints.iter().enumerate() {
+        for (&(fp, size), &decision) in lookup_input.iter().zip(&decisions) {
             if let Some(&cid) = self.stored_this_version.get(&fp) {
                 intra.push(Some(cid));
-                rewrite_input.push(SegmentChunk::new(fp, sizes[offset], None));
+                rewrite_input.push(SegmentChunk::new(fp, size, None));
             } else {
                 intra.push(None);
-                rewrite_input.push(SegmentChunk::new(fp, sizes[offset], decisions[offset]));
+                rewrite_input.push(SegmentChunk::new(fp, size, decision));
             }
         }
 
@@ -95,8 +95,7 @@ impl<'a, I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> CommitState<'
         let rewrites = self.rewriter.process_segment(&rewrite_input);
 
         // Phase 5: store chunks and build the recipe.
-        for (offset, &fp) in fingerprints.iter().enumerate() {
-            let size = sizes[offset];
+        for (offset, &(fp, size)) in lookup_input.iter().enumerate() {
             let final_cid = if let Some(cid) = intra[offset] {
                 cid
             } else {
@@ -104,7 +103,7 @@ impl<'a, I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> CommitState<'
                     (Some(cid), false) => cid, // reference the old copy
                     _ => {
                         // Unique, or duplicate elected for rewriting.
-                        let (cid, sealed) = self.builder.append(fp, &content(offset));
+                        let (cid, sealed) = self.builder.append(fp, &data[spans[offset].clone()]);
                         if let Some(full) = sealed {
                             self.store.write(full)?;
                         }

@@ -100,7 +100,6 @@ pub struct BackupPipeline<I, R, S> {
     builder: ContainerBuilder,
     recipes: RecipeStore,
     next_version: u32,
-    run_stats: BackupRunStats,
     version_stats: Vec<VersionStats>,
 }
 
@@ -122,7 +121,6 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
             builder: ContainerBuilder::new(1, config.container_capacity),
             recipes: RecipeStore::new(),
             next_version: 1,
-            run_stats: BackupRunStats::default(),
             version_stats: Vec::new(),
             config,
         }
@@ -135,45 +133,13 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
     /// Fails if the container store rejects a write.
     pub fn backup(&mut self, data: &[u8]) -> Result<VersionStats, PipelineError> {
         let (spans, fingerprints) = chunk_fingerprints(data, self.chunker.as_mut());
-        let sizes: Vec<u32> = spans.iter().map(|s| s.len() as u32).collect();
-        self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Borrowed(&data[spans[i].clone()])
-        })
-    }
-
-    /// Backs up one version given as a chunk *trace* — `(fingerprint,
-    /// size)` pairs with no content. Chunk bodies are synthesized filler
-    /// (see [`hidestore_storage::synthetic_chunk`]), so trace repositories
-    /// support every counted experiment (dedup ratio, lookups, container
-    /// reads) at far larger logical scales, but not content verification.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the container store rejects a write.
-    pub fn backup_trace(
-        &mut self,
-        trace: &[(Fingerprint, u32)],
-    ) -> Result<VersionStats, PipelineError> {
-        let fingerprints: Vec<Fingerprint> = trace.iter().map(|&(fp, _)| fp).collect();
-        let sizes: Vec<u32> = trace.iter().map(|&(_, size)| size).collect();
-        self.run_backup(&fingerprints, &sizes, |i| {
-            std::borrow::Cow::Owned(hidestore_storage::synthetic_chunk(trace[i].0, trace[i].1))
-        })
-    }
-
-    fn run_backup<'a>(
-        &mut self,
-        fingerprints: &[Fingerprint],
-        sizes: &[u32],
-        content: impl Fn(usize) -> std::borrow::Cow<'a, [u8]>,
-    ) -> Result<VersionStats, PipelineError> {
         let version = VersionId::new(self.next_version);
         self.next_version += 1;
         self.index.begin_version(version);
         self.rewriter.begin_version(version);
         let lookups_before = self.index.disk_lookups();
         let rewritten_before = self.rewriter.rewritten_bytes();
-        let logical_bytes: u64 = sizes.iter().map(|&s| s as u64).sum();
+        let logical_bytes = data.len() as u64;
 
         // Phases 3-6, segment by segment, on this thread.
         let seg_len = self.config.segment_chunks;
@@ -187,9 +153,9 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         for seg_start in (0..fingerprints.len()).step_by(seg_len) {
             let seg_end = (seg_start + seg_len).min(fingerprints.len());
             commit.commit_segment(
+                data,
+                &spans[seg_start..seg_end],
                 &fingerprints[seg_start..seg_end],
-                &sizes[seg_start..seg_end],
-                |local| content(seg_start + local),
             )?;
         }
         let outcome = commit.finish()?;
@@ -207,7 +173,6 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
             index_table_bytes: self.index.index_table_bytes() as u64,
         };
         self.recipes.insert(outcome.recipe);
-        self.run_stats.absorb(&stats);
         self.version_stats.push(stats);
         Ok(stats)
     }
@@ -245,9 +210,15 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         Ok(cache.restore(&plan, &self.store, out)?)
     }
 
-    /// Cumulative statistics across the whole run.
+    /// Cumulative statistics across the whole run: the sum of
+    /// [`BackupPipeline::version_stats`].
     pub fn run_stats(&self) -> BackupRunStats {
-        self.run_stats
+        self.version_stats
+            .iter()
+            .fold(BackupRunStats::default(), |mut run, v| {
+                run.absorb(v);
+                run
+            })
     }
 
     /// Per-version statistics, in backup order.
@@ -483,68 +454,5 @@ mod tests {
         p.restore(VersionId::new(1), &mut Faa::new(1024), &mut out)
             .unwrap();
         assert!(out.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use hidestore_index::DdfsIndex;
-    use hidestore_restore::Faa;
-    use hidestore_rewriting::NoRewrite;
-    use hidestore_storage::MemoryContainerStore;
-
-    fn trace(ids: std::ops::Range<u64>) -> Vec<(Fingerprint, u32)> {
-        ids.map(|i| (Fingerprint::synthetic(i), 2048)).collect()
-    }
-
-    #[test]
-    fn trace_backup_deduplicates_by_identity() {
-        let mut p = BackupPipeline::new(
-            PipelineConfig::small_for_tests(),
-            DdfsIndex::new(),
-            NoRewrite::new(),
-            MemoryContainerStore::new(),
-        );
-        let v = trace(0..500);
-        let s1 = p.backup_trace(&v).unwrap();
-        let s2 = p.backup_trace(&v).unwrap();
-        assert_eq!(s1.stored_chunks, 500);
-        assert_eq!(s2.stored_chunks, 0);
-        assert_eq!(s2.logical_bytes, 500 * 2048);
-    }
-
-    #[test]
-    fn trace_backup_restores_synthetic_content() {
-        let mut p = BackupPipeline::new(
-            PipelineConfig::small_for_tests(),
-            DdfsIndex::new(),
-            NoRewrite::new(),
-            MemoryContainerStore::new(),
-        );
-        p.backup_trace(&trace(0..100)).unwrap();
-        let mut out = Vec::new();
-        let report = p
-            .restore(VersionId::new(1), &mut Faa::new(1 << 18), &mut out)
-            .unwrap();
-        assert_eq!(report.bytes_restored, 100 * 2048);
-        assert_eq!(out.len(), 100 * 2048);
-    }
-
-    #[test]
-    fn trace_and_content_modes_coexist() {
-        let mut p = BackupPipeline::new(
-            PipelineConfig::small_for_tests(),
-            DdfsIndex::new(),
-            NoRewrite::new(),
-            MemoryContainerStore::new(),
-        );
-        p.backup_trace(&trace(0..100)).unwrap();
-        let data = vec![9u8; 50_000];
-        p.backup(&data).unwrap();
-        let mut out = Vec::new();
-        p.restore(VersionId::new(2), &mut Faa::new(1 << 18), &mut out)
-            .unwrap();
-        assert_eq!(out, data);
     }
 }

@@ -474,23 +474,6 @@ impl fmt::Display for FindingKind {
     }
 }
 
-/// What [`SystemAuditor`] should check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditOptions {
-    /// Re-hash every chunk payload against its fingerprint. On by default;
-    /// turn off for trace-driven repositories, whose synthetic chunk bodies
-    /// intentionally do not hash back to their fingerprints.
-    pub verify_content: bool,
-}
-
-impl Default for AuditOptions {
-    fn default() -> Self {
-        AuditOptions {
-            verify_content: true,
-        }
-    }
-}
-
 /// The outcome of one audit pass: every finding plus coverage counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditReport {
@@ -568,19 +551,12 @@ impl fmt::Display for AuditReport {
 /// Walks a HiDeStore instance and verifies every cross-layer invariant,
 /// reporting violations as typed [`Finding`]s instead of panicking.
 #[derive(Debug, Clone, Default)]
-pub struct SystemAuditor {
-    options: AuditOptions,
-}
+pub struct SystemAuditor;
 
 impl SystemAuditor {
-    /// An auditor with default options (content verification on).
+    /// An auditor. Every audit re-hashes every chunk payload.
     pub fn new() -> Self {
-        SystemAuditor::default()
-    }
-
-    /// An auditor with explicit options.
-    pub fn with_options(options: AuditOptions) -> Self {
-        SystemAuditor { options }
+        SystemAuditor
     }
 
     /// Audits a whole system (the usual entry point).
@@ -834,18 +810,16 @@ impl SystemAuditor {
                 },
             );
         }
-        if self.options.verify_content {
-            for (fp, data) in container.iter() {
-                report.chunks_checked += 1;
-                if Fingerprint::of(data) != fp {
-                    report.push(
-                        Severity::Error,
-                        FindingKind::ChunkHashMismatch {
-                            container: raw_id,
-                            fingerprint: fp,
-                        },
-                    );
-                }
+        for (fp, data) in container.iter() {
+            report.chunks_checked += 1;
+            if Fingerprint::of(data) != fp {
+                report.push(
+                    Severity::Error,
+                    FindingKind::ChunkHashMismatch {
+                        container: raw_id,
+                        fingerprint: fp,
+                    },
+                );
             }
         }
     }
@@ -1086,31 +1060,6 @@ mod tests {
         hds.delete_expired(VersionId::new(2)).unwrap();
         let report = SystemAuditor::new().audit(&hds);
         assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn trace_mode_audits_clean_without_content_verification() {
-        let mut hds = system();
-        let trace: Vec<(Fingerprint, u32)> = (0..500u64)
-            .map(|i| (Fingerprint::synthetic(i), 2048))
-            .collect();
-        hds.backup_trace(&trace).unwrap();
-        let mut churned = trace[50..].to_vec();
-        churned.extend((1000..1050u64).map(|i| (Fingerprint::synthetic(i), 2048)));
-        hds.backup_trace(&churned).unwrap();
-        let report = SystemAuditor::with_options(AuditOptions {
-            verify_content: false,
-        })
-        .audit(&hds);
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(report.chunks_checked, 0, "content verification was off");
-        // With verification on, synthetic filler necessarily fails re-hash.
-        let verified = SystemAuditor::new().audit(&hds);
-        assert!(!verified.is_clean());
-        assert!(verified
-            .findings
-            .iter()
-            .all(|f| matches!(f.kind, FindingKind::ChunkHashMismatch { .. })));
     }
 
     #[test]

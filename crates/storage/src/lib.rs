@@ -41,7 +41,6 @@
 //! ```
 
 mod builder;
-mod chunk;
 mod container;
 mod error;
 mod file_store;
@@ -50,7 +49,6 @@ mod recipe;
 mod store;
 
 pub use builder::ContainerBuilder;
-pub use chunk::synthetic_chunk;
 pub use container::{Container, ContainerId, CONTAINER_CAPACITY};
 pub use error::StorageError;
 pub use file_store::FileContainerStore;

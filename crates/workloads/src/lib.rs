@@ -39,10 +39,8 @@
 //! ```
 
 mod materialize;
-mod trace;
 
 pub use materialize::materialize;
-pub use trace::{TraceChunk, TraceSpec, TraceStream};
 
 use std::collections::BTreeMap;
 

@@ -138,31 +138,6 @@ fn incremental_ingest_into_file_repository() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn trace_and_content_interleave_in_one_hidestore() {
-    // A repository can mix trace-driven and content-driven versions; all
-    // bookkeeping (dedup ratio, deletion) stays consistent.
-    use hidestore::hash::Fingerprint;
-    let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());
-    let trace: Vec<(Fingerprint, u32)> = (0..500u64)
-        .map(|i| (Fingerprint::synthetic(i), 1024))
-        .collect();
-    hds.backup_trace(&trace).unwrap();
-    let data = noise(200_000, 11);
-    hds.backup(&data).unwrap();
-    hds.backup_trace(&trace).unwrap(); // trace chunks went cold, re-stored
-    assert_eq!(hds.versions().len(), 3);
-    let mut out = Vec::new();
-    hds.restore(VersionId::new(2), &mut Faa::new(1 << 18), &mut out)
-        .unwrap();
-    assert_eq!(out, data, "content version sandwiched between traces");
-    hds.delete_expired(VersionId::new(1)).unwrap();
-    let mut out = Vec::new();
-    hds.restore(VersionId::new(3), &mut Faa::new(1 << 18), &mut out)
-        .unwrap();
-    assert_eq!(out.len(), 500 * 1024);
-}
-
 /// The daemon's `Verify` audits its tenant's open instance under the
 /// handle's read lock: the audit reads archival containers and nothing
 /// else — no directory listing, no rename into quarantine, no recipe,

@@ -171,6 +171,95 @@ fn chunks_a_failed_demotion_left_pooled_are_hot_when_seen_again() {
     assert!(report.is_clean(), "{report}");
 }
 
+/// A degraded open that quarantined the newest recipe leaves the older
+/// versions chained through it unrestorable, but not the repository: two
+/// more backups succeed, are saved, and restore byte-exact — before and
+/// after a reopen — at history depth 1 and 2.
+#[test]
+fn backups_after_losing_the_newest_recipe_restore_byte_exact() {
+    for depth in [1, 2] {
+        let scratch = Scratch::new(&format!("lost-newest-recipe-{depth}"));
+        let dir = &scratch.0;
+        let config = HiDeStoreConfig {
+            history_depth: depth,
+            ..hds_config()
+        };
+        // Five versions, each a small edit of the one before, so every
+        // older recipe chains forward into its successor.
+        let mut versions = vec![noise(60_000, 41)];
+        for round in 0..4u64 {
+            let mut next = versions.last().unwrap().clone();
+            let start = 5_000 + round as usize * 11_000;
+            next[start..start + 4_000].copy_from_slice(&noise(4_000, 42 + round));
+            versions.push(next);
+        }
+        let mut hds = HiDeStore::open_repository(config, dir).expect("open repository");
+        for data in &versions[..3] {
+            hds.backup(data).expect("backup");
+        }
+        hds.save_repository(dir).expect("save repository");
+        drop(hds);
+        std::fs::write(recipe_file(dir, 3), b"not a recipe").expect("corrupt r3.rcp");
+
+        let mut hds = HiDeStore::open_repository(config, dir).expect("degraded open");
+        let lost = QuarantinedArtifact::Recipe(VersionId::new(3));
+        let quarantined: Vec<_> = hds.quarantine().iter().map(|e| &e.artifact).collect();
+        assert_eq!(quarantined, [&lost], "depth {depth}");
+        for data in &versions[3..] {
+            hds.backup(data).expect("backup after the degraded open");
+            hds.save_repository(dir)
+                .expect("save after the degraded open");
+        }
+
+        let check = |hds: &HiDeStore<FileContainerStore>, when: &str| {
+            for v in 1..=2u32 {
+                match hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut Vec::new()) {
+                    Err(HiDeStoreError::PartialRestore { quarantined, .. }) => {
+                        assert_eq!(
+                            quarantined,
+                            std::slice::from_ref(&lost),
+                            "depth {depth} {when}: V{v}"
+                        )
+                    }
+                    other => {
+                        panic!("depth {depth} {when}: V{v} must fail naming r3, got {other:?}")
+                    }
+                }
+            }
+            for v in 4..=5u32 {
+                let mut out = Vec::new();
+                hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                    .unwrap_or_else(|e| panic!("depth {depth} {when}: V{v}: {e}"));
+                assert!(
+                    out == versions[v as usize - 1],
+                    "depth {depth} {when}: V{v} bytes"
+                );
+            }
+            // The auditor's errors are the lost recipe and the two
+            // versions chained through it; nothing else.
+            let report = SystemAuditor::new().audit(hds);
+            let errors: Vec<_> = report
+                .findings
+                .iter()
+                .filter(|f| f.severity == Severity::Error)
+                .map(|f| match &f.kind {
+                    FindingKind::QuarantinedArtifact { artifact, .. } => (0, artifact),
+                    FindingKind::QuarantinedRef { version, artifact } => (*version, artifact),
+                    other => panic!("depth {depth} {when}: unexpected error {other}"),
+                })
+                .collect();
+            assert_eq!(
+                errors,
+                [(0, &lost), (1, &lost), (2, &lost)],
+                "depth {depth} {when}"
+            );
+        };
+        check(&hds, "after the backups");
+        drop(hds);
+        check(&reopen_with(config, dir), "after a reopen");
+    }
+}
+
 #[test]
 fn pipeline_failed_backup_preserves_old_versions() {
     let mut p = BackupPipeline::new(
@@ -310,7 +399,11 @@ fn build_chained_repo(dir: &Path) {
 }
 
 fn reopen(dir: &Path) -> HiDeStore<FileContainerStore> {
-    HiDeStore::open_repository(hds_config(), dir).expect("reopen repository")
+    reopen_with(hds_config(), dir)
+}
+
+fn reopen_with(config: HiDeStoreConfig, dir: &Path) -> HiDeStore<FileContainerStore> {
+    HiDeStore::open_repository(config, dir).expect("reopen repository")
 }
 
 fn archival_container_files(dir: &Path) -> Vec<PathBuf> {
