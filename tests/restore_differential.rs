@@ -8,6 +8,7 @@
 //! most-relocated oldest version and the newest:
 //!
 //! * every scheme restores data byte-identical to the original;
+//! * every scheme × capacity reads and hits exactly what `GOLDEN` recorded;
 //! * the reported reads are the device's reads — the archival store serves
 //!   no more container reads than `RestoreReport::container_reads` says, and
 //!   exactly that many when the plan names no active container;
@@ -68,8 +69,119 @@ fn make_scheme(kind: &str, slots: usize, bytes: usize) -> Box<dyn RestoreCache> 
 
 const SCHEMES: [&str; 5] = ["container-lru", "chunk-lru", "faa", "alacc", "belady"];
 
-/// Runs one version through every scheme × capacity and asserts the
-/// module-level properties. `restore_once` restores the version through the
+/// `(container_reads, cache_hits)` per scheme × capacity.
+type SchemeCells = [[(u64, u64); 3]; 5];
+
+/// The exact `(container_reads, cache_hits)` of every restore
+/// [`assert_matrix`] runs: per tag, one row per scheme in [`SCHEMES`] order,
+/// one pair per capacity in [`CAPACITIES`] order. Recorded when each scheme
+/// still ran its own restore loop, so a change to how the schemes share
+/// their reads must leave every pair as it is.
+const GOLDEN: [(&str, SchemeCells); 10] = [
+    (
+        "fresh V1",
+        [
+            [(48, 155), (14, 189), (9, 194)],
+            [(200, 3), (196, 7), (9, 194)],
+            [(197, 0), (139, 0), (9, 0)],
+            [(196, 7), (151, 7), (9, 0)],
+            [(48, 155), (10, 193), (9, 194)],
+        ],
+    ),
+    (
+        "fresh V2",
+        [
+            [(7, 196), (7, 196), (7, 196)],
+            [(196, 7), (191, 12), (7, 196)],
+            [(197, 0), (131, 0), (7, 0)],
+            [(196, 7), (140, 7), (7, 0)],
+            [(7, 196), (7, 196), (7, 196)],
+        ],
+    ),
+    (
+        "fragmented V1",
+        [
+            [(107, 43), (94, 56), (26, 124)],
+            [(149, 1), (149, 1), (25, 125)],
+            [(150, 0), (141, 0), (26, 0)],
+            [(146, 4), (137, 5), (26, 0)],
+            [(107, 43), (76, 74), (26, 124)],
+        ],
+    ),
+    (
+        "fragmented V10",
+        [
+            [(106, 40), (97, 49), (20, 126)],
+            [(145, 1), (143, 3), (20, 126)],
+            [(145, 0), (128, 0), (20, 0)],
+            [(133, 13), (121, 9), (20, 0)],
+            [(106, 40), (80, 66), (20, 126)],
+        ],
+    ),
+    (
+        "fragmented V20",
+        [
+            [(36, 102), (6, 132), (5, 133)],
+            [(134, 4), (130, 8), (5, 133)],
+            [(135, 0), (97, 0), (5, 0)],
+            [(134, 4), (101, 4), (5, 0)],
+            [(36, 102), (5, 133), (5, 133)],
+        ],
+    ),
+    (
+        "fragmented+cold V1",
+        [
+            [(107, 43), (94, 56), (26, 124)],
+            [(149, 1), (149, 1), (25, 125)],
+            [(150, 0), (141, 0), (26, 0)],
+            [(146, 4), (137, 5), (26, 0)],
+            [(107, 43), (76, 74), (26, 124)],
+        ],
+    ),
+    (
+        "fragmented+cold V10",
+        [
+            [(106, 40), (97, 49), (20, 126)],
+            [(145, 1), (143, 3), (20, 126)],
+            [(145, 0), (128, 0), (20, 0)],
+            [(132, 14), (121, 9), (20, 0)],
+            [(106, 40), (80, 66), (20, 126)],
+        ],
+    ),
+    (
+        "fragmented+cold V20",
+        [
+            [(36, 102), (6, 132), (5, 133)],
+            [(136, 2), (133, 5), (5, 133)],
+            [(135, 0), (97, 0), (5, 0)],
+            [(129, 9), (97, 9), (5, 0)],
+            [(36, 102), (5, 133), (5, 133)],
+        ],
+    ),
+    (
+        "ddfs V1",
+        [
+            [(5, 153), (5, 153), (5, 153)],
+            [(153, 5), (148, 10), (5, 153)],
+            [(157, 0), (96, 0), (5, 0)],
+            [(153, 5), (103, 5), (5, 0)],
+            [(5, 153), (5, 153), (5, 153)],
+        ],
+    ),
+    (
+        "ddfs V6",
+        [
+            [(90, 72), (65, 97), (10, 152)],
+            [(158, 4), (155, 7), (10, 152)],
+            [(160, 0), (123, 0), (10, 0)],
+            [(157, 5), (131, 5), (10, 0)],
+            [(90, 72), (51, 111), (10, 152)],
+        ],
+    ),
+];
+
+/// Runs one version through every scheme × capacity, asserts the
+/// module-level properties and the exact reads and hits of [`GOLDEN`]. `restore_once` restores the version through the
 /// given cache and returns the report with the container-read delta of the
 /// store underneath; `store_only` says the plan names no active container,
 /// so that delta must *equal* the reported reads.
@@ -79,9 +191,14 @@ fn assert_matrix(
     store_only: bool,
     mut restore_once: impl FnMut(&mut dyn RestoreCache, &mut Vec<u8>) -> (RestoreReport, u64),
 ) {
+    let golden = GOLDEN
+        .iter()
+        .find(|(t, _)| *t == tag)
+        .unwrap_or_else(|| panic!("{tag}: no golden row"))
+        .1;
     let mut reads = HashMap::new();
-    for scheme in SCHEMES {
-        for (cap_tag, slots, bytes) in CAPACITIES {
+    for (scheme, golden) in SCHEMES.into_iter().zip(golden) {
+        for ((cap_tag, slots, bytes), golden) in CAPACITIES.into_iter().zip(golden) {
             let tag = format!("{tag}/{scheme}/{cap_tag}");
             let mut out = Vec::new();
             let (report, device_reads) =
@@ -97,6 +214,11 @@ fn assert_matrix(
             if store_only {
                 assert_eq!(device_reads, report.container_reads, "{tag}");
             }
+            assert_eq!(
+                (report.container_reads, report.cache_hits),
+                golden,
+                "{tag}: (container_reads, cache_hits) moved from the recorded pair"
+            );
             reads.insert((scheme, cap_tag), report.container_reads);
         }
     }
