@@ -36,7 +36,9 @@
 #                                      pipelines restoring byte-exact across
 #                                      it; the restore-scheme differential
 #                                      (all schemes byte-identical, reported
-#                                      reads = device reads), byte ranges
+#                                      reads = device reads, each scheme x
+#                                      capacity at its recorded reads and
+#                                      hits), byte ranges
 #                                      included: empty, first/last byte,
 #                                      across a chunk and a container edge,
 #                                      whole version, each the exact slice
@@ -44,7 +46,12 @@
 #                                      reads than it, and a reopened on-disk
 #                                      repository restoring every version
 #                                      with a memory-backed one's reads; the
-#                                      storage crate's container tests (a
+#                                      restore crate's tests (a reused scheme
+#                                      restores like a fresh one, a chunk
+#                                      whose length disagrees with its plan
+#                                      entry fails typed under every scheme
+#                                      and writes nothing); the storage
+#                                      crate's container tests (a
 #                                      decoded container keeps the file's
 #                                      buffer, behaves as a built one and
 #                                      rejects trailing bytes); the chunking
@@ -143,8 +150,9 @@ cargo test --release --test failure_injection -q
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q
 
-echo "ci: cargo test --release --test restore_differential"
+echo "ci: cargo test --release --test restore_differential -p hidestore-restore"
 cargo test --release --test restore_differential -q
+cargo test --release -p hidestore-restore -q
 
 echo "ci: cargo test --release -p hidestore-storage container::"
 cargo test --release -p hidestore-storage --lib -q -- container::

@@ -1,12 +1,13 @@
 //! ALACC — Adaptive Look-Ahead Chunk Caching (Cao, Wen, Xie, Du; FAST'18).
 
-use std::collections::{HashMap, HashSet};
-use std::io::Write;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use hidestore_hash::Fingerprint;
-use hidestore_storage::ContainerStore;
+use hidestore_storage::Container;
 
-use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
+use crate::assembler::{split_by_bytes, ChunkCache, Policy};
+use crate::RestoreEntry;
 
 /// FAA combined with a look-ahead-managed chunk cache.
 ///
@@ -22,22 +23,21 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 ///
 /// The memory split between assembly area and chunk cache adapts: when the
 /// cache produced few hits in recent areas its budget shrinks in favour of a
-/// larger area, and vice versa — the "adaptive" part of ALACC.
+/// larger area, and vice versa — the "adaptive" part of ALACC. Each restore
+/// starts from the configured split.
 #[derive(Debug)]
 pub struct Alacc {
     area_bytes: usize,
-    cache_budget: usize,
+    /// The configured area size, where each restore starts.
+    first_area_bytes: usize,
     /// Total memory envelope (area + cache); the adaptive split preserves it.
     total_budget: usize,
     adaptive: bool,
-    cache: HashMap<Fingerprint, Vec<u8>>,
-    order: Vec<Fingerprint>,
-    cached_bytes: usize,
-    /// Hits in the area being assembled (drives adaptation).
-    area_hits: u64,
-    hits_total: u64,
-    /// Number of times the area/cache split actually changed.
-    adaptations: u64,
+    /// Evicts in insertion order; its budget is the cache's part of the
+    /// split.
+    cache: ChunkCache,
+    /// Fingerprints in the window beyond the area being assembled.
+    lookahead: HashSet<Fingerprint>,
 }
 
 impl Alacc {
@@ -52,15 +52,11 @@ impl Alacc {
         assert!(cache_budget > 0, "cache budget must be non-zero");
         Alacc {
             area_bytes,
-            cache_budget,
+            first_area_bytes: area_bytes,
             total_budget: area_bytes + cache_budget,
             adaptive: true,
-            cache: HashMap::new(),
-            order: Vec::new(),
-            cached_bytes: 0,
-            area_hits: 0,
-            hits_total: 0,
-            adaptations: 0,
+            cache: ChunkCache::new(cache_budget),
+            lookahead: HashSet::new(),
         }
     }
 
@@ -69,152 +65,52 @@ impl Alacc {
         self.adaptive = false;
         self
     }
+}
 
-    fn cache_insert(&mut self, fp: Fingerprint, data: Vec<u8>) {
-        if self.cache.contains_key(&fp) {
-            return;
-        }
-        self.cached_bytes += data.len();
-        self.cache.insert(fp, data);
-        self.order.push(fp);
-        while self.cached_bytes > self.cache_budget && self.order.len() > 1 {
-            let evict = self.order.remove(0);
-            if let Some(old) = self.cache.remove(&evict) {
-                self.cached_bytes -= old.len();
+impl Policy for Alacc {
+    const NAME: &'static str = "alacc";
+
+    fn start(&mut self, _plan: &[RestoreEntry]) {
+        self.area_bytes = self.first_area_bytes;
+        self.cache = ChunkCache::new(self.total_budget - self.first_area_bytes);
+    }
+
+    fn area_end(&mut self, plan: &[RestoreEntry], start: usize) -> usize {
+        let end = split_by_bytes(plan, start, self.area_bytes);
+        // Look-ahead window: as much of the following plan as two areas.
+        let window_end = (end + 2 * (end - start).max(16)).min(plan.len());
+        self.lookahead.clear();
+        self.lookahead
+            .extend(plan[end..window_end].iter().map(|e| e.fingerprint));
+        end
+    }
+
+    fn lookup(&mut self, plan: &[RestoreEntry], at: usize) -> Option<&[u8]> {
+        self.cache.get(&plan[at].fingerprint)
+    }
+
+    fn admit(&mut self, _plan: &[RestoreEntry], _at: usize, container: &Arc<Container>) {
+        for (fp, chunk) in container.iter() {
+            if self.lookahead.contains(&fp) {
+                self.cache.insert(fp, chunk);
             }
         }
     }
 
-    fn adapt(&mut self) {
+    fn area_done(&mut self, hits: u64) {
         if !self.adaptive {
             return;
         }
         // Heuristic from the paper's adaptive algorithm: a productive cache
         // earns more memory, an idle cache cedes it to the assembly area.
-        let min_part = self.total_budget / 8;
-        let before = self.cache_budget;
-        if self.area_hits >= 4 {
-            self.cache_budget =
-                (self.cache_budget + self.total_budget / 16).min(self.total_budget - min_part);
-        } else if self.area_hits == 0 {
-            self.cache_budget = self
-                .cache_budget
-                .saturating_sub(self.total_budget / 16)
-                .max(min_part);
+        let (total, before) = (self.total_budget, self.cache.budget);
+        let min_part = total / 8;
+        if hits >= 4 {
+            self.cache.budget = (before + total / 16).min(total - min_part);
+        } else if hits == 0 {
+            self.cache.budget = before.saturating_sub(total / 16).max(min_part);
         }
-        if self.cache_budget != before {
-            self.adaptations += 1;
-        }
-        self.area_bytes = self.total_budget - self.cache_budget;
-        self.area_hits = 0;
-    }
-
-    fn split_area<'a>(&self, plan: &'a [RestoreEntry], start: usize) -> &'a [RestoreEntry] {
-        let mut acc = 0usize;
-        let mut end = start;
-        while end < plan.len() {
-            let sz = plan[end].size as usize;
-            if acc + sz > self.area_bytes && end > start {
-                break;
-            }
-            acc += sz;
-            end += 1;
-        }
-        &plan[start..end]
-    }
-}
-
-impl RestoreCache for Alacc {
-    fn restore(
-        &mut self,
-        plan: &[RestoreEntry],
-        store: &dyn ContainerStore,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, RestoreError> {
-        self.cache.clear();
-        self.order.clear();
-        self.cached_bytes = 0;
-        self.hits_total = 0;
-        self.area_hits = 0;
-        self.adaptations = 0;
-        let mut reads = 0u64;
-        let mut bytes = 0u64;
-        let mut pos = 0usize;
-        while pos < plan.len() {
-            let area = self.split_area(plan, pos);
-            let area_len = area.len();
-            // Look-ahead window: as much of the following plan as two areas.
-            let window_end = (pos + area_len + 2 * area_len.max(16)).min(plan.len());
-            let lookahead: HashSet<Fingerprint> = plan[pos + area_len..window_end]
-                .iter()
-                .map(|e| e.fingerprint)
-                .collect();
-
-            let mut offsets = Vec::with_capacity(area.len());
-            let mut total = 0usize;
-            for entry in area {
-                offsets.push(total);
-                total += entry.size as usize;
-            }
-            let mut buffer = vec![0u8; total];
-            let mut unfilled: Vec<usize> = Vec::new();
-            for (i, entry) in area.iter().enumerate() {
-                if let Some(data) = self.cache.get(&entry.fingerprint) {
-                    buffer[offsets[i]..offsets[i] + data.len()].copy_from_slice(data);
-                    self.area_hits += 1;
-                    self.hits_total += 1;
-                } else {
-                    unfilled.push(i);
-                }
-            }
-            // Group remaining slots by container, read each once.
-            let mut order_of_need: Vec<hidestore_storage::ContainerId> = Vec::new();
-            let mut by_container: HashMap<hidestore_storage::ContainerId, Vec<usize>> =
-                HashMap::new();
-            for &i in &unfilled {
-                let cid = area[i].container;
-                if !by_container.contains_key(&cid) {
-                    order_of_need.push(cid);
-                }
-                by_container.entry(cid).or_default().push(i);
-            }
-            for cid in order_of_need {
-                let container = store.read(cid)?;
-                reads += 1;
-                for &slot in &by_container[&cid] {
-                    let entry = &area[slot];
-                    let data =
-                        container
-                            .get(&entry.fingerprint)
-                            .ok_or(RestoreError::MissingChunk {
-                                fingerprint: entry.fingerprint,
-                                container: cid,
-                            })?;
-                    buffer[offsets[slot]..offsets[slot] + data.len()].copy_from_slice(data);
-                }
-                // Look-ahead: keep this container's soon-needed chunks.
-                for (fp, data) in container.iter() {
-                    if lookahead.contains(&fp) {
-                        self.cache_insert(fp, data.to_vec());
-                    }
-                }
-            }
-            out.write_all(&buffer)?;
-            bytes += total as u64;
-            pos += area_len;
-            self.adapt();
-        }
-        Ok(RestoreReport {
-            bytes_restored: bytes,
-            container_reads: reads,
-            cache_hits: self.hits_total,
-            cache_misses: reads,
-            ..RestoreReport::default()
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "alacc"
+        self.area_bytes = total - self.cache.budget;
     }
 }
 
@@ -222,7 +118,7 @@ impl RestoreCache for Alacc {
 mod tests {
     use super::*;
     use crate::test_util::{interleaved_fixture, sequential_fixture};
-    use crate::Faa;
+    use crate::{Faa, RestoreCache};
 
     #[test]
     fn beats_faa_on_cross_area_reuse() {
@@ -259,11 +155,15 @@ mod tests {
     #[test]
     fn adaptation_moves_the_split() {
         let (store, plan, _) = interleaved_fixture(8, 32, 256);
-        let mut alacc = Alacc::new(8 * 256, 8 * 256);
-        alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
+        let restore = |mut alacc: Alacc| alacc.restore(&plan, &store, &mut Vec::new()).unwrap();
         // The run mixes hit-rich and hit-free areas, so the adaptive policy
-        // must have moved the split at least once.
-        assert!(alacc.adaptations > 0);
+        // must move the split and restore unlike the fixed one.
+        let adaptive = restore(Alacc::new(8 * 256, 8 * 256));
+        let fixed = restore(Alacc::new(8 * 256, 8 * 256).with_fixed_split());
+        assert_ne!(
+            (adaptive.container_reads, adaptive.cache_hits),
+            (fixed.container_reads, fixed.cache_hits)
+        );
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! container-granular caching scheme can achieve, used as a reference line
 //! in restore experiments.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::io::Write;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use hidestore_storage::{Container, ContainerId, ContainerStore};
+use hidestore_storage::{Container, ContainerId};
 
-use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
+use crate::assembler::Policy;
+use crate::RestoreEntry;
 
 /// Optimal (clairvoyant) container cache.
 ///
@@ -21,6 +21,14 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 #[derive(Debug)]
 pub struct BeladyCache {
     capacity: usize,
+    /// Per plan position, the next position naming the same container
+    /// (`usize::MAX` for none).
+    next: Vec<usize>,
+    /// Cached containers with their next use.
+    cached: HashMap<ContainerId, (usize, Arc<Container>)>,
+    /// `(next use, container)` of every cached container: the last is the
+    /// victim.
+    by_next_use: BTreeSet<(usize, ContainerId)>,
 }
 
 impl BeladyCache {
@@ -31,86 +39,50 @@ impl BeladyCache {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache must hold at least one container");
-        BeladyCache { capacity }
+        BeladyCache {
+            capacity,
+            next: Vec::new(),
+            cached: HashMap::new(),
+            by_next_use: BTreeSet::new(),
+        }
     }
 }
 
-impl RestoreCache for BeladyCache {
-    fn restore(
-        &mut self,
-        plan: &[RestoreEntry],
-        store: &dyn ContainerStore,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, RestoreError> {
-        // Precompute, for each container, the queue of positions at which it
-        // is needed.
-        let mut uses: HashMap<ContainerId, VecDeque<usize>> = HashMap::new();
-        for (i, entry) in plan.iter().enumerate() {
-            uses.entry(entry.container).or_default().push_back(i);
-        }
-        // Cache state plus an index of (next_use, container) for O(log n)
-        // farthest-victim selection.
-        let mut cached: HashMap<ContainerId, Arc<Container>> = HashMap::new();
-        let mut next_use: BTreeSet<(usize, ContainerId)> = BTreeSet::new();
-        const NEVER: usize = usize::MAX;
+impl Policy for BeladyCache {
+    const NAME: &'static str = "belady";
 
-        let mut bytes = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (i, entry) in plan.iter().enumerate() {
-            // Advance this container's use queue past position i.
-            let queue = uses.entry(entry.container).or_default();
-            while queue.front().is_some_and(|&p| p <= i) {
-                queue.pop_front();
+    fn start(&mut self, plan: &[RestoreEntry]) {
+        self.cached.clear();
+        self.by_next_use.clear();
+        self.next.clear();
+        self.next.resize(plan.len(), usize::MAX);
+        let mut later = HashMap::new();
+        for (at, entry) in plan.iter().enumerate().rev() {
+            if let Some(next) = later.insert(entry.container, at) {
+                self.next[at] = next;
             }
-            let upcoming = queue.front().copied().unwrap_or(NEVER);
-
-            let container = if let Some(c) = cached.get(&entry.container) {
-                hits += 1;
-                // Re-key its position in the eviction index.
-                if let Some(old_key) = next_use
-                    .iter()
-                    .find(|&&(_, c2)| c2 == entry.container)
-                    .copied()
-                {
-                    next_use.remove(&old_key);
-                }
-                next_use.insert((upcoming, entry.container));
-                Arc::clone(c)
-            } else {
-                misses += 1;
-                let c = store.read(entry.container)?;
-                if cached.len() >= self.capacity {
-                    // Evict the farthest-in-future container.
-                    if let Some(victim) = next_use.iter().next_back().copied() {
-                        next_use.remove(&victim);
-                        cached.remove(&victim.1);
-                    }
-                }
-                cached.insert(entry.container, Arc::clone(&c));
-                next_use.insert((upcoming, entry.container));
-                c
-            };
-            let data = container
-                .get(&entry.fingerprint)
-                .ok_or(RestoreError::MissingChunk {
-                    fingerprint: entry.fingerprint,
-                    container: entry.container,
-                })?;
-            out.write_all(data)?;
-            bytes += data.len() as u64;
         }
-        Ok(RestoreReport {
-            bytes_restored: bytes,
-            container_reads: misses,
-            cache_hits: hits,
-            cache_misses: misses,
-            ..RestoreReport::default()
-        })
     }
 
-    fn name(&self) -> &'static str {
-        "belady"
+    fn lookup(&mut self, plan: &[RestoreEntry], at: usize) -> Option<&[u8]> {
+        let id = plan[at].container;
+        let (next, container) = self.cached.get_mut(&id)?;
+        self.by_next_use.remove(&(*next, id));
+        *next = self.next[at];
+        self.by_next_use.insert((*next, id));
+        container.get(&plan[at].fingerprint)
+    }
+
+    fn admit(&mut self, plan: &[RestoreEntry], at: usize, container: &Arc<Container>) {
+        if self.cached.len() >= self.capacity {
+            if let Some((_, victim)) = self.by_next_use.pop_last() {
+                self.cached.remove(&victim);
+            }
+        }
+        let id = plan[at].container;
+        self.cached
+            .insert(id, (self.next[at], Arc::clone(container)));
+        self.by_next_use.insert((self.next[at], id));
     }
 }
 
@@ -119,6 +91,7 @@ mod tests {
     use super::*;
     use crate::test_util::{interleaved_fixture, sequential_fixture};
     use crate::ContainerLru;
+    use crate::RestoreCache;
 
     #[test]
     fn restores_exact_bytes() {

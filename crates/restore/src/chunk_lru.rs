@@ -1,27 +1,24 @@
 //! Chunk-granular LRU restore cache.
 
-use std::collections::HashMap;
-use std::io::Write;
+use std::sync::Arc;
 
-use hidestore_hash::Fingerprint;
-use hidestore_storage::ContainerStore;
+use hidestore_storage::Container;
 
-use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
+use crate::assembler::{ChunkCache, Policy};
+use crate::RestoreEntry;
 
 /// Chunk-by-chunk restore with an LRU cache of individual chunks.
 ///
 /// On a miss the whole container is read (one counted read) and *all* its
 /// chunks are inserted, evicting least-recently-used chunks once the byte
-/// budget is exceeded. Compared with [`crate::ContainerLru`], memory is spent
+/// budget is exceeded. A hit, or reading a container that holds a chunk
+/// already kept, makes that chunk the most recently used. Compared with [`crate::ContainerLru`], memory is spent
 /// on chunks rather than container slots, which tolerates fragmentation
 /// better — the paper's §2.3 cites this family as the chunk-based caching
 /// baseline.
 #[derive(Debug)]
 pub struct ChunkLru {
-    capacity_bytes: usize,
-    cache: HashMap<Fingerprint, Vec<u8>>,
-    order: Vec<Fingerprint>,
-    cached_bytes: usize,
+    cache: ChunkCache,
 }
 
 impl ChunkLru {
@@ -33,84 +30,28 @@ impl ChunkLru {
     pub fn new(capacity_bytes: usize) -> Self {
         assert!(capacity_bytes > 0, "cache budget must be non-zero");
         ChunkLru {
-            capacity_bytes,
-            cache: HashMap::new(),
-            order: Vec::new(),
-            cached_bytes: 0,
-        }
-    }
-
-    fn touch(&mut self, fp: Fingerprint) {
-        if let Some(pos) = self.order.iter().position(|&f| f == fp) {
-            self.order.remove(pos);
-        }
-        self.order.push(fp);
-    }
-
-    fn insert(&mut self, fp: Fingerprint, data: Vec<u8>) {
-        if self.cache.contains_key(&fp) {
-            self.touch(fp);
-            return;
-        }
-        self.cached_bytes += data.len();
-        self.cache.insert(fp, data);
-        self.touch(fp);
-        while self.cached_bytes > self.capacity_bytes && self.order.len() > 1 {
-            let evict = self.order.remove(0);
-            if let Some(old) = self.cache.remove(&evict) {
-                self.cached_bytes -= old.len();
-            }
+            cache: ChunkCache::new(capacity_bytes),
         }
     }
 }
 
-impl RestoreCache for ChunkLru {
-    fn restore(
-        &mut self,
-        plan: &[RestoreEntry],
-        store: &dyn ContainerStore,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, RestoreError> {
-        self.cache.clear();
-        self.order.clear();
-        self.cached_bytes = 0;
-        let mut bytes = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for entry in plan {
-            if let Some(data) = self.cache.get(&entry.fingerprint) {
-                out.write_all(data)?;
-                bytes += data.len() as u64;
-                self.touch(entry.fingerprint);
-                hits += 1;
-            } else {
-                misses += 1;
-                let container = store.read(entry.container)?;
-                let needed =
-                    container
-                        .get(&entry.fingerprint)
-                        .ok_or(RestoreError::MissingChunk {
-                            fingerprint: entry.fingerprint,
-                            container: entry.container,
-                        })?;
-                out.write_all(needed)?;
-                bytes += needed.len() as u64;
-                for (fp, chunk) in container.iter() {
-                    self.insert(fp, chunk.to_vec());
-                }
-            }
-        }
-        Ok(RestoreReport {
-            bytes_restored: bytes,
-            container_reads: misses,
-            cache_hits: hits,
-            cache_misses: misses,
-            ..RestoreReport::default()
-        })
+impl Policy for ChunkLru {
+    const NAME: &'static str = "chunk-lru";
+
+    fn start(&mut self, _plan: &[RestoreEntry]) {
+        self.cache = ChunkCache::new(self.cache.budget);
     }
 
-    fn name(&self) -> &'static str {
-        "chunk-lru"
+    fn lookup(&mut self, plan: &[RestoreEntry], at: usize) -> Option<&[u8]> {
+        self.cache.touch(plan[at].fingerprint);
+        self.cache.get(&plan[at].fingerprint)
+    }
+
+    fn admit(&mut self, _plan: &[RestoreEntry], _at: usize, container: &Arc<Container>) {
+        for (fp, chunk) in container.iter() {
+            self.cache.touch(fp);
+            self.cache.insert(fp, chunk);
+        }
     }
 }
 
@@ -118,6 +59,7 @@ impl RestoreCache for ChunkLru {
 mod tests {
     use super::*;
     use crate::test_util::{interleaved_fixture, sequential_fixture};
+    use crate::RestoreCache;
 
     #[test]
     fn holds_hot_chunks_across_container_evictions() {
@@ -136,14 +78,6 @@ mod tests {
         let mut out = Vec::new();
         cache.restore(&plan, &store, &mut out).unwrap();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn eviction_respects_budget() {
-        let (store, plan, _) = sequential_fixture(4, 8, 256);
-        let mut cache = ChunkLru::new(1024);
-        cache.restore(&plan, &store, &mut Vec::new()).unwrap();
-        assert!(cache.cached_bytes <= 1024 || cache.order.len() == 1);
     }
 
     #[test]

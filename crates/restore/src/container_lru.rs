@@ -1,13 +1,12 @@
 //! Container-granular LRU restore cache — the classic scheme the paper's
 //! §2.3 describes first.
 
-use std::collections::HashMap;
-use std::io::Write;
 use std::sync::Arc;
 
-use hidestore_storage::{Container, ContainerId, ContainerStore};
+use hidestore_storage::{Container, ContainerId};
 
-use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
+use crate::assembler::Policy;
+use crate::RestoreEntry;
 
 /// Chunk-by-chunk restore with an LRU cache of whole containers.
 ///
@@ -28,10 +27,8 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 #[derive(Debug)]
 pub struct ContainerLru {
     capacity: usize,
-    cache: HashMap<ContainerId, Arc<Container>>,
-    order: Vec<ContainerId>,
-    hits: u64,
-    misses: u64,
+    /// Cached containers, least recently used first.
+    cache: Vec<(ContainerId, Arc<Container>)>,
 }
 
 impl ContainerLru {
@@ -44,76 +41,35 @@ impl ContainerLru {
         assert!(capacity > 0, "cache must hold at least one container");
         ContainerLru {
             capacity,
-            cache: HashMap::new(),
-            order: Vec::new(),
-            hits: 0,
-            misses: 0,
+            cache: Vec::new(),
         }
-    }
-
-    fn touch(&mut self, id: ContainerId) {
-        if let Some(pos) = self.order.iter().position(|&c| c == id) {
-            self.order.remove(pos);
-        }
-        self.order.push(id);
-    }
-
-    fn fetch(
-        &mut self,
-        id: ContainerId,
-        store: &dyn ContainerStore,
-    ) -> Result<Arc<Container>, RestoreError> {
-        if let Some(c) = self.cache.get(&id).cloned() {
-            self.touch(id);
-            self.hits += 1;
-            return Ok(c);
-        }
-        self.misses += 1;
-        let container = store.read(id)?;
-        self.cache.insert(id, Arc::clone(&container));
-        self.touch(id);
-        while self.cache.len() > self.capacity {
-            let evict = self.order.remove(0);
-            self.cache.remove(&evict);
-        }
-        Ok(container)
     }
 }
 
-impl RestoreCache for ContainerLru {
-    fn restore(
-        &mut self,
-        plan: &[RestoreEntry],
-        store: &dyn ContainerStore,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, RestoreError> {
+impl Policy for ContainerLru {
+    const NAME: &'static str = "container-lru";
+
+    fn start(&mut self, _plan: &[RestoreEntry]) {
         self.cache.clear();
-        self.order.clear();
-        self.hits = 0;
-        self.misses = 0;
-        let mut bytes = 0u64;
-        for entry in plan {
-            let container = self.fetch(entry.container, store)?;
-            let data = container
-                .get(&entry.fingerprint)
-                .ok_or(RestoreError::MissingChunk {
-                    fingerprint: entry.fingerprint,
-                    container: entry.container,
-                })?;
-            out.write_all(data)?;
-            bytes += data.len() as u64;
-        }
-        Ok(RestoreReport {
-            bytes_restored: bytes,
-            container_reads: self.misses,
-            cache_hits: self.hits,
-            cache_misses: self.misses,
-            ..RestoreReport::default()
-        })
     }
 
-    fn name(&self) -> &'static str {
-        "container-lru"
+    fn lookup(&mut self, plan: &[RestoreEntry], at: usize) -> Option<&[u8]> {
+        let pos = self
+            .cache
+            .iter()
+            .position(|(id, _)| *id == plan[at].container)?;
+        let used = self.cache.remove(pos);
+        self.cache.push(used);
+        self.cache[self.cache.len() - 1]
+            .1
+            .get(&plan[at].fingerprint)
+    }
+
+    fn admit(&mut self, plan: &[RestoreEntry], at: usize, container: &Arc<Container>) {
+        if self.cache.len() == self.capacity {
+            self.cache.remove(0);
+        }
+        self.cache.push((plan[at].container, Arc::clone(container)));
     }
 }
 
@@ -121,6 +77,7 @@ impl RestoreCache for ContainerLru {
 mod tests {
     use super::*;
     use crate::test_util::{interleaved_fixture, sequential_fixture};
+    use crate::RestoreCache;
 
     #[test]
     fn cache_hit_avoids_rereads() {

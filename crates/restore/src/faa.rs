@@ -1,11 +1,7 @@
 //! Forward Assembly Area (Lillibridge, Eshghi & Bhagwat, FAST'13).
 
-use std::collections::HashMap;
-use std::io::Write;
-
-use hidestore_storage::{ContainerId, ContainerStore};
-
-use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
+use crate::assembler::{split_by_bytes, Policy};
+use crate::RestoreEntry;
 
 /// Forward-assembly restore.
 ///
@@ -14,7 +10,8 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 /// so each needed container is read **exactly once per area** and every slot
 /// it can fill is filled on that single read. This look-ahead is why FAA
 /// beats plain LRU caching and why Destor uses it as the default restore
-/// algorithm (the paper runs all non-ALACC schemes with FAA).
+/// algorithm (the paper runs all non-ALACC schemes with FAA). FAA keeps
+/// nothing across areas, so it never reports a cache hit.
 #[derive(Debug, Clone)]
 pub struct Faa {
     area_bytes: usize,
@@ -30,86 +27,13 @@ impl Faa {
         assert!(area_bytes > 0, "assembly area must be non-zero");
         Faa { area_bytes }
     }
-
-    /// Splits the plan into areas of at most `area_bytes` (a chunk larger
-    /// than the area gets an area of its own).
-    fn areas<'a>(&self, plan: &'a [RestoreEntry]) -> Vec<&'a [RestoreEntry]> {
-        let mut areas = Vec::new();
-        let mut start = 0;
-        let mut acc = 0usize;
-        for (i, entry) in plan.iter().enumerate() {
-            if acc + entry.size as usize > self.area_bytes && i > start {
-                areas.push(&plan[start..i]);
-                start = i;
-                acc = 0;
-            }
-            acc += entry.size as usize;
-        }
-        if start < plan.len() {
-            areas.push(&plan[start..]);
-        }
-        areas
-    }
 }
 
-impl RestoreCache for Faa {
-    fn restore(
-        &mut self,
-        plan: &[RestoreEntry],
-        store: &dyn ContainerStore,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, RestoreError> {
-        let mut reads = 0u64;
-        let mut bytes = 0u64;
-        for area in self.areas(plan) {
-            // Slot layout of the area.
-            let mut offsets = Vec::with_capacity(area.len());
-            let mut total = 0usize;
-            let mut by_container: HashMap<ContainerId, Vec<usize>> = HashMap::new();
-            for (i, entry) in area.iter().enumerate() {
-                offsets.push(total);
-                total += entry.size as usize;
-                by_container.entry(entry.container).or_default().push(i);
-            }
-            let mut buffer = vec![0u8; total];
-            // Read containers in order of first need.
-            let mut order: Vec<ContainerId> = Vec::new();
-            for entry in area {
-                if !order.contains(&entry.container) {
-                    order.push(entry.container);
-                }
-            }
-            for cid in order {
-                let container = store.read(cid)?;
-                reads += 1;
-                for &slot in &by_container[&cid] {
-                    let entry = &area[slot];
-                    let data =
-                        container
-                            .get(&entry.fingerprint)
-                            .ok_or(RestoreError::MissingChunk {
-                                fingerprint: entry.fingerprint,
-                                container: cid,
-                            })?;
-                    debug_assert_eq!(data.len(), entry.size as usize);
-                    buffer[offsets[slot]..offsets[slot] + data.len()].copy_from_slice(data);
-                }
-            }
-            out.write_all(&buffer)?;
-            bytes += total as u64;
-        }
-        Ok(RestoreReport {
-            bytes_restored: bytes,
-            container_reads: reads,
-            // FAA keeps no cache across areas: every counted read is a miss.
-            cache_hits: 0,
-            cache_misses: reads,
-            ..RestoreReport::default()
-        })
-    }
+impl Policy for Faa {
+    const NAME: &'static str = "faa";
 
-    fn name(&self) -> &'static str {
-        "faa"
+    fn area_end(&mut self, plan: &[RestoreEntry], start: usize) -> usize {
+        split_by_bytes(plan, start, self.area_bytes)
     }
 }
 
@@ -117,6 +41,19 @@ impl RestoreCache for Faa {
 mod tests {
     use super::*;
     use crate::test_util::{interleaved_fixture, sequential_fixture};
+    use crate::RestoreCache;
+
+    /// The areas `faa` splits `plan` into.
+    fn areas<'a>(faa: &mut Faa, plan: &'a [RestoreEntry]) -> Vec<&'a [RestoreEntry]> {
+        let mut areas = Vec::new();
+        let mut start = 0;
+        while start < plan.len() {
+            let end = faa.area_end(plan, start);
+            areas.push(&plan[start..end]);
+            start = end;
+        }
+        areas
+    }
 
     #[test]
     fn interleaved_plan_one_read_per_container_per_area() {
@@ -139,8 +76,7 @@ mod tests {
     #[test]
     fn areas_split_respects_byte_budget() {
         let (_, plan, _) = sequential_fixture(4, 4, 100);
-        let faa = Faa::new(250);
-        let areas = faa.areas(&plan);
+        let areas = areas(&mut Faa::new(250), &plan);
         for area in &areas {
             let total: usize = area.iter().map(|e| e.size as usize).sum();
             assert!(total <= 250 || area.len() == 1);
@@ -152,8 +88,7 @@ mod tests {
     #[test]
     fn oversized_chunk_gets_own_area() {
         let (_, plan, _) = sequential_fixture(1, 3, 1000);
-        let faa = Faa::new(500);
-        let areas = faa.areas(&plan);
+        let areas = areas(&mut Faa::new(500), &plan);
         assert_eq!(areas.len(), 3);
         assert!(areas.iter().all(|a| a.len() == 1));
     }

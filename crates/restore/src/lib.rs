@@ -8,11 +8,13 @@
 //! (paper §2.3), the number of **container reads** dominates restore time;
 //! the paper's §5.3 metric is the *speed factor* — mean MB restored per
 //! container read — and all schemes here report it via [`RestoreReport`].
-//! A scheme reads the store directly ([`RestoreCache::restore`] is the only
-//! restore path; there is no prefetch stage between them), so the reads it
-//! reports are the reads the store served. Each scheme counts the reads it
-//! issues itself, so a report stays exact while other readers share the
-//! store.
+//!
+//! Every scheme runs one assembler, the only restore path: it holds the only
+//! store read, read count, chunk check and output write, so a report counts
+//! exactly the reads the store served for it, even on a shared store. A
+//! scheme is a policy deciding where an area ends, what it serves from what
+//! it kept, what it keeps of a container just read, and what it changes
+//! once an area is done.
 //!
 //! Implemented schemes, matching the paper's comparison set:
 //!
@@ -25,6 +27,8 @@
 //!   scheme except ALACC.
 //! * [`Alacc`] — Cao et al. (FAST'18): FAA plus an adaptive look-ahead
 //!   chunk cache that retains chunks needed again beyond the current area.
+//! * [`BeladyCache`] — the offline optimal container cache, a floor on the
+//!   container-granular schemes' reads.
 //!
 //! # Examples
 //!
@@ -48,6 +52,7 @@
 //! ```
 
 mod alacc;
+mod assembler;
 mod belady;
 mod chunk_lru;
 mod container_lru;
@@ -101,8 +106,8 @@ pub struct RestoreReport {
     /// [`ContainerLru`]/[`BeladyCache`], cached chunks for
     /// [`ChunkLru`]/[`Alacc`]; always zero for the cache-less [`Faa`]).
     pub cache_hits: u64,
-    /// Cache misses — each one cost a container read, so this always equals
-    /// [`RestoreReport::container_reads`] for the built-in schemes.
+    /// Equal to [`RestoreReport::container_reads`] by construction: every
+    /// miss is one read. Kept only because the benchmark harness reads it.
     pub cache_misses: u64,
     // Read by `hdsbench/src/stream.rs` (frozen) and nothing else; always zero.
     #[doc(hidden)]
@@ -149,6 +154,17 @@ pub enum RestoreError {
         /// The container that was expected to hold it.
         container: ContainerId,
     },
+    /// A chunk's stored length disagrees with its plan entry's size.
+    ChunkSizeMismatch {
+        /// The chunk.
+        fingerprint: Fingerprint,
+        /// The container holding it.
+        container: ContainerId,
+        /// The size the plan entry gives.
+        planned: u32,
+        /// The length of the stored chunk.
+        stored: usize,
+    },
     /// The container store failed.
     Storage(StorageError),
     /// Writing the output stream failed.
@@ -161,9 +177,16 @@ impl fmt::Display for RestoreError {
             RestoreError::MissingChunk {
                 fingerprint,
                 container,
-            } => {
-                write!(f, "chunk {fingerprint} not found in container {container}")
-            }
+            } => write!(f, "chunk {fingerprint} not found in container {container}"),
+            RestoreError::ChunkSizeMismatch {
+                fingerprint,
+                container,
+                planned,
+                stored,
+            } => write!(
+                f,
+                "chunk {fingerprint} in container {container} holds {stored} bytes, the plan says {planned}"
+            ),
             RestoreError::Storage(e) => write!(f, "container store error: {e}"),
             RestoreError::Io(e) => write!(f, "output write error: {e}"),
         }
@@ -175,7 +198,7 @@ impl std::error::Error for RestoreError {
         match self {
             RestoreError::Storage(e) => Some(e),
             RestoreError::Io(e) => Some(e),
-            RestoreError::MissingChunk { .. } => None,
+            RestoreError::MissingChunk { .. } | RestoreError::ChunkSizeMismatch { .. } => None,
         }
     }
 }
@@ -199,8 +222,9 @@ pub trait RestoreCache {
     ///
     /// # Errors
     ///
-    /// Fails if a container or chunk named by the plan is missing, or if
-    /// writing to `out` fails. Bytes may have been partially written.
+    /// Fails if a container or chunk named by the plan is missing, if a
+    /// chunk's length is not its plan entry's size, or if writing to `out`
+    /// fails. Areas before the failing one have been written.
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
@@ -347,6 +371,57 @@ mod tests {
                 "{}: {err}",
                 scheme.name()
             );
+        }
+    }
+
+    /// A scheme instance restores the same plan the same way every time:
+    /// nothing an earlier restore adapted or kept carries over.
+    #[test]
+    fn a_reused_scheme_restores_like_a_fresh_one() {
+        let (store, plan, expect) = interleaved_fixture(8, 32, 256);
+        let mut schemes = all_schemes();
+        schemes.push(Box::new(Alacc::new(2048, 2048)));
+        for mut scheme in schemes {
+            let mut reports = Vec::new();
+            for _ in 0..2 {
+                let mut out = Vec::new();
+                reports.push(scheme.restore(&plan, &store, &mut out).unwrap());
+                assert_eq!(out, expect, "{}", scheme.name());
+            }
+            assert_eq!(reports[0], reports[1], "{}", scheme.name());
+        }
+    }
+
+    /// A plan entry whose size disagrees with its stored chunk, by more or
+    /// by fewer bytes, fails typed before any byte is written.
+    #[test]
+    fn chunk_size_mismatch_reported_and_nothing_written() {
+        let (store, plan, _) = sequential_fixture(1, 1, 64);
+        for planned in [66, 63] {
+            let plan = [RestoreEntry {
+                size: planned,
+                ..plan[0]
+            }];
+            for mut scheme in all_schemes() {
+                let mut out = Vec::new();
+                let err = scheme.restore(&plan, &store, &mut out).unwrap_err();
+                let RestoreError::ChunkSizeMismatch {
+                    fingerprint,
+                    container,
+                    planned: p,
+                    stored,
+                } = err
+                else {
+                    panic!("{} planned {planned}: {err}", scheme.name());
+                };
+                assert_eq!(
+                    (fingerprint, container, p, stored),
+                    (plan[0].fingerprint, plan[0].container, planned, 64),
+                    "{}",
+                    scheme.name()
+                );
+                assert!(out.is_empty(), "{} planned {planned}", scheme.name());
+            }
         }
     }
 
