@@ -29,7 +29,13 @@
 #                                      then the failure-injection suite, the
 #                                      only one that reaches a failed cold
 #                                      demotion (V1-V3 must still restore
-#                                      through the chunks it left pooled)
+#                                      through the chunks it left pooled,
+#                                      and the next demotion must take
+#                                      them); then the active-pool property
+#                                      (the pool is the newest versions'
+#                                      chunks after every backup and
+#                                      reopen, and after a prune below the
+#                                      history depth)
 #   7. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -108,7 +114,11 @@
 #                                      exit; then recluster, and the local
 #                                      verify, a V1 restore diffed against
 #                                      the first one, and zero findings all
-#                                      hold again
+#                                      hold again; then the bench's Figure
+#                                      8-11 rows, bit-exact against their
+#                                      golden values (the byte wall for the
+#                                      one row builder every scheme's
+#                                      backup stats feed)
 #  12. paper claims (release)       -- the cross-scheme comparison asserted
 #                                      as tests: HiDeStore vs RevDedup vs
 #                                      hybrid vs DDFS restore reads, dedup
@@ -139,13 +149,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "ci: cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "ci: cargo test --release --test crash_matrix, failure_injection"
+echo "ci: cargo test --release --test crash_matrix, failure_injection, proptests hot set"
 cargo test --release --test crash_matrix -q
 cargo test --release -p hidestore-core --lib -q -- \
     persist::tests::commit_cost_does_not_grow_with_history \
     persist::tests::failed_save_keeps_its_changes_for_the_retry \
     persist::tests::parallel_encode_keeps_the_serial_save_order
 cargo test --release --test failure_injection -q
+cargo test --release --test proptests -q -- the_active_pool_is_the_hot_set
 
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q
@@ -210,7 +221,7 @@ wait "$SERVE_PID"
 trap - EXIT
 rm -rf "$SERVE_DIR"
 
-echo "ci: tree backup/restore round trip"
+echo "ci: tree backup/restore round trip, figure_golden"
 TREE_DIR=$(mktemp -d)
 trap 'rm -rf "$TREE_DIR"' EXIT
 ./target/debug/hidestore init "$TREE_DIR/repo" --chunk 4096 --container 262144 > /dev/null
@@ -258,6 +269,7 @@ diff -r --no-dereference "$TREE_DIR/full" "$TREE_DIR/reclustered"
 ./target/debug/hidestore verify "$TREE_DIR/repo" --json | grep -q '"clean": true'
 trap - EXIT
 rm -rf "$TREE_DIR"
+cargo test --release -p hidestore-bench --test figure_golden -q
 
 echo "ci: cargo test --release --test paper_claims"
 cargo test --release --test paper_claims -q

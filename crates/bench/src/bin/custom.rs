@@ -54,7 +54,7 @@ fn main() {
             "V{:<3} dedup {:>6.2}%  lookups {:>8}  rewritten {:>10} B",
             i + 1,
             stats.dedup_ratio() * 100.0,
-            stats.disk_lookups,
+            stats.lookup_requests,
             stats.rewritten_bytes,
         );
     }

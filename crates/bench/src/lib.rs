@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use hidestore_chunking::{chunk_spans, ChunkerKind};
 use hidestore_core::{DedupMode, HiDeStore, HiDeStoreConfig};
-use hidestore_dedup::{gc, BackupPipeline, PipelineConfig};
+use hidestore_dedup::{gc, BackupPipeline, PipelineConfig, RunStats, VersionStats};
 use hidestore_hash::Fingerprint;
 use hidestore_index::{
     DdfsIndex, FingerprintIndex, SiloConfig, SiloIndex, SparseConfig, SparseIndex,
@@ -197,7 +197,7 @@ pub struct VersionRow {
     pub logical_bytes: u64,
     /// Cumulative deduplication ratio after this version.
     pub cum_dedup_ratio: f64,
-    /// Index disk lookups per GB for this version (Figure 9).
+    /// Index lookup requests per GB for this version (Figure 9).
     pub lookups_per_gb: f64,
     /// Index table bytes per MB of cumulative data (Figure 10).
     pub index_bytes_per_mb: f64,
@@ -255,65 +255,42 @@ pub fn run_dedup_scheme(
     scale: Scale,
     profile: Profile,
 ) -> DedupRun {
-    let mut rows = Vec::with_capacity(versions.len());
-    let mut cum_logical = 0u64;
-    let mut cum_stored = 0u64;
-    if scheme == DedupScheme::HiDeStore {
+    let stats: Vec<VersionStats> = if scheme == DedupScheme::HiDeStore {
         let mut hds = HiDeStore::new(scale.hidestore_config(profile), MemoryContainerStore::new());
-        for data in versions {
-            let s = hds.backup(data).expect("memory store cannot fail");
-            cum_logical += s.logical_bytes;
-            cum_stored += s.stored_bytes;
-            rows.push(VersionRow {
+        versions
+            .iter()
+            .map(|data| hds.backup(data).expect("memory store cannot fail"))
+            .collect()
+    } else {
+        let mut pipeline = BackupPipeline::new(
+            scale.pipeline_config(),
+            boxed_index(scheme),
+            boxed_rewriter(scheme, scale),
+            MemoryContainerStore::new(),
+        );
+        versions
+            .iter()
+            .map(|data| pipeline.backup(data).expect("memory store cannot fail"))
+            .collect()
+    };
+    let rows = (1..=stats.len())
+        .map(|n| {
+            let (s, so_far) = (&stats[n - 1], RunStats::of(&stats[..n]));
+            VersionRow {
                 version: s.version.get(),
                 logical_bytes: s.logical_bytes,
-                cum_dedup_ratio: ratio(cum_logical, cum_stored),
+                cum_dedup_ratio: so_far.dedup_ratio(),
                 lookups_per_gb: s.lookups_per_gb(),
-                // Paper accounting (§5.2.3): HiDeStore keeps no persistent
-                // index table — the previous recipe serves as its index and
-                // recipes exist in every scheme — so its Figure 10 bar is 0.
-                index_bytes_per_mb: 0.0,
-            });
-        }
-        let dedup_ratio = hds.run_stats().dedup_ratio();
-        return DedupRun {
-            scheme,
-            rows,
-            dedup_ratio,
-        };
-    }
-    let mut pipeline = BackupPipeline::new(
-        scale.pipeline_config(),
-        boxed_index(scheme),
-        boxed_rewriter(scheme, scale),
-        MemoryContainerStore::new(),
-    );
-    for data in versions {
-        let s = pipeline.backup(data).expect("memory store cannot fail");
-        cum_logical += s.logical_bytes;
-        cum_stored += s.stored_bytes;
-        rows.push(VersionRow {
-            version: s.version.get(),
-            logical_bytes: s.logical_bytes,
-            cum_dedup_ratio: ratio(cum_logical, cum_stored),
-            lookups_per_gb: s.lookups_per_gb(),
-            index_bytes_per_mb: s.index_table_bytes as f64
-                / (cum_logical as f64 / (1024.0 * 1024.0)),
-        });
-    }
-    let dedup_ratio = pipeline.run_stats().dedup_ratio();
+                index_bytes_per_mb: s.index_table_bytes as f64
+                    / (so_far.logical_bytes as f64 / (1024.0 * 1024.0)),
+            }
+        })
+        .collect();
     DedupRun {
         scheme,
         rows,
-        dedup_ratio,
+        dedup_ratio: RunStats::of(&stats).dedup_ratio(),
     }
-}
-
-fn ratio(logical: u64, stored: u64) -> f64 {
-    if logical == 0 {
-        return 0.0;
-    }
-    1.0 - stored as f64 / logical as f64
 }
 
 /// The restore-side schemes of Figure 11.
@@ -457,10 +434,9 @@ pub struct SchemeCompareRow {
     /// Container reads restoring the newest version through an 8-container
     /// LRU — the same cache for every scheme.
     pub newest_reads: u64,
-    /// Index probes paid on the backup path, in each scheme's own unit:
-    /// fingerprint-table misses for HiDeStore, whole-segment lookups for
-    /// RevDedup/Hybrid, on-disk index lookups for DDFS. Comparable within a
-    /// scheme across versions, not across schemes.
+    /// Index lookup requests paid on the backup path (Figure 9's unit):
+    /// the previous recipe's prefetch for HiDeStore, one per segment or
+    /// chunk probe for RevDedup/Hybrid, on-disk index lookups for DDFS.
     pub ingest_lookups: u64,
     /// Wall-clock time ingesting every version.
     pub ingest_time: Duration,
@@ -488,7 +464,7 @@ pub fn run_scheme_comparison(
             hds.backup(data).expect("memory store cannot fail");
         }
         let ingest_time = t.elapsed();
-        let ingest_lookups = hds.version_stats().iter().map(|s| s.lookup_requests).sum();
+        let run = hds.run_stats();
         let (pass_time, pass_reclaimed) = if mode.is_out_of_line() {
             let t = std::time::Instant::now();
             let report = hds.out_of_line_pass().expect("memory store cannot fail");
@@ -499,7 +475,6 @@ pub fn run_scheme_comparison(
             (Duration::ZERO, 0)
         };
         let live = hds.archival().total_live_bytes() + hds.pool().live_bytes();
-        let logical = hds.run_stats().logical_bytes;
         let mut cache = ContainerLru::new(8);
         let report = hds
             .restore(newest, &mut cache, &mut std::io::sink())
@@ -510,9 +485,13 @@ pub fn run_scheme_comparison(
                 DedupMode::RevDedup => "RevDedup",
                 DedupMode::Hybrid => "Hybrid",
             },
-            dedup_ratio: ratio(logical, live),
+            dedup_ratio: RunStats {
+                stored_bytes: live,
+                ..run
+            }
+            .dedup_ratio(),
             newest_reads: report.container_reads,
-            ingest_lookups,
+            ingest_lookups: run.lookup_requests,
             ingest_time,
             pass_time,
             pass_reclaimed,
@@ -530,20 +509,16 @@ pub fn run_scheme_comparison(
         pipeline.backup(data).expect("memory store cannot fail");
     }
     let ingest_time = t.elapsed();
-    let ingest_lookups = pipeline
-        .version_stats()
-        .iter()
-        .map(|s| s.disk_lookups)
-        .sum();
+    let run = pipeline.run_stats();
     let mut cache = ContainerLru::new(8);
     let report = pipeline
         .restore(newest, &mut cache, &mut std::io::sink())
         .expect("restore of retained version");
     rows.push(SchemeCompareRow {
         label: "DDFS",
-        dedup_ratio: pipeline.run_stats().dedup_ratio(),
+        dedup_ratio: run.dedup_ratio(),
         newest_reads: report.container_reads,
-        ingest_lookups,
+        ingest_lookups: run.lookup_requests,
         ingest_time,
         pass_time: Duration::ZERO,
         pass_reclaimed: 0,

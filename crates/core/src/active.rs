@@ -247,10 +247,13 @@ impl ActivePool {
     }
 
     /// The cold set at the end of `version` with `depth` versions of
-    /// history: the chunks last seen at exactly `version - depth`, as
+    /// history: the chunks last seen at `version - depth` or earlier, as
     /// `(fingerprint, size)` in (container, fingerprint) order — the
     /// demotion order, which approximates the old physical layout. For
-    /// depth 1 these are "the chunks remaining in T1" (§4.1).
+    /// depth 1 these are "the chunks remaining in T1" (§4.1). In normal
+    /// operation every one was last seen at exactly `version - depth`; an
+    /// older or missing stamp marks a chunk a failed demotion, a degraded
+    /// open or a prune below `depth` left pooled, and it goes cold too.
     pub(crate) fn cold(&self, version: VersionId, depth: usize) -> Vec<(Fingerprint, u32)> {
         let depth = u32::try_from(depth).unwrap_or(u32::MAX);
         let Some(last_seen) = version.get().checked_sub(depth).filter(|&w| w > 0) else {
@@ -259,7 +262,7 @@ impl ActivePool {
         let mut cold: Vec<(u32, Fingerprint, u32)> = self
             .hot
             .iter()
-            .filter(|(_, chunk)| chunk.seen == last_seen)
+            .filter(|(_, chunk)| chunk.seen <= last_seen)
             .map(|(&fp, chunk)| (chunk.cid, fp, chunk.size))
             .collect();
         cold.sort_unstable();
@@ -538,17 +541,20 @@ mod tests {
     }
 
     #[test]
-    fn only_a_stamp_of_exactly_v_minus_depth_is_cold() {
-        // A chunk a failed demotion left behind keeps an older stamp: it is
-        // never cold again unless a version holds it once more.
+    fn a_stamp_at_or_before_v_minus_depth_is_cold() {
+        // A chunk a failed demotion left behind keeps an older stamp: the
+        // next end of version demotes it with the chunks that just went
+        // cold, unless that version held it once more.
         let mut pool = ActivePool::new(1024);
         pool.add(fp(1), b"left", v(1), 0);
-        assert_eq!(pool.cold(v(3), 1), []);
+        pool.add(fp(2), b"last", v(2), 1);
+        assert_eq!(pool.cold(v(3), 2), [(fp(1), 4)]);
+        assert_eq!(pool.cold(v(3), 1).len(), 2);
         assert_eq!(
             pool.classify(fp(1), v(3), 0),
             Classification::HotFromPrevious
         );
-        assert_eq!(pool.cold(v(4), 1).len(), 1);
+        assert_eq!(pool.cold(v(3), 1), [(fp(2), 4)]);
     }
 
     #[test]
@@ -559,7 +565,7 @@ mod tests {
         let mut pool =
             ActivePool::from_containers(1024, pool.containers().map(|(_, c)| c.clone()).collect())
                 .unwrap();
-        assert!(pool.cold(v(2), 1).is_empty(), "nothing stamped yet");
+        assert_eq!(pool.cold(v(2), 1).len(), 2, "an unstamped chunk is cold");
         let recipe = |version: u32, ids: &[u64]| {
             let mut r = Recipe::new(v(version));
             for &id in ids {

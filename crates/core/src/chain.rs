@@ -25,6 +25,11 @@ use crate::composite::ACTIVE_ID_BASE;
 /// * otherwise (possible only with history depth ≥ 2) → stays `ACTIVE`; it
 ///   will be settled when it goes cold.
 ///
+/// An older retained recipe holds `ACTIVE` entries only when a failed
+/// demotion left it unsettled; those of its entries that were demoted now
+/// get their archival container ID too. In normal operation no older
+/// recipe is touched.
+///
 /// Returns the number of entries modified.
 pub fn update_previous_recipes(
     recipes: &mut RecipeStore,
@@ -34,10 +39,21 @@ pub fn update_previous_recipes(
     depth: usize,
 ) -> u64 {
     let mut updated = 0;
-    let cur = current.get();
-    let oldest = cur.saturating_sub(depth as u32).max(1);
-    for w in oldest..cur {
-        let Some(recipe) = recipes.get_mut(VersionId::new(w)) else {
+    let oldest = VersionId::new(current.get().saturating_sub(depth as u32).max(1));
+    let demoted =
+        |entry: &RecipeEntry| entry.cid.is_active() && moved.contains_key(&entry.fingerprint);
+    for w in recipes.versions().into_iter().take_while(|&w| w < current) {
+        let in_window = w >= oldest;
+        // Borrowing an older recipe mutably marks it for the next save, so
+        // only one with something to settle is borrowed.
+        if !in_window
+            && !recipes
+                .get(w)
+                .is_some_and(|r| r.entries().iter().any(demoted))
+        {
+            continue;
+        }
+        let Some(recipe) = recipes.get_mut(w) else {
             continue;
         };
         for entry in recipe.entries_mut() {
@@ -47,7 +63,7 @@ pub fn update_previous_recipes(
             if let Some(&archival) = moved.get(&entry.fingerprint) {
                 entry.cid = Cid::archival(archival);
                 updated += 1;
-            } else if pool.seen_in(&entry.fingerprint, current) {
+            } else if in_window && pool.seen_in(&entry.fingerprint, current) {
                 entry.cid = Cid::chained(current);
                 updated += 1;
             }
@@ -343,6 +359,37 @@ mod tests {
         assert!(recipes.get(VersionId::new(3)).unwrap().entries()[0]
             .cid
             .is_active());
+    }
+
+    #[test]
+    fn update_previous_settles_demoted_entries_of_older_recipes_only() {
+        // V1 was left unsettled by a failed demotion at the end of V2. At
+        // the end of V3 (depth 1) its demoted entry gets the archival ID;
+        // its entry of a chunk V3 holds stays `ACTIVE`, and V2 is updated
+        // as usual.
+        let mut recipes = RecipeStore::new();
+        recipes.insert(recipe_with(1, &[(1, 0), (2, 0)]));
+        recipes.insert(recipe_with(2, &[(2, 0), (3, 0)]));
+        recipes.insert(recipe_with(3, &[(2, 0)]));
+        recipes.mark_saved();
+        let mut moved = HashMap::new();
+        moved.insert(fp(1), ContainerId::new(7));
+        moved.insert(fp(3), ContainerId::new(7));
+        let pool = pool_seen_in(3, &[2]);
+        let updated = update_previous_recipes(&mut recipes, VersionId::new(3), &moved, &pool, 1);
+        assert_eq!(updated, 3);
+        let cids = |v: u32| -> Vec<Cid> {
+            let r = recipes.get(VersionId::new(v)).unwrap();
+            r.entries().iter().map(|e| e.cid).collect()
+        };
+        let archived = Cid::archival(ContainerId::new(7));
+        assert_eq!(cids(1), [archived, Cid::ACTIVE]);
+        assert_eq!(cids(2), [Cid::chained(VersionId::new(3)), archived]);
+        // A settled older recipe holds nothing demoted and is not borrowed.
+        recipes.mark_saved();
+        update_previous_recipes(&mut recipes, VersionId::new(3), &moved, &pool, 1);
+        let changed: Vec<VersionId> = recipes.changed().map(|r| r.version()).collect();
+        assert_eq!(changed, [VersionId::new(2)]);
     }
 
     #[test]

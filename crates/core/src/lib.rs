@@ -69,6 +69,7 @@ pub use active::{ActivePool, Classification, CompactionReport};
 pub use composite::{CompositeStore, ACTIVE_ID_BASE};
 pub use config::{DedupMode, HiDeStoreConfig, CONFIG_FILE};
 pub use handle::RepositoryHandle;
+pub use hidestore_dedup::{RunStats, VersionStats};
 pub use journal::JournalRecovery;
 pub use persist::{
     repository_recovery_state, OpenReport, PendingJournal, QuarantineEntry, QuarantinedArtifact,
@@ -76,5 +77,5 @@ pub use persist::{
 };
 pub use recluster::ReclusterReport;
 pub use scheme::OutOfLineReport;
-pub use stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
+pub use stats::{DeletionReport, HiDeStoreVersionStats};
 pub use system::{write_staged, HiDeStore, HiDeStoreError, ResolvedVersion, RESTORE_AREA_BYTES};

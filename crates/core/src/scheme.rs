@@ -36,13 +36,14 @@ use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::time::Instant;
 
+use hidestore_dedup::VersionStats;
 use hidestore_hash::{Fingerprint, FINGERPRINT_LEN};
 use hidestore_storage::{
     Cid, ContainerId, ContainerStore, Recipe, RecipeEntry, RecipeStore, VersionId,
 };
 
 use crate::config::DedupMode;
-use crate::stats::{DeletionReport, HiDeStoreVersionStats};
+use crate::stats::DeletionReport;
 use crate::system::{HiDeStore, HiDeStoreError};
 
 /// Average chunks per RevDedup segment: a chunk whose fingerprint prefix
@@ -174,7 +175,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         data: &[u8],
         spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
-    ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
+    ) -> Result<VersionStats, HiDeStoreError> {
         let mode = self.config().scheme;
         let version = self.alloc_version();
         let logical_bytes = data.len() as u64;
@@ -230,7 +231,6 @@ impl<S: ContainerStore> HiDeStore<S> {
                 .map(|&i| (fingerprints[i], &data[spans[i].clone()])),
         )?;
         let stored_bytes: u64 = first_copies.iter().map(|&i| spans[i].len() as u64).sum();
-        let unique_chunks = first_copies.len() as u64;
         let mut recipe = Recipe::new(version);
         for (i, (&fp, span)) in fingerprints.iter().zip(spans).enumerate() {
             let cid = placements[i].unwrap_or_else(|| stored[&fp]);
@@ -240,20 +240,15 @@ impl<S: ContainerStore> HiDeStore<S> {
         // The version just ingested becomes the next one's inline target.
         self.rebuild_scheme_state();
 
-        let stats = HiDeStoreVersionStats {
-            version,
+        let stats = VersionStats {
             logical_bytes,
             stored_bytes,
             chunks: fingerprints.len() as u64,
-            unique_chunks,
-            cold_chunks: 0,
-            cold_bytes: 0,
-            archival_containers_sealed: sealed,
-            containers_merged: 0,
+            stored_chunks: first_copies.len() as u64,
             lookup_requests,
             fingerprint_cache_bytes: self.scheme_state().table_bytes(),
-            recipe_update_time: std::time::Duration::ZERO,
-            chunk_move_time: std::time::Duration::ZERO,
+            archival_containers_sealed: sealed,
+            ..VersionStats::new(version)
         };
         self.record_version_stats(stats);
         Ok(stats)

@@ -9,6 +9,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use hidestore_chunking::Chunker;
+use hidestore_dedup::{RunStats, VersionStats};
 use hidestore_hash::Fingerprint;
 use hidestore_restore::{
     RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
@@ -24,7 +25,7 @@ use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 use crate::scheme::SchemeState;
-use crate::stats::{DeletionReport, HiDeStoreRunStats, HiDeStoreVersionStats};
+use crate::stats::DeletionReport;
 
 /// Size in bytes of one index-lookup I/O unit: the previous recipe's
 /// prefetch is charged in these units, the same units as the traditional
@@ -195,7 +196,7 @@ pub struct HiDeStore<S> {
     recipes: RecipeStore,
     next_version: u32,
     next_archival_id: u32,
-    version_stats: Vec<HiDeStoreVersionStats>,
+    version_stats: Vec<VersionStats>,
     quarantined: Vec<QuarantineEntry>,
     scheme: SchemeState,
     out_of_line_rewritten_bytes: u64,
@@ -240,7 +241,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// # Errors
     ///
     /// Fails if the archival store rejects a write.
-    pub fn backup(&mut self, data: &[u8]) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
+    pub fn backup(&mut self, data: &[u8]) -> Result<VersionStats, HiDeStoreError> {
         // The shared front end: inline or staged by core count and input
         // size, the same spans and fingerprints either way.
         let (spans, fingerprints) =
@@ -255,7 +256,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     pub fn backup_trace(
         &mut self,
         trace: &[(Fingerprint, u32)],
-    ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
+    ) -> Result<VersionStats, HiDeStoreError> {
         let fingerprints: Vec<Fingerprint> = trace.iter().map(|&(fp, _)| fp).collect();
         let mut spans = Vec::with_capacity(trace.len());
         let mut end = 0;
@@ -273,7 +274,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         data: &[u8],
         spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
-    ) -> Result<HiDeStoreVersionStats, HiDeStoreError> {
+    ) -> Result<VersionStats, HiDeStoreError> {
         // The out-of-line schemes (RevDedup, hybrid) bypass the active
         // pool entirely and ingest straight into archival containers.
         if self.config.scheme.is_out_of_line() {
@@ -292,7 +293,7 @@ impl<S: ContainerStore> HiDeStore<S> {
 
         let mut recipe = Recipe::new(version);
         let mut stored_bytes = 0u64;
-        let mut unique_chunks = 0u64;
+        let mut stored_chunks = 0u64;
 
         // Each chunk's stream position is its rank: the end-of-version
         // compaction packs in the order this version first held them.
@@ -301,7 +302,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             if self.pool.classify(fp, version, i) == Classification::Unique {
                 self.pool.add(fp, &data[span.clone()], version, i);
                 stored_bytes += u64::from(size);
-                unique_chunks += 1;
+                stored_chunks += 1;
             }
             recipe.push(RecipeEntry::new(fp, size, Cid::ACTIVE));
         }
@@ -328,20 +329,20 @@ impl<S: ContainerStore> HiDeStore<S> {
         );
         let recipe_update_time = recipe_start.elapsed();
 
-        let stats = HiDeStoreVersionStats {
-            version,
+        let stats = VersionStats {
             logical_bytes,
             stored_bytes,
             chunks: fingerprints.len() as u64,
-            unique_chunks,
+            stored_chunks,
+            lookup_requests,
+            fingerprint_cache_bytes: self.pool.chunk_count() as u64 * CACHE_ENTRY_BYTES,
             cold_chunks: cold.len() as u64,
             cold_bytes,
             archival_containers_sealed: sealed,
             containers_merged: compaction.containers_merged,
-            lookup_requests,
-            fingerprint_cache_bytes: self.pool.chunk_count() as u64 * CACHE_ENTRY_BYTES,
             recipe_update_time,
             chunk_move_time,
+            ..VersionStats::new(version)
         };
         self.record_version_stats(stats);
         Ok(stats)
@@ -757,13 +758,8 @@ impl<S: ContainerStore> HiDeStore<S> {
     }
 
     /// Cumulative statistics: the sum of [`HiDeStore::version_stats`].
-    pub fn run_stats(&self) -> HiDeStoreRunStats {
-        self.version_stats
-            .iter()
-            .fold(HiDeStoreRunStats::default(), |mut run, v| {
-                run.absorb(v);
-                run
-            })
+    pub fn run_stats(&self) -> RunStats {
+        RunStats::of(&self.version_stats)
     }
 
     /// Cumulative bytes of surviving chunks *copied* while rebuilding
@@ -776,7 +772,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     }
 
     /// Per-version statistics in backup order.
-    pub fn version_stats(&self) -> &[HiDeStoreVersionStats] {
+    pub fn version_stats(&self) -> &[VersionStats] {
         &self.version_stats
     }
 
@@ -897,7 +893,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     }
 
     /// Records one version's statistics.
-    pub(crate) fn record_version_stats(&mut self, stats: HiDeStoreVersionStats) {
+    pub(crate) fn record_version_stats(&mut self, stats: VersionStats) {
         self.version_stats.push(stats);
     }
 
@@ -1089,7 +1085,7 @@ mod tests {
         let data = noise(150_000, 1);
         let stats = hds.backup(&data).unwrap();
         assert_eq!(stats.logical_bytes, 150_000);
-        assert!(stats.unique_chunks > 0);
+        assert!(stats.stored_chunks > 0);
         let mut out = Vec::new();
         hds.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)
             .unwrap();
@@ -1327,13 +1323,13 @@ mod tests {
     fn fingerprint_cache_bytes_are_28_per_hot_chunk() {
         let mut hds = system();
         let s1 = hds.backup(&noise(100_000, 17)).unwrap();
-        assert!(s1.unique_chunks > 0);
-        assert_eq!(s1.fingerprint_cache_bytes, 28 * s1.unique_chunks);
+        assert!(s1.stored_chunks > 0);
+        assert_eq!(s1.fingerprint_cache_bytes, 28 * s1.stored_chunks);
         // Completely different data: version 1's chunks go cold and leave
         // the table.
         let s2 = hds.backup(&noise(100_000, 18)).unwrap();
-        assert_eq!(s2.cold_chunks, s1.unique_chunks);
-        assert_eq!(s2.fingerprint_cache_bytes, 28 * s2.unique_chunks);
+        assert_eq!(s2.cold_chunks, s1.stored_chunks);
+        assert_eq!(s2.fingerprint_cache_bytes, 28 * s2.stored_chunks);
     }
 
     #[test]

@@ -58,4 +58,4 @@ pub use config::PipelineConfig;
 pub use pipeline::{
     chunk_fingerprints, staged_front_end, BackupPipeline, PipelineError, STAGED_MIN_BYTES,
 };
-pub use stats::{BackupRunStats, VersionStats};
+pub use stats::{RunStats, VersionStats};

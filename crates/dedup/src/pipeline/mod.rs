@@ -21,7 +21,7 @@ use hidestore_rewriting::RewritePolicy;
 use hidestore_storage::{ContainerBuilder, ContainerStore, RecipeStore, StorageError, VersionId};
 
 use crate::config::PipelineConfig;
-use crate::stats::{BackupRunStats, VersionStats};
+use crate::stats::{RunStats, VersionStats};
 use commit::CommitState;
 
 /// Errors from backup or restore runs.
@@ -163,14 +163,14 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         self.index.end_version();
         self.rewriter.end_version();
         let stats = VersionStats {
-            version,
             logical_bytes,
             stored_bytes: outcome.stored_bytes,
-            rewritten_bytes: self.rewriter.rewritten_bytes() - rewritten_before,
             chunks: fingerprints.len() as u64,
             stored_chunks: outcome.stored_chunks,
-            disk_lookups: self.index.disk_lookups() - lookups_before,
+            lookup_requests: self.index.disk_lookups() - lookups_before,
+            rewritten_bytes: self.rewriter.rewritten_bytes() - rewritten_before,
             index_table_bytes: self.index.index_table_bytes() as u64,
+            ..VersionStats::new(version)
         };
         self.recipes.insert(outcome.recipe);
         self.version_stats.push(stats);
@@ -212,13 +212,8 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
 
     /// Cumulative statistics across the whole run: the sum of
     /// [`BackupPipeline::version_stats`].
-    pub fn run_stats(&self) -> BackupRunStats {
-        self.version_stats
-            .iter()
-            .fold(BackupRunStats::default(), |mut run, v| {
-                run.absorb(v);
-                run
-            })
+    pub fn run_stats(&self) -> RunStats {
+        RunStats::of(&self.version_stats)
     }
 
     /// Per-version statistics, in backup order.

@@ -49,8 +49,8 @@ use hidestore_core::{HiDeStoreConfig, HiDeStoreError, RESTORE_AREA_BYTES};
 use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
 use hidestore_proto::{
-    read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, PruneSummary,
-    Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
+    read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, Request,
+    Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
     TenantStatsEntry, TenantStatsResponse, WireError,
 };
 use hidestore_restore::Faa;
@@ -804,19 +804,6 @@ fn receive_backup_stream<V: Vfs>(
     }
 }
 
-fn backup_summary_proto(
-    stats: &hidestore_core::HiDeStoreVersionStats,
-) -> hidestore_proto::BackupSummary {
-    hidestore_proto::BackupSummary {
-        version: stats.version.get(),
-        logical_bytes: stats.logical_bytes,
-        stored_bytes: stats.stored_bytes,
-        chunks: stats.chunks,
-        unique_chunks: stats.unique_chunks,
-        cold_chunks: stats.cold_chunks,
-    }
-}
-
 /// Parks an interrupted backup prefix unless the token already committed —
 /// a stale worker (its client long gone) must not resurrect a session that
 /// a faster retry already finished. One lock guard makes check-and-park
@@ -941,7 +928,7 @@ fn serve_backup_resume<V: Vfs>(
         .write_checked(|s| quota.admit(s, data.len() as u64), |s| s.backup(&data));
     let outcome = match result {
         Ok(stats) => {
-            let summary = backup_summary_proto(&stats);
+            let summary = view::backup_summary(&stats);
             shared.sessions().record_committed(tenant, token, summary);
             // Even if this acknowledgement is lost, the commit is recorded:
             // the retry gets a dedup answer, not a second version.
@@ -1067,14 +1054,7 @@ fn serve_restore<V: Vfs>(
                 Ok(report)
             }) {
             Ok(report) => ServedRestore::Done {
-                summary: RestoreSummary {
-                    // The whole version, which the client checks against
-                    // the announced length.
-                    bytes_restored: total_bytes,
-                    container_reads: report.container_reads,
-                    cache_hits: report.cache_hits,
-                    cache_misses: report.cache_misses,
-                },
+                summary: view::restore_summary(total_bytes, &report),
                 bytes_out: writer.bytes_out,
             },
             Err(error) => ServedRestore::RepoError(error),
@@ -1134,14 +1114,9 @@ fn serve_prune<V: Vfs>(
     // requests nor rewrites the repository; the write re-checks under the
     // exclusive lock.
     let summary = match slot.handle().read(|s| s.prune_cutoff(keep)) {
-        Ok(None) => PruneSummary::default(),
+        Ok(None) => view::prune_summary(None),
         Ok(Some(_)) => match slot.handle().write(|s| s.prune_keep_last(keep)) {
-            Ok(Some(report)) => PruneSummary {
-                versions_removed: report.versions_removed,
-                containers_dropped: report.containers_dropped,
-                bytes_reclaimed: report.bytes_reclaimed,
-            },
-            Ok(None) => PruneSummary::default(),
+            Ok(report) => view::prune_summary(report.as_ref()),
             Err(e) => {
                 bump_mutation_failure(shared, tstats, &e);
                 return repo_error_outcome(e);

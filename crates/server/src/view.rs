@@ -1,18 +1,59 @@
 //! Builders mapping repository state to the wire protocol's response
 //! types.
 //!
-//! Both the daemon (answering `List`/`Stats`/`Verify` requests) and the
-//! local CLI (`hidestore list --json`, `hidestore verify` without a server)
-//! go through these builders, so each answer is one computation and one
+//! Both the daemon (answering `List`/`Stats`/`Verify` requests, and
+//! summing up a backup, restore or prune) and the local CLI (`hidestore
+//! list --json`, `hidestore verify` or `backup` without a server) go
+//! through these builders, so each answer is one computation and one
 //! serialization, not two.
 
-use hidestore_core::{chain, HiDeStore, HiDeStoreError, QuarantinedArtifact, ACTIVE_ID_BASE};
+use hidestore_core::{
+    chain, DeletionReport, HiDeStore, HiDeStoreError, QuarantinedArtifact, VersionStats,
+    ACTIVE_ID_BASE,
+};
 use hidestore_dedup::analysis::analyze_plan;
 use hidestore_fsck::{AuditReport, FindingKind, Severity};
 use hidestore_proto::{
-    ListResponse, StatsResponse, VerifySummary, VersionEntry, VersionStatsEntry,
+    BackupSummary, ListResponse, PruneSummary, RestoreSummary, StatsResponse, VerifySummary,
+    VersionEntry, VersionStatsEntry,
 };
+use hidestore_restore::RestoreReport;
 use hidestore_storage::ContainerStore;
+
+/// Builds the [`BackupSummary`] of one backup.
+pub fn backup_summary(stats: &VersionStats) -> BackupSummary {
+    BackupSummary {
+        version: stats.version.get(),
+        logical_bytes: stats.logical_bytes,
+        stored_bytes: stats.stored_bytes,
+        chunks: stats.chunks,
+        unique_chunks: stats.stored_chunks,
+        cold_chunks: stats.cold_chunks,
+    }
+}
+
+/// Builds the [`RestoreSummary`] of a restore of a `version_bytes`-long
+/// version. A resumed restore's report counts only the tail it read, but
+/// the summary names the whole version, which the client checks against
+/// the announced length.
+pub fn restore_summary(version_bytes: u64, report: &RestoreReport) -> RestoreSummary {
+    RestoreSummary {
+        bytes_restored: version_bytes,
+        container_reads: report.container_reads,
+        cache_hits: report.cache_hits,
+        cache_misses: report.cache_misses,
+    }
+}
+
+/// Builds the [`PruneSummary`] of a prune; `None`, nothing to prune, is
+/// all zeros.
+pub fn prune_summary(report: Option<&DeletionReport>) -> PruneSummary {
+    report.map_or_else(PruneSummary::default, |r| PruneSummary {
+        versions_removed: r.versions_removed,
+        containers_dropped: r.containers_dropped,
+        bytes_reclaimed: r.bytes_reclaimed,
+    })
+}
 
 /// Builds the [`ListResponse`] for `hidestore list` / `Request::List`.
 pub fn list_response<S: ContainerStore>(system: &HiDeStore<S>) -> ListResponse {

@@ -2,7 +2,7 @@
 
 use std::path::{Path, PathBuf};
 
-use hidestore_core::{HiDeStore, HiDeStoreVersionStats};
+use hidestore_core::{HiDeStore, VersionStats};
 use hidestore_failpoint::{Vfs, VfsEntryKind};
 use hidestore_storage::ContainerStore;
 
@@ -21,7 +21,7 @@ pub struct TreeBackupOptions {
 #[derive(Debug, Clone)]
 pub struct TreeBackupReport {
     /// The pipeline's per-version statistics (version id, dedup ratio, …).
-    pub stats: HiDeStoreVersionStats,
+    pub stats: VersionStats,
     /// Regular files stored.
     pub files: u64,
     /// Directories stored (including the root and empty ones).

@@ -72,7 +72,7 @@ use hidestore::core::{
 };
 use hidestore::fsck::{AuditReport, Finding, FindingKind, Severity, SystemAuditor};
 use hidestore::proto::json::json_string;
-use hidestore::proto::{TenantId, VerifySummary};
+use hidestore::proto::{BackupSummary, PruneSummary, RestoreSummary, TenantId, VerifySummary};
 use hidestore::restore::Faa;
 use hidestore::server::{view, RemoteClient, ServerConfig, DEFAULT_NET_TIMEOUT};
 use hidestore::storage::{FileContainerStore, VersionId};
@@ -417,35 +417,32 @@ fn cmd_backup(repo: &str, file: &str) -> CliResult {
     let mut system = open(repo)?;
     let stats = system.backup(&data)?;
     system.save_repository(repo)?;
-    println!(
-        "{} -> {}: {} bytes, {} chunks, {} new bytes stored ({:.1}% deduplicated), \
-         {} cold chunks archived",
-        file,
-        stats.version,
-        stats.logical_bytes,
-        stats.chunks,
-        stats.stored_bytes,
-        stats.dedup_ratio() * 100.0,
-        stats.cold_chunks,
-    );
+    print_backup(file, &view::backup_summary(&stats), None);
     Ok(())
 }
 
 fn cmd_backup_remote(remote: &Remote, file: &str) -> CliResult {
     let data = fs::read(file)?;
-    let mut client = connect(remote)?;
-    let summary = client.backup_bytes(&data)?;
+    let summary = connect(remote)?.backup_bytes(&data)?;
+    print_backup(file, &summary, Some(remote));
+    Ok(())
+}
+
+fn print_backup(file: &str, summary: &BackupSummary, remote: Option<&Remote>) {
     println!(
-        "{} -> V{} on {}: {} bytes, {} chunks, {} new bytes stored, {} cold chunks archived",
-        file,
+        "{file} -> V{}{}: {} bytes, {} chunks, {} new bytes stored, {} cold chunks archived",
         summary.version,
-        remote.addr,
+        on(remote),
         summary.logical_bytes,
         summary.chunks,
         summary.stored_bytes,
         summary.cold_chunks,
     );
-    Ok(())
+}
+
+/// The suffix naming the daemon a remote verb ran on.
+fn on(remote: Option<&Remote>) -> String {
+    remote.map_or_else(String::new, |r| format!(" on {}", r.addr))
 }
 
 fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
@@ -461,13 +458,18 @@ fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
         &mut Faa::new(RESTORE_AREA_BYTES),
         Path::new(outfile),
     )?;
-    println!(
-        "restored V{v} to {outfile}: {} bytes, {} container reads (speed factor {:.2} MB/read)",
-        report.bytes_restored,
-        report.container_reads,
-        report.speed_factor(),
-    );
+    let summary = view::restore_summary(report.bytes_restored, &report);
+    print_restore(v, outfile, &summary, None);
     Ok(())
+}
+
+fn print_restore(v: u32, outfile: &str, summary: &RestoreSummary, remote: Option<&Remote>) {
+    println!(
+        "restored V{v} to {outfile}: {} bytes, {} container reads{}",
+        summary.bytes_restored,
+        summary.container_reads,
+        on(remote),
+    );
 }
 
 fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
@@ -560,12 +562,8 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
 
 fn cmd_restore_remote(remote: &Remote, version: &str, outfile: &str) -> CliResult {
     let v = parse_version(version)?;
-    let mut client = connect(remote)?;
-    let summary = client.restore_to_path(v, Path::new(outfile))?;
-    println!(
-        "restored V{v} from {} to {outfile}: {} bytes, {} container reads",
-        remote.addr, summary.bytes_restored, summary.container_reads,
-    );
+    let summary = connect(remote)?.restore_to_path(v, Path::new(outfile))?;
+    print_restore(v, outfile, &summary, Some(remote));
     Ok(())
 }
 
@@ -672,18 +670,11 @@ fn cmd_prune(repo: &str, keep: &str) -> CliResult {
         .map_err(|_| usage(format!("keep-last must be a number, got {keep}")))?;
     let keep = NonZeroU32::new(keep).ok_or_else(|| runtime("must keep at least one version"))?;
     let mut system = open(repo)?;
-    let Some(report) = system.prune_keep_last(keep)? else {
-        match system.versions().len() {
-            0 => println!("repository is empty"),
-            n => println!("nothing to prune ({n} versions retained)"),
-        }
-        return Ok(());
-    };
-    system.save_repository(repo)?;
-    println!(
-        "pruned {} versions, dropped {} containers, reclaimed {} bytes in {:?} (no GC)",
-        report.versions_removed, report.containers_dropped, report.bytes_reclaimed, report.elapsed,
-    );
+    let report = system.prune_keep_last(keep)?;
+    if report.is_some() {
+        system.save_repository(repo)?;
+    }
+    print_prune(&view::prune_summary(report.as_ref()), None);
     Ok(())
 }
 
@@ -691,13 +682,23 @@ fn cmd_prune_remote(remote: &Remote, keep: &str) -> CliResult {
     let keep: u32 = keep
         .parse()
         .map_err(|_| usage(format!("keep-last must be a number, got {keep}")))?;
-    let mut client = connect(remote)?;
-    let summary = client.prune(keep)?;
-    println!(
-        "pruned {} versions, dropped {} containers, reclaimed {} bytes on {}",
-        summary.versions_removed, summary.containers_dropped, summary.bytes_reclaimed, remote.addr,
-    );
+    let summary = connect(remote)?.prune(keep)?;
+    print_prune(&summary, Some(remote));
     Ok(())
+}
+
+fn print_prune(summary: &PruneSummary, remote: Option<&Remote>) {
+    if summary.versions_removed == 0 {
+        println!("nothing to prune{}", on(remote));
+        return;
+    }
+    println!(
+        "pruned {} versions, dropped {} containers, reclaimed {} bytes{}",
+        summary.versions_removed,
+        summary.containers_dropped,
+        summary.bytes_reclaimed,
+        on(remote),
+    );
 }
 
 fn cmd_verify(repo: &str, json: bool) -> CliResult {

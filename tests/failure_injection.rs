@@ -8,11 +8,13 @@
 //!    recipe CID, recipe-chain cycle) and `SystemAuditor` must report
 //!    exactly the injected damage — and nothing on an untouched store.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
+use hidestore::hash::Fingerprint;
 use hidestore::server::view;
 use hidestore::storage::FileContainerStore;
 
@@ -159,7 +161,7 @@ fn chunks_a_failed_demotion_left_pooled_are_hot_when_seen_again() {
     hds.backup(&v2).unwrap_err();
     hds.archival_mut().disarm();
     let s3 = hds.backup(&v1).unwrap();
-    assert_eq!((s3.stored_bytes, s3.unique_chunks), (0, 0));
+    assert_eq!((s3.stored_bytes, s3.stored_chunks), (0, 0));
     assert!(s3.cold_chunks > 0, "V2's chunks go cold at the end of V3");
     for (v, expect) in [(1u32, &v1), (2, &v2), (3, &v1)] {
         let mut out = Vec::new();
@@ -169,6 +171,49 @@ fn chunks_a_failed_demotion_left_pooled_are_hot_when_seen_again() {
     }
     let report = SystemAuditor::new().audit(&hds);
     assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn chunks_a_failed_demotion_left_pooled_go_cold_with_the_next_demotion() {
+    // V1's chunks go cold at the end of V2, whose demotion fails: they stay
+    // pooled. V3 of fresh bytes demotes them with V2's, so the pool holds
+    // exactly V3's chunks, and V1's recipe, which the failed demotion left
+    // unsettled, now points at their archival copies.
+    let mut hds = HiDeStore::new(hds_config(), FlakyStore::new(0));
+    let versions = [noise(80_000, 8), noise(80_000, 9), noise(80_000, 10)];
+    hds.backup(&versions[0]).unwrap();
+    hds.backup(&versions[1]).unwrap_err();
+    hds.archival_mut().disarm();
+    let s3 = hds.backup(&versions[2]).unwrap();
+    assert_eq!(pooled(&hds), hot_set(&hds, s3.version, 1));
+    for (v, expect) in (1u32..).zip(&versions) {
+        let mut out = Vec::new();
+        hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+            .unwrap_or_else(|e| panic!("V{v}: {e}"));
+        assert_eq!(&out, expect, "V{v}");
+    }
+    let report = SystemAuditor::new().audit(&hds);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// The fingerprints in `hds`'s active pool.
+fn pooled<S: ContainerStore>(hds: &HiDeStore<S>) -> BTreeSet<Fingerprint> {
+    hds.pool().hot_chunks().map(|(fp, _)| fp).collect()
+}
+
+/// The hot set at the end of `newest` with `depth` versions of history:
+/// the distinct fingerprints of the retained recipes among the newest
+/// `depth` versions.
+fn hot_set<S: ContainerStore>(
+    hds: &HiDeStore<S>,
+    newest: VersionId,
+    depth: usize,
+) -> BTreeSet<Fingerprint> {
+    hds.recipes()
+        .iter()
+        .filter(|r| r.version().get() + depth as u32 > newest.get())
+        .flat_map(|r| r.entries().iter().map(|e| e.fingerprint))
+        .collect()
 }
 
 /// A degraded open that quarantined the newest recipe leaves the older
@@ -206,7 +251,14 @@ fn backups_after_losing_the_newest_recipe_restore_byte_exact() {
         let quarantined: Vec<_> = hds.quarantine().iter().map(|e| &e.artifact).collect();
         assert_eq!(quarantined, [&lost], "depth {depth}");
         for data in &versions[3..] {
-            hds.backup(data).expect("backup after the degraded open");
+            let stats = hds.backup(data).expect("backup after the degraded open");
+            // What the open left unstamped or stamped too old goes cold
+            // with this backup's demotion.
+            assert!(
+                pooled(&hds) == hot_set(&hds, stats.version, depth),
+                "depth {depth}: the pool after {} is not the hot set",
+                stats.version
+            );
             hds.save_repository(dir)
                 .expect("save after the degraded open");
         }

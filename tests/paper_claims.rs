@@ -217,7 +217,7 @@ fn hidestore_lookups_flat_ddfs_lookups_grow() {
         ddfs.backup(v).unwrap();
     }
     let rows = ddfs.version_stats();
-    let ddfs_late = rows[9].disk_lookups;
+    let ddfs_late = rows[9].lookup_requests;
     assert!(
         ddfs_late > late,
         "late versions: DDFS lookups {ddfs_late} must exceed HiDeStore {late}"

@@ -7,6 +7,7 @@
 //! reproduced exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroU32;
 use std::path::Path;
 
 use rand::rngs::StdRng;
@@ -827,7 +828,9 @@ fn assert_pool_is_the_hot_set(hds: &HiDeStore<FileContainerStore>, depth: usize,
 /// Figure 5 over random histories at history depth 1 and 2, with the
 /// skip-a-version pattern of Figure 3d mixed in: after every backup and
 /// every reopen, the active pool holds exactly the newest `depth` versions'
-/// chunks, each where its entry says.
+/// chunks, each where its entry says. At depth 2 the history is then
+/// pruned to one version and reopened: the next backup demotes the chunks
+/// only the pruned version held.
 #[test]
 fn the_active_pool_is_the_hot_set_across_backups_and_reopens() {
     cases(6, 0x12, |rng| {
@@ -862,11 +865,22 @@ fn the_active_pool_is_the_hot_set_across_backups_and_reopens() {
                         assert_pool_is_the_hot_set(&hds, depth, &context);
                     }
                 }
-                for (v, expect) in (1u32..).zip(&streams) {
+                if depth == 2 {
+                    // Right after the reopen the pool may still hold the
+                    // pruned version's chunks.
+                    hds.prune_keep_last(NonZeroU32::MIN).unwrap();
+                    hds.save_repository(&dir).unwrap();
+                    hds = HiDeStore::open_repository(config, &dir).unwrap();
+                    let next = apply(streams.last().unwrap().clone(), &random_edit(rng));
+                    hds.backup(&next).unwrap();
+                    streams.push(next);
+                    assert_pool_is_the_hot_set(&hds, depth, "depth 2 backup after a prune to 1");
+                }
+                for v in hds.versions() {
                     let mut out = Vec::new();
-                    hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                        .unwrap();
-                    assert!(out == *expect, "depth {depth}: V{v} differs");
+                    hds.restore(v, &mut Faa::new(1 << 18), &mut out).unwrap();
+                    let expect = &streams[v.get() as usize - 1];
+                    assert!(out == *expect, "depth {depth}: {v} differs");
                 }
             }));
             let _ = std::fs::remove_dir_all(&dir);
