@@ -31,7 +31,11 @@
 #                                      demotion (V1-V3 must still restore
 #                                      through the chunks it left pooled,
 #                                      and the next demotion must take
-#                                      them); then the active-pool property
+#                                      them) and a prune below the history
+#                                      depth (the chunks only the pruned
+#                                      version held leave the pool, so the
+#                                      next backup archives nothing); then
+#                                      the active-pool property
 #                                      (the pool is the newest versions'
 #                                      chunks after every backup and
 #                                      reopen, and after a prune below the
@@ -75,7 +79,15 @@
 #                                      edge, at release codegen too; then
 #                                      the frame codec's tests, so a bit
 #                                      flipped at each CRC lane edge of a
-#                                      256 KiB DATA frame is caught there
+#                                      256 KiB DATA frame is caught there,
+#                                      the DATA writer's frames equal
+#                                      `encode_frame` of consecutive
+#                                      DATA_CHUNK slices (1 byte,
+#                                      DATA_CHUNK +- 1, 9 MiB), an empty
+#                                      flush writes nothing, and
+#                                      `read_frame_into` appends, and on a
+#                                      torn, corrupt or unknown frame
+#                                      leaves its buffer as it was
 #   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
@@ -94,7 +106,11 @@
 #                                      tenant, quota/unknown-tenant refusals
 #  10. served round trip            -- `hidestore serve` on an ephemeral
 #                                      port: remote backup -> list ->
-#                                      restore -> verify, byte-compare; then
+#                                      restore -> verify, byte-compare, of
+#                                      a 9 000 000-byte input, larger than
+#                                      the 8 MiB `max_frame`, so a restore
+#                                      the daemon does not cut into
+#                                      DATA_CHUNK frames fails here; then
 #                                      two remote restores racing a second
 #                                      remote backup on the one open
 #                                      repository, both byte-compared and
@@ -186,7 +202,7 @@ SERVE_DIR=$(mktemp -d)
 SERVE_REPO="$SERVE_DIR/repo"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
 ./target/debug/hidestore init "$SERVE_REPO" --chunk 4096 --container 262144 > /dev/null
-head -c 3000000 /dev/urandom > "$SERVE_DIR/input.bin"
+head -c 9000000 /dev/urandom > "$SERVE_DIR/input.bin"
 # Ephemeral port: the daemon prints the bound address on stdout.
 ./target/debug/hidestore serve "$SERVE_REPO" --quiet > "$SERVE_DIR/serve.out" 2>&1 &
 SERVE_PID=$!

@@ -693,6 +693,7 @@ impl<S: ContainerStore> HiDeStore<S> {
                 report.versions_removed += 1;
             }
         }
+        self.drop_unheld_pool_chunks();
         // Containers tagged t hold chunks whose most recent version is
         // t - history_depth; they are expired iff t - depth <= up_to.
         let tag_bound = up_to.get() + self.config.history_depth as u32;
@@ -722,6 +723,37 @@ impl<S: ContainerStore> HiDeStore<S> {
         }
         report.elapsed = start.elapsed();
         Ok(report)
+    }
+
+    /// Removes from the active pool every chunk no retained recipe holds.
+    /// A prune below the history depth leaves such chunks pooled; the next
+    /// backup would otherwise demote them into archival containers that no
+    /// recipe references. A quarantined recipe (or an unrecognized
+    /// quarantined file) might hold any pooled chunk, so while one exists
+    /// nothing is removed.
+    fn drop_unheld_pool_chunks(&mut self) {
+        if self.quarantined.iter().any(|q| {
+            matches!(
+                q.artifact,
+                QuarantinedArtifact::Recipe(_) | QuarantinedArtifact::Unrecognized(_)
+            )
+        }) {
+            return;
+        }
+        let held: HashSet<Fingerprint> = self
+            .recipes
+            .iter()
+            .flat_map(|r| r.entries().iter().map(|e| e.fingerprint))
+            .collect();
+        let unheld: Vec<Fingerprint> = self
+            .pool
+            .hot_chunks()
+            .map(|(fp, _)| fp)
+            .filter(|fp| !held.contains(fp))
+            .collect();
+        for fp in &unheld {
+            self.pool.remove(fp);
+        }
     }
 
     /// Whether every chunk re-hashes to its fingerprint and every retained

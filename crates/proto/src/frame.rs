@@ -12,6 +12,11 @@
 //! bit-flipped frame is detected before its payload is interpreted. The
 //! payload length is bounded by [`Limits::max_frame`]; a peer announcing a
 //! larger frame is rejected without allocating.
+//!
+//! Byte streams (a backup upload, a restore download) travel as DATA
+//! frames of at most [`DATA_CHUNK`] payload bytes in both directions:
+//! [`DataWriter`] builds each one in place, and [`read_frame_into`] appends
+//! each payload to a buffer the caller reuses.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -24,7 +29,14 @@ use crate::wire::DecodeError;
 pub const FRAME_MAGIC: [u8; 2] = *b"HD";
 
 /// Bytes of framing overhead around a payload (magic + type + length + CRC).
-pub const FRAME_OVERHEAD: usize = 2 + 1 + 4 + 4;
+pub const FRAME_OVERHEAD: usize = HEADER + 4;
+
+/// Bytes before the payload: magic, type and length.
+const HEADER: usize = 2 + 1 + 4;
+
+/// Payload bytes per DATA frame: a backup upload and a restore's output
+/// are cut into frames of at most this many bytes.
+pub const DATA_CHUNK: usize = 256 * 1024;
 
 /// Frame kinds. The `type` byte on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,16 +196,20 @@ impl From<DecodeError> for FrameError {
     }
 }
 
-/// Encodes a frame into a standalone byte vector (header + payload + CRC).
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    buf.extend_from_slice(&FRAME_MAGIC);
-    buf.push(kind.as_u8());
+/// The header of a `kind` frame announcing `len` payload bytes.
+fn header(kind: FrameKind, len: usize) -> [u8; HEADER] {
     // Saturate rather than truncate: a wrapped-around length would make the
     // receiver misparse the stream, while a saturated one fails the
     // receiver's max_frame check cleanly.
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    buf.extend_from_slice(&len.to_le_bytes());
+    let len = u32::try_from(len).unwrap_or(u32::MAX).to_le_bytes();
+    let [m0, m1] = FRAME_MAGIC;
+    [m0, m1, kind.as_u8(), len[0], len[1], len[2], len[3]]
+}
+
+/// Encodes a frame into a standalone byte vector (header + payload + CRC).
+pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    buf.extend_from_slice(&header(kind, payload.len()));
     buf.extend_from_slice(payload);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
@@ -212,8 +228,82 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Resul
     Ok(())
 }
 
+/// An [`io::Write`] that sends everything written to it as DATA frames of
+/// at most [`DATA_CHUNK`] payload bytes.
+///
+/// Each frame is built in place in one reused buffer: the header in front,
+/// the payload copied in once, the CRC appended when the frame goes out.
+/// A full frame goes out before the next byte is taken, and `flush` sends
+/// the partial one (an empty flush sends nothing). Every frame's bytes
+/// equal [`encode_frame`]`(FrameKind::Data, payload)`. Dropping the writer
+/// discards an unsent partial frame, so a failed stream never ends on a
+/// frame its producer did not finish.
+pub struct DataWriter<W: Write> {
+    inner: W,
+    /// The frame being built: header, then the payload so far.
+    frame: Vec<u8>,
+}
+
+impl<W: Write> DataWriter<W> {
+    /// A writer framing onto `inner`.
+    pub fn new(inner: W) -> Self {
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + DATA_CHUNK);
+        frame.extend_from_slice(&header(FrameKind::Data, 0));
+        DataWriter { inner, frame }
+    }
+
+    /// Seals the frame being built, writes and flushes it, and starts the
+    /// next one. Does nothing when no payload is pending.
+    fn send(&mut self) -> io::Result<()> {
+        let len = self.frame.len() - HEADER;
+        if len == 0 {
+            return Ok(());
+        }
+        self.frame[..HEADER].copy_from_slice(&header(FrameKind::Data, len));
+        let crc = crc32(&self.frame);
+        self.frame.extend_from_slice(&crc.to_le_bytes());
+        let sent = self
+            .inner
+            .write_all(&self.frame)
+            .and_then(|()| self.inner.flush());
+        self.frame.truncate(HEADER);
+        sent
+    }
+}
+
+impl<W: Write> Write for DataWriter<W> {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        if self.frame.len() == HEADER + DATA_CHUNK {
+            self.send()?;
+        }
+        let n = data.len().min(HEADER + DATA_CHUNK - self.frame.len());
+        self.frame.extend_from_slice(&data[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.send()
+    }
+}
+
 /// Reads exactly one frame from `r`, enforcing `limits.max_frame` and
-/// verifying the CRC before the payload is surfaced.
+/// verifying the CRC before the payload is surfaced: [`read_frame_into`]
+/// into a fresh buffer.
+///
+/// # Errors
+///
+/// As [`read_frame_into`].
+pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, FrameError> {
+    let mut payload = Vec::new();
+    let kind = read_frame_into(r, limits, &mut payload)?;
+    Ok(Frame { kind, payload })
+}
+
+/// Reads exactly one frame from `r` and appends its payload to `buf`,
+/// returning its kind. The length is checked against `limits.max_frame`
+/// before `buf` grows, and the CRC before the kind is surfaced. On any
+/// error `buf` is truncated back to its old length, so it only ever gains
+/// whole, verified payloads.
 ///
 /// # Errors
 ///
@@ -221,8 +311,26 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Resul
 /// mid-frame surfaces as `UnexpectedEof` — a *torn frame*),
 /// [`FrameError::Decode`] on bad magic / unknown type / oversized length,
 /// and [`FrameError::CrcMismatch`] on corruption.
-pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, FrameError> {
-    let mut header = [0u8; 7];
+pub fn read_frame_into(
+    r: &mut impl Read,
+    limits: &Limits,
+    buf: &mut Vec<u8>,
+) -> Result<FrameKind, FrameError> {
+    let start = buf.len();
+    let read = append_frame(r, limits, buf, start);
+    if read.is_err() {
+        buf.truncate(start);
+    }
+    read
+}
+
+fn append_frame(
+    r: &mut impl Read,
+    limits: &Limits,
+    buf: &mut Vec<u8>,
+    start: usize,
+) -> Result<FrameKind, FrameError> {
+    let mut header = [0u8; HEADER];
     r.read_exact(&mut header)?;
     if header[..2] != FRAME_MAGIC {
         return Err(DecodeError::BadMagic { what: "frame" }.into());
@@ -237,12 +345,12 @@ pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, FrameErro
         }
         .into());
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    buf.resize(start + len as usize, 0);
+    r.read_exact(&mut buf[start..])?;
     let mut crc_bytes = [0u8; 4];
     r.read_exact(&mut crc_bytes)?;
     let announced = u32::from_le_bytes(crc_bytes);
-    let computed = crc32_update(crc32(&header), &payload);
+    let computed = crc32_update(crc32(&header), &buf[start..]);
     if announced != computed {
         return Err(FrameError::CrcMismatch {
             announced,
@@ -251,8 +359,7 @@ pub fn read_frame(r: &mut impl Read, limits: &Limits) -> Result<Frame, FrameErro
     }
     // The type byte is validated only after the CRC: a corrupt frame is
     // reported as corruption, not as a mysterious unknown type.
-    let kind = FrameKind::from_u8(kind_byte)?;
-    Ok(Frame { kind, payload })
+    Ok(FrameKind::from_u8(kind_byte)?)
 }
 
 #[cfg(test)]
@@ -368,6 +475,124 @@ mod tests {
                 "truncating to {cut} bytes must surface a torn frame, got {result:?}"
             );
         }
+    }
+
+    /// Everything `chunks` yields, written through one [`DataWriter`] and
+    /// flushed once.
+    fn data_frames<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let mut writer = DataWriter::new(&mut wire);
+        for chunk in chunks {
+            writer.write_all(chunk).expect("write to memory");
+        }
+        writer.flush().expect("flush to memory");
+        wire
+    }
+
+    #[test]
+    fn data_writer_frames_equal_encode_frame_of_consecutive_chunks() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xDA7A_0043);
+        let mut data = vec![0u8; 9 << 20];
+        rng.fill(&mut data[..]);
+        for len in [1, DATA_CHUNK - 1, DATA_CHUNK, DATA_CHUNK + 1, 9 << 20] {
+            let data = &data[..len];
+            let expected: Vec<u8> = data
+                .chunks(DATA_CHUNK)
+                .flat_map(|chunk| encode_frame(FrameKind::Data, chunk))
+                .collect();
+            assert_eq!(data_frames([data]), expected, "one write of {len} bytes");
+            // Split writes that straddle frame edges frame the same.
+            assert_eq!(
+                data_frames(data.chunks(7 * 1024 + 3)),
+                expected,
+                "7 KiB writes of {len} bytes"
+            );
+
+            let mut wire = &expected[..];
+            let mut payload = Vec::new();
+            while !wire.is_empty() {
+                payload.clear();
+                let kind = read_frame_into(&mut wire, &Limits::default(), &mut payload);
+                assert_eq!(kind.expect("clean frame"), FrameKind::Data);
+                assert!(!payload.is_empty() && payload.len() <= DATA_CHUNK);
+            }
+        }
+        let single: Vec<u8> = data_frames((0..3).map(|i| &data[i..=i]));
+        assert_eq!(single, encode_frame(FrameKind::Data, &data[..3]));
+    }
+
+    #[test]
+    fn an_empty_flush_writes_nothing() {
+        assert!(data_frames([]).is_empty());
+        assert!(data_frames([&[][..]]).is_empty());
+        let mut wire = Vec::new();
+        let mut writer = DataWriter::new(&mut wire);
+        writer.write_all(&[7; DATA_CHUNK]).expect("write to memory");
+        writer.flush().expect("flush to memory");
+        writer.flush().expect("flush to memory");
+        assert_eq!(wire, encode_frame(FrameKind::Data, &[7; DATA_CHUNK]));
+    }
+
+    #[test]
+    fn read_frame_into_appends_after_existing_bytes() {
+        let mut wire = encode_frame(FrameKind::Data, b"second");
+        wire.extend_from_slice(&encode_frame(FrameKind::End, b""));
+        let mut r = &wire[..];
+        let mut buf = b"first ".to_vec();
+        let limits = Limits::default();
+        assert_eq!(
+            read_frame_into(&mut r, &limits, &mut buf).unwrap(),
+            FrameKind::Data
+        );
+        assert_eq!(buf, b"first second");
+        assert_eq!(
+            read_frame_into(&mut r, &limits, &mut buf).unwrap(),
+            FrameKind::End
+        );
+        assert_eq!(buf, b"first second");
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_buffer_at_its_old_length() {
+        let payload = [0x5Au8; 1000];
+        let frame = encode_frame(FrameKind::Data, &payload);
+        let crc_at = frame.len() - 4;
+        let mut crc_flipped = frame.clone();
+        crc_flipped[crc_at] ^= 1;
+        let mut payload_flipped = frame.clone();
+        payload_flipped[HEADER + 500] ^= 1;
+        // A valid CRC over an unknown kind byte.
+        let mut unknown = frame[..crc_at].to_vec();
+        unknown[2] = 9;
+        let crc = crc32(&unknown);
+        unknown.extend_from_slice(&crc.to_le_bytes());
+        let tight = Limits {
+            max_frame: 999,
+            ..Limits::default()
+        };
+
+        let cases: [(&str, &[u8], Limits); 6] = [
+            ("torn payload", &frame[..HEADER + 600], Limits::default()),
+            ("torn CRC", &frame[..crc_at + 2], Limits::default()),
+            ("CRC flipped", &crc_flipped, Limits::default()),
+            ("payload flipped", &payload_flipped, Limits::default()),
+            ("unknown kind", &unknown, Limits::default()),
+            ("over max_frame", &frame, tight),
+        ];
+        for (what, bytes, limits) in cases {
+            let mut buf = b"parked prefix".to_vec();
+            let result = read_frame_into(&mut &bytes[..], &limits, &mut buf);
+            assert!(result.is_err(), "{what}: {result:?}");
+            assert_eq!(buf, b"parked prefix", "{what}");
+        }
+        assert!(matches!(
+            read_frame_into(&mut &unknown[..], &Limits::default(), &mut Vec::new()),
+            Err(FrameError::Decode(DecodeError::BadTag { tag: 9, .. }))
+        ));
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub mod tenant;
 pub mod wire;
 
 pub use frame::{
-    encode_frame, read_frame, write_frame, Frame, FrameError, FrameKind, Limits, FRAME_MAGIC,
-    FRAME_OVERHEAD,
+    encode_frame, read_frame, read_frame_into, write_frame, DataWriter, Frame, FrameError,
+    FrameKind, Limits, DATA_CHUNK, FRAME_MAGIC, FRAME_OVERHEAD,
 };
 pub use message::{
     BackupSummary, ErrorCode, Hello, ListResponse, PruneSummary, Request, Response, RestoreSummary,

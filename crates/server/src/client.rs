@@ -17,13 +17,13 @@ use std::time::Duration;
 use hidestore_core::write_staged;
 use hidestore_failpoint::Socket;
 use hidestore_proto::{
-    read_frame, write_frame, BackupSummary, Frame, FrameError, FrameKind, Hello, Limits,
-    ListResponse, PruneSummary, Request, Response, RestoreSummary, SessionToken, StatsResponse,
-    TenantId, TenantListResponse, TenantStatsResponse, VerifySummary, WireError,
+    read_frame, read_frame_into, write_frame, BackupSummary, DataWriter, Frame, FrameError,
+    FrameKind, Hello, Limits, ListResponse, PruneSummary, Request, Response, RestoreSummary,
+    SessionToken, StatsResponse, TenantId, TenantListResponse, TenantStatsResponse, VerifySummary,
+    WireError,
 };
 
 use crate::retry::generate_token;
-use crate::server::DATA_CHUNK;
 
 /// The per-I/O socket deadline both sides use unless told otherwise: the
 /// client's `--remote-timeout` and the daemon's `--timeout` override it.
@@ -143,7 +143,7 @@ impl RemoteClient {
                 }
                 Ok(client)
             }
-            FrameKind::Error => Err(ClientError::Remote(decode_error_frame(&frame)?)),
+            FrameKind::Error => Err(ClientError::Remote(decode_error(&frame.payload)?)),
             other => Err(ClientError::Protocol(format!(
                 "expected HELLO reply, got {other}"
             ))),
@@ -188,7 +188,7 @@ impl RemoteClient {
         match frame.kind {
             FrameKind::Response => Response::decode(&frame.payload)
                 .map_err(|e| ClientError::Protocol(format!("bad response: {e}"))),
-            FrameKind::Error => Err(ClientError::Remote(decode_error_frame(&frame)?)),
+            FrameKind::Error => Err(ClientError::Remote(decode_error(&frame.payload)?)),
             other => Err(ClientError::Protocol(format!(
                 "expected RESPONSE, got {other}"
             ))),
@@ -254,9 +254,9 @@ impl RemoteClient {
             )));
         }
         let tail = &data[offset as usize..];
-        for chunk in tail.chunks(DATA_CHUNK) {
-            write_frame(&mut self.stream, FrameKind::Data, chunk)?;
-        }
+        let mut writer = DataWriter::new(&mut self.stream);
+        writer.write_all(tail)?;
+        writer.flush()?;
         write_frame(&mut self.stream, FrameKind::End, &[])?;
         match self.read_response()? {
             Response::BackupDone(summary) => Ok(BackupAttempt {
@@ -314,21 +314,23 @@ impl RemoteClient {
             )));
         }
         let mut received: u64 = 0;
+        // Every frame of the stream is read into this one buffer.
+        let mut payload = Vec::new();
         loop {
-            let frame = self.read()?;
-            match frame.kind {
+            payload.clear();
+            match read_frame_into(&mut self.stream, &self.limits, &mut payload)? {
                 FrameKind::Data => {
-                    received += frame.payload.len() as u64;
+                    received += payload.len() as u64;
                     if received > self.limits.max_stream {
                         return Err(ClientError::Protocol(format!(
                             "restore stream exceeds the {}-byte limit",
                             self.limits.max_stream
                         )));
                     }
-                    out.write_all(&frame.payload)?;
+                    out.write_all(&payload)?;
                 }
                 FrameKind::End => break,
-                FrameKind::Error => return Err(ClientError::Remote(decode_error_frame(&frame)?)),
+                FrameKind::Error => return Err(ClientError::Remote(decode_error(&payload)?)),
                 other => {
                     return Err(ClientError::Protocol(format!(
                         "expected DATA/END, got {other}"
@@ -494,9 +496,8 @@ pub struct RestoreAttempt {
     pub summary: RestoreSummary,
 }
 
-fn decode_error_frame(frame: &Frame) -> Result<WireError, ClientError> {
-    WireError::decode(&frame.payload)
-        .map_err(|e| ClientError::Protocol(format!("bad error frame: {e}")))
+fn decode_error(payload: &[u8]) -> Result<WireError, ClientError> {
+    WireError::decode(payload).map_err(|e| ClientError::Protocol(format!("bad error frame: {e}")))
 }
 
 fn unexpected(wanted: &str, got: &Response) -> ClientError {

@@ -37,8 +37,9 @@ pub mod stats;
 pub mod view;
 
 pub use client::{BackupAttempt, ClientError, RemoteClient, RestoreAttempt, DEFAULT_NET_TIMEOUT};
+pub use hidestore_proto::DATA_CHUNK;
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
-pub use server::{serve, serve_with, ServerConfig, ServerError, ServerHandle, DATA_CHUNK};
+pub use server::{serve, serve_with, ServerConfig, ServerError, ServerHandle};
 pub use session::SessionTable;
 pub use stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 

@@ -49,9 +49,9 @@ use hidestore_core::{HiDeStoreConfig, HiDeStoreError, RESTORE_AREA_BYTES};
 use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
 use hidestore_proto::{
-    read_frame, write_frame, ErrorCode, Frame, FrameError, FrameKind, Hello, Limits, Request,
-    Response, RestoreSummary, SessionToken, TenantId, TenantListEntry, TenantListResponse,
-    TenantStatsEntry, TenantStatsResponse, WireError,
+    read_frame, read_frame_into, write_frame, DataWriter, ErrorCode, Frame, FrameError, FrameKind,
+    Hello, Limits, Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry,
+    TenantListResponse, TenantStatsEntry, TenantStatsResponse, WireError,
 };
 use hidestore_restore::Faa;
 use hidestore_storage::VersionId;
@@ -61,11 +61,6 @@ use crate::client::DEFAULT_NET_TIMEOUT;
 use crate::session::SessionTable;
 use crate::stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 use crate::view;
-
-/// Payload bytes per DATA frame: the client cuts a backup upload into
-/// frames of this size, and a restore's output is framed once this much
-/// has been buffered.
-pub const DATA_CHUNK: usize = 256 * 1024;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -764,7 +759,9 @@ enum BackupStream {
 }
 
 /// Receives DATA frames into `data` (which may already hold a resumed
-/// prefix) until END, a failure, or a transport error.
+/// prefix) until END, a failure, or a transport error. Each payload is
+/// read straight onto the end of `data`, which only ever gains whole,
+/// verified frames.
 fn receive_backup_stream<V: Vfs>(
     stream: &mut Socket,
     shared: &Shared<V>,
@@ -773,13 +770,14 @@ fn receive_backup_stream<V: Vfs>(
 ) -> BackupStream {
     let limits = shared.config.limits;
     loop {
-        let frame = match read_frame(stream, &limits) {
-            Ok(f) => f,
+        let before = data.len();
+        let kind = match read_frame_into(stream, &limits, &mut data) {
+            Ok(kind) => kind,
             Err(error) => return BackupStream::Interrupted { data, error },
         };
-        match frame.kind {
+        match kind {
             FrameKind::Data => {
-                if data.len() as u64 + frame.payload.len() as u64 > limits.max_stream {
+                if data.len() as u64 > limits.max_stream {
                     ServerStats::bump(&shared.stats.rejected_oversize);
                     return BackupStream::Failed(Outcome::Failed {
                         code: ErrorCode::TooLarge,
@@ -789,11 +787,14 @@ fn receive_backup_stream<V: Vfs>(
                         ),
                     });
                 }
-                ServerStats::add(&shared.stats.bytes_in, frame.payload.len() as u64);
-                ServerStats::add(&tstats.bytes_in, frame.payload.len() as u64);
-                data.extend_from_slice(&frame.payload);
+                let received = (data.len() - before) as u64;
+                ServerStats::add(&shared.stats.bytes_in, received);
+                ServerStats::add(&tstats.bytes_in, received);
             }
-            FrameKind::End => return BackupStream::Complete(data),
+            FrameKind::End => {
+                data.truncate(before);
+                return BackupStream::Complete(data);
+            }
             other => {
                 return BackupStream::Failed(Outcome::Failed {
                     code: ErrorCode::Malformed,
@@ -951,56 +952,9 @@ fn serve_backup_resume<V: Vfs>(
     outcome
 }
 
-/// An `io::Write` that packages restore output into DATA frames.
-struct DataFrameWriter<'a> {
-    stream: &'a mut Socket,
-    buf: Vec<u8>,
-    bytes_out: u64,
-}
-
-impl<'a> DataFrameWriter<'a> {
-    fn new(stream: &'a mut Socket) -> Self {
-        DataFrameWriter {
-            stream,
-            buf: Vec::with_capacity(DATA_CHUNK),
-            bytes_out: 0,
-        }
-    }
-
-    fn emit(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        write_frame(self.stream, FrameKind::Data, &self.buf).map_err(|e| match e {
-            FrameError::Io(e) => e,
-            other => io::Error::other(other.to_string()),
-        })?;
-        self.bytes_out += self.buf.len() as u64;
-        self.buf.clear();
-        Ok(())
-    }
-}
-
-impl Write for DataFrameWriter<'_> {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(data);
-        if self.buf.len() >= DATA_CHUNK {
-            self.emit()?;
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.emit()
-    }
-}
-
 /// What happened inside the read closure of a served restore.
 enum ServedRestore {
-    Done {
-        summary: RestoreSummary,
-        bytes_out: u64,
-    },
+    Done(RestoreSummary),
     RepoError(HiDeStoreError),
     /// The requested resume offset lies past the end of the version.
     BadOffset {
@@ -1045,7 +999,7 @@ fn serve_restore<V: Vfs>(
         }
         // A resumed leg restores only the tail, so it reads only the
         // containers under it.
-        let mut writer = DataFrameWriter::new(stream);
+        let mut writer = DataWriter::new(&mut *stream);
         let mut cache = Faa::new(RESTORE_AREA_BYTES);
         match resolved
             .restore_range(offset..total_bytes, &mut cache, &mut writer)
@@ -1053,18 +1007,16 @@ fn serve_restore<V: Vfs>(
                 writer.flush()?;
                 Ok(report)
             }) {
-            Ok(report) => ServedRestore::Done {
-                summary: view::restore_summary(total_bytes, &report),
-                bytes_out: writer.bytes_out,
-            },
+            Ok(report) => ServedRestore::Done(view::restore_summary(total_bytes, &report)),
             Err(error) => ServedRestore::RepoError(error),
         }
     });
-    if offset > 0 && matches!(served, Ok(ServedRestore::Done { .. })) {
+    if offset > 0 && matches!(served, Ok(ServedRestore::Done(_))) {
         ServerStats::bump(&shared.stats.sessions_resumed);
     }
     match served {
-        Ok(ServedRestore::Done { summary, bytes_out }) => {
+        Ok(ServedRestore::Done(summary)) => {
+            let bytes_out = summary.bytes_restored - offset;
             ServerStats::add(&shared.stats.bytes_out, bytes_out);
             ServerStats::add(&tstats.bytes_out, bytes_out);
             let finish = write_frame(stream, FrameKind::End, &[])

@@ -9,6 +9,7 @@
 //!    exactly the injected damage — and nothing on an untouched store.
 
 use std::collections::BTreeSet;
+use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -191,6 +192,47 @@ fn chunks_a_failed_demotion_left_pooled_go_cold_with_the_next_demotion() {
         hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
             .unwrap_or_else(|e| panic!("V{v}: {e}"));
         assert_eq!(&out, expect, "V{v}");
+    }
+    let report = SystemAuditor::new().audit(&hds);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// A prune below the history depth expires a version whose chunks are
+/// still pooled. Only that version held them, so they leave the pool with
+/// it: after a save and a reopen, the next backup demotes nothing and
+/// writes no archival container.
+#[test]
+fn chunks_only_a_pruned_version_held_leave_the_pool() {
+    let scratch = Scratch::new("pruned-below-depth");
+    let dir = &scratch.0;
+    let config = HiDeStoreConfig {
+        history_depth: 2,
+        ..hds_config()
+    };
+    let (v1, v2) = (noise(60_000, 61), noise(60_000, 62));
+    let mut hds = HiDeStore::open_repository(config, dir).expect("open repository");
+    hds.backup(&v1).expect("backup V1");
+    hds.backup(&v2).expect("backup V2");
+    let pruned = hds
+        .prune_keep_last(NonZeroU32::new(1).unwrap())
+        .expect("prune")
+        .expect("V1 expires");
+    assert_eq!(pruned.versions_removed, 1);
+    hds.save_repository(dir).expect("save repository");
+    drop(hds);
+
+    let mut hds = reopen_with(config, dir);
+    let s3 = hds.backup(&v2).expect("backup V3");
+    assert_eq!((s3.cold_chunks, s3.cold_bytes), (0, 0));
+    assert_eq!(s3.archival_containers_sealed, 0);
+    hds.save_repository(dir).expect("save repository");
+    assert!(archival_container_files(dir).is_empty());
+    assert_eq!(pooled(&hds), hot_set(&hds, s3.version, 2));
+    for v in [2u32, 3] {
+        let mut out = Vec::new();
+        hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+            .unwrap_or_else(|e| panic!("V{v}: {e}"));
+        assert!(out == v2, "V{v} bytes");
     }
     let report = SystemAuditor::new().audit(&hds);
     assert!(report.is_clean(), "{report}");

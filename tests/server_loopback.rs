@@ -16,8 +16,9 @@ use std::sync::Mutex;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig, RESTORE_AREA_BYTES};
 use hidestore::fsck::SystemAuditor;
+use hidestore::proto::Limits;
 use hidestore::restore::Faa;
-use hidestore::server::{serve, RemoteClient, ServerConfig};
+use hidestore::server::{serve, RemoteClient, ServerConfig, DATA_CHUNK};
 use hidestore::storage::{MemoryContainerStore, VersionId};
 
 fn temp(tag: &str) -> PathBuf {
@@ -231,6 +232,51 @@ fn restore_onto_a_directory_fails_without_leaving_tmp() {
     conn.restore_to_path(1, &dest).unwrap_err();
     assert!(!tmp.exists(), "remote restore left {}", tmp.display());
     assert!(dest.join("inside").is_dir(), "the directory is untouched");
+
+    drop(conn);
+    handle.shutdown_and_join();
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&out_dir).unwrap();
+}
+
+/// A version larger than `Limits::max_frame` (8 MiB) crosses the wire in
+/// DATA frames of at most `DATA_CHUNK` bytes: a whole restore to memory, a
+/// staged restore to a file, and a resumed leg starting inside the third
+/// frame are all byte-exact.
+#[test]
+fn a_version_larger_than_max_frame_restores_remotely() {
+    let dir = temp("large");
+    HiDeStoreConfig::default().save_to(&dir).unwrap();
+    let handle = serve(
+        &dir,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = RemoteClient::connect(handle.addr()).unwrap();
+    let data = noise(9 << 20, 43);
+    assert!(data.len() > Limits::default().max_frame as usize);
+    conn.backup_bytes(&data).unwrap();
+
+    let mut out = Vec::new();
+    let summary = conn.restore_to(1, &mut out).unwrap();
+    assert_eq!(summary.bytes_restored, data.len() as u64);
+    assert!(out == data, "restore_to differs");
+
+    let out_dir = temp("large-out");
+    conn.restore_to_path(1, out_dir.join("v1.bin")).unwrap();
+    assert!(
+        fs::read(out_dir.join("v1.bin")).unwrap() == data,
+        "restore_to_path differs"
+    );
+
+    let offset = 2 * DATA_CHUNK + 12_345;
+    let mut tail = Vec::new();
+    let attempt = conn.restore_resume(1, offset as u64, &mut tail).unwrap();
+    assert_eq!(attempt.received, (data.len() - offset) as u64);
+    assert!(tail == data[offset..], "restore_resume differs");
 
     drop(conn);
     handle.shutdown_and_join();
