@@ -3,20 +3,21 @@
 #
 #     ./ci.sh
 #
-# Thirteen checks, in order of increasing cost; the script stops at the first
+# Twelve checks, in order of increasing cost; the script stops at the first
 # failure:
 #
 #   1. cargo fmt --check            -- formatting drift
-#   2. cargo xtask lint             -- panic-free library code + crate attrs
-#   3. cargo xtask analyze          -- static-analysis wall: Vfs I/O
+#   2. cargo xtask analyze          -- static-analysis wall: Vfs I/O
 #                                      discipline, lock discipline, wire
-#                                      safety, panic markers, raw-socket use
-#                                      outside failpoint's Socket
-#   4. clippy + rustdoc -D warnings -- clippy across every target, then
+#                                      safety, panic-free library code,
+#                                      panic markers, crate-root attributes,
+#                                      raw-socket use outside failpoint's
+#                                      Socket
+#   3. clippy + rustdoc -D warnings -- clippy across every target, then
 #                                      the workspace docs, so a deletion
 #                                      cannot leave a dangling doc link
-#   5. cargo test -q                -- the full workspace test suite
-#   6. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
+#   4. cargo test -q                -- the full workspace test suite
+#   5. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
 #                                      and of the reverse-dedup and recluster
 #                                      maintenance lifecycles; then the three
@@ -26,9 +27,16 @@
 #                                      and that a save encoding on several
 #                                      threads keeps the serial op order and
 #                                      records each staged file's own CRC;
-#                                      then the failure-injection suite, the
-#                                      only one that reaches a failed cold
-#                                      demotion (V1-V3 must still restore
+#                                      then the failure-injection suite: the
+#                                      restore/audit agreement sweep
+#                                      (restore_fails_exactly_when_the_audit_
+#                                      has_an_error_for_the_version: a
+#                                      restore fails exactly for the
+#                                      versions the audit reports an error
+#                                      for, over seeded recipe-CID rewrites
+#                                      under each kind of quarantine), and
+#                                      the only suite that reaches a failed
+#                                      cold demotion (V1-V3 must still restore
 #                                      through the chunks it left pooled,
 #                                      and the next demotion must take
 #                                      them) and a prune below the history
@@ -40,7 +48,7 @@
 #                                      chunks after every backup and
 #                                      reopen, and after a prune below the
 #                                      history depth)
-#   7. differential suites (release)-- the ingest front end against its
+#   6. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
 #                                      pipelines restoring byte-exact across
@@ -88,7 +96,7 @@
 #                                      `read_frame_into` appends, and on a
 #                                      torn, corrupt or unknown frame
 #                                      leaves its buffer as it was
-#   8. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
+#   7. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
 #                                      retrying client against the daemon:
 #                                      cut/short/black-hole/delay on both
 #                                      sides, each reached site proven to
@@ -100,11 +108,11 @@
 #                                      then the daemon's disk faulted at
 #                                      every I/O op of one tenant's served
 #                                      backup, through the same fault plan
-#   9. tenant isolation (release)   -- N tenants raced through one daemon:
+#   8. tenant isolation (release)   -- N tenants raced through one daemon:
 #                                      byte-identical to serial runs, LRU
 #                                      eviction churn, implicit default
 #                                      tenant, quota/unknown-tenant refusals
-#  10. served round trip            -- `hidestore serve` on an ephemeral
+#   9. served round trip            -- `hidestore serve` on an ephemeral
 #                                      port: remote backup -> list ->
 #                                      restore -> verify, byte-compare, of
 #                                      a 9 000 000-byte input, larger than
@@ -117,7 +125,7 @@
 #                                      V2 listed; graceful shutdown, then a
 #                                      local `verify --json` with zero
 #                                      findings of any severity
-#  11. tree round trip             -- backup-tree/restore-tree on a real
+#  10. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
 #                                      the source, the full restore reads at
@@ -135,11 +143,11 @@
 #                                      golden values (the byte wall for the
 #                                      one row builder every scheme's
 #                                      backup stats feed)
-#  12. paper claims (release)       -- the cross-scheme comparison asserted
+#  11. paper claims (release)       -- the cross-scheme comparison asserted
 #                                      as tests: HiDeStore vs RevDedup vs
 #                                      hybrid vs DDFS restore reads, dedup
 #                                      ratios, and deferred-pass accounting
-#  13. hdsbench smoke (release)     -- the benchmark harness builds against
+#  12. hdsbench smoke (release)     -- the benchmark harness builds against
 #                                      the workspace crates and its smoke
 #                                      tests pass, so a program-API change
 #                                      that breaks it fails here, not in
@@ -150,9 +158,6 @@ set -eu
 
 echo "ci: cargo fmt --check"
 cargo fmt --check
-
-echo "ci: cargo xtask lint"
-cargo xtask lint
 
 echo "ci: cargo xtask analyze"
 cargo xtask analyze

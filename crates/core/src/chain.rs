@@ -7,14 +7,18 @@
 //! tracks them. Old recipes therefore form a chain toward the newest one;
 //! [`flatten_recipes`] (the paper's Algorithm 1) collapses the chain offline
 //! so restores of old versions don't walk multiple recipes.
+//! [`ChainWalker`] is the one traversal of the chain: restore, `stats` and
+//! the auditor all follow entries through it.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use hidestore_hash::Fingerprint;
 use hidestore_storage::{Cid, ContainerId, RecipeEntry, RecipeStore, VersionId};
 
 use crate::active::ActivePool;
 use crate::composite::ACTIVE_ID_BASE;
+use crate::persist::{QuarantineEntry, QuarantinedArtifact};
 
 /// Updates the recipes of the last `depth` versions after version `current`
 /// demoted the cold set `moved` to archival containers (§4.3, Figure 7).
@@ -146,7 +150,8 @@ pub fn flatten_recipes(recipes: &mut RecipeStore) -> u64 {
 pub enum ResolveError {
     /// A chained reference pointed at a version whose recipe is missing.
     MissingRecipe(VersionId),
-    /// A chain step did not contain the chunk it was supposed to.
+    /// A chain step did not contain the chunk it was supposed to, or did
+    /// not lead to a strictly newer version.
     BrokenChain {
         /// The chunk whose location could not be resolved.
         fingerprint: Fingerprint,
@@ -176,6 +181,167 @@ impl std::fmt::Display for ResolveError {
 
 impl std::error::Error for ResolveError {}
 
+/// Where a recipe entry's chunk physically lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Location {
+    /// An archival container.
+    Archival(ContainerId),
+    /// An active-pool container, by pool slot.
+    Pool(u32),
+}
+
+/// Why a chain walk reached no [`Location`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkError {
+    /// A hop's target version has no recipe.
+    MissingRecipe(VersionId),
+    /// A hop's target recipe does not hold the chunk.
+    BrokenAt(VersionId),
+    /// An `ACTIVE` entry's chunk is not in the active pool.
+    NotInPool,
+    /// A hop returned to this already visited version.
+    Cycle(VersionId),
+}
+
+/// The one traversal of the recipe chain (§4.4's three CID cases): restore,
+/// `stats` and the auditor follow every entry through it. The per-version
+/// `fingerprint → Cid` maps it builds on a version's first hop are shared by
+/// every later walk of the same walker.
+pub struct ChainWalker<'a> {
+    recipes: &'a RecipeStore,
+    pool: &'a ActivePool,
+    maps: HashMap<VersionId, HashMap<Fingerprint, Cid>>,
+    /// The last walk's hops that did not lead to a strictly newer version.
+    backward: Vec<(VersionId, VersionId)>,
+    /// Versions the last walk visited since its first backward hop.
+    visited: HashSet<VersionId>,
+}
+
+impl<'a> ChainWalker<'a> {
+    /// A walker over `recipes` and `pool` with no maps built yet.
+    pub fn new(recipes: &'a RecipeStore, pool: &'a ActivePool) -> Self {
+        ChainWalker {
+            recipes,
+            pool,
+            maps: HashMap::new(),
+            backward: Vec::new(),
+            visited: HashSet::new(),
+        }
+    }
+
+    /// Follows `entry` of `version`'s recipe to the location holding its
+    /// chunk. Each hop should lead to a strictly newer version; one that
+    /// does not is recorded (see [`ChainWalker::backward_hops`]) and the walk
+    /// goes on, stopping with [`WalkError::Cycle`] when it revisits a
+    /// version. Forward hops alone cannot cycle, so the visited set is kept
+    /// only after the first backward hop.
+    ///
+    /// # Errors
+    ///
+    /// The [`WalkError`] at which the chain ended without a location.
+    pub fn walk(&mut self, version: VersionId, entry: &RecipeEntry) -> Result<Location, WalkError> {
+        self.backward.clear();
+        let fp = entry.fingerprint;
+        let (mut at, mut cid) = (version, entry.cid);
+        loop {
+            let w = match (cid.as_archival(), cid.as_chained()) {
+                (Some(id), _) => return Ok(Location::Archival(id)),
+                (None, Some(w)) => w,
+                (None, None) => {
+                    return self
+                        .pool
+                        .locate(&fp)
+                        .map(Location::Pool)
+                        .ok_or(WalkError::NotInPool)
+                }
+            };
+            if w <= at {
+                if self.backward.is_empty() {
+                    // The versions between the start and `at` lie on a
+                    // forward path that leads back to `at` if re-entered,
+                    // so seeding both ends catches every revisit.
+                    self.visited.clear();
+                    self.visited.extend([version, at]);
+                }
+                self.backward.push((at, w));
+            }
+            if !self.backward.is_empty() && !self.visited.insert(w) {
+                return Err(WalkError::Cycle(w));
+            }
+            let map = match self.maps.entry(w) {
+                Entry::Occupied(map) => map.into_mut(),
+                Entry::Vacant(slot) => {
+                    let recipe = self.recipes.get(w).ok_or(WalkError::MissingRecipe(w))?;
+                    slot.insert(
+                        recipe
+                            .entries()
+                            .iter()
+                            .map(|e| (e.fingerprint, e.cid))
+                            .collect(),
+                    )
+                }
+            };
+            cid = *map.get(&fp).ok_or(WalkError::BrokenAt(w))?;
+            at = w;
+        }
+    }
+
+    /// The last walk's hops, as `(from, to)`, that did not lead to a
+    /// strictly newer version, in walk order.
+    pub fn backward_hops(&self) -> &[(VersionId, VersionId)] {
+        &self.backward
+    }
+
+    /// Restore's reading of the last walk, which ended at `end` resolving
+    /// `fingerprint`: the plan container, or the [`ResolveError`]. A backward
+    /// hop breaks the chain at its target, whatever followed it.
+    ///
+    /// # Errors
+    ///
+    /// The [`ResolveError`] the walk maps onto.
+    pub fn plan_container(
+        &self,
+        fingerprint: Fingerprint,
+        end: Result<Location, WalkError>,
+    ) -> Result<ContainerId, ResolveError> {
+        match (self.backward.first(), end) {
+            (Some(&(_, version)), _)
+            | (None, Err(WalkError::BrokenAt(version) | WalkError::Cycle(version))) => {
+                Err(ResolveError::BrokenChain {
+                    fingerprint,
+                    version,
+                })
+            }
+            (None, Ok(Location::Archival(id))) => Ok(id),
+            (None, Ok(Location::Pool(slot))) => Ok(ContainerId::new(ACTIVE_ID_BASE + slot)),
+            (None, Err(WalkError::MissingRecipe(w))) => Err(ResolveError::MissingRecipe(w)),
+            (None, Err(WalkError::NotInPool)) => Err(ResolveError::NotInPool(fingerprint)),
+        }
+    }
+}
+
+/// The quarantined artifact, if any, behind a walk's `end`: the archival
+/// container it reached, the recipe it found missing, or — for a chunk
+/// absent from the pool — the first quarantined active container, which
+/// took its chunks with it.
+pub fn quarantined_cause(
+    quarantine: &[QuarantineEntry],
+    end: &Result<Location, WalkError>,
+) -> Option<QuarantinedArtifact> {
+    quarantine
+        .iter()
+        .map(|q| &q.artifact)
+        .find(|artifact| match (end, artifact) {
+            (Ok(Location::Archival(id)), QuarantinedArtifact::ArchivalContainer(lost)) => {
+                id == lost
+            }
+            (Err(WalkError::MissingRecipe(v)), QuarantinedArtifact::Recipe(lost)) => v == lost,
+            (Err(WalkError::NotInPool), QuarantinedArtifact::ActiveContainer(_)) => true,
+            _ => false,
+        })
+        .cloned()
+}
+
 /// Resolves every entry of `version`'s recipe to a physical container ID:
 /// archival IDs pass through, `ACTIVE` entries are located in the pool (IDs
 /// offset by [`ACTIVE_ID_BASE`]), and chains are followed recipe-to-recipe
@@ -193,69 +359,16 @@ pub fn resolve_plan(
     let recipe = recipes
         .get(version)
         .ok_or(ResolveError::MissingRecipe(version))?;
-    // Lazily built per-version lookup maps for chain following.
-    let mut maps: HashMap<VersionId, HashMap<Fingerprint, Cid>> = HashMap::new();
-    let mut plan = Vec::with_capacity(recipe.len());
-    for entry in recipe.entries() {
-        let container = resolve_one(recipes, pool, &mut maps, version, entry)?;
-        plan.push((entry.fingerprint, entry.size, container));
-    }
-    Ok(plan)
-}
-
-/// Resolves one entry of `version`'s recipe.
-fn resolve_one(
-    recipes: &RecipeStore,
-    pool: &ActivePool,
-    maps: &mut HashMap<VersionId, HashMap<Fingerprint, Cid>>,
-    version: VersionId,
-    entry: &RecipeEntry,
-) -> Result<ContainerId, ResolveError> {
-    let (fp, mut cid) = (entry.fingerprint, entry.cid);
-    // Chains are finite: each hop, the first included, moves to a strictly
-    // newer version. A corrupt recipe could point backwards and close a
-    // multi-hop cycle, so the invariant is enforced, not assumed.
-    let mut newest_hop = version.get();
-    loop {
-        if let Some(archival) = cid.as_archival() {
-            return Ok(archival);
-        }
-        if cid.is_active() {
-            let pool_cid = pool.locate(&fp).ok_or(ResolveError::NotInPool(fp))?;
-            return Ok(ContainerId::new(ACTIVE_ID_BASE + pool_cid));
-        }
-        // Not archival, not active: the remaining state is chained.
-        let Some(w) = cid.as_chained() else {
-            return Err(ResolveError::BrokenChain {
-                fingerprint: fp,
-                version: VersionId::new(1),
-            });
-        };
-        if w.get() <= newest_hop {
-            return Err(ResolveError::BrokenChain {
-                fingerprint: fp,
-                version: w,
-            });
-        }
-        newest_hop = w.get();
-        if let std::collections::hash_map::Entry::Vacant(slot) = maps.entry(w) {
-            let recipe = recipes.get(w).ok_or(ResolveError::MissingRecipe(w))?;
-            slot.insert(
-                recipe
-                    .entries()
-                    .iter()
-                    .map(|e| (e.fingerprint, e.cid))
-                    .collect(),
-            );
-        }
-        cid = maps[&w]
-            .get(&fp)
-            .copied()
-            .ok_or(ResolveError::BrokenChain {
-                fingerprint: fp,
-                version: w,
-            })?;
-    }
+    let mut walker = ChainWalker::new(recipes, pool);
+    recipe
+        .entries()
+        .iter()
+        .map(|entry| {
+            let end = walker.walk(version, entry);
+            let container = walker.plan_container(entry.fingerprint, end)?;
+            Ok((entry.fingerprint, entry.size, container))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -531,6 +644,89 @@ mod tests {
         // The same hop from an older version's point of view is fine.
         let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
         assert_eq!(plan[0].2, ContainerId::new(17));
+    }
+
+    #[test]
+    fn walk_records_a_backward_hop_and_goes_on() {
+        let mut recipes = RecipeStore::new();
+        recipes.insert(recipe_with(1, &[(1, 17)]));
+        recipes.insert(recipe_with(2, &[(1, -1)]));
+        let pool = ActivePool::new(1024);
+        let mut walker = ChainWalker::new(&recipes, &pool);
+        let entry = recipes.get(VersionId::new(2)).unwrap().entries()[0];
+        let end = walker.walk(VersionId::new(2), &entry);
+        assert_eq!(end, Ok(Location::Archival(ContainerId::new(17))));
+        assert_eq!(
+            walker.backward_hops(),
+            [(VersionId::new(2), VersionId::new(1))]
+        );
+        assert_eq!(
+            walker.plan_container(fp(1), end),
+            Err(ResolveError::BrokenChain {
+                fingerprint: fp(1),
+                version: VersionId::new(1),
+            })
+        );
+        // The next walk starts with no hops recorded.
+        let entry = recipes.get(VersionId::new(1)).unwrap().entries()[0];
+        let end = walker.walk(VersionId::new(1), &entry);
+        assert!(walker.backward_hops().is_empty());
+        assert_eq!(walker.plan_container(fp(1), end), Ok(ContainerId::new(17)));
+    }
+
+    #[test]
+    fn walk_stops_on_a_revisit() {
+        let mut recipes = RecipeStore::new();
+        // V1 → V3 → V2 (backward) → V3 again.
+        recipes.insert(recipe_with(1, &[(1, -3)]));
+        recipes.insert(recipe_with(2, &[(1, -3)]));
+        recipes.insert(recipe_with(3, &[(1, -2)]));
+        let pool = ActivePool::new(1024);
+        let mut walker = ChainWalker::new(&recipes, &pool);
+        let entry = recipes.get(VersionId::new(1)).unwrap().entries()[0];
+        assert_eq!(
+            walker.walk(VersionId::new(1), &entry),
+            Err(WalkError::Cycle(VersionId::new(3)))
+        );
+        assert_eq!(
+            walker.backward_hops(),
+            [(VersionId::new(3), VersionId::new(2))]
+        );
+    }
+
+    #[test]
+    fn quarantined_cause_names_the_artifact_behind_a_walk() {
+        let entry = |artifact| QuarantineEntry {
+            artifact,
+            path: std::path::PathBuf::new(),
+            reason: String::new(),
+        };
+        let quarantine = [
+            entry(QuarantinedArtifact::ArchivalContainer(ContainerId::new(7))),
+            entry(QuarantinedArtifact::Recipe(VersionId::new(3))),
+            entry(QuarantinedArtifact::ActiveContainer(2)),
+            entry(QuarantinedArtifact::ActiveContainer(4)),
+        ];
+        let cause = |end| quarantined_cause(&quarantine, &end);
+        assert_eq!(
+            cause(Ok(Location::Archival(ContainerId::new(7)))),
+            Some(QuarantinedArtifact::ArchivalContainer(ContainerId::new(7)))
+        );
+        assert_eq!(cause(Ok(Location::Archival(ContainerId::new(8)))), None);
+        assert_eq!(cause(Ok(Location::Pool(2))), None);
+        assert_eq!(
+            cause(Err(WalkError::MissingRecipe(VersionId::new(3)))),
+            Some(QuarantinedArtifact::Recipe(VersionId::new(3)))
+        );
+        assert_eq!(
+            cause(Err(WalkError::MissingRecipe(VersionId::new(4)))),
+            None
+        );
+        assert_eq!(
+            cause(Err(WalkError::NotInPool)),
+            Some(QuarantinedArtifact::ActiveContainer(2))
+        );
+        assert_eq!(cause(Err(WalkError::BrokenAt(VersionId::new(3)))), None);
     }
 
     #[test]

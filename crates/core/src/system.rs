@@ -20,7 +20,7 @@ use hidestore_storage::{
 };
 
 use crate::active::{ActivePool, Classification};
-use crate::chain::{self, ResolveError};
+use crate::chain::{self, ChainWalker, ResolveError};
 use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
@@ -466,7 +466,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// The resolution errors of [`HiDeStore::restore`]: unknown versions,
     /// broken chains, quarantined dependencies.
     pub fn resolve(&self, version: VersionId) -> Result<ResolvedVersion<'_, S>, HiDeStoreError> {
-        let plan = self.resolve_restore_entries(version)?;
+        let plan = self.restore_plan(version)?;
         let mut offsets = Vec::with_capacity(plan.len() + 1);
         let mut total = 0u64;
         offsets.push(0);
@@ -492,9 +492,45 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// # Errors
     ///
     /// Exactly the resolution errors of [`HiDeStore::restore`]: unknown
-    /// versions, broken chains, quarantined dependencies.
+    /// versions, broken chains, and — in a degraded-mode repository, before
+    /// any other error — the quarantined artifacts its entries resolve
+    /// through, as a partial restore.
     pub fn restore_plan(&self, version: VersionId) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
-        self.resolve_restore_entries(version)
+        let Some(recipe) = self.recipes.get(version) else {
+            // A quarantined recipe is a *known* version whose recipe was
+            // pulled, not an unknown one.
+            let lost = QuarantinedArtifact::Recipe(version);
+            if self.quarantined.iter().any(|q| q.artifact == lost) {
+                return Err(HiDeStoreError::PartialRestore {
+                    version,
+                    quarantined: vec![lost],
+                });
+            }
+            return Err(HiDeStoreError::UnknownVersion(version));
+        };
+        let mut walker = ChainWalker::new(&self.recipes, &self.pool);
+        let mut plan = Vec::with_capacity(recipe.len());
+        let mut lost = BTreeSet::new();
+        let mut failed = Ok(());
+        for entry in recipe.entries() {
+            let end = walker.walk(version, entry);
+            if let Some(artifact) = chain::quarantined_cause(&self.quarantined, &end) {
+                lost.insert(artifact);
+            } else if failed.is_ok() {
+                match walker.plan_container(entry.fingerprint, end) {
+                    Ok(cid) => plan.push(RestoreEntry::new(entry.fingerprint, entry.size, cid)),
+                    Err(e) => failed = Err(e),
+                }
+            }
+        }
+        if !lost.is_empty() {
+            return Err(HiDeStoreError::PartialRestore {
+                version,
+                quarantined: lost.into_iter().collect(),
+            });
+        }
+        failed?;
+        Ok(plan)
     }
 
     /// Restores an arbitrary slice of plan entries (from
@@ -516,111 +552,6 @@ impl<S: ContainerStore> HiDeStore<S> {
     ) -> Result<RestoreReport, HiDeStoreError> {
         let view = CompositeStore::new(&self.archival, &self.pool);
         Ok(cache.restore(entries, &view, out)?)
-    }
-
-    /// Resolves `version`'s recipe chain into a flat restore plan, checking
-    /// quarantined dependencies first (degraded-mode repositories).
-    fn resolve_restore_entries(
-        &self,
-        version: VersionId,
-    ) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
-        if self.recipes.get(version).is_none() {
-            // A quarantined recipe is a *known* version whose recipe was
-            // pulled, not an unknown one.
-            if self
-                .quarantined
-                .iter()
-                .any(|e| matches!(e.artifact, QuarantinedArtifact::Recipe(v) if v == version))
-            {
-                return Err(HiDeStoreError::PartialRestore {
-                    version,
-                    quarantined: vec![QuarantinedArtifact::Recipe(version)],
-                });
-            }
-            return Err(HiDeStoreError::UnknownVersion(version));
-        }
-        let deps = self.quarantined_dependencies(version);
-        if !deps.is_empty() {
-            return Err(HiDeStoreError::PartialRestore {
-                version,
-                quarantined: deps,
-            });
-        }
-        let plan = match chain::resolve_plan(&self.recipes, &self.pool, version) {
-            Ok(plan) => plan,
-            // A chunk missing from the pool while active containers sit in
-            // quarantine: the pool snapshot lost that chunk with them.
-            Err(e @ ResolveError::NotInPool(_)) => {
-                let lost: Vec<QuarantinedArtifact> = self
-                    .quarantined
-                    .iter()
-                    .filter(|q| matches!(q.artifact, QuarantinedArtifact::ActiveContainer(_)))
-                    .map(|q| q.artifact.clone())
-                    .collect();
-                if lost.is_empty() {
-                    return Err(e.into());
-                }
-                return Err(HiDeStoreError::PartialRestore {
-                    version,
-                    quarantined: lost,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-        Ok(plan
-            .into_iter()
-            .map(|(fp, size, cid)| RestoreEntry::new(fp, size, cid))
-            .collect())
-    }
-
-    /// Walks `version`'s recipe chain and collects every quarantined
-    /// artifact it (transitively) depends on: quarantined chain-target
-    /// recipes and quarantined archival containers referenced by entries.
-    fn quarantined_dependencies(&self, version: VersionId) -> Vec<QuarantinedArtifact> {
-        if self.quarantined.is_empty() {
-            return Vec::new();
-        }
-        let lost_recipes: HashSet<VersionId> = self
-            .quarantined
-            .iter()
-            .filter_map(|e| match e.artifact {
-                QuarantinedArtifact::Recipe(v) => Some(v),
-                _ => None,
-            })
-            .collect();
-        let lost_archival: HashSet<ContainerId> = self
-            .quarantined
-            .iter()
-            .filter_map(|e| match e.artifact {
-                QuarantinedArtifact::ArchivalContainer(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        let mut deps: BTreeSet<QuarantinedArtifact> = BTreeSet::new();
-        let mut visited: HashSet<VersionId> = HashSet::new();
-        let mut stack = vec![version];
-        while let Some(v) = stack.pop() {
-            if !visited.insert(v) {
-                continue;
-            }
-            if lost_recipes.contains(&v) {
-                deps.insert(QuarantinedArtifact::Recipe(v));
-                continue;
-            }
-            let Some(recipe) = self.recipes.get(v) else {
-                continue;
-            };
-            for entry in recipe.entries() {
-                if let Some(cid) = entry.cid.as_archival() {
-                    if lost_archival.contains(&cid) {
-                        deps.insert(QuarantinedArtifact::ArchivalContainer(cid));
-                    }
-                } else if let Some(w) = entry.cid.as_chained() {
-                    stack.push(w);
-                }
-            }
-        }
-        deps.into_iter().collect()
     }
 
     /// Runs Algorithm 1 offline, collapsing all recipe chains. Returns the
@@ -781,7 +712,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         }
         self.pool.containers().for_each(|(_, c)| check(c));
         for version in self.versions() {
-            let plan = self.resolve_restore_entries(version)?;
+            let plan = self.restore_plan(version)?;
             clean &= plan
                 .iter()
                 .all(|e| held.contains(&(e.container, e.fingerprint)));

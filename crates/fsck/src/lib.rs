@@ -19,7 +19,9 @@
 //!    [`ACTIVE_ID_BASE`], active-pool snapshots at or above it, so one
 //!    restore plan can mix both without collision.
 //! 5. **Chain sanity** — recipe chains only point *forward* (to strictly
-//!    newer versions), are acyclic, and never dangle.
+//!    newer versions), are acyclic, and never dangle. Entries are walked by
+//!    restore's own [`ChainWalker`], so a version fails to restore exactly
+//!    when an Error finding names it.
 //! 6. **Cold accounting** — archival chunks referenced by no recipe are
 //!    tolerated only in version-tagged containers (the documented
 //!    failed-demotion case, reclaimed by tag-ranged deletion); an orphan in
@@ -35,13 +37,12 @@
 //! **Crash-recovery awareness**: repositories opened from disk may carry
 //! state left by degraded-mode recovery — artifacts moved to `quarantine/`
 //! ([`FindingKind::QuarantinedArtifact`]) and versions that resolve into
-//! them ([`FindingKind::QuarantinedRef`]). A version that no longer restores
-//! is an error, whether its recipe or one of its dependencies was
-//! quarantined; quarantined residue that no version references is a
-//! warning. `hidestore verify` additionally reports an interrupted save
-//! transaction pending in `staging/` ([`FindingKind::PendingJournal`]) by
-//! scanning the directory *before* opening it (opening resolves the
-//! transaction).
+//! them ([`FindingKind::QuarantinedRef`], named by the function restore's
+//! partial-restore error uses). A lost recipe or dependency is an error;
+//! quarantined residue that no version references is a warning. `hidestore
+//! verify` additionally reports an interrupted save transaction pending in
+//! `staging/` ([`FindingKind::PendingJournal`]) by scanning the directory
+//! *before* opening it (opening resolves the transaction).
 //!
 //! # Examples
 //!
@@ -63,9 +64,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use hidestore_core::{ActivePool, HiDeStore, QuarantinedArtifact as CoreArtifact, ACTIVE_ID_BASE};
+use hidestore_core::chain::{self, ChainWalker, Location, WalkError};
+use hidestore_core::{HiDeStore, QuarantinedArtifact as CoreArtifact, ACTIVE_ID_BASE};
 use hidestore_hash::Fingerprint;
-use hidestore_storage::{Cid, Container, ContainerStore, RecipeStore};
+use hidestore_storage::{Container, ContainerStore};
 use hidestore_tree::{read_manifest, EntryPayload, TreeError};
 
 /// How bad a [`Finding`] is.
@@ -566,25 +568,13 @@ impl SystemAuditor {
         let mut report = AuditReport::default();
 
         // Phase 0 — quarantine ledger: everything degraded-mode recovery
-        // moved aside at open is surfaced, and indexed so the recipe walk
-        // can name the quarantined dependency of a version that no longer
-        // restores instead of reporting the hole it leaves.
-        let mut quarantine = QuarantineIndex::default();
+        // moved aside at open is surfaced. A lost recipe is a lost version;
+        // the versions that resolve into any other artifact are reported by
+        // the recipe walk.
         for entry in system.quarantine() {
-            let severity = match &entry.artifact {
-                CoreArtifact::ArchivalContainer(id) => {
-                    quarantine.archival.insert(id.get());
-                    Severity::Warning
-                }
-                CoreArtifact::ActiveContainer(_) => {
-                    quarantine.active.get_or_insert(entry.artifact.clone());
-                    Severity::Warning
-                }
-                CoreArtifact::Recipe(v) => {
-                    quarantine.recipes.insert(v.get());
-                    Severity::Error
-                }
-                CoreArtifact::Unrecognized(_) => Severity::Warning,
+            let severity = match entry.artifact {
+                CoreArtifact::Recipe(_) => Severity::Error,
+                _ => Severity::Warning,
             };
             report.push(
                 severity,
@@ -667,30 +657,86 @@ impl SystemAuditor {
         }
 
         // Phase 3 — recipe walk: every entry must resolve through the chain
-        // to a real physical location, with forward-only, acyclic hops.
-        // Terminal archival locations feed the orphan accounting.
+        // restore follows to a real physical location, with forward-only,
+        // acyclic hops. A walk that ends in quarantine names the version's
+        // lost dependency instead of the hole it leaves, once per (version,
+        // artifact): one lost container must not cascade into a finding per
+        // entry. Terminal archival locations feed the orphan accounting.
         let mut referenced: HashSet<(u32, Fingerprint)> = HashSet::new();
-        let mut chain_maps: HashMap<u32, HashMap<Fingerprint, Cid>> = HashMap::new();
-        for v in recipes.versions() {
-            let Some(recipe) = recipes.get(v) else {
-                continue;
-            };
+        let mut lost_refs: HashSet<(u32, CoreArtifact)> = HashSet::new();
+        let mut walker = ChainWalker::new(recipes, pool);
+        for recipe in recipes.iter() {
             report.recipes_checked += 1;
+            let version = recipe.version().get();
             for entry in recipe.entries() {
                 report.entries_checked += 1;
-                walk_entry(
-                    recipes,
-                    pool,
-                    v.get(),
-                    entry.fingerprint,
-                    entry.cid,
-                    &archival_fps,
-                    &unreadable,
-                    &mut quarantine,
-                    &mut chain_maps,
-                    &mut referenced,
-                    &mut report,
-                );
+                let fingerprint = entry.fingerprint;
+                let end = walker.walk(recipe.version(), entry);
+                for &(from, to) in walker.backward_hops() {
+                    report.push(
+                        Severity::Error,
+                        FindingKind::ChainNotVersionOrdered {
+                            version,
+                            fingerprint,
+                            from: from.get(),
+                            to: to.get(),
+                        },
+                    );
+                }
+                let kind = match end {
+                    Ok(Location::Pool(_)) => continue,
+                    Ok(Location::Archival(id)) => {
+                        let container = id.get();
+                        match archival_fps.get(&container) {
+                            Some(fps) if fps.contains_key(&fingerprint) => {
+                                referenced.insert((container, fingerprint));
+                                continue;
+                            }
+                            Some(_) => FindingKind::ArchivalChunkMissing {
+                                version,
+                                fingerprint,
+                                container,
+                            },
+                            // An unreadable container's damage is already
+                            // reported once.
+                            None if unreadable.contains(&container) => continue,
+                            None => FindingKind::DanglingArchivalRef {
+                                version,
+                                fingerprint,
+                                container,
+                            },
+                        }
+                    }
+                    Err(WalkError::NotInPool) => FindingKind::ActiveChunkMissingFromPool {
+                        version,
+                        fingerprint,
+                    },
+                    Err(WalkError::MissingRecipe(target)) => FindingKind::MissingChainTarget {
+                        version,
+                        fingerprint,
+                        target: target.get(),
+                    },
+                    Err(WalkError::BrokenAt(at)) => FindingKind::ChainBrokenAt {
+                        version,
+                        fingerprint,
+                        at: at.get(),
+                    },
+                    Err(WalkError::Cycle(_)) => FindingKind::ChainCycle {
+                        version,
+                        fingerprint,
+                    },
+                };
+                match chain::quarantined_cause(system.quarantine(), &end) {
+                    Some(artifact) => {
+                        if lost_refs.insert((version, artifact.clone())) {
+                            report.push(
+                                Severity::Error,
+                                FindingKind::QuarantinedRef { version, artifact },
+                            );
+                        }
+                    }
+                    None => report.push(Severity::Error, kind),
+                }
             }
         }
 
@@ -822,177 +868,6 @@ impl SystemAuditor {
                 );
             }
         }
-    }
-}
-
-/// What degraded-mode recovery quarantined at open, indexed so the recipe
-/// walk can report a resolution failure that lands in quarantine as the
-/// version's quarantined dependency rather than as fresh damage.
-#[derive(Debug, Default)]
-struct QuarantineIndex {
-    /// Quarantined archival container IDs.
-    archival: HashSet<u32>,
-    /// The first quarantined active-pool snapshot, if any (the pool then
-    /// lacks the chunks that lived in it).
-    active: Option<CoreArtifact>,
-    /// Versions whose recipes were quarantined.
-    recipes: HashSet<u32>,
-    /// The (version, artifact) pairs already reported.
-    reported: HashSet<(u32, CoreArtifact)>,
-}
-
-impl QuarantineIndex {
-    /// Reports that `version` depends on `artifact`, once per pair: one lost
-    /// container must not cascade into a finding per recipe entry.
-    fn report_ref(&mut self, version: u32, artifact: CoreArtifact, report: &mut AuditReport) {
-        if self.reported.insert((version, artifact.clone())) {
-            report.push(
-                Severity::Error,
-                FindingKind::QuarantinedRef { version, artifact },
-            );
-        }
-    }
-}
-
-/// Resolves one recipe entry through the chain, reporting every violation on
-/// the way. Terminal archival locations are recorded in `referenced` for the
-/// orphan-accounting phase.
-#[allow(clippy::too_many_arguments)]
-fn walk_entry(
-    recipes: &RecipeStore,
-    pool: &ActivePool,
-    version: u32,
-    fp: Fingerprint,
-    start: Cid,
-    archival_fps: &HashMap<u32, HashMap<Fingerprint, u32>>,
-    unreadable: &HashSet<u32>,
-    quarantine: &mut QuarantineIndex,
-    chain_maps: &mut HashMap<u32, HashMap<Fingerprint, Cid>>,
-    referenced: &mut HashSet<(u32, Fingerprint)>,
-    report: &mut AuditReport,
-) {
-    let mut visited: HashSet<u32> = HashSet::new();
-    visited.insert(version);
-    let mut at = version;
-    let mut cid = start;
-    loop {
-        if let Some(archival) = cid.as_archival() {
-            let c = archival.get();
-            match archival_fps.get(&c) {
-                Some(fps) if fps.contains_key(&fp) => {
-                    referenced.insert((c, fp));
-                }
-                Some(_) => {
-                    report.push(
-                        Severity::Error,
-                        FindingKind::ArchivalChunkMissing {
-                            version,
-                            fingerprint: fp,
-                            container: c,
-                        },
-                    );
-                }
-                // An unreadable container's damage is already reported once;
-                // don't cascade a dangling-reference finding per entry.
-                None if unreadable.contains(&c) => {}
-                // The container is in quarantine: restore reports it as the
-                // version's partial-restore dependency.
-                None if quarantine.archival.contains(&c) => {
-                    let artifact = CoreArtifact::ArchivalContainer(archival);
-                    quarantine.report_ref(version, artifact, report);
-                }
-                None => {
-                    report.push(
-                        Severity::Error,
-                        FindingKind::DanglingArchivalRef {
-                            version,
-                            fingerprint: fp,
-                            container: c,
-                        },
-                    );
-                }
-            }
-            return;
-        }
-        if cid.is_active() {
-            if pool.locate(&fp).is_none() {
-                if let Some(artifact) = quarantine.active.clone() {
-                    // A quarantined pool snapshot took its chunks with it.
-                    quarantine.report_ref(version, artifact, report);
-                } else {
-                    report.push(
-                        Severity::Error,
-                        FindingKind::ActiveChunkMissingFromPool {
-                            version,
-                            fingerprint: fp,
-                        },
-                    );
-                }
-            }
-            return;
-        }
-        let Some(target) = cid.as_chained() else {
-            return;
-        };
-        let w = target.get();
-        if w <= at {
-            report.push(
-                Severity::Error,
-                FindingKind::ChainNotVersionOrdered {
-                    version,
-                    fingerprint: fp,
-                    from: at,
-                    to: w,
-                },
-            );
-        }
-        if !visited.insert(w) {
-            report.push(
-                Severity::Error,
-                FindingKind::ChainCycle {
-                    version,
-                    fingerprint: fp,
-                },
-            );
-            return;
-        }
-        if let std::collections::hash_map::Entry::Vacant(slot) = chain_maps.entry(w) {
-            match recipes.get(target) {
-                Some(r) => {
-                    slot.insert(r.entries().iter().map(|e| (e.fingerprint, e.cid)).collect());
-                }
-                // The chain target's recipe sits in quarantine.
-                None if quarantine.recipes.contains(&w) => {
-                    let artifact = CoreArtifact::Recipe(target);
-                    quarantine.report_ref(version, artifact, report);
-                    return;
-                }
-                None => {
-                    report.push(
-                        Severity::Error,
-                        FindingKind::MissingChainTarget {
-                            version,
-                            fingerprint: fp,
-                            target: w,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        let Some(&next) = chain_maps.get(&w).and_then(|m| m.get(&fp)) else {
-            report.push(
-                Severity::Error,
-                FindingKind::ChainBrokenAt {
-                    version,
-                    fingerprint: fp,
-                    at: w,
-                },
-            );
-            return;
-        };
-        at = w;
-        cid = next;
     }
 }
 

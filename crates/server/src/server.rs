@@ -62,6 +62,10 @@ use crate::session::SessionTable;
 use crate::stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
 use crate::view;
 
+/// Idle lifetime of a parked or committed session entry: long enough to
+/// outlive any client's retry budget.
+const SESSION_TTL: Duration = Duration::from_secs(300);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -85,9 +89,6 @@ pub struct ServerConfig {
     pub fault: Option<Plan>,
     /// Maximum parked resumable sessions held at once (LRU-evicted).
     pub max_sessions: usize,
-    /// Idle lifetime of a parked/committed session entry; zero never
-    /// expires.
-    pub session_ttl: Duration,
     /// Backoff hint (milliseconds) sent with `busy` refusals.
     pub busy_retry_after_ms: u32,
     /// Serve the directory as a multi-tenant root (`<dir>/tenants/<id>/`,
@@ -118,7 +119,6 @@ impl Default for ServerConfig {
             quiet: false,
             fault: None,
             max_sessions: 64,
-            session_ttl: Duration::from_secs(300),
             busy_retry_after_ms: 100,
             tenants_root: false,
             max_live_tenants: 8,
@@ -349,7 +349,7 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let queue_depth = config.queue_depth.max(1);
-    let sessions = Mutex::new(SessionTable::new(config.max_sessions, config.session_ttl));
+    let sessions = Mutex::new(SessionTable::new(config.max_sessions, SESSION_TTL));
     let (tx, rx) = sync_channel(queue_depth);
     let shared = Arc::new(Shared {
         registry,

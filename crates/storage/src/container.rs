@@ -228,16 +228,6 @@ impl Container {
         self.entries.iter().map(|(fp, &(off, len))| (*fp, off, len))
     }
 
-    /// Re-hashes every live chunk and returns the fingerprints whose content
-    /// no longer matches — the container-level integrity check behind
-    /// repository scrubbing.
-    pub fn verify(&self) -> Vec<Fingerprint> {
-        self.iter()
-            .filter(|(fp, data)| Fingerprint::of(data) != *fp)
-            .map(|(fp, _)| fp)
-            .collect()
-    }
-
     /// Rewrites the data section dropping dead bytes. Chunk offsets change;
     /// the metadata table is updated accordingly.
     pub fn compact_in_place(&mut self) {
@@ -593,18 +583,6 @@ mod tests {
         assert_eq!(drained[0].1, b"c3");
         assert_eq!(drained[1].1, b"c1");
         assert_eq!(drained[2].1, b"c2");
-    }
-
-    #[test]
-    fn verify_flags_only_mismatched_chunks() {
-        let mut c = Container::new(ContainerId::new(1), 1024);
-        let good = Fingerprint::of(b"good data");
-        c.try_add(good, b"good data");
-        // A trace-mode chunk: fingerprint deliberately unrelated to content.
-        let fake = Fingerprint::synthetic(1);
-        c.try_add(fake, b"filler");
-        let corrupt = c.verify();
-        assert_eq!(corrupt, vec![fake]);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! 2. **Corruption injection** — an on-disk repository is tampered with in
 //!    four targeted ways (payload bit flip, container truncation, dangling
 //!    recipe CID, recipe-chain cycle) and `SystemAuditor` must report
-//!    exactly the injected damage — and nothing on an untouched store.
+//!    exactly the injected damage — and nothing on an untouched store. A
+//!    seeded sweep of recipe-CID rewrites, under each kind of quarantine,
+//!    checks that a restore fails exactly for the versions the audit
+//!    reports an error for.
 
 use std::collections::BTreeSet;
 use std::num::NonZeroU32;
@@ -29,6 +32,8 @@ use hidestore::storage::{
     Cid, Container, ContainerId, ContainerStore, IoStats, MemoryContainerStore, StorageError,
     VersionId,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A store that fails every write once `fail_after_writes` have succeeded.
 #[derive(Debug)]
@@ -763,4 +768,219 @@ fn backward_first_chain_hop_is_refused_by_restore_and_audit() {
         "{:#?}",
         report.findings
     );
+}
+
+/// One way of rewriting a recipe entry's CID in the agreement test.
+#[derive(Debug, Clone, Copy)]
+enum CidPatch {
+    MissingArchival,
+    OtherContainer,
+    Active,
+    OlderVersion,
+    SameVersion,
+    NewerVersion,
+    MissingVersion,
+    TwoVersionCycle,
+}
+
+/// What degraded-mode recovery finds in the agreement test's repository.
+#[derive(Debug, Clone, Copy)]
+enum Quarantine {
+    Nothing,
+    OneRecipe,
+    OneArchivalContainer,
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).expect("copy file");
+        }
+    }
+}
+
+/// The CID rewrites one [`CidPatch`] makes in `base`'s recipes, as
+/// `(version, entry index, new cid)`.
+fn cid_patches(
+    base: &HiDeStore<FileContainerStore>,
+    patch: CidPatch,
+    rng: &mut StdRng,
+) -> Vec<(u32, usize, i32)> {
+    let newest = base.versions().last().expect("versions").get();
+    let version = match patch {
+        CidPatch::OlderVersion => rng.gen_range(2..=newest),
+        CidPatch::NewerVersion => rng.gen_range(1..newest),
+        _ => rng.gen_range(1..=newest),
+    };
+    let entries = |v: u32| {
+        base.recipes()
+            .get(VersionId::new(v))
+            .expect("recipe")
+            .entries()
+    };
+    let idx = rng.gen_range(0..entries(version).len());
+    let chained = |v: u32| Cid::chained(VersionId::new(v)).raw();
+    let cid = match patch {
+        CidPatch::MissingArchival => 9_999,
+        CidPatch::OtherContainer => {
+            let current = entries(version)[idx].cid.as_archival();
+            let others: Vec<ContainerId> = base
+                .archival()
+                .ids()
+                .into_iter()
+                .filter(|&id| Some(id) != current)
+                .collect();
+            others[rng.gen_range(0..others.len())].get() as i32
+        }
+        CidPatch::Active => 0,
+        CidPatch::OlderVersion => chained(rng.gen_range(1..version)),
+        CidPatch::SameVersion => chained(version),
+        CidPatch::NewerVersion => chained(rng.gen_range(version + 1..=newest)),
+        CidPatch::MissingVersion => chained(newest + 7),
+        CidPatch::TwoVersionCycle => {
+            // A chunk two consecutive versions both hold, each chained to
+            // the other.
+            let shared: Vec<(u32, usize, usize)> = (1..newest)
+                .flat_map(|v| {
+                    entries(v).iter().enumerate().filter_map(move |(i, e)| {
+                        let j = entries(v + 1)
+                            .iter()
+                            .position(|n| n.fingerprint == e.fingerprint)?;
+                        Some((v, i, j))
+                    })
+                })
+                .collect();
+            let (v, i, j) = shared[rng.gen_range(0..shared.len())];
+            return vec![(v, i, chained(v + 1)), (v + 1, j, chained(v))];
+        }
+    };
+    vec![(version, idx, cid)]
+}
+
+/// Five versions: A, then an unrelated B, then three successive edits of
+/// A. A's first copies go cold behind B and the edits store them again, so
+/// the oldest recipe holds archived copies of chunks newer recipes chain
+/// forward: a backward hop there lands on a real location.
+fn build_agreement_repo(dir: &Path) {
+    let mut hds = HiDeStore::open_repository(hds_config(), dir).expect("open repository");
+    let mut data = noise(60_000, 11);
+    hds.backup(&data).expect("backup A");
+    hds.backup(&noise(60_000, 12)).expect("backup B");
+    for round in 0..3u64 {
+        let start = 5_000 + round as usize * 17_000;
+        data[start..start + 7_000].copy_from_slice(&noise(7_000, 600 + round));
+        hds.backup(&data).expect("backup an edit of A");
+    }
+    hds.save_repository(dir).expect("save repository");
+}
+
+/// Restore and the auditor follow recipe chains through one walk, so they
+/// must agree on every damaged repository: `restore(v)` fails exactly when
+/// the audit has an `Error` finding for `v` (one whose `version` is `v`, or
+/// `v`'s quarantined recipe). Each seeded trial rewrites one recipe entry's
+/// CID, with nothing, one recipe or one archival container quarantined, and
+/// a restore that succeeds must be byte-exact.
+#[test]
+fn restore_fails_exactly_when_the_audit_has_an_error_for_the_version() {
+    let scratch = Scratch::new("agreement");
+    let base_dir = scratch.0.join("base");
+    build_agreement_repo(&base_dir);
+    let base = reopen(&base_dir);
+    let versions: Vec<VersionId> = base.versions();
+    let originals: Vec<Vec<u8>> = versions
+        .iter()
+        .map(|&v| {
+            let mut out = Vec::new();
+            base.restore(v, &mut Faa::new(1 << 18), &mut out)
+                .expect("the base repository restores");
+            out
+        })
+        .collect();
+    let patches = [
+        CidPatch::MissingArchival,
+        CidPatch::OtherContainer,
+        CidPatch::Active,
+        CidPatch::OlderVersion,
+        CidPatch::SameVersion,
+        CidPatch::NewerVersion,
+        CidPatch::MissingVersion,
+        CidPatch::TwoVersionCycle,
+    ];
+    let quarantines = [
+        Quarantine::Nothing,
+        Quarantine::OneRecipe,
+        Quarantine::OneArchivalContainer,
+    ];
+    let mut trial = 0;
+    for seed in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for patch in patches {
+            for quarantine in quarantines {
+                trial += 1;
+                let dir = scratch.0.join(format!("trial-{trial}"));
+                copy_dir(&base_dir, &dir);
+                let edits = cid_patches(&base, patch, &mut rng);
+                for &(v, idx, cid) in &edits {
+                    patch_recipe_cid(&recipe_file(&dir, v), idx, cid);
+                }
+                match quarantine {
+                    Quarantine::Nothing => {}
+                    Quarantine::OneRecipe => {
+                        let v = versions[rng.gen_range(0..versions.len())].get();
+                        std::fs::write(recipe_file(&dir, v), b"not a recipe").expect("corrupt");
+                    }
+                    Quarantine::OneArchivalContainer => {
+                        let files = archival_container_files(&dir);
+                        let victim = &files[rng.gen_range(0..files.len())];
+                        let bytes = std::fs::read(victim).expect("read container");
+                        std::fs::write(victim, &bytes[..bytes.len() / 2]).expect("truncate");
+                    }
+                }
+
+                let hds = reopen(&dir);
+                let report = SystemAuditor::new().audit(&hds);
+                let failing: BTreeSet<u32> = report
+                    .findings
+                    .iter()
+                    .filter(|f| f.severity == Severity::Error)
+                    .filter_map(|f| match &f.kind {
+                        FindingKind::QuarantinedArtifact {
+                            artifact: QuarantinedArtifact::Recipe(v),
+                            ..
+                        } => Some(v.get()),
+                        FindingKind::DanglingArchivalRef { version, .. }
+                        | FindingKind::ArchivalChunkMissing { version, .. }
+                        | FindingKind::ActiveChunkMissingFromPool { version, .. }
+                        | FindingKind::MissingChainTarget { version, .. }
+                        | FindingKind::ChainBrokenAt { version, .. }
+                        | FindingKind::ChainNotVersionOrdered { version, .. }
+                        | FindingKind::ChainCycle { version, .. }
+                        | FindingKind::QuarantinedRef { version, .. } => Some(*version),
+                        _ => None,
+                    })
+                    .collect();
+                let what = format!("trial {trial}: {patch:?} {edits:?}, {quarantine:?}");
+                for (&v, original) in versions.iter().zip(&originals) {
+                    let mut out = Vec::new();
+                    let restored = hds.restore(v, &mut Faa::new(1 << 18), &mut out);
+                    assert_eq!(
+                        restored.is_err(),
+                        failing.contains(&v.get()),
+                        "{what}: V{v} restore {restored:?} against audit\n{report}\n{:#?}",
+                        report.findings
+                    );
+                    if restored.is_ok() {
+                        assert!(out == *original, "{what}: V{v} restored wrong bytes");
+                    }
+                }
+                drop(hds);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
 }

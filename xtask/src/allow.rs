@@ -1,67 +1,11 @@
-//! The two allowlists of deliberate exceptions, with stale-entry detection.
-//!
-//! * `xtask/lint-allow.txt` (the PR 1 format): `path :: line-substring`,
-//!   consumed by `cargo xtask lint`.
-//! * `xtask/analyze-allow.txt`: `rule :: path :: line-substring ::
-//!   justification`, consumed by `cargo xtask analyze`. The justification is
-//!   mandatory — an exception nobody can explain is not an exception.
-//!
-//! Both lists fail their task when an entry matches nothing, so neither can
-//! rot as the code it once excused moves or disappears.
+//! The allowlist of deliberate exceptions, `xtask/analyze-allow.txt`:
+//! `rule :: path :: line-substring :: justification`, one per line. The
+//! justification is mandatory — an exception nobody can explain is not an
+//! exception — and an entry that matches nothing fails the run, so the
+//! list cannot rot as the code it once excused moves or disappears.
 
 use std::fs;
 use std::path::Path;
-
-/// One deliberate exception: a file plus a required line substring.
-#[derive(Debug)]
-pub struct AllowEntry {
-    /// Workspace-relative `/`-separated path.
-    pub path: String,
-    /// Substring the violating line must contain (empty = any line).
-    pub pattern: String,
-}
-
-/// The lint allowlist (`path :: substring` entries).
-#[derive(Debug)]
-pub struct Allowlist {
-    /// Entries in file order.
-    pub entries: Vec<AllowEntry>,
-}
-
-impl Allowlist {
-    /// Loads `path`; a missing file is an empty list.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors reading an existing file.
-    pub fn load(path: &Path) -> Result<Self, std::io::Error> {
-        let text = if path.is_file() {
-            fs::read_to_string(path)?
-        } else {
-            String::new()
-        };
-        let mut entries = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (path, pattern) = match line.split_once("::") {
-                Some((p, pat)) => (p.trim().to_string(), pat.trim().to_string()),
-                None => (line.to_string(), String::new()),
-            };
-            entries.push(AllowEntry { path, pattern });
-        }
-        Ok(Allowlist { entries })
-    }
-
-    /// Index of the first entry covering this (file, line), if any.
-    pub fn matches(&self, rel_path: &str, line: &str) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.path == rel_path && (e.pattern.is_empty() || line.contains(&e.pattern)))
-    }
-}
 
 /// One analyze exception: rule + path + substring + mandatory justification.
 #[derive(Debug)]

@@ -35,7 +35,8 @@ impl Severity {
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Stable rule identifier (`vfs-io`, `lock-cycle`, `lock-poison`,
-    /// `wire-cast`, `wire-alloc`, `panic-marker`, `allowlist-stale`).
+    /// `wire-cast`, `wire-alloc`, `net-io`, `panic-call`, `panic-marker`,
+    /// `crate-root-attr`, `allowlist-stale`, `allowlist-malformed`).
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,

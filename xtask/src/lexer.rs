@@ -103,10 +103,10 @@ impl SourceFile {
 
     /// The trimmed text of 1-based line `line`, or `""` when out of range.
     pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get(line as usize - 1)
-            .map(|s| s.trim())
-            .unwrap_or("")
+        (line as usize)
+            .checked_sub(1)
+            .and_then(|i| self.lines.get(i))
+            .map_or("", |s| s.trim())
     }
 }
 

@@ -1,22 +1,17 @@
 //! Workspace automation tasks, invoked as `cargo xtask <task>`.
 //!
-//! Two tasks share one engine — a small hand-rolled Rust lexer
+//! **`cargo xtask analyze`** ([`analyze`]) is the invariant-enforcing
+//! static-analysis wall: Vfs I/O discipline, lock discipline
+//! (nested-acquisition cycles, poison-punting), wire safety in
+//! `crates/proto`/`crates/server`, and the panic audit (`.unwrap()`,
+//! `.expect(`, `panic!`, `todo!`/`unimplemented!`/`dbg!`, mandatory
+//! crate-root attributes). Its rules share one small hand-rolled Rust lexer
 //! ([`lexer`]) with comment/string/raw-string handling and
-//! `#[cfg(test)]`-scope tracking — so they can never disagree about what
-//! is test code:
+//! `#[cfg(test)]`-scope tracking, so they all agree on what is test code.
+//! Findings carry a severity taxonomy, a deterministic `--json` mode, and
+//! the `xtask/analyze-allow.txt` allowlist with stale-entry detection.
 //!
-//! * **`cargo xtask lint`** ([`lint`]) — panic-free library code
-//!   (`.unwrap()`, `.expect(`, `panic!`) plus mandatory crate-root
-//!   attributes, with the `xtask/lint-allow.txt` allowlist.
-//! * **`cargo xtask analyze`** ([`analyze`]) — the invariant-enforcing
-//!   static-analysis wall: Vfs I/O discipline, lock discipline
-//!   (nested-acquisition cycles, poison-punting), wire safety in
-//!   `crates/proto`/`crates/server`, and panic markers
-//!   (`todo!`/`unimplemented!`/`dbg!`). Findings carry a severity
-//!   taxonomy, a deterministic `--json` mode, and the
-//!   `xtask/analyze-allow.txt` allowlist with stale-entry detection.
-//!
-//! Both tasks exit 0 when clean, 1 with findings, 2 on usage/I/O errors.
+//! The task exits 0 when clean, 1 with findings, 2 on usage/I/O errors.
 //! See `DESIGN.md` §11 for the rule taxonomy and how to add a rule.
 
 #![forbid(unsafe_code)]
@@ -26,22 +21,20 @@ pub mod allow;
 pub mod analyze;
 pub mod findings;
 pub mod lexer;
-pub mod lint;
 pub mod rules;
 pub mod workspace;
 
 use std::path::{Path, PathBuf};
 
-/// The `cargo xtask --help` text, listing both tasks.
+/// The `cargo xtask --help` text.
 pub const USAGE: &str = "\
 usage: cargo xtask <task>
 
 tasks:
-  lint                  panic-free library code + mandatory crate-root
-                        attributes (allowlist: xtask/lint-allow.txt)
   analyze [--json] [--root <dir>]
                         static-analysis wall: Vfs I/O discipline, lock
-                        discipline, wire safety, panic markers
+                        discipline, wire safety, panic-free library code
+                        and crate-root attributes
                         (allowlist: xtask/analyze-allow.txt)
   help                  print this text
 
@@ -57,7 +50,6 @@ pub fn workspace_root() -> PathBuf {
 /// Dispatches a task invocation. Returns the process exit code.
 pub fn run(args: &[String]) -> u8 {
     match args.first().map(String::as_str) {
-        Some("lint") => lint::run(&workspace_root()),
         Some("analyze") => {
             let mut json = false;
             let mut root: Option<PathBuf> = None;
@@ -85,7 +77,7 @@ pub fn run(args: &[String]) -> u8 {
             0
         }
         Some(other) => {
-            eprintln!("xtask: unknown task `{other}` (available: lint, analyze, help)");
+            eprintln!("xtask: unknown task `{other}` (available: analyze, help)");
             2
         }
         None => {

@@ -12,7 +12,9 @@
 //! | `wire-cast`      | wire safety   | medium   | `crates/proto`, `crates/server`, `crates/storage`, `crates/core/src/{journal,persist}.rs`, `crates/tree/src/manifest.rs` |
 //! | `wire-alloc`     | wire safety   | high     | same as `wire-cast`; `Vec`/`HashMap`/`HashSet::with_capacity`, `vec![_; n]` |
 //! | `net-io`         | I/O discipline| high     | `src/`, `crates/server`, `crates/proto` (raw sockets live in `crates/failpoint/src/net.rs`) |
-//! | `panic-marker`   | panic audit   | medium/low | everything `lint` scans     |
+//! | `panic-call`     | panic audit   | medium   | all library code: `.unwrap()`, `.expect(`, `panic!` |
+//! | `panic-marker`   | panic audit   | medium/low | all library code: `todo!`, `unimplemented!`, `dbg!` |
+//! | `crate-root-attr`| panic audit   | medium   | every crate root: `#![forbid(unsafe_code)]`, `#![warn(missing_docs)]` |
 
 pub mod locks;
 pub mod net;

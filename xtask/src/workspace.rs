@@ -1,4 +1,4 @@
-//! Library-source discovery shared by `lint` and `analyze`.
+//! Library-source discovery for `analyze`.
 //!
 //! Both tasks scan the same surface: the root facade (`src/`), every
 //! workspace crate (`crates/*/src`), and the vendored stand-ins

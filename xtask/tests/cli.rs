@@ -60,7 +60,7 @@ fn wire_fixture_trips_both_wire_rules() {
     assert!(stdout.contains("[wire-cast/medium]"), "stdout: {stdout}");
     assert!(stdout.contains("[wire-alloc/high]"), "stdout: {stdout}");
     assert!(
-        stdout.contains("crates/storage/src/lib.rs:7: [wire-alloc/high]"),
+        stdout.contains("crates/storage/src/lib.rs:10: [wire-alloc/high]"),
         "an unchecked map capacity in an on-disk decoder: {stdout}"
     );
 }
@@ -80,6 +80,32 @@ fn panic_fixture_trips_panic_marker() {
 }
 
 #[test]
+fn panic_call_fixture_trips_panic_call() {
+    let (code, stdout, _) = analyze_fixture("panic_call_bad");
+    assert_eq!(code, 1);
+    assert!(
+        stdout.contains("crates/misc/src/lib.rs:8: [panic-call/medium] forbidden `unwrap()`"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("1 finding(s)"), "stdout: {stdout}");
+}
+
+#[test]
+fn crate_attr_fixture_trips_crate_root_attr() {
+    let (code, stdout, _) = analyze_fixture("crate_attr_bad");
+    assert_eq!(code, 1);
+    for attr in ["#![forbid(unsafe_code)]", "#![warn(missing_docs)]"] {
+        assert!(
+            stdout.contains(&format!(
+                "crates/bare/src/lib.rs: [crate-root-attr/medium] crate root is missing `{attr}`"
+            )),
+            "stdout: {stdout}"
+        );
+    }
+    assert!(stdout.contains("2 finding(s)"), "stdout: {stdout}");
+}
+
+#[test]
 fn json_report_is_pinned_byte_for_byte() {
     let (code, stdout, _) = xtask(&["analyze", "--json", "--root", &fixture("vfs_bad")]);
     assert_eq!(code, 1);
@@ -87,15 +113,15 @@ fn json_report_is_pinned_byte_for_byte() {
         stdout,
         "{\"tool\":\"xtask-analyze\",\"schema\":1,\"clean\":false,\"files\":2,\
          \"findings\":[{\"rule\":\"vfs-io\",\"severity\":\"high\",\
-         \"file\":\"crates/store/src/lib.rs\",\"line\":5,\
+         \"file\":\"crates/store/src/lib.rs\",\"line\":8,\
          \"message\":\"direct `std::fs` bypasses the Vfs shim \
          (crash-matrix blind spot): std::fs::write(path, data)\"},\
          {\"rule\":\"vfs-io\",\"severity\":\"high\",\
-         \"file\":\"crates/tree/src/lib.rs\",\"line\":3,\
+         \"file\":\"crates/tree/src/lib.rs\",\"line\":6,\
          \"message\":\"direct `std::fs` bypasses the Vfs shim \
          (crash-matrix blind spot): use std::fs;\"},\
          {\"rule\":\"vfs-io\",\"severity\":\"high\",\
-         \"file\":\"crates/tree/src/lib.rs\",\"line\":7,\
+         \"file\":\"crates/tree/src/lib.rs\",\"line\":10,\
          \"message\":\"direct `fs::` module access bypasses the Vfs shim \
          (crash-matrix blind spot): fs::read(path)\"}]}\n"
     );

@@ -1,5 +1,8 @@
 //! Fixture: two functions acquire the same locks in opposite orders.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 use std::sync::Mutex;
 
 /// A pair of counters behind independent locks.

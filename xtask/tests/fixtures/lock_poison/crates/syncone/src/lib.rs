@@ -1,5 +1,8 @@
 //! Fixture: lock poisoning punted to a panic via `.lock().unwrap()`.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 use std::sync::Mutex;
 
 /// A counter behind one lock.

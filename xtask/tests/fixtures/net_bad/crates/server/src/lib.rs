@@ -1,5 +1,8 @@
 //! Fixture: raw socket I/O outside the failpoint socket module.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 use std::io::Write;
 use std::net::TcpStream;
 

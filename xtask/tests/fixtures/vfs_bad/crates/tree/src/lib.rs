@@ -1,5 +1,8 @@
 //! Fixture: a tree walk reading source files without the Vfs shim.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 use std::fs;
 
 /// Reads a file straight through `fs::read`, bypassing the shim.

@@ -1,5 +1,8 @@
 //! Fixture: truncating length cast and unbounded wire-sized allocation.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 /// Announces a length as `u32`, silently truncating on 32-bit overflow.
 pub fn announce(len: usize) -> u32 {
     len as u32
