@@ -114,7 +114,8 @@
 #                                      tenant, quota/unknown-tenant refusals
 #   9. served round trip            -- `hidestore serve` on an ephemeral
 #                                      port: remote backup -> list ->
-#                                      restore -> verify, byte-compare, of
+#                                      stats -> restore -> verify,
+#                                      byte-compare, of
 #                                      a 9 000 000-byte input, larger than
 #                                      the 8 MiB `max_frame`, so a restore
 #                                      the daemon does not cut into
@@ -220,6 +221,7 @@ done
 [ -n "$ADDR" ] || { echo "ci: hidestore serve never reported its address"; exit 1; }
 ./target/debug/hidestore backup  --remote "$ADDR" "$SERVE_DIR/input.bin"
 ./target/debug/hidestore list    --remote "$ADDR" --json | grep -q '"version":1'
+./target/debug/hidestore stats   --remote "$ADDR" --json | grep -q '"version":1'
 ./target/debug/hidestore restore --remote "$ADDR" 1 "$SERVE_DIR/output.bin"
 cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/output.bin"
 ./target/debug/hidestore verify  --remote "$ADDR" | grep -q "clean"

@@ -1,10 +1,10 @@
 //! §2.3's motivation, quantified: the Chunk Fragmentation Level of each
-//! version's recipe under the no-rewrite baseline versus HiDeStore (after
-//! Algorithm 1), using the analysis module's CFL metric.
+//! version's restore plan under the no-rewrite baseline versus HiDeStore
+//! (after Algorithm 1), using the analysis module's CFL metric.
 
 use hidestore_bench::{workload_versions, Scale};
 use hidestore_core::HiDeStore;
-use hidestore_dedup::analysis::analyze_recipe;
+use hidestore_dedup::analysis::analyze_plan;
 use hidestore_dedup::BackupPipeline;
 use hidestore_index::DdfsIndex;
 use hidestore_rewriting::NoRewrite;
@@ -34,21 +34,17 @@ fn main() {
 
         let mut rows = Vec::new();
         for v in 1..=versions.len() as u32 {
-            let base = analyze_recipe(
-                baseline.recipes().get(VersionId::new(v)).expect("retained"),
+            let v = VersionId::new(v);
+            let base = analyze_plan(
+                &baseline.restore_plan(v).expect("retained version plans"),
                 scale.container,
             );
-            // HiDeStore recipes keep hot chunks as ACTIVE entries; resolve
-            // the chain so every chunk maps to a physical container.
-            let plan =
-                hidestore_core::chain::resolve_plan(hds.recipes(), hds.pool(), VersionId::new(v))
-                    .expect("retained version resolves");
-            let hd = hidestore_dedup::analysis::analyze_plan(
-                plan.into_iter().map(|(_, size, cid)| (size, cid)),
+            let hd = analyze_plan(
+                &hds.restore_plan(v).expect("retained version plans"),
                 scale.container,
             );
             rows.push(vec![
-                format!("V{v}"),
+                v.to_string(),
                 format!("{:.3}", base.cfl),
                 format!("{:.1}", base.mean_bytes_per_container / 1024.0),
                 format!("{:.3}", hd.cfl),

@@ -11,14 +11,16 @@
 //! the auditor all follow entries through it.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use hidestore_hash::Fingerprint;
+use hidestore_restore::RestoreEntry;
 use hidestore_storage::{Cid, ContainerId, RecipeEntry, RecipeStore, VersionId};
 
 use crate::active::ActivePool;
 use crate::composite::ACTIVE_ID_BASE;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
+use crate::system::HiDeStoreError;
 
 /// Updates the recipes of the last `depth` versions after version `current`
 /// demoted the cold set `moved` to archival containers (§4.3, Figure 7).
@@ -342,33 +344,60 @@ pub fn quarantined_cause(
         .cloned()
 }
 
-/// Resolves every entry of `version`'s recipe to a physical container ID:
-/// archival IDs pass through, `ACTIVE` entries are located in the pool (IDs
-/// offset by [`ACTIVE_ID_BASE`]), and chains are followed recipe-to-recipe
-/// (§4.4's three CID cases).
+/// Builds `version`'s restore plan, the one way a retained version becomes
+/// a container plan ([`crate::HiDeStore::restore_plan`]): every entry of
+/// its recipe is walked once, in stream order, to the container that
+/// physically holds the chunk — archival IDs as they are, pool slots offset
+/// by [`ACTIVE_ID_BASE`] (§4.4's three CID cases).
 ///
 /// # Errors
 ///
-/// Returns [`ResolveError`] if a chain or pool lookup fails — which would
-/// indicate recipe corruption, not a user error.
-pub fn resolve_plan(
+/// [`HiDeStoreError::PartialRestore`], before any other error, naming the
+/// artifacts of `quarantine` the version's entries resolve through (or its
+/// own quarantined recipe); [`HiDeStoreError::UnknownVersion`] for a version
+/// without a recipe; otherwise the first entry's [`ResolveError`], which
+/// indicates recipe corruption.
+pub(crate) fn build_plan(
     recipes: &RecipeStore,
     pool: &ActivePool,
+    quarantine: &[QuarantineEntry],
     version: VersionId,
-) -> Result<Vec<(Fingerprint, u32, ContainerId)>, ResolveError> {
-    let recipe = recipes
-        .get(version)
-        .ok_or(ResolveError::MissingRecipe(version))?;
+) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
+    let Some(recipe) = recipes.get(version) else {
+        // A quarantined recipe is a *known* version whose recipe was
+        // pulled, not an unknown one.
+        let lost = QuarantinedArtifact::Recipe(version);
+        if quarantine.iter().any(|q| q.artifact == lost) {
+            return Err(HiDeStoreError::PartialRestore {
+                version,
+                quarantined: vec![lost],
+            });
+        }
+        return Err(HiDeStoreError::UnknownVersion(version));
+    };
     let mut walker = ChainWalker::new(recipes, pool);
-    recipe
-        .entries()
-        .iter()
-        .map(|entry| {
-            let end = walker.walk(version, entry);
-            let container = walker.plan_container(entry.fingerprint, end)?;
-            Ok((entry.fingerprint, entry.size, container))
-        })
-        .collect()
+    let mut plan = Vec::with_capacity(recipe.len());
+    let mut lost = BTreeSet::new();
+    let mut failed = Ok(());
+    for entry in recipe.entries() {
+        let end = walker.walk(version, entry);
+        if let Some(artifact) = quarantined_cause(quarantine, &end) {
+            lost.insert(artifact);
+        } else if failed.is_ok() {
+            match walker.plan_container(entry.fingerprint, end) {
+                Ok(cid) => plan.push(RestoreEntry::new(entry.fingerprint, entry.size, cid)),
+                Err(e) => failed = Err(e),
+            }
+        }
+    }
+    if !lost.is_empty() {
+        return Err(HiDeStoreError::PartialRestore {
+            version,
+            quarantined: lost.into_iter().collect(),
+        });
+    }
+    failed?;
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -378,6 +407,23 @@ mod tests {
 
     fn fp(n: u64) -> Fingerprint {
         Fingerprint::synthetic(n)
+    }
+
+    /// `version`'s plan with nothing quarantined.
+    fn plan(
+        recipes: &RecipeStore,
+        pool: &ActivePool,
+        version: u32,
+    ) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
+        build_plan(recipes, pool, &[], VersionId::new(version))
+    }
+
+    /// The [`ResolveError`] `version`'s plan fails with.
+    fn resolve_error(recipes: &RecipeStore, pool: &ActivePool, version: u32) -> ResolveError {
+        match plan(recipes, pool, version) {
+            Err(HiDeStoreError::Resolve(e)) => e,
+            other => panic!("expected a resolution error, got {other:?}"),
+        }
     }
 
     /// A pool holding chunks `ids`, each seen in `version`.
@@ -564,9 +610,12 @@ mod tests {
 
         // Resolution: A resolves through V3 to the pool; B to container 9.
         let pool_cid = pool.locate(&fp(1)).unwrap();
-        let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
-        assert_eq!(plan[0].2, ContainerId::new(ACTIVE_ID_BASE + pool_cid));
-        assert_eq!(plan[1].2, ContainerId::new(9));
+        let plan = plan(&recipes, &pool, 1).unwrap();
+        assert_eq!(
+            plan[0].container,
+            ContainerId::new(ACTIVE_ID_BASE + pool_cid)
+        );
+        assert_eq!(plan[1].container, ContainerId::new(9));
     }
 
     #[test]
@@ -575,8 +624,10 @@ mod tests {
         recipes.insert(recipe_with(1, &[(1, -2)]));
         recipes.insert(recipe_with(2, &[(1, 17)]));
         let pool = ActivePool::new(1024);
-        let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
-        assert_eq!(plan, vec![(fp(1), 100, ContainerId::new(17))]);
+        assert_eq!(
+            plan(&recipes, &pool, 1).unwrap(),
+            [RestoreEntry::new(fp(1), 100, ContainerId::new(17))]
+        );
     }
 
     #[test]
@@ -585,8 +636,11 @@ mod tests {
         recipes.insert(recipe_with(1, &[(1, 0)]));
         let mut pool = ActivePool::new(1024);
         let pool_cid = pool.add(fp(1), b"hot", VersionId::new(1), 0);
-        let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
-        assert_eq!(plan[0].2, ContainerId::new(ACTIVE_ID_BASE + pool_cid));
+        let plan = plan(&recipes, &pool, 1).unwrap();
+        assert_eq!(
+            plan[0].container,
+            ContainerId::new(ACTIVE_ID_BASE + pool_cid)
+        );
     }
 
     #[test]
@@ -595,20 +649,20 @@ mod tests {
         recipes.insert(recipe_with(1, &[(1, 0)]));
         let pool = ActivePool::new(1024);
         assert_eq!(
-            resolve_plan(&recipes, &pool, VersionId::new(1)),
-            Err(ResolveError::NotInPool(fp(1)))
+            resolve_error(&recipes, &pool, 1),
+            ResolveError::NotInPool(fp(1))
         );
-        assert_eq!(
-            resolve_plan(&recipes, &pool, VersionId::new(9)),
-            Err(ResolveError::MissingRecipe(VersionId::new(9)))
-        );
+        assert!(matches!(
+            plan(&recipes, &pool, 9),
+            Err(HiDeStoreError::UnknownVersion(v)) if v == VersionId::new(9)
+        ));
         // Chain to a recipe that lacks the chunk.
         let mut recipes = RecipeStore::new();
         recipes.insert(recipe_with(1, &[(1, -2)]));
         recipes.insert(recipe_with(2, &[(7, 3)]));
         assert!(matches!(
-            resolve_plan(&recipes, &pool, VersionId::new(1)),
-            Err(ResolveError::BrokenChain { .. })
+            resolve_error(&recipes, &pool, 1),
+            ResolveError::BrokenChain { .. }
         ));
     }
 
@@ -622,8 +676,8 @@ mod tests {
         recipes.insert(recipe_with(3, &[(1, -2)]));
         let pool = ActivePool::new(1024);
         assert!(matches!(
-            resolve_plan(&recipes, &pool, VersionId::new(1)),
-            Err(ResolveError::BrokenChain { .. })
+            resolve_error(&recipes, &pool, 1),
+            ResolveError::BrokenChain { .. }
         ));
     }
 
@@ -635,15 +689,15 @@ mod tests {
         recipes.insert(recipe_with(2, &[(1, -1)]));
         let pool = ActivePool::new(1024);
         assert_eq!(
-            resolve_plan(&recipes, &pool, VersionId::new(2)),
-            Err(ResolveError::BrokenChain {
+            resolve_error(&recipes, &pool, 2),
+            ResolveError::BrokenChain {
                 fingerprint: fp(1),
                 version: VersionId::new(1),
-            })
+            }
         );
         // The same hop from an older version's point of view is fine.
-        let plan = resolve_plan(&recipes, &pool, VersionId::new(1)).unwrap();
-        assert_eq!(plan[0].2, ContainerId::new(17));
+        let plan = plan(&recipes, &pool, 1).unwrap();
+        assert_eq!(plan[0].container, ContainerId::new(17));
     }
 
     #[test]
@@ -730,6 +784,35 @@ mod tests {
     }
 
     #[test]
+    fn plan_names_a_quarantined_recipe_before_any_other_error() {
+        // V3's recipe was pulled; V1 chains through it, V2 does not.
+        let mut recipes = RecipeStore::new();
+        recipes.insert(recipe_with(1, &[(1, -3), (2, 0)]));
+        recipes.insert(recipe_with(2, &[(5, 17)]));
+        let quarantine = [QuarantineEntry {
+            artifact: QuarantinedArtifact::Recipe(VersionId::new(3)),
+            path: std::path::PathBuf::new(),
+            reason: String::new(),
+        }];
+        let pool = ActivePool::new(1024);
+        let lost = |v: u32| match build_plan(&recipes, &pool, &quarantine, VersionId::new(v)) {
+            Err(HiDeStoreError::PartialRestore {
+                version,
+                quarantined,
+            }) => {
+                assert_eq!(version, VersionId::new(v));
+                quarantined
+            }
+            other => panic!("V{v}: expected a partial restore, got {other:?}"),
+        };
+        // V1's second entry is also absent from the pool; the lost recipe
+        // is named instead of that error.
+        assert_eq!(lost(1), [QuarantinedArtifact::Recipe(VersionId::new(3))]);
+        assert_eq!(lost(3), [QuarantinedArtifact::Recipe(VersionId::new(3))]);
+        assert!(build_plan(&recipes, &pool, &quarantine, VersionId::new(2)).is_ok());
+    }
+
+    #[test]
     fn resolve_detects_self_loop() {
         let mut recipes = RecipeStore::new();
         // Corrupt: V2's entry chains to itself.
@@ -737,8 +820,8 @@ mod tests {
         recipes.insert(recipe_with(2, &[(1, -2)]));
         let pool = ActivePool::new(1024);
         assert!(matches!(
-            resolve_plan(&recipes, &pool, VersionId::new(1)),
-            Err(ResolveError::BrokenChain { .. })
+            resolve_error(&recipes, &pool, 1),
+            ResolveError::BrokenChain { .. }
         ));
     }
 }

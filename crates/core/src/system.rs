@@ -1,6 +1,6 @@
 //! The HiDeStore system: backup, restore, flatten, delete.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::num::NonZeroU32;
@@ -20,7 +20,7 @@ use hidestore_storage::{
 };
 
 use crate::active::{ActivePool, Classification};
-use crate::chain::{self, ChainWalker, ResolveError};
+use crate::chain::{self, ResolveError};
 use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
@@ -485,6 +485,8 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// Resolves `version`'s recipe chain into its flat restore plan without
     /// restoring anything: one [`RestoreEntry`] per recipe entry, in stream
     /// order, each carrying the container that physically holds the chunk.
+    /// It is the one way a retained version becomes a container plan:
+    /// restore, `stats` and the fragmentation table all read it.
     ///
     /// Byte-range readers use [`HiDeStore::resolve`] instead, which keeps
     /// the plan together with its offsets.
@@ -496,41 +498,7 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// any other error — the quarantined artifacts its entries resolve
     /// through, as a partial restore.
     pub fn restore_plan(&self, version: VersionId) -> Result<Vec<RestoreEntry>, HiDeStoreError> {
-        let Some(recipe) = self.recipes.get(version) else {
-            // A quarantined recipe is a *known* version whose recipe was
-            // pulled, not an unknown one.
-            let lost = QuarantinedArtifact::Recipe(version);
-            if self.quarantined.iter().any(|q| q.artifact == lost) {
-                return Err(HiDeStoreError::PartialRestore {
-                    version,
-                    quarantined: vec![lost],
-                });
-            }
-            return Err(HiDeStoreError::UnknownVersion(version));
-        };
-        let mut walker = ChainWalker::new(&self.recipes, &self.pool);
-        let mut plan = Vec::with_capacity(recipe.len());
-        let mut lost = BTreeSet::new();
-        let mut failed = Ok(());
-        for entry in recipe.entries() {
-            let end = walker.walk(version, entry);
-            if let Some(artifact) = chain::quarantined_cause(&self.quarantined, &end) {
-                lost.insert(artifact);
-            } else if failed.is_ok() {
-                match walker.plan_container(entry.fingerprint, end) {
-                    Ok(cid) => plan.push(RestoreEntry::new(entry.fingerprint, entry.size, cid)),
-                    Err(e) => failed = Err(e),
-                }
-            }
-        }
-        if !lost.is_empty() {
-            return Err(HiDeStoreError::PartialRestore {
-                version,
-                quarantined: lost.into_iter().collect(),
-            });
-        }
-        failed?;
-        Ok(plan)
+        chain::build_plan(&self.recipes, &self.pool, &self.quarantined, version)
     }
 
     /// Restores an arbitrary slice of plan entries (from

@@ -177,23 +177,19 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
         Ok(stats)
     }
 
-    /// Restores `version` through the given restore cache, writing the
-    /// stream to `out` and reporting the counted reads / speed factor.
+    /// `version`'s restore plan: its recipe's entries, each with the
+    /// archival container holding the chunk (baseline recipes never chain).
     ///
     /// # Errors
     ///
-    /// Fails for unknown versions or storage/assembly errors.
-    pub fn restore(
-        &self,
-        version: VersionId,
-        cache: &mut dyn RestoreCache,
-        out: &mut dyn Write,
-    ) -> Result<RestoreReport, PipelineError> {
+    /// Fails for unknown versions, or for a recipe entry that is not
+    /// archival (corruption).
+    pub fn restore_plan(&self, version: VersionId) -> Result<Vec<RestoreEntry>, PipelineError> {
         let recipe = self
             .recipes
             .get(version)
             .ok_or(PipelineError::UnknownVersion(version))?;
-        let plan: Vec<RestoreEntry> = recipe
+        recipe
             .entries()
             .iter()
             .map(|e| {
@@ -206,8 +202,22 @@ impl<I: FingerprintIndex, R: RewritePolicy, S: ContainerStore> BackupPipeline<I,
                     })?;
                 Ok(RestoreEntry::new(e.fingerprint, e.size, cid))
             })
-            .collect::<Result<_, PipelineError>>()?;
-        Ok(cache.restore(&plan, &self.store, out)?)
+            .collect()
+    }
+
+    /// Restores `version` through the given restore cache, writing the
+    /// stream to `out` and reporting the counted reads / speed factor.
+    ///
+    /// # Errors
+    ///
+    /// Fails for unknown versions or storage/assembly errors.
+    pub fn restore(
+        &self,
+        version: VersionId,
+        cache: &mut dyn RestoreCache,
+        out: &mut dyn Write,
+    ) -> Result<RestoreReport, PipelineError> {
+        Ok(cache.restore(&self.restore_plan(version)?, &self.store, out)?)
     }
 
     /// Cumulative statistics across the whole run: the sum of

@@ -67,8 +67,8 @@ impl ListResponse {
 impl StatsResponse {
     /// Serializes as one line of JSON with a fixed key order:
     /// `{"versions":[{"version":..,"bytes":..,"chunks":..,"cfl":..,
-    /// "mean_kib_per_container":..},..],"pool_containers":..,
-    /// "pool_chunks":..,"pool_live_bytes":..,
+    /// "mean_kib_per_container":..},..],"lost_versions":[..],
+    /// "pool_containers":..,"pool_chunks":..,"pool_live_bytes":..,
     /// "out_of_line_rewritten_bytes":..}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.versions.len() * 80);
@@ -86,6 +86,13 @@ impl StatsResponse {
             out.push_str(",\"mean_kib_per_container\":");
             f64_into(&mut out, v.mean_kib_per_container);
             out.push('}');
+        }
+        out.push_str("],\"lost_versions\":[");
+        for (i, v) in self.lost.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{v}");
         }
         let _ = write!(
             out,
@@ -205,6 +212,7 @@ mod tests {
                 cfl: 0.5,
                 mean_kib_per_container: 12.25,
             }],
+            lost: vec![2, 3],
             pool_containers: 2,
             pool_chunks: 7,
             pool_live_bytes: 4096,
@@ -214,7 +222,7 @@ mod tests {
             stats.to_json(),
             "{\"versions\":[{\"version\":1,\"bytes\":100,\"chunks\":3,\
              \"cfl\":0.5000,\"mean_kib_per_container\":12.2500}],\
-             \"pool_containers\":2,\"pool_chunks\":7,\"pool_live_bytes\":4096,\
+             \"lost_versions\":[2,3],\"pool_containers\":2,\"pool_chunks\":7,\"pool_live_bytes\":4096,\
              \"out_of_line_rewritten_bytes\":512}"
         );
     }

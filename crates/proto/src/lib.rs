@@ -24,8 +24,8 @@
 //!
 //! ```text
 //! client                                          server
-//!   | -- HELLO {4,4} ---------------------------------> |
-//!   | <----------------------------- HELLO {4,4} ----- |  (or ERROR unsupported)
+//!   | -- HELLO {5,5} ---------------------------------> |
+//!   | <----------------------------- HELLO {5,5} ----- |  (or ERROR unsupported)
 //!   | -- REQUEST [tenant] BackupResume{token,len} ----> |
 //!   | <------------ RESPONSE BackupAccepted{offset} -- |  (token already
 //!   | -- DATA* (data[offset..]) ----------------------> |   committed: cached
@@ -121,6 +121,7 @@ mod tests {
                     cfl: 0.75,
                     mean_kib_per_container: 3.5,
                 }],
+                lost: vec![2, 4],
                 pool_containers: 1,
                 pool_chunks: 2,
                 pool_live_bytes: 4096,

@@ -15,7 +15,7 @@ use crate::wire::{ByteReader, ByteWriter, DecodeError};
 /// tenant envelope and every transfer is an idempotent, resumable session.
 /// Both peers offer exactly this version in their [`Hello`]; any other
 /// offered range is refused with [`ErrorCode::Unsupported`].
-pub const PROTO_VERSION: u16 = 4;
+pub const PROTO_VERSION: u16 = 5;
 
 /// A client-generated idempotency token identifying one backup session.
 /// The server dedupes on it: a retried `BackupResume` whose token already
@@ -351,6 +351,9 @@ pub struct VersionStatsEntry {
 pub struct StatsResponse {
     /// Per-version fragmentation rows, oldest first.
     pub versions: Vec<VersionStatsEntry>,
+    /// Versions without a row because their restore plan depends on
+    /// quarantined artifacts (a degraded repository), oldest first.
+    pub lost: Vec<u32>,
     /// Containers in the active pool.
     pub pool_containers: u64,
     /// Chunks in the active pool.
@@ -534,6 +537,10 @@ impl Response {
                     w.f64(v.cfl);
                     w.f64(v.mean_kib_per_container);
                 }
+                w.len_u32(stats.lost.len());
+                for &v in &stats.lost {
+                    w.u32(v);
+                }
                 w.u64(stats.pool_containers);
                 w.u64(stats.pool_chunks);
                 w.u64(stats.pool_live_bytes);
@@ -643,8 +650,14 @@ impl Response {
                         mean_kib_per_container: r.f64()?,
                     });
                 }
+                let n = r.seq_len()?;
+                let mut lost = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    lost.push(r.u32()?);
+                }
                 Response::StatsOk(StatsResponse {
                     versions,
+                    lost,
                     pool_containers: r.u64()?,
                     pool_chunks: r.u64()?,
                     pool_live_bytes: r.u64()?,

@@ -39,9 +39,11 @@ pub mod view;
 pub use client::{BackupAttempt, ClientError, RemoteClient, RestoreAttempt, DEFAULT_NET_TIMEOUT};
 pub use hidestore_proto::DATA_CHUNK;
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
-pub use server::{serve, serve_with, ServerConfig, ServerError, ServerHandle};
+pub use server::{
+    serve, serve_with, ServerConfig, ServerError, ServerHandle, BUSY_RETRY_AFTER_MS, MAX_SESSIONS,
+};
 pub use session::SessionTable;
-pub use stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
+pub use stats::{ServerStats, StatsSnapshot, TenantStats};
 
 #[cfg(test)]
 mod tests {

@@ -59,12 +59,19 @@ use hidestore_tenant::{RegistryOptions, TenantError, TenantQuota, TenantRegistry
 
 use crate::client::DEFAULT_NET_TIMEOUT;
 use crate::session::SessionTable;
-use crate::stats::{ServerStats, StatsSnapshot, TenantStats, TenantStatsSnapshot};
+use crate::stats::{ServerStats, StatsSnapshot, TenantStats};
 use crate::view;
 
 /// Idle lifetime of a parked or committed session entry: long enough to
 /// outlive any client's retry budget.
 const SESSION_TTL: Duration = Duration::from_secs(300);
+
+/// Parked (and committed) resumable sessions held at once, each table
+/// LRU-evicted beyond it.
+pub const MAX_SESSIONS: usize = 64;
+
+/// Backoff hint (milliseconds) sent with `busy` refusals.
+pub const BUSY_RETRY_AFTER_MS: u32 = 100;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -87,10 +94,6 @@ pub struct ServerConfig {
     /// Deterministic fault plan numbering every served connection's wire
     /// I/O (chaos tests); `None` serves plain TCP.
     pub fault: Option<Plan>,
-    /// Maximum parked resumable sessions held at once (LRU-evicted).
-    pub max_sessions: usize,
-    /// Backoff hint (milliseconds) sent with `busy` refusals.
-    pub busy_retry_after_ms: u32,
     /// Serve the directory as a multi-tenant root (`<dir>/tenants/<id>/`,
     /// one repository per tenant) instead of a single repository served
     /// as the `default` tenant.
@@ -118,8 +121,6 @@ impl Default for ServerConfig {
             limits: Limits::default(),
             quiet: false,
             fault: None,
-            max_sessions: 64,
-            busy_retry_after_ms: 100,
             tenants_root: false,
             max_live_tenants: 8,
             auto_create_tenants: true,
@@ -257,7 +258,7 @@ impl<V: Vfs> ServerHandle<V> {
     /// Point-in-time copies of every tenant's request counters, sorted by
     /// tenant id. The isolation suite asserts one tenant's traffic never
     /// bleeds into another tenant's row.
-    pub fn tenant_stats(&self) -> Vec<(TenantId, TenantStatsSnapshot)> {
+    pub fn tenant_stats(&self) -> Vec<TenantStatsEntry> {
         self.shared.stats.tenant_snapshots()
     }
 
@@ -349,7 +350,7 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
     let queue_depth = config.queue_depth.max(1);
-    let sessions = Mutex::new(SessionTable::new(config.max_sessions, SESSION_TTL));
+    let sessions = Mutex::new(SessionTable::new(MAX_SESSIONS, SESSION_TTL));
     let (tx, rx) = sync_channel(queue_depth);
     let shared = Arc::new(Shared {
         registry,
@@ -395,11 +396,13 @@ impl<V: Vfs> Shared<V> {
                             // `refuse`'s short deadlines keep a slow client
                             // from stalling admission for long.
                             ServerStats::bump(&self.stats.busy_rejected);
-                            let hint = self.config.busy_retry_after_ms;
                             refuse(
                                 Socket::new(stream, self.config.fault.clone()),
                                 &self.config.limits,
-                                WireError::busy(hint, "worker queue is full, retry later"),
+                                WireError::busy(
+                                    BUSY_RETRY_AFTER_MS,
+                                    "worker queue is full, retry later",
+                                ),
                             );
                         }
                         // The receiver lives in `self`, so this cannot happen.
@@ -1148,20 +1151,7 @@ fn serve_tenant_list<V: Vfs>(stream: &mut Socket, shared: &Shared<V>) -> Outcome
 /// The `tenant stats` admin verb: per-tenant request counters for every
 /// tenant that has served a request this process lifetime.
 fn serve_tenant_stats<V: Vfs>(stream: &mut Socket, shared: &Shared<V>) -> Outcome {
-    let entries: Vec<TenantStatsEntry> = shared
-        .stats
-        .tenant_snapshots()
-        .into_iter()
-        .map(|(tenant, s)| TenantStatsEntry {
-            tenant: tenant.as_str().to_string(),
-            requests_ok: s.requests_ok,
-            requests_failed: s.requests_failed,
-            bytes_in: s.bytes_in,
-            bytes_out: s.bytes_out,
-            rolled_back: s.rolled_back,
-            quota_refused: s.quota_refused,
-        })
-        .collect();
+    let entries = shared.stats.tenant_snapshots();
     let count = entries.len();
     let response = Response::TenantStatsOk(TenantStatsResponse { tenants: entries });
     reply(stream, &response, format!(" tenants={count}"))

@@ -8,8 +8,9 @@
 //! commit acknowledgement is answered from the cache — the repository never
 //! commits the same token twice.
 //!
-//! Both tables are bounded: at most `max_sessions` entries each, evicting
-//! least-recently-used, and every entry expires `ttl` after its last touch.
+//! Both tables are bounded: at most `capacity` entries each (the daemon's
+//! `MAX_SESSIONS`), evicting least-recently-used, and every entry expires
+//! `ttl` after its last touch.
 //! The bounds are the honest limit of the scheme — a client that comes back
 //! after eviction or expiry simply starts over (backup) or re-transfers
 //! (restore); correctness never depends on an entry still being present.
@@ -38,7 +39,7 @@ struct CommittedBackup {
 /// LRU + TTL bounded tables of parked and committed backup sessions. One
 /// instance lives behind a mutex in the server's shared state.
 pub struct SessionTable {
-    max_sessions: usize,
+    capacity: usize,
     ttl: Duration,
     /// Least-recently-used first.
     parked: Vec<ParkedBackup>,
@@ -47,13 +48,13 @@ pub struct SessionTable {
 }
 
 impl SessionTable {
-    /// A table bounded to `max_sessions` parked (and `max_sessions`
+    /// A table bounded to `capacity` parked (and `capacity`
     /// committed) entries, each expiring `ttl` after its last touch. A
-    /// zero `ttl` never expires; `max_sessions` is clamped to at least 1.
+    /// zero `ttl` never expires; `capacity` is clamped to at least 1.
     #[must_use]
-    pub fn new(max_sessions: usize, ttl: Duration) -> Self {
+    pub fn new(capacity: usize, ttl: Duration) -> Self {
         SessionTable {
-            max_sessions: max_sessions.max(1),
+            capacity: capacity.max(1),
             ttl,
             parked: Vec::new(),
             committed: Vec::new(),
@@ -88,7 +89,7 @@ impl SessionTable {
         self.sweep(now);
         self.parked
             .retain(|p| p.token != token || p.tenant != *tenant);
-        if self.parked.len() >= self.max_sessions {
+        if self.parked.len() >= self.capacity {
             self.parked.remove(0);
         }
         self.parked.push(ParkedBackup {
@@ -127,7 +128,7 @@ impl SessionTable {
             .retain(|p| p.token != token || p.tenant != *tenant);
         self.committed
             .retain(|c| c.token != token || c.tenant != *tenant);
-        if self.committed.len() >= self.max_sessions {
+        if self.committed.len() >= self.capacity {
             self.committed.remove(0);
         }
         self.committed.push(CommittedBackup {

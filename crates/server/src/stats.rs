@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hidestore_proto::TenantId;
+use hidestore_proto::{TenantId, TenantStatsEntry};
 
 /// Lock-free counters every connection thread updates. Read them with
 /// [`ServerStats::snapshot`].
@@ -87,12 +87,9 @@ impl ServerStats {
 
     /// Point-in-time copies of every tenant's counters, sorted by tenant
     /// id.
-    pub fn tenant_snapshots(&self) -> Vec<(TenantId, TenantStatsSnapshot)> {
+    pub fn tenant_snapshots(&self) -> Vec<TenantStatsEntry> {
         let tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
-        tenants
-            .iter()
-            .map(|(t, s)| (t.clone(), s.snapshot()))
-            .collect()
+        tenants.iter().map(|(t, s)| s.snapshot(t)).collect()
     }
 }
 
@@ -117,9 +114,11 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    /// A consistent-enough point-in-time copy for reporting.
-    pub fn snapshot(&self) -> TenantStatsSnapshot {
-        TenantStatsSnapshot {
+    /// A consistent-enough point-in-time copy for reporting, as `tenant`'s
+    /// wire row.
+    pub fn snapshot(&self, tenant: &TenantId) -> TenantStatsEntry {
+        TenantStatsEntry {
+            tenant: tenant.as_str().to_string(),
             requests_ok: self.requests_ok.load(Ordering::Relaxed),
             requests_failed: self.requests_failed.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
@@ -128,23 +127,6 @@ impl TenantStats {
             quota_refused: self.quota_refused.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Plain-value copy of [`TenantStats`] at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantStatsSnapshot {
-    /// Requests completed successfully.
-    pub requests_ok: u64,
-    /// Requests that failed.
-    pub requests_failed: u64,
-    /// DATA bytes received.
-    pub bytes_in: u64,
-    /// DATA bytes sent.
-    pub bytes_out: u64,
-    /// Mutations rolled back.
-    pub rolled_back: u64,
-    /// Backups refused by quota.
-    pub quota_refused: u64,
 }
 
 /// Plain-value copy of [`ServerStats`] at one instant.

@@ -8,8 +8,7 @@
 //! serialization, not two.
 
 use hidestore_core::{
-    chain, DeletionReport, HiDeStore, HiDeStoreError, QuarantinedArtifact, VersionStats,
-    ACTIVE_ID_BASE,
+    DeletionReport, HiDeStore, HiDeStoreError, QuarantinedArtifact, VersionStats, ACTIVE_ID_BASE,
 };
 use hidestore_dedup::analysis::analyze_plan;
 use hidestore_fsck::{AuditReport, FindingKind, Severity};
@@ -78,32 +77,41 @@ pub fn list_response<S: ContainerStore>(system: &HiDeStore<S>) -> ListResponse {
     }
 }
 
-/// Builds the [`StatsResponse`] for `hidestore stats` / `Request::Stats`.
+/// Builds the [`StatsResponse`] for `hidestore stats` / `Request::Stats`:
+/// one row per version, measured over its [`HiDeStore::restore_plan`]. A
+/// version whose plan depends on quarantined artifacts has no row and is
+/// listed in [`StatsResponse::lost`] instead.
 ///
 /// # Errors
 ///
-/// Fails when a version's recipe chain cannot be resolved (corruption).
+/// Fails when any other plan cannot be built (corruption).
 pub fn stats_response<S: ContainerStore>(
     system: &HiDeStore<S>,
 ) -> Result<StatsResponse, HiDeStoreError> {
     let capacity = system.config().container_capacity;
     let mut versions = Vec::new();
+    let mut lost = Vec::new();
     for v in system.versions() {
-        let Some(recipe) = system.recipes().get(v) else {
-            continue;
+        let plan = match system.restore_plan(v) {
+            Ok(plan) => plan,
+            Err(HiDeStoreError::PartialRestore { .. }) => {
+                lost.push(v.get());
+                continue;
+            }
+            Err(e) => return Err(e),
         };
-        let plan = chain::resolve_plan(system.recipes(), system.pool(), v)?;
-        let report = analyze_plan(plan.into_iter().map(|(_, size, cid)| (size, cid)), capacity);
+        let report = analyze_plan(&plan, capacity);
         versions.push(VersionStatsEntry {
             version: v.get(),
-            bytes: recipe.total_bytes(),
-            chunks: recipe.len() as u64,
+            bytes: plan.iter().map(|e| u64::from(e.size)).sum(),
+            chunks: plan.len() as u64,
             cfl: report.cfl,
             mean_kib_per_container: report.mean_bytes_per_container / 1024.0,
         });
     }
     Ok(StatsResponse {
         versions,
+        lost,
         pool_containers: system.pool().container_count() as u64,
         pool_chunks: system.pool().chunk_count() as u64,
         pool_live_bytes: system.pool().live_bytes(),

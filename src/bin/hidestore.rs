@@ -632,7 +632,7 @@ fn cmd_stats_remote(remote: &Remote, json: bool) -> CliResult {
 }
 
 fn print_stats(stats: &hidestore::proto::StatsResponse) {
-    if stats.versions.is_empty() {
+    if stats.versions.is_empty() && stats.lost.is_empty() {
         println!("repository is empty");
         return;
     }
@@ -648,6 +648,13 @@ fn print_stats(stats: &hidestore::proto::StatsResponse) {
             v.chunks,
             v.cfl,
             v.mean_kib_per_container,
+        );
+    }
+    if !stats.lost.is_empty() {
+        let lost: Vec<String> = stats.lost.iter().map(|v| format!("V{v}")).collect();
+        println!(
+            "lost: {} (depend on quarantined artifacts; run verify)",
+            lost.join(", ")
         );
     }
     println!(

@@ -589,8 +589,8 @@ fn json_output_schema_is_pinned() {
     assert!(out.status.success());
     assert_eq!(
         String::from_utf8_lossy(&out.stdout).trim(),
-        "{\"versions\":[],\"pool_containers\":0,\"pool_chunks\":0,\"pool_live_bytes\":0,\
-         \"out_of_line_rewritten_bytes\":0}"
+        "{\"versions\":[],\"lost_versions\":[],\"pool_containers\":0,\"pool_chunks\":0,\
+         \"pool_live_bytes\":0,\"out_of_line_rewritten_bytes\":0}"
     );
 
     let f = repo.join("input.bin");

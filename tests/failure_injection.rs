@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
 use hidestore::hash::Fingerprint;
-use hidestore::server::view;
+use hidestore::server::{serve, view, RemoteClient, ServerConfig};
 use hidestore::storage::FileContainerStore;
 
 use hidestore::core::chain::ResolveError;
@@ -357,6 +357,61 @@ fn backups_after_losing_the_newest_recipe_restore_byte_exact() {
         drop(hds);
         check(&reopen_with(config, dir), "after a reopen");
     }
+}
+
+/// `stats` on a degraded repository: after a degraded open quarantined the
+/// newest recipe, every listed version has a row exactly when its restore
+/// plan builds, and is listed as lost exactly when its plan fails as a
+/// partial restore — locally and through a daemon serving the directory.
+#[test]
+fn stats_lists_the_versions_a_quarantined_recipe_took() {
+    let scratch = Scratch::new("degraded-stats");
+    let dir = &scratch.0;
+    // V1 = A+B, V2 = B+C, V3 = C+D: V1 resolves through V2 to archival
+    // containers, while V2 still chains into V3 for C.
+    let [a, b, c, d] = [51, 52, 53, 54].map(|seed| noise(30_000, seed));
+    let mut hds = HiDeStore::open_repository(hds_config(), dir).expect("open repository");
+    for halves in [[&a[..], &b], [&b, &c], [&c, &d]] {
+        hds.backup(&halves.concat()).expect("backup");
+    }
+    hds.save_repository(dir).expect("save repository");
+    drop(hds);
+    hds_config()
+        .save_to(dir)
+        .expect("save config for the daemon");
+    std::fs::write(recipe_file(dir, 3), b"not a recipe").expect("corrupt r3.rcp");
+
+    let hds = reopen(dir);
+    let stats = view::stats_response(&hds).expect("stats on a degraded repository");
+    let rows: Vec<u32> = stats.versions.iter().map(|row| row.version).collect();
+    for v in hds.versions() {
+        let plan = hds.restore_plan(v);
+        assert_eq!(rows.contains(&v.get()), plan.is_ok(), "{v}: row");
+        assert_eq!(
+            stats.lost.contains(&v.get()),
+            matches!(plan, Err(HiDeStoreError::PartialRestore { .. })),
+            "{v}: lost"
+        );
+    }
+    assert_eq!(
+        (rows.as_slice(), stats.lost.as_slice()),
+        ([1].as_slice(), [2].as_slice())
+    );
+    drop(hds);
+
+    let handle = serve(
+        dir,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("serve the degraded repository");
+    let remote = RemoteClient::connect(handle.addr())
+        .and_then(|mut client| client.stats())
+        .expect("remote stats on a degraded repository");
+    handle.shutdown_and_join();
+    assert_eq!(remote, stats);
 }
 
 #[test]

@@ -29,6 +29,7 @@ use hidestore::fsck::SystemAuditor;
 use hidestore::proto::{ErrorCode, TenantId};
 use hidestore::server::{
     serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
+    BUSY_RETRY_AFTER_MS,
 };
 use hidestore::storage::{FileContainerStore, VersionId};
 use hidestore::tenant::TENANTS_SUBDIR;
@@ -471,7 +472,6 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
             // Idle squatters below would otherwise pin the worker for the
             // full default deadline.
             io_timeout: Duration::from_secs(2),
-            busy_retry_after_ms: 77,
             ..ServerConfig::default()
         },
     )
@@ -495,7 +495,10 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
         ClientError::Remote(e) => {
             assert_eq!(e.code, ErrorCode::Busy);
             assert!(e.code.is_retryable(), "busy must be retryable");
-            assert_eq!(e.retry_after_ms, 77, "the shed carries the hint: {e:?}");
+            assert_eq!(
+                e.retry_after_ms, BUSY_RETRY_AFTER_MS,
+                "the shed carries the hint: {e:?}"
+            );
         }
         other => panic!("expected Remote(Busy), got {other}"),
     }

@@ -22,7 +22,9 @@ use hidestore::proto::{
     TenantId, WireError,
 };
 use hidestore::restore::Faa;
-use hidestore::server::{serve, serve_with, ClientError, RemoteClient, ServerConfig, ServerHandle};
+use hidestore::server::{
+    serve, serve_with, ClientError, RemoteClient, ServerConfig, ServerHandle, MAX_SESSIONS,
+};
 use hidestore::storage::VersionId;
 use hidestore::tenant::TENANTS_SUBDIR;
 
@@ -195,10 +197,10 @@ fn backup_fault_matrix() {
     assert_alive(addr);
 
     // Abandoned prefixes wait in the parked-session table (a retry with the
-    // same token would resume them), bounded by `max_sessions`.
+    // same token would resume them), bounded by `MAX_SESSIONS`.
     let parked = handle.open_sessions();
     assert!(
-        (1..=ServerConfig::default().max_sessions).contains(&parked),
+        (1..=MAX_SESSIONS).contains(&parked),
         "{parked} parked sessions"
     );
 

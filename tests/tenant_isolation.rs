@@ -208,7 +208,7 @@ fn raced_tenants_converge_to_serial_state() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let stats = loop {
         let stats = handle.tenant_stats();
-        if stats.len() == TENANTS && stats.iter().all(|(_, s)| s.requests_ok >= 8) {
+        if stats.len() == TENANTS && stats.iter().all(|s| s.requests_ok >= 8) {
             break stats;
         }
         assert!(
@@ -217,8 +217,9 @@ fn raced_tenants_converge_to_serial_state() {
         );
         std::thread::sleep(Duration::from_millis(5));
     };
-    for (id, snap) in &stats {
-        let i: usize = id.as_str()[1..].parse().unwrap();
+    for snap in &stats {
+        let id = &snap.tenant;
+        let i: usize = id[1..].parse().unwrap();
         let total: u64 = payloads(i).iter().map(|p| p.len() as u64).sum();
         assert_eq!(snap.bytes_in, total, "{id}: backup bytes");
         assert_eq!(snap.bytes_out, total, "{id}: restore bytes");
@@ -402,9 +403,9 @@ fn quota_refusal_is_permanent_and_clean() {
 
     assert_eq!(handle.rollbacks(), 0, "refusal is not a rollback");
     let stats = handle.tenant_stats();
-    let (_, alice) = stats
+    let alice = stats
         .iter()
-        .find(|(id, _)| id.as_str() == "alice")
+        .find(|row| row.tenant == "alice")
         .expect("alice has a stats row");
     assert_eq!(alice.quota_refused, 1);
     shutdown_with_watchdog(handle);
