@@ -68,7 +68,14 @@
 #                                      restores like a fresh one, a chunk
 #                                      whose length disagrees with its plan
 #                                      entry fails typed under every scheme
-#                                      and writes nothing); the storage
+#                                      and writes nothing, a missing or
+#                                      mis-sized chunk late in a multi-
+#                                      container area fails typed after
+#                                      writing only a checked prefix that
+#                                      stops at or before it, and seeded
+#                                      shuffled plans with repeats restore
+#                                      byte-exact through the write
+#                                      frontier at every area size); the storage
 #                                      crate's container tests (a
 #                                      decoded container keeps the file's
 #                                      buffer, behaves as a built one and
@@ -125,7 +132,12 @@
 #                                      repository, both byte-compared and
 #                                      V2 listed; graceful shutdown, then a
 #                                      local `verify --json` with zero
-#                                      findings of any severity
+#                                      findings of any severity; then a local
+#                                      backup and restore of a 40 000 000-
+#                                      byte input, larger than one 32 MiB
+#                                      restore area, byte-compared, so the
+#                                      write frontier crosses an area edge
+#                                      into a real file
 #  10. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
@@ -241,6 +253,12 @@ cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race2.bin"
 ./target/debug/hidestore shutdown --remote "$ADDR"
 wait "$SERVE_PID"
 ./target/debug/hidestore verify "$SERVE_REPO" --json | grep -q '"clean": true'
+# A version larger than one restore area (RESTORE_AREA_BYTES, 32 MiB),
+# restored locally into a real file across the area edge.
+head -c 40000000 /dev/urandom > "$SERVE_DIR/large.bin"
+./target/debug/hidestore backup  "$SERVE_REPO" "$SERVE_DIR/large.bin" > /dev/null
+./target/debug/hidestore restore "$SERVE_REPO" 3 "$SERVE_DIR/large.out" > /dev/null
+cmp "$SERVE_DIR/large.bin" "$SERVE_DIR/large.out"
 trap - EXIT
 rm -rf "$SERVE_DIR"
 

@@ -41,6 +41,11 @@ const CACHE_ENTRY_BYTES: u64 = 28;
 /// needs is read once per area.
 pub const RESTORE_AREA_BYTES: usize = 32 << 20;
 
+/// Bytes [`write_staged`] buffers before each write to its file. Restore
+/// writes chunk by chunk, so this, not the chunk size, sets how many bytes
+/// each `write(2)` carries.
+const STAGED_WRITE_BYTES: usize = 1 << 20;
+
 /// Errors from HiDeStore operations.
 #[derive(Debug)]
 pub enum HiDeStoreError {
@@ -963,7 +968,7 @@ pub fn write_staged<T, E: From<io::Error>>(
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let result = (|| {
-        let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
+        let mut out = BufWriter::with_capacity(STAGED_WRITE_BYTES, std::fs::File::create(&tmp)?);
         let value = fill(&mut out)?;
         out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
         std::fs::rename(&tmp, path)?;

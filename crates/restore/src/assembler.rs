@@ -42,9 +42,11 @@ pub trait Policy {
 
 /// The assembler. The plan is restored area by area: each position the
 /// policy cannot serve is a miss, and each container the area's misses name
-/// is read once, in order of first need, filling every missed slot it
-/// holds. A whole area is written as one buffer, so a failed area writes
-/// nothing.
+/// is read once, in order of first need. Every chunk is checked, then
+/// written straight from the policy's hit or the container just read if it
+/// is at the frontier, or parked until the frontier reaches it. So a failed
+/// area may have written a checked, in-order prefix of itself, never a byte
+/// at or past the failing position.
 impl<P: Policy> RestoreCache for P {
     fn restore(
         &mut self,
@@ -54,43 +56,63 @@ impl<P: Policy> RestoreCache for P {
     ) -> Result<RestoreReport, RestoreError> {
         self.start(plan);
         let (mut reads, mut hits, mut bytes) = (0u64, 0u64, 0u64);
-        // Every slot is filled before the area is written, so the buffer is
-        // resized, never cleared.
-        let mut area = Vec::new();
-        // Per miss: the area's first miss in the same container, its own
-        // position and its slot.
+        // The write frontier: `next` is the first position not yet written.
+        // A chunk ahead of it is parked, copied back to back into `parked`,
+        // until every position before it is written; `slots` holds each
+        // parked chunk's range, per position of the area.
+        let (mut next, mut parked, mut slots) = (0, Vec::new(), Vec::new());
+        // Per miss: the area's first miss in the same container and its own
+        // position.
         let mut missed = Vec::new();
         let mut first_miss = HashMap::new();
         let mut start = 0;
         while start < plan.len() {
             let end = self.area_end(plan, start);
-            area.resize(plan[start..end].iter().map(|e| e.size as usize).sum(), 0);
+            let area_bytes = plan[start..end].iter().map(|e| e.size as usize).sum();
+            // At most the area's bytes are parked: reserved once, never regrown.
+            parked.clear();
+            parked.reserve(area_bytes);
+            slots.clear();
+            slots.resize(end - start, None);
+            let mut place = |at: usize, chunk: &[u8]| -> std::io::Result<()> {
+                if at > next {
+                    let from = parked.len();
+                    parked.extend_from_slice(chunk);
+                    slots[at - start] = Some(from..parked.len());
+                    debug_assert!(parked.len() <= area_bytes);
+                    return Ok(());
+                }
+                out.write_all(chunk)?;
+                next += 1;
+                while let Some(slot) = slots.get_mut(next - start).and_then(Option::take) {
+                    out.write_all(&parked[slot])?;
+                    next += 1;
+                }
+                Ok(())
+            };
             missed.clear();
             first_miss.clear();
-            let (mut slot_end, mut area_hits) = (0, 0);
+            let mut area_hits = 0;
             for at in start..end {
-                let slot = slot_end..slot_end + plan[at].size as usize;
-                slot_end = slot.end;
                 let Some(chunk) = self.lookup(plan, at) else {
                     let first = *first_miss.entry(plan[at].container).or_insert(at);
-                    missed.push((first, at, slot));
+                    missed.push((first, at));
                     continue;
                 };
-                fill(&mut area[slot], &plan[at], Some(chunk))?;
+                place(at, checked(&plan[at], Some(chunk))?)?;
                 area_hits += 1;
             }
-            missed.sort_by_key(|&(first, _, _)| first);
+            missed.sort_by_key(|&(first, _)| first);
             for group in missed.chunk_by(|a, b| a.0 == b.0) {
                 let container = store.read(plan[group[0].0].container)?;
                 reads += 1;
-                for (_, at, slot) in group {
-                    let chunk = container.get(&plan[*at].fingerprint);
-                    fill(&mut area[slot.clone()], &plan[*at], chunk)?;
+                for &(_, at) in group {
+                    let chunk = container.get(&plan[at].fingerprint);
+                    place(at, checked(&plan[at], chunk)?)?;
                 }
                 self.admit(plan, group[0].0, &container);
             }
-            out.write_all(&area)?;
-            bytes += area.len() as u64;
+            bytes += area_bytes as u64;
             hits += area_hits;
             self.area_done(area_hits);
             start = end;
@@ -109,14 +131,15 @@ impl<P: Policy> RestoreCache for P {
     }
 }
 
-/// Copies `entry`'s chunk into its slot — the one check that the chunk
-/// exists and is as long as the plan says.
-fn fill(slot: &mut [u8], entry: &RestoreEntry, chunk: Option<&[u8]>) -> Result<(), RestoreError> {
+/// Returns `entry`'s chunk once it is checked — the one check that the
+/// chunk exists and is as long as the plan says. No byte reaches the output
+/// without passing it.
+fn checked<'c>(entry: &RestoreEntry, chunk: Option<&'c [u8]>) -> Result<&'c [u8], RestoreError> {
     let chunk = chunk.ok_or(RestoreError::MissingChunk {
         fingerprint: entry.fingerprint,
         container: entry.container,
     })?;
-    if chunk.len() != slot.len() {
+    if chunk.len() != entry.size as usize {
         return Err(RestoreError::ChunkSizeMismatch {
             fingerprint: entry.fingerprint,
             container: entry.container,
@@ -124,8 +147,7 @@ fn fill(slot: &mut [u8], entry: &RestoreEntry, chunk: Option<&[u8]>) -> Result<(
             stored: chunk.len(),
         });
     }
-    slot.copy_from_slice(chunk);
-    Ok(())
+    Ok(chunk)
 }
 
 /// One past the last entry of the area that begins at `start` and holds at

@@ -11,7 +11,10 @@
 //!
 //! Every scheme runs one assembler, the only restore path: it holds the only
 //! store read, read count, chunk check and output write, so a report counts
-//! exactly the reads the store served for it, even on a shared store. A
+//! exactly the reads the store served for it, even on a shared store. It
+//! writes each checked chunk straight from the container or cache that
+//! holds it once every earlier position is written, and copies aside only
+//! the chunks that arrive before that. A
 //! scheme is a policy deciding where an area ends, what it serves from what
 //! it kept, what it keeps of a container just read, and what it changes
 //! once an area is done.
@@ -224,7 +227,9 @@ pub trait RestoreCache {
     ///
     /// Fails if a container or chunk named by the plan is missing, if a
     /// chunk's length is not its plan entry's size, or if writing to `out`
-    /// fails. Areas before the failing one have been written.
+    /// fails. What was written by then is a checked, in-order prefix of the
+    /// stream that ends at or before the failing position: the areas before
+    /// it, and possibly part of its own.
     fn restore(
         &mut self,
         plan: &[RestoreEntry],
@@ -421,6 +426,97 @@ mod tests {
                     scheme.name()
                 );
                 assert!(out.is_empty(), "{} planned {planned}", scheme.name());
+            }
+        }
+    }
+
+    /// Every scheme, plus FAA and ALACC with areas of a few positions, so
+    /// an area spans several containers yet not the whole plan.
+    fn schemes_with_small_areas(area_bytes: usize) -> Vec<Box<dyn RestoreCache>> {
+        let mut schemes = all_schemes();
+        schemes.push(Box::new(Faa::new(area_bytes)));
+        schemes.push(Box::new(Alacc::new(area_bytes, area_bytes)));
+        schemes
+    }
+
+    /// A chunk that is missing, or longer or shorter than its plan entry,
+    /// late in a multi-container area fails typed, and what was written
+    /// before is a prefix of the version that stops at or before the bad
+    /// position: no unchecked and no out-of-order byte leaves the assembler.
+    #[test]
+    fn a_bad_chunk_late_in_an_area_fails_typed_after_a_checked_prefix() {
+        let (store, plan, expect) = interleaved_fixture(4, 8, 256);
+        // Position 28 lies in the container read first (its chunks ahead of
+        // the frontier are parked when the check fails), 31 in the last.
+        for bad in [28, 30, 31] {
+            let offset = bad * 256;
+            for fault in ["missing", "longer", "shorter"] {
+                let mut plan = plan.clone();
+                match fault {
+                    "missing" => plan[bad].fingerprint = Fingerprint::synthetic(u64::MAX),
+                    "longer" => plan[bad].size += 1,
+                    _ => plan[bad].size -= 1,
+                }
+                for mut scheme in schemes_with_small_areas(12 * 256) {
+                    let mut out = Vec::new();
+                    let err = scheme.restore(&plan, &store, &mut out).unwrap_err();
+                    let typed = match fault {
+                        "missing" => matches!(err, RestoreError::MissingChunk { .. }),
+                        _ => matches!(err, RestoreError::ChunkSizeMismatch { .. }),
+                    };
+                    let case = format!("{} {fault} at {bad}: {err}", scheme.name());
+                    assert!(typed, "{case}");
+                    assert!(out.len() <= offset, "{case}: wrote {} bytes", out.len());
+                    assert_eq!(out, expect[..out.len()], "{case}");
+                }
+            }
+        }
+    }
+
+    /// Seeded shuffled plans that repeat fingerprints inside one area, over
+    /// chunks of many sizes in several containers, restore byte-exact under
+    /// every scheme at every area size from one chunk to the whole plan.
+    #[test]
+    fn shuffled_plans_with_repeats_restore_exactly_at_every_area_size() {
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |bound: usize| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 33) as usize % bound
+            };
+            let mut store = MemoryContainerStore::new();
+            let mut chunks = Vec::new();
+            for c in 1..=5 {
+                let mut container = Container::new(ContainerId::new(c), 1 << 16);
+                for i in 0..10 {
+                    let data: Vec<u8> = (0..1 + next(600)).map(|_| next(256) as u8).collect();
+                    let fp = Fingerprint::synthetic(u64::from(c) * 100 + i);
+                    assert!(container.try_add(fp, &data));
+                    chunks.push((
+                        RestoreEntry::new(fp, data.len() as u32, ContainerId::new(c)),
+                        data,
+                    ));
+                }
+                store.write(container).unwrap();
+            }
+            // Few distinct chunks, so each one recurs, often inside one area.
+            let picks: Vec<usize> = (0..60).map(|_| next(20) * chunks.len() / 20).collect();
+            let plan: Vec<RestoreEntry> = picks.iter().map(|&i| chunks[i].0).collect();
+            let expect: Vec<u8> = picks.iter().flat_map(|&i| chunks[i].1.clone()).collect();
+            for area_bytes in [1, 700, 3000, 9000, expect.len()] {
+                let mut schemes = schemes_with_small_areas(area_bytes);
+                schemes.push(Box::new(ContainerLru::new(1)));
+                schemes.push(Box::new(ChunkLru::new(area_bytes)));
+                schemes.push(Box::new(BeladyCache::new(2)));
+                for mut scheme in schemes {
+                    let mut out = Vec::new();
+                    let report = scheme.restore(&plan, &store, &mut out).unwrap();
+                    let case = format!("seed {seed} area {area_bytes} {}", scheme.name());
+                    assert!(out == expect, "{case}");
+                    assert_eq!(report.bytes_restored, expect.len() as u64, "{case}");
+                }
             }
         }
     }

@@ -19,8 +19,10 @@
 //!   `vec![_; n]`) whose size is not structurally constant and has no
 //!   *visible* bound: neither a `.min(..)`/`MAX_*` clamp in the size
 //!   expression nor a `limits`/`MAX_*` check or a `ByteReader::count_within`
-//!   read earlier in the same function. A size read from the bytes without
-//!   such a check lets one corrupt length field allocate gigabytes. (`String::with_capacity` is exempt: decode
+//!   read earlier in the same function, in a statement that also names a
+//!   variable of the size expression (an unrelated `MAX_*` above does not
+//!   count). A size read from the bytes without such a check lets one
+//!   corrupt length field allocate gigabytes. (`String::with_capacity` is exempt: decode
 //!   paths build strings from already-validated byte slices, so a string
 //!   capacity is a hint, not a wire-sized buffer.)
 
@@ -52,6 +54,21 @@ const SIZED_TYPES: [&str; 3] = ["Vec", "HashMap", "HashSet"];
 /// the bytes that remain.
 fn is_bound_ident(text: &str) -> bool {
     matches!(text, "limits" | "Limits" | "min" | "count_within") || text.starts_with("MAX")
+}
+
+/// The variables and fields `toks` names: identifiers that are neither
+/// keywords, primitive types nor called (a method or function name).
+fn size_vars(toks: &[crate::lexer::Tok]) -> Vec<&str> {
+    const NOT_VARS: [&str; 7] = ["as", "self", "Self", "usize", "u32", "u64", "let"];
+    toks.iter()
+        .zip(toks.iter().skip(1).map(Some).chain([None]))
+        .filter(|(t, next)| {
+            t.kind == TokKind::Ident
+                && !NOT_VARS.contains(&t.text.as_str())
+                && !next.is_some_and(|n| n.is_punct("(") || n.is_punct("::"))
+        })
+        .map(|(t, _)| t.text.as_str())
+        .collect()
 }
 
 const NARROW_TARGETS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
@@ -180,11 +197,17 @@ fn scan_allocs(sf: &SourceFile, findings: &mut Vec<Finding>) {
         if visibly_bounded {
             continue;
         }
-        // A bound check earlier in the same function?
+        // A bound check earlier in the same function, in a statement that
+        // names one of the size expression's variables?
+        let sized_by = size_vars(&toks[range.clone()]);
         let checked_in_fn = enclosing_fn(sf, i).is_some_and(|span| {
             toks[span.body_start..i]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && is_bound_ident(&t.text))
+                .split(|t| t.is_punct(";") || t.is_punct("{") || t.is_punct("}"))
+                .any(|stmt| {
+                    stmt.iter()
+                        .any(|t| t.kind == TokKind::Ident && is_bound_ident(&t.text))
+                        && size_vars(stmt).iter().any(|v| sized_by.contains(v))
+                })
         });
         if checked_in_fn {
             continue;
@@ -283,6 +306,17 @@ mod tests {
             let n = r.count_within(\"entries\", 28)?;\n\
             let m = HashMap::with_capacity(n);\n Ok(())\n}\n";
         assert!(scan_src("crates/storage/src/container.rs", counted).is_empty());
+    }
+
+    #[test]
+    fn an_unrelated_bound_earlier_does_not_count() {
+        let src = "fn f(n: usize, limits: &Limits) -> Vec<u8> {\n\
+            let sessions = Table::new(MAX_SESSIONS);\n\
+            if limits.max_frame > 0 { return Vec::new(); }\n\
+            Vec::with_capacity(n + 1)\n}\n";
+        let found = scan_src("crates/server/src/server.rs", src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].rule, found[0].line), ("wire-alloc", 4));
     }
 
     #[test]

@@ -63,6 +63,10 @@ fn wire_fixture_trips_both_wire_rules() {
         stdout.contains("crates/storage/src/lib.rs:10: [wire-alloc/high]"),
         "an unchecked map capacity in an on-disk decoder: {stdout}"
     );
+    assert!(
+        stdout.contains("crates/proto/src/lib.rs:22: [wire-alloc/high]"),
+        "an unrelated `MAX_*` constant above does not bound the allocation: {stdout}"
+    );
 }
 
 #[test]

@@ -12,3 +12,12 @@ pub fn announce(len: usize) -> u32 {
 pub fn reserve(count: usize) -> Vec<u64> {
     Vec::with_capacity(count)
 }
+
+/// Most sessions a table admits; it bounds nothing below.
+pub const MAX_SESSIONS: usize = 64;
+
+/// Allocates from a wire-derived count below an unrelated `MAX_*` bound.
+pub fn reserve_after_an_unrelated_bound(count: usize) -> Vec<u64> {
+    let _sessions = MAX_SESSIONS;
+    Vec::with_capacity(count)
+}
