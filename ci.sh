@@ -137,7 +137,12 @@
 #                                      byte input, larger than one 32 MiB
 #                                      restore area, byte-compared, so the
 #                                      write frontier crosses an area edge
-#                                      into a real file
+#                                      into a real file; then of a copy cut
+#                                      into 1 MiB blocks laid out in reverse,
+#                                      byte-compared, whose new chunks at the
+#                                      block edges arrive ahead of the
+#                                      frontier and are pinned in their
+#                                      container until it reaches them
 #  10. tree round trip             -- backup-tree/restore-tree on a real
 #                                      directory: excludes honoured, full and
 #                                      subtree restores diff clean against
@@ -259,6 +264,15 @@ head -c 40000000 /dev/urandom > "$SERVE_DIR/large.bin"
 ./target/debug/hidestore backup  "$SERVE_REPO" "$SERVE_DIR/large.bin" > /dev/null
 ./target/debug/hidestore restore "$SERVE_REPO" 3 "$SERVE_DIR/large.out" > /dev/null
 cmp "$SERVE_DIR/large.bin" "$SERVE_DIR/large.out"
+# The same bytes in 1 MiB blocks, last block first: the plan interleaves
+# old containers with the new one holding the chunks cut at block edges,
+# so chunks ahead of the write frontier are pinned across containers.
+for block in $(seq 38 -1 0); do
+  dd if="$SERVE_DIR/large.bin" bs=1048576 skip="$block" count=1 status=none
+done > "$SERVE_DIR/reversed.bin"
+./target/debug/hidestore backup  "$SERVE_REPO" "$SERVE_DIR/reversed.bin" > /dev/null
+./target/debug/hidestore restore "$SERVE_REPO" 4 "$SERVE_DIR/reversed.out" > /dev/null
+cmp "$SERVE_DIR/reversed.bin" "$SERVE_DIR/reversed.out"
 trap - EXIT
 rm -rf "$SERVE_DIR"
 

@@ -13,8 +13,9 @@
 //! store read, read count, chunk check and output write, so a report counts
 //! exactly the reads the store served for it, even on a shared store. It
 //! writes each checked chunk straight from the container or cache that
-//! holds it once every earlier position is written, and copies aside only
-//! the chunks that arrive before that. A
+//! holds it once every earlier position is written. A chunk that arrives
+//! before that waits pinned in its container; only a cache hit, or a chunk
+//! of a container the area cannot afford to keep, is copied aside. A
 //! scheme is a policy deciding where an area ends, what it serves from what
 //! it kept, what it keeps of a container just read, and what it changes
 //! once an area is done.
@@ -307,7 +308,8 @@ mod tests {
     use super::test_util::*;
     use super::*;
     use hidestore_storage::{Container, IoStats, MemoryContainerStore};
-    use std::sync::Arc;
+    use std::cell::{Cell, RefCell};
+    use std::sync::{Arc, Weak};
 
     fn all_schemes() -> Vec<Box<dyn RestoreCache>> {
         vec![
@@ -591,6 +593,104 @@ mod tests {
                 "{}",
                 shared.name()
             );
+        }
+    }
+
+    /// A store like a file-backed one: every read hands out a fresh copy of
+    /// the container that nothing else holds. It keeps a `Weak` to each copy
+    /// and, after each read, notes the most bytes and containers alive.
+    struct Unshared {
+        store: MemoryContainerStore,
+        handed: RefCell<Vec<Weak<Container>>>,
+        most_alive: Cell<(usize, usize)>,
+    }
+
+    impl ContainerStore for Unshared {
+        fn write(&mut self, c: Container) -> Result<(), StorageError> {
+            self.store.write(c)
+        }
+        fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError> {
+            let copy = Arc::new(Container::clone(&*self.store.read(id)?));
+            let mut handed = self.handed.borrow_mut();
+            handed.retain(|c| c.strong_count() > 0);
+            handed.push(Arc::downgrade(&copy));
+            let alive = handed.iter().filter_map(Weak::upgrade);
+            let bytes = alive.map(|c| c.used_bytes()).sum::<usize>();
+            let (most_bytes, most) = self.most_alive.get();
+            self.most_alive
+                .set((most_bytes.max(bytes), most.max(handed.len())));
+            Ok(copy)
+        }
+        fn contains(&self, id: ContainerId) -> bool {
+            self.store.contains(id)
+        }
+        fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
+            self.store.remove(id)
+        }
+        fn ids(&self) -> Vec<ContainerId> {
+            self.store.ids()
+        }
+        fn stats(&self) -> IoStats {
+            self.store.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.store.reset_stats()
+        }
+    }
+
+    /// FAA's memory bound holds while chunks are pinned. Restoring from a
+    /// store whose every read is an unshared container, the containers alive
+    /// after any read never hold more than the area's bytes plus one
+    /// container, and the output is byte-exact; so it is from the shared
+    /// store. The interleaved plan spreads each area over all 8 containers
+    /// while an area holds the bytes of 2, so pinning every container read
+    /// ahead of the frontier would break the bound. The other plan is
+    /// sequential but for each container's last chunk swapped with the next
+    /// one's first, so it does pin.
+    #[test]
+    fn pinned_containers_keep_the_area_plus_one_container_bound() {
+        let container_bytes = 16 * 256;
+        let area = 2 * container_bytes;
+        let (_, mut broken, _) = sequential_fixture(8, 16, 256);
+        for c in 0..7 {
+            broken.swap(c * 16 + 15, c * 16 + 16);
+        }
+        let (store, interleaved, _) = interleaved_fixture(8, 16, 256);
+        for (name, plan) in [("interleaved", interleaved), ("broken runs", broken)] {
+            let chunk = |e: &RestoreEntry| {
+                store
+                    .read(e.container)
+                    .unwrap()
+                    .get(&e.fingerprint)
+                    .map(<[u8]>::to_vec)
+            };
+            let expect: Vec<u8> = plan.iter().flat_map(|e| chunk(e).unwrap()).collect();
+            let unshared = Unshared {
+                store: interleaved_fixture(8, 16, 256).0,
+                handed: RefCell::default(),
+                most_alive: Cell::default(),
+            };
+            let schemes: [Box<dyn RestoreCache>; 2] = [
+                Box::new(Faa::new(area)),
+                Box::new(Alacc::new(area, area).with_fixed_split()),
+            ];
+            for mut scheme in schemes {
+                let case = format!("{name} {}", scheme.name());
+                for shared in [true, false] {
+                    let store: &dyn ContainerStore = if shared { &store } else { &unshared };
+                    let mut out = Vec::new();
+                    scheme.restore(&plan, store, &mut out).unwrap();
+                    assert!(out == expect, "{case} shared {shared}");
+                }
+                let (bytes, containers) = unshared.most_alive.take();
+                assert!(
+                    bytes <= area + container_bytes,
+                    "{case}: {bytes} bytes alive"
+                );
+                if name == "broken runs" {
+                    assert!(containers >= 2, "{case}: nothing pinned");
+                }
+            }
         }
     }
 }
