@@ -162,9 +162,9 @@
 #                                      one row builder every scheme's
 #                                      backup stats feed)
 #  11. paper claims (release)       -- the cross-scheme comparison asserted
-#                                      as tests: HiDeStore vs RevDedup vs
-#                                      hybrid vs DDFS restore reads, dedup
-#                                      ratios, and deferred-pass accounting
+#                                      as tests: HiDeStore vs hybrid vs
+#                                      DDFS restore reads, dedup ratios,
+#                                      and deferred-pass accounting
 #  12. hdsbench smoke (release)     -- the benchmark harness builds against
 #                                      the workspace crates and its smoke
 #                                      tests pass, so a program-API change

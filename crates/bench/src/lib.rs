@@ -35,7 +35,7 @@ use hidestore_workloads::{Profile, VersionStream};
 
 /// The binaries `all_experiments` runs, in order: every table and figure
 /// of the evaluation section, then the ablations.
-pub const EXPERIMENTS: [&str; 10] = [
+pub const EXPERIMENTS: [&str; 11] = [
     "table1",
     "fig3",
     "fig8",
@@ -46,6 +46,7 @@ pub const EXPERIMENTS: [&str; 10] = [
     "deletion",
     "fragmentation",
     "ablation",
+    "scheme_compare",
 ];
 
 /// Experiment scale knobs.
@@ -434,9 +435,12 @@ pub struct SchemeCompareRow {
     /// Container reads restoring the newest version through an 8-container
     /// LRU — the same cache for every scheme.
     pub newest_reads: u64,
+    /// Container reads restoring the oldest version through the same
+    /// cache: the old-version side of each scheme's layout trade.
+    pub oldest_reads: u64,
     /// Index lookup requests paid on the backup path (Figure 9's unit):
-    /// the previous recipe's prefetch for HiDeStore, one per segment or
-    /// chunk probe for RevDedup/Hybrid, on-disk index lookups for DDFS.
+    /// the previous recipe's prefetch for HiDeStore, one per chunk probe
+    /// for Hybrid, on-disk index lookups for DDFS.
     pub ingest_lookups: u64,
     /// Wall-clock time ingesting every version.
     pub ingest_time: Duration,
@@ -455,6 +459,7 @@ pub fn run_scheme_comparison(
     profile: Profile,
 ) -> Vec<SchemeCompareRow> {
     let newest = VersionId::new(versions.len() as u32);
+    let oldest = VersionId::new(1);
     let mut rows = Vec::new();
     for mode in DedupMode::ALL {
         let config = scale.hidestore_config(profile).with_scheme(mode);
@@ -475,14 +480,14 @@ pub fn run_scheme_comparison(
             (Duration::ZERO, 0)
         };
         let live = hds.archival().total_live_bytes() + hds.pool().live_bytes();
-        let mut cache = ContainerLru::new(8);
-        let report = hds
-            .restore(newest, &mut cache, &mut std::io::sink())
-            .expect("restore of retained version");
+        let reads = |version| {
+            hds.restore(version, &mut ContainerLru::new(8), &mut std::io::sink())
+                .expect("restore of retained version")
+                .container_reads
+        };
         rows.push(SchemeCompareRow {
             label: match mode {
                 DedupMode::HiDeStore => "HiDeStore",
-                DedupMode::RevDedup => "RevDedup",
                 DedupMode::Hybrid => "Hybrid",
             },
             dedup_ratio: RunStats {
@@ -490,7 +495,8 @@ pub fn run_scheme_comparison(
                 ..run
             }
             .dedup_ratio(),
-            newest_reads: report.container_reads,
+            newest_reads: reads(newest),
+            oldest_reads: reads(oldest),
             ingest_lookups: run.lookup_requests,
             ingest_time,
             pass_time,
@@ -510,14 +516,17 @@ pub fn run_scheme_comparison(
     }
     let ingest_time = t.elapsed();
     let run = pipeline.run_stats();
-    let mut cache = ContainerLru::new(8);
-    let report = pipeline
-        .restore(newest, &mut cache, &mut std::io::sink())
-        .expect("restore of retained version");
+    let reads = |version| {
+        pipeline
+            .restore(version, &mut ContainerLru::new(8), &mut std::io::sink())
+            .expect("restore of retained version")
+            .container_reads
+    };
     rows.push(SchemeCompareRow {
         label: "DDFS",
         dedup_ratio: run.dedup_ratio(),
-        newest_reads: report.container_reads,
+        newest_reads: reads(newest),
+        oldest_reads: reads(oldest),
         ingest_lookups: run.lookup_requests,
         ingest_time,
         pass_time: Duration::ZERO,
@@ -712,17 +721,12 @@ mod tests {
         let versions = workload_versions(Profile::Kernel, scale);
         let rows = run_scheme_comparison(&versions, scale, Profile::Kernel);
         let labels: Vec<&str> = rows.iter().map(|r| r.label).collect();
-        assert_eq!(labels, ["HiDeStore", "RevDedup", "Hybrid", "DDFS"]);
+        assert_eq!(labels, ["HiDeStore", "Hybrid", "DDFS"]);
         for row in &rows {
             assert!(row.newest_reads > 0, "{}: no container reads", row.label);
+            assert!(row.oldest_reads > 0, "{}: no container reads", row.label);
             assert!(row.dedup_ratio > 0.0, "{}: no dedup at all", row.label);
         }
-        // RevDedup's coarse inline pass leaves fine-grained duplicates for
-        // the out-of-line pass to reclaim. (Hybrid dedups against the
-        // previous version inline, so a linearly-evolving workload can
-        // legitimately leave its pass nothing to do.)
-        let rev = rows.iter().find(|r| r.label == "RevDedup").unwrap();
-        assert!(rev.pass_reclaimed > 0, "RevDedup pass reclaimed nothing");
     }
 
     #[test]

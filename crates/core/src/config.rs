@@ -20,35 +20,27 @@ pub const CONFIG_FILE: &str = "config";
 ///   inline against the fingerprint cache (the active pool's hot set),
 ///   with cold chunks demoted into version-tagged archival containers at
 ///   the end of every version.
-/// * [`DedupMode::RevDedup`] — the RevDedup baseline: coarse segment-level
-///   dedup inline (only whole identical segments are suppressed, so the
-///   newest version stays physically sequential), with the remaining
-///   duplicate copies of *older* versions removed by the out-of-line
-///   reverse-deduplication pass ([`crate::HiDeStore::out_of_line_pass`]).
 /// * [`DedupMode::Hybrid`] — hybrid inline/out-of-line dedup: inline
 ///   lookups consult only the previous version's fingerprints (a bounded
-///   memory budget), and the same out-of-line pass later removes whatever
+///   memory budget), and the out-of-line pass later removes whatever
 ///   duplicates the bounded inline index missed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DedupMode {
     /// Exact inline dedup through the fingerprint cache (the paper).
     #[default]
     HiDeStore,
-    /// Segment-level inline dedup + out-of-line reverse dedup (RevDedup).
-    RevDedup,
     /// Bounded inline dedup + exact out-of-line dedup (hybrid).
     Hybrid,
 }
 
 impl DedupMode {
     /// Every mode, HiDeStore first.
-    pub const ALL: [DedupMode; 3] = [DedupMode::HiDeStore, DedupMode::RevDedup, DedupMode::Hybrid];
+    pub const ALL: [DedupMode; 2] = [DedupMode::HiDeStore, DedupMode::Hybrid];
 
     /// The config-file / CLI spelling of this mode.
     pub fn name(self) -> &'static str {
         match self {
             DedupMode::HiDeStore => "hidestore",
-            DedupMode::RevDedup => "revdedup",
             DedupMode::Hybrid => "hybrid",
         }
     }
@@ -57,21 +49,25 @@ impl DedupMode {
     ///
     /// # Errors
     ///
-    /// Returns the offending string when it names no mode.
+    /// Returns the offending string when it names no mode, and says so when
+    /// it names the removed `revdedup` scheme.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "hidestore" => Ok(DedupMode::HiDeStore),
-            "revdedup" => Ok(DedupMode::RevDedup),
             "hybrid" => Ok(DedupMode::Hybrid),
+            "revdedup" => Err(
+                "scheme \"revdedup\" was removed (the remaining schemes are hidestore and hybrid)"
+                    .into(),
+            ),
             other => Err(format!(
-                "unknown scheme {other:?} (expected hidestore, revdedup, or hybrid)"
+                "unknown scheme {other:?} (expected hidestore or hybrid)"
             )),
         }
     }
 
     /// Whether this mode stores chunks directly into version-tagged
-    /// archival containers and relies on the out-of-line pass (RevDedup and
-    /// hybrid) rather than the fingerprint cache + active pool.
+    /// archival containers and relies on the out-of-line pass (hybrid)
+    /// rather than the fingerprint cache + active pool.
     pub fn is_out_of_line(self) -> bool {
         !matches!(self, DedupMode::HiDeStore)
     }
@@ -370,6 +366,9 @@ mod tests {
         // A bad spelling is a config error, not a silent default.
         std::fs::write(dir.join(CONFIG_FILE), "scheme=rev-dedup\n").unwrap();
         assert!(HiDeStoreConfig::load_from(&dir).is_err());
+        // The removed scheme is named as removed, with the two that remain.
+        let err = DedupMode::parse("revdedup").unwrap_err();
+        assert!(err.contains("removed") && err.contains("hidestore") && err.contains("hybrid"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

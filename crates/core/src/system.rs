@@ -204,7 +204,6 @@ pub struct HiDeStore<S> {
     version_stats: Vec<VersionStats>,
     quarantined: Vec<QuarantineEntry>,
     scheme: SchemeState,
-    out_of_line_rewritten_bytes: u64,
     /// Repository-relative artifact files the open found holding nothing
     /// under their own name; the next save removes them (see `persist`).
     stray_files: Vec<String>,
@@ -230,7 +229,6 @@ impl<S: ContainerStore> HiDeStore<S> {
             version_stats: Vec::new(),
             quarantined: Vec::new(),
             scheme: SchemeState::default(),
-            out_of_line_rewritten_bytes: 0,
             stray_files: Vec::new(),
             config,
         }
@@ -280,8 +278,8 @@ impl<S: ContainerStore> HiDeStore<S> {
         spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
     ) -> Result<VersionStats, HiDeStoreError> {
-        // The out-of-line schemes (RevDedup, hybrid) bypass the active
-        // pool entirely and ingest straight into archival containers.
+        // The out-of-line scheme (hybrid) bypasses the active pool
+        // entirely and ingests straight into archival containers.
         if self.config.scheme.is_out_of_line() {
             return self.run_backup_out_of_line(data, spans, fingerprints);
         }
@@ -583,9 +581,9 @@ impl<S: ContainerStore> HiDeStore<S> {
                 newest,
             });
         }
-        // The out-of-line schemes deduplicate newer versions against older
-        // containers inline, so tag-ranged drops would tear live data; they
-        // expire by reference counting whole containers instead.
+        // The hybrid scheme deduplicates newer versions against older
+        // containers inline, so tag-ranged drops would tear live data; it
+        // expires by reference counting whole containers instead.
         if self.config.scheme.is_out_of_line() {
             return self.delete_expired_out_of_line(up_to);
         }
@@ -696,15 +694,6 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// Cumulative statistics: the sum of [`HiDeStore::version_stats`].
     pub fn run_stats(&self) -> RunStats {
         RunStats::of(&self.version_stats)
-    }
-
-    /// Cumulative bytes of surviving chunks *copied* while rebuilding
-    /// containers during [`HiDeStore::out_of_line_pass`] runs. Rewrite
-    /// traffic, not new user data — reported separately so ingest
-    /// accounting stays honest. Like [`HiDeStore::run_stats`], this is a
-    /// per-instance counter, not persisted across reopens.
-    pub fn out_of_line_rewritten_bytes(&self) -> u64 {
-        self.out_of_line_rewritten_bytes
     }
 
     /// Per-version statistics in backup order.
@@ -833,20 +822,15 @@ impl<S: ContainerStore> HiDeStore<S> {
         self.version_stats.push(stats);
     }
 
-    /// The out-of-line schemes' inline-dedup tables (see `scheme`).
+    /// The hybrid scheme's inline-dedup map (see `scheme`).
     pub(crate) fn scheme_state(&self) -> &SchemeState {
         &self.scheme
     }
 
-    /// Re-derives the scheme tables from the newest retained recipe — after
+    /// Re-derives the scheme map from the newest retained recipe — after
     /// every out-of-line backup, maintenance pass, and repository open.
     pub(crate) fn rebuild_scheme_state(&mut self) {
         self.scheme = SchemeState::rebuild(self.config.scheme, &self.recipes);
-    }
-
-    /// Accumulates rewrite traffic from an out-of-line pass.
-    pub(crate) fn add_out_of_line_rewritten_bytes(&mut self, bytes: u64) {
-        self.out_of_line_rewritten_bytes += bytes;
     }
 }
 

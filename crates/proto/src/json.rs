@@ -68,8 +68,7 @@ impl StatsResponse {
     /// Serializes as one line of JSON with a fixed key order:
     /// `{"versions":[{"version":..,"bytes":..,"chunks":..,"cfl":..,
     /// "mean_kib_per_container":..},..],"lost_versions":[..],
-    /// "pool_containers":..,"pool_chunks":..,"pool_live_bytes":..,
-    /// "out_of_line_rewritten_bytes":..}`.
+    /// "pool_containers":..,"pool_chunks":..,"pool_live_bytes":..}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.versions.len() * 80);
         out.push_str("{\"versions\":[");
@@ -96,12 +95,8 @@ impl StatsResponse {
         }
         let _ = write!(
             out,
-            "],\"pool_containers\":{},\"pool_chunks\":{},\"pool_live_bytes\":{},\
-             \"out_of_line_rewritten_bytes\":{}}}",
-            self.pool_containers,
-            self.pool_chunks,
-            self.pool_live_bytes,
-            self.out_of_line_rewritten_bytes
+            "],\"pool_containers\":{},\"pool_chunks\":{},\"pool_live_bytes\":{}}}",
+            self.pool_containers, self.pool_chunks, self.pool_live_bytes
         );
         out
     }
@@ -216,14 +211,12 @@ mod tests {
             pool_containers: 2,
             pool_chunks: 7,
             pool_live_bytes: 4096,
-            out_of_line_rewritten_bytes: 512,
         };
         assert_eq!(
             stats.to_json(),
             "{\"versions\":[{\"version\":1,\"bytes\":100,\"chunks\":3,\
              \"cfl\":0.5000,\"mean_kib_per_container\":12.2500}],\
-             \"lost_versions\":[2,3],\"pool_containers\":2,\"pool_chunks\":7,\"pool_live_bytes\":4096,\
-             \"out_of_line_rewritten_bytes\":512}"
+             \"lost_versions\":[2,3],\"pool_containers\":2,\"pool_chunks\":7,\"pool_live_bytes\":4096}"
         );
     }
 

@@ -24,8 +24,8 @@
 //!
 //! ```text
 //! client                                          server
-//!   | -- HELLO {5,5} ---------------------------------> |
-//!   | <----------------------------- HELLO {5,5} ----- |  (or ERROR unsupported)
+//!   | -- HELLO {6,6} ---------------------------------> |
+//!   | <----------------------------- HELLO {6,6} ----- |  (or ERROR unsupported)
 //!   | -- REQUEST [tenant] BackupResume{token,len} ----> |
 //!   | <------------ RESPONSE BackupAccepted{offset} -- |  (token already
 //!   | -- DATA* (data[offset..]) ----------------------> |   committed: cached
@@ -125,7 +125,6 @@ mod tests {
                 pool_containers: 1,
                 pool_chunks: 2,
                 pool_live_bytes: 4096,
-                out_of_line_rewritten_bytes: 99,
             }),
             Response::PruneOk(PruneSummary {
                 versions_removed: 2,

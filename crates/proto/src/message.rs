@@ -15,7 +15,7 @@ use crate::wire::{ByteReader, ByteWriter, DecodeError};
 /// tenant envelope and every transfer is an idempotent, resumable session.
 /// Both peers offer exactly this version in their [`Hello`]; any other
 /// offered range is refused with [`ErrorCode::Unsupported`].
-pub const PROTO_VERSION: u16 = 5;
+pub const PROTO_VERSION: u16 = 6;
 
 /// A client-generated idempotency token identifying one backup session.
 /// The server dedupes on it: a retried `BackupResume` whose token already
@@ -360,11 +360,6 @@ pub struct StatsResponse {
     pub pool_chunks: u64,
     /// Live bytes in the active pool.
     pub pool_live_bytes: u64,
-    /// Bytes copied by out-of-line (reverse-dedup / recluster-style)
-    /// rewriting since this server or CLI process opened the repository.
-    /// Rewrite traffic, not new user data — counted separately so dedup
-    /// accounting stays honest for the `revdedup`/`hybrid` schemes.
-    pub out_of_line_rewritten_bytes: u64,
 }
 
 /// Outcome of one remote prune.
@@ -544,7 +539,6 @@ impl Response {
                 w.u64(stats.pool_containers);
                 w.u64(stats.pool_chunks);
                 w.u64(stats.pool_live_bytes);
-                w.u64(stats.out_of_line_rewritten_bytes);
             }
             Response::PruneOk(s) => {
                 w.u8(7);
@@ -661,7 +655,6 @@ impl Response {
                     pool_containers: r.u64()?,
                     pool_chunks: r.u64()?,
                     pool_live_bytes: r.u64()?,
-                    out_of_line_rewritten_bytes: r.u64()?,
                 })
             }
             7 => Response::PruneOk(PruneSummary {

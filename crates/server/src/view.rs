@@ -115,7 +115,6 @@ pub fn stats_response<S: ContainerStore>(
         pool_containers: system.pool().container_count() as u64,
         pool_chunks: system.pool().chunk_count() as u64,
         pool_live_bytes: system.pool().live_bytes(),
-        out_of_line_rewritten_bytes: system.out_of_line_rewritten_bytes(),
     })
 }
 

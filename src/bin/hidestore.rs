@@ -14,8 +14,8 @@
 //!                                               some restore would fail
 //! hidestore flatten <repo>                      run Algorithm 1 on the recipe chain
 //! hidestore recluster <repo>                    defragment old versions' archival layout
-//! hidestore dedup-pass <repo>                   run the out-of-line reverse-dedup pass
-//!                                               (revdedup / hybrid schemes)
+//! hidestore dedup-pass <repo>                   run the out-of-line dedup pass
+//!                                               (hybrid scheme)
 //! hidestore stats   <repo> [--json]             per-version fragmentation statistics
 //! hidestore serve   <repo> [--port N] ...       run the daemon until a client shuts it down
 //! ```
@@ -116,7 +116,7 @@ type CliResult = Result<(), CliError>;
 fn print_usage() {
     eprintln!(
         "usage:\n  hidestore init    <repo> [--chunk <bytes>] [--container <bytes>] [--depth <1|2>]\n  \
-         \x20                [--scheme <hidestore|revdedup|hybrid>]\n  \
+         \x20                [--scheme <hidestore|hybrid>]\n  \
          hidestore backup  <repo> <file>\n  \
          hidestore restore <repo> <version> <outfile>\n  \
          hidestore backup-tree  <repo> <dir> [--exclude <glob>]...\n  \
@@ -663,12 +663,6 @@ fn print_stats(stats: &hidestore::proto::StatsResponse) {
         stats.pool_chunks,
         stats.pool_live_bytes as f64 / 1024.0,
     );
-    if stats.out_of_line_rewritten_bytes > 0 {
-        println!(
-            "out-of-line rewrites this session: {} bytes (rewrite traffic, not new data)",
-            stats.out_of_line_rewritten_bytes,
-        );
-    }
 }
 
 fn cmd_prune(repo: &str, keep: &str) -> CliResult {

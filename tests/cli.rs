@@ -590,7 +590,7 @@ fn json_output_schema_is_pinned() {
     assert_eq!(
         String::from_utf8_lossy(&out.stdout).trim(),
         "{\"versions\":[],\"lost_versions\":[],\"pool_containers\":0,\"pool_chunks\":0,\
-         \"pool_live_bytes\":0,\"out_of_line_rewritten_bytes\":0}"
+         \"pool_live_bytes\":0}"
     );
 
     let f = repo.join("input.bin");
@@ -621,9 +621,8 @@ fn json_output_schema_is_pinned() {
     fs::remove_dir_all(&repo).unwrap();
 }
 
-/// `init --scheme`, `dedup-pass`, and the out-of-line byte accounting in
-/// `stats --json`: a reverse-dedup rewrite is rewrite traffic, not new user
-/// data, so it must appear in `out_of_line_rewritten_bytes` and leave the
+/// `init --scheme`, `dedup-pass`, and `stats --json` after the pass: the
+/// pass reports the bytes it rewrote, and a scheme repository leaves the
 /// pool counters untouched.
 #[test]
 fn scheme_lifecycle_with_out_of_line_pass() {
@@ -686,16 +685,12 @@ fn scheme_lifecycle_with_out_of_line_pass() {
     assert_eq!(fs::read(&restored).unwrap(), snapshot_v1);
     assert!(run(&["verify", repo_s]).status.success());
 
-    // Scheme repos bypass the active pool entirely, and the rewrite counter
-    // is per-process (this `stats` invocation did no out-of-line work), so
-    // the trailing fields are exact.
+    // Scheme repos bypass the active pool entirely, so the trailing fields
+    // are exact.
     let out = run(&["stats", repo_s, "--json"]);
     let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
     assert!(
-        text.ends_with(
-            "\"pool_containers\":0,\"pool_chunks\":0,\"pool_live_bytes\":0,\
-             \"out_of_line_rewritten_bytes\":0}"
-        ),
+        text.ends_with("\"pool_containers\":0,\"pool_chunks\":0,\"pool_live_bytes\":0}"),
         "{text}"
     );
 
@@ -715,6 +710,57 @@ fn scheme_lifecycle_with_out_of_line_pass() {
     fs::remove_dir_all(&repo).unwrap();
     fs::remove_dir_all(&other).unwrap();
     let _ = fs::remove_dir_all(&bogus);
+}
+
+/// A repository whose `config` names the removed `revdedup` scheme fails
+/// typed everywhere it is opened: the config loader and the library open
+/// return a config error naming it, `verify` exits non-zero naming it, and
+/// `init --scheme revdedup` is a usage error.
+#[test]
+fn a_removed_scheme_fails_typed() {
+    use hidestore::core::{HiDeStoreError, RepositoryHandle};
+
+    let repo = temp("removed-scheme");
+    let repo_s = repo.to_str().unwrap();
+    assert!(
+        run(&["init", repo_s, "--chunk", "1024", "--container", "16384"])
+            .status
+            .success()
+    );
+    let f = repo.join("input.bin");
+    fs::write(&f, noise(30_000, 13)).unwrap();
+    assert!(run(&["backup", repo_s, f.to_str().unwrap()])
+        .status
+        .success());
+    fs::write(
+        repo.join("config"),
+        "chunk=1024\ncontainer=16384\ndepth=1\nscheme=revdedup\n",
+    )
+    .unwrap();
+
+    let names_it = |msg: &str| msg.contains("revdedup") && msg.contains("removed");
+    match HiDeStoreConfig::load_from(&repo) {
+        Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{msg}"),
+        other => panic!("load_from: {other:?}"),
+    }
+    match RepositoryHandle::open(&repo) {
+        Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{msg}"),
+        Err(e) => panic!("open: {e}"),
+        Ok(_) => panic!("open accepted a removed scheme"),
+    }
+
+    let out = run(&["verify", repo_s]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "verify exited 0");
+    assert!(names_it(&stderr), "{stderr}");
+
+    let fresh = temp("removed-scheme-init");
+    let out = run(&["init", fresh.to_str().unwrap(), "--scheme", "revdedup"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(names_it(&String::from_utf8_lossy(&out.stderr)));
+
+    fs::remove_dir_all(&repo).unwrap();
+    let _ = fs::remove_dir_all(&fresh);
 }
 
 #[test]

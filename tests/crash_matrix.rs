@@ -1,6 +1,6 @@
 //! Crash-consistency matrix: enumerate every filesystem operation in a full
 //! open → backup → save → delete lifecycle (and in the maintenance
-//! lifecycles that add a reverse-dedup or recluster pass), crash at each
+//! lifecycles that add an out-of-line dedup or recluster pass), crash at each
 //! one, reopen, and require the repository to come back *clean* in exactly
 //! one of the states a save boundary could have left — never a torn mix.
 //!
@@ -377,13 +377,13 @@ fn crash_matrix_threaded_backup_variant() {
 }
 
 // ---------------------------------------------------------------------------
-// Offline maintenance passes crashed at every site: the out-of-line schemes'
-// reverse-dedup pass and archival re-clustering. Both write fresh
+// Offline maintenance passes crashed at every site: the hybrid scheme's
+// out-of-line pass and archival re-clustering. Both write fresh
 // containers and defer removing the old ones to the next save.
 // ---------------------------------------------------------------------------
 
 /// Payloads with content recurring after a gap, so the out-of-line pass has
-/// real duplicates to reclaim under both revdedup and hybrid.
+/// real duplicates to reclaim under hybrid.
 fn scheme_payloads() -> Vec<Vec<u8>> {
     let base = noise(24_000, 5);
     let extra = noise(8_000, 6);
@@ -425,7 +425,7 @@ fn recluster_payloads() -> Vec<Vec<u8>> {
 /// The offline pass a maintenance lifecycle runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Pass {
-    /// `out_of_line_pass` (revdedup / hybrid repositories).
+    /// `out_of_line_pass` (hybrid repositories).
     OutOfLine,
     /// `recluster_archival`.
     Recluster,
@@ -517,20 +517,17 @@ fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>
     }
 }
 
-/// The out-of-line lifecycle for both out-of-line schemes.
+/// The out-of-line lifecycle of the hybrid scheme.
 #[test]
 fn crash_matrix_out_of_line_pass_every_site() {
     use hidestore::core::DedupMode;
 
-    for scheme in [DedupMode::RevDedup, DedupMode::Hybrid] {
-        let config = config().with_scheme(scheme);
-        sweep_pass_every_site(
-            &format!("oop-{scheme}"),
-            config,
-            &scheme_payloads(),
-            Pass::OutOfLine,
-        );
-    }
+    sweep_pass_every_site(
+        "oop-hybrid",
+        config().with_scheme(DedupMode::Hybrid),
+        &scheme_payloads(),
+        Pass::OutOfLine,
+    );
 }
 
 /// The recluster lifecycle: committed containers are never overwritten, so

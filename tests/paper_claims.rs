@@ -327,59 +327,6 @@ fn live_bytes(hds: &HiDeStore<MemoryContainerStore>) -> u64 {
     hds.archival().total_live_bytes() + hds.pool().live_bytes()
 }
 
-/// RevDedup's headline claim (Ng & Lee): writing each backup's segments
-/// near-sequentially makes the *newest* version at least as cheap to
-/// restore as the DDFS baseline's fragmented layout — at the same restore
-/// scheme and cache budget.
-#[test]
-fn revdedup_newest_reads_at_most_ddfs_at_equal_cache() {
-    use hidestore::restore::ContainerLru;
-
-    let versions = kernel_versions(12);
-    let newest = VersionId::new(versions.len() as u32);
-
-    let mut rev = HiDeStore::new(
-        hds_config().with_scheme(DedupMode::RevDedup),
-        MemoryContainerStore::new(),
-    );
-    for v in &versions {
-        rev.backup(v).unwrap();
-    }
-    let mut ddfs = BackupPipeline::new(
-        pipeline_config(),
-        DdfsIndex::new(),
-        NoRewrite::new(),
-        MemoryContainerStore::new(),
-    );
-    for v in &versions {
-        ddfs.backup(v).unwrap();
-    }
-
-    for capacity in [2usize, 8] {
-        let rev_reads = rev
-            .restore(
-                newest,
-                &mut ContainerLru::new(capacity),
-                &mut std::io::sink(),
-            )
-            .unwrap()
-            .container_reads;
-        let ddfs_reads = ddfs
-            .restore(
-                newest,
-                &mut ContainerLru::new(capacity),
-                &mut std::io::sink(),
-            )
-            .unwrap()
-            .container_reads;
-        assert!(
-            rev_reads <= ddfs_reads,
-            "cache {capacity}: RevDedup newest-version reads {rev_reads} must \
-             not exceed DDFS {ddfs_reads}"
-        );
-    }
-}
-
 /// The hybrid scheme's bargain: defer fine-grained dedup to the out-of-line
 /// pass, then land within 5% of inline HiDeStore's physical footprint —
 /// both are exact single-copy stores once the pass has run.
@@ -431,78 +378,32 @@ fn hybrid_post_pass_ratio_within_five_percent_of_hidestore() {
     }
 }
 
-/// The cost ledger across schemes: HiDeStore's inline lookups stay flat
-/// *and* it owes no out-of-line debt, while RevDedup buys its cheap ingest
-/// (fewer, coarser lookups) by paying a real reverse-dedup pass later.
-#[test]
-fn revdedup_defers_cost_hidestore_does_not() {
-    let versions = kernel_versions(8);
-
-    let mut rev = HiDeStore::new(
-        hds_config().with_scheme(DedupMode::RevDedup),
-        MemoryContainerStore::new(),
-    );
-    let mut inline = HiDeStore::new(hds_config(), MemoryContainerStore::new());
-    for v in &versions {
-        rev.backup(v).unwrap();
-        inline.backup(v).unwrap();
-    }
-
-    // RevDedup's inline lookups are segment-granular: far fewer probes than
-    // chunks ingested (segments average 8 chunks), and flat across versions
-    // — bounded by the stream, not the store.
-    let rev_rows = rev.version_stats();
-    let last = versions.len() - 1;
-    assert!(
-        rev_rows[last].lookup_requests * 4 < rev_rows[last].chunks,
-        "segment lookups {} must be far coarser than {} chunks",
-        rev_rows[last].lookup_requests,
-        rev_rows[last].chunks
-    );
-    assert!(rev_rows[last].lookup_requests <= rev_rows[2].lookup_requests * 2);
-
-    // The deferred bill: RevDedup's pass reclaims real bytes and rewrites
-    // containers; inline HiDeStore has no such pass to run.
-    let rev_before = live_bytes(&rev);
-    let report = rev.out_of_line_pass().unwrap();
-    assert!(
-        report.bytes_reclaimed > 0 && report.rewritten_bytes > 0,
-        "RevDedup must owe an out-of-line debt: {report:?}"
-    );
-    assert!(live_bytes(&rev) < rev_before);
-    assert!(
-        inline.out_of_line_pass().is_err(),
-        "inline HiDeStore has no out-of-line pass"
-    );
-}
-
-/// Restore correctness is scheme- and front-end-independent: RevDedup and
-/// hybrid repositories built from versions below, at, and above the
+/// Restore correctness is scheme- and front-end-independent: hybrid
+/// repositories built from versions below, at, and above the
 /// inline/staged crossover all restore every version byte-identical.
 #[test]
 fn new_schemes_restore_byte_identical_across_input_sizes() {
-    for scheme in [DedupMode::RevDedup, DedupMode::Hybrid] {
-        for bytes in [256 << 10, STAGED_MIN_BYTES, 2 << 20] {
-            let versions =
-                VersionStream::new(Profile::Kernel.spec().scaled(bytes, 6), 42).all_versions();
-            let mut hds = HiDeStore::new(
-                hds_config().with_scheme(scheme),
-                MemoryContainerStore::new(),
-            );
-            for v in &versions {
-                hds.backup(v).unwrap();
-            }
-            hds.out_of_line_pass().unwrap();
-            for (i, data) in versions.iter().enumerate() {
-                let mut out = Vec::new();
-                hds.restore(
-                    VersionId::new(i as u32 + 1),
-                    &mut Faa::new(FAA_AREA),
-                    &mut out,
-                )
-                .unwrap();
-                assert_eq!(&out, data, "{scheme} {bytes} B V{}", i + 1);
-            }
+    let scheme = DedupMode::Hybrid;
+    for bytes in [256 << 10, STAGED_MIN_BYTES, 2 << 20] {
+        let versions =
+            VersionStream::new(Profile::Kernel.spec().scaled(bytes, 6), 42).all_versions();
+        let mut hds = HiDeStore::new(
+            hds_config().with_scheme(scheme),
+            MemoryContainerStore::new(),
+        );
+        for v in &versions {
+            hds.backup(v).unwrap();
+        }
+        hds.out_of_line_pass().unwrap();
+        for (i, data) in versions.iter().enumerate() {
+            let mut out = Vec::new();
+            hds.restore(
+                VersionId::new(i as u32 + 1),
+                &mut Faa::new(FAA_AREA),
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(&out, data, "{scheme} {bytes} B V{}", i + 1);
         }
     }
 }

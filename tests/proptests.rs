@@ -547,73 +547,71 @@ fn random_operation_sequences_audit_clean() {
 }
 
 /// Random interleavings of backup / out-of-line pass / delete_expired under
-/// the out-of-line schemes (revdedup, hybrid): every surviving version
-/// restores byte-exact after every operation and the auditor never reports
-/// an error, no matter where the reverse-deduplication pass lands in the
-/// sequence.
+/// the out-of-line (hybrid) scheme: every surviving version restores
+/// byte-exact after every operation and the auditor never reports an
+/// error, no matter where the out-of-line pass lands in the sequence.
 #[test]
 fn out_of_line_schemes_survive_random_interleavings() {
     use hidestore::core::DedupMode;
     use hidestore::fsck::Severity;
 
     cases(5, 0x10, |rng| {
-        for scheme in [DedupMode::RevDedup, DedupMode::Hybrid] {
-            let seed_len = rng.gen_range(2_000usize..20_000);
-            let mut current = version_history(seed_len, &[]).remove(0);
-            let mut hds = HiDeStore::new(
-                hds_config().with_scheme(scheme),
-                MemoryContainerStore::new(),
-            );
-            hds.backup(&current).unwrap();
-            let mut originals = std::collections::BTreeMap::new();
-            originals.insert(1u32, current.clone());
-            let mut newest = 1u32;
-            for step in 0..rng.gen_range(4usize..9) {
-                match rng.gen_range(0usize..4) {
-                    // Backup a mutated next version (weighted: half the ops).
-                    0 | 1 => {
-                        current = apply(current, &random_edit(rng));
-                        hds.backup(&current).unwrap();
-                        newest += 1;
-                        originals.insert(newest, current.clone());
-                    }
-                    // Reverse-deduplicate older versions against the newest.
-                    2 => {
-                        hds.out_of_line_pass()
-                            .unwrap_or_else(|e| panic!("{scheme}: pass failed: {e}"));
-                    }
-                    // Expire a random prefix, when one exists.
-                    _ => {
-                        let oldest = *originals.keys().next().unwrap();
-                        if oldest < newest {
-                            let up_to = rng.gen_range(oldest..newest);
-                            hds.delete_expired(VersionId::new(up_to)).unwrap();
-                            originals.retain(|&v, _| v > up_to);
-                        }
+        let scheme = DedupMode::Hybrid;
+        let seed_len = rng.gen_range(2_000usize..20_000);
+        let mut current = version_history(seed_len, &[]).remove(0);
+        let mut hds = HiDeStore::new(
+            hds_config().with_scheme(scheme),
+            MemoryContainerStore::new(),
+        );
+        hds.backup(&current).unwrap();
+        let mut originals = std::collections::BTreeMap::new();
+        originals.insert(1u32, current.clone());
+        let mut newest = 1u32;
+        for step in 0..rng.gen_range(4usize..9) {
+            match rng.gen_range(0usize..4) {
+                // Backup a mutated next version (weighted: half the ops).
+                0 | 1 => {
+                    current = apply(current, &random_edit(rng));
+                    hds.backup(&current).unwrap();
+                    newest += 1;
+                    originals.insert(newest, current.clone());
+                }
+                // Deduplicate older versions against the newest.
+                2 => {
+                    hds.out_of_line_pass()
+                        .unwrap_or_else(|e| panic!("{scheme}: pass failed: {e}"));
+                }
+                // Expire a random prefix, when one exists.
+                _ => {
+                    let oldest = *originals.keys().next().unwrap();
+                    if oldest < newest {
+                        let up_to = rng.gen_range(oldest..newest);
+                        hds.delete_expired(VersionId::new(up_to)).unwrap();
+                        originals.retain(|&v, _| v > up_to);
                     }
                 }
-                let report = SystemAuditor::new().audit(&hds);
-                assert_eq!(
-                    report.count(Severity::Error),
-                    0,
-                    "{scheme}: audit errors after step {step} (newest V{newest}):\n{:#?}",
-                    report.findings
-                );
-                // One random survivor restores exactly after every operation.
-                let pick = rng.gen_range(0usize..originals.len());
-                let (&v, expect) = originals.iter().nth(pick).unwrap();
-                let mut out = Vec::new();
-                hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                    .unwrap_or_else(|e| panic!("{scheme}: restore V{v} failed: {e}"));
-                assert_eq!(&out, expect, "{scheme}: V{v} differs after step {step}");
             }
-            // Epilogue: every survivor restores exactly one more time.
-            for (&v, expect) in &originals {
-                let mut out = Vec::new();
-                hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                    .unwrap();
-                assert_eq!(&out, expect, "{scheme}: final V{v} differs");
-            }
+            let report = SystemAuditor::new().audit(&hds);
+            assert_eq!(
+                report.count(Severity::Error),
+                0,
+                "{scheme}: audit errors after step {step} (newest V{newest}):\n{:#?}",
+                report.findings
+            );
+            // One random survivor restores exactly after every operation.
+            let pick = rng.gen_range(0usize..originals.len());
+            let (&v, expect) = originals.iter().nth(pick).unwrap();
+            let mut out = Vec::new();
+            hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                .unwrap_or_else(|e| panic!("{scheme}: restore V{v} failed: {e}"));
+            assert_eq!(&out, expect, "{scheme}: V{v} differs after step {step}");
+        }
+        // Epilogue: every survivor restores exactly one more time.
+        for (&v, expect) in &originals {
+            let mut out = Vec::new();
+            hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                .unwrap();
+            assert_eq!(&out, expect, "{scheme}: final V{v} differs");
         }
     });
 }

@@ -7,7 +7,7 @@
 //!   runs the way the CLI would, one open + operation + save per step:
 //!   8 workload versions (kernel at history depth 1; HiDeStore also runs
 //!   macos at depth 2, the paper's setting for skip-a-version data), a tree backup whose source has explicit modes and
-//!   mtimes, prune, flatten, recluster and (out-of-line schemes) the
+//!   mtimes, prune, flatten, recluster and (hybrid) the
 //!   out-of-line pass. After every step the SHA-1 of the sorted list of
 //!   (relative path, bytes) of the whole repository must equal the recorded
 //!   constant. A change that must not move bytes leaves every constant
@@ -254,28 +254,6 @@ const HIDESTORE_DEPTH_2: &[(&str, &str)] = &[
 #[test]
 fn hidestore_depth_2_lifecycle_writes_the_recorded_bytes() {
     lifecycle(DedupMode::HiDeStore, 2, Profile::Macos, HIDESTORE_DEPTH_2);
-}
-
-const REVDEDUP: &[(&str, &str)] = &[
-    ("init", "fcd66c05088df4326d7d07acd60c2344722a5a05"),
-    ("backup V1", "990dd97cf811ac20a591cc7ae09155caf0ddca53"),
-    ("backup V2", "e9a01bbf76ddc7b31c96d944b0aebced7e3c3573"),
-    ("backup V3", "7e7ddba868d4029e0ef24f782f20aba4e68fdab8"),
-    ("backup V4", "3523d563c21f87dbae1ca07b97501558c1f543f3"),
-    ("backup V5", "d9011a95c749e140eeb52231f19484e5f0eeef1b"),
-    ("backup V6", "cddec3b0f0a160a62738331a06cd488d61cdf76f"),
-    ("backup V7", "9ed5019d013e0fb8dbda6b83209960d328c37b46"),
-    ("backup V8", "d5aba5a456531aafa332e8d7da2208c07cfa3744"),
-    ("backup-tree V9", "6f5907ace1addc0c1148f7c3d6c7d0ad7cedb3f7"),
-    ("prune 6", "dc26ede612f6d3ced413c68f97d000730cc3587c"),
-    ("flatten", "dc26ede612f6d3ced413c68f97d000730cc3587c"),
-    ("recluster", "5a5b5b72620563b04ad006207afd9f17793da60f"),
-    ("dedup-pass", "9f67b0004d1a68c53ca4b15b1151c8e4d978a144"),
-];
-
-#[test]
-fn revdedup_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::RevDedup, 1, Profile::Kernel, REVDEDUP);
 }
 
 const HYBRID: &[(&str, &str)] = &[
