@@ -424,7 +424,7 @@ pub fn run_restore_scheme(
 
 /// One scheme's row in the cross-scheme comparison (DESIGN.md §14): where
 /// each design pays its deduplication cost — inline on the backup path
-/// (DDFS, HiDeStore) or deferred to an out-of-line pass (RevDedup, Hybrid).
+/// (DDFS, HiDeStore) or deferred to an out-of-line pass (Hybrid).
 #[derive(Debug, Clone)]
 pub struct SchemeCompareRow {
     /// Display label.
