@@ -130,7 +130,13 @@
 #                                      two remote restores racing a second
 #                                      remote backup on the one open
 #                                      repository, both byte-compared and
-#                                      V2 listed; graceful shutdown, then a
+#                                      V2 listed; a third remote backup of
+#                                      V1 with a byte prepended and 100 000
+#                                      bytes cut from its middle (chunks the
+#                                      daemon's pool holds are predicted,
+#                                      the edits rescanned), restored
+#                                      remotely and byte-compared; graceful
+#                                      shutdown, then a
 #                                      local `verify --json` with zero
 #                                      findings of any severity; then a local
 #                                      backup and restore of a 40 000 000-
@@ -255,6 +261,14 @@ wait "$RACE2"
 cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race1.bin"
 cmp "$SERVE_DIR/input.bin" "$SERVE_DIR/race2.bin"
 ./target/debug/hidestore list    --remote "$ADDR" --json | grep -q '"version":2'
+# V3 through the same running daemon: V1 with one byte prepended and
+# 100 000 bytes cut from its middle. The daemon's front end emits the
+# chunks its pool already holds without scanning or hashing them and
+# scans across both edits; the remote restore must byte-compare.
+{ printf 'x'; head -c 4450000 "$SERVE_DIR/input.bin"; tail -c +4550001 "$SERVE_DIR/input.bin"; } > "$SERVE_DIR/input3.bin"
+./target/debug/hidestore backup  --remote "$ADDR" "$SERVE_DIR/input3.bin" > /dev/null
+./target/debug/hidestore restore --remote "$ADDR" 3 "$SERVE_DIR/output3.bin" > /dev/null
+cmp "$SERVE_DIR/input3.bin" "$SERVE_DIR/output3.bin"
 ./target/debug/hidestore shutdown --remote "$ADDR"
 wait "$SERVE_PID"
 ./target/debug/hidestore verify "$SERVE_REPO" --json | grep -q '"clean": true'
@@ -262,7 +276,7 @@ wait "$SERVE_PID"
 # restored locally into a real file across the area edge.
 head -c 40000000 /dev/urandom > "$SERVE_DIR/large.bin"
 ./target/debug/hidestore backup  "$SERVE_REPO" "$SERVE_DIR/large.bin" > /dev/null
-./target/debug/hidestore restore "$SERVE_REPO" 3 "$SERVE_DIR/large.out" > /dev/null
+./target/debug/hidestore restore "$SERVE_REPO" 4 "$SERVE_DIR/large.out" > /dev/null
 cmp "$SERVE_DIR/large.bin" "$SERVE_DIR/large.out"
 # The same bytes in 1 MiB blocks, last block first: the plan interleaves
 # old containers with the new one holding the chunks cut at block edges,
@@ -271,7 +285,7 @@ for block in $(seq 38 -1 0); do
   dd if="$SERVE_DIR/large.bin" bs=1048576 skip="$block" count=1 status=none
 done > "$SERVE_DIR/reversed.bin"
 ./target/debug/hidestore backup  "$SERVE_REPO" "$SERVE_DIR/reversed.bin" > /dev/null
-./target/debug/hidestore restore "$SERVE_REPO" 4 "$SERVE_DIR/reversed.out" > /dev/null
+./target/debug/hidestore restore "$SERVE_REPO" 5 "$SERVE_DIR/reversed.out" > /dev/null
 cmp "$SERVE_DIR/reversed.bin" "$SERVE_DIR/reversed.out"
 trap - EXIT
 rm -rf "$SERVE_DIR"

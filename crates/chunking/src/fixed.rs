@@ -52,6 +52,11 @@ impl Chunker for FixedChunker {
     fn max_size(&self) -> usize {
         self.size
     }
+
+    /// A whole block: every stream that begins with it is cut there.
+    fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        chunk.len() == self.size
+    }
 }
 
 #[cfg(test)]

@@ -70,6 +70,22 @@ pub trait Chunker {
 
     /// Resets any internal state so the chunker can process a new stream.
     fn reset(&mut self) {}
+
+    /// Whether `chunk` ends at a cut whatever follows it: given that this
+    /// chunker once returned `chunk.len()` for a stream beginning with
+    /// `chunk` (at a chunk boundary of some stream), `true` promises that
+    /// [`Chunker::next_chunk_len`] returns `chunk.len()` for *every* stream
+    /// that begins with `chunk`, including `chunk` alone as a tail.
+    ///
+    /// The ingest front end relies on it to emit a chunk it already holds
+    /// without scanning for the cut (DESIGN.md §8.6), so it must never be
+    /// `true` wrongly; `false` only costs that shortcut. The default is
+    /// `false`. The answer is meaningful only for chunks this chunker cut:
+    /// bytes of unknown origin prove nothing.
+    fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        let _ = chunk;
+        false
+    }
 }
 
 impl<T: Chunker + ?Sized> Chunker for Box<T> {
@@ -87,6 +103,10 @@ impl<T: Chunker + ?Sized> Chunker for Box<T> {
 
     fn reset(&mut self) {
         (**self).reset()
+    }
+
+    fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        (**self).cut_confirmed(chunk)
     }
 }
 
@@ -291,6 +311,75 @@ mod tests {
                 (1024..=16384).contains(&avg),
                 "{kind}: average {avg} too far from 4096"
             );
+        }
+    }
+
+    /// Every chunk `chunk_spans` emits over seeded noise that
+    /// `cut_confirmed` accepts is cut at its own length whatever follows:
+    /// random suffixes, its own continuation, or nothing (a tail). TTTD and
+    /// Rabin at averages whose `min_size` falls below and above the 48-byte
+    /// window, and Fixed; FastCDC and AE confirm nothing.
+    #[test]
+    fn confirmed_cuts_hold_whatever_follows() {
+        let mut chunkers: Vec<(String, Box<dyn Chunker>)> = Vec::new();
+        for avg in [64, 100, 1015, 4096, 8192, 65536] {
+            chunkers.push((format!("tttd {avg}"), Box::new(TttdChunker::new(avg))));
+            chunkers.push((format!("rabin {avg}"), Box::new(RabinChunker::new(avg))));
+        }
+        chunkers.push(("fixed 1000".into(), Box::new(FixedChunker::new(1000))));
+        for (seed, (label, mut chunker)) in (1..).zip(chunkers) {
+            let (min, max) = (chunker.min_size(), chunker.max_size());
+            let data = pseudo_random((300 * min).clamp(100_000, 2_000_000), seed);
+            let suffixes = pseudo_random(3 * max, seed + 1000);
+            let spans = chunk_spans(chunker.as_mut(), &data);
+            let mut confirmed = 0;
+            for (i, span) in spans.iter().enumerate() {
+                let chunk = &data[span.clone()];
+                if !chunker.cut_confirmed(chunk) {
+                    continue;
+                }
+                confirmed += 1;
+                let len = chunk.len();
+                let mut followed = chunk.to_vec();
+                for (k, suffix_len) in [1, 47, 48, max].into_iter().enumerate() {
+                    let at = (i * 7 + k * max) % (2 * max);
+                    followed.truncate(len);
+                    followed.extend_from_slice(&suffixes[at..at + suffix_len]);
+                    assert_eq!(
+                        chunker.next_chunk_len(&followed),
+                        len,
+                        "{label}: chunk {i} + {suffix_len} random bytes"
+                    );
+                }
+                assert_eq!(
+                    chunker.next_chunk_len(&data[span.start..]),
+                    len,
+                    "{label}: chunk {i} in its stream"
+                );
+                assert_eq!(
+                    chunker.next_chunk_len(chunk),
+                    len,
+                    "{label}: chunk {i} alone"
+                );
+            }
+            // Noise cuts mostly on the main divisor: the check has cases.
+            assert!(
+                confirmed * 2 > spans.len(),
+                "{label}: {confirmed}/{}",
+                spans.len()
+            );
+            // More bytes can always move the end of a tail below min_size.
+            assert!(
+                !chunker.cut_confirmed(&data[..min - 1]),
+                "{label}: a short tail"
+            );
+        }
+        let data = pseudo_random(1_000_000, 99);
+        for kind in [ChunkerKind::FastCdc, ChunkerKind::Ae] {
+            let mut chunker = kind.build(4096);
+            for span in chunk_spans(chunker.as_mut(), &data) {
+                assert!(!chunker.cut_confirmed(&data[span]), "{kind}");
+            }
         }
     }
 

@@ -73,6 +73,10 @@ impl Chunker for RabinChunker {
     fn max_size(&self) -> usize {
         self.scan.max_size()
     }
+
+    fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        self.scan.cut_confirmed(chunk)
+    }
 }
 
 #[cfg(test)]

@@ -244,6 +244,28 @@ impl CutScan {
         }
     }
 
+    /// Whether a chunk this scan emitted whole from a boundary is cut at
+    /// its own length in every stream that begins with it: it is longer
+    /// than `min_size`, no longer than `max_size`, and the window ending at
+    /// its last byte main-matches.
+    ///
+    /// The fingerprint at a position depends only on the bytes before it
+    /// (`warm` of the last `DEFAULT_WINDOW` of them, or of all of them
+    /// when fewer), so a stream beginning with the chunk has the same
+    /// fingerprints up to its end. The chunk was emitted whole, so none of
+    /// them main-matched before its end; its end main-matches and is within
+    /// `limit`, so the scan cuts there, before any backup or forced cut and
+    /// before the tail rule. A backup, forced or tail cut has no such
+    /// guarantee: more bytes can move it.
+    pub(crate) fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        let len = chunk.len();
+        len > self.min_size
+            && len <= self.max_size
+            && self
+                .main
+                .matches(warm(&chunk[len.saturating_sub(DEFAULT_WINDOW)..]))
+    }
+
     /// `test` maps a fingerprint to (main-divisor match, backup-divisor
     /// match); one copy of the loop is compiled per divisor arrangement.
     ///

@@ -72,6 +72,10 @@ impl Chunker for TttdChunker {
     fn max_size(&self) -> usize {
         self.scan.max_size()
     }
+
+    fn cut_confirmed(&self, chunk: &[u8]) -> bool {
+        self.scan.cut_confirmed(chunk)
+    }
 }
 
 #[cfg(test)]

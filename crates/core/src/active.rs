@@ -47,6 +47,9 @@ struct HotChunk {
     seen: u32,
     /// The chunk's first position in version `seen`'s stream.
     rank: u32,
+    /// Whether this instance's ingest front end cut and fingerprinted the
+    /// pooled bytes (see [`ActivePool::known`]); never set on load.
+    known: bool,
 }
 
 /// The pool of active containers holding the hot chunks of recent versions.
@@ -159,6 +162,20 @@ impl ActivePool {
     /// stream, returning the active container ID now holding it. If the
     /// fingerprint is already pooled, returns its existing location.
     pub fn add(&mut self, fp: Fingerprint, data: &[u8], version: VersionId, rank: u32) -> u32 {
+        self.insert(fp, data, version, rank, false)
+    }
+
+    /// [`ActivePool::add`], recording whether the ingest front end of this
+    /// instance just cut and fingerprinted `data` (see
+    /// [`ActivePool::known`]).
+    pub(crate) fn insert(
+        &mut self,
+        fp: Fingerprint,
+        data: &[u8],
+        version: VersionId,
+        rank: u32,
+        known: bool,
+    ) -> u32 {
         if let Some(chunk) = self.hot.get(&fp) {
             return chunk.cid;
         }
@@ -170,9 +187,38 @@ impl ActivePool {
                 size: data.len() as u32,
                 seen: version.get(),
                 rank,
+                known,
             },
         );
         cid
+    }
+
+    /// Records that the ingest front end just cut `data` and fingerprinted
+    /// it as `fp`: a pooled `fp` whose pooled bytes equal `data` becomes
+    /// known. Pooled bytes that differ (a corrupt container loaded at open)
+    /// stay unknown.
+    pub(crate) fn vouch(&mut self, fp: &Fingerprint, data: &[u8]) {
+        let Some(chunk) = self.hot.get_mut(fp) else {
+            return;
+        };
+        if !chunk.known {
+            let pooled = self.containers.get(&chunk.cid).and_then(|c| c.get(fp));
+            chunk.known = pooled == Some(data);
+        }
+    }
+
+    /// The known pooled chunks as `(fingerprint, bytes)`, in unspecified
+    /// order: those whose bytes this instance's ingest front end cut and
+    /// fingerprinted itself — added by `HiDeStore::backup`, or found equal
+    /// to a chunk it had just scanned and hashed. Chunks loaded at open, or
+    /// added by [`ActivePool::add`] or `HiDeStore::backup_trace`, are not
+    /// known until then, so no pooled byte of unknown origin can steer a
+    /// cut or a fingerprint (DESIGN.md §8.6).
+    pub(crate) fn known(&self) -> impl Iterator<Item = (Fingerprint, &[u8])> + '_ {
+        self.hot
+            .iter()
+            .filter(|(_, chunk)| chunk.known)
+            .filter_map(|(fp, chunk)| Some((*fp, self.containers.get(&chunk.cid)?.get(fp)?)))
     }
 
     /// Writes a chunk's bytes into the open container, opening a new one
@@ -418,6 +464,7 @@ impl ActivePool {
                     size,
                     seen: 0,
                     rank: 0,
+                    known: false,
                 };
                 pool.hot.insert(fp, chunk);
             }

@@ -9,7 +9,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use hidestore_chunking::Chunker;
-use hidestore_dedup::{RunStats, VersionStats};
+use hidestore_dedup::{KnownChunks, RunStats, VersionStats};
 use hidestore_hash::Fingerprint;
 use hidestore_restore::{
     RestoreCache, RestoreConcurrency, RestoreEntry, RestoreError, RestoreReport,
@@ -246,10 +246,14 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// Fails if the archival store rejects a write.
     pub fn backup(&mut self, data: &[u8]) -> Result<VersionStats, HiDeStoreError> {
         // The shared front end: inline or staged by core count and input
-        // size, the same spans and fingerprints either way.
+        // size, the same spans and fingerprints either way. The pooled
+        // chunks this instance cut and fingerprinted itself are emitted
+        // without a scan or a hash where the stream repeats them; an
+        // out-of-line scheme pools nothing, so it scans everything.
+        let known = KnownChunks::new(self.chunker.as_ref(), self.pool.known());
         let (spans, fingerprints) =
-            hidestore_dedup::chunk_fingerprints(data, self.chunker.as_mut());
-        self.run_backup(data, &spans, &fingerprints)
+            hidestore_dedup::chunk_fingerprints_known(data, self.chunker.as_mut(), &known);
+        self.run_backup(data, &spans, &fingerprints, true)
     }
 
     // Exists only because `hdsbench/src/stream.rs` (frozen) replays ingest
@@ -267,16 +271,19 @@ impl<S: ContainerStore> HiDeStore<S> {
             spans.push(end..end + size as usize);
             end += size as usize;
         }
-        self.run_backup(&vec![0; end], &spans, &fingerprints)
+        self.run_backup(&vec![0; end], &spans, &fingerprints, false)
     }
 
     /// Ingests one version: chunk `i` is `data[spans[i]]`, fingerprinted
-    /// as `fingerprints[i]`.
+    /// as `fingerprints[i]`. `cut_here` says this instance's front end cut
+    /// and fingerprinted `data` with its own chunker, so the pooled chunks
+    /// holding those bytes become known (see [`ActivePool::known`]).
     fn run_backup(
         &mut self,
         data: &[u8],
         spans: &[Range<usize>],
         fingerprints: &[Fingerprint],
+        cut_here: bool,
     ) -> Result<VersionStats, HiDeStoreError> {
         // The out-of-line scheme (hybrid) bypasses the active pool
         // entirely and ingests straight into archival containers.
@@ -302,10 +309,13 @@ impl<S: ContainerStore> HiDeStore<S> {
         // compaction packs in the order this version first held them.
         for (i, (&fp, span)) in (0u32..).zip(fingerprints.iter().zip(spans)) {
             let size = span.len() as u32;
+            let bytes = &data[span.clone()];
             if self.pool.classify(fp, version, i) == Classification::Unique {
-                self.pool.add(fp, &data[span.clone()], version, i);
+                self.pool.insert(fp, bytes, version, i, cut_here);
                 stored_bytes += u64::from(size);
                 stored_chunks += 1;
+            } else if cut_here {
+                self.pool.vouch(&fp, bytes);
             }
             recipe.push(RecipeEntry::new(fp, size, Cid::ACTIVE));
         }
@@ -968,8 +978,9 @@ pub fn write_staged<T, E: From<io::Error>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hidestore_chunking::ChunkerKind;
     use hidestore_restore::{Alacc, ContainerLru, Faa};
-    use hidestore_storage::MemoryContainerStore;
+    use hidestore_storage::{MemoryContainerStore, RepoFile};
 
     fn noise(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1263,5 +1274,148 @@ mod tests {
         // fast machines, but cold demotion happened so moves were real).
         assert!(s2.cold_chunks > 0);
         assert!(s2.chunk_move_time.as_nanos() > 0);
+    }
+
+    /// Everything an ingest leaves behind: recipes, the pool's containers
+    /// and the archival containers, as encoded bytes.
+    type State = (
+        Vec<Recipe>,
+        Vec<(u32, Vec<u8>)>,
+        Vec<(ContainerId, Vec<u8>)>,
+    );
+
+    fn state<S: ContainerStore>(hds: &HiDeStore<S>) -> State {
+        let pool = hds.pool().containers().map(|(cid, c)| (cid, c.encode()));
+        let archival = hds.archival().ids().into_iter().map(|id| {
+            let c = hds.archival().read(id).unwrap();
+            (id, c.encode())
+        });
+        (
+            hds.recipes().iter().cloned().collect(),
+            pool.collect(),
+            archival.collect(),
+        )
+    }
+
+    /// Ingests `data` cut and hashed by the reference front end, with
+    /// nothing known and nothing vouched for.
+    fn reference_backup<S: ContainerStore>(hds: &mut HiDeStore<S>, data: &[u8]) {
+        let spans = hidestore_chunking::chunk_spans(hds.chunker.as_mut(), data);
+        let fps: Vec<Fingerprint> = spans
+            .iter()
+            .map(|s| Fingerprint::of(&data[s.clone()]))
+            .collect();
+        hds.run_backup(data, &spans, &fps, false).unwrap();
+    }
+
+    fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for entry in std::fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let dest = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_dir(&entry.path(), &dest);
+            } else {
+                std::fs::copy(entry.path(), dest).unwrap();
+            }
+        }
+    }
+
+    /// A pooled chunk whose bytes were corrupted on disk never becomes
+    /// known: not at open, and not when a backup scans its fingerprint's
+    /// true bytes. Backing up the true bytes, then the corrupted ones,
+    /// leaves exactly what the reference front end leaves.
+    #[test]
+    fn a_corrupt_pooled_chunk_never_steers_a_cut_or_a_fingerprint() {
+        let base = std::env::temp_dir().join(format!("hidestore-known-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (dir, ref_dir) = (base.join("real"), base.join("reference"));
+        let config = HiDeStoreConfig::small_for_tests();
+        let v1 = noise(200_000, 41);
+        let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+        hds.backup(&v1).unwrap();
+        hds.save_repository(&dir).unwrap();
+        // A chunk whose end is a confirmed cut, and a flip in its middle
+        // that moves no cut: the corrupted stream is cut like the original.
+        let spans = hidestore_chunking::chunk_spans(hds.chunker.as_mut(), &v1);
+        let (span, corrupt) = spans[spans.len() / 2..]
+            .iter()
+            .find_map(|span| {
+                let mut corrupt = v1.clone();
+                corrupt[span.start + span.len() / 2] ^= 0x20;
+                let same = hidestore_chunking::chunk_spans(hds.chunker.as_mut(), &corrupt) == spans
+                    && hds.chunker.cut_confirmed(&corrupt[span.clone()]);
+                same.then_some((span.clone(), corrupt))
+            })
+            .unwrap();
+        drop(hds);
+        let chunk = &v1[span.clone()];
+        let file = std::fs::read_dir(dir.join(RepoFile::Active.dir()))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                let bytes = std::fs::read(p).unwrap();
+                bytes.windows(chunk.len()).any(|w| w == chunk)
+            })
+            .unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let at = bytes.windows(chunk.len()).position(|w| w == chunk).unwrap();
+        bytes[at + chunk.len() / 2] ^= 0x20;
+        std::fs::write(&file, bytes).unwrap();
+        copy_dir(&dir, &ref_dir);
+
+        let mut real = HiDeStore::open_repository(config, &dir).unwrap();
+        let mut reference = HiDeStore::open_repository(config, &ref_dir).unwrap();
+        let pooled = Fingerprint::of(chunk);
+        assert_eq!(real.pool().get(&pooled), Some(&corrupt[span.clone()]));
+        assert_eq!(real.pool().known().count(), 0, "nothing loaded is known");
+        for (v, data) in [(2, &v1), (3, &corrupt)] {
+            real.backup(data).unwrap();
+            reference_backup(&mut reference, data);
+            assert!(state(&real) == state(&reference), "V{v}");
+            if v == 2 {
+                // Every chunk the scan vouched for, but the corrupt one.
+                let known: Vec<Fingerprint> = real.pool().known().map(|(fp, _)| fp).collect();
+                assert_eq!(known.len(), real.pool().chunk_count() - 1);
+                assert!(!known.contains(&pooled));
+            }
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// The zero-filled chunks `backup_trace` pools are never known, so a
+    /// later `backup` of real bytes — zero blocks included, which a fixed
+    /// chunker confirms — leaves what the reference front end leaves; the
+    /// chunks that backup scanned itself are then predicted in the next.
+    #[test]
+    fn a_trace_shadow_never_steers_a_cut_or_a_fingerprint() {
+        for chunker in [ChunkerKind::Tttd, ChunkerKind::Fixed] {
+            let config = HiDeStoreConfig {
+                chunker,
+                ..HiDeStoreConfig::small_for_tests()
+            };
+            let v1 = noise(100_000, 51);
+            let mut v2 = vec![0u8; 16 << 10];
+            v2.extend_from_slice(&v1);
+            let spans = hidestore_chunking::chunk_spans(config.chunker.build(1024).as_mut(), &v1);
+            let trace: Vec<(Fingerprint, u32)> = spans
+                .iter()
+                .map(|s| (Fingerprint::of(&v1[s.clone()]), s.len() as u32))
+                .collect();
+            let mut real = HiDeStore::new(config, MemoryContainerStore::new());
+            let mut reference = HiDeStore::new(config, MemoryContainerStore::new());
+            real.backup_trace(&trace).unwrap();
+            reference.backup_trace(&trace).unwrap();
+            for v in [2, 3] {
+                real.backup(&v2).unwrap();
+                reference_backup(&mut reference, &v2);
+                assert!(state(&real) == state(&reference), "{chunker} V{v}");
+                // Only what `backup` stored itself is known: no chunk of
+                // the trace, whose pooled bytes are zeros.
+                let traced = |fp: &Fingerprint| trace.iter().any(|(t, _)| t == fp);
+                assert!(real.pool().known().all(|(fp, _)| !traced(&fp)), "{chunker}");
+                assert!(real.pool().known().count() > 0, "{chunker}");
+            }
+        }
     }
 }

@@ -55,6 +55,7 @@ mod stats;
 
 pub use config::PipelineConfig;
 pub use pipeline::{
-    chunk_fingerprints, staged_front_end, BackupPipeline, PipelineError, STAGED_MIN_BYTES,
+    chunk_fingerprints, chunk_fingerprints_known, staged_front_end, BackupPipeline, KnownChunks,
+    PipelineError, STAGED_MIN_BYTES,
 };
 pub use stats::{RunStats, VersionStats};

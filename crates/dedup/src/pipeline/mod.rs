@@ -7,8 +7,12 @@
 
 mod commit;
 mod front_end;
+mod known;
 
-pub use front_end::{chunk_fingerprints, staged_front_end, STAGED_MIN_BYTES};
+pub use front_end::{
+    chunk_fingerprints, chunk_fingerprints_known, staged_front_end, STAGED_MIN_BYTES,
+};
+pub use known::KnownChunks;
 
 use std::fmt;
 use std::io::Write;
