@@ -3,7 +3,7 @@
 //! A [`KnownChunks`] set borrows `(fingerprint, bytes)` pairs — in
 //! `HiDeStore::backup`, the active pool's chunks that this instance itself
 //! cut and fingerprinted — and indexes them by their first
-//! [`KNOWN_PREFIX`] bytes. At a chunk boundary, [`KnownChunks::predict`]
+//! `KNOWN_PREFIX` bytes. At a chunk boundary, [`KnownChunks::predict`]
 //! returns the one whose bytes the stream continues with, if any. The
 //! prediction is exact, not probable (DESIGN.md §8.6):
 //!
@@ -74,7 +74,7 @@ impl<'a> KnownChunks<'a> {
     /// Indexes the `chunks` that `chunker` cut — each `(fingerprint,
     /// bytes)` with `fingerprint` the SHA-1 of `bytes`, emitted whole by
     /// this chunker from a boundary — keeping those at least 16 bytes long
-    /// whose cut `chunker.cut_confirmed`.
+    /// whose cut `chunker.cut_confirmed` accepts.
     ///
     /// Passing chunks of any other origin breaks the front end's
     /// exactness: the caller vouches for both facts.
