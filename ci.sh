@@ -19,8 +19,8 @@
 #   4. cargo test -q                -- the full workspace test suite
 #   5. crash matrix (release)       -- crash-at-every-I/O-site recovery sweep
 #                                      of the backup/save/delete lifecycle
-#                                      and of the reverse-dedup and recluster
-#                                      maintenance lifecycles; then the three
+#                                      and of the recluster maintenance
+#                                      lifecycle; then the three
 #                                      persistence tests that a save stages
 #                                      only what changed, that a failed
 #                                      save keeps its changes for the retry,
@@ -167,10 +167,10 @@
 #                                      golden values (the byte wall for the
 #                                      one row builder every scheme's
 #                                      backup stats feed)
-#  11. paper claims (release)       -- the cross-scheme comparison asserted
-#                                      as tests: HiDeStore vs hybrid vs
-#                                      DDFS restore reads, dedup ratios,
-#                                      and deferred-pass accounting
+#  11. paper claims (release)       -- the paper's headline shapes asserted
+#                                      as tests: HiDeStore vs the Destor
+#                                      baselines on restore reads, dedup
+#                                      ratio, index lookups and deletion
 #  12. hdsbench smoke (release)     -- the benchmark harness builds against
 #                                      the workspace crates and its smoke
 #                                      tests pass, so a program-API change

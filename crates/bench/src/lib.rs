@@ -22,20 +22,20 @@ use std::path::Path;
 use std::time::Duration;
 
 use hidestore_chunking::{chunk_spans, ChunkerKind};
-use hidestore_core::{DedupMode, HiDeStore, HiDeStoreConfig};
+use hidestore_core::{HiDeStore, HiDeStoreConfig};
 use hidestore_dedup::{gc, BackupPipeline, PipelineConfig, RunStats, VersionStats};
 use hidestore_hash::Fingerprint;
 use hidestore_index::{
     DdfsIndex, FingerprintIndex, SiloConfig, SiloIndex, SparseConfig, SparseIndex,
 };
-use hidestore_restore::{Alacc, ContainerLru, Faa};
+use hidestore_restore::{Alacc, Faa};
 use hidestore_rewriting::{Capping, Fbw, NoRewrite, RewritePolicy};
 use hidestore_storage::{MemoryContainerStore, VersionId};
 use hidestore_workloads::{Profile, VersionStream};
 
 /// The binaries `all_experiments` runs, in order: every table and figure
 /// of the evaluation section, then the ablations.
-pub const EXPERIMENTS: [&str; 11] = [
+pub const EXPERIMENTS: [&str; 10] = [
     "table1",
     "fig3",
     "fig8",
@@ -46,7 +46,6 @@ pub const EXPERIMENTS: [&str; 11] = [
     "deletion",
     "fragmentation",
     "ablation",
-    "scheme_compare",
 ];
 
 /// Experiment scale knobs.
@@ -129,7 +128,6 @@ impl Scale {
             container_capacity: self.container,
             compact_threshold: 0.95,
             history_depth: if profile == Profile::Macos { 2 } else { 1 },
-            ..HiDeStoreConfig::default()
         }
     }
 }
@@ -422,119 +420,6 @@ pub fn run_restore_scheme(
     }
 }
 
-/// One scheme's row in the cross-scheme comparison (DESIGN.md §14): where
-/// each design pays its deduplication cost — inline on the backup path
-/// (DDFS, HiDeStore) or deferred to an out-of-line pass (Hybrid).
-#[derive(Debug, Clone)]
-pub struct SchemeCompareRow {
-    /// Display label.
-    pub label: &'static str,
-    /// Final deduplication ratio over live stored bytes, measured *after*
-    /// the out-of-line pass where the scheme has one.
-    pub dedup_ratio: f64,
-    /// Container reads restoring the newest version through an 8-container
-    /// LRU — the same cache for every scheme.
-    pub newest_reads: u64,
-    /// Container reads restoring the oldest version through the same
-    /// cache: the old-version side of each scheme's layout trade.
-    pub oldest_reads: u64,
-    /// Index lookup requests paid on the backup path (Figure 9's unit):
-    /// the previous recipe's prefetch for HiDeStore, one per chunk probe
-    /// for Hybrid, on-disk index lookups for DDFS.
-    pub ingest_lookups: u64,
-    /// Wall-clock time ingesting every version.
-    pub ingest_time: Duration,
-    /// Wall-clock time of the out-of-line pass (zero for inline schemes).
-    pub pass_time: Duration,
-    /// Bytes reclaimed by the out-of-line pass (zero for inline schemes).
-    pub pass_reclaimed: u64,
-}
-
-/// Runs the cross-scheme comparison on one workload: every
-/// [`DedupMode`] through the full HiDeStore system plus the DDFS baseline
-/// through the pipeline, all restored through an equal-capacity cache.
-pub fn run_scheme_comparison(
-    versions: &[Vec<u8>],
-    scale: Scale,
-    profile: Profile,
-) -> Vec<SchemeCompareRow> {
-    let newest = VersionId::new(versions.len() as u32);
-    let oldest = VersionId::new(1);
-    let mut rows = Vec::new();
-    for mode in DedupMode::ALL {
-        let config = scale.hidestore_config(profile).with_scheme(mode);
-        let mut hds = HiDeStore::new(config, MemoryContainerStore::new());
-        let t = std::time::Instant::now();
-        for data in versions {
-            hds.backup(data).expect("memory store cannot fail");
-        }
-        let ingest_time = t.elapsed();
-        let run = hds.run_stats();
-        let (pass_time, pass_reclaimed) = if mode.is_out_of_line() {
-            let t = std::time::Instant::now();
-            let report = hds.out_of_line_pass().expect("memory store cannot fail");
-            (t.elapsed(), report.bytes_reclaimed)
-        } else {
-            // §4.3: the inline scheme's offline step is Algorithm 1 instead.
-            hds.flatten_recipes();
-            (Duration::ZERO, 0)
-        };
-        let live = hds.archival().total_live_bytes() + hds.pool().live_bytes();
-        let reads = |version| {
-            hds.restore(version, &mut ContainerLru::new(8), &mut std::io::sink())
-                .expect("restore of retained version")
-                .container_reads
-        };
-        rows.push(SchemeCompareRow {
-            label: match mode {
-                DedupMode::HiDeStore => "HiDeStore",
-                DedupMode::Hybrid => "Hybrid",
-            },
-            dedup_ratio: RunStats {
-                stored_bytes: live,
-                ..run
-            }
-            .dedup_ratio(),
-            newest_reads: reads(newest),
-            oldest_reads: reads(oldest),
-            ingest_lookups: run.lookup_requests,
-            ingest_time,
-            pass_time,
-            pass_reclaimed,
-        });
-    }
-    // DDFS baseline for context, under the same restore cache.
-    let mut pipeline = BackupPipeline::new(
-        scale.pipeline_config(),
-        boxed_index(DedupScheme::Ddfs),
-        NoRewrite::new(),
-        MemoryContainerStore::new(),
-    );
-    let t = std::time::Instant::now();
-    for data in versions {
-        pipeline.backup(data).expect("memory store cannot fail");
-    }
-    let ingest_time = t.elapsed();
-    let run = pipeline.run_stats();
-    let reads = |version| {
-        pipeline
-            .restore(version, &mut ContainerLru::new(8), &mut std::io::sink())
-            .expect("restore of retained version")
-            .container_reads
-    };
-    rows.push(SchemeCompareRow {
-        label: "DDFS",
-        dedup_ratio: run.dedup_ratio(),
-        newest_reads: reads(newest),
-        oldest_reads: reads(oldest),
-        ingest_lookups: run.lookup_requests,
-        ingest_time,
-        pass_time: Duration::ZERO,
-        pass_reclaimed: 0,
-    });
-    rows
-}
-
 /// Figure 3: the heuristic experiment. Tags every chunk with the most recent
 /// version containing it (infinite buffer) and counts, after each version,
 /// how many chunks still carry each tag. `matrix[after][tag]` with 1-based
@@ -712,20 +597,6 @@ mod tests {
                 scheme.label()
             );
             assert!(run.speed_factors.iter().all(|&(_, sf)| sf > 0.0));
-        }
-    }
-
-    #[test]
-    fn scheme_comparison_covers_all_schemes() {
-        let scale = Scale::tiny();
-        let versions = workload_versions(Profile::Kernel, scale);
-        let rows = run_scheme_comparison(&versions, scale, Profile::Kernel);
-        let labels: Vec<&str> = rows.iter().map(|r| r.label).collect();
-        assert_eq!(labels, ["HiDeStore", "Hybrid", "DDFS"]);
-        for row in &rows {
-            assert!(row.newest_reads > 0, "{}: no container reads", row.label);
-            assert!(row.oldest_reads > 0, "{}: no container reads", row.label);
-            assert!(row.dedup_ratio > 0.0, "{}: no dedup at all", row.label);
         }
     }
 

@@ -1,11 +1,9 @@
-//! Golden values for the deterministic columns of Figures 8–11 and of the
-//! cross-scheme comparison.
+//! Golden values for the deterministic columns of Figures 8–11.
 //!
 //! At `Scale::tiny()` on the kernel workload every scheme's Figure 8
 //! deduplication ratio, Figure 9 lookups/GB, Figure 10 index bytes/MB and
-//! Figure 11 speed factor, and every `scheme_compare` row's dedup ratio,
-//! newest and oldest reads, ingest lookups and reclaimed bytes, must equal,
-//! bit for bit, the value recorded in the constants below. The relations
+//! Figure 11 speed factor must equal, bit for bit, the value recorded in
+//! the constants below. The relations
 //! `tests/paper_claims.rs` asserts cannot see a change that shifts every
 //! figure together; this can.
 //!
@@ -14,8 +12,7 @@
 //! round-trip form of the recorded `f64`, so comparing `to_bits` is exact.
 
 use hidestore_bench::{
-    run_dedup_scheme, run_restore_scheme, run_scheme_comparison, workload_versions, DedupScheme,
-    RestoreScheme, Scale,
+    run_dedup_scheme, run_restore_scheme, workload_versions, DedupScheme, RestoreScheme, Scale,
 };
 use hidestore_workloads::Profile;
 
@@ -90,38 +87,4 @@ fn figure_11_matches_the_recorded_values() {
         let got: Vec<f64> = run.speed_factors.iter().map(|&(_, sf)| sf).collect();
         assert_bits(&format!("fig11 {}", scheme.label()), &got, &speed_factors);
     }
-}
-
-#[test]
-fn scheme_comparison_matches_the_recorded_values() {
-    // (label, dedup ratio, newest reads, oldest reads, ingest lookups,
-    // reclaimed bytes); the wall-clock columns are not pinned.
-    #[rustfmt::skip]
-    let golden: [(&str, f64, u64, u64, u64, u64); 3] = [
-        ("HiDeStore", 0.7828535798722922, 17, 33, 39, 0),
-        ("Hybrid", 0.7828535798722922, 26, 17, 6175, 0),
-        ("DDFS", 0.7828535798722922, 26, 17, 158, 0),
-    ];
-    let (versions, scale) = kernel_tiny();
-    let rows = run_scheme_comparison(&versions, scale, Profile::Kernel);
-    let got: Vec<_> = rows
-        .iter()
-        .map(|r| {
-            (
-                r.label,
-                r.dedup_ratio.to_bits(),
-                r.newest_reads,
-                r.oldest_reads,
-                r.ingest_lookups,
-                r.pass_reclaimed,
-            )
-        })
-        .collect();
-    let want: Vec<_> = golden
-        .iter()
-        .map(|&(label, ratio, newest, oldest, lookups, reclaimed)| {
-            (label, ratio.to_bits(), newest, oldest, lookups, reclaimed)
-        })
-        .collect();
-    assert_eq!(got, want, "scheme_compare rows: got {rows:?}");
 }

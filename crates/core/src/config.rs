@@ -11,74 +11,6 @@ use crate::system::HiDeStoreError;
 /// file in the repository root written by `init` and read on every open.
 pub const CONFIG_FILE: &str = "config";
 
-/// Which deduplication scheme a repository runs.
-///
-/// The scheme decides *where* duplicate detection happens relative to the
-/// ingest path:
-///
-/// * [`DedupMode::HiDeStore`] — the paper's design: exact chunk-level dedup
-///   inline against the fingerprint cache (the active pool's hot set),
-///   with cold chunks demoted into version-tagged archival containers at
-///   the end of every version.
-/// * [`DedupMode::Hybrid`] — hybrid inline/out-of-line dedup: inline
-///   lookups consult only the previous version's fingerprints (a bounded
-///   memory budget), and the out-of-line pass later removes whatever
-///   duplicates the bounded inline index missed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DedupMode {
-    /// Exact inline dedup through the fingerprint cache (the paper).
-    #[default]
-    HiDeStore,
-    /// Bounded inline dedup + exact out-of-line dedup (hybrid).
-    Hybrid,
-}
-
-impl DedupMode {
-    /// Every mode, HiDeStore first.
-    pub const ALL: [DedupMode; 2] = [DedupMode::HiDeStore, DedupMode::Hybrid];
-
-    /// The config-file / CLI spelling of this mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            DedupMode::HiDeStore => "hidestore",
-            DedupMode::Hybrid => "hybrid",
-        }
-    }
-
-    /// Parses a config-file / CLI spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string when it names no mode, and says so when
-    /// it names the removed `revdedup` scheme.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "hidestore" => Ok(DedupMode::HiDeStore),
-            "hybrid" => Ok(DedupMode::Hybrid),
-            "revdedup" => Err(
-                "scheme \"revdedup\" was removed (the remaining schemes are hidestore and hybrid)"
-                    .into(),
-            ),
-            other => Err(format!(
-                "unknown scheme {other:?} (expected hidestore or hybrid)"
-            )),
-        }
-    }
-
-    /// Whether this mode stores chunks directly into version-tagged
-    /// archival containers and relies on the out-of-line pass (hybrid)
-    /// rather than the fingerprint cache + active pool.
-    pub fn is_out_of_line(self) -> bool {
-        !matches!(self, DedupMode::HiDeStore)
-    }
-}
-
-impl std::fmt::Display for DedupMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Configuration of a [`crate::HiDeStore`] instance.
 #[derive(Debug, Clone, Copy)]
 pub struct HiDeStoreConfig {
@@ -95,9 +27,6 @@ pub struct HiDeStoreConfig {
     /// uses 1; for macos-like workloads where chunks skip a version before
     /// going cold (Figure 3d) it adds "another hash table", i.e. depth 2.
     pub history_depth: usize,
-    /// Deduplication scheme of the repository (`init --scheme`, persisted
-    /// as the `scheme=` config key; absent key = HiDeStore).
-    pub scheme: DedupMode,
 }
 
 impl Default for HiDeStoreConfig {
@@ -108,7 +37,6 @@ impl Default for HiDeStoreConfig {
             container_capacity: 4 * 1024 * 1024,
             compact_threshold: 0.95,
             history_depth: 1,
-            scheme: DedupMode::HiDeStore,
         }
     }
 }
@@ -122,14 +50,7 @@ impl HiDeStoreConfig {
             container_capacity: 32 * 1024,
             compact_threshold: 0.5,
             history_depth: 1,
-            scheme: DedupMode::HiDeStore,
         }
-    }
-
-    /// Variant running the given deduplication scheme.
-    pub fn with_scheme(mut self, scheme: DedupMode) -> Self {
-        self.scheme = scheme;
-        self
     }
 
     /// Depth-2 variant for macos-like workloads.
@@ -147,9 +68,10 @@ impl HiDeStoreConfig {
     /// # Errors
     ///
     /// [`HiDeStoreError::Config`] when the file is missing (not a
-    /// repository), unreadable, a known key has an unparsable value, or the
-    /// values fail [`HiDeStoreConfig::validate`] — the file is outside input,
-    /// so a bad value is an error here, never a panic in a later open.
+    /// repository), unreadable, a known key has an unparsable value, the
+    /// `scheme` key names anything but `hidestore`, or the values fail
+    /// [`HiDeStoreConfig::validate`] — the file is outside input, so a bad
+    /// value is an error here, never a panic in a later open.
     pub fn load_from(dir: impl AsRef<Path>) -> Result<Self, HiDeStoreError> {
         Self::load_from_with(dir, &RealVfs)
     }
@@ -191,9 +113,7 @@ impl HiDeStoreConfig {
                 "chunk" => config.avg_chunk_size = parsed(key)?,
                 "container" => config.container_capacity = parsed(key)?,
                 "depth" => config.history_depth = parsed(key)?,
-                "scheme" => {
-                    config.scheme = DedupMode::parse(value).map_err(HiDeStoreError::Config)?;
-                }
+                "scheme" => check_scheme(value)?,
                 _ => {}
             }
         }
@@ -223,9 +143,12 @@ impl HiDeStoreConfig {
         vfs: &V,
     ) -> Result<(), HiDeStoreError> {
         let path = dir.as_ref().join(CONFIG_FILE);
+        // The fixed `scheme` line keeps every `config` byte-identical to
+        // what older builds wrote, and tells an older build that this
+        // repository deduplicates inline (see `check_scheme`).
         let text = format!(
-            "chunk={}\ncontainer={}\ndepth={}\nscheme={}\n",
-            self.avg_chunk_size, self.container_capacity, self.history_depth, self.scheme,
+            "chunk={}\ncontainer={}\ndepth={}\nscheme=hidestore\n",
+            self.avg_chunk_size, self.container_capacity, self.history_depth,
         );
         vfs.write(&path, text.as_bytes())
             .map_err(|e| HiDeStoreError::Config(format!("cannot write {}: {e}", path.display())))
@@ -266,6 +189,22 @@ impl HiDeStoreConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// Accepts the `scheme` key's one value. The removed out-of-line schemes
+/// (`hybrid`, `revdedup`) are refused by name: their newer recipes point
+/// into older-tagged archival containers, so opening such a repository as
+/// HiDeStore and pruning by tag would drop live chunks.
+fn check_scheme(value: &str) -> Result<(), HiDeStoreError> {
+    match value {
+        "hidestore" => Ok(()),
+        "hybrid" | "revdedup" => Err(HiDeStoreError::Config(format!(
+            "scheme {value:?} was removed (this build opens only hidestore repositories)"
+        ))),
+        other => Err(HiDeStoreError::Config(format!(
+            "unknown scheme {other:?} (expected hidestore)"
+        ))),
     }
 }
 
@@ -352,23 +291,26 @@ mod tests {
             std::env::temp_dir().join(format!("hidestore-config-scheme-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for mode in DedupMode::ALL {
-            let c = HiDeStoreConfig::small_for_tests().with_scheme(mode);
-            c.save_to(&dir).unwrap();
-            let loaded = HiDeStoreConfig::load_from(&dir).unwrap();
-            assert_eq!(loaded.scheme, mode);
-            assert_eq!(DedupMode::parse(mode.name()), Ok(mode));
-        }
-        // A pre-scheme config file defaults to HiDeStore.
+        HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
+        let written = std::fs::read_to_string(dir.join(CONFIG_FILE)).unwrap();
+        assert!(written.ends_with("scheme=hidestore\n"), "{written:?}");
+        let loaded = HiDeStoreConfig::load_from(&dir).unwrap();
+        assert_eq!(loaded.avg_chunk_size, 1024);
+        // A pre-scheme config file loads too.
         std::fs::write(dir.join(CONFIG_FILE), "chunk=1024\ncontainer=32768\n").unwrap();
-        let legacy = HiDeStoreConfig::load_from(&dir).unwrap();
-        assert_eq!(legacy.scheme, DedupMode::HiDeStore);
+        assert!(HiDeStoreConfig::load_from(&dir).is_ok());
         // A bad spelling is a config error, not a silent default.
         std::fs::write(dir.join(CONFIG_FILE), "scheme=rev-dedup\n").unwrap();
-        assert!(HiDeStoreConfig::load_from(&dir).is_err());
-        // The removed scheme is named as removed, with the two that remain.
-        let err = DedupMode::parse("revdedup").unwrap_err();
-        assert!(err.contains("removed") && err.contains("hidestore") && err.contains("hybrid"));
+        let err = HiDeStoreConfig::load_from(&dir).unwrap_err().to_string();
+        assert!(err.contains("unknown scheme"), "{err}");
+        // The removed schemes fail typed, named as removed.
+        for removed in ["hybrid", "revdedup"] {
+            std::fs::write(dir.join(CONFIG_FILE), format!("scheme={removed}\n")).unwrap();
+            let err = HiDeStoreConfig::load_from(&dir).unwrap_err();
+            assert!(matches!(err, HiDeStoreError::Config(_)), "{err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(removed) && msg.contains("removed"), "{msg}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -61,13 +61,12 @@ mod handle;
 mod journal;
 mod persist;
 mod recluster;
-mod scheme;
 mod stats;
 mod system;
 
 pub use active::{ActivePool, Classification, CompactionReport};
 pub use composite::{CompositeStore, ACTIVE_ID_BASE};
-pub use config::{DedupMode, HiDeStoreConfig, CONFIG_FILE};
+pub use config::{HiDeStoreConfig, CONFIG_FILE};
 pub use handle::RepositoryHandle;
 pub use hidestore_dedup::{RunStats, VersionStats};
 pub use journal::JournalRecovery;
@@ -76,6 +75,5 @@ pub use persist::{
     RecoveryState,
 };
 pub use recluster::ReclusterReport;
-pub use scheme::OutOfLineReport;
 pub use stats::{DeletionReport, HiDeStoreVersionStats};
 pub use system::{write_staged, HiDeStore, HiDeStoreError, ResolvedVersion, RESTORE_AREA_BYTES};

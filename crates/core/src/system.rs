@@ -24,7 +24,6 @@ use crate::chain::{self, ResolveError};
 use crate::composite::CompositeStore;
 use crate::config::HiDeStoreConfig;
 use crate::persist::{QuarantineEntry, QuarantinedArtifact};
-use crate::scheme::SchemeState;
 use crate::stats::DeletionReport;
 
 /// Size in bytes of one index-lookup I/O unit: the previous recipe's
@@ -203,7 +202,6 @@ pub struct HiDeStore<S> {
     next_archival_id: u32,
     version_stats: Vec<VersionStats>,
     quarantined: Vec<QuarantineEntry>,
-    scheme: SchemeState,
     /// Repository-relative artifact files the open found holding nothing
     /// under their own name; the next save removes them (see `persist`).
     stray_files: Vec<String>,
@@ -228,7 +226,6 @@ impl<S: ContainerStore> HiDeStore<S> {
             next_archival_id: 1,
             version_stats: Vec::new(),
             quarantined: Vec::new(),
-            scheme: SchemeState::default(),
             stray_files: Vec::new(),
             config,
         }
@@ -248,8 +245,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         // The shared front end: inline or staged by core count and input
         // size, the same spans and fingerprints either way. The pooled
         // chunks this instance cut and fingerprinted itself are emitted
-        // without a scan or a hash where the stream repeats them; an
-        // out-of-line scheme pools nothing, so it scans everything.
+        // without a scan or a hash where the stream repeats them.
         let known = KnownChunks::new(self.chunker.as_ref(), self.pool.known());
         let (spans, fingerprints) =
             hidestore_dedup::chunk_fingerprints_known(data, self.chunker.as_mut(), &known);
@@ -285,12 +281,8 @@ impl<S: ContainerStore> HiDeStore<S> {
         fingerprints: &[Fingerprint],
         cut_here: bool,
     ) -> Result<VersionStats, HiDeStoreError> {
-        // The out-of-line scheme (hybrid) bypasses the active pool
-        // entirely and ingests straight into archival containers.
-        if self.config.scheme.is_out_of_line() {
-            return self.run_backup_out_of_line(data, spans, fingerprints);
-        }
-        let version = self.alloc_version();
+        let version = VersionId::new(self.next_version);
+        self.next_version += 1;
         let logical_bytes = data.len() as u64;
 
         // §5.2.2: HiDeStore's only index traffic is prefetching the previous
@@ -357,7 +349,7 @@ impl<S: ContainerStore> HiDeStore<S> {
             chunk_move_time,
             ..VersionStats::new(version)
         };
-        self.record_version_stats(stats);
+        self.version_stats.push(stats);
         Ok(stats)
     }
 
@@ -591,12 +583,6 @@ impl<S: ContainerStore> HiDeStore<S> {
                 newest,
             });
         }
-        // The hybrid scheme deduplicates newer versions against older
-        // containers inline, so tag-ranged drops would tear live data; it
-        // expires by reference counting whole containers instead.
-        if self.config.scheme.is_out_of_line() {
-            return self.delete_expired_out_of_line(up_to);
-        }
         let start = Instant::now();
         let mut report = DeletionReport::default();
         for v in self.recipes.versions() {
@@ -773,7 +759,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         self.recipes = recipes;
         self.next_version = next_version.max(1);
         self.next_archival_id = next_archival_id.max(1);
-        self.rebuild_scheme_state();
         Ok(())
     }
 
@@ -818,29 +803,6 @@ impl<S: ContainerStore> HiDeStore<S> {
 
     pub(crate) fn next_archival_raw(&self) -> u32 {
         self.next_archival_id
-    }
-
-    /// Allocates the next version number (out-of-line ingest path).
-    pub(crate) fn alloc_version(&mut self) -> VersionId {
-        let v = VersionId::new(self.next_version);
-        self.next_version += 1;
-        v
-    }
-
-    /// Records one version's statistics.
-    pub(crate) fn record_version_stats(&mut self, stats: VersionStats) {
-        self.version_stats.push(stats);
-    }
-
-    /// The hybrid scheme's inline-dedup map (see `scheme`).
-    pub(crate) fn scheme_state(&self) -> &SchemeState {
-        &self.scheme
-    }
-
-    /// Re-derives the scheme map from the newest retained recipe — after
-    /// every out-of-line backup, maintenance pass, and repository open.
-    pub(crate) fn rebuild_scheme_state(&mut self) {
-        self.scheme = SchemeState::rebuild(self.config.scheme, &self.recipes);
     }
 }
 

@@ -13,8 +13,8 @@
 //! [`hidestore_storage::ContainerStore`], and restores through any
 //! [`hidestore_restore::RestoreCache`]. Every baseline in the paper's
 //! evaluation (§5) runs through this pipeline, and [`destor_config`] selects
-//! among exactly those; HiDeStore itself, and the hybrid scheme it is
-//! compared with, modify the pipeline and live in `hidestore-core`.
+//! among exactly those; HiDeStore itself modifies the pipeline and lives in
+//! `hidestore-core`.
 //!
 //! Also here: [`gc`] — the traditional mark-sweep garbage collection that
 //! baseline systems need when deleting expired versions (§5.5), implemented

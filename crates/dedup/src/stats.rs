@@ -1,7 +1,6 @@
 //! The one backup record: per-version and per-run statistics for every
 //! scheme — the Destor baselines of [`crate::BackupPipeline`] and HiDeStore
-//! with its hybrid mode — and the quantities behind the
-//! paper's Figures 8–10 and 12.
+//! — and the quantities behind the paper's Figures 8–10 and 12.
 
 use std::time::Duration;
 
@@ -23,8 +22,7 @@ pub struct VersionStats {
     pub stored_chunks: u64,
     /// Index lookup requests attributable to this version (Figure 9's
     /// unit): on-disk index lookups for the baselines, the previous
-    /// recipe's prefetch for HiDeStore (§5.2.2), one per chunk probe for
-    /// hybrid.
+    /// recipe's prefetch for HiDeStore (§5.2.2).
     pub lookup_requests: u64,
     /// Of `stored_bytes`, duplicates rewritten for locality (rewriting
     /// baselines only).
@@ -34,7 +32,7 @@ pub struct VersionStats {
     /// (§5.2.3).
     pub index_table_bytes: u64,
     /// HiDeStore's fingerprint-cache footprint after this version — 28
-    /// bytes per hot-set entry, or the hybrid scheme's inline map.
+    /// bytes per hot-set entry.
     /// Transient working memory bounded by two versions' metadata (§4.1),
     /// not a persistent index.
     pub fingerprint_cache_bytes: u64,

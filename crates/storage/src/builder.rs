@@ -4,12 +4,11 @@
 //! append chunks to an open container, seal it when full, open the next one
 //! under a fresh ID. Its callers are the Destor-style pipeline's commit
 //! stage and mark-sweep GC merge (`hidestore_dedup`), and HiDeStore's
-//! archival writers (`hidestore_core`): cold demotion, out-of-line ingest,
-//! the out-of-line pass and re-clustering. The [`ContainerBuilder`] owns
-//! exactly that state — the open container and the ID counter — and
-//! *returns* sealed containers to the caller instead of writing them
-//! itself, so the caller decides when and where each one is persisted and
-//! keeps the next ID.
+//! archival writers (`hidestore_core`): cold demotion and re-clustering.
+//! The [`ContainerBuilder`] owns exactly that state — the open container
+//! and the ID counter — and *returns* sealed containers to the caller
+//! instead of writing them itself, so the caller decides when and where
+//! each one is persisted and keeps the next ID.
 
 use hidestore_hash::Fingerprint;
 

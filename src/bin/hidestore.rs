@@ -14,8 +14,6 @@
 //!                                               some restore would fail
 //! hidestore flatten <repo>                      run Algorithm 1 on the recipe chain
 //! hidestore recluster <repo>                    defragment old versions' archival layout
-//! hidestore dedup-pass <repo>                   run the out-of-line dedup pass
-//!                                               (hybrid scheme)
 //! hidestore stats   <repo> [--json]             per-version fragmentation statistics
 //! hidestore serve   <repo> [--port N] ...       run the daemon until a client shuts it down
 //! ```
@@ -67,8 +65,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use hidestore::core::{
-    repository_recovery_state, DedupMode, HiDeStore, HiDeStoreConfig, PendingJournal,
-    RESTORE_AREA_BYTES,
+    repository_recovery_state, HiDeStore, HiDeStoreConfig, PendingJournal, RESTORE_AREA_BYTES,
 };
 use hidestore::fsck::{AuditReport, Finding, FindingKind, Severity, SystemAuditor};
 use hidestore::proto::json::json_string;
@@ -116,7 +113,6 @@ type CliResult = Result<(), CliError>;
 fn print_usage() {
     eprintln!(
         "usage:\n  hidestore init    <repo> [--chunk <bytes>] [--container <bytes>] [--depth <1|2>]\n  \
-         \x20                [--scheme <hidestore|hybrid>]\n  \
          hidestore backup  <repo> <file>\n  \
          hidestore restore <repo> <version> <outfile>\n  \
          hidestore backup-tree  <repo> <dir> [--exclude <glob>]...\n  \
@@ -126,7 +122,6 @@ fn print_usage() {
          hidestore verify  <repo> [--json] [--tenants]\n  \
          hidestore flatten <repo>\n  \
          hidestore recluster <repo>\n  \
-         hidestore dedup-pass <repo>\n  \
          hidestore stats   <repo> [--json]\n  \
          hidestore serve   <repo> [--bind ADDR] [--port N] [--workers N] [--quiet]\n  \
          \x20                [--timeout SECS]\n  \
@@ -341,10 +336,6 @@ fn run(args: &[String]) -> CliResult {
             [repo] => cmd_recluster(repo),
             _ => Err(usage("recluster needs a <repo>")),
         },
-        ("dedup-pass", None) => match rest.as_slice() {
-            [repo] => cmd_dedup_pass(repo),
-            _ => Err(usage("dedup-pass needs a <repo>")),
-        },
         ("serve", None) => cmd_serve(&rest),
         (cmd, Some(_)) => Err(usage(format!("{cmd} has no --remote variant"))),
         _ => Err(usage("")),
@@ -390,7 +381,6 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
             "--chunk" => config.avg_chunk_size = parsed("--chunk")?,
             "--container" => config.container_capacity = parsed("--container")?,
             "--depth" => config.history_depth = parsed("--depth")?,
-            "--scheme" => config.scheme = DedupMode::parse(value).map_err(usage)?,
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
@@ -405,9 +395,8 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
     let mut system = HiDeStore::open_repository(config, repo)?;
     system.save_repository(repo)?;
     println!(
-        "initialized repository at {repo} (chunk {} B, container {} B, history depth {}, \
-         scheme {})",
-        config.avg_chunk_size, config.container_capacity, config.history_depth, config.scheme,
+        "initialized repository at {repo} (chunk {} B, container {} B, history depth {})",
+        config.avg_chunk_size, config.container_capacity, config.history_depth,
     );
     Ok(())
 }
@@ -981,25 +970,6 @@ fn cmd_recluster(repo: &str) -> CliResult {
         report.containers_rewritten,
         report.chunks_moved,
         report.recipe_entries_updated,
-    );
-    Ok(())
-}
-
-fn cmd_dedup_pass(repo: &str) -> CliResult {
-    let mut system = open(repo)?;
-    let report = system.out_of_line_pass()?;
-    system.save_repository(repo)?;
-    println!(
-        "out-of-line pass: {} duplicate chunks removed ({} bytes reclaimed), \
-         {} containers rewritten, {} removed, {} recipe entries updated, \
-         {} bytes rewritten in {:?}",
-        report.duplicate_chunks_removed,
-        report.bytes_reclaimed,
-        report.containers_rewritten,
-        report.containers_removed,
-        report.recipe_entries_updated,
-        report.rewritten_bytes,
-        report.elapsed,
     );
     Ok(())
 }

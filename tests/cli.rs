@@ -621,101 +621,11 @@ fn json_output_schema_is_pinned() {
     fs::remove_dir_all(&repo).unwrap();
 }
 
-/// `init --scheme`, `dedup-pass`, and `stats --json` after the pass: the
-/// pass reports the bytes it rewrote, and a scheme repository leaves the
-/// pool counters untouched.
-#[test]
-fn scheme_lifecycle_with_out_of_line_pass() {
-    let repo = temp("scheme");
-    let repo_s = repo.to_str().unwrap();
-    let out = run(&[
-        "init",
-        repo_s,
-        "--chunk",
-        "1024",
-        "--container",
-        "16384",
-        "--scheme",
-        "hybrid",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("scheme hybrid"));
-
-    // Recurring content after a gap leaves cross-version duplicates that
-    // only the out-of-line pass can reclaim.
-    let f = repo.join("input.bin");
-    let base = noise(60_000, 11);
-    let extra = noise(20_000, 12);
-    for round in 0..4u64 {
-        let mut content = base.clone();
-        content[(round as usize * 10_000)..][..5_000].copy_from_slice(&noise(5_000, 500 + round));
-        if round % 2 == 0 {
-            content.extend_from_slice(&extra);
-        }
-        fs::write(&f, &content).unwrap();
-        assert!(run(&["backup", repo_s, f.to_str().unwrap()])
-            .status
-            .success());
-    }
-
-    let snapshot_v1 = {
-        let restored = repo.join("v1-before.bin");
-        run(&["restore", repo_s, "1", restored.to_str().unwrap()]);
-        fs::read(&restored).unwrap()
-    };
-    let out = run(&["dedup-pass", repo_s]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("duplicate chunks removed"), "{text}");
-    assert!(text.contains("bytes rewritten"), "{text}");
-
-    // Every version still restores byte-exact and the repo verifies clean.
-    let restored = repo.join("v1-after.bin");
-    assert!(run(&["restore", repo_s, "1", restored.to_str().unwrap()])
-        .status
-        .success());
-    assert_eq!(fs::read(&restored).unwrap(), snapshot_v1);
-    assert!(run(&["verify", repo_s]).status.success());
-
-    // Scheme repos bypass the active pool entirely, so the trailing fields
-    // are exact.
-    let out = run(&["stats", repo_s, "--json"]);
-    let text = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    assert!(
-        text.ends_with("\"pool_containers\":0,\"pool_chunks\":0,\"pool_live_bytes\":0}"),
-        "{text}"
-    );
-
-    // The inline scheme rejects the pass with a runtime error.
-    let other = temp("scheme-inline");
-    let other_s = other.to_str().unwrap();
-    assert!(run(&["init", other_s]).status.success());
-    let out = run(&["dedup-pass", other_s]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("no out-of-line pass"));
-
-    // Bad scheme names are usage errors.
-    let bogus = temp("scheme-bogus");
-    let out = run(&["init", bogus.to_str().unwrap(), "--scheme", "lru"]);
-    assert_eq!(out.status.code(), Some(2));
-
-    fs::remove_dir_all(&repo).unwrap();
-    fs::remove_dir_all(&other).unwrap();
-    let _ = fs::remove_dir_all(&bogus);
-}
-
-/// A repository whose `config` names the removed `revdedup` scheme fails
-/// typed everywhere it is opened: the config loader and the library open
-/// return a config error naming it, `verify` exits non-zero naming it, and
-/// `init --scheme revdedup` is a usage error.
+/// A repository whose `config` names a removed scheme (`revdedup` or
+/// `hybrid`) fails typed everywhere it is opened: the config loader and the
+/// library open return a config error naming it, and `verify` exits
+/// non-zero naming it. `init` given `--scheme` is a usage error naming
+/// the option.
 #[test]
 fn a_removed_scheme_fails_typed() {
     use hidestore::core::{HiDeStoreError, RepositoryHandle};
@@ -732,32 +642,34 @@ fn a_removed_scheme_fails_typed() {
     assert!(run(&["backup", repo_s, f.to_str().unwrap()])
         .status
         .success());
-    fs::write(
-        repo.join("config"),
-        "chunk=1024\ncontainer=16384\ndepth=1\nscheme=revdedup\n",
-    )
-    .unwrap();
+    for removed in ["revdedup", "hybrid"] {
+        fs::write(
+            repo.join("config"),
+            format!("chunk=1024\ncontainer=16384\ndepth=1\nscheme={removed}\n"),
+        )
+        .unwrap();
 
-    let names_it = |msg: &str| msg.contains("revdedup") && msg.contains("removed");
-    match HiDeStoreConfig::load_from(&repo) {
-        Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{msg}"),
-        other => panic!("load_from: {other:?}"),
-    }
-    match RepositoryHandle::open(&repo) {
-        Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{msg}"),
-        Err(e) => panic!("open: {e}"),
-        Ok(_) => panic!("open accepted a removed scheme"),
-    }
+        let names_it = |msg: &str| msg.contains(removed) && msg.contains("removed");
+        match HiDeStoreConfig::load_from(&repo) {
+            Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{removed}: {msg}"),
+            other => panic!("{removed}: load_from: {other:?}"),
+        }
+        match RepositoryHandle::open(&repo) {
+            Err(HiDeStoreError::Config(msg)) => assert!(names_it(&msg), "{removed}: {msg}"),
+            Err(e) => panic!("{removed}: open: {e}"),
+            Ok(_) => panic!("open accepted the removed scheme {removed}"),
+        }
 
-    let out = run(&["verify", repo_s]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "verify exited 0");
-    assert!(names_it(&stderr), "{stderr}");
+        let out = run(&["verify", repo_s]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{removed}: verify exited 0");
+        assert!(names_it(&stderr), "{removed}: {stderr}");
+    }
 
     let fresh = temp("removed-scheme-init");
-    let out = run(&["init", fresh.to_str().unwrap(), "--scheme", "revdedup"]);
+    let out = run(&["init", fresh.to_str().unwrap(), "--scheme", "hybrid"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(names_it(&String::from_utf8_lossy(&out.stderr)));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--scheme"));
 
     fs::remove_dir_all(&repo).unwrap();
     let _ = fs::remove_dir_all(&fresh);

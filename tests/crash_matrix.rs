@@ -1,6 +1,6 @@
 //! Crash-consistency matrix: enumerate every filesystem operation in a full
 //! open → backup → save → delete lifecycle (and in the maintenance
-//! lifecycles that add an out-of-line dedup or recluster pass), crash at each
+//! lifecycle that adds a recluster pass), crash at each
 //! one, reopen, and require the repository to come back *clean* in exactly
 //! one of the states a save boundary could have left — never a torn mix.
 //!
@@ -377,28 +377,9 @@ fn crash_matrix_threaded_backup_variant() {
 }
 
 // ---------------------------------------------------------------------------
-// Offline maintenance passes crashed at every site: the hybrid scheme's
-// out-of-line pass and archival re-clustering. Both write fresh
-// containers and defer removing the old ones to the next save.
+// Archival re-clustering crashed at every site: it writes fresh containers
+// and defers removing the old ones to the next save.
 // ---------------------------------------------------------------------------
-
-/// Payloads with content recurring after a gap, so the out-of-line pass has
-/// real duplicates to reclaim under hybrid.
-fn scheme_payloads() -> Vec<Vec<u8>> {
-    let base = noise(24_000, 5);
-    let extra = noise(8_000, 6);
-    let mut out = Vec::new();
-    for round in 0..3u64 {
-        let mut data = base.clone();
-        let start = (round as usize * 6_000) % 18_000;
-        data[start..start + 4_000].copy_from_slice(&noise(4_000, 700 + round));
-        if round % 2 == 0 {
-            data.extend_from_slice(&extra);
-        }
-        out.push(data);
-    }
-    out
-}
 
 /// Containers small enough that one version's cold set spans several, so
 /// re-clustering has multi-container tag groups to repack.
@@ -422,26 +403,16 @@ fn recluster_payloads() -> Vec<Vec<u8>> {
     out
 }
 
-/// The offline pass a maintenance lifecycle runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Pass {
-    /// `out_of_line_pass` (hybrid repositories).
-    OutOfLine,
-    /// `recluster_archival`.
-    Recluster,
-}
-
 /// The scripted maintenance lifecycle: one backup+save round per payload,
-/// then `pass` + save, then delete_expired(V1) + save — five save
-/// boundaries for three payloads. Returns the tag groups a recluster pass
-/// repacked (0 when the pass did not run or is not a recluster).
+/// then `recluster_archival` + save, then delete_expired(V1) + save — five
+/// save boundaries for three payloads. Returns the tag groups the recluster
+/// pass repacked (0 when it did not run).
 fn run_pass_sequence<V: Vfs>(
     dir: &Path,
     vfs: V,
     saves: usize,
     config: HiDeStoreConfig,
     payloads: &[Vec<u8>],
-    pass: Pass,
 ) -> Result<u64, HiDeStoreError> {
     let (mut hds, _) = HiDeStore::open_repository_with(config, dir, vfs)?;
     let mut done = 0;
@@ -456,13 +427,7 @@ fn run_pass_sequence<V: Vfs>(
     if done >= saves {
         return Ok(0);
     }
-    let tag_groups = match pass {
-        Pass::OutOfLine => {
-            hds.out_of_line_pass()?;
-            0
-        }
-        Pass::Recluster => hds.recluster_archival()?.tag_groups,
-    };
+    let tag_groups = hds.recluster_archival()?.tag_groups;
     hds.save_repository(dir)?;
     done += 1;
     if done >= saves {
@@ -478,26 +443,24 @@ fn run_pass_sequence<V: Vfs>(
 /// back (fresh-id containers quarantined as residue) or rolls forward
 /// (journaled removals applied), never a torn mix. The audit bar is
 /// [`reopen_and_check`]'s: no errors, nothing beyond quarantine warnings.
-fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>], pass: Pass) {
+fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>]) {
     let scratch = Scratch::new(&format!("{tag}-count"));
     let vfs = FaultVfs::new(Plan::counting());
-    let tag_groups = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass)
+    let tag_groups = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads)
         .expect("counting run");
     let total = vfs.plan().ops();
     assert!(total > 50, "{tag}: sequence too small: {total} ops");
-    if pass == Pass::Recluster {
-        assert!(
-            tag_groups > 0,
-            "{tag}: no multi-container tag group to repack"
-        );
-    }
+    assert!(
+        tag_groups > 0,
+        "{tag}: no multi-container tag group to repack"
+    );
     drop(scratch);
 
     let boundaries: Vec<BTreeMap<u32, u32>> = (0..=payloads.len() + 2)
         .map(|saves| {
             let scratch = Scratch::new(&format!("{tag}-boundary-{saves}"));
             let real = hidestore::failpoint::RealVfs;
-            run_pass_sequence(&scratch.0, real, saves, config, payloads, pass)
+            run_pass_sequence(&scratch.0, real, saves, config, payloads)
                 .expect("unfaulted boundary build");
             reopen_and_check_with(config, &scratch.0, &format!("{tag} boundary {saves}")).0
         })
@@ -506,7 +469,7 @@ fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>
     for site in 0..total {
         let scratch = Scratch::new(&format!("{tag}-site-{site}"));
         let vfs = FaultVfs::new(Plan::armed(site, FaultKind::Error));
-        let result = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads, pass);
+        let result = run_pass_sequence(&scratch.0, vfs.clone(), usize::MAX, config, payloads);
         assert!(
             vfs.plan().fired() && result.is_err(),
             "{tag} site {site}: the fault must fire and fail the sequence"
@@ -517,29 +480,11 @@ fn sweep_pass_every_site(tag: &str, config: HiDeStoreConfig, payloads: &[Vec<u8>
     }
 }
 
-/// The out-of-line lifecycle of the hybrid scheme.
-#[test]
-fn crash_matrix_out_of_line_pass_every_site() {
-    use hidestore::core::DedupMode;
-
-    sweep_pass_every_site(
-        "oop-hybrid",
-        config().with_scheme(DedupMode::Hybrid),
-        &scheme_payloads(),
-        Pass::OutOfLine,
-    );
-}
-
 /// The recluster lifecycle: committed containers are never overwritten, so
 /// a crash anywhere in the pass or its save keeps every committed version.
 #[test]
 fn crash_matrix_recluster_every_site() {
-    sweep_pass_every_site(
-        "recluster",
-        recluster_config(),
-        &recluster_payloads(),
-        Pass::Recluster,
-    );
+    sweep_pass_every_site("recluster", recluster_config(), &recluster_payloads());
 }
 
 /// Re-clustering dropped before its save — a crash, or a save that failed —

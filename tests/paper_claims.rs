@@ -4,7 +4,7 @@
 //! EXPERIMENTS.md.
 
 use hidestore::chunking::{chunk_spans, ChunkerKind};
-use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig};
+use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::{gc, BackupPipeline, PipelineConfig, STAGED_MIN_BYTES};
 use hidestore::hash::Fingerprint;
 use hidestore::index::{DdfsIndex, SiloConfig, SiloIndex};
@@ -321,80 +321,18 @@ fn hidestore_reads_fewer_containers_than_ddfs_at_equal_cache() {
     }
 }
 
-/// Physical bytes a system keeps live: archival containers plus the active
-/// pool (scheme-mode systems leave the pool empty).
-fn live_bytes(hds: &HiDeStore<MemoryContainerStore>) -> u64 {
-    hds.archival().total_live_bytes() + hds.pool().live_bytes()
-}
-
-/// The hybrid scheme's bargain: defer fine-grained dedup to the out-of-line
-/// pass, then land within 5% of inline HiDeStore's physical footprint —
-/// both are exact single-copy stores once the pass has run.
-#[test]
-fn hybrid_post_pass_ratio_within_five_percent_of_hidestore() {
-    let versions = kernel_versions(10);
-    let logical: u64 = versions.iter().map(|v| v.len() as u64).sum();
-
-    let mut inline = HiDeStore::new(hds_config(), MemoryContainerStore::new());
-    for v in &versions {
-        inline.backup(v).unwrap();
-    }
-    let mut hybrid = HiDeStore::new(
-        hds_config().with_scheme(DedupMode::Hybrid),
-        MemoryContainerStore::new(),
-    );
-    for v in &versions {
-        hybrid.backup(v).unwrap();
-    }
-    let before_pass = live_bytes(&hybrid);
-    let report = hybrid.out_of_line_pass().unwrap();
-
-    let inline_live = live_bytes(&inline);
-    let hybrid_live = live_bytes(&hybrid);
-    let inline_ratio = 1.0 - inline_live as f64 / logical as f64;
-    let hybrid_ratio = 1.0 - hybrid_live as f64 / logical as f64;
-    assert!(
-        (inline_ratio - hybrid_ratio).abs() <= 0.05,
-        "post-pass hybrid dedup ratio {hybrid_ratio:.4} must be within 5% of \
-         inline HiDeStore {inline_ratio:.4} ({hybrid_live} vs {inline_live} live bytes)"
-    );
-    // The pass did real work: the inline phase had left duplicates behind.
-    assert!(
-        report.bytes_reclaimed > 0 && before_pass > hybrid_live,
-        "out-of-line pass must reclaim: {report:?}"
-    );
-
-    // Every version still restores byte-exact afterwards.
-    for (i, data) in versions.iter().enumerate() {
-        let mut out = Vec::new();
-        hybrid
-            .restore(
-                VersionId::new(i as u32 + 1),
-                &mut Faa::new(FAA_AREA),
-                &mut out,
-            )
-            .unwrap();
-        assert_eq!(&out, data, "V{} after pass", i + 1);
-    }
-}
-
-/// Restore correctness is scheme- and front-end-independent: hybrid
-/// repositories built from versions below, at, and above the
-/// inline/staged crossover all restore every version byte-identical.
+/// Restore correctness is front-end-independent: repositories built from
+/// versions below, at, and above the inline/staged crossover all restore
+/// every version byte-identical.
 #[test]
 fn new_schemes_restore_byte_identical_across_input_sizes() {
-    let scheme = DedupMode::Hybrid;
     for bytes in [256 << 10, STAGED_MIN_BYTES, 2 << 20] {
         let versions =
             VersionStream::new(Profile::Kernel.spec().scaled(bytes, 6), 42).all_versions();
-        let mut hds = HiDeStore::new(
-            hds_config().with_scheme(scheme),
-            MemoryContainerStore::new(),
-        );
+        let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());
         for v in &versions {
             hds.backup(v).unwrap();
         }
-        hds.out_of_line_pass().unwrap();
         for (i, data) in versions.iter().enumerate() {
             let mut out = Vec::new();
             hds.restore(
@@ -403,7 +341,7 @@ fn new_schemes_restore_byte_identical_across_input_sizes() {
                 &mut out,
             )
             .unwrap();
-            assert_eq!(&out, data, "{scheme} {bytes} B V{}", i + 1);
+            assert_eq!(&out, data, "{bytes} B V{}", i + 1);
         }
     }
 }

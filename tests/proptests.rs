@@ -546,76 +546,6 @@ fn random_operation_sequences_audit_clean() {
     });
 }
 
-/// Random interleavings of backup / out-of-line pass / delete_expired under
-/// the out-of-line (hybrid) scheme: every surviving version restores
-/// byte-exact after every operation and the auditor never reports an
-/// error, no matter where the out-of-line pass lands in the sequence.
-#[test]
-fn out_of_line_schemes_survive_random_interleavings() {
-    use hidestore::core::DedupMode;
-    use hidestore::fsck::Severity;
-
-    cases(5, 0x10, |rng| {
-        let scheme = DedupMode::Hybrid;
-        let seed_len = rng.gen_range(2_000usize..20_000);
-        let mut current = version_history(seed_len, &[]).remove(0);
-        let mut hds = HiDeStore::new(
-            hds_config().with_scheme(scheme),
-            MemoryContainerStore::new(),
-        );
-        hds.backup(&current).unwrap();
-        let mut originals = std::collections::BTreeMap::new();
-        originals.insert(1u32, current.clone());
-        let mut newest = 1u32;
-        for step in 0..rng.gen_range(4usize..9) {
-            match rng.gen_range(0usize..4) {
-                // Backup a mutated next version (weighted: half the ops).
-                0 | 1 => {
-                    current = apply(current, &random_edit(rng));
-                    hds.backup(&current).unwrap();
-                    newest += 1;
-                    originals.insert(newest, current.clone());
-                }
-                // Deduplicate older versions against the newest.
-                2 => {
-                    hds.out_of_line_pass()
-                        .unwrap_or_else(|e| panic!("{scheme}: pass failed: {e}"));
-                }
-                // Expire a random prefix, when one exists.
-                _ => {
-                    let oldest = *originals.keys().next().unwrap();
-                    if oldest < newest {
-                        let up_to = rng.gen_range(oldest..newest);
-                        hds.delete_expired(VersionId::new(up_to)).unwrap();
-                        originals.retain(|&v, _| v > up_to);
-                    }
-                }
-            }
-            let report = SystemAuditor::new().audit(&hds);
-            assert_eq!(
-                report.count(Severity::Error),
-                0,
-                "{scheme}: audit errors after step {step} (newest V{newest}):\n{:#?}",
-                report.findings
-            );
-            // One random survivor restores exactly after every operation.
-            let pick = rng.gen_range(0usize..originals.len());
-            let (&v, expect) = originals.iter().nth(pick).unwrap();
-            let mut out = Vec::new();
-            hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                .unwrap_or_else(|e| panic!("{scheme}: restore V{v} failed: {e}"));
-            assert_eq!(&out, expect, "{scheme}: V{v} differs after step {step}");
-        }
-        // Epilogue: every survivor restores exactly one more time.
-        for (&v, expect) in &originals {
-            let mut out = Vec::new();
-            hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                .unwrap();
-            assert_eq!(&out, expect, "{scheme}: final V{v} differs");
-        }
-    });
-}
-
 /// Random backup / delete / save / restore sequences over an on-disk
 /// repository: every surviving version restores byte-exact through a
 /// randomly drawn restore scheme, and the repository audits clean after
@@ -705,91 +635,83 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
     });
 }
 
-/// Random backup / prune / flatten / recluster / dedup-pass / save / reopen
-/// sequences under every scheme: after every save, the files under
-/// `recipes/` and `active/` are the instance's recipes and pool byte for
-/// byte — the save staged every change the operations made and removed
-/// every file they dropped, however many saves ran on one instance.
+/// Random backup / prune / flatten / recluster / save / reopen sequences:
+/// after every save, the files under `recipes/` and `active/` are the
+/// instance's recipes and pool byte for byte — the save staged every change
+/// the operations made and removed every file they dropped, however many
+/// saves ran on one instance.
 #[test]
 fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
-    use hidestore::core::DedupMode;
-
     cases(8, 0x11, |rng| {
-        for scheme in DedupMode::ALL {
-            let dir = scratch_dir(&format!("disk-image-{scheme}"), rng);
-            // Small containers: re-clustering finds multi-container tag
-            // groups, and pool compaction has sparse containers to merge.
-            let config = HiDeStoreConfig {
-                container_capacity: 8 * 1024,
-                ..hds_config()
-            }
-            .with_scheme(scheme);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let seed_len = rng.gen_range(4_000usize..20_000);
-                let mut current = version_history(seed_len, &[]).remove(0);
-                let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
-                hds.backup(&current).unwrap();
-                let mut originals = BTreeMap::from([(1u32, current.clone())]);
-                let mut newest = 1u32;
-                for step in 0..rng.gen_range(8usize..16) {
-                    let context = format!("{scheme} step {step} (newest V{newest})");
-                    match rng.gen_range(0usize..8) {
-                        0..=2 => {
-                            // Mostly an edit; sometimes unrelated data, so
-                            // every active container goes cold and empties.
-                            current = if rng.gen_range(0usize..3) == 0 {
-                                random_bytes(rng, seed_len)
-                            } else {
-                                apply(current, &random_edit(rng))
-                            };
-                            hds.backup(&current).unwrap();
-                            newest += 1;
-                            originals.insert(newest, current.clone());
-                        }
-                        3 => {
-                            let oldest = *originals.keys().next().unwrap();
-                            if oldest < newest {
-                                let up_to = rng.gen_range(oldest..newest);
-                                hds.delete_expired(VersionId::new(up_to)).unwrap();
-                                originals.retain(|&v, _| v > up_to);
-                            }
-                        }
-                        4 => {
-                            hds.flatten_recipes();
-                        }
-                        5 if scheme == DedupMode::HiDeStore => {
-                            hds.recluster_archival().unwrap();
-                        }
-                        5 => {
-                            hds.out_of_line_pass().unwrap();
-                        }
-                        6 => {
-                            hds.save_repository(&dir).unwrap();
-                            assert_disk_matches_memory(&hds, &dir, &context);
-                        }
-                        _ => {
-                            hds.save_repository(&dir).unwrap();
-                            assert_disk_matches_memory(&hds, &dir, &context);
-                            hds = HiDeStore::open_repository(config, &dir).unwrap();
+        let dir = scratch_dir("disk-image-hidestore", rng);
+        // Small containers: re-clustering finds multi-container tag
+        // groups, and pool compaction has sparse containers to merge.
+        let config = HiDeStoreConfig {
+            container_capacity: 8 * 1024,
+            ..hds_config()
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let seed_len = rng.gen_range(4_000usize..20_000);
+            let mut current = version_history(seed_len, &[]).remove(0);
+            let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+            hds.backup(&current).unwrap();
+            let mut originals = BTreeMap::from([(1u32, current.clone())]);
+            let mut newest = 1u32;
+            for step in 0..rng.gen_range(8usize..16) {
+                let context = format!("step {step} (newest V{newest})");
+                match rng.gen_range(0usize..8) {
+                    0..=2 => {
+                        // Mostly an edit; sometimes unrelated data, so
+                        // every active container goes cold and empties.
+                        current = if rng.gen_range(0usize..3) == 0 {
+                            random_bytes(rng, seed_len)
+                        } else {
+                            apply(current, &random_edit(rng))
+                        };
+                        hds.backup(&current).unwrap();
+                        newest += 1;
+                        originals.insert(newest, current.clone());
+                    }
+                    3 => {
+                        let oldest = *originals.keys().next().unwrap();
+                        if oldest < newest {
+                            let up_to = rng.gen_range(oldest..newest);
+                            hds.delete_expired(VersionId::new(up_to)).unwrap();
+                            originals.retain(|&v, _| v > up_to);
                         }
                     }
+                    4 => {
+                        hds.flatten_recipes();
+                    }
+                    5 => {
+                        hds.recluster_archival().unwrap();
+                    }
+                    6 => {
+                        hds.save_repository(&dir).unwrap();
+                        assert_disk_matches_memory(&hds, &dir, &context);
+                    }
+                    _ => {
+                        hds.save_repository(&dir).unwrap();
+                        assert_disk_matches_memory(&hds, &dir, &context);
+                        hds = HiDeStore::open_repository(config, &dir).unwrap();
+                    }
                 }
-                hds.save_repository(&dir).unwrap();
-                assert_disk_matches_memory(&hds, &dir, &format!("{scheme} final save"));
-                let hds = HiDeStore::open_repository(config, &dir).unwrap();
-                for (&v, expect) in &originals {
-                    let mut out = Vec::new();
-                    hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
-                        .unwrap();
-                    assert!(out == *expect, "{scheme}: V{v} differs after reopen");
-                }
-                let audit = SystemAuditor::new().audit(&hds);
-                assert!(audit.is_clean(), "{scheme}: {audit}");
-            }));
-            let _ = std::fs::remove_dir_all(&dir);
-            if let Err(panic) = result {
-                std::panic::resume_unwind(panic);
             }
+            hds.save_repository(&dir).unwrap();
+            assert_disk_matches_memory(&hds, &dir, "final save");
+            let hds = HiDeStore::open_repository(config, &dir).unwrap();
+            for (&v, expect) in &originals {
+                let mut out = Vec::new();
+                hds.restore(VersionId::new(v), &mut Faa::new(1 << 18), &mut out)
+                    .unwrap();
+                assert!(out == *expect, "V{v} differs after reopen");
+            }
+            let audit = SystemAuditor::new().audit(&hds);
+            assert!(audit.is_clean(), "{audit}");
+        }));
+        let _ = std::fs::remove_dir_all(&dir);
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
         }
     });
 }

@@ -3,12 +3,11 @@
 //! Every on-disk format — containers, recipes, the meta file, the commit
 //! journal and tree manifests — is pinned two ways:
 //!
-//! * **Lifecycle digests.** For each dedup scheme one scripted lifecycle
-//!   runs the way the CLI would, one open + operation + save per step:
-//!   8 workload versions (kernel at history depth 1; HiDeStore also runs
-//!   macos at depth 2, the paper's setting for skip-a-version data), a tree backup whose source has explicit modes and
-//!   mtimes, prune, flatten, recluster and (hybrid) the
-//!   out-of-line pass. After every step the SHA-1 of the sorted list of
+//! * **Lifecycle digests.** One scripted lifecycle runs the way the CLI
+//!   would, one open + operation + save per step: 8 workload versions
+//!   (kernel at history depth 1, and macos at depth 2, the paper's setting
+//!   for skip-a-version data), a tree backup whose source has explicit
+//!   modes and mtimes, prune, flatten and recluster. After every step the SHA-1 of the sorted list of
 //!   (relative path, bytes) of the whole repository must equal the recorded
 //!   constant. A change that must not move bytes leaves every constant
 //!   green; a constant moves only in a change whose CHANGES entry names the
@@ -24,7 +23,7 @@ use std::fs;
 use std::num::NonZeroU32;
 use std::path::{Path, PathBuf};
 
-use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig, JournalRecovery};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, JournalRecovery};
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, RealVfs, Vfs, VfsEntryKind};
 use hidestore::fsck::SystemAuditor;
 use hidestore::hash::Sha1;
@@ -137,11 +136,10 @@ fn step(dir: &Path, op: impl FnOnce(&mut HiDeStore<FileContainerStore>)) {
     hds.save_repository(dir).unwrap();
 }
 
-/// Runs the scripted lifecycle for `scheme` at `history_depth` over
-/// `profile`'s versions and compares the repository's digest after every
-/// step with `golden`.
-fn lifecycle(scheme: DedupMode, history_depth: usize, profile: Profile, golden: &[(&str, &str)]) {
-    let scratch = Scratch::new(&format!("{scheme}-{history_depth}"));
+/// Runs the scripted lifecycle at `history_depth` over `profile`'s versions
+/// and compares the repository's digest after every step with `golden`.
+fn lifecycle(history_depth: usize, profile: Profile, golden: &[(&str, &str)]) {
+    let scratch = Scratch::new(&format!("hidestore-{history_depth}"));
     let (dir, source) = (scratch.0.join("repo"), scratch.0.join("source"));
     let mut seen: Vec<(String, String)> = Vec::new();
     let mut record = |step: String| seen.push((step, repo_digest(&dir)));
@@ -151,7 +149,6 @@ fn lifecycle(scheme: DedupMode, history_depth: usize, profile: Profile, golden: 
         avg_chunk_size: 1024,
         container_capacity: 16 * 1024,
         history_depth,
-        scheme,
         ..HiDeStoreConfig::default()
     }
     .save_to(&dir)
@@ -186,12 +183,6 @@ fn lifecycle(scheme: DedupMode, history_depth: usize, profile: Profile, golden: 
         hds.recluster_archival().unwrap();
     });
     record("recluster".into());
-    if scheme.is_out_of_line() {
-        step(&dir, |hds| {
-            hds.out_of_line_pass().unwrap();
-        });
-        record("dedup-pass".into());
-    }
 
     let expected: Vec<(String, String)> = golden
         .iter()
@@ -210,7 +201,7 @@ fn lifecycle(scheme: DedupMode, history_depth: usize, profile: Profile, golden: 
                 format!("{mark} (\"{step}\", \"{digest}\"),\n")
             })
             .collect();
-        panic!("{scheme} depth {history_depth}: repository bytes moved (!! = step differs from the record):\n{table}");
+        panic!("depth {history_depth}: repository bytes moved (!! = step differs from the record):\n{table}");
     }
 }
 
@@ -232,7 +223,7 @@ const HIDESTORE: &[(&str, &str)] = &[
 
 #[test]
 fn hidestore_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::HiDeStore, 1, Profile::Kernel, HIDESTORE);
+    lifecycle(1, Profile::Kernel, HIDESTORE);
 }
 
 const HIDESTORE_DEPTH_2: &[(&str, &str)] = &[
@@ -253,29 +244,7 @@ const HIDESTORE_DEPTH_2: &[(&str, &str)] = &[
 
 #[test]
 fn hidestore_depth_2_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::HiDeStore, 2, Profile::Macos, HIDESTORE_DEPTH_2);
-}
-
-const HYBRID: &[(&str, &str)] = &[
-    ("init", "d3579741514b03cf29880854eb24ae20826d7ee3"),
-    ("backup V1", "917307ec93578c53efbc3269207110ce094aa079"),
-    ("backup V2", "0120ddf9f83a8750a150c1d92319fac42d8d9c02"),
-    ("backup V3", "ab03ff5a75bd21ce0520dc7af108b15d9149a0f2"),
-    ("backup V4", "4a3dd50b6e6b34e54b431b0246a2a57ceaee96f0"),
-    ("backup V5", "d4570cd5c68c2bebad720dcd59c3553a17b92b4e"),
-    ("backup V6", "cbfcaa0dd96043b4a6d071c5c4095bd49ba8f034"),
-    ("backup V7", "28a54b12330de7d686c9830d34db8ed503ccaea3"),
-    ("backup V8", "0da64efa9df605351b98104bc6971b4f3f317bcf"),
-    ("backup-tree V9", "57a300e1ed2df7a664cec135824c9205c51e81e9"),
-    ("prune 6", "2318b9162820b4b6545c9b766b3d95345ff4c887"),
-    ("flatten", "2318b9162820b4b6545c9b766b3d95345ff4c887"),
-    ("recluster", "c30fc3d8e057448ad03f89b648b3e61b7ceba9ec"),
-    ("dedup-pass", "a45ac8a9a8695de543893b332397a1ef61cfdb2d"),
-];
-
-#[test]
-fn hybrid_lifecycle_writes_the_recorded_bytes() {
-    lifecycle(DedupMode::Hybrid, 1, Profile::Kernel, HYBRID);
+    lifecycle(2, Profile::Macos, HIDESTORE_DEPTH_2);
 }
 
 /// The committed compatibility repository.

@@ -68,16 +68,14 @@ fn every_index_rewriter_combination_round_trips() {
     }
 }
 
-/// The dedup-scheme × restore-cache sweep on full repositories: every
-/// [`hidestore::core::DedupMode`] must ingest, persist, pass the auditor
-/// after *every* save and after every out-of-line pass, and restore
-/// byte-exactly under every cache scheme.
+/// The restore-cache sweep on a full repository: HiDeStore must ingest,
+/// persist, pass the auditor after *every* save, and restore byte-exactly
+/// under every cache scheme.
 #[test]
 fn every_dedup_mode_and_cache_scheme_round_trips_audit_clean() {
-    use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig};
+    use hidestore::core::{HiDeStore, HiDeStoreConfig};
     use hidestore::fsck::{Severity, SystemAuditor};
     use hidestore::restore::{Alacc, ContainerLru, RestoreCache};
-    use hidestore::storage::FileContainerStore;
 
     let versions = VersionStream::new(Profile::Macos.spec().scaled(400_000, 4), 37).all_versions();
     type CacheFactory = fn() -> Box<dyn RestoreCache>;
@@ -87,51 +85,40 @@ fn every_dedup_mode_and_cache_scheme_round_trips_audit_clean() {
         ("alacc", || Box::new(Alacc::new(1 << 16, 1 << 18))),
     ];
 
-    for scheme in DedupMode::ALL {
-        let dir =
-            std::env::temp_dir().join(format!("hds-scheme-matrix-{scheme}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = HiDeStoreConfig {
-            avg_chunk_size: CHUNK,
-            container_capacity: CONTAINER,
-            ..HiDeStoreConfig::default()
-        }
-        .with_scheme(scheme);
+    let dir = std::env::temp_dir().join(format!(
+        "hds-scheme-matrix-hidestore-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = HiDeStoreConfig {
+        avg_chunk_size: CHUNK,
+        container_capacity: CONTAINER,
+        ..HiDeStoreConfig::default()
+    };
 
-        let audit_clean = |hds: &mut HiDeStore<FileContainerStore>, ctx: &str| {
-            let report = SystemAuditor::new().audit(hds);
-            assert_eq!(
-                report.count(Severity::Error),
-                0,
-                "{ctx}: audit errors:\n{:#?}",
-                report.findings
-            );
-        };
-
-        let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
-        for (i, v) in versions.iter().enumerate() {
-            hds.backup(v).unwrap();
-            hds.save_repository(&dir).unwrap();
-            audit_clean(&mut hds, &format!("{scheme}: after save {}", i + 1));
-        }
-        if scheme.is_out_of_line() {
-            let report = hds.out_of_line_pass().unwrap();
-            hds.save_repository(&dir).unwrap();
-            audit_clean(&mut hds, &format!("{scheme}: after pass {report:?}"));
-        }
-        for (cache_name, make_cache) in &caches {
-            for (i, expect) in versions.iter().enumerate() {
-                let mut out = Vec::new();
-                let mut cache = make_cache();
-                hds.restore(VersionId::new(i as u32 + 1), cache.as_mut(), &mut out)
-                    .unwrap_or_else(|e| {
-                        panic!("{scheme}+{cache_name}: restore V{} failed: {e}", i + 1)
-                    });
-                assert_eq!(&out, expect, "{scheme}+{cache_name}: V{} differs", i + 1);
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
+    let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
+    for (i, v) in versions.iter().enumerate() {
+        hds.backup(v).unwrap();
+        hds.save_repository(&dir).unwrap();
+        let report = SystemAuditor::new().audit(&hds);
+        assert_eq!(
+            report.count(Severity::Error),
+            0,
+            "after save {}: audit errors:\n{:#?}",
+            i + 1,
+            report.findings
+        );
     }
+    for (cache_name, make_cache) in &caches {
+        for (i, expect) in versions.iter().enumerate() {
+            let mut out = Vec::new();
+            let mut cache = make_cache();
+            hds.restore(VersionId::new(i as u32 + 1), cache.as_mut(), &mut out)
+                .unwrap_or_else(|e| panic!("{cache_name}: restore V{} failed: {e}", i + 1));
+            assert_eq!(&out, expect, "{cache_name}: V{} differs", i + 1);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

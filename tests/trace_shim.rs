@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use hidestore::core::{DedupMode, HiDeStore, HiDeStoreConfig, HiDeStoreVersionStats};
+use hidestore::core::{HiDeStore, HiDeStoreConfig, HiDeStoreVersionStats};
 use hidestore::dedup::chunk_fingerprints;
 use hidestore::hash::Fingerprint;
 use hidestore::storage::{ContainerStore, MemoryContainerStore};
@@ -42,39 +42,36 @@ fn hot_set(hds: &HiDeStore<MemoryContainerStore>) -> BTreeMap<Fingerprint, u32> 
 #[test]
 fn backup_trace_counts_and_places_exactly_as_backup() {
     let versions = versions();
-    for scheme in DedupMode::ALL {
-        for depth in [1, 2] {
-            let config = HiDeStoreConfig {
-                history_depth: depth,
-                ..HiDeStoreConfig::small_for_tests()
-            }
-            .with_scheme(scheme);
-            let case = format!("{scheme:?} depth {depth}");
-            let mut real = HiDeStore::new(config, MemoryContainerStore::new());
-            let mut shim = HiDeStore::new(config, MemoryContainerStore::new());
-            let mut chunker = config.chunker.build(config.avg_chunk_size);
-            for (v, data) in (1..).zip(&versions) {
-                let (spans, fingerprints) = chunk_fingerprints(data, chunker.as_mut());
-                let trace: Vec<(Fingerprint, u32)> = fingerprints
-                    .into_iter()
-                    .zip(&spans)
-                    .map(|(fp, span)| (fp, span.len() as u32))
-                    .collect();
-                let expected = real.backup(data).unwrap();
-                let replayed = shim.backup_trace(&trace).unwrap();
-                assert_eq!(counts(replayed), counts(expected), "{case}, V{v} stats");
-                assert!(
-                    real.recipes().iter().eq(shim.recipes().iter()),
-                    "{case}, V{v} recipes"
-                );
-                assert_eq!(hot_set(&shim), hot_set(&real), "{case}, V{v} hot set");
-            }
-            assert_eq!(shim.run_stats(), real.run_stats(), "{case} run totals");
-            assert_eq!(
-                shim.archival().ids(),
-                real.archival().ids(),
-                "{case} archival containers"
+    for depth in [1, 2] {
+        let config = HiDeStoreConfig {
+            history_depth: depth,
+            ..HiDeStoreConfig::small_for_tests()
+        };
+        let case = format!("depth {depth}");
+        let mut real = HiDeStore::new(config, MemoryContainerStore::new());
+        let mut shim = HiDeStore::new(config, MemoryContainerStore::new());
+        let mut chunker = config.chunker.build(config.avg_chunk_size);
+        for (v, data) in (1..).zip(&versions) {
+            let (spans, fingerprints) = chunk_fingerprints(data, chunker.as_mut());
+            let trace: Vec<(Fingerprint, u32)> = fingerprints
+                .into_iter()
+                .zip(&spans)
+                .map(|(fp, span)| (fp, span.len() as u32))
+                .collect();
+            let expected = real.backup(data).unwrap();
+            let replayed = shim.backup_trace(&trace).unwrap();
+            assert_eq!(counts(replayed), counts(expected), "{case}, V{v} stats");
+            assert!(
+                real.recipes().iter().eq(shim.recipes().iter()),
+                "{case}, V{v} recipes"
             );
+            assert_eq!(hot_set(&shim), hot_set(&real), "{case}, V{v} hot set");
         }
+        assert_eq!(shim.run_stats(), real.run_stats(), "{case} run totals");
+        assert_eq!(
+            shim.archival().ids(),
+            real.archival().ids(),
+            "{case} archival containers"
+        );
     }
 }
