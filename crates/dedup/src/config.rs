@@ -2,8 +2,8 @@
 
 use hidestore_chunking::ChunkerKind;
 
-/// Configuration of a [`crate::BackupPipeline`], mirroring the knobs of
-/// Destor's config file.
+/// Configuration of a [`crate::BackupPipeline`]: the chunking, container and
+/// segment knobs Destor's pipeline exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Chunking algorithm (the paper uses TTTD, §5.1).
@@ -40,8 +40,8 @@ impl PipelineConfig {
         }
     }
 
-    /// Checks every field's range — the one validator behind
-    /// `DestorConfig`'s parser and [`crate::BackupPipeline::new`]'s panic.
+    /// Checks every field's range — the check behind
+    /// [`crate::BackupPipeline::new`]'s panic.
     ///
     /// # Errors
     ///

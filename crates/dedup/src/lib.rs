@@ -12,9 +12,8 @@
 //! (none, CBR, CFL, Capping, FBW) over any
 //! [`hidestore_storage::ContainerStore`], and restores through any
 //! [`hidestore_restore::RestoreCache`]. Every baseline in the paper's
-//! evaluation (§5) runs through this pipeline, and [`destor_config`] selects
-//! among exactly those; HiDeStore itself modifies the pipeline and lives in
-//! `hidestore-core`.
+//! evaluation (§5) runs through this pipeline; HiDeStore itself modifies the
+//! pipeline and lives in `hidestore-core`.
 //!
 //! Also here: [`gc`] — the traditional mark-sweep garbage collection that
 //! baseline systems need when deleting expired versions (§5.5), implemented
@@ -48,7 +47,6 @@
 
 pub mod analysis;
 mod config;
-pub mod destor_config;
 pub mod gc;
 mod pipeline;
 mod stats;

@@ -96,8 +96,9 @@ pub trait FingerprintIndex {
 /// location, matching the paper's §2.2 accounting.
 pub const INDEX_ENTRY_BYTES: usize = 28;
 
-/// Identifier for choosing an index scheme from configuration, mirroring
-/// `ChunkerKind`'s role for the chunking phase in `hidestore-chunking`.
+/// Identifier for one of the paper's index baselines, so experiments can
+/// iterate over them, mirroring `ChunkerKind`'s role for the chunking phase
+/// in `hidestore-chunking`.
 ///
 /// # Examples
 ///

@@ -218,9 +218,7 @@ mod tests {
             CflRewrite::default().name(),
             Fbw::default().name(),
         ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len());
+        // Each policy's short name, all distinct.
+        assert_eq!(names, ["none", "capping", "cbr", "cfl", "fbw"]);
     }
 }

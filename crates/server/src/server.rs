@@ -106,7 +106,7 @@ pub struct ServerConfig {
     /// from the template config (tenant roots only; read paths never
     /// create).
     pub auto_create_tenants: bool,
-    /// Quota applied to every tenant without an explicit override. The
+    /// Quota applied to every tenant, each against its own usage. The
     /// zero default is unlimited.
     pub default_quota: TenantQuota,
 }

@@ -359,11 +359,6 @@ impl RecipeStore {
         self.recipes.keys().next_back().copied()
     }
 
-    /// The oldest retained version.
-    pub fn oldest_version(&self) -> Option<VersionId> {
-        self.recipes.keys().next().copied()
-    }
-
     /// Iterates recipes in version order.
     pub fn iter(&self) -> impl Iterator<Item = &Recipe> {
         self.recipes.values()
@@ -588,10 +583,10 @@ mod tests {
             s.insert(Recipe::new(VersionId::new(v)));
         }
         assert_eq!(s.latest_version(), Some(VersionId::new(3)));
-        assert_eq!(s.oldest_version(), Some(VersionId::new(1)));
+        assert_eq!(s.versions().first(), Some(&VersionId::new(1)));
         assert_eq!(s.versions().len(), 3);
         s.remove(VersionId::new(1));
-        assert_eq!(s.oldest_version(), Some(VersionId::new(2)));
+        assert_eq!(s.versions().first(), Some(&VersionId::new(2)));
     }
 
     #[test]

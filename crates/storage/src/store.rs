@@ -165,22 +165,6 @@ impl MemoryContainerStore {
         Self::default()
     }
 
-    /// Total live bytes across all containers (for dedup-ratio accounting).
-    pub fn total_live_bytes(&self) -> u64 {
-        self.containers
-            .values()
-            .map(|c| c.live_bytes() as u64)
-            .sum()
-    }
-
-    /// Total capacity-consuming bytes (live + dead) across containers.
-    pub fn total_used_bytes(&self) -> u64 {
-        self.containers
-            .values()
-            .map(|c| c.used_bytes() as u64)
-            .sum()
-    }
-
     /// Replaces an existing container in place, not counted as a write.
     /// Only the in-memory Destor baseline's mark-sweep GC uses it; it is
     /// not a [`ContainerStore`] method, so no durable store can overwrite
@@ -350,10 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn total_live_bytes_tracks_removals() {
+    fn written_container_keeps_its_live_and_used_bytes() {
         let mut s = MemoryContainerStore::new();
         s.write(container_with(1, 4)).unwrap();
-        assert_eq!(s.total_live_bytes(), 64);
-        assert_eq!(s.total_used_bytes(), 64);
+        let c = s.read(ContainerId::new(1)).unwrap();
+        assert_eq!(c.live_bytes(), 64);
+        assert_eq!(c.used_bytes(), 64);
     }
 }

@@ -1,7 +1,6 @@
 //! The tenant registry: validated ids → independent repositories through a
 //! capacity-bounded LRU of live handles.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +142,7 @@ pub struct RegistryOptions {
     /// Config for auto-created tenant repositories. Overridden by a
     /// `config` file at the tenant root, if present.
     pub template: HiDeStoreConfig,
-    /// Quota applied to tenants without an explicit override.
+    /// Quota applied to every tenant, each against its own usage.
     pub default_quota: TenantQuota,
 }
 
@@ -191,8 +190,6 @@ impl<V: Vfs> TenantSlot<V> {
 struct Inner<V: Vfs> {
     /// Live slots, least-recently-used first.
     live: Vec<(TenantId, Arc<TenantSlot<V>>)>,
-    /// Explicit per-tenant quota overrides.
-    quotas: BTreeMap<TenantId, TenantQuota>,
 }
 
 /// Maps validated tenant ids to independent repositories under one root,
@@ -273,10 +270,7 @@ impl<V: Vfs> TenantRegistry<V> {
             },
             root_vfs,
             make_vfs: Box::new(make_vfs),
-            inner: Mutex::new(Inner {
-                live: Vec::new(),
-                quotas: BTreeMap::new(),
-            }),
+            inner: Mutex::new(Inner { live: Vec::new() }),
             retired_rollbacks: AtomicU64::new(0),
         })
     }
@@ -304,21 +298,13 @@ impl<V: Vfs> TenantRegistry<V> {
             options,
             root_vfs,
             make_vfs: Box::new(make_vfs),
-            inner: Mutex::new(Inner {
-                live: Vec::new(),
-                quotas: BTreeMap::new(),
-            }),
+            inner: Mutex::new(Inner { live: Vec::new() }),
             retired_rollbacks: AtomicU64::new(0),
         })
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner<V>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Whether this registry is a legacy single-repository mount.
-    pub fn is_legacy(&self) -> bool {
-        matches!(self.mount, Mount::Legacy(_))
     }
 
     /// Soft cap on live handles.
@@ -430,11 +416,6 @@ impl<V: Vfs> TenantRegistry<V> {
         self.lock().live.iter().any(|(t, _)| t == tenant)
     }
 
-    /// How many handles are currently live.
-    pub fn live_count(&self) -> usize {
-        self.lock().live.len()
-    }
-
     /// Total failed-mutation rollbacks across all tenants, including
     /// handles that have since been evicted.
     pub fn rollbacks(&self) -> u64 {
@@ -447,18 +428,10 @@ impl<V: Vfs> TenantRegistry<V> {
         self.retired_rollbacks.load(Ordering::Relaxed) + live
     }
 
-    /// The quota in force for `tenant`: its override, or the default.
-    pub fn quota_for(&self, tenant: &TenantId) -> TenantQuota {
-        self.lock()
-            .quotas
-            .get(tenant)
-            .copied()
-            .unwrap_or(self.options.default_quota)
-    }
-
-    /// Overrides `tenant`'s quota.
-    pub fn set_quota(&self, tenant: &TenantId, quota: TenantQuota) {
-        self.lock().quotas.insert(tenant.clone(), quota);
+    /// The quota in force for `tenant`: [`RegistryOptions::default_quota`],
+    /// which every tenant shares.
+    pub fn quota_for(&self, _tenant: &TenantId) -> TenantQuota {
+        self.options.default_quota
     }
 
     /// Every tenant with an initialized repository, sorted by id. On a
@@ -607,8 +580,8 @@ mod tests {
         let dir = temp("legacy");
         HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
         let registry = TenantRegistry::open_legacy(&dir, RegistryOptions::default()).unwrap();
-        assert!(registry.is_legacy());
         let default = TenantId::default_tenant();
+        assert_eq!(registry.tenant_dir(&default).unwrap(), dir);
         assert_eq!(backup(&registry, &default, &vec![7u8; 10_000]).unwrap(), 1);
         assert_eq!(restore(&registry, &default, 1), vec![7u8; 10_000]);
         assert!(matches!(
@@ -642,7 +615,7 @@ mod tests {
             assert_eq!(backup(&registry, t, &vec![i as u8; 20_000]).unwrap(), 1);
         }
         assert_eq!(
-            registry.live_count(),
+            tenants.iter().filter(|t| registry.is_live(t)).count(),
             2,
             "capacity bounds the live handle table"
         );
@@ -688,22 +661,27 @@ mod tests {
         // Now idle: the next lookup evicts it.
         backup(&registry, &b, &vec![3u8; 10_000]).unwrap();
         registry.get(&b).unwrap();
-        assert!(!registry.is_live(&a) || registry.live_count() <= 1);
+        assert!(!registry.is_live(&a) || !registry.is_live(&b));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn quotas_refuse_typed_without_rollback() {
         let root = temp("quota");
-        let registry = TenantRegistry::open_root(&root, small_options()).unwrap();
-        let a = tid("capped");
-        registry.set_quota(
-            &a,
-            TenantQuota {
-                max_bytes: 0,
-                max_versions: 2,
+        // One default quota covers both limits: the version limit refuses
+        // first for one tenant, the byte limit for another.
+        let registry = TenantRegistry::open_root(
+            &root,
+            RegistryOptions {
+                default_quota: TenantQuota {
+                    max_bytes: 25_000,
+                    max_versions: 2,
+                },
+                ..small_options()
             },
-        );
+        )
+        .unwrap();
+        let a = tid("capped");
         backup(&registry, &a, &vec![1u8; 10_000]).unwrap();
         backup(&registry, &a, &vec![2u8; 10_000]).unwrap();
         let err = backup(&registry, &a, &vec![3u8; 10_000]);
@@ -722,13 +700,6 @@ mod tests {
         );
         // Byte quota: the check sees retained + incoming bytes.
         let b = tid("byte-capped");
-        registry.set_quota(
-            &b,
-            TenantQuota {
-                max_bytes: 25_000,
-                max_versions: 0,
-            },
-        );
         backup(&registry, &b, &vec![4u8; 20_000]).unwrap();
         let err = backup(&registry, &b, &vec![5u8; 10_000]);
         assert!(matches!(
@@ -741,7 +712,7 @@ mod tests {
         ));
         // Other tenants are unaffected by one tenant's quota exhaustion.
         assert_eq!(
-            backup(&registry, &tid("free"), &vec![6u8; 40_000]).unwrap(),
+            backup(&registry, &tid("free"), &vec![6u8; 20_000]).unwrap(),
             1
         );
         std::fs::remove_dir_all(&root).unwrap();

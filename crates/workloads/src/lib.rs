@@ -47,9 +47,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The workload profiles of the paper: the four Table 1 datasets plus the
-/// two extra software-release workloads §3 mentions ("we have the similar
-/// observations on other workloads (e.g., gdb, cmake)").
+/// The workload profiles of the paper: the four Table 1 datasets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Profile {
     /// Linux kernel source releases: many files, small incremental diffs,
@@ -63,11 +61,6 @@ pub enum Profile {
     /// macOS server snapshots: moderate redundancy plus the skip-a-version
     /// file pattern of Figure 3d (paper: 89.56%).
     Macos,
-    /// gdb releases: kernel-like incremental evolution, slightly fewer,
-    /// larger files.
-    Gdb,
-    /// cmake releases: small tree with moderate churn and steady growth.
-    Cmake,
 }
 
 impl Profile {
@@ -77,16 +70,6 @@ impl Profile {
         Profile::Gcc,
         Profile::Fslhomes,
         Profile::Macos,
-    ];
-
-    /// Every profile, including the §3 extras (gdb, cmake).
-    pub const EXTENDED: [Profile; 6] = [
-        Profile::Kernel,
-        Profile::Gcc,
-        Profile::Fslhomes,
-        Profile::Macos,
-        Profile::Gdb,
-        Profile::Cmake,
     ];
 
     /// The generator specification for this profile at its default scaled
@@ -145,32 +128,6 @@ impl Profile {
                 flap_fraction: 0.10,
                 major_every: 8,
                 major_file_fraction: 0.5,
-            },
-            Profile::Gdb => WorkloadSpec {
-                name: "gdb",
-                initial_bytes: 16 << 20,
-                versions: 20,
-                files: 160,
-                modify_file_fraction: 0.15,
-                modify_span_fraction: 0.18,
-                add_fraction: 0.006,
-                delete_fraction: 0.003,
-                flap_fraction: 0.0,
-                major_every: 0,
-                major_file_fraction: 0.0,
-            },
-            Profile::Cmake => WorkloadSpec {
-                name: "cmake",
-                initial_bytes: 16 << 20,
-                versions: 20,
-                files: 128,
-                modify_file_fraction: 0.25,
-                modify_span_fraction: 0.22,
-                add_fraction: 0.015,
-                delete_fraction: 0.005,
-                flap_fraction: 0.0,
-                major_every: 10,
-                major_file_fraction: 0.6,
             },
         }
     }
@@ -512,22 +469,5 @@ mod tests {
     fn display_names_match_table_1() {
         let names: Vec<String> = Profile::ALL.iter().map(|p| p.to_string()).collect();
         assert_eq!(names, vec!["kernel", "gcc", "fslhomes", "macos"]);
-    }
-
-    #[test]
-    fn extended_profiles_generate_and_evolve() {
-        for profile in [Profile::Gdb, Profile::Cmake] {
-            let spec = profile.spec().scaled(500_000, 3);
-            let versions = VersionStream::new(spec, 17).all_versions();
-            assert_eq!(versions.len(), 3);
-            assert_ne!(versions[0], versions[1], "{profile}");
-        }
-    }
-
-    #[test]
-    fn gdb_evolves_like_kernel_cmake_churns_more() {
-        let gdb = file_similarity(Profile::Gdb, 9);
-        let cmake = file_similarity(Profile::Cmake, 9);
-        assert!(gdb > cmake, "gdb {gdb:.2} vs cmake {cmake:.2}");
     }
 }
