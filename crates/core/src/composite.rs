@@ -62,14 +62,6 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
         Ok(container)
     }
 
-    fn contains(&self, id: ContainerId) -> bool {
-        if id.get() >= ACTIVE_ID_BASE {
-            self.active.snapshot(id.get() - ACTIVE_ID_BASE).is_some()
-        } else {
-            self.archival.contains(id)
-        }
-    }
-
     fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
         Err(StorageError::Corrupt(format!(
             "restore view is read-only; attempted removal of container {id}"
@@ -89,10 +81,6 @@ impl<S: ContainerStore> ContainerStore for CompositeStore<'_, S> {
 
     fn stats(&self) -> IoStats {
         self.reads.get()
-    }
-
-    fn reset_stats(&mut self) {
-        self.reads.take();
     }
 }
 
@@ -151,14 +139,6 @@ mod tests {
         let ids = view.ids();
         assert!(ids.contains(&ContainerId::new(1)));
         assert!(ids.contains(&ContainerId::new(ACTIVE_ID_BASE + 1)));
-    }
-
-    #[test]
-    fn contains_checks_both() {
-        let (archival, pool) = fixture();
-        let view = CompositeStore::new(&archival, &pool);
-        assert!(view.contains(ContainerId::new(1)));
-        assert!(view.contains(ContainerId::new(ACTIVE_ID_BASE + 1)));
-        assert!(!view.contains(ContainerId::new(55)));
+        assert!(!ids.contains(&ContainerId::new(55)));
     }
 }

@@ -4,6 +4,7 @@ use std::path::Path;
 
 use hidestore_chunking::ChunkerKind;
 use hidestore_failpoint::{RealVfs, Vfs};
+use hidestore_storage::CONTAINER_CAPACITY;
 
 use crate::system::HiDeStoreError;
 
@@ -34,7 +35,7 @@ impl Default for HiDeStoreConfig {
         HiDeStoreConfig {
             chunker: ChunkerKind::Tttd,
             avg_chunk_size: 8 * 1024,
-            container_capacity: 4 * 1024 * 1024,
+            container_capacity: CONTAINER_CAPACITY,
             compact_threshold: 0.95,
             history_depth: 1,
         }
@@ -51,12 +52,6 @@ impl HiDeStoreConfig {
             compact_threshold: 0.5,
             history_depth: 1,
         }
-    }
-
-    /// Depth-2 variant for macos-like workloads.
-    pub fn with_history_depth(mut self, depth: usize) -> Self {
-        self.history_depth = depth;
-        self
     }
 
     /// Reads the repository's `config` file at `dir`. Unknown keys are
@@ -222,7 +217,10 @@ mod tests {
 
     #[test]
     fn depth_2_for_macos() {
-        let c = HiDeStoreConfig::small_for_tests().with_history_depth(2);
+        let c = HiDeStoreConfig {
+            history_depth: 2,
+            ..HiDeStoreConfig::small_for_tests()
+        };
         assert_eq!(c.history_depth, 2);
         assert!(c.validate().is_ok());
     }
@@ -231,7 +229,13 @@ mod tests {
     fn out_of_range_fields_rejected() {
         let c = HiDeStoreConfig::small_for_tests();
         for (bad, what) in [
-            (c.with_history_depth(0), "history depth"),
+            (
+                HiDeStoreConfig {
+                    history_depth: 0,
+                    ..c
+                },
+                "history depth",
+            ),
             (
                 HiDeStoreConfig {
                     avg_chunk_size: 10,

@@ -72,7 +72,6 @@ pub use hidestore_dedup::{RunStats, VersionStats};
 pub use journal::JournalRecovery;
 pub use persist::{
     repository_recovery_state, OpenReport, PendingJournal, QuarantineEntry, QuarantinedArtifact,
-    RecoveryState,
 };
 pub use recluster::ReclusterReport;
 pub use stats::{DeletionReport, HiDeStoreVersionStats};

@@ -203,48 +203,27 @@ pub enum PendingJournal {
     RollBack,
 }
 
-/// Crash-recovery artifacts present in a repository directory, inspected
-/// *without* opening (and therefore without recovering) the repository —
-/// this is how `hidestore verify` reports a pending journal before
-/// [`HiDeStore::open_repository`] resolves it.
-#[derive(Debug, Default)]
-pub struct RecoveryState {
-    /// An interrupted save transaction, if `staging/` exists.
-    pub pending_journal: Option<PendingJournal>,
-    /// Files currently held in `quarantine/` (from this or earlier opens).
-    pub quarantined_files: Vec<PathBuf>,
-}
-
-/// Inspects the repository at `dir` for crash-recovery artifacts — a
-/// leftover `staging/` transaction and `quarantine/` contents — without
-/// opening or modifying anything.
-///
-/// # Errors
-///
-/// Fails on filesystem errors while listing the directories.
-pub fn repository_recovery_state(dir: impl AsRef<Path>) -> Result<RecoveryState, HiDeStoreError> {
+/// The interrupted save transaction (a leftover `staging/`) in the
+/// repository at `dir`, inspected *without* opening (and therefore without
+/// recovering) the repository — this is how `hidestore verify` reports a
+/// pending journal before [`HiDeStore::open_repository`] resolves it.
+pub fn repository_recovery_state(dir: impl AsRef<Path>) -> Option<PendingJournal> {
     let vfs = RealVfs;
     let dir = dir.as_ref();
-    let mut state = RecoveryState::default();
-    if vfs.exists(&journal::staging_dir(dir)) {
-        let commit = journal::commit_path(dir);
-        let record = vfs
-            .read(&commit)
-            .ok()
-            .and_then(|bytes| CommitRecord::decode(&bytes));
-        state.pending_journal = Some(match record {
-            Some(r) => PendingJournal::RollForward {
-                publishes: r.publish.len(),
-                removals: r.remove.len(),
-            },
-            None => PendingJournal::RollBack,
-        });
+    if !vfs.exists(&journal::staging_dir(dir)) {
+        return None;
     }
-    let quarantine = dir.join(QUARANTINE_DIR);
-    if vfs.exists(&quarantine) {
-        state.quarantined_files = vfs.read_dir(&quarantine).map_err(StorageError::from)?;
-    }
-    Ok(state)
+    let record = vfs
+        .read(&journal::commit_path(dir))
+        .ok()
+        .and_then(|bytes| CommitRecord::decode(&bytes));
+    Some(match record {
+        Some(r) => PendingJournal::RollForward {
+            publishes: r.publish.len(),
+            removals: r.remove.len(),
+        },
+        None => PendingJournal::RollBack,
+    })
 }
 
 /// Moves `src` into the quarantine directory, fsyncing both directories so
@@ -299,7 +278,8 @@ impl HiDeStore<FileContainerStore> {
     /// cache rebuilt from the newest recipes. An interrupted save
     /// transaction is rolled forward or back first, and unreadable/corrupt
     /// artifacts are quarantined rather than failing the open — see
-    /// [`HiDeStore::open_repository_report`] to observe what recovery did.
+    /// [`HiDeStore::open_repository_with`], whose [`OpenReport`] says what
+    /// recovery did.
     ///
     /// # Errors
     ///
@@ -310,19 +290,6 @@ impl HiDeStore<FileContainerStore> {
         dir: impl AsRef<Path>,
     ) -> Result<Self, HiDeStoreError> {
         Ok(Self::open_repository_with(config, dir, RealVfs)?.0)
-    }
-
-    /// [`HiDeStore::open_repository`], additionally returning the
-    /// [`OpenReport`] describing journal recovery and quarantined artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HiDeStore::open_repository`].
-    pub fn open_repository_report(
-        config: HiDeStoreConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<(Self, OpenReport), HiDeStoreError> {
-        Self::open_repository_with(config, dir, RealVfs)
     }
 }
 
@@ -817,7 +784,11 @@ mod tests {
             system.backup(&noise(50_000, 7)).unwrap();
             system.save_repository(&dir).unwrap();
         }
-        let err = HiDeStore::open_repository(config().with_history_depth(2), &dir).unwrap_err();
+        let depth_2 = HiDeStoreConfig {
+            history_depth: 2,
+            ..config()
+        };
+        let err = HiDeStore::open_repository(depth_2, &dir).unwrap_err();
         assert!(err.to_string().contains("history depth"));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -887,9 +858,7 @@ mod tests {
         system.backup(&noise(60_000, 32)).unwrap();
         system.save_repository(&dir).unwrap();
         assert!(!dir.join("staging").exists());
-        let state = repository_recovery_state(&dir).unwrap();
-        assert!(state.pending_journal.is_none());
-        assert!(state.quarantined_files.is_empty());
+        assert!(repository_recovery_state(&dir).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -915,13 +884,14 @@ mod tests {
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
         {
-            let (system, report) = HiDeStore::open_repository_report(config(), &dir).unwrap();
+            let (system, report) =
+                HiDeStore::open_repository_with(config(), &dir, RealVfs).unwrap();
             assert_eq!(report.quarantined.len(), 1);
             assert_eq!(system.quarantine().len(), 1);
         }
         // A *second* open performs no new quarantine, yet must still know
         // about the artifact and keep degrading dependent restores.
-        let (system, report) = HiDeStore::open_repository_report(config(), &dir).unwrap();
+        let (system, report) = HiDeStore::open_repository_with(config(), &dir, RealVfs).unwrap();
         assert_eq!(
             report.quarantined.len(),
             1,

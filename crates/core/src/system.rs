@@ -1048,7 +1048,7 @@ mod tests {
         }
         hds.backup(&data).unwrap();
         let latest = *hds.versions().last().unwrap();
-        hds.archival_mut().reset_stats();
+        let before = hds.archival().stats();
         let mut out = Vec::new();
         let report = hds
             .restore(latest, &mut Faa::new(1 << 20), &mut out)
@@ -1056,7 +1056,7 @@ mod tests {
         assert_eq!(out, data);
         // The newest version's chunks are all hot, hence in the pool:
         // archival reads must be zero.
-        assert_eq!(hds.archival().stats().container_reads, 0);
+        assert_eq!(hds.archival().stats().since(&before).container_reads, 0);
         assert!(report.container_reads > 0, "active containers still count");
     }
 
@@ -1190,7 +1190,10 @@ mod tests {
 
     #[test]
     fn depth_two_handles_skipping_chunks() {
-        let cfg = HiDeStoreConfig::small_for_tests().with_history_depth(2);
+        let cfg = HiDeStoreConfig {
+            history_depth: 2,
+            ..HiDeStoreConfig::small_for_tests()
+        };
         let mut hds = HiDeStore::new(cfg, MemoryContainerStore::new());
         let common = noise(60_000, 13);
         let extra = noise(30_000, 14);

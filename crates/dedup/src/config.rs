@@ -1,6 +1,7 @@
 //! Pipeline configuration.
 
 use hidestore_chunking::ChunkerKind;
+use hidestore_storage::CONTAINER_CAPACITY;
 
 /// Configuration of a [`crate::BackupPipeline`]: the chunking, container and
 /// segment knobs Destor's pipeline exposes.
@@ -21,7 +22,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             chunker: ChunkerKind::Tttd,
             avg_chunk_size: 8 * 1024,
-            container_capacity: 4 * 1024 * 1024,
+            container_capacity: CONTAINER_CAPACITY,
             segment_chunks: 1024,
         }
     }

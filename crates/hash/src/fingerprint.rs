@@ -2,7 +2,6 @@
 //! index in the workspace.
 
 use std::fmt;
-use std::str::FromStr;
 
 use crate::Sha1;
 
@@ -22,10 +21,9 @@ pub const FINGERPRINT_LEN: usize = 20;
 /// ```
 /// use hidestore_hash::Fingerprint;
 ///
-/// let fp = Fingerprint::of(b"some chunk data");
-/// let restored: Fingerprint = fp.to_string().parse()?;
-/// assert_eq!(fp, restored);
-/// # Ok::<(), hidestore_hash::ParseFingerprintError>(())
+/// let fp = Fingerprint::of(b"abc");
+/// assert_eq!(fp.to_string(), "a9993e364706816aba3e25717850c26c9cd0d89d");
+/// assert_eq!(fp, Fingerprint::from_bytes(*fp.as_bytes()));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Fingerprint([u8; FINGERPRINT_LEN]);
@@ -103,62 +101,6 @@ impl AsRef<[u8]> for Fingerprint {
     }
 }
 
-/// Error returned when parsing a [`Fingerprint`] from a hex string fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFingerprintError {
-    kind: ParseErrorKind,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ParseErrorKind {
-    Length(usize),
-    InvalidHex(char),
-}
-
-impl fmt::Display for ParseFingerprintError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
-            ParseErrorKind::Length(n) => {
-                write!(
-                    f,
-                    "expected {} hex characters, got {n}",
-                    FINGERPRINT_LEN * 2
-                )
-            }
-            ParseErrorKind::InvalidHex(c) => write!(f, "invalid hex character {c:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseFingerprintError {}
-
-impl FromStr for Fingerprint {
-    type Err = ParseFingerprintError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.len() != FINGERPRINT_LEN * 2 {
-            return Err(ParseFingerprintError {
-                kind: ParseErrorKind::Length(s.len()),
-            });
-        }
-        let mut bytes = [0u8; FINGERPRINT_LEN];
-        for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
-            let hi = hex_val(pair[0] as char).ok_or(ParseFingerprintError {
-                kind: ParseErrorKind::InvalidHex(pair[0] as char),
-            })?;
-            let lo = hex_val(pair[1] as char).ok_or(ParseFingerprintError {
-                kind: ParseErrorKind::InvalidHex(pair[1] as char),
-            })?;
-            bytes[i] = (hi << 4) | lo;
-        }
-        Ok(Fingerprint(bytes))
-    }
-}
-
-fn hex_val(c: char) -> Option<u8> {
-    c.to_digit(16).map(|d| d as u8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,24 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn display_and_parse_round_trip() {
+    fn display_is_the_digest_in_lower_hex() {
         let fp = Fingerprint::of(b"round trip");
         let s = fp.to_string();
         assert_eq!(s.len(), 40);
-        assert_eq!(s.parse::<Fingerprint>().unwrap(), fp);
-    }
-
-    #[test]
-    fn parse_rejects_bad_length() {
-        assert!("abcd".parse::<Fingerprint>().is_err());
-        let err = "ab".parse::<Fingerprint>().unwrap_err();
-        assert!(err.to_string().contains("expected 40"));
-    }
-
-    #[test]
-    fn parse_rejects_non_hex() {
-        let s = "zz".repeat(20);
-        assert!(s.parse::<Fingerprint>().is_err());
+        let hex: String = fp.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(s, hex);
     }
 
     #[test]

@@ -35,7 +35,7 @@ mod parallel;
 mod sha1;
 
 pub use crc32::{crc32, crc32_update};
-pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
+pub use fingerprint::{Fingerprint, FINGERPRINT_LEN};
 pub use parallel::{default_hash_threads, fingerprints_parallel, map_ordered};
 pub use sha1::Sha1;
 

@@ -158,10 +158,6 @@ impl FingerprintIndex for DdfsIndex {
         // per unique chunk.
         self.full_index.len() * INDEX_ENTRY_BYTES + self.bloom.memory_bytes()
     }
-
-    fn name(&self) -> &'static str {
-        "ddfs"
-    }
 }
 
 #[cfg(test)]

@@ -87,9 +87,6 @@ pub trait FingerprintIndex {
 
     /// Current size in bytes of the scheme's index table (Figure 10 metric).
     fn index_table_bytes(&self) -> usize;
-
-    /// Short scheme name for reports (e.g. `"ddfs"`).
-    fn name(&self) -> &'static str;
 }
 
 /// Size in bytes of one full-index entry: 20-byte fingerprint plus an 8-byte
@@ -106,7 +103,7 @@ pub const INDEX_ENTRY_BYTES: usize = 28;
 /// use hidestore_index::IndexKind;
 ///
 /// let mut index = IndexKind::Ddfs.build();
-/// assert_eq!(index.name(), "ddfs");
+/// assert_eq!(IndexKind::Ddfs.to_string(), "ddfs");
 /// # use hidestore_index::FingerprintIndex;
 /// # index.begin_version(hidestore_storage::VersionId::new(1));
 /// ```
@@ -168,10 +165,6 @@ impl<T: FingerprintIndex + ?Sized> FingerprintIndex for Box<T> {
 
     fn index_table_bytes(&self) -> usize {
         (**self).index_table_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -244,20 +237,12 @@ mod tests {
             assert_eq!(index.process_segment(&seg), vec![None], "{kind}");
             index.record_chunk(Fingerprint::synthetic(1), 100, ContainerId::new(1));
             index.end_version();
-            assert_eq!(kind.to_string(), index.name());
         }
     }
 
     #[test]
-    fn all_names_distinct() {
-        let names = [
-            DdfsIndex::new().name(),
-            SparseIndex::new(SparseConfig::default()).name(),
-            SiloIndex::new(SiloConfig::default()).name(),
-        ];
-        let mut unique = names.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len());
+    fn index_kind_display_names_each_scheme() {
+        let names: Vec<String> = IndexKind::ALL.iter().map(|k| k.to_string()).collect();
+        assert_eq!(names, ["ddfs", "sparse", "silo"]);
     }
 }

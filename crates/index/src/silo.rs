@@ -183,10 +183,6 @@ impl FingerprintIndex for SiloIndex {
         // an 8-byte block reference.
         self.sh_table.len() * 28
     }
-
-    fn name(&self) -> &'static str {
-        "silo"
-    }
 }
 
 #[cfg(test)]

@@ -145,10 +145,6 @@ impl FingerprintIndex for SparseIndex {
             .map(|manifests| 20 + 8 * manifests.len())
             .sum()
     }
-
-    fn name(&self) -> &'static str {
-        "sparse"
-    }
 }
 
 impl SparseIndex {

@@ -282,24 +282,18 @@ pub(crate) mod test_util {
         chunks_per: u32,
         chunk_size: usize,
     ) -> (MemoryContainerStore, Vec<RestoreEntry>, Vec<u8>) {
-        let (store, mut plan, _) = sequential_fixture(n_containers, chunks_per, chunk_size);
-        // Reorder: round-robin across containers.
+        let (store, plan, sequential) = sequential_fixture(n_containers, chunks_per, chunk_size);
+        // Reorder round-robin across containers, and the expected bytes with it.
         let mut reordered = Vec::with_capacity(plan.len());
+        let mut expect = Vec::with_capacity(sequential.len());
         for i in 0..chunks_per as usize {
             for c in 0..n_containers as usize {
-                reordered.push(plan[c * chunks_per as usize + i]);
+                let k = c * chunks_per as usize + i;
+                reordered.push(plan[k]);
+                expect.extend_from_slice(&sequential[k * chunk_size..(k + 1) * chunk_size]);
             }
         }
-        plan = reordered;
-        // Rebuild the expected output by reading containers directly.
-        let mut store = store;
-        let mut expect = Vec::new();
-        for e in &plan {
-            let c = store.read(e.container).unwrap();
-            expect.extend_from_slice(c.get(&e.fingerprint).unwrap());
-        }
-        store.reset_stats();
-        (store, plan, expect)
+        (store, reordered, expect)
     }
 }
 
@@ -559,9 +553,6 @@ mod tests {
             self.0.read(id)?;
             self.0.read(id)
         }
-        fn contains(&self, id: ContainerId) -> bool {
-            self.0.contains(id)
-        }
         fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
             self.0.remove(id)
         }
@@ -570,9 +561,6 @@ mod tests {
         }
         fn stats(&self) -> IoStats {
             self.0.stats()
-        }
-        fn reset_stats(&mut self) {
-            self.0.reset_stats()
         }
     }
 
@@ -621,9 +609,6 @@ mod tests {
                 .set((most_bytes.max(bytes), most.max(handed.len())));
             Ok(copy)
         }
-        fn contains(&self, id: ContainerId) -> bool {
-            self.store.contains(id)
-        }
         fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
             self.store.remove(id)
         }
@@ -632,9 +617,6 @@ mod tests {
         }
         fn stats(&self) -> IoStats {
             self.store.stats()
-        }
-        fn reset_stats(&mut self) {
-            self.store.reset_stats()
         }
     }
 

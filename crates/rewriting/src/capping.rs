@@ -22,7 +22,7 @@ use crate::{RewritePolicy, SegmentChunk};
 ///
 /// let mut p = Capping::new(10);
 /// p.begin_version(VersionId::new(1));
-/// assert_eq!(p.name(), "capping");
+/// assert_eq!(p.rewritten_bytes(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Capping {
@@ -80,10 +80,6 @@ impl RewritePolicy for Capping {
 
     fn rewritten_bytes(&self) -> u64 {
         self.rewritten_bytes
-    }
-
-    fn name(&self) -> &'static str {
-        "capping"
     }
 }
 

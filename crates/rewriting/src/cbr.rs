@@ -22,7 +22,7 @@ use crate::{RewritePolicy, SegmentChunk};
 /// use hidestore_rewriting::{Cbr, RewritePolicy};
 ///
 /// let p = Cbr::new(0.25, 0.05);
-/// assert_eq!(p.name(), "cbr");
+/// assert_eq!(p.rewritten_bytes(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cbr {
@@ -116,10 +116,6 @@ impl RewritePolicy for Cbr {
 
     fn rewritten_bytes(&self) -> u64 {
         self.rewritten_bytes
-    }
-
-    fn name(&self) -> &'static str {
-        "cbr"
     }
 }
 

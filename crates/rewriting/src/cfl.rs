@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use hidestore_storage::{ContainerId, VersionId};
+use hidestore_storage::{ContainerId, VersionId, CONTAINER_CAPACITY};
 
 use crate::{RewritePolicy, SegmentChunk};
 
@@ -34,7 +34,7 @@ pub struct CflRewrite {
 
 impl Default for CflRewrite {
     fn default() -> Self {
-        CflRewrite::new(0.6, 4 * 1024 * 1024)
+        CflRewrite::new(0.6, CONTAINER_CAPACITY as u64)
     }
 }
 
@@ -122,10 +122,6 @@ impl RewritePolicy for CflRewrite {
 
     fn rewritten_bytes(&self) -> u64 {
         self.rewritten_bytes
-    }
-
-    fn name(&self) -> &'static str {
-        "cfl"
     }
 }
 

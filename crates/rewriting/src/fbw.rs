@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use hidestore_storage::{ContainerId, VersionId};
+use hidestore_storage::{ContainerId, VersionId, CONTAINER_CAPACITY};
 
 use crate::{RewritePolicy, SegmentChunk};
 
@@ -40,7 +40,7 @@ pub struct Fbw {
 
 impl Default for Fbw {
     fn default() -> Self {
-        Fbw::new(64 * 1024 * 1024, 0.02, 4 * 1024 * 1024)
+        Fbw::new(64 * 1024 * 1024, 0.02, CONTAINER_CAPACITY as u64)
     }
 }
 
@@ -172,10 +172,6 @@ impl RewritePolicy for Fbw {
 
     fn rewritten_bytes(&self) -> u64 {
         self.rewritten_bytes
-    }
-
-    fn name(&self) -> &'static str {
-        "fbw"
     }
 }
 

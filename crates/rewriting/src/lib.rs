@@ -84,9 +84,6 @@ pub trait RewritePolicy {
     /// Total bytes of duplicate chunks rewritten so far (the deduplication-
     /// ratio loss shown in the paper's Figure 8).
     fn rewritten_bytes(&self) -> u64;
-
-    /// Short name for reports (e.g. `"capping"`).
-    fn name(&self) -> &'static str;
 }
 
 /// The baseline policy: never rewrite anything.
@@ -127,10 +124,6 @@ impl RewritePolicy for NoRewrite {
     fn rewritten_bytes(&self) -> u64 {
         0
     }
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
 }
 
 impl<T: RewritePolicy + ?Sized> RewritePolicy for Box<T> {
@@ -148,10 +141,6 @@ impl<T: RewritePolicy + ?Sized> RewritePolicy for Box<T> {
 
     fn rewritten_bytes(&self) -> u64 {
         (**self).rewritten_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -189,7 +178,6 @@ mod tests {
         assert_eq!(p.process_segment(&seg), vec![false; 6]);
         p.end_version();
         assert_eq!(p.rewritten_bytes(), 0);
-        assert_eq!(p.name(), "none");
     }
 
     #[test]
@@ -202,23 +190,10 @@ mod tests {
             Box::new(CflRewrite::default()),
             Box::new(Fbw::default()),
         ];
-        for mut p in policies {
+        for (i, mut p) in policies.into_iter().enumerate() {
             p.begin_version(VersionId::new(1));
             let decisions = p.process_segment(&seg);
-            assert_eq!(decisions, vec![false; 4], "{}", p.name());
+            assert_eq!(decisions, vec![false; 4], "policy {i}");
         }
-    }
-
-    #[test]
-    fn policy_names_distinct() {
-        let names = [
-            NoRewrite::new().name(),
-            Capping::new(2).name(),
-            Cbr::default().name(),
-            CflRewrite::default().name(),
-            Fbw::default().name(),
-        ];
-        // Each policy's short name, all distinct.
-        assert_eq!(names, ["none", "capping", "cbr", "cfl", "fbw"]);
     }
 }

@@ -41,6 +41,7 @@ pub use hidestore_proto::DATA_CHUNK;
 pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
 pub use server::{
     serve, serve_with, ServerConfig, ServerError, ServerHandle, BUSY_RETRY_AFTER_MS, MAX_SESSIONS,
+    QUEUE_DEPTH,
 };
 pub use session::SessionTable;
 pub use stats::{ServerStats, StatsSnapshot, TenantStats};

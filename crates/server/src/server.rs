@@ -45,7 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hidestore_core::{HiDeStoreConfig, HiDeStoreError, RESTORE_AREA_BYTES};
+use hidestore_core::{HiDeStoreError, RESTORE_AREA_BYTES};
 use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
 use hidestore_proto::{
@@ -73,6 +73,11 @@ pub const MAX_SESSIONS: usize = 64;
 /// Backoff hint (milliseconds) sent with `busy` refusals.
 pub const BUSY_RETRY_AFTER_MS: u32 = 100;
 
+/// Accepted connections the admission gate queues ahead of the workers;
+/// when it is full, further connections are shed with a retryable `busy`
+/// refusal instead of queueing without bound.
+pub const QUEUE_DEPTH: usize = 16;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -80,10 +85,6 @@ pub struct ServerConfig {
     pub bind: String,
     /// Worker threads (concurrent connections served). At least 1.
     pub workers: usize,
-    /// Accepted connections the admission gate queues ahead of the
-    /// workers; when it is full, further connections are shed with a
-    /// retryable `busy` refusal instead of queueing without bound.
-    pub queue_depth: usize,
     /// Per-connection read and write deadline (`--timeout SECS`), by
     /// default [`DEFAULT_NET_TIMEOUT`]; [`Duration::ZERO`] disables it.
     pub io_timeout: Duration,
@@ -103,8 +104,8 @@ pub struct ServerConfig {
     /// evicted least-recently-used.
     pub max_live_tenants: usize,
     /// Whether a backup against an absent tenant creates its repository
-    /// from the template config (tenant roots only; read paths never
-    /// create).
+    /// from the tenant root's `config`, or the default config when the root
+    /// has none (tenant roots only; read paths never create).
     pub auto_create_tenants: bool,
     /// Quota applied to every tenant, each against its own usage. The
     /// zero default is unlimited.
@@ -116,7 +117,6 @@ impl Default for ServerConfig {
         ServerConfig {
             bind: "127.0.0.1:0".into(),
             workers: 4,
-            queue_depth: 16,
             io_timeout: DEFAULT_NET_TIMEOUT,
             limits: Limits::default(),
             quiet: false,
@@ -338,8 +338,6 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
     let options = RegistryOptions {
         max_live: config.max_live_tenants,
         auto_create: config.auto_create_tenants,
-        template: HiDeStoreConfig::default(),
-        default_quota: config.default_quota,
     };
     let registry = if config.tenants_root {
         TenantRegistry::open_root_with(repo_dir, options, root_vfs, make_vfs)?
@@ -349,9 +347,8 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
     let listener = TcpListener::bind(&config.bind)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    let queue_depth = config.queue_depth.max(1);
     let sessions = Mutex::new(SessionTable::new(MAX_SESSIONS, SESSION_TTL));
-    let (tx, rx) = sync_channel(queue_depth);
+    let (tx, rx) = sync_channel(QUEUE_DEPTH);
     let shared = Arc::new(Shared {
         registry,
         queue: Mutex::new(rx),
@@ -926,7 +923,7 @@ fn serve_backup_resume<V: Vfs>(
             format!(" version=V{} dedup=hit", summary.version),
         );
     }
-    let quota = shared.registry.quota_for(tenant);
+    let quota = shared.config.default_quota;
     let result = slot
         .handle()
         .write_checked(|s| quota.admit(s, data.len() as u64), |s| s.backup(&data));

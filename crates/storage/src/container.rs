@@ -89,11 +89,6 @@ impl Container {
         }
     }
 
-    /// Creates an empty container with the paper's 4 MiB capacity.
-    pub fn with_default_capacity(id: ContainerId) -> Self {
-        Self::new(id, CONTAINER_CAPACITY)
-    }
-
     /// The container's ID.
     pub fn id(&self) -> ContainerId {
         self.id

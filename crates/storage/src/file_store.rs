@@ -31,10 +31,10 @@ use crate::store::{ContainerStore, IoCounters, IoStats};
 /// # Examples
 ///
 /// ```no_run
-/// use hidestore_storage::{Container, ContainerId, ContainerStore, FileContainerStore};
+/// use hidestore_storage::{Container, ContainerId, ContainerStore, FileContainerStore, CONTAINER_CAPACITY};
 ///
 /// let mut store = FileContainerStore::open("/tmp/backup-repo")?;
-/// store.write(Container::with_default_capacity(ContainerId::new(1)))?;
+/// store.write(Container::new(ContainerId::new(1), CONTAINER_CAPACITY))?;
 /// # Ok::<(), hidestore_storage::StorageError>(())
 /// ```
 #[derive(Debug)]
@@ -199,10 +199,6 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
         Ok(Arc::new(container))
     }
 
-    fn contains(&self, id: ContainerId) -> bool {
-        self.ids.contains(&id)
-    }
-
     fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
         if !self.ids.remove(&id) {
             return Err(StorageError::ContainerNotFound(id));
@@ -223,10 +219,6 @@ impl<V: Vfs> ContainerStore for FileContainerStore<V> {
 
     fn stats(&self) -> IoStats {
         self.counters.snapshot()
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = IoCounters::default();
     }
 
     fn len(&self) -> usize {
@@ -276,7 +268,7 @@ mod tests {
         }
         let s = FileContainerStore::open(&dir).unwrap();
         assert_eq!(s.len(), 2);
-        assert!(s.contains(ContainerId::new(2)));
+        assert!(s.ids().contains(&ContainerId::new(2)));
         assert_eq!(s.read(ContainerId::new(2)).unwrap().chunk_count(), 10);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -300,7 +292,7 @@ mod tests {
         s.set_deferred_removals(true);
         s.remove(ContainerId::new(1)).unwrap();
         // Logically gone, physically still on disk.
-        assert!(!s.contains(ContainerId::new(1)));
+        assert!(!s.ids().contains(&ContainerId::new(1)));
         assert!(s.read(ContainerId::new(1)).is_err());
         assert!(dir.join("c1.ctr").exists());
         assert_eq!(s.deferred_removals(), &[ContainerId::new(1)]);
@@ -322,7 +314,7 @@ mod tests {
         let s = FileContainerStore::open(&dir).unwrap();
         assert!(!dir.join(".c7.tmp").exists(), "stale tmp not swept");
         assert_eq!(s.len(), 1);
-        assert!(s.contains(ContainerId::new(1)));
+        assert!(s.ids().contains(&ContainerId::new(1)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -333,7 +325,7 @@ mod tests {
         s.write(sample_container(1)).unwrap();
         assert!(s.forget(ContainerId::new(1)));
         assert!(!s.forget(ContainerId::new(1)));
-        assert!(!s.contains(ContainerId::new(1)));
+        assert!(!s.ids().contains(&ContainerId::new(1)));
         assert!(dir.join("c1.ctr").exists());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -88,8 +88,8 @@ impl IoCounters {
 ///
 /// Reads take `&self` and are still counted: a store keeps its counters in
 /// atomics, so restores, scrubs and audits share one store instance — and
-/// may run concurrently — while only writes, removals and
-/// [`ContainerStore::reset_stats`] need `&mut`.
+/// may run concurrently — while only writes and removals need `&mut`.
+/// A phase's counts are `stats().since(&before)` ([`IoStats::since`]).
 ///
 /// Containers are **written once**: a store adds a container under a fresh
 /// ID and later removes it, never overwrites it, so a committed recipe
@@ -110,9 +110,6 @@ pub trait ContainerStore {
     /// Returns [`StorageError::ContainerNotFound`] for unknown IDs.
     fn read(&self, id: ContainerId) -> Result<Arc<Container>, StorageError>;
 
-    /// Whether the store holds `id`.
-    fn contains(&self, id: ContainerId) -> bool;
-
     /// Deletes a container (used when expiring backup versions).
     ///
     /// # Errors
@@ -125,9 +122,6 @@ pub trait ContainerStore {
 
     /// Counted I/O so far.
     fn stats(&self) -> IoStats;
-
-    /// Zeroes the counters (e.g. between backup and restore phases).
-    fn reset_stats(&mut self);
 
     /// Number of containers held.
     fn len(&self) -> usize {
@@ -203,10 +197,6 @@ impl ContainerStore for MemoryContainerStore {
         Ok(container)
     }
 
-    fn contains(&self, id: ContainerId) -> bool {
-        self.containers.contains_key(&id)
-    }
-
     fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
         self.containers
             .remove(&id)
@@ -221,10 +211,6 @@ impl ContainerStore for MemoryContainerStore {
 
     fn stats(&self) -> IoStats {
         self.counters.snapshot()
-    }
-
-    fn reset_stats(&mut self) {
-        self.counters = IoCounters::default();
     }
 
     fn len(&self) -> usize {
@@ -288,7 +274,7 @@ mod tests {
         let mut s = MemoryContainerStore::new();
         s.write(container_with(1, 1)).unwrap();
         s.remove(ContainerId::new(1)).unwrap();
-        assert!(!s.contains(ContainerId::new(1)));
+        assert!(!s.ids().contains(&ContainerId::new(1)));
         assert_eq!(s.stats().container_deletes, 1);
         assert!(s.is_empty());
     }
@@ -326,11 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes() {
+    fn since_windows_out_earlier_counts() {
         let mut s = MemoryContainerStore::new();
         s.write(container_with(1, 1)).unwrap();
-        s.reset_stats();
-        assert_eq!(s.stats(), IoStats::default());
+        let before = s.stats();
+        assert_eq!(s.stats().since(&before), IoStats::default());
+        s.write(container_with(2, 1)).unwrap();
+        s.remove(ContainerId::new(1)).unwrap();
+        let delta = s.stats().since(&before);
+        assert_eq!(
+            delta,
+            IoStats {
+                container_writes: 1,
+                container_deletes: 1,
+                bytes_written: 16,
+                ..IoStats::default()
+            }
+        );
     }
 
     #[test]

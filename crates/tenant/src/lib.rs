@@ -24,9 +24,10 @@
 //!   [`RepositoryHandle::write_checked`]) *before* the mutation, so a
 //!   refusal is a cheap read — typed, non-retryable, and never a rollback.
 //! * **Two mounts.** A *tenant root* serves `<root>/tenants/<id>/`, one
-//!   repository per tenant, auto-created from a template config on first
-//!   backup. A *legacy mount* serves one existing repository as exactly the
-//!   `default` tenant — the single-repository deployment.
+//!   repository per tenant, auto-created on first backup with the root's
+//!   `config` (or the default config when the root has none). A *legacy
+//!   mount* serves one existing repository as exactly the `default`
+//!   tenant — the single-repository deployment.
 //!
 //! [`RepositoryHandle`]: hidestore_core::RepositoryHandle
 //! [`RepositoryHandle::write_checked`]: hidestore_core::RepositoryHandle::write_checked

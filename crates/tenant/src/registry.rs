@@ -124,8 +124,12 @@ impl From<std::io::Error> for TenantError {
 enum Mount {
     /// One pre-existing repository serving exactly the `default` tenant.
     Legacy(PathBuf),
-    /// `<root>/tenants/<id>/`, one repository per tenant.
-    Root(PathBuf),
+    /// `<root>/tenants/<id>/`, one repository per tenant, each created with
+    /// `template`: the root's `config` if it has one, else the default.
+    Root {
+        root: PathBuf,
+        template: HiDeStoreConfig,
+    },
 }
 
 /// Construction-time knobs for [`TenantRegistry`].
@@ -137,13 +141,9 @@ pub struct RegistryOptions {
     /// transiently exceed the cap under load. Clamped to at least 1.
     pub max_live: usize,
     /// Whether a backup against a tenant with no repository creates one
-    /// from the template config. Read paths never create.
+    /// from the tenant root's `config` (or the default config when the
+    /// root has none). Read paths never create.
     pub auto_create: bool,
-    /// Config for auto-created tenant repositories. Overridden by a
-    /// `config` file at the tenant root, if present.
-    pub template: HiDeStoreConfig,
-    /// Quota applied to every tenant, each against its own usage.
-    pub default_quota: TenantQuota,
 }
 
 impl Default for RegistryOptions {
@@ -151,8 +151,6 @@ impl Default for RegistryOptions {
         RegistryOptions {
             max_live: 8,
             auto_create: true,
-            template: HiDeStoreConfig::default(),
-            default_quota: TenantQuota::UNLIMITED,
         }
     }
 }
@@ -162,17 +160,11 @@ impl Default for RegistryOptions {
 /// tenants. Handed out as an `Arc` — the registry's eviction logic uses
 /// the reference count to tell idle slots from busy ones.
 pub struct TenantSlot<V: Vfs = RealVfs> {
-    tenant: TenantId,
     handle: RepositoryHandle<V>,
     commit_gate: Mutex<()>,
 }
 
 impl<V: Vfs> TenantSlot<V> {
-    /// The tenant this slot serves.
-    pub fn tenant(&self) -> &TenantId {
-        &self.tenant
-    }
-
     /// The tenant's repository handle. Its writer lock is *this tenant's*
     /// writer lock — no other tenant contends on it.
     pub fn handle(&self) -> &RepositoryHandle<V> {
@@ -212,45 +204,17 @@ pub struct TenantRegistry<V: Vfs = RealVfs> {
     retired_rollbacks: AtomicU64,
 }
 
-impl TenantRegistry<RealVfs> {
+impl<V: Vfs> TenantRegistry<V> {
     /// Serves the single pre-existing repository at `dir` as exactly the
     /// `default` tenant — the single-repository deployment. Every other
-    /// tenant id is [`TenantError::UnknownTenant`].
+    /// tenant id is [`TenantError::UnknownTenant`]. `root_vfs` does the
+    /// registry's own filesystem work and `make_vfs` builds the
+    /// repository's Vfs: [`RealVfs`] in the daemon, a fault-injecting one
+    /// in crash tests.
     ///
     /// # Errors
     ///
     /// [`TenantError::Repo`] when `dir` is not an initialized repository.
-    pub fn open_legacy(
-        dir: impl AsRef<Path>,
-        options: RegistryOptions,
-    ) -> Result<Self, TenantError> {
-        Self::open_legacy_with(dir, options, RealVfs, |_| RealVfs)
-    }
-
-    /// Serves `root` as a tenant root: each tenant's repository lives at
-    /// `<root>/tenants/<id>/`. The `tenants` directory is created if
-    /// missing; a `config` file at `root` overrides the template for
-    /// auto-created tenants.
-    ///
-    /// # Errors
-    ///
-    /// [`TenantError::Io`] when the tenant root cannot be created, or
-    /// [`TenantError::Repo`] when the root config exists but is invalid.
-    pub fn open_root(
-        root: impl AsRef<Path>,
-        options: RegistryOptions,
-    ) -> Result<Self, TenantError> {
-        Self::open_root_with(root, options, RealVfs, |_| RealVfs)
-    }
-}
-
-impl<V: Vfs> TenantRegistry<V> {
-    /// [`TenantRegistry::open_legacy`] with explicit vfs plumbing — the
-    /// fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// As [`TenantRegistry::open_legacy`].
     pub fn open_legacy_with(
         dir: impl AsRef<Path>,
         options: RegistryOptions,
@@ -260,11 +224,10 @@ impl<V: Vfs> TenantRegistry<V> {
         let dir = dir.as_ref().to_path_buf();
         // Fail fast on a directory that is not a repository: the legacy
         // mount never creates one.
-        let template = HiDeStoreConfig::load_from_with(&dir, &root_vfs)?;
+        HiDeStoreConfig::load_from_with(&dir, &root_vfs)?;
         Ok(TenantRegistry {
             mount: Mount::Legacy(dir),
             options: RegistryOptions {
-                template,
                 max_live: options.max_live.max(1),
                 ..options
             },
@@ -275,12 +238,16 @@ impl<V: Vfs> TenantRegistry<V> {
         })
     }
 
-    /// [`TenantRegistry::open_root`] with explicit vfs plumbing — the
-    /// fault-injection entry point.
+    /// Serves `root` as a tenant root: each tenant's repository lives at
+    /// `<root>/tenants/<id>/`. The `tenants` directory is created if
+    /// missing; auto-created tenants take the `config` file at `root`, or
+    /// the default config when there is none. The Vfs plumbing is as in
+    /// [`TenantRegistry::open_legacy_with`].
     ///
     /// # Errors
     ///
-    /// As [`TenantRegistry::open_root`].
+    /// [`TenantError::Io`] when the tenant root cannot be created, or
+    /// [`TenantError::Repo`] when the root config exists but is invalid.
     pub fn open_root_with(
         root: impl AsRef<Path>,
         mut options: RegistryOptions,
@@ -289,12 +256,14 @@ impl<V: Vfs> TenantRegistry<V> {
     ) -> Result<Self, TenantError> {
         let root = root.as_ref().to_path_buf();
         root_vfs.create_dir_all(&root.join(TENANTS_SUBDIR))?;
-        if root_vfs.exists(&root.join(CONFIG_FILE)) {
-            options.template = HiDeStoreConfig::load_from_with(&root, &root_vfs)?;
-        }
+        let template = if root_vfs.exists(&root.join(CONFIG_FILE)) {
+            HiDeStoreConfig::load_from_with(&root, &root_vfs)?
+        } else {
+            HiDeStoreConfig::default()
+        };
         options.max_live = options.max_live.max(1);
         Ok(TenantRegistry {
-            mount: Mount::Root(root),
+            mount: Mount::Root { root, template },
             options,
             root_vfs,
             make_vfs: Box::new(make_vfs),
@@ -305,11 +274,6 @@ impl<V: Vfs> TenantRegistry<V> {
 
     fn lock(&self) -> MutexGuard<'_, Inner<V>> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Soft cap on live handles.
-    pub fn max_live(&self) -> usize {
-        self.options.max_live
     }
 
     /// The directory a tenant's repository lives in (whether or not it
@@ -328,7 +292,7 @@ impl<V: Vfs> TenantRegistry<V> {
                     Err(TenantError::UnknownTenant(tenant.clone()))
                 }
             }
-            Mount::Root(root) => Ok(root.join(TENANTS_SUBDIR).join(tenant.as_str())),
+            Mount::Root { root, .. } => Ok(root.join(TENANTS_SUBDIR).join(tenant.as_str())),
         }
     }
 
@@ -344,8 +308,8 @@ impl<V: Vfs> TenantRegistry<V> {
         self.lookup(tenant, false)
     }
 
-    /// The live slot for `tenant`, creating its repository from the
-    /// template on first use when auto-creation is enabled (tenant-root
+    /// The live slot for `tenant`, creating its repository from the tenant
+    /// root's config on first use when auto-creation is enabled (tenant-root
     /// mounts only). The entry point for backups.
     ///
     /// # Errors
@@ -374,17 +338,15 @@ impl<V: Vfs> TenantRegistry<V> {
         let dir = self.tenant_dir(tenant)?;
         let vfs = (self.make_vfs)(tenant);
         if !vfs.exists(&dir.join(CONFIG_FILE)) {
-            let may_create =
-                create && self.options.auto_create && matches!(self.mount, Mount::Root(_));
-            if !may_create {
-                return Err(TenantError::UnknownTenant(tenant.clone()));
-            }
+            let template = match &self.mount {
+                Mount::Root { template, .. } if create && self.options.auto_create => template,
+                _ => return Err(TenantError::UnknownTenant(tenant.clone())),
+            };
             vfs.create_dir_all(&dir)?;
-            self.options.template.save_to_with(&dir, &vfs)?;
+            template.save_to_with(&dir, &vfs)?;
         }
         let handle = RepositoryHandle::open_with(&dir, vfs)?;
         let slot = Arc::new(TenantSlot {
-            tenant: tenant.clone(),
             handle,
             commit_gate: Mutex::new(()),
         });
@@ -428,12 +390,6 @@ impl<V: Vfs> TenantRegistry<V> {
         self.retired_rollbacks.load(Ordering::Relaxed) + live
     }
 
-    /// The quota in force for `tenant`: [`RegistryOptions::default_quota`],
-    /// which every tenant shares.
-    pub fn quota_for(&self, _tenant: &TenantId) -> TenantQuota {
-        self.options.default_quota
-    }
-
     /// Every tenant with an initialized repository, sorted by id. On a
     /// legacy mount this is exactly `default`.
     ///
@@ -443,7 +399,7 @@ impl<V: Vfs> TenantRegistry<V> {
     pub fn list(&self) -> Result<Vec<TenantId>, TenantError> {
         match &self.mount {
             Mount::Legacy(_) => Ok(vec![TenantId::default_tenant()]),
-            Mount::Root(root) => {
+            Mount::Root { root, .. } => {
                 let mut tenants = Vec::new();
                 for entry in self.root_vfs.read_dir(&root.join(TENANTS_SUBDIR))? {
                     let Some(name) = entry.file_name().and_then(|n| n.to_str()) else {
@@ -484,11 +440,15 @@ mod tests {
         dir
     }
 
-    fn small_options() -> RegistryOptions {
-        RegistryOptions {
-            template: HiDeStoreConfig::small_for_tests(),
-            ..RegistryOptions::default()
-        }
+    /// A fresh tenant root whose `config` every auto-created tenant takes.
+    fn small_root(tag: &str) -> PathBuf {
+        let root = temp(tag);
+        HiDeStoreConfig::small_for_tests().save_to(&root).unwrap();
+        root
+    }
+
+    fn mount_root(root: &Path, options: RegistryOptions) -> TenantRegistry {
+        TenantRegistry::open_root_with(root, options, RealVfs, |_| RealVfs).unwrap()
     }
 
     fn tid(s: &str) -> TenantId {
@@ -500,8 +460,17 @@ mod tests {
         tenant: &TenantId,
         data: &[u8],
     ) -> Result<u32, TenantError> {
+        backup_under(TenantQuota::UNLIMITED, registry, tenant, data)
+    }
+
+    /// A backup admitted by `quota`, as the daemon admits one.
+    fn backup_under<V: Vfs>(
+        quota: TenantQuota,
+        registry: &TenantRegistry<V>,
+        tenant: &TenantId,
+        data: &[u8],
+    ) -> Result<u32, TenantError> {
         let slot = registry.get_or_create(tenant)?;
-        let quota = registry.quota_for(tenant);
         let stats = slot
             .handle()
             .write_checked(|s| quota.admit(s, data.len() as u64), |s| s.backup(data))?;
@@ -522,8 +491,8 @@ mod tests {
 
     #[test]
     fn tenants_are_physically_isolated() {
-        let root = temp("isolated");
-        let registry = TenantRegistry::open_root(&root, small_options()).unwrap();
+        let root = small_root("isolated");
+        let registry = mount_root(&root, RegistryOptions::default());
         let (a, b) = (tid("alice"), tid("bob"));
         // Both tenants get version 1: independent version-id spaces.
         assert_eq!(backup(&registry, &a, &vec![0xAA; 30_000]).unwrap(), 1);
@@ -548,8 +517,8 @@ mod tests {
 
     #[test]
     fn unknown_tenant_is_typed_and_reads_never_create() {
-        let root = temp("unknown");
-        let registry = TenantRegistry::open_root(&root, small_options()).unwrap();
+        let root = small_root("unknown");
+        let registry = mount_root(&root, RegistryOptions::default());
         let ghost = tid("ghost");
         assert!(matches!(
             registry.get(&ghost),
@@ -560,14 +529,13 @@ mod tests {
             "a read lookup must not create a repository"
         );
         // With auto-creation off, even the backup path refuses.
-        let registry = TenantRegistry::open_root(
+        let registry = mount_root(
             &root,
             RegistryOptions {
                 auto_create: false,
-                ..small_options()
+                ..RegistryOptions::default()
             },
-        )
-        .unwrap();
+        );
         assert!(matches!(
             registry.get_or_create(&ghost),
             Err(TenantError::UnknownTenant(_))
@@ -577,9 +545,11 @@ mod tests {
 
     #[test]
     fn legacy_mount_serves_exactly_default() {
-        let dir = temp("legacy");
-        HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
-        let registry = TenantRegistry::open_legacy(&dir, RegistryOptions::default()).unwrap();
+        let dir = small_root("legacy");
+        let mount_legacy = |dir: &Path| {
+            TenantRegistry::open_legacy_with(dir, RegistryOptions::default(), RealVfs, |_| RealVfs)
+        };
+        let registry = mount_legacy(&dir).unwrap();
         let default = TenantId::default_tenant();
         assert_eq!(registry.tenant_dir(&default).unwrap(), dir);
         assert_eq!(backup(&registry, &default, &vec![7u8; 10_000]).unwrap(), 1);
@@ -592,7 +562,7 @@ mod tests {
         // And a directory that is not a repository refuses to mount.
         let empty = temp("legacy-empty");
         assert!(matches!(
-            TenantRegistry::open_legacy(&empty, RegistryOptions::default()),
+            mount_legacy(&empty),
             Err(TenantError::Repo(HiDeStoreError::Config(_)))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -601,15 +571,14 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_pressure_round_trips() {
-        let root = temp("lru");
-        let registry = TenantRegistry::open_root(
+        let root = small_root("lru");
+        let registry = mount_root(
             &root,
             RegistryOptions {
                 max_live: 2,
-                ..small_options()
+                ..RegistryOptions::default()
             },
-        )
-        .unwrap();
+        );
         let tenants: Vec<TenantId> = (0..4).map(|i| tid(&format!("t{i}"))).collect();
         for (i, t) in tenants.iter().enumerate() {
             assert_eq!(backup(&registry, t, &vec![i as u8; 20_000]).unwrap(), 1);
@@ -634,15 +603,14 @@ mod tests {
 
     #[test]
     fn busy_slots_are_never_evicted() {
-        let root = temp("busy");
-        let registry = TenantRegistry::open_root(
+        let root = small_root("busy");
+        let registry = mount_root(
             &root,
             RegistryOptions {
                 max_live: 1,
-                ..small_options()
+                ..RegistryOptions::default()
             },
-        )
-        .unwrap();
+        );
         let (a, b) = (tid("held"), tid("other"));
         backup(&registry, &a, &vec![1u8; 10_000]).unwrap();
         let held = registry.get(&a).unwrap();
@@ -667,24 +635,18 @@ mod tests {
 
     #[test]
     fn quotas_refuse_typed_without_rollback() {
-        let root = temp("quota");
-        // One default quota covers both limits: the version limit refuses
-        // first for one tenant, the byte limit for another.
-        let registry = TenantRegistry::open_root(
-            &root,
-            RegistryOptions {
-                default_quota: TenantQuota {
-                    max_bytes: 25_000,
-                    max_versions: 2,
-                },
-                ..small_options()
-            },
-        )
-        .unwrap();
+        let root = small_root("quota");
+        // One quota covers both limits: the version limit refuses first
+        // for one tenant, the byte limit for another.
+        let registry = mount_root(&root, RegistryOptions::default());
+        let quota = TenantQuota {
+            max_bytes: 25_000,
+            max_versions: 2,
+        };
         let a = tid("capped");
-        backup(&registry, &a, &vec![1u8; 10_000]).unwrap();
-        backup(&registry, &a, &vec![2u8; 10_000]).unwrap();
-        let err = backup(&registry, &a, &vec![3u8; 10_000]);
+        backup_under(quota, &registry, &a, &vec![1u8; 10_000]).unwrap();
+        backup_under(quota, &registry, &a, &vec![2u8; 10_000]).unwrap();
+        let err = backup_under(quota, &registry, &a, &vec![3u8; 10_000]);
         assert!(matches!(
             err,
             Err(TenantError::Repo(HiDeStoreError::QuotaExceeded {
@@ -700,8 +662,8 @@ mod tests {
         );
         // Byte quota: the check sees retained + incoming bytes.
         let b = tid("byte-capped");
-        backup(&registry, &b, &vec![4u8; 20_000]).unwrap();
-        let err = backup(&registry, &b, &vec![5u8; 10_000]);
+        backup_under(quota, &registry, &b, &vec![4u8; 20_000]).unwrap();
+        let err = backup_under(quota, &registry, &b, &vec![5u8; 10_000]);
         assert!(matches!(
             err,
             Err(TenantError::Repo(HiDeStoreError::QuotaExceeded {
@@ -712,7 +674,7 @@ mod tests {
         ));
         // Other tenants are unaffected by one tenant's quota exhaustion.
         assert_eq!(
-            backup(&registry, &tid("free"), &vec![6u8; 20_000]).unwrap(),
+            backup_under(quota, &registry, &tid("free"), &vec![6u8; 20_000]).unwrap(),
             1
         );
         std::fs::remove_dir_all(&root).unwrap();
@@ -724,8 +686,8 @@ mod tests {
     /// a shared writer lock this deadlocks until the watchdog fires.
     #[test]
     fn tenants_commit_in_parallel_while_one_writer_is_held() {
-        let root = temp("parallel");
-        let registry = Arc::new(TenantRegistry::open_root(&root, small_options()).unwrap());
+        let root = small_root("parallel");
+        let registry = Arc::new(mount_root(&root, RegistryOptions::default()));
         let (a, b) = (tid("held"), tid("concurrent"));
         // Materialize A so the held write below starts immediately.
         backup(&registry, &a, &vec![1u8; 10_000]).unwrap();
@@ -775,14 +737,14 @@ mod tests {
     /// committing through the same registry.
     #[test]
     fn poisoned_tenant_fast_fails_alone() {
-        let root = temp("poison");
+        let root = small_root("poison");
         let victim = tid("victim");
 
         // Materialize the victim's repository with a benign registry.
         {
             let setup = TenantRegistry::open_root_with(
                 &root,
-                small_options(),
+                RegistryOptions::default(),
                 FaultVfs::new(Plan::counting()),
                 |_| FaultVfs::new(Plan::counting()),
             )
@@ -796,15 +758,19 @@ mod tests {
         let counting = FaultVfs::new(Plan::counting());
         let counting_for_closure = counting.clone();
         let benign = FaultVfs::new(Plan::counting());
-        let registry =
-            TenantRegistry::open_root_with(&root, small_options(), benign.clone(), move |t| {
+        let registry = TenantRegistry::open_root_with(
+            &root,
+            RegistryOptions::default(),
+            benign.clone(),
+            move |t| {
                 if t.as_str() == "victim" {
                     counting_for_closure.clone()
                 } else {
                     FaultVfs::new(Plan::counting())
                 }
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         registry.get(&victim).unwrap();
         let open_ops = counting.plan().ops();
 
@@ -815,7 +781,7 @@ mod tests {
         let armed_for_closure = armed.clone();
         let registry = TenantRegistry::open_root_with(
             &root,
-            small_options(),
+            RegistryOptions::default(),
             FaultVfs::new(Plan::counting()),
             move |t| {
                 if t.as_str() == "victim" {

@@ -106,19 +106,6 @@ impl From<DecodeError> for ManifestError {
 }
 
 impl TreeManifest {
-    /// Total length of the content region (end of the furthest file).
-    #[must_use]
-    pub fn content_len(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter_map(|e| match e.payload {
-                EntryPayload::File { offset, size } => Some(offset + size),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Encodes the manifest body (magic, version, count, entries).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -318,7 +305,6 @@ mod tests {
         let m = sample();
         let decoded = TreeManifest::decode(&m.encode()).unwrap();
         assert_eq!(decoded, m);
-        assert_eq!(decoded.content_len(), 10);
     }
 
     #[test]

@@ -48,11 +48,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    system.archival_mut().reset_stats();
+    let before = system.archival().stats();
     let mut out = Vec::new();
     let report = system.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)?;
     assert_eq!(out, v1);
-    let io = system.archival().stats();
+    let io = system.archival().stats().since(&before);
     println!(
         "restored V1 from disk: {} container reads ({} from archival files, {:.1} KB read), \
          speed factor {:.2}",

@@ -804,7 +804,7 @@ fn cmd_verify_tenants(root: &str, json: bool) -> CliResult {
 /// Audits the repository at `repo`. The scan for an interrupted save runs
 /// before the open, because opening resolves it.
 fn audit(repo: &str) -> Result<AuditReport, CliError> {
-    let pending = repository_recovery_state(repo)?.pending_journal;
+    let pending = repository_recovery_state(repo);
     let mut report = SystemAuditor::new().audit(&open(repo)?);
     if let Some(pending) = pending {
         let detail = match pending {

@@ -27,7 +27,7 @@ use hidestore::core::{
     HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport, QuarantinedArtifact,
 };
 use hidestore::dedup::STAGED_MIN_BYTES;
-use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, Vfs};
+use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, RealVfs, Vfs};
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
 use hidestore::hash::crc32;
 use hidestore::restore::Faa;
@@ -137,7 +137,7 @@ fn reopen_and_check_with(
     dir: &Path,
     context: &str,
 ) -> (BTreeMap<u32, u32>, OpenReport) {
-    let (hds, report) = HiDeStore::open_repository_report(config, dir)
+    let (hds, report) = HiDeStore::open_repository_with(config, dir, RealVfs)
         .unwrap_or_else(|e| panic!("{context}: reopen after crash must succeed: {e}"));
     let audit = SystemAuditor::new().audit(&hds);
     assert_eq!(
@@ -514,7 +514,7 @@ fn recluster_dropped_before_save_keeps_committed_versions() {
         report.containers_rewritten
     };
 
-    let (hds, open) = HiDeStore::open_repository_report(config, &scratch.0).expect("reopen");
+    let (hds, open) = HiDeStore::open_repository_with(config, &scratch.0, RealVfs).expect("reopen");
     for (i, snapshot) in snapshots.iter().enumerate() {
         let v = VersionId::new(i as u32 + 1);
         let mut out = Vec::new();

@@ -72,10 +72,6 @@ impl ContainerStore for FlakyStore {
         self.inner.read(id)
     }
 
-    fn contains(&self, id: ContainerId) -> bool {
-        self.inner.contains(id)
-    }
-
     fn remove(&mut self, id: ContainerId) -> Result<(), StorageError> {
         self.inner.remove(id)
     }
@@ -86,10 +82,6 @@ impl ContainerStore for FlakyStore {
 
     fn stats(&self) -> IoStats {
         self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats()
     }
 }
 
@@ -454,11 +446,12 @@ fn audit_flags_a_container_missing_a_referenced_chunk() {
     }
     assert!(SystemAuditor::new().audit(&hds).is_clean());
 
+    let archival = hds.archival().ids();
     let lost = hds
         .restore_plan(VersionId::new(1))
         .unwrap()
         .into_iter()
-        .find(|e| hds.archival().contains(e.container))
+        .find(|e| archival.contains(&e.container))
         .expect("V1 reads an archival container after churn");
     let original = hds.archival().read(lost.container).unwrap();
     let mut copy = Container::new(original.id(), original.capacity());

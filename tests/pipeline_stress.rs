@@ -19,6 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::STAGED_MIN_BYTES;
+use hidestore::failpoint::RealVfs;
 use hidestore::fsck::{Severity, SystemAuditor};
 use hidestore::restore::Faa;
 use hidestore::storage::VersionId;
@@ -102,7 +103,7 @@ fn random_ops_under_backpressure_audit_clean() {
                 container_capacity: 16 * 1024,
                 ..HiDeStoreConfig::default()
             };
-            let (mut hds, _) = HiDeStore::open_repository_report(config, &scratch.0)
+            let (mut hds, _) = HiDeStore::open_repository_with(config, &scratch.0, RealVfs)
                 .unwrap_or_else(|e| panic!("{tag}: open: {e}"));
             let mut data = random_bytes(&mut rng, first_len);
             hds.backup(&data).unwrap();
@@ -127,8 +128,9 @@ fn random_ops_under_backpressure_audit_clean() {
                     // Save, reopen, audit.
                     _ => {
                         hds.save_repository(&scratch.0).unwrap();
-                        let (reopened, _) = HiDeStore::open_repository_report(config, &scratch.0)
-                            .unwrap_or_else(|e| panic!("{tag} round {round}: reopen: {e}"));
+                        let (reopened, _) =
+                            HiDeStore::open_repository_with(config, &scratch.0, RealVfs)
+                                .unwrap_or_else(|e| panic!("{tag} round {round}: reopen: {e}"));
                         let audit = SystemAuditor::new().audit(&reopened);
                         assert_eq!(
                             audit.count(Severity::Error),

@@ -758,9 +758,9 @@ fn the_active_pool_is_the_hot_set_across_backups_and_reopens() {
             let dir = scratch_dir(&format!("hot-set-{depth}"), rng);
             let config = HiDeStoreConfig {
                 container_capacity: 8 * 1024,
+                history_depth: depth,
                 ..hds_config()
-            }
-            .with_history_depth(depth);
+            };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let seed_len = rng.gen_range(4_000usize..20_000);
                 let mut streams = version_history(seed_len, &[]);

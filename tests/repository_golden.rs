@@ -371,7 +371,7 @@ fn committed_fixture_rolls_forward_verifies_clean_and_restores_every_version() {
     }
 
     let config = HiDeStoreConfig::load_from(&dir).unwrap();
-    let (hds, report) = HiDeStore::open_repository_report(config, &dir).unwrap();
+    let (hds, report) = HiDeStore::open_repository_with(config, &dir, RealVfs).unwrap();
     assert_eq!(report.journal, JournalRecovery::RolledForward);
     assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
     assert!(

@@ -29,7 +29,7 @@ use hidestore::fsck::SystemAuditor;
 use hidestore::proto::{ErrorCode, TenantId};
 use hidestore::server::{
     serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
-    BUSY_RETRY_AFTER_MS,
+    BUSY_RETRY_AFTER_MS, QUEUE_DEPTH,
 };
 use hidestore::storage::{FileContainerStore, VersionId};
 use hidestore::tenant::TENANTS_SUBDIR;
@@ -468,7 +468,6 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
         ServerConfig {
             quiet: true,
             workers: 1,
-            queue_depth: 1,
             // Idle squatters below would otherwise pin the worker for the
             // full default deadline.
             io_timeout: Duration::from_secs(2),
@@ -478,12 +477,14 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
     .unwrap();
     let addr = handle.addr();
 
-    // Squat the single worker and the single queue slot with idle
-    // connections that never send a byte.
+    // Squat the single worker and every queue slot with idle connections
+    // that never send a byte.
     let squatter_a = std::net::TcpStream::connect(addr).unwrap();
     std::thread::sleep(Duration::from_millis(200)); // worker picks up a
-    let squatter_b = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(200)); // b parks in the queue
+    let queued: Vec<_> = (0..QUEUE_DEPTH)
+        .map(|_| std::net::TcpStream::connect(addr).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(200)); // the rest park in the queue
 
     // The next connection must be shed with a typed, retryable `busy`
     // carrying the configured backoff hint — not queued, not dropped.
@@ -506,7 +507,7 @@ fn saturated_queue_sheds_load_with_retryable_busy() {
     // Once the squatters leave (their sockets close, the worker times out
     // or sees EOF), normal service resumes.
     drop(squatter_a);
-    drop(squatter_b);
+    drop(queued);
     let mut client = RetryClient::new(
         addr.to_string(),
         fast_policy().with_delays(Duration::from_millis(5), Duration::from_millis(50)),

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan};
+use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, RealVfs};
 use hidestore::server::{serve, RemoteClient, ServerConfig};
 use hidestore::storage::{Container, ContainerStore, VersionId};
 
@@ -285,11 +285,12 @@ fn container_missing_a_referenced_chunk_fails_naming_it() {
     churned_repo(&scratch.0);
     let victim = {
         let hds = HiDeStore::open_repository(config(), &scratch.0).unwrap();
+        let archival = hds.archival().ids();
         let lost = hds
             .restore_plan(VersionId::new(1))
             .unwrap()
             .into_iter()
-            .find(|e| hds.archival().contains(e.container))
+            .find(|e| archival.contains(&e.container))
             .expect("V1 reads an archival container after churn");
         let original = hds.archival().read(lost.container).unwrap();
         let mut copy = Container::new(original.id(), original.capacity());
@@ -315,7 +316,7 @@ fn quarantined_dependency_fails_naming_it() {
     churned_repo(&scratch.0);
     let victim = lowest_archival(&scratch.0);
     truncate_half(&archival_file(&scratch.0, victim));
-    let (_, report) = HiDeStore::open_repository_report(config(), &scratch.0).unwrap();
+    let (_, report) = HiDeStore::open_repository_with(config(), &scratch.0, RealVfs).unwrap();
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(verify_local(&scratch.0), Verdict::corrupt(victim));
 }
