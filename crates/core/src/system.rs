@@ -445,24 +445,6 @@ impl<S: ContainerStore> HiDeStore<S> {
         resolved.restore_range(0..resolved.total_bytes(), cache, out)
     }
 
-    /// Restores `version` to `path` through [`write_staged`], so a failed
-    /// restore — e.g. a fault in a container read — never leaves a partial
-    /// output file behind.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`HiDeStore::restore`], plus I/O errors creating,
-    /// writing, or renaming the output file. On error the temporary file is
-    /// removed.
-    pub fn restore_to_path(
-        &self,
-        version: VersionId,
-        cache: &mut dyn RestoreCache,
-        path: &Path,
-    ) -> Result<RestoreReport, HiDeStoreError> {
-        write_staged(path, |out| self.restore(version, cache, out))
-    }
-
     /// Resolves `version` once for byte-range restores: its restore plan
     /// and the stream offset at which each chunk starts.
     ///
@@ -707,6 +689,12 @@ impl<S: ContainerStore> HiDeStore<S> {
         &self.recipes
     }
 
+    /// Logical bytes of every retained version: what a byte quota counts
+    /// and `tenant list` reports.
+    pub fn retained_bytes(&self) -> u64 {
+        self.recipes.iter().map(|recipe| recipe.total_bytes()).sum()
+    }
+
     /// The active container pool.
     pub fn pool(&self) -> &ActivePool {
         &self.pool
@@ -910,8 +898,8 @@ impl Write for Trim<'_> {
 /// appended to the full file name): `fill` writes the contents, which are
 /// then synced and renamed into place. On every error path — `fill`'s own,
 /// the sync, or the rename — the staging file is removed, so a failed
-/// write never leaves a partial file behind. The local and the remote
-/// `restore_to_path` both write through it.
+/// write never leaves a partial file behind. The CLI's `restore` writes
+/// through it, locally and through a daemon.
 ///
 /// # Errors
 ///

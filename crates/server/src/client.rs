@@ -11,10 +11,8 @@
 use std::fmt;
 use std::io::{self, Write};
 use std::net::ToSocketAddrs;
-use std::path::Path;
 use std::time::Duration;
 
-use hidestore_core::write_staged;
 use hidestore_failpoint::Socket;
 use hidestore_proto::{
     read_frame, read_frame_into, write_frame, BackupSummary, DataWriter, Frame, FrameError,
@@ -272,8 +270,8 @@ impl RemoteClient {
     /// Restores `version` into `out`, returning the daemon's restore
     /// summary: a single-leg [`RemoteClient::restore_resume`] from offset
     /// 0. An ERROR frame mid-stream aborts with the bytes written so far
-    /// already in `out` (callers writing to a file should use
-    /// [`RemoteClient::restore_to_path`], which cleans up for them).
+    /// already in `out` (callers writing to a file should stage it through
+    /// [`hidestore_core::write_staged`], which cleans up for them).
     ///
     /// # Errors
     ///
@@ -356,23 +354,6 @@ impl RemoteClient {
             }
             other => Err(unexpected("RestoreDone", &other)),
         }
-    }
-
-    /// Restores `version` into the file at `path` through
-    /// [`hidestore_core::write_staged`]: the stream lands in `<path>.tmp`
-    /// (`.tmp` appended to the full file name), which is renamed only on
-    /// success, so an aborted stream never leaves a truncated file behind.
-    ///
-    /// # Errors
-    ///
-    /// As [`RemoteClient::restore_to`], plus filesystem errors; the `.tmp`
-    /// file is removed on every error path.
-    pub fn restore_to_path(
-        &mut self,
-        version: u32,
-        path: impl AsRef<Path>,
-    ) -> Result<RestoreSummary, ClientError> {
-        write_staged(path.as_ref(), |out| self.restore_to(version, out))
     }
 
     /// Fetches the version listing.

@@ -1120,16 +1120,7 @@ fn serve_tenant_list<V: Vfs>(stream: &mut Socket, shared: &Shared<V>) -> Outcome
         // reports zeros instead of failing the whole admin listing.
         let usage = shared.registry.get(&tenant).ok().and_then(|slot| {
             slot.handle()
-                .read(|s| {
-                    let versions = s.versions().len() as u64;
-                    let bytes: u64 = s
-                        .versions()
-                        .iter()
-                        .filter_map(|v| s.recipes().get(*v))
-                        .map(|recipe| recipe.total_bytes())
-                        .sum();
-                    (versions, bytes)
-                })
+                .read(|s| (s.versions().len() as u64, s.retained_bytes()))
                 .ok()
         });
         let (versions, logical_bytes) = usage.unwrap_or((0, 0));

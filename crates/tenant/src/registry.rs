@@ -55,12 +55,7 @@ impl TenantQuota {
             }
         }
         if self.max_bytes > 0 {
-            let used: u64 = system
-                .versions()
-                .iter()
-                .filter_map(|v| system.recipes().get(*v))
-                .map(|recipe| recipe.total_bytes())
-                .sum();
+            let used = system.retained_bytes();
             if used.saturating_add(incoming_len) > self.max_bytes {
                 return Err(HiDeStoreError::QuotaExceeded {
                     what: "bytes",

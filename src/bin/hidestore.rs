@@ -18,9 +18,13 @@
 //! hidestore serve   <repo> [--port N] ...       run the daemon until a client shuts it down
 //! ```
 //!
-//! Every data command also takes `--remote <host:port>` to run against a
-//! daemon started by `hidestore serve` instead of a local repository
-//! directory; the `<repo>` argument is then omitted:
+//! `backup`, `restore`, `list`, `stats`, `prune` and `verify` also take
+//! `--remote <host:port>` to run against a daemon started by `hidestore
+//! serve` instead of a local repository directory; the `<repo>` argument is
+//! then omitted. Each verb has one implementation: `--remote` only picks
+//! where its result comes from. `init`, `backup-tree`, `restore-tree`,
+//! `flatten` and `recluster` are local only. A remote verb makes one
+//! connection and neither retries nor resumes.
 //!
 //! ```text
 //! hidestore backup  --remote 127.0.0.1:4321 <file>
@@ -50,7 +54,7 @@
 //! an interrupted save pending in `staging/`, scanned before the open
 //! resolves it. `--json` prints the whole report; `--tenants` audits every
 //! repository under a multi-tenant root's `tenants/<id>/`, and a foreign
-//! entry there is an error.
+//! entry there is an error. Both flags are local only.
 //!
 //! Exit codes: 0 success, 1 runtime failure (for `verify`: some finding is
 //! an error, meaning some restore would fail or return wrong data;
@@ -65,11 +69,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use hidestore::core::{
-    repository_recovery_state, HiDeStore, HiDeStoreConfig, PendingJournal, RESTORE_AREA_BYTES,
+    repository_recovery_state, write_staged, HiDeStore, HiDeStoreConfig, PendingJournal,
+    RESTORE_AREA_BYTES,
 };
 use hidestore::fsck::{AuditReport, Finding, FindingKind, Severity, SystemAuditor};
 use hidestore::proto::json::json_string;
-use hidestore::proto::{BackupSummary, PruneSummary, RestoreSummary, TenantId, VerifySummary};
+use hidestore::proto::{TenantId, VerifySummary};
 use hidestore::restore::Faa;
 use hidestore::server::{view, RemoteClient, ServerConfig, DEFAULT_NET_TIMEOUT};
 use hidestore::storage::{FileContainerStore, VersionId};
@@ -171,6 +176,22 @@ struct Remote {
     tenant: Option<TenantId>,
 }
 
+/// Where a verb runs: on a repository directory, or on a daemon.
+enum Target {
+    Local(String),
+    Remote(Remote),
+}
+
+impl Target {
+    /// The suffix naming the daemon a verb ran on; empty when local.
+    fn on(&self) -> String {
+        match self {
+            Target::Local(_) => String::new(),
+            Target::Remote(remote) => format!(" on {}", remote.addr),
+        }
+    }
+}
+
 /// Pulls `--remote <host:port>` (plus `--remote-timeout SECS` and
 /// `--tenant <id>`) out of the argument list, returning the connection
 /// options (if remote) and the remaining positional/flag arguments.
@@ -222,122 +243,77 @@ fn split_remote(args: &[String]) -> Result<(Option<Remote>, Vec<String>), CliErr
     }
 }
 
-/// Pulls a boolean flag out of the argument list.
-fn split_flag(args: Vec<String>, flag: &str) -> (bool, Vec<String>) {
-    let set = args.iter().any(|a| a == flag);
-    let rest = args.into_iter().filter(|a| a != flag).collect();
-    (set, rest)
+/// Removes a boolean flag from the argument list, returning whether it was
+/// there.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() < before
 }
 
 fn run(args: &[String]) -> CliResult {
     let [cmd, raw @ ..] = args else {
         return Err(usage(""));
     };
-    let (remote, rest) = split_remote(raw)?;
-    match (cmd.as_str(), remote) {
-        ("init", None) => match rest.as_slice() {
-            [repo, opts @ ..] => cmd_init(repo, opts),
-            _ => Err(usage("init needs a <repo>")),
-        },
-        ("backup", None) => match rest.as_slice() {
-            [repo, file] => cmd_backup(repo, file),
-            _ => Err(usage("backup needs <repo> <file>")),
-        },
-        ("backup", Some(remote)) => match rest.as_slice() {
-            [file] => cmd_backup_remote(&remote, file),
-            _ => Err(usage("remote backup needs <file>")),
-        },
-        ("restore", None) => match rest.as_slice() {
-            [repo, version, outfile] => cmd_restore(repo, version, outfile),
-            _ => Err(usage("restore needs <repo> <version> <outfile>")),
-        },
-        ("restore", Some(remote)) => match rest.as_slice() {
-            [version, outfile] => cmd_restore_remote(&remote, version, outfile),
-            _ => Err(usage("remote restore needs <version> <outfile>")),
-        },
-        ("backup-tree", None) => match rest.as_slice() {
-            [repo, dir, opts @ ..] => cmd_backup_tree(repo, dir, opts),
-            _ => Err(usage("backup-tree needs <repo> <dir>")),
-        },
-        ("restore-tree", None) => match rest.as_slice() {
-            [repo, version, dest, opts @ ..] => cmd_restore_tree(repo, version, dest, opts),
-            _ => Err(usage("restore-tree needs <repo> <version> <destdir>")),
-        },
-        ("list", None) => {
-            let (json, rest) = split_flag(rest, "--json");
-            match rest.as_slice() {
-                [repo] => cmd_list(repo, json),
-                _ => Err(usage("list needs a <repo>")),
-            }
+    let cmd = cmd.as_str();
+    let (remote, mut rest) = split_remote(raw)?;
+    if let ("serve", None) = (cmd, &remote) {
+        return cmd_serve(&rest);
+    }
+    let json =
+        matches!(cmd, "list" | "stats" | "verify" | "tenant") && take_flag(&mut rest, "--json");
+    let tenants = cmd == "verify" && take_flag(&mut rest, "--tenants");
+    if cmd == "verify" {
+        if let Some(flag) = rest.iter().find(|a| a.starts_with('-')) {
+            return Err(usage(format!("unknown flag {flag}")));
         }
-        ("list", Some(remote)) => {
-            let (json, rest) = split_flag(rest, "--json");
-            match rest.as_slice() {
-                [] => cmd_list_remote(&remote, json),
-                _ => Err(usage("remote list takes no positional arguments")),
-            }
+        if remote.is_some() && (json || tenants) {
+            return Err(usage(
+                "--json and --tenants are local-only for verify: \
+                 the daemon's verify summary has no JSON form",
+            ));
         }
-        ("stats", None) => {
-            let (json, rest) = split_flag(rest, "--json");
-            match rest.as_slice() {
-                [repo] => cmd_stats(repo, json),
-                _ => Err(usage("stats needs a <repo>")),
-            }
+    }
+    let target = match remote {
+        Some(remote) => Some(Target::Remote(remote)),
+        None if rest.is_empty() => None,
+        None => Some(Target::Local(rest.remove(0))),
+    };
+    match (cmd, target.as_ref(), rest.as_slice()) {
+        ("init", Some(Target::Local(repo)), opts) => cmd_init(repo, opts),
+        ("backup", Some(target), [file]) => cmd_backup(target, file),
+        ("restore", Some(target), [version, outfile]) => cmd_restore(target, version, outfile),
+        ("backup-tree", Some(Target::Local(repo)), [dir, opts @ ..]) => {
+            cmd_backup_tree(repo, dir, opts)
         }
-        ("stats", Some(remote)) => {
-            let (json, rest) = split_flag(rest, "--json");
-            match rest.as_slice() {
-                [] => cmd_stats_remote(&remote, json),
-                _ => Err(usage("remote stats takes no positional arguments")),
-            }
+        ("restore-tree", Some(Target::Local(repo)), [version, dest, opts @ ..]) => {
+            cmd_restore_tree(repo, version, dest, opts)
         }
-        ("prune", None) => match rest.as_slice() {
-            [repo, keep] => cmd_prune(repo, keep),
-            _ => Err(usage("prune needs <repo> <keep-last-N>")),
-        },
-        ("prune", Some(remote)) => match rest.as_slice() {
-            [keep] => cmd_prune_remote(&remote, keep),
-            _ => Err(usage("remote prune needs <keep-last-N>")),
-        },
-        ("verify", None) => {
-            let (json, rest) = split_flag(rest, "--json");
-            let (tenants, rest) = split_flag(rest, "--tenants");
-            if let Some(flag) = rest.iter().find(|a| a.starts_with('-')) {
-                return Err(usage(format!("unknown flag {flag}")));
-            }
-            match rest.as_slice() {
-                [root] if tenants => cmd_verify_tenants(root, json),
-                [repo] => cmd_verify(repo, json),
-                _ => Err(usage("verify needs a <repo>")),
-            }
+        ("list", Some(target), []) => cmd_list(target, json),
+        ("stats", Some(target), []) => cmd_stats(target, json),
+        ("prune", Some(target), [keep]) => cmd_prune(target, keep),
+        ("verify", Some(Target::Local(root)), []) if tenants => cmd_verify_tenants(root, json),
+        ("verify", Some(target), []) => cmd_verify(target, json),
+        ("flatten", Some(Target::Local(repo)), []) => cmd_flatten(repo),
+        ("recluster", Some(Target::Local(repo)), []) => cmd_recluster(repo),
+        ("shutdown", Some(Target::Remote(remote)), []) => cmd_shutdown_remote(remote),
+        ("tenant", Some(Target::Remote(remote)), [sub]) if sub == "list" => {
+            cmd_tenant_list_remote(remote, json)
         }
-        ("verify", Some(remote)) => match rest.as_slice() {
-            [] => cmd_verify_remote(&remote),
-            _ => Err(usage("remote verify takes no positional arguments")),
-        },
-        ("shutdown", Some(remote)) => match rest.as_slice() {
-            [] => cmd_shutdown_remote(&remote),
-            _ => Err(usage("shutdown takes no positional arguments")),
-        },
-        ("tenant", Some(remote)) => {
-            let (json, rest) = split_flag(rest, "--json");
-            match rest.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-                ["list"] => cmd_tenant_list_remote(&remote, json),
-                ["stats"] => cmd_tenant_stats_remote(&remote, json),
-                _ => Err(usage("tenant needs a subcommand: list or stats")),
-            }
+        ("tenant", Some(Target::Remote(remote)), [sub]) if sub == "stats" => {
+            cmd_tenant_stats_remote(remote, json)
         }
-        ("tenant", None) => Err(usage("tenant verbs need --remote <host:port>")),
-        ("flatten", None) => match rest.as_slice() {
-            [repo] => cmd_flatten(repo),
-            _ => Err(usage("flatten needs a <repo>")),
-        },
-        ("recluster", None) => match rest.as_slice() {
-            [repo] => cmd_recluster(repo),
-            _ => Err(usage("recluster needs a <repo>")),
-        },
-        ("serve", None) => cmd_serve(&rest),
-        (cmd, Some(_)) => Err(usage(format!("{cmd} has no --remote variant"))),
+        ("tenant", Some(Target::Remote(_)), _) => {
+            Err(usage("tenant needs a subcommand: list or stats"))
+        }
+        ("tenant" | "shutdown", ..) => Err(usage(format!("{cmd} needs --remote <host:port>"))),
+        ("backup" | "restore" | "list" | "stats" | "prune" | "verify", ..)
+        | (
+            "init" | "backup-tree" | "restore-tree" | "flatten" | "recluster",
+            None | Some(Target::Local(_)),
+            _,
+        ) => Err(usage(format!("wrong arguments for {cmd}"))),
+        (_, Some(Target::Remote(_)), _) => Err(usage(format!("{cmd} has no --remote variant"))),
         _ => Err(usage("")),
     }
 }
@@ -345,6 +321,19 @@ fn run(args: &[String]) -> CliResult {
 fn open(repo: &str) -> Result<HiDeStore<FileContainerStore>, CliError> {
     let config = HiDeStoreConfig::load_from(repo)?;
     Ok(HiDeStore::open_repository(config, repo)?)
+}
+
+/// Opens the repository at `repo`, applies `mutate` and saves the result:
+/// the write path of every local verb that changes a repository except
+/// `prune`, which saves only when something expired.
+fn update<T>(
+    repo: &str,
+    mutate: impl FnOnce(&mut HiDeStore<FileContainerStore>) -> Result<T, CliError>,
+) -> Result<T, CliError> {
+    let mut system = open(repo)?;
+    let value = mutate(&mut system)?;
+    system.save_repository(repo)?;
+    Ok(value)
 }
 
 fn connect(remote: &Remote) -> Result<RemoteClient, CliError> {
@@ -358,11 +347,15 @@ fn connect(remote: &Remote) -> Result<RemoteClient, CliError> {
     Ok(client)
 }
 
-fn parse_version(version: &str) -> Result<u32, CliError> {
-    version
+fn parse_version(version: &str) -> Result<VersionId, CliError> {
+    let v: u32 = version
         .trim_start_matches(['v', 'V'])
         .parse()
-        .map_err(|_| usage(format!("{version} is not a version number")))
+        .map_err(|_| usage(format!("{version} is not a version number")))?;
+    if v == 0 {
+        return Err(runtime("version ids are 1-based"));
+    }
+    Ok(VersionId::new(v))
 }
 
 fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
@@ -392,8 +385,7 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
     fs::create_dir_all(dir)?;
     config.save_to(dir)?;
     // Materialize the directory layout.
-    let mut system = HiDeStore::open_repository(config, repo)?;
-    system.save_repository(repo)?;
+    update(repo, |_| Ok(()))?;
     println!(
         "initialized repository at {repo} (chunk {} B, container {} B, history depth {})",
         config.avg_chunk_size, config.container_capacity, config.history_depth,
@@ -401,64 +393,45 @@ fn cmd_init(repo: &str, opts: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_backup(repo: &str, file: &str) -> CliResult {
+fn cmd_backup(target: &Target, file: &str) -> CliResult {
     let data = fs::read(file)?;
-    let mut system = open(repo)?;
-    let stats = system.backup(&data)?;
-    system.save_repository(repo)?;
-    print_backup(file, &view::backup_summary(&stats), None);
-    Ok(())
-}
-
-fn cmd_backup_remote(remote: &Remote, file: &str) -> CliResult {
-    let data = fs::read(file)?;
-    let summary = connect(remote)?.backup_bytes(&data)?;
-    print_backup(file, &summary, Some(remote));
-    Ok(())
-}
-
-fn print_backup(file: &str, summary: &BackupSummary, remote: Option<&Remote>) {
+    let summary = match target {
+        Target::Local(repo) => update(repo, |system| {
+            Ok(view::backup_summary(&system.backup(&data)?))
+        })?,
+        Target::Remote(remote) => connect(remote)?.backup_bytes(&data)?,
+    };
     println!(
         "{file} -> V{}{}: {} bytes, {} chunks, {} new bytes stored, {} cold chunks archived",
         summary.version,
-        on(remote),
+        target.on(),
         summary.logical_bytes,
         summary.chunks,
         summary.stored_bytes,
         summary.cold_chunks,
     );
-}
-
-/// The suffix naming the daemon a remote verb ran on.
-fn on(remote: Option<&Remote>) -> String {
-    remote.map_or_else(String::new, |r| format!(" on {}", r.addr))
-}
-
-fn cmd_restore(repo: &str, version: &str, outfile: &str) -> CliResult {
-    let v = parse_version(version)?;
-    if v == 0 {
-        return Err(runtime("version ids are 1-based".to_string()));
-    }
-    let system = open(repo)?;
-    // Output is staged in `<outfile>.tmp` and renamed on success, so a
-    // failed restore never leaves a partial file behind.
-    let report = system.restore_to_path(
-        VersionId::new(v),
-        &mut Faa::new(RESTORE_AREA_BYTES),
-        Path::new(outfile),
-    )?;
-    let summary = view::restore_summary(report.bytes_restored, &report);
-    print_restore(v, outfile, &summary, None);
     Ok(())
 }
 
-fn print_restore(v: u32, outfile: &str, summary: &RestoreSummary, remote: Option<&Remote>) {
+fn cmd_restore(target: &Target, version: &str, outfile: &str) -> CliResult {
+    let version = parse_version(version)?;
+    // Output is staged in `<outfile>.tmp` and renamed on success, so a
+    // failed restore never leaves a partial file behind.
+    let summary = write_staged(Path::new(outfile), |out| match target {
+        Target::Local(repo) => {
+            let mut cache = Faa::new(RESTORE_AREA_BYTES);
+            let report = open(repo)?.restore(version, &mut cache, out)?;
+            Ok::<_, CliError>(view::restore_summary(report.bytes_restored, &report))
+        }
+        Target::Remote(remote) => Ok(connect(remote)?.restore_to(version.get(), out)?),
+    })?;
     println!(
-        "restored V{v} to {outfile}: {} bytes, {} container reads{}",
+        "restored {version} to {outfile}: {} bytes, {} container reads{}",
         summary.bytes_restored,
         summary.container_reads,
-        on(remote),
+        target.on(),
     );
+    Ok(())
 }
 
 fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
@@ -473,14 +446,14 @@ fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
             other => return Err(usage(format!("unknown option {other}"))),
         }
     }
-    let mut system = open(repo)?;
-    let report = hidestore::tree::backup_tree(
-        &mut system,
-        &hidestore::failpoint::RealVfs,
-        Path::new(dir),
-        &hidestore::tree::TreeBackupOptions { excludes },
-    )?;
-    system.save_repository(repo)?;
+    let report = update(repo, |system| {
+        Ok(hidestore::tree::backup_tree(
+            system,
+            &hidestore::failpoint::RealVfs,
+            Path::new(dir),
+            &hidestore::tree::TreeBackupOptions { excludes },
+        )?)
+    })?;
     println!(
         "{} -> {}: {} files, {} dirs, {} symlinks, {} content bytes \
          ({:.1}% deduplicated), {} excluded",
@@ -508,10 +481,7 @@ fn cmd_backup_tree(repo: &str, dir: &str, opts: &[String]) -> CliResult {
 }
 
 fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> CliResult {
-    let v = parse_version(version)?;
-    if v == 0 {
-        return Err(runtime("version ids are 1-based".to_string()));
-    }
+    let version = parse_version(version)?;
     let mut subtree = None;
     let mut it = opts.iter();
     while let Some(flag) = it.next() {
@@ -527,12 +497,12 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
     let report = hidestore::tree::restore_tree(
         &system,
         &hidestore::failpoint::RealVfs,
-        VersionId::new(v),
+        version,
         Path::new(dest),
         &hidestore::tree::TreeRestoreOptions { subtree },
     )?;
     println!(
-        "restored V{v} to {dest}: {} files, {} dirs, {} symlinks, {} bytes, \
+        "restored {version} to {dest}: {} files, {} dirs, {} symlinks, {} bytes, \
          {} container reads",
         report.files, report.dirs, report.symlinks, report.bytes_restored, report.container_reads,
     );
@@ -549,39 +519,18 @@ fn cmd_restore_tree(repo: &str, version: &str, dest: &str, opts: &[String]) -> C
     }
 }
 
-fn cmd_restore_remote(remote: &Remote, version: &str, outfile: &str) -> CliResult {
-    let v = parse_version(version)?;
-    let summary = connect(remote)?.restore_to_path(v, Path::new(outfile))?;
-    print_restore(v, outfile, &summary, Some(remote));
-    Ok(())
-}
-
-fn cmd_list(repo: &str, json: bool) -> CliResult {
-    let system = open(repo)?;
-    let list = view::list_response(&system);
+fn cmd_list(target: &Target, json: bool) -> CliResult {
+    let list = match target {
+        Target::Local(repo) => view::list_response(&open(repo)?),
+        Target::Remote(remote) => connect(remote)?.list()?,
+    };
     if json {
         println!("{}", list.to_json());
         return Ok(());
     }
-    print_list(&list);
-    Ok(())
-}
-
-fn cmd_list_remote(remote: &Remote, json: bool) -> CliResult {
-    let mut client = connect(remote)?;
-    let list = client.list()?;
-    if json {
-        println!("{}", list.to_json());
-        return Ok(());
-    }
-    print_list(&list);
-    Ok(())
-}
-
-fn print_list(list: &hidestore::proto::ListResponse) {
     if list.versions.is_empty() {
         println!("repository is empty");
-        return;
+        return Ok(());
     }
     println!("{:>8}  {:>12}  {:>8}", "version", "bytes", "chunks");
     for v in &list.versions {
@@ -596,34 +545,21 @@ fn print_list(list: &hidestore::proto::ListResponse) {
         "{} archival containers, {} active containers ({} hot chunks)",
         list.archival_containers, list.active_containers, list.hot_chunks,
     );
+    Ok(())
 }
 
-fn cmd_stats(repo: &str, json: bool) -> CliResult {
-    let system = open(repo)?;
-    let stats = view::stats_response(&system)?;
+fn cmd_stats(target: &Target, json: bool) -> CliResult {
+    let stats = match target {
+        Target::Local(repo) => view::stats_response(&open(repo)?)?,
+        Target::Remote(remote) => connect(remote)?.stats()?,
+    };
     if json {
         println!("{}", stats.to_json());
         return Ok(());
     }
-    print_stats(&stats);
-    Ok(())
-}
-
-fn cmd_stats_remote(remote: &Remote, json: bool) -> CliResult {
-    let mut client = connect(remote)?;
-    let stats = client.stats()?;
-    if json {
-        println!("{}", stats.to_json());
-        return Ok(());
-    }
-    print_stats(&stats);
-    Ok(())
-}
-
-fn print_stats(stats: &hidestore::proto::StatsResponse) {
     if stats.versions.is_empty() && stats.lost.is_empty() {
         println!("repository is empty");
-        return;
+        return Ok(());
     }
     println!(
         "{:>8}  {:>12}  {:>8}  {:>6}  {:>12}",
@@ -652,65 +588,69 @@ fn print_stats(stats: &hidestore::proto::StatsResponse) {
         stats.pool_chunks,
         stats.pool_live_bytes as f64 / 1024.0,
     );
+    Ok(())
 }
 
-fn cmd_prune(repo: &str, keep: &str) -> CliResult {
+fn cmd_prune(target: &Target, keep: &str) -> CliResult {
     let keep: u32 = keep
         .parse()
         .map_err(|_| usage(format!("keep-last must be a number, got {keep}")))?;
     let keep = NonZeroU32::new(keep).ok_or_else(|| runtime("must keep at least one version"))?;
-    let mut system = open(repo)?;
-    let report = system.prune_keep_last(keep)?;
-    if report.is_some() {
-        system.save_repository(repo)?;
-    }
-    print_prune(&view::prune_summary(report.as_ref()), None);
-    Ok(())
-}
-
-fn cmd_prune_remote(remote: &Remote, keep: &str) -> CliResult {
-    let keep: u32 = keep
-        .parse()
-        .map_err(|_| usage(format!("keep-last must be a number, got {keep}")))?;
-    let summary = connect(remote)?.prune(keep)?;
-    print_prune(&summary, Some(remote));
-    Ok(())
-}
-
-fn print_prune(summary: &PruneSummary, remote: Option<&Remote>) {
+    let summary = match target {
+        Target::Local(repo) => {
+            let mut system = open(repo)?;
+            let report = system.prune_keep_last(keep)?;
+            if report.is_some() {
+                system.save_repository(repo)?;
+            }
+            view::prune_summary(report.as_ref())
+        }
+        Target::Remote(remote) => connect(remote)?.prune(keep.get())?,
+    };
     if summary.versions_removed == 0 {
-        println!("nothing to prune{}", on(remote));
-        return;
+        println!("nothing to prune{}", target.on());
+        return Ok(());
     }
     println!(
         "pruned {} versions, dropped {} containers, reclaimed {} bytes{}",
         summary.versions_removed,
         summary.containers_dropped,
         summary.bytes_reclaimed,
-        on(remote),
+        target.on(),
     );
-}
-
-fn cmd_verify(repo: &str, json: bool) -> CliResult {
-    let report = audit(repo)?;
-    if json {
-        println!("{{\n{}\n}}", json_report(&report, "  "));
-    } else {
-        print_report(&report);
-    }
-    verdict(damage(&view::verify_response(&report)))
-}
-
-fn cmd_verify_remote(remote: &Remote) -> CliResult {
-    let mut client = connect(remote)?;
-    let summary = client.verify()?;
-    println!(
-        "checked {} containers, {} chunks, {} recipes on {}",
-        summary.containers_checked, summary.chunks_checked, summary.recipes_checked, remote.addr,
-    );
-    verdict(damage(&summary))?;
-    println!("repository is clean");
     Ok(())
+}
+
+/// Locally, prints every finding (or with `json` the whole report); on a
+/// daemon, the wire summary's coverage line. Both end in one `CORRUPT:`
+/// line on stderr per damage found.
+fn cmd_verify(target: &Target, json: bool) -> CliResult {
+    let summary = match target {
+        Target::Local(repo) => {
+            let report = audit(repo)?;
+            if json {
+                println!("{{\n{}\n}}", json_report(&report, "  "));
+            } else {
+                print_report(&report);
+            }
+            view::verify_response(&report)
+        }
+        Target::Remote(remote) => {
+            let summary = connect(remote)?.verify()?;
+            println!(
+                "checked {} containers, {} chunks, {} recipes on {}",
+                summary.containers_checked,
+                summary.chunks_checked,
+                summary.recipes_checked,
+                remote.addr,
+            );
+            if summary.corrupt_chunks.is_empty() {
+                println!("repository is clean");
+            }
+            summary
+        }
+    };
+    verdict(damage(&summary))
 }
 
 /// Audits every repository under `<root>/tenants/`. An entry that is not a
@@ -960,9 +900,7 @@ fn cmd_shutdown_remote(remote: &Remote) -> CliResult {
 }
 
 fn cmd_recluster(repo: &str) -> CliResult {
-    let mut system = open(repo)?;
-    let report = system.recluster_archival()?;
-    system.save_repository(repo)?;
+    let report = update(repo, |system| Ok(system.recluster_archival()?))?;
     println!(
         "reclustered {} tag groups: {} containers rewritten, {} chunks moved, \
          {} recipe entries updated",
@@ -975,9 +913,7 @@ fn cmd_recluster(repo: &str) -> CliResult {
 }
 
 fn cmd_flatten(repo: &str) -> CliResult {
-    let mut system = open(repo)?;
-    let (updated, elapsed) = system.flatten_recipes();
-    system.save_repository(repo)?;
+    let (updated, elapsed) = update(repo, |system| Ok(system.flatten_recipes()))?;
     println!("flattened recipe chains: {updated} entries updated in {elapsed:?}");
     Ok(())
 }

@@ -936,6 +936,15 @@ fn verify_bad_flag_exits_two() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(stderr_of(&out).contains("unknown flag"), "{args:?}");
     }
+    // The daemon's verify summary has no JSON form; the flag is refused
+    // before any connection is made.
+    let out = run(&["verify", "--remote", "127.0.0.1:1", "--json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = stderr_of(&out);
+    assert!(
+        stderr.contains("error: --json") && stderr.contains("usage:"),
+        "{stderr}"
+    );
 }
 
 /// `--tenants` audits every repository under `<root>/tenants/<id>/`; an
@@ -1018,4 +1027,152 @@ fn verify_reports_a_pending_journal_before_the_open_resolves_it() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout_of(&out).contains("\"clean\": true"));
     fs::remove_dir_all(&repo).unwrap();
+}
+
+/// Each data verb prints the same bytes locally and through a daemon, once
+/// the " on <addr>" suffix is stripped: two repositories built from the same
+/// `init` flags and inputs, one of them served.
+#[test]
+fn local_and_remote_verbs_print_the_same() {
+    let local = temp("parity-local");
+    let served = temp("parity-served");
+    let inputs = temp("parity-inputs");
+    fs::create_dir_all(&inputs).unwrap();
+    let local_s = local.to_str().unwrap();
+    for repo in [&local, &served] {
+        let out = run(&[
+            "init",
+            repo.to_str().unwrap(),
+            "--chunk",
+            "1024",
+            "--container",
+            "65536",
+        ]);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+    }
+    let daemon = serve(
+        &served,
+        ServerConfig {
+            quiet: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let both = |verb: &str, operands: &[&str]| -> (Output, Output) {
+        let local_out = run(&[&[verb, local_s], operands].concat());
+        let remote_out = run(&[&[verb, "--remote", &addr], operands].concat());
+        (local_out, remote_out)
+    };
+    let same = |verb: &str, operands: &[&str]| {
+        let (local_out, remote_out) = both(verb, operands);
+        assert!(local_out.status.success(), "{}", stderr_of(&local_out));
+        assert!(remote_out.status.success(), "{}", stderr_of(&remote_out));
+        let remote_text = stdout_of(&remote_out).replace(&format!(" on {addr}"), "");
+        assert_eq!(stdout_of(&local_out), remote_text, "{verb} {operands:?}");
+    };
+
+    let mut data = noise(120_000, 11);
+    let mut files = Vec::new();
+    for round in 0..2u64 {
+        let f = inputs.join(format!("v{round}.bin"));
+        fs::write(&f, &data).unwrap();
+        same("backup", &[f.to_str().unwrap()]);
+        files.push(f);
+        data[40_000..46_000].copy_from_slice(&noise(6_000, 12 + round));
+    }
+    let outfile = inputs.join("restored.bin");
+    same("restore", &["2", outfile.to_str().unwrap()]);
+    assert_eq!(fs::read(&outfile).unwrap(), fs::read(&files[1]).unwrap());
+    same("list", &["--json"]);
+    same("stats", &["--json"]);
+    same("prune", &["1"]);
+    same("list", &["--json"]);
+    let (local_out, remote_out) = both("verify", &[]);
+    assert_eq!(
+        local_out.status.code(),
+        Some(0),
+        "{}",
+        stderr_of(&local_out)
+    );
+    assert_eq!(local_out.status.code(), remote_out.status.code());
+
+    daemon.shutdown_and_join();
+    for dir in [&local, &served, &inputs] {
+        fs::remove_dir_all(dir).unwrap();
+    }
+}
+
+/// The multi-tenant verbs end to end: `--tenant` addresses one tenant of a
+/// `--tenants` daemon, the `tenant` admin verbs see every tenant, and a bad
+/// tenant id or an admin verb without `--remote` is a usage error.
+#[test]
+fn tenant_verbs_address_one_tenant_of_a_multi_tenant_daemon() {
+    let root = temp("tenant-verbs");
+    fs::create_dir_all(&root).unwrap();
+    let daemon = serve(
+        &root,
+        ServerConfig {
+            quiet: true,
+            tenants_root: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let input = root.join("input.bin");
+    fs::write(&input, noise(40_000, 21)).unwrap();
+    for tenant in ["alice", "bob"] {
+        let out = run(&[
+            "backup",
+            "--remote",
+            &addr,
+            "--tenant",
+            tenant,
+            input.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        assert!(stdout_of(&out).contains("-> V1 on "), "{}", stdout_of(&out));
+    }
+
+    let out = run(&["tenant", "list", "--remote", &addr, "--json"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    for tenant in ["alice", "bob"] {
+        assert!(
+            text.contains(&format!(
+                "{{\"tenant\":\"{tenant}\",\"versions\":1,\"logical_bytes\":40000,"
+            )),
+            "{text}"
+        );
+    }
+    let out = run(&["tenant", "stats", "--remote", &addr, "--json"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    for tenant in ["alice", "bob"] {
+        assert!(
+            text.contains(&format!(
+                "{{\"tenant\":\"{tenant}\",\"requests_ok\":1,\"requests_failed\":0,"
+            )),
+            "{text}"
+        );
+    }
+    let out = run(&["list", "--remote", &addr, "--tenant", "alice", "--json"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert!(
+        stdout_of(&out).starts_with("{\"versions\":[{\"version\":1,\"bytes\":40000,"),
+        "{}",
+        stdout_of(&out)
+    );
+
+    for args in [
+        &["list", "--remote", &addr, "--tenant", "Not_An_Id"] as &[&str],
+        &["tenant", "list"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr_of(&out));
+    }
+
+    daemon.shutdown_and_join();
+    fs::remove_dir_all(&root).unwrap();
 }

@@ -24,7 +24,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hidestore::core::{
-    HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport, QuarantinedArtifact,
+    write_staged, HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport,
+    QuarantinedArtifact,
 };
 use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, RealVfs, Vfs};
@@ -651,7 +652,9 @@ fn restore_read_fault_fails_typed_and_leaves_no_partial_output() {
     let outfile = scratch.0.join("restored.bin");
     let restore_once = |vfs: FaultVfs, out: &Path| -> Result<(), HiDeStoreError> {
         let (hds, _) = HiDeStore::open_repository_with(config(), &scratch.0, vfs)?;
-        hds.restore_to_path(VersionId::new(1), &mut Faa::new(1 << 18), out)?;
+        write_staged(out, |w| {
+            hds.restore(VersionId::new(1), &mut Faa::new(1 << 18), w)
+        })?;
         Ok(())
     };
     restore_once(vfs.clone(), &outfile).expect("unfaulted restore");

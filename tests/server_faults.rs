@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig};
+use hidestore::core::{write_staged, HiDeStore, HiDeStoreConfig};
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, Vfs};
 use hidestore::fsck::{Severity, SystemAuditor};
 use hidestore::proto::{
@@ -282,10 +282,10 @@ fn restore_fault_matrix() {
     conn.restore_to(1, &mut out).unwrap();
     assert_eq!(out, payload);
     let client_out = dir.join("client-out.bin");
-    let err = conn.restore_to_path(99, &client_out).unwrap_err();
+    let err = write_staged(&client_out, |out| conn.restore_to(99, out)).unwrap_err();
     assert!(matches!(err, ClientError::Remote(_)), "{err}");
     assert!(!client_out.exists());
-    conn.restore_to_path(1, &client_out).unwrap();
+    write_staged(&client_out, |out| conn.restore_to(1, out)).unwrap();
     assert_eq!(fs::read(&client_out).unwrap(), payload);
     fs::remove_file(&client_out).unwrap();
     drop(conn);

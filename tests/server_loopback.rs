@@ -14,7 +14,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-use hidestore::core::{HiDeStore, HiDeStoreConfig, RESTORE_AREA_BYTES};
+use hidestore::core::{write_staged, HiDeStore, HiDeStoreConfig, RESTORE_AREA_BYTES};
 use hidestore::fsck::SystemAuditor;
 use hidestore::proto::Limits;
 use hidestore::restore::Faa;
@@ -156,10 +156,11 @@ fn concurrent_clients_differential_against_local_path() {
     fs::remove_dir_all(&local_dir).unwrap();
 }
 
-/// `RemoteClient::restore_to_path` stages in `<path>.tmp` — `.tmp` appended
-/// to the full file name, never substituted for the extension — so a sibling
-/// that merely shares the stem is untouched, and a failed restore to a path
-/// that itself ends in `.tmp` leaves the caller's previous file intact.
+/// A remote restore staged through `write_staged` lands in `<path>.tmp` —
+/// `.tmp` appended to the full file name, never substituted for the
+/// extension — so a sibling that merely shares the stem is untouched, and a
+/// failed restore to a path that itself ends in `.tmp` leaves the caller's
+/// previous file intact.
 #[test]
 fn remote_restore_staging_never_touches_other_files() {
     let dir = temp("staging");
@@ -179,14 +180,14 @@ fn remote_restore_staging_never_touches_other_files() {
     let out_dir = temp("staging-out");
     let sibling = out_dir.join("a.tmp");
     fs::write(&sibling, b"unrelated sibling").unwrap();
-    conn.restore_to_path(1, out_dir.join("a.bin")).unwrap();
+    write_staged(&out_dir.join("a.bin"), |out| conn.restore_to(1, out)).unwrap();
     assert_eq!(fs::read(out_dir.join("a.bin")).unwrap(), data);
     assert_eq!(fs::read(&sibling).unwrap(), b"unrelated sibling");
     assert!(!out_dir.join("a.bin.tmp").exists());
 
     let keep = out_dir.join("keep.tmp");
     fs::write(&keep, b"previous good output").unwrap();
-    conn.restore_to_path(99, &keep).unwrap_err();
+    write_staged(&keep, |out| conn.restore_to(99, out)).unwrap_err();
     assert_eq!(fs::read(&keep).unwrap(), b"previous good output");
     assert!(!out_dir.join("keep.tmp.tmp").exists());
 
@@ -212,9 +213,10 @@ fn restore_onto_a_directory_fails_without_leaving_tmp() {
         MemoryContainerStore::new(),
     );
     local.backup(&data).unwrap();
-    local
-        .restore_to_path(VersionId::new(1), &mut Faa::new(RESTORE_AREA_BYTES), &dest)
-        .unwrap_err();
+    write_staged(&dest, |out| {
+        local.restore(VersionId::new(1), &mut Faa::new(RESTORE_AREA_BYTES), out)
+    })
+    .unwrap_err();
     assert!(!tmp.exists(), "local restore left {}", tmp.display());
 
     let dir = temp("onto-dir");
@@ -229,7 +231,7 @@ fn restore_onto_a_directory_fails_without_leaving_tmp() {
     .unwrap();
     let mut conn = RemoteClient::connect(handle.addr()).unwrap();
     conn.backup_bytes(&data).unwrap();
-    conn.restore_to_path(1, &dest).unwrap_err();
+    write_staged(&dest, |out| conn.restore_to(1, out)).unwrap_err();
     assert!(!tmp.exists(), "remote restore left {}", tmp.display());
     assert!(dest.join("inside").is_dir(), "the directory is untouched");
 
@@ -266,10 +268,10 @@ fn a_version_larger_than_max_frame_restores_remotely() {
     assert!(out == data, "restore_to differs");
 
     let out_dir = temp("large-out");
-    conn.restore_to_path(1, out_dir.join("v1.bin")).unwrap();
+    write_staged(&out_dir.join("v1.bin"), |out| conn.restore_to(1, out)).unwrap();
     assert!(
         fs::read(out_dir.join("v1.bin")).unwrap() == data,
-        "restore_to_path differs"
+        "staged restore differs"
     );
 
     let offset = 2 * DATA_CHUNK + 12_345;
