@@ -25,8 +25,7 @@
 #                                      only what changed, that a failed
 #                                      save keeps its changes for the retry,
 #                                      and that a save encoding on several
-#                                      threads keeps the serial op order and
-#                                      records each staged file's own CRC;
+#                                      threads keeps the serial op order;
 #                                      then the failure-injection suite: the
 #                                      restore/audit agreement sweep
 #                                      (restore_fails_exactly_when_the_audit_
@@ -47,7 +46,12 @@
 #                                      (the pool is the newest versions'
 #                                      chunks after every backup and
 #                                      reopen, and after a prune below the
-#                                      history depth)
+#                                      history depth) and the kept-file
+#                                      rule (a save stages no active file
+#                                      for a container that only lost
+#                                      chunks, and every reopen rebuilds
+#                                      the saved pool from the kept files
+#                                      and the meta's dead entries)
 #   6. differential suites (release)-- the ingest front end against its
 #                                      inline reference on both sides of the
 #                                      inline/staged crossover, and whole
@@ -201,7 +205,8 @@ cargo test --release -p hidestore-core --lib -q -- \
     persist::tests::failed_save_keeps_its_changes_for_the_retry \
     persist::tests::parallel_encode_keeps_the_serial_save_order
 cargo test --release --test failure_injection -q
-cargo test --release --test proptests -q -- the_active_pool_is_the_hot_set
+cargo test --release --test proptests -q -- the_active_pool_is_the_hot_set \
+    an_active_container_that_only_lost_chunks_keeps_its_file
 
 echo "ci: cargo test --release --test pipeline_differential"
 cargo test --release --test pipeline_differential -q

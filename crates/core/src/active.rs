@@ -72,8 +72,10 @@ struct HotChunk {
 /// archival IDs inside one restore plan.
 ///
 /// The pool tracks what changed since the last save, by pool-local ID:
-/// the containers added to, removed from or compacted in place, and the
-/// containers emptied or merged away. The two sets are disjoint.
+/// the containers chunks were placed into, whose files the save writes;
+/// the entries removed from every other container, which keeps its file
+/// while the meta lists them; and the containers emptied or merged away,
+/// whose files the save removes.
 ///
 /// # Examples
 ///
@@ -100,10 +102,26 @@ pub struct ActivePool {
     open: Option<u32>,
     next_cid: u32,
     hot: HashMap<Fingerprint, HotChunk>,
-    /// Pooled containers whose bytes changed since the last save.
-    changed: BTreeSet<u32>,
+    /// Pooled containers the next save writes: chunks were placed into
+    /// them since their file was written (or they have none yet), the open
+    /// found their file under another name, or their file holds more dead
+    /// bytes than a kept file may.
+    unwritten: BTreeSet<u32>,
+    /// What each container's file holds beyond the container, for the
+    /// containers whose file holds anything beyond it.
+    dead: BTreeMap<u32, DeadEntries>,
     /// IDs removed from the pool since the last save.
     dropped: BTreeSet<u32>,
+}
+
+/// The difference between a container's file and the container: the
+/// entries the file lists that the pool removed since the file was
+/// written, and the file's dead bytes (those entries' bytes, plus any the
+/// file was written with).
+#[derive(Debug, Clone, Default)]
+struct DeadEntries {
+    fingerprints: BTreeSet<Fingerprint>,
+    bytes: usize,
 }
 
 impl ActivePool {
@@ -120,27 +138,30 @@ impl ActivePool {
             open: None,
             next_cid: 1,
             hot: HashMap::new(),
-            changed: BTreeSet::new(),
+            unwritten: BTreeSet::new(),
+            dead: BTreeMap::new(),
             dropped: BTreeSet::new(),
         }
     }
 
-    /// Records that container `cid` (present in the pool) changed. A
-    /// dropped ID that holds a container again is published, not removed.
+    /// Records that the next save must write container `cid` (present in
+    /// the pool). A dropped ID that holds a container again is published,
+    /// not removed.
     pub(crate) fn touch(&mut self, cid: u32) {
-        self.changed.insert(cid);
+        self.unwritten.insert(cid);
         self.dropped.remove(&cid);
     }
 
     /// Takes container `cid` out of the pool and records the drop.
-    fn drop_container(&mut self, cid: u32) -> Option<Container> {
+    fn drop_container(&mut self, cid: u32) -> Option<Arc<Container>> {
         let container = self.containers.remove(&cid)?;
         if self.open == Some(cid) {
             self.open = None;
         }
-        self.changed.remove(&cid);
+        self.unwritten.remove(&cid);
+        self.dead.remove(&cid);
         self.dropped.insert(cid);
-        Some(Arc::unwrap_or_clone(container))
+        Some(container)
     }
 
     /// Classifies a chunk at position `rank` of `version`'s stream (Figure
@@ -257,9 +278,10 @@ impl ActivePool {
         }
     }
 
-    /// Removes a chunk (cold demotion).
+    /// Removes a chunk (cold demotion). The container's file keeps the
+    /// chunk's entry, which becomes one of its dead entries.
     pub fn remove(&mut self, fp: &Fingerprint) {
-        let Some(HotChunk { cid, .. }) = self.hot.remove(fp) else {
+        let Some(HotChunk { cid, size, .. }) = self.hot.remove(fp) else {
             return;
         };
         let Some(container) = self.containers.get_mut(&cid) else {
@@ -270,7 +292,9 @@ impl ActivePool {
         if container.is_empty() {
             self.drop_container(cid);
         } else {
-            self.touch(cid);
+            let dead = self.dead.entry(cid).or_default();
+            dead.fingerprints.insert(*fp);
+            dead.bytes += size as usize;
         }
     }
 
@@ -357,39 +381,57 @@ impl ActivePool {
             .map(|(&cid, _)| cid)
             .collect();
         if sparse_ids.len() >= 2 {
-            let mut migrating: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
-            for &cid in &sparse_ids {
-                let Some(container) = self.drop_container(cid) else {
-                    continue;
-                };
+            let merged: Vec<Arc<Container>> = sparse_ids
+                .iter()
+                .filter_map(|&cid| self.drop_container(cid))
+                .collect();
+            for container in &merged {
                 report.containers_merged += 1;
                 report.bytes_reclaimed += (container.used_bytes() - container.live_bytes()) as u64;
-                migrating.extend(container.drain_chunks());
             }
+            // The merged containers are out of the pool: their chunks are
+            // placed straight from them, not copied aside first.
+            let mut migrating: Vec<(Fingerprint, &[u8])> =
+                merged.iter().flat_map(|c| c.iter()).collect();
             // Stable: chunks of equal rank keep their physical order.
             migrating.sort_by_cached_key(|(fp, _)| match self.hot.get(fp) {
                 Some(chunk) if chunk.seen == version.get() => chunk.rank,
                 _ => u32::MAX,
             });
             for (fp, data) in migrating {
-                let cid = self.place(fp, &data);
+                let cid = self.place(fp, data);
                 if let Some(chunk) = self.hot.get_mut(&fp) {
                     chunk.cid = cid;
                 }
                 report.chunks_moved += 1;
             }
         }
-        // In-place compaction of remaining containers with dead bytes (does
-        // not change CIDs).
-        for (&cid, container) in &mut self.containers {
+        report.bytes_reclaimed += self.compact_in_place(threshold);
+        report
+    }
+
+    /// Compacts every container holding dead bytes in place (no chunk
+    /// changes container) and returns the bytes reclaimed. A container
+    /// keeps its file, whose dead entries the meta lists, only while that
+    /// file holds at most (1 − `threshold`) × capacity dead bytes. Every
+    /// container at or above the threshold meets that by construction; one
+    /// left below it is written afresh by the next save.
+    pub(crate) fn compact_in_place(&mut self, threshold: f64) -> u64 {
+        let mut reclaimed = 0;
+        for container in self.containers.values_mut() {
             let dead = container.used_bytes() - container.live_bytes();
             if dead > 0 {
-                report.bytes_reclaimed += dead as u64;
+                reclaimed += dead as u64;
                 Arc::make_mut(container).compact_in_place();
-                self.changed.insert(cid);
             }
         }
-        report
+        let max_dead = (1.0 - threshold) * self.capacity as f64;
+        for (&cid, dead) in &self.dead {
+            if dead.bytes as f64 > max_dead {
+                self.unwritten.insert(cid);
+            }
+        }
+        reclaimed
     }
 
     /// Number of containers in the pool.
@@ -422,13 +464,26 @@ impl ActivePool {
         self.containers.iter().map(|(&cid, c)| (cid, &**c))
     }
 
-    /// The containers added to, removed from or compacted in place since
-    /// the last [`ActivePool::mark_saved`], as `(pool-local id, container)`
-    /// in ascending ID order.
-    pub(crate) fn changed(&self) -> impl Iterator<Item = (u32, &Container)> {
-        self.changed
+    /// The containers the next save writes, as `(pool-local id,
+    /// container)` in ascending ID order: those chunks were placed into
+    /// since their file was written (or that have none), those the open
+    /// found under another name, and those whose file holds more dead bytes
+    /// than a kept file may (see [`ActivePool::compact_in_place`]). Every
+    /// other container keeps its file.
+    pub(crate) fn unwritten(&self) -> impl Iterator<Item = (u32, &Container)> {
+        self.unwritten
             .iter()
             .filter_map(|&cid| Some((cid, &**self.containers.get(&cid)?)))
+    }
+
+    /// The dead entries of every kept file, as `(pool-local id,
+    /// fingerprints)` in ascending ID and fingerprint order: the entries
+    /// the file lists that the pool removed since the file was written.
+    pub(crate) fn dead_entries(&self) -> impl Iterator<Item = (u32, Vec<Fingerprint>)> + '_ {
+        self.dead
+            .iter()
+            .filter(|(cid, dead)| !dead.fingerprints.is_empty() && !self.unwritten.contains(cid))
+            .map(|(&cid, dead)| (cid, dead.fingerprints.iter().copied().collect()))
     }
 
     /// Pool-local IDs of the containers emptied or merged away since the
@@ -437,20 +492,31 @@ impl ActivePool {
         self.dropped.iter().copied()
     }
 
-    /// Forgets the tracked changes: the caller has persisted the pool.
+    /// Forgets the tracked changes: the caller has written every
+    /// [`ActivePool::unwritten`] container and recorded the
+    /// [`ActivePool::dead_entries`] of the others.
     pub(crate) fn mark_saved(&mut self) {
-        self.changed.clear();
+        for cid in std::mem::take(&mut self.unwritten) {
+            self.dead.remove(&cid);
+        }
         self.dropped.clear();
     }
 
-    /// Rebuilds a pool from persisted containers (repository reopen). The
-    /// containers must carry the [`ACTIVE_ID_BASE`]-offset IDs they were
-    /// snapshotted with; a container outside the active ID space is reported
-    /// as an error naming the offending ID. The pool has no tracked changes,
-    /// and no chunk is stamped with a version yet.
-    pub fn from_containers(capacity: usize, containers: Vec<Container>) -> Result<Self, String> {
+    /// Rebuilds a pool from persisted containers (repository reopen) and
+    /// the dead entries the meta lists for them by pool-local ID. Each
+    /// container loses its dead entries and is compacted, so the pool
+    /// equals the one that saved the files; the files keep those entries
+    /// until a save writes them afresh. The containers must carry the
+    /// [`ACTIVE_ID_BASE`]-offset IDs they were snapshotted with; a
+    /// container outside the active ID space is reported as an error naming
+    /// the offending ID. No chunk is stamped with a version yet.
+    pub fn from_containers(
+        capacity: usize,
+        containers: Vec<Container>,
+        mut dead: BTreeMap<u32, Vec<Fingerprint>>,
+    ) -> Result<Self, String> {
         let mut pool = ActivePool::new(capacity);
-        for container in containers {
+        for mut container in containers {
             let Some(cid) = container.id().get().checked_sub(ACTIVE_ID_BASE) else {
                 return Err(format!(
                     "container {} is not an active-pool snapshot",
@@ -458,6 +524,23 @@ impl ActivePool {
                 ));
             };
             pool.next_cid = pool.next_cid.max(cid + 1);
+            let fingerprints: BTreeSet<Fingerprint> = dead
+                .remove(&cid)
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|fp| container.remove(fp))
+                .collect();
+            let bytes = container.used_bytes() - container.live_bytes();
+            if bytes > 0 {
+                container.compact_in_place();
+                pool.dead.insert(
+                    cid,
+                    DeadEntries {
+                        fingerprints,
+                        bytes,
+                    },
+                );
+            }
             for (fp, _, size) in container.entry_locations() {
                 let chunk = HotChunk {
                     cid,
@@ -609,9 +692,12 @@ mod tests {
         let mut pool = ActivePool::new(1024);
         pool.add(fp(1), b"a", v(1), 0);
         pool.add(fp(2), b"b", v(1), 1);
-        let mut pool =
-            ActivePool::from_containers(1024, pool.containers().map(|(_, c)| c.clone()).collect())
-                .unwrap();
+        let mut pool = ActivePool::from_containers(
+            1024,
+            pool.containers().map(|(_, c)| c.clone()).collect(),
+            BTreeMap::new(),
+        )
+        .unwrap();
         assert_eq!(pool.cold(v(2), 1).len(), 2, "an unstamped chunk is cold");
         let recipe = |version: u32, ids: &[u64]| {
             let mut r = Recipe::new(v(version));
@@ -740,67 +826,126 @@ mod tests {
         assert_eq!(snap.get(&fp(1)), Some(&b"snap"[..]));
     }
 
-    fn changed_ids(pool: &ActivePool) -> Vec<u32> {
-        pool.changed().map(|(cid, _)| cid).collect()
+    fn unwritten_ids(pool: &ActivePool) -> Vec<u32> {
+        pool.unwritten().map(|(cid, _)| cid).collect()
+    }
+
+    fn dead_entries(pool: &ActivePool) -> Vec<(u32, Vec<Fingerprint>)> {
+        pool.dead_entries().collect()
     }
 
     #[test]
-    fn add_and_remove_mark_the_container_they_touch() {
+    fn placement_marks_a_container_and_removal_lists_a_dead_entry() {
         let mut pool = ActivePool::new(64);
         let a = pool.add(fp(1), &[1; 30], v(1), 0);
         assert_eq!(pool.add(fp(3), &[3; 20], v(1), 1), a);
         let b = pool.add(fp(2), &[2; 40], v(1), 2);
-        assert_eq!(changed_ids(&pool), [a, b]);
+        assert_eq!(unwritten_ids(&pool), [a, b]);
         pool.mark_saved();
-        assert!(changed_ids(&pool).is_empty());
+        assert!(unwritten_ids(&pool).is_empty());
 
         // A duplicate add changes nothing.
         pool.add(fp(1), &[1; 30], v(1), 3);
-        assert!(changed_ids(&pool).is_empty());
-        // A removal that leaves chunks behind marks the container.
+        assert!(unwritten_ids(&pool).is_empty());
+        // A removal that leaves chunks behind keeps the file and lists the
+        // removed entry.
         pool.remove(&fp(3));
-        assert_eq!(changed_ids(&pool), [a]);
+        assert!(unwritten_ids(&pool).is_empty());
+        assert_eq!(dead_entries(&pool), [(a, vec![fp(3)])]);
         // Emptying a container drops it instead.
         pool.remove(&fp(2));
         assert_eq!(pool.dropped().collect::<Vec<_>>(), [b]);
-        assert_eq!(changed_ids(&pool), [a]);
         pool.mark_saved();
         assert_eq!(pool.dropped().count(), 0);
+        // The kept file still lists the entry after the save.
+        assert_eq!(dead_entries(&pool), [(a, vec![fp(3)])]);
     }
 
     #[test]
-    fn compaction_marks_merges_refills_and_in_place_compactions() {
+    fn placing_into_a_kept_container_writes_it_afresh() {
         let mut pool = ActivePool::new(100);
-        for i in 0..6u64 {
-            pool.add(fp(i), &[i as u8; 45], v(1), i as u32);
+        let a = pool.add(fp(1), &[1; 30], v(1), 0);
+        pool.add(fp(2), &[2; 20], v(1), 1);
+        pool.mark_saved();
+        pool.remove(&fp(2));
+        assert_eq!(pool.add(fp(3), &[3; 10], v(1), 2), a, "a is still open");
+        assert_eq!(unwritten_ids(&pool), [a]);
+        assert!(dead_entries(&pool).is_empty(), "a is written afresh");
+        pool.mark_saved();
+        pool.remove(&fp(3));
+        assert_eq!(
+            dead_entries(&pool),
+            [(a, vec![fp(3)])],
+            "the old file's dead entry went with it"
+        );
+    }
+
+    #[test]
+    fn compaction_writes_merge_targets_and_keeps_files_compacted_in_place() {
+        let mut pool = ActivePool::new(100);
+        let sizes = [45, 45, 45, 45, 80, 10];
+        for (i, &size) in (0u64..).zip(&sizes) {
+            pool.add(fp(i), &vec![i as u8; size], v(1), i as u32);
         }
-        let ids = pool.container_ids();
-        for i in [0u64, 2, 4] {
+        let [a, b, c]: [u32; 3] = pool.container_ids().try_into().unwrap();
+        pool.mark_saved();
+        // a and b go sparse; c loses 10 of 90 bytes and stays dense.
+        for i in [0u64, 2, 5] {
             pool.remove(&fp(i));
         }
-        pool.mark_saved();
         let report = pool.compact_with_order(0.6, v(1));
-        assert!(report.containers_merged >= 2, "{report:?}");
-        let dropped: Vec<u32> = pool.dropped().collect();
-        assert_eq!(dropped.len() as u64, report.containers_merged);
-        assert!(dropped.iter().all(|cid| ids.contains(cid)));
-        // Every container still pooled got the merged chunks or was
-        // compacted in place.
-        assert_eq!(changed_ids(&pool), pool.container_ids());
+        assert_eq!((report.containers_merged, report.chunks_moved), (2, 2));
+        assert_eq!(pool.dropped().collect::<Vec<_>>(), [a, b]);
+        // The merged chunks overflow c into a new container, the only one
+        // written; c is compacted in memory and keeps its file.
+        let d = pool.locate(&fp(1)).unwrap();
+        assert!(d > c && pool.locate(&fp(3)) == Some(d));
+        assert_eq!(unwritten_ids(&pool), [d]);
+        assert_eq!(dead_entries(&pool), [(c, vec![fp(5)])]);
+        let kept = pool.snapshot(c).unwrap();
+        assert_eq!((kept.used_bytes(), kept.live_bytes()), (80, 80));
     }
 
     #[test]
-    fn in_place_compaction_of_a_loaded_container_marks_it() {
-        // A snapshot persisted with dead bytes: nothing is added to or
-        // removed from it, yet compaction rewrites its bytes.
+    fn a_kept_file_past_the_dead_byte_bound_is_written_afresh() {
+        let mut pool = ActivePool::new(100);
+        let a = pool.add(fp(1), &[1; 50], v(1), 0);
+        pool.add(fp(2), &[2; 40], v(1), 1);
+        pool.mark_saved();
+        pool.remove(&fp(2));
+        // 40 dead bytes: kept at threshold 0.5, written afresh at 0.7.
+        pool.compact_in_place(0.5);
+        assert!(unwritten_ids(&pool).is_empty());
+        pool.compact_in_place(0.7);
+        assert_eq!(unwritten_ids(&pool), [a]);
+        assert!(dead_entries(&pool).is_empty());
+    }
+
+    #[test]
+    fn a_loaded_container_drops_its_dead_entries_and_compacts() {
+        // A file written with dead bytes, whose meta lists one more dead
+        // entry: the pool holds only the live chunk, compacted.
         let mut container = Container::new(ContainerId::new(ACTIVE_ID_BASE + 1), 1024);
-        container.try_add(fp(1), &[1; 100]);
-        container.try_add(fp(2), &[2; 100]);
+        for i in 1..=3u64 {
+            container.try_add(fp(i), &[i as u8; 100]);
+        }
         container.remove(&fp(2));
-        let mut pool = ActivePool::from_containers(1024, vec![container]).unwrap();
-        assert!(changed_ids(&pool).is_empty(), "a rebuilt pool is clean");
-        pool.compact_with_order(0.01, v(1));
-        assert_eq!(changed_ids(&pool), [1]);
+        let dead = BTreeMap::from([(1, vec![fp(3), fp(9)])]);
+        let mut pool = ActivePool::from_containers(1024, vec![container], dead).unwrap();
+        assert_eq!(pool.get(&fp(1)), Some(&[1; 100][..]));
+        assert_eq!(pool.chunk_count(), 1);
+        let loaded = pool.snapshot(1).unwrap();
+        assert_eq!((loaded.used_bytes(), loaded.live_bytes()), (100, 100));
+        assert!(
+            unwritten_ids(&pool).is_empty(),
+            "a rebuilt pool keeps its files"
+        );
+        assert_eq!(dead_entries(&pool), [(1, vec![fp(3)])]);
+        // The file holds 200 dead bytes.
+        pool.compact_in_place(0.5);
+        assert!(unwritten_ids(&pool).is_empty());
+        pool.compact_in_place(0.95);
+        assert_eq!(unwritten_ids(&pool), [1]);
     }
 
     #[test]

@@ -41,7 +41,13 @@ pub(crate) const STAGING_DIR: &str = "staging";
 /// The commit-record file name inside the staging directory.
 pub(crate) const COMMIT_FILE: &str = "COMMIT";
 
-const JOURNAL_MAGIC: &[u8; 4] = b"HDSJ";
+/// The commit record's magic: repository-relative paths only.
+const JOURNAL_MAGIC: &[u8; 4] = b"HDSK";
+
+/// The first commit-record layout, still read: each publish path is
+/// followed by the staged file's u64 length and u32 CRC-32, which nothing
+/// ever read back.
+const JOURNAL_MAGIC_V1: &[u8; 4] = b"HDSJ";
 
 /// What journal recovery found (and did) when the repository was opened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,70 +60,55 @@ pub enum JournalRecovery {
     RolledBack,
 }
 
-/// One file to publish from staging into the repository.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PublishEntry {
-    /// Path relative to the repository root (and to the staging root).
-    pub rel: String,
-    /// Staged payload length. Written for post-mortem inspection only:
-    /// nothing reads it back, neither [`recover`] nor `hidestore verify`.
-    pub len: u64,
-    /// CRC-32 of the staged payload. Like `len`, written and never read:
-    /// recovery trusts the record's own trailing CRC, not this one.
-    pub crc: u32,
-}
-
 /// The commit record: the full intent of one repository-save transaction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct CommitRecord {
-    /// Files to rename from staging into the repository.
-    pub publish: Vec<PublishEntry>,
+    /// Repository-relative paths to rename from staging (the same relative
+    /// path under `staging/`) into the repository.
+    pub publish: Vec<String>,
     /// Repository-relative paths to unlink (stale recipes, expired
     /// containers whose removal was deferred to this commit).
     pub remove: Vec<String>,
 }
 
 impl CommitRecord {
-    /// Serializes: magic, entry counts, entries, and a trailing CRC-32 over
-    /// everything before it.
+    /// Serializes: magic, entry counts, the publish paths, the removal
+    /// paths, and a trailing CRC-32 over everything before it.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.raw(JOURNAL_MAGIC);
         w.len_u32(self.publish.len());
         w.len_u32(self.remove.len());
-        for entry in &self.publish {
-            w.string_u16(&entry.rel);
-            w.u64(entry.len);
-            w.u32(entry.crc);
-        }
-        for rel in &self.remove {
+        for rel in self.publish.iter().chain(&self.remove) {
             w.string_u16(rel);
         }
         seal(w)
     }
 
-    /// Parses [`CommitRecord::encode`] output. `None` means the record is
-    /// torn or corrupt — the transaction never committed and must be rolled
-    /// back.
+    /// Parses [`CommitRecord::encode`] output, or a record in the first
+    /// layout. `None` means the record is torn or corrupt — the
+    /// transaction never committed and must be rolled back.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let mut r = ByteReader::new(unseal(bytes)?);
-        if r.array().ok()? != *JOURNAL_MAGIC {
-            return None;
-        }
-        // Smallest encodings: a publish entry is a 2-byte path length plus
-        // its u64 length and u32 CRC, a removal the path length alone.
-        let publish_count = r.count_within("publish entries", 14).ok()?;
+        let magic: [u8; 4] = r.array().ok()?;
+        // A first-layout publish entry carries a u64 length and a u32 CRC
+        // after its path; both are skipped.
+        let publish_extra = match &magic {
+            JOURNAL_MAGIC => 0,
+            JOURNAL_MAGIC_V1 => 12,
+            _ => return None,
+        };
+        // Smallest encodings: a path is its 2-byte length at least.
+        let publish_count = r.count_within("publish entries", 2 + publish_extra).ok()?;
         let remove_count = r.count_within("removals", 2).ok()?;
+        let path = |r: &mut ByteReader<'_>| r.string_u16().ok().filter(|rel| is_repo_relative(rel));
         let mut publish = Vec::with_capacity(publish_count);
         for _ in 0..publish_count {
-            publish.push(PublishEntry {
-                rel: r.string_u16().ok().filter(|rel| is_repo_relative(rel))?,
-                len: r.u64().ok()?,
-                crc: r.u32().ok()?,
-            });
+            publish.push(path(&mut r)?);
+            r.bytes(publish_extra).ok()?;
         }
         let remove = (0..remove_count)
-            .map(|_| r.string_u16().ok().filter(|rel| is_repo_relative(rel)))
+            .map(|_| path(&mut r))
             .collect::<Option<_>>()?;
         r.finish().ok()?;
         Some(CommitRecord { publish, remove })
@@ -202,9 +193,9 @@ pub(crate) fn apply<V: Vfs>(
     for rel in &record.remove {
         ignore_not_found(vfs.remove_file(&repo.join(rel)))?;
     }
-    for entry in &record.publish {
-        let staged = staging.join(&entry.rel);
-        let target = repo.join(&entry.rel);
+    for rel in &record.publish {
+        let staged = staging.join(rel);
+        let target = repo.join(rel);
         if vfs.exists(&staged) {
             if let Some(parent) = target.parent() {
                 vfs.create_dir_all(parent)?;
@@ -212,8 +203,7 @@ pub(crate) fn apply<V: Vfs>(
             vfs.rename(&staged, &target)?;
         } else if !vfs.exists(&target) {
             return Err(StorageError::Corrupt(format!(
-                "commit record names '{}' but it is neither staged nor published",
-                entry.rel
+                "commit record names '{rel}' but it is neither staged nor published"
             )));
         }
     }
@@ -221,12 +211,7 @@ pub(crate) fn apply<V: Vfs>(
     // before the journal is retired.
     let mut dirs: BTreeSet<PathBuf> = BTreeSet::new();
     dirs.insert(repo.to_path_buf());
-    for rel in record
-        .publish
-        .iter()
-        .map(|e| e.rel.as_str())
-        .chain(record.remove.iter().map(String::as_str))
-    {
+    for rel in record.publish.iter().chain(&record.remove) {
         if let Some(parent) = repo.join(rel).parent() {
             dirs.insert(parent.to_path_buf());
         }
@@ -261,20 +246,28 @@ mod tests {
 
     fn record() -> CommitRecord {
         CommitRecord {
-            publish: vec![
-                PublishEntry {
-                    rel: "recipes/r1.rcp".into(),
-                    len: 40,
-                    crc: 0xDEAD_BEEF,
-                },
-                PublishEntry {
-                    rel: "hidestore.meta".into(),
-                    len: 20,
-                    crc: 7,
-                },
-            ],
+            publish: vec!["recipes/r1.rcp".into(), "hidestore.meta".into()],
             remove: vec!["archival/c3.ctr".into(), "recipes/r9.rcp".into()],
         }
+    }
+
+    /// [`record`] in the first layout, as older builds wrote it.
+    fn first_layout() -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.raw(JOURNAL_MAGIC_V1);
+        w.u32(2);
+        w.u32(2);
+        for (rel, len, crc) in [
+            ("recipes/r1.rcp", 40, 0xDEAD_BEEF),
+            ("hidestore.meta", 20, 7),
+        ] {
+            w.string_u16(rel);
+            w.u64(len);
+            w.u32(crc);
+        }
+        w.string_u16("archival/c3.ctr");
+        w.string_u16("recipes/r9.rcp");
+        seal(w)
     }
 
     #[test]
@@ -283,6 +276,19 @@ mod tests {
         assert_eq!(CommitRecord::decode(&r.encode()), Some(r));
         let empty = CommitRecord::default();
         assert_eq!(CommitRecord::decode(&empty.encode()), Some(empty));
+    }
+
+    #[test]
+    fn first_layout_records_still_decode() {
+        let old = first_layout();
+        assert_eq!(CommitRecord::decode(&old), Some(record()));
+        assert!(
+            record().encode().len() < old.len(),
+            "no length or CRC per file"
+        );
+        for cut in 0..old.len() {
+            assert_eq!(CommitRecord::decode(&old[..cut]), None, "torn at {cut}");
+        }
     }
 
     #[test]

@@ -10,16 +10,23 @@
 //!   recipes/       r<version>.rcp files
 //!   staging/       in-flight save transaction (absent when quiescent)
 //!   quarantine/    artifacts moved aside by degraded-mode recovery
-//!   hidestore.meta next version / next archival id / config echo, CRC-guarded
+//!   hidestore.meta counters, history depth and the active files' dead
+//!                  entries, CRC-guarded
 //! ```
 //!
 //! Saves are **transactional** (see [`crate::journal`]): every file of a save
 //! is staged, fsynced, and published under a checksummed commit record, so a
 //! crash at any point leaves the repository openable in either the pre-save
 //! or the post-save state — never a mix. Saves cost **what changed**: the
-//! recipe store and the active pool mark every recipe and container they
-//! change, add or drop, so a save stages only the marked files and the meta
-//! and removes only the dropped ones, listing no directory. The open, which
+//! recipe store marks every recipe it changes, adds or drops, and the active
+//! pool every container chunks were placed into or that it dropped, so a
+//! save stages only the marked files and the meta and removes only the
+//! dropped ones, listing no directory. An active container that only lost
+//! chunks keeps its file: the meta lists the file's dead entries (those the
+//! pool removed since the file was written), and the open drops them and
+//! compacts the container in memory, so the reopened pool equals the one
+//! that saved. A kept file holds at most (1 − `compact_threshold`) ×
+//! capacity dead bytes; past that it is written afresh. The open, which
 //! lists `recipes/` and `active/` anyway, records the artifact files that
 //! hold nothing under their own name; the first save removes them and
 //! rewrites what was loaded from them under its own name.
@@ -34,12 +41,12 @@
 //! the previous version's table `T1` is rebuilt by prefetching the newest
 //! recipe(s); the active pool already holds each chunk's location.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::{RealVfs, Vfs};
-use hidestore_hash::{crc32, default_hash_threads, map_ordered};
+use hidestore_hash::{default_hash_threads, map_ordered, Fingerprint};
 use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 use hidestore_storage::{
     Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, RepoFile,
@@ -49,18 +56,27 @@ use hidestore_storage::{
 use crate::active::ActivePool;
 use crate::composite::ACTIVE_ID_BASE;
 use crate::config::HiDeStoreConfig;
-use crate::journal::{self, CommitRecord, JournalRecovery, PublishEntry};
+use crate::journal::{self, CommitRecord, JournalRecovery};
 use crate::system::{HiDeStore, HiDeStoreError};
 
 const META_FILE: &str = "hidestore.meta";
-/// The meta format: magic + three LE u32 counters + CRC-32 over the first
-/// 16 bytes, 20 bytes total. A torn or bit-flipped meta fails the length
-/// or CRC check and is reported as corrupt instead of misparsed.
-const META_MAGIC: &[u8; 4] = b"HDS2";
+/// The meta format while some kept active file has dead entries: magic,
+/// three LE u32 counters, the dead-entry table (u32 file count; per kept
+/// file in pool-local ID order: u32 ID, u32 entry count, the 20-byte
+/// fingerprints in ascending order), then a CRC-32 over everything before
+/// it. A torn or bit-flipped meta fails the CRC check and is reported as
+/// corrupt instead of misparsed.
+const META_MAGIC: &[u8; 4] = b"HDS3";
+
+/// The meta format without dead entries: the magic, the three counters and
+/// the CRC-32, 20 bytes in all. A repository that keeps no file with dead
+/// entries stays readable by builds that know only this form, and one that
+/// does is refused by them instead of reopening chunks that went cold.
+const META_MAGIC_V2: &[u8; 4] = b"HDS2";
 
 /// Below this many encoded bytes of changed recipes and active containers, a
-/// save encodes and checksums its files on the calling thread: spawning a
-/// helper costs more than it saves (DESIGN §8.3).
+/// save encodes its files on the calling thread: spawning a helper costs
+/// more than it saves (DESIGN §8.3).
 const PARALLEL_ENCODE_MIN_BYTES: usize = 512 << 10;
 
 /// Appends the bytes of one file a save stages to a buffer.
@@ -69,9 +85,9 @@ type Encoder<'a> = Box<dyn Fn(&mut ByteWriter) + Sync + 'a>;
 /// Directory quarantined artifacts are moved into.
 pub(crate) const QUARANTINE_DIR: &str = "quarantine";
 
-/// The counters stored in a repository's `hidestore.meta` file, readable
-/// without opening the full repository.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a repository's `hidestore.meta` file holds, readable without
+/// opening the full repository.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct RepositoryMeta {
     /// Next version number to assign (retained versions are below this).
     pub next_version: u32,
@@ -79,6 +95,10 @@ pub(crate) struct RepositoryMeta {
     pub next_archival: u32,
     /// The history depth the repository was written with.
     pub history_depth: u32,
+    /// Per kept active file, by pool-local ID: the entries the file lists
+    /// that the pool removed since it was written (see
+    /// [`ActivePool::from_containers`]).
+    pub dead_entries: BTreeMap<u32, Vec<Fingerprint>>,
 }
 
 impl RepositoryMeta {
@@ -108,18 +128,32 @@ impl RepositoryMeta {
 
     /// Parses what [`RepositoryMeta::encode`] wrote.
     fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if !bytes.starts_with(META_MAGIC) {
+        let with_table = if bytes.starts_with(META_MAGIC) {
+            true
+        } else if bytes.starts_with(META_MAGIC_V2) {
+            false
+        } else {
             return Err("unrecognized magic".into());
-        }
+        };
         let body = journal::unseal(bytes).ok_or("payload checksum mismatch (torn write?)")?;
         let mut r = ByteReader::new(body);
         let meta = (|| {
             r.array::<4>()?;
-            let meta = RepositoryMeta {
+            let mut meta = RepositoryMeta {
                 next_version: r.u32()?,
                 next_archival: r.u32()?,
                 history_depth: r.u32()?,
+                dead_entries: BTreeMap::new(),
             };
+            if with_table {
+                for _ in 0..r.count_within("dead-entry files", 8)? {
+                    let cid = r.u32()?;
+                    let fingerprints = (0..r.count_within("dead entries", 20)?)
+                        .map(|_| r.array().map(Fingerprint::from_bytes))
+                        .collect::<Result<_, _>>()?;
+                    meta.dead_entries.insert(cid, fingerprints);
+                }
+            }
             r.finish()?;
             Ok::<_, DecodeError>(meta)
         })();
@@ -127,13 +161,29 @@ impl RepositoryMeta {
     }
 
     /// Serializes in the CRC-guarded format [`RepositoryMeta::read_with`]
-    /// accepts.
+    /// accepts: `HDS2` without dead entries, `HDS3` with them.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(20);
-        w.raw(META_MAGIC);
+        let entries: usize = self.dead_entries.values().map(Vec::len).sum();
+        let mut w = ByteWriter::with_capacity(24 + 8 * self.dead_entries.len() + 20 * entries);
+        let with_table = !self.dead_entries.is_empty();
+        w.raw(if with_table {
+            META_MAGIC
+        } else {
+            META_MAGIC_V2
+        });
         w.u32(self.next_version);
         w.u32(self.next_archival);
         w.u32(self.history_depth);
+        if with_table {
+            w.len_u32(self.dead_entries.len());
+            for (&cid, fingerprints) in &self.dead_entries {
+                w.u32(cid);
+                w.len_u32(fingerprints.len());
+                for fp in fingerprints {
+                    w.raw(fp.as_bytes());
+                }
+            }
+        }
         journal::seal(w)
     }
 }
@@ -467,6 +517,7 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             meta.next_archival,
             recipe_report.store,
             pool_containers,
+            meta.dead_entries,
         )?;
         system.mark_opened(&renamed_versions, &renamed_cids, strays);
         system.set_quarantine(quarantined.clone());
@@ -487,9 +538,10 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
     /// `dir` is the directory the instance was opened from: its archival
     /// store already lives there. The save publishes only what changed
     /// since the open or the last save: the recipes and active containers
-    /// the recipe store and the pool marked, plus the meta file. It removes
-    /// only the versions and containers they dropped and the stray files
-    /// the open found — no directory is listed. The tracked changes are
+    /// the recipe store and the pool marked, plus the meta file, which
+    /// lists the dead entries of every active file kept. It removes only
+    /// the versions and containers they dropped and the stray files the
+    /// open found — no directory is listed. The tracked changes are
     /// forgotten only after the publish succeeds, so a failed save is
     /// retried in full.
     ///
@@ -522,12 +574,12 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             let encode = Box::new(|w: &mut ByteWriter| recipe.encode_into(w));
             files.push((path, recipe.encoded_len(), encode));
         }
-        for (cid, container) in pool.changed() {
+        for (cid, container) in pool.unwritten() {
             let encode = Box::new(|w: &mut ByteWriter| container.encode_into(w));
             files.push((RepoFile::Active.path(cid), container.encoded_len(), encode));
         }
-        // Encoding and checksumming touch no file, so they run in parallel;
-        // every filesystem op below stays on this thread, in this order.
+        // Encoding touches no file, so it runs in parallel; every
+        // filesystem op below stays on this thread, in this order.
         // The buffers are allocated here: memory a helper thread allocates
         // stays with its allocator arena once freed, adding to the
         // process's resident set.
@@ -543,14 +595,12 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             .collect();
         let encoded = map_ordered(writers, threads, |(mut w, encode)| {
             encode(&mut w);
-            let bytes = w.into_bytes();
-            let crc = crc32(&bytes);
-            (bytes, crc)
+            w.into_bytes()
         });
-        let mut staged: Vec<(String, Vec<u8>, u32)> = files
+        let mut staged: Vec<(String, Vec<u8>)> = files
             .into_iter()
             .zip(encoded)
-            .map(|((rel, _, _), (bytes, crc))| (rel, bytes, crc))
+            .map(|((rel, _, _), bytes)| (rel, bytes))
             .collect();
         record.remove = recipes
             .removed()
@@ -564,10 +614,9 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
             next_version: self.next_version(),
             next_archival: self.next_archival_raw(),
             history_depth: self.config().history_depth as u32,
+            dead_entries: pool.dead_entries().collect(),
         };
-        let meta = meta.encode();
-        let crc = crc32(&meta);
-        staged.push((META_FILE.to_string(), meta, crc));
+        staged.push((META_FILE.to_string(), meta.encode()));
         for &id in self.archival().deferred_removals() {
             record.remove.push(RepoFile::Archival.path(id.get()));
         }
@@ -577,19 +626,15 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // durable) before the commit record exists.
         let mut staged_dirs: BTreeSet<PathBuf> = BTreeSet::new();
         staged_dirs.insert(staging.clone());
-        for (rel, bytes, crc) in &staged {
-            let path = staging.join(rel);
+        for (rel, bytes) in staged {
+            let path = staging.join(&rel);
             if let Some(parent) = path.parent() {
                 vfs.create_dir_all(parent).map_err(StorageError::from)?;
                 staged_dirs.insert(parent.to_path_buf());
             }
-            vfs.write(&path, bytes).map_err(StorageError::from)?;
+            vfs.write(&path, &bytes).map_err(StorageError::from)?;
             vfs.sync_file(&path).map_err(StorageError::from)?;
-            record.publish.push(PublishEntry {
-                rel: rel.clone(),
-                len: bytes.len() as u64,
-                crc: *crc,
-            });
+            record.publish.push(rel);
         }
         for d in &staged_dirs {
             vfs.sync_dir(d).map_err(StorageError::from)?;
@@ -815,7 +860,7 @@ mod tests {
             system.save_repository(&dir).unwrap();
         }
         let meta = fs::read(dir.join("hidestore.meta")).unwrap();
-        assert_eq!(meta.len(), 20, "the meta format is 20 bytes");
+        assert_eq!(meta.len(), 20, "a meta without dead entries is 20 bytes");
         // A truncated meta must be corrupt, not misparsed.
         fs::write(dir.join("hidestore.meta"), &meta[..16]).unwrap();
         let err = HiDeStore::open_repository(config(), &dir).unwrap_err();
@@ -848,6 +893,42 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("bad repository meta"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The meta is the 20-byte `HDS2` form while no kept active file has
+    /// dead entries, and `HDS3` with its dead-entry table once one has;
+    /// both reopen to the pool that saved them.
+    #[test]
+    fn the_meta_lists_dead_entries_only_while_a_file_keeps_them() {
+        let dir = temp_dir("meta-forms");
+        let data = noise(200_000, 34);
+        let config = HiDeStoreConfig {
+            compact_threshold: 0.5,
+            ..config()
+        };
+        let mut system = HiDeStore::open_repository(config, &dir).unwrap();
+        system.backup(&data).unwrap();
+        system.save_repository(&dir).unwrap();
+        let meta = fs::read(dir.join("hidestore.meta")).unwrap();
+        assert_eq!((&meta[..4], meta.len()), (&META_MAGIC_V2[..], 20));
+
+        // A short edit sends a few chunks of full containers cold.
+        let mut edited = data.clone();
+        edited[100_000..102_000].copy_from_slice(&noise(2_000, 35));
+        system.backup(&edited).unwrap();
+        system.save_repository(&dir).unwrap();
+        let kept: Vec<(u32, Vec<Fingerprint>)> = system.pool().dead_entries().collect();
+        let dead: usize = kept.iter().map(|(_, f)| f.len()).sum();
+        assert!(dead > 0, "some file keeps dead entries");
+        let meta = fs::read(dir.join("hidestore.meta")).unwrap();
+        let len = 24 + 8 * kept.len() + 20 * dead;
+        assert_eq!((&meta[..4], meta.len()), (&META_MAGIC[..], len));
+        let encoded = |s: &HiDeStore<FileContainerStore>| -> Vec<Vec<u8>> {
+            s.pool().containers().map(|(_, c)| c.encode()).collect()
+        };
+        let reopened = HiDeStore::open_repository(config, &dir).unwrap();
+        assert!(encoded(&reopened) == encoded(&system));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1010,7 +1091,7 @@ mod tests {
             expect.extend(
                 system
                     .pool()
-                    .changed()
+                    .unwritten()
                     .map(|(cid, _)| format!("active/{}", active_name(cid))),
             );
             expect.insert(META_FILE.into());
@@ -1055,9 +1136,9 @@ mod tests {
     /// A save large enough to encode its files on several threads still
     /// stages them in the serial order — recipes by version, then active
     /// containers by id, then the meta, then the commit record — and the
-    /// record carries each staged file's own length and CRC-32. The save
-    /// runs twice from the same start: counted, then crashed at its first
-    /// publish rename, which leaves the staged files and the record on disk.
+    /// record publishes them in that order. The save runs twice from the
+    /// same start: counted, then crashed at its first publish rename, which
+    /// leaves the staged files and the record on disk.
     #[test]
     fn parallel_encode_keeps_the_serial_save_order() {
         let config = HiDeStoreConfig {
@@ -1076,8 +1157,8 @@ mod tests {
             system.backup(&data).unwrap();
             let versions: BTreeSet<VersionId> =
                 system.recipes().changed().map(|r| r.version()).collect();
-            let cids: BTreeSet<u32> = system.pool().changed().map(|(cid, _)| cid).collect();
-            let bytes: usize = system.pool().changed().map(|(_, c)| c.used_bytes()).sum();
+            let cids: BTreeSet<u32> = system.pool().unwritten().map(|(cid, _)| cid).collect();
+            let bytes: usize = system.pool().unwritten().map(|(_, c)| c.used_bytes()).sum();
             assert!(
                 versions.len() >= 2 && cids.len() >= 4,
                 "{versions:?} {cids:?}"
@@ -1122,13 +1203,7 @@ mod tests {
         let (dir, _, saved, order) = save("save-crc", Plan::armed(first_rename, FaultKind::Error));
         assert!(saved.is_err(), "the save crashes at its first rename");
         let record = CommitRecord::decode(&fs::read(journal::commit_path(&dir)).unwrap()).unwrap();
-        let published: Vec<&str> = record.publish.iter().map(|e| e.rel.as_str()).collect();
-        assert_eq!(published, order);
-        for entry in &record.publish {
-            let bytes = fs::read(journal::staging_dir(&dir).join(&entry.rel)).unwrap();
-            assert_eq!(entry.len, bytes.len() as u64, "{}", entry.rel);
-            assert_eq!(entry.crc, crc32(&bytes), "{}", entry.rel);
-        }
+        assert_eq!(record.publish, order);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -85,12 +85,14 @@ impl<S: ContainerStore> HiDeStore<S> {
                 continue;
             }
             report.tag_groups += 1;
-            // Pull every chunk of the group.
-            let mut chunks: Vec<(Fingerprint, Vec<u8>)> = Vec::new();
-            for &id in ids {
-                let container = self.archival().read(id)?;
-                chunks.extend(container.drain_chunks());
-            }
+            // Every chunk of the group, packed straight from the
+            // containers read.
+            let containers = ids
+                .iter()
+                .map(|&id| self.archival().read(id))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut chunks: Vec<(Fingerprint, &[u8])> =
+                containers.iter().flat_map(|c| c.iter()).collect();
             // Repack in recipe read order; unreferenced chunks last (they
             // belong to already-expired references and will die with the
             // tag group).

@@ -1,6 +1,6 @@
 //! The HiDeStore system: backup, restore, flatten, delete.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufWriter, Write};
 use std::num::NonZeroU32;
@@ -610,7 +610,9 @@ impl<S: ContainerStore> HiDeStore<S> {
     /// backup would otherwise demote them into archival containers that no
     /// recipe references. A quarantined recipe (or an unrecognized
     /// quarantined file) might hold any pooled chunk, so while one exists
-    /// nothing is removed.
+    /// nothing is removed. The pool is then compacted in place, as at the
+    /// end of a backup, so the containers that only lost chunks keep their
+    /// files.
     fn drop_unheld_pool_chunks(&mut self) {
         if self.quarantined.iter().any(|q| {
             matches!(
@@ -634,6 +636,7 @@ impl<S: ContainerStore> HiDeStore<S> {
         for fp in &unheld {
             self.pool.remove(fp);
         }
+        self.pool.compact_in_place(self.config.compact_threshold);
     }
 
     /// Whether every chunk re-hashes to its fingerprint and every retained
@@ -740,9 +743,14 @@ impl<S: ContainerStore> HiDeStore<S> {
         next_archival_id: u32,
         recipes: RecipeStore,
         pool_containers: Vec<Container>,
+        dead_entries: BTreeMap<u32, Vec<Fingerprint>>,
     ) -> Result<(), HiDeStoreError> {
-        self.pool = ActivePool::from_containers(self.config.container_capacity, pool_containers)
-            .map_err(|msg| HiDeStoreError::Storage(StorageError::Corrupt(msg)))?;
+        self.pool = ActivePool::from_containers(
+            self.config.container_capacity,
+            pool_containers,
+            dead_entries,
+        )
+        .map_err(|msg| HiDeStoreError::Storage(StorageError::Corrupt(msg)))?;
         crate::persist::stamp_hot_set(&recipes, &mut self.pool, self.config.history_depth);
         self.recipes = recipes;
         self.next_version = next_version.max(1);

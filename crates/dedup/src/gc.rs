@@ -103,8 +103,8 @@ pub fn mark_sweep(
             let builder = merge.get_or_insert_with(|| {
                 ContainerBuilder::new(*next_container_id, container.capacity())
             });
-            for (fp, data) in modified.drain_chunks() {
-                let (cid, full) = builder.append(fp, &data);
+            for (fp, data) in modified.iter() {
+                let (cid, full) = builder.append(fp, data);
                 *next_container_id = builder.next_id();
                 relocations.insert(fp, cid);
                 if let Some(full) = full {

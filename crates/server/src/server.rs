@@ -581,7 +581,15 @@ fn handle_connection<V: Vfs>(stream: &mut Socket, peer: SocketAddr, shared: &Sha
         let started = Instant::now();
         let name = request.name();
         let shutdown_requested = matches!(request, Request::Shutdown);
-        let tstats = shared.stats.tenant(&tenant);
+        // Only a verb that opens the tenant's repository counts under the
+        // tenant: the daemon's own verbs count in the server totals alone,
+        // so they never make a row for a tenant that has no repository.
+        let tstats = match request {
+            Request::Ping | Request::TenantList | Request::TenantStats | Request::Shutdown => {
+                Arc::default()
+            }
+            _ => shared.stats.tenant(&tenant),
+        };
         match dispatch(request, &tenant, &tstats, stream, shared) {
             Outcome::Ok { detail } => {
                 ServerStats::bump(&shared.stats.requests_ok);

@@ -329,12 +329,6 @@ impl Container {
             data_start,
         })
     }
-
-    /// Extracts all live chunks as owned `(fingerprint, content)` pairs in
-    /// physical order — used when migrating chunks between containers.
-    pub fn drain_chunks(&self) -> Vec<(Fingerprint, Vec<u8>)> {
-        self.iter().map(|(fp, data)| (fp, data.to_vec())).collect()
-    }
 }
 
 #[cfg(test)]
@@ -568,16 +562,20 @@ mod tests {
     }
 
     #[test]
-    fn drain_chunks_in_physical_order() {
+    fn iter_is_in_physical_order() {
         let mut c = Container::new(ContainerId::new(1), 1024);
         c.try_add(fp(3), b"c3");
         c.try_add(fp(1), b"c1");
         c.try_add(fp(2), b"c2");
-        let drained = c.drain_chunks();
-        assert_eq!(drained.len(), 3);
-        assert_eq!(drained[0].1, b"c3");
-        assert_eq!(drained[1].1, b"c1");
-        assert_eq!(drained[2].1, b"c2");
+        let chunks: Vec<_> = c.iter().collect();
+        assert_eq!(
+            chunks,
+            [
+                (fp(3), &b"c3"[..]),
+                (fp(1), &b"c1"[..]),
+                (fp(2), &b"c2"[..])
+            ]
+        );
     }
 
     #[test]

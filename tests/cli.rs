@@ -1103,6 +1103,51 @@ fn local_and_remote_verbs_print_the_same() {
     }
 }
 
+/// The daemon's own verbs open no tenant repository, so they count in the
+/// server totals alone: after two `tenant list` calls and one `tenant
+/// stats`, which the CLI sends without `--tenant`, `tenant stats` lists
+/// only the tenants something was backed up for, with no `default` row.
+#[test]
+fn tenant_admin_verbs_make_no_tenant_row() {
+    let root = temp("tenant-admin-rows");
+    fs::create_dir_all(&root).unwrap();
+    let daemon = serve(
+        &root,
+        ServerConfig {
+            quiet: true,
+            tenants_root: true,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.addr().to_string();
+    let input = root.join("input.bin");
+    fs::write(&input, noise(20_000, 22)).unwrap();
+    let out = run(&[
+        "backup",
+        "--remote",
+        &addr,
+        "--tenant",
+        "alice",
+        input.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    for args in [["list"], ["list"], ["stats"]] {
+        let out = run(&["tenant", args[0], "--remote", &addr]);
+        assert!(out.status.success(), "{args:?}: {}", stderr_of(&out));
+    }
+    let out = run(&["tenant", "stats", "--remote", &addr, "--json"]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    assert!(
+        text.contains("{\"tenant\":\"alice\",\"requests_ok\":1,\"requests_failed\":0,"),
+        "{text}"
+    );
+    assert_eq!(text.matches("\"tenant\":").count(), 1, "{text}");
+    daemon.shutdown_and_join();
+    fs::remove_dir_all(&root).unwrap();
+}
+
 /// The multi-tenant verbs end to end: `--tenant` addresses one tenant of a
 /// `--tenants` daemon, the `tenant` admin verbs see every tenant, and a bad
 /// tenant id or an admin verb without `--remote` is a usage error.

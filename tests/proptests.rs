@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use hidestore::chunking::{chunk_spans, ChunkerKind};
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::{BackupPipeline, PipelineConfig};
+use hidestore::failpoint::{FaultVfs, OpKind, Plan};
 use hidestore::fsck::SystemAuditor;
 use hidestore::hash::{Fingerprint, Sha1};
 use hidestore::index::DdfsIndex;
@@ -25,6 +26,7 @@ use hidestore::storage::{
     Cid, Container, ContainerId, FileContainerStore, MemoryContainerStore, Recipe, RecipeEntry,
     VersionId,
 };
+use hidestore::workloads::{Profile, VersionStream};
 
 /// Runs `body` once per case with a per-case deterministic RNG. The case
 /// seed appears in any panic message via the wrapping assertion context.
@@ -158,9 +160,43 @@ fn scratch_dir(tag: &str, rng: &mut StdRng) -> std::path::PathBuf {
     dir
 }
 
+/// The dead entries `hidestore.meta` lists per kept active file (DESIGN
+/// §3: none in the 20-byte `HDS2` form; after the `HDS3` magic and three
+/// u32 counters, a u32 file count, per file a u32 pool-local ID, a u32
+/// entry count and the 20-byte fingerprints; then the CRC-32).
+fn meta_dead_entries(dir: &Path) -> BTreeMap<u32, Vec<Fingerprint>> {
+    let meta = std::fs::read(dir.join("hidestore.meta")).unwrap();
+    if meta.starts_with(b"HDS2") {
+        assert_eq!(meta.len(), 20);
+        return BTreeMap::new();
+    }
+    assert_eq!(&meta[..4], b"HDS3");
+    let mut body = &meta[16..meta.len() - 4];
+    let mut take = |len: usize| {
+        let (head, tail) = body.split_at(len);
+        body = tail;
+        head
+    };
+    let u32_of = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().unwrap());
+    let mut dead = BTreeMap::new();
+    for _ in 0..u32_of(take(4)) {
+        let cid = u32_of(take(4));
+        let count = u32_of(take(4)) as usize;
+        let fingerprints = take(20 * count)
+            .chunks_exact(20)
+            .map(|fp| Fingerprint::from_bytes(fp.try_into().unwrap()))
+            .collect();
+        dead.insert(cid, fingerprints);
+    }
+    assert!(body.is_empty(), "the CRC-32 follows the table");
+    dead
+}
+
 /// Asserts that the repository at `dir` holds exactly `hds`'s recipes and
 /// active pool: the `recipes/r*.rcp` and `active/a*.ctr` file sets name
-/// them, and every file's bytes are their current encoding.
+/// them, every recipe file's bytes are its current encoding, and every
+/// active file, minus the dead entries the meta lists for it and then
+/// compacted, encodes exactly as the pooled container does.
 fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, context: &str) {
     let mut expect: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for recipe in hds.recipes().iter() {
@@ -170,6 +206,7 @@ fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, c
     for (cid, container) in hds.pool().containers() {
         expect.insert(format!("active/a{cid}.ctr"), container.encode());
     }
+    let mut dead = meta_dead_entries(dir);
     let mut found: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for (sub, prefix, suffix) in [("recipes", "r", ".rcp"), ("active", "a", ".ctr")] {
         let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
@@ -178,11 +215,32 @@ fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, c
         for entry in entries {
             let path = entry.unwrap().path();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if name.starts_with(prefix) && name.ends_with(suffix) {
-                found.insert(format!("{sub}/{name}"), std::fs::read(&path).unwrap());
+            let Some(id) = name
+                .strip_prefix(prefix)
+                .and_then(|n| n.strip_suffix(suffix))
+            else {
+                continue;
+            };
+            let mut bytes = std::fs::read(&path).unwrap();
+            if sub == "active" {
+                let mut container = Container::decode(bytes).unwrap();
+                for fp in dead.remove(&id.parse().unwrap()).unwrap_or_default() {
+                    assert!(
+                        container.remove(&fp),
+                        "{context}: {name} lacks the dead entry {fp}"
+                    );
+                }
+                container.compact_in_place();
+                bytes = container.encode();
             }
+            found.insert(format!("{sub}/{name}"), bytes);
         }
     }
+    assert!(
+        dead.is_empty(),
+        "{context}: the meta lists dead entries of absent files {:?}",
+        dead.keys()
+    );
     assert_eq!(
         found.keys().collect::<Vec<_>>(),
         expect.keys().collect::<Vec<_>>(),
@@ -811,10 +869,11 @@ fn the_active_pool_is_the_hot_set_across_backups_and_reopens() {
     });
 }
 
-/// An active snapshot persisted with dead bytes changes only through
-/// in-place compaction: the next backup of the same data adds nothing to
-/// it and demotes nothing from it, yet its bytes shrink, and the save must
-/// publish them.
+/// An active snapshot persisted with dead bytes (as a file written before
+/// the pool compacted at every version end could hold) is compacted when
+/// it is loaded: the next backup of the same data adds nothing to it and
+/// demotes nothing from it, so the save keeps the file as it is, and the
+/// file, compacted, is the pooled container.
 #[test]
 fn in_place_compaction_of_a_persisted_snapshot_is_saved() {
     let mut rng = StdRng::seed_from_u64(0x12);
@@ -845,17 +904,130 @@ fn in_place_compaction_of_a_persisted_snapshot_is_saved() {
                 c.remove(&junk);
                 std::fs::write(path, c.encode()).unwrap();
                 true
-            });
-        assert!(crafted.is_some(), "some snapshot has room for 64 bytes");
-
+            })
+            .expect("some snapshot has room for 64 bytes");
+        let bytes = std::fs::read(&crafted).unwrap();
         let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
         let stats = hds.backup(&data).unwrap();
         assert_eq!((stats.stored_bytes, stats.cold_chunks), (0, 0));
         hds.save_repository(&dir).unwrap();
+        assert!(
+            std::fs::read(&crafted).unwrap() == bytes,
+            "the file is kept"
+        );
         assert_disk_matches_memory(&hds, &dir, "after compacting in place");
     });
     let _ = std::fs::remove_dir_all(&dir);
     if let Err(panic) = result {
         std::panic::resume_unwind(panic);
+    }
+}
+
+/// A seeded kernel-profile lifecycle with small containers at history
+/// depth 1 and 2, saved and reopened at every version and, at depth 2,
+/// after a prune to the newest version, which removes the chunks only the
+/// older one held. A save stages `active/a<cid>.ctr` only for a container
+/// that is new, that chunks were placed into since its file was written,
+/// or whose file would hold more than (1 − `compact_threshold`) × capacity
+/// dead bytes: a container that only lost chunks keeps its file. Every
+/// reopen rebuilds the committing instance's pool exactly, container by
+/// container — fingerprints, offsets and bytes — from the kept files and
+/// the meta's dead entries, and audits clean.
+#[test]
+fn an_active_container_that_only_lost_chunks_keeps_its_file() {
+    type Repo = HiDeStore<FileContainerStore<FaultVfs>>;
+    let mut rng = StdRng::seed_from_u64(0x26);
+    for history_depth in [1, 2] {
+        let dir = scratch_dir(&format!("kept-files-{history_depth}"), &mut rng);
+        let config = HiDeStoreConfig {
+            avg_chunk_size: 1024,
+            container_capacity: 64 * 1024,
+            history_depth,
+            ..HiDeStoreConfig::default()
+        };
+        let max_dead = (1.0 - config.compact_threshold) * config.container_capacity as f64;
+        let spec = Profile::Kernel.spec().scaled(768 << 10, 12);
+        let result = std::panic::catch_unwind(|| {
+            let vfs = FaultVfs::new(Plan::counting());
+            let staging = dir.join("staging").join("active");
+            // Each active file on disk: the fingerprints and data bytes it
+            // was written with.
+            let mut files: BTreeMap<u32, (BTreeSet<Fingerprint>, usize)> = BTreeMap::new();
+            let mut kept = 0;
+            // Saves `hds`, checks the active files staged, and returns the
+            // reopened instance after checking its pool.
+            let mut save_and_reopen = |hds: Repo, step: &str| -> Repo {
+                let context = format!("depth {history_depth}, {step}");
+                let mut expect: BTreeSet<u32> = BTreeSet::new();
+                for (cid, container) in hds.pool().containers() {
+                    let live: BTreeSet<Fingerprint> = container.fingerprints().collect();
+                    match files.get(&cid) {
+                        Some((held, used))
+                            if live.is_subset(held)
+                                && (used - container.live_bytes()) as f64 <= max_dead =>
+                        {
+                            kept += usize::from(live.len() < held.len());
+                        }
+                        _ => {
+                            expect.insert(cid);
+                        }
+                    }
+                }
+                let mut hds = hds;
+                let from = vfs.plan().ops() as usize;
+                hds.save_repository(&dir).unwrap();
+                let staged: BTreeSet<u32> = vfs.plan().trace()[from..]
+                    .iter()
+                    .filter(|op| op.kind == OpKind::Write)
+                    .filter_map(|op| op.path.strip_prefix(&staging).ok())
+                    .map(|rel| {
+                        let name = rel.to_string_lossy();
+                        let id = name.strip_prefix('a').and_then(|n| n.strip_suffix(".ctr"));
+                        id.unwrap().parse().unwrap()
+                    })
+                    .collect();
+                assert_eq!(staged, expect, "{context}: the active files staged");
+                files.retain(|cid, _| hds.pool().snapshot(*cid).is_some());
+                for (cid, container) in hds.pool().containers() {
+                    if staged.contains(&cid) {
+                        let live = container.fingerprints().collect();
+                        files.insert(cid, (live, container.used_bytes()));
+                    }
+                }
+
+                let (reopened, _) =
+                    HiDeStore::open_repository_with(config, &dir, vfs.clone()).unwrap();
+                let pool = |hds: &Repo| -> Vec<(u32, Vec<u8>)> {
+                    hds.pool()
+                        .containers()
+                        .map(|(cid, c)| (cid, c.encode()))
+                        .collect()
+                };
+                assert!(
+                    pool(&reopened) == pool(&hds),
+                    "{context}: the reopened pool differs"
+                );
+                assert_eq!(reopened.pool().chunk_count(), hds.pool().chunk_count());
+                let audit = SystemAuditor::new().audit(&reopened);
+                assert!(audit.is_clean(), "{context}: {audit}");
+                reopened
+            };
+            let (mut hds, _) = HiDeStore::open_repository_with(config, &dir, vfs.clone()).unwrap();
+            for (v, data) in (1..).zip(VersionStream::new(spec, 26).all_versions()) {
+                hds.backup(&data).unwrap();
+                hds = save_and_reopen(hds, &format!("V{v}"));
+            }
+            if history_depth == 2 {
+                let before = hds.pool().chunk_count();
+                hds.prune_keep_last(NonZeroU32::MIN).unwrap();
+                assert!(hds.pool().chunk_count() < before, "the prune left the pool");
+                save_and_reopen(hds, "prune to 1");
+            }
+            assert!(kept > 0, "no container only lost chunks");
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

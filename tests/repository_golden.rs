@@ -214,7 +214,7 @@ const HIDESTORE: &[(&str, &str)] = &[
     ("backup V5", "3769b9bf18d2d413ee670bb7faa50e70b8c79e9d"),
     ("backup V6", "6859efb8041490ad026a1fc33b687a0d8cbe6933"),
     ("backup V7", "6897d7038cedd4fa516d63351632e716dd393736"),
-    ("backup V8", "eb4fb272e914d10e3009f38019fa557cc8ae3279"),
+    ("backup V8", "d4c1ee70b83e6c70cb9ec1fd3b68f30b14543dbc"),
     ("backup-tree V9", "fb4477219fa47d49766d23c2d84b9f1968ea3548"),
     ("prune 6", "0c19415cdc9600fc979f19260906c56140614181"),
     ("flatten", "d16c30f73b8170ab439e7a4d71398e0bb078382e"),
