@@ -12,7 +12,9 @@
 #                                      safety, panic-free library code,
 #                                      panic markers, crate-root attributes,
 #                                      raw-socket use outside failpoint's
-#                                      Socket
+#                                      Socket, and one path per decision
+#                                      (std::thread::scope only in
+#                                      hidestore_hash's map_ordered)
 #   3. clippy + rustdoc -D warnings -- clippy across every target, then
 #                                      the workspace docs, so a deletion
 #                                      cannot leave a dangling doc link
@@ -24,8 +26,9 @@
 #                                      persistence tests that a save stages
 #                                      only what changed, that a failed
 #                                      save keeps its changes for the retry,
-#                                      and that a save encoding on several
-#                                      threads keeps the serial op order;
+#                                      and that a save large enough for
+#                                      map_ordered's helper threads keeps
+#                                      the serial op order;
 #                                      then the failure-injection suite: the
 #                                      restore/audit agreement sweep
 #                                      (restore_fails_exactly_when_the_audit_
@@ -53,8 +56,9 @@
 #                                      the saved pool from the kept files
 #                                      and the meta's dead entries)
 #   6. differential suites (release)-- the ingest front end against its
-#                                      inline reference on both sides of the
-#                                      inline/staged crossover, and whole
+#                                      sequential reference at 1, 2 and 8
+#                                      threads and on both sides of the
+#                                      one-thread crossover, and whole
 #                                      pipelines restoring byte-exact across
 #                                      it; the restore-scheme differential
 #                                      (all schemes byte-identical, reported

@@ -46,7 +46,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use hidestore_failpoint::{RealVfs, Vfs};
-use hidestore_hash::{default_hash_threads, map_ordered, Fingerprint};
+use hidestore_hash::{map_ordered, threads_for, Fingerprint};
 use hidestore_proto::wire::{ByteReader, ByteWriter, DecodeError};
 use hidestore_storage::{
     Container, ContainerId, ContainerStore, FileContainerStore, RecipeStore, RepoFile,
@@ -73,11 +73,6 @@ const META_MAGIC: &[u8; 4] = b"HDS3";
 /// entries stays readable by builds that know only this form, and one that
 /// does is refused by them instead of reopening chunks that went cold.
 const META_MAGIC_V2: &[u8; 4] = b"HDS2";
-
-/// Below this many encoded bytes of changed recipes and active containers, a
-/// save encodes its files on the calling thread: spawning a helper costs
-/// more than it saves (DESIGN §8.3).
-const PARALLEL_ENCODE_MIN_BYTES: usize = 512 << 10;
 
 /// Appends the bytes of one file a save stages to a buffer.
 type Encoder<'a> = Box<dyn Fn(&mut ByteWriter) + Sync + 'a>;
@@ -584,16 +579,11 @@ impl<V: Vfs> HiDeStore<FileContainerStore<V>> {
         // stays with its allocator arena once freed, adding to the
         // process's resident set.
         let total: usize = files.iter().map(|(_, len, _)| len).sum();
-        let threads = if total < PARALLEL_ENCODE_MIN_BYTES {
-            1
-        } else {
-            default_hash_threads()
-        };
         let writers: Vec<_> = files
             .iter()
             .map(|(_, len, encode)| (ByteWriter::with_capacity(*len), encode))
             .collect();
-        let encoded = map_ordered(writers, threads, |(mut w, encode)| {
+        let encoded = map_ordered(writers, threads_for(total), |(mut w, encode)| {
             encode(&mut w);
             w.into_bytes()
         });
@@ -1164,7 +1154,7 @@ mod tests {
                 "{versions:?} {cids:?}"
             );
             assert!(
-                bytes >= PARALLEL_ENCODE_MIN_BYTES,
+                bytes >= hidestore_hash::PARALLEL_MIN_BYTES,
                 "{bytes} bytes encode inline"
             );
             let mut order: Vec<String> = versions.into_iter().map(recipe_path).collect();

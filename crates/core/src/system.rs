@@ -242,8 +242,8 @@ impl<S: ContainerStore> HiDeStore<S> {
     ///
     /// Fails if the archival store rejects a write.
     pub fn backup(&mut self, data: &[u8]) -> Result<VersionStats, HiDeStoreError> {
-        // The shared front end: inline or staged by core count and input
-        // size, the same spans and fingerprints either way. The pooled
+        // The shared front end: on one thread or several by core count and
+        // input size, the same spans and fingerprints either way. The pooled
         // chunks this instance cut and fingerprinted itself are emitted
         // without a scan or a hash where the stream repeats them.
         let known = KnownChunks::new(self.chunker.as_ref(), self.pool.known());
@@ -1065,14 +1065,17 @@ mod tests {
             evolve(&mut data, round);
         }
         for v in 1..=4u32 {
-            for cache in [
-                &mut ContainerLru::new(8) as &mut dyn RestoreCache,
-                &mut Faa::new(1 << 20),
-                &mut Alacc::new(1 << 20, 1 << 20),
+            for (name, cache) in [
+                (
+                    "container-lru",
+                    &mut ContainerLru::new(8) as &mut dyn RestoreCache,
+                ),
+                ("faa", &mut Faa::new(1 << 20)),
+                ("alacc", &mut Alacc::new(1 << 20, 1 << 20)),
             ] {
                 let mut out = Vec::new();
                 hds.restore(VersionId::new(v), cache, &mut out).unwrap();
-                assert!(!out.is_empty(), "V{v} via {}", cache.name());
+                assert!(!out.is_empty(), "V{v} via {name}");
             }
         }
     }

@@ -53,7 +53,7 @@ mod stats;
 
 pub use config::PipelineConfig;
 pub use pipeline::{
-    chunk_fingerprints, chunk_fingerprints_known, staged_front_end, BackupPipeline, KnownChunks,
-    PipelineError, STAGED_MIN_BYTES,
+    chunk_fingerprints, chunk_fingerprints_known, chunk_fingerprints_on, BackupPipeline,
+    KnownChunks, PipelineError,
 };
 pub use stats::{RunStats, VersionStats};

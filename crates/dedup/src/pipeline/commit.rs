@@ -4,7 +4,7 @@
 //! depends on every chunk committed before it, and which container it lands
 //! in depends on how full the open container is. The commit stage therefore
 //! always runs on exactly one thread, processing segments in stream order,
-//! whether the front end hashed inline or on workers.
+//! however many threads the front end hashed on.
 
 use std::collections::HashMap;
 use std::ops::Range;

@@ -4,9 +4,9 @@
 //! fingerprint of each, in stream order. It is the front half of both
 //! [`crate::BackupPipeline::backup`] and `HiDeStore::backup`, and it decides
 //! nothing about dedup or layout: the commit stage downstream sees the same
-//! spans and fingerprints however they were computed, so the repository does
-//! not depend on which branch ran. [`chunk_fingerprints`] is the same call
-//! with nothing known.
+//! spans and fingerprints however many threads computed them, so the
+//! repository does not depend on the machine. [`chunk_fingerprints`] is the
+//! same call with nothing known.
 //!
 //! At each chunk boundary there are three outcomes (DESIGN.md §8.6):
 //!
@@ -20,68 +20,36 @@
 //!   costs one comparison and falls through to the scan.
 //!
 //! The output is exactly `chunk_spans` followed by `Fingerprint::of` per
-//! span, whatever is known. The branch is chosen from the machine and the
-//! input, never by a setting:
-//!
-//! * **inline** — predict or chunk, then hash the scanned chunks, on the
-//!   calling thread, when [`default_hash_threads`] is 1 or the input is
-//!   shorter than [`STAGED_MIN_BYTES`];
-//! * **staged** — otherwise. The calling thread predicts and chunks
-//!   (boundaries depend on everything before them, so this is sequential)
-//!   and hands segments of `SEGMENT_CHUNKS` spans through a bounded
-//!   `sync_channel` to `default_hash_threads()` hashing workers, which hash
-//!   the scanned ones; the segments are put back in stream order by
-//!   sequence number:
+//! span, whatever is known. It runs on `hidestore_hash::map_ordered`, the
+//! program's one fan-out: the items are segments of `SEGMENT_CHUNKS` cuts,
+//! predicted or chunked in the iterator's `next()` under the map's queue
+//! lock (boundaries depend on everything before them, so this stays
+//! sequential, on whichever thread holds the lock), and the map hashes a
+//! segment's scanned chunks in parallel. The thread count comes from the
+//! input, never from a setting: `hidestore_hash::threads_for`, one thread
+//! below `PARALLEL_MIN_BYTES` (512 KiB) and `default_hash_threads()` at or
+//! above it.
 //!
 //! ```text
-//!  calling thread ─channel─► fingerprint workers (×N) ──► sort by segment
-//!  (predict, chunk)          (pure per chunk)              sequence number
+//!  map_ordered threads (×N): lock ─► cut next segment ─► unlock ─► hash it
+//!  results sorted by segment index ─► spans, fingerprints
 //! ```
 
 use std::ops::Range;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Mutex, PoisonError};
 
 use hidestore_chunking::Chunker;
-use hidestore_hash::{default_hash_threads, Fingerprint};
+use hidestore_hash::{map_ordered, threads_for, Fingerprint};
 
 use super::known::KnownChunks;
 
-/// Inputs shorter than this run inline even on a multi-core machine: the
-/// crossover measured in DESIGN.md §8.3. Below it the staged branch has few
-/// segments to overlap, and when other backups already keep every core busy
-/// its thread start-up and hand-offs cost 18–25 %; here it gains 44 % on an
-/// idle machine and costs 8 % on a saturated one, and from 2 MiB up nothing.
-pub const STAGED_MIN_BYTES: usize = 512 << 10;
-
-/// Chunks per segment handed from the chunker to a hashing worker: small
+/// Chunks per segment, the unit one thread cuts and then hashes: small
 /// enough that an input at the crossover (~64 chunks of 8 KiB) already
 /// splits into four segments, so hashing overlaps chunking from the start.
 /// The output is identical at any value.
 const SEGMENT_CHUNKS: usize = 16;
 
-/// Segments the chunker may run ahead of the hashing workers.
-const QUEUE_DEPTH: usize = 4;
-
-/// Chunk spans and the fingerprint of each, in stream order.
-type Chunked = (Vec<Range<usize>>, Vec<Fingerprint>);
-
-/// A chunk's span and, when it was predicted, its known fingerprint.
-type Cut = (Range<usize>, Option<Fingerprint>);
-
-/// One segment on its way to a hashing worker: its sequence number and cuts.
-type Batch = (usize, Vec<Cut>);
-
-/// One hashed segment: `spans[i]` of the stream has `fingerprints[i]`.
-struct Segment {
-    seq: usize,
-    spans: Vec<Range<usize>>,
-    fingerprints: Vec<Fingerprint>,
-}
-
 /// [`chunk_fingerprints_known`] with nothing known: exactly what
-/// `chunk_spans` followed by `Fingerprint::of` per span returns, inline or
-/// staged.
+/// `chunk_spans` followed by `Fingerprint::of` per span returns.
 ///
 /// # Examples
 ///
@@ -101,61 +69,71 @@ struct Segment {
 /// Panics if the chunker returns a length of 0 or past the end of `data`.
 pub fn chunk_fingerprints(
     data: &[u8],
-    chunker: &mut dyn Chunker,
+    chunker: &mut (dyn Chunker + Send),
 ) -> (Vec<Range<usize>>, Vec<Fingerprint>) {
     chunk_fingerprints_known(data, chunker, &KnownChunks::default())
 }
 
 /// The ingest front end: chunks `data` with `chunker` and fingerprints every
 /// chunk, returning the spans and fingerprints in stream order — exactly
-/// what `chunk_spans` followed by `Fingerprint::of` per span returns, inline
-/// or staged. Where the stream continues with a chunk of `known`, that
-/// chunk is emitted with its known fingerprint instead of being scanned and
-/// hashed; `known` must hold only chunks `chunker` itself cut (see
-/// [`KnownChunks::new`]).
+/// what `chunk_spans` followed by `Fingerprint::of` per span returns. Where
+/// the stream continues with a chunk of `known`, that chunk is emitted with
+/// its known fingerprint instead of being scanned and hashed; `known` must
+/// hold only chunks `chunker` itself cut (see [`KnownChunks::new`]).
 ///
 /// # Panics
 ///
 /// Panics if the chunker returns a length of 0 or past the end of `data`.
 pub fn chunk_fingerprints_known(
     data: &[u8],
-    chunker: &mut dyn Chunker,
+    chunker: &mut (dyn Chunker + Send),
     known: &KnownChunks<'_>,
 ) -> (Vec<Range<usize>>, Vec<Fingerprint>) {
-    let workers = default_hash_threads();
-    if workers == 1 || data.len() < STAGED_MIN_BYTES {
-        chunker.reset();
-        let mut spans = Vec::new();
-        let mut fingerprints = Vec::new();
-        let mut pos = 0;
-        while pos < data.len() {
-            let (span, fingerprint) = next_cut(data, pos, chunker, known);
-            pos = span.end;
-            fingerprints.push(fingerprint.unwrap_or_else(|| Fingerprint::of(&data[span.clone()])));
-            spans.push(span);
-        }
-        (spans, fingerprints)
-    } else {
-        run_staged(data, chunker, known, workers, QUEUE_DEPTH)
-    }
+    chunk_fingerprints_on(data, chunker, known, threads_for(data.len()))
 }
 
-/// The staged branch of [`chunk_fingerprints`] at an explicit worker count,
-/// whatever the input length — the entry point `tests/pipeline_differential.rs`
-/// sweeps worker counts through. Not a tuning knob: callers use
-/// [`chunk_fingerprints`].
+/// [`chunk_fingerprints_known`] on exactly `threads` threads, whatever the
+/// input length — the same body, the entry point the tests sweep thread
+/// counts through. Not a tuning knob: callers use
+/// [`chunk_fingerprints_known`].
 #[doc(hidden)]
-pub fn staged_front_end(
+pub fn chunk_fingerprints_on(
     data: &[u8],
-    chunker: &mut dyn Chunker,
-    workers: usize,
+    chunker: &mut (dyn Chunker + Send),
+    known: &KnownChunks<'_>,
+    threads: usize,
 ) -> (Vec<Range<usize>>, Vec<Fingerprint>) {
-    run_staged(data, chunker, &KnownChunks::default(), workers, QUEUE_DEPTH)
+    chunker.reset();
+    let mut pos = 0;
+    let segments = std::iter::from_fn(|| {
+        let mut cuts = Vec::with_capacity(SEGMENT_CHUNKS);
+        while pos < data.len() && cuts.len() < SEGMENT_CHUNKS {
+            let (span, fingerprint) = next_cut(data, pos, chunker, known);
+            pos = span.end;
+            cuts.push((span, fingerprint));
+        }
+        (!cuts.is_empty()).then_some(cuts)
+    });
+    let hashed = map_ordered(segments, threads, |cuts| {
+        cuts.into_iter()
+            .map(|(span, fingerprint)| {
+                let fingerprint =
+                    fingerprint.unwrap_or_else(|| Fingerprint::of(&data[span.clone()]));
+                (span, fingerprint)
+            })
+            .collect::<Vec<_>>()
+    });
+    hashed.into_iter().flatten().unzip()
 }
 
 /// The chunk at `pos`, a boundary of `data`: the known chunk the stream
 /// continues with, with its fingerprint, else the chunker's cut.
-fn next_cut(data: &[u8], pos: usize, chunker: &mut dyn Chunker, known: &KnownChunks<'_>) -> Cut {
+fn next_cut(
+    data: &[u8],
+    pos: usize,
+    chunker: &mut dyn Chunker,
+    known: &KnownChunks<'_>,
+) -> (Range<usize>, Option<Fingerprint>) {
     let rest = &data[pos..];
     if let Some((fingerprint, len)) = known.predict(rest) {
         return (pos..pos + len, Some(fingerprint));
@@ -168,96 +146,12 @@ fn next_cut(data: &[u8], pos: usize, chunker: &mut dyn Chunker, known: &KnownChu
     (pos..pos + len, None)
 }
 
-/// The staged engine: the calling thread chunks and sends segments through a
-/// channel of `depth` slots, `workers` scoped threads hash them.
-fn run_staged(
-    data: &[u8],
-    chunker: &mut dyn Chunker,
-    known: &KnownChunks<'_>,
-    workers: usize,
-    depth: usize,
-) -> Chunked {
-    let (tx, rx) = sync_channel(depth);
-    let rx = Mutex::new(rx);
-    let mut segments: Vec<Segment> = std::thread::scope(|scope| {
-        let hashers: Vec<_> = (0..workers.max(1))
-            .map(|_| scope.spawn(|| hash_segments(&rx, data)))
-            .collect();
-        // Moving the sender in drops it on return or unwind, which ends the
-        // workers' stream.
-        chunk_segments(data, chunker, known, tx);
-        hashers
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    segments.sort_unstable_by_key(|s| s.seq);
-    let chunks = segments.iter().map(|s| s.spans.len()).sum();
-    let mut spans = Vec::with_capacity(chunks);
-    let mut fingerprints = Vec::with_capacity(chunks);
-    for segment in segments {
-        spans.extend(segment.spans);
-        fingerprints.extend(segment.fingerprints);
-    }
-    (spans, fingerprints)
-}
-
-/// The chunker: sends `data`'s cuts in numbered segments of
-/// `SEGMENT_CHUNKS`, blocking while the channel is full.
-fn chunk_segments(
-    data: &[u8],
-    chunker: &mut dyn Chunker,
-    known: &KnownChunks<'_>,
-    tx: SyncSender<Batch>,
-) {
-    chunker.reset();
-    let mut pos = 0;
-    let mut seq = 0;
-    let mut cuts = Vec::with_capacity(SEGMENT_CHUNKS);
-    while pos < data.len() {
-        let cut = next_cut(data, pos, chunker, known);
-        pos = cut.0.end;
-        cuts.push(cut);
-        if cuts.len() == SEGMENT_CHUNKS || pos == data.len() {
-            let segment = std::mem::replace(&mut cuts, Vec::with_capacity(SEGMENT_CHUNKS));
-            // The receiver outlives this call, so the send cannot fail.
-            let _ = tx.send((seq, segment));
-            seq += 1;
-        }
-    }
-}
-
-/// One hashing worker: fingerprints the scanned chunks of segments until
-/// the chunker is done.
-fn hash_segments(rx: &Mutex<Receiver<Batch>>, data: &[u8]) -> Vec<Segment> {
-    let mut done = Vec::new();
-    loop {
-        // The guard drops at the end of this statement, so workers hash in
-        // parallel and only take turns receiving.
-        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok((seq, cuts)) = next else {
-            return done;
-        };
-        let (spans, fingerprints) = cuts
-            .into_iter()
-            .map(|(span, known)| {
-                let fingerprint = known.unwrap_or_else(|| Fingerprint::of(&data[span.clone()]));
-                (span, fingerprint)
-            })
-            .unzip();
-        done.push(Segment {
-            seq,
-            spans,
-            fingerprints,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::known::KNOWN_PREFIX;
     use super::*;
     use hidestore_chunking::{chunk_spans, ChunkerKind, FixedChunker, TttdChunker};
+    use hidestore_hash::PARALLEL_MIN_BYTES;
 
     fn noise(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -270,6 +164,8 @@ mod tests {
             })
             .collect()
     }
+
+    type Chunked = (Vec<Range<usize>>, Vec<Fingerprint>);
 
     fn reference(data: &[u8]) -> Chunked {
         let spans = chunk_spans(&mut TttdChunker::new(1024), data);
@@ -285,8 +181,13 @@ mod tests {
         reference(data).0[n - 1].end
     }
 
+    /// [`chunk_fingerprints`] on exactly `threads` threads.
+    fn on_threads(data: &[u8], chunker: &mut (dyn Chunker + Send), threads: usize) -> Chunked {
+        chunk_fingerprints_on(data, chunker, &KnownChunks::default(), threads)
+    }
+
     #[test]
-    fn staged_matches_inline_at_every_segment_edge_and_worker_count() {
+    fn every_thread_count_matches_the_reference_at_every_segment_edge() {
         let data = noise(300_000, 1);
         let one = end_of_chunk(&data, 1);
         let segment = end_of_chunk(&data, SEGMENT_CHUNKS);
@@ -301,9 +202,9 @@ mod tests {
             data.len(),
         ] {
             let want = reference(&data[..len]);
-            for workers in [1, 2, 4, 8] {
-                let got = staged_front_end(&data[..len], &mut TttdChunker::new(1024), workers);
-                assert_eq!(got, want, "len={len} workers={workers}");
+            for threads in [1, 2, 4, 8] {
+                let got = on_threads(&data[..len], &mut TttdChunker::new(1024), threads);
+                assert_eq!(got, want, "len={len} threads={threads}");
             }
         }
     }
@@ -313,23 +214,43 @@ mod tests {
         // 130 fixed chunks: whole segments and a partial tail.
         assert_ne!(130 % SEGMENT_CHUNKS, 0);
         let data = vec![7u8; 13_000];
-        let (spans, fps) = staged_front_end(&data, &mut FixedChunker::new(100), 3);
+        let (spans, fps) = on_threads(&data, &mut FixedChunker::new(100), 3);
         assert_eq!(spans.len(), 130);
         assert_eq!(fps.len(), 130);
         assert_eq!(spans.last(), Some(&(12_900..13_000)));
     }
 
+    /// A chunker that cuts nothing.
+    struct Stuck;
+
+    impl Chunker for Stuck {
+        fn next_chunk_len(&mut self, _data: &[u8]) -> usize {
+            0
+        }
+        fn min_size(&self) -> usize {
+            1
+        }
+        fn max_size(&self) -> usize {
+            1
+        }
+    }
+
+    /// The chunker runs on whichever thread holds the queue lock; its
+    /// invalid cut must still panic the caller, at every thread count.
     #[test]
-    fn depth_one_channel_keeps_order() {
-        let data = noise(2_000_000, 3);
-        let got = run_staged(
-            &data,
-            &mut TttdChunker::new(1024),
-            &KnownChunks::default(),
-            8,
-            1,
-        );
-        assert_eq!(got, reference(&data));
+    fn a_zero_length_cut_panics_at_every_thread_count() {
+        let data = noise(300_000, 4);
+        for threads in [1, 2, 8] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                on_threads(&data, &mut Stuck, threads)
+            }));
+            let payload = caught.expect_err("a zero-length cut must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.starts_with("chunker returned invalid length 0"),
+                "{threads} threads: {message:?}"
+            );
+        }
     }
 
     /// Seeded edits of `data`: insertions, deletions, byte flips, zero
@@ -386,9 +307,9 @@ mod tests {
 
     /// With a known set built from every earlier version — what the active
     /// pool of a repository that backed them all up would offer — the front
-    /// end returns the reference chunking of each edited version, inline
-    /// and staged at 1, 2 and 8 workers; and most boundaries of a later
-    /// version are predicted, so the check is not vacuous.
+    /// end returns the reference chunking of each edited version, by its own
+    /// thread choice and at 1, 2 and 8 threads; and most boundaries of a
+    /// later version are predicted, so the check is not vacuous.
     #[test]
     fn known_chunks_change_nothing_but_the_work() {
         for (kind, avg) in [
@@ -434,13 +355,13 @@ mod tests {
                     _ => want.0.len() / 2 + 1,
                 };
                 assert!(predicted >= floor, "{case}: {predicted} predicted");
-                assert!(data.len() < STAGED_MIN_BYTES, "{case} runs inline");
+                assert!(data.len() < PARALLEL_MIN_BYTES, "{case} runs on one thread");
                 let got = chunk_fingerprints_known(data, kind.build(avg).as_mut(), &known);
-                assert_eq!(got, want, "{case} inline");
-                for workers in [1, 2, 8] {
+                assert_eq!(got, want, "{case}");
+                for threads in [1, 2, 8] {
                     let got =
-                        run_staged(data, kind.build(avg).as_mut(), &known, workers, QUEUE_DEPTH);
-                    assert_eq!(got, want, "{case} staged, {workers} workers");
+                        chunk_fingerprints_on(data, kind.build(avg).as_mut(), &known, threads);
+                    assert_eq!(got, want, "{case}, {threads} threads");
                 }
             }
         }

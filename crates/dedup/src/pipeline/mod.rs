@@ -1,7 +1,7 @@
 //! The backup and restore pipeline.
 //!
 //! The module is split by stage: [`front_end`] chunks and fingerprints a
-//! stream (inline or on hashing workers, chosen from the machine and the
+//! stream (on one thread or several, chosen from the machine and the
 //! input) and [`commit`] holds the single-threaded index/rewrite/container
 //! stage. `HiDeStore::backup` calls the same front end. See `DESIGN.md` §8.
 
@@ -9,9 +9,7 @@ mod commit;
 mod front_end;
 mod known;
 
-pub use front_end::{
-    chunk_fingerprints, chunk_fingerprints_known, staged_front_end, STAGED_MIN_BYTES,
-};
+pub use front_end::{chunk_fingerprints, chunk_fingerprints_known, chunk_fingerprints_on};
 pub use known::KnownChunks;
 
 use std::fmt;
@@ -90,7 +88,7 @@ impl From<RestoreError> for PipelineError {
 /// store → recipe, over pluggable phase implementations.
 ///
 /// Chunking and fingerprinting run in [`chunk_fingerprints`], which may hash
-/// on worker threads; indexing, rewriting and container filling stay on the
+/// on several threads; indexing, rewriting and container filling stay on the
 /// calling thread in stream order, so the repository produced does not
 /// depend on how many cores the machine has.
 ///
@@ -446,7 +444,7 @@ mod tests {
     #[test]
     fn backup_above_the_crossover_round_trips() {
         let mut p = ddfs_pipeline();
-        let data = noise(STAGED_MIN_BYTES + 50_000, 11);
+        let data = noise(hidestore_hash::PARALLEL_MIN_BYTES + 50_000, 11);
         p.backup(&data).unwrap();
         let mut out = Vec::new();
         p.restore(VersionId::new(1), &mut Faa::new(1 << 20), &mut out)

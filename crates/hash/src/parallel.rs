@@ -5,17 +5,17 @@
 //! chunking. Since the two-lane chunk scan it is the larger one per byte on
 //! one core: over 24 MiB of noise on a 2-core 2.1 GHz Xeon, SHA-1 hashes
 //! 8 KiB chunks at 280–540 MiB/s and the 8 KiB TTTD scan cuts at
-//! 780–790 MiB/s (DESIGN §8.4, §8.5). This module hashes the chunks of a
-//! stream on scoped threads, producing exactly the same fingerprints as the
-//! sequential loop.
-//! The ingest path itself hashes in `hidestore_dedup::chunk_fingerprints`;
-//! [`fingerprints_parallel`] remains for the benchmark harness's hash
-//! replay. It runs on [`map_ordered`], as does `save_repository`'s encode
-//! and checksum of a commit's files; [`default_hash_threads`] sizes all
-//! three.
+//! 780–790 MiB/s (DESIGN §8.4, §8.5).
+//!
+//! [`map_ordered`] is the program's one fan-out: the ingest front end
+//! (`hidestore_dedup::chunk_fingerprints_known`) cuts segments in its
+//! iterator and hashes them in its map, and `save_repository` encodes a
+//! commit's files in it. Both size it with [`threads_for`], one rule over
+//! [`PARALLEL_MIN_BYTES`]. [`fingerprints_parallel`] remains, with its own
+//! fallback, for the benchmark harness's hash replay.
 
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use crate::Fingerprint;
 
@@ -63,8 +63,12 @@ fn sequential_fallback(data_len: usize, span_count: usize, threads: usize) -> bo
 /// `items.into_iter().map(f).collect()`, computed on up to `threads`
 /// threads: the calling thread and scoped helpers each take the next item
 /// until none is left, so items of very different cost still share the
-/// work, and the results come back in item order. With `threads <= 1` or
-/// at most one item it is that sequential loop, spawning nothing.
+/// work, and the results come back in item order. Items are taken one at a
+/// time under a lock, so an iterator that does work in `next()` — the
+/// ingest front end cuts each segment there — runs it sequentially, in
+/// order, on whichever thread takes the item. With `threads <= 1`, or an
+/// iterator whose `size_hint` allows at most one item, it is that
+/// sequential loop, spawning nothing.
 ///
 /// # Examples
 ///
@@ -75,15 +79,20 @@ fn sequential_fallback(data_len: usize, span_count: usize, threads: usize) -> bo
 /// let crcs = map_ordered(&files, 2, |f| crc32(f));
 /// assert_eq!(crcs, files.iter().map(|f| crc32(f)).collect::<Vec<_>>());
 /// ```
+///
+/// # Panics
+///
+/// A panic in `f` or in the iterator's `next()`, on any thread, is raised
+/// on the calling thread.
 pub fn map_ordered<I, R>(items: I, threads: usize, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
 where
     I: IntoIterator,
-    I::IntoIter: ExactSizeIterator + Send,
+    I::IntoIter: Send,
     R: Send,
 {
     let items = items.into_iter();
-    let len = items.len();
-    let helpers = threads.min(len).saturating_sub(1);
+    let most = items.size_hint().1.unwrap_or(usize::MAX);
+    let helpers = threads.min(most).saturating_sub(1);
     if helpers == 0 {
         return items.map(f).collect();
     }
@@ -91,37 +100,59 @@ where
     let work = || {
         let mut done = Vec::new();
         loop {
-            // Taking an item leaves the iterator whole, so a panic on
-            // another thread cannot have broken it.
-            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            // The guard drops at the end of this statement, so `f` runs
+            // in parallel and only `next()` takes turns.
+            let next = match queue.lock() {
+                Ok(mut items) => items.next(),
+                // A `next()` that panicked poisoned the lock and may have
+                // left the iterator broken: take nothing more from it, and
+                // let the panic surface when its thread is joined.
+                Err(_) => return done,
+            };
             let Some((i, item)) = next else {
                 return done;
             };
             done.push((i, f(item)));
         }
     };
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
-    std::thread::scope(|scope| {
+    let mut done = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-        for (i, r) in work() {
-            slots[i] = Some(r);
-        }
+        let mut done = work();
         for handle in handles {
             // A helper's panic is the caller's: every item must come back.
-            let done = handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (i, r) in done {
-                slots[i] = Some(r);
-            }
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
         }
+        done
     });
-    slots.into_iter().flatten().collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A sensible worker count for [`fingerprints_parallel`] and the other
-/// per-byte work of a backup: the machine's available parallelism capped
-/// at 8 (hashing saturates memory bandwidth beyond that).
+/// Below this many bytes of per-byte work — a stream to chunk and hash, the
+/// files a save encodes — one thread does it all: starting helpers and
+/// handing them work costs more than it saves (the crossover DESIGN §8.3
+/// measured for both callers).
+pub const PARALLEL_MIN_BYTES: usize = 512 << 10;
+
+/// The threads [`map_ordered`] should run `bytes` of per-byte work on: 1
+/// below [`PARALLEL_MIN_BYTES`], else [`default_hash_threads`]. The ingest
+/// front end and `save_repository` both size their fan-out with it.
+pub fn threads_for(bytes: usize) -> usize {
+    if bytes < PARALLEL_MIN_BYTES {
+        1
+    } else {
+        default_hash_threads()
+    }
+}
+
+/// A sensible thread count for [`fingerprints_parallel`] and, through
+/// [`threads_for`], the other per-byte work of a backup: the machine's
+/// available parallelism capped at 8 (hashing saturates memory bandwidth
+/// beyond that).
 pub fn default_hash_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get().min(8))
@@ -260,6 +291,50 @@ mod tests {
             let want: Vec<u32> = items.iter().map(|b| crate::crc32(b)).collect();
             assert_eq!(got, want, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn map_ordered_pulls_a_lazy_iterator_in_order() {
+        // An iterator with no length, doing its own sequential work in
+        // `next()`, as the front end's segment cutter does.
+        for threads in [1, 2, 4] {
+            let mut sum = 0u64;
+            let items = std::iter::from_fn(|| {
+                sum += 1;
+                (sum <= 100).then_some(sum * sum)
+            });
+            let got = map_ordered(items, threads, |x| x + 1);
+            let want: Vec<u64> = (1..=100u64).map(|x| x * x + 1).collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_ordered_raises_a_panic_in_next() {
+        for threads in [1, 2, 4] {
+            let mut k = 0;
+            let items = std::iter::from_fn(|| {
+                k += 1;
+                assert!(k != 7, "next() at item 7");
+                (k <= 64).then_some(k)
+            });
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_ordered(items, threads, |i| i)
+            }));
+            let payload = caught.expect_err("the panic must surface");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or(payload.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("next() at item 7"), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn threads_for_is_one_below_the_shared_threshold() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(PARALLEL_MIN_BYTES - 1), 1);
+        assert_eq!(threads_for(PARALLEL_MIN_BYTES), default_hash_threads());
     }
 
     #[test]

@@ -68,8 +68,6 @@ impl Alacc {
 }
 
 impl Policy for Alacc {
-    const NAME: &'static str = "alacc";
-
     fn start(&mut self, _plan: &[RestoreEntry]) {
         self.area_bytes = self.first_area_bytes;
         self.cache = ChunkCache::new(self.total_budget - self.first_area_bytes);

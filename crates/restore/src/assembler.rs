@@ -15,9 +15,6 @@ use crate::{RestoreCache, RestoreEntry, RestoreError, RestoreReport};
 /// implementation, does both. The defaults keep nothing and give each plan
 /// entry an area of its own.
 pub trait Policy {
-    /// Short scheme name for reports (e.g. `"faa"`).
-    const NAME: &'static str;
-
     /// Forgets what an earlier restore left and prepares for `plan`.
     fn start(&mut self, _plan: &[RestoreEntry]) {}
 
@@ -145,10 +142,6 @@ impl<P: Policy> RestoreCache for P {
             cache_misses: reads,
             ..RestoreReport::default()
         })
-    }
-
-    fn name(&self) -> &'static str {
-        P::NAME
     }
 }
 

@@ -49,8 +49,6 @@ impl BeladyCache {
 }
 
 impl Policy for BeladyCache {
-    const NAME: &'static str = "belady";
-
     fn start(&mut self, plan: &[RestoreEntry]) {
         self.cached.clear();
         self.by_next_use.clear();

@@ -36,8 +36,6 @@ impl ChunkLru {
 }
 
 impl Policy for ChunkLru {
-    const NAME: &'static str = "chunk-lru";
-
     fn start(&mut self, _plan: &[RestoreEntry]) {
         self.cache = ChunkCache::new(self.cache.budget);
     }

@@ -20,9 +20,12 @@ use crate::RestoreEntry;
 ///
 /// ```
 /// use hidestore_restore::{ContainerLru, RestoreCache};
+/// use hidestore_storage::MemoryContainerStore;
 ///
-/// let cache = ContainerLru::new(64);
-/// assert_eq!(cache.name(), "container-lru");
+/// let mut cache = ContainerLru::new(64);
+/// let store = MemoryContainerStore::new();
+/// let report = cache.restore(&[], &store, &mut Vec::new()).unwrap();
+/// assert_eq!(report.container_reads, 0);
 /// ```
 #[derive(Debug)]
 pub struct ContainerLru {
@@ -47,8 +50,6 @@ impl ContainerLru {
 }
 
 impl Policy for ContainerLru {
-    const NAME: &'static str = "container-lru";
-
     fn start(&mut self, _plan: &[RestoreEntry]) {
         self.cache.clear();
     }

@@ -30,8 +30,6 @@ impl Faa {
 }
 
 impl Policy for Faa {
-    const NAME: &'static str = "faa";
-
     fn area_end(&mut self, plan: &[RestoreEntry], start: usize) -> usize {
         split_by_bytes(plan, start, self.area_bytes)
     }

@@ -237,9 +237,6 @@ pub trait RestoreCache {
         store: &dyn ContainerStore,
         out: &mut dyn Write,
     ) -> Result<RestoreReport, RestoreError>;
-
-    /// Short scheme name for reports (e.g. `"faa"`).
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]
@@ -305,43 +302,46 @@ mod tests {
     use std::cell::{Cell, RefCell};
     use std::sync::{Arc, Weak};
 
-    fn all_schemes() -> Vec<Box<dyn RestoreCache>> {
+    /// Each scheme, labelled for assertion messages.
+    type Scheme = (&'static str, Box<dyn RestoreCache>);
+
+    fn all_schemes() -> Vec<Scheme> {
         vec![
-            Box::new(ContainerLru::new(4)),
-            Box::new(ChunkLru::new(1 << 20)),
-            Box::new(Faa::new(1 << 20)),
-            Box::new(Alacc::new(1 << 20, 1 << 20)),
-            Box::new(BeladyCache::new(4)),
+            ("container-lru", Box::new(ContainerLru::new(4))),
+            ("chunk-lru", Box::new(ChunkLru::new(1 << 20))),
+            ("faa", Box::new(Faa::new(1 << 20))),
+            ("alacc", Box::new(Alacc::new(1 << 20, 1 << 20))),
+            ("belady", Box::new(BeladyCache::new(4))),
         ]
     }
 
     #[test]
     fn every_scheme_restores_exact_bytes_sequential() {
-        for mut scheme in all_schemes() {
+        for (name, mut scheme) in all_schemes() {
             let (store, plan, expect) = sequential_fixture(8, 16, 512);
             let mut out = Vec::new();
             let report = scheme.restore(&plan, &store, &mut out).unwrap();
-            assert_eq!(out, expect, "{}", scheme.name());
+            assert_eq!(out, expect, "{}", name);
             assert_eq!(report.bytes_restored, expect.len() as u64);
         }
     }
 
     #[test]
     fn every_scheme_restores_exact_bytes_interleaved() {
-        for mut scheme in all_schemes() {
+        for (name, mut scheme) in all_schemes() {
             let (store, plan, expect) = interleaved_fixture(8, 16, 512);
             let mut out = Vec::new();
             scheme.restore(&plan, &store, &mut out).unwrap();
-            assert_eq!(out, expect, "{}", scheme.name());
+            assert_eq!(out, expect, "{}", name);
         }
     }
 
     #[test]
     fn sequential_plan_needs_one_read_per_container() {
-        for mut scheme in all_schemes() {
+        for (name, mut scheme) in all_schemes() {
             let (store, plan, _) = sequential_fixture(8, 16, 512);
             let report = scheme.restore(&plan, &store, &mut Vec::new()).unwrap();
-            assert_eq!(report.container_reads, 8, "{}", scheme.name());
+            assert_eq!(report.container_reads, 8, "{}", name);
         }
     }
 
@@ -365,12 +365,12 @@ mod tests {
     fn missing_chunk_reported() {
         let (store, mut plan, _) = sequential_fixture(2, 4, 128);
         plan[0].fingerprint = Fingerprint::synthetic(u64::MAX);
-        for mut scheme in all_schemes() {
+        for (name, mut scheme) in all_schemes() {
             let err = scheme.restore(&plan, &store, &mut Vec::new()).unwrap_err();
             assert!(
                 matches!(err, RestoreError::MissingChunk { .. }),
                 "{}: {err}",
-                scheme.name()
+                name
             );
         }
     }
@@ -381,15 +381,15 @@ mod tests {
     fn a_reused_scheme_restores_like_a_fresh_one() {
         let (store, plan, expect) = interleaved_fixture(8, 32, 256);
         let mut schemes = all_schemes();
-        schemes.push(Box::new(Alacc::new(2048, 2048)));
-        for mut scheme in schemes {
+        schemes.push(("alacc", Box::new(Alacc::new(2048, 2048))));
+        for (name, mut scheme) in schemes {
             let mut reports = Vec::new();
             for _ in 0..2 {
                 let mut out = Vec::new();
                 reports.push(scheme.restore(&plan, &store, &mut out).unwrap());
-                assert_eq!(out, expect, "{}", scheme.name());
+                assert_eq!(out, expect, "{}", name);
             }
-            assert_eq!(reports[0], reports[1], "{}", scheme.name());
+            assert_eq!(reports[0], reports[1], "{}", name);
         }
     }
 
@@ -403,7 +403,7 @@ mod tests {
                 size: planned,
                 ..plan[0]
             }];
-            for mut scheme in all_schemes() {
+            for (name, mut scheme) in all_schemes() {
                 let mut out = Vec::new();
                 let err = scheme.restore(&plan, &store, &mut out).unwrap_err();
                 let RestoreError::ChunkSizeMismatch {
@@ -413,25 +413,25 @@ mod tests {
                     stored,
                 } = err
                 else {
-                    panic!("{} planned {planned}: {err}", scheme.name());
+                    panic!("{} planned {planned}: {err}", name);
                 };
                 assert_eq!(
                     (fingerprint, container, p, stored),
                     (plan[0].fingerprint, plan[0].container, planned, 64),
                     "{}",
-                    scheme.name()
+                    name
                 );
-                assert!(out.is_empty(), "{} planned {planned}", scheme.name());
+                assert!(out.is_empty(), "{} planned {planned}", name);
             }
         }
     }
 
     /// Every scheme, plus FAA and ALACC with areas of a few positions, so
     /// an area spans several containers yet not the whole plan.
-    fn schemes_with_small_areas(area_bytes: usize) -> Vec<Box<dyn RestoreCache>> {
+    fn schemes_with_small_areas(area_bytes: usize) -> Vec<Scheme> {
         let mut schemes = all_schemes();
-        schemes.push(Box::new(Faa::new(area_bytes)));
-        schemes.push(Box::new(Alacc::new(area_bytes, area_bytes)));
+        schemes.push(("faa", Box::new(Faa::new(area_bytes))));
+        schemes.push(("alacc", Box::new(Alacc::new(area_bytes, area_bytes))));
         schemes
     }
 
@@ -453,14 +453,14 @@ mod tests {
                     "longer" => plan[bad].size += 1,
                     _ => plan[bad].size -= 1,
                 }
-                for mut scheme in schemes_with_small_areas(12 * 256) {
+                for (name, mut scheme) in schemes_with_small_areas(12 * 256) {
                     let mut out = Vec::new();
                     let err = scheme.restore(&plan, &store, &mut out).unwrap_err();
                     let typed = match fault {
                         "missing" => matches!(err, RestoreError::MissingChunk { .. }),
                         _ => matches!(err, RestoreError::ChunkSizeMismatch { .. }),
                     };
-                    let case = format!("{} {fault} at {bad}: {err}", scheme.name());
+                    let case = format!("{} {fault} at {bad}: {err}", name);
                     assert!(typed, "{case}");
                     assert!(out.len() <= offset, "{case}: wrote {} bytes", out.len());
                     assert_eq!(out, expect[..out.len()], "{case}");
@@ -503,13 +503,13 @@ mod tests {
             let expect: Vec<u8> = picks.iter().flat_map(|&i| chunks[i].1.clone()).collect();
             for area_bytes in [1, 700, 3000, 9000, expect.len()] {
                 let mut schemes = schemes_with_small_areas(area_bytes);
-                schemes.push(Box::new(ContainerLru::new(1)));
-                schemes.push(Box::new(ChunkLru::new(area_bytes)));
-                schemes.push(Box::new(BeladyCache::new(2)));
-                for mut scheme in schemes {
+                schemes.push(("container-lru", Box::new(ContainerLru::new(1))));
+                schemes.push(("chunk-lru", Box::new(ChunkLru::new(area_bytes))));
+                schemes.push(("belady", Box::new(BeladyCache::new(2))));
+                for (name, mut scheme) in schemes {
                     let mut out = Vec::new();
                     let report = scheme.restore(&plan, &store, &mut out).unwrap();
-                    let case = format!("seed {seed} area {area_bytes} {}", scheme.name());
+                    let case = format!("seed {seed} area {area_bytes} {}", name);
                     assert!(out == expect, "{case}");
                     assert_eq!(report.bytes_restored, expect.len() as u64, "{case}");
                 }
@@ -525,15 +525,15 @@ mod tests {
             64,
             ContainerId::new(99),
         )];
-        for mut scheme in all_schemes() {
+        for (name, mut scheme) in all_schemes() {
             let err = scheme.restore(&plan, &store, &mut Vec::new()).unwrap_err();
-            assert!(matches!(err, RestoreError::Storage(_)), "{}", scheme.name());
+            assert!(matches!(err, RestoreError::Storage(_)), "{}", name);
         }
     }
 
     #[test]
     fn empty_plan_is_trivial() {
-        for mut scheme in all_schemes() {
+        for (_, mut scheme) in all_schemes() {
             let (store, _, _) = sequential_fixture(1, 1, 64);
             let report = scheme.restore(&[], &store, &mut Vec::new()).unwrap();
             assert_eq!(report.bytes_restored, 0);
@@ -570,17 +570,12 @@ mod tests {
     fn reports_count_only_their_own_reads_on_a_shared_store() {
         let (store, plan, expect) = interleaved_fixture(8, 16, 512);
         let busy = Busy(store);
-        for (mut alone, mut shared) in all_schemes().into_iter().zip(all_schemes()) {
+        for ((name, mut alone), (_, mut shared)) in all_schemes().into_iter().zip(all_schemes()) {
             let want = alone.restore(&plan, &busy.0, &mut Vec::new()).unwrap();
             let mut out = Vec::new();
             let got = shared.restore(&plan, &busy, &mut out).unwrap();
-            assert_eq!(out, expect, "{}", shared.name());
-            assert_eq!(
-                got.container_reads,
-                want.container_reads,
-                "{}",
-                shared.name()
-            );
+            assert_eq!(out, expect, "{}", name);
+            assert_eq!(got.container_reads, want.container_reads, "{}", name);
         }
     }
 
@@ -652,12 +647,12 @@ mod tests {
                 handed: RefCell::default(),
                 most_alive: Cell::default(),
             };
-            let schemes: [Box<dyn RestoreCache>; 2] = [
-                Box::new(Faa::new(area)),
-                Box::new(Alacc::new(area, area).with_fixed_split()),
+            let schemes: [Scheme; 2] = [
+                ("faa", Box::new(Faa::new(area))),
+                ("alacc", Box::new(Alacc::new(area, area).with_fixed_split())),
             ];
-            for mut scheme in schemes {
-                let case = format!("{name} {}", scheme.name());
+            for (scheme_name, mut scheme) in schemes {
+                let case = format!("{name} {scheme_name}");
                 for shared in [true, false] {
                     let store: &dyn ContainerStore = if shared { &store } else { &unshared };
                     let mut out = Vec::new();

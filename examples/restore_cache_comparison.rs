@@ -40,22 +40,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         BUDGET >> 10,
     );
 
-    let mut schemes: Vec<Box<dyn RestoreCache>> = vec![
-        Box::new(ContainerLru::new(BUDGET / CONTAINER)),
-        Box::new(ChunkLru::new(BUDGET)),
-        Box::new(Faa::new(BUDGET)),
-        Box::new(Alacc::new(BUDGET / 2, BUDGET / 2)),
-        Box::new(BeladyCache::new(BUDGET / CONTAINER)),
+    let schemes: Vec<(&str, Box<dyn RestoreCache>)> = vec![
+        (
+            "container-lru",
+            Box::new(ContainerLru::new(BUDGET / CONTAINER)),
+        ),
+        ("chunk-lru", Box::new(ChunkLru::new(BUDGET))),
+        ("faa", Box::new(Faa::new(BUDGET))),
+        ("alacc", Box::new(Alacc::new(BUDGET / 2, BUDGET / 2))),
+        ("belady", Box::new(BeladyCache::new(BUDGET / CONTAINER))),
     ];
     println!(
         "{:<16} {:>16} {:>14}",
         "scheme", "container reads", "speed factor"
     );
-    for scheme in schemes.iter_mut() {
+    for (name, mut scheme) in schemes {
         let report = pipeline.restore(newest, scheme.as_mut(), &mut std::io::sink())?;
         println!(
             "{:<16} {:>16} {:>10.3} MB/rd",
-            scheme.name(),
+            name,
             report.container_reads,
             report.speed_factor(),
         );

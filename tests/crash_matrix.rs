@@ -27,10 +27,9 @@ use hidestore::core::{
     write_staged, HiDeStore, HiDeStoreConfig, HiDeStoreError, JournalRecovery, OpenReport,
     QuarantinedArtifact,
 };
-use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, RealVfs, Vfs};
 use hidestore::fsck::{FindingKind, Severity, SystemAuditor};
-use hidestore::hash::crc32;
+use hidestore::hash::{crc32, PARALLEL_MIN_BYTES};
 use hidestore::restore::Faa;
 use hidestore::storage::VersionId;
 
@@ -100,7 +99,7 @@ fn run_sequence<V: Vfs>(dir: &Path, vfs: V, saves: usize) -> Result<(), HiDeStor
 }
 
 /// [`run_sequence`] over explicit payloads, so the matrix can also run
-/// versions that cross the front end's inline/staged crossover.
+/// versions that cross the front end's one-thread crossover.
 fn run_sequence_of<V: Vfs>(
     dir: &Path,
     vfs: V,
@@ -293,21 +292,21 @@ fn crash_matrix_seeded_random_sites() {
     }
 }
 
-/// Payloads that cross the front end's crossover: V1 hashes inline, V2
-/// grows past `STAGED_MIN_BYTES` so it hashes on the staged workers (on a
+/// Payloads that cross the front end's crossover: V1 hashes on one thread,
+/// V2 grows past `PARALLEL_MIN_BYTES` so it hashes on several (on a
 /// multi-core machine), V3 is churned and stays above.
 fn crossover_payloads() -> Vec<Vec<u8>> {
     let mut data = noise(30_000, 1);
     let mut out = vec![data.clone()];
-    data.extend_from_slice(&noise(STAGED_MIN_BYTES, 2));
+    data.extend_from_slice(&noise(PARALLEL_MIN_BYTES, 2));
     out.push(data.clone());
     data[40_000..46_000].copy_from_slice(&noise(6_000, 3));
     out.push(data);
     out
 }
 
-/// The matrix through a sequence whose backups cross the inline/staged
-/// crossover: the front end only changes *who computes* the in-memory
+/// The matrix through a sequence whose backups cross the front end's
+/// one-thread crossover: the front end only changes *who computes* the in-memory
 /// state, never the state itself, so the filesystem op trace must be
 /// deterministic run to run and recovery must land on a save boundary.
 #[test]
@@ -338,7 +337,7 @@ fn crash_matrix_threaded_backup_variant() {
         .collect();
     assert_eq!(
         traces[0], traces[1],
-        "the staged front end made the filesystem op trace nondeterministic"
+        "the threaded front end made the filesystem op trace nondeterministic"
     );
     let mt_trace = &traces[0];
 

@@ -36,12 +36,13 @@ fn workload(profile: Profile, seed: u64) -> Vec<Vec<u8>> {
     VersionStream::new(profile.spec().scaled(1 << 20, 5), seed).all_versions()
 }
 
-fn restore_caches() -> Vec<Box<dyn RestoreCache>> {
+/// Each restore cache, labelled for assertion messages.
+fn restore_caches() -> Vec<(&'static str, Box<dyn RestoreCache>)> {
     vec![
-        Box::new(ContainerLru::new(6)),
-        Box::new(ChunkLru::new(256 * 1024)),
-        Box::new(Faa::new(256 * 1024)),
-        Box::new(Alacc::new(128 * 1024, 128 * 1024)),
+        ("container-lru", Box::new(ContainerLru::new(6))),
+        ("chunk-lru", Box::new(ChunkLru::new(256 * 1024))),
+        ("faa", Box::new(Faa::new(256 * 1024))),
+        ("alacc", Box::new(Alacc::new(128 * 1024, 128 * 1024))),
     ]
 }
 
@@ -61,19 +62,11 @@ fn assert_pipeline_round_trips(
         p.backup(v).unwrap();
     }
     for (i, expect) in versions.iter().enumerate() {
-        for cache in restore_caches().iter_mut() {
+        for (name, mut cache) in restore_caches() {
             let mut out = Vec::new();
             p.restore(VersionId::new(i as u32 + 1), cache.as_mut(), &mut out)
-                .unwrap_or_else(|e| {
-                    panic!("{tag}/{}: restore V{} failed: {e}", cache.name(), i + 1)
-                });
-            assert_eq!(
-                &out,
-                expect,
-                "{tag}/{}: V{} bytes differ",
-                cache.name(),
-                i + 1
-            );
+                .unwrap_or_else(|e| panic!("{tag}/{name}: restore V{} failed: {e}", i + 1));
+            assert_eq!(&out, expect, "{tag}/{name}: V{} bytes differ", i + 1);
         }
     }
 }
@@ -147,19 +140,11 @@ fn hidestore_round_trips_all_caches_all_profiles() {
             hds.backup(v).unwrap();
         }
         for (i, expect) in versions.iter().enumerate() {
-            for cache in restore_caches().iter_mut() {
+            for (name, mut cache) in restore_caches() {
                 let mut out = Vec::new();
                 hds.restore(VersionId::new(i as u32 + 1), cache.as_mut(), &mut out)
-                    .unwrap_or_else(|e| {
-                        panic!("{profile}/{}: restore V{} failed: {e}", cache.name(), i + 1)
-                    });
-                assert_eq!(
-                    &out,
-                    expect,
-                    "{profile}/{}: V{} bytes differ",
-                    cache.name(),
-                    i + 1
-                );
+                    .unwrap_or_else(|e| panic!("{profile}/{name}: restore V{} failed: {e}", i + 1));
+                assert_eq!(&out, expect, "{profile}/{name}: V{} bytes differ", i + 1);
             }
         }
     }

@@ -5,8 +5,8 @@
 
 use hidestore::chunking::{chunk_spans, ChunkerKind};
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::dedup::{gc, BackupPipeline, PipelineConfig, STAGED_MIN_BYTES};
-use hidestore::hash::Fingerprint;
+use hidestore::dedup::{gc, BackupPipeline, PipelineConfig};
+use hidestore::hash::{Fingerprint, PARALLEL_MIN_BYTES};
 use hidestore::index::{DdfsIndex, SiloConfig, SiloIndex};
 use hidestore::restore::Faa;
 use hidestore::rewriting::{Capping, NoRewrite, RewritePolicy};
@@ -322,11 +322,11 @@ fn hidestore_reads_fewer_containers_than_ddfs_at_equal_cache() {
 }
 
 /// Restore correctness is front-end-independent: repositories built from
-/// versions below, at, and above the inline/staged crossover all restore
+/// versions below, at, and above the front end's one-thread crossover all restore
 /// every version byte-identical.
 #[test]
 fn new_schemes_restore_byte_identical_across_input_sizes() {
-    for bytes in [256 << 10, STAGED_MIN_BYTES, 2 << 20] {
+    for bytes in [256 << 10, PARALLEL_MIN_BYTES, 2 << 20] {
         let versions =
             VersionStream::new(Profile::Kernel.spec().scaled(bytes, 6), 42).all_versions();
         let mut hds = HiDeStore::new(hds_config(), MemoryContainerStore::new());

@@ -1,14 +1,14 @@
 //! Differential suite for the ingest front end.
 //!
 //! Every backup chunks and fingerprints its stream through one function,
-//! `hidestore::dedup::chunk_fingerprints`, which hashes inline below
-//! `STAGED_MIN_BYTES` (or on a one-core machine) and on a pool of hashing
-//! workers above it. Dedup decisions are order-dependent, so both branches
-//! must hand the commit stage exactly what `chunk_spans` followed by
+//! `hidestore::dedup::chunk_fingerprints`, which runs on one thread below
+//! `PARALLEL_MIN_BYTES` (or on a one-core machine) and on one thread per
+//! core above it. Dedup decisions are order-dependent, so every thread
+//! count must hand the commit stage exactly what `chunk_spans` followed by
 //! `Fingerprint::of` per span would: the front end is checked against that
-//! test-side reference at worker counts {1, 2, 8} and at the input lengths
-//! where the staged engine changes shape (empty, one chunk, one hand-off
-//! segment, one segment + 1, either side of the crossover). The index ×
+//! test-side reference at thread counts {1, 2, 8} and at the input lengths
+//! where its segments change shape (empty, one chunk, one segment, one
+//! segment + 1, either side of the crossover). The index ×
 //! rewriter and HiDeStore sweeps then push versions from both sides of the
 //! crossover through the whole pipeline: recipes must list the reference
 //! chunks, every version must restore byte-exact, and HiDeStore
@@ -19,10 +19,10 @@ use std::ops::Range;
 use hidestore::chunking::{chunk_spans, TttdChunker};
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::dedup::{
-    chunk_fingerprints, staged_front_end, BackupPipeline, PipelineConfig, STAGED_MIN_BYTES,
+    chunk_fingerprints, chunk_fingerprints_on, BackupPipeline, KnownChunks, PipelineConfig,
 };
 use hidestore::fsck::{Severity, SystemAuditor};
-use hidestore::hash::Fingerprint;
+use hidestore::hash::{Fingerprint, PARALLEL_MIN_BYTES};
 use hidestore::index::IndexKind;
 use hidestore::restore::Faa;
 use hidestore::rewriting::{Capping, Cbr, CflRewrite, Fbw, NoRewrite, RewritePolicy};
@@ -32,7 +32,7 @@ use hidestore::workloads::{Profile, VersionStream};
 const CHUNK: usize = 1024;
 const CONTAINER: usize = 32 * 1024;
 
-/// Chunks per hand-off segment in the staged branch — mirrors the private
+/// Chunks per segment the front end cuts and hashes — mirrors the private
 /// constant in `crates/dedup/src/pipeline/front_end.rs`.
 const SEGMENT_CHUNKS: usize = 16;
 
@@ -62,11 +62,11 @@ fn noise(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Both branches, every worker count, every length where the staged engine
-/// changes shape: identical spans and fingerprints to the reference.
+/// The front end's own thread choice and every explicit thread count, every
+/// length where its segments change shape: identical spans and fingerprints to the reference.
 #[test]
 fn front_end_matches_the_inline_reference_at_every_edge() {
-    let data = noise(STAGED_MIN_BYTES + 100_000, 7);
+    let data = noise(PARALLEL_MIN_BYTES + 100_000, 7);
     let spans = reference(&data).0;
     let end_of_chunk = |n: usize| spans[n - 1].end;
     let lengths = [
@@ -74,8 +74,8 @@ fn front_end_matches_the_inline_reference_at_every_edge() {
         end_of_chunk(1),
         end_of_chunk(SEGMENT_CHUNKS),
         end_of_chunk(SEGMENT_CHUNKS + 1),
-        STAGED_MIN_BYTES - 1,
-        STAGED_MIN_BYTES,
+        PARALLEL_MIN_BYTES - 1,
+        PARALLEL_MIN_BYTES,
         data.len(),
     ];
     for len in lengths {
@@ -86,11 +86,12 @@ fn front_end_matches_the_inline_reference_at_every_edge() {
             want,
             "chunk_fingerprints len={len}"
         );
-        for workers in [1, 2, 8] {
+        for threads in [1, 2, 8] {
+            let known = KnownChunks::default();
             assert_eq!(
-                staged_front_end(input, &mut TttdChunker::new(CHUNK), workers),
+                chunk_fingerprints_on(input, &mut TttdChunker::new(CHUNK), &known, threads),
                 want,
-                "staged len={len} workers={workers}"
+                "len={len} threads={threads}"
             );
         }
     }
@@ -99,14 +100,14 @@ fn front_end_matches_the_inline_reference_at_every_edge() {
 /// Versions from both sides of the crossover: a short prefix, two full
 /// versions above it, and a tail version one byte below it.
 fn crossover_versions(profile: Profile, seed: u64) -> Vec<Vec<u8>> {
-    let full =
-        VersionStream::new(profile.spec().scaled(STAGED_MIN_BYTES * 5 / 4, 3), seed).all_versions();
-    assert!(full.iter().all(|v| v.len() > STAGED_MIN_BYTES));
+    let full = VersionStream::new(profile.spec().scaled(PARALLEL_MIN_BYTES * 5 / 4, 3), seed)
+        .all_versions();
+    assert!(full.iter().all(|v| v.len() > PARALLEL_MIN_BYTES));
     vec![
         full[0][..200_000].to_vec(),
         full[0].clone(),
         full[1].clone(),
-        full[2][..STAGED_MIN_BYTES - 1].to_vec(),
+        full[2][..PARALLEL_MIN_BYTES - 1].to_vec(),
     ]
 }
 

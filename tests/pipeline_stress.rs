@@ -1,14 +1,12 @@
 //! Seeded stress for the backup front end under random lifecycles.
 //!
 //! Random backup / delete / save sequences run against an on-disk
-//! repository, with at least one version above `STAGED_MIN_BYTES` so the
-//! staged branch's hashing workers and bounded queue carry real traffic —
-//! any missing wake-up or ordering bug shows up as a deadlock or a
-//! corrupted repository. Each case runs under a watchdog thread: if the
+//! repository, with at least one version above `PARALLEL_MIN_BYTES` so the
+//! front end cuts and hashes on several threads sharing one queue lock —
+//! any ordering or hand-off bug shows up as a deadlock or a corrupted
+//! repository. Each case runs under a watchdog thread: if the
 //! front end hangs, the test fails with a timeout instead of hanging CI.
 //! After every save the repository must reopen and pass a clean fsck audit.
-//! (The depth-1 backpressure check lives with the private queue depth, in
-//! `crates/dedup/src/pipeline/front_end.rs`.)
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -18,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
-use hidestore::dedup::STAGED_MIN_BYTES;
 use hidestore::failpoint::RealVfs;
 use hidestore::fsck::{Severity, SystemAuditor};
+use hidestore::hash::PARALLEL_MIN_BYTES;
 use hidestore::restore::Faa;
 use hidestore::storage::VersionId;
 
@@ -90,7 +88,7 @@ fn mutate(rng: &mut StdRng, data: &mut Vec<u8>) {
 /// and its truncating mutations can carry it back below.
 #[test]
 fn random_ops_under_backpressure_audit_clean() {
-    for (case, first_len) in [40_000, 40_000, STAGED_MIN_BYTES + 40_000]
+    for (case, first_len) in [40_000, 40_000, PARALLEL_MIN_BYTES + 40_000]
         .into_iter()
         .enumerate()
     {

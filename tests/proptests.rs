@@ -196,8 +196,13 @@ fn meta_dead_entries(dir: &Path) -> BTreeMap<u32, Vec<Fingerprint>> {
 /// active pool: the `recipes/r*.rcp` and `active/a*.ctr` file sets name
 /// them, every recipe file's bytes are its current encoding, and every
 /// active file, minus the dead entries the meta lists for it and then
-/// compacted, encodes exactly as the pooled container does.
-fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, context: &str) {
+/// compacted, encodes exactly as the pooled container does. Returns how
+/// many dead entries the meta lists.
+fn assert_disk_matches_memory(
+    hds: &HiDeStore<FileContainerStore>,
+    dir: &Path,
+    context: &str,
+) -> usize {
     let mut expect: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for recipe in hds.recipes().iter() {
         let name = format!("recipes/r{}.rcp", recipe.version().get());
@@ -207,6 +212,7 @@ fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, c
         expect.insert(format!("active/a{cid}.ctr"), container.encode());
     }
     let mut dead = meta_dead_entries(dir);
+    let listed = dead.values().map(Vec::len).sum();
     let mut found: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for (sub, prefix, suffix) in [("recipes", "r", ".rcp"), ("active", "a", ".ctr")] {
         let Ok(entries) = std::fs::read_dir(dir.join(sub)) else {
@@ -252,6 +258,7 @@ fn assert_disk_matches_memory(hds: &HiDeStore<FileContainerStore>, dir: &Path, c
             "{context}: {name} on disk differs from memory"
         );
     }
+    listed
 }
 
 /// restore(backup(x)) == x for HiDeStore over arbitrary edit histories.
@@ -612,16 +619,26 @@ fn random_operation_sequences_audit_clean() {
 fn random_lifecycles_restore_exactly_under_random_schemes() {
     use hidestore::restore::{Alacc, BeladyCache, ChunkLru, ContainerLru, RestoreCache};
 
-    fn random_scheme(rng: &mut StdRng) -> Box<dyn RestoreCache> {
+    /// A random scheme and its label.
+    fn random_scheme(rng: &mut StdRng) -> (&'static str, Box<dyn RestoreCache>) {
         match rng.gen_range(0usize..5) {
-            0 => Box::new(ContainerLru::new(rng.gen_range(1usize..8))),
-            1 => Box::new(ChunkLru::new(rng.gen_range(600usize..32_000))),
-            2 => Box::new(Faa::new(rng.gen_range(600usize..32_000))),
+            0 => (
+                "container-lru",
+                Box::new(ContainerLru::new(rng.gen_range(1usize..8))),
+            ),
+            1 => (
+                "chunk-lru",
+                Box::new(ChunkLru::new(rng.gen_range(600usize..32_000))),
+            ),
+            2 => ("faa", Box::new(Faa::new(rng.gen_range(600usize..32_000)))),
             3 => {
                 let half = rng.gen_range(600usize..16_000);
-                Box::new(Alacc::new(half, half))
+                ("alacc", Box::new(Alacc::new(half, half)))
             }
-            _ => Box::new(BeladyCache::new(rng.gen_range(1usize..8))),
+            _ => (
+                "belady",
+                Box::new(BeladyCache::new(rng.gen_range(1usize..8))),
+            ),
         }
     }
 
@@ -671,19 +688,19 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
                 // random scheme.
                 let pick = rng.gen_range(0usize..originals.len());
                 let (&v, expect) = originals.iter().nth(pick).unwrap();
-                let mut scheme = random_scheme(rng);
+                let (name, mut scheme) = random_scheme(rng);
                 let mut out = Vec::new();
                 hds.restore(VersionId::new(v), scheme.as_mut(), &mut out)
                     .unwrap();
-                assert_eq!(&out, expect, "V{v} under {}", scheme.name());
+                assert_eq!(&out, expect, "V{v} under {name}");
             }
             // Epilogue: every survivor restores exactly one more time.
             for (&v, expect) in &originals {
-                let mut scheme = random_scheme(rng);
+                let (name, mut scheme) = random_scheme(rng);
                 let mut out = Vec::new();
                 hds.restore(VersionId::new(v), scheme.as_mut(), &mut out)
                     .unwrap();
-                assert_eq!(&out, expect, "final V{v} under {}", scheme.name());
+                assert_eq!(&out, expect, "final V{v} under {name}");
             }
         }));
         let _ = std::fs::remove_dir_all(&dir);
@@ -697,20 +714,35 @@ fn random_lifecycles_restore_exactly_under_random_schemes() {
 /// after every save, the files under `recipes/` and `active/` are the
 /// instance's recipes and pool byte for byte — the save staged every change
 /// the operations made and removed every file they dropped, however many
-/// saves ran on one instance.
+/// saves ran on one instance. Each case draws its compaction threshold and
+/// whether its first version is noise: at the default 0.95 a container of
+/// sixteen 512-byte chunks that loses one is sparse and merged, while at a
+/// lower threshold a full container from noisy data can lose a few and
+/// keep its file, the meta listing them as dead entries. Some save across
+/// the cases must list one, so the kept-file path is really exercised.
 #[test]
 fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
-    cases(8, 0x11, |rng| {
+    let dead_listed = std::cell::Cell::new(0);
+    cases(16, 0x11, |rng| {
         let dir = scratch_dir("disk-image-hidestore", rng);
         // Small containers: re-clustering finds multi-container tag
         // groups, and pool compaction has sparse containers to merge.
         let config = HiDeStoreConfig {
             container_capacity: 8 * 1024,
+            compact_threshold: [0.95, 0.5, 0.3, 0.1][rng.gen_range(0usize..4)],
             ..hds_config()
+        };
+        let check = |hds: &HiDeStore<FileContainerStore>, context: &str| {
+            let listed = assert_disk_matches_memory(hds, &dir, context);
+            dead_listed.set(dead_listed.get() + listed);
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let seed_len = rng.gen_range(4_000usize..20_000);
-            let mut current = version_history(seed_len, &[]).remove(0);
+            let mut current = if rng.gen_range(0usize..2) == 0 {
+                random_bytes(rng, seed_len)
+            } else {
+                version_history(seed_len, &[]).remove(0)
+            };
             let mut hds = HiDeStore::open_repository(config, &dir).unwrap();
             hds.backup(&current).unwrap();
             let mut originals = BTreeMap::from([(1u32, current.clone())]);
@@ -746,17 +778,17 @@ fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
                     }
                     6 => {
                         hds.save_repository(&dir).unwrap();
-                        assert_disk_matches_memory(&hds, &dir, &context);
+                        check(&hds, &context);
                     }
                     _ => {
                         hds.save_repository(&dir).unwrap();
-                        assert_disk_matches_memory(&hds, &dir, &context);
+                        check(&hds, &context);
                         hds = HiDeStore::open_repository(config, &dir).unwrap();
                     }
                 }
             }
             hds.save_repository(&dir).unwrap();
-            assert_disk_matches_memory(&hds, &dir, "final save");
+            check(&hds, "final save");
             let hds = HiDeStore::open_repository(config, &dir).unwrap();
             for (&v, expect) in &originals {
                 let mut out = Vec::new();
@@ -772,6 +804,10 @@ fn random_lifecycles_keep_the_disk_image_equal_to_memory() {
             std::panic::resume_unwind(panic);
         }
     });
+    assert!(
+        dead_listed.get() > 0,
+        "no save listed a dead entry: the kept-file path went unexercised"
+    );
 }
 
 /// Asserts that `hds`'s pool is the hot set: its fingerprints are exactly

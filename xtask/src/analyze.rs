@@ -48,6 +48,7 @@ pub fn analyze(ws: &Workspace, allowlist: &AnalyzeAllowlist) -> Report {
     raw.extend(rules::locks::scan(ws));
     raw.extend(rules::wire::scan(ws));
     raw.extend(rules::net::scan(ws));
+    raw.extend(rules::one_path::scan(ws));
     raw.extend(rules::panic::scan(ws));
 
     let mut allow_hits = vec![false; allowlist.entries.len()];

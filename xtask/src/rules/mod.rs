@@ -15,9 +15,11 @@
 //! | `panic-call`     | panic audit   | medium   | all library code: `.unwrap()`, `.expect(`, `panic!` |
 //! | `panic-marker`   | panic audit   | medium/low | all library code: `todo!`, `unimplemented!`, `dbg!` |
 //! | `crate-root-attr`| panic audit   | medium   | every crate root: `#![forbid(unsafe_code)]`, `#![warn(missing_docs)]` |
+//! | `one-path`       | one path      | medium   | `src/`, `crates/*`: each row's pattern only in its owners — `thread::scope` only in `crates/hash/src/parallel.rs` |
 
 pub mod locks;
 pub mod net;
+pub mod one_path;
 pub mod panic;
 pub mod vfs;
 pub mod wire;

@@ -77,6 +77,17 @@ fn net_fixture_trips_net_io() {
 }
 
 #[test]
+fn one_path_fixture_trips_one_path() {
+    let (code, stdout, _) = analyze_fixture("one_path_bad");
+    assert_eq!(code, 1);
+    assert!(
+        stdout.contains("crates/dedup/src/lib.rs:8: [one-path/medium] `thread::scope`"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("1 finding(s)"), "stdout: {stdout}");
+}
+
+#[test]
 fn panic_fixture_trips_panic_marker() {
     let (code, stdout, _) = analyze_fixture("panic_bad");
     assert_eq!(code, 1);
