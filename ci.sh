@@ -112,14 +112,15 @@
 #                                      torn, corrupt or unknown frame
 #                                      leaves its buffer as it was
 #   7. chaos matrix (release)       -- fault-at-every-wire-op sweep of the
-#                                      retrying client against the daemon:
-#                                      cut/short/black-hole/delay on both
-#                                      sides, each reached site proven to
-#                                      fire, resume-tail accounting (the
-#                                      resumed leg moves only the tail and
-#                                      a late resume reads fewer containers
-#                                      than the full restore), server
-#                                      restart ride-through, busy shedding;
+#                                      one client against the daemon:
+#                                      cut/short/black-hole/delay on the
+#                                      client side, the server side and
+#                                      one tenant of two, each reached
+#                                      site proven to fire, each op
+#                                      byte-exact or failed typed, a
+#                                      one-shot caller's repair ending at
+#                                      exactly the fault-free versions,
+#                                      busy shedding;
 #                                      then the daemon's disk faulted at
 #                                      every I/O op of one tenant's served
 #                                      backup, through the same fault plan

@@ -817,7 +817,7 @@ impl<S: fmt::Debug> fmt::Debug for HiDeStore<S> {
 /// its restore plan plus prefix sums over the chunk sizes, so any byte range
 /// maps onto exactly the chunks — and therefore the containers — that cover
 /// it. This is the one way to read part of a version: tree restore, the
-/// auditor's manifest check and the daemon's resumed restores all use it.
+/// auditor's manifest check and the daemon's restores all use it.
 pub struct ResolvedVersion<'a, S> {
     system: &'a HiDeStore<S>,
     version: VersionId,

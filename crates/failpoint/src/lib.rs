@@ -24,8 +24,8 @@
 //! process: every later filesystem operation of the plan fails too, so
 //! nothing "after the crash" can leak to disk. A fault that fires on a wire
 //! operation kills only its own socket; later connections run clean, so a
-//! retrying client can prove it converges. Neither kind stops the other
-//! side.
+//! caller that connects again can prove the daemon and its repository came
+//! through intact. Neither kind stops the other side.
 //!
 //! A harness first runs a workload under [`Plan::counting`] to enumerate
 //! the sites (see [`Plan::trace`]), then replays it once per site with

@@ -13,7 +13,7 @@ use crate::plan::{FaultKind, OpKind, Plan};
 /// Without a plan every call passes straight to the socket. With one, each
 /// non-empty read and write is a numbered site of the plan (shared across
 /// every socket and [`FaultVfs`](crate::FaultVfs) wrapped from it, so a
-/// retrying client's reconnects keep counting). A fault that fires here
+/// client's later connections keep counting). A fault that fires here
 /// kills only this socket: `Short` moves about half the bytes first, `Delay`
 /// stalls and lets the socket live, `BlackHole` fails with `TimedOut`, and
 /// every other fault cuts the connection with `ConnectionReset`. Once dead,

@@ -118,7 +118,7 @@ struct State {
 ///   filesystem operation of the plan fails without touching the disk and
 ///   without being numbered;
 /// * on a wire operation, only that socket dies; later connections run
-///   clean, so a retrying client can prove it converges.
+///   clean, so a caller that connects again can prove it converges.
 ///
 /// Neither kind stops the other side.
 #[derive(Clone)]

@@ -584,10 +584,10 @@ mod tests {
             ("over max_frame", &frame, tight),
         ];
         for (what, bytes, limits) in cases {
-            let mut buf = b"parked prefix".to_vec();
+            let mut buf = b"earlier frames".to_vec();
             let result = read_frame_into(&mut &bytes[..], &limits, &mut buf);
             assert!(result.is_err(), "{what}: {result:?}");
-            assert_eq!(buf, b"parked prefix", "{what}");
+            assert_eq!(buf, b"earlier frames", "{what}");
         }
         assert!(matches!(
             read_frame_into(&mut &unknown[..], &Limits::default(), &mut Vec::new()),

@@ -14,8 +14,8 @@
 //!   [`Request`] / [`Response`] enums covering every CLI verb
 //!   (backup/restore/list/stats/prune/verify/ping/shutdown plus the tenant
 //!   admin verbs), and [`WireError`] with stable [`ErrorCode`]s. Every
-//!   REQUEST payload is a tenant envelope ([`TenantId`] + request); both
-//!   transfers are idempotent, resumable sessions.
+//!   REQUEST payload is a tenant envelope ([`TenantId`] + request); each
+//!   transfer moves one whole version.
 //! * [`json`] — deterministic JSON serialization of [`ListResponse`] and
 //!   [`StatsResponse`], shared by the CLI's `--json` flags so local and
 //!   remote output cannot drift.
@@ -24,23 +24,24 @@
 //!
 //! ```text
 //! client                                          server
-//!   | -- HELLO {6,6} ---------------------------------> |
-//!   | <----------------------------- HELLO {6,6} ----- |  (or ERROR unsupported)
-//!   | -- REQUEST [tenant] BackupResume{token,len} ----> |
-//!   | <------------ RESPONSE BackupAccepted{offset} -- |  (token already
-//!   | -- DATA* (data[offset..]) ----------------------> |   committed: cached
-//!   | -- END -----------------------------------------> |   BackupDone, no DATA)
+//!   | -- HELLO {7,7} ---------------------------------> |
+//!   | <----------------------------- HELLO {7,7} ----- |  (or ERROR unsupported)
+//!   | -- REQUEST [tenant] Backup{len} ----------------> |
+//!   | <------------------- RESPONSE BackupAccepted --- |
+//!   | -- DATA* ---------------------------------------> |  (at most len bytes)
+//!   | -- END -----------------------------------------> |
 //!   | <----------------------- RESPONSE BackupDone --- |  (or ERROR)
-//!   | -- REQUEST [tenant] RestoreResume{v,offset} ----> |
+//!   | -- REQUEST [tenant] Restore{v} -----------------> |
 //!   | <------------------- RESPONSE RestoreStarted --- |
-//!   | <--------------------------------------- DATA* - |  (bytes offset..)
+//!   | <--------------------------------------- DATA* - |
 //!   | <----------------------------------------- END - |
 //!   | <---------------------- RESPONSE RestoreDone --- |  (mid-stream failure: ERROR)
 //! ```
 //!
-//! A fresh transfer is the same exchange with a new token (backup) or
-//! `offset = 0` (restore); a retry after a dropped connection repeats the
-//! request and moves only the bytes the other side does not hold yet.
+//! A transfer cut short is not resumed: the daemon drops a backup's partial
+//! stream and commits nothing from it, and a caller that wants the data
+//! starts the transfer over. A backup whose acknowledgement was lost may
+//! have committed, so a caller lists before backing up again.
 //!
 //! Decoding is total: any byte sequence either decodes or yields a typed
 //! [`DecodeError`] / [`FrameError`] — never a panic. Torn frames (a peer
@@ -63,9 +64,9 @@ pub use frame::{
 };
 pub use message::{
     BackupSummary, ErrorCode, Hello, ListResponse, PruneSummary, Request, Response, RestoreSummary,
-    SessionToken, StatsResponse, TenantListEntry, TenantListResponse, TenantStatsEntry,
-    TenantStatsResponse, VerifySummary, VersionEntry, VersionStatsEntry, WireError, HELLO_MAGIC,
-    PROTO_VERSION, TENANT_ENVELOPE_TAG,
+    StatsResponse, TenantListEntry, TenantListResponse, TenantStatsEntry, TenantStatsResponse,
+    VerifySummary, VersionEntry, VersionStatsEntry, WireError, HELLO_MAGIC, PROTO_VERSION,
+    TENANT_ENVELOPE_TAG,
 };
 pub use tenant::{TenantId, TenantIdError, DEFAULT_TENANT, MAX_TENANT_ID_LEN};
 pub use wire::DecodeError;
@@ -138,7 +139,7 @@ mod tests {
                 corrupt_chunks: vec![(3, "deadbeef".into())],
             }),
             Response::ShutdownOk,
-            Response::BackupAccepted { offset: 777 },
+            Response::BackupAccepted,
             Response::TenantListOk(TenantListResponse {
                 tenants: vec![
                     TenantListEntry {
@@ -177,14 +178,8 @@ mod tests {
             Request::Prune { keep_last: 2 },
             Request::Verify,
             Request::Shutdown,
-            Request::BackupResume {
-                token: [7; 16],
-                total_len: 1 << 30,
-            },
-            Request::RestoreResume {
-                version: 4,
-                offset: 4096,
-            },
+            Request::Backup { total_len: 1 << 30 },
+            Request::Restore { version: 4 },
             Request::TenantList,
             Request::TenantStats,
         ]
@@ -274,15 +269,6 @@ mod tests {
             WireError::decode(&hintless),
             Err(DecodeError::UnexpectedEof { .. })
         ));
-        assert!(
-            ErrorCode::Busy.is_retryable() && ErrorCode::ShuttingDown.is_retryable(),
-            "load-shedding and shutdown refusals must invite a retry"
-        );
-        assert!(!ErrorCode::Malformed.is_retryable());
-        assert!(
-            !ErrorCode::QuotaExceeded.is_retryable(),
-            "a quota refusal repeats identically — retrying it is pure waste"
-        );
     }
 
     #[test]
@@ -309,10 +295,19 @@ mod tests {
 
     #[test]
     fn retired_transfer_tags_do_not_decode() {
-        // Tags 2 (tokenless Backup) and 3 (tokenless Restore) are retired,
-        // bare or enveloped, and never renumbered onto another verb.
+        // Tags 2 and 3 (tokenless Backup and Restore) and 9 and 10
+        // (the resumable backup and restore) are retired, bare or enveloped,
+        // and never renumbered onto another verb.
         let tenant = TenantId::default_tenant();
-        for bare in [vec![2u8], vec![3, 1, 0, 0, 0]] {
+        let mut resume = vec![9u8];
+        resume.extend_from_slice(&[7; 16]);
+        resume.extend_from_slice(&1000u64.to_le_bytes());
+        for bare in [
+            vec![2u8],
+            vec![3, 1, 0, 0, 0],
+            resume,
+            vec![10, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ] {
             assert_eq!(
                 Request::decode(&bare),
                 Err(DecodeError::BadTag {
@@ -334,6 +329,8 @@ mod tests {
         assert_eq!(Request::Ping.encode(), [1]);
         assert_eq!(Request::List.encode(), [4]);
         assert_eq!(Request::TenantStats.encode(), [12]);
+        assert_eq!(Request::Backup { total_len: 1 }.encode()[0], 13);
+        assert_eq!(Request::Restore { version: 1 }.encode(), [14, 1, 0, 0, 0]);
     }
 
     #[test]

@@ -12,16 +12,10 @@ use crate::tenant::TenantId;
 use crate::wire::{ByteReader, ByteWriter, DecodeError};
 
 /// The one protocol version this build speaks: every request carries the
-/// tenant envelope and every transfer is an idempotent, resumable session.
-/// Both peers offer exactly this version in their [`Hello`]; any other
-/// offered range is refused with [`ErrorCode::Unsupported`].
-pub const PROTO_VERSION: u16 = 6;
-
-/// A client-generated idempotency token identifying one backup session.
-/// The server dedupes on it: a retried `BackupResume` whose token already
-/// committed is answered from the recorded summary instead of committing a
-/// second version.
-pub type SessionToken = [u8; 16];
+/// tenant envelope and every transfer moves a whole version. Both peers
+/// offer exactly this version in their [`Hello`]; any other offered range
+/// is refused with [`ErrorCode::Unsupported`].
+pub const PROTO_VERSION: u16 = 7;
 
 /// Magic prefix inside HELLO payloads, distinguishing a HiDeStore daemon
 /// endpoint from an arbitrary TCP service.
@@ -90,7 +84,7 @@ impl Hello {
     }
 }
 
-/// A client request. `BackupResume` is followed (after the server's
+/// A client request. `Backup` is followed (after the server's
 /// [`Response::BackupAccepted`]) by a DATA stream terminated by END; every
 /// other request is self-contained.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,31 +105,20 @@ pub enum Request {
     /// Ask the daemon to shut down gracefully after in-flight requests
     /// drain.
     Shutdown,
-    /// Begin (or resume) an idempotent backup session. The
-    /// server answers [`Response::BackupAccepted`] with the byte offset it
-    /// already buffered for this token (0 for a fresh session), then the
-    /// client streams DATA frames carrying `data[offset..]` and END. A
-    /// token the server already committed is answered directly with the
-    /// recorded [`Response::BackupDone`] — never committed twice.
-    BackupResume {
-        /// Client-generated idempotency token for this backup.
-        token: SessionToken,
-        /// Total length of the stream the client intends to upload, so the
-        /// server can reject a resume whose buffered prefix cannot belong
-        /// to it.
+    /// Back up a stream as the next version: the server answers
+    /// [`Response::BackupAccepted`], the client streams DATA frames and
+    /// END, and the server commits and answers [`Response::BackupDone`].
+    Backup {
+        /// Length of the stream the client will upload; the server refuses
+        /// the backup as soon as the DATA frames pass it.
         total_len: u64,
     },
-    /// Restore a version starting at a byte offset (0 for a fresh
-    /// restore): the server answers [`Response::RestoreStarted`], streams
-    /// DATA frames and END, then [`Response::RestoreDone`]. An interrupted
-    /// restore re-transfers only the tail after the bytes the client
-    /// already holds.
-    RestoreResume {
+    /// Restore a whole version: the server answers
+    /// [`Response::RestoreStarted`], streams DATA frames and END, then
+    /// [`Response::RestoreDone`].
+    Restore {
         /// The version to restore (1-based).
         version: u32,
-        /// Bytes of the version the client already holds; the DATA stream
-        /// starts at this offset.
-        offset: u64,
     },
     /// List every tenant under the server's root with its
     /// version count and logical size. Admin verb — not scoped to the
@@ -161,16 +144,17 @@ impl Request {
             Request::Prune { .. } => "prune",
             Request::Verify => "verify",
             Request::Shutdown => "shutdown",
-            Request::BackupResume { .. } => "backup-resume",
-            Request::RestoreResume { .. } => "restore-resume",
+            Request::Backup { .. } => "backup",
+            Request::Restore { .. } => "restore",
             Request::TenantList => "tenant-list",
             Request::TenantStats => "tenant-stats",
         }
     }
 
     /// Encodes the bare request (tag + fields) that
-    /// [`Request::encode_with_tenant`] wraps. Tags 2 and 3 belonged to the
-    /// retired tokenless transfer verbs and are never reused.
+    /// [`Request::encode_with_tenant`] wraps. Tags 2, 3, 9 and 10 belonged
+    /// to retired transfer verbs (tokenless, then resumable) and are never
+    /// reused.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
@@ -183,18 +167,16 @@ impl Request {
             }
             Request::Verify => w.u8(7),
             Request::Shutdown => w.u8(8),
-            Request::BackupResume { token, total_len } => {
-                w.u8(9);
-                w.raw(token);
-                w.u64(*total_len);
-            }
-            Request::RestoreResume { version, offset } => {
-                w.u8(10);
-                w.u32(*version);
-                w.u64(*offset);
-            }
             Request::TenantList => w.u8(11),
             Request::TenantStats => w.u8(12),
+            Request::Backup { total_len } => {
+                w.u8(13);
+                w.u64(*total_len);
+            }
+            Request::Restore { version } => {
+                w.u8(14);
+                w.u32(*version);
+            }
         }
         w.into_bytes()
     }
@@ -249,22 +231,12 @@ impl Request {
             },
             7 => Request::Verify,
             8 => Request::Shutdown,
-            9 => {
-                let mut token = [0u8; 16];
-                for byte in &mut token {
-                    *byte = r.u8()?;
-                }
-                Request::BackupResume {
-                    token,
-                    total_len: r.u64()?,
-                }
-            }
-            10 => Request::RestoreResume {
-                version: r.u32()?,
-                offset: r.u64()?,
-            },
             11 => Request::TenantList,
             12 => Request::TenantStats,
+            13 => Request::Backup {
+                total_len: r.u64()?,
+            },
+            14 => Request::Restore { version: r.u32()? },
             tag => {
                 return Err(DecodeError::BadTag {
                     what: "request",
@@ -443,9 +415,9 @@ pub struct TenantStatsResponse {
 }
 
 /// A server response. Every request ends in exactly one RESPONSE (or
-/// ERROR) frame; `BackupResume` is first acknowledged with
-/// `BackupAccepted`, and `RestoreResume` streams DATA frames between its
-/// `RestoreStarted` and `RestoreDone`.
+/// ERROR) frame; `Backup` is first acknowledged with `BackupAccepted`, and
+/// `Restore` streams DATA frames between its `RestoreStarted` and
+/// `RestoreDone`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Answer to [`Request::Ping`].
@@ -471,13 +443,9 @@ pub enum Response {
     /// The daemon acknowledged [`Request::Shutdown`] and will exit once
     /// in-flight requests drain.
     ShutdownOk,
-    /// A [`Request::BackupResume`] session is open. `offset`
-    /// bytes are already buffered server-side for this token; the client
-    /// streams the remainder.
-    BackupAccepted {
-        /// Bytes of the stream the server already holds (resume point).
-        offset: u64,
-    },
+    /// A [`Request::Backup`] is accepted; the client streams its DATA
+    /// frames and END.
+    BackupAccepted,
     /// Answer to [`Request::TenantList`].
     TenantListOk(TenantListResponse),
     /// Answer to [`Request::TenantStats`].
@@ -558,10 +526,7 @@ impl Response {
                 }
             }
             Response::ShutdownOk => w.u8(9),
-            Response::BackupAccepted { offset } => {
-                w.u8(10);
-                w.u64(*offset);
-            }
+            Response::BackupAccepted => w.u8(10),
             Response::TenantListOk(list) => {
                 w.u8(11);
                 w.len_u32(list.tenants.len());
@@ -681,7 +646,7 @@ impl Response {
                 })
             }
             9 => Response::ShutdownOk,
-            10 => Response::BackupAccepted { offset: r.u64()? },
+            10 => Response::BackupAccepted,
             11 => {
                 let n = r.seq_len()?;
                 let mut tenants = Vec::with_capacity(n.min(1024));
@@ -791,19 +756,6 @@ impl ErrorCode {
                 })
             }
         })
-    }
-
-    /// Whether a client may safely retry the request after receiving this
-    /// code. `ShuttingDown` and `Busy` are transient server states;
-    /// `Timeout` means the server gave up waiting and nothing committed.
-    /// Everything else — including `QuotaExceeded`, which only clears
-    /// when the tenant prunes or the quota is raised — reflects the
-    /// request itself and will fail again.
-    pub fn is_retryable(self) -> bool {
-        matches!(
-            self,
-            ErrorCode::ShuttingDown | ErrorCode::Busy | ErrorCode::Timeout
-        )
     }
 }
 

@@ -17,11 +17,8 @@ use hidestore_failpoint::Socket;
 use hidestore_proto::{
     read_frame, read_frame_into, write_frame, BackupSummary, DataWriter, Frame, FrameError,
     FrameKind, Hello, Limits, ListResponse, PruneSummary, Request, Response, RestoreSummary,
-    SessionToken, StatsResponse, TenantId, TenantListResponse, TenantStatsResponse, VerifySummary,
-    WireError,
+    StatsResponse, TenantId, TenantListResponse, TenantStatsResponse, VerifySummary, WireError,
 };
-
-use crate::retry::generate_token;
 
 /// The per-I/O socket deadline both sides use unless told otherwise: the
 /// client's `--remote-timeout` and the daemon's `--timeout` override it.
@@ -103,13 +100,16 @@ impl RemoteClient {
         Self::handshake(Socket::connect(addr, None)?, limits, timeout)
     }
 
-    /// Performs HELLO negotiation over an already-connected socket, which
-    /// the retrying client wraps in its fault plan, if it has one.
+    /// Performs HELLO negotiation over an already-connected socket with
+    /// the given limits and I/O deadline ([`Duration::ZERO`] disables it):
+    /// the constructor [`RemoteClient::connect_with`] calls with a plain
+    /// socket, and the seam through which a test hands in a
+    /// [`Socket`] numbered by a fault plan.
     ///
     /// # Errors
     ///
     /// Transport failures, torn frames, or a version-negotiation refusal.
-    pub(crate) fn handshake(
+    pub fn handshake(
         stream: Socket,
         limits: Limits,
         timeout: Duration,
@@ -206,72 +206,39 @@ impl RemoteClient {
         }
     }
 
-    /// Streams `data` to the daemon as a new backup version: a
-    /// single-leg [`RemoteClient::backup_resume`] under a fresh token.
+    /// Streams `data` to the daemon as a new backup version.
+    ///
+    /// A transport failure does not mean nothing committed: the daemon
+    /// may have committed before the acknowledgement was lost, or may
+    /// still commit the whole stream it had already received. A caller
+    /// that wants the backup taken lists ([`RemoteClient::list`]) before
+    /// sending it again.
     ///
     /// # Errors
     ///
     /// Transport, remote (e.g. oversize stream), or protocol errors.
     pub fn backup_bytes(&mut self, data: &[u8]) -> Result<BackupSummary, ClientError> {
-        Ok(self.backup_resume(generate_token(0), data)?.summary)
-    }
-
-    /// One leg of a resumable backup: offers `token` to the daemon, and —
-    /// unless the token already committed — streams `data` from the
-    /// daemon's acknowledged offset onward. Retrying callers pass the same
-    /// token and the full `data` every time; only the unacknowledged tail
-    /// crosses the wire, and the daemon never commits the token twice.
-    ///
-    /// # Errors
-    ///
-    /// Transport, remote, or protocol errors.
-    pub fn backup_resume(
-        &mut self,
-        token: SessionToken,
-        data: &[u8],
-    ) -> Result<BackupAttempt, ClientError> {
-        let total_len = data.len() as u64;
-        self.send_request(&Request::BackupResume { token, total_len })?;
-        let offset = match self.read_response()? {
-            // The daemon recognized the token as already committed and
-            // answered from its cache: nothing to send.
-            Response::BackupDone(summary) => {
-                return Ok(BackupAttempt {
-                    resumed_at: total_len,
-                    sent: 0,
-                    deduped: true,
-                    summary,
-                })
-            }
-            Response::BackupAccepted { offset } => offset,
+        self.send_request(&Request::Backup {
+            total_len: data.len() as u64,
+        })?;
+        match self.read_response()? {
+            Response::BackupAccepted => {}
             other => return Err(unexpected("BackupAccepted", &other)),
-        };
-        if offset > total_len {
-            return Err(ClientError::Protocol(format!(
-                "daemon acknowledged {offset} bytes of a {total_len}-byte backup"
-            )));
         }
-        let tail = &data[offset as usize..];
         let mut writer = DataWriter::new(&mut self.stream);
-        writer.write_all(tail)?;
+        writer.write_all(data)?;
         writer.flush()?;
         write_frame(&mut self.stream, FrameKind::End, &[])?;
         match self.read_response()? {
-            Response::BackupDone(summary) => Ok(BackupAttempt {
-                resumed_at: offset,
-                sent: tail.len() as u64,
-                deduped: false,
-                summary,
-            }),
+            Response::BackupDone(summary) => Ok(summary),
             other => Err(unexpected("BackupDone", &other)),
         }
     }
 
     /// Restores `version` into `out`, returning the daemon's restore
-    /// summary: a single-leg [`RemoteClient::restore_resume`] from offset
-    /// 0. An ERROR frame mid-stream aborts with the bytes written so far
-    /// already in `out` (callers writing to a file should stage it through
-    /// [`hidestore_core::write_staged`], which cleans up for them).
+    /// summary. An ERROR frame mid-stream aborts with the bytes written so
+    /// far already in `out` (callers writing to a file should stage it
+    /// through [`hidestore_core::write_staged`], which cleans up for them).
     ///
     /// # Errors
     ///
@@ -282,35 +249,11 @@ impl RemoteClient {
         version: u32,
         out: &mut dyn Write,
     ) -> Result<RestoreSummary, ClientError> {
-        Ok(self.restore_resume(version, 0, out)?.summary)
-    }
-
-    /// One leg of a resumable restore: asks the daemon for `version`
-    /// starting at byte `offset`, appending only the tail to `out`. The
-    /// first leg uses `offset == 0`; after an interruption the caller
-    /// passes the byte count it already holds and the daemon skips that
-    /// prefix, so interrupted restores re-transfer only what was lost.
-    ///
-    /// # Errors
-    ///
-    /// Transport, remote, or protocol errors (including an offset past the
-    /// version's end) — and `out`'s own write errors.
-    pub fn restore_resume(
-        &mut self,
-        version: u32,
-        offset: u64,
-        out: &mut dyn Write,
-    ) -> Result<RestoreAttempt, ClientError> {
-        self.send_request(&Request::RestoreResume { version, offset })?;
+        self.send_request(&Request::Restore { version })?;
         let total_bytes = match self.read_response()? {
             Response::RestoreStarted { total_bytes } => total_bytes,
             other => return Err(unexpected("RestoreStarted", &other)),
         };
-        if offset > total_bytes {
-            return Err(ClientError::Protocol(format!(
-                "daemon announced {total_bytes} bytes but accepted resume offset {offset}"
-            )));
-        }
         let mut received: u64 = 0;
         // Every frame of the stream is read into this one buffer.
         let mut payload = Vec::new();
@@ -338,19 +281,14 @@ impl RemoteClient {
         }
         match self.read_response()? {
             Response::RestoreDone(summary) => {
-                if offset + received != total_bytes || summary.bytes_restored != total_bytes {
+                if received != total_bytes || summary.bytes_restored != total_bytes {
                     return Err(ClientError::Protocol(format!(
-                        "resumed restore length mismatch: announced {total_bytes}, offset \
-                         {offset} + received {received}, daemon reports {}",
+                        "restore length mismatch: announced {total_bytes}, received \
+                         {received}, daemon reports {}",
                         summary.bytes_restored
                     )));
                 }
-                Ok(RestoreAttempt {
-                    resumed_at: offset,
-                    received,
-                    total_bytes,
-                    summary,
-                })
+                Ok(summary)
             }
             other => Err(unexpected("RestoreDone", &other)),
         }
@@ -448,33 +386,6 @@ impl RemoteClient {
             other => Err(unexpected("ShutdownOk", &other)),
         }
     }
-}
-
-/// Transfer accounting of one [`RemoteClient::backup_resume`] leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackupAttempt {
-    /// Offset the daemon acknowledged — bytes before it were NOT re-sent.
-    pub resumed_at: u64,
-    /// Bytes this leg actually streamed.
-    pub sent: u64,
-    /// True when the daemon answered from its idempotency cache (the
-    /// token had already committed) without accepting any bytes.
-    pub deduped: bool,
-    /// The commit's summary (cached original on a dedup answer).
-    pub summary: BackupSummary,
-}
-
-/// Transfer accounting of one [`RemoteClient::restore_resume`] leg.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoreAttempt {
-    /// Offset this leg started at — bytes before it were NOT re-sent.
-    pub resumed_at: u64,
-    /// Bytes this leg actually received.
-    pub received: u64,
-    /// Total logical bytes of the version.
-    pub total_bytes: u64,
-    /// The daemon's restore summary (covers the full version).
-    pub summary: RestoreSummary,
 }
 
 fn decode_error(payload: &[u8]) -> Result<WireError, ClientError> {

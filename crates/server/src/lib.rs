@@ -10,8 +10,10 @@
 //!   [`StatsSnapshot`] counters, and graceful
 //!   [`ServerHandle::request_shutdown`] / [`ServerHandle::join`], which
 //!   dropping the handle also performs.
-//! * [`RemoteClient`] is the matching blocking client used by the
-//!   `--remote` CLI paths and the test/bench harnesses.
+//! * [`RemoteClient`] is the one client, blocking, used by the `--remote`
+//!   CLI paths and the test/bench harnesses. Each backup or restore is one
+//!   whole transfer on one connection; a failure is a typed
+//!   [`ClientError`] and is never retried or resumed.
 //! * [`view`] builds the protocol's `List`/`Stats`/`Verify` response types
 //!   from a repository, shared by the daemon and the local CLI.
 //!
@@ -30,20 +32,15 @@
 #![warn(missing_docs)]
 
 mod client;
-mod retry;
 mod server;
-mod session;
 pub mod stats;
 pub mod view;
 
-pub use client::{BackupAttempt, ClientError, RemoteClient, RestoreAttempt, DEFAULT_NET_TIMEOUT};
+pub use client::{ClientError, RemoteClient, DEFAULT_NET_TIMEOUT};
 pub use hidestore_proto::DATA_CHUNK;
-pub use retry::{retryable, ResumeEvent, RetryClient, RetryCounters, RetryPolicy};
 pub use server::{
-    serve, serve_with, ServerConfig, ServerError, ServerHandle, BUSY_RETRY_AFTER_MS, MAX_SESSIONS,
-    QUEUE_DEPTH,
+    serve, serve_with, ServerConfig, ServerError, ServerHandle, BUSY_RETRY_AFTER_MS, QUEUE_DEPTH,
 };
-pub use session::SessionTable;
 pub use stats::{ServerStats, StatsSnapshot, TenantStats};
 
 #[cfg(test)]
@@ -230,7 +227,6 @@ mod tests {
         match err {
             ClientError::Remote(e) => {
                 assert_eq!(e.code, ErrorCode::QuotaExceeded);
-                assert!(!e.code.is_retryable(), "quota refusals are permanent");
             }
             other => panic!("expected Remote(QuotaExceeded), got {other}"),
         }

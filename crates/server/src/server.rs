@@ -41,7 +41,7 @@ use std::num::NonZeroU32;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,7 +50,7 @@ use hidestore_failpoint::{Plan, RealVfs, Socket, Vfs};
 use hidestore_fsck::SystemAuditor;
 use hidestore_proto::{
     read_frame, read_frame_into, write_frame, DataWriter, ErrorCode, Frame, FrameError, FrameKind,
-    Hello, Limits, Request, Response, RestoreSummary, SessionToken, TenantId, TenantListEntry,
+    Hello, Limits, Request, Response, RestoreSummary, TenantId, TenantListEntry,
     TenantListResponse, TenantStatsEntry, TenantStatsResponse, WireError,
 };
 use hidestore_restore::Faa;
@@ -58,17 +58,8 @@ use hidestore_storage::VersionId;
 use hidestore_tenant::{RegistryOptions, TenantError, TenantQuota, TenantRegistry};
 
 use crate::client::DEFAULT_NET_TIMEOUT;
-use crate::session::SessionTable;
 use crate::stats::{ServerStats, StatsSnapshot, TenantStats};
 use crate::view;
-
-/// Idle lifetime of a parked or committed session entry: long enough to
-/// outlive any client's retry budget.
-const SESSION_TTL: Duration = Duration::from_secs(300);
-
-/// Parked (and committed) resumable sessions held at once, each table
-/// LRU-evicted beyond it.
-pub const MAX_SESSIONS: usize = 64;
 
 /// Backoff hint (milliseconds) sent with `busy` refusals.
 pub const BUSY_RETRY_AFTER_MS: u32 = 100;
@@ -181,8 +172,8 @@ impl From<TenantError> for ServerError {
 /// State shared by the acceptor, the workers, and the handle.
 struct Shared<V: Vfs> {
     /// Tenant id → repository handle, through a capacity-bounded LRU.
-    /// Each tenant's slot owns its own writer lock and resumable-commit
-    /// gate, so unrelated tenants' mutations commit in parallel.
+    /// Each tenant's slot owns its own writer lock, so unrelated tenants'
+    /// mutations commit in parallel.
     registry: TenantRegistry<V>,
     /// Accepted connections waiting for a worker. The acceptor owns the
     /// sending side; when it exits, the workers drain what is queued and
@@ -192,20 +183,11 @@ struct Shared<V: Vfs> {
     stats: ServerStats,
     config: ServerConfig,
     addr: SocketAddr,
-    /// Parked/committed resumable-session state, keyed by
-    /// *(tenant, token)* (LRU + TTL bounded).
-    sessions: Mutex<SessionTable>,
 }
 
 impl<V: Vfs> Shared<V> {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn sessions(&self) -> MutexGuard<'_, SessionTable> {
-        // The table holds plain data; a panicking holder cannot leave it
-        // inconsistent, so a poisoned lock is safe to re-enter.
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Sets the shutdown flag and pokes the blocking acceptor with a wake
@@ -260,12 +242,6 @@ impl<V: Vfs> ServerHandle<V> {
     /// bleeds into another tenant's row.
     pub fn tenant_stats(&self) -> Vec<TenantStatsEntry> {
         self.shared.stats.tenant_snapshots()
-    }
-
-    /// Parked (incomplete) resumable sessions currently held. The chaos
-    /// suite asserts this drains to zero.
-    pub fn open_sessions(&self) -> usize {
-        self.shared.sessions().open_sessions()
     }
 
     /// Begins a graceful shutdown: the acceptor stops, in-flight requests
@@ -347,7 +323,6 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
     let listener = TcpListener::bind(&config.bind)?;
     let addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    let sessions = Mutex::new(SessionTable::new(MAX_SESSIONS, SESSION_TTL));
     let (tx, rx) = sync_channel(QUEUE_DEPTH);
     let shared = Arc::new(Shared {
         registry,
@@ -356,7 +331,6 @@ pub fn serve_with<V: Vfs + Sync + 'static>(
         stats: ServerStats::default(),
         config,
         addr,
-        sessions,
     });
 
     let mut threads = Vec::with_capacity(workers + 1);
@@ -708,12 +682,8 @@ fn dispatch<V: Vfs>(
 ) -> Outcome {
     match request {
         Request::Ping => reply(stream, &Response::Pong, String::new()),
-        Request::BackupResume { token, total_len } => {
-            serve_backup_resume(tenant, tstats, token, total_len, stream, shared)
-        }
-        Request::RestoreResume { version, offset } => {
-            serve_restore(tenant, tstats, version, offset, stream, shared)
-        }
+        Request::Backup { total_len } => serve_backup(tenant, tstats, total_len, stream, shared),
+        Request::Restore { version } => serve_restore(tenant, tstats, version, stream, shared),
         Request::List => {
             let slot = match shared.registry.get(tenant) {
                 Ok(s) => s,
@@ -755,56 +725,39 @@ fn dispatch<V: Vfs>(
     }
 }
 
-/// What receiving a backup's DATA stream produced.
-enum BackupStream {
-    /// END arrived; `data` holds the complete payload.
-    Complete(Vec<u8>),
-    /// The request failed in a way the client can be told about.
-    Failed(Outcome),
-    /// The transport died mid-stream; `data` holds the complete frames
-    /// received before the failure (resumable).
-    Interrupted { data: Vec<u8>, error: FrameError },
-}
-
-/// Receives DATA frames into `data` (which may already hold a resumed
-/// prefix) until END, a failure, or a transport error. Each payload is
-/// read straight onto the end of `data`, which only ever gains whole,
-/// verified frames.
+/// Receives the DATA frames of a backup declared `total_len` bytes long
+/// until END. Each payload is read straight onto the end of the buffer,
+/// which only ever gains whole, verified frames and never grows more than
+/// one frame past `total_len`. A cut stream is dropped with its buffer:
+/// nothing of it is kept or committed.
 fn receive_backup_stream<V: Vfs>(
     stream: &mut Socket,
     shared: &Shared<V>,
     tstats: &TenantStats,
-    mut data: Vec<u8>,
-) -> BackupStream {
+    total_len: u64,
+) -> Result<Vec<u8>, Outcome> {
     let limits = shared.config.limits;
+    let mut data = Vec::new();
     loop {
         let before = data.len();
-        let kind = match read_frame_into(stream, &limits, &mut data) {
-            Ok(kind) => kind,
-            Err(error) => return BackupStream::Interrupted { data, error },
-        };
-        match kind {
+        match read_frame_into(stream, &limits, &mut data).map_err(Outcome::Transport)? {
             FrameKind::Data => {
-                if data.len() as u64 > limits.max_stream {
-                    ServerStats::bump(&shared.stats.rejected_oversize);
-                    return BackupStream::Failed(Outcome::Failed {
-                        code: ErrorCode::TooLarge,
-                        message: format!(
-                            "backup stream exceeds the {}-byte limit",
-                            limits.max_stream
-                        ),
-                    });
-                }
                 let received = (data.len() - before) as u64;
                 ServerStats::add(&shared.stats.bytes_in, received);
                 ServerStats::add(&tstats.bytes_in, received);
+                if data.len() as u64 > total_len {
+                    return Err(Outcome::Failed {
+                        code: ErrorCode::Malformed,
+                        message: format!("backup stream passes its declared {total_len} bytes"),
+                    });
+                }
             }
             FrameKind::End => {
                 data.truncate(before);
-                return BackupStream::Complete(data);
+                return Ok(data);
             }
             other => {
-                return BackupStream::Failed(Outcome::Failed {
+                return Err(Outcome::Failed {
                     code: ErrorCode::Malformed,
                     message: format!("expected DATA or END, got {other}"),
                 })
@@ -813,39 +766,10 @@ fn receive_backup_stream<V: Vfs>(
     }
 }
 
-/// Parks an interrupted backup prefix unless the token already committed —
-/// a stale worker (its client long gone) must not resurrect a session that
-/// a faster retry already finished. One lock guard makes check-and-park
-/// atomic against `record_committed`. Empty prefixes are dropped: there is
-/// nothing to resume and no session worth holding.
-fn park_if_uncommitted<V: Vfs>(
-    shared: &Shared<V>,
-    tenant: &TenantId,
-    token: SessionToken,
-    data: Vec<u8>,
-    total_len: u64,
-) {
-    if data.is_empty() {
-        return;
-    }
-    let mut sessions = shared.sessions();
-    if sessions.committed(tenant, token).is_none() {
-        sessions.park(tenant, token, data, total_len);
-    }
-}
-
-/// The backup path: resumable and idempotent.
-///
-/// The token is the client's name for the whole logical backup across all
-/// its attempts. Commit exactly once: the committed-token cache answers
-/// retries that lost the acknowledgement, the commit gate serializes the
-/// check-then-commit window against a racing retry, and an interrupted
-/// stream parks its prefix so the next attempt continues from the
-/// acknowledged offset instead of starting over.
-fn serve_backup_resume<V: Vfs>(
+/// The backup path: accept, receive the whole stream, commit once.
+fn serve_backup<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
-    token: SessionToken,
     total_len: u64,
     stream: &mut Socket,
     shared: &Shared<V>,
@@ -868,46 +792,14 @@ fn serve_backup_resume<V: Vfs>(
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
     };
-    // Already committed? Answer from the cache without accepting a byte —
-    // the retried backup must never commit twice.
-    if let Some(summary) = shared.sessions().committed(tenant, token) {
-        ServerStats::bump(&shared.stats.dedup_hits);
-        return reply(
-            stream,
-            &Response::BackupDone(summary),
-            format!(" version=V{} dedup=hit", summary.version),
-        );
-    }
-    // Resume from the parked prefix if one survives; a prefix longer than
-    // the declared total is a stale/mismatched session and is discarded.
-    let parked = shared
-        .sessions()
-        .take(tenant, token)
-        .map(|(data, _total)| data)
-        .filter(|data| data.len() as u64 <= total_len)
-        .unwrap_or_default();
-    let offset = parked.len() as u64;
-    if offset > 0 {
-        ServerStats::bump(&shared.stats.sessions_resumed);
-    }
-    if let Err(e) = send_response(stream, &Response::BackupAccepted { offset }) {
-        // The acknowledgement never left: keep the prefix for the retry.
-        park_if_uncommitted(shared, tenant, token, parked, total_len);
+    if let Err(e) = send_response(stream, &Response::BackupAccepted) {
         return Outcome::Transport(e);
     }
-    let data = match receive_backup_stream(stream, shared, tstats, parked) {
-        BackupStream::Complete(data) => data,
-        BackupStream::Failed(outcome) => return outcome,
-        BackupStream::Interrupted { data, error } => {
-            // Park what arrived (complete frames only — the frame layer is
-            // all-or-nothing) so the retry continues from here.
-            park_if_uncommitted(shared, tenant, token, data, total_len);
-            return Outcome::Transport(error);
-        }
+    let data = match receive_backup_stream(stream, shared, tstats, total_len) {
+        Ok(data) => data,
+        Err(outcome) => return outcome,
     };
     if data.len() as u64 != total_len {
-        // The client's END disagrees with its own declared length; the
-        // session is unusable, start over on the next attempt.
         return Outcome::Failed {
             code: ErrorCode::Malformed,
             message: format!(
@@ -916,31 +808,16 @@ fn serve_backup_resume<V: Vfs>(
             ),
         };
     }
-    // Serialize the committed-check → commit → record window so a racing
-    // retry of the same (tenant, token) observes either "not committed
-    // yet" plus a held gate, or the cached summary — never a second
-    // commit. The gate lives in the tenant's slot: same-tenant retries
-    // serialize here, other tenants' commits do not.
-    let gate = slot.commit_gate();
-    if let Some(summary) = shared.sessions().committed(tenant, token) {
-        drop(gate);
-        ServerStats::bump(&shared.stats.dedup_hits);
-        return reply(
-            stream,
-            &Response::BackupDone(summary),
-            format!(" version=V{} dedup=hit", summary.version),
-        );
-    }
     let quota = shared.config.default_quota;
     let result = slot
         .handle()
         .write_checked(|s| quota.admit(s, data.len() as u64), |s| s.backup(&data));
-    let outcome = match result {
+    match result {
         Ok(stats) => {
+            // If this acknowledgement is lost, the version is committed
+            // all the same: the client sees a transport error and can
+            // list to find it.
             let summary = view::backup_summary(&stats);
-            shared.sessions().record_committed(tenant, token, summary);
-            // Even if this acknowledgement is lost, the commit is recorded:
-            // the retry gets a dedup answer, not a second version.
             let detail = format!(
                 " version=V{} bytes={} stored={}",
                 summary.version, summary.logical_bytes, summary.stored_bytes
@@ -950,32 +827,26 @@ fn serve_backup_resume<V: Vfs>(
         Err(e) => {
             // A repository failure is not transport loss: the data arrived
             // intact and the commit was refused (quota) or rolled back, so
-            // nothing is parked and the client sees the typed
-            // (non-retryable) error.
+            // the client sees the typed error.
             bump_mutation_failure(shared, tstats, &e);
             repo_error_outcome(e)
         }
-    };
-    drop(gate);
-    outcome
+    }
 }
 
 /// What happened inside the read closure of a served restore.
 enum ServedRestore {
     Done(RestoreSummary),
     RepoError(HiDeStoreError),
-    /// The requested resume offset lies past the end of the version.
-    BadOffset {
-        total_bytes: u64,
-    },
     Transport(io::Error),
 }
 
+/// The restore path: resolve, announce the length, stream the whole
+/// version.
 fn serve_restore<V: Vfs>(
     tenant: &TenantId,
     tstats: &TenantStats,
     version: u32,
-    offset: u64,
     stream: &mut Socket,
     shared: &Shared<V>,
 ) -> Outcome {
@@ -989,44 +860,36 @@ fn serve_restore<V: Vfs>(
         Ok(s) => s,
         Err(e) => return tenant_error_outcome(e),
     };
-    let v = VersionId::new(version);
     let served = slot.handle().read(|system| {
-        let resolved = match system.resolve(v) {
+        // Resolving first means a version that cannot be restored is
+        // refused before any stream opens.
+        let resolved = match system.resolve(VersionId::new(version)) {
             Ok(resolved) => resolved,
             Err(e) => return ServedRestore::RepoError(e),
         };
         let total_bytes = resolved.total_bytes();
-        if offset > total_bytes {
-            return ServedRestore::BadOffset { total_bytes };
-        }
         if let Err(e) = send_response(stream, &Response::RestoreStarted { total_bytes }) {
             return ServedRestore::Transport(match e {
                 FrameError::Io(e) => e,
                 other => io::Error::other(other.to_string()),
             });
         }
-        // A resumed leg restores only the tail, so it reads only the
-        // containers under it.
         let mut writer = DataWriter::new(&mut *stream);
         let mut cache = Faa::new(RESTORE_AREA_BYTES);
         match resolved
-            .restore_range(offset..total_bytes, &mut cache, &mut writer)
+            .restore_range(0..total_bytes, &mut cache, &mut writer)
             .and_then(|report| {
                 writer.flush()?;
                 Ok(report)
             }) {
-            Ok(report) => ServedRestore::Done(view::restore_summary(total_bytes, &report)),
+            Ok(report) => ServedRestore::Done(view::restore_summary(&report)),
             Err(error) => ServedRestore::RepoError(error),
         }
     });
-    if offset > 0 && matches!(served, Ok(ServedRestore::Done(_))) {
-        ServerStats::bump(&shared.stats.sessions_resumed);
-    }
     match served {
         Ok(ServedRestore::Done(summary)) => {
-            let bytes_out = summary.bytes_restored - offset;
-            ServerStats::add(&shared.stats.bytes_out, bytes_out);
-            ServerStats::add(&tstats.bytes_out, bytes_out);
+            ServerStats::add(&shared.stats.bytes_out, summary.bytes_restored);
+            ServerStats::add(&tstats.bytes_out, summary.bytes_restored);
             let finish = write_frame(stream, FrameKind::End, &[])
                 .and_then(|()| send_response(stream, &Response::RestoreDone(summary)));
             match finish {
@@ -1041,15 +904,8 @@ fn serve_restore<V: Vfs>(
         }
         // If DATA frames already went out, the ERROR frame tells the
         // client the stream is aborted (it discards its .tmp output).
-        Ok(ServedRestore::RepoError(error)) => repo_error_outcome(error),
-        Ok(ServedRestore::BadOffset { total_bytes }) => Outcome::Failed {
-            code: ErrorCode::Conflict,
-            message: format!(
-                "resume offset {offset} is past the end of V{version} ({total_bytes} bytes)"
-            ),
-        },
+        Ok(ServedRestore::RepoError(error)) | Err(error) => repo_error_outcome(error),
         Ok(ServedRestore::Transport(e)) => Outcome::Transport(FrameError::Io(e)),
-        Err(e) => repo_error_outcome(e),
     }
 }
 

@@ -31,15 +31,9 @@ pub struct ServerStats {
     pub bytes_in: AtomicU64,
     /// Payload bytes sent in DATA frames.
     pub bytes_out: AtomicU64,
-    /// Connections refused with a retryable `busy` error because the
+    /// Connections refused with a typed `busy` error because the
     /// admission gate found the worker queue full (load shedding).
     pub busy_rejected: AtomicU64,
-    /// Backup/restore requests that resumed an interrupted session at a
-    /// non-zero offset.
-    pub sessions_resumed: AtomicU64,
-    /// Retried backups answered from the idempotency cache instead of
-    /// committing a second time.
-    pub dedup_hits: AtomicU64,
     /// Per-tenant counter rows, created lazily on a tenant's first
     /// request. Tenants never share a row, so one tenant's traffic can
     /// never inflate another's counters.
@@ -69,8 +63,6 @@ impl ServerStats {
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             busy_rejected: self.busy_rejected.load(Ordering::Relaxed),
-            sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -150,10 +142,6 @@ pub struct StatsSnapshot {
     pub bytes_out: u64,
     /// Connections shed with a `busy` refusal.
     pub busy_rejected: u64,
-    /// Requests that resumed an interrupted session.
-    pub sessions_resumed: u64,
-    /// Duplicate backup commits suppressed by the idempotency cache.
-    pub dedup_hits: u64,
 }
 
 impl fmt::Display for StatsSnapshot {
@@ -161,8 +149,7 @@ impl fmt::Display for StatsSnapshot {
         write!(
             f,
             "accepted={} ok={} failed={} rejected_oversize={} timed_out={} \
-             rolled_back={} bytes_in={} bytes_out={} busy_rejected={} \
-             sessions_resumed={} dedup_hits={}",
+             rolled_back={} bytes_in={} bytes_out={} busy_rejected={}",
             self.accepted,
             self.requests_ok,
             self.requests_failed,
@@ -172,8 +159,6 @@ impl fmt::Display for StatsSnapshot {
             self.bytes_in,
             self.bytes_out,
             self.busy_rejected,
-            self.sessions_resumed,
-            self.dedup_hits,
         )
     }
 }

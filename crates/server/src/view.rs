@@ -31,13 +31,11 @@ pub fn backup_summary(stats: &VersionStats) -> BackupSummary {
     }
 }
 
-/// Builds the [`RestoreSummary`] of a restore of a `version_bytes`-long
-/// version. A resumed restore's report counts only the tail it read, but
-/// the summary names the whole version, which the client checks against
-/// the announced length.
-pub fn restore_summary(version_bytes: u64, report: &RestoreReport) -> RestoreSummary {
+/// Builds the [`RestoreSummary`] of one whole-version restore; a remote
+/// client checks its `bytes_restored` against the announced length.
+pub fn restore_summary(report: &RestoreReport) -> RestoreSummary {
     RestoreSummary {
-        bytes_restored: version_bytes,
+        bytes_restored: report.bytes_restored,
         container_reads: report.container_reads,
         cache_hits: report.cache_hits,
         cache_misses: report.cache_misses,

@@ -17,12 +17,12 @@
 //!   count proves it) is never evicted, so an in-flight writer can never
 //!   race a fresh handle on the same directory.
 //! * **Per-tenant writer locks.** Each slot owns its repository's writer
-//!   lock and its own resumable-commit gate, so two tenants' mutations
-//!   commit fully in parallel; only same-tenant mutations serialize.
+//!   lock, so two tenants' mutations commit fully in parallel; only
+//!   same-tenant mutations serialize.
 //! * **Quotas.** A [`TenantQuota`] bounds retained versions and logical
 //!   bytes. [`TenantQuota::admit`] runs inside the writer lock (via
 //!   [`RepositoryHandle::write_checked`]) *before* the mutation, so a
-//!   refusal is a cheap read — typed, non-retryable, and never a rollback.
+//!   refusal is a cheap read — typed, permanent, and never a rollback.
 //! * **Two mounts.** A *tenant root* serves `<root>/tenants/<id>/`, one
 //!   repository per tenant, auto-created on first backup with the root's
 //!   `config` (or the default config when the root has none). A *legacy

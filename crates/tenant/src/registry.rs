@@ -150,13 +150,12 @@ impl Default for RegistryOptions {
     }
 }
 
-/// One live tenant: its repository handle plus the tenant-scoped locks
-/// that make same-tenant operations safe without serializing other
-/// tenants. Handed out as an `Arc` — the registry's eviction logic uses
-/// the reference count to tell idle slots from busy ones.
+/// One live tenant: its repository handle, whose lock makes same-tenant
+/// operations safe without serializing other tenants. Handed out as an
+/// `Arc` — the registry's eviction logic uses the reference count to tell
+/// idle slots from busy ones.
 pub struct TenantSlot<V: Vfs = RealVfs> {
     handle: RepositoryHandle<V>,
-    commit_gate: Mutex<()>,
 }
 
 impl<V: Vfs> TenantSlot<V> {
@@ -164,13 +163,6 @@ impl<V: Vfs> TenantSlot<V> {
     /// writer lock — no other tenant contends on it.
     pub fn handle(&self) -> &RepositoryHandle<V> {
         &self.handle
-    }
-
-    /// Locks this tenant's resumable-commit gate, serializing the
-    /// committed-check → commit → record sequence of idempotent backups
-    /// against same-tenant retries only.
-    pub fn commit_gate(&self) -> MutexGuard<'_, ()> {
-        self.commit_gate.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -341,10 +333,7 @@ impl<V: Vfs> TenantRegistry<V> {
             template.save_to_with(&dir, &vfs)?;
         }
         let handle = RepositoryHandle::open_with(&dir, vfs)?;
-        let slot = Arc::new(TenantSlot {
-            handle,
-            commit_gate: Mutex::new(()),
-        });
+        let slot = Arc::new(TenantSlot { handle });
         inner.live.push((tenant.clone(), slot.clone()));
         self.evict_idle(&mut inner);
         Ok(slot)

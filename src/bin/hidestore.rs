@@ -24,7 +24,11 @@
 //! then omitted. Each verb has one implementation: `--remote` only picks
 //! where its result comes from. `init`, `backup-tree`, `restore-tree`,
 //! `flatten` and `recluster` are local only. A remote verb makes one
-//! connection and neither retries nor resumes.
+//! connection and moves each version whole; the protocol has no retry or
+//! resume. A remote backup that fails on the transport may still have
+//! committed (its acknowledgement was lost, or the daemon finished a
+//! stream it had already received), so run `list` before backing up
+//! again.
 //!
 //! ```text
 //! hidestore backup  --remote 127.0.0.1:4321 <file>
@@ -421,7 +425,7 @@ fn cmd_restore(target: &Target, version: &str, outfile: &str) -> CliResult {
         Target::Local(repo) => {
             let mut cache = Faa::new(RESTORE_AREA_BYTES);
             let report = open(repo)?.restore(version, &mut cache, out)?;
-            Ok::<_, CliError>(view::restore_summary(report.bytes_restored, &report))
+            Ok::<_, CliError>(view::restore_summary(&report))
         }
         Target::Remote(remote) => Ok(connect(remote)?.restore_to(version.get(), out)?),
     })?;

@@ -1,6 +1,8 @@
 //! Fault matrix for the daemon (`hidestore serve`): disconnects and torn frames at every
 //! frame boundary, during both backup and restore, and disk faults at every
-//! filesystem operation of a served backup.
+//! filesystem operation of a served backup; plus the two edges of a whole
+//! transfer: a stream longer than it declared, and a backup whose
+//! acknowledgement is lost after it committed.
 //!
 //! For each cut point the daemon must (a) stay alive and keep answering
 //! well-formed clients, (b) commit nothing from the aborted request, (c)
@@ -12,19 +14,17 @@ use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hidestore::core::{write_staged, HiDeStore, HiDeStoreConfig};
 use hidestore::failpoint::{FaultKind, FaultVfs, OpKind, Plan, Vfs};
 use hidestore::fsck::{Severity, SystemAuditor};
 use hidestore::proto::{
-    encode_frame, read_frame, ErrorCode, Frame, FrameKind, Hello, Limits, Request, SessionToken,
-    TenantId, WireError,
+    encode_frame, read_frame, ErrorCode, Frame, FrameKind, Hello, Limits, Request, TenantId,
+    WireError,
 };
 use hidestore::restore::Faa;
-use hidestore::server::{
-    serve, serve_with, ClientError, RemoteClient, ServerConfig, ServerHandle, MAX_SESSIONS,
-};
+use hidestore::server::{serve, serve_with, ClientError, RemoteClient, ServerConfig, ServerHandle};
 use hidestore::storage::VersionId;
 use hidestore::tenant::TENANTS_SUBDIR;
 
@@ -55,11 +55,11 @@ fn request_frame(request: &Request) -> Vec<u8> {
     )
 }
 
-/// The full client-side byte stream of one backup session under `token`,
-/// plus the frame boundaries (cumulative offsets after each complete
-/// frame). The raw client never reads `BackupAccepted`: a fresh token is
-/// always accepted at offset 0, and TCP buffers the DATA frames behind it.
-fn backup_session(payload: &[u8], token: SessionToken) -> (Vec<u8>, Vec<usize>) {
+/// The full client-side byte stream of one backup, plus the frame
+/// boundaries (cumulative offsets after each complete frame). The raw
+/// client never reads `BackupAccepted`: TCP buffers the DATA frames behind
+/// the request until the daemon reads them.
+fn backup_session(payload: &[u8]) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = Vec::new();
     let mut boundaries = vec![0];
     let mut push = |frame: Vec<u8>, bytes: &mut Vec<u8>| {
@@ -71,8 +71,7 @@ fn backup_session(payload: &[u8], token: SessionToken) -> (Vec<u8>, Vec<usize>) 
         &mut bytes,
     );
     push(
-        request_frame(&Request::BackupResume {
-            token,
+        request_frame(&Request::Backup {
             total_len: payload.len() as u64,
         }),
         &mut bytes,
@@ -166,13 +165,11 @@ fn backup_fault_matrix() {
     drop(conn);
 
     let payload = noise(130_000, 2);
-    let (_, boundaries) = backup_session(&payload, [0; 16]);
+    let (bytes, boundaries) = backup_session(&payload);
     let session_len = boundaries[boundaries.len() - 1];
 
     // Cut at every frame boundary, and torn mid-frame just after each
     // boundary (inside the next frame's header and inside its payload).
-    // Every cut session carries its own token, as independent clients
-    // would: none may resume into another's parked prefix.
     let mut cuts: Vec<usize> = Vec::new();
     for &b in &boundaries {
         for extra in [0usize, 1, 5, 40] {
@@ -182,27 +179,16 @@ fn backup_fault_matrix() {
             }
         }
     }
-    let mut token: SessionToken = [0; 16];
     for &cut in &cuts {
-        token[..8].copy_from_slice(&(cut as u64).to_le_bytes());
-        let (bytes, _) = backup_session(&payload, token);
         send_and_cut(addr, &bytes[..cut]);
         assert_alive(addr);
     }
 
     // A corrupted (bit-flipped) frame mid-session must also abort cleanly.
-    let (mut corrupted, _) = backup_session(&payload, [0xFF; 16]);
+    let mut corrupted = bytes.clone();
     corrupted[boundaries[2] + 9] ^= 0x40; // inside the first DATA frame
     send_and_cut(addr, &corrupted);
     assert_alive(addr);
-
-    // Abandoned prefixes wait in the parked-session table (a retry with the
-    // same token would resume them), bounded by `MAX_SESSIONS`.
-    let parked = handle.open_sessions();
-    assert!(
-        (1..=MAX_SESSIONS).contains(&parked),
-        "{parked} parked sessions"
-    );
 
     // None of the aborted sessions may have committed a version.
     let mut conn = RemoteClient::connect(addr).unwrap();
@@ -245,10 +231,7 @@ fn restore_fault_matrix() {
     let mut session = Vec::new();
     session.extend_from_slice(&encode_frame(FrameKind::Hello, &Hello::current().encode()));
     let hello_end = session.len();
-    session.extend_from_slice(&request_frame(&Request::RestoreResume {
-        version: 1,
-        offset: 0,
-    }));
+    session.extend_from_slice(&request_frame(&Request::Restore { version: 1 }));
     for cut in [0, 3, hello_end, hello_end + 4, session.len()] {
         send_and_cut(addr, &session[..cut]);
         assert_alive(addr);
@@ -324,9 +307,10 @@ fn error_code(frame: &Frame) -> ErrorCode {
 }
 
 /// The dialects this build retired — an old build's HELLO range, bare
-/// (un-enveloped) requests, and the tokenless transfer tags 2 and 3 — are
-/// each refused with a typed ERROR frame, counted as failed requests,
-/// create nothing on disk, and leave the daemon serving.
+/// (un-enveloped) requests, the tokenless transfer tags 2 and 3, and the
+/// resumable transfer tags 9 and 10 — are each refused with a typed ERROR
+/// frame, counted as failed requests, create nothing on disk, and leave
+/// the daemon serving.
 #[test]
 fn retired_dialects_are_refused_typed() {
     let root = temp("retired");
@@ -358,12 +342,26 @@ fn retired_dialects_are_refused_typed() {
     // A well-versioned peer that skips the envelope, or sends a retired
     // transfer tag inside one, gets HELLO back and then `malformed`.
     let default = TenantId::default_tenant();
-    let mut tag2 = Request::Ping.encode_with_tenant(&default);
-    *tag2.last_mut().unwrap() = 2;
-    let mut tag3 = Request::Ping.encode_with_tenant(&default);
-    tag3.pop();
-    tag3.extend_from_slice(&[3, 1, 0, 0, 0]);
-    for payload in [Request::List.encode(), vec![2], tag2, tag3] {
+    let retired = |bare: &[u8]| {
+        let mut enveloped = Request::Ping.encode_with_tenant(&default);
+        enveloped.pop();
+        enveloped.extend_from_slice(bare);
+        enveloped
+    };
+    // The resumable verbs: backup {token, total_len}, restore {version, offset}.
+    let mut tag9 = vec![9u8];
+    tag9.extend_from_slice(&[7; 16]);
+    tag9.extend_from_slice(&1000u64.to_le_bytes());
+    let mut tag10 = vec![10u8, 1, 0, 0, 0];
+    tag10.extend_from_slice(&0u64.to_le_bytes());
+    for payload in [
+        Request::List.encode(),
+        vec![2],
+        retired(&[2]),
+        retired(&[3, 1, 0, 0, 0]),
+        retired(&tag9),
+        retired(&tag10),
+    ] {
         let before = failed();
         let frames = raw_exchange(addr, Hello::current(), &payload);
         assert_eq!(frames.len(), 2, "{payload:?}: {frames:?}");
@@ -383,6 +381,119 @@ fn retired_dialects_are_refused_typed() {
     shutdown_with_watchdog(handle);
     assert_no_tmp_files(&root);
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// A backup stream may not run past the length its request declared: the
+/// daemon refuses it with a typed `malformed` as soon as the DATA frames
+/// pass it, without waiting for END (or for its socket deadline) and
+/// without holding more than that one frame.
+#[test]
+fn a_stream_past_its_declared_length_is_refused_at_once() {
+    let dir = temp("declared");
+    let handle = start(&dir);
+    let addr = handle.addr();
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    // Far inside the daemon's 30 s deadline: only the length check can
+    // answer in time.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let started = Instant::now();
+    let mut bytes = encode_frame(FrameKind::Hello, &Hello::current().encode());
+    bytes.extend_from_slice(&request_frame(&Request::Backup { total_len: 1_000 }));
+    bytes.extend_from_slice(&encode_frame(FrameKind::Data, &noise(48 * 1024, 5)));
+    stream.write_all(&bytes).unwrap();
+    // No END, and the write side stays open: the daemon sees neither an
+    // end of stream nor a torn frame.
+    let mut frames = Vec::new();
+    for _ in 0..3 {
+        frames.push(read_frame(&mut stream, &Limits::default()).unwrap());
+    }
+    assert!(started.elapsed() < Duration::from_secs(5));
+    assert_eq!(frames[0].kind, FrameKind::Hello);
+    assert_eq!(frames[1].kind, FrameKind::Response);
+    assert_eq!(error_code(&frames[2]), ErrorCode::Malformed);
+    drop(stream);
+
+    let mut conn = RemoteClient::connect(addr).unwrap();
+    assert!(
+        conn.list().unwrap().versions.is_empty(),
+        "nothing committed"
+    );
+    drop(conn);
+    let stats = shutdown_with_watchdog(handle);
+    assert_eq!(stats.requests_failed, 1, "{stats}");
+    assert_eq!(stats.timed_out, 0, "{stats}");
+    assert_no_tmp_files(&dir);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A daemon over a fresh repository, its wire numbered by `plan`.
+fn numbered_daemon(tag: &str, plan: Plan) -> (PathBuf, ServerHandle) {
+    let dir = temp(tag);
+    HiDeStoreConfig::small_for_tests().save_to(&dir).unwrap();
+    let config = ServerConfig {
+        quiet: true,
+        fault: Some(plan),
+        ..ServerConfig::default()
+    };
+    let handle = serve(&dir, config).unwrap();
+    (dir, handle)
+}
+
+/// The acknowledgement of a committed backup is lost: the daemon commits,
+/// then its write of `BackupDone` fails. The one-shot client gets a
+/// transport error, yet the version is there — a fresh `list` shows V1,
+/// which restores byte-exact — so a caller must list before backing up
+/// again.
+#[test]
+fn a_lost_acknowledgement_leaves_the_backup_committed() {
+    // One DATA frame well under a loopback segment, so the daemon's reads
+    // (and with them the numbering) come out the same on every run.
+    let payload = noise(20_000, 6);
+    let counting = Plan::counting();
+    let (dir, handle) = numbered_daemon("ack-count", counting.clone());
+    let mut conn = RemoteClient::connect(handle.addr()).unwrap();
+    conn.backup_bytes(&payload).unwrap();
+    drop(conn);
+    shutdown_with_watchdog(handle);
+    fs::remove_dir_all(&dir).unwrap();
+    // The daemon writes HELLO, BackupAccepted and BackupDone; the last
+    // write is the acknowledgement.
+    let writes: Vec<_> = counting
+        .trace()
+        .into_iter()
+        .filter(|r| r.kind == OpKind::WireWrite)
+        .collect();
+    assert_eq!(writes.len(), 3, "{writes:?}");
+    let ack = &writes[2];
+
+    let plan = Plan::armed(ack.index, FaultKind::Error);
+    let (dir, handle) = numbered_daemon("ack-lost", plan.clone());
+    let addr = handle.addr();
+    let mut conn = RemoteClient::connect(addr).unwrap();
+    match conn.backup_bytes(&payload) {
+        Err(ClientError::Frame(_)) => {}
+        other => panic!("a lost acknowledgement is a transport error, got {other:?}"),
+    }
+    drop(conn);
+    assert!(plan.fired(), "the armed site must be reached");
+    let fired = &plan.trace()[ack.index as usize];
+    assert_eq!((fired.kind, fired.len), (ack.kind, ack.len), "{fired:?}");
+
+    let mut conn = RemoteClient::connect(addr).unwrap();
+    let list = conn.list().unwrap();
+    assert_eq!(list.versions.len(), 1, "the backup committed: {list:?}");
+    assert_eq!(list.versions[0].version, 1);
+    let mut out = Vec::new();
+    conn.restore_to(1, &mut out).unwrap();
+    assert!(out == payload, "V1 restores byte-exact");
+    drop(conn);
+    shutdown_with_watchdog(handle);
+    assert_no_tmp_files(&dir);
+    assert_fsck_clean(&dir);
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// What one served backup against a disk-faulted tenant left behind.

@@ -11,8 +11,8 @@
 //! The suite also pins the default and refusal edges: a client that never
 //! names a tenant lands on `default`, byte-identical to one that names it
 //! explicitly; an unknown tenant is a typed `NotFound` that creates nothing
-//! on disk; and a quota refusal is a typed, *non-retryable* error that
-//! `RetryClient` does not retry.
+//! on disk; and a quota refusal is a typed, permanent error that leaves the
+//! committed state readable.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -22,9 +22,7 @@ use std::time::Duration;
 use hidestore::core::{HiDeStore, HiDeStoreConfig};
 use hidestore::fsck::SystemAuditor;
 use hidestore::proto::{ErrorCode, ListResponse, TenantId};
-use hidestore::server::{
-    serve, ClientError, RemoteClient, RetryClient, RetryPolicy, ServerConfig, ServerHandle,
-};
+use hidestore::server::{serve, ClientError, RemoteClient, ServerConfig, ServerHandle};
 use hidestore::tenant::{TenantQuota, TENANTS_SUBDIR};
 
 const TENANTS: usize = 4;
@@ -228,7 +226,6 @@ fn raced_tenants_converge_to_serial_state() {
         assert_eq!(snap.requests_failed, 0, "{id}");
         assert_eq!(snap.rolled_back, 0, "{id}");
     }
-    assert_eq!(handle.open_sessions(), 0, "no leaked sessions");
     shutdown_with_watchdog(handle);
 
     for i in 0..TENANTS {
@@ -273,7 +270,6 @@ fn eviction_churn_preserves_isolation() {
         let bytes: Vec<u64> = list.versions.iter().map(|v| v.bytes).collect();
         assert_eq!(bytes, [p2.len() as u64, p3.len() as u64], "t{i}: sizes");
     }
-    assert_eq!(handle.open_sessions(), 0, "no leaked sessions");
     shutdown_with_watchdog(handle);
     for i in 0..TENANTS {
         assert_fsck_clean(&root.join(TENANTS_SUBDIR).join(format!("t{i}")));
@@ -317,8 +313,8 @@ fn unaddressed_client_lands_on_the_default_tenant() {
     fs::remove_dir_all(&explicit).unwrap();
 }
 
-/// With auto-creation off, an unknown tenant is a typed `NotFound` that
-/// `RetryClient` does not retry — and nothing appears on disk.
+/// With auto-creation off, an unknown tenant is a typed `NotFound` — and
+/// nothing appears on disk.
 #[test]
 fn unknown_tenant_is_refused_without_side_effects() {
     let root = temp("stranger");
@@ -334,21 +330,14 @@ fn unknown_tenant_is_refused_without_side_effects() {
     )
     .unwrap();
 
-    let mut client = RetryClient::new(handle.addr().to_string(), RetryPolicy::default())
-        .with_tenant(tenant("stranger"));
-    match client.backup(&noise(10_000, 1)).unwrap_err() {
-        ClientError::Remote(e) => {
-            assert_eq!(e.code, ErrorCode::NotFound, "{e:?}");
-            assert!(!e.code.is_retryable());
-        }
+    let mut client = RemoteClient::connect(handle.addr())
+        .unwrap()
+        .with_tenant(tenant("stranger"))
+        .unwrap();
+    match client.backup_bytes(&noise(10_000, 1)).unwrap_err() {
+        ClientError::Remote(e) => assert_eq!(e.code, ErrorCode::NotFound, "{e:?}"),
         other => panic!("expected Remote(NotFound), got {other}"),
     }
-    assert_eq!(
-        client.counters().attempts,
-        1,
-        "a permanent refusal must not be retried: {:?}",
-        client.counters()
-    );
     assert!(
         !root.join(TENANTS_SUBDIR).join("stranger").exists(),
         "a refused tenant must leave no directory behind"
@@ -358,9 +347,9 @@ fn unknown_tenant_is_refused_without_side_effects() {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// A quota refusal is permanent: typed `QuotaExceeded`, no retry burned,
-/// no rollback (the check runs before any mutation), and the tenant's
-/// repository stays clean and readable.
+/// A quota refusal is permanent: typed `QuotaExceeded`, no rollback (the
+/// check runs before any mutation), and the tenant's repository stays
+/// clean and readable.
 #[test]
 fn quota_refusal_is_permanent_and_clean() {
     let root = temp("quota");
@@ -380,24 +369,18 @@ fn quota_refusal_is_permanent_and_clean() {
     .unwrap();
 
     let payload = noise(20_000, 3);
-    let mut client = RetryClient::new(handle.addr().to_string(), RetryPolicy::default())
-        .with_tenant(tenant("alice"));
-    client.backup(&payload).unwrap();
-    match client.backup(&noise(5_000, 4)).unwrap_err() {
-        ClientError::Remote(e) => {
-            assert_eq!(e.code, ErrorCode::QuotaExceeded, "{e:?}");
-            assert!(!e.code.is_retryable(), "quota refusals repeat identically");
-        }
+    let mut client = RemoteClient::connect(handle.addr())
+        .unwrap()
+        .with_tenant(tenant("alice"))
+        .unwrap();
+    client.backup_bytes(&payload).unwrap();
+    match client.backup_bytes(&noise(5_000, 4)).unwrap_err() {
+        ClientError::Remote(e) => assert_eq!(e.code, ErrorCode::QuotaExceeded, "{e:?}"),
         other => panic!("expected Remote(QuotaExceeded), got {other}"),
     }
-    assert_eq!(
-        client.counters().attempts,
-        2,
-        "one attempt per backup, no retries: {:?}",
-        client.counters()
-    );
     // The refused mutation left the committed state fully readable.
-    let (bytes, _) = client.restore(1).unwrap();
+    let mut bytes = Vec::new();
+    client.restore_to(1, &mut bytes).unwrap();
     assert_eq!(bytes, payload);
     drop(client);
 

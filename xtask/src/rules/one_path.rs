@@ -22,11 +22,32 @@ struct Row {
     owner_is: &'static str,
 }
 
-const ROWS: &[Row] = &[Row {
-    pattern: &["thread", "::", "scope"],
-    owners: &["crates/hash/src/parallel.rs"],
-    owner_is: "`hidestore_hash::map_ordered` is the program's one fan-out",
-}];
+const ROWS: &[Row] = &[
+    Row {
+        pattern: &["thread", "::", "scope"],
+        owners: &["crates/hash/src/parallel.rs"],
+        owner_is: "`hidestore_hash::map_ordered` is the program's one fan-out",
+    },
+    Row {
+        pattern: &["Socket", "::", "connect"],
+        owners: &["crates/server/src/client.rs"],
+        owner_is: "`RemoteClient` is the program's one client",
+    },
+    Row {
+        pattern: &["DataWriter", "::", "new"],
+        owners: &["crates/server/src/client.rs", "crates/server/src/server.rs"],
+        owner_is: "a DATA stream is one backup upload or one restore download",
+    },
+    Row {
+        pattern: &["write_staged"],
+        owners: &[
+            "src/bin/hidestore.rs",
+            "crates/core/src/system.rs",
+            "crates/core/src/lib.rs",
+        ],
+        owner_is: "the CLI's `restore` is the one staged restore to a file",
+    },
+];
 
 /// Whether `rel` is in scope for this rule.
 fn in_scope(rel: &str) -> bool {
@@ -102,5 +123,20 @@ mod tests {
         assert!(scan_src("crates/core/src/persist.rs", comment).is_empty());
         let spawn = "fn f() { std::thread::spawn(|| ()); }\n";
         assert!(scan_src("crates/server/src/server.rs", spawn).is_empty());
+    }
+
+    #[test]
+    fn a_second_client_is_flagged_outside_its_owners() {
+        let connect = "fn f(a: &str) { let _ = Socket::connect(a, None); }\n";
+        assert!(scan_src("crates/server/src/client.rs", connect).is_empty());
+        assert_eq!(scan_src("crates/server/src/server.rs", connect).len(), 1);
+        let data = "fn f(s: &mut Vec<u8>) { let _ = DataWriter::new(s); }\n";
+        assert!(scan_src("crates/server/src/server.rs", data).is_empty());
+        assert_eq!(scan_src("crates/tree/src/restore.rs", data).len(), 1);
+        let staged = "use hidestore_core::write_staged;\n";
+        assert!(scan_src("src/bin/hidestore.rs", staged).is_empty());
+        assert!(scan_src("crates/core/src/lib.rs", staged).is_empty());
+        let found = scan_src("crates/server/src/client.rs", staged);
+        assert_eq!((found.len(), found[0].line), (1, 1));
     }
 }

@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn an_unrelated_bound_earlier_does_not_count() {
         let src = "fn f(n: usize, limits: &Limits) -> Vec<u8> {\n\
-            let sessions = Table::new(MAX_SESSIONS);\n\
+            let sessions = Table::new(QUEUE_DEPTH);\n\
             if limits.max_frame > 0 { return Vec::new(); }\n\
             Vec::with_capacity(n + 1)\n}\n";
         let found = scan_src("crates/server/src/server.rs", src);

@@ -88,6 +88,22 @@ fn one_path_fixture_trips_one_path() {
 }
 
 #[test]
+fn one_client_fixture_trips_each_client_row() {
+    let (code, stdout, _) = analyze_fixture("one_client_bad");
+    assert_eq!(code, 1);
+    for (line, token) in [
+        (9, "write_staged"),
+        (15, "Socket::connect"),
+        (16, "DataWriter::new"),
+        (18, "write_staged"),
+    ] {
+        let finding = format!("crates/cli/src/lib.rs:{line}: [one-path/medium] `{token}`");
+        assert!(stdout.contains(&finding), "{finding}\nstdout: {stdout}");
+    }
+    assert!(stdout.contains("4 finding(s)"), "stdout: {stdout}");
+}
+
+#[test]
 fn panic_fixture_trips_panic_marker() {
     let (code, stdout, _) = analyze_fixture("panic_bad");
     assert_eq!(code, 1);
