@@ -181,6 +181,9 @@ mod tests {
             ClientError::Remote(e) => assert_eq!(e.code, ErrorCode::TooLarge),
             other => panic!("expected Remote(TooLarge), got {other}"),
         }
+        // An idle connection holds its worker until its read deadline, so
+        // close it before the drain.
+        drop(client);
         let stats = handle.shutdown_and_join();
         assert_eq!(stats.rejected_oversize, 1);
         std::fs::remove_dir_all(&dir).unwrap();
